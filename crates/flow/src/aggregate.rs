@@ -17,9 +17,9 @@
 //!   work is two array index operations and one add;
 //! * interval assignment uses nanosecond bounds precomputed at
 //!   construction — no per-packet multiplies;
-//! * pcap streaming reuses one capture buffer
-//!   ([`PcapReader::next_record_into`]) instead of allocating per
-//!   record.
+//! * pcap streaming parses records where the reader's block buffer
+//!   holds them ([`PcapReader::next_record_ref`]) instead of copying
+//!   or allocating per record.
 //!
 //! [`aggregate_pcap_parallel`] shards a capture across threads and
 //! merges shard results into output **byte-identical** to the serial
@@ -600,14 +600,13 @@ fn aggregate_pcap_with<R: Read>(
 ) -> eleph_packet::Result<(BandwidthMatrix, AggregatorStats)> {
     let mut reader = PcapReader::new(input)?;
     let link = LinkType::from_code(reader.header().linktype)?;
-    let mut buf = Vec::new();
     // Decode into meta chunks and batch-attribute them. Stream
     // positions count every record (including malformed ones, which are
     // rejected immediately), exactly as the one-at-a-time path did.
     let mut chunk = ChunkBuffer::new();
     let mut position: u64 = 0;
-    while let Some(head) = reader.next_record_into(&mut buf)? {
-        match parse_buf_meta(link, &buf, &head) {
+    while let Some((head, bytes)) = reader.next_record_ref()? {
+        match parse_buf_meta(link, bytes, &head) {
             Ok(meta) => chunk.push(&mut agg, meta, position),
             Err(_) => {
                 agg.stats.offered += 1;

@@ -120,9 +120,10 @@ pub fn parse_record_meta(link: LinkType, record: &PcapRecord) -> Result<PacketMe
     parse_buf_meta(link, &record.data, &head)
 }
 
-/// [`parse_record_meta`] for the buffer-reusing read path
-/// ([`crate::pcap::PcapReader::next_record_into`]): captured bytes in
-/// `data`, timestamp and original length from `head`.
+/// [`parse_record_meta`] for the borrowed-record read paths
+/// ([`crate::pcap::PcapReader::next_record_ref`],
+/// [`crate::pcap::PcapSlice::next_record`]): captured bytes in `data`,
+/// timestamp and original length from `head`.
 pub fn parse_buf_meta(
     link: LinkType,
     data: &[u8],

@@ -62,8 +62,8 @@ pub struct PcapRecord {
     pub data: Bytes,
 }
 
-/// Header fields of a record read by [`PcapReader::next_record_into`]
-/// (the captured bytes land in the caller's buffer).
+/// Header fields of a record whose captured bytes are handed back
+/// separately ([`PcapReader::next_record_ref`], [`PcapSlice::next_record`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordHeader {
     /// Capture timestamp in nanoseconds since the epoch.
@@ -155,11 +155,42 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
+/// Bytes the reader asks its input for at a time. About 1 800 backbone
+/// records: large enough that the `read` call vanishes from the
+/// per-packet cost, small enough that the block stays cache-resident
+/// between the kernel's copy and the parser.
+const BLOCK: usize = 128 * 1024;
+
 /// Streaming reader for capture files of either byte order and resolution.
+///
+/// The reader owns one block buffer and frames records **in place**:
+/// the input is read a block at a time (one `read` per ~128 KiB, never
+/// per record) and [`PcapReader::next_record_ref`] hands back a borrow
+/// into the block. Pass the input as it is — a `File`, a pipe, a socket
+/// — and do *not* wrap it in a `BufReader`: that would only add a
+/// second copy of every byte.
+///
+/// What the block guarantees:
+///
+/// * [`PcapReader::new`] consumes exactly the 24-byte global header; the
+///   first block is read by the first record call.
+/// * A refill is a single `read`, and none is issued while a complete
+///   record is already buffered — records from a pipe or a growing file
+///   are delivered as soon as their last byte arrives.
+/// * A record larger than the block grows the buffer geometrically *as
+///   its bytes arrive*, so memory is bounded by what the input really
+///   holds, never by the length a record header claims.
+/// * An error consumes nothing: the cursor stays at the damaged record,
+///   every record before it has been delivered, and calling again
+///   repeats the attempt (as [`PcapSlice`] does).
 #[derive(Debug)]
 pub struct PcapReader<R: Read> {
     input: R,
     header: PcapHeader,
+    /// Read-but-unconsumed input is `block[start..end]`.
+    block: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl<R: Read> PcapReader<R> {
@@ -193,6 +224,9 @@ impl<R: Read> PcapReader<R> {
                 snaplen,
                 linktype,
             },
+            block: Vec::new(),
+            start: 0,
+            end: 0,
         })
     }
 
@@ -201,41 +235,94 @@ impl<R: Read> PcapReader<R> {
         self.header
     }
 
-    /// Read the next record; `Ok(None)` on clean end-of-file.
+    /// The next record's header and its captured bytes, borrowed from
+    /// the reader's block until the next call; `Ok(None)` on clean
+    /// end-of-file.
     ///
-    /// Allocates a fresh buffer per record. Hot loops should prefer
-    /// [`PcapReader::next_record_into`], which reuses one buffer across
-    /// the whole stream.
-    pub fn next_record(&mut self) -> Result<Option<PcapRecord>> {
-        let mut data = Vec::new();
-        Ok(self.next_record_into(&mut data)?.map(|head| PcapRecord {
-            ts_ns: head.ts_ns,
-            orig_len: head.orig_len,
-            data: Bytes::from(data),
+    /// This is the streaming form: no per-record `read`, copy or
+    /// allocation.
+    ///
+    /// # Errors
+    /// [`PacketError::Truncated`] (`needed: 16`) when the input ends
+    /// inside a record header, [`PacketError::Io`] when it ends inside
+    /// a record body or the input itself fails, and
+    /// [`PacketError::ImplausibleCaptureLen`] for a captured length
+    /// above [`MAX_SANE_CAPLEN`].
+    pub fn next_record_ref(&mut self) -> Result<Option<(RecordHeader, &[u8])>> {
+        while self.end - self.start < 16 {
+            if self.refill()? == 0 {
+                return match self.end - self.start {
+                    0 => Ok(None),
+                    got => Err(PacketError::Truncated { needed: 16, got }),
+                };
+            }
+        }
+        let rec_head = self.block[self.start..self.start + 16]
+            .try_into()
+            .expect("16 bytes");
+        let (head, caplen) =
+            decode_record_header(rec_head, self.header.swapped, self.header.resolution)?;
+        let len = 16 + caplen as usize;
+        while self.end - self.start < len {
+            if self.refill()? == 0 {
+                return Err(PacketError::Io("record body truncated".to_string()));
+            }
+        }
+        let body = self.start + 16..self.start + len;
+        self.start += len;
+        Ok(Some((head, &self.block[body])))
+    }
+
+    /// One `read` into the block's free space, returning how many bytes
+    /// arrived (0 at end-of-file). The unread tail moves to the front
+    /// only when the block is full to its end, so compaction costs at
+    /// most one partial record per block; a block that is still full
+    /// after that holds one oversized record, and doubles.
+    fn refill(&mut self) -> Result<usize> {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        } else if self.end == self.block.len() {
+            self.block.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        if self.end == self.block.len() {
+            // Zeroed straight from the allocator: pages the input never
+            // fills are never touched.
+            let mut grown = vec![0; (2 * self.block.len()).max(BLOCK)];
+            grown[..self.end].copy_from_slice(&self.block);
+            self.block = grown;
+        }
+        loop {
+            match self.input.read(&mut self.block[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// [`PcapReader::next_record_ref`] with the captured bytes copied
+    /// into `data` (cleared first), for callers that must own or mutate
+    /// them; `data` is untouched at end-of-file.
+    pub fn next_record_into(&mut self, data: &mut Vec<u8>) -> Result<Option<RecordHeader>> {
+        Ok(self.next_record_ref()?.map(|(head, bytes)| {
+            data.clear();
+            data.extend_from_slice(bytes);
+            head
         }))
     }
 
-    /// Read the next record's bytes into `data` (cleared and refilled),
-    /// returning its header; `Ok(None)` on clean end-of-file.
-    ///
-    /// This is the zero-allocation streaming form: after the buffer has
-    /// grown to the stream's largest capture length, record iteration
-    /// allocates nothing.
-    pub fn next_record_into(&mut self, data: &mut Vec<u8>) -> Result<Option<RecordHeader>> {
-        let mut rec_head = [0u8; 16];
-        match read_exact_or_eof(&mut self.input, &mut rec_head)? {
-            ReadOutcome::Eof => return Ok(None),
-            ReadOutcome::Partial(got) => {
-                return Err(PacketError::Truncated { needed: 16, got });
-            }
-            ReadOutcome::Full => {}
-        }
-        let (head, caplen) =
-            decode_record_header(&rec_head, self.header.swapped, self.header.resolution)?;
-        data.clear();
-        data.resize(caplen as usize, 0);
-        self.input.read_exact(data)?;
-        Ok(Some(head))
+    /// [`PcapReader::next_record_ref`] as an owned [`PcapRecord`] (one
+    /// allocation per record).
+    pub fn next_record(&mut self) -> Result<Option<PcapRecord>> {
+        Ok(self.next_record_ref()?.map(|(head, bytes)| PcapRecord {
+            ts_ns: head.ts_ns,
+            orig_len: head.orig_len,
+            data: Bytes::copy_from_slice(bytes),
+        }))
     }
 }
 
@@ -279,11 +366,11 @@ impl<R: Read> Iterator for PcapReader<R> {
 
 /// Zero-copy record cursor over an in-memory (or memory-mapped) capture.
 ///
-/// Where [`PcapReader`] copies each record's bytes out of a stream,
-/// `PcapSlice` hands back sub-slices of the input buffer — record
-/// iteration allocates and copies nothing. This is what lets
-/// aggregation shard one capture across threads: every worker reads
-/// records straight out of the shared buffer.
+/// Where [`PcapReader`] lends each record out of its own block until
+/// the next call, `PcapSlice` hands back sub-slices of the input buffer
+/// that live as long as it does. This is what lets aggregation shard
+/// one capture across threads: every worker reads records straight out
+/// of the shared buffer.
 #[derive(Debug, Clone)]
 pub struct PcapSlice<'a> {
     data: &'a [u8],
@@ -467,33 +554,6 @@ fn touch_ahead(byte: &u8) {
     let _ = std::hint::black_box(*byte);
 }
 
-enum ReadOutcome {
-    Full,
-    Partial(usize),
-    Eof,
-}
-
-/// Like `read_exact`, but distinguishes "no bytes at all" (clean EOF)
-/// from "some bytes then EOF" (truncated file).
-fn read_exact_or_eof<R: Read>(input: &mut R, buf: &mut [u8]) -> Result<ReadOutcome> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match input.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial(filled)
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(ReadOutcome::Full)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,6 +691,177 @@ mod tests {
             r.next_record().unwrap_err(),
             PacketError::ImplausibleCaptureLen(_)
         ));
+    }
+
+    #[test]
+    fn claimed_caplen_never_sizes_an_allocation() {
+        // Regression: a header claiming just under MAX_SANE_CAPLEN used
+        // to zero-fill a 64 MiB buffer before the read found a 40-byte
+        // file. The block grows only as bytes actually arrive.
+        let mut buf = Vec::new();
+        let w = PcapWriter::new(&mut buf, 1).unwrap();
+        w.finish().unwrap();
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&(MAX_SANE_CAPLEN - 1).to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(buf.len(), 40);
+        let mut r = PcapReader::new(&buf[..]).unwrap();
+        assert!(matches!(
+            r.next_record_ref().unwrap_err(),
+            PacketError::Io(_)
+        ));
+        assert!(r.block.capacity() < 1 << 20, "{} bytes", r.block.capacity());
+    }
+
+    /// Hands out one prepared chunk per `read` call and counts the calls.
+    struct Chunks {
+        chunks: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for Chunks {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let Some(chunk) = self.chunks.front_mut() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.chunks.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    /// A capture of `n` small records of varying length, split into the
+    /// global header and one byte string per record.
+    fn capture_parts(n: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let mut buf = Vec::new();
+        let mut w = PcapWriter::new(&mut buf, 1).unwrap();
+        let mut ends = Vec::new();
+        for i in 0..n {
+            let len = 40 + i % 61;
+            w.write_record(i as u64 * 1_000, len as u32, &vec![i as u8; len]).unwrap();
+            ends.push(w.out.len());
+        }
+        w.finish().unwrap();
+        let mut records = Vec::new();
+        let mut at = 24;
+        for end in ends {
+            records.push(buf[at..end].to_vec());
+            at = end;
+        }
+        buf.truncate(24);
+        (buf, records)
+    }
+
+    #[test]
+    fn new_consumes_exactly_the_global_header() {
+        let (head, records) = capture_parts(3);
+        let capture = [head, records.concat()].concat();
+        let mut input = &capture[..];
+        let reader = PcapReader::new(&mut input).unwrap();
+        assert_eq!(reader.block.capacity(), 0);
+        drop(reader);
+        assert_eq!(input.len(), capture.len() - 24);
+    }
+
+    #[test]
+    fn reads_are_per_block_not_per_record() {
+        let (head, records) = capture_parts(10_000);
+        let capture = [head, records.concat()].concat();
+        let mut r = PcapReader::new(Chunks {
+            chunks: [capture.clone()].into(),
+            reads: 0,
+        })
+        .unwrap();
+        let mut n = 0;
+        while let Some((head, bytes)) = r.next_record_ref().unwrap() {
+            assert_eq!(head.ts_ns, n as u64 * 1_000);
+            assert_eq!(bytes, &records[n][16..]);
+            n += 1;
+        }
+        assert_eq!(n, 10_000);
+        // The global header, one read per block, and the read that
+        // finds end-of-file.
+        assert!(
+            r.input.reads <= capture.len().div_ceil(BLOCK) + 2,
+            "{} reads for {} bytes",
+            r.input.reads,
+            capture.len()
+        );
+    }
+
+    #[test]
+    fn record_split_anywhere_across_the_block_edge_is_reassembled() {
+        // The first record leaves `k` bytes of block for the second, so
+        // the edge sweeps through its header and into its body: the
+        // unread tail has to move to the front intact either way.
+        for k in 0..=40 {
+            let mut buf = Vec::new();
+            let mut w =
+                PcapWriter::with_options(&mut buf, 1, TsResolution::Nano, u32::MAX).unwrap();
+            w.write_record(1, 0, &vec![0xAA; BLOCK - 16 - k]).unwrap();
+            for i in 1..4u8 {
+                let ts = 0x0102_0304 * 1_000_000_000 + 0x0506_0708 + u64::from(i);
+                w.write_record(ts, 0x0A0B_0C0D, &[i; 20]).unwrap();
+            }
+            w.finish().unwrap();
+
+            let chunks = [buf.clone()].into();
+            let mut stream = PcapReader::new(Chunks { chunks, reads: 0 }).unwrap();
+            let mut slice = PcapSlice::new(&buf).unwrap();
+            while let Some(expected) = slice.next_record().unwrap() {
+                assert_eq!(stream.next_record_ref().unwrap(), Some(expected), "k = {k}");
+            }
+            assert!(stream.next_record_ref().unwrap().is_none());
+            assert_eq!(stream.block.len(), BLOCK, "no record outgrew the block");
+        }
+    }
+
+    #[test]
+    fn buffered_record_is_delivered_before_the_next_read() {
+        // A source that yields one record per `read` (a pipe fed by a
+        // live capture): record i must come out after exactly i reads
+        // past the global header — a refill that looped to fill the
+        // block would sit on delivered records until the block was full.
+        let (head, records) = capture_parts(50);
+        let mut chunks = std::collections::VecDeque::from([head]);
+        chunks.extend(records.iter().cloned());
+        let mut r = PcapReader::new(Chunks { chunks, reads: 0 }).unwrap();
+        for (i, record) in records.iter().enumerate() {
+            let (_, bytes) = r.next_record_ref().unwrap().unwrap();
+            assert_eq!(bytes, &record[16..]);
+            assert_eq!(r.input.reads, 1 + (i + 1), "record {i}");
+        }
+        assert!(r.next_record_ref().unwrap().is_none());
+        assert_eq!(r.input.reads, 1 + records.len() + 1);
+    }
+
+    #[test]
+    fn error_consumes_nothing_so_a_growing_file_resumes() {
+        let (head, records) = capture_parts(2);
+        let (first, second) = (&records[0], &records[1]);
+        let chunks = [head, first.clone(), second[..7].to_vec()].into();
+        let mut r = PcapReader::new(Chunks { chunks, reads: 0 }).unwrap();
+        assert_eq!(r.next_record_ref().unwrap().unwrap().1, &first[16..]);
+        for _ in 0..2 {
+            assert_eq!(
+                r.next_record_ref().unwrap_err(),
+                PacketError::Truncated { needed: 16, got: 7 }
+            );
+        }
+        r.input.chunks.push_back(second[7..20].to_vec());
+        assert!(matches!(
+            r.next_record_ref().unwrap_err(),
+            PacketError::Io(_)
+        ));
+        r.input.chunks.push_back(second[20..].to_vec());
+        assert_eq!(r.next_record_ref().unwrap().unwrap().1, &second[16..]);
+        assert!(r.next_record_ref().unwrap().is_none());
     }
 
     #[test]

@@ -40,6 +40,8 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let table: eleph_bgp::BgpTable = /* load or synthesize a RIB */
 //! #     eleph_bgp::synth::generate(&eleph_bgp::synth::SynthConfig::default());
+//! // The bare `File` is the fast form: the reader inside `PcapSource`
+//! // reads it a block at a time, so a `BufReader` would only add a copy.
 //! let file = std::fs::File::open("capture.pcap")?;
 //!
 //! let mut pipeline = PipelineBuilder::new()

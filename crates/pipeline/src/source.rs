@@ -49,8 +49,9 @@ impl<S: PacketSource + ?Sized> PacketSource for &mut S {
 }
 
 /// Streams a pcap capture: structural record framing via
-/// [`PcapReader::next_record_into`] (one reused capture buffer, no
-/// per-record allocation), packet parsing via [`parse_buf_meta`].
+/// [`PcapReader::next_record_ref`] (records parsed where the reader's
+/// block buffer holds them — no per-record `read`, copy or allocation,
+/// so hand it the bare `File`), packet parsing via [`parse_buf_meta`].
 ///
 /// Structural pcap errors abort the run — a damaged file is not a
 /// measurement. Packets that fail *packet* parsing (bad IPv4 header,
@@ -59,7 +60,6 @@ impl<S: PacketSource + ?Sized> PacketSource for &mut S {
 pub struct PcapSource<R: Read> {
     reader: PcapReader<R>,
     link: LinkType,
-    buf: Vec<u8>,
     malformed: u64,
 }
 
@@ -71,7 +71,6 @@ impl<R: Read> PcapSource<R> {
         Ok(PcapSource {
             reader,
             link,
-            buf: Vec::new(),
             malformed: 0,
         })
     }
@@ -80,25 +79,45 @@ impl<R: Read> PcapSource<R> {
     pub fn link(&self) -> LinkType {
         self.link
     }
+
+    /// The framing loop of both pcap sources: records until
+    /// [`SOURCE_CHUNK`] of them have parsed or the capture ends. With
+    /// `faults`, every record is copied into the scratch buffer and
+    /// offered to the injector first (it mutates the bytes).
+    fn frame_chunk(
+        &mut self,
+        mut faults: Option<(&mut FaultInjector, &mut Vec<u8>)>,
+        out: &mut Vec<PacketMeta>,
+    ) -> eleph_packet::Result<usize> {
+        let base = out.len();
+        while let Some((head, mut bytes)) = self.reader.next_record_ref()? {
+            if let Some((injector, buf)) = &mut faults {
+                buf.clear();
+                buf.extend_from_slice(bytes);
+                if injector.apply(buf) == FaultAction::Dropped {
+                    // Dropped before capture from the pipeline's
+                    // point of view: not offered, not malformed.
+                    continue;
+                }
+                bytes = buf;
+            }
+            match parse_buf_meta(self.link, bytes, &head) {
+                Ok(meta) => {
+                    out.push(meta);
+                    if out.len() - base >= SOURCE_CHUNK {
+                        break;
+                    }
+                }
+                Err(_) => self.malformed += 1,
+            }
+        }
+        Ok(out.len() - base)
+    }
 }
 
 impl<R: Read> PacketSource for PcapSource<R> {
     fn next_chunk(&mut self, out: &mut Vec<PacketMeta>) -> eleph_packet::Result<usize> {
-        let base = out.len();
-        loop {
-            match self.reader.next_record_into(&mut self.buf)? {
-                None => return Ok(out.len() - base),
-                Some(head) => match parse_buf_meta(self.link, &self.buf, &head) {
-                    Ok(meta) => {
-                        out.push(meta);
-                        if out.len() - base >= SOURCE_CHUNK {
-                            return Ok(out.len() - base);
-                        }
-                    }
-                    Err(_) => self.malformed += 1,
-                },
-            }
-        }
+        self.frame_chunk(None, out)
     }
 
     fn malformed(&self) -> u64 {
@@ -118,24 +137,18 @@ impl<R: Read> PacketSource for PcapSource<R> {
 /// replays the skipped records through a fresh injector, realigning the
 /// RNG stream).
 pub struct FaultedPcapSource<R: Read> {
-    reader: PcapReader<R>,
-    link: LinkType,
+    source: PcapSource<R>,
     injector: FaultInjector,
     buf: Vec<u8>,
-    malformed: u64,
 }
 
 impl<R: Read> FaultedPcapSource<R> {
     /// Open a pcap stream with fault injection.
     pub fn new(input: R, injector: FaultInjector) -> eleph_packet::Result<Self> {
-        let reader = PcapReader::new(input)?;
-        let link = LinkType::from_code(reader.header().linktype)?;
         Ok(FaultedPcapSource {
-            reader,
-            link,
+            source: PcapSource::new(input)?,
             injector,
             buf: Vec::new(),
-            malformed: 0,
         })
     }
 
@@ -147,32 +160,12 @@ impl<R: Read> FaultedPcapSource<R> {
 
 impl<R: Read> PacketSource for FaultedPcapSource<R> {
     fn next_chunk(&mut self, out: &mut Vec<PacketMeta>) -> eleph_packet::Result<usize> {
-        let base = out.len();
-        loop {
-            match self.reader.next_record_into(&mut self.buf)? {
-                None => return Ok(out.len() - base),
-                Some(head) => {
-                    if self.injector.apply(&mut self.buf) == FaultAction::Dropped {
-                        // Dropped before capture from the pipeline's
-                        // point of view: not offered, not malformed.
-                        continue;
-                    }
-                    match parse_buf_meta(self.link, &self.buf, &head) {
-                        Ok(meta) => {
-                            out.push(meta);
-                            if out.len() - base >= SOURCE_CHUNK {
-                                return Ok(out.len() - base);
-                            }
-                        }
-                        Err(_) => self.malformed += 1,
-                    }
-                }
-            }
-        }
+        self.source
+            .frame_chunk(Some((&mut self.injector, &mut self.buf)), out)
     }
 
     fn malformed(&self) -> u64 {
-        self.malformed
+        self.source.malformed
     }
 }
 

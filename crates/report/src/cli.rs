@@ -1094,12 +1094,11 @@ fn first_packet_unix(path: &str) -> io::Result<u64> {
     let file = std::fs::File::open(path)?;
     let mut reader = eleph_packet::pcap::PcapReader::new(file)
         .map_err(|e| io::Error::other(format!("{path}: {e}")))?;
-    let mut buf = Vec::new();
     match reader
-        .next_record_into(&mut buf)
+        .next_record_ref()
         .map_err(|e| io::Error::other(format!("{path}: {e}")))?
     {
-        Some(head) => Ok(head.ts_ns / 1_000_000_000),
+        Some((head, _)) => Ok(head.ts_ns / 1_000_000_000),
         None => Ok(0),
     }
 }

@@ -43,7 +43,11 @@
 #      deterministic functions of the stream, never of hashing luck or
 #      allocation order), and `eleph sketch` runs the exact-oracle
 #      accuracy harness end to end, asserting recall >= 0.95 at the
-#      default budget on the west lab scenario.
+#      default budget on the west lab scenario;
+#  11. benchmark crate: `benchmark/` is its own workspace, so nothing
+#      above compiles it — build it against the current `crates/*` API
+#      and run its unit tests (`BENCHMARK.json` ≡ the crate's tables),
+#      so an API change that breaks it fails here and not at the driver.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -168,6 +172,9 @@ grep eleph_sketch "$tmpdir/sketch.summary" | tr ',{' '\n\n' \
       END { if (!found) { print "sketch tier: no min_recall in summary" > "/dev/stderr"; exit 1 } }'
 grep -q '"exact_bit_identical":true' "$tmpdir/sketch.summary" \
     || { echo "sketch tier: exact pin missing from harness summary" >&2; exit 1; }
+
+echo "== benchmark crate: builds against crates/*, BENCHMARK.json == its tables =="
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "== legacy shims byte-identical to eleph subcommands (fig1a, table1) =="
 cargo run -q --release -p eleph-report --bin eleph -- fig1a --scale 0.01 --seed 5 > "$tmpdir/eleph_fig1a"
