@@ -4,7 +4,7 @@ use std::net::Ipv4Addr;
 
 use eleph_net::{FlatLpm, LpmView, Prefix};
 
-use crate::{BgpTable, RouteEntry};
+use crate::RouteEntry;
 
 /// Dense id of a route within one [`FrozenBgpTable`].
 ///
@@ -13,27 +13,38 @@ use crate::{BgpTable, RouteEntry};
 /// accounting can use plain arrays instead of `Prefix`-keyed hash maps.
 pub type RouteId = u32;
 
-/// A [`BgpTable`] snapshot frozen into a flat-array lookup structure.
+/// A RIB snapshot frozen into a flat-array lookup structure.
 ///
 /// This is the router RIB/FIB split applied to the measurement
-/// pipeline: [`BgpTable`] stays the updatable source of truth (route
+/// pipeline: [`crate::BgpTable`] stays the updatable source of truth (route
 /// churn, insertion, removal), while `FrozenBgpTable` is the immutable
 /// data-plane copy every packet is attributed against. Attribution is
 /// O(1) with ≤ 2 dependent memory reads ([`eleph_net::FlatLpm`]) and
 /// returns a dense [`RouteId`] — no `Prefix → id` hash lookup on the
 /// hot path.
 ///
-/// Build one with [`BgpTable::freeze`]; rebuild after mutating the
-/// source table.
+/// Build one with [`FrozenBgpTable::from_routes`] (straight from a
+/// route list, e.g. [`crate::dump::read_routes`]) or
+/// [`crate::BgpTable::freeze`] (from the mutable table); rebuild after
+/// the routes change.
 #[derive(Debug, Clone)]
 pub struct FrozenBgpTable {
     flat: FlatLpm<RouteEntry>,
 }
 
 impl FrozenBgpTable {
-    pub(crate) fn new(table: &BgpTable) -> Self {
+    /// Compile a route list into the data-plane table, in one pass and
+    /// without an intermediate [`crate::BgpTable`]: the routes are
+    /// moved, not cloned.
+    ///
+    /// [`RouteId`]s run `0..len()` in ascending prefix order whatever
+    /// order `routes` is in; of two routes for the same prefix the later
+    /// one wins. Both are what inserting the list into a `BgpTable` and
+    /// freezing that gives — [`crate::BgpTable::freeze`] is this
+    /// constructor over a clone of the table's routes.
+    pub fn from_routes(routes: Vec<RouteEntry>) -> Self {
         FrozenBgpTable {
-            flat: FlatLpm::from_entries(table.iter().map(|e| (e.prefix, e.clone()))),
+            flat: FlatLpm::from_values(routes, |e| e.prefix),
         }
     }
 
@@ -125,7 +136,7 @@ impl LpmView<u32> for FrozenBgpTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Origin, PeerClass};
+    use crate::{BgpTable, Origin, PeerClass};
 
     fn entry(prefix: &str) -> RouteEntry {
         RouteEntry {

@@ -130,20 +130,28 @@ impl LiveBgpTable {
         }
     }
 
-    /// Seed a live table from a RIB snapshot. Initial ids run
-    /// `0..len()` in RIB-dump order — identical to what
-    /// [`BgpTable::freeze`] would assign — and the table starts at
-    /// generation 0, so a checkpoint taken against the equivalent
-    /// frozen table fingerprints the same.
-    pub fn from_table(table: &BgpTable) -> Self {
-        let mut routes = Routes { chunks: Vec::new(), n_ids: 0, live: 0 };
-        let mut entries = Vec::with_capacity(table.len());
-        for e in table.iter() {
-            let id = routes.push(e.clone());
-            entries.push((e.prefix, id));
+    /// Seed a live table from a route list (e.g.
+    /// [`crate::dump::read_routes`]), moving the routes in. Initial ids
+    /// run `0..len()` in ascending prefix order, a later route for the
+    /// same prefix replacing the earlier — identical to what
+    /// [`FrozenBgpTable::from_routes`] would assign — and the table
+    /// starts at generation 0, so a checkpoint taken against the
+    /// equivalent frozen table fingerprints the same.
+    pub fn from_routes(routes: Vec<RouteEntry>) -> Self {
+        let mut store = Routes { chunks: Vec::new(), n_ids: 0, live: 0 };
+        let mut entries = Vec::with_capacity(routes.len());
+        for e in eleph_net::rib_order(routes, |e| e.prefix) {
+            let prefix = e.prefix;
+            entries.push((prefix, store.push(e)));
         }
-        routes.live = table.len();
-        LiveBgpTable { lpm: EpochLpm::from_entries(entries), routes: Mutex::new(routes) }
+        store.live = entries.len();
+        LiveBgpTable { lpm: EpochLpm::from_entries(entries), routes: Mutex::new(store) }
+    }
+
+    /// Seed a live table from a RIB snapshot:
+    /// [`LiveBgpTable::from_routes`] over a clone of the table's routes.
+    pub fn from_table(table: &BgpTable) -> Self {
+        Self::from_routes(table.iter().cloned().collect())
     }
 
     /// Apply one batch of updates and publish it as a new generation.

@@ -63,9 +63,13 @@ impl BgpTable {
     /// [`crate::FrozenBgpTable`] (flat-array lookup, dense route ids).
     ///
     /// This is the RIB→FIB compile step: call it once per table
-    /// version, then attribute packets against the frozen copy.
+    /// version, then attribute packets against the frozen copy. It is
+    /// [`crate::FrozenBgpTable::from_routes`] over a clone of every
+    /// route (the table keeps its own); a caller that only needs the
+    /// frozen copy of a dump should hand `from_routes` the routes
+    /// [`crate::dump::read_routes`] returns and skip this table.
     pub fn freeze(&self) -> crate::FrozenBgpTable {
-        crate::FrozenBgpTable::new(self)
+        crate::FrozenBgpTable::from_routes(self.iter().cloned().collect())
     }
 
     /// Longest-prefix attribution of a destination address: the flow key.

@@ -1,6 +1,5 @@
 //! DIR-24-8-style flat-array LPM — the frozen read path.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::Prefix;
@@ -115,22 +114,61 @@ fn prefetch_read(ptr: *const u32) {
     let _ = ptr;
 }
 
+/// Put `entries` into RIB-dump order: ascending [`Prefix`] order, one
+/// entry per prefix, a later duplicate replacing the earlier one (the
+/// outcome of inserting them one by one into any [`crate::Lpm`]).
+///
+/// This is the order [`FlatLpm`] assigns its dense ids in. Input that
+/// is already strictly ascending — a dump written by a table, a table
+/// iterator — is returned as it came after one comparison pass;
+/// anything else is stably sorted and deduplicated in place. Entries
+/// are moved, never cloned.
+pub fn rib_order<T>(mut entries: Vec<T>, prefix: impl Fn(&T) -> Prefix) -> Vec<T> {
+    if !entries.windows(2).all(|w| prefix(&w[0]) < prefix(&w[1])) {
+        // Stable, so among equal prefixes the last one read is last.
+        entries.sort_by_key(&prefix);
+        entries.dedup_by(|later, kept| {
+            let duplicate = prefix(later) == prefix(kept);
+            if duplicate {
+                std::mem::swap(later, kept);
+            }
+            duplicate
+        });
+    }
+    entries
+}
+
 impl<V> FlatLpm<V> {
     /// Build from `(prefix, value)` entries. A later duplicate prefix
     /// replaces the earlier one, matching repeated [`crate::Lpm::insert`].
+    ///
+    /// Values are moved, never cloned, and entries that already arrive
+    /// in RIB-dump order (every table iterator yields them so) are not
+    /// sorted again — see [`rib_order`].
     pub fn from_entries<I>(entries: I) -> Self
     where
         I: IntoIterator<Item = (Prefix, V)>,
     {
-        // Deduplicate (last wins) and fix the dense id order to the
-        // prefix sort order — the conventional RIB dump order.
-        let dedup: BTreeMap<Prefix, V> = entries.into_iter().collect();
-        let mut prefixes = Vec::with_capacity(dedup.len());
-        let mut values = Vec::with_capacity(dedup.len());
-        for (p, v) in dedup {
-            prefixes.push(p);
-            values.push(v);
-        }
+        let (prefixes, values) =
+            rib_order(entries.into_iter().collect(), |e| e.0).into_iter().unzip();
+        Self::build(prefixes, values)
+    }
+
+    /// [`FlatLpm::from_entries`] for values that carry their own prefix
+    /// (`prefix(&v)`): the vector handed in, put into [`rib_order`],
+    /// *is* the table's value store — no value is moved twice and no
+    /// second vector of them is allocated.
+    pub fn from_values(values: Vec<V>, prefix: impl Fn(&V) -> Prefix) -> Self {
+        let values = rib_order(values, &prefix);
+        Self::build(values.iter().map(prefix).collect(), values)
+    }
+
+    /// The one build routine: paint the lookup arrays for `prefixes`
+    /// (strictly ascending — which fixes the dense id order to the
+    /// conventional RIB dump order — and parallel to `values`).
+    fn build(prefixes: Vec<Prefix>, values: Vec<V>) -> Self {
+        debug_assert_eq!(prefixes.len(), values.len());
+        debug_assert!(prefixes.windows(2).all(|w| w[0] < w[1]));
 
         // An empty table gets a single permanently-EMPTY stage-1 slot
         // (reached through `stage1_mask == 0`) instead of the 64 MiB
@@ -538,6 +576,57 @@ mod tests {
         let t = FlatLpm::from_entries(vec![(p("10.0.0.0/8"), 1u32), (p("10.0.0.0/8"), 2)]);
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(p("10.0.0.0/8")), Some(&2));
+    }
+
+    #[test]
+    fn rib_order_sorts_stably_and_keeps_the_last_duplicate() {
+        let order = |v: Vec<(&str, u32)>| -> Vec<(Prefix, u32)> {
+            rib_order(v.into_iter().map(|(s, n)| (p(s), n)).collect(), |e| e.0)
+        };
+        // Runs of three, a duplicate at each end, one already in place.
+        let got = order(vec![
+            ("10.1.0.0/16", 1),
+            ("9.0.0.0/8", 2),
+            ("10.1.0.0/16", 3),
+            ("10.0.0.0/8", 4),
+            ("10.1.0.0/16", 5),
+            ("9.0.0.0/8", 6),
+            ("10.1.0.0/17", 7),
+        ]);
+        let want = order(vec![
+            ("9.0.0.0/8", 6),
+            ("10.0.0.0/8", 4),
+            ("10.1.0.0/16", 5),
+            ("10.1.0.0/17", 7),
+        ]);
+        assert_eq!(got, want);
+        // Ascending but not strictly: still deduplicated.
+        assert_eq!(order(vec![("9.0.0.0/8", 1), ("9.0.0.0/8", 2)]), order(vec![("9.0.0.0/8", 2)]));
+        assert!(order(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn from_values_is_from_entries_without_the_copy() {
+        // Values that carry their prefix, out of order, one duplicate.
+        let values: Vec<(Prefix, &str)> = vec![
+            (p("10.1.2.0/25"), "a"),
+            (p("10.0.0.0/8"), "b"),
+            (p("10.1.2.0/25"), "c"),
+            (p("203.0.113.7/32"), "d"),
+        ];
+        let by_value = FlatLpm::from_values(values.clone(), |v| v.0);
+        let by_entry = FlatLpm::from_entries(values.iter().map(|v| (v.0, *v)));
+        assert_eq!(by_value.len(), 3);
+        assert_eq!(by_value.table_bytes(), by_entry.table_bytes());
+        for id in 0..3 {
+            assert_eq!(by_value.prefix(id), by_entry.prefix(id));
+            assert_eq!(by_value.value(id), by_entry.value(id));
+            assert_eq!(by_value.prefix(id), by_value.value(id).0);
+        }
+        assert_eq!(by_value.get(p("10.1.2.0/25")).unwrap().1, "c");
+        for addr in [0x0A01_0203u32, 0x0A01_0280, 0x0A02_0000, 0xCB00_7107, 0xCB00_7108, 0] {
+            assert_eq!(by_value.lookup_id(addr), by_entry.lookup_id(addr), "addr {addr:#010x}");
+        }
     }
 
     #[test]

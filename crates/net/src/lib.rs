@@ -100,7 +100,7 @@ mod trie;
 pub use compressed::CompressedTrieLpm;
 pub use epoch::{Applied, EpochLpm, LpmDelta, LpmSnapshot};
 pub use error::PrefixError;
-pub use flat::FlatLpm;
+pub use flat::{rib_order, FlatLpm};
 pub use linear::LinearLpm;
 pub use perlength::PerLengthLpm;
 pub use prefix::Prefix;

@@ -21,7 +21,7 @@ use eleph_core::{
     AestDetector, ConstantLoadDetector, Scheme, StateBackendConfig, ThresholdDetector,
     PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
-use eleph_bgp::{LiveBgpTable, UpdateBatch};
+use eleph_bgp::{FrozenBgpTable, LiveBgpTable, RouteEntry, UpdateBatch};
 use eleph_pipeline::{
     skip_offered, Checkpoint, Checkpointer, FaultedPcapSource, JsonlSink, PacketSource,
     PcapSource, Pipeline, PipelineBuilder, PipelineReport, PooledPcapSource, RotatingJsonlSink,
@@ -638,15 +638,41 @@ impl RunOpts {
 /// `eleph run`: wire a source into the streaming pipeline and emit
 /// per-interval JSONL, with a run summary on stderr.
 pub fn run_streaming(args: &[String]) -> io::Result<()> {
+    let entered = std::time::Instant::now();
     let opts = RunOpts::parse(args);
-    let table = match &opts.rib {
-        Some(path) => {
-            let file = std::fs::File::open(path)?;
-            eleph_bgp::dump::read_dump(file)
-                .map_err(|e| io::Error::other(format!("{path}: {e}")))?
-        }
-        None => {
-            if opts.pcap.is_some() {
+
+    // The routes the run attributes against. A capture is only
+    // attributed, so its RIB dump goes from text straight into the
+    // table the pipeline reads (below): no mutable `BgpTable`, no copy
+    // of any route. `--synth` generates its packets from a `BgpTable`
+    // first: sampling addresses needs the updatable trie.
+    let rib_error = |path: &String, e| io::Error::other(format!("{path}: {e}"));
+    let synthetic_table = || {
+        eleph_bgp::synth::generate(&eleph_bgp::synth::SynthConfig {
+            n_prefixes: opts.prefixes,
+            ..eleph_bgp::synth::SynthConfig::default()
+        })
+    };
+    let mut trace: Option<RateTrace> = None;
+    let routes: Vec<RouteEntry> = if opts.synth {
+        let table = match &opts.rib {
+            Some(path) => eleph_bgp::dump::read_dump(std::fs::File::open(path)?)
+                .map_err(|e| rib_error(path, e))?,
+            None => synthetic_table(),
+        };
+        let config = WorkloadConfig {
+            n_flows: opts.flows,
+            n_intervals: opts.intervals.unwrap_or(120),
+            interval_secs: opts.interval_secs.unwrap_or(60),
+            ..WorkloadConfig::small_test(opts.seed)
+        };
+        trace = Some(RateTrace::generate(&config, &table));
+        table.iter().cloned().collect()
+    } else {
+        match &opts.rib {
+            Some(path) => eleph_bgp::dump::read_routes(std::fs::File::open(path)?)
+                .map_err(|e| rib_error(path, e))?,
+            None => {
                 // Attribution is only meaningful against the table the
                 // capture was generated for; be loud about the default.
                 eprintln!(
@@ -655,11 +681,8 @@ pub fn run_streaming(args: &[String]) -> io::Result<()> {
                      default table only)",
                     opts.prefixes,
                 );
+                synthetic_table().iter().cloned().collect()
             }
-            eleph_bgp::synth::generate(&eleph_bgp::synth::SynthConfig {
-                n_prefixes: opts.prefixes,
-                ..eleph_bgp::synth::SynthConfig::default()
-            })
         }
     };
 
@@ -705,36 +728,40 @@ pub fn run_streaming(args: &[String]) -> io::Result<()> {
         None
     };
 
-    // With an update stream the table goes live: scheduled batches
-    // apply mid-stream without a refreeze. On resume, the checkpoint's
-    // generation of batches replays onto the fresh live table *before*
-    // the pipeline pins its view, so ids and the config fingerprint
-    // line up exactly with the run that wrote the snapshot.
-    let live = opts.rib_updates.as_ref().map(|_| LiveBgpTable::from_table(&table));
-    if let (Some(live), Some(c)) = (&live, &ckpt) {
-        let done = usize::try_from(c.generation()).unwrap_or(usize::MAX);
-        if done > updates.len() {
-            return Err(io::Error::other(format!(
-                "checkpoint rejected: it consumed {} update batches but the --rib-updates \
-                 stream holds {}",
-                c.generation(),
-                updates.len()
-            )));
-        }
-        for batch in &updates[..done] {
-            live.apply(&batch.updates);
-        }
-    }
-
-    let mut builder = PipelineBuilder::new()
+    let builder = PipelineBuilder::new()
         .detector(opts.make_detector())
         .gamma(opts.gamma)
         .scheme(opts.make_scheme())
         .shards(opts.shards)
         .state_backend(opts.make_state());
-    builder = match &live {
-        Some(l) => builder.live(l).route_updates(updates),
-        None => builder.table(&table),
+    // Exactly one table is built, the one the pipeline reads, and it
+    // takes the routes by value. With an update stream that table is
+    // live: scheduled batches apply mid-stream without a refreeze. On
+    // resume, the checkpoint's generation of batches replays onto the
+    // fresh live table *before* the pipeline pins its view, so ids and
+    // the config fingerprint line up exactly with the run that wrote
+    // the snapshot.
+    let (frozen, live);
+    let mut builder = if opts.rib_updates.is_some() {
+        live = LiveBgpTable::from_routes(routes);
+        if let Some(c) = &ckpt {
+            let done = usize::try_from(c.generation()).unwrap_or(usize::MAX);
+            if done > updates.len() {
+                return Err(io::Error::other(format!(
+                    "checkpoint rejected: it consumed {} update batches but the --rib-updates \
+                     stream holds {}",
+                    c.generation(),
+                    updates.len()
+                )));
+            }
+            for batch in &updates[..done] {
+                live.apply(&batch.updates);
+            }
+        }
+        builder.live(&live).route_updates(updates)
+    } else {
+        frozen = FrozenBgpTable::from_routes(routes);
+        builder.frozen(&frozen)
     };
     builder = match &opts.out {
         Some(path) => builder.sink(match &ckpt {
@@ -798,23 +825,18 @@ pub fn run_streaming(args: &[String]) -> io::Result<()> {
             drive(builder, &mut source, ckpt.as_ref(), checkpointer.as_mut())?
         }
     } else {
-        let config = WorkloadConfig {
-            n_flows: opts.flows,
-            n_intervals: opts.intervals.unwrap_or(120),
-            interval_secs: opts.interval_secs.unwrap_or(60),
-            ..WorkloadConfig::small_test(opts.seed)
-        };
-        let trace = RateTrace::generate(&config, &table);
+        let trace = trace.expect("generated above under --synth");
         let builder = builder
-            .interval_secs(config.interval_secs)
-            .start_unix(config.start_unix)
-            .n_intervals(config.n_intervals);
+            .interval_secs(trace.config.interval_secs)
+            .start_unix(trace.config.start_unix)
+            .n_intervals(trace.config.n_intervals);
         let mut source = TraceSource::new(&trace);
         drive(builder, &mut source, ckpt.as_ref(), checkpointer.as_mut())?
     };
 
+    let setup = started.duration_since(entered).as_secs_f64();
     let elapsed = started.elapsed().as_secs_f64();
-    eprintln!("{}", summary_json(&opts, &report, ckpt.is_some(), fault_stats, elapsed));
+    eprintln!("{}", summary_json(&opts, &report, ckpt.is_some(), fault_stats, setup, elapsed));
     Ok(())
 }
 
@@ -854,23 +876,30 @@ fn drive<D: ThresholdDetector, S: PacketSource>(
 
 /// The end-of-run summary as one JSON line: interval/prefix counts,
 /// every packet-accounting counter, the conservation verdict, the
-/// far-future-streak high-water mark, wall-clock throughput, and (when
-/// fault injection is on) the injector's counters — machine-checkable
-/// run health at a glance.
+/// far-future-streak high-water mark, start-up and streaming wall-clock
+/// time, throughput, and (when fault injection is on) the injector's
+/// counters — machine-checkable run health at a glance.
 fn summary_json(
     opts: &RunOpts,
     report: &PipelineReport,
     resumed: bool,
     fault_stats: Option<FaultStats>,
+    setup_secs: f64,
     elapsed_secs: f64,
 ) -> String {
     let s = &report.stats;
-    // Wall-clock ingest rates over the whole run (build + stream +
-    // seal): bytes are the *attributed* payload bytes, packets are all
-    // offered records. A capture so tiny that the elapsed time rounds
-    // to zero (or a non-finite clock reading) reports rates of 0 — the
-    // summary must stay strict JSON, and `inf`/`NaN` are not JSON.
-    let elapsed = if elapsed_secs.is_finite() && elapsed_secs > 0.0 { elapsed_secs } else { 0.0 };
+    // Two consecutive wall-clock spans. `setup_secs` runs from entering
+    // `run_streaming` until the table, the update schedule, the
+    // checkpoint and the sink are ready: parsing and compiling the RIB
+    // is nearly all of it. `elapsed_secs` starts there and covers
+    // opening the source, building the pipeline, streaming and the
+    // final seal; the rates are over `elapsed_secs` alone — bytes are
+    // the *attributed* payload bytes, packets are all offered records.
+    // A capture so tiny that the elapsed time rounds to zero (or a
+    // non-finite clock reading) reports rates of 0 — the summary must
+    // stay strict JSON, and `inf`/`NaN` are not JSON.
+    let clamp = |secs: f64| if secs.is_finite() && secs > 0.0 { secs } else { 0.0 };
+    let (setup, elapsed) = (clamp(setup_secs), clamp(elapsed_secs));
     let rate = |count: f64| {
         let r = if elapsed > 0.0 { count / elapsed } else { 0.0 };
         if r.is_finite() { r } else { 0.0 }
@@ -881,7 +910,7 @@ fn summary_json(
          \"out_of_window\":{},\"malformed\":{},\"late\":{},\"conserved\":{},\
          \"far_future_streak\":{},\"generation\":{},\"route_updates\":{},\"resumed\":{},\
          \"shards\":{},\"state\":\"{}\",\"distinct_keys\":{},\"state_bytes\":{},\
-         \"elapsed_secs\":{:.6},\"throughput_bytes_per_sec\":{:.1},\
+         \"setup_secs\":{:.6},\"elapsed_secs\":{:.6},\"throughput_bytes_per_sec\":{:.1},\
          \"packets_per_sec\":{:.1}",
         report.intervals,
         report.keys.len(),
@@ -901,6 +930,7 @@ fn summary_json(
         report.state_backend,
         report.distinct_keys,
         report.state_bytes,
+        setup,
         elapsed,
         rate(s.attributed_bytes as f64),
         rate(s.offered as f64),
@@ -1277,10 +1307,18 @@ mod tests {
         // inf rates (and a hypothetical NaN clock must not panic or
         // leak either).
         for elapsed in [0.0, -0.0, f64::NAN, f64::INFINITY, 1.5] {
-            let line = summary_json(&opts, &report(), false, None, elapsed);
-            parse_json(&line).unwrap_or_else(|e| panic!("elapsed={elapsed}: {e}\n{line}"));
+            // The set-up span is a clock reading too: same rule.
+            for setup in [elapsed, 0.25] {
+                let line = summary_json(&opts, &report(), false, None, setup, elapsed);
+                parse_json(&line)
+                    .unwrap_or_else(|e| panic!("setup={setup} elapsed={elapsed}: {e}\n{line}"));
+            }
         }
-        let line = summary_json(&opts, &report(), false, None, 0.0);
+        let line = summary_json(&opts, &report(), false, None, 0.125, 0.0);
+        assert!(
+            line.contains("\"setup_secs\":0.125000,\"elapsed_secs\":0.000000,"),
+            "set-up time sits immediately before the elapsed time: {line}"
+        );
         assert!(line.contains("\"throughput_bytes_per_sec\":0.0"));
         assert!(line.contains("\"packets_per_sec\":0.0"));
         assert!(line.contains("\"state\":\"spacesaving\""));

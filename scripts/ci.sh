@@ -47,7 +47,13 @@
 #  11. benchmark crate: `benchmark/` is its own workspace, so nothing
 #      above compiles it — build it against the current `crates/*` API
 #      and run its unit tests (`BENCHMARK.json` ≡ the crate's tables),
-#      so an API change that breaks it fails here and not at the driver.
+#      so an API change that breaks it fails here and not at the driver;
+#  12. start-up path: the RIB/update-stream reader against its
+#      `lines()`/`split`/`str::parse` oracle (differential + mutation
+#      proptest), the one-pass table constructors against insert-then-
+#      freeze, and `eleph run --pcap --rib` (static and live, with a
+#      resume) against the library calls, byte for byte — all part of
+#      tier-1; re-run by name so a failure is attributed immediately.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -120,10 +126,10 @@ churn_args=(run --synth --flows 200 --intervals 30 --interval-secs 20 --prefixes
 "$eleph" "${churn_args[@]}" --out "$tmpdir/churn2.jsonl" 2> "$tmpdir/churn2.summary"
 cmp "$tmpdir/churn1.jsonl" "$tmpdir/churn2.jsonl" \
     || { echo "churn determinism: JSONL outputs diverge" >&2; exit 1; }
-# The summary's timing fields (elapsed_secs, throughput, pps) are
-# wall-clock measurements — legitimately different between runs; every
-# other field must reproduce exactly.
-strip_timing='s/"elapsed_secs":[0-9.]*,"throughput_bytes_per_sec":[0-9.]*,"packets_per_sec":[0-9.]*/TIMING/'
+# The summary's timing fields (setup_secs, elapsed_secs, throughput,
+# pps) are wall-clock measurements — legitimately different between
+# runs; every other field must reproduce exactly.
+strip_timing='s/"setup_secs":[0-9.]*,"elapsed_secs":[0-9.]*,"throughput_bytes_per_sec":[0-9.]*,"packets_per_sec":[0-9.]*/TIMING/'
 diff <(sed -E "$strip_timing" "$tmpdir/churn1.summary") \
      <(sed -E "$strip_timing" "$tmpdir/churn2.summary") \
     || { echo "churn determinism: summaries diverge" >&2; exit 1; }
@@ -175,6 +181,11 @@ grep -q '"exact_bit_identical":true' "$tmpdir/sketch.summary" \
 
 echo "== benchmark crate: builds against crates/*, BENCHMARK.json == its tables =="
 cargo test -q --manifest-path benchmark/Cargo.toml
+
+echo "== start-up path: dump reader vs oracle, from_routes vs freeze, eleph run --pcap --rib vs library =="
+cargo test -q -p eleph-bgp --lib dump::tests::differential
+cargo test -q -p eleph-bgp --test from_routes
+cargo test -q -p eleph-tests --test cli_default_path
 
 echo "== legacy shims byte-identical to eleph subcommands (fig1a, table1) =="
 cargo run -q --release -p eleph-report --bin eleph -- fig1a --scale 0.01 --seed 5 > "$tmpdir/eleph_fig1a"
