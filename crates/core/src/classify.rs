@@ -6,10 +6,12 @@
 //! classification pass is linear walks over the matrix's key/rate
 //! columns with no hashing and no per-interval allocation beyond the
 //! emitted elephant lists (which come out of bitset iteration already
-//! sorted). [`classify_many`] runs a whole family of configurations
-//! (γ / window / scheme variants) over one matrix in a single pass,
-//! detecting each interval's raw threshold once and sharing it across
-//! every configuration — the sweep experiments are built on it.
+//! sorted). Detection and classification are two passes:
+//! [`RawThresholds::detect`] runs the detector over each interval once,
+//! and [`classify_with`] steps a whole family of configurations (γ /
+//! window / scheme variants) over that series — [`classify`] and
+//! [`classify_many`] are the two composed, and the report crate's
+//! session keeps the series so every later configuration reuses it.
 
 use eleph_flow::{BandwidthMatrix, IntervalView, KeyId};
 
@@ -185,7 +187,7 @@ impl LatentState {
     }
 }
 
-/// Per-configuration classifier state inside [`classify_many`].
+/// Per-configuration classifier state inside [`classify_with`].
 struct ConfigState {
     scheme: Scheme,
     window: usize,
@@ -352,6 +354,44 @@ impl ConfigState {
     }
 }
 
+/// One detector's raw per-interval thresholds over one matrix: the
+/// detection half of a classification, which dominates its cost and
+/// depends on nothing in a [`ClassifyConfig`]. Detect once, then step
+/// any number of configurations over it with [`classify_with`], now or
+/// later.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RawThresholds {
+    detector: String,
+    raw: Vec<Option<f64>>,
+    /// One entry per interval before the first detection — the only
+    /// state with an infinite smoothed threshold, whatever the γ — with
+    /// that interval's finite stand-in (its largest rate + 1).
+    unbeatable: Vec<f64>,
+}
+
+impl RawThresholds {
+    /// Run `detector` over every interval of `matrix`.
+    pub fn detect<D: ThresholdDetector>(matrix: &BandwidthMatrix, detector: &D) -> Self {
+        let n_int = matrix.n_intervals();
+        let mut raw = Vec::with_capacity(n_int);
+        let mut unbeatable = Vec::new();
+        let mut values: Vec<f64> = Vec::new();
+        for n in 0..n_int {
+            matrix.values_into(n, &mut values);
+            let detection = detector.detect(&values);
+            if detection.is_none() && unbeatable.len() == n {
+                unbeatable.push(values.iter().cloned().fold(0.0, f64::max) + 1.0);
+            }
+            raw.push(detection);
+        }
+        RawThresholds {
+            detector: detector.name(),
+            raw,
+            unbeatable,
+        }
+    }
+}
+
 /// Run a scheme over a matrix with the given detector and smoothing γ.
 ///
 /// This is the complete §II methodology in one call: per interval,
@@ -370,54 +410,55 @@ pub fn classify<D: ThresholdDetector>(
         .expect("one config in, one result out")
 }
 
-/// Run a whole family of configurations over one matrix in a single
-/// pass.
+/// Run a whole family of configurations over one matrix, detecting
+/// once: [`RawThresholds::detect`] followed by [`classify_with`].
 ///
-/// Per interval the detector runs **once** and its raw threshold is
-/// shared by every configuration (each keeps its own EWMA series, so
-/// different γ values still smooth independently) — for a sweep of `c`
-/// configurations this removes `c − 1` of the detection passes, which
-/// dominate classification cost. Every returned result is byte-identical
-/// to running [`classify`] separately with that configuration (pinned by
-/// property tests).
+/// For a sweep of `c` configurations this removes `c − 1` of the
+/// detection passes, which dominate classification cost. Every returned
+/// result is byte-identical to running [`classify`] separately with that
+/// configuration (pinned by property tests).
 pub fn classify_many<D: ThresholdDetector>(
     matrix: &BandwidthMatrix,
     detector: &D,
     configs: &[ClassifyConfig],
 ) -> Vec<ClassificationResult> {
+    classify_with(matrix, &RawThresholds::detect(matrix, detector), configs)
+}
+
+/// Step each configuration over the raw thresholds `raw` holds for
+/// `matrix`. Each configuration keeps its own EWMA series, so different
+/// γ values smooth the shared detections independently, and no
+/// configuration's result depends on which others ran beside it.
+///
+/// # Panics
+///
+/// Panics when `raw` was detected over a matrix with another number of
+/// intervals.
+pub fn classify_with(
+    matrix: &BandwidthMatrix,
+    raw: &RawThresholds,
+    configs: &[ClassifyConfig],
+) -> Vec<ClassificationResult> {
     let n_int = matrix.n_intervals();
+    assert_eq!(raw.raw.len(), n_int, "raw thresholds of another matrix");
     let n_keys = matrix.n_keys();
     let mut states: Vec<ConfigState> = configs
         .iter()
         .map(|c| ConfigState::new(c, n_keys, n_int))
         .collect();
-    let mut values: Vec<f64> = Vec::new();
-    let mut detected = false;
 
-    for n in 0..n_int {
-        matrix.values_into(n, &mut values);
-        let raw = detector.detect(&values);
-        // All configurations share the raw detection stream, so "no
-        // detection yet" — the only state with an infinite smoothed
-        // threshold — is config-independent; compute its finite
-        // stand-in once, only while needed.
-        let unbeatable = if !detected && raw.is_none() {
-            values.iter().cloned().fold(0.0, f64::max) + 1.0
-        } else {
-            0.0
-        };
-        detected |= raw.is_some();
-
+    for (n, &detection) in raw.raw.iter().enumerate() {
+        let unbeatable = raw.unbeatable.get(n).copied().unwrap_or(0.0);
         let view = matrix.interval(n);
         let total = matrix.total(n);
         for state in &mut states {
-            state.step(matrix, n, view, raw, unbeatable, total);
+            state.step(matrix, n, view, detection, unbeatable, total);
         }
     }
 
     states
         .into_iter()
-        .map(|s| s.finish(detector.name()))
+        .map(|s| s.finish(raw.detector.clone()))
         .collect()
 }
 

@@ -49,7 +49,10 @@ pub mod sketch;
 mod threshold;
 mod tracker;
 
-pub use classify::{classify, classify_many, ClassificationResult, ClassifyConfig, Scheme};
+pub use classify::{
+    classify, classify_many, classify_with, ClassificationResult, ClassifyConfig, RawThresholds,
+    Scheme,
+};
 pub use sketch::{
     AdaptiveBloom, CountMinRow, ExactDense, SpaceSaving, StateBackend, StateBackendConfig,
 };

@@ -2,13 +2,15 @@
 //! latent-heat implementation must match the paper's formula computed
 //! naively, the structural invariants of a classification must hold on
 //! arbitrary bandwidth matrices, the dense columnar engine must agree
-//! with a faithful replica of the legacy hash-map classifier, and
+//! with a faithful replica of the legacy hash-map classifier,
 //! [`eleph_core::classify_many`] must be indistinguishable from
-//! independent [`eleph_core::classify`] calls.
+//! independent [`eleph_core::classify`] calls, and so must any
+//! configuration stepped over stored [`eleph_core::RawThresholds`].
 
 use eleph_core::{
-    classify, classify_many, holding, ClassifyConfig, ConstantLoadDetector, PercentileDetector,
-    Scheme, ThresholdDetector, TopNDetector,
+    classify, classify_many, classify_with, holding, ClassificationResult, ClassifyConfig,
+    ConstantLoadDetector, PercentileDetector, RawThresholds, Scheme, ThresholdDetector,
+    TopNDetector,
 };
 use eleph_flow::BandwidthMatrix;
 use eleph_net::Prefix;
@@ -144,6 +146,38 @@ impl ThresholdDetector for Fixed {
     fn name(&self) -> String {
         "fixed".to_string()
     }
+}
+
+/// A constant-load detector that abstains on quiet intervals: below
+/// `cutoff` b/s of total traffic it finds no threshold. Random matrices
+/// then start with a run of undetected intervals of random length (the
+/// "nothing detected yet" state) and abstain again mid-trace.
+#[derive(Clone, Copy)]
+struct QuietAbstains {
+    cutoff: f64,
+    inner: ConstantLoadDetector,
+}
+
+impl ThresholdDetector for QuietAbstains {
+    fn detect(&self, values: &[f64]) -> Option<f64> {
+        if values.iter().sum::<f64>() < self.cutoff {
+            return None;
+        }
+        self.inner.detect(values)
+    }
+    fn name(&self) -> String {
+        "quiet-abstains".to_string()
+    }
+}
+
+/// Every field of a result, floats by their bits.
+fn result_bits(r: &ClassificationResult) -> impl PartialEq + std::fmt::Debug + '_ {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let raw: Vec<Option<u64>> = r.raw_thresholds.iter().map(|t| t.map(f64::to_bits)).collect();
+    (
+        (&r.detector, r.scheme, &r.elephants),
+        (raw, bits(&r.thresholds), bits(&r.elephant_load), bits(&r.total_load)),
+    )
 }
 
 fn keys(n: usize) -> Vec<Prefix> {
@@ -381,6 +415,51 @@ proptest! {
             prop_assert_eq!(&got.raw_thresholds, &solo.raw_thresholds, "{:?}", config);
             prop_assert_eq!(&got.elephant_load, &solo.elephant_load, "{:?}", config);
             prop_assert_eq!(&got.total_load, &solo.total_load, "{:?}", config);
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn stepping_stored_thresholds_equals_classify(
+        rows in arb_rows(),
+        beta in 0.3..0.95f64,
+        // Interval totals reach ~11 000 b/s: from "never abstains" to
+        // "never detects".
+        cutoff in prop_oneof![1 => Just(0.0), 6 => 0.0..6000.0f64, 1 => Just(1e9)],
+        gamma in 0.0..0.99f64,
+        window in 1usize..6,
+        enter in 1.0..1.8f64,
+        exit in 0.2..1.0f64,
+    ) {
+        let m = matrix(&rows);
+        let detector = QuietAbstains { cutoff, inner: ConstantLoadDetector::new(beta) };
+        let configs = [
+            Scheme::SingleFeature,
+            Scheme::LatentHeat { window },
+            Scheme::Hysteresis { enter, exit },
+        ]
+        .map(|scheme| ClassifyConfig { gamma, scheme });
+
+        // Detect once and keep the series; step the whole family over
+        // it, then each configuration alone and in another order, as a
+        // session asked for them at different times would.
+        let stored = RawThresholds::detect(&m, &detector);
+        let together = classify_with(&m, &stored, &configs);
+        prop_assert_eq!(together.len(), configs.len());
+        for (config, got) in configs.iter().zip(&together).rev() {
+            let later = classify_with(&m, &stored, std::slice::from_ref(config));
+            prop_assert_eq!(later.len(), 1);
+            let solo = classify(&m, detector, config.gamma, config.scheme);
+            prop_assert_eq!(result_bits(got), result_bits(&solo), "{:?} together", config);
+            prop_assert_eq!(result_bits(&later[0]), result_bits(&solo), "{:?} later", config);
+            // And against the engine-independent replica, which detects
+            // inline and never stores a series.
+            let reference = legacy::classify(&m, detector, config.gamma, config.scheme);
+            prop_assert_eq!(&got.elephants, &reference.elephants, "{:?}", config);
+            prop_assert_eq!(&got.thresholds, &reference.thresholds, "{:?}", config);
+            prop_assert_eq!(&got.elephant_load, &reference.elephant_load, "{:?}", config);
+            prop_assert_eq!(&got.total_load, &reference.total_load, "{:?}", config);
         }
     }
 }

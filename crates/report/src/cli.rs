@@ -6,16 +6,15 @@
 //! * `eleph fig1a|fig1b|fig1c|table1|table2|table3|table4` — regenerate
 //!   one figure/table (options: `--scale F --seed N`);
 //! * `eleph ablation --which gamma|window|beta|scheme` — one ablation;
-//! * `eleph all` — the full refresh, sharing expensive builds;
+//! * `eleph all` — all eleven, in one session;
 //! * `eleph run (--pcap FILE | --synth)` — stream packets through the
 //!   [`eleph_pipeline`] builder and emit per-interval JSONL.
 //!
-//! The pre-PR-4 one-binary-per-experiment entry points
-//! (`fig1a`, `table1`, …) still exist as thin shims over this module —
-//! same parsing, same experiment functions, byte-identical output —
-//! and announce their deprecation in `--help`.
+//! One experiment or all of them, the path is the same: open a
+//! [`Lab`], run the named experiments in it, print what they render.
 
 use std::io;
+use std::process::ExitCode;
 
 use eleph_core::{
     AestDetector, ConstantLoadDetector, Scheme, StateBackendConfig, ThresholdDetector,
@@ -32,13 +31,31 @@ use eleph_trace::{
     WorkloadConfig,
 };
 
-use crate::experiments::{
-    ablation_beta, ablation_gamma, ablation_scheme, ablation_window, fig1_data, fig1a, fig1b,
-    fig1c, table1, table2, table3, table4, west_lab,
-};
+use crate::experiments::{Experiment, EXPERIMENTS};
+use crate::{Lab, LabCounters};
+
+/// Why an `eleph` invocation failed.
+#[derive(Debug)]
+pub enum CliError {
+    /// The command line is not one `eleph` accepts; the message says
+    /// what was wrong with it. Exit status 2.
+    Usage(String),
+    /// The command was understood and failed while running.
+    Io(io::Error),
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Io(e)
+    }
+}
+
+fn usage<T>(message: impl Into<String>) -> Result<T, CliError> {
+    Err(CliError::Usage(message.into()))
+}
 
 /// Options shared by every experiment subcommand.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommonOpts {
     /// Scenario scale factor (0 < scale ≤ 1; figures use 1).
     pub scale: f64,
@@ -53,93 +70,74 @@ impl Default for CommonOpts {
 }
 
 /// Parse `--scale` / `--seed` from an argument list (defaults 1.0 / 42).
-///
-/// # Panics
-///
-/// Panics on unknown arguments or unparsable values, with the same
-/// messages the legacy per-experiment binaries used.
-pub fn parse_common(args: &[String]) -> CommonOpts {
+/// Anything else — an unknown argument, a missing or unparsable value,
+/// a scale outside (0, 1] — is a [`CliError::Usage`].
+pub fn parse_common(args: &[String]) -> Result<CommonOpts, CliError> {
     let mut opts = CommonOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                opts.scale = args[i + 1].parse().expect("--scale takes a float");
-                i += 2;
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = |what: &str| match args.next() {
+            Some(v) => Ok(v),
+            None => usage(format!("{flag} takes {what}")),
+        };
+        match flag.as_str() {
+            "--scale" => {
+                let v = value("a float")?;
+                opts.scale = match v.parse() {
+                    Ok(scale) if scale > 0.0 && scale <= 1.0 => scale,
+                    Ok(_) => return usage(format!("--scale {v}: need 0 < scale <= 1")),
+                    Err(_) => return usage(format!("--scale takes a float, not {v:?}")),
+                };
             }
-            "--seed" if i + 1 < args.len() => {
-                opts.seed = args[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
+            "--seed" => {
+                let v = value("an integer")?;
+                opts.seed = match v.parse() {
+                    Ok(seed) => seed,
+                    Err(_) => return usage(format!("--seed takes an integer, not {v:?}")),
+                };
             }
-            other => panic!("unknown argument {other}; supported: --scale F --seed N"),
+            other => {
+                return usage(format!("unknown argument {other}; supported: --scale F --seed N"))
+            }
         }
     }
-    opts
+    Ok(opts)
 }
 
-/// Run one experiment by id and return its rendered report — the single
-/// code path behind both `eleph <id>` and the legacy shim binaries, so
-/// their stdout cannot diverge.
-pub fn render_experiment(id: &str, opts: CommonOpts) -> io::Result<String> {
-    let CommonOpts { scale, seed } = opts;
-    Ok(match id {
-        "fig1a" | "fig1b" | "fig1c" | "table1" | "table2" | "table3" => {
-            let data = fig1_data(scale, seed);
-            match id {
-                "fig1a" => fig1a(&data)?.render(),
-                "fig1b" => fig1b(&data)?.render(),
-                "fig1c" => fig1c(&data)?.render(),
-                "table1" => table1(&data)?.render(),
-                "table2" => table2(&data)?.render(),
-                _ => table3(&data)?.render(),
-            }
+/// Run the named experiments in one session and return what each
+/// renders, with the session's counters. An id outside [`EXPERIMENTS`]
+/// is a [`CliError::Usage`], reported before anything is built.
+pub fn run_session(
+    ids: &[&str],
+    opts: CommonOpts,
+) -> Result<(Vec<String>, LabCounters), CliError> {
+    let mut experiments: Vec<Experiment> = Vec::with_capacity(ids.len());
+    for id in ids {
+        match EXPERIMENTS.iter().find(|(known, _)| known == id) {
+            Some(&(_, experiment)) => experiments.push(experiment),
+            None => return usage(format!("unknown experiment {id}")),
         }
-        "table4" => table4(scale, seed)?.render(),
-        "ablation_gamma" | "ablation_window" | "ablation_beta" | "ablation_scheme" => {
-            let (scenario, lab) = west_lab(scale, seed);
-            match id {
-                "ablation_gamma" => ablation_gamma(&scenario, &lab)?.render(),
-                "ablation_window" => ablation_window(&scenario, &lab)?.render(),
-                "ablation_beta" => ablation_beta(&scenario, &lab)?.render(),
-                _ => ablation_scheme(&scenario, &lab)?.render(),
-            }
-        }
-        other => panic!("unknown experiment {other}"),
-    })
+    }
+    let mut lab = Lab::new(opts.scale, opts.seed);
+    let mut rendered = Vec::with_capacity(ids.len());
+    for experiment in experiments {
+        rendered.push(experiment(&lab)?.render());
+        // What only this experiment measured goes with it.
+        lab.release_derived();
+    }
+    Ok((rendered, lab.counters()))
 }
 
-/// Run every experiment, sharing the expensive builds (the Figure 1
-/// dataset feeds the three panels plus tables 1–3; one west-coast lab
-/// build feeds all four ablations) — the `eleph all` subcommand and the
-/// legacy `all_experiments` binary.
-pub fn render_all(opts: CommonOpts) -> io::Result<String> {
-    let CommonOpts { scale, seed } = opts;
-    let mut out = String::new();
-    let data = fig1_data(scale, seed);
-    for o in [
-        fig1a(&data)?,
-        fig1b(&data)?,
-        fig1c(&data)?,
-        table1(&data)?,
-        table2(&data)?,
-        table3(&data)?,
-    ] {
-        out.push_str(&o.render());
-        out.push('\n');
-    }
-    out.push_str(&table4(scale, seed)?.render());
-    out.push('\n');
-    let (scenario, lab) = west_lab(scale, seed);
-    for o in [
-        ablation_gamma(&scenario, &lab)?,
-        ablation_window(&scenario, &lab)?,
-        ablation_beta(&scenario, &lab)?,
-        ablation_scheme(&scenario, &lab)?,
-    ] {
-        out.push_str(&o.render());
-        out.push('\n');
-    }
-    Ok(out)
+/// Run one experiment by id and return its rendered report.
+pub fn render_experiment(id: &str, opts: CommonOpts) -> Result<String, CliError> {
+    Ok(run_session(&[id], opts)?.0.concat())
+}
+
+/// Run every experiment — the `eleph all` subcommand: the same session
+/// with all of [`EXPERIMENTS`] in it, a blank line after each report.
+pub fn render_all(opts: CommonOpts) -> Result<String, CliError> {
+    let (rendered, _) = run_session(&EXPERIMENTS.map(|(id, _)| id), opts)?;
+    Ok(rendered.iter().flat_map(|r| [r.as_str(), "\n"]).collect())
 }
 
 const USAGE: &str = "\
@@ -153,7 +151,7 @@ SUBCOMMANDS:
     table1 | table2 | table3 | table4
                                regenerate a paper table
     ablation --which W         W = gamma | window | beta | scheme
-    all                        every experiment, sharing builds
+    all                        every experiment, in one session
     run                        stream packets -> per-interval JSONL
     churn                      generate a deterministic route-update
                                stream (announce/withdraw storms, flap
@@ -272,70 +270,52 @@ dropped, corrupted, truncated), so degraded-input runs are visible
 without grepping logs.
 ";
 
-/// Entry point for the `eleph` binary: parse `argv[1..]` and dispatch.
-pub fn eleph_main() -> io::Result<()> {
+/// Entry point for the `eleph` binary: dispatch `argv[1..]`, print a
+/// usage error with a pointer to `eleph help` and exit 2, or print a
+/// run-time error as `main() -> io::Result` would and exit 1.
+pub fn eleph_main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    match dispatch(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Usage(message)) => {
+            eprintln!("eleph: {message}\ntry `eleph help`");
+            ExitCode::from(2)
+        }
+        Err(CliError::Io(e)) => {
+            eprintln!("Error: {e:?}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Run the subcommand `args` names.
+pub fn dispatch(args: &[String]) -> Result<(), CliError> {
     let Some((cmd, rest)) = args.split_first() else {
         print!("{USAGE}");
         return Ok(());
     };
     match cmd.as_str() {
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
+        "help" | "--help" | "-h" => print!("{USAGE}"),
+        "ablation" => {
+            let Some((which, rest)) = take_flag_value(rest, "--which") else {
+                return usage("ablation needs --which gamma|window|beta|scheme");
+            };
+            if !matches!(which.as_str(), "gamma" | "window" | "beta" | "scheme") {
+                return usage(format!(
+                    "unknown ablation {which}; supported: gamma window beta scheme"
+                ));
+            }
+            let opts = parse_common(&rest)?;
+            print!("{}", render_experiment(&format!("ablation_{which}"), opts)?);
         }
         "fig1a" | "fig1b" | "fig1c" | "table1" | "table2" | "table3" | "table4" => {
-            print!("{}", render_experiment(cmd, parse_common(rest))?);
-            Ok(())
+            print!("{}", render_experiment(cmd, parse_common(rest)?)?)
         }
-        "ablation" => {
-            let (which, rest) = take_flag_value(rest, "--which")
-                .unwrap_or_else(|| panic!("ablation needs --which gamma|window|beta|scheme"));
-            assert!(
-                matches!(which.as_str(), "gamma" | "window" | "beta" | "scheme"),
-                "unknown ablation {which}; supported: gamma window beta scheme"
-            );
-            print!(
-                "{}",
-                render_experiment(&format!("ablation_{which}"), parse_common(&rest))?
-            );
-            Ok(())
-        }
-        "all" => {
-            print!("{}", render_all(parse_common(rest))?);
-            Ok(())
-        }
-        "run" => run_streaming(rest),
-        "churn" => run_churn(rest),
-        "sketch" => crate::sketch::run_sketch(rest),
-        other => panic!("unknown subcommand {other}; try `eleph help`"),
-    }
-}
-
-/// Entry point for the legacy one-experiment binaries: deprecation
-/// notice on `--help`, otherwise the exact `eleph` code path.
-pub fn legacy_shim(id: &str) -> io::Result<()> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        let replacement = match id {
-            "all" => "eleph all".to_string(),
-            _ if id.starts_with("ablation_") => {
-                format!("eleph ablation --which {}", &id["ablation_".len()..])
-            }
-            _ => format!("eleph {id}"),
-        };
-        println!(
-            "deprecated: this binary is a compatibility shim and will be removed \
-             next release; use `{replacement}` instead.\n\n\
-             usage: {id} [--scale F] [--seed N]"
-        );
-        return Ok(());
-    }
-    let opts = parse_common(&args);
-    if id == "all" {
-        print!("{}", render_all(opts)?);
-    } else {
-        print!("{}", render_experiment(id, opts)?);
+        "all" => print!("{}", render_all(parse_common(rest)?)?),
+        "run" => run_streaming(rest)?,
+        "churn" => run_churn(rest)?,
+        "sketch" => crate::sketch::run_sketch(rest)?,
+        other => return usage(format!("unknown subcommand {other}")),
     }
     Ok(())
 }
@@ -1324,6 +1304,62 @@ mod tests {
         assert!(line.contains("\"state\":\"spacesaving\""));
         assert!(line.contains("\"distinct_keys\":3"));
         assert!(line.contains("\"state_bytes\":1048576"));
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// The usage message of a command line that must be refused.
+    fn refused(line: &str) -> String {
+        match dispatch(&args(line)) {
+            Err(CliError::Usage(message)) => message,
+            other => panic!("`eleph {line}` was not a usage error: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parse_common_reads_scale_and_seed() {
+        assert_eq!(parse_common(&[]).unwrap(), CommonOpts::default());
+        let opts = parse_common(&args("--seed 7 --scale 0.25")).unwrap();
+        assert_eq!(opts, CommonOpts { scale: 0.25, seed: 7 });
+        assert_eq!(parse_common(&args("--scale 1")).unwrap().scale, 1.0);
+    }
+
+    #[test]
+    fn bad_experiment_options_are_usage_errors() {
+        // Refused while parsing: no scenario is built for any of these.
+        for (line, needle) in [
+            ("fig1a --scale 0", "0 < scale <= 1"),
+            ("table4 --scale 2", "0 < scale <= 1"),
+            ("all --scale -0.5", "0 < scale <= 1"),
+            ("all --scale nan", "0 < scale <= 1"),
+            ("all --scale abc", "--scale takes a float"),
+            ("all --scale", "--scale takes a float"),
+            ("table1 --seed x", "--seed takes an integer"),
+            ("table1 --seed -1", "--seed takes an integer"),
+            ("table1 --seed", "--seed takes an integer"),
+            ("fig1b --verbose", "unknown argument --verbose"),
+            ("ablation --which gamma --frobnicate 3", "unknown argument --frobnicate"),
+        ] {
+            let message = refused(line);
+            assert!(message.contains(needle), "`eleph {line}`: {message}");
+        }
+    }
+
+    #[test]
+    fn bad_subcommands_are_usage_errors() {
+        assert!(refused("frobnicate").contains("unknown subcommand frobnicate"));
+        // The ablations are spelled `ablation --which W`.
+        assert!(refused("ablation_gamma").contains("unknown subcommand"));
+        assert!(refused("ablation").contains("needs --which"));
+        assert!(refused("ablation --scale 0.1").contains("needs --which"));
+        assert!(refused("ablation --which").contains("needs --which"));
+        assert!(refused("ablation --which delta").contains("unknown ablation delta"));
+        match render_experiment("table9", CommonOpts::default()) {
+            Err(CliError::Usage(message)) => assert!(message.contains("unknown experiment table9")),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -1,14 +1,18 @@
-//! One function per figure/table of the paper (see DESIGN.md §4).
+//! One function per figure/table of the paper (see DESIGN.md §4), each
+//! reading its classifications from a [`Lab`] session.
 
+use std::io;
+use std::ops::Deref;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use eleph_core::holding::{self, HoldingStats};
 use eleph_core::prefix_analysis::prefix_report;
-use eleph_core::ClassificationResult;
+use eleph_core::{ClassificationResult, Scheme};
 use eleph_stats::Summary;
 
 use crate::emit::{fmt, write_csv, Comparison};
-use crate::{run, run_many, DetectorKind, Scenario, ScenarioData, SchemeSpec};
+use crate::{DetectorKind, Lab, MatrixId, Scenario, ScenarioData, SchemeSpec};
 
 /// The output of one experiment: a paper-vs-measured table plus the CSVs
 /// that regenerate the figure.
@@ -35,18 +39,43 @@ impl ExperimentOutput {
     }
 }
 
-/// The four classification runs (2 links × 2 detectors, latent heat)
-/// shared by the three panels of Figure 1.
+/// An experiment: it reads what it needs from the session it is given.
+pub type Experiment = fn(&Lab) -> io::Result<ExperimentOutput>;
+
+/// Every experiment by id, in the order `eleph all` runs them.
+pub const EXPERIMENTS: [(&str, Experiment); 11] = [
+    ("fig1a", fig1a),
+    ("fig1b", fig1b),
+    ("fig1c", fig1c),
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("table4", table4_in),
+    ("ablation_gamma", |lab| ablation_gamma(&lab.west.0, lab)),
+    ("ablation_window", |lab| ablation_window(&lab.west.0, lab)),
+    ("ablation_beta", |lab| ablation_beta(&lab.west.0, lab)),
+    ("ablation_scheme", |lab| ablation_scheme(&lab.west.0, lab)),
+];
+
+/// A session whose four Figure 1 classifications (2 links × 2
+/// detectors, latent heat) are already computed — what the three panels
+/// and tables 1–3 read. Dereferences to its [`Lab`], so `data.west` is
+/// the west link and every experiment function takes `&data`.
 pub struct Fig1Data {
-    /// West-coast scenario + built data.
-    pub west: (Scenario, ScenarioData),
-    /// East-coast scenario + built data.
-    pub east: (Scenario, ScenarioData),
+    lab: Lab,
     /// Classifications: [west-CL, west-aest, east-CL, east-aest].
-    pub runs: [ClassificationResult; 4],
+    pub runs: [Arc<ClassificationResult>; 4],
 }
 
-/// Column labels matching `Fig1Data::runs` order.
+impl Deref for Fig1Data {
+    type Target = Lab;
+
+    fn deref(&self) -> &Lab {
+        &self.lab
+    }
+}
+
+/// Column labels matching [`Lab::fig1_runs`] order.
 pub const FIG1_SERIES: [&str; 4] = [
     "constant load (west coast)",
     "aest (west coast)",
@@ -56,40 +85,28 @@ pub const FIG1_SERIES: [&str; 4] = [
 
 /// Build the Figure 1 dataset at the given scale.
 pub fn fig1_data(scale: f64, seed: u64) -> Fig1Data {
-    let west = Scenario::west(seed).scaled(scale);
-    let east = Scenario::east(seed).scaled(scale);
-    let west_data = west.build();
-    let east_data = east.build();
-    let jobs = [
-        (&west_data.matrix, SchemeSpec::paper(DetectorKind::ConstantLoad)),
-        (&west_data.matrix, SchemeSpec::paper(DetectorKind::Aest)),
-        (&east_data.matrix, SchemeSpec::paper(DetectorKind::ConstantLoad)),
-        (&east_data.matrix, SchemeSpec::paper(DetectorKind::Aest)),
-    ];
-    let mut results = run_many(&jobs).into_iter();
-    let runs = [
-        results.next().expect("4 results"),
-        results.next().expect("4 results"),
-        results.next().expect("4 results"),
-        results.next().expect("4 results"),
-    ];
-    Fig1Data {
-        west: (west, west_data),
-        east: (east, east_data),
-        runs,
+    let lab = Lab::new(scale, seed);
+    let runs = lab.fig1_runs();
+    Fig1Data { lab, runs }
+}
+
+/// The link behind entry `idx` of [`Lab::fig1_runs`].
+fn fig1_link(lab: &Lab, idx: usize) -> &(Scenario, ScenarioData) {
+    if idx < 2 {
+        &lab.west
+    } else {
+        lab.east()
     }
 }
 
 /// Figure 1(a): number of elephants per interval, four series.
-pub fn fig1a(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
-    let n = data.runs[0].n_intervals();
-    let labels: Vec<String> = (0..n)
-        .map(|i| data.west.0.workload.interval_label(i))
-        .collect();
+pub fn fig1a(lab: &Lab) -> io::Result<ExperimentOutput> {
+    let runs = lab.fig1_runs();
+    let n = runs[0].n_intervals();
     let rows: Vec<Vec<String>> = (0..n)
         .map(|i| {
-            let mut row = vec![labels[i].clone()];
-            row.extend(data.runs.iter().map(|r| r.count(i).to_string()));
+            let mut row = vec![lab.west.0.workload.interval_label(i)];
+            row.extend(runs.iter().map(|r| r.count(i).to_string()));
             row
         })
         .collect();
@@ -102,19 +119,19 @@ pub fn fig1a(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
     // Paper claims: avg ≈ 600 (west), ≈ 500 (east); west series bursts
     // during working hours while east is smooth.
     let mut c = Comparison::new();
-    let west_avg = (data.runs[0].mean_count() + data.runs[1].mean_count()) / 2.0;
-    let east_avg = (data.runs[2].mean_count() + data.runs[3].mean_count()) / 2.0;
+    let west_avg = (runs[0].mean_count() + runs[1].mean_count()) / 2.0;
+    let east_avg = (runs[2].mean_count() + runs[3].mean_count()) / 2.0;
     c.row("avg elephants, west", "~600", fmt(west_avg));
     c.row("avg elephants, east", "~500", fmt(east_avg));
     c.row(
         "west burst (peak/trough of count)",
         "pronounced (>1.5x)",
-        fmt(count_peak_to_trough(&data.runs[0])),
+        fmt(count_peak_to_trough(&runs[0])),
     );
     c.row(
         "east burst (peak/trough of count)",
         "smooth (< west)",
-        fmt(count_peak_to_trough(&data.runs[2])),
+        fmt(count_peak_to_trough(&runs[2])),
     );
     Ok(ExperimentOutput {
         id: "fig1a".to_string(),
@@ -125,12 +142,13 @@ pub fn fig1a(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
 }
 
 /// Figure 1(b): fraction of total traffic apportioned to elephants.
-pub fn fig1b(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
-    let n = data.runs[0].n_intervals();
+pub fn fig1b(lab: &Lab) -> io::Result<ExperimentOutput> {
+    let runs = lab.fig1_runs();
+    let n = runs[0].n_intervals();
     let rows: Vec<Vec<String>> = (0..n)
         .map(|i| {
-            let mut row = vec![data.west.0.workload.interval_label(i)];
-            row.extend(data.runs.iter().map(|r| format!("{:.4}", r.fraction(i))));
+            let mut row = vec![lab.west.0.workload.interval_label(i)];
+            row.extend(runs.iter().map(|r| format!("{:.4}", r.fraction(i))));
             row
         })
         .collect();
@@ -141,7 +159,7 @@ pub fn fig1b(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
     )?;
 
     let mut c = Comparison::new();
-    for (label, r) in FIG1_SERIES.iter().zip(&data.runs) {
+    for (label, r) in FIG1_SERIES.iter().zip(&runs) {
         c.row(
             format!("mean fraction, {label}"),
             "~0.6 (below the 0.8 target)",
@@ -150,12 +168,8 @@ pub fn fig1b(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
     }
     // Fluctuation: the paper notes the fraction fluctuates less than the
     // counts.
-    let frac_cv = series_cv(&(0..n).map(|i| data.runs[0].fraction(i)).collect::<Vec<_>>());
-    let count_cv = series_cv(
-        &(0..n)
-            .map(|i| data.runs[0].count(i) as f64)
-            .collect::<Vec<_>>(),
-    );
+    let frac_cv = series_cv(&(0..n).map(|i| runs[0].fraction(i)).collect::<Vec<_>>());
+    let count_cv = series_cv(&(0..n).map(|i| runs[0].count(i) as f64).collect::<Vec<_>>());
     c.row(
         "fraction CV vs count CV (west CL)",
         "fraction steadier",
@@ -171,12 +185,12 @@ pub fn fig1b(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
 
 /// Figure 1(c): histogram of average holding times in the elephant state
 /// during the busy period (log counts).
-pub fn fig1c(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
+pub fn fig1c(lab: &Lab) -> io::Result<ExperimentOutput> {
     let max_slots = 60usize;
     let mut hists: Vec<Vec<u64>> = Vec::new();
     let mut stats: Vec<HoldingStats> = Vec::new();
-    for (idx, result) in data.runs.iter().enumerate() {
-        let (scenario, scen_data) = if idx < 2 { &data.west } else { &data.east };
+    for (idx, result) in lab.fig1_runs().iter().enumerate() {
+        let (scenario, scen_data) = fig1_link(lab, idx);
         let window = scenario.busy_window(&scen_data.matrix);
         let h = holding::analyze(result, window, scenario.workload.interval_secs);
         hists.push(h.avg_holding_histogram(max_slots));
@@ -220,25 +234,20 @@ pub fn fig1c(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
 
 /// T1 (§II in-text): single-feature classification is volatile.
 ///
-/// Reuses the scenarios already built for Figure 1 instead of
-/// regenerating both links, and classifies all four single-feature runs
-/// through one [`run_many`] fan-out.
-pub fn table1(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
+/// The four single-feature runs step over the raw thresholds Figure 1
+/// already detected on both links.
+pub fn table1(lab: &Lab) -> io::Result<ExperimentOutput> {
     let mut c = Comparison::new();
     let mut rows = Vec::new();
-    // One entry per run: the scenario it classifies and its detector.
-    let setups: [(&(Scenario, ScenarioData), DetectorKind); 4] = [
-        (&data.west, DetectorKind::ConstantLoad),
-        (&data.west, DetectorKind::Aest),
-        (&data.east, DetectorKind::ConstantLoad),
-        (&data.east, DetectorKind::Aest),
+    let setups = [
+        (MatrixId::West, DetectorKind::ConstantLoad),
+        (MatrixId::West, DetectorKind::Aest),
+        (MatrixId::East, DetectorKind::ConstantLoad),
+        (MatrixId::East, DetectorKind::Aest),
     ];
-    let jobs: Vec<(&eleph_flow::BandwidthMatrix, SchemeSpec)> = setups
-        .iter()
-        .map(|&((_, scen_data), detector)| (&scen_data.matrix, SchemeSpec::single(detector)))
-        .collect();
-    let results = run_many(&jobs);
-    for (&((scenario, scen_data), detector), result) in setups.iter().zip(&results) {
+    let results = lab.classify(&setups.map(|(id, detector)| (id, SchemeSpec::single(detector))));
+    for (idx, (&(_, detector), result)) in setups.iter().zip(&results).enumerate() {
+        let (scenario, scen_data) = fig1_link(lab, idx);
         let window = scenario.busy_window(&scen_data.matrix);
         let h = holding::analyze(result, window, scenario.workload.interval_secs);
         let label = format!("{} / {}", scenario.name, detector.label());
@@ -275,11 +284,11 @@ pub fn table1(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
 }
 
 /// T2 (§III in-text): the latent-heat scheme's improvements.
-pub fn table2(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
+pub fn table2(lab: &Lab) -> io::Result<ExperimentOutput> {
     let mut c = Comparison::new();
     let mut rows = Vec::new();
-    for (idx, result) in data.runs.iter().enumerate() {
-        let (scenario, scen_data) = if idx < 2 { &data.west } else { &data.east };
+    for (idx, result) in lab.fig1_runs().iter().enumerate() {
+        let (scenario, scen_data) = fig1_link(lab, idx);
         let window = scenario.busy_window(&scen_data.matrix);
         let h = holding::analyze(result, window, scenario.workload.interval_secs);
         let label = FIG1_SERIES[idx];
@@ -325,11 +334,12 @@ pub fn table2(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
 }
 
 /// T3 (§III in-text): prefix-length characteristics of elephants.
-pub fn table3(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
-    let (_scenario, scen_data) = &data.west;
-    let result = &data.runs[0]; // west, constant load
+pub fn table3(lab: &Lab) -> io::Result<ExperimentOutput> {
+    let scen_data = &lab.west.1;
+    let [result] =
+        lab.classify_on(MatrixId::West, [SchemeSpec::paper(DetectorKind::ConstantLoad)]);
     let window = 0..result.n_intervals();
-    let report = prefix_report(&scen_data.matrix, result, Some(&scen_data.table), window);
+    let report = prefix_report(&scen_data.matrix, &result, Some(&scen_data.table), window);
 
     let mut c = Comparison::new();
     // The paper states the bulk range (/12-/26) and separately that three
@@ -383,64 +393,38 @@ pub fn table3(data: &Fig1Data) -> std::io::Result<ExperimentOutput> {
     })
 }
 
-/// T4 (§II in-text): robustness to the measurement interval T.
-///
+/// T4 (§II in-text): robustness to the measurement interval T, on a
+/// session of its own.
+pub fn table4(scale: f64, seed: u64) -> io::Result<ExperimentOutput> {
+    table4_in(&Lab::new(scale, seed))
+}
+
 /// One traffic process, three discretisations — the paper's own
-/// protocol. The scenario is built once at its native T = 5 min; the
-/// 1-minute matrix is derived by [`eleph_flow::BandwidthMatrix::refine`]
-/// (byte-conserving sub-interval jitter) and the 30-minute matrix by
-/// [`eleph_flow::BandwidthMatrix::coarsen`] (exact aggregation).
-/// Earlier revisions regenerated a *different random workload per T*,
-/// so the reported spread mixed discretisation sensitivity with
-/// realization noise — and paid three scenario builds. The three
-/// classify+analyze pipelines still fan out across scoped threads.
-pub fn table4(scale: f64, seed: u64) -> std::io::Result<ExperimentOutput> {
-    let scenario = Scenario::west(seed).scaled(scale);
-    let data = scenario.build();
-    let native_t = scenario.workload.interval_secs;
-    // (factor, is_refine) per point: 60 s, native 300 s, 1800 s.
-    let points: [(u64, &str, usize, bool); 3] = [
-        (60, "1 min", (native_t / 60) as usize, true),
-        (native_t, "5 min", 1, false),
-        (1800, "30 min", (1800 / native_t) as usize, false),
+/// protocol: the west link at its native T = 5 min, re-measured at
+/// 1 min and at 30 min ([`MatrixId::West1Min`], [`MatrixId::West30Min`]).
+/// A fresh random workload per T would mix discretisation sensitivity
+/// with realization noise in the reported spread.
+fn table4_in(lab: &Lab) -> io::Result<ExperimentOutput> {
+    let points = [
+        ("1 min", MatrixId::West1Min),
+        ("5 min", MatrixId::West),
+        ("30 min", MatrixId::West30Min),
     ];
-    let outcomes: Vec<(eleph_core::ClassificationResult, HoldingStats)> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = points
-                .iter()
-                .map(|&(t_secs, _, factor, is_refine)| {
-                    let matrix = &data.matrix;
-                    s.spawn(move || {
-                        let view = if is_refine {
-                            matrix.refine(factor, seed)
-                        } else if factor > 1 {
-                            matrix.coarsen(factor)
-                        } else {
-                            matrix.clone()
-                        };
-                        let result = run(&view, SchemeSpec::paper(DetectorKind::ConstantLoad));
-                        // Keep the busy period at 5 wall-clock hours.
-                        let busy_slots = (5 * 3600 / t_secs) as usize;
-                        let window = eleph_flow::busiest_window(
-                            view.totals(),
-                            busy_slots.min(result.n_intervals()),
-                        )
-                        .expect("window fits");
-                        let h = holding::analyze(&result, window, t_secs);
-                        (result, h)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("T-point pipeline does not panic"))
-                .collect()
-        });
+    let spec = SchemeSpec::paper(DetectorKind::ConstantLoad);
+    let results = lab.classify(&points.map(|(_, id)| (id, spec)));
 
     let mut c = Comparison::new();
     let mut rows = Vec::new();
     let mut fractions = Vec::new();
-    for (&(_, label, _, _), (result, h)) in points.iter().zip(&outcomes) {
+    for (&(label, id), result) in points.iter().zip(&results) {
+        let view = lab.matrix(id);
+        let t_secs = view.interval_secs();
+        // Keep the busy period at 5 wall-clock hours.
+        let busy_slots = (5 * 3600 / t_secs) as usize;
+        let window =
+            eleph_flow::busiest_window(view.totals(), busy_slots.min(result.n_intervals()))
+                .expect("window fits");
+        let h = holding::analyze(result, window, t_secs);
         c.row(
             format!("mean load fraction, T = {label}"),
             "similar across T",
@@ -474,39 +458,22 @@ pub fn table4(scale: f64, seed: u64) -> std::io::Result<ExperimentOutput> {
     })
 }
 
-/// Build the west-coast scenario once for the sweep experiments — the
-/// four ablations (and any caller-driven sweep) share one build instead
-/// of regenerating the table, trace and matrix per experiment.
-pub fn west_lab(scale: f64, seed: u64) -> (Scenario, ScenarioData) {
-    let scenario = Scenario::west(seed).scaled(scale);
-    let data = scenario.build();
-    (scenario, data)
+/// A session for the sweep experiments, with its west scenario: the
+/// four ablations share its one build, its constant-load detection and
+/// every configuration two of them have in common.
+pub fn west_lab(scale: f64, seed: u64) -> (Scenario, Lab) {
+    let lab = Lab::new(scale, seed);
+    (lab.west.0.clone(), lab)
 }
 
 /// A1 (ablation): how γ affects threshold smoothness and churn.
-///
-/// All four γ points run as one [`run_many`] group: the constant-load
-/// detection per interval happens once, shared across the sweep.
-pub fn ablation_gamma(
-    scenario: &Scenario,
-    data: &ScenarioData,
-) -> std::io::Result<ExperimentOutput> {
+pub fn ablation_gamma(_scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentOutput> {
     let gammas = [0.0, 0.5, 0.9, 0.99];
-    let jobs: Vec<(&eleph_flow::BandwidthMatrix, SchemeSpec)> = gammas
-        .iter()
-        .map(|&gamma| {
-            let spec = SchemeSpec {
-                detector: DetectorKind::ConstantLoad,
-                gamma,
-                scheme: eleph_core::Scheme::LatentHeat {
-                    window: eleph_core::PAPER_LATENT_WINDOW,
-                },
-            };
-            (&data.matrix, spec)
-        })
-        .collect();
-    let results = run_many(&jobs);
-    let _ = scenario; // busy window not needed; kept for signature symmetry
+    let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
+    let results = lab.classify_on(
+        MatrixId::West,
+        gammas.map(|gamma| SchemeSpec { gamma, ..paper }),
+    );
     let mut c = Comparison::new();
     let mut rows = Vec::new();
     for (&gamma, result) in gammas.iter().zip(&results) {
@@ -539,25 +506,18 @@ pub fn ablation_gamma(
     })
 }
 
-/// A2 (ablation): latent-heat window sweep, one shared-detection pass.
-pub fn ablation_window(
-    scenario: &Scenario,
-    data: &ScenarioData,
-) -> std::io::Result<ExperimentOutput> {
+/// A2 (ablation): latent-heat window sweep.
+pub fn ablation_window(scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentOutput> {
     let windows = [1usize, 6, 12, 24];
-    let window_range = scenario.busy_window(&data.matrix);
-    let jobs: Vec<(&eleph_flow::BandwidthMatrix, SchemeSpec)> = windows
-        .iter()
-        .map(|&w| {
-            let spec = SchemeSpec {
-                detector: DetectorKind::ConstantLoad,
-                gamma: eleph_core::PAPER_GAMMA,
-                scheme: eleph_core::Scheme::LatentHeat { window: w },
-            };
-            (&data.matrix, spec)
-        })
-        .collect();
-    let results = run_many(&jobs);
+    let window_range = scenario.busy_window(lab.matrix(MatrixId::West));
+    let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
+    let results = lab.classify_on(
+        MatrixId::West,
+        windows.map(|window| SchemeSpec {
+            scheme: Scheme::LatentHeat { window },
+            ..paper
+        }),
+    );
     let mut c = Comparison::new();
     let mut rows = Vec::new();
     for (&w, result) in windows.iter().zip(&results) {
@@ -590,36 +550,15 @@ pub fn ablation_window(
 
 /// A3 (ablation): constant-load β sweep.
 ///
-/// The detector itself changes per point (different β), so there is no
-/// detection work to share — the four classifications run concurrently
-/// on scoped threads over the shared scenario build instead.
-pub fn ablation_beta(
-    _scenario: &Scenario,
-    data: &ScenarioData,
-) -> std::io::Result<ExperimentOutput> {
+/// The detector itself changes per point, so each β is a detection pass
+/// of its own (β = 0.8 being the one every other experiment shares).
+pub fn ablation_beta(_scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentOutput> {
     let betas = [0.5, 0.7, 0.8, 0.9];
-    let results: Vec<eleph_core::ClassificationResult> = std::thread::scope(|s| {
-        let handles: Vec<_> = betas
-            .iter()
-            .map(|&beta| {
-                let matrix = &data.matrix;
-                s.spawn(move || {
-                    eleph_core::classify(
-                        matrix,
-                        eleph_core::ConstantLoadDetector::new(beta),
-                        eleph_core::PAPER_GAMMA,
-                        eleph_core::Scheme::LatentHeat {
-                            window: eleph_core::PAPER_LATENT_WINDOW,
-                        },
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("classification does not panic"))
-            .collect()
-    });
+    let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
+    let results = lab.classify_on(
+        MatrixId::West,
+        betas.map(|beta| SchemeSpec { beta, ..paper }),
+    );
     let mut c = Comparison::new();
     let mut rows = Vec::new();
     for (&beta, result) in betas.iter().zip(&results) {
@@ -652,12 +591,8 @@ pub fn ablation_beta(
 /// The paper chose latent heat over simpler persistence mechanisms; this
 /// quantifies the trade-off against the classic two-threshold scheme on
 /// the same workload.
-pub fn ablation_scheme(
-    scenario: &Scenario,
-    data: &ScenarioData,
-) -> std::io::Result<ExperimentOutput> {
-    use eleph_core::Scheme;
-    let window_range = scenario.busy_window(&data.matrix);
+pub fn ablation_scheme(scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentOutput> {
+    let window_range = scenario.busy_window(lab.matrix(MatrixId::West));
     let mut c = Comparison::new();
     let mut rows = Vec::new();
     let schemes: [(&str, Scheme); 4] = [
@@ -666,20 +601,10 @@ pub fn ablation_scheme(
         ("hysteresis 1.0/0.5", Scheme::Hysteresis { enter: 1.0, exit: 0.5 }),
         ("hysteresis 1.5/0.33", Scheme::Hysteresis { enter: 1.5, exit: 0.33 }),
     ];
-    // One shared-detection pass over all four persistence mechanisms:
-    // they differ only in scheme, so the constant-load threshold per
-    // interval is computed once.
-    let configs: Vec<eleph_core::ClassifyConfig> = schemes
-        .iter()
-        .map(|&(_, scheme)| eleph_core::ClassifyConfig {
-            gamma: eleph_core::PAPER_GAMMA,
-            scheme,
-        })
-        .collect();
-    let results = eleph_core::classify_many(
-        &data.matrix,
-        &eleph_core::ConstantLoadDetector::new(eleph_core::PAPER_BETA),
-        &configs,
+    let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
+    let results = lab.classify_on(
+        MatrixId::West,
+        schemes.map(|(_, scheme)| SchemeSpec { scheme, ..paper }),
     );
     for ((name, _), result) in schemes.iter().zip(&results) {
         let h = holding::analyze(result, window_range.clone(), scenario.workload.interval_secs);
@@ -738,14 +663,4 @@ fn count_peak_to_trough(result: &ClassificationResult) -> f64 {
     } else {
         max / min
     }
-}
-
-/// Parse `--scale` and `--seed` from the command line (defaults 1.0 / 42).
-///
-/// Thin wrapper over [`crate::cli::parse_common`], kept for callers of
-/// the pre-`eleph` API.
-pub fn cli_scale_seed() -> (f64, u64) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = crate::cli::parse_common(&args);
-    (opts.scale, opts.seed)
 }

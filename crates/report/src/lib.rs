@@ -1,14 +1,18 @@
 //! Experiment harness: regenerate every figure and table of the paper.
 //!
-//! Each binary in `src/bin/` reproduces one result — see DESIGN.md §4 for
-//! the full experiment index. All of them share the machinery here:
+//! The `eleph` binary reproduces each result by subcommand — see
+//! DESIGN.md §4 for the full experiment index. All of them share the
+//! machinery here:
 //!
 //! * [`Scenario`] — the paper's west-coast and east-coast OC-12 setups
 //!   (synthetic BGP table + synthetic workload), with a
 //!   [`Scenario::scaled`] knob so tests can run a miniature version;
 //! * [`SchemeSpec`] — the classification configurations under study
-//!   (aest vs 0.8-constant-load, single-feature vs latent heat);
-//! * [`run`] — classify a scenario with a scheme;
+//!   (aest vs β-constant-load, single-feature vs latent heat);
+//! * [`Lab`] — the experiment session: it builds each link once and
+//!   hands every experiment its classifications, detecting once per
+//!   (matrix, detector) and classifying once per configuration;
+//! * [`run`] — classify a matrix with a scheme, outside any session;
 //! * [`emit`] — ASCII tables for stdout and CSV files under
 //!   `target/experiments/` for plotting.
 
@@ -18,13 +22,16 @@
 pub mod cli;
 pub mod emit;
 pub mod experiments;
+mod lab;
 pub mod sketch;
+
+pub use lab::{Lab, LabCounters, MatrixId};
 
 use eleph_bgp::synth::SynthConfig;
 use eleph_bgp::BgpTable;
 use eleph_core::{
-    classify, classify_many, AestDetector, ClassificationResult, ClassifyConfig,
-    ConstantLoadDetector, Scheme, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
+    classify_with, AestDetector, ClassificationResult, ClassifyConfig, ConstantLoadDetector,
+    RawThresholds, Scheme, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
 use eleph_flow::BandwidthMatrix;
 use eleph_trace::{RateTrace, WorkloadConfig};
@@ -108,11 +115,11 @@ pub struct ScenarioData {
 }
 
 /// Which threshold detector to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DetectorKind {
     /// Crovella–Taqqu tail-onset threshold.
     Aest,
-    /// β-constant-load threshold with the paper's β = 0.8.
+    /// β-constant-load threshold at [`SchemeSpec::beta`].
     ConstantLoad,
 }
 
@@ -131,6 +138,8 @@ impl DetectorKind {
 pub struct SchemeSpec {
     /// Threshold rule.
     pub detector: DetectorKind,
+    /// Constant-load target β (aest ignores it).
+    pub beta: f64,
     /// EWMA smoothing factor γ.
     pub gamma: f64,
     /// The classification scheme (single-feature, latent heat, or the
@@ -144,6 +153,7 @@ impl SchemeSpec {
     pub fn paper(detector: DetectorKind) -> Self {
         SchemeSpec {
             detector,
+            beta: PAPER_BETA,
             gamma: PAPER_GAMMA,
             scheme: Scheme::LatentHeat {
                 window: PAPER_LATENT_WINDOW,
@@ -154,94 +164,34 @@ impl SchemeSpec {
     /// The §II single-feature configuration.
     pub fn single(detector: DetectorKind) -> Self {
         SchemeSpec {
-            detector,
-            gamma: PAPER_GAMMA,
             scheme: Scheme::SingleFeature,
+            ..SchemeSpec::paper(detector)
         }
     }
 
-    /// The detector-independent half, for [`eleph_core::classify_many`].
+    /// The detector half: its raw thresholds over `matrix`.
+    pub fn detect(&self, matrix: &BandwidthMatrix) -> RawThresholds {
+        match self.detector {
+            DetectorKind::Aest => RawThresholds::detect(matrix, &AestDetector::new()),
+            DetectorKind::ConstantLoad => {
+                RawThresholds::detect(matrix, &ConstantLoadDetector::new(self.beta))
+            }
+        }
+    }
+
+    /// The detector-independent half, for [`eleph_core::classify_with`].
     pub fn config(&self) -> ClassifyConfig {
         ClassifyConfig {
             gamma: self.gamma,
             scheme: self.scheme,
         }
     }
-
-    /// Label like "aest+LH12" for tables.
-    pub fn label(&self) -> String {
-        match self.scheme {
-            Scheme::LatentHeat { window } => format!("{}+LH{}", self.detector.label(), window),
-            Scheme::SingleFeature => format!("{} single", self.detector.label()),
-            Scheme::Hysteresis { enter, exit } => {
-                format!("{} hyst {enter}/{exit}", self.detector.label())
-            }
-        }
-    }
 }
 
-/// Run a classification configuration over a matrix.
+/// Run a classification configuration over a matrix, stand-alone (no
+/// session, nothing kept).
 pub fn run(matrix: &BandwidthMatrix, spec: SchemeSpec) -> ClassificationResult {
-    match spec.detector {
-        DetectorKind::Aest => classify(matrix, AestDetector::new(), spec.gamma, spec.scheme),
-        DetectorKind::ConstantLoad => classify(
-            matrix,
-            ConstantLoadDetector::new(PAPER_BETA),
-            spec.gamma,
-            spec.scheme,
-        ),
-    }
-}
-
-/// Run several configurations over (possibly different) matrices,
-/// preserving input order.
-///
-/// Jobs are grouped by (matrix, detector): each group becomes one
-/// [`eleph_core::classify_many`] call, so every configuration in the
-/// group shares the per-interval threshold detection — for a sweep over
-/// γ/window/scheme this is the dominant cost and is paid once. Groups
-/// then fan out across scoped threads.
-pub fn run_many(jobs: &[(&BandwidthMatrix, SchemeSpec)]) -> Vec<ClassificationResult> {
-    // Group by matrix identity + detector kind, preserving first-seen
-    // group order and job order within a group.
-    let mut groups: Vec<((usize, DetectorKind), Vec<usize>)> = Vec::new();
-    for (i, &(matrix, spec)) in jobs.iter().enumerate() {
-        let key = (matrix as *const BandwidthMatrix as usize, spec.detector);
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, indices)) => indices.push(i),
-            None => groups.push((key, vec![i])),
-        }
-    }
-
-    let mut out: Vec<Option<ClassificationResult>> = jobs.iter().map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = groups
-            .into_iter()
-            .map(|((_, detector), indices)| {
-                s.spawn(move || {
-                    let matrix = jobs[indices[0]].0;
-                    let configs: Vec<ClassifyConfig> =
-                        indices.iter().map(|&i| jobs[i].1.config()).collect();
-                    let results = match detector {
-                        DetectorKind::Aest => {
-                            classify_many(matrix, &AestDetector::new(), &configs)
-                        }
-                        DetectorKind::ConstantLoad => {
-                            classify_many(matrix, &ConstantLoadDetector::new(PAPER_BETA), &configs)
-                        }
-                    };
-                    (indices, results)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (indices, results) = handle.join().expect("classification does not panic");
-            for (i, result) in indices.into_iter().zip(results) {
-                out[i] = Some(result);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("every job belongs to exactly one group"))
-        .collect()
+    classify_with(matrix, &spec.detect(matrix), &[spec.config()])
+        .pop()
+        .expect("one config in, one result out")
 }

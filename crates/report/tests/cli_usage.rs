@@ -1,0 +1,32 @@
+//! A wrong command line is answered, not crashed on: the message and a
+//! pointer to `eleph help` on stderr, nothing on stdout, exit status 2.
+
+use std::process::Command;
+
+#[test]
+fn usage_errors_exit_2_without_a_panic() {
+    for line in [
+        "all --scale 0",
+        "all --scale 2",
+        "fig1a --scale abc",
+        "table1 --seed x",
+        "table4 --frobnicate",
+        "frobnicate",
+        "ablation",
+        "ablation --which delta",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_eleph"))
+            .args(line.split_whitespace())
+            .output()
+            .expect("eleph runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "`eleph {line}`: {stderr}");
+        assert!(out.stdout.is_empty(), "`eleph {line}` printed to stdout");
+        assert!(stderr.starts_with("eleph: "), "`eleph {line}`: {stderr}");
+        assert!(
+            stderr.ends_with("try `eleph help`\n"),
+            "`eleph {line}`: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "`eleph {line}`: {stderr}");
+    }
+}

@@ -1,0 +1,147 @@
+//! Sharing in the experiment session, pinned as a property and as
+//! counts rather than as a timing: running all eleven experiments in
+//! one session prints and writes exactly what eleven sessions of one
+//! experiment do, while building, detecting and classifying each
+//! distinct thing once.
+
+use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+
+use eleph_report::cli::{render_all, render_experiment, run_session, CommonOpts};
+use eleph_report::experiments::EXPERIMENTS;
+use eleph_report::{DetectorKind, Lab, LabCounters, MatrixId, SchemeSpec};
+
+/// Every session writes its CSVs to the same paths, and the tests of
+/// one binary run on parallel threads: one session at a time.
+fn csv_dir() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The CSVs a rendered report says it wrote, with their current bytes.
+fn csvs(rendered: &str) -> Vec<(PathBuf, Vec<u8>)> {
+    rendered
+        .lines()
+        .filter_map(|line| line.strip_prefix("csv: "))
+        .map(|path| {
+            (
+                PathBuf::from(path),
+                std::fs::read(path).expect("csv exists"),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn all_equals_the_eleven_experiments_run_alone() {
+    let _guard = csv_dir();
+    for seed in [3, 20020911] {
+        let opts = CommonOpts { scale: 0.02, seed };
+        let all = render_all(opts).expect("all runs");
+        let all_csvs = csvs(&all);
+        assert_eq!(all_csvs.len(), EXPERIMENTS.len(), "one CSV per experiment");
+
+        let mut alone = String::new();
+        let mut alone_csvs = Vec::new();
+        for (id, _) in EXPERIMENTS {
+            let rendered = render_experiment(id, opts).expect("experiment runs");
+            alone_csvs.extend(csvs(&rendered));
+            alone.push_str(&rendered);
+            alone.push('\n');
+        }
+        assert_eq!(all, alone, "seed {seed}: stdout differs");
+        assert_eq!(all_csvs, alone_csvs, "seed {seed}: a CSV differs");
+    }
+}
+
+#[test]
+fn all_builds_detects_and_classifies_each_thing_once() {
+    let _guard = csv_dir();
+    let opts = CommonOpts {
+        scale: 0.02,
+        seed: 5,
+    };
+    let all = EXPERIMENTS.map(|(id, _)| id);
+    let (rendered, counters) = run_session(&all, opts).expect("all runs");
+    assert_eq!(rendered.len(), 11);
+    assert_eq!(
+        counters,
+        LabCounters {
+            // West and east.
+            scenario_builds: 2,
+            // {west, east} × {constant load 0.8, aest}; β = 0.5, 0.7 and
+            // 0.9 on west; the 1-min and 30-min matrices of table 4.
+            detection_passes: 9,
+            // Figure 1's four runs asked for by fig1a/b/c and table 2,
+            // table 1's four, table 3's one, table 4's three, four per
+            // ablation.
+            results_requested: 4 * 4 + 4 + 1 + 3 + 4 * 4,
+            // Distinct (matrix, detector, β, γ, scheme): Figure 1's 4,
+            // table 1's 4, table 4's 2 derived, γ ∈ {0, 0.5, 0.99},
+            // w ∈ {1, 6, 24}, β ∈ {0.5, 0.7, 0.9}, two hysteresis pairs —
+            // ten of them over (west, constant load 0.8) alone.
+            results_computed: 4 + 4 + 2 + 3 + 3 + 3 + 2,
+        }
+    );
+
+    // One experiment is the same session with less in it.
+    let (_, table3) = run_session(&["table3"], opts).expect("table3 runs");
+    assert_eq!(
+        table3,
+        LabCounters {
+            scenario_builds: 1,
+            detection_passes: 1,
+            results_requested: 1,
+            results_computed: 1,
+        }
+    );
+    let (_, gamma) = run_session(&["ablation_gamma"], opts).expect("ablation runs");
+    assert_eq!(
+        gamma,
+        LabCounters {
+            scenario_builds: 1,
+            detection_passes: 1,
+            results_requested: 4,
+            results_computed: 4,
+        }
+    );
+}
+
+#[test]
+fn the_memo_answers_with_the_result_a_fresh_run_gives() {
+    let mut lab = Lab::new(0.02, 11);
+    let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
+    let single = SchemeSpec::single(DetectorKind::ConstantLoad);
+    let [first] = lab.classify_on(MatrixId::West, [paper]);
+    let [again, other] = lab.classify_on(MatrixId::West, [paper, single]);
+    assert!(
+        std::sync::Arc::ptr_eq(&first, &again),
+        "second request recomputed"
+    );
+    let counters = lab.counters();
+    assert_eq!(
+        (counters.detection_passes, counters.results_computed),
+        (1, 2)
+    );
+    assert_eq!(counters.results_requested, 3);
+
+    // A configuration stepped later, over thresholds detected earlier,
+    // is the one a stand-alone classification computes.
+    let fresh = eleph_report::run(lab.matrix(MatrixId::West), single);
+    assert_eq!(other.elephants, fresh.elephants);
+    assert_eq!(other.raw_thresholds, fresh.raw_thresholds);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&other.thresholds), bits(&fresh.thresholds));
+    assert_eq!(bits(&other.elephant_load), bits(&fresh.elephant_load));
+
+    // Releasing the derived matrices forgets what was computed over
+    // them and nothing else.
+    lab.classify(&[(MatrixId::West30Min, paper)]);
+    lab.release_derived();
+    lab.classify(&[(MatrixId::West30Min, paper), (MatrixId::West, paper)]);
+    let counters = lab.counters();
+    assert_eq!(
+        (counters.detection_passes, counters.results_computed),
+        (3, 4)
+    );
+}

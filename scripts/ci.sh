@@ -16,16 +16,15 @@
 #      dependents) so the gated code cannot rot unbuilt;
 #   5. bench compilation: the criterion harnesses must at least build;
 #   6. executables: examples build and the packet-path ones smoke-run,
-#      `eleph run` streams a tiny synthetic workload to JSONL, and the
-#      deprecated per-experiment shims stay byte-identical to their
-#      `eleph` subcommands (fig1a, table1);
+#      and `eleph run` streams a tiny synthetic workload to JSONL;
 #   7. crash safety: a checkpointed `eleph run` is SIGKILLed mid-capture
 #      and resumed with `--resume`; the recovered JSONL must be
 #      byte-identical to an uninterrupted reference run (no duplicated,
-#      no missing interval records). The gate is timing-independent: a
-#      kill that lands before the first checkpoint degrades to a fresh
-#      start, one that lands after completion re-seals the tail — both
-#      still must reproduce the reference bytes;
+#      no missing interval records). The kill waits for the first
+#      checkpoint file, so there is always a snapshot to resume from,
+#      and the gate fails if the victim was not killed mid-run (exit by
+#      SIGKILL with intervals still to seal): a run that finished first
+#      proves nothing about recovery;
 #   8. churn determinism: `eleph churn` generates a route-update
 #      schedule, the same capture is streamed twice with `--rib-updates`
 #      replaying that schedule mid-stream, and the two JSONL outputs
@@ -101,17 +100,30 @@ cargo run -q --release -p eleph-report --bin eleph -- \
 
 echo "== crash safety: SIGKILL a checkpointed run, resume, diff against reference =="
 eleph=target/release/eleph
-crash_args=(run --synth --flows 2000 --intervals 300 --interval-secs 20 --prefixes 2000)
+# Sized to outlive its first checkpoint by seconds, not milliseconds:
+# one snapshot (write + fsync + rename) per interval, 900 of them.
+crash_intervals=900
+crash_args=(run --synth --flows 2000 --intervals "$crash_intervals" --interval-secs 20
+    --prefixes 2000)
 "$eleph" "${crash_args[@]}" --out "$tmpdir/crash_ref.jsonl" 2> /dev/null
 # The binary is killed directly (not through cargo, which would orphan
 # the child and absorb the signal).
 "$eleph" "${crash_args[@]}" --out "$tmpdir/crash.jsonl" \
     --checkpoint-dir "$tmpdir/ckpt" 2> /dev/null &
 victim=$!
-sleep 0.2
+until [ -e "$tmpdir/ckpt/eleph.ckpt" ]; do
+    kill -0 "$victim" 2> /dev/null \
+        || { echo "crash safety: victim exited before its first checkpoint" >&2; exit 1; }
+    sleep 0.01
+done
+# A few more intervals, so the kill is not always at the same seal.
+sleep 0.05
 kill -9 "$victim" 2> /dev/null || true
-wait "$victim" 2> /dev/null && killed="completed before the kill" || killed="killed mid-run"
-echo "   victim $killed ($(wc -l < "$tmpdir/crash.jsonl") of 300 intervals durable)"
+wait "$victim" 2> /dev/null && victim_status=0 || victim_status=$?
+durable=$(wc -l < "$tmpdir/crash.jsonl")
+echo "   victim exit status $victim_status, $durable of $crash_intervals intervals durable"
+[ "$victim_status" -eq 137 ] && [ "$durable" -lt "$crash_intervals" ] \
+    || { echo "crash safety: victim was not killed mid-run; raise crash_intervals" >&2; exit 1; }
 "$eleph" "${crash_args[@]}" --out "$tmpdir/crash.jsonl" \
     --checkpoint-dir "$tmpdir/ckpt" --resume 2> /dev/null
 diff "$tmpdir/crash.jsonl" "$tmpdir/crash_ref.jsonl" \
@@ -186,13 +198,5 @@ echo "== start-up path: dump reader vs oracle, from_routes vs freeze, eleph run 
 cargo test -q -p eleph-bgp --lib dump::tests::differential
 cargo test -q -p eleph-bgp --test from_routes
 cargo test -q -p eleph-tests --test cli_default_path
-
-echo "== legacy shims byte-identical to eleph subcommands (fig1a, table1) =="
-cargo run -q --release -p eleph-report --bin eleph -- fig1a --scale 0.01 --seed 5 > "$tmpdir/eleph_fig1a"
-cargo run -q --release -p eleph-report --bin fig1a -- --scale 0.01 --seed 5 > "$tmpdir/shim_fig1a"
-diff "$tmpdir/eleph_fig1a" "$tmpdir/shim_fig1a"
-cargo run -q --release -p eleph-report --bin eleph -- table1 --scale 0.01 --seed 5 > "$tmpdir/eleph_table1"
-cargo run -q --release -p eleph-report --bin table1 -- --scale 0.01 --seed 5 > "$tmpdir/shim_table1"
-diff "$tmpdir/eleph_table1" "$tmpdir/shim_table1"
 
 echo "ci.sh: all gates green"
