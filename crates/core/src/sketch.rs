@@ -31,9 +31,11 @@
 //!   each interval and the threshold adapts to the tracked population.
 //!
 //! All sketch backends are deterministic: hashing uses fixed
-//! compile-time seeds, eviction ties break on scan order, and nothing
-//! reads a clock or an RNG — the same packet sequence always produces
-//! the same sealed snapshots, checkpoint payloads, and JSONL.
+//! compile-time seeds, an eviction takes the lowest slot among the
+//! minimum counts (one [`SlotHeap`] decides it for both backends that
+//! evict), and nothing reads a clock or an RNG — the same packet
+//! sequence always produces the same sealed snapshots, checkpoint
+//! payloads, and JSONL.
 //!
 //! What is approximated and what stays exact: only the per-interval
 //! byte *row* is approximate. Key identity, interval geometry, packet
@@ -45,15 +47,20 @@
 use eleph_flow::KeyId;
 use rustc_hash::FxHashMap;
 
-/// How many bytes one [`SpaceSaving`] entry costs (key + counter +
-/// error bound + hash-index overhead), used to derive capacity from a
-/// byte budget.
+/// How many bytes one [`SpaceSaving`] entry is charged when capacity
+/// is derived from a byte budget: the 24 B entry (key, counter, error
+/// bound), its 16 B [`SlotHeap`] node, and its share of the hash index
+/// (a 16 B bucket plus a control byte, at the table's load factor).
+/// The quotient is the error bound (total / capacity) and the
+/// checkpoint geometry, so this is a fixed nominal charge, not an
+/// allocator-exact footprint.
 const SS_ENTRY_COST: usize = 64;
 
 /// Count-min depth (independent hash rows).
 const CM_DEPTH: usize = 4;
 
-/// Bytes one candidate-list entry costs ([`CountMinRow`] and
+/// Bytes one candidate-list entry is charged ([`CountMinRow`]
+/// candidates, which also carry a [`SlotHeap`] node, and
 /// [`AdaptiveBloom`] tracked entries: key + counter + index overhead).
 const CANDIDATE_COST: usize = 64;
 
@@ -337,6 +344,101 @@ impl StateBackend for ExactDense {
 }
 
 // ---------------------------------------------------------------------
+// Slot heap
+// ---------------------------------------------------------------------
+
+/// Which slot of a full table to evict: a binary min-heap of
+/// `(count lower bound, slot)` over the table's slot indices, repaired
+/// lazily. [`SpaceSaving`] and [`CountMinRow`]'s candidate list share
+/// it.
+///
+/// Invariant while non-empty: every slot has exactly one node, a
+/// node's stored count is ≤ its slot's current count, and the nodes
+/// are heap-ordered on `(stored count, slot)`. It relies on the
+/// table's counts only growing between two [`clear`](SlotHeap::clear)s,
+/// which is what lets a hit add to its slot's count and leave the heap
+/// alone. [`min_slot`](SlotHeap::min_slot) writes the current count
+/// into the root while the two differ and sifts it down; a root that
+/// is current is ≤ every other node's stored pair and therefore ≤
+/// every other slot's current pair, so the answer is the **lowest slot
+/// among the minimum counts** — a function of the table alone,
+/// whatever the order the heap was repaired in.
+///
+/// Each hit makes at most one node stale and each repair makes one
+/// current again, so a table of k slots costs amortised O(log k) per
+/// record and never a pass over all of it, except the one heapify
+/// after a `clear`.
+///
+/// Derived state: never serialized. The owner clears it when the
+/// table is reset or replaced (`seal_into`, `restore_sketch`) and the
+/// next `min_slot` rebuilds it from the table.
+#[derive(Debug, Default)]
+struct SlotHeap {
+    nodes: Vec<(u64, usize)>,
+    /// Nodes laid down by rebuilds plus nodes moved by sifting, ever:
+    /// the work the complexity test bounds.
+    #[cfg(test)]
+    sift_steps: u64,
+}
+
+impl SlotHeap {
+    /// Forget the table: the next [`min_slot`](SlotHeap::min_slot)
+    /// starts from whatever table it is given.
+    fn clear(&mut self) {
+        self.nodes.clear();
+    }
+
+    /// The lowest slot among those of `table` whose `count` is minimal.
+    /// `table` must be non-empty and keep its length between `clear`s.
+    fn min_slot<T>(&mut self, table: &[T], count: impl Fn(&T) -> u64) -> usize {
+        if self.nodes.is_empty() {
+            self.nodes.extend(table.iter().enumerate().map(|(slot, e)| (count(e), slot)));
+            #[cfg(test)]
+            {
+                self.sift_steps += self.nodes.len() as u64;
+            }
+            for at in (0..self.nodes.len() / 2).rev() {
+                self.sift_down(at);
+            }
+        }
+        debug_assert_eq!(self.nodes.len(), table.len(), "table resized under the heap");
+        loop {
+            let (stored, slot) = self.nodes[0];
+            let current = count(&table[slot]);
+            if stored == current {
+                return slot;
+            }
+            self.nodes[0].0 = current;
+            self.sift_down(0);
+        }
+    }
+
+    /// Move the node at `at` down until neither child is smaller.
+    fn sift_down(&mut self, mut at: usize) {
+        let node = self.nodes[at];
+        loop {
+            let mut child = 2 * at + 1;
+            if child >= self.nodes.len() {
+                break;
+            }
+            if child + 1 < self.nodes.len() && self.nodes[child + 1] < self.nodes[child] {
+                child += 1;
+            }
+            if node <= self.nodes[child] {
+                break;
+            }
+            self.nodes[at] = self.nodes[child];
+            at = child;
+            #[cfg(test)]
+            {
+                self.sift_steps += 1;
+            }
+        }
+        self.nodes[at] = node;
+    }
+}
+
+// ---------------------------------------------------------------------
 // Space-Saving
 // ---------------------------------------------------------------------
 
@@ -360,9 +462,9 @@ struct SsEntry {
 ///   B/k** — including untracked keys (whose true count is ≤ B/k);
 /// * any key with true count > B/k is tracked.
 ///
-/// Eviction scans for the minimum counter with a cached-minimum
-/// shortcut (counts only grow within an interval, so a known minimum
-/// stays minimal until its own slot changes); ties break on the lowest
+/// A hit is a hash lookup and an add. A miss on a full summary asks
+/// the [`SlotHeap`] for the victim — counts only grow within an
+/// interval, which is all the heap needs — and ties break on the lowest
 /// slot index, so the summary is a pure function of the record
 /// sequence.
 #[derive(Debug)]
@@ -371,9 +473,8 @@ pub struct SpaceSaving {
     capacity: usize,
     entries: Vec<SsEntry>,
     index: FxHashMap<KeyId, usize>,
-    /// Slot known to hold a minimal counter (valid until that slot's
-    /// count changes); `None` = rescan on next eviction.
-    min_slot: Option<usize>,
+    /// Eviction order over `entries` once it is full.
+    heap: SlotHeap,
     total: u64,
 }
 
@@ -396,7 +497,7 @@ impl SpaceSaving {
             capacity,
             entries: Vec::new(),
             index: FxHashMap::default(),
-            min_slot: None,
+            heap: SlotHeap::default(),
             total: 0,
         }
     }
@@ -417,21 +518,6 @@ impl SpaceSaving {
     pub fn estimate(&self, key: KeyId) -> u64 {
         self.index.get(&key).map_or(0, |&slot| self.entries[slot].count)
     }
-
-    /// The slot holding a minimal counter (cached when valid).
-    fn find_min(&mut self) -> usize {
-        if let Some(slot) = self.min_slot {
-            return slot;
-        }
-        let mut m = 0;
-        for i in 1..self.entries.len() {
-            if self.entries[i].count < self.entries[m].count {
-                m = i;
-            }
-        }
-        self.min_slot = Some(m);
-        m
-    }
 }
 
 impl StateBackend for SpaceSaving {
@@ -446,9 +532,6 @@ impl StateBackend for SpaceSaving {
         self.total += bytes;
         if let Some(&slot) = self.index.get(&key) {
             self.entries[slot].count += bytes;
-            if self.min_slot == Some(slot) {
-                self.min_slot = None;
-            }
             return;
         }
         if self.entries.len() < self.capacity {
@@ -458,7 +541,7 @@ impl StateBackend for SpaceSaving {
         }
         // Evict the minimum counter; the newcomer inherits its count as
         // both estimate floor and error bound.
-        let slot = self.find_min();
+        let slot = self.heap.min_slot(&self.entries, |e| e.count);
         let evicted = self.entries[slot];
         self.index.remove(&evicted.key);
         self.index.insert(key, slot);
@@ -467,7 +550,6 @@ impl StateBackend for SpaceSaving {
             count: evicted.count + bytes,
             err: evicted.count,
         };
-        self.min_slot = None;
     }
 
     fn has_traffic(&self) -> bool {
@@ -482,7 +564,7 @@ impl StateBackend for SpaceSaving {
         }
         self.entries.clear();
         self.index.clear();
-        self.min_slot = None;
+        self.heap.clear();
         self.total = 0;
     }
 
@@ -536,7 +618,7 @@ impl StateBackend for SpaceSaving {
         r.end()?;
         self.entries = entries;
         self.index = index;
-        self.min_slot = None;
+        self.heap.clear();
         self.total = total;
         Ok(())
     }
@@ -559,8 +641,12 @@ impl StateBackend for SpaceSaving {
 /// undercount (count-min property); conservative update — only raising
 /// counters below the new estimate — keeps collision inflation to the
 /// minimum any count-min can achieve. Candidates admit keys whose
-/// running estimate beats the current minimum candidate; at seal, every
-/// candidate is re-estimated from the counters and emitted.
+/// running estimate beats the current minimum candidate, found by the
+/// same [`SlotHeap`] as [`SpaceSaving`]'s victim: a candidate's stored
+/// estimate only grows within an interval (the update that stored it
+/// raised all of the key's counters to at least that value, and the
+/// next one adds bytes to their minimum). At seal, every candidate is
+/// re-estimated from the counters and emitted.
 #[derive(Debug)]
 pub struct CountMinRow {
     budget: usize,
@@ -573,9 +659,8 @@ pub struct CountMinRow {
     candidates: Vec<(KeyId, u64)>,
     cand_index: FxHashMap<KeyId, usize>,
     cand_capacity: usize,
-    /// Slot known to hold a minimal candidate estimate (`None` =
-    /// rescan).
-    min_slot: Option<usize>,
+    /// Admission order over `candidates` once the list is full.
+    cand_heap: SlotHeap,
     total: u64,
 }
 
@@ -594,7 +679,7 @@ impl CountMinRow {
             candidates: Vec::new(),
             cand_index: FxHashMap::default(),
             cand_capacity,
-            min_slot: None,
+            cand_heap: SlotHeap::default(),
             total: 0,
         }
     }
@@ -618,20 +703,6 @@ impl CountMinRow {
             est = est.min(self.counters[d * self.width + slot]);
         }
         est
-    }
-
-    fn find_min(&mut self) -> usize {
-        if let Some(slot) = self.min_slot {
-            return slot;
-        }
-        let mut m = 0;
-        for i in 1..self.candidates.len() {
-            if self.candidates[i].1 < self.candidates[m].1 {
-                m = i;
-            }
-        }
-        self.min_slot = Some(m);
-        m
     }
 }
 
@@ -664,9 +735,6 @@ impl StateBackend for CountMinRow {
         // Candidate admission by running estimate.
         if let Some(&slot) = self.cand_index.get(&key) {
             self.candidates[slot].1 = target;
-            if self.min_slot == Some(slot) {
-                self.min_slot = None;
-            }
             return;
         }
         if self.candidates.len() < self.cand_capacity {
@@ -674,7 +742,7 @@ impl StateBackend for CountMinRow {
             self.candidates.push((key, target));
             return;
         }
-        let slot = self.find_min();
+        let slot = self.cand_heap.min_slot(&self.candidates, |c| c.1);
         if target <= self.candidates[slot].1 {
             return; // below the weakest candidate: not a heavy hitter yet
         }
@@ -682,7 +750,6 @@ impl StateBackend for CountMinRow {
         self.cand_index.remove(&old_key);
         self.cand_index.insert(key, slot);
         self.candidates[slot] = (key, target);
-        self.min_slot = None;
     }
 
     fn has_traffic(&self) -> bool {
@@ -704,7 +771,7 @@ impl StateBackend for CountMinRow {
         self.counters.fill(0);
         self.candidates.clear();
         self.cand_index.clear();
-        self.min_slot = None;
+        self.cand_heap.clear();
         self.total = 0;
     }
 
@@ -774,7 +841,7 @@ impl StateBackend for CountMinRow {
         self.counters = counters;
         self.candidates = candidates;
         self.cand_index = cand_index;
-        self.min_slot = None;
+        self.cand_heap.clear();
         self.total = total;
         Ok(())
     }
@@ -1128,6 +1195,7 @@ impl<'a> PayloadReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Deterministic keystream for adversarial-ish tests (splitmix64).
     struct Lcg(u64);
@@ -1426,6 +1494,374 @@ mod tests {
             let mut out = vec![(9, 1.0f32)];
             b.seal_into(60.0, &mut out);
             assert!(out.is_empty(), "{}: seal must clear the scratch", config.kind());
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The slot heap against the scan it replaced
+    // -----------------------------------------------------------------
+
+    /// The eviction choice as it was before [`SlotHeap`]: the first
+    /// strictly smaller count of a linear scan, cached until that
+    /// slot's count changes.
+    fn find_min_by_scan<T>(
+        cached: &mut Option<usize>,
+        table: &[T],
+        count: impl Fn(&T) -> u64,
+    ) -> usize {
+        if let Some(slot) = *cached {
+            return slot;
+        }
+        let mut m = 0;
+        for i in 1..table.len() {
+            if count(&table[i]) < count(&table[m]) {
+                m = i;
+            }
+        }
+        *cached = Some(m);
+        m
+    }
+
+    /// A backend that evicts from a slot table: the real `record`, and
+    /// beside it the `record` it had before the heap — the oracle. The
+    /// oracle is the same struct driven only through `record_by_scan`
+    /// (which never consults the heap), its cached minimum held by the
+    /// caller; seal, export and restore are shared, and none of them
+    /// chooses a victim.
+    trait Slotted: StateBackend {
+        /// An empty backend with exactly `k` slots.
+        fn with_slots(k: usize) -> Self;
+        /// `(key, count, err)` per slot, in slot order.
+        fn slots(&self) -> Vec<(KeyId, u64, u64)>;
+        fn estimate_of(&self, key: KeyId) -> u64;
+        fn heap_steps(&self) -> u64;
+        fn record_by_scan(&mut self, min_slot: &mut Option<usize>, key: KeyId, bytes: u64);
+    }
+
+    impl Slotted for SpaceSaving {
+        fn with_slots(k: usize) -> Self {
+            SpaceSaving::with_capacity(k)
+        }
+
+        fn slots(&self) -> Vec<(KeyId, u64, u64)> {
+            self.entries.iter().map(|e| (e.key, e.count, e.err)).collect()
+        }
+
+        fn estimate_of(&self, key: KeyId) -> u64 {
+            self.estimate(key)
+        }
+
+        fn heap_steps(&self) -> u64 {
+            self.heap.sift_steps
+        }
+
+        fn record_by_scan(&mut self, min_slot: &mut Option<usize>, key: KeyId, bytes: u64) {
+            if bytes == 0 {
+                return;
+            }
+            self.total += bytes;
+            if let Some(&slot) = self.index.get(&key) {
+                self.entries[slot].count += bytes;
+                if *min_slot == Some(slot) {
+                    *min_slot = None;
+                }
+                return;
+            }
+            if self.entries.len() < self.capacity {
+                self.index.insert(key, self.entries.len());
+                self.entries.push(SsEntry { key, count: bytes, err: 0 });
+                return;
+            }
+            let slot = find_min_by_scan(min_slot, &self.entries, |e| e.count);
+            let evicted = self.entries[slot];
+            self.index.remove(&evicted.key);
+            self.index.insert(key, slot);
+            self.entries[slot] = SsEntry {
+                key,
+                count: evicted.count + bytes,
+                err: evicted.count,
+            };
+            *min_slot = None;
+        }
+    }
+
+    impl Slotted for CountMinRow {
+        /// The narrowest counter rows (64 wide, so keys collide) under
+        /// `k` candidate slots.
+        fn with_slots(k: usize) -> Self {
+            let mut cm = CountMinRow::with_budget(0);
+            cm.cand_capacity = k;
+            cm
+        }
+
+        fn slots(&self) -> Vec<(KeyId, u64, u64)> {
+            self.candidates.iter().map(|&(key, est)| (key, est, 0)).collect()
+        }
+
+        fn estimate_of(&self, key: KeyId) -> u64 {
+            self.estimate(key)
+        }
+
+        fn heap_steps(&self) -> u64 {
+            self.cand_heap.sift_steps
+        }
+
+        fn record_by_scan(&mut self, min_slot: &mut Option<usize>, key: KeyId, bytes: u64) {
+            if bytes == 0 {
+                return;
+            }
+            self.total += bytes;
+            let mut slots = [0usize; CM_DEPTH];
+            let mut est = u64::MAX;
+            for (d, &seed) in HASH_SEEDS.iter().enumerate().take(CM_DEPTH) {
+                let slot = d * self.width + (hash_key(key, seed) & self.mask) as usize;
+                slots[d] = slot;
+                est = est.min(self.counters[slot]);
+            }
+            let target = est + bytes;
+            for &slot in &slots {
+                if self.counters[slot] < target {
+                    self.counters[slot] = target;
+                }
+            }
+            if let Some(&slot) = self.cand_index.get(&key) {
+                self.candidates[slot].1 = target;
+                if *min_slot == Some(slot) {
+                    *min_slot = None;
+                }
+                return;
+            }
+            if self.candidates.len() < self.cand_capacity {
+                self.cand_index.insert(key, self.candidates.len());
+                self.candidates.push((key, target));
+                return;
+            }
+            let slot = find_min_by_scan(min_slot, &self.candidates, |c| c.1);
+            if target <= self.candidates[slot].1 {
+                return;
+            }
+            let (old_key, _) = self.candidates[slot];
+            self.cand_index.remove(&old_key);
+            self.cand_index.insert(key, slot);
+            self.candidates[slot] = (key, target);
+            *min_slot = None;
+        }
+    }
+
+    /// One step of a differential program.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// `record(key, bytes)`; the key is taken modulo the key space.
+        Record(u32, u64),
+        /// `seal_into`.
+        Seal,
+        /// `export_sketch`, then `restore_sketch` into a fresh backend.
+        Reload,
+        /// `restore_sketch` of the last `Reload`'s payload over the live
+        /// backend: the table is replaced under a heap that was in use.
+        Rewind,
+    }
+
+    /// Byte weights that make ties (many equal small counts), packets,
+    /// and jumps that dwarf everything recorded before them.
+    fn weights() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            4 => Just(1u64),
+            2 => Just(64u64),
+            4 => 40u64..=1500,
+            1 => Just(u64::from(u32::MAX)),
+            1 => (1u64 << 32)..(1u64 << 34),
+        ]
+    }
+
+    fn programs() -> impl Strategy<Value = Vec<Step>> {
+        prop::collection::vec(
+            prop_oneof![
+                40 => (any::<u32>(), weights()).prop_map(|(k, b)| Step::Record(k, b)),
+                1 => Just(Step::Seal),
+                1 => Just(Step::Reload),
+                1 => Just(Step::Rewind),
+            ],
+            0..400,
+        )
+    }
+
+    /// Run `steps` through the heap-backed backend and the scan oracle
+    /// side by side; after every step the two must be the same bytes.
+    fn assert_heap_matches_scan<B: Slotted>(k: usize, key_space: u32, steps: &[Step]) {
+        let (mut real, mut oracle, mut oracle_min) = (B::with_slots(k), B::with_slots(k), None);
+        let mut saved = real.export_sketch().expect("payload");
+        for (i, &step) in steps.iter().enumerate() {
+            let at = format!("{} k={k} keys={key_space} step {i} {step:?}", real.kind());
+            match step {
+                Step::Record(key, bytes) => {
+                    real.record(key % key_space, bytes);
+                    oracle.record_by_scan(&mut oracle_min, key % key_space, bytes);
+                }
+                Step::Seal => {
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    real.seal_into(60.0, &mut a);
+                    oracle.seal_into(60.0, &mut b);
+                    oracle_min = None;
+                    let bits = |v: &[(KeyId, f32)]| -> Vec<(KeyId, u32)> {
+                        v.iter().map(|&(key, rate)| (key, rate.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&a), bits(&b), "{at}: sealed snapshot");
+                }
+                Step::Reload => {
+                    for side in [&mut real, &mut oracle] {
+                        saved = side.export_sketch().expect("payload");
+                        *side = B::with_slots(k);
+                        side.restore_sketch(&saved).expect("restore");
+                    }
+                    oracle_min = None;
+                }
+                Step::Rewind => {
+                    real.restore_sketch(&saved).expect("restore");
+                    oracle.restore_sketch(&saved).expect("restore");
+                    oracle_min = None;
+                }
+            }
+            assert_eq!(real.slots(), oracle.slots(), "{at}: slots");
+            assert_eq!(real.export_sketch(), oracle.export_sketch(), "{at}: payload");
+            for key in 0..key_space {
+                assert_eq!(real.estimate_of(key), oracle.estimate_of(key), "{at}: key {key}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn slot_heap_evicts_exactly_what_the_scan_did(
+            k in 1usize..=64,
+            spread in 1u32..=8,
+            steps in programs(),
+        ) {
+            let key_space = k as u32 * spread;
+            assert_heap_matches_scan::<SpaceSaving>(k, key_space, &steps);
+            assert_heap_matches_scan::<CountMinRow>(k, key_space, &steps);
+        }
+    }
+
+    /// The eviction work as a count, not a timing: at most ⌈log₂ k⌉ heap
+    /// steps per record, on three streams built to make every eviction
+    /// as expensive as the heap allows. A pass over the table per
+    /// eviction would be two orders of magnitude over the bound.
+    fn assert_heap_steps_are_logarithmic<B: Slotted>() {
+        const K: usize = 1024;
+        const N: u64 = 200_000;
+        let check = |b: &B, records: u64, stream: &str| {
+            let (steps, bound) = (b.heap_steps(), records * u64::from(K.ilog2()));
+            assert!(steps > records, "{} {stream}: the stream hardly reached the heap", b.kind());
+            assert!(steps <= bound, "{} {stream}: {steps} steps > {bound}", b.kind());
+        };
+
+        // Every key new: every record past the first K evicts.
+        let mut b = B::with_slots(K);
+        for i in 0..N {
+            b.record(i as KeyId, 40 + i % 1461);
+        }
+        check(&b, N, "all-distinct");
+
+        // Touch every tracked key once, then miss, all with one weight:
+        // every node is stale at every eviction and, the counts being
+        // level, every one of them has to be repaired before a root is
+        // current.
+        let mut b = B::with_slots(K);
+        let mut fresh = 0;
+        let mut miss = |b: &mut B| {
+            b.record(fresh, 100);
+            fresh += 1;
+        };
+        (0..K).for_each(|_| miss(&mut b));
+        let mut records = K as u64;
+        while records < N {
+            for (key, _, _) in b.slots() {
+                b.record(key, 100);
+            }
+            miss(&mut b);
+            records += K as u64 + 1;
+        }
+        check(&b, records, "all-stale");
+
+        // Strictly ascending weights: every newcomer outweighs the whole
+        // table, so every repaired root sinks to a leaf.
+        let mut b = B::with_slots(K);
+        for i in 0..N {
+            b.record((i % (4 * K as u64)) as KeyId, (i + 1) << 20);
+        }
+        check(&b, N, "ascending");
+    }
+
+    #[test]
+    fn slot_heap_steps_are_logarithmic_per_record() {
+        assert_heap_steps_are_logarithmic::<SpaceSaving>();
+        assert_heap_steps_are_logarithmic::<CountMinRow>();
+    }
+
+    // -----------------------------------------------------------------
+    // Count-min properties
+    // -----------------------------------------------------------------
+
+    /// Plain count-min over the same hash rows: every update adds its
+    /// bytes to all of its key's counters.
+    struct PlainCountMin {
+        width: usize,
+        counters: Vec<u64>,
+    }
+
+    impl PlainCountMin {
+        fn cells(&self, key: KeyId) -> [usize; CM_DEPTH] {
+            let mask = (self.width - 1) as u64;
+            std::array::from_fn(|d| d * self.width + (hash_key(key, HASH_SEEDS[d]) & mask) as usize)
+        }
+
+        fn record(&mut self, key: KeyId, bytes: u64) {
+            for cell in self.cells(key) {
+                self.counters[cell] += bytes;
+            }
+        }
+
+        fn estimate(&self, key: KeyId) -> u64 {
+            self.cells(key).map(|cell| self.counters[cell]).into_iter().min().expect("depth > 0")
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On rows narrow enough that most keys collide: an estimate is
+        /// never below the key's true bytes, a candidate's stored
+        /// estimate sits between the truth and the counters' answer, and
+        /// conservative update never exceeds plain count-min — counter
+        /// by counter, hence estimate by estimate.
+        #[test]
+        fn count_min_never_undercounts_and_conservative_is_at_most_plain(
+            stream in prop::collection::vec((0u32..600, weights()), 1..1_500),
+            budget in prop_oneof![Just(0usize), Just(4096usize), Just(16 * 1024usize)],
+        ) {
+            let mut cm = CountMinRow::with_budget(budget);
+            let width = cm.width();
+            let mut plain = PlainCountMin { width, counters: vec![0; CM_DEPTH * width] };
+            for &(key, bytes) in &stream {
+                cm.record(key, bytes);
+                plain.record(key, bytes);
+            }
+            let truth = exact_counts(&stream);
+            for key in 0..600 {
+                let (est, exact) = (cm.estimate(key), truth.get(&key).copied().unwrap_or(0));
+                prop_assert!(est >= exact, "key {key}: estimate {est} under true {exact}");
+                prop_assert!(est <= plain.estimate(key), "key {key}: conservative over plain");
+            }
+            for (c, p) in cm.counters.iter().zip(&plain.counters) {
+                prop_assert!(c <= p, "a conservative counter exceeds its plain twin");
+            }
+            for &(key, stored) in &cm.candidates {
+                prop_assert!(stored >= truth[&key], "candidate {key} stored under its true bytes");
+                prop_assert!(stored <= cm.estimate(key), "candidate {key} stored over its counters");
+            }
         }
     }
 }

@@ -69,33 +69,42 @@ impl Default for CommonOpts {
     }
 }
 
+/// An argument list read front to back: a flag, then the value it takes.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Args<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Args(args.iter())
+    }
+
+    fn flag(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The argument after `flag`, parsed; `what` says what the flag takes.
+    fn value<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> Result<T, CliError> {
+        let Some(v) = self.0.next() else {
+            return usage(format!("{flag} takes {what}"));
+        };
+        v.parse().or_else(|_| usage(format!("{flag} takes {what}, not {v:?}")))
+    }
+}
+
 /// Parse `--scale` / `--seed` from an argument list (defaults 1.0 / 42).
 /// Anything else — an unknown argument, a missing or unparsable value,
 /// a scale outside (0, 1] — is a [`CliError::Usage`].
 pub fn parse_common(args: &[String]) -> Result<CommonOpts, CliError> {
     let mut opts = CommonOpts::default();
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
-        let mut value = |what: &str| match args.next() {
-            Some(v) => Ok(v),
-            None => usage(format!("{flag} takes {what}")),
-        };
-        match flag.as_str() {
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
             "--scale" => {
-                let v = value("a float")?;
-                opts.scale = match v.parse() {
-                    Ok(scale) if scale > 0.0 && scale <= 1.0 => scale,
-                    Ok(_) => return usage(format!("--scale {v}: need 0 < scale <= 1")),
-                    Err(_) => return usage(format!("--scale takes a float, not {v:?}")),
-                };
+                opts.scale = args.value(flag, "a float")?;
+                if !(opts.scale > 0.0 && opts.scale <= 1.0) {
+                    return usage(format!("--scale {}: need 0 < scale <= 1", opts.scale));
+                }
             }
-            "--seed" => {
-                let v = value("an integer")?;
-                opts.seed = match v.parse() {
-                    Ok(seed) => seed,
-                    Err(_) => return usage(format!("--seed takes an integer, not {v:?}")),
-                };
-            }
+            "--seed" => opts.seed = args.value(flag, "an integer")?,
             other => {
                 return usage(format!("unknown argument {other}; supported: --scale F --seed N"))
             }
@@ -437,144 +446,97 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
-    /// Parse `eleph run` arguments.
-    pub fn parse(args: &[String]) -> RunOpts {
+    /// Parse `eleph run` arguments. A flag without its value, a value
+    /// that does not parse, an unknown argument or name, and every
+    /// combination the run would refuse are [`CliError::Usage`]s, so
+    /// they are reported before any table is loaded.
+    pub fn parse(args: &[String]) -> Result<RunOpts, CliError> {
         let mut o = RunOpts::default();
-        let mut i = 0;
-        let value = |i: &mut usize, args: &[String]| -> String {
-            *i += 2;
-            args.get(*i - 1)
-                .unwrap_or_else(|| panic!("{} takes a value", args[*i - 2]))
-                .clone()
-        };
-        while i < args.len() {
-            match args[i].as_str() {
-                "--pcap" => o.pcap = Some(value(&mut i, args)),
-                "--synth" => {
-                    o.synth = true;
-                    i += 1;
+        let mut args = Args::new(args);
+        while let Some(flag) = args.flag() {
+            match flag {
+                "--pcap" => o.pcap = Some(args.value(flag, "a file")?),
+                "--synth" => o.synth = true,
+                "--flows" => o.flows = args.value(flag, "a count")?,
+                "--intervals" => o.intervals = Some(args.value(flag, "a count")?),
+                "--interval-secs" => o.interval_secs = Some(args.value(flag, "seconds")?),
+                "--start-unix" => o.start_unix = Some(args.value(flag, "a timestamp")?),
+                "--seed" => o.seed = args.value(flag, "an integer")?,
+                "--rib" => o.rib = Some(args.value(flag, "a file")?),
+                "--rib-updates" => o.rib_updates = Some(args.value(flag, "a file")?),
+                "--prefixes" => o.prefixes = args.value(flag, "a count")?,
+                "--detector" => o.detector = args.value(flag, "a detector name")?,
+                "--beta" => o.beta = args.value(flag, "a float")?,
+                "--gamma" => o.gamma = args.value(flag, "a float")?,
+                "--scheme" => o.scheme = args.value(flag, "a scheme name")?,
+                "--window" => o.window = args.value(flag, "a count")?,
+                "--enter" => o.enter = args.value(flag, "a float")?,
+                "--exit" => o.exit = args.value(flag, "a float")?,
+                "--shards" => o.shards = args.value(flag, "a count")?,
+                "--state" => o.state = args.value(flag, "a backend name")?,
+                "--state-budget" => o.state_budget = args.value(flag, "bytes")?,
+                "--ingest-workers" => o.ingest_workers = args.value(flag, "a count")?,
+                "--out" => o.out = Some(args.value(flag, "a file")?),
+                "--rotate-bytes" => o.rotate_bytes = Some(args.value(flag, "bytes")?),
+                "--checkpoint-dir" => {
+                    o.checkpoint_dir = Some(args.value(flag, "a directory")?)
                 }
-                "--flows" => o.flows = value(&mut i, args).parse().expect("--flows takes a count"),
-                "--intervals" => {
-                    o.intervals =
-                        Some(value(&mut i, args).parse().expect("--intervals takes a count"))
-                }
-                "--interval-secs" => {
-                    o.interval_secs =
-                        Some(value(&mut i, args).parse().expect("--interval-secs takes seconds"))
-                }
-                "--start-unix" => {
-                    o.start_unix = Some(
-                        value(&mut i, args).parse().expect("--start-unix takes a timestamp"),
-                    )
-                }
-                "--seed" => o.seed = value(&mut i, args).parse().expect("--seed takes an integer"),
-                "--rib" => o.rib = Some(value(&mut i, args)),
-                "--rib-updates" => o.rib_updates = Some(value(&mut i, args)),
-                "--prefixes" => {
-                    o.prefixes = value(&mut i, args).parse().expect("--prefixes takes a count")
-                }
-                "--detector" => o.detector = value(&mut i, args),
-                "--beta" => o.beta = value(&mut i, args).parse().expect("--beta takes a float"),
-                "--gamma" => o.gamma = value(&mut i, args).parse().expect("--gamma takes a float"),
-                "--scheme" => o.scheme = value(&mut i, args),
-                "--window" => {
-                    o.window = value(&mut i, args).parse().expect("--window takes a count")
-                }
-                "--enter" => o.enter = value(&mut i, args).parse().expect("--enter takes a float"),
-                "--exit" => o.exit = value(&mut i, args).parse().expect("--exit takes a float"),
-                "--shards" => {
-                    o.shards = value(&mut i, args).parse().expect("--shards takes a count")
-                }
-                "--state" => o.state = value(&mut i, args),
-                "--state-budget" => {
-                    o.state_budget =
-                        value(&mut i, args).parse().expect("--state-budget takes bytes")
-                }
-                "--ingest-workers" => {
-                    o.ingest_workers = value(&mut i, args)
-                        .parse()
-                        .expect("--ingest-workers takes a count")
-                }
-                "--out" => o.out = Some(value(&mut i, args)),
-                "--rotate-bytes" => {
-                    o.rotate_bytes =
-                        Some(value(&mut i, args).parse().expect("--rotate-bytes takes bytes"))
-                }
-                "--checkpoint-dir" => o.checkpoint_dir = Some(value(&mut i, args)),
                 "--checkpoint-every" => {
-                    o.checkpoint_every = value(&mut i, args)
-                        .parse()
-                        .expect("--checkpoint-every takes an interval count")
+                    o.checkpoint_every = args.value(flag, "an interval count")?
                 }
-                "--resume" => {
-                    o.resume = true;
-                    i += 1;
-                }
-                "--fault-drop" => {
-                    o.fault_drop =
-                        value(&mut i, args).parse().expect("--fault-drop takes a probability")
-                }
-                "--fault-corrupt" => {
-                    o.fault_corrupt =
-                        value(&mut i, args).parse().expect("--fault-corrupt takes a probability")
-                }
-                "--fault-truncate" => {
-                    o.fault_truncate = value(&mut i, args)
-                        .parse()
-                        .expect("--fault-truncate takes a probability")
-                }
-                "--fault-seed" => {
-                    o.fault_seed =
-                        value(&mut i, args).parse().expect("--fault-seed takes an integer")
-                }
-                other => panic!("unknown argument {other}; try `eleph help`"),
+                "--resume" => o.resume = true,
+                "--fault-drop" => o.fault_drop = args.value(flag, "a probability")?,
+                "--fault-corrupt" => o.fault_corrupt = args.value(flag, "a probability")?,
+                "--fault-truncate" => o.fault_truncate = args.value(flag, "a probability")?,
+                "--fault-seed" => o.fault_seed = args.value(flag, "an integer")?,
+                other => return usage(format!("unknown argument {other}")),
             }
         }
-        assert!(
-            o.pcap.is_some() != o.synth,
-            "eleph run needs exactly one of --pcap FILE or --synth"
-        );
-        assert!(
-            !o.resume || o.checkpoint_dir.is_some(),
-            "--resume needs --checkpoint-dir DIR (where the checkpoint lives)"
-        );
-        assert!(
-            !o.resume || o.out.is_some(),
-            "--resume needs --out FILE (stdout cannot be truncated to the checkpointed length)"
-        );
-        assert!(
-            o.rotate_bytes.is_none() || o.out.is_some(),
-            "--rotate-bytes needs --out FILE"
-        );
-        assert!(
-            !o.wants_faults() || o.pcap.is_some(),
-            "--fault-* flags apply to the pcap path only"
-        );
-        assert!(
-            o.ingest_workers == 0 || o.pcap.is_some(),
-            "--ingest-workers applies to the pcap path only"
-        );
-        assert!(
-            o.ingest_workers == 0 || !o.wants_faults(),
-            "--ingest-workers is incompatible with --fault-* (fault injection \
-             mutates records inline on the serial reader)"
-        );
-        assert!(
-            o.state == "exact" || o.shards == 0,
-            "--state {} is incompatible with --shards (sketch backends run serially; \
-             their state does not scale with keys, so there is no row to partition)",
-            o.state
-        );
-        // Fail on an unknown backend name at parse time, not mid-run.
-        let _ = o.make_state();
-        o
+        // An unknown name or an out-of-range parameter fails here, not
+        // after the table is built.
+        o.make_state()?;
+        o.make_detector()?;
+        o.make_scheme()?;
+        if o.pcap.is_some() == o.synth {
+            return usage("eleph run needs exactly one of --pcap FILE or --synth");
+        }
+        if o.resume && o.checkpoint_dir.is_none() {
+            return usage("--resume needs --checkpoint-dir DIR (where the checkpoint lives)");
+        }
+        if o.resume && o.out.is_none() {
+            return usage(
+                "--resume needs --out FILE (stdout cannot be truncated to the checkpointed length)",
+            );
+        }
+        if o.rotate_bytes.is_some() && o.out.is_none() {
+            return usage("--rotate-bytes needs --out FILE");
+        }
+        if o.wants_faults() && o.pcap.is_none() {
+            return usage("--fault-* flags apply to the pcap path only");
+        }
+        if o.ingest_workers > 0 && o.pcap.is_none() {
+            return usage("--ingest-workers applies to the pcap path only");
+        }
+        if o.ingest_workers > 0 && o.wants_faults() {
+            return usage(
+                "--ingest-workers is incompatible with --fault-* (fault injection mutates \
+                 records inline on the serial reader)",
+            );
+        }
+        if o.state != "exact" && o.shards > 0 {
+            return usage(format!(
+                "--state {} is incompatible with --shards (sketch backends run serially; \
+                 their state does not scale with keys, so there is no row to partition)",
+                o.state
+            ));
+        }
+        Ok(o)
     }
 
     /// The configured state backend.
-    pub fn make_state(&self) -> StateBackendConfig {
-        StateBackendConfig::parse(&self.state, self.state_budget as usize)
-            .unwrap_or_else(|e| panic!("{e}"))
+    pub fn make_state(&self) -> Result<StateBackendConfig, CliError> {
+        let budget = usize::try_from(self.state_budget).unwrap_or(usize::MAX);
+        StateBackendConfig::parse(&self.state, budget).or_else(usage)
     }
 
     /// Whether any fault-injection probability is non-zero.
@@ -593,34 +555,66 @@ impl RunOpts {
     }
 
     /// The configured detector, chosen at runtime.
-    pub fn make_detector(&self) -> Box<dyn ThresholdDetector> {
+    pub fn make_detector(&self) -> Result<Box<dyn ThresholdDetector>, CliError> {
         match self.detector.as_str() {
-            "constant-load" | "cl" => Box::new(ConstantLoadDetector::new(self.beta)),
-            "aest" => Box::new(AestDetector::new()),
-            other => panic!("unknown detector {other}; supported: constant-load aest"),
+            "constant-load" | "cl" => {
+                if !(self.beta > 0.0 && self.beta <= 1.0) {
+                    return usage(format!("--beta {}: need 0 < beta <= 1", self.beta));
+                }
+                Ok(Box::new(ConstantLoadDetector::new(self.beta)))
+            }
+            "aest" => Ok(Box::new(AestDetector::new())),
+            other => usage(format!("unknown detector {other}; supported: constant-load aest")),
         }
     }
 
     /// The configured classification scheme.
-    pub fn make_scheme(&self) -> Scheme {
+    pub fn make_scheme(&self) -> Result<Scheme, CliError> {
+        let (window, enter, exit) = (self.window, self.enter, self.exit);
         match self.scheme.as_str() {
-            "latent" | "latent-heat" => Scheme::LatentHeat { window: self.window },
-            "single" | "single-feature" => Scheme::SingleFeature,
-            "hysteresis" => Scheme::Hysteresis {
-                enter: self.enter,
-                exit: self.exit,
-            },
-            other => panic!("unknown scheme {other}; supported: latent single hysteresis"),
+            "latent" | "latent-heat" => {
+                if window == 0 {
+                    return usage("--window 0: need at least 1");
+                }
+                Ok(Scheme::LatentHeat { window })
+            }
+            "single" | "single-feature" => Ok(Scheme::SingleFeature),
+            "hysteresis" => {
+                if !(enter >= 1.0 && (0.0..=1.0).contains(&exit)) {
+                    return usage(format!(
+                        "--enter {enter} --exit {exit}: need 0 <= exit <= 1 <= enter"
+                    ));
+                }
+                Ok(Scheme::Hysteresis { enter, exit })
+            }
+            other => usage(format!("unknown scheme {other}; supported: latent single hysteresis")),
         }
     }
 }
 
 /// `eleph run`: wire a source into the streaming pipeline and emit
-/// per-interval JSONL, with a run summary on stderr.
-pub fn run_streaming(args: &[String]) -> io::Result<()> {
+/// per-interval JSONL, with a run summary on stderr. Everything that
+/// can be wrong with the command line is decided here, before
+/// [`stream`] opens a file.
+pub fn run_streaming(args: &[String]) -> Result<(), CliError> {
     let entered = std::time::Instant::now();
-    let opts = RunOpts::parse(args);
+    let opts = RunOpts::parse(args)?;
+    let builder = PipelineBuilder::new()
+        .detector(opts.make_detector()?)
+        .gamma(opts.gamma)
+        .scheme(opts.make_scheme()?)
+        .shards(opts.shards)
+        .state_backend(opts.make_state()?);
+    Ok(stream(&opts, builder, entered)?)
+}
 
+/// The run itself: load the table, open the source and the sinks, drive
+/// the pipeline `builder` configures to the end of the stream.
+fn stream(
+    opts: &RunOpts,
+    builder: PipelineBuilder<'_, Box<dyn ThresholdDetector>>,
+    entered: std::time::Instant,
+) -> io::Result<()> {
     // The routes the run attributes against. A capture is only
     // attributed, so its RIB dump goes from text straight into the
     // table the pipeline reads (below): no mutable `BgpTable`, no copy
@@ -708,12 +702,6 @@ pub fn run_streaming(args: &[String]) -> io::Result<()> {
         None
     };
 
-    let builder = PipelineBuilder::new()
-        .detector(opts.make_detector())
-        .gamma(opts.gamma)
-        .scheme(opts.make_scheme())
-        .shards(opts.shards)
-        .state_backend(opts.make_state());
     // Exactly one table is built, the one the pipeline reads, and it
     // takes the routes by value. With an update stream that table is
     // live: scheduled batches apply mid-stream without a refreeze. On
@@ -816,7 +804,7 @@ pub fn run_streaming(args: &[String]) -> io::Result<()> {
 
     let setup = started.duration_since(entered).as_secs_f64();
     let elapsed = started.elapsed().as_secs_f64();
-    eprintln!("{}", summary_json(&opts, &report, ckpt.is_some(), fault_stats, setup, elapsed));
+    eprintln!("{}", summary_json(opts, &report, ckpt.is_some(), fault_stats, setup, elapsed));
     Ok(())
 }
 
@@ -982,62 +970,34 @@ impl Default for ChurnOpts {
 }
 
 impl ChurnOpts {
-    /// Parse `eleph churn` arguments.
-    pub fn parse(args: &[String]) -> ChurnOpts {
+    /// Parse `eleph churn` arguments; what [`RunOpts::parse`] refuses
+    /// in a command line, this refuses the same way.
+    pub fn parse(args: &[String]) -> Result<ChurnOpts, CliError> {
         let mut o = ChurnOpts::default();
-        let mut i = 0;
-        let value = |i: &mut usize, args: &[String]| -> String {
-            *i += 2;
-            args.get(*i - 1)
-                .unwrap_or_else(|| panic!("{} takes a value", args[*i - 2]))
-                .clone()
-        };
-        while i < args.len() {
-            match args[i].as_str() {
-                "--prefixes" => {
-                    o.prefixes = value(&mut i, args).parse().expect("--prefixes takes a count")
-                }
-                "--seed" => o.seed = value(&mut i, args).parse().expect("--seed takes an integer"),
-                "--start-unix" => {
-                    o.start_unix =
-                        value(&mut i, args).parse().expect("--start-unix takes a timestamp")
-                }
-                "--storm-at" => {
-                    o.storm_at = value(&mut i, args).parse().expect("--storm-at takes seconds")
-                }
-                "--storm-count" => {
-                    o.storm_count =
-                        value(&mut i, args).parse().expect("--storm-count takes a count")
-                }
-                "--storm-hold" => {
-                    o.storm_hold = value(&mut i, args).parse().expect("--storm-hold takes seconds")
-                }
-                "--flap-start" => {
-                    o.flap_start = value(&mut i, args).parse().expect("--flap-start takes seconds")
-                }
-                "--flap-count" => {
-                    o.flap_count = value(&mut i, args).parse().expect("--flap-count takes a count")
-                }
-                "--flap-period" => {
-                    o.flap_period =
-                        value(&mut i, args).parse().expect("--flap-period takes seconds")
-                }
-                "--flap-cycles" => {
-                    o.flap_cycles = value(&mut i, args).parse().expect("--flap-cycles takes a count")
-                }
-                "--flap-damped" => {
-                    o.flap_damped = true;
-                    i += 1;
-                }
-                "--out" => o.out = Some(value(&mut i, args)),
-                other => panic!("unknown argument {other}; try `eleph help`"),
+        let mut args = Args::new(args);
+        while let Some(flag) = args.flag() {
+            match flag {
+                "--prefixes" => o.prefixes = args.value(flag, "a count")?,
+                "--seed" => o.seed = args.value(flag, "an integer")?,
+                "--start-unix" => o.start_unix = args.value(flag, "a timestamp")?,
+                "--storm-at" => o.storm_at = args.value(flag, "seconds")?,
+                "--storm-count" => o.storm_count = args.value(flag, "a count")?,
+                "--storm-hold" => o.storm_hold = args.value(flag, "seconds")?,
+                "--flap-start" => o.flap_start = args.value(flag, "seconds")?,
+                "--flap-count" => o.flap_count = args.value(flag, "a count")?,
+                "--flap-period" => o.flap_period = args.value(flag, "seconds")?,
+                "--flap-cycles" => o.flap_cycles = args.value(flag, "a count")?,
+                "--flap-damped" => o.flap_damped = true,
+                "--out" => o.out = Some(args.value(flag, "a file")?),
+                other => return usage(format!("unknown argument {other}")),
             }
         }
-        assert!(
-            o.storm_count > 0 || o.flap_count > 0,
-            "eleph churn needs at least one scenario (--storm-count or --flap-count > 0)"
-        );
-        o
+        if o.storm_count == 0 && o.flap_count == 0 {
+            return usage(
+                "eleph churn needs at least one scenario (--storm-count or --flap-count > 0)",
+            );
+        }
+        Ok(o)
     }
 
     /// The scenario set these options describe.
@@ -1066,8 +1026,8 @@ impl ChurnOpts {
 /// `eleph churn`: sample prefixes from the same synthetic table `eleph
 /// run` defaults to and write a deterministic timed update stream —
 /// same options, same bytes, every time.
-pub fn run_churn(args: &[String]) -> io::Result<()> {
-    let opts = ChurnOpts::parse(args);
+pub fn run_churn(args: &[String]) -> Result<(), CliError> {
+    let opts = ChurnOpts::parse(args)?;
     let table = eleph_bgp::synth::generate(&eleph_bgp::synth::SynthConfig {
         n_prefixes: opts.prefixes,
         ..eleph_bgp::synth::SynthConfig::default()
@@ -1360,6 +1320,69 @@ mod tests {
             Err(CliError::Usage(message)) => assert!(message.contains("unknown experiment table9")),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn bad_run_options_are_usage_errors() {
+        // Refused while parsing: no table is loaded for any of these.
+        for (line, needle) in [
+            ("run --synth --flows", "--flows takes a count"),
+            ("run --synth --out", "--out takes a file"),
+            ("run --synth --state-budget x", "--state-budget takes bytes, not \"x\""),
+            ("run --synth --beta high", "--beta takes a float"),
+            ("run --synth --intervals -3", "--intervals takes a count"),
+            ("run --synth --verbose", "unknown argument --verbose"),
+            ("run --synth --state bogus", "unknown state backend bogus"),
+            ("run --synth --detector median", "unknown detector median"),
+            ("run --synth --scheme sticky", "unknown scheme sticky"),
+            ("run --synth --beta 2", "0 < beta <= 1"),
+            ("run --synth --window 0", "--window 0"),
+            ("run --synth --scheme hysteresis --enter 0.5", "exit <= 1 <= enter"),
+            ("run --synth --state spacesaving --shards 2", "incompatible with --shards"),
+            ("run --pcap c.pcap --ingest-workers 2 --fault-drop 0.1", "incompatible with --fault-"),
+            ("run --synth --ingest-workers 2", "pcap path only"),
+            ("run --synth --fault-drop 0.1", "pcap path only"),
+            ("run", "exactly one of --pcap FILE or --synth"),
+            ("run --synth --pcap c.pcap", "exactly one of --pcap FILE or --synth"),
+            ("run --synth --resume --out o.jsonl", "--resume needs --checkpoint-dir"),
+            ("run --synth --resume --checkpoint-dir d", "--resume needs --out"),
+            ("run --synth --rotate-bytes 4096", "--rotate-bytes needs --out"),
+        ] {
+            let message = refused(line);
+            assert!(message.contains(needle), "`eleph {line}`: {message}");
+        }
+    }
+
+    #[test]
+    fn good_run_options_parse() {
+        let opts = RunOpts::parse(&args(
+            "--pcap c.pcap --rib c.rib --state cmrow --state-budget 4096 --scheme hysteresis \
+             --enter 1.5 --exit 0.5 --detector aest --resume --checkpoint-dir d --out o.jsonl",
+        ))
+        .expect("a valid command line");
+        assert_eq!(opts.pcap.as_deref(), Some("c.pcap"));
+        assert_eq!(opts.make_state().unwrap().kind(), "cmrow");
+        assert_eq!(opts.make_scheme().unwrap(), Scheme::Hysteresis { enter: 1.5, exit: 0.5 });
+        assert!(opts.resume && !opts.synth);
+        // Built by hand, an options struct is still checked where it is used.
+        let hand = RunOpts { state: "bogus".to_string(), ..RunOpts::default() };
+        assert!(matches!(hand.make_state(), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn bad_churn_options_are_usage_errors() {
+        for (line, needle) in [
+            ("churn --prefixes", "--prefixes takes a count"),
+            ("churn --storm-at soon", "--storm-at takes seconds, not \"soon\""),
+            ("churn --flap-cycles -1", "--flap-cycles takes a count"),
+            ("churn --synth", "unknown argument --synth"),
+            ("churn --storm-count 0 --flap-count 0", "at least one scenario"),
+        ] {
+            let message = refused(line);
+            assert!(message.contains(needle), "`eleph {line}`: {message}");
+        }
+        let opts = ChurnOpts::parse(&args("--flap-damped --storm-count 0 --seed 9")).unwrap();
+        assert!(opts.flap_damped && opts.storm_count == 0 && opts.seed == 9);
     }
 
     #[test]

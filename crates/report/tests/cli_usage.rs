@@ -14,6 +14,13 @@ fn usage_errors_exit_2_without_a_panic() {
         "frobnicate",
         "ablation",
         "ablation --which delta",
+        "run --synth --state-budget x",
+        "run --synth --flows",
+        "run --synth --state bogus",
+        "run --synth --state spacesaving --shards 2",
+        "run --pcap c.pcap --ingest-workers 2 --fault-drop 0.1",
+        "churn --storm-at soon",
+        "churn --frobnicate",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_eleph"))
             .args(line.split_whitespace())

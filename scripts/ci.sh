@@ -40,9 +40,12 @@
 #      bloom) streams the same seeded synthetic capture twice and the
 #      two JSONL outputs must be byte-identical (sketches are
 #      deterministic functions of the stream, never of hashing luck or
-#      allocation order), and `eleph sketch` runs the exact-oracle
-#      accuracy harness end to end, asserting recall >= 0.95 at the
-#      default budget on the west lab scenario;
+#      allocation order) — at the default 1 MiB budget, where nothing is
+#      ever evicted, and for spacesaving and cmrow again at
+#      `--state-budget 4096` (64 entries / 32 candidates under 500
+#      flows), where most misses evict; `eleph sketch` runs the
+#      exact-oracle accuracy harness end to end, asserting recall >= 0.95
+#      at the default budget on the west lab scenario;
 #  11. benchmark crate: `benchmark/` is its own workspace, so nothing
 #      above compiles it — build it against the current `crates/*` API
 #      and run its unit tests (`BENCHMARK.json` ≡ the crate's tables),
@@ -52,7 +55,13 @@
 #      proptest), the one-pass table constructors against insert-then-
 #      freeze, and `eleph run --pcap --rib` (static and live, with a
 #      resume) against the library calls, byte for byte — all part of
-#      tier-1; re-run by name so a failure is attributed immediately.
+#      tier-1; re-run by name so a failure is attributed immediately;
+#  13. sketch eviction: the slot heap against the linear scan it
+#      replaced (differential proptest over record / seal / export →
+#      restore programs), its work per record as a step count on three
+#      adversarial streams, and checkpoint/resume with the cut placed
+#      after the open interval's first eviction — all part of tier-1;
+#      re-run by name so a failure is attributed immediately.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -180,6 +189,20 @@ done
 cmp "$tmpdir/state_exact_a.jsonl" "$tmpdir/shards0.jsonl" 2> /dev/null \
     || { echo "sketch tier: --state exact diverges from the default path" >&2; exit 1; }
 
+echo "== sketch tier: the same under eviction (--state-budget 4096) =="
+for backend in spacesaving cmrow; do
+    "$eleph" "${sketch_args[@]}" --state "$backend" --state-budget 4096 \
+        --out "$tmpdir/tight_${backend}_a.jsonl" 2> /dev/null
+    "$eleph" "${sketch_args[@]}" --state "$backend" --state-budget 4096 \
+        --out "$tmpdir/tight_${backend}_b.jsonl" 2> "$tmpdir/tight_${backend}.summary"
+    cmp "$tmpdir/tight_${backend}_a.jsonl" "$tmpdir/tight_${backend}_b.jsonl" \
+        || { echo "sketch tier: --state $backend is not deterministic under eviction" >&2; exit 1; }
+    grep -q '"state_bytes":4096' "$tmpdir/tight_${backend}.summary" \
+        || { echo "sketch tier: summary does not record the 4096-byte budget" >&2; exit 1; }
+    cmp -s "$tmpdir/tight_${backend}_a.jsonl" "$tmpdir/state_${backend}_a.jsonl" \
+        && { echo "sketch tier: a 4096-byte $backend run equals the 1 MiB one: nothing was evicted" >&2; exit 1; }
+done
+
 echo "== sketch tier: exact-oracle accuracy harness (recall >= 0.95 at default budget) =="
 "$eleph" sketch > "$tmpdir/sketch.table" 2> "$tmpdir/sketch.summary"
 grep eleph_sketch "$tmpdir/sketch.summary" | tr ',{' '\n\n' \
@@ -198,5 +221,10 @@ echo "== start-up path: dump reader vs oracle, from_routes vs freeze, eleph run 
 cargo test -q -p eleph-bgp --lib dump::tests::differential
 cargo test -q -p eleph-bgp --test from_routes
 cargo test -q -p eleph-tests --test cli_default_path
+
+echo "== sketch eviction: slot heap vs scan oracle, step count, resume under eviction =="
+cargo test -q -p eleph-core --lib sketch::tests::slot_heap
+cargo test -q -p eleph-tests --test sketch_equivalence \
+    sketch_checkpoint_resume_is_bit_identical_under_eviction
 
 echo "ci.sh: all gates green"

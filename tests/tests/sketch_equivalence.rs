@@ -60,12 +60,17 @@ impl Write for SharedBuf {
 /// The same small synthetic stream the sibling suites use, as parsed
 /// metadata so runs can be split at arbitrary packet positions.
 fn small_stream(seed: u64) -> (BgpTable, Vec<PacketMeta>, u64, u64, usize) {
+    stream_of(seed, 120)
+}
+
+/// The same link carrying `n_flows` flows.
+fn stream_of(seed: u64, n_flows: usize) -> (BgpTable, Vec<PacketMeta>, u64, u64, usize) {
     let table = synth::generate(&SynthConfig {
         n_prefixes: 2_000,
         ..SynthConfig::default()
     });
     let config = WorkloadConfig {
-        n_flows: 120,
+        n_flows,
         n_intervals: 6,
         interval_secs: 20,
         link: eleph_trace::LinkSpec {
@@ -340,6 +345,112 @@ fn sketch_checkpoint_resume_is_bit_identical_mid_stream() {
                 "{kind}: resumed threshold"
             );
         }
+    }
+}
+
+/// The test above runs 120 flows into 1 024 entries: its snapshot has
+/// never seen an eviction, and the eviction order rebuilt after
+/// `restore_sketch` is never asked for a victim. Here 600 flows meet
+/// summaries of 8 to 64 entries, and the cut falls where the open
+/// interval has already outgrown them, with new keys still to come.
+#[test]
+fn sketch_checkpoint_resume_is_bit_identical_under_eviction() {
+    let (table, metas, t, start, n) = stream_of(29, 600);
+    for (state, slots) in [
+        (StateBackendConfig::SpaceSaving { budget_bytes: 512 }, 8),
+        (StateBackendConfig::SpaceSaving { budget_bytes: 4096 }, 64),
+        (StateBackendConfig::CountMinRow { budget_bytes: 512 }, 8),
+        (StateBackendConfig::CountMinRow { budget_bytes: 4096 }, 32),
+    ] {
+        let kind = format!("{}@{slots}", state.kind());
+        // The cut: in the third interval, right after the packet that
+        // brings it to eight more distinct keys than the summary has
+        // slots — the table filled, then a newcomer was weighed against
+        // its minimum at least eight times.
+        let past_full = slots + 8;
+        let interval_of = |m: &PacketMeta| (m.ts_ns / 1_000_000_000 - start) / t;
+        let prefix_of = |m: &PacketMeta| table.attribute(m.dst).map(|(prefix, _)| prefix);
+        let mut seen = std::collections::HashSet::new();
+        let cut = 1 + metas
+            .iter()
+            .position(|m| {
+                interval_of(m) == 2
+                    && m.wire_len > 0
+                    && prefix_of(m).is_some_and(|p| seen.insert(p))
+                    && seen.len() == past_full
+            })
+            .unwrap_or_else(|| panic!("{kind}: interval 2 never reaches {past_full} keys"));
+        let unseen_after = metas[cut..]
+            .iter()
+            .filter(|m| interval_of(m) == 2 && prefix_of(m).is_some_and(|p| !seen.contains(&p)))
+            .count();
+        assert!(unseen_after > 0, "{kind}: no miss left in the open interval after the cut");
+
+        let pipeline = |collector: &Collector, jsonl: &SharedBuf| {
+            PipelineBuilder::new()
+                .table(&table)
+                .interval_secs(t)
+                .start_unix(start)
+                .n_intervals(n)
+                .detector(ConstantLoadDetector::new(BETA))
+                .gamma(GAMMA)
+                .scheme(Scheme::LatentHeat { window: 12 })
+                .state_backend(state)
+                .sink(collector.sink())
+                .sink(JsonlSink::new(jsonl.clone()))
+        };
+
+        // Uninterrupted, with a checkpoint once the stream is consumed
+        // (the last interval still open).
+        let (collector, jsonl) = (Collector::new(), SharedBuf::default());
+        let mut whole = pipeline(&collector, &jsonl).build();
+        whole.observe_chunk(&metas).expect("whole stream");
+        let mut want_final = Vec::new();
+        whole.checkpoint(&mut want_final).expect("final checkpoint");
+        whole.finish().expect("finish");
+        let (want, want_jsonl) = (collector.take(), jsonl.take());
+
+        // Cut, snapshot, and throw the first pipeline away.
+        let (collector, jsonl) = (Collector::new(), SharedBuf::default());
+        let mut first = pipeline(&collector, &jsonl).build();
+        first.observe_chunk(&metas[..cut]).expect("head");
+        let mut bytes = Vec::new();
+        first.checkpoint(&mut bytes).expect("checkpoint");
+        drop(first);
+        let (head, head_jsonl) = (collector.take(), jsonl.take());
+        let ckpt = Checkpoint::read_from(&mut &bytes[..]).expect("well-formed checkpoint");
+        assert_eq!(ckpt.intervals_sealed(), 2, "{kind}: the cut is inside interval 2");
+        assert_eq!(head.len(), 2, "{kind}: intervals emitted before the cut");
+
+        let (collector, jsonl) = (Collector::new(), SharedBuf::default());
+        let mut resumed = pipeline(&collector, &jsonl)
+            .resume(&ckpt)
+            .unwrap_or_else(|e| panic!("{kind}: resume failed: {e}"));
+        resumed.observe_chunk(&metas[cut..]).expect("tail");
+        let mut got_final = Vec::new();
+        resumed.checkpoint(&mut got_final).expect("final checkpoint");
+        resumed.finish().expect("resumed finish");
+        let (tail, tail_jsonl) = (collector.take(), jsonl.take());
+
+        let got: Vec<&CollectedInterval> = head.iter().chain(&tail).collect();
+        assert_eq!(got.len(), want.len(), "{kind}: interval count");
+        for (g, w) in got.iter().zip(&want) {
+            let i = w.outcome.interval;
+            assert_eq!(g.outcome.interval, i, "{kind}: interval index");
+            assert_eq!(g.outcome.elephants, w.outcome.elephants, "{kind}: elephants at {i}");
+            assert_eq!(
+                g.outcome.threshold.to_bits(),
+                w.outcome.threshold.to_bits(),
+                "{kind}: threshold at {i}"
+            );
+            assert_eq!(
+                g.outcome.total_load.to_bits(),
+                w.outcome.total_load.to_bits(),
+                "{kind}: total load at {i}"
+            );
+        }
+        assert_eq!([head_jsonl, tail_jsonl].concat(), want_jsonl, "{kind}: JSONL bytes");
+        assert_eq!(got_final, want_final, "{kind}: final checkpoint bytes");
     }
 }
 
