@@ -1,11 +1,10 @@
-//! Longest-prefix-match micro-benchmarks: the four table implementations
-//! on a backbone-sized RIB. Justifies the choice of the path-compressed
-//! trie as the pipeline default and the per-length map for lookup-heavy
-//! batch jobs.
+//! Longest-prefix-match micro-benchmarks on a backbone-sized RIB: the
+//! path-compressed trie (the mutable builder) against the frozen flat
+//! table (the read path), with the linear oracle for scale.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use eleph_bench::bench_table;
-use eleph_net::{CompressedTrieLpm, FlatLpm, LinearLpm, Lpm, PerLengthLpm, Prefix, TrieLpm};
+use eleph_net::{CompressedTrieLpm, FlatLpm, LinearLpm, Lpm, Prefix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -97,38 +96,6 @@ fn bench_lookup(c: &mut Criterion) {
         })
     });
 
-    let mut trie = TrieLpm::new();
-    for (p, v) in &entries {
-        trie.insert(*p, *v);
-    }
-    group.bench_function("binary_trie", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for &q in &queries {
-                if trie.lookup(black_box(q)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-
-    let mut perlen = PerLengthLpm::new();
-    for (p, v) in &entries {
-        perlen.insert(*p, *v);
-    }
-    group.bench_function("per_length_maps", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for &q in &queries {
-                if perlen.lookup(black_box(q)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-
     // The linear oracle on a reduced query load (it is O(n) per lookup).
     let mut linear = LinearLpm::new();
     for (p, v) in &entries {
@@ -155,15 +122,6 @@ fn bench_insert(c: &mut Criterion) {
         let entries = entries(n);
         group.bench_with_input(BenchmarkId::new("compressed_trie", n), &entries, |b, e| {
             b.iter(|| CompressedTrieLpm::from_entries(e.iter().copied()))
-        });
-        group.bench_with_input(BenchmarkId::new("per_length_maps", n), &entries, |b, e| {
-            b.iter(|| {
-                let mut t = PerLengthLpm::new();
-                for (p, v) in e {
-                    t.insert(*p, *v);
-                }
-                t
-            })
         });
         // Freeze cost: what a RIB update costs the read path.
         group.bench_with_input(BenchmarkId::new("flat_freeze", n), &entries, |b, e| {

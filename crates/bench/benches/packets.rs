@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use eleph_bench::bench_table;
-use eleph_flow::{aggregate_pcap, aggregate_pcap_parallel, aggregate_pcap_parallel_frozen};
+use eleph_flow::aggregate_pcap;
 use eleph_packet::pcap::PcapReader;
 use eleph_packet::{parse_record_meta, LinkType, PacketBuilder};
 use eleph_trace::{PacketSynth, RateTrace, WorkloadConfig};
@@ -96,18 +96,18 @@ fn bench_pcap_io(c: &mut Criterion) {
     group.finish();
 }
 
-/// The large-capture workload of the parallel-aggregation benches: a
+/// The large-capture workload of the end-to-end aggregation bench: a
 /// 20k-prefix RIB and a ~400k-packet capture. (The attribution bench
 /// below deliberately uses a different, whole-address-space destination
 /// spread instead of this trace's few hundred flows.)
-fn parallel_workload() -> (eleph_bgp::BgpTable, RateTrace, Vec<u8>, usize) {
+fn large_capture() -> (eleph_bgp::BgpTable, RateTrace, Vec<u8>, usize) {
     let table = bench_table(20_000);
     let config = WorkloadConfig {
         n_flows: 400,
         n_intervals: 3,
         interval_secs: 20,
         link: eleph_trace::LinkSpec {
-            name: "bench parallel".to_string(),
+            name: "bench large capture".to_string(),
             capacity_bps: 60_000_000.0,
             target_peak_util: 0.5,
         },
@@ -180,11 +180,11 @@ fn bench_attribution_chunked(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end serial vs sharded aggregation on a larger capture: the
-/// bytes/sec each path sustains is the headline packets-per-second
-/// number of the whole pipeline.
-fn bench_aggregate_parallel(c: &mut Criterion) {
-    let (table, trace, pcap, n_packets) = parallel_workload();
+/// End-to-end aggregation on a larger capture: the bytes/sec it
+/// sustains is the headline packets-per-second number of the batch
+/// path.
+fn bench_aggregate_large(c: &mut Criterion) {
+    let (table, trace, pcap, n_packets) = large_capture();
 
     let mut group = c.benchmark_group("aggregate_pcap");
     group.sample_size(10);
@@ -201,39 +201,6 @@ fn bench_aggregate_parallel(c: &mut Criterion) {
             .expect("aggregation")
         })
     });
-    for threads in [2usize, 4, 8] {
-        group.bench_function(format!("parallel{threads}_{n_packets}pkts"), |b| {
-            b.iter(|| {
-                aggregate_pcap_parallel(
-                    black_box(&pcap[..]),
-                    &table,
-                    trace.config.interval_secs,
-                    trace.config.start_unix,
-                    trace.config.n_intervals,
-                    threads,
-                )
-                .expect("aggregation")
-            })
-        });
-    }
-    // Steady state: one frozen RIB serving many captures — the freeze
-    // cost is amortized away and the record scan becomes the floor.
-    let frozen = table.freeze();
-    for threads in [4usize, 8] {
-        group.bench_function(format!("parallel{threads}_frozen_{n_packets}pkts"), |b| {
-            b.iter(|| {
-                aggregate_pcap_parallel_frozen(
-                    black_box(&pcap[..]),
-                    &frozen,
-                    trace.config.interval_secs,
-                    trace.config.start_unix,
-                    trace.config.n_intervals,
-                    threads,
-                )
-                .expect("aggregation")
-            })
-        });
-    }
     group.finish();
 }
 
@@ -242,6 +209,6 @@ criterion_group!(
     bench_packet_build_parse,
     bench_pcap_io,
     bench_attribution_chunked,
-    bench_aggregate_parallel
+    bench_aggregate_large
 );
 criterion_main!(benches);

@@ -39,6 +39,7 @@ impl KeyBitset {
     }
 
     /// Whether `key` is in the set.
+    #[allow(dead_code)] // the read side of insert/remove; exercised in tests
     #[inline]
     pub fn contains(&self, key: KeyId) -> bool {
         let w = (key / 64) as usize;

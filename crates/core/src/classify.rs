@@ -1,21 +1,21 @@
 //! The classification schemes over a bandwidth matrix.
 //!
-//! The engine is columnar and dense: per-key state lives in flat
-//! `Vec`s indexed by [`KeyId`] (sliding latent-heat sums, window
-//! occupancy counts) plus [`KeyBitset`]s for membership, so a
-//! classification pass is linear walks over the matrix's key/rate
-//! columns with no hashing and no per-interval allocation beyond the
-//! emitted elephant lists (which come out of bitset iteration already
-//! sorted). Detection and classification are two passes:
+//! The engine is columnar and dense: per-key state is one
+//! `WindowState` (`crate::window`) per configuration — flat vectors
+//! indexed by [`KeyId`], the same state machine the streaming classifier
+//! runs — so a classification pass is linear walks over the matrix's
+//! key/rate columns with no hashing and no per-interval allocation
+//! beyond the emitted elephant lists (which come out already sorted).
+//! Detection and classification are two passes:
 //! [`RawThresholds::detect`] runs the detector over each interval once,
 //! and [`classify_with`] steps a whole family of configurations (γ /
 //! window / scheme variants) over that series — [`classify`] and
 //! [`classify_many`] are the two composed, and the report crate's
 //! session keeps the series so every later configuration reuses it.
 
-use eleph_flow::{BandwidthMatrix, IntervalView, KeyId};
+use eleph_flow::{BandwidthMatrix, KeyId};
 
-use crate::bits::KeyBitset;
+use crate::window::{self, WindowState};
 use crate::{ThresholdDetector, ThresholdSeries};
 
 /// Which classification scheme to run.
@@ -42,6 +42,26 @@ pub enum Scheme {
         /// Exit multiplier on the smoothed threshold (≤ 1).
         exit: f64,
     },
+}
+
+impl Scheme {
+    /// The sliding-window length the scheme classifies over: the
+    /// latent-heat window, or 1 for the single-interval schemes. Panics
+    /// on invalid parameters: a zero window, or hysteresis multipliers
+    /// outside `0 <= exit <= 1 <= enter`.
+    pub(crate) fn window(self) -> usize {
+        match self {
+            Scheme::LatentHeat { window } => {
+                assert!(window >= 1, "latent-heat window must be >= 1");
+                window
+            }
+            Scheme::SingleFeature => 1,
+            Scheme::Hysteresis { enter, exit } => {
+                assert!(enter >= 1.0 && (0.0..=1.0).contains(&exit), "need exit <= 1 <= enter");
+                1
+            }
+        }
+    }
 }
 
 /// One classification configuration for [`classify_many`]: everything
@@ -126,74 +146,18 @@ impl ClassificationResult {
     }
 }
 
-/// The sliding latent-heat numerator for one configuration, dense over
-/// key ids.
-///
-/// `sum[k]` is `Σ B_k(j)` over the window slots in which key `k` was
-/// active; `live[k]` counts those slots. The count makes retirement
-/// *exact*: when a key's last in-window activity retires, its sum is
-/// reset to literal `0.0` instead of relying on `add`/`subtract`
-/// round-trips to cancel — accumulated f64 rounding can otherwise leave
-/// a small residue (positive residue = a phantom elephant that never
-/// goes away, negative = a live micro-flow wrongly suppressed; the old
-/// hash-map state dropped keys at a `1e-9` epsilon, which mis-handled
-/// both ends). A mid-window negative excursion (possible only under
-/// catastrophic cancellation of enormously mismatched rates) is clamped
-/// to 0.
-#[derive(Debug)]
-struct LatentState {
-    sum: Vec<f64>,
-    live: Vec<u32>,
-    in_window: KeyBitset,
-    sum_t: f64,
-    /// Per-interval finite threshold term (the smoothed threshold, or
-    /// the "unbeatable" stand-in while detection has not started).
-    t_terms: Vec<f64>,
-}
-
-impl LatentState {
-    fn new(n_keys: usize, n_intervals: usize) -> Self {
-        LatentState {
-            sum: vec![0.0; n_keys],
-            live: vec![0; n_keys],
-            in_window: KeyBitset::with_capacity(n_keys),
-            sum_t: 0.0,
-            t_terms: Vec::with_capacity(n_intervals),
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, key: KeyId, rate: f32) {
-        let k = key as usize;
-        if self.live[k] == 0 {
-            self.sum[k] = f64::from(rate);
-            self.in_window.insert(key);
-        } else {
-            self.sum[k] += f64::from(rate);
-        }
-        self.live[k] += 1;
-    }
-
-    #[inline]
-    fn retire(&mut self, key: KeyId, rate: f32) {
-        let k = key as usize;
-        self.live[k] -= 1;
-        if self.live[k] == 0 {
-            self.sum[k] = 0.0;
-            self.in_window.remove(key);
-        } else {
-            self.sum[k] = (self.sum[k] - f64::from(rate)).max(0.0);
-        }
-    }
-}
-
-/// Per-configuration classifier state inside [`classify_with`].
+/// Per-configuration classifier state inside [`classify_with`]: the
+/// EWMA series, the shared [`WindowState`] and the result columns. The
+/// window retires straight from `matrix.interval(n − w)` (no snapshot
+/// copies) and is fed only under latent heat, the one scheme reading it.
 struct ConfigState {
     scheme: Scheme,
-    window: usize,
+    /// The latent-heat window; `None` for the single-interval schemes.
+    window: Option<usize>,
     series: ThresholdSeries,
-    latent: Option<LatentState>,
-    members: KeyBitset,
+    state: WindowState,
+    /// The threshold term each interval slid in with, to retire it by.
+    t_terms: Vec<f64>,
     elephants: Vec<Vec<KeyId>>,
     elephant_load: Vec<f64>,
     total_load: Vec<f64>,
@@ -201,142 +165,48 @@ struct ConfigState {
 
 impl ConfigState {
     fn new(config: &ClassifyConfig, n_keys: usize, n_intervals: usize) -> Self {
-        let (window, latent) = match config.scheme {
-            Scheme::LatentHeat { window } => {
-                assert!(window >= 1, "latent-heat window must be >= 1");
-                (window, Some(LatentState::new(n_keys, n_intervals)))
-            }
-            Scheme::SingleFeature => (1, None),
-            Scheme::Hysteresis { enter, exit } => {
-                assert!(
-                    enter >= 1.0 && exit <= 1.0 && exit >= 0.0,
-                    "need exit <= 1 <= enter"
-                );
-                (1, None)
-            }
-        };
+        let window = config.scheme.window();
+        let latent = matches!(config.scheme, Scheme::LatentHeat { .. });
         ConfigState {
             scheme: config.scheme,
-            window,
+            window: latent.then_some(window),
             series: ThresholdSeries::new(config.gamma),
-            latent,
-            members: KeyBitset::with_capacity(n_keys),
+            state: WindowState::with_ids(if latent { n_keys } else { 0 }),
+            t_terms: Vec::with_capacity(if latent { n_intervals } else { 0 }),
             elephants: Vec::with_capacity(n_intervals),
             elephant_load: Vec::with_capacity(n_intervals),
             total_load: Vec::with_capacity(n_intervals),
         }
     }
 
-    /// Advance by one interval: threshold update, window slide,
+    /// Advance to interval `n`: threshold update, window slide,
     /// classification.
-    fn step(
-        &mut self,
-        matrix: &BandwidthMatrix,
-        n: usize,
-        view: IntervalView<'_>,
-        raw: Option<f64>,
-        unbeatable: f64,
-        total: f64,
-    ) {
-        let threshold = self.series.observe_raw(raw);
+    fn step(&mut self, matrix: &BandwidthMatrix, raw: &RawThresholds, n: usize) {
+        let view = matrix.interval(n);
+        let threshold = self.series.observe_raw(raw.raw[n]);
 
-        if let Some(latent) = &mut self.latent {
-            // Slide the window: add interval n, retire interval n−w. An
-            // infinite pre-detection threshold would poison the sliding
-            // threshold sum; the finite `unbeatable` stand-in (interval
-            // max + 1) models "no flow can beat this interval" instead.
-            let t_term = if threshold.is_finite() {
-                threshold
-            } else {
-                unbeatable
-            };
-            latent.sum_t += t_term;
-            latent.t_terms.push(t_term);
-            for (key, rate) in view.iter() {
-                latent.add(key, rate);
-            }
-            if n >= self.window {
-                let retire = n - self.window;
-                latent.sum_t -= latent.t_terms[retire];
-                for (key, rate) in matrix.interval(retire).iter() {
-                    latent.retire(key, rate);
-                }
+        if let Some(window) = self.window {
+            // The stand-in is read only while nothing has been detected,
+            // which is exactly the intervals `unbeatable` covers.
+            let t_term = window::threshold_term(threshold, || raw.unbeatable[n]);
+            self.t_terms.push(t_term);
+            self.state.slide_in(t_term, view.iter());
+            if let Some(retire) = n.checked_sub(window) {
+                self.state.retire(self.t_terms[retire], matrix.interval(retire).iter());
             }
         }
 
-        // Classify. Every branch emits keys in ascending id order (the
-        // columns are sorted and bitset iteration is ordered), so the
-        // per-interval sort of the old sparse path is gone; the load is
-        // accumulated in the same ascending order for bit-identical
-        // float sums.
+        // Elephants come out ascending and the load is added in that
+        // order, for bit-identical float sums on every path.
         let mut current: Vec<KeyId> = Vec::new();
         let mut load = 0.0f64;
-        match self.scheme {
-            Scheme::SingleFeature => {
-                for (key, rate) in view.iter() {
-                    let b = f64::from(rate);
-                    if b > threshold {
-                        current.push(key);
-                        load += b;
-                    }
-                }
-            }
-            Scheme::LatentHeat { .. } => {
-                // A degenerate interval — zero attributed packets — emits
-                // an empty elephant set: with no traffic there is no load
-                // share to apportion, and a streaming monitor must not
-                // keep alerting on stale window state across a capture
-                // gap. (The window itself still slides, so flows resume
-                // their latent-heat standing when traffic returns.)
-                if !view.is_empty() {
-                    let latent = self.latent.as_ref().expect("latent state for latent heat");
-                    // Effective window shrinks at the start of the trace.
-                    // Both the window bitset and the interval's key column
-                    // ascend, so the load join is an ordered two-pointer
-                    // merge: elephants inactive this interval contribute
-                    // nothing (bit-identical to adding their 0.0 rate).
-                    let (keys, rates) = (view.keys(), view.rates());
-                    let mut vi = 0usize;
-                    for key in latent.in_window.iter() {
-                        if latent.sum[key as usize] > latent.sum_t {
-                            current.push(key);
-                            while vi < keys.len() && keys[vi] < key {
-                                vi += 1;
-                            }
-                            if vi < keys.len() && keys[vi] == key {
-                                load += f64::from(rates[vi]);
-                            }
-                        }
-                    }
-                }
-            }
-            Scheme::Hysteresis { enter, exit } => {
-                for (key, rate) in view.iter() {
-                    let b = f64::from(rate);
-                    let keep = if self.members.contains(key) {
-                        b >= exit * threshold
-                    } else {
-                        b > enter * threshold
-                    };
-                    if keep {
-                        current.push(key);
-                        load += b;
-                    }
-                }
-                // Membership becomes exactly the current elephant set.
-                if let Some(prev) = self.elephants.last() {
-                    for &key in prev {
-                        self.members.remove(key);
-                    }
-                }
-                for &key in &current {
-                    self.members.insert(key);
-                }
-            }
-        }
+        self.state.classify(self.scheme, threshold, view.is_empty(), view.iter(), |key, term| {
+            current.push(key);
+            load += term;
+        });
 
         self.elephant_load.push(load);
-        self.total_load.push(total);
+        self.total_load.push(matrix.total(n));
         self.elephants.push(current);
     }
 
@@ -380,15 +250,11 @@ impl RawThresholds {
             matrix.values_into(n, &mut values);
             let detection = detector.detect(&values);
             if detection.is_none() && unbeatable.len() == n {
-                unbeatable.push(values.iter().cloned().fold(0.0, f64::max) + 1.0);
+                unbeatable.push(window::unbeatable(&values));
             }
             raw.push(detection);
         }
-        RawThresholds {
-            detector: detector.name(),
-            raw,
-            unbeatable,
-        }
+        RawThresholds { detector: detector.name(), raw, unbeatable }
     }
 }
 
@@ -442,24 +308,16 @@ pub fn classify_with(
     let n_int = matrix.n_intervals();
     assert_eq!(raw.raw.len(), n_int, "raw thresholds of another matrix");
     let n_keys = matrix.n_keys();
-    let mut states: Vec<ConfigState> = configs
-        .iter()
-        .map(|c| ConfigState::new(c, n_keys, n_int))
-        .collect();
+    let mut states: Vec<ConfigState> =
+        configs.iter().map(|c| ConfigState::new(c, n_keys, n_int)).collect();
 
-    for (n, &detection) in raw.raw.iter().enumerate() {
-        let unbeatable = raw.unbeatable.get(n).copied().unwrap_or(0.0);
-        let view = matrix.interval(n);
-        let total = matrix.total(n);
+    for n in 0..n_int {
         for state in &mut states {
-            state.step(matrix, n, view, detection, unbeatable, total);
+            state.step(matrix, raw, n);
         }
     }
 
-    states
-        .into_iter()
-        .map(|s| s.finish(raw.detector.clone()))
-        .collect()
+    states.into_iter().map(|s| s.finish(raw.detector.clone())).collect()
 }
 
 #[cfg(test)]

@@ -30,11 +30,15 @@
 //! live in [`holding`], and the paper's §III prefix-length analysis in
 //! [`prefix_analysis`].
 //!
-//! The classifier is columnar and dense throughout: per-key state sits
-//! in flat vectors and bitsets indexed by `KeyId` (no hash maps on the
-//! per-interval path), and [`classify_many`] amortises one detector
-//! pass over a whole family of configurations — the engine behind the
-//! report crate's parameter sweeps.
+//! Steps 3 and 4 (and the hysteresis baseline) are one state machine,
+//! the private `window` module: per-key sliding sums in flat vectors
+//! indexed by `KeyId`, slid in and retired one interval at a time and
+//! classified by [`Scheme`]. Three engines call it and agree by bits:
+//! batch [`classify`] / [`classify_many`] over a finished matrix (one
+//! detector pass amortised over a whole family of configurations — the
+//! engine behind the report crate's parameter sweeps), the streaming
+//! [`OnlineClassifier`], and its key-partitioned form
+//! ([`SealCoordinator`] + one [`ClassifierPart`] per shard).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,6 +52,7 @@ mod shard;
 pub mod sketch;
 mod threshold;
 mod tracker;
+mod window;
 
 pub use classify::{
     classify, classify_many, classify_with, ClassificationResult, ClassifyConfig, RawThresholds,
@@ -56,10 +61,12 @@ pub use classify::{
 pub use sketch::{
     AdaptiveBloom, CountMinRow, ExactDense, SpaceSaving, StateBackend, StateBackendConfig,
 };
-pub use online::{ClassifierState, IntervalOutcome, OnlineClassifier};
+pub use online::{
+    ClassifierState, IntervalOutcome, OnlineClassifier, SealContext, SealCoordinator,
+};
 pub use shard::{
     merge_observations, merge_states, partition_state, ClassifierPart, PartObservation,
-    PartState, SealContext, SealCoordinator,
+    PartState,
 };
 pub use threshold::{
     AestDetector, ConstantLoadDetector, PercentileDetector, ThresholdDetector, TopNDetector,

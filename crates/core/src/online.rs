@@ -9,17 +9,19 @@
 //! classifier (pinned by tests), so experiments validated offline
 //! transfer directly to the online deployment.
 //!
-//! Like the batch engine, the per-key state is dense: sliding sums and
-//! window-occupancy counts in flat vectors indexed by [`KeyId`]
-//! (first-seen key ids are dense by construction), membership in a
-//! [`KeyBitset`]. Elephants fall out of ordered bitset iteration already
-//! sorted — no per-interval hash iteration or sort.
+//! It is two halves. A [`SealCoordinator`] holds what is global to an
+//! interval — the detector, the EWMA, the interval counter, the total
+//! load — and a `StreamWindow` holds what is per key: the `WindowState`
+//! (`crate::window`) the batch engine also steps, plus the window's
+//! snapshots, which a stream must keep because nothing else does. The
+//! sharded engine runs the halves apart: one coordinator, one
+//! [`crate::ClassifierPart`] per slice of the key space.
 
 use std::collections::VecDeque;
 
 use eleph_flow::KeyId;
 
-use crate::bits::KeyBitset;
+use crate::window::{self, WindowState};
 use crate::{Scheme, ThresholdDetector, ThresholdTracker};
 
 /// The outcome of one streamed interval.
@@ -48,20 +50,82 @@ impl IntervalOutcome {
     }
 }
 
-/// The sliding-window length a scheme classifies over: the latent-heat
-/// window, or 1 for the single-interval schemes. Panics on invalid
-/// scheme parameters (same contract as [`OnlineClassifier::new`]).
-pub(crate) fn scheme_window(scheme: Scheme) -> usize {
-    match scheme {
-        Scheme::LatentHeat { window } => {
-            assert!(window >= 1, "latent-heat window must be >= 1");
-            window
-        }
-        Scheme::SingleFeature => 1,
-        Scheme::Hysteresis { enter, exit } => {
-            assert!(enter >= 1.0 && (0.0..=1.0).contains(&exit), "need exit <= 1 <= enter");
-            1
-        }
+/// The global scalars of one interval, computed once by the
+/// [`SealCoordinator`] for whatever holds the per-key state: the serial
+/// classifier's own window, or every [`crate::ClassifierPart`].
+#[derive(Debug, Clone, Copy)]
+pub struct SealContext {
+    /// Smoothed threshold for this interval (`T̄(n)`; may be +∞ before
+    /// the first detection).
+    pub threshold: f64,
+    /// The finite threshold term entering the sliding window sum (the
+    /// pre-detection stand-in rule applied).
+    pub t_term: f64,
+    /// Whether the *global* snapshot was empty — the latent-heat
+    /// degenerate-interval guard is a property of the whole interval,
+    /// not of any one shard's slice of it.
+    pub global_empty: bool,
+}
+
+/// The global half of the online classifier: threshold detection + EWMA
+/// smoothing + the interval counter, run once per interval on the whole
+/// snapshot's values.
+#[derive(Debug)]
+pub struct SealCoordinator<D> {
+    tracker: ThresholdTracker<D>,
+    interval: usize,
+}
+
+impl<D: ThresholdDetector> SealCoordinator<D> {
+    /// A fresh coordinator. Panics when γ is outside [0, 1).
+    pub fn new(detector: D, gamma: f64) -> Self {
+        Self::resume(detector, gamma, 0, None)
+    }
+
+    /// Rebuild a coordinator from checkpointed state: the interval
+    /// counter and smoothed EWMA value of a [`ClassifierState`].
+    pub fn resume(detector: D, gamma: f64, interval: usize, smoothed: Option<f64>) -> Self {
+        let tracker = ThresholdTracker::with_state(detector, gamma, smoothed);
+        SealCoordinator { tracker, interval }
+    }
+
+    /// Observe one interval's value vector (ascending-key order): runs
+    /// detection and smoothing once, advances the interval counter, and
+    /// returns the context plus this interval's index and `total_load`.
+    pub fn observe_values(&mut self, values: &[f64]) -> (SealContext, usize, f64) {
+        // Fold from +0.0 like the batch matrix's total accumulation —
+        // `Iterator::sum` starts from -0.0, which would make an empty
+        // interval's total bit-differ from the batch path.
+        let total_load: f64 = values.iter().fold(0.0, |s, &v| s + v);
+        let threshold = self.tracker.observe(values);
+        let ctx = SealContext {
+            threshold,
+            t_term: window::threshold_term(threshold, || window::unbeatable(values)),
+            global_empty: values.is_empty(),
+        };
+        let interval = self.interval;
+        self.interval += 1;
+        (ctx, interval, total_load)
+    }
+
+    /// Intervals observed so far (the next outcome's index).
+    pub fn intervals_observed(&self) -> usize {
+        self.interval
+    }
+
+    /// The smoothing factor γ.
+    pub fn gamma(&self) -> f64 {
+        self.tracker.gamma()
+    }
+
+    /// The detector's name (for checkpoint fingerprints).
+    pub fn detector_name(&self) -> String {
+        self.tracker.detector_name()
+    }
+
+    /// Current smoothed threshold (`None` before the first detection).
+    pub fn smoothed_value(&self) -> Option<f64> {
+        self.tracker.smoothed_value()
     }
 }
 
@@ -94,53 +158,57 @@ pub struct ClassifierState {
     pub members: Vec<KeyId>,
 }
 
+/// `keys` strictly ascending and every one below `n_keys`.
+fn check_keys(
+    what: &str,
+    keys: impl Iterator<Item = KeyId>,
+    n_keys: usize,
+) -> Result<(), String> {
+    let mut prev = None;
+    for key in keys {
+        if prev.is_some_and(|p| p >= key) {
+            return Err(format!("{what} not ascending by key id"));
+        }
+        if key as usize >= n_keys {
+            return Err(format!("{what} names key {key} of a run that has {n_keys} keys"));
+        }
+        prev = Some(key);
+    }
+    Ok(())
+}
+
 impl ClassifierState {
-    /// Structurally validate this state against a scheme: history
-    /// bounded by the scheme's window, key lists and snapshots ascending,
-    /// membership only under hysteresis, and per-key occupancy counts
-    /// exactly matching the history (the retire path depends on that
-    /// invariant to release state). Shared by
-    /// [`OnlineClassifier::from_state`] and the sharded partition/merge
-    /// path, so a corrupt state is rejected identically everywhere.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the scheme parameters are invalid (same contract as
-    /// [`OnlineClassifier::new`]).
-    pub fn validate(&self, scheme: Scheme) -> Result<(), String> {
-        let window = scheme_window(scheme);
-        if self.history.len() > window {
+    /// Structurally validate this state against a scheme and the number
+    /// of keys the run has assigned: history bounded by the scheme's
+    /// window; key lists and snapshots ascending and naming only
+    /// existing keys (dense per-key state is sized by the largest id, so
+    /// an id a corrupt checkpoint merely claims must never get that
+    /// far); membership only under hysteresis; per-key occupancy counts
+    /// exactly matching the history (the retire path depends on that to
+    /// release state). The one validator behind every resume path, so a
+    /// corrupt state is rejected identically everywhere. Panics on
+    /// invalid scheme parameters, like [`OnlineClassifier::new`].
+    pub fn validate(&self, scheme: Scheme, n_keys: usize) -> Result<(), String> {
+        let (slots, window) = (self.history.len(), scheme.window());
+        if slots > window {
             return Err(format!(
-                "classifier state holds {} history slots for a window of {}",
-                self.history.len(),
-                window
+                "classifier state holds {slots} history slots for a window of {window}"
             ));
         }
-        if !self.per_key.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err("per-key state not ascending by key id".to_string());
-        }
-        if !self.members.windows(2).all(|w| w[0] < w[1]) {
-            return Err("membership list not ascending by key id".to_string());
-        }
+        check_keys("per-key state", self.per_key.iter().map(|&(key, _, _)| key), n_keys)?;
+        check_keys("membership list", self.members.iter().copied(), n_keys)?;
         if !matches!(scheme, Scheme::Hysteresis { .. }) && !self.members.is_empty() {
             return Err("membership state present for a non-hysteresis scheme".to_string());
         }
-        // Occupancy must match the history exactly: live[k] is defined
-        // as the number of in-window snapshots containing k, and the
-        // retire path depends on that invariant to release state.
         let mut live_check: Vec<(KeyId, u32)> =
             self.per_key.iter().map(|&(key, _, _)| (key, 0)).collect();
         for (_, snapshot) in &self.history {
-            if !snapshot.windows(2).all(|w| w[0].0 < w[1].0) {
-                return Err("history snapshot not ascending by key id".to_string());
-            }
+            check_keys("history snapshot", snapshot.iter().map(|&(key, _)| key), n_keys)?;
             for &(key, _) in snapshot {
-                match live_check.binary_search_by_key(&key, |&(k, _)| k) {
-                    Ok(at) => live_check[at].1 += 1,
-                    Err(_) => {
-                        return Err(format!("history references key {key} absent from per-key state"))
-                    }
-                }
+                let Ok(at) = live_check.binary_search_by_key(&key, |&(k, _)| k) else {
+                    return Err(format!("history references key {key} absent from per-key state"));
+                };
+                live_check[at].1 += 1;
             }
         }
         for (&(key, _, live), &(_, counted)) in self.per_key.iter().zip(&live_check) {
@@ -154,6 +222,75 @@ impl ClassifierState {
     }
 }
 
+/// The per-key half of the online classifier: the shared
+/// [`WindowState`] plus the window's snapshots, kept so each interval
+/// retires with exactly what it slid in with. Ids are the caller's:
+/// global key ids for the serial classifier, a shard's local ids for a
+/// [`crate::ClassifierPart`].
+#[derive(Debug)]
+pub(crate) struct StreamWindow {
+    scheme: Scheme,
+    window: usize,
+    state: WindowState,
+    /// Oldest first: (threshold term, snapshot) per in-window interval.
+    history: VecDeque<(f64, Vec<(KeyId, f32)>)>,
+}
+
+impl StreamWindow {
+    /// An empty window. Panics on invalid scheme parameters.
+    pub(crate) fn new(scheme: Scheme) -> Self {
+        let window = scheme.window();
+        let history = VecDeque::with_capacity(window + 1);
+        StreamWindow { scheme, window, state: WindowState::default(), history }
+    }
+
+    /// Slide one interval in (consuming its snapshot into the history),
+    /// retire the one that falls out, and classify; elephants go to
+    /// `emit` as `WindowState::classify` produces them.
+    pub(crate) fn observe(
+        &mut self,
+        snapshot: Vec<(KeyId, f32)>,
+        ctx: &SealContext,
+        emit: impl FnMut(KeyId, f64),
+    ) {
+        debug_assert!(snapshot.windows(2).all(|w| w[0].0 < w[1].0));
+        self.state.slide_in(ctx.t_term, snapshot.iter().copied());
+        self.history.push_back((ctx.t_term, snapshot));
+        if self.history.len() > self.window {
+            let (old_t, old_snapshot) = self.history.pop_front().expect("len checked");
+            self.state.retire(old_t, old_snapshot.into_iter());
+        }
+        let snapshot = self.history.back().expect("just pushed").1.iter().copied();
+        self.state.classify(self.scheme, ctx.threshold, ctx.global_empty, snapshot, emit);
+    }
+
+    pub(crate) fn scheme(&self) -> Scheme {
+        self.scheme
+    }
+
+    pub(crate) fn tracked_keys(&self) -> usize {
+        self.state.tracked()
+    }
+
+    /// Export as a [`ClassifierState`] stamped with the coordinator's
+    /// half (`interval`, `smoothed`).
+    pub(crate) fn export(&self, interval: usize, smoothed: Option<f64>) -> ClassifierState {
+        let (sum_t, per_key, members) = self.state.export();
+        let history = self.history.iter().cloned().collect();
+        ClassifierState { interval, smoothed, sum_t, per_key, history, members }
+    }
+
+    /// Rebuild from a state the caller has run through
+    /// [`ClassifierState::validate`] for this scheme.
+    pub(crate) fn restore(scheme: Scheme, state: ClassifierState) -> Self {
+        StreamWindow {
+            state: WindowState::restore(state.sum_t, &state.per_key, state.members),
+            history: state.history.into(),
+            ..StreamWindow::new(scheme)
+        }
+    }
+}
+
 /// Incremental implementation of all three classification schemes.
 ///
 /// Memory: O(highest key id seen) words of dense per-key state plus the
@@ -163,257 +300,87 @@ impl ClassifierState {
 /// reports the number of keys currently holding window state.
 #[derive(Debug)]
 pub struct OnlineClassifier<D> {
-    tracker: ThresholdTracker<D>,
-    scheme: Scheme,
-    window: usize,
-    /// Sliding per-key bandwidth sums over the window, dense by key id.
-    sum_b: Vec<f64>,
-    /// Per-key count of window slots with recorded activity. A key's
-    /// sum resets to exact 0.0 when its count hits zero, so retirement
-    /// cannot leave float-rounding residue behind (see the batch
-    /// engine's `LatentState` for the full rationale).
-    live: Vec<u32>,
-    /// Keys with `live > 0`, iterated in ascending order for emission.
-    in_window: KeyBitset,
-    /// Sliding threshold sum over the window.
-    sum_t: f64,
-    /// The window's per-interval history: (threshold term, snapshot).
-    history: VecDeque<(f64, Vec<(KeyId, f32)>)>,
-    /// Current membership for the hysteresis scheme.
-    members: KeyBitset,
-    /// The previous interval's elephants (to clear hysteresis bits).
-    prev_members: Vec<KeyId>,
-    interval: usize,
+    coord: SealCoordinator<D>,
+    window: StreamWindow,
 }
 
 impl<D: ThresholdDetector> OnlineClassifier<D> {
-    /// Create a streaming classifier.
-    ///
-    /// # Panics
-    ///
-    /// Panics when γ is outside [0, 1) or a latent-heat window is 0.
+    /// Create a streaming classifier. Panics when γ is outside [0, 1),
+    /// a latent-heat window is 0, or the hysteresis multipliers are not
+    /// `0 <= exit <= 1 <= enter`.
     pub fn new(detector: D, gamma: f64, scheme: Scheme) -> Self {
-        let window = scheme_window(scheme);
-        OnlineClassifier {
-            tracker: ThresholdTracker::new(detector, gamma),
-            scheme,
-            window,
-            sum_b: Vec::new(),
-            live: Vec::new(),
-            in_window: KeyBitset::default(),
-            sum_t: 0.0,
-            history: VecDeque::with_capacity(window + 1),
-            members: KeyBitset::default(),
-            prev_members: Vec::new(),
-            interval: 0,
-        }
-    }
-
-    /// Grow the dense per-key arrays to cover `key`.
-    #[inline]
-    fn ensure_key(&mut self, key: KeyId) {
-        let need = key as usize + 1;
-        if self.sum_b.len() < need {
-            self.sum_b.resize(need, 0.0);
-            self.live.resize(need, 0);
-        }
+        let coord = SealCoordinator::new(detector, gamma);
+        OnlineClassifier { coord, window: StreamWindow::new(scheme) }
     }
 
     /// Feed one interval's sparse snapshot (ascending by key, as
     /// produced by the measurement pipeline) and classify it.
     pub fn observe(&mut self, snapshot: &[(KeyId, f32)]) -> IntervalOutcome {
-        debug_assert!(snapshot.windows(2).all(|w| w[0].0 < w[1].0));
         let values: Vec<f64> = snapshot.iter().map(|&(_, r)| f64::from(r)).collect();
-        // Fold from +0.0 like the batch matrix's total accumulation —
-        // `Iterator::sum` starts from -0.0, which would make an empty
-        // interval's total bit-differ from the batch path.
-        let total_load: f64 = values.iter().fold(0.0, |s, &v| s + v);
-        let threshold = self.tracker.observe(&values);
-
-        // Slide the window forward.
-        let t_term = if threshold.is_finite() {
-            threshold
-        } else {
-            // Pre-detection: an unbeatable finite stand-in (see the batch
-            // classifier for the same rule).
-            values.iter().cloned().fold(0.0, f64::max) + 1.0
-        };
-        self.sum_t += t_term;
-        for &(key, rate) in snapshot {
-            self.ensure_key(key);
-            let k = key as usize;
-            if self.live[k] == 0 {
-                self.sum_b[k] = f64::from(rate);
-                self.in_window.insert(key);
-            } else {
-                self.sum_b[k] += f64::from(rate);
-            }
-            self.live[k] += 1;
-        }
-        self.history.push_back((t_term, snapshot.to_vec()));
-        if self.history.len() > self.window {
-            let (old_t, old_snapshot) = self.history.pop_front().expect("len checked");
-            self.sum_t -= old_t;
-            for (key, rate) in old_snapshot {
-                let k = key as usize;
-                self.live[k] -= 1;
-                if self.live[k] == 0 {
-                    self.sum_b[k] = 0.0;
-                    self.in_window.remove(key);
-                } else {
-                    self.sum_b[k] = (self.sum_b[k] - f64::from(rate)).max(0.0);
-                }
-            }
-        }
-
-        // Classify. Every branch yields ascending key ids, so the
-        // emitted list needs no sort.
+        let (ctx, interval, total_load) = self.coord.observe_values(&values);
         let mut elephants: Vec<KeyId> = Vec::new();
         let mut elephant_load = 0.0f64;
-        match self.scheme {
-            Scheme::SingleFeature => {
-                for &(key, rate) in snapshot {
-                    let b = f64::from(rate);
-                    if b > threshold {
-                        elephants.push(key);
-                        elephant_load += b;
-                    }
-                }
-            }
-            Scheme::LatentHeat { .. } => {
-                // Degenerate interval (zero attributed packets): emit an
-                // empty elephant set instead of alerting on stale window
-                // state — mirrors the batch classifier exactly, so the
-                // online-vs-batch equivalence holds through capture gaps.
-                if !snapshot.is_empty() {
-                    for key in self.in_window.iter() {
-                        if self.sum_b[key as usize] > self.sum_t {
-                            elephants.push(key);
-                            elephant_load += snapshot
-                                .binary_search_by_key(&key, |&(k, _)| k)
-                                .map(|i| f64::from(snapshot[i].1))
-                                .unwrap_or(0.0);
-                        }
-                    }
-                }
-            }
-            Scheme::Hysteresis { enter, exit } => {
-                for &(key, rate) in snapshot {
-                    let b = f64::from(rate);
-                    let keep = if self.members.contains(key) {
-                        b >= exit * threshold
-                    } else {
-                        b > enter * threshold
-                    };
-                    if keep {
-                        elephants.push(key);
-                        elephant_load += b;
-                    }
-                }
-                for &key in &self.prev_members {
-                    self.members.remove(key);
-                }
-                for &key in &elephants {
-                    self.members.insert(key);
-                }
-                self.prev_members.clear();
-                self.prev_members.extend_from_slice(&elephants);
-            }
-        }
-
-        let outcome = IntervalOutcome {
-            interval: self.interval,
-            threshold,
-            elephants,
-            elephant_load,
-            total_load,
-        };
-        self.interval += 1;
-        outcome
+        self.window.observe(snapshot.to_vec(), &ctx, |key, term| {
+            elephants.push(key);
+            elephant_load += term;
+        });
+        IntervalOutcome { interval, threshold: ctx.threshold, elephants, elephant_load, total_load }
     }
 
     /// Export the recovery frontier (see [`ClassifierState`]).
     pub fn export_state(&self) -> ClassifierState {
-        ClassifierState {
-            interval: self.interval,
-            smoothed: self.tracker.smoothed_value(),
-            sum_t: self.sum_t,
-            per_key: self
-                .in_window
-                .iter()
-                .map(|key| (key, self.sum_b[key as usize], self.live[key as usize]))
-                .collect(),
-            history: self.history.iter().cloned().collect(),
-            members: self.prev_members.clone(),
-        }
+        self.window.export(self.coord.intervals_observed(), self.coord.smoothed_value())
     }
 
     /// Rebuild a classifier from a checkpointed [`ClassifierState`],
     /// continuing bit-identically to the classifier that exported it
     /// (same detector and configuration required — the caller validates
-    /// those against its checkpoint metadata).
-    ///
-    /// The state is structurally validated: history bounded by the
-    /// window, snapshots and key lists ascending, per-key occupancy
-    /// counts consistent with the history. A corrupted state is rejected
-    /// with a description, never partially restored.
-    ///
-    /// # Panics
-    ///
-    /// Panics when γ or the scheme parameters are invalid (same
-    /// contract as [`OnlineClassifier::new`]).
+    /// those against its checkpoint metadata). `n_keys` is the number of
+    /// keys the run had assigned at export; the state goes through
+    /// [`ClassifierState::validate`] before anything is sized by it, so
+    /// a corrupted one is rejected with a description, never partially
+    /// restored. Panics like [`OnlineClassifier::new`].
     pub fn from_state(
         detector: D,
         gamma: f64,
         scheme: Scheme,
+        n_keys: usize,
         state: ClassifierState,
     ) -> Result<Self, String> {
-        let mut classifier = OnlineClassifier::new(detector, gamma, scheme);
-        state.validate(scheme)?;
-        classifier.tracker.restore_smoothed(state.smoothed);
-        classifier.sum_t = state.sum_t;
-        for &(key, sum, live) in &state.per_key {
-            classifier.ensure_key(key);
-            classifier.sum_b[key as usize] = sum;
-            classifier.live[key as usize] = live;
-            classifier.in_window.insert(key);
-        }
-        classifier.history = state.history.into();
-        for &key in &state.members {
-            classifier.members.insert(key);
-        }
-        classifier.prev_members = state.members;
-        classifier.interval = state.interval;
-        Ok(classifier)
+        state.validate(scheme, n_keys)?;
+        Ok(OnlineClassifier {
+            coord: SealCoordinator::resume(detector, gamma, state.interval, state.smoothed),
+            window: StreamWindow::restore(scheme, state),
+        })
     }
 
     /// Number of intervals observed so far.
     pub fn intervals_observed(&self) -> usize {
-        self.interval
+        self.coord.intervals_observed()
     }
 
     /// The smoothing factor γ this classifier was built with.
     pub fn gamma(&self) -> f64 {
-        self.tracker.gamma()
+        self.coord.gamma()
     }
 
     /// The classification scheme this classifier was built with.
     pub fn scheme(&self) -> Scheme {
-        self.scheme
+        self.window.scheme()
     }
 
     /// The detector's name (checkpoints fingerprint the configuration
     /// with it, so a snapshot cannot silently resume under a different
     /// detector).
     pub fn detector_name(&self) -> String {
-        self.tracker.detector_name()
+        self.coord.detector_name()
     }
 
     /// Number of keys currently holding sliding-window state — zero
-    /// again once every key has been idle for a full window (the dense
-    /// retire path is exact, so state cannot leak).
+    /// again once every key has been idle for a full window (the retire
+    /// path is exact, so state cannot leak).
     pub fn tracked_keys(&self) -> usize {
-        self.in_window.len()
+        self.window.tracked_keys()
     }
 }
 
@@ -684,6 +651,7 @@ mod tests {
                     ConstantLoadDetector::new(0.8),
                     0.9,
                     scheme,
+                    4,
                     state,
                 )
                 .expect("valid state");
@@ -709,7 +677,7 @@ mod tests {
         online.observe(&[(1, 60.0)]);
         let good = online.export_state();
         let rebuild = |state: ClassifierState| {
-            OnlineClassifier::from_state(ConstantLoadDetector::new(0.8), 0.9, scheme, state)
+            OnlineClassifier::from_state(ConstantLoadDetector::new(0.8), 0.9, scheme, 5, state)
         };
         assert!(rebuild(good.clone()).is_ok());
 
@@ -734,8 +702,19 @@ mod tests {
         assert!(rebuild(bad).unwrap_err().contains("ascending"));
 
         // Membership state on a scheme without hysteresis.
-        let mut bad = good;
+        let mut bad = good.clone();
         bad.members = vec![1];
         assert!(rebuild(bad).unwrap_err().contains("hysteresis"));
+
+        // A key the run never assigned (it has keys 0..5), in each list.
+        let mut bad = good.clone();
+        bad.per_key.push((5, 1.0, 1));
+        assert!(rebuild(bad).unwrap_err().contains("names key 5"));
+        let mut bad = good.clone();
+        bad.history[0].1.push((u32::MAX, 1.0));
+        assert!(rebuild(bad).unwrap_err().contains("names key 4294967295"));
+        let mut bad = good;
+        bad.members = vec![1 << 28];
+        assert!(rebuild(bad).unwrap_err().contains("names key 268435456"));
     }
 }

@@ -1,76 +1,46 @@
 //! Key-partitioned online classification.
 //!
-//! [`crate::OnlineClassifier`] keeps all per-key state — sliding
-//! bandwidth sums, window-occupancy counts, hysteresis membership — in
-//! dense `KeyId`-indexed vectors and bitsets. That layout shards
-//! naturally: split the key space `key % N` ([`ShardSpec`]), give each
-//! shard a [`ClassifierPart`] holding only its keys' rows, and the
-//! per-interval update work parallelises with **no shared mutable
-//! state**. Detection does *not* shard — a threshold is a function of
-//! the whole interval's snapshot — so one [`SealCoordinator`] runs the
+//! The per-key half of [`crate::OnlineClassifier`] shards naturally:
+//! split the key space `key % N` ([`ShardSpec`]), give each shard a
+//! [`ClassifierPart`] holding only its keys' window state, and the
+//! per-interval update work parallelises with no shared mutable state.
+//! Detection does *not* shard — a threshold is a function of the whole
+//! interval's snapshot — so one [`crate::SealCoordinator`] runs the
 //! detector + EWMA once per interval on the merged value vector and
 //! broadcasts the resulting [`SealContext`] to every part.
 //!
-//! # Bit-identity to the serial classifier
+//! A part is an adapter, not an engine: it re-bases its shard's global
+//! key ids to dense local ones on the way in, runs the `StreamWindow`
+//! the serial classifier runs, and re-bases back on the way out. The
+//! rest of this module is merging, and the rest of the crate does not
+//! depend on it.
 //!
-//! The contract (pinned by the tests below and by the pipeline's
-//! equivalence suite) is that the merged output of N parts equals the
-//! serial classifier's output *by bits*, for every N. It holds because
-//! every float operation sequence is preserved exactly:
-//!
-//! * **per-key sums** (`sum_b`, occupancy) only ever combine one key's
-//!   rates, in stream order — moving a key's row to a shard changes the
-//!   row's address, not its arithmetic;
-//! * **global scalars** (threshold, `t_term`, `total_load`) are computed
-//!   once by the coordinator from the merged snapshot, in serial order;
-//! * **`sum_t`** (the sliding threshold sum) is *replicated*: every part
-//!   pushes one history slot per interval — even when its sub-snapshot
-//!   is empty — so each replica performs the identical add/subtract
-//!   sequence the serial classifier would, and all replicas stay
-//!   bitwise equal ([`merge_states`] cross-checks this);
-//! * **elephants** are emitted ascending by key within each part (local
-//!   order is global order under the modulo split), and
-//!   [`merge_observations`] folds `elephant_load` while N-way-merging
-//!   in ascending global key order — the exact addition sequence of the
-//!   serial classify loop.
+//! The merged output of N parts equals the serial classifier's *by
+//! bits*, for every N, because every float operation sequence is
+//! preserved: per-key sums only ever combine one key's rates, in stream
+//! order; the global scalars (threshold, `t_term`, `total_load`) are
+//! computed once by the coordinator, in serial order; `sum_t` is
+//! *replicated* — every part pushes one history slot per interval, even
+//! for an empty sub-snapshot, so each replica performs the identical
+//! add/subtract sequence ([`merge_states`] cross-checks this); and
+//! elephants come out ascending within each part (local order is global
+//! order under the modulo split), so [`merge_observations`] adds the
+//! `elephant_load` terms in the serial loop's order.
 //!
 //! [`partition_state`]/[`merge_states`] convert between the serial
 //! [`ClassifierState`] and per-shard [`PartState`]s, so checkpoints
 //! stay shard-count-independent: a sharded run exports the merged
 //! serial state and any shard count can resume from it.
 
-use std::collections::VecDeque;
-
 use eleph_flow::{KeyId, ShardSpec};
 
-use crate::bits::KeyBitset;
-use crate::online::scheme_window;
-use crate::{ClassifierState, Scheme, ThresholdDetector, ThresholdTracker};
-
-/// The per-interval broadcast from the [`SealCoordinator`] to every
-/// [`ClassifierPart`]: the global scalars a part cannot compute alone.
-#[derive(Debug, Clone, Copy)]
-pub struct SealContext {
-    /// Smoothed threshold for this interval (`T̄(n)`; may be +∞ before
-    /// the first detection).
-    pub threshold: f64,
-    /// The finite threshold term entering the sliding window sum (the
-    /// pre-detection stand-in rule applied).
-    pub t_term: f64,
-    /// Whether the *global* snapshot was empty — the latent-heat
-    /// degenerate-interval guard is a property of the whole interval,
-    /// not of any one shard's slice of it.
-    pub global_empty: bool,
-}
+use crate::online::StreamWindow;
+use crate::{ClassifierState, Scheme, SealContext};
 
 /// One shard's classification of one interval: its elephants (ascending
-/// by key) and, parallel to them, the bandwidth each contributes to
-/// `elephant_load`.
-///
-/// The rates ride along because the serial classifier folds
-/// `elephant_load` in ascending *global* key order — the merge has to
-/// replay that exact addition sequence, so each part reports the terms
-/// and [`merge_observations`] adds them in merged order.
+/// by key) and, parallel to them, the term each adds to `elephant_load`
+/// — the serial classifier adds them in ascending *global* key order,
+/// which only [`merge_observations`] can replay.
 #[derive(Debug, Clone, Default)]
 pub struct PartObservation {
     /// Elephant keys this shard owns, ascending.
@@ -80,10 +50,9 @@ pub struct PartObservation {
 }
 
 /// One shard's recovery frontier — the shard-local slice of a
-/// [`ClassifierState`], with keys in *global* ids.
-///
-/// `interval` and the EWMA value are coordinator state and travel
-/// separately (see [`merge_states`]).
+/// [`ClassifierState`], with keys in *global* ids. `interval` and the
+/// EWMA value are coordinator state and travel separately (see
+/// [`merge_states`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartState {
     /// Sliding threshold sum replica (bitwise equal across all parts).
@@ -98,133 +67,29 @@ pub struct PartState {
     pub members: Vec<KeyId>,
 }
 
-/// The global (unsharded) half of the online classifier: threshold
-/// detection + EWMA smoothing + the interval counter, run once per
-/// interval on the merged snapshot.
-#[derive(Debug)]
-pub struct SealCoordinator<D> {
-    tracker: ThresholdTracker<D>,
-    interval: usize,
-}
-
-impl<D: ThresholdDetector> SealCoordinator<D> {
-    /// A fresh coordinator (γ ∈ [0, 1), same contract as
-    /// [`crate::OnlineClassifier::new`]).
-    pub fn new(detector: D, gamma: f64) -> Self {
-        SealCoordinator {
-            tracker: ThresholdTracker::new(detector, gamma),
-            interval: 0,
-        }
-    }
-
-    /// Rebuild a coordinator from checkpointed state: the interval
-    /// counter and smoothed EWMA value of the [`ClassifierState`] the
-    /// parts were partitioned from.
-    pub fn resume(detector: D, gamma: f64, interval: usize, smoothed: Option<f64>) -> Self {
-        SealCoordinator {
-            tracker: ThresholdTracker::with_state(detector, gamma, smoothed),
-            interval,
-        }
-    }
-
-    /// Observe the merged interval value vector (ascending-key order,
-    /// exactly what the serial classifier would see): runs detection
-    /// and smoothing once, advances the interval counter, and returns
-    /// the broadcast context plus this interval's index and
-    /// `total_load` — the scalars computed in the serial classifier's
-    /// own operation order.
-    pub fn observe_values(&mut self, values: &[f64]) -> (SealContext, usize, f64) {
-        // Fold from +0.0 like the serial classifier (`Iterator::sum`
-        // starts from -0.0, which bit-differs on empty intervals).
-        let total_load: f64 = values.iter().fold(0.0, |s, &v| s + v);
-        let threshold = self.tracker.observe(values);
-        // Pre-detection stand-in: duplicated verbatim from
-        // `OnlineClassifier::observe` — the sharded window sum must see
-        // the identical term.
-        let t_term = if threshold.is_finite() {
-            threshold
-        } else {
-            values.iter().cloned().fold(0.0, f64::max) + 1.0
-        };
-        let ctx = SealContext {
-            threshold,
-            t_term,
-            global_empty: values.is_empty(),
-        };
-        let interval = self.interval;
-        self.interval += 1;
-        (ctx, interval, total_load)
-    }
-
-    /// Intervals observed so far (the next outcome's index).
-    pub fn intervals_observed(&self) -> usize {
-        self.interval
-    }
-
-    /// The smoothing factor γ.
-    pub fn gamma(&self) -> f64 {
-        self.tracker.gamma()
-    }
-
-    /// The detector's name (for checkpoint fingerprints).
-    pub fn detector_name(&self) -> String {
-        self.tracker.detector_name()
-    }
-
-    /// Current smoothed threshold (`None` before the first detection).
-    pub fn smoothed_value(&self) -> Option<f64> {
-        self.tracker.smoothed_value()
+/// Map every key id a state names through `f`.
+fn rebase(state: &mut ClassifierState, f: impl Fn(KeyId) -> KeyId) {
+    let snapshots = state.history.iter_mut().flat_map(|(_, snapshot)| snapshot);
+    let ids = state.per_key.iter_mut().map(|e| &mut e.0).chain(snapshots.map(|e| &mut e.0));
+    for id in ids.chain(&mut state.members) {
+        *id = f(*id);
     }
 }
 
-/// One shard of the online classifier's per-key state: the sliding
-/// window machinery of [`crate::OnlineClassifier`] restricted to the
-/// keys a [`ShardSpec`] owns, dense over *local* indices.
+/// One shard of the online classifier's per-key state: the serial
+/// classifier's window restricted to the keys a [`ShardSpec`] owns,
+/// dense over *local* ids (`key / n_shards`), history included.
 #[derive(Debug)]
 pub struct ClassifierPart {
     spec: ShardSpec,
-    scheme: Scheme,
-    window: usize,
-    /// Sliding per-key bandwidth sums, dense by local index.
-    sum_b: Vec<f64>,
-    /// Window-occupancy counts, dense by local index.
-    live: Vec<u32>,
-    /// Local indices with `live > 0` (ascending local = ascending
-    /// global under the modulo split).
-    in_window: KeyBitset,
-    /// Replicated sliding threshold sum (see the module docs).
-    sum_t: f64,
-    /// Window history of owned sub-snapshots (global key ids); one slot
-    /// per interval even when the sub-snapshot is empty, so retirement
-    /// stays in lockstep with the serial classifier.
-    history: VecDeque<(f64, Vec<(KeyId, f32)>)>,
-    /// Hysteresis membership over local indices.
-    members: KeyBitset,
-    /// Previous interval's owned elephants (global ids).
-    prev_members: Vec<KeyId>,
+    window: StreamWindow,
 }
 
 impl ClassifierPart {
-    /// A fresh part for `spec`'s slice of the key space.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid scheme parameters (same contract as
-    /// [`crate::OnlineClassifier::new`]).
+    /// A fresh part for `spec`'s slice of the key space. Panics on
+    /// invalid scheme parameters, like [`crate::OnlineClassifier::new`].
     pub fn new(spec: ShardSpec, scheme: Scheme) -> Self {
-        let window = scheme_window(scheme);
-        ClassifierPart {
-            spec,
-            scheme,
-            window,
-            sum_b: Vec::new(),
-            live: Vec::new(),
-            in_window: KeyBitset::default(),
-            sum_t: 0.0,
-            history: VecDeque::with_capacity(window + 1),
-            members: KeyBitset::default(),
-            prev_members: Vec::new(),
-        }
+        ClassifierPart { spec, window: StreamWindow::new(scheme) }
     }
 
     /// The shard identity this part serves.
@@ -234,16 +99,7 @@ impl ClassifierPart {
 
     /// Number of owned keys currently holding window state.
     pub fn tracked_keys(&self) -> usize {
-        self.in_window.len()
-    }
-
-    /// Grow the dense local arrays to cover local index `k`.
-    #[inline]
-    fn ensure_local(&mut self, k: usize) {
-        if self.sum_b.len() <= k {
-            self.sum_b.resize(k + 1, 0.0);
-            self.live.resize(k + 1, 0);
-        }
+        self.window.tracked_keys()
     }
 
     /// Feed this shard's slice of one interval (owned keys only,
@@ -253,178 +109,60 @@ impl ClassifierPart {
     /// The snapshot is consumed into the window history (no copy).
     /// Every part must be called exactly once per interval — an empty
     /// sub-snapshot still advances the window.
-    pub fn observe_part(&mut self, snapshot: Vec<(KeyId, f32)>, ctx: &SealContext) -> PartObservation {
-        debug_assert!(snapshot.windows(2).all(|w| w[0].0 < w[1].0));
-        debug_assert!(snapshot.iter().all(|&(key, _)| self.spec.owns(key)));
-
-        // Slide the window forward — same operation sequence as the
-        // serial classifier, restricted to owned keys.
-        self.sum_t += ctx.t_term;
-        for &(key, rate) in &snapshot {
-            let k = self.spec.local(key);
-            self.ensure_local(k);
-            if self.live[k] == 0 {
-                self.sum_b[k] = f64::from(rate);
-                self.in_window.insert(k as KeyId);
-            } else {
-                self.sum_b[k] += f64::from(rate);
-            }
-            self.live[k] += 1;
+    pub fn observe_part(
+        &mut self,
+        mut snapshot: Vec<(KeyId, f32)>,
+        ctx: &SealContext,
+    ) -> PartObservation {
+        let spec = self.spec;
+        debug_assert!(snapshot.iter().all(|&(key, _)| spec.owns(key)));
+        for entry in &mut snapshot {
+            entry.0 = spec.local(entry.0) as KeyId;
         }
-        self.history.push_back((ctx.t_term, snapshot));
-        if self.history.len() > self.window {
-            let (old_t, old_snapshot) = self.history.pop_front().expect("len checked");
-            self.sum_t -= old_t;
-            for (key, rate) in old_snapshot {
-                let k = self.spec.local(key);
-                self.live[k] -= 1;
-                if self.live[k] == 0 {
-                    self.sum_b[k] = 0.0;
-                    self.in_window.remove(k as KeyId);
-                } else {
-                    self.sum_b[k] = (self.sum_b[k] - f64::from(rate)).max(0.0);
-                }
-            }
-        }
-
-        // Classify the owned keys. Iteration orders are ascending, so
-        // the merged emission replays the serial loop exactly.
-        let snapshot = &self.history.back().expect("just pushed").1;
-        let mut elephants: Vec<KeyId> = Vec::new();
-        let mut rates: Vec<f64> = Vec::new();
-        match self.scheme {
-            Scheme::SingleFeature => {
-                for &(key, rate) in snapshot {
-                    let b = f64::from(rate);
-                    if b > ctx.threshold {
-                        elephants.push(key);
-                        rates.push(b);
-                    }
-                }
-            }
-            Scheme::LatentHeat { .. } => {
-                // Degenerate-interval guard on the *global* snapshot:
-                // a shard whose slice happens to be empty must still
-                // emit when other shards saw traffic, and vice versa.
-                if !ctx.global_empty {
-                    for local in self.in_window.iter() {
-                        if self.sum_b[local as usize] > self.sum_t {
-                            let key = self.spec.global(local as usize);
-                            elephants.push(key);
-                            rates.push(
-                                snapshot
-                                    .binary_search_by_key(&key, |&(k, _)| k)
-                                    .map(|i| f64::from(snapshot[i].1))
-                                    .unwrap_or(0.0),
-                            );
-                        }
-                    }
-                }
-            }
-            Scheme::Hysteresis { enter, exit } => {
-                for &(key, rate) in snapshot {
-                    let b = f64::from(rate);
-                    let keep = if self.members.contains(self.spec.local(key) as KeyId) {
-                        b >= exit * ctx.threshold
-                    } else {
-                        b > enter * ctx.threshold
-                    };
-                    if keep {
-                        elephants.push(key);
-                        rates.push(b);
-                    }
-                }
-            }
-        }
-        if matches!(self.scheme, Scheme::Hysteresis { .. }) {
-            let prev = std::mem::take(&mut self.prev_members);
-            for key in prev {
-                self.members.remove(self.spec.local(key) as KeyId);
-            }
-            for &key in &elephants {
-                self.members.insert(self.spec.local(key) as KeyId);
-            }
-            self.prev_members = elephants.clone();
-        }
-        PartObservation { elephants, rates }
+        let mut obs = PartObservation::default();
+        self.window.observe(snapshot, ctx, |local, term| {
+            obs.elephants.push(spec.global(local as usize));
+            obs.rates.push(term);
+        });
+        obs
     }
 
     /// Export this shard's recovery frontier (global key ids).
     pub fn export_state(&self) -> PartState {
-        PartState {
-            sum_t: self.sum_t,
-            per_key: self
-                .in_window
-                .iter()
-                .map(|local| {
-                    let k = local as usize;
-                    (self.spec.global(k), self.sum_b[k], self.live[k])
-                })
-                .collect(),
-            history: self.history.iter().cloned().collect(),
-            members: self.prev_members.clone(),
-        }
+        let mut state = self.window.export(0, None);
+        rebase(&mut state, |local| self.spec.global(local as usize));
+        let ClassifierState { sum_t, per_key, history, members, .. } = state;
+        PartState { sum_t, per_key, history, members }
     }
 
-    /// Rebuild a part from a [`PartState`], with the same structural
-    /// validation as [`crate::OnlineClassifier::from_state`] plus
-    /// ownership checks (every key in the state must belong to `spec`).
-    pub fn from_state(spec: ShardSpec, scheme: Scheme, state: PartState) -> Result<Self, String> {
-        // Reuse the serial validator on the shard's slice — the slice
-        // of a valid state is structurally a valid (smaller) state, and
-        // corrupt slices fail with the same messages everywhere.
-        let as_state = ClassifierState {
-            interval: 0,
-            smoothed: None,
-            sum_t: state.sum_t,
-            per_key: state.per_key,
-            history: state.history,
-            members: state.members,
-        };
-        as_state.validate(scheme)?;
-        for &(key, _, _) in &as_state.per_key {
-            if !spec.owns(key) {
-                return Err(format!(
-                    "key {key} in shard {}/{} state belongs to shard {}",
-                    spec.shard(),
-                    spec.n_shards(),
-                    ShardSpec::owner(key, spec.n_shards())
-                ));
-            }
-        }
-        for (_, snapshot) in &as_state.history {
-            if let Some(&(key, _)) = snapshot.iter().find(|&&(key, _)| !spec.owns(key)) {
-                return Err(format!(
-                    "history key {key} in shard {}/{} state belongs to shard {}",
-                    spec.shard(),
-                    spec.n_shards(),
-                    ShardSpec::owner(key, spec.n_shards())
-                ));
-            }
-        }
-        if let Some(&key) = as_state.members.iter().find(|&&key| !spec.owns(key)) {
+    /// Rebuild a part from a [`PartState`]. The slice of a valid state
+    /// is structurally a valid (smaller) state, so it goes through
+    /// [`ClassifierState::validate`] against the run's `n_keys` as a
+    /// serial state does — corrupt slices fail with the same messages
+    /// everywhere — and every key it names must belong to `spec`.
+    pub fn from_state(
+        spec: ShardSpec,
+        scheme: Scheme,
+        n_keys: usize,
+        state: PartState,
+    ) -> Result<Self, String> {
+        let PartState { sum_t, per_key, history, members } = state;
+        let mut state =
+            ClassifierState { interval: 0, smoothed: None, sum_t, per_key, history, members };
+        state.validate(scheme, n_keys)?;
+        // History keys are per-key keys (validated), so these two lists
+        // cover every id the state names.
+        let mut named = state.per_key.iter().map(|e| e.0).chain(state.members.iter().copied());
+        if let Some(key) = named.find(|&key| !spec.owns(key)) {
             return Err(format!(
-                "member key {key} in shard {}/{} state belongs to shard {}",
+                "key {key} in shard {}/{} state belongs to shard {}",
                 spec.shard(),
                 spec.n_shards(),
                 ShardSpec::owner(key, spec.n_shards())
             ));
         }
-        let mut part = ClassifierPart::new(spec, scheme);
-        part.sum_t = as_state.sum_t;
-        for &(key, sum, live) in &as_state.per_key {
-            let k = spec.local(key);
-            part.ensure_local(k);
-            part.sum_b[k] = sum;
-            part.live[k] = live;
-            part.in_window.insert(k as KeyId);
-        }
-        part.history = as_state.history.into();
-        for &key in &as_state.members {
-            part.members.insert(spec.local(key) as KeyId);
-        }
-        part.prev_members = as_state.members;
-        Ok(part)
+        rebase(&mut state, |key| spec.local(key) as KeyId);
+        Ok(ClassifierPart { spec, window: StreamWindow::restore(scheme, state) })
     }
 }
 
@@ -460,24 +198,13 @@ pub fn partition_state(state: &ClassifierState, n_shards: usize) -> Vec<PartStat
     (0..n_shards)
         .map(|s| {
             let spec = ShardSpec::new(s, n_shards);
+            let owned = |snapshot: &[(KeyId, f32)]| {
+                snapshot.iter().filter(|&&(key, _)| spec.owns(key)).copied().collect()
+            };
             PartState {
                 sum_t: state.sum_t,
-                per_key: state
-                    .per_key
-                    .iter()
-                    .filter(|&&(key, _, _)| spec.owns(key))
-                    .copied()
-                    .collect(),
-                history: state
-                    .history
-                    .iter()
-                    .map(|(t, snapshot)| {
-                        (
-                            *t,
-                            snapshot.iter().filter(|&&(key, _)| spec.owns(key)).copied().collect(),
-                        )
-                    })
-                    .collect(),
+                per_key: state.per_key.iter().filter(|e| spec.owns(e.0)).copied().collect(),
+                history: state.history.iter().map(|(t, snapshot)| (*t, owned(snapshot))).collect(),
                 members: state.members.iter().filter(|&&key| spec.owns(key)).copied().collect(),
             }
         })
@@ -489,7 +216,7 @@ pub fn partition_state(state: &ClassifierState, n_shards: usize) -> Vec<PartStat
 /// invariants: every part must hold the same history length, bitwise
 /// identical threshold terms per slot, a bitwise identical `sum_t`
 /// replica, and only keys its shard owns. `interval` and `smoothed`
-/// are the coordinator's (see [`SealCoordinator`]).
+/// are the coordinator's (see [`crate::SealCoordinator`]).
 pub fn merge_states(
     parts: &[PartState],
     interval: usize,
@@ -546,20 +273,13 @@ pub fn merge_states(
         .collect();
     let mut members: Vec<KeyId> = parts.iter().flat_map(|p| p.members.iter().copied()).collect();
     members.sort_unstable();
-    Ok(ClassifierState {
-        interval,
-        smoothed,
-        sum_t: parts[0].sum_t,
-        per_key,
-        history,
-        members,
-    })
+    Ok(ClassifierState { interval, smoothed, sum_t: parts[0].sum_t, per_key, history, members })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConstantLoadDetector, IntervalOutcome, OnlineClassifier};
+    use crate::{ConstantLoadDetector, IntervalOutcome, OnlineClassifier, SealCoordinator};
 
     /// Drive N parts + a coordinator over the snapshots, merging each
     /// interval exactly as the pipeline's seal barrier does.
@@ -706,7 +426,7 @@ mod tests {
                     .into_iter()
                     .enumerate()
                     .map(|(s, ps)| {
-                        ClassifierPart::from_state(ShardSpec::new(s, n_shards), scheme, ps)
+                        ClassifierPart::from_state(ShardSpec::new(s, n_shards), scheme, 29, ps)
                             .expect("partitioned state valid")
                     })
                     .collect();
@@ -779,7 +499,7 @@ mod tests {
             &SealContext { threshold: 100.0, t_term: 100.0, global_empty: false },
         );
         let good = part.export_state();
-        assert!(ClassifierPart::from_state(spec, scheme, good.clone()).is_ok());
+        assert!(ClassifierPart::from_state(spec, scheme, 7, good.clone()).is_ok());
 
         // Shift every key by +1 (structurally still valid — ascending,
         // occupancy consistent) so only the ownership check can object:
@@ -793,14 +513,14 @@ mod tests {
                 entry.0 += 1;
             }
         }
-        assert!(ClassifierPart::from_state(spec, scheme, bad)
+        assert!(ClassifierPart::from_state(spec, scheme, 7, bad)
             .unwrap_err()
             .contains("belongs to shard"));
 
         // Structural corruption goes through the shared validator.
         let mut bad = good;
         bad.per_key[0].2 += 1;
-        assert!(ClassifierPart::from_state(spec, scheme, bad)
+        assert!(ClassifierPart::from_state(spec, scheme, 7, bad)
             .unwrap_err()
             .contains("occupancy"));
     }

@@ -143,12 +143,6 @@ impl<D: ThresholdDetector> ThresholdTracker<D> {
         self.series.smoothed_value()
     }
 
-    /// Replace the smoothing state with a checkpointed value, clearing
-    /// the histories (the resumed run records its own going forward).
-    pub fn restore_smoothed(&mut self, smoothed: Option<f64>) {
-        self.series = ThresholdSeries::with_state(self.series.gamma(), smoothed);
-    }
-
     /// The smoothing factor γ.
     pub fn gamma(&self) -> f64 {
         self.series.gamma()

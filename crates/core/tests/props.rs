@@ -4,15 +4,18 @@
 //! arbitrary bandwidth matrices, the dense columnar engine must agree
 //! with a faithful replica of the legacy hash-map classifier,
 //! [`eleph_core::classify_many`] must be indistinguishable from
-//! independent [`eleph_core::classify`] calls, and so must any
-//! configuration stepped over stored [`eleph_core::RawThresholds`].
+//! independent [`eleph_core::classify`] calls, so must any
+//! configuration stepped over stored [`eleph_core::RawThresholds`], and
+//! the three callers of the one window state machine — batch, streaming,
+//! key-partitioned — must agree by bits, across a checkpoint too.
 
 use eleph_core::{
-    classify, classify_many, classify_with, holding, ClassificationResult, ClassifyConfig,
-    ConstantLoadDetector, PercentileDetector, RawThresholds, Scheme, ThresholdDetector,
-    TopNDetector,
+    classify, classify_many, classify_with, holding, merge_observations, merge_states,
+    partition_state, ClassificationResult, ClassifierPart, ClassifierState, ClassifyConfig,
+    ConstantLoadDetector, IntervalOutcome, OnlineClassifier, PartObservation, PartState,
+    PercentileDetector, RawThresholds, Scheme, SealCoordinator, ThresholdDetector, TopNDetector,
 };
-use eleph_flow::BandwidthMatrix;
+use eleph_flow::{BandwidthMatrix, KeyId, ShardSpec};
 use eleph_net::Prefix;
 use proptest::prelude::*;
 
@@ -460,6 +463,204 @@ proptest! {
             prop_assert_eq!(&got.thresholds, &reference.thresholds, "{:?}", config);
             prop_assert_eq!(&got.elephant_load, &reference.elephant_load, "{:?}", config);
             prop_assert_eq!(&got.total_load, &reference.total_load, "{:?}", config);
+        }
+    }
+}
+
+/// Sparse rate rows shaped like a capture: every key stays silent until
+/// its own first interval (late keys grow the streaming engines' dense
+/// state mid-run), flickers afterwards, and whole intervals drop out as
+/// capture gaps.
+fn arb_sparse_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (1usize..24, 2usize..24).prop_flat_map(|(nk, ni)| {
+        (
+            prop::collection::vec(
+                prop::collection::vec(prop_oneof![4 => Just(0.0), 6 => 1.0..50_000.0f64], nk),
+                ni,
+            ),
+            prop::collection::vec(0..ni, nk),
+            prop::collection::vec(prop_oneof![5 => Just(false), 1 => Just(true)], ni),
+        )
+            .prop_map(|(mut rows, first_seen, gaps)| {
+                for (n, row) in rows.iter_mut().enumerate() {
+                    for (key, rate) in row.iter_mut().enumerate() {
+                        if gaps[n] || n < first_seen[key] {
+                            *rate = 0.0;
+                        }
+                    }
+                }
+                rows
+            })
+    })
+}
+
+/// An outcome with its floats as bits.
+fn outcome_bits(o: &IntervalOutcome) -> (usize, u64, &[KeyId], u64, u64) {
+    (
+        o.interval,
+        o.threshold.to_bits(),
+        &o.elephants,
+        o.elephant_load.to_bits(),
+        o.total_load.to_bits(),
+    )
+}
+
+/// A recovery frontier with its floats as bits.
+fn state_bits(s: &ClassifierState) -> impl PartialEq + std::fmt::Debug + '_ {
+    let per_key: Vec<(KeyId, u64, u32)> =
+        s.per_key.iter().map(|&(k, sum, live)| (k, sum.to_bits(), live)).collect();
+    let history: Vec<(u64, Vec<(KeyId, u32)>)> = s
+        .history
+        .iter()
+        .map(|(t, snap)| (t.to_bits(), snap.iter().map(|&(k, r)| (k, r.to_bits())).collect()))
+        .collect();
+    (
+        (s.interval, s.smoothed.map(f64::to_bits), s.sum_t.to_bits()),
+        (per_key, history, &s.members),
+    )
+}
+
+/// A coordinator and its parts: the sharded engine without the threads.
+struct Sharded<D> {
+    coord: SealCoordinator<D>,
+    parts: Vec<ClassifierPart>,
+}
+
+impl<D: ThresholdDetector> Sharded<D> {
+    /// Resume onto `n` parts from a serial state, as the pipeline does.
+    fn resume(
+        detector: D,
+        gamma: f64,
+        scheme: Scheme,
+        n: usize,
+        n_keys: usize,
+        state: &ClassifierState,
+    ) -> Self {
+        Sharded {
+            coord: SealCoordinator::resume(detector, gamma, state.interval, state.smoothed),
+            parts: partition_state(state, n)
+                .into_iter()
+                .enumerate()
+                .map(|(s, part)| {
+                    ClassifierPart::from_state(ShardSpec::new(s, n), scheme, n_keys, part)
+                        .expect("a partitioned state is valid")
+                })
+                .collect(),
+        }
+    }
+
+    /// One seal barrier: detect globally, classify per part, merge.
+    fn observe(&mut self, snapshot: &[(KeyId, f32)]) -> IntervalOutcome {
+        let values: Vec<f64> = snapshot.iter().map(|&(_, r)| f64::from(r)).collect();
+        let (ctx, interval, total_load) = self.coord.observe_values(&values);
+        let obs: Vec<PartObservation> = self
+            .parts
+            .iter_mut()
+            .map(|part| {
+                let spec = part.spec();
+                let slice = snapshot.iter().filter(|&&(key, _)| spec.owns(key)).copied().collect();
+                part.observe_part(slice, &ctx)
+            })
+            .collect();
+        let (elephants, elephant_load) = merge_observations(&obs);
+        IntervalOutcome { interval, threshold: ctx.threshold, elephants, elephant_load, total_load }
+    }
+
+    fn export_state(&self) -> ClassifierState {
+        let parts: Vec<PartState> = self.parts.iter().map(ClassifierPart::export_state).collect();
+        merge_states(&parts, self.coord.intervals_observed(), self.coord.smoothed_value())
+            .expect("parts in lockstep")
+    }
+}
+
+proptest! {
+    #[test]
+    fn batch_streaming_and_sharded_agree_across_a_checkpoint(
+        rows in arb_sparse_rows(),
+        (beta, cutoff) in (
+            0.3..0.95f64,
+            prop_oneof![1 => Just(0.0), 6 => 0.0..300_000.0f64, 1 => Just(1e12)],
+        ),
+        gamma in 0.0..0.99f64,
+        window in 1usize..6,
+        (enter, exit) in (1.0..1.8f64, 0.2..1.0f64),
+        (cut, other) in (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+    ) {
+        const SHARDS: [usize; 4] = [1, 2, 4, 7];
+        let m = matrix(&rows);
+        let n_keys = m.n_keys();
+        let snapshots: Vec<Vec<(KeyId, f32)>> =
+            (0..rows.len()).map(|n| m.interval(n).to_pairs()).collect();
+        let cut = cut.index(rows.len() + 1);
+        let detector = QuietAbstains { cutoff, inner: ConstantLoadDetector::new(beta) };
+
+        for scheme in [
+            Scheme::SingleFeature,
+            Scheme::LatentHeat { window },
+            Scheme::Hysteresis { enter, exit },
+        ] {
+            // Streaming, uninterrupted, with its frontier at the cut:
+            // the reference the other callers are held to.
+            let mut online = OnlineClassifier::new(detector, gamma, scheme);
+            let fresh = online.export_state();
+            let mut at_cut = fresh.clone();
+            let mut expected = Vec::with_capacity(snapshots.len());
+            for (n, snapshot) in snapshots.iter().enumerate() {
+                expected.push(online.observe(snapshot));
+                if n + 1 == cut {
+                    at_cut = online.export_state();
+                }
+            }
+            let at_end = online.export_state();
+
+            // Batch over the equivalent matrix.
+            let batch = classify(&m, detector, gamma, scheme);
+            for (n, want) in expected.iter().enumerate() {
+                let got = IntervalOutcome {
+                    interval: n,
+                    threshold: batch.thresholds[n],
+                    elephants: batch.elephants[n].clone(),
+                    elephant_load: batch.elephant_load[n],
+                    total_load: batch.total_load[n],
+                };
+                prop_assert_eq!(outcome_bits(&got), outcome_bits(want), "{:?} batch", scheme);
+            }
+
+            // Streaming, resumed from its own frontier.
+            let mut resumed =
+                OnlineClassifier::from_state(detector, gamma, scheme, n_keys, at_cut.clone())
+                    .expect("an exported state is valid");
+            for (snapshot, want) in snapshots[cut..].iter().zip(&expected[cut..]) {
+                let got = resumed.observe(snapshot);
+                prop_assert_eq!(outcome_bits(&got), outcome_bits(want), "{:?} resumed", scheme);
+            }
+            prop_assert_eq!(state_bits(&resumed.export_state()), state_bits(&at_end));
+
+            // Coordinator + N parts: the head on N, a frontier that is
+            // the serial one, the tail on another N.
+            for (i, &n) in SHARDS.iter().enumerate() {
+                let mut sharded = Sharded::resume(detector, gamma, scheme, n, n_keys, &fresh);
+                for (snapshot, want) in snapshots[..cut].iter().zip(&expected) {
+                    let got = sharded.observe(snapshot);
+                    prop_assert_eq!(outcome_bits(&got), outcome_bits(want), "{:?} x{}", scheme, n);
+                }
+                let frontier = sharded.export_state();
+                prop_assert_eq!(state_bits(&frontier), state_bits(&at_cut), "{:?} x{}", scheme, n);
+
+                let onto = SHARDS[(i + 1 + other.index(SHARDS.len() - 1)) % SHARDS.len()];
+                prop_assert_ne!(onto, n);
+                let mut sharded = Sharded::resume(detector, gamma, scheme, onto, n_keys, &frontier);
+                for (snapshot, want) in snapshots[cut..].iter().zip(&expected[cut..]) {
+                    let got = sharded.observe(snapshot);
+                    prop_assert_eq!(
+                        outcome_bits(&got), outcome_bits(want), "{:?} x{} -> x{}", scheme, n, onto
+                    );
+                }
+                prop_assert_eq!(
+                    state_bits(&sharded.export_state()), state_bits(&at_end),
+                    "{:?} x{} -> x{}", scheme, n, onto
+                );
+            }
         }
     }
 }

@@ -20,16 +20,12 @@
 //! * pcap streaming parses records where the reader's block buffer
 //!   holds them ([`PcapReader::next_record_ref`]) instead of copying
 //!   or allocating per record.
-//!
-//! [`aggregate_pcap_parallel`] shards a capture across threads and
-//! merges shard results into output **byte-identical** to the serial
-//! [`aggregate_pcap`] (pinned by `tests/tests/pipeline_equivalence.rs`).
 
 use std::io::Read;
 
 use eleph_bgp::{BgpTable, FrozenBgpTable, RouteId};
 use eleph_net::{LpmView, Prefix};
-use eleph_packet::pcap::{PcapReader, PcapSlice, RecordHeader};
+use eleph_packet::pcap::PcapReader;
 use eleph_packet::{parse_buf_meta, LinkType, PacketMeta};
 
 use crate::{BandwidthMatrix, KeyId};
@@ -131,7 +127,7 @@ impl KeyAllocator {
 
     /// The key for `route`, assigning the next dense id on first touch.
     /// Returns `(key, newly_assigned)` so callers can record their
-    /// per-key metadata (prefix, first-seen position) exactly once.
+    /// per-key metadata (the route's prefix) exactly once.
     #[inline]
     pub fn key_for(&mut self, route: RouteId) -> (KeyId, bool) {
         if route as usize >= self.route_to_key.len() {
@@ -214,22 +210,12 @@ impl AggregatorStats {
     pub fn is_conserved(&self) -> bool {
         self.attributed + self.unroutable + self.out_of_window + self.malformed == self.offered
     }
-
-    /// Component-wise sum (shard merge).
-    fn merge(&mut self, other: &AggregatorStats) {
-        self.offered += other.offered;
-        self.attributed += other.attributed;
-        self.attributed_bytes += other.attributed_bytes;
-        self.unroutable += other.unroutable;
-        self.out_of_window += other.out_of_window;
-        self.malformed += other.malformed;
-    }
 }
 
 /// A frozen attribution table, owned or borrowed: owned when built
-/// from a live [`BgpTable`], borrowed when several consumers (shard
-/// workers, streaming pipelines) share one freeze. Shared with the
-/// streaming pipeline so both paths hold their table the same way.
+/// from a live [`BgpTable`], borrowed when several consumers share one
+/// freeze. Shared with the streaming pipeline so both paths hold their
+/// table the same way.
 #[derive(Debug)]
 pub enum FrozenTableRef<'t> {
     /// Owns its freeze.
@@ -266,10 +252,6 @@ pub struct Aggregator<'t> {
     rows: Vec<Vec<u64>>,
     /// Route of each key, in first-seen order (`keys` of the matrix).
     key_routes: Vec<RouteId>,
-    /// Stream position at which each key was first seen; lets the
-    /// parallel merge reconstruct global first-seen order from
-    /// arbitrarily partitioned shards.
-    key_first: Vec<u64>,
     /// Shared first-seen key assignment.
     keys: KeyAllocator,
     /// Reusable buffer for [`attribute_metas`] results.
@@ -329,20 +311,23 @@ impl<'t> Aggregator<'t> {
             interval_ns,
             rows: vec![Vec::new(); n_intervals],
             key_routes: Vec::new(),
-            key_first: Vec::new(),
             keys: KeyAllocator::new(n_routes),
             route_scratch: Vec::new(),
             stats: AggregatorStats::default(),
         }
     }
 
-    /// Observe one parsed packet.
+    /// Observe one parsed packet. The lookup runs only for in-window
+    /// packets — a rejected packet costs no table access.
     #[inline]
     pub fn observe(&mut self, meta: &PacketMeta) {
-        // For a serial aggregator the offered count *is* the stream
-        // position.
-        let position = self.stats.offered;
-        self.observe_at(meta, position);
+        self.stats.offered += 1;
+        let Some(interval) = self.interval_of(meta.ts_ns) else {
+            self.stats.out_of_window += 1;
+            return;
+        };
+        let route = self.table.get().attribute_id(u32::from(meta.dst));
+        self.bin(meta, route, interval);
     }
 
     /// Observe a slice of parsed packets, batching the attribution
@@ -350,69 +335,26 @@ impl<'t> Aggregator<'t> {
     ///
     /// Behaves exactly like calling [`Aggregator::observe`] on each
     /// packet in order — same statistics, same first-seen key order —
-    /// but resolves destinations through the frozen table's batch API
-    /// ([`eleph_bgp::FrozenBgpTable::attribute_ids`]) in chunks of 64,
-    /// so attribution cache misses overlap across packets instead of
-    /// serialising. This is the form the pcap drivers feed.
+    /// but resolves destinations through the shared [`attribute_metas`]
+    /// in chunks of [`ATTRIBUTION_CHUNK`], so every chunk's lookups
+    /// issue before any result is consumed and their cache misses
+    /// overlap instead of serialising. Out-of-window packets are
+    /// attributed too — their result is simply never read, so the
+    /// reject accounting is unchanged. This is the form the pcap
+    /// drivers feed.
     pub fn observe_chunk(&mut self, metas: &[PacketMeta]) {
-        let mut positions = [0u64; ATTRIBUTION_CHUNK];
-        for chunk in metas.chunks(ATTRIBUTION_CHUNK) {
-            // For a serial aggregator the offered count is the stream
-            // position of the chunk's first packet.
-            let base = self.stats.offered;
-            for (i, p) in positions[..chunk.len()].iter_mut().enumerate() {
-                *p = base + i as u64;
-            }
-            self.observe_chunk_at(chunk, &positions[..chunk.len()]);
-        }
-    }
-
-    /// [`Aggregator::observe_chunk`] with explicit stream positions,
-    /// used by shard workers whose packets are a non-contiguous subset
-    /// of the stream. `metas` and `positions` run in parallel; any
-    /// length is accepted ([`attribute_metas`] chunks internally).
-    fn observe_chunk_at(&mut self, metas: &[PacketMeta], positions: &[u64]) {
-        debug_assert_eq!(metas.len(), positions.len());
-        // Batched attribution through the shared helper: every chunk's
-        // lookups issue before any result is consumed. Out-of-window
-        // packets are attributed too — their result is simply never
-        // read, so the reject accounting below is unchanged.
         let mut routes = std::mem::take(&mut self.route_scratch);
         attribute_metas(self.table.get(), metas, &mut routes);
-        for ((meta, &route), &position) in metas.iter().zip(routes.iter()).zip(positions) {
-            self.apply(meta, route, position);
+        for (meta, &route) in metas.iter().zip(routes.iter()) {
+            // Window before routability, as in `observe`: the order
+            // fixes which reject bucket a doubly-bad packet lands in.
+            self.stats.offered += 1;
+            match self.interval_of(meta.ts_ns) {
+                Some(interval) => self.bin(meta, route, interval),
+                None => self.stats.out_of_window += 1,
+            }
         }
         self.route_scratch = routes;
-    }
-
-    /// [`Aggregator::observe`] with an explicit stream position, used
-    /// by shard workers whose packets are a non-contiguous subset of
-    /// the stream. Unlike the batched path, the lookup runs only for
-    /// in-window packets — a rejected packet costs no table access.
-    #[inline]
-    fn observe_at(&mut self, meta: &PacketMeta, position: u64) {
-        self.stats.offered += 1;
-        let Some(interval) = self.interval_of(meta.ts_ns) else {
-            self.stats.out_of_window += 1;
-            return;
-        };
-        let route = self.table.get().attribute_id(u32::from(meta.dst));
-        self.bin(meta, route, interval, position);
-    }
-
-    /// Account one packet whose attribution has already been resolved:
-    /// the batched path's tail. The check order (window before
-    /// routability) fixes which reject bucket a doubly-bad packet lands
-    /// in; both observe paths agree on it, keeping parallel output
-    /// byte-identical to serial.
-    #[inline]
-    fn apply(&mut self, meta: &PacketMeta, route: Option<RouteId>, position: u64) {
-        self.stats.offered += 1;
-        let Some(interval) = self.interval_of(meta.ts_ns) else {
-            self.stats.out_of_window += 1;
-            return;
-        };
-        self.bin(meta, route, interval, position);
     }
 
     /// The interval containing `ts_ns`, if inside the configured window.
@@ -432,7 +374,7 @@ impl<'t> Aggregator<'t> {
     /// Bin one in-window packet under its route (or count it
     /// unroutable): the shared tail of both observe paths.
     #[inline]
-    fn bin(&mut self, meta: &PacketMeta, route: Option<RouteId>, interval: usize, position: u64) {
+    fn bin(&mut self, meta: &PacketMeta, route: Option<RouteId>, interval: usize) {
         let Some(route) = route else {
             self.stats.unroutable += 1;
             return;
@@ -440,7 +382,6 @@ impl<'t> Aggregator<'t> {
         let (key, newly_assigned) = self.keys.key_for(route);
         if newly_assigned {
             self.key_routes.push(route);
-            self.key_first.push(position);
         }
         let row = &mut self.rows[interval];
         if key as usize >= row.len() {
@@ -479,62 +420,6 @@ impl<'t> Aggregator<'t> {
         let matrix = matrix_from_rows(self.interval_secs, self.start_unix, keys, &self.rows);
         (matrix, self.stats)
     }
-
-    /// Decompose into shard-merge parts.
-    fn into_parts(self) -> ShardParts {
-        ShardParts {
-            key_routes: self.key_routes,
-            key_first: self.key_first,
-            rows: self.rows,
-            stats: self.stats,
-        }
-    }
-}
-
-/// Reusable decode buffer feeding [`Aggregator::observe_chunk_at`].
-///
-/// Shared by the serial pcap loop and the parallel shard workers so
-/// their buffer/flush behaviour cannot diverge — the byte-identical
-/// parallel output depends on both paths accounting stream positions
-/// the same way.
-struct ChunkBuffer {
-    metas: Vec<PacketMeta>,
-    positions: Vec<u64>,
-}
-
-impl ChunkBuffer {
-    fn new() -> Self {
-        ChunkBuffer {
-            metas: Vec::with_capacity(ATTRIBUTION_CHUNK),
-            positions: Vec::with_capacity(ATTRIBUTION_CHUNK),
-        }
-    }
-
-    /// Buffer one parsed packet at its stream position, flushing to
-    /// `agg` whenever a full attribution chunk has accumulated.
-    #[inline]
-    fn push(&mut self, agg: &mut Aggregator<'_>, meta: PacketMeta, position: u64) {
-        self.metas.push(meta);
-        self.positions.push(position);
-        if self.metas.len() == ATTRIBUTION_CHUNK {
-            self.flush(agg);
-        }
-    }
-
-    /// Flush buffered packets (if any) to `agg`.
-    fn flush(&mut self, agg: &mut Aggregator<'_>) {
-        agg.observe_chunk_at(&self.metas, &self.positions);
-        self.metas.clear();
-        self.positions.clear();
-    }
-}
-
-/// One shard's accumulation state, ready for merging.
-struct ShardParts {
-    key_routes: Vec<RouteId>,
-    key_first: Vec<u64>,
-    rows: Vec<Vec<u64>>,
-    stats: AggregatorStats,
 }
 
 /// Dense byte rows → sparse bandwidth matrix. Entries that accumulated
@@ -577,9 +462,8 @@ pub fn aggregate_pcap<R: Read>(
     )
 }
 
-/// [`aggregate_pcap`] against an already-frozen table — the serial
-/// steady-state form when one RIB serves many captures (mirrors
-/// [`aggregate_pcap_parallel_frozen`]).
+/// [`aggregate_pcap`] against an already-frozen table — the
+/// steady-state form when one RIB serves many captures.
 pub fn aggregate_pcap_frozen<R: Read>(
     input: R,
     frozen: &FrozenBgpTable,
@@ -600,283 +484,26 @@ fn aggregate_pcap_with<R: Read>(
 ) -> eleph_packet::Result<(BandwidthMatrix, AggregatorStats)> {
     let mut reader = PcapReader::new(input)?;
     let link = LinkType::from_code(reader.header().linktype)?;
-    // Decode into meta chunks and batch-attribute them. Stream
-    // positions count every record (including malformed ones, which are
-    // rejected immediately), exactly as the one-at-a-time path did.
-    let mut chunk = ChunkBuffer::new();
-    let mut position: u64 = 0;
+    // Decode into meta chunks and batch-attribute them; a malformed
+    // record is rejected on the spot.
+    let mut chunk: Vec<PacketMeta> = Vec::with_capacity(ATTRIBUTION_CHUNK);
     while let Some((head, bytes)) = reader.next_record_ref()? {
         match parse_buf_meta(link, bytes, &head) {
-            Ok(meta) => chunk.push(&mut agg, meta, position),
+            Ok(meta) => {
+                chunk.push(meta);
+                if chunk.len() == ATTRIBUTION_CHUNK {
+                    agg.observe_chunk(&chunk);
+                    chunk.clear();
+                }
+            }
             Err(_) => {
                 agg.stats.offered += 1;
                 agg.stats.malformed += 1;
             }
         }
-        position += 1;
     }
-    chunk.flush(&mut agg);
+    agg.observe_chunk(&chunk);
     Ok(agg.finish())
-}
-
-/// Records per batch sent from the scanner to the worker pool. At
-/// typical backbone packet sizes one batch is a couple of MiB of
-/// capture — coarse enough that channel traffic is negligible, fine
-/// enough that the pool load-balances.
-const PARALLEL_BATCH: usize = 4096;
-
-/// One unit of scanner → worker work: the batch's starting stream
-/// position and its record slices (borrowed from the capture buffer).
-type Batch<'p> = (u64, Vec<(RecordHeader, &'p [u8])>);
-
-/// [`aggregate_pcap`] across worker threads.
-///
-/// The capture is processed as a pipeline: this thread scans the
-/// in-memory capture into zero-copy record batches ([`PcapSlice`])
-/// while a helper thread freezes the table and then fans the batches
-/// out to a worker pool; each worker aggregates its batches against
-/// the shared frozen table, and shard results are merged at the end.
-/// Scanning, freezing and packet parsing all overlap.
-///
-/// The merge reconstructs the global first-seen key order from each
-/// shard's recorded first-touch stream positions, so the returned
-/// matrix and statistics are **byte-identical** to the serial path on
-/// the same input (asserted by the pipeline-equivalence tests): byte
-/// counts are exact `u64` sums whichever thread they land on, and the
-/// bytes→rate float conversion happens once, after merging.
-///
-/// `threads == 0` selects the available hardware parallelism. The
-/// capture must be in memory (or memory-mapped) for splitting; use the
-/// streaming serial [`aggregate_pcap`] when that is unacceptable. When
-/// aggregating many captures against one table, freeze it once and call
-/// [`aggregate_pcap_parallel_frozen`].
-pub fn aggregate_pcap_parallel(
-    pcap: &[u8],
-    table: &BgpTable,
-    interval_secs: u64,
-    start_unix: u64,
-    n_intervals: usize,
-    threads: usize,
-) -> eleph_packet::Result<(BandwidthMatrix, AggregatorStats)> {
-    aggregate_parallel_impl(
-        pcap,
-        TableSource::Live(table),
-        interval_secs,
-        start_unix,
-        n_intervals,
-        threads,
-    )
-}
-
-/// [`aggregate_pcap_parallel`] against an already-frozen table — the
-/// steady-state form when one RIB serves many captures (or one capture
-/// per measurement interval).
-pub fn aggregate_pcap_parallel_frozen(
-    pcap: &[u8],
-    frozen: &FrozenBgpTable,
-    interval_secs: u64,
-    start_unix: u64,
-    n_intervals: usize,
-    threads: usize,
-) -> eleph_packet::Result<(BandwidthMatrix, AggregatorStats)> {
-    aggregate_parallel_impl(
-        pcap,
-        TableSource::Frozen(frozen),
-        interval_secs,
-        start_unix,
-        n_intervals,
-        threads,
-    )
-}
-
-/// Where the frozen attribution table comes from.
-#[derive(Clone, Copy)]
-enum TableSource<'a> {
-    /// Freeze this live table (overlapped with the record scan).
-    Live(&'a BgpTable),
-    /// Use an existing freeze.
-    Frozen(&'a FrozenBgpTable),
-}
-
-fn aggregate_parallel_impl(
-    pcap: &[u8],
-    source: TableSource<'_>,
-    interval_secs: u64,
-    start_unix: u64,
-    n_intervals: usize,
-    threads: usize,
-) -> eleph_packet::Result<(BandwidthMatrix, AggregatorStats)> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads.max(1)
-    };
-
-    let mut cursor = PcapSlice::new(pcap)?;
-    let link = LinkType::from_code(cursor.header().linktype)?;
-
-    // A frozen reference usable after the scope (the Live case instead
-    // moves its freshly-built table out of the driver thread).
-    let caller_frozen = match source {
-        TableSource::Frozen(f) => Some(f),
-        TableSource::Live(_) => None,
-    };
-
-    let (tx, rx) = std::sync::mpsc::channel::<Batch<'_>>();
-    let rx = std::sync::Mutex::new(rx);
-
-    let ((frozen_owned, shards), scan_result) = std::thread::scope(|scope| {
-        // Driver thread: freeze (if needed), then run the worker pool
-        // against the batch channel. Meanwhile this thread scans.
-        let rx = &rx;
-        let driver = scope.spawn(move || {
-            let frozen_owned = match source {
-                TableSource::Live(table) => Some(table.freeze()),
-                TableSource::Frozen(_) => None,
-            };
-            let frozen: &FrozenBgpTable = match source {
-                TableSource::Live(_) => frozen_owned.as_ref().expect("just frozen"),
-                TableSource::Frozen(f) => f,
-            };
-            let shards: Vec<ShardParts> = std::thread::scope(|pool| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        pool.spawn(move || {
-                            let mut agg = Aggregator::with_frozen(
-                                frozen,
-                                interval_secs,
-                                start_unix,
-                                n_intervals,
-                            );
-                            let mut chunk = ChunkBuffer::new();
-                            loop {
-                                // Hold the lock only to pull a batch.
-                                let batch = rx.lock().expect("receiver lock").recv();
-                                let Ok((start, records)) = batch else {
-                                    break; // scanner done and channel drained
-                                };
-                                // Decode into meta chunks and batch-attribute,
-                                // flushing at the batch boundary.
-                                for (i, (head, data)) in records.iter().enumerate() {
-                                    match parse_buf_meta(link, data, head) {
-                                        Ok(meta) => {
-                                            chunk.push(&mut agg, meta, start + i as u64)
-                                        }
-                                        Err(_) => {
-                                            agg.stats.offered += 1;
-                                            agg.stats.malformed += 1;
-                                        }
-                                    }
-                                }
-                                chunk.flush(&mut agg);
-                            }
-                            agg.into_parts()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard aggregation does not panic"))
-                    .collect()
-            });
-            (frozen_owned, shards)
-        });
-
-        // Scanner: batch up record slices with the two-cursor
-        // scan-ahead walk ([`PcapSlice::next_batch`]), which keeps the
-        // dependent header chain out of cold memory. A structural error
-        // aborts the scan (as in the serial path); already-sent batches
-        // are drained by the workers and discarded with the error below.
-        let scan = (|| -> eleph_packet::Result<()> {
-            let mut position: u64 = 0;
-            loop {
-                let mut batch: Vec<(RecordHeader, &[u8])> = Vec::with_capacity(PARALLEL_BATCH);
-                let n = cursor.next_batch(PARALLEL_BATCH, &mut batch)?;
-                if n == 0 {
-                    break;
-                }
-                let _ = tx.send((position, batch));
-                position += n as u64;
-            }
-            Ok(())
-        })();
-        drop(tx); // close the channel: workers drain and exit
-
-        (driver.join().expect("driver does not panic"), scan)
-    });
-    scan_result?;
-    let frozen = frozen_owned
-        .as_ref()
-        .or(caller_frozen)
-        .expect("one table source is always present");
-
-    Ok(merge_shards(
-        shards,
-        frozen,
-        interval_secs,
-        start_unix,
-        n_intervals,
-    ))
-}
-
-/// Merge shard accumulations into the final matrix.
-///
-/// Keys are ordered by the *global* stream position at which any shard
-/// first saw their route — exactly the serial first-seen order, however
-/// the records were partitioned. Byte counts are exact integer sums, so
-/// the result is bit-identical to serial aggregation.
-fn merge_shards(
-    shards: Vec<ShardParts>,
-    frozen: &FrozenBgpTable,
-    interval_secs: u64,
-    start_unix: u64,
-    n_intervals: usize,
-) -> (BandwidthMatrix, AggregatorStats) {
-    let n_routes = frozen.len();
-    // Earliest first-touch position per route across shards.
-    let mut first_seen: Vec<u64> = vec![u64::MAX; n_routes];
-    let mut stats = AggregatorStats::default();
-    for shard in &shards {
-        for (local, &route) in shard.key_routes.iter().enumerate() {
-            let at = shard.key_first[local];
-            if at < first_seen[route as usize] {
-                first_seen[route as usize] = at;
-            }
-        }
-        stats.merge(&shard.stats);
-    }
-
-    // Global key order: routes sorted by first touch.
-    let mut order: Vec<(u64, RouteId)> = first_seen
-        .iter()
-        .enumerate()
-        .filter(|&(_, &at)| at != u64::MAX)
-        .map(|(route, &at)| (at, route as RouteId))
-        .collect();
-    order.sort_unstable();
-    let mut route_to_key: Vec<KeyId> = vec![NO_KEY; n_routes];
-    let mut keys: Vec<Prefix> = Vec::with_capacity(order.len());
-    for (key, &(_, route)) in order.iter().enumerate() {
-        route_to_key[route as usize] = key as KeyId;
-        keys.push(frozen.prefix(route));
-    }
-
-    let mut rows: Vec<Vec<u64>> = vec![vec![0u64; keys.len()]; n_intervals];
-    for shard in &shards {
-        for (interval, shard_row) in shard.rows.iter().enumerate() {
-            let row = &mut rows[interval];
-            for (local, &bytes) in shard_row.iter().enumerate() {
-                if bytes == 0 {
-                    continue;
-                }
-                let key = route_to_key[shard.key_routes[local] as usize];
-                row[key as usize] += bytes;
-            }
-        }
-    }
-
-    let matrix = matrix_from_rows(interval_secs, start_unix, keys, &rows);
-    (matrix, stats)
 }
 
 #[cfg(test)]
@@ -1033,64 +660,6 @@ mod tests {
         assert_eq!(stats.malformed, 1);
         assert!(stats.is_conserved());
         assert_eq!(m.n_keys(), 1);
-    }
-
-    #[test]
-    fn parallel_path_matches_serial_exactly() {
-        use eleph_packet::pcap::PcapWriter;
-        let t = table();
-        let mut buf = Vec::new();
-        let mut w = PcapWriter::new(&mut buf, LinkType::RawIp.code()).unwrap();
-        // A little stream mixing both prefixes, malformed records, and
-        // all three intervals; /16 traffic appears before /8 so the
-        // merge must also preserve first-seen key order across shards.
-        for i in 0..40u64 {
-            let dst = if i % 3 == 0 {
-                Ipv4Addr::new(10, 1, 0, (i % 256) as u8)
-            } else {
-                Ipv4Addr::new(10, 2, 0, (i % 256) as u8)
-            };
-            let pkt = PacketBuilder::udp()
-                .src(Ipv4Addr::new(198, 18, 0, 1), 9)
-                .dst(dst, 53)
-                .payload_len((i * 13 % 700) as usize)
-                .build_ipv4();
-            w.write_record(i * 700_000_000, pkt.len() as u32, &pkt).unwrap();
-            if i % 11 == 0 {
-                w.write_record(i * 700_000_000, 4, &[1, 2, 3, 4]).unwrap();
-            }
-        }
-        w.finish().unwrap();
-
-        let (sm, ss) = aggregate_pcap(&buf[..], &t, 10, 0, 3).unwrap();
-        for threads in [1, 2, 3, 7, 64] {
-            let (pm, ps) = aggregate_pcap_parallel(&buf[..], &t, 10, 0, 3, threads).unwrap();
-            assert_eq!(ss, ps, "{threads} threads: stats diverge");
-            assert_eq!(sm.n_keys(), pm.n_keys());
-            for k in 0..sm.n_keys() as KeyId {
-                assert_eq!(sm.key(k), pm.key(k), "{threads} threads: key order diverges");
-            }
-            for n in 0..sm.n_intervals() {
-                assert_eq!(
-                    sm.interval(n),
-                    pm.interval(n),
-                    "{threads} threads: interval {n} diverges"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_path_empty_stream() {
-        use eleph_packet::pcap::PcapWriter;
-        let t = table();
-        let mut buf = Vec::new();
-        let w = PcapWriter::new(&mut buf, LinkType::RawIp.code()).unwrap();
-        w.finish().unwrap();
-        let (m, stats) = aggregate_pcap_parallel(&buf[..], &t, 10, 0, 2, 0).unwrap();
-        assert_eq!(stats.offered, 0);
-        assert_eq!(m.n_keys(), 0);
-        assert_eq!(m.n_intervals(), 2);
     }
 
     #[test]

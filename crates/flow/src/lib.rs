@@ -23,12 +23,9 @@
 //!   lookup, which overlaps lookup cache misses across the chunk
 //!   (single-packet [`Aggregator::observe`] pays one dependent miss per
 //!   packet); both forms produce identical output;
-//! * [`aggregate_pcap`] — drive an [`Aggregator`] from a capture file
-//!   (chunked decode + batched attribution internally);
-//! * [`aggregate_pcap_parallel`] — the sharded multi-thread form, with
-//!   output byte-identical to the serial path; its record scan uses the
-//!   two-cursor scan-ahead walk (`eleph_packet::pcap::PcapSlice::next_batch`)
-//!   so shard splitting is not memory-latency-bound;
+//! * [`aggregate_pcap`] / [`aggregate_pcap_frozen`] — drive an
+//!   [`Aggregator`] from a capture stream (chunked decode + batched
+//!   attribution internally);
 //! * [`busiest_window`] — locate the paper's "five hour busy period".
 
 #![forbid(unsafe_code)]
@@ -40,8 +37,7 @@ mod shard;
 mod window;
 
 pub use aggregate::{
-    aggregate_pcap, aggregate_pcap_frozen, aggregate_pcap_parallel,
-    aggregate_pcap_parallel_frozen, attribute_metas, window_bounds_ns, Aggregator,
+    aggregate_pcap, aggregate_pcap_frozen, attribute_metas, window_bounds_ns, Aggregator,
     AggregatorStats, FrozenTableRef, KeyAllocator, ATTRIBUTION_CHUNK, NO_KEY,
 };
 pub use matrix::{BandwidthMatrix, IntervalView, KeyId};

@@ -5,8 +5,8 @@ use crate::{Lpm, Prefix};
 
 /// A path-compressed binary radix trie.
 ///
-/// Unlike [`crate::TrieLpm`], chains of single-child internal nodes are
-/// collapsed: every node stores the full prefix it represents, and every
+/// Unlike a one-bit-per-level trie, chains of single-child internal nodes
+/// are collapsed: every node stores the full prefix it represents, and every
 /// *valueless* node has exactly two children. With a backbone-sized table
 /// (~10⁵ prefixes) this roughly halves memory and lookup depth, which is
 /// why it is the default table used by the flow-aggregation pipeline.

@@ -9,15 +9,13 @@
 //! * [`Prefix`] — a canonical IPv4 CIDR prefix (`10.0.0.0/8`), with the set
 //!   algebra (containment, overlap, parent/children) the rest of the system
 //!   builds on;
-//! * [`Lpm`] — the longest-prefix-match interface, with four interchangeable
-//!   updatable implementations:
-//!   [`LinearLpm`] (naive reference used as a test oracle),
-//!   [`TrieLpm`] (one-bit-per-level binary trie),
-//!   [`CompressedTrieLpm`] (path-compressed radix trie, the updatable
-//!   default), and [`PerLengthLpm`] (one hash map per prefix length,
-//!   searched longest-first);
+//! * [`Lpm`] — the longest-prefix-match interface, with two updatable
+//!   implementations: [`LinearLpm`] (naive reference used as a test
+//!   oracle) and [`CompressedTrieLpm`] (path-compressed radix trie, the
+//!   mutable builder);
 //! * [`FlatLpm`] — a frozen, DIR-24-8-style flat-array table built once
-//!   from any of the above; the read path of the packet pipeline;
+//!   from a route list or a trie; the read path of the packet pipeline
+//!   ([`EpochLpm`] is its copy-on-write form for live route churn);
 //! * [`PrefixSet`] — an aggregating set of prefixes (used for RIB synthesis
 //!   and the prefix-length analysis of the paper's §III).
 //!
@@ -28,9 +26,7 @@
 //! | backend | build cost | update | lookup cost | memory | use when |
 //! |---|---|---|---|---|---|
 //! | [`LinearLpm`] | O(1)/insert | yes | O(n) scan | ~n | test oracle only |
-//! | [`TrieLpm`] | O(len)/insert | yes | up to 32 node hops | node per bit | didactic baseline |
 //! | [`CompressedTrieLpm`] | O(len)/insert | yes | ≤ nesting-depth hops | node per entry | the *updatable* RIB: streaming route churn |
-//! | [`PerLengthLpm`] | O(1)/insert | yes | ≤ 33 hash probes | map per length | batch jobs dominated by inserts |
 //! | [`FlatLpm`] | O(n + painted range) freeze | **no** (rebuild) | **O(1), ≤ 2 dependent reads** | 64 MiB + 1 KiB per spilled /24 | the *read* path: per-packet attribution at line rate |
 //!
 //! The intended production shape mirrors a router's RIB/FIB split: keep
@@ -92,20 +88,16 @@ pub mod epoch;
 mod error;
 mod flat;
 mod linear;
-mod perlength;
 mod prefix;
 mod set;
-mod trie;
 
 pub use compressed::CompressedTrieLpm;
 pub use epoch::{Applied, EpochLpm, LpmDelta, LpmSnapshot};
 pub use error::PrefixError;
 pub use flat::{rib_order, FlatLpm};
 pub use linear::LinearLpm;
-pub use perlength::PerLengthLpm;
 pub use prefix::Prefix;
 pub use set::PrefixSet;
-pub use trie::TrieLpm;
 
 use std::net::Ipv4Addr;
 

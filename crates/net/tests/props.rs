@@ -3,8 +3,7 @@
 //! random prefixes.
 
 use eleph_net::{
-    CompressedTrieLpm, EpochLpm, FlatLpm, LinearLpm, Lpm, LpmDelta, PerLengthLpm, Prefix,
-    PrefixSet, TrieLpm,
+    CompressedTrieLpm, EpochLpm, FlatLpm, LinearLpm, Lpm, LpmDelta, Prefix, PrefixSet,
 };
 use proptest::prelude::*;
 
@@ -64,59 +63,41 @@ proptest! {
     #[test]
     fn all_lpm_impls_agree_with_linear(entries in arb_table(), queries in prop::collection::vec(any::<u32>(), 0..64)) {
         let mut linear = LinearLpm::new();
-        let mut trie = TrieLpm::new();
         let mut compressed = CompressedTrieLpm::new();
-        let mut perlen = PerLengthLpm::new();
         for (p, v) in &entries {
             linear.insert(*p, *v);
-            trie.insert(*p, *v);
             compressed.insert(*p, *v);
-            perlen.insert(*p, *v);
         }
-        prop_assert_eq!(trie.len(), linear.len());
         prop_assert_eq!(compressed.len(), linear.len());
-        prop_assert_eq!(perlen.len(), linear.len());
 
         // Probe random addresses plus each entry's own network address
         // (guaranteed hits).
         let extra: Vec<u32> = entries.iter().map(|(p, _)| p.bits()).collect();
         for addr in queries.iter().chain(extra.iter()) {
             let want = linear.lookup(*addr).map(|(p, v)| (p, *v));
-            prop_assert_eq!(trie.lookup(*addr).map(|(p, v)| (p, *v)), want);
             prop_assert_eq!(compressed.lookup(*addr).map(|(p, v)| (p, *v)), want);
-            prop_assert_eq!(perlen.lookup(*addr).map(|(p, v)| (p, *v)), want);
         }
     }
 
     #[test]
     fn lpm_impls_agree_after_removals(entries in arb_table(), removals in prop::collection::vec(any::<prop::sample::Index>(), 0..16), queries in prop::collection::vec(any::<u32>(), 0..32)) {
         let mut linear = LinearLpm::new();
-        let mut trie = TrieLpm::new();
         let mut compressed = CompressedTrieLpm::new();
-        let mut perlen = PerLengthLpm::new();
         for (p, v) in &entries {
             linear.insert(*p, *v);
-            trie.insert(*p, *v);
             compressed.insert(*p, *v);
-            perlen.insert(*p, *v);
         }
         if !entries.is_empty() {
             for idx in removals {
                 let (p, _) = entries[idx.index(entries.len())];
                 let want = linear.remove(p);
-                prop_assert_eq!(trie.remove(p), want);
                 prop_assert_eq!(compressed.remove(p), want);
-                prop_assert_eq!(perlen.remove(p), want);
             }
         }
-        prop_assert_eq!(trie.len(), linear.len());
         prop_assert_eq!(compressed.len(), linear.len());
-        prop_assert_eq!(perlen.len(), linear.len());
         for addr in &queries {
             let want = linear.lookup(*addr).map(|(p, v)| (p, *v));
-            prop_assert_eq!(trie.lookup(*addr).map(|(p, v)| (p, *v)), want);
             prop_assert_eq!(compressed.lookup(*addr).map(|(p, v)| (p, *v)), want);
-            prop_assert_eq!(perlen.lookup(*addr).map(|(p, v)| (p, *v)), want);
         }
     }
 

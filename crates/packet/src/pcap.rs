@@ -368,9 +368,8 @@ impl<R: Read> Iterator for PcapReader<R> {
 ///
 /// Where [`PcapReader`] lends each record out of its own block until
 /// the next call, `PcapSlice` hands back sub-slices of the input buffer
-/// that live as long as it does. This is what lets aggregation shard
-/// one capture across threads: every worker reads records straight out
-/// of the shared buffer.
+/// that live as long as it does, so records can be read straight out
+/// of a shared buffer.
 #[derive(Debug, Clone)]
 pub struct PcapSlice<'a> {
     data: &'a [u8],
@@ -402,8 +401,18 @@ impl<'a> PcapSlice<'a> {
         self.pos
     }
 
-    /// Decode up to `max` records into `out` (appended), returning how
-    /// many were decoded; fewer than `max` means clean end-of-input.
+    /// Decode up to `max` records, appending each as its header and the
+    /// byte *span* (offsets into the input buffer) of its captured
+    /// bytes; returns how many were decoded, fewer than `max` meaning
+    /// clean end-of-input.
+    ///
+    /// Spans are what cross threads: a slice borrow ties a record to
+    /// the cursor's lifetime, but a `(header, offset range)` pair is
+    /// `'static` — a framer thread can scan ahead over a shared
+    /// (`Arc`ed) capture and hand record spans to parser threads, each
+    /// of which resolves its spans against its own clone of the buffer.
+    /// No record bytes are copied at any point (see
+    /// [`crate::pool::PooledReader`]).
     ///
     /// This is the two-cursor form of the scan: a *scan-ahead* cursor
     /// walks the raw bytes roughly [`SCAN_AHEAD_BYTES`] in front of the
@@ -412,53 +421,14 @@ impl<'a> PcapSlice<'a> {
     /// walk itself is a dependent chain (each record's offset comes from
     /// the previous record's captured length), so a cold miss on every
     /// header serialises the whole scan — warming the lines ahead of
-    /// the chain is what keeps the shard-splitting pass of
-    /// `eleph_flow::aggregate_pcap_parallel` off the memory-latency
-    /// floor. With the `prefetch` cargo feature the touches are real
-    /// `prefetcht0` hints; without it they are forced one-byte reads,
-    /// which the out-of-order window hides almost as well.
+    /// the chain keeps the framer off the memory-latency floor. With
+    /// the `prefetch` cargo feature the touches are real `prefetcht0`
+    /// hints; without it they are forced one-byte reads, which the
+    /// out-of-order window hides almost as well.
     ///
     /// Errors abort the batch exactly like [`PcapSlice::next_record`]:
-    /// records already appended to `out` are valid, the cursor stops at
+    /// spans already appended to `out` are valid, the cursor stops at
     /// the damaged record.
-    pub fn next_batch(
-        &mut self,
-        max: usize,
-        out: &mut Vec<(RecordHeader, &'a [u8])>,
-    ) -> Result<usize> {
-        let mut touched = self.pos;
-        let mut n = 0;
-        while n < max {
-            let target = (self.pos + SCAN_AHEAD_BYTES).min(self.data.len());
-            while touched < target {
-                touch_ahead(&self.data[touched]);
-                touched += CACHE_LINE;
-            }
-            match self.next_record()? {
-                Some(rec) => {
-                    out.push(rec);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(n)
-    }
-
-    /// [`PcapSlice::next_batch`] yielding byte *spans* (offsets into the
-    /// input buffer) instead of borrowed sub-slices.
-    ///
-    /// Spans are what cross threads: a slice borrow ties the batch to
-    /// the cursor's lifetime, but a `(header, offset range)` pair is
-    /// `'static` — a framer thread can scan ahead over a shared
-    /// (`Arc`ed) capture and hand record spans to parser threads, each
-    /// of which resolves its spans against its own clone of the buffer.
-    /// No record bytes are copied at any point (see
-    /// [`crate::pool::PooledReader`]).
-    ///
-    /// Same scan-ahead warming and same error contract as
-    /// [`PcapSlice::next_batch`]: spans already appended to `out` are
-    /// valid, the cursor stops at the damaged record.
     pub fn next_batch_spans(
         &mut self,
         max: usize,
@@ -514,7 +484,7 @@ impl<'a> PcapSlice<'a> {
     }
 }
 
-/// How far the scan-ahead cursor of [`PcapSlice::next_batch`] runs in
+/// How far the scan-ahead cursor of [`PcapSlice::next_batch_spans`] runs in
 /// front of the decode position. A few records' worth: far enough that
 /// the touched lines arrive before the consume cursor needs them, near
 /// enough not to thrash the L1.
@@ -970,9 +940,9 @@ mod tests {
         for batch_size in [1usize, 7, 64, 1000] {
             let mut single = PcapSlice::new(&buf[..]).unwrap();
             let mut batched = PcapSlice::new(&buf[..]).unwrap();
-            let mut got: Vec<(RecordHeader, &[u8])> = Vec::new();
+            let mut got = Vec::new();
             loop {
-                let n = batched.next_batch(batch_size, &mut got).unwrap();
+                let n = batched.next_batch_spans(batch_size, &mut got).unwrap();
                 if n < batch_size {
                     break;
                 }
@@ -980,7 +950,8 @@ mod tests {
             assert_eq!(batched.position(), buf.len());
             let mut i = 0;
             while let Some((head, data)) = single.next_record().unwrap() {
-                assert_eq!(got[i], (head, data), "batch {batch_size}, record {i}");
+                let (got_head, span) = got[i].clone();
+                assert_eq!((got_head, &buf[span]), (head, data), "batch {batch_size}, record {i}");
                 i += 1;
             }
             assert_eq!(got.len(), i, "batch {batch_size}");
@@ -997,10 +968,10 @@ mod tests {
         buf.truncate(buf.len() - 2); // cut the second record's body
         let mut cursor = PcapSlice::new(&buf[..]).unwrap();
         let mut out = Vec::new();
-        assert!(cursor.next_batch(16, &mut out).is_err());
+        assert!(cursor.next_batch_spans(16, &mut out).is_err());
         // The valid prefix was still decoded.
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1, &[1, 2, 3, 4]);
+        assert_eq!(&buf[out[0].1.clone()], &[1, 2, 3, 4]);
     }
 
     #[test]

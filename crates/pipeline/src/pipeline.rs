@@ -618,6 +618,11 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
         // state either restores directly or partitions onto fresh
         // workers. Sketch checkpoints restore onto the one backend kind
         // (and geometry) they were exported from.
+        let (gamma, scheme, n_keys) = (self.gamma, self.scheme, ckpt.keys.len());
+        let classifier = |detector: D| {
+            OnlineClassifier::from_state(detector, gamma, scheme, n_keys, ckpt.state.clone())
+                .map_err(CheckpointError::State)
+        };
         let engine = match self.state.build() {
             Some(mut backend) => {
                 assert_eq!(
@@ -627,48 +632,30 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
                 );
                 let (_, payload) = ckpt.sketch.as_ref().expect("kind check passed for a sketch");
                 backend.restore_sketch(payload).map_err(CheckpointError::State)?;
-                let classifier = OnlineClassifier::from_state(
-                    self.detector,
-                    self.gamma,
-                    self.scheme,
-                    ckpt.state.clone(),
-                )
-                .map_err(CheckpointError::State)?;
                 Engine::Sketch {
-                    classifier,
+                    classifier: classifier(self.detector)?,
                     backend,
                     snapshot: Vec::new(),
                 }
             }
-            None if self.shards == 0 => {
-                // Rebuild (and validate) the open interval's dense byte
-                // row.
-                let state = ExactDense::from_checkpoint_row(ckpt.keys.len(), &ckpt.row)
+            None => {
+                // Rebuild the open interval's dense byte row, which
+                // validates it against the key table; a sharded engine
+                // re-splits the sparse pairs and only needs the verdict.
+                let state = ExactDense::from_checkpoint_row(n_keys, &ckpt.row)
                     .map_err(CheckpointError::State)?;
-                let classifier = OnlineClassifier::from_state(
-                    self.detector,
-                    self.gamma,
-                    self.scheme,
-                    ckpt.state.clone(),
-                )
-                .map_err(CheckpointError::State)?;
-                Engine::Serial {
-                    classifier,
-                    state,
-                    snapshot: Vec::new(),
+                if self.shards == 0 {
+                    Engine::Serial {
+                        classifier: classifier(self.detector)?,
+                        state,
+                        snapshot: Vec::new(),
+                    }
+                } else {
+                    ShardEngine::resume(self.detector, gamma, scheme, self.shards, secs, ckpt)
+                        .map(Engine::Sharded)
+                        .map_err(CheckpointError::State)?
                 }
             }
-            None => ShardEngine::resume(
-                self.detector,
-                self.gamma,
-                self.scheme,
-                self.shards,
-                secs,
-                &ckpt.state,
-                &ckpt.row,
-            )
-            .map(Engine::Sharded)
-            .map_err(CheckpointError::State)?,
         };
         let (start_ns, interval_ns) =
             eleph_flow::window_bounds_ns(self.interval_secs, self.start_unix);
@@ -1539,6 +1526,74 @@ mod tests {
                 assert_eq!(a.threshold.to_bits(), b.threshold.to_bits());
                 assert_eq!(a.elephant_load.to_bits(), b.elephant_load.to_bits());
                 assert_eq!(a.total_load.to_bits(), b.total_load.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoint_key_ids_beyond_the_key_table_are_refused() {
+        // Dense per-key state is sized by the largest key id, so an id a
+        // checkpoint merely claims must be refused by validation, which
+        // runs before any engine is built: `u32::MAX` would otherwise
+        // ask for 48 GiB. Hysteresis at window 1 fills all three key
+        // lists of the classifier state; the image is re-encoded, so
+        // its CRC is valid and only the state check can object.
+        // Interval 0 sealed with both keys active, interval 1 open.
+        let metas = [
+            meta([10, 1, 0, 1], 1000, 900),
+            meta([10, 2, 0, 1], 1001, 700),
+            meta([10, 2, 0, 1], 1011, 100),
+        ];
+        let scheme = Scheme::Hysteresis { enter: 1.0, exit: 0.5 };
+        let t = table();
+        let builder = |shards: usize, state: StateBackendConfig| {
+            PipelineBuilder::new()
+                .table(&t)
+                .interval_secs(10)
+                .start_unix(1000)
+                .n_intervals(3)
+                .scheme(scheme)
+                .shards(shards)
+                .state_backend(state)
+        };
+        let sketch = StateBackendConfig::SpaceSaving { budget_bytes: 65_536 };
+        for (shards, state) in [
+            (0, StateBackendConfig::Exact),
+            (0, sketch),
+            (2, StateBackendConfig::Exact),
+        ] {
+            let mut p = builder(shards, state).build();
+            p.observe_chunk(&metas).unwrap();
+            let mut image = Vec::new();
+            p.checkpoint(&mut image).unwrap();
+            let good = Checkpoint::read_from(&mut image.as_slice()).unwrap();
+            let n_keys = good.keys.len() as KeyId;
+            assert!(!good.state.per_key.is_empty() && !good.state.members.is_empty());
+            assert!(!good.state.history[0].1.is_empty());
+            assert!(builder(shards, state).resume(&good).is_ok());
+
+            type Plant = fn(&mut Checkpoint, KeyId);
+            let mut plants: Vec<(&str, Plant)> = vec![
+                ("per-key state", |c, id| c.state.per_key.push((id, 1.0, 1))),
+                ("history snapshot", |c, id| c.state.history[0].1.push((id, 1.0))),
+                ("membership list", |c, id| c.state.members.push(id)),
+            ];
+            if state == StateBackendConfig::Exact {
+                plants.push(("row key", |c, id| c.row.push((id, 1))));
+            }
+            for (list, plant) in plants {
+                for id in [n_keys, 1 << 28, u32::MAX] {
+                    let mut bad = good.clone();
+                    plant(&mut bad, id);
+                    let bad = Checkpoint::read_from(&mut bad.to_bytes().as_slice()).unwrap();
+                    match builder(shards, state).resume(&bad).map(|_| ()) {
+                        Err(CheckpointError::State(why)) => assert!(
+                            why.contains(list) && why.contains(&id.to_string()),
+                            "shards={shards} {list} {id}: {why}"
+                        ),
+                        other => panic!("shards={shards} {list} {id}: {other:?}"),
+                    }
+                }
             }
         }
     }

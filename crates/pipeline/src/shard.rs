@@ -58,6 +58,8 @@ use eleph_core::{
 };
 use eleph_flow::{KeyId, ShardSpec};
 
+use crate::checkpoint::Checkpoint;
+
 /// Attributed `(key, bytes)` pairs buffered on the pipeline thread
 /// before a broadcast to the workers. Large enough to amortize the
 /// channel send, small enough to keep batches cache-resident.
@@ -202,25 +204,28 @@ impl<D: ThresholdDetector> ShardEngine<D> {
         )
     }
 
-    /// Rebuild a sharded engine from a checkpointed serial state: the
-    /// classifier state is validated, partitioned onto `n_shards`
-    /// fresh parts (each part re-validating its slice plus ownership),
-    /// and the open row (ascending, nonzero — the caller has already
-    /// rebuilt and validated it) is split the same way.
+    /// Rebuild a sharded engine from a checkpoint's serial state: the
+    /// classifier state is validated against the checkpoint's key
+    /// count, partitioned onto `n_shards` fresh parts (each part
+    /// re-validating its slice plus ownership), and the open row
+    /// (ascending, nonzero — the caller has already rebuilt and
+    /// validated it) is split the same way.
     pub(crate) fn resume(
         detector: D,
         gamma: f64,
         scheme: Scheme,
         n_shards: usize,
         secs: f64,
-        state: &ClassifierState,
-        row: &[(KeyId, u64)],
+        ckpt: &Checkpoint,
     ) -> Result<Self, String> {
-        state.validate(scheme)?;
+        let (n_keys, state, row) = (ckpt.keys.len(), &ckpt.state, &ckpt.row);
+        state.validate(scheme, n_keys)?;
         let parts = partition_state(state, n_shards)
             .into_iter()
             .enumerate()
-            .map(|(s, ps)| ClassifierPart::from_state(ShardSpec::new(s, n_shards), scheme, ps))
+            .map(|(s, ps)| {
+                ClassifierPart::from_state(ShardSpec::new(s, n_shards), scheme, n_keys, ps)
+            })
             .collect::<Result<Vec<_>, _>>()?;
         let mut rows: Vec<Vec<(KeyId, u64)>> = vec![Vec::new(); n_shards];
         for &(key, bytes) in row {

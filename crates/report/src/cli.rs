@@ -50,7 +50,7 @@ impl From<io::Error> for CliError {
     }
 }
 
-fn usage<T>(message: impl Into<String>) -> Result<T, CliError> {
+pub(crate) fn usage<T>(message: impl Into<String>) -> Result<T, CliError> {
     Err(CliError::Usage(message.into()))
 }
 
@@ -70,19 +70,23 @@ impl Default for CommonOpts {
 }
 
 /// An argument list read front to back: a flag, then the value it takes.
-struct Args<'a>(std::slice::Iter<'a, String>);
+pub(crate) struct Args<'a>(std::slice::Iter<'a, String>);
 
 impl<'a> Args<'a> {
-    fn new(args: &'a [String]) -> Self {
+    pub(crate) fn new(args: &'a [String]) -> Self {
         Args(args.iter())
     }
 
-    fn flag(&mut self) -> Option<&'a str> {
+    pub(crate) fn flag(&mut self) -> Option<&'a str> {
         self.0.next().map(String::as_str)
     }
 
     /// The argument after `flag`, parsed; `what` says what the flag takes.
-    fn value<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> Result<T, CliError> {
+    pub(crate) fn value<T: std::str::FromStr>(
+        &mut self,
+        flag: &str,
+        what: &str,
+    ) -> Result<T, CliError> {
         let Some(v) = self.0.next() else {
             return usage(format!("{flag} takes {what}"));
         };

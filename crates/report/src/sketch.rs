@@ -38,6 +38,7 @@ use eleph_pipeline::{
 use eleph_stats::SetAccuracy;
 use eleph_trace::{LinkSpec, RateTrace};
 
+use crate::cli::{usage, Args, CliError};
 use crate::Scenario;
 
 /// Budgets swept by the memory-vs-accuracy frontier, bytes.
@@ -68,30 +69,32 @@ impl Default for SketchOpts {
 }
 
 impl SketchOpts {
-    fn parse(args: &[String]) -> Self {
+    /// Parse `eleph sketch` arguments; anything but the four options
+    /// with values in range is a [`CliError::Usage`].
+    fn parse(args: &[String]) -> Result<Self, CliError> {
         let mut o = SketchOpts::default();
-        let mut i = 0;
-        while i < args.len() {
-            let value = |i: &mut usize| -> &str {
-                *i += 1;
-                args.get(*i).unwrap_or_else(|| panic!("{} takes a value", args[*i - 1]))
-            };
-            match args[i].as_str() {
-                "--seed" => o.seed = value(&mut i).parse().expect("--seed takes an integer"),
-                "--scale" => o.scale = value(&mut i).parse().expect("--scale takes a float"),
-                "--intervals" => {
-                    o.intervals = value(&mut i).parse().expect("--intervals takes an integer")
+        let mut args = Args::new(args);
+        while let Some(flag) = args.flag() {
+            match flag {
+                "--seed" => o.seed = args.value(flag, "an integer")?,
+                "--scale" => o.scale = args.value(flag, "a float")?,
+                "--intervals" => o.intervals = args.value(flag, "a count")?,
+                "--budget" => o.budget = args.value(flag, "bytes")?,
+                other => {
+                    return usage(format!(
+                        "unknown argument {other}; supported: --seed N --scale F --intervals N \
+                         --budget BYTES"
+                    ))
                 }
-                "--budget" => o.budget = value(&mut i).parse().expect("--budget takes bytes"),
-                other => panic!(
-                    "unknown argument {other}; supported: --seed N --scale F --intervals N --budget BYTES"
-                ),
             }
-            i += 1;
         }
-        assert!(o.scale > 0.0 && o.scale <= 1.0, "--scale must be in (0, 1]");
-        assert!(o.intervals >= 2, "--intervals must be at least 2");
-        o
+        if !(o.scale > 0.0 && o.scale <= 1.0) {
+            return usage(format!("--scale {}: need 0 < scale <= 1", o.scale));
+        }
+        if o.intervals < 2 {
+            return usage(format!("--intervals {}: need at least 2", o.intervals));
+        }
+        Ok(o)
     }
 }
 
@@ -217,8 +220,8 @@ fn assert_exact_pinned(
 }
 
 /// Run the full harness and print the accuracy table and frontier.
-pub fn run_sketch(args: &[String]) -> io::Result<()> {
-    let opts = SketchOpts::parse(args);
+pub fn run_sketch(args: &[String]) -> Result<(), CliError> {
+    let opts = SketchOpts::parse(args)?;
     let scenario = lab_scenario(opts);
     let table: BgpTable = eleph_bgp::synth::generate(&scenario.table);
     let frozen = table.freeze();
@@ -432,7 +435,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let o = SketchOpts::parse(&args);
+        let o = SketchOpts::parse(&args).expect("valid options");
         assert_eq!(o.seed, 7);
         assert_eq!(o.scale, 0.1);
         assert_eq!(o.intervals, 4);

@@ -21,6 +21,11 @@ fn usage_errors_exit_2_without_a_panic() {
         "run --pcap c.pcap --ingest-workers 2 --fault-drop 0.1",
         "churn --storm-at soon",
         "churn --frobnicate",
+        "sketch --budget x",
+        "sketch --seed",
+        "sketch --frobnicate",
+        "sketch --scale 0",
+        "sketch --intervals 1",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_eleph"))
             .args(line.split_whitespace())

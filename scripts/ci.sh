@@ -3,11 +3,13 @@
 # trust it:
 #
 #   1. tier-1: release build + full test suite (see ROADMAP.md);
-#   2. classifier equivalence: the dense columnar engine against the
+#   2. classifier equivalence: the one window state machine against the
 #      legacy-replica oracle, classify_many against independent
-#      classify runs, and online against batch — the properties that
-#      license every classifier optimisation (already part of tier-1;
-#      re-run by name so a failure is attributed immediately);
+#      classify runs, and its three callers against each other — batch
+#      ≡ streaming ≡ coordinator + N parts, across an export/resume onto
+#      another shard count — the properties that license every
+#      classifier change (already part of tier-1; re-run by name so a
+#      failure is attributed immediately);
 #   3. streaming equivalence: the PR-4 pipeline (packets → sealing →
 #      online classification, no matrix) against aggregate_pcap +
 #      classify, bit-identical on the same capture bytes;
@@ -73,12 +75,13 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
-echo "== classifier equivalence: dense vs legacy, classify_many vs classify, online vs batch =="
+echo "== classifier equivalence: dense vs legacy, classify_many vs classify, batch vs streaming vs sharded =="
 cargo test -q -p eleph-core --test props -- \
     dense_classify_matches_legacy_reference \
     classify_many_equals_independent_classifies \
     exact_retire_keeps_epsilon_scale_microflow \
-    adversarial_magnitudes_leave_no_stale_state
+    adversarial_magnitudes_leave_no_stale_state \
+    batch_streaming_and_sharded_agree_across_a_checkpoint
 cargo test -q -p eleph-core --lib online::
 
 echo "== streaming equivalence: pipeline vs aggregate_pcap + classify =="

@@ -5,9 +5,7 @@
 //! level (DESIGN.md §3).
 
 use eleph_bgp::synth::{self, SynthConfig};
-use eleph_flow::{
-    aggregate_pcap, aggregate_pcap_parallel, aggregate_pcap_parallel_frozen, BandwidthMatrix,
-};
+use eleph_flow::{aggregate_pcap, BandwidthMatrix};
 use eleph_trace::{PacketSynth, RateTrace, WorkloadConfig};
 
 fn small_scenario(seed: u64) -> (eleph_bgp::BgpTable, RateTrace) {
@@ -85,73 +83,6 @@ fn packet_path_reproduces_rate_path() {
             let prefix = pkt_matrix.key(key);
             let id = rate_matrix.key_id(prefix).expect("prefix came from the population");
             assert!(rate_matrix.rate(n, id) > 0.0, "phantom traffic for {prefix} at {n}");
-        }
-    }
-}
-
-#[test]
-fn parallel_aggregation_is_byte_identical_to_serial() {
-    let (table, trace) = small_scenario(404);
-    let synth = PacketSynth::new(&trace);
-    let mut pcap = Vec::new();
-    synth.write_pcap(0..trace.n_intervals(), &mut pcap).expect("synthesis");
-
-    let (serial, serial_stats) = aggregate_pcap(
-        &pcap[..],
-        &table,
-        trace.config.interval_secs,
-        trace.config.start_unix,
-        trace.config.n_intervals,
-    )
-    .expect("serial aggregation");
-
-    // Across shard counts (including more shards than packets per
-    // interval and the auto-selected 0), both parallel forms must
-    // produce the same stats, the same keys in the same (first-seen)
-    // order, and bit-identical rates in every interval.
-    let frozen = table.freeze();
-    for threads in [0usize, 1, 2, 3, 5, 16] {
-        let (parallel, parallel_stats) = if threads % 2 == 0 {
-            aggregate_pcap_parallel(
-                &pcap[..],
-                &table,
-                trace.config.interval_secs,
-                trace.config.start_unix,
-                trace.config.n_intervals,
-                threads,
-            )
-            .expect("parallel aggregation")
-        } else {
-            aggregate_pcap_parallel_frozen(
-                &pcap[..],
-                &frozen,
-                trace.config.interval_secs,
-                trace.config.start_unix,
-                trace.config.n_intervals,
-                threads,
-            )
-            .expect("parallel aggregation (frozen)")
-        };
-
-        assert_eq!(serial_stats, parallel_stats, "{threads} threads: stats diverge");
-        assert_eq!(serial.n_intervals(), parallel.n_intervals());
-        assert_eq!(serial.n_keys(), parallel.n_keys(), "{threads} threads: key count");
-        for k in 0..serial.n_keys() as u32 {
-            assert_eq!(
-                serial.key(k),
-                parallel.key(k),
-                "{threads} threads: key order diverges at id {k}"
-            );
-        }
-        for n in 0..serial.n_intervals() {
-            // Sparse rows compare (KeyId, f32) pairs: f32 equality means
-            // bit-identical rates, not approximately equal ones.
-            assert_eq!(
-                serial.interval(n),
-                parallel.interval(n),
-                "{threads} threads: interval {n} diverges"
-            );
-            assert_eq!(serial.total(n), parallel.total(n));
         }
     }
 }
