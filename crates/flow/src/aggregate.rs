@@ -107,7 +107,9 @@ pub fn attribute_metas<T: LpmView<u32> + ?Sized>(
 pub struct KeyAllocator {
     /// [`NO_KEY`] = unassigned.
     route_to_key: Vec<KeyId>,
-    n_keys: usize,
+    /// The inverse, appended on first touch: `key_routes[k]` is the
+    /// route first seen as key `k`.
+    key_routes: Vec<RouteId>,
 }
 
 impl KeyAllocator {
@@ -121,7 +123,7 @@ impl KeyAllocator {
     pub fn new(n_routes: usize) -> Self {
         KeyAllocator {
             route_to_key: vec![NO_KEY; n_routes],
-            n_keys: 0,
+            key_routes: Vec::new(),
         }
     }
 
@@ -130,37 +132,39 @@ impl KeyAllocator {
     /// per-key metadata (the route's prefix) exactly once.
     #[inline]
     pub fn key_for(&mut self, route: RouteId) -> (KeyId, bool) {
+        match self.route_to_key.get(route as usize) {
+            Some(&key) if key != NO_KEY => (key, false),
+            _ => (self.assign(route), true),
+        }
+    }
+
+    /// First touch of `route`: the next dense id, recorded both ways.
+    /// Out of line so the per-packet path above stays one load and one
+    /// compare.
+    #[cold]
+    #[inline(never)]
+    fn assign(&mut self, route: RouteId) -> KeyId {
         if route as usize >= self.route_to_key.len() {
             self.route_to_key.resize(route as usize + 1, NO_KEY);
         }
-        let slot = &mut self.route_to_key[route as usize];
-        if *slot == NO_KEY {
-            let key = self.n_keys as KeyId;
-            *slot = key;
-            self.n_keys += 1;
-            (key, true)
-        } else {
-            (*slot, false)
-        }
+        let key = self.key_routes.len() as KeyId;
+        self.route_to_key[route as usize] = key;
+        self.key_routes.push(route);
+        key
     }
 
     /// Keys assigned so far.
     pub fn n_keys(&self) -> usize {
-        self.n_keys
+        self.key_routes.len()
     }
 
     /// The inverse mapping, ordered by key id: `result[k]` is the route
     /// that was first-seen as key `k`. This is the allocator's canonical
     /// checkpoint form — denser than the sparse route table and enough
-    /// to rebuild it exactly.
-    pub fn key_routes(&self) -> Vec<RouteId> {
-        let mut routes = vec![0 as RouteId; self.n_keys];
-        for (route, &key) in self.route_to_key.iter().enumerate() {
-            if key != NO_KEY {
-                routes[key as usize] = route as RouteId;
-            }
-        }
-        routes
+    /// to rebuild it exactly. Kept as keys are assigned, so reading it
+    /// costs nothing however large the route id space is.
+    pub fn key_routes(&self) -> &[RouteId] {
+        &self.key_routes
     }
 
     /// Rebuild an allocator from its [`KeyAllocator::key_routes`] form.
@@ -178,7 +182,7 @@ impl KeyAllocator {
             }
             *slot = key as KeyId;
         }
-        alloc.n_keys = key_routes.len();
+        alloc.key_routes = key_routes.to_vec();
         Ok(alloc)
     }
 }
@@ -250,9 +254,8 @@ pub struct Aggregator<'t> {
     /// grow lazily as keys appear, so an interval that saw few prefixes
     /// stays short.
     rows: Vec<Vec<u64>>,
-    /// Route of each key, in first-seen order (`keys` of the matrix).
-    key_routes: Vec<RouteId>,
-    /// Shared first-seen key assignment.
+    /// Shared first-seen key assignment; its inverse is the `keys` of
+    /// the matrix.
     keys: KeyAllocator,
     /// Reusable buffer for [`attribute_metas`] results.
     route_scratch: Vec<Option<RouteId>>,
@@ -310,7 +313,6 @@ impl<'t> Aggregator<'t> {
             start_ns,
             interval_ns,
             rows: vec![Vec::new(); n_intervals],
-            key_routes: Vec::new(),
             keys: KeyAllocator::new(n_routes),
             route_scratch: Vec::new(),
             stats: AggregatorStats::default(),
@@ -379,10 +381,7 @@ impl<'t> Aggregator<'t> {
             self.stats.unroutable += 1;
             return;
         };
-        let (key, newly_assigned) = self.keys.key_for(route);
-        if newly_assigned {
-            self.key_routes.push(route);
-        }
+        let (key, _) = self.keys.key_for(route);
         let row = &mut self.rows[interval];
         if key as usize >= row.len() {
             row.resize(key as usize + 1, 0);
@@ -413,7 +412,8 @@ impl<'t> Aggregator<'t> {
     /// matrix.
     pub fn finish(self) -> (BandwidthMatrix, AggregatorStats) {
         let keys: Vec<Prefix> = self
-            .key_routes
+            .keys
+            .key_routes()
             .iter()
             .map(|&r| self.table.get().prefix(r))
             .collect();
@@ -760,7 +760,7 @@ mod tests {
         }
         let routes = alloc.key_routes();
         assert_eq!(routes, vec![7, 2, 9, 0]);
-        let mut rebuilt = KeyAllocator::from_key_routes(10, &routes).expect("valid");
+        let mut rebuilt = KeyAllocator::from_key_routes(10, routes).expect("valid");
         assert_eq!(rebuilt.n_keys(), 4);
         // Existing assignments are preserved; the next fresh route gets
         // the next dense id, exactly as the original would assign it.

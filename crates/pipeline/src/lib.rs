@@ -74,7 +74,8 @@ mod sink;
 mod source;
 
 pub use checkpoint::{
-    crc32, skip_offered, Checkpoint, CheckpointError, Checkpointer, CHECKPOINT_FILE,
+    crc32, skip_offered, Checkpoint, CheckpointError, Checkpointer, CheckpointsWritten,
+    CHECKPOINT_FILE,
 };
 pub use pipeline::{
     Pipeline, PipelineBuilder, PipelineError, PipelineReport, PipelineStats, Result,

@@ -1055,6 +1055,12 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
         // from here on or they would be double-counted.
         let mut folded: u64 = source.malformed();
         loop {
+            // Every chunk boundary, the one before the first chunk
+            // included: that is where the checkpointer's cadence picks
+            // up the intervals a resumed pipeline has already sealed.
+            if let Some(ckpt) = checkpointer.as_deref_mut() {
+                ckpt.maybe_write(self)?;
+            }
             buf.clear();
             let pulled = source.next_chunk(&mut buf);
             let malformed = source.malformed();
@@ -1065,9 +1071,6 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
                 Err(e) => return Err(e.into()),
                 Ok(0) => return Ok(()),
                 Ok(_) => self.observe_chunk(&buf)?,
-            }
-            if let Some(ckpt) = checkpointer.as_deref_mut() {
-                ckpt.maybe_write(self)?;
             }
         }
     }

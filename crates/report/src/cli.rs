@@ -22,9 +22,9 @@ use eleph_core::{
 };
 use eleph_bgp::{FrozenBgpTable, LiveBgpTable, RouteEntry, UpdateBatch};
 use eleph_pipeline::{
-    skip_offered, Checkpoint, Checkpointer, FaultedPcapSource, JsonlSink, PacketSource,
-    PcapSource, Pipeline, PipelineBuilder, PipelineReport, PooledPcapSource, RotatingJsonlSink,
-    TraceSource,
+    skip_offered, Checkpoint, Checkpointer, CheckpointsWritten, FaultedPcapSource, JsonlSink,
+    PacketSource, PcapSource, Pipeline, PipelineBuilder, PipelineReport, PooledPcapSource,
+    RotatingJsonlSink, TraceSource,
 };
 use eleph_trace::{
     generate_churn, ChurnConfig, ChurnScenario, FaultConfig, FaultInjector, FaultStats, RateTrace,
@@ -235,8 +235,8 @@ RUN OPTIONS (eleph run):
     --checkpoint-dir DIR       write crash-safe snapshots (eleph.ckpt,
                                atomic temp+fsync+rename) into DIR
     --checkpoint-every N       snapshot cadence in sealed intervals
-                               (default 1; checked at source chunk
-                               boundaries)
+                               (default 1, at least 1; checked at source
+                               chunk boundaries; needs --checkpoint-dir)
     --resume                   continue from DIR's checkpoint: requires
                                --checkpoint-dir and --out; truncates the
                                output chain to the checkpointed interval
@@ -456,6 +456,7 @@ impl RunOpts {
     /// they are reported before any table is loaded.
     pub fn parse(args: &[String]) -> Result<RunOpts, CliError> {
         let mut o = RunOpts::default();
+        let mut cadence_given = false;
         let mut args = Args::new(args);
         while let Some(flag) = args.flag() {
             match flag {
@@ -486,7 +487,8 @@ impl RunOpts {
                     o.checkpoint_dir = Some(args.value(flag, "a directory")?)
                 }
                 "--checkpoint-every" => {
-                    o.checkpoint_every = args.value(flag, "an interval count")?
+                    o.checkpoint_every = args.value(flag, "an interval count")?;
+                    cadence_given = true;
                 }
                 "--resume" => o.resume = true,
                 "--fault-drop" => o.fault_drop = args.value(flag, "a probability")?,
@@ -514,6 +516,12 @@ impl RunOpts {
         }
         if o.rotate_bytes.is_some() && o.out.is_none() {
             return usage("--rotate-bytes needs --out FILE");
+        }
+        if o.checkpoint_every == 0 {
+            return usage("--checkpoint-every 0: need at least 1 sealed interval between snapshots");
+        }
+        if cadence_given && o.checkpoint_dir.is_none() {
+            return usage("--checkpoint-every needs --checkpoint-dir DIR (where the snapshots go)");
         }
         if o.wants_faults() && o.pcap.is_none() {
             return usage("--fault-* flags apply to the pcap path only");
@@ -808,7 +816,11 @@ fn stream(
 
     let setup = started.duration_since(entered).as_secs_f64();
     let elapsed = started.elapsed().as_secs_f64();
-    eprintln!("{}", summary_json(opts, &report, ckpt.is_some(), fault_stats, setup, elapsed));
+    let written = checkpointer.as_ref().map(Checkpointer::written);
+    eprintln!(
+        "{}",
+        summary_json(opts, &report, ckpt.is_some(), written, fault_stats, setup, elapsed)
+    );
     Ok(())
 }
 
@@ -849,12 +861,16 @@ fn drive<D: ThresholdDetector, S: PacketSource>(
 /// The end-of-run summary as one JSON line: interval/prefix counts,
 /// every packet-accounting counter, the conservation verdict, the
 /// far-future-streak high-water mark, start-up and streaming wall-clock
-/// time, throughput, and (when fault injection is on) the injector's
-/// counters — machine-checkable run health at a glance.
+/// time, throughput, (under `--checkpoint-dir`) what this process's
+/// snapshots cost — how many it wrote, the size of the last one, the
+/// seconds spent building images and the seconds spent putting them on
+/// disk — and (when fault injection is on) the injector's counters:
+/// machine-checkable run health at a glance.
 fn summary_json(
     opts: &RunOpts,
     report: &PipelineReport,
     resumed: bool,
+    checkpoints: Option<CheckpointsWritten>,
     fault_stats: Option<FaultStats>,
     setup_secs: f64,
     elapsed_secs: f64,
@@ -907,10 +923,17 @@ fn summary_json(
         rate(s.attributed_bytes as f64),
         rate(s.offered as f64),
     );
-    if let Some(dir) = &opts.checkpoint_dir {
+    if let (Some(dir), Some(w)) = (&opts.checkpoint_dir, checkpoints) {
         line.push_str(&format!(
-            ",\"checkpoint_dir\":{:?},\"checkpoint_every\":{}",
-            dir, opts.checkpoint_every
+            ",\"checkpoint_dir\":{},\"checkpoint_every\":{},\"checkpoints\":{},\
+             \"checkpoint_bytes\":{},\"checkpoint_encode_secs\":{:.6},\
+             \"checkpoint_io_secs\":{:.6}",
+            json_string(dir),
+            opts.checkpoint_every,
+            w.images,
+            w.last_bytes,
+            clamp(w.encode_secs),
+            clamp(w.io_secs),
         ));
     }
     if let Some(f) = fault_stats {
@@ -921,6 +944,23 @@ fn summary_json(
     }
     line.push_str("}}");
     line
+}
+
+/// `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped (Rust's `{:?}` writes `\u{1b}`, which is not JSON).
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Options of `eleph churn` — a deterministic route-update stream
@@ -1163,7 +1203,17 @@ mod tests {
                         *at += 1;
                         return Ok(());
                     }
-                    b'\\' => *at += 2,
+                    b'\\' => match b.get(*at + 1) {
+                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *at += 2,
+                        Some(b'u')
+                            if b.len() >= *at + 6
+                                && b[*at + 2..*at + 6].iter().all(u8::is_ascii_hexdigit) =>
+                        {
+                            *at += 6
+                        }
+                        _ => return Err(format!("bad escape at {at}")),
+                    },
+                    0x00..=0x1f => return Err(format!("raw control character at {at}")),
                     _ => *at += 1,
                 }
             }
@@ -1242,23 +1292,44 @@ mod tests {
 
     #[test]
     fn summary_is_strict_json_even_at_zero_elapsed() {
+        // A directory name is the one string in the summary that comes
+        // from outside: quote, backslash and control characters must
+        // arrive escaped as JSON, not as Rust's `{:?}` writes them.
         let opts = RunOpts {
             synth: true,
-            checkpoint_dir: Some("ckpt".to_string()),
+            checkpoint_dir: Some("ck\"pt\\run\u{1b}\0".to_string()),
             ..RunOpts::default()
         };
         // The regression: elapsed_secs rounding to zero used to emit
         // inf rates (and a hypothetical NaN clock must not panic or
         // leak either).
         for elapsed in [0.0, -0.0, f64::NAN, f64::INFINITY, 1.5] {
-            // The set-up span is a clock reading too: same rule.
+            // The set-up span is a clock reading too: same rule — and so
+            // are the two checkpoint spans.
             for setup in [elapsed, 0.25] {
-                let line = summary_json(&opts, &report(), false, None, setup, elapsed);
+                let written = CheckpointsWritten {
+                    images: 3,
+                    last_bytes: 4_096,
+                    total_bytes: 12_000,
+                    encode_secs: elapsed,
+                    io_secs: setup,
+                };
+                let line =
+                    summary_json(&opts, &report(), false, Some(written), None, setup, elapsed);
                 parse_json(&line)
                     .unwrap_or_else(|e| panic!("setup={setup} elapsed={elapsed}: {e}\n{line}"));
             }
         }
-        let line = summary_json(&opts, &report(), false, None, 0.125, 0.0);
+        let written = CheckpointsWritten { images: 3, last_bytes: 4_096, ..Default::default() };
+        let line = summary_json(&opts, &report(), false, Some(written), None, 0.125, 0.0);
+        assert!(
+            line.contains(
+                "\"checkpoint_dir\":\"ck\\\"pt\\\\run\\u001b\\u0000\",\"checkpoint_every\":1,\
+                 \"checkpoints\":3,\"checkpoint_bytes\":4096,\
+                 \"checkpoint_encode_secs\":0.000000,\"checkpoint_io_secs\":0.000000"
+            ),
+            "{line}"
+        );
         assert!(
             line.contains("\"setup_secs\":0.125000,\"elapsed_secs\":0.000000,"),
             "set-up time sits immediately before the elapsed time: {line}"
@@ -1268,6 +1339,11 @@ mod tests {
         assert!(line.contains("\"state\":\"spacesaving\""));
         assert!(line.contains("\"distinct_keys\":3"));
         assert!(line.contains("\"state_bytes\":1048576"));
+        // Without --checkpoint-dir none of the six fields appears.
+        let plain = RunOpts { synth: true, ..RunOpts::default() };
+        let bare = summary_json(&plain, &report(), false, None, None, 0.125, 0.0);
+        assert!(!bare.contains("checkpoint"), "{bare}");
+        parse_json(&bare).expect("strict JSON");
     }
 
     fn args(line: &str) -> Vec<String> {
@@ -1351,6 +1427,8 @@ mod tests {
             ("run --synth --resume --out o.jsonl", "--resume needs --checkpoint-dir"),
             ("run --synth --resume --checkpoint-dir d", "--resume needs --out"),
             ("run --synth --rotate-bytes 4096", "--rotate-bytes needs --out"),
+            ("run --synth --checkpoint-dir d --checkpoint-every 0", "--checkpoint-every 0"),
+            ("run --synth --checkpoint-every 5", "--checkpoint-every needs --checkpoint-dir"),
         ] {
             let message = refused(line);
             assert!(message.contains(needle), "`eleph {line}`: {message}");
@@ -1395,6 +1473,10 @@ mod tests {
         assert!(parse_json("{\"a\":NaN}").is_err());
         assert!(parse_json("{\"a\":1.}").is_err());
         assert!(parse_json("{\"a\":1}x").is_err());
+        // What `{:?}` makes of an escape character, and the raw byte.
+        assert!(parse_json("{\"a\":\"\\u{1b}\"}").is_err());
+        assert!(parse_json("{\"a\":\"\u{1b}\"}").is_err());
+        assert!(parse_json("{\"a\":\"\\u001b \\\" \\\\ \\n\"}").is_ok());
         assert!(parse_json("{\"a\":{\"b\":[1,2.5,true,null,\"s\"]}}").is_ok());
     }
 }

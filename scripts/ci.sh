@@ -22,11 +22,14 @@
 #   7. crash safety: a checkpointed `eleph run` is SIGKILLed mid-capture
 #      and resumed with `--resume`; the recovered JSONL must be
 #      byte-identical to an uninterrupted reference run (no duplicated,
-#      no missing interval records). The kill waits for the first
-#      checkpoint file, so there is always a snapshot to resume from,
-#      and the gate fails if the victim was not killed mid-run (exit by
-#      SIGKILL with intervals still to seal): a run that finished first
-#      proves nothing about recovery;
+#      no missing interval records), and the `eleph.ckpt` the recovered
+#      run ends on must be byte-identical to the one the reference run,
+#      checkpointing into a directory of its own, ends on (recovery
+#      converges on the same image, not only the same output). The kill
+#      waits for the first checkpoint file, so there is always a
+#      snapshot to resume from, and the gate fails if the victim was not
+#      killed mid-run (exit by SIGKILL with intervals still to seal): a
+#      run that finished first proves nothing about recovery;
 #   8. churn determinism: `eleph churn` generates a route-update
 #      schedule, the same capture is streamed twice with `--rib-updates`
 #      replaying that schedule mid-stream, and the two JSONL outputs
@@ -63,7 +66,16 @@
 #      restore programs), its work per record as a step count on three
 #      adversarial streams, and checkpoint/resume with the cut placed
 #      after the open interval's first eviction — all part of tier-1;
-#      re-run by name so a failure is attributed immediately.
+#      re-run by name so a failure is attributed immediately;
+#  14. checkpoint bytes: the sample images and the final `eleph.ckpt` of
+#      six seeded `eleph run --synth` command lines against fixtures
+#      written before images were built in place, `crc32` against the
+#      bytewise loop it replaced, the in-place encoder against the
+#      copying assembly it replaced (random captures x scheme x state
+#      backend x engine), one `Checkpointer` buffer reused for a large
+#      image and then a small one, and a resumed run's cadence against
+#      the uninterrupted run's — all part of tier-1; re-run by name so a
+#      format drift is attributed immediately.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -117,7 +129,8 @@ eleph=target/release/eleph
 crash_intervals=900
 crash_args=(run --synth --flows 2000 --intervals "$crash_intervals" --interval-secs 20
     --prefixes 2000)
-"$eleph" "${crash_args[@]}" --out "$tmpdir/crash_ref.jsonl" 2> /dev/null
+"$eleph" "${crash_args[@]}" --out "$tmpdir/crash_ref.jsonl" \
+    --checkpoint-dir "$tmpdir/ckpt_ref" 2> /dev/null
 # The binary is killed directly (not through cargo, which would orphan
 # the child and absorb the signal).
 "$eleph" "${crash_args[@]}" --out "$tmpdir/crash.jsonl" \
@@ -140,6 +153,8 @@ echo "   victim exit status $victim_status, $durable of $crash_intervals interva
     --checkpoint-dir "$tmpdir/ckpt" --resume 2> /dev/null
 diff "$tmpdir/crash.jsonl" "$tmpdir/crash_ref.jsonl" \
     || { echo "crash safety: resumed output diverges from reference" >&2; exit 1; }
+cmp "$tmpdir/ckpt/eleph.ckpt" "$tmpdir/ckpt_ref/eleph.ckpt" \
+    || { echo "crash safety: resumed run ends on a different checkpoint than the reference" >&2; exit 1; }
 
 echo "== churn determinism: replay the same update schedule twice, diff JSONL =="
 "$eleph" churn --prefixes 2000 --seed 9 --start-unix 995990400 \
@@ -229,5 +244,15 @@ echo "== sketch eviction: slot heap vs scan oracle, step count, resume under evi
 cargo test -q -p eleph-core --lib sketch::tests::slot_heap
 cargo test -q -p eleph-tests --test sketch_equivalence \
     sketch_checkpoint_resume_is_bit_identical_under_eviction
+
+echo "== checkpoint bytes: fixtures, crc32 vs bytewise, in-place vs copying encoder, buffer reuse, resume cadence =="
+cargo test -q -p eleph-pipeline --lib -- \
+    checkpoint::tests::sample_images_equal_the_committed_fixtures \
+    checkpoint::tests::crc32_ \
+    checkpoint::tests::in_place_image_equals_the_copying_oracle \
+    checkpoint::tests::a_reused_buffer_holds_only_the_new_image
+cargo test -q -p eleph-tests --test checkpoint_restore -- \
+    synthetic_run_checkpoints_equal_their_recorded_length_and_crc \
+    resumed_run_keeps_the_uninterrupted_cadence
 
 echo "ci.sh: all gates green"

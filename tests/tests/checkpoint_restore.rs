@@ -17,9 +17,11 @@ use eleph_bgp::{BgpTable, LiveBgpTable, RouteUpdate, UpdateBatch};
 use eleph_core::{ConstantLoadDetector, Scheme};
 use eleph_packet::pcap::PcapWriter;
 use eleph_packet::{LinkType, PacketBuilder};
+use eleph_packet::PacketMeta;
 use eleph_pipeline::{
-    skip_offered, Checkpoint, CheckpointError, Checkpointer, CollectedInterval, Collector,
-    PcapSource, PipelineBuilder, PipelineError, PipelineReport, RotatingJsonlSink, CHECKPOINT_FILE,
+    crc32, skip_offered, Checkpoint, CheckpointError, Checkpointer, CollectedInterval, Collector,
+    PacketSource, PcapSource, PipelineBuilder, PipelineError, PipelineReport, RotatingJsonlSink,
+    CHECKPOINT_FILE,
 };
 use eleph_trace::{CrashPoint, CrashSwitch, PacketSynth, RateTrace, WorkloadConfig};
 use proptest::prelude::*;
@@ -44,13 +46,18 @@ fn scratch(tag: &str) -> PathBuf {
 /// uses: enough traffic for real thresholds, small enough to replay
 /// dozens of times.
 fn small_capture(seed: u64) -> (BgpTable, Vec<u8>, u64, u64, usize) {
+    capture(seed, 6)
+}
+
+/// [`small_capture`] over `n_intervals` intervals.
+fn capture(seed: u64, n_intervals: usize) -> (BgpTable, Vec<u8>, u64, u64, usize) {
     let table = synth::generate(&SynthConfig {
         n_prefixes: 2_000,
         ..SynthConfig::default()
     });
     let config = WorkloadConfig {
         n_flows: 120,
-        n_intervals: 6,
+        n_intervals,
         interval_secs: 20,
         link: eleph_trace::LinkSpec {
             name: "checkpoint link".to_string(),
@@ -430,6 +437,131 @@ fn resume_against_wrong_table_generation_is_a_typed_mismatch() {
         .route_updates(schedule)
         .resume(&ckpt)
         .expect("replayed table matches the recorded generation");
+}
+
+/// A source that looks at the checkpoint file before every chunk it
+/// hands out — the pipeline has just passed a chunk boundary, the only
+/// place it writes one — and keeps each new image.
+struct Watched<S> {
+    inner: S,
+    file: PathBuf,
+    last: Vec<u8>,
+    images: Vec<Vec<u8>>,
+}
+
+impl<S: PacketSource> PacketSource for Watched<S> {
+    fn next_chunk(&mut self, out: &mut Vec<PacketMeta>) -> eleph_packet::Result<usize> {
+        let now = fs::read(&self.file).unwrap_or_default();
+        if now != self.last {
+            self.images.push(now.clone());
+            self.last = now;
+        }
+        self.inner.next_chunk(out)
+    }
+
+    fn malformed(&self) -> u64 {
+        self.inner.malformed()
+    }
+}
+
+/// A resumed run continues the cadence of the run that wrote its
+/// checkpoint: resumed at k sealed intervals with a cadence of n, it
+/// writes nothing before k + n, and every image it writes from there on
+/// is the uninterrupted run's at the same interval count, byte for
+/// byte. (It used to rewrite the checkpoint it had just loaded at the
+/// first chunk boundary — one chunk of packets later, no interval
+/// sealed — and its cadence counted from there.)
+#[test]
+fn resumed_run_keeps_the_uninterrupted_cadence() {
+    let (table, pcap, t, start, n) = capture(404, 12);
+    let scheme = Scheme::LatentHeat { window: 2 };
+    let every = 3;
+    // Run in `dir`, from its checkpoint file if it holds one; every
+    // image written, in order.
+    let images_of_run_in = |dir: &Path| -> Vec<Vec<u8>> {
+        let mut checkpointer = Checkpointer::new(dir, every).expect("checkpointer");
+        let file = checkpointer.path().to_path_buf();
+        let mut source = Watched {
+            inner: PcapSource::new(&pcap[..]).expect("valid pcap"),
+            last: fs::read(&file).unwrap_or_default(),
+            file,
+            images: Vec::new(),
+        };
+        let builder = builder(&table, scheme, t, start, n);
+        let mut pipeline = if source.last.is_empty() {
+            builder.build()
+        } else {
+            let ckpt = Checkpoint::read_from(&mut &source.last[..]).expect("checkpoint");
+            skip_offered(&mut source.inner, ckpt.offered()).expect("skip consumed records");
+            builder.resume(&ckpt).expect("resume")
+        };
+        pipeline
+            .run_checkpointed(&mut source, &mut checkpointer)
+            .expect("run");
+        pipeline.finish().expect("finish");
+        assert_eq!(checkpointer.written().images, source.images.len() as u64);
+        source.images
+    };
+    let sealed_at = |image: &Vec<u8>| {
+        Checkpoint::read_from(&mut &image[..])
+            .expect("a written image loads")
+            .intervals_sealed()
+    };
+
+    let dir = scratch("cadence-ref");
+    let uninterrupted = images_of_run_in(&dir);
+    let sealed: Vec<usize> = uninterrupted.iter().map(sealed_at).collect();
+    assert_eq!(sealed, [3, 6, 9], "one image every {every} sealed intervals");
+    for (i, image) in uninterrupted.iter().enumerate() {
+        let run_dir = scratch("cadence-run");
+        fs::write(run_dir.join(CHECKPOINT_FILE), image).expect("plant checkpoint");
+        let resumed = images_of_run_in(&run_dir);
+        assert!(
+            resumed == uninterrupted[i + 1..],
+            "resumed at {} sealed: images at {:?}, the uninterrupted run's are at {:?}",
+            sealed[i],
+            resumed.iter().map(sealed_at).collect::<Vec<_>>(),
+            &sealed[i + 1..],
+        );
+        fs::remove_dir_all(&run_dir).ok();
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The final `eleph.ckpt` of a seeded `eleph run --synth`, per scheme
+/// and state backend, against the length and CRC-32 the same command
+/// left behind before images were built in place (zlib's `crc32` of the
+/// whole file) — a format drift shows here even if encoder and decoder
+/// drift together.
+#[test]
+fn synthetic_run_checkpoints_equal_their_recorded_length_and_crc() {
+    for (scheme, state, len, crc) in [
+        ("single", "exact", 4_631, 0x07dd_cd30_u32),
+        ("latent", "exact", 13_375, 0xd6bc_de6f),
+        ("hysteresis", "exact", 4_659, 0x1fac_e290),
+        ("latent", "spacesaving", 12_514, 0x86e6_024d),
+        ("latent", "cmrow", 9_652, 0x452e_c589),
+        ("latent", "bloom", 9_077, 0x7f22_dd05),
+    ] {
+        let dir = scratch("synth-fixture");
+        let ckpt_dir = dir.join("ckpt");
+        let args = format!(
+            "--synth --flows 200 --intervals 14 --interval-secs 20 --prefixes 2000 --seed 19 \
+             --scheme {scheme} --state {state} --state-budget 4096 \
+             --checkpoint-dir {} --out {}",
+            ckpt_dir.display(),
+            dir.join("out.jsonl").display(),
+        );
+        let args: Vec<String> = args.split_whitespace().map(str::to_string).collect();
+        eleph_report::cli::run_streaming(&args).expect("eleph run");
+        let image = fs::read(ckpt_dir.join(CHECKPOINT_FILE)).expect("checkpoint file");
+        assert_eq!(
+            (image.len(), crc32(&image)),
+            (len, crc),
+            "--scheme {scheme} --state {state}"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// A compact random packet (same generator as the streaming-equivalence
