@@ -74,7 +74,7 @@ fn bench_sketch_seal(c: &mut Criterion) {
         group.bench_function(name, |b| {
             let config = StateBackendConfig::parse(name, BUDGET).expect("known backend");
             b.iter(|| {
-                let mut backend = config.build().expect("sketch backend");
+                let mut backend = config.build();
                 run_backend(black_box(backend.as_mut()), black_box(&stream), INTERVALS)
             })
         });
@@ -87,7 +87,7 @@ fn bench_sketch_seal(c: &mut Criterion) {
         group.bench_function(format!("{name}_tight64k"), |b| {
             let config = StateBackendConfig::parse(name, 64 << 10).expect("known backend");
             b.iter(|| {
-                let mut backend = config.build().expect("sketch backend");
+                let mut backend = config.build();
                 run_backend(black_box(backend.as_mut()), black_box(&stream), INTERVALS)
             })
         });

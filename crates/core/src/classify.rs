@@ -200,7 +200,7 @@ impl ConfigState {
         // order, for bit-identical float sums on every path.
         let mut current: Vec<KeyId> = Vec::new();
         let mut load = 0.0f64;
-        self.state.classify(self.scheme, threshold, view.is_empty(), view.iter(), |key, term| {
+        self.state.classify(self.scheme, threshold, view.iter(), |key, term| {
             current.push(key);
             load += term;
         });

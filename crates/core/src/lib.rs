@@ -33,12 +33,13 @@
 //! Steps 3 and 4 (and the hysteresis baseline) are one state machine,
 //! the private `window` module: per-key sliding sums in flat vectors
 //! indexed by `KeyId`, slid in and retired one interval at a time and
-//! classified by [`Scheme`]. Three engines call it and agree by bits:
+//! classified by [`Scheme`]. Two engines call it and agree by bits:
 //! batch [`classify`] / [`classify_many`] over a finished matrix (one
 //! detector pass amortised over a whole family of configurations — the
-//! engine behind the report crate's parameter sweeps), the streaming
-//! [`OnlineClassifier`], and its key-partitioned form
-//! ([`SealCoordinator`] + one [`ClassifierPart`] per shard).
+//! engine behind the report crate's parameter sweeps) and the streaming
+//! [`OnlineClassifier`], one interval snapshot at a time. What varies
+//! under the streaming classifier is only how the open interval's byte
+//! row is held — a [`StateBackend`] ([`sketch`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +49,6 @@ mod classify;
 pub mod holding;
 mod online;
 pub mod prefix_analysis;
-mod shard;
 pub mod sketch;
 mod threshold;
 mod tracker;
@@ -61,13 +61,7 @@ pub use classify::{
 pub use sketch::{
     AdaptiveBloom, CountMinRow, ExactDense, SpaceSaving, StateBackend, StateBackendConfig,
 };
-pub use online::{
-    ClassifierState, IntervalOutcome, OnlineClassifier, SealContext, SealCoordinator,
-};
-pub use shard::{
-    merge_observations, merge_states, partition_state, ClassifierPart, PartObservation,
-    PartState,
-};
+pub use online::{ClassifierState, IntervalOutcome, OnlineClassifier};
 pub use threshold::{
     AestDetector, ConstantLoadDetector, PercentileDetector, ThresholdDetector, TopNDetector,
 };

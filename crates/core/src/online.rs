@@ -9,13 +9,12 @@
 //! classifier (pinned by tests), so experiments validated offline
 //! transfer directly to the online deployment.
 //!
-//! It is two halves. A [`SealCoordinator`] holds what is global to an
-//! interval — the detector, the EWMA, the interval counter, the total
-//! load — and a `StreamWindow` holds what is per key: the `WindowState`
-//! (`crate::window`) the batch engine also steps, plus the window's
-//! snapshots, which a stream must keep because nothing else does. The
-//! sharded engine runs the halves apart: one coordinator, one
-//! [`crate::ClassifierPart`] per slice of the key space.
+//! It is one struct: the detector and its EWMA, the interval counter,
+//! the `WindowState` (`crate::window`) the batch engine also steps, and
+//! the window's snapshots, which a stream must keep because nothing
+//! else does. The elephant boundary is a property of the whole link, so
+//! there is one classifier per link however the byte row under it is
+//! held (dense, sketched, or spread over worker threads).
 
 use std::collections::VecDeque;
 
@@ -47,85 +46,6 @@ impl IntervalOutcome {
         } else {
             self.elephant_load / self.total_load
         }
-    }
-}
-
-/// The global scalars of one interval, computed once by the
-/// [`SealCoordinator`] for whatever holds the per-key state: the serial
-/// classifier's own window, or every [`crate::ClassifierPart`].
-#[derive(Debug, Clone, Copy)]
-pub struct SealContext {
-    /// Smoothed threshold for this interval (`T̄(n)`; may be +∞ before
-    /// the first detection).
-    pub threshold: f64,
-    /// The finite threshold term entering the sliding window sum (the
-    /// pre-detection stand-in rule applied).
-    pub t_term: f64,
-    /// Whether the *global* snapshot was empty — the latent-heat
-    /// degenerate-interval guard is a property of the whole interval,
-    /// not of any one shard's slice of it.
-    pub global_empty: bool,
-}
-
-/// The global half of the online classifier: threshold detection + EWMA
-/// smoothing + the interval counter, run once per interval on the whole
-/// snapshot's values.
-#[derive(Debug)]
-pub struct SealCoordinator<D> {
-    tracker: ThresholdTracker<D>,
-    interval: usize,
-}
-
-impl<D: ThresholdDetector> SealCoordinator<D> {
-    /// A fresh coordinator. Panics when γ is outside [0, 1).
-    pub fn new(detector: D, gamma: f64) -> Self {
-        Self::resume(detector, gamma, 0, None)
-    }
-
-    /// Rebuild a coordinator from checkpointed state: the interval
-    /// counter and smoothed EWMA value of a [`ClassifierState`].
-    pub fn resume(detector: D, gamma: f64, interval: usize, smoothed: Option<f64>) -> Self {
-        let tracker = ThresholdTracker::with_state(detector, gamma, smoothed);
-        SealCoordinator { tracker, interval }
-    }
-
-    /// Observe one interval's value vector (ascending-key order): runs
-    /// detection and smoothing once, advances the interval counter, and
-    /// returns the context plus this interval's index and `total_load`.
-    pub fn observe_values(&mut self, values: &[f64]) -> (SealContext, usize, f64) {
-        // Fold from +0.0 like the batch matrix's total accumulation —
-        // `Iterator::sum` starts from -0.0, which would make an empty
-        // interval's total bit-differ from the batch path.
-        let total_load: f64 = values.iter().fold(0.0, |s, &v| s + v);
-        let threshold = self.tracker.observe(values);
-        let ctx = SealContext {
-            threshold,
-            t_term: window::threshold_term(threshold, || window::unbeatable(values)),
-            global_empty: values.is_empty(),
-        };
-        let interval = self.interval;
-        self.interval += 1;
-        (ctx, interval, total_load)
-    }
-
-    /// Intervals observed so far (the next outcome's index).
-    pub fn intervals_observed(&self) -> usize {
-        self.interval
-    }
-
-    /// The smoothing factor γ.
-    pub fn gamma(&self) -> f64 {
-        self.tracker.gamma()
-    }
-
-    /// The detector's name (for checkpoint fingerprints).
-    pub fn detector_name(&self) -> String {
-        self.tracker.detector_name()
-    }
-
-    /// Current smoothed threshold (`None` before the first detection).
-    pub fn smoothed_value(&self) -> Option<f64> {
-        self.tracker.smoothed_value()
     }
 }
 
@@ -222,75 +142,6 @@ impl ClassifierState {
     }
 }
 
-/// The per-key half of the online classifier: the shared
-/// [`WindowState`] plus the window's snapshots, kept so each interval
-/// retires with exactly what it slid in with. Ids are the caller's:
-/// global key ids for the serial classifier, a shard's local ids for a
-/// [`crate::ClassifierPart`].
-#[derive(Debug)]
-pub(crate) struct StreamWindow {
-    scheme: Scheme,
-    window: usize,
-    state: WindowState,
-    /// Oldest first: (threshold term, snapshot) per in-window interval.
-    history: VecDeque<(f64, Vec<(KeyId, f32)>)>,
-}
-
-impl StreamWindow {
-    /// An empty window. Panics on invalid scheme parameters.
-    pub(crate) fn new(scheme: Scheme) -> Self {
-        let window = scheme.window();
-        let history = VecDeque::with_capacity(window + 1);
-        StreamWindow { scheme, window, state: WindowState::default(), history }
-    }
-
-    /// Slide one interval in (consuming its snapshot into the history),
-    /// retire the one that falls out, and classify; elephants go to
-    /// `emit` as `WindowState::classify` produces them.
-    pub(crate) fn observe(
-        &mut self,
-        snapshot: Vec<(KeyId, f32)>,
-        ctx: &SealContext,
-        emit: impl FnMut(KeyId, f64),
-    ) {
-        debug_assert!(snapshot.windows(2).all(|w| w[0].0 < w[1].0));
-        self.state.slide_in(ctx.t_term, snapshot.iter().copied());
-        self.history.push_back((ctx.t_term, snapshot));
-        if self.history.len() > self.window {
-            let (old_t, old_snapshot) = self.history.pop_front().expect("len checked");
-            self.state.retire(old_t, old_snapshot.into_iter());
-        }
-        let snapshot = self.history.back().expect("just pushed").1.iter().copied();
-        self.state.classify(self.scheme, ctx.threshold, ctx.global_empty, snapshot, emit);
-    }
-
-    pub(crate) fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    pub(crate) fn tracked_keys(&self) -> usize {
-        self.state.tracked()
-    }
-
-    /// Export as a [`ClassifierState`] stamped with the coordinator's
-    /// half (`interval`, `smoothed`).
-    pub(crate) fn export(&self, interval: usize, smoothed: Option<f64>) -> ClassifierState {
-        let (sum_t, per_key, members) = self.state.export();
-        let history = self.history.iter().cloned().collect();
-        ClassifierState { interval, smoothed, sum_t, per_key, history, members }
-    }
-
-    /// Rebuild from a state the caller has run through
-    /// [`ClassifierState::validate`] for this scheme.
-    pub(crate) fn restore(scheme: Scheme, state: ClassifierState) -> Self {
-        StreamWindow {
-            state: WindowState::restore(state.sum_t, &state.per_key, state.members),
-            history: state.history.into(),
-            ..StreamWindow::new(scheme)
-        }
-    }
-}
-
 /// Incremental implementation of all three classification schemes.
 ///
 /// Memory: O(highest key id seen) words of dense per-key state plus the
@@ -300,8 +151,15 @@ impl StreamWindow {
 /// reports the number of keys currently holding window state.
 #[derive(Debug)]
 pub struct OnlineClassifier<D> {
-    coord: SealCoordinator<D>,
-    window: StreamWindow,
+    tracker: ThresholdTracker<D>,
+    /// Intervals observed so far (the next outcome's index).
+    interval: usize,
+    scheme: Scheme,
+    window: usize,
+    state: WindowState,
+    /// Oldest first: (threshold term, snapshot) per in-window interval,
+    /// kept so each interval retires with exactly what it slid in with.
+    history: VecDeque<(f64, Vec<(KeyId, f32)>)>,
 }
 
 impl<D: ThresholdDetector> OnlineClassifier<D> {
@@ -309,27 +167,61 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
     /// a latent-heat window is 0, or the hysteresis multipliers are not
     /// `0 <= exit <= 1 <= enter`.
     pub fn new(detector: D, gamma: f64, scheme: Scheme) -> Self {
-        let coord = SealCoordinator::new(detector, gamma);
-        OnlineClassifier { coord, window: StreamWindow::new(scheme) }
+        let window = scheme.window();
+        OnlineClassifier {
+            tracker: ThresholdTracker::new(detector, gamma),
+            interval: 0,
+            scheme,
+            window,
+            state: WindowState::default(),
+            history: VecDeque::with_capacity(window + 1),
+        }
     }
 
     /// Feed one interval's sparse snapshot (ascending by key, as
-    /// produced by the measurement pipeline) and classify it.
+    /// produced by the measurement pipeline) and classify it: detection
+    /// and smoothing on the interval's values, one slide of the window
+    /// (the interval in, the one that falls out retired), then the
+    /// scheme's membership rule.
     pub fn observe(&mut self, snapshot: &[(KeyId, f32)]) -> IntervalOutcome {
+        debug_assert!(snapshot.windows(2).all(|w| w[0].0 < w[1].0));
         let values: Vec<f64> = snapshot.iter().map(|&(_, r)| f64::from(r)).collect();
-        let (ctx, interval, total_load) = self.coord.observe_values(&values);
+        // Fold from +0.0 like the batch matrix's total accumulation —
+        // `Iterator::sum` starts from -0.0, which would make an empty
+        // interval's total bit-differ from the batch path.
+        let total_load: f64 = values.iter().fold(0.0, |s, &v| s + v);
+        let threshold = self.tracker.observe(&values);
+        let t_term = window::threshold_term(threshold, || window::unbeatable(&values));
+        let interval = self.interval;
+        self.interval += 1;
+
+        self.state.slide_in(t_term, snapshot.iter().copied());
+        self.history.push_back((t_term, snapshot.to_vec()));
+        if self.history.len() > self.window {
+            let (old_t, old_snapshot) = self.history.pop_front().expect("len checked");
+            self.state.retire(old_t, old_snapshot.into_iter());
+        }
+
         let mut elephants: Vec<KeyId> = Vec::new();
         let mut elephant_load = 0.0f64;
-        self.window.observe(snapshot.to_vec(), &ctx, |key, term| {
+        self.state.classify(self.scheme, threshold, snapshot.iter().copied(), |key, term| {
             elephants.push(key);
             elephant_load += term;
         });
-        IntervalOutcome { interval, threshold: ctx.threshold, elephants, elephant_load, total_load }
+        IntervalOutcome { interval, threshold, elephants, elephant_load, total_load }
     }
 
     /// Export the recovery frontier (see [`ClassifierState`]).
     pub fn export_state(&self) -> ClassifierState {
-        self.window.export(self.coord.intervals_observed(), self.coord.smoothed_value())
+        let (sum_t, per_key, members) = self.state.export();
+        ClassifierState {
+            interval: self.interval,
+            smoothed: self.tracker.smoothed_value(),
+            sum_t,
+            per_key,
+            history: self.history.iter().cloned().collect(),
+            members,
+        }
     }
 
     /// Rebuild a classifier from a checkpointed [`ClassifierState`],
@@ -349,38 +241,42 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
     ) -> Result<Self, String> {
         state.validate(scheme, n_keys)?;
         Ok(OnlineClassifier {
-            coord: SealCoordinator::resume(detector, gamma, state.interval, state.smoothed),
-            window: StreamWindow::restore(scheme, state),
+            tracker: ThresholdTracker::with_state(detector, gamma, state.smoothed),
+            interval: state.interval,
+            scheme,
+            window: scheme.window(),
+            state: WindowState::restore(state.sum_t, &state.per_key, state.members),
+            history: state.history.into(),
         })
     }
 
     /// Number of intervals observed so far.
     pub fn intervals_observed(&self) -> usize {
-        self.coord.intervals_observed()
+        self.interval
     }
 
     /// The smoothing factor γ this classifier was built with.
     pub fn gamma(&self) -> f64 {
-        self.coord.gamma()
+        self.tracker.gamma()
     }
 
     /// The classification scheme this classifier was built with.
     pub fn scheme(&self) -> Scheme {
-        self.window.scheme()
+        self.scheme
     }
 
     /// The detector's name (checkpoints fingerprint the configuration
     /// with it, so a snapshot cannot silently resume under a different
     /// detector).
     pub fn detector_name(&self) -> String {
-        self.coord.detector_name()
+        self.tracker.detector_name()
     }
 
     /// Number of keys currently holding sliding-window state — zero
     /// again once every key has been idle for a full window (the retire
     /// path is exact, so state cannot leak).
     pub fn tracked_keys(&self) -> usize {
-        self.window.tracked_keys()
+        self.state.tracked()
     }
 }
 

@@ -12,10 +12,12 @@
 //!
 //! Four backends:
 //!
-//! * [`ExactDense`] — the reference implementation: the dense
-//!   `bytes-per-key` row plus a touched-key list, byte-for-byte the
-//!   pre-sketch pipeline behaviour (and pinned so by the pipeline's
-//!   equivalence tests). O(distinct keys) memory.
+//! * [`ExactDense`] — the reference implementation and the default:
+//!   the dense `bytes-per-key` row plus a touched-key list,
+//!   byte-for-byte the pre-sketch pipeline behaviour (and pinned so by
+//!   the pipeline's equivalence tests). O(distinct keys) memory. The
+//!   pipeline's `--shards N` row is this one, held by N worker threads
+//!   (`key % N` picks the worker) behind the same trait.
 //! * [`SpaceSaving`] — stream-summary top-k with min-counter eviction
 //!   (Metwally et al.; the elephant-detection variant analysed by Ben
 //!   Basat et al., *Optimal Elephant Flow Detection*). Deterministic
@@ -124,7 +126,10 @@ fn prev_power_of_two(x: usize) -> usize {
 ///
 /// * [`record`](StateBackend::record) folds attributed bytes for a key
 ///   into the open interval; zero-byte packets leave no entry (matching
-///   the batch aggregator).
+///   the batch aggregator). [`record_many`](StateBackend::record_many)
+///   is `record` over a slice of pairs, in order — the form the pipeline
+///   calls, once per packet chunk, so a trait object is dispatched per
+///   chunk and not per packet.
 /// * [`seal_into`](StateBackend::seal_into) clears `out` and fills it
 ///   with the open interval's `(key, rate)` snapshot in **ascending key
 ///   order**, converting with the exact expression of the batch matrix
@@ -144,6 +149,15 @@ pub trait StateBackend: Send {
 
     /// Fold `bytes` attributed to `key` into the open interval.
     fn record(&mut self, key: KeyId, bytes: u64);
+
+    /// [`record`](StateBackend::record) each pair, in slice order: the
+    /// open state afterwards (snapshots, payload bytes) is the state
+    /// the same calls to `record` would have left.
+    fn record_many(&mut self, pairs: &[(KeyId, u64)]) {
+        for &(key, bytes) in pairs {
+            self.record(key, bytes);
+        }
+    }
 
     /// Whether the open interval holds any attributed traffic.
     fn has_traffic(&self) -> bool;
@@ -222,20 +236,18 @@ impl StateBackendConfig {
         }
     }
 
-    /// Build the configured sketch backend (`None` for
-    /// [`StateBackendConfig::Exact`], which the pipeline runs on its
-    /// monomorphic dense path instead of through a trait object).
-    pub fn build(&self) -> Option<Box<dyn StateBackend>> {
+    /// Build the configured backend, empty.
+    pub fn build(&self) -> Box<dyn StateBackend> {
         match *self {
-            StateBackendConfig::Exact => None,
+            StateBackendConfig::Exact => Box::new(ExactDense::new()),
             StateBackendConfig::SpaceSaving { budget_bytes } => {
-                Some(Box::new(SpaceSaving::with_budget(budget_bytes)))
+                Box::new(SpaceSaving::with_budget(budget_bytes))
             }
             StateBackendConfig::CountMinRow { budget_bytes } => {
-                Some(Box::new(CountMinRow::with_budget(budget_bytes)))
+                Box::new(CountMinRow::with_budget(budget_bytes))
             }
             StateBackendConfig::AdaptiveBloom { budget_bytes } => {
-                Some(Box::new(AdaptiveBloom::with_budget(budget_bytes)))
+                Box::new(AdaptiveBloom::with_budget(budget_bytes))
             }
         }
     }
@@ -247,9 +259,9 @@ impl StateBackendConfig {
 
 /// The exact open-interval byte row: dense `bytes[key]` plus the list
 /// of keys touched this interval. This is the pre-sketch pipeline's
-/// accumulation verbatim — the pipeline's serial engine embeds it
-/// directly (static dispatch), so `--state exact` output, checkpoints
-/// and JSONL are byte-identical to every earlier release.
+/// accumulation verbatim, so `--state exact` output, checkpoints and
+/// JSONL are byte-identical to every earlier release; the pipeline
+/// holds it behind [`StateBackend`] like every other row.
 #[derive(Debug, Default)]
 pub struct ExactDense {
     /// Open interval: bytes per key, dense, indexed by [`KeyId`].
@@ -1384,7 +1396,7 @@ mod tests {
             StateBackendConfig::AdaptiveBloom { budget_bytes: 32 * 1024 },
         ] {
             let run = || {
-                let mut b = config.build().expect("sketch config");
+                let mut b = config.build();
                 let mut snapshots = Vec::new();
                 for (i, &(k, bytes)) in stream.iter().enumerate() {
                     b.record(k, bytes);
@@ -1419,14 +1431,14 @@ mod tests {
             StateBackendConfig::CountMinRow { budget_bytes: 16 * 1024 },
             StateBackendConfig::AdaptiveBloom { budget_bytes: 16 * 1024 },
         ] {
-            let mut reference = config.build().expect("sketch config");
-            let mut first = config.build().expect("sketch config");
+            let mut reference = config.build();
+            let mut first = config.build();
             for &(k, b) in &stream[..split] {
                 reference.record(k, b);
                 first.record(k, b);
             }
             let payload = first.export_sketch().expect("payload");
-            let mut resumed = config.build().expect("sketch config");
+            let mut resumed = config.build();
             resumed.restore_sketch(&payload).expect("restore");
             for &(k, b) in &stream[split..] {
                 reference.record(k, b);
@@ -1469,7 +1481,7 @@ mod tests {
             "spacesaving"
         );
         assert_eq!(StateBackendConfig::parse("exact", 0).expect("parse").kind(), "exact");
-        assert!(StateBackendConfig::parse("exact", 0).expect("parse").build().is_none());
+        assert_eq!(StateBackendConfig::parse("exact", 0).expect("parse").build().kind(), "exact");
         assert!(StateBackendConfig::parse("bogus", 0).is_err());
         let small = SpaceSaving::with_budget(4 * 1024);
         let large = SpaceSaving::with_budget(1024 * 1024);
@@ -1488,7 +1500,7 @@ mod tests {
             StateBackendConfig::CountMinRow { budget_bytes: 4096 },
             StateBackendConfig::AdaptiveBloom { budget_bytes: 4096 },
         ] {
-            let mut b = config.build().expect("sketch config");
+            let mut b = config.build();
             b.record(3, 0);
             assert!(!b.has_traffic(), "{}", config.kind());
             let mut out = vec![(9, 1.0f32)];
@@ -1686,6 +1698,11 @@ mod tests {
         )
     }
 
+    /// A sealed snapshot with its rates as bits.
+    fn bits(snapshot: &[(KeyId, f32)]) -> Vec<(KeyId, u32)> {
+        snapshot.iter().map(|&(key, rate)| (key, rate.to_bits())).collect()
+    }
+
     /// Run `steps` through the heap-backed backend and the scan oracle
     /// side by side; after every step the two must be the same bytes.
     fn assert_heap_matches_scan<B: Slotted>(k: usize, key_space: u32, steps: &[Step]) {
@@ -1703,9 +1720,6 @@ mod tests {
                     real.seal_into(60.0, &mut a);
                     oracle.seal_into(60.0, &mut b);
                     oracle_min = None;
-                    let bits = |v: &[(KeyId, f32)]| -> Vec<(KeyId, u32)> {
-                        v.iter().map(|&(key, rate)| (key, rate.to_bits())).collect()
-                    };
                     assert_eq!(bits(&a), bits(&b), "{at}: sealed snapshot");
                 }
                 Step::Reload => {
@@ -1742,6 +1756,56 @@ mod tests {
             let key_space = k as u32 * spread;
             assert_heap_matches_scan::<SpaceSaving>(k, key_space, &steps);
             assert_heap_matches_scan::<CountMinRow>(k, key_space, &steps);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `record_many` is the `record` loop, for every backend: after
+        /// each batch and each seal the two sides hold the same open
+        /// row, the same payload bytes and the same snapshot. Six keys
+        /// per tracked slot at this budget, so the sketches evict.
+        #[test]
+        fn record_many_is_the_record_loop(
+            batches in prop::collection::vec(
+                (
+                    prop::collection::vec(
+                        (0u32..96, prop_oneof![1 => Just(0u64), 9 => weights()]),
+                        0..80,
+                    ),
+                    any::<bool>(),
+                ),
+                1..10,
+            ),
+        ) {
+            let budget_bytes = 1024;
+            for config in [
+                StateBackendConfig::Exact,
+                StateBackendConfig::SpaceSaving { budget_bytes },
+                StateBackendConfig::CountMinRow { budget_bytes },
+                StateBackendConfig::AdaptiveBloom { budget_bytes },
+            ] {
+                let (mut many, mut each) = (config.build(), config.build());
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                for (i, (batch, seal)) in batches.iter().enumerate() {
+                    many.record_many(batch);
+                    for &(key, bytes) in batch {
+                        each.record(key, bytes);
+                    }
+                    let at = format!("{} batch {i}", config.kind());
+                    prop_assert_eq!(many.open_row(), each.open_row(), "{}: open row", &at);
+                    prop_assert_eq!(many.export_sketch(), each.export_sketch(), "{}: payload", &at);
+                    prop_assert_eq!(many.has_traffic(), each.has_traffic(), "{}", &at);
+                    if !seal {
+                        continue;
+                    }
+                    many.seal_into(60.0, &mut a);
+                    each.seal_into(60.0, &mut b);
+                    prop_assert_eq!(bits(&a), bits(&b), "{}: sealed snapshot", &at);
+                    prop_assert_eq!(many.export_sketch(), each.export_sketch(), "{}: sealed", &at);
+                }
+            }
         }
     }
 

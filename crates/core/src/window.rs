@@ -4,11 +4,10 @@
 //! [`WindowState`] is everything the three classification schemes keep
 //! between intervals, indexed by whatever dense ids it is fed, and its
 //! three operations: slide one interval in, retire one interval out,
-//! classify by [`Scheme`]. It owns no detector, no history and no notion
-//! of a key partition — the batch engine retires straight from the
-//! matrix it classifies, the streaming classifier from the snapshots it
-//! keeps, a shard's partition feeds it shard-local ids — so every caller
-//! performs the identical float operation sequence and their outputs
+//! classify by [`Scheme`]. It owns no detector and no history — the
+//! batch engine retires straight from the matrix it classifies, the
+//! streaming classifier from the snapshots it keeps — so both callers
+//! perform the identical float operation sequence and their outputs
 //! agree by bits.
 
 use eleph_flow::KeyId;
@@ -107,19 +106,13 @@ impl WindowState {
 
     /// Classify the current interval, calling `emit(id, load term)` for
     /// each elephant in ascending id order; the load term is the
-    /// elephant's rate in this interval (0 when it is inactive), so a
-    /// caller adding the terms as they come reproduces the same float
-    /// sum however the ids were partitioned.
-    ///
-    /// `snapshot` is the interval just slid in (ascending by id) and
-    /// `interval_empty` says whether the *whole* interval carried no
-    /// traffic — a caller holding only part of the key space cannot tell
-    /// from its own slice.
+    /// elephant's rate in this interval (0 when it is inactive), so
+    /// callers adding the terms as they come all form the same float
+    /// sum. `snapshot` is the interval just slid in (ascending by id).
     pub(crate) fn classify(
         &mut self,
         scheme: Scheme,
         threshold: f64,
-        interval_empty: bool,
         snapshot: impl Iterator<Item = (KeyId, f32)>,
         mut emit: impl FnMut(KeyId, f64),
     ) {
@@ -132,16 +125,19 @@ impl WindowState {
                     }
                 }
             }
-            // An interval with zero attributed packets — a capture gap,
-            // not a flow dip — emits no elephants: there is no load to
-            // apportion, and a monitor must not keep alerting on stale
-            // window state. The window itself still slides, so flows
-            // resume their standing when traffic returns.
-            Scheme::LatentHeat { .. } if interval_empty => {}
             Scheme::LatentHeat { .. } => {
+                let mut snapshot = snapshot.peekable();
+                // An interval with zero attributed packets — a capture
+                // gap, not a flow dip — emits no elephants: there is no
+                // load to apportion, and a monitor must not keep
+                // alerting on stale window state. The window itself
+                // still slides, so flows resume their standing when
+                // traffic returns.
+                if snapshot.peek().is_none() {
+                    return;
+                }
                 // Window ids and snapshot both ascend: the load join is
                 // an ordered merge.
-                let mut snapshot = snapshot.peekable();
                 for id in self.in_window.iter() {
                     if self.sum[id as usize] > self.sum_t {
                         while snapshot.next_if(|&(k, _)| k < id).is_some() {}

@@ -6,16 +6,15 @@
 //! [`eleph_core::classify_many`] must be indistinguishable from
 //! independent [`eleph_core::classify`] calls, so must any
 //! configuration stepped over stored [`eleph_core::RawThresholds`], and
-//! the three callers of the one window state machine — batch, streaming,
-//! key-partitioned — must agree by bits, across a checkpoint too.
+//! the two callers of the one window state machine — batch and
+//! streaming — must agree by bits, across a checkpoint too.
 
 use eleph_core::{
-    classify, classify_many, classify_with, holding, merge_observations, merge_states,
-    partition_state, ClassificationResult, ClassifierPart, ClassifierState, ClassifyConfig,
-    ConstantLoadDetector, IntervalOutcome, OnlineClassifier, PartObservation, PartState,
-    PercentileDetector, RawThresholds, Scheme, SealCoordinator, ThresholdDetector, TopNDetector,
+    classify, classify_many, classify_with, holding, ClassificationResult, ClassifierState,
+    ClassifyConfig, ConstantLoadDetector, IntervalOutcome, OnlineClassifier, PercentileDetector,
+    RawThresholds, Scheme, ThresholdDetector, TopNDetector,
 };
-use eleph_flow::{BandwidthMatrix, KeyId, ShardSpec};
+use eleph_flow::{BandwidthMatrix, KeyId};
 use eleph_net::Prefix;
 use proptest::prelude::*;
 
@@ -520,62 +519,9 @@ fn state_bits(s: &ClassifierState) -> impl PartialEq + std::fmt::Debug + '_ {
     )
 }
 
-/// A coordinator and its parts: the sharded engine without the threads.
-struct Sharded<D> {
-    coord: SealCoordinator<D>,
-    parts: Vec<ClassifierPart>,
-}
-
-impl<D: ThresholdDetector> Sharded<D> {
-    /// Resume onto `n` parts from a serial state, as the pipeline does.
-    fn resume(
-        detector: D,
-        gamma: f64,
-        scheme: Scheme,
-        n: usize,
-        n_keys: usize,
-        state: &ClassifierState,
-    ) -> Self {
-        Sharded {
-            coord: SealCoordinator::resume(detector, gamma, state.interval, state.smoothed),
-            parts: partition_state(state, n)
-                .into_iter()
-                .enumerate()
-                .map(|(s, part)| {
-                    ClassifierPart::from_state(ShardSpec::new(s, n), scheme, n_keys, part)
-                        .expect("a partitioned state is valid")
-                })
-                .collect(),
-        }
-    }
-
-    /// One seal barrier: detect globally, classify per part, merge.
-    fn observe(&mut self, snapshot: &[(KeyId, f32)]) -> IntervalOutcome {
-        let values: Vec<f64> = snapshot.iter().map(|&(_, r)| f64::from(r)).collect();
-        let (ctx, interval, total_load) = self.coord.observe_values(&values);
-        let obs: Vec<PartObservation> = self
-            .parts
-            .iter_mut()
-            .map(|part| {
-                let spec = part.spec();
-                let slice = snapshot.iter().filter(|&&(key, _)| spec.owns(key)).copied().collect();
-                part.observe_part(slice, &ctx)
-            })
-            .collect();
-        let (elephants, elephant_load) = merge_observations(&obs);
-        IntervalOutcome { interval, threshold: ctx.threshold, elephants, elephant_load, total_load }
-    }
-
-    fn export_state(&self) -> ClassifierState {
-        let parts: Vec<PartState> = self.parts.iter().map(ClassifierPart::export_state).collect();
-        merge_states(&parts, self.coord.intervals_observed(), self.coord.smoothed_value())
-            .expect("parts in lockstep")
-    }
-}
-
 proptest! {
     #[test]
-    fn batch_streaming_and_sharded_agree_across_a_checkpoint(
+    fn batch_and_streaming_agree_across_a_checkpoint(
         rows in arb_sparse_rows(),
         (beta, cutoff) in (
             0.3..0.95f64,
@@ -584,9 +530,8 @@ proptest! {
         gamma in 0.0..0.99f64,
         window in 1usize..6,
         (enter, exit) in (1.0..1.8f64, 0.2..1.0f64),
-        (cut, other) in (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+        cut in any::<prop::sample::Index>(),
     ) {
-        const SHARDS: [usize; 4] = [1, 2, 4, 7];
         let m = matrix(&rows);
         let n_keys = m.n_keys();
         let snapshots: Vec<Vec<(KeyId, f32)>> =
@@ -602,8 +547,7 @@ proptest! {
             // Streaming, uninterrupted, with its frontier at the cut:
             // the reference the other callers are held to.
             let mut online = OnlineClassifier::new(detector, gamma, scheme);
-            let fresh = online.export_state();
-            let mut at_cut = fresh.clone();
+            let mut at_cut = online.export_state();
             let mut expected = Vec::with_capacity(snapshots.len());
             for (n, snapshot) in snapshots.iter().enumerate() {
                 expected.push(online.observe(snapshot));
@@ -628,39 +572,13 @@ proptest! {
 
             // Streaming, resumed from its own frontier.
             let mut resumed =
-                OnlineClassifier::from_state(detector, gamma, scheme, n_keys, at_cut.clone())
+                OnlineClassifier::from_state(detector, gamma, scheme, n_keys, at_cut)
                     .expect("an exported state is valid");
             for (snapshot, want) in snapshots[cut..].iter().zip(&expected[cut..]) {
                 let got = resumed.observe(snapshot);
                 prop_assert_eq!(outcome_bits(&got), outcome_bits(want), "{:?} resumed", scheme);
             }
             prop_assert_eq!(state_bits(&resumed.export_state()), state_bits(&at_end));
-
-            // Coordinator + N parts: the head on N, a frontier that is
-            // the serial one, the tail on another N.
-            for (i, &n) in SHARDS.iter().enumerate() {
-                let mut sharded = Sharded::resume(detector, gamma, scheme, n, n_keys, &fresh);
-                for (snapshot, want) in snapshots[..cut].iter().zip(&expected) {
-                    let got = sharded.observe(snapshot);
-                    prop_assert_eq!(outcome_bits(&got), outcome_bits(want), "{:?} x{}", scheme, n);
-                }
-                let frontier = sharded.export_state();
-                prop_assert_eq!(state_bits(&frontier), state_bits(&at_cut), "{:?} x{}", scheme, n);
-
-                let onto = SHARDS[(i + 1 + other.index(SHARDS.len() - 1)) % SHARDS.len()];
-                prop_assert_ne!(onto, n);
-                let mut sharded = Sharded::resume(detector, gamma, scheme, onto, n_keys, &frontier);
-                for (snapshot, want) in snapshots[cut..].iter().zip(&expected[cut..]) {
-                    let got = sharded.observe(snapshot);
-                    prop_assert_eq!(
-                        outcome_bits(&got), outcome_bits(want), "{:?} x{} -> x{}", scheme, n, onto
-                    );
-                }
-                prop_assert_eq!(
-                    state_bits(&sharded.export_state()), state_bits(&at_end),
-                    "{:?} x{} -> x{}", scheme, n, onto
-                );
-            }
         }
     }
 }

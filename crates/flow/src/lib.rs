@@ -33,7 +33,6 @@
 
 mod aggregate;
 mod matrix;
-mod shard;
 mod window;
 
 pub use aggregate::{
@@ -41,5 +40,4 @@ pub use aggregate::{
     AggregatorStats, FrozenTableRef, KeyAllocator, ATTRIBUTION_CHUNK, NO_KEY,
 };
 pub use matrix::{BandwidthMatrix, IntervalView, KeyId};
-pub use shard::ShardSpec;
 pub use window::busiest_window;

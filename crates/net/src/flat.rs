@@ -74,46 +74,6 @@ fn resolve(stage1: &[u32], spill: &[u32], mask: usize, addr: u32) -> Option<u32>
     }
 }
 
-/// Number of stage-1 loads issued ahead of the resolving pass in
-/// [`FlatLpm::lookup_many_raw`] when the `prefetch` feature is enabled.
-#[cfg(feature = "prefetch")]
-const PREFETCH_DISTANCE: usize = 8;
-
-/// From batch position `i`, request the stage-1 line
-/// [`PREFETCH_DISTANCE`] lanes ahead; a no-op (and dead `i`) without
-/// the `prefetch` feature, so the batch loops stay single-bodied.
-#[cfg(feature = "prefetch")]
-#[inline(always)]
-fn prefetch_ahead(stage1: &[u32], mask: usize, addrs: &[u32], i: usize) {
-    if let Some(&ahead) = addrs.get(i + PREFETCH_DISTANCE) {
-        prefetch_read(&raw const stage1[(ahead >> 8) as usize & mask]);
-    }
-}
-
-#[cfg(not(feature = "prefetch"))]
-#[inline(always)]
-fn prefetch_ahead(_stage1: &[u32], _mask: usize, _addrs: &[u32], _i: usize) {}
-
-/// Request a best-effort cache load of `*ptr` without blocking.
-///
-/// Only compiled under the `prefetch` feature; the instruction never
-/// faults, so the pointer may dangle (e.g. one-past-the-end). On
-/// architectures without a stable prefetch intrinsic this is a no-op
-/// and the hardware prefetchers are left to it.
-#[cfg(feature = "prefetch")]
-#[inline(always)]
-#[allow(unsafe_code)]
-fn prefetch_read(ptr: *const u32) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a hint; it performs no dereference the memory
-    // model can observe and is architecturally defined never to fault.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch(ptr as *const i8, core::arch::x86_64::_MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = ptr;
-}
-
 /// Put `entries` into RIB-dump order: ascending [`Prefix`] order, one
 /// entry per prefix, a later duplicate replacing the earlier one (the
 /// outcome of inserting them one by one into any [`crate::Lpm`]).
@@ -271,9 +231,7 @@ impl<V> FlatLpm<V> {
     /// consumes another lane's result (so stage-1 cache misses overlap
     /// across the out-of-order window instead of serialising against
     /// surrounding per-packet control flow), and the hit/miss decision
-    /// is shared with [`FlatLpm::lookup_id`]. With the `prefetch` cargo
-    /// feature each iteration additionally issues an explicit prefetch
-    /// for the stage-1 line a few lanes ahead. On a pure lookup
+    /// is shared with [`FlatLpm::lookup_id`]. On a pure lookup
     /// micro-bench the per-address loop is already memory-parallelism
     /// bound and the two tie (`crates/bench/benches/lpm.rs`); embedded
     /// in per-packet work the batch form pulls ahead — see the
@@ -292,8 +250,7 @@ impl<V> FlatLpm<V> {
         // check the single-address path pays.
         let mask = self.stage1_mask;
         let stage1 = &self.stage1[..mask + 1];
-        for (i, (o, &addr)) in out.iter_mut().zip(addrs).enumerate() {
-            prefetch_ahead(stage1, mask, addrs, i);
+        for (o, &addr) in out.iter_mut().zip(addrs) {
             *o = resolve(stage1, &self.spill, mask, addr);
         }
     }
@@ -319,11 +276,8 @@ impl<V> FlatLpm<V> {
         // load can issue before any earlier lane resolves, so the
         // out-of-order window overlaps the misses; the masked re-slice
         // above elides the per-lane bounds check, and the spill hop is
-        // rare and well-predicted. With the `prefetch` feature each
-        // iteration additionally requests the stage-1 line
-        // [`PREFETCH_DISTANCE`] lanes ahead.
-        for (i, (o, &addr)) in out.iter_mut().zip(addrs).enumerate() {
-            prefetch_ahead(stage1, mask, addrs, i);
+        // rare and well-predicted.
+        for (o, &addr) in out.iter_mut().zip(addrs) {
             *o = resolve_raw(stage1, &self.spill, mask, addr);
         }
     }

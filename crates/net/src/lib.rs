@@ -56,11 +56,7 @@
 //! attribution runs ~15–20% faster end-to-end on cache-cold
 //! destinations (`attribution` bench group). It is what
 //! `eleph_bgp::FrozenBgpTable::attribute_ids` and the flow aggregator's
-//! chunked hot path build on. Enabling the crate's `prefetch` cargo
-//! feature adds explicit software prefetch (x86-64 `prefetcht0`) a few
-//! lanes ahead inside the batch loop; the feature is off by default
-//! because it needs one `unsafe` intrinsic call and only pays off when
-//! the table misses cache.
+//! chunked hot path build on.
 //!
 //! # Example
 //!
@@ -76,11 +72,7 @@
 //! assert_eq!(*val, "fine");
 //! ```
 
-// The only unsafe in the crate is the feature-gated prefetch intrinsic
-// in `flat.rs` (architecturally a no-op hint); everything else stays
-// forbidden either way.
-#![cfg_attr(not(feature = "prefetch"), forbid(unsafe_code))]
-#![cfg_attr(feature = "prefetch", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod compressed;

@@ -34,11 +34,7 @@
 //! assert_eq!(meta.dst_port, 53);
 //! ```
 
-// The only unsafe in the crate is the feature-gated prefetch intrinsic
-// in `pcap.rs` (architecturally a no-op hint); everything else stays
-// forbidden either way.
-#![cfg_attr(not(feature = "prefetch"), forbid(unsafe_code))]
-#![cfg_attr(feature = "prefetch", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checksum;

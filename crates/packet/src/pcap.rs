@@ -421,10 +421,9 @@ impl<'a> PcapSlice<'a> {
     /// walk itself is a dependent chain (each record's offset comes from
     /// the previous record's captured length), so a cold miss on every
     /// header serialises the whole scan — warming the lines ahead of
-    /// the chain keeps the framer off the memory-latency floor. With
-    /// the `prefetch` cargo feature the touches are real `prefetcht0`
-    /// hints; without it they are forced one-byte reads, which the
-    /// out-of-order window hides almost as well.
+    /// the chain keeps the framer off the memory-latency floor. The
+    /// touches are forced one-byte reads, which the out-of-order window
+    /// hides almost as well as a prefetch instruction would.
     ///
     /// Errors abort the batch exactly like [`PcapSlice::next_record`]:
     /// spans already appended to `out` are valid, the cursor stops at
@@ -493,32 +492,10 @@ const SCAN_AHEAD_BYTES: usize = 4096;
 /// Stride of the scan-ahead touches — one per cache line.
 const CACHE_LINE: usize = 64;
 
-/// Ask the memory system to warm the cache line holding `byte`.
-#[cfg(feature = "prefetch")]
-#[inline(always)]
-#[allow(unsafe_code)]
-fn touch_ahead(byte: &u8) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a hint; it never faults and performs no
-    // observable memory access.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch(
-            byte as *const u8 as *const i8,
-            core::arch::x86_64::_MM_HINT_T0,
-        );
-    }
-    // No stable prefetch intrinsic on other architectures: fall back to
-    // the forced read the feature-off build uses, so enabling the
-    // feature never loses the scan-ahead warming.
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = std::hint::black_box(*byte);
-}
-
 /// Warm the cache line holding `byte` with a forced (non-elidable)
 /// read — the safe-code stand-in for a prefetch instruction; the
 /// out-of-order window hides the load's latency because nothing
 /// consumes its value.
-#[cfg(not(feature = "prefetch"))]
 #[inline(always)]
 fn touch_ahead(byte: &u8) {
     let _ = std::hint::black_box(*byte);

@@ -15,10 +15,13 @@
 //! * attribution reuses the frozen flat-array LPM and its *batched*
 //!   lookup (`FrozenBgpTable::attribute_ids`, 64-packet chunks), the
 //!   same hot path as the batch aggregator;
-//! * one dense byte row accumulates the **open interval only**; when a
-//!   packet's timestamp crosses the interval boundary the row is sealed
-//!   into a sparse snapshot and fed to
-//!   [`eleph_core::OnlineClassifier`];
+//! * one byte row accumulates the **open interval only** — an
+//!   [`eleph_core::StateBackend`]: the exact dense row by default, a
+//!   fixed-budget sketch, or the dense row held by shard worker threads
+//!   — fed once per packet chunk; when a packet's timestamp crosses the
+//!   interval boundary the row is sealed into a sparse snapshot and fed
+//!   to the pipeline's one [`eleph_core::OnlineClassifier`], on the
+//!   pipeline thread, whichever row it is;
 //! * every sealed [`IntervalOutcome`](eleph_core::IntervalOutcome) fans
 //!   out to the attached [`Sink`]s — a callback ([`CallbackSink`]), a
 //!   JSONL writer ([`JsonlSink`]), an in-memory [`Collector`], or any
@@ -80,6 +83,7 @@ pub use checkpoint::{
 pub use pipeline::{
     Pipeline, PipelineBuilder, PipelineError, PipelineReport, PipelineStats, Result,
 };
+pub use shard::MAX_WORKER_THREADS;
 // The state-backend configuration travels with the builder everywhere
 // the pipeline does; re-exported so callers need not depend on
 // eleph-core directly to select a sketch tier.

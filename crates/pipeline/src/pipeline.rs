@@ -5,9 +5,8 @@ use std::fmt;
 
 use eleph_bgp::{BgpTable, FrozenBgpTable, LiveBgpTable, RouteId, TableView, UpdateBatch};
 use eleph_core::{
-    ClassifierState, ConstantLoadDetector, ExactDense, IntervalOutcome, OnlineClassifier, Scheme,
-    StateBackend, StateBackendConfig, ThresholdDetector, PAPER_BETA, PAPER_GAMMA,
-    PAPER_LATENT_WINDOW,
+    ConstantLoadDetector, ExactDense, IntervalOutcome, OnlineClassifier, Scheme, StateBackend,
+    StateBackendConfig, ThresholdDetector, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
 use eleph_flow::{attribute_metas, FrozenTableRef, KeyAllocator, KeyId};
 use eleph_net::Prefix;
@@ -15,7 +14,7 @@ use eleph_packet::{LinkType, PacketMeta};
 use eleph_trace::{CrashPoint, CrashSwitch};
 
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointError, Checkpointer};
-use crate::shard::ShardEngine;
+use crate::shard::ShardedRow;
 use crate::sink::{SealedInterval, Sink};
 use crate::source::PacketSource;
 
@@ -374,13 +373,15 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
         self
     }
 
-    /// Partition the online path over `n` worker threads, each owning
-    /// the byte row and classifier state for `key % n == shard`. `0`
-    /// (the default) runs everything inline on the pipeline thread;
-    /// any `n ≥ 1` uses the sharded engine (so `--shards 1` measures
-    /// pure coordination overhead). Output — thresholds, elephant sets,
-    /// loads, checkpoints — is bit-identical for every value of `n`;
-    /// see the `shard` module docs for why.
+    /// Hold the open interval's exact byte row on `n` worker threads,
+    /// worker `key % n` owning key `key`. `0` (the default) keeps the
+    /// row inline on the pipeline thread; any `n ≥ 1` spawns workers (so
+    /// `--shards 1` measures pure coordination overhead), and
+    /// [`PipelineBuilder::build`] refuses more than
+    /// [`crate::MAX_WORKER_THREADS`]. Detection and classification run
+    /// once, on the pipeline thread, on the merged snapshot, so output —
+    /// thresholds, elephant sets, loads, checkpoints — is bit-identical
+    /// for every value of `n`; see the `shard` module docs.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
@@ -390,13 +391,15 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     /// ([`StateBackendConfig::Exact`], the default, keeps the dense byte
     /// row and is bit-identical to every earlier release; the sketch
     /// backends trade bounded memory for approximate snapshots — see
-    /// [`eleph_core::sketch`]). Detection, smoothing and scheme state
+    /// [`eleph_core::sketch`]). Every backend, the exact one included,
+    /// sits behind the same [`StateBackend`] trait object and is fed
+    /// once per packet chunk; detection, smoothing and scheme state
     /// always run exactly on whatever snapshot the backend seals.
     ///
     /// Sketch backends run serially: combining one with
-    /// [`PipelineBuilder::shards`] panics at build time (their whole
-    /// point is that state no longer scales with keys, so there is no
-    /// row to partition).
+    /// [`PipelineBuilder::shards`] panics at build time (a sketch is one
+    /// summary of the whole link — it has no key-partitioned halves to
+    /// hand to workers).
     pub fn state_backend(mut self, config: StateBackendConfig) -> Self {
         self.state = config;
         self
@@ -424,8 +427,10 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     ///
     /// Panics when no table was provided, when `interval_secs` is zero,
     /// when the window's nanosecond bounds overflow `u64` (the same
-    /// validation as the batch aggregator), or when a route-update
-    /// schedule was given without a live table / out of time order.
+    /// validation as the batch aggregator), when a route-update
+    /// schedule was given without a live table / out of time order, or
+    /// when [`PipelineBuilder::shards`] is above
+    /// [`crate::MAX_WORKER_THREADS`] or combined with a sketch backend.
     pub fn build(self) -> Pipeline<'t, D> {
         let table = self.table.expect("PipelineBuilder needs a table (.table, .frozen or .live)");
         let update_ns = update_schedule(&table, &self.updates);
@@ -434,30 +439,10 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
         let (start_ns, interval_ns) =
             eleph_flow::window_bounds_ns(self.interval_secs, self.start_unix);
         let n_routes = table.id_space();
-        let secs = self.interval_secs as f64;
-        let engine = match self.state.build() {
-            Some(backend) => {
-                assert_eq!(
-                    self.shards, 0,
-                    "sketch state backends run serially (--state {} is incompatible with shards)",
-                    self.state.kind()
-                );
-                Engine::Sketch {
-                    classifier: OnlineClassifier::new(self.detector, self.gamma, self.scheme),
-                    backend,
-                    snapshot: Vec::new(),
-                }
-            }
-            None if self.shards == 0 => {
-                Engine::serial(OnlineClassifier::new(self.detector, self.gamma, self.scheme))
-            }
-            None => Engine::Sharded(ShardEngine::new(
-                self.detector,
-                self.gamma,
-                self.scheme,
-                self.shards,
-                secs,
-            )),
+        let engine = Engine {
+            classifier: OnlineClassifier::new(self.detector, self.gamma, self.scheme),
+            row: open_row(self.state, self.shards),
+            snapshot: Vec::new(),
         };
         Pipeline {
             table,
@@ -465,15 +450,17 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
             update_ns,
             next_update: 0,
             interval_secs: self.interval_secs,
-            secs,
+            secs: self.interval_secs as f64,
             start_unix: self.start_unix,
             start_ns,
             interval_ns,
             n_intervals: self.n_intervals,
             engine,
+            n_shards: self.shards,
             sinks: self.sinks,
             key_alloc: KeyAllocator::new(n_routes),
             route_scratch: Vec::new(),
+            binned: Vec::new(),
             far_future_streak: 0,
             keys: Vec::new(),
             open: 0,
@@ -497,8 +484,7 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     ///
     /// # Panics
     ///
-    /// Panics when no table was provided (same contract as
-    /// [`PipelineBuilder::build`]).
+    /// Panics on what [`PipelineBuilder::build`] panics on.
     pub fn resume(self, ckpt: &Checkpoint) -> std::result::Result<Pipeline<'t, D>, CheckpointError> {
         let mismatch = |what: &str, have: String, want: String| {
             CheckpointError::Mismatch(format!("{what}: pipeline has {have}, checkpoint has {want}"))
@@ -613,50 +599,28 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
                 )));
             }
         }
-        let secs = self.interval_secs as f64;
-        // Exact checkpoints are shard-count-independent: the serial
-        // state either restores directly or partitions onto fresh
-        // workers. Sketch checkpoints restore onto the one backend kind
-        // (and geometry) they were exported from.
-        let (gamma, scheme, n_keys) = (self.gamma, self.scheme, ckpt.keys.len());
-        let classifier = |detector: D| {
-            OnlineClassifier::from_state(detector, gamma, scheme, n_keys, ckpt.state.clone())
-                .map_err(CheckpointError::State)
-        };
-        let engine = match self.state.build() {
-            Some(mut backend) => {
-                assert_eq!(
-                    self.shards, 0,
-                    "sketch state backends run serially (--state {} is incompatible with shards)",
-                    self.state.kind()
-                );
-                let (_, payload) = ckpt.sketch.as_ref().expect("kind check passed for a sketch");
-                backend.restore_sketch(payload).map_err(CheckpointError::State)?;
-                Engine::Sketch {
-                    classifier: classifier(self.detector)?,
-                    backend,
-                    snapshot: Vec::new(),
-                }
-            }
+        let classifier = OnlineClassifier::from_state(
+            self.detector,
+            self.gamma,
+            self.scheme,
+            ckpt.keys.len(),
+            ckpt.state.clone(),
+        )
+        .map_err(CheckpointError::State)?;
+        // The open row: a sketch restores from its payload, onto the one
+        // backend kind (and geometry) it was exported from; an exact
+        // row is validated against the key table and then recorded into
+        // whatever holds it, so the shard count is free to change.
+        let mut row = open_row(self.state, self.shards);
+        match &ckpt.sketch {
+            Some((_, payload)) => row.restore_sketch(payload).map_err(CheckpointError::State)?,
             None => {
-                // Rebuild the open interval's dense byte row, which
-                // validates it against the key table; a sharded engine
-                // re-splits the sparse pairs and only needs the verdict.
-                let state = ExactDense::from_checkpoint_row(n_keys, &ckpt.row)
+                ExactDense::from_checkpoint_row(ckpt.keys.len(), &ckpt.row)
                     .map_err(CheckpointError::State)?;
-                if self.shards == 0 {
-                    Engine::Serial {
-                        classifier: classifier(self.detector)?,
-                        state,
-                        snapshot: Vec::new(),
-                    }
-                } else {
-                    ShardEngine::resume(self.detector, gamma, scheme, self.shards, secs, ckpt)
-                        .map(Engine::Sharded)
-                        .map_err(CheckpointError::State)?
-                }
+                row.record_many(&ckpt.row);
             }
-        };
+        }
+        let engine = Engine { classifier, row, snapshot: Vec::new() };
         let (start_ns, interval_ns) =
             eleph_flow::window_bounds_ns(self.interval_secs, self.start_unix);
         Ok(Pipeline {
@@ -665,15 +629,17 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
             update_ns,
             next_update,
             interval_secs: self.interval_secs,
-            secs,
+            secs: self.interval_secs as f64,
             start_unix: self.start_unix,
             start_ns,
             interval_ns,
             n_intervals: self.n_intervals,
             engine,
+            n_shards: self.shards,
             sinks: self.sinks,
             key_alloc,
             route_scratch: Vec::new(),
+            binned: Vec::new(),
             far_future_streak: ckpt.far_future_streak,
             keys: ckpt.keys.iter().map(|&(_, prefix)| prefix).collect(),
             open,
@@ -718,175 +684,47 @@ fn update_schedule(table: &TableHandle<'_>, updates: &[UpdateBatch]) -> Vec<u64>
     ns
 }
 
-/// The classification engine behind a [`Pipeline`]: the open byte row
-/// plus the online classifier, either inline on the pipeline thread
-/// (serial — the default) or partitioned over shard workers. Both
-/// variants expose the identical bin/seal/frontier surface and produce
-/// bit-identical output; the pipeline's window logic, sealing cadence,
-/// sinks and crash points never branch on the variant.
-enum Engine<D: ThresholdDetector> {
-    Serial {
-        classifier: OnlineClassifier<D>,
-        /// The exact open-interval byte row (the concrete type, not a
-        /// trait object: the default path stays statically dispatched
-        /// and byte-identical to every earlier release).
-        state: ExactDense,
-        /// Seal-path scratch: the sparse snapshot handed to the
-        /// classifier.
-        snapshot: Vec<(KeyId, f32)>,
-    },
-    /// A sublinear-memory sketch accumulates the open interval; the
-    /// classifier still observes a sealed snapshot exactly as in the
-    /// serial engine — detection never knows the row was approximate.
-    Sketch {
-        classifier: OnlineClassifier<D>,
-        backend: Box<dyn StateBackend>,
-        snapshot: Vec<(KeyId, f32)>,
-    },
-    Sharded(ShardEngine<D>),
+/// The classification engine behind a [`Pipeline`]: the one online
+/// classifier plus the open interval's byte row, whatever holds it (the
+/// dense row, a sketch, the dense row spread over shard workers — see
+/// [`open_row`]). A seal is the same two calls for every configuration,
+/// so the pipeline's window logic, sealing cadence, sinks, checkpoints
+/// and crash points never ask which row is underneath.
+struct Engine<D> {
+    classifier: OnlineClassifier<D>,
+    row: Box<dyn StateBackend>,
+    /// Seal-path scratch: the sparse snapshot handed to the classifier.
+    snapshot: Vec<(KeyId, f32)>,
 }
 
 impl<D: ThresholdDetector> Engine<D> {
-    fn serial(classifier: OnlineClassifier<D>) -> Self {
-        Engine::Serial {
-            classifier,
-            state: ExactDense::new(),
-            snapshot: Vec::new(),
-        }
-    }
-
-    /// Bin attributed bytes into the open interval.
-    #[inline]
-    fn bin(&mut self, key: KeyId, bytes: u64) {
-        match self {
-            Engine::Serial { state, .. } => state.record(key, bytes),
-            Engine::Sketch { backend, .. } => backend.record(key, bytes),
-            Engine::Sharded(engine) => engine.bin(key, bytes),
-        }
-    }
-
     /// Seal the open interval: build its sparse snapshot (ascending by
     /// key id, rates converted with the exact arithmetic of the batch
     /// matrix) and classify it.
     fn seal_interval(&mut self, secs: f64) -> IntervalOutcome {
-        match self {
-            Engine::Serial {
-                classifier,
-                state,
-                snapshot,
-            } => {
-                state.seal_into(secs, snapshot);
-                classifier.observe(snapshot)
-            }
-            Engine::Sketch {
-                classifier,
-                backend,
-                snapshot,
-            } => {
-                backend.seal_into(secs, snapshot);
-                classifier.observe(snapshot)
-            }
-            Engine::Sharded(engine) => engine.seal_interval(),
-        }
+        self.row.seal_into(secs, &mut self.snapshot);
+        self.classifier.observe(&self.snapshot)
     }
+}
 
-    /// Whether the open interval holds any attributed traffic.
-    fn has_open_traffic(&self) -> bool {
-        match self {
-            Engine::Serial { state, .. } => state.has_traffic(),
-            Engine::Sketch { backend, .. } => backend.has_traffic(),
-            Engine::Sharded(engine) => engine.has_open_traffic(),
-        }
+/// The open-interval row a builder's `state_backend` × `shards` asks
+/// for — the one place that knows which kind of row a pipeline runs on.
+///
+/// # Panics
+///
+/// Panics when a sketch is combined with shards, or the shard count is
+/// above [`crate::MAX_WORKER_THREADS`].
+fn open_row(state: StateBackendConfig, shards: usize) -> Box<dyn StateBackend> {
+    if shards == 0 {
+        return state.build();
     }
-
-    /// The recovery frontier: the open row as sorted `(key, bytes)`
-    /// pairs plus the (serial-form) classifier state. Sketch engines
-    /// have no exact row (their open state travels as the checkpoint's
-    /// sketch payload instead — see [`Engine::sketch_payload`]).
-    fn frontier(&self) -> (Vec<(KeyId, u64)>, ClassifierState) {
-        match self {
-            Engine::Serial { classifier, state, .. } => {
-                (state.open_row(), classifier.export_state())
-            }
-            Engine::Sketch { classifier, .. } => (Vec::new(), classifier.export_state()),
-            Engine::Sharded(engine) => engine.frontier(),
-        }
-    }
-
-    /// The checkpoint's version-3 tail: `(backend kind, serialized
-    /// sketch state)`; `None` on the exact paths (their images stay
-    /// format version 2).
-    fn sketch_payload(&self) -> Option<(String, Vec<u8>)> {
-        match self {
-            Engine::Sketch { backend, .. } => backend
-                .export_sketch()
-                .map(|payload| (backend.kind().to_string(), payload)),
-            _ => None,
-        }
-    }
-
-    /// Resident footprint of the open-interval state in bytes.
-    /// `n_keys` sizes the sharded engine's aggregate (its workers hold
-    /// one dense row slot per key between them).
-    fn state_bytes(&self, n_keys: usize) -> usize {
-        match self {
-            Engine::Serial { state, .. } => state.state_bytes(),
-            Engine::Sketch { backend, .. } => backend.state_bytes(),
-            Engine::Sharded(_) => n_keys * std::mem::size_of::<u64>(),
-        }
-    }
-
-    /// Which state backend seals the intervals.
-    fn state_kind(&self) -> &'static str {
-        match self {
-            Engine::Serial { .. } | Engine::Sharded(_) => "exact",
-            Engine::Sketch { backend, .. } => backend.kind(),
-        }
-    }
-
-    fn gamma(&self) -> f64 {
-        match self {
-            Engine::Serial { classifier, .. } | Engine::Sketch { classifier, .. } => {
-                classifier.gamma()
-            }
-            Engine::Sharded(engine) => engine.gamma(),
-        }
-    }
-
-    fn scheme(&self) -> Scheme {
-        match self {
-            Engine::Serial { classifier, .. } | Engine::Sketch { classifier, .. } => {
-                classifier.scheme()
-            }
-            Engine::Sharded(engine) => engine.scheme(),
-        }
-    }
-
-    fn detector_name(&self) -> String {
-        match self {
-            Engine::Serial { classifier, .. } | Engine::Sketch { classifier, .. } => {
-                classifier.detector_name()
-            }
-            Engine::Sharded(engine) => engine.detector_name(),
-        }
-    }
-
-    fn tracked_keys(&self) -> usize {
-        match self {
-            Engine::Serial { classifier, .. } | Engine::Sketch { classifier, .. } => {
-                classifier.tracked_keys()
-            }
-            Engine::Sharded(engine) => engine.tracked_keys(),
-        }
-    }
-
-    /// Number of shard workers (0 = serial).
-    fn n_shards(&self) -> usize {
-        match self {
-            Engine::Serial { .. } | Engine::Sketch { .. } => 0,
-            Engine::Sharded(engine) => engine.n_shards(),
-        }
-    }
+    assert_eq!(
+        state,
+        StateBackendConfig::Exact,
+        "sketch state backends run serially (--state {} is incompatible with shards)",
+        state.kind()
+    );
+    Box::new(ShardedRow::new(shards))
 }
 
 /// The streaming pipeline: feed packets (or [`Pipeline::run`] a whole
@@ -911,12 +749,19 @@ pub struct Pipeline<'t, D: ThresholdDetector> {
     interval_ns: u64,
     n_intervals: Option<usize>,
     engine: Engine<D>,
+    /// Shard workers holding the row (0 = none), as the builder was told.
+    n_shards: usize,
     sinks: Vec<Box<dyn Sink>>,
     /// Shared first-seen key assignment (the same allocator the batch
     /// aggregator uses, so the two paths cannot drift on key order).
     key_alloc: KeyAllocator,
     /// Reusable buffer for [`attribute_metas`] results.
     route_scratch: Vec<Option<RouteId>>,
+    /// Attributed `(key, bytes)` pairs not yet in the row: collected
+    /// per chunk and recorded in one call ([`Pipeline::record_binned`]),
+    /// before any seal and on every return to the caller, so the buffer
+    /// is empty whenever the row is looked at from outside.
+    binned: Vec<(KeyId, u64)>,
     /// Consecutive unbounded-mode packets beyond [`MAX_UNBOUNDED_GAP`]
     /// (see [`FAR_FUTURE_TOLERANCE`]).
     far_future_streak: u32,
@@ -974,7 +819,15 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             .zip(routes.iter())
             .try_for_each(|(meta, &route)| self.apply(meta, route));
         self.route_scratch = routes;
+        // Error exits included: what was attributed is in the row.
+        self.record_binned();
         result
+    }
+
+    /// Move the collected pairs into the row (one dispatch per chunk).
+    fn record_binned(&mut self) {
+        self.engine.row.record_many(&self.binned);
+        self.binned.clear();
     }
 
     /// Observe one parsed packet (single-lookup path; rejected packets
@@ -988,7 +841,9 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             return Ok(());
         };
         let route = self.table.attribute_one(u32::from(meta.dst));
-        self.advance_and_bin(meta, route, interval)
+        let result = self.advance_and_bin(meta, route, interval);
+        self.record_binned();
+        result
     }
 
     /// Nanosecond time of the next scheduled update batch (`u64::MAX`
@@ -1161,7 +1016,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             self.keys.push(self.table.prefix(route));
         }
         let bytes = u64::from(meta.wire_len);
-        self.engine.bin(key, bytes);
+        self.binned.push((key, bytes));
         self.stats.attributed += 1;
         self.stats.attributed_bytes += bytes;
         Ok(())
@@ -1171,6 +1026,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
     /// [`Engine::seal_interval`]), fan out to the sinks, advance.
     fn seal(&mut self) -> Result<()> {
         let seal_index = self.open;
+        self.record_binned();
         let outcome = self.engine.seal_interval(self.secs);
         if self.crash_now(CrashPoint::AfterSeal, seal_index) {
             // The classifier advanced in memory only; nothing durable
@@ -1214,18 +1070,16 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
     pub(crate) fn export_checkpoint(&self) -> Checkpoint {
         let key_routes = self.key_alloc.key_routes();
         debug_assert_eq!(key_routes.len(), self.keys.len());
-        // Sharded engines merge their workers' rows and states back
-        // into the serial form here, so the checkpoint layout (and its
-        // format v2 fingerprint) is independent of the shard count.
-        let (row, state) = self.engine.frontier();
+        debug_assert!(self.binned.is_empty(), "pairs outside the row at a chunk boundary");
+        let Engine { classifier, row, .. } = &self.engine;
         Checkpoint {
             config: CheckpointConfig {
                 interval_secs: self.interval_secs,
                 start_unix: self.start_unix,
                 n_intervals: self.n_intervals.map(|n| n as u64),
-                gamma: self.engine.gamma(),
-                scheme: self.engine.scheme(),
-                detector: self.engine.detector_name(),
+                gamma: classifier.gamma(),
+                scheme: classifier.scheme(),
+                detector: classifier.detector_name(),
                 n_routes: self.table.id_space() as u64,
                 generation: self.table.generation(),
             },
@@ -1237,9 +1091,13 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
                 .zip(&self.keys)
                 .map(|(&route, &prefix)| (route, prefix))
                 .collect(),
-            row,
-            state,
-            sketch: self.engine.sketch_payload(),
+            // Every exact row exports the same sorted pairs (format
+            // version 2, whatever the shard count); a sketch's open
+            // state travels as the version-3 tail instead and its row is
+            // empty.
+            row: row.open_row(),
+            state: classifier.export_state(),
+            sketch: row.export_sketch().map(|payload| (row.kind().to_string(), payload)),
         }
     }
 
@@ -1257,7 +1115,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
                 }
             }
             None => {
-                if self.engine.has_open_traffic() {
+                if self.engine.row.has_traffic() {
                     self.seal()?;
                 }
             }
@@ -1272,8 +1130,8 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             generation: self.table.generation(),
             route_updates_applied: self.next_update as u64,
             distinct_keys: self.keys.len(),
-            state_bytes: self.engine.state_bytes(self.keys.len()),
-            state_backend: self.engine.state_kind(),
+            state_bytes: self.engine.row.state_bytes(),
+            state_backend: self.engine.row.kind(),
             keys: self.keys,
         })
     }
@@ -1303,13 +1161,13 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
 
     /// Keys currently holding classifier window state.
     pub fn tracked_keys(&self) -> usize {
-        self.engine.tracked_keys()
+        self.engine.classifier.tracked_keys()
     }
 
-    /// Number of shard workers the online path runs on (0 = serial,
-    /// everything inline on the pipeline thread).
+    /// Number of shard workers holding the open byte row (0 = serial,
+    /// the row inline on the pipeline thread).
     pub fn n_shards(&self) -> usize {
-        self.engine.n_shards()
+        self.n_shards
     }
 }
 

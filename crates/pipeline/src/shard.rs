@@ -1,466 +1,340 @@
-//! The sharded online engine: N worker threads, each owning the byte
-//! row and classifier partition for its slice of the key space.
+//! The exact byte row held by N worker threads: `--shards N`.
 //!
-//! # Architecture
+//! [`ShardedRow`] is one more [`StateBackend`]. The pipeline thread
+//! stays the single writer of key *assignment* — first-seen key ids are
+//! a property of the packet stream and must not depend on worker
+//! scheduling — and the single owner of the classifier; only the open
+//! interval's byte accumulation is spread out. Key `k` belongs to worker
+//! `k % N`, which holds it in an [`ExactDense`] over local ids `k / N`,
+//! so ascending local id is ascending key within a worker.
 //!
-//! The attribution thread (the pipeline itself) stays the single writer
-//! of key *assignment* — first-seen key ids are a property of the packet
-//! stream and must not depend on worker scheduling. Attributed
-//! `(key, bytes)` pairs accumulate in a pending buffer and are
-//! broadcast to every worker in batches ([`SHARD_BATCH`]); each worker
-//! filters the batch down to the keys its [`ShardSpec`] owns and bins
-//! them into its local dense row. Broadcasting costs one `Arc` clone
-//! per worker per batch — no per-packet routing, no per-packet
-//! synchronization.
-//!
-//! # The two-phase seal barrier
-//!
-//! Detection is global (a threshold is a function of *all* keys), so a
-//! seal round-trips the workers twice over their FIFO job channels:
-//!
-//! 1. **Seal**: each worker converts its local row into its slice of
-//!    the interval snapshot (ascending by key, batch-identical rate
-//!    arithmetic) and sends it to the pipeline thread, which N-way
-//!    merges the slices into the global ascending value vector and runs
-//!    the detector + EWMA once ([`SealCoordinator`]).
-//! 2. **Classify**: the resulting [`SealContext`] goes back to every
-//!    worker together with its own snapshot slice (ping-ponged, so the
-//!    allocation is consumed into the window history with no copy);
-//!    each worker updates its latent-heat/hysteresis partition and
-//!    returns its elephants, which merge in ascending key order into
-//!    the exact serial emission ([`merge_observations`]).
-//!
-//! Because each worker's channel is FIFO, the Seal job is itself the
-//! barrier: every Items batch sent before it is binned before the row
-//! is sealed. Empty intervals run the same two phases — parts must
-//! stay in lockstep with the serial window (one history slot per
-//! interval, see `eleph_core::shard`).
-//!
-//! # Checkpoints
-//!
-//! A Frontier round-trip collects every worker's open row and
-//! [`PartState`]; rows merge with the pending (not yet broadcast)
-//! items overlaid, and [`merge_states`] reassembles — with structural
-//! cross-validation — the exact serial `ClassifierState`. Checkpoints
-//! are therefore shard-count-independent: format v2 fingerprints
-//! validate unchanged, and any shard count (including serial) resumes
-//! from any other's snapshot.
+//! * **Record**: [`ShardedRow::record_many`] partitions the pairs by
+//!   owner on the pipeline thread and, once [`SEND_BATCH`] pairs are
+//!   waiting, sends each worker only its own — no per-packet
+//!   synchronisation, no broadcast.
+//! * **Seal**: one round trip. Each worker's job channel is FIFO, so the
+//!   seal job is itself the barrier behind every pair sent before it;
+//!   each worker seals its `ExactDense` (the serial rate arithmetic, on
+//!   the same byte counts) and the N ascending slices merge into the
+//!   ascending snapshot the serial row would have produced. Detection
+//!   and classification then run once, on the pipeline thread, exactly
+//!   as for every other row.
+//! * **Checkpoints**: [`ShardedRow::open_row`] merges the workers' rows
+//!   with the unsent pairs overlaid into the serial row's sorted pairs,
+//!   and a restore is `record_many` of those pairs — so an image carries
+//!   no trace of the shard count, and any count (serial included)
+//!   resumes from any other's.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use eleph_core::{
-    merge_observations, merge_states, partition_state, ClassifierPart, ClassifierState,
-    IntervalOutcome, PartObservation, PartState, Scheme, SealContext, SealCoordinator,
-    ThresholdDetector,
-};
-use eleph_flow::{KeyId, ShardSpec};
+use eleph_core::{ExactDense, StateBackend};
+use eleph_flow::KeyId;
 
-use crate::checkpoint::Checkpoint;
+/// The most worker threads one stage of a run may be asked for: shard
+/// workers here, parser threads on the pooled pcap path. A count is a
+/// number of OS threads to spawn, so an absurd one is refused up front
+/// rather than left to fail at whichever `spawn` exhausts the process.
+pub const MAX_WORKER_THREADS: usize = 256;
 
-/// Attributed `(key, bytes)` pairs buffered on the pipeline thread
-/// before a broadcast to the workers. Large enough to amortize the
-/// channel send, small enough to keep batches cache-resident.
-pub(crate) const SHARD_BATCH: usize = 1024;
+/// Pairs waiting on the pipeline thread before they are sent to their
+/// workers. Large enough to amortize the channel sends, small enough to
+/// keep batches cache-resident.
+const SEND_BATCH: usize = 1024;
 
-/// Work sent to a shard worker (FIFO per worker; the Seal job doubles
-/// as the barrier behind all earlier Items).
+/// Work sent to a worker (FIFO per worker; `Seal` and `OpenRow` double
+/// as the barrier behind all earlier `Items`).
 enum Job {
-    /// A broadcast batch of attributed pairs; the worker bins only the
-    /// keys it owns.
-    Items(Arc<Vec<(KeyId, u64)>>),
-    /// Phase 1: seal the local row into a snapshot slice and return it.
-    Seal,
-    /// Phase 2: the global context plus the worker's own snapshot slice
-    /// (returned from phase 1), to be consumed into the window history.
-    Classify(SealContext, Vec<(KeyId, f32)>),
-    /// Export the open row and classifier partition (checkpointing).
-    Frontier,
+    /// Pairs this worker owns, in stream order.
+    Items(Vec<(KeyId, u64)>),
+    /// Seal the local row at this interval length and answer with the
+    /// snapshot slice.
+    Seal(f64),
+    /// Answer with the local open row (checkpointing).
+    OpenRow,
 }
 
-/// A worker's answer, tagged with its shard index.
-enum Resp {
-    /// Phase-1 result: the shard's snapshot slice, ascending by key.
-    Snapshot(usize, Vec<(KeyId, f32)>),
-    /// Phase-2 result: the shard's elephants + load terms.
-    Observation(usize, PartObservation),
-    /// Frontier export: open-row pairs (ascending) and the partition
-    /// state.
-    Frontier(usize, Vec<(KeyId, u64)>, Box<PartState>),
-}
-
-/// One worker's whole state: its key slice's open-interval row plus
-/// classifier partition.
+/// The pipeline thread's ends of one worker's channels. Answers come
+/// back on a channel per worker and per answer type, so collecting them
+/// in shard order needs neither tags nor a case that cannot happen.
 struct Worker {
-    spec: ShardSpec,
-    part: ClassifierPart,
-    /// `interval_secs as f64` — the seal-path rate division must use
-    /// the identical expression as the serial engine.
-    secs: f64,
-    /// Open interval's bytes, dense over *local* key indices.
-    row: Vec<u64>,
-    /// Local indices with nonzero bytes (unsorted until sealing).
-    touched: Vec<u32>,
+    jobs: Sender<Job>,
+    snapshots: Receiver<Vec<(KeyId, f32)>>,
+    rows: Receiver<Vec<(KeyId, u64)>>,
+    thread: JoinHandle<()>,
 }
 
 impl Worker {
-    fn run(mut self, jobs: Receiver<Job>, resp: Sender<Resp>) {
-        let shard = self.spec.shard();
-        while let Ok(job) = jobs.recv() {
-            let ok = match job {
-                Job::Items(items) => {
-                    for &(key, bytes) in items.iter() {
-                        if self.spec.owns(key) {
-                            self.bin(key, bytes);
-                        }
-                    }
-                    true
-                }
-                Job::Seal => {
-                    // Same scan as the serial seal, over the local row:
-                    // ascending local index is ascending global key.
-                    self.touched.sort_unstable();
-                    let mut snapshot = Vec::with_capacity(self.touched.len());
-                    for &local in &self.touched {
-                        let k = local as usize;
-                        let bytes = self.row[k];
-                        self.row[k] = 0;
-                        debug_assert!(bytes > 0, "touched key with zero bytes");
-                        // Identical expression to the batch matrix / serial
-                        // seal, so the f32 rate is bit-identical.
-                        snapshot
-                            .push((self.spec.global(k), (bytes as f64 * 8.0 / self.secs) as f32));
-                    }
-                    self.touched.clear();
-                    resp.send(Resp::Snapshot(shard, snapshot)).is_ok()
-                }
-                Job::Classify(ctx, snapshot) => {
-                    let obs = self.part.observe_part(snapshot, &ctx);
-                    resp.send(Resp::Observation(shard, obs)).is_ok()
-                }
-                Job::Frontier => {
-                    let mut row: Vec<(KeyId, u64)> = self
-                        .touched
-                        .iter()
-                        .map(|&local| (self.spec.global(local as usize), self.row[local as usize]))
-                        .collect();
-                    row.sort_unstable();
-                    let state = Box::new(self.part.export_state());
-                    resp.send(Resp::Frontier(shard, row, state)).is_ok()
-                }
-            };
-            if !ok {
-                // The pipeline went away mid-response; nothing to do.
-                return;
-            }
-        }
-    }
-
-    #[inline]
-    fn bin(&mut self, key: KeyId, bytes: u64) {
-        let k = self.spec.local(key);
-        if k >= self.row.len() {
-            self.row.resize(k + 1, 0);
-        }
-        if self.row[k] == 0 && bytes > 0 {
-            self.touched.push(k as u32);
-        }
-        self.row[k] += bytes;
+    fn send(&self, job: Job) {
+        self.jobs.send(job).expect("shard worker exited early (it panicked)");
     }
 }
 
-/// The sharded counterpart of the serial row + classifier: N long-lived
-/// worker threads plus the global [`SealCoordinator`] on the pipeline
-/// thread. Output is bit-identical to the serial engine for every
-/// shard count (see the module docs for why).
-pub(crate) struct ShardEngine<D> {
-    coord: SealCoordinator<D>,
-    scheme: Scheme,
-    /// Attributed pairs not yet broadcast (flushed at [`SHARD_BATCH`],
-    /// before every seal, and overlaid onto frontier exports).
-    pending: Vec<(KeyId, u64)>,
-    /// Whether the open interval has binned any nonzero bytes — the
-    /// sharded stand-in for the serial engine's `!touched.is_empty()`.
+fn answer<T>(from: &Receiver<T>) -> T {
+    from.recv().expect("shard worker exited early (it panicked)")
+}
+
+/// Worker `shard` of `n`: an [`ExactDense`] over local ids, with global
+/// ids restored on everything that leaves.
+fn run_worker(
+    shard: KeyId,
+    n: KeyId,
+    jobs: Receiver<Job>,
+    snapshots: Sender<Vec<(KeyId, f32)>>,
+    rows: Sender<Vec<(KeyId, u64)>>,
+) {
+    let mut row = ExactDense::new();
+    // An answer nobody is left to receive means the row is being dropped,
+    // and the job channel closing with it is what ends this loop.
+    while let Ok(job) = jobs.recv() {
+        match job {
+            Job::Items(pairs) => {
+                for (key, bytes) in pairs {
+                    row.record(key / n, bytes);
+                }
+            }
+            Job::Seal(secs) => {
+                let mut slice = Vec::new();
+                row.seal_into(secs, &mut slice);
+                slice.iter_mut().for_each(|e| e.0 = e.0 * n + shard);
+                let _ = snapshots.send(slice);
+            }
+            Job::OpenRow => {
+                let mut open = row.open_row();
+                open.iter_mut().for_each(|e| e.0 = e.0 * n + shard);
+                let _ = rows.send(open);
+            }
+        }
+    }
+}
+
+/// The exact open-interval row, key-partitioned over worker threads.
+/// As a [`StateBackend`] it is indistinguishable from [`ExactDense`]:
+/// same `open_row`, same snapshots by bits, same `kind` (pinned by the
+/// tests below), for every worker count.
+pub(crate) struct ShardedRow {
+    workers: Vec<Worker>,
+    /// Pairs not yet sent, by owning worker (sent at [`SEND_BATCH`] and
+    /// before every seal; overlaid onto `open_row`).
+    unsent: Vec<Vec<(KeyId, u64)>>,
+    n_unsent: usize,
+    /// Whether the open interval holds any nonzero bytes — the stand-in
+    /// for the serial row's `!touched.is_empty()`.
     dirty: bool,
-    job_txs: Vec<Sender<Job>>,
-    resp_rx: Receiver<Resp>,
-    handles: Vec<JoinHandle<()>>,
+    /// Key ids seen so far (highest + 1): the dense slots the workers
+    /// hold between them.
+    n_ids: usize,
 }
 
-impl<D: ThresholdDetector> ShardEngine<D> {
-    /// Spawn `n_shards` fresh workers (`n_shards ≥ 1`).
-    pub(crate) fn new(detector: D, gamma: f64, scheme: Scheme, n_shards: usize, secs: f64) -> Self {
-        let parts = (0..n_shards)
-            .map(|s| ClassifierPart::new(ShardSpec::new(s, n_shards), scheme))
-            .collect();
-        Self::spawn(
-            SealCoordinator::new(detector, gamma),
-            scheme,
-            parts,
-            vec![Vec::new(); n_shards],
-            secs,
-        )
-    }
-
-    /// Rebuild a sharded engine from a checkpoint's serial state: the
-    /// classifier state is validated against the checkpoint's key
-    /// count, partitioned onto `n_shards` fresh parts (each part
-    /// re-validating its slice plus ownership), and the open row
-    /// (ascending, nonzero — the caller has already rebuilt and
-    /// validated it) is split the same way.
-    pub(crate) fn resume(
-        detector: D,
-        gamma: f64,
-        scheme: Scheme,
-        n_shards: usize,
-        secs: f64,
-        ckpt: &Checkpoint,
-    ) -> Result<Self, String> {
-        let (n_keys, state, row) = (ckpt.keys.len(), &ckpt.state, &ckpt.row);
-        state.validate(scheme, n_keys)?;
-        let parts = partition_state(state, n_shards)
-            .into_iter()
-            .enumerate()
-            .map(|(s, ps)| {
-                ClassifierPart::from_state(ShardSpec::new(s, n_shards), scheme, n_keys, ps)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut rows: Vec<Vec<(KeyId, u64)>> = vec![Vec::new(); n_shards];
-        for &(key, bytes) in row {
-            rows[ShardSpec::owner(key, n_shards)].push((key, bytes));
-        }
-        let mut engine = Self::spawn(
-            SealCoordinator::resume(detector, gamma, state.interval, state.smoothed),
-            scheme,
-            parts,
-            rows,
-            secs,
+impl ShardedRow {
+    /// Spawn `n_shards` workers over an empty row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= n_shards <= MAX_WORKER_THREADS`, or when the
+    /// OS refuses a thread.
+    pub(crate) fn new(n_shards: usize) -> Self {
+        assert!(
+            (1..=MAX_WORKER_THREADS).contains(&n_shards),
+            "{n_shards} shards: need 1 to {MAX_WORKER_THREADS} worker threads"
         );
-        engine.dirty = !row.is_empty();
-        Ok(engine)
-    }
-
-    fn spawn(
-        coord: SealCoordinator<D>,
-        scheme: Scheme,
-        parts: Vec<ClassifierPart>,
-        rows: Vec<Vec<(KeyId, u64)>>,
-        secs: f64,
-    ) -> Self {
-        let (resp_tx, resp_rx) = channel();
-        let mut job_txs = Vec::with_capacity(parts.len());
-        let mut handles = Vec::with_capacity(parts.len());
-        for (part, row_items) in parts.into_iter().zip(rows) {
-            let spec = part.spec();
-            let mut worker = Worker {
-                spec,
-                part,
-                secs,
-                row: Vec::new(),
-                touched: Vec::new(),
-            };
-            for (key, bytes) in row_items {
-                worker.bin(key, bytes);
-            }
-            let (job_tx, job_rx) = channel();
-            let resp = resp_tx.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("eleph-shard-{}", spec.shard()))
-                    .spawn(move || worker.run(job_rx, resp))
-                    .expect("spawn shard worker"),
-            );
-            job_txs.push(job_tx);
-        }
-        ShardEngine {
-            coord,
-            scheme,
-            pending: Vec::with_capacity(SHARD_BATCH),
+        let workers = (0..n_shards)
+            .map(|shard| {
+                let (jobs, job_rx) = channel();
+                let (snapshot_tx, snapshots) = channel();
+                let (row_tx, rows) = channel();
+                let (shard, n) = (shard as KeyId, n_shards as KeyId);
+                let thread = std::thread::Builder::new()
+                    .name(format!("eleph-shard-{shard}"))
+                    .spawn(move || run_worker(shard, n, job_rx, snapshot_tx, row_tx))
+                    .expect("spawn shard worker");
+                Worker { jobs, snapshots, rows, thread }
+            })
+            .collect();
+        ShardedRow {
+            workers,
+            unsent: vec![Vec::new(); n_shards],
+            n_unsent: 0,
             dirty: false,
-            job_txs,
-            resp_rx,
-            handles,
+            n_ids: 0,
         }
     }
 
-    /// Number of shards.
-    pub(crate) fn n_shards(&self) -> usize {
-        self.job_txs.len()
+    /// Hand every waiting pair to its worker.
+    fn send_unsent(&mut self) {
+        for (worker, pairs) in self.workers.iter().zip(&mut self.unsent) {
+            if !pairs.is_empty() {
+                let next = Vec::with_capacity(pairs.len());
+                worker.send(Job::Items(std::mem::replace(pairs, next)));
+            }
+        }
+        self.n_unsent = 0;
+    }
+}
+
+impl StateBackend for ShardedRow {
+    fn kind(&self) -> &'static str {
+        "exact"
     }
 
-    /// Buffer one attributed pair; broadcasts when the batch fills.
-    /// Zero-byte packets are attributed but leave no row entry (same as
-    /// the serial engine), so they never cross to the workers at all.
-    #[inline]
-    pub(crate) fn bin(&mut self, key: KeyId, bytes: u64) {
-        if bytes == 0 {
-            return;
+    fn record(&mut self, key: KeyId, bytes: u64) {
+        self.record_many(&[(key, bytes)]);
+    }
+
+    fn record_many(&mut self, pairs: &[(KeyId, u64)]) {
+        let n = self.workers.len();
+        for &(key, bytes) in pairs {
+            self.n_ids = self.n_ids.max(key as usize + 1);
+            // Zero-byte packets are attributed but leave no row entry
+            // (same as the serial row), so they never cross to a worker.
+            if bytes > 0 {
+                self.unsent[key as usize % n].push((key, bytes));
+                self.n_unsent += 1;
+                self.dirty = true;
+            }
         }
-        self.dirty = true;
-        self.pending.push((key, bytes));
-        if self.pending.len() >= SHARD_BATCH {
-            self.flush();
+        if self.n_unsent >= SEND_BATCH {
+            self.send_unsent();
         }
     }
 
-    fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let items =
-            Arc::new(std::mem::replace(&mut self.pending, Vec::with_capacity(SHARD_BATCH)));
-        for tx in &self.job_txs {
-            tx.send(Job::Items(items.clone())).expect("shard worker disconnected");
-        }
-    }
-
-    /// Whether the open interval has accumulated any traffic.
-    pub(crate) fn has_open_traffic(&self) -> bool {
+    fn has_traffic(&self) -> bool {
         self.dirty
     }
 
-    /// Run the two-phase seal barrier (see the module docs) and return
-    /// the merged interval outcome — bit-identical to the serial
-    /// classifier's.
-    pub(crate) fn seal_interval(&mut self) -> IntervalOutcome {
-        self.flush();
-        let n = self.job_txs.len();
-        // Phase 1: collect every shard's snapshot slice.
-        for tx in &self.job_txs {
-            tx.send(Job::Seal).expect("shard worker disconnected");
+    fn seal_into(&mut self, secs: f64, out: &mut Vec<(KeyId, f32)>) {
+        self.send_unsent();
+        for worker in &self.workers {
+            worker.send(Job::Seal(secs));
         }
-        let mut slices: Vec<Option<Vec<(KeyId, f32)>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            match self.resp_rx.recv().expect("shard worker disconnected") {
-                Resp::Snapshot(s, snap) => slices[s] = Some(snap),
-                _ => unreachable!("seal phase received a non-snapshot response"),
-            }
+        out.clear();
+        for worker in &self.workers {
+            out.extend(answer(&worker.snapshots));
         }
-        let slices: Vec<Vec<(KeyId, f32)>> =
-            slices.into_iter().map(|s| s.expect("one snapshot per shard")).collect();
-        // Global detection on the merged ascending value vector — the
-        // serial classifier's exact input.
-        let values = merge_values(&slices);
-        let (ctx, interval, total_load) = self.coord.observe_values(&values);
-        // Phase 2: broadcast the context, collect the elephants.
-        for (tx, snap) in self.job_txs.iter().zip(slices) {
-            tx.send(Job::Classify(ctx, snap)).expect("shard worker disconnected");
-        }
-        let mut obs: Vec<Option<PartObservation>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            match self.resp_rx.recv().expect("shard worker disconnected") {
-                Resp::Observation(s, o) => obs[s] = Some(o),
-                _ => unreachable!("classify phase received a non-observation response"),
-            }
-        }
-        let obs: Vec<PartObservation> =
-            obs.into_iter().map(|o| o.expect("one observation per shard")).collect();
-        let (elephants, elephant_load) = merge_observations(&obs);
+        // N ascending runs, no key in two of them: the stable sort finds
+        // the runs and merges them, which is the N-way merge.
+        out.sort_by_key(|&(key, _)| key);
         self.dirty = false;
-        IntervalOutcome {
-            interval,
-            threshold: ctx.threshold,
-            elephants,
-            elephant_load,
-            total_load,
-        }
     }
 
-    /// Export the recovery frontier: the open row (worker rows merged
-    /// with pending items overlaid) and the merged serial
-    /// [`ClassifierState`], cross-validated across the replicas.
-    ///
-    /// Pure observation: takes `&self` (channel ends are shareable), so
-    /// [`crate::Pipeline::checkpoint`] keeps its serial signature.
-    pub(crate) fn frontier(&self) -> (Vec<(KeyId, u64)>, ClassifierState) {
-        let n = self.job_txs.len();
-        for tx in &self.job_txs {
-            tx.send(Job::Frontier).expect("shard worker disconnected");
+    fn open_row(&self) -> Vec<(KeyId, u64)> {
+        for worker in &self.workers {
+            worker.send(Job::OpenRow);
         }
-        let mut rows: Vec<Option<Vec<(KeyId, u64)>>> = (0..n).map(|_| None).collect();
-        let mut states: Vec<Option<Box<PartState>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            match self.resp_rx.recv().expect("shard worker disconnected") {
-                Resp::Frontier(s, row, state) => {
-                    rows[s] = Some(row);
-                    states[s] = Some(state);
-                }
-                _ => unreachable!("frontier phase received a non-frontier response"),
-            }
-        }
-        // Merge worker rows and overlay the pairs still sitting in the
-        // pending buffer (never broadcast — this is what lets the export
-        // run without a &mut flush).
+        // The unsent pairs are overlaid, not sent: the export stays a
+        // pure observation behind `&self`.
         let mut merged: BTreeMap<KeyId, u64> = BTreeMap::new();
-        for row in rows.into_iter().flatten() {
-            for (key, bytes) in row {
-                *merged.entry(key).or_insert(0) += bytes;
-            }
-        }
-        for &(key, bytes) in &self.pending {
+        let sent = self.workers.iter().flat_map(|w| answer(&w.rows));
+        for (key, bytes) in sent.chain(self.unsent.iter().flatten().copied()) {
             *merged.entry(key).or_insert(0) += bytes;
         }
-        let states: Vec<PartState> =
-            states.into_iter().map(|s| *s.expect("one state per shard")).collect();
-        let state =
-            merge_states(&states, self.coord.intervals_observed(), self.coord.smoothed_value())
-                .expect("shard replicas in lockstep");
-        (merged.into_iter().collect(), state)
+        merged.into_iter().collect()
     }
 
-    /// Keys currently holding classifier window state (across shards).
-    pub(crate) fn tracked_keys(&self) -> usize {
-        self.frontier().1.per_key.len()
+    fn export_sketch(&self) -> Option<Vec<u8>> {
+        None
     }
 
-    /// The smoothing factor γ.
-    pub(crate) fn gamma(&self) -> f64 {
-        self.coord.gamma()
+    fn restore_sketch(&mut self, _payload: &[u8]) -> Result<(), String> {
+        Err("the exact backend has no sketch payload (its state is the open row)".to_string())
     }
 
-    /// The classification scheme.
-    pub(crate) fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    /// The detector's name.
-    pub(crate) fn detector_name(&self) -> String {
-        self.coord.detector_name()
+    fn state_bytes(&self) -> usize {
+        self.n_ids * std::mem::size_of::<u64>()
     }
 }
 
-impl<D> Drop for ShardEngine<D> {
+impl Drop for ShardedRow {
     fn drop(&mut self) {
-        // Dropping the job senders ends every worker's recv loop; join
-        // so no thread outlives the pipeline.
-        self.job_txs.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        // Dropping a worker's job sender ends its recv loop; join so no
+        // thread outlives the pipeline.
+        for Worker { jobs, thread, .. } in self.workers.drain(..) {
+            drop(jobs);
+            let _ = thread.join();
         }
     }
 }
 
-/// N-way merge the shards' snapshot slices (each ascending by key,
-/// keys disjoint) into the global ascending value vector — the serial
-/// classifier's `values` in its exact order.
-fn merge_values(slices: &[Vec<(KeyId, f32)>]) -> Vec<f64> {
-    let total: usize = slices.iter().map(|s| s.len()).sum();
-    let mut values = Vec::with_capacity(total);
-    let mut heads = vec![0usize; slices.len()];
-    loop {
-        let mut best: Option<(KeyId, usize)> = None;
-        for (s, slice) in slices.iter().enumerate() {
-            if let Some(&(key, _)) = slice.get(heads[s]) {
-                if best.map_or(true, |(b, _)| key < b) {
-                    best = Some((key, s));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Record(Vec<(KeyId, u64)>),
+        Seal,
+        /// What a checkpoint and a resume do to a row: export the open
+        /// pairs, validate them, record them into fresh rows.
+        Restore,
+    }
+
+    /// Pairs over a few hundred keys plus one far above the rest, with
+    /// zero-byte packets and weights that dwarf the others.
+    fn pairs(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(KeyId, u64)>> {
+        let key = prop_oneof![30 => 0u32..300, 1 => Just(100_003u32)];
+        let bytes = prop_oneof![1 => Just(0u64), 8 => 1u64..=1500, 1 => (1u64 << 32)..(1u64 << 40)];
+        prop::collection::vec((key, bytes), len)
+    }
+
+    fn programs() -> impl Strategy<Value = Vec<Step>> {
+        prop::collection::vec(
+            prop_oneof![
+                6 => pairs(0..64).prop_map(Step::Record),
+                2 => pairs(SEND_BATCH - 8..SEND_BATCH + 300).prop_map(Step::Record),
+                3 => Just(Step::Seal),
+                1 => Just(Step::Restore),
+            ],
+            0..20,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn sharded_row_is_exact_dense_at_every_step(steps in programs()) {
+            for n in [1usize, 2, 4, 7] {
+                let mut sharded: Box<dyn StateBackend> = Box::new(ShardedRow::new(n));
+                let mut serial: Box<dyn StateBackend> = Box::new(ExactDense::new());
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for (i, step) in steps.iter().enumerate() {
+                    let at = format!("shards {n} step {i}");
+                    match step {
+                        Step::Record(pairs) => {
+                            sharded.record_many(pairs);
+                            serial.record_many(pairs);
+                        }
+                        Step::Seal => {
+                            sharded.seal_into(20.0, &mut got);
+                            serial.seal_into(20.0, &mut want);
+                            let bits = |v: &[(KeyId, f32)]| -> Vec<(KeyId, u32)> {
+                                v.iter().map(|&(key, rate)| (key, rate.to_bits())).collect()
+                            };
+                            prop_assert_eq!(bits(&got), bits(&want), "{}: snapshot", &at);
+                        }
+                        Step::Restore => {
+                            let row = sharded.open_row();
+                            let n_keys = row.last().map_or(0, |&(key, _)| key as usize + 1);
+                            ExactDense::from_checkpoint_row(n_keys, &row).expect("a valid row");
+                            sharded = Box::new(ShardedRow::new(n));
+                            serial = Box::new(ExactDense::new());
+                            sharded.record_many(&row);
+                            serial.record_many(&row);
+                        }
+                    }
+                    prop_assert_eq!(sharded.open_row(), serial.open_row(), "{}: open row", &at);
+                    prop_assert_eq!(sharded.has_traffic(), serial.has_traffic(), "{}", &at);
+                    prop_assert_eq!(sharded.kind(), serial.kind());
                 }
             }
         }
-        let Some((_, s)) = best else { break };
-        values.push(f64::from(slices[s][heads[s]].1));
-        heads[s] += 1;
     }
-    values
+
+    #[test]
+    #[should_panic(expected = "need 1 to 256 worker threads")]
+    fn shard_counts_beyond_the_bound_are_refused() {
+        let _ = ShardedRow::new(MAX_WORKER_THREADS + 1);
+    }
 }

@@ -24,7 +24,7 @@ use eleph_bgp::{FrozenBgpTable, LiveBgpTable, RouteEntry, UpdateBatch};
 use eleph_pipeline::{
     skip_offered, Checkpoint, Checkpointer, CheckpointsWritten, FaultedPcapSource, JsonlSink,
     PacketSource, PcapSource, Pipeline, PipelineBuilder, PipelineReport, PooledPcapSource,
-    RotatingJsonlSink, TraceSource,
+    RotatingJsonlSink, TraceSource, MAX_WORKER_THREADS,
 };
 use eleph_trace::{
     generate_churn, ChurnConfig, ChurnScenario, FaultConfig, FaultInjector, FaultStats, RateTrace,
@@ -209,10 +209,11 @@ RUN OPTIONS (eleph run):
     --scheme S                 latent | single | hysteresis (default latent)
     --window N                 latent-heat window (default 12)
     --enter F / --exit F       hysteresis thresholds (default 1.2 / 0.6)
-    --shards N                 partition the online path (byte rows +
-                               classifier state) over N worker threads
-                               keyed by prefix id; output and checkpoints
-                               are bit-identical to serial for every N
+    --shards N                 hold the open interval's byte rows on N
+                               worker threads keyed by prefix id (at most
+                               256); classification stays on the main
+                               thread, so output and checkpoints are
+                               bit-identical to serial for every N
                                (default 0 = serial, inline)
     --state B                  state backend sealing each interval:
                                exact (default; the dense byte row,
@@ -225,8 +226,8 @@ RUN OPTIONS (eleph run):
                                stage: a framer thread scans record spans
                                ahead, N parser threads decode them from
                                pooled buffers (default 0 = inline
-                               decode; pcap path only, incompatible with
-                               --fault-*)
+                               decode, at most 256; pcap path only,
+                               incompatible with --fault-*)
     --out FILE                 JSONL destination (default stdout)
     --rotate-bytes N           rotate --out when it would exceed N bytes
                                (current file stays at FILE; older
@@ -383,7 +384,7 @@ pub struct RunOpts {
     pub enter: f64,
     /// Hysteresis exit multiplier.
     pub exit: f64,
-    /// Online-path shard workers (0 = serial, inline).
+    /// Worker threads holding the open byte row (0 = serial, inline).
     pub shards: usize,
     /// State backend sealing each interval: "exact", "spacesaving",
     /// "cmrow" or "bloom".
@@ -506,6 +507,14 @@ impl RunOpts {
         if o.pcap.is_some() == o.synth {
             return usage("eleph run needs exactly one of --pcap FILE or --synth");
         }
+        // Each is a number of OS threads to spawn.
+        for (flag, count) in [("--shards", o.shards), ("--ingest-workers", o.ingest_workers)] {
+            if count > MAX_WORKER_THREADS {
+                return usage(format!(
+                    "{flag} {count}: at most {MAX_WORKER_THREADS} worker threads"
+                ));
+            }
+        }
         if o.resume && o.checkpoint_dir.is_none() {
             return usage("--resume needs --checkpoint-dir DIR (where the checkpoint lives)");
         }
@@ -537,8 +546,8 @@ impl RunOpts {
         }
         if o.state != "exact" && o.shards > 0 {
             return usage(format!(
-                "--state {} is incompatible with --shards (sketch backends run serially; \
-                 their state does not scale with keys, so there is no row to partition)",
+                "--state {} is incompatible with --shards (sketch backends run serially: \
+                 a sketch summarises the whole link and has no key-partitioned halves)",
                 o.state
             ));
         }
@@ -1404,6 +1413,7 @@ mod tests {
 
     #[test]
     fn bad_run_options_are_usage_errors() {
+        assert!(USAGE.contains(&format!("at most {MAX_WORKER_THREADS}")), "help names the bound");
         // Refused while parsing: no table is loaded for any of these.
         for (line, needle) in [
             ("run --synth --flows", "--flows takes a count"),
@@ -1421,6 +1431,9 @@ mod tests {
             ("run --synth --state spacesaving --shards 2", "incompatible with --shards"),
             ("run --pcap c.pcap --ingest-workers 2 --fault-drop 0.1", "incompatible with --fault-"),
             ("run --synth --ingest-workers 2", "pcap path only"),
+            ("run --synth --shards 100000", "--shards 100000: at most 256 worker threads"),
+            ("run --synth --shards 4294967297", "--shards 4294967297: at most 256"),
+            ("run --pcap c.pcap --ingest-workers 100000", "--ingest-workers 100000: at most 256"),
             ("run --synth --fault-drop 0.1", "pcap path only"),
             ("run", "exactly one of --pcap FILE or --synth"),
             ("run --synth --pcap c.pcap", "exactly one of --pcap FILE or --synth"),

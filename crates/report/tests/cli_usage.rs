@@ -19,6 +19,9 @@ fn usage_errors_exit_2_without_a_panic() {
         "run --synth --state bogus",
         "run --synth --state spacesaving --shards 2",
         "run --pcap c.pcap --ingest-workers 2 --fault-drop 0.1",
+        "run --synth --shards 100000",
+        "run --synth --shards 4294967297",
+        "run --pcap c.pcap --ingest-workers 100000",
         "run --synth --checkpoint-dir d --checkpoint-every 0",
         "run --synth --checkpoint-every 5",
         "churn --storm-at soon",

@@ -5,21 +5,17 @@
 #   1. tier-1: release build + full test suite (see ROADMAP.md);
 #   2. classifier equivalence: the one window state machine against the
 #      legacy-replica oracle, classify_many against independent
-#      classify runs, and its three callers against each other — batch
-#      ≡ streaming ≡ coordinator + N parts, across an export/resume onto
-#      another shard count — the properties that license every
-#      classifier change (already part of tier-1; re-run by name so a
-#      failure is attributed immediately);
+#      classify runs, and its two callers against each other — batch ≡
+#      streaming, across an export/resume — the properties that license
+#      every classifier change (already part of tier-1; re-run by name
+#      so a failure is attributed immediately);
 #   3. streaming equivalence: the PR-4 pipeline (packets → sealing →
 #      online classification, no matrix) against aggregate_pcap +
 #      classify, bit-identical on the same capture bytes;
-#   4. the `prefetch` feature: build and test the feature-gated software
-#      prefetch paths (net batch lookup, packet scan-ahead, and their
-#      dependents) so the gated code cannot rot unbuilt;
-#   5. bench compilation: the criterion harnesses must at least build;
-#   6. executables: examples build and the packet-path ones smoke-run,
+#   4. bench compilation: the criterion harnesses must at least build;
+#   5. executables: examples build and the packet-path ones smoke-run,
 #      and `eleph run` streams a tiny synthetic workload to JSONL;
-#   7. crash safety: a checkpointed `eleph run` is SIGKILLed mid-capture
+#   6. crash safety: a checkpointed `eleph run` is SIGKILLed mid-capture
 #      and resumed with `--resume`; the recovered JSONL must be
 #      byte-identical to an uninterrupted reference run (no duplicated,
 #      no missing interval records), and the `eleph.ckpt` the recovered
@@ -30,18 +26,19 @@
 #      snapshot to resume from, and the gate fails if the victim was not
 #      killed mid-run (exit by SIGKILL with intervals still to seal): a
 #      run that finished first proves nothing about recovery;
-#   8. churn determinism: `eleph churn` generates a route-update
+#   7. churn determinism: `eleph churn` generates a route-update
 #      schedule, the same capture is streamed twice with `--rib-updates`
 #      replaying that schedule mid-stream, and the two JSONL outputs
 #      must be byte-for-byte identical (update replay is a function of
 #      packet timestamps, never of IO chunking or wall-clock);
-#   9. shard equivalence: the same capture streamed serially, at
+#   8. shard equivalence: the same capture streamed serially, at
 #      `--shards 1` and at `--shards 4` must produce byte-for-byte
 #      identical JSONL (sharding is a throughput knob, never a
-#      measurement change), and the sharded proptest suite is re-run
+#      measurement change), the sharded proptest suite is re-run
 #      single-threaded (`RUST_TEST_THREADS=1`) so worker/test-harness
-#      interleavings cannot mask an ordering bug;
-#  10. sketch tier: every state backend (exact, spacesaving, cmrow,
+#      interleavings cannot mask an ordering bug, and the sharded row is
+#      held to the dense row as a state backend, step by step;
+#   9. sketch tier: every state backend (exact, spacesaving, cmrow,
 #      bloom) streams the same seeded synthetic capture twice and the
 #      two JSONL outputs must be byte-identical (sketches are
 #      deterministic functions of the stream, never of hashing luck or
@@ -51,23 +48,23 @@
 #      flows), where most misses evict; `eleph sketch` runs the
 #      exact-oracle accuracy harness end to end, asserting recall >= 0.95
 #      at the default budget on the west lab scenario;
-#  11. benchmark crate: `benchmark/` is its own workspace, so nothing
+#  10. benchmark crate: `benchmark/` is its own workspace, so nothing
 #      above compiles it — build it against the current `crates/*` API
 #      and run its unit tests (`BENCHMARK.json` ≡ the crate's tables),
 #      so an API change that breaks it fails here and not at the driver;
-#  12. start-up path: the RIB/update-stream reader against its
+#  11. start-up path: the RIB/update-stream reader against its
 #      `lines()`/`split`/`str::parse` oracle (differential + mutation
 #      proptest), the one-pass table constructors against insert-then-
 #      freeze, and `eleph run --pcap --rib` (static and live, with a
 #      resume) against the library calls, byte for byte — all part of
 #      tier-1; re-run by name so a failure is attributed immediately;
-#  13. sketch eviction: the slot heap against the linear scan it
+#  12. sketch eviction: the slot heap against the linear scan it
 #      replaced (differential proptest over record / seal / export →
 #      restore programs), its work per record as a step count on three
 #      adversarial streams, and checkpoint/resume with the cut placed
 #      after the open interval's first eviction — all part of tier-1;
 #      re-run by name so a failure is attributed immediately;
-#  14. checkpoint bytes: the sample images and the final `eleph.ckpt` of
+#  13. checkpoint bytes: the sample images and the final `eleph.ckpt` of
 #      six seeded `eleph run --synth` command lines against fixtures
 #      written before images were built in place, `crc32` against the
 #      bytewise loop it replaced, the in-place encoder against the
@@ -87,23 +84,17 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
-echo "== classifier equivalence: dense vs legacy, classify_many vs classify, batch vs streaming vs sharded =="
+echo "== classifier equivalence: dense vs legacy, classify_many vs classify, batch vs streaming =="
 cargo test -q -p eleph-core --test props -- \
     dense_classify_matches_legacy_reference \
     classify_many_equals_independent_classifies \
     exact_retire_keeps_epsilon_scale_microflow \
     adversarial_magnitudes_leave_no_stale_state \
-    batch_streaming_and_sharded_agree_across_a_checkpoint
+    batch_and_streaming_agree_across_a_checkpoint
 cargo test -q -p eleph-core --lib online::
 
 echo "== streaming equivalence: pipeline vs aggregate_pcap + classify =="
 cargo test -q -p eleph-tests --test streaming_equivalence
-
-echo "== feature gate: prefetch build =="
-cargo build -p eleph-flow -p eleph-bench --features prefetch
-
-echo "== feature gate: prefetch tests (net + packet + flow) =="
-cargo test -q -p eleph-net -p eleph-packet -p eleph-flow --features prefetch
 
 echo "== benches compile =="
 cargo build -p eleph-bench --benches --release
@@ -191,6 +182,7 @@ grep -q '"shards":4' "$tmpdir/shards4.summary" \
 
 echo "== shard equivalence: proptests single-threaded (RUST_TEST_THREADS=1) =="
 RUST_TEST_THREADS=1 cargo test -q -p eleph-tests --test sharded_equivalence
+cargo test -q -p eleph-pipeline --lib shard::tests::sharded_row_is_exact_dense_at_every_step
 
 echo "== sketch tier: per-backend determinism, byte-for-byte JSONL =="
 sketch_args=(run --synth --flows 500 --intervals 12 --interval-secs 20 --prefixes 2000)

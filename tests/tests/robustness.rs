@@ -6,6 +6,7 @@ use eleph_bgp::synth::{self, SynthConfig};
 use eleph_flow::Aggregator;
 use eleph_packet::pcap::PcapReader;
 use eleph_packet::LinkType;
+use eleph_pipeline::{FaultedPcapSource, PipelineBuilder, PipelineStats, StateBackendConfig};
 use eleph_trace::{
     FaultAction, FaultConfig, FaultInjector, PacketSynth, RateTrace, WorkloadConfig,
 };
@@ -31,11 +32,15 @@ fn scenario() -> (eleph_bgp::BgpTable, RateTrace) {
     (table, trace)
 }
 
+fn capture(trace: &RateTrace) -> Vec<u8> {
+    let mut pcap = Vec::new();
+    PacketSynth::new(trace).write_pcap(0..trace.n_intervals(), &mut pcap).expect("synthesis");
+    pcap
+}
+
 fn run_with_faults(fault: FaultConfig) -> (eleph_flow::AggregatorStats, eleph_trace::FaultStats) {
     let (table, trace) = scenario();
-    let synth = PacketSynth::new(&trace);
-    let mut pcap = Vec::new();
-    synth.write_pcap(0..trace.n_intervals(), &mut pcap).expect("synthesis");
+    let pcap = capture(&trace);
 
     let mut injector = FaultInjector::new(fault);
     let mut reader = PcapReader::new(&pcap[..]).expect("header");
@@ -54,6 +59,41 @@ fn run_with_faults(fault: FaultConfig) -> (eleph_flow::AggregatorStats, eleph_tr
         agg.observe_raw(link, &data, record.ts_ns);
     }
     (agg.stats(), injector.stats())
+}
+
+/// The same faulted capture through the streaming path, for every row
+/// a pipeline can hold its open interval in (budgets small enough that
+/// the sketches evict).
+fn pipeline_runs_with_faults(fault: FaultConfig) -> Vec<(PipelineStats, eleph_trace::FaultStats)> {
+    let (table, trace) = scenario();
+    let frozen = table.freeze();
+    let pcap = capture(&trace);
+    let budget_bytes = 2048;
+    [
+        (StateBackendConfig::Exact, 0),
+        (StateBackendConfig::SpaceSaving { budget_bytes }, 0),
+        (StateBackendConfig::CountMinRow { budget_bytes }, 0),
+        (StateBackendConfig::AdaptiveBloom { budget_bytes }, 0),
+        (StateBackendConfig::Exact, 2),
+    ]
+    .into_iter()
+    .map(|(state, shards)| {
+        let mut pipeline = PipelineBuilder::new()
+            .frozen(&frozen)
+            .interval_secs(trace.config.interval_secs)
+            .start_unix(trace.config.start_unix)
+            .n_intervals(trace.config.n_intervals)
+            .state_backend(state)
+            .shards(shards)
+            .build();
+        let mut source =
+            FaultedPcapSource::new(&pcap[..], FaultInjector::new(fault)).expect("header");
+        pipeline.run(&mut source).expect("faults are counted, not fatal");
+        let report = pipeline.finish().expect("finish");
+        assert_eq!(report.intervals, trace.config.n_intervals);
+        (report.stats, source.fault_stats())
+    })
+    .collect()
 }
 
 #[test]
@@ -136,13 +176,18 @@ proptest! {
         truncate_p in 0.0..0.5f64,
         seed in any::<u64>(),
     ) {
-        let (stats, fstats) = run_with_faults(FaultConfig {
+        let fault = FaultConfig {
             drop_prob: drop_p,
             corrupt_prob: corrupt_p,
             truncate_prob: truncate_p,
             seed,
-        });
+        };
+        let (stats, fstats) = run_with_faults(fault);
         prop_assert!(stats.is_conserved());
         prop_assert_eq!(stats.offered, fstats.seen - fstats.dropped);
+        for (stats, fstats) in pipeline_runs_with_faults(fault) {
+            prop_assert!(stats.is_conserved(), "{:?}", stats);
+            prop_assert_eq!(stats.offered, fstats.seen - fstats.dropped);
+        }
     }
 }
