@@ -33,6 +33,16 @@
 //! [`read_dump`] is that plus insertion into a mutable [`BgpTable`];
 //! a caller that only attributes packets wants
 //! [`crate::FrozenBgpTable::from_routes`]`(read_routes(..)?)` instead.
+//!
+//! [`read_routes`] (and so [`read_dump`]) is the one call here that uses
+//! threads: it reads the dump to its end, cuts it after a `\n` into one
+//! piece per core (at most eight, at least 256 KiB each; a small dump or
+//! a single core spawns nothing) and parses the pieces side by side with
+//! the same record loop, each numbering its lines from where its piece
+//! starts. The routes come back concatenated in file order and the error
+//! is the earliest failing line's, with its line number in the whole
+//! file, so neither depends on the thread count. [`read_updates`] stays
+//! serial: batches coalesce and timestamps are checked across lines.
 
 use core::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -174,18 +184,18 @@ fn bad_field(line: usize, field: &'static str, content: &str) -> DumpError {
     DumpError::BadField { line, field, content: content.to_string() }
 }
 
-/// The record loop of both formats: read `input` a line at a time into
+/// The record loop of both formats: read `reader` a line at a time into
 /// one reused buffer (which grows to the longest line and no further),
 /// skip blank and `#` lines, and hand every other line to `record`,
-/// split into fields. Lines end at `\n`; whitespace around a line, a
-/// `\r` included, is not part of it.
-fn for_each_record<R: Read>(
-    input: R,
+/// split into fields and numbered from `first_line` on. Lines end at
+/// `\n`; whitespace around a line, a `\r` included, is not part of it.
+fn for_each_record<R: BufRead>(
+    mut reader: R,
+    first_line: usize,
     mut record: impl FnMut(Record<'_>) -> Result<(), DumpError>,
 ) -> Result<(), DumpError> {
-    let mut reader = BufReader::new(input);
     let mut buf = Vec::new();
-    let mut line = 0;
+    let mut line = first_line - 1;
     loop {
         buf.clear();
         if reader.read_until(b'\n', &mut buf)? == 0 {
@@ -322,13 +332,79 @@ fn parse_route_fields(line: usize, fields: &[&str]) -> Result<RouteEntry, DumpEr
 /// win, exactly as inserting them into a [`BgpTable`] in file order and
 /// freezing that would. When the table has to stay mutable, hand it to
 /// [`BgpTable::from_entries`], which is what [`read_dump`] does.
+///
+/// The input is read to its end and parsed in line-aligned pieces on
+/// one thread per core (see the [module docs](self)); the routes and the
+/// error are the same whatever the thread count.
 pub fn read_routes<R: Read>(input: R) -> Result<Vec<RouteEntry>, DumpError> {
-    let mut routes = Vec::new();
-    for_each_record(input, |rec| {
-        routes.push(parse_route_fields(rec.line, rec.exactly(5)?)?);
-        Ok(())
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    read_routes_in(input, |len| cores.min(MAX_PIECES).min(len / MIN_PIECE + 1))
+}
+
+/// Most pieces [`read_routes`] cuts a dump into.
+const MAX_PIECES: usize = 8;
+/// Dump bytes a piece is worth a thread for.
+const MIN_PIECE: usize = 256 * 1024;
+
+/// [`read_routes`] with the dump cut into `pieces(its length)` pieces,
+/// each parsed on a thread of its own (the first on the caller's).
+fn read_routes_in<R: Read>(
+    mut input: R,
+    pieces: impl FnOnce(usize) -> usize,
+) -> Result<Vec<RouteEntry>, DumpError> {
+    let mut text = Vec::new();
+    let failed = input.read_to_end(&mut text).err();
+    if failed.is_some() {
+        // Only the lines the input completed before it failed are read.
+        text.truncate(text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1));
+    }
+    let pieces = line_pieces(&text, pieces(text.len()));
+    let parse = |(start, end, first_line): (usize, usize, usize)| {
+        let mut routes = Vec::new();
+        for_each_record(&text[start..end], first_line, |rec| {
+            routes.push(parse_route_fields(rec.line, rec.exactly(5)?)?);
+            Ok(())
+        })
+        .map(|()| routes)
+    };
+    let routes = std::thread::scope(|scope| {
+        let rest: Vec<_> =
+            pieces[1..].iter().map(|&piece| scope.spawn(move || parse(piece))).collect();
+        // In file order, so the first error met is the earliest line's.
+        let mut routes = parse(pieces[0])?;
+        for piece in rest {
+            routes.extend(piece.join().unwrap_or_else(|e| std::panic::resume_unwind(e))?);
+        }
+        Ok::<_, DumpError>(routes)
     })?;
-    Ok(routes)
+    match failed {
+        Some(e) => Err(e.into()),
+        None => Ok(routes),
+    }
+}
+
+/// Cut `text` after a `\n` into `n` (at least one) pieces of about equal
+/// length, in file order: `(start, end, number of its first line)`.
+fn line_pieces(text: &[u8], n: usize) -> Vec<(usize, usize, usize)> {
+    let n = n.max(1);
+    let mut pieces = Vec::with_capacity(n);
+    let (mut start, mut line) = (0, 1);
+    for k in 1..n {
+        let cut = (text.len() * k / n).max(start);
+        let end = text[cut..].iter().position(|&b| b == b'\n').map_or(text.len(), |i| cut + i + 1);
+        pieces.push((start, end, line));
+        line += count_lines(&text[start..end]);
+        start = end;
+    }
+    pieces.push((start, text.len(), line));
+    pieces
+}
+
+/// The `\n`s in `bytes`, tallied 255 bytes at a time in a `u8`, which
+/// the compiler vectorizes (a plain `filter().count()` it does not).
+fn count_lines(bytes: &[u8]) -> usize {
+    let tally = |chunk: &[u8]| chunk.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'));
+    bytes.chunks(255).map(|chunk| usize::from(tally(chunk))).sum()
 }
 
 /// Parse a mutable table from the text format: [`read_routes`], each
@@ -365,7 +441,7 @@ pub fn write_updates<W: Write>(batches: &[UpdateBatch], mut out: W) -> Result<()
 /// non-decreasing ([`DumpError::NonMonotonic`] otherwise).
 pub fn read_updates<R: Read>(input: R) -> Result<Vec<UpdateBatch>, DumpError> {
     let mut batches: Vec<UpdateBatch> = Vec::new();
-    for_each_record(input, |rec| {
+    for_each_record(BufReader::new(input), 1, |rec| {
         if rec.count < 3 {
             return Err(DumpError::FieldCount { line: rec.line, expected: 3, got: rec.count });
         }
@@ -833,6 +909,98 @@ mod tests {
         );
     }
 
+    /// `self.0`, seven bytes a read, then a read that fails.
+    struct FailsAfter(&'static [u8], usize);
+
+    impl Read for FailsAfter {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let rest = &self.0[self.1..];
+            if rest.is_empty() {
+                return Err(io::Error::other("disk on fire"));
+            }
+            let n = buf.len().min(rest.len()).min(7);
+            buf[..n].copy_from_slice(&rest[..n]);
+            self.1 += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_failing_read_fails_alike_in_every_piece_count() {
+        let good = b"# hdr\n10.0.0.0/8|192.0.2.1|1|IGP|TIER1\n9.0.0.0/8|192.0.2.1|1|IGP|TI";
+        let bad = b"10.0.0.0/8|192.0.2.1|1|IGP|TIER1\n\n9.0.0.0/8|192.0.2.1|x|IGP|TIER1\n10.1";
+        for pieces in [1, 2, 3, 7] {
+            assert_eq!(
+                read_routes_in(FailingRead(0), |_| pieces).unwrap_err(),
+                DumpError::FieldCount { line: 1, expected: 5, got: 3 },
+                "{pieces} pieces"
+            );
+            // The completed lines parse, the cut one is not read, and the
+            // read's error is the answer ...
+            assert_eq!(
+                read_routes_in(FailsAfter(good, 0), |_| pieces).unwrap_err(),
+                DumpError::Io("disk on fire".to_string()),
+                "{pieces} pieces"
+            );
+            // ... unless a completed line is wrong.
+            assert_eq!(
+                read_routes_in(FailsAfter(bad, 0), |_| pieces).unwrap_err(),
+                DumpError::BadField { line: 3, field: "as_path", content: "x".to_string() },
+                "{pieces} pieces"
+            );
+        }
+    }
+
+    #[test]
+    fn pieces_end_at_line_ends_and_know_their_first_line() {
+        let text = b"a\n\nbc\r\nd\n\n\nef";
+        for n in 1..=text.len() + 2 {
+            let pieces = line_pieces(text, n);
+            assert_eq!(pieces.len(), n);
+            let mut at = (0, 1);
+            for &(start, end, line) in &pieces {
+                assert_eq!((start, line), at, "{n} pieces: {pieces:?}");
+                assert!(end == text.len() || text[end - 1] == b'\n', "{n} pieces: {pieces:?}");
+                at = (end, line + text[start..end].iter().filter(|&&b| b == b'\n').count());
+            }
+            assert_eq!(at.0, text.len());
+        }
+        // One piece a byte: every line end is a cut.
+        let ends: Vec<usize> = line_pieces(text, text.len()).iter().map(|p| p.1).collect();
+        for (i, _) in text.iter().enumerate().filter(|&(_, &b)| b == b'\n') {
+            assert!(ends.contains(&(i + 1)), "no cut after byte {i}: {ends:?}");
+        }
+    }
+
+    #[test]
+    fn a_dump_cut_at_every_line_boundary_reads_as_one() {
+        // Six routes between comments and blank lines; each route line
+        // broken in turn, and none.
+        let lines = [
+            "# header",
+            "10.0.0.0/8|192.0.2.1|1239 701|IGP|TIER1",
+            "",
+            "10.1.0.0/16|192.0.2.2|7018|EGP|STUB",
+            "9.0.0.0/8|192.0.2.3||INCOMPLETE|TIER2",
+            "# note",
+            "10.1.0.0/16|192.0.2.4|3356 1|IGP|TIER1",
+            "  172.16.0.0/12|192.0.2.5|1|IGP|TIER1\r",
+            "192.0.2.128/25|192.0.2.6|64512|EGP|STUB",
+        ];
+        for broken in [None, Some(1), Some(3), Some(4), Some(6), Some(7), Some(8)] {
+            let text: Vec<u8> = lines
+                .iter()
+                .enumerate()
+                .map(|(i, l)| if Some(i) == broken { l.replace('|', "/") } else { l.to_string() })
+                .collect::<Vec<_>>()
+                .join("\n")
+                .into_bytes();
+            let one = read_routes_in(&text[..], |_| 1);
+            assert_eq!(one.is_err(), broken.is_some());
+            assert_eq!(read_routes_in(&text[..], |len| len), one, "line {broken:?} broken");
+        }
+    }
+
     mod differential {
         //! The byte-level reader against [`oracle`]: on valid dumps and
         //! update streams and on seeded damage to them, the same routes
@@ -1015,6 +1183,31 @@ mod tests {
                 prop_assert!(read_updates(&text[..]).is_ok());
                 for damaged in mutations(&text, seed) {
                     agree(&damaged, read_updates(&damaged[..]), oracle::read_updates(&damaged[..]));
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The same corpus cut into 2, 3 and 7 pieces: the same routes
+            /// in the same order, or the same error.
+            #[test]
+            fn read_routes_is_one_reader_at_every_piece_count(
+                routes in prop::collection::vec(route(), 0..12),
+                seed in any::<u64>(),
+            ) {
+                for damaged in mutations(&dump_text(&routes), seed) {
+                    let one = read_routes_in(&damaged[..], |_| 1);
+                    for pieces in [2, 3, 7] {
+                        prop_assert_eq!(
+                            read_routes_in(&damaged[..], |_| pieces),
+                            one.clone(),
+                            "{} pieces, input {:?}",
+                            pieces,
+                            String::from_utf8_lossy(&damaged)
+                        );
+                    }
                 }
             }
         }

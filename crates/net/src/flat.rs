@@ -1,7 +1,13 @@
 //! DIR-24-8-style flat-array LPM — the frozen read path.
+//!
+//! Building a table ([`FlatLpm::from_entries`], [`FlatLpm::from_values`])
+//! paints stage 1 on one thread per core (at most eight, each owning an
+//! address range; see `paint.rs`); the table built is the same, byte for
+//! byte, whatever the thread count. Lookups never spawn anything.
 
 use std::fmt;
 
+use crate::paint::{self, PAGE_SLOTS};
 use crate::Prefix;
 
 /// Slot encoding for [`FlatLpm`]'s tables.
@@ -127,6 +133,11 @@ impl<V> FlatLpm<V> {
     /// (strictly ascending — which fixes the dense id order to the
     /// conventional RIB dump order — and parallel to `values`).
     fn build(prefixes: Vec<Prefix>, values: Vec<V>) -> Self {
+        Self::build_striped(prefixes, values, paint::stripes())
+    }
+
+    /// [`FlatLpm::build`] with stage 1 painted on `stripes` threads.
+    fn build_striped(prefixes: Vec<Prefix>, values: Vec<V>, stripes: usize) -> Self {
         debug_assert_eq!(prefixes.len(), values.len());
         debug_assert!(prefixes.windows(2).all(|w| w[0] < w[1]));
 
@@ -144,42 +155,16 @@ impl<V> FlatLpm<V> {
             };
         }
 
+        // Zeroed straight from the allocator: the paint touches only the
+        // pages a prefix lands on.
         let mut stage1 = vec![EMPTY; 1 << 24];
         let mut spill: Vec<u32> = Vec::new();
-
-        // Paint in ascending prefix-length order so longer (more
-        // specific) prefixes overwrite shorter ones; equal-length
-        // prefixes are disjoint, so their paint order is irrelevant.
-        let mut by_len: Vec<u32> = (0..prefixes.len() as u32).collect();
-        by_len.sort_unstable_by_key(|&i| prefixes[i as usize].len());
-
-        for &id in &by_len {
-            let prefix = prefixes[id as usize];
-            let encoded = id + 1;
-            if prefix.len() <= 24 {
-                // All spill blocks are created later (for longer
-                // prefixes), so painting stage 1 directly is complete.
-                let lo = (prefix.bits() >> 8) as usize;
-                let count = 1usize << (24 - prefix.len());
-                stage1[lo..lo + count].fill(encoded);
-            } else {
-                let block = (prefix.bits() >> 8) as usize;
-                let base = match stage1[block] {
-                    s if s & SPILL_BIT != 0 => ((s & !SPILL_BIT) as usize) << 8,
-                    s => {
-                        // First long prefix in this /24: open a spill
-                        // block inheriting the current shorter match.
-                        let base = spill.len();
-                        spill.resize(base + 256, s);
-                        stage1[block] = SPILL_BIT | (base >> 8) as u32;
-                        base
-                    }
-                };
-                let lo = (prefix.bits() & 0xFF) as usize;
-                let count = 1usize << (32 - prefix.len());
-                spill[base + lo..base + lo + count].fill(encoded);
-            }
-        }
+        let entries: Vec<(Prefix, u32)> = prefixes.iter().copied().zip(0..).collect();
+        let mut pages: Vec<&mut [u32]> = stage1.chunks_mut(PAGE_SLOTS).collect();
+        paint::paint(&entries, &mut pages, stripes, |block| {
+            spill.extend_from_slice(&block);
+            (spill.len() / 256 - 1) as u32
+        });
 
         FlatLpm {
             stage1,
@@ -369,6 +354,7 @@ impl<V: fmt::Debug> fmt::Debug for FlatLpm<V> {
 mod tests {
     use super::*;
     use crate::{CompressedTrieLpm, LinearLpm, Lpm};
+    use proptest::prelude::*;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -647,5 +633,130 @@ mod tests {
         let s = format!("{t:?}");
         assert!(s.len() < 200, "debug output too verbose: {s}");
         assert!(s.contains("spill_blocks: 1"));
+    }
+
+    /// The painting loop `build` had before stage 1 was striped: every
+    /// prefix in ascending length order on one thread, a spill block
+    /// opened by the first long prefix of its /24 in that order. Kept,
+    /// unchanged, as the oracle the striped paint is held to.
+    fn serial_paint(prefixes: &[Prefix]) -> (Vec<u32>, Vec<u32>) {
+        let mut stage1 = vec![EMPTY; 1 << 24];
+        let mut spill: Vec<u32> = Vec::new();
+        let mut by_len: Vec<u32> = (0..prefixes.len() as u32).collect();
+        by_len.sort_unstable_by_key(|&i| prefixes[i as usize].len());
+        for &id in &by_len {
+            let prefix = prefixes[id as usize];
+            let encoded = id + 1;
+            if prefix.len() <= 24 {
+                let lo = (prefix.bits() >> 8) as usize;
+                let count = 1usize << (24 - prefix.len());
+                stage1[lo..lo + count].fill(encoded);
+            } else {
+                let block = (prefix.bits() >> 8) as usize;
+                let base = match stage1[block] {
+                    s if s & SPILL_BIT != 0 => ((s & !SPILL_BIT) as usize) << 8,
+                    s => {
+                        let base = spill.len();
+                        spill.resize(base + 256, s);
+                        stage1[block] = SPILL_BIT | (base >> 8) as u32;
+                        base
+                    }
+                };
+                let lo = (prefix.bits() & 0xFF) as usize;
+                let count = 1usize << (32 - prefix.len());
+                spill[base + lo..base + lo + count].fill(encoded);
+            }
+        }
+        (stage1, spill)
+    }
+
+    /// Every address resolves alike in `t` and in `(stage1, spill)`:
+    /// stage 1 equal slot for slot, except that a spill slot may hold
+    /// another index as long as both blocks hold the same 256 slots.
+    fn assert_resolves_like(t: &FlatLpm<u32>, stage1: &[u32], spill: &[u32]) {
+        let mut blocks: Vec<usize> = t
+            .prefixes
+            .iter()
+            .filter(|p| p.len() > 24)
+            .map(|p| (p.bits() >> 8) as usize)
+            .collect();
+        blocks.dedup();
+        let mut from = 0;
+        for &block in &blocks {
+            assert!(t.stage1[from..block] == stage1[from..block], "stage 1 below block {block:#x}");
+            let (a, b) = (t.stage1[block], stage1[block]);
+            assert!(a & b & SPILL_BIT != 0, "block {block:#x} spills in both");
+            let (a, b) = (((a & !SPILL_BIT) as usize) << 8, ((b & !SPILL_BIT) as usize) << 8);
+            assert_eq!(t.spill[a..a + 256], spill[b..b + 256], "block {block:#x}");
+            from = block + 1;
+        }
+        assert!(t.stage1[from..] == stage1[from..], "stage 1 above the last block");
+        assert_eq!(t.spill.len(), spill.len());
+    }
+
+    /// `entries` painted on 1, 2, 3 and 8 threads: one stage 1 and one
+    /// spill vector, byte for byte, which resolves every address as the
+    /// serial paint does.
+    fn assert_stripe_count_invisible(entries: Vec<(Prefix, u32)>) {
+        let (prefixes, values): (Vec<Prefix>, Vec<u32>) =
+            rib_order(entries, |e| e.0).into_iter().unzip();
+        if prefixes.is_empty() {
+            return;
+        }
+        let one = FlatLpm::build_striped(prefixes.clone(), values.clone(), 1);
+        let (stage1, spill) = serial_paint(&prefixes);
+        assert_resolves_like(&one, &stage1, &spill);
+        drop((stage1, spill));
+        for stripes in [2, 3, 8] {
+            let t = FlatLpm::build_striped(prefixes.clone(), values.clone(), stripes);
+            assert!(t.stage1 == one.stage1, "stage 1 at {stripes} stripes");
+            assert!(t.spill == one.spill, "spill at {stripes} stripes");
+        }
+    }
+
+    /// `net/tests/props.rs`'s `arb_table`, plus addresses drawn from one
+    /// /22 so that long prefixes share spill blocks.
+    fn arb_table() -> impl Strategy<Value = Vec<(Prefix, u32)>> {
+        let bits = prop_oneof![any::<u32>(), (0u32..0x400).prop_map(|x| 0x0A00_0000 | x)];
+        prop::collection::vec(
+            (bits, prop_oneof![0u8..=32, 8u8..=24, 25u8..=32], any::<u32>())
+                .prop_map(|(bits, len, v)| (Prefix::from_u32(bits, len).unwrap(), v)),
+            0..64,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn stripe_count_never_reaches_the_table(entries in arb_table()) {
+            assert_stripe_count_invisible(entries);
+        }
+    }
+
+    #[test]
+    fn stripe_count_never_reaches_a_dense_table() {
+        // 100 k routes shaped like a backbone RIB: mostly /24s, a third
+        // /16 – /23, a few covering /8 – /15 and more-specifics past /24.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let entries: Vec<(Prefix, u32)> = (0..100_000u32)
+            .map(|i| {
+                let r = next();
+                let len = match r % 100 {
+                    0..=59 => 24,
+                    60..=89 => 16 + (r >> 8) % 8,
+                    90..=91 => 8 + (r >> 8) % 8,
+                    _ => 25 + (r >> 8) % 8,
+                } as u8;
+                (Prefix::from_u32((r >> 32) as u32, len).unwrap(), i)
+            })
+            .collect();
+        assert_stripe_count_invisible(entries);
     }
 }

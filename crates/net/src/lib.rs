@@ -80,6 +80,7 @@ pub mod epoch;
 mod error;
 mod flat;
 mod linear;
+mod paint;
 mod prefix;
 mod set;
 

@@ -249,6 +249,28 @@ impl<R: Read> PcapReader<R> {
     /// [`PacketError::ImplausibleCaptureLen`] for a captured length
     /// above [`MAX_SANE_CAPLEN`].
     pub fn next_record_ref(&mut self) -> Result<Option<(RecordHeader, &[u8])>> {
+        let Some((head, len)) = self.buffer_record()? else {
+            return Ok(None);
+        };
+        let body = self.start + 16..self.start + len;
+        self.start += len;
+        Ok(Some((head, &self.block[body])))
+    }
+
+    /// The next record's header, without consuming the record: the
+    /// block is filled exactly as [`PcapReader::next_record_ref`] would
+    /// fill it (so the call after this one reads nothing more), with the
+    /// same errors; `Ok(None)` on clean end-of-file. This is how a
+    /// caller learns the first timestamp of a capture it can open only
+    /// once — a pipe, say.
+    pub fn peek_header(&mut self) -> Result<Option<RecordHeader>> {
+        Ok(self.buffer_record()?.map(|(head, _)| head))
+    }
+
+    /// Read until the next record is in the block, whole, and return its
+    /// header and its length with the record header.
+    #[inline]
+    fn buffer_record(&mut self) -> Result<Option<(RecordHeader, usize)>> {
         while self.end - self.start < 16 {
             if self.refill()? == 0 {
                 return match self.end - self.start {
@@ -268,9 +290,7 @@ impl<R: Read> PcapReader<R> {
                 return Err(PacketError::Io("record body truncated".to_string()));
             }
         }
-        let body = self.start + 16..self.start + len;
-        self.start += len;
-        Ok(Some((head, &self.block[body])))
+        Ok(Some((head, len)))
     }
 
     /// One `read` into the block's free space, returning how many bytes
@@ -786,6 +806,30 @@ mod tests {
         }
         assert!(r.next_record_ref().unwrap().is_none());
         assert_eq!(r.input.reads, 1 + records.len() + 1);
+    }
+
+    #[test]
+    fn peek_reads_the_next_record_and_consumes_nothing() {
+        let (head, records) = capture_parts(3);
+        let mut chunks = std::collections::VecDeque::from([head.clone()]);
+        chunks.extend(records.iter().cloned());
+        let mut r = PcapReader::new(Chunks { chunks, reads: 0 }).unwrap();
+        for record in &records {
+            let peeked = r.peek_header().unwrap().expect("a record is left");
+            assert_eq!(r.peek_header().unwrap(), Some(peeked));
+            let reads = r.input.reads;
+            assert_eq!(r.next_record_ref().unwrap(), Some((peeked, &record[16..])));
+            assert_eq!(r.input.reads, reads, "the peek already read the record");
+        }
+        assert_eq!(r.peek_header().unwrap(), None);
+        assert!(r.next_record_ref().unwrap().is_none());
+        // An empty capture has no first record; a cut one is an error.
+        assert_eq!(PcapReader::new(&head[..]).unwrap().peek_header().unwrap(), None);
+        let cut = [&head[..], &records[0][..20]].concat();
+        assert!(matches!(
+            PcapReader::new(&cut[..]).unwrap().peek_header().unwrap_err(),
+            PacketError::Io(_)
+        ));
     }
 
     #[test]

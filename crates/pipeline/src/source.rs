@@ -2,7 +2,7 @@
 
 use std::io::Read;
 
-use eleph_packet::pcap::PcapReader;
+use eleph_packet::pcap::{PcapReader, RecordHeader};
 use eleph_packet::{parse_buf_meta, LinkType, PacketMeta};
 use eleph_trace::{FaultAction, FaultInjector, FaultStats, PacketSynth, RateTrace};
 
@@ -80,6 +80,13 @@ impl<R: Read> PcapSource<R> {
         self.link
     }
 
+    /// The header of the next record, which stays unread
+    /// ([`PcapReader::peek_header`]); `Ok(None)` at the end of the
+    /// capture.
+    pub fn peek_header(&mut self) -> eleph_packet::Result<Option<RecordHeader>> {
+        self.reader.peek_header()
+    }
+
     /// The framing loop of both pcap sources: records until
     /// [`SOURCE_CHUNK`] of them have parsed or the capture ends. With
     /// `faults`, every record is copied into the scratch buffer and
@@ -155,6 +162,12 @@ impl<R: Read> FaultedPcapSource<R> {
     /// What the injector did so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.injector.stats()
+    }
+
+    /// The header of the next record as captured — before the injector
+    /// has seen it — which stays unread ([`PcapSource::peek_header`]).
+    pub fn peek_header(&mut self) -> eleph_packet::Result<Option<RecordHeader>> {
+        self.source.peek_header()
     }
 }
 

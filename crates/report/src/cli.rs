@@ -13,7 +13,7 @@
 //! One experiment or all of them, the path is the same: open a
 //! [`Lab`], run the named experiments in it, print what they render.
 
-use std::io;
+use std::io::{self, Read};
 use std::process::ExitCode;
 
 use eleph_core::{
@@ -21,6 +21,7 @@ use eleph_core::{
     PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
 use eleph_bgp::{FrozenBgpTable, LiveBgpTable, RouteEntry, UpdateBatch};
+use eleph_packet::pcap::{PcapSlice, RecordHeader};
 use eleph_pipeline::{
     skip_offered, Checkpoint, Checkpointer, CheckpointsWritten, FaultedPcapSource, JsonlSink,
     PacketSource, PcapSource, Pipeline, PipelineBuilder, PipelineReport, PooledPcapSource,
@@ -636,12 +637,18 @@ fn stream(
     builder: PipelineBuilder<'_, Box<dyn ThresholdDetector>>,
     entered: std::time::Instant,
 ) -> io::Result<()> {
+    // Every input is opened before any is read, so a path that does not
+    // open fails the run, naming its flag, before any table is built.
+    let pcap = open_input("--pcap", opts.pcap.as_deref())?;
+    let rib = open_input("--rib", opts.rib.as_deref())?;
+    let rib_updates = open_input("--rib-updates", opts.rib_updates.as_deref())?;
+
     // The routes the run attributes against. A capture is only
     // attributed, so its RIB dump goes from text straight into the
     // table the pipeline reads (below): no mutable `BgpTable`, no copy
     // of any route. `--synth` generates its packets from a `BgpTable`
     // first: sampling addresses needs the updatable trie.
-    let rib_error = |path: &String, e| io::Error::other(format!("{path}: {e}"));
+    let rib_error = |path: &str, e| io::Error::other(format!("--rib {path}: {e}"));
     let synthetic_table = || {
         eleph_bgp::synth::generate(&eleph_bgp::synth::SynthConfig {
             n_prefixes: opts.prefixes,
@@ -650,9 +657,10 @@ fn stream(
     };
     let mut trace: Option<RateTrace> = None;
     let routes: Vec<RouteEntry> = if opts.synth {
-        let table = match &opts.rib {
-            Some(path) => eleph_bgp::dump::read_dump(std::fs::File::open(path)?)
-                .map_err(|e| rib_error(path, e))?,
+        let table = match rib {
+            Some((file, path)) => {
+                eleph_bgp::dump::read_dump(file).map_err(|e| rib_error(path, e))?
+            }
             None => synthetic_table(),
         };
         let config = WorkloadConfig {
@@ -664,9 +672,10 @@ fn stream(
         trace = Some(RateTrace::generate(&config, &table));
         table.iter().cloned().collect()
     } else {
-        match &opts.rib {
-            Some(path) => eleph_bgp::dump::read_routes(std::fs::File::open(path)?)
-                .map_err(|e| rib_error(path, e))?,
+        match rib {
+            Some((file, path)) => {
+                eleph_bgp::dump::read_routes(file).map_err(|e| rib_error(path, e))?
+            }
             None => {
                 // Attribution is only meaningful against the table the
                 // capture was generated for; be loud about the default.
@@ -681,12 +690,9 @@ fn stream(
         }
     };
 
-    let updates: Vec<UpdateBatch> = match &opts.rib_updates {
-        Some(path) => {
-            let file = std::fs::File::open(path)?;
-            eleph_bgp::dump::read_updates(file)
-                .map_err(|e| io::Error::other(format!("{path}: {e}")))?
-        }
+    let updates: Vec<UpdateBatch> = match rib_updates {
+        Some((file, path)) => eleph_bgp::dump::read_updates(file)
+            .map_err(|e| io::Error::other(format!("--rib-updates {path}: {e}")))?,
         None => Vec::new(),
     };
 
@@ -766,36 +772,16 @@ fn stream(
 
     let mut fault_stats: Option<FaultStats> = None;
     let started = std::time::Instant::now();
-    let report = if let Some(path) = &opts.pcap {
-        let interval_secs = opts.interval_secs.unwrap_or(300);
-        // Without an explicit start, anchor the window at the first
-        // packet's interval: real captures carry epoch timestamps, and
-        // starting at 0 would make the pipeline seal decades of empty
-        // intervals before the first real one. (Deterministic per file,
-        // so a resumed run re-derives the same anchor and passes the
-        // checkpoint's config fingerprint check.)
-        let start_unix = match opts.start_unix {
-            Some(t) => t,
-            None => {
-                let t = first_packet_unix(path)?;
-                let start = t / interval_secs * interval_secs;
-                eprintln!(
-                    "eleph run: no --start-unix given; anchoring the window at \
-                     {start} (first packet's interval start)"
-                );
-                start
-            }
-        };
-        let mut builder = builder.interval_secs(interval_secs).start_unix(start_unix);
-        if let Some(n) = opts.intervals {
-            builder = builder.n_intervals(n);
-        }
-        let file = std::fs::File::open(path)?;
-        let map_src = |e: eleph_packet::PacketError| io::Error::other(format!("{path}: {e}"));
+    let report = if let Some((mut file, path)) = pcap {
+        // The capture is opened once (it may be a pipe): the window's
+        // anchor is peeked from the source the run then reads.
+        let map_src =
+            |e: eleph_packet::PacketError| io::Error::other(format!("--pcap {path}: {e}"));
         if opts.wants_faults() {
             let injector = FaultInjector::try_new(opts.fault_config())
                 .map_err(io::Error::other)?;
             let mut source = FaultedPcapSource::new(file, injector).map_err(map_src)?;
+            let builder = pcap_window(opts, builder, || source.peek_header()).map_err(map_src)?;
             let report = drive(builder, &mut source, ckpt.as_ref(), checkpointer.as_mut())?;
             fault_stats = Some(source.fault_stats());
             report
@@ -804,13 +790,17 @@ fn stream(
             // capture; delivery order, chunk boundaries and error
             // positions are identical to the serial reader's, so
             // checkpoints interoperate across worker counts.
-            drop(file);
-            let data = std::sync::Arc::new(std::fs::read(path)?);
-            let mut source =
-                PooledPcapSource::new(data, opts.ingest_workers).map_err(map_src)?;
+            let mut data = Vec::new();
+            file.read_to_end(&mut data)
+                .map_err(|e| io::Error::new(e.kind(), format!("--pcap {path}: {e}")))?;
+            let first = || Ok(PcapSlice::new(&data)?.next_record()?.map(|(head, _)| head));
+            let builder = pcap_window(opts, builder, first).map_err(map_src)?;
+            let mut source = PooledPcapSource::new(std::sync::Arc::new(data), opts.ingest_workers)
+                .map_err(map_src)?;
             drive(builder, &mut source, ckpt.as_ref(), checkpointer.as_mut())?
         } else {
             let mut source = PcapSource::new(file).map_err(map_src)?;
+            let builder = pcap_window(opts, builder, || source.peek_header()).map_err(map_src)?;
             drive(builder, &mut source, ckpt.as_ref(), checkpointer.as_mut())?
         }
     } else {
@@ -1110,20 +1100,53 @@ pub fn run_churn(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Unix second of the first record in a pcap file (0 for an empty
-/// capture — the window then starts at the epoch, which is harmless
-/// since there are no packets to seal against).
-fn first_packet_unix(path: &str) -> io::Result<u64> {
-    let file = std::fs::File::open(path)?;
-    let mut reader = eleph_packet::pcap::PcapReader::new(file)
-        .map_err(|e| io::Error::other(format!("{path}: {e}")))?;
-    match reader
-        .next_record_ref()
-        .map_err(|e| io::Error::other(format!("{path}: {e}")))?
-    {
-        Some((head, _)) => Ok(head.ts_ns / 1_000_000_000),
-        None => Ok(0),
+/// The input `flag` names, if given, opened for reading and paired with
+/// its path; a failure says `flag path: why`.
+fn open_input<'p>(
+    flag: &str,
+    path: Option<&'p str>,
+) -> io::Result<Option<(std::fs::File, &'p str)>> {
+    let Some(path) = path else { return Ok(None) };
+    match std::fs::File::open(path) {
+        Ok(file) => Ok(Some((file, path))),
+        Err(e) => Err(io::Error::new(e.kind(), format!("{flag} {path}: {e}"))),
     }
+}
+
+/// The window of a pcap run: `--interval-secs` (default 300),
+/// `--intervals`, and `--start-unix` or, without it, the interval start
+/// of the capture's first record, whose header `first` returns as
+/// captured, before any fault injection.
+///
+/// Real captures carry epoch timestamps, and starting at 0 would make
+/// the pipeline seal decades of empty intervals before the first real
+/// one. An empty capture anchors at 0, which is harmless: there are no
+/// packets to seal against. The anchor is a function of the file, so a
+/// resumed run re-derives it and passes the checkpoint's config
+/// fingerprint check.
+fn pcap_window<'t>(
+    opts: &RunOpts,
+    builder: PipelineBuilder<'t, Box<dyn ThresholdDetector>>,
+    first: impl FnOnce() -> eleph_packet::Result<Option<RecordHeader>>,
+) -> eleph_packet::Result<PipelineBuilder<'t, Box<dyn ThresholdDetector>>> {
+    let interval_secs = opts.interval_secs.unwrap_or(300);
+    let start_unix = match opts.start_unix {
+        Some(t) => t,
+        None => {
+            let t = first()?.map_or(0, |head| head.ts_ns / 1_000_000_000);
+            let start = t / interval_secs * interval_secs;
+            eprintln!(
+                "eleph run: no --start-unix given; anchoring the window at \
+                 {start} (first packet's interval start)"
+            );
+            start
+        }
+    };
+    let builder = builder.interval_secs(interval_secs).start_unix(start_unix);
+    Ok(match opts.intervals {
+        Some(n) => builder.n_intervals(n),
+        None => builder,
+    })
 }
 
 #[cfg(test)]

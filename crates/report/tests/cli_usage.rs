@@ -1,7 +1,17 @@
 //! A wrong command line is answered, not crashed on: the message and a
 //! pointer to `eleph help` on stderr, nothing on stdout, exit status 2.
+//! An input that cannot be opened is named by its flag and path, exit
+//! status 1; and an input that can only be read once — a pipe — is read
+//! exactly as the file is.
 
-use std::process::Command;
+use std::fs;
+use std::io::Write;
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
+
+use eleph_bgp::dump::write_dump;
+use eleph_bgp::synth::{self, SynthConfig};
+use eleph_trace::{PacketSynth, RateTrace, WorkloadConfig};
 
 #[test]
 fn usage_errors_exit_2_without_a_panic() {
@@ -46,4 +56,93 @@ fn usage_errors_exit_2_without_a_panic() {
         );
         assert!(!stderr.contains("panicked"), "`eleph {line}`: {stderr}");
     }
+}
+
+/// A fresh scratch directory for one test.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("eleph-usage-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+#[test]
+fn a_missing_input_names_its_flag_and_path_before_any_is_read() {
+    // The inputs that do exist are garbage: had the run read one before
+    // opening the missing one, the error would be that input's.
+    let dir = scratch("missing");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp dir").to_string();
+    fs::write(path("c.pcap"), "not a capture").unwrap();
+    fs::write(path("c.rib"), "not a dump").unwrap();
+    for (flag, line) in [
+        ("--pcap", format!("--pcap {} --rib {}", path("no.pcap"), path("c.rib"))),
+        ("--rib", format!("--pcap {} --rib {}", path("c.pcap"), path("no.rib"))),
+        (
+            "--rib-updates",
+            format!(
+                "--pcap {} --rib {} --rib-updates {}",
+                path("c.pcap"),
+                path("c.rib"),
+                path("no.txt")
+            ),
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_eleph"))
+            .arg("run")
+            .args(line.split_whitespace())
+            .output()
+            .expect("eleph runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let missing = line.split_whitespace().skip_while(|&a| a != flag).nth(1).unwrap();
+        assert_eq!(out.status.code(), Some(1), "`eleph run {line}`: {stderr}");
+        assert!(stderr.contains(&format!("{flag} {missing}: ")), "`eleph run {line}`: {stderr}");
+        assert!(!stderr.contains("panicked"), "`eleph run {line}`: {stderr}");
+        assert!(out.stdout.is_empty(), "`eleph run {line}` printed to stdout");
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_piped_capture_without_a_start_reads_as_the_file_does() {
+    let dir = scratch("pipe");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp dir").to_string();
+    let table = synth::generate(&SynthConfig { n_prefixes: 2_000, ..SynthConfig::default() });
+    let config = WorkloadConfig {
+        n_flows: 120,
+        n_intervals: 4,
+        interval_secs: 20,
+        ..WorkloadConfig::small_test(5)
+    };
+    let trace = RateTrace::generate(&config, &table);
+    let mut pcap = Vec::new();
+    PacketSynth::new(&trace).write_pcap(0..4, &mut pcap).expect("pcap synthesis");
+    fs::write(path("c.pcap"), &pcap).unwrap();
+    let mut rib = Vec::new();
+    write_dump(&table, &mut rib).expect("write dump");
+    fs::write(path("c.rib"), rib).unwrap();
+
+    // No --start-unix: the window is anchored at the first record.
+    let run = |pcap_arg: &str, out: &str| {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_eleph"))
+            .args(["run", "--pcap", pcap_arg, "--rib", &path("c.rib")])
+            .args(["--interval-secs", "20", "--intervals", "4", "--out", &path(out)])
+            .stdin(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("eleph runs");
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        let bytes = if pcap_arg == "/dev/stdin" { pcap.clone() } else { Vec::new() };
+        let feeder = std::thread::spawn(move || stdin.write_all(&bytes));
+        let out = child.wait_with_output().expect("eleph exits");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "--pcap {pcap_arg}: {stderr}");
+        assert!(stderr.contains("anchoring the window"), "{stderr}");
+        feeder.join().unwrap().expect("capture piped in");
+    };
+    run(&path("c.pcap"), "file.jsonl");
+    run("/dev/stdin", "pipe.jsonl");
+    let file = fs::read(path("file.jsonl")).unwrap();
+    assert_eq!(file.iter().filter(|&&b| b == b'\n').count(), 4);
+    assert_eq!(fs::read(path("pipe.jsonl")).unwrap(), file, "the piped run diverges");
+    fs::remove_dir_all(&dir).ok();
 }

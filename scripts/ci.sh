@@ -54,10 +54,17 @@
 #      so an API change that breaks it fails here and not at the driver;
 #  11. start-up path: the RIB/update-stream reader against its
 #      `lines()`/`split`/`str::parse` oracle (differential + mutation
-#      proptest), the one-pass table constructors against insert-then-
-#      freeze, and `eleph run --pcap --rib` (static and live, with a
-#      resume) against the library calls, byte for byte — all part of
-#      tier-1; re-run by name so a failure is attributed immediately;
+#      proptest) and against itself cut into 2, 3 and 7 pieces (and at
+#      every line boundary, and over a read that fails part-way); the
+#      striped table paint against the serial one it replaced (`FlatLpm`
+#      at 1, 2, 3 and 8 stripes; `EpochLpm::from_entries` against
+#      insert + whole-range repaint, page for page, before and after
+#      random updates); the one-pass table constructors against insert-
+#      then-freeze; `eleph run --pcap --rib` (static and live, with a
+#      resume) against the library calls, byte for byte; and a missing
+#      input named by its flag and path, a piped capture read as the
+#      file is — all part of tier-1; re-run by name so a failure is
+#      attributed immediately;
 #  12. sketch eviction: the slot heap against the linear scan it
 #      replaced (differential proptest over record / seal / export →
 #      restore programs), its work per record as a step count on three
@@ -72,7 +79,16 @@
 #      backend x engine), one `Checkpointer` buffer reused for a large
 #      image and then a small one, and a resumed run's cadence against
 #      the uninterrupted run's — all part of tier-1; re-run by name so a
-#      format drift is attributed immediately.
+#      format drift is attributed immediately;
+#  14. thread count: start-up parses the RIB and paints the table on
+#      every core, so `eleph run --pcap --rib` over the `capture_files`
+#      example's inputs (static, then live with `--rib-updates` and
+#      `--checkpoint-every 1`) runs once under `taskset -c 0` and once
+#      unrestricted, and the JSONL and the final `eleph.ckpt` must be
+#      byte-identical (without `taskset` the pinned runs are skipped,
+#      and the gate says so); the capture is also piped through
+#      `cat … | eleph run --pcap /dev/stdin` without `--start-unix`, and
+#      its JSONL must equal the file run's.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -229,8 +245,19 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "== start-up path: dump reader vs oracle, from_routes vs freeze, eleph run --pcap --rib vs library =="
 cargo test -q -p eleph-bgp --lib dump::tests::differential
+cargo test -q -p eleph-bgp --lib -- \
+    dump::tests::a_failing_read_fails_alike_in_every_piece_count \
+    dump::tests::pieces_end_at_line_ends_and_know_their_first_line \
+    dump::tests::a_dump_cut_at_every_line_boundary_reads_as_one
+cargo test -q -p eleph-net --lib -- \
+    flat::tests::stripe_count_never_reaches_ \
+    epoch::tests::from_entries_
+cargo test -q -p eleph-net --test props -- \
+    epoch_deltas_equal_fresh_freeze \
+    flat_lpm_agrees_with_compressed_trie
 cargo test -q -p eleph-bgp --test from_routes
 cargo test -q -p eleph-tests --test cli_default_path
+cargo test -q -p eleph-report --test cli_usage
 
 echo "== sketch eviction: slot heap vs scan oracle, step count, resume under eviction =="
 cargo test -q -p eleph-core --lib sketch::tests::slot_heap
@@ -246,5 +273,38 @@ cargo test -q -p eleph-pipeline --lib -- \
 cargo test -q -p eleph-tests --test checkpoint_restore -- \
     synthetic_run_checkpoints_equal_their_recorded_length_and_crc \
     resumed_run_keeps_the_uninterrupted_cadence
+
+echo "== thread count: one core vs every core, and a piped capture, byte-for-byte =="
+cargo run -q --release -p eleph-tests --example capture_files -- "$tmpdir/in" > /dev/null
+in=$tmpdir/in
+# No --start-unix: the window is anchored at the first record.
+file_args=(--rib "$in/c.rib" --interval-secs 10 --intervals 12)
+static_args=(run --pcap "$in/c.pcap" "${file_args[@]}")
+live_args=("${static_args[@]}" --rib-updates "$in/churn.txt" --checkpoint-every 1)
+pins=(all)
+if command -v taskset > /dev/null; then
+    pins+=(one)
+else
+    echo "   taskset not found: the one-core runs are skipped"
+fi
+for pin in "${pins[@]}"; do
+    pin_cmd=()
+    [ "$pin" = one ] && pin_cmd=(taskset -c 0)
+    "${pin_cmd[@]}" "$eleph" "${static_args[@]}" --out "$tmpdir/static_$pin.jsonl" 2> /dev/null
+    "${pin_cmd[@]}" "$eleph" "${live_args[@]}" --checkpoint-dir "$tmpdir/ck_$pin" \
+        --out "$tmpdir/live_$pin.jsonl" 2> "$tmpdir/live_$pin.summary"
+done
+grep -q '"route_updates":0' "$tmpdir/live_all.summary" \
+    && { echo "thread count: no update batch was applied mid-stream" >&2; exit 1; }
+if [ "${#pins[@]}" -eq 2 ]; then
+    for f in static_one.jsonl live_one.jsonl ck_one/eleph.ckpt; do
+        cmp "$tmpdir/$f" "$tmpdir/${f//one/all}" \
+            || { echo "thread count: $f differs between one core and every core" >&2; exit 1; }
+    done
+fi
+cat "$in/c.pcap" | "$eleph" run --pcap /dev/stdin "${file_args[@]}" \
+    --out "$tmpdir/piped.jsonl" 2> /dev/null
+cmp "$tmpdir/piped.jsonl" "$tmpdir/static_all.jsonl" \
+    || { echo "thread count: the piped capture diverges from the file run" >&2; exit 1; }
 
 echo "ci.sh: all gates green"
