@@ -28,6 +28,7 @@ use eleph_net::{LpmView, Prefix};
 use eleph_packet::pcap::PcapReader;
 use eleph_packet::{parse_buf_meta, LinkType, PacketMeta};
 
+use crate::matrix::ColumnBuilder;
 use crate::{BandwidthMatrix, KeyId};
 
 /// Sentinel for "route not yet assigned a key" in dense
@@ -432,17 +433,16 @@ fn matrix_from_rows(
     rows: &[Vec<u64>],
 ) -> BandwidthMatrix {
     let secs = interval_secs as f64;
-    let intervals: Vec<Vec<(KeyId, f32)>> = rows
-        .iter()
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .filter(|&(_, &bytes)| bytes > 0)
-                .map(|(key, &bytes)| (key as KeyId, (bytes as f64 * 8.0 / secs) as f32))
-                .collect()
-        })
-        .collect();
-    BandwidthMatrix::from_parts(interval_secs, start_unix, keys, intervals)
+    let mut out = ColumnBuilder::with_capacity(rows.len(), 0);
+    for row in rows {
+        for (key, &bytes) in row.iter().enumerate() {
+            if bytes > 0 {
+                out.push(key as KeyId, (bytes as f64 * 8.0 / secs) as f32);
+            }
+        }
+        out.close();
+    }
+    out.finish(interval_secs, start_unix, keys)
 }
 
 /// Aggregate a whole pcap stream. Records that fail structural pcap

@@ -21,8 +21,14 @@ pub type KeyId = u32;
 /// detectors' input — without allocating).
 ///
 /// Construction is either packet-driven ([`crate::Aggregator::finish`])
-/// or rate-driven ([`BandwidthMatrix::from_rate_trace`]); downstream
-/// classification cannot tell the difference, by design.
+/// or rate-driven ([`BandwidthMatrix::from_rate_trace`],
+/// [`BandwidthMatrix::from_dense`]), or re-measures an existing matrix
+/// at another T ([`BandwidthMatrix::coarsen`],
+/// [`BandwidthMatrix::refine`]); downstream classification cannot tell
+/// the difference, by design. Every path appends its entries, interval
+/// by interval, straight into the columns the matrix keeps — no
+/// per-interval rows are built first and copied — so a derived matrix
+/// is never held twice.
 #[derive(Debug, Clone)]
 pub struct BandwidthMatrix {
     interval_secs: u64,
@@ -105,51 +111,79 @@ impl std::fmt::Debug for IntervalView<'_> {
     }
 }
 
-impl BandwidthMatrix {
-    /// Build from parts. `intervals` entries must be sorted by key id;
-    /// this is asserted in debug builds.
-    pub(crate) fn from_parts(
+/// The one way the columns of a [`BandwidthMatrix`] are assembled:
+/// entries are pushed interval by interval, in ascending key order, and
+/// each interval's total is summed in that order as they arrive.
+pub(crate) struct ColumnBuilder {
+    offsets: Vec<usize>,
+    col_keys: Vec<KeyId>,
+    col_rates: Vec<f32>,
+    totals: Vec<f64>,
+    /// The open interval's running total.
+    total: f64,
+}
+
+impl ColumnBuilder {
+    /// A builder with room for `intervals` intervals of `entries`
+    /// entries in all; both are hints, never limits.
+    pub(crate) fn with_capacity(intervals: usize, entries: usize) -> Self {
+        let mut offsets = Vec::with_capacity(intervals + 1);
+        offsets.push(0);
+        ColumnBuilder {
+            offsets,
+            col_keys: Vec::with_capacity(entries),
+            col_rates: Vec::with_capacity(entries),
+            totals: Vec::with_capacity(intervals),
+            total: 0.0,
+        }
+    }
+
+    /// Append `(key, rate)` to the open interval. Keys must ascend
+    /// within an interval; this is asserted in debug builds.
+    #[inline]
+    pub(crate) fn push(&mut self, key: KeyId, rate: f32) {
+        debug_assert!(
+            self.col_keys.len() == self.offsets[self.offsets.len() - 1]
+                || self.col_keys[self.col_keys.len() - 1] < key,
+            "keys ascend within an interval"
+        );
+        self.col_keys.push(key);
+        self.col_rates.push(rate);
+        self.total += f64::from(rate);
+    }
+
+    /// End the open interval (possibly empty) and open the next.
+    pub(crate) fn close(&mut self) {
+        self.offsets.push(self.col_keys.len());
+        self.totals.push(std::mem::take(&mut self.total));
+    }
+
+    /// The matrix of the closed intervals, keyed by `keys`.
+    pub(crate) fn finish(
+        self,
         interval_secs: u64,
         start_unix: u64,
         keys: Vec<Prefix>,
-        intervals: Vec<Vec<(KeyId, f32)>>,
-    ) -> Self {
-        debug_assert!(intervals
-            .iter()
-            .all(|v| v.windows(2).all(|w| w[0].0 < w[1].0)));
+    ) -> BandwidthMatrix {
         let index = keys
             .iter()
             .enumerate()
             .map(|(i, &p)| (p, i as KeyId))
             .collect();
-        let entries: usize = intervals.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(intervals.len() + 1);
-        let mut col_keys = Vec::with_capacity(entries);
-        let mut col_rates = Vec::with_capacity(entries);
-        let mut totals = Vec::with_capacity(intervals.len());
-        offsets.push(0);
-        for row in &intervals {
-            let mut total = 0.0f64;
-            for &(key, rate) in row {
-                col_keys.push(key);
-                col_rates.push(rate);
-                total += f64::from(rate);
-            }
-            offsets.push(col_keys.len());
-            totals.push(total);
-        }
         BandwidthMatrix {
             interval_secs,
             start_unix,
             keys,
             index,
-            offsets,
-            col_keys,
-            col_rates,
-            totals,
+            offsets: self.offsets,
+            col_keys: self.col_keys,
+            col_rates: self.col_rates,
+            totals: self.totals,
         }
     }
+}
 
+impl BandwidthMatrix {
     /// Build from dense per-interval rows: `rows[n][i]` is the bandwidth
     /// of `keys[i]` in interval `n` (zero = inactive). Convenient for
     /// tests and for adapting external data sources.
@@ -164,21 +198,18 @@ impl BandwidthMatrix {
         keys: Vec<Prefix>,
         rows: &[Vec<f64>],
     ) -> Self {
-        let intervals: Vec<Vec<(KeyId, f32)>> = rows
-            .iter()
-            .map(|row| {
-                assert!(row.len() <= keys.len(), "row wider than key space");
-                row.iter()
-                    .enumerate()
-                    .filter(|&(_, &r)| {
-                        assert!(r.is_finite() && r >= 0.0, "bad rate {r}");
-                        r > 0.0
-                    })
-                    .map(|(i, &r)| (i as KeyId, r as f32))
-                    .collect()
-            })
-            .collect();
-        Self::from_parts(interval_secs, start_unix, keys, intervals)
+        let mut out = ColumnBuilder::with_capacity(rows.len(), 0);
+        for row in rows {
+            assert!(row.len() <= keys.len(), "row wider than key space");
+            for (i, &r) in row.iter().enumerate() {
+                assert!(r.is_finite() && r >= 0.0, "bad rate {r}");
+                if r > 0.0 {
+                    out.push(i as KeyId, r as f32);
+                }
+            }
+            out.close();
+        }
+        out.finish(interval_secs, start_unix, keys)
     }
 
     /// Convert a synthetic rate trace into a matrix keyed by prefix.
@@ -193,38 +224,17 @@ impl BandwidthMatrix {
             .iter()
             .map(|(_, meta)| meta.prefix)
             .collect();
-        let index = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, i as KeyId))
-            .collect();
         let n_int = trace.n_intervals();
-        let mut offsets = Vec::with_capacity(n_int + 1);
-        let mut col_keys = Vec::new();
-        let mut col_rates = Vec::new();
-        let mut totals = Vec::with_capacity(n_int);
-        offsets.push(0);
+        let entries = (0..n_int).map(|n| trace.active_flows(n)).sum();
+        let mut out = ColumnBuilder::with_capacity(n_int, entries);
         for n in 0..n_int {
             // FlowId and KeyId coincide: population order is key order.
-            let mut total = 0.0f64;
             for &(key, rate) in trace.interval(n) {
-                col_keys.push(key);
-                col_rates.push(rate);
-                total += f64::from(rate);
+                out.push(key, rate);
             }
-            offsets.push(col_keys.len());
-            totals.push(total);
+            out.close();
         }
-        BandwidthMatrix {
-            interval_secs: trace.config.interval_secs,
-            start_unix: trace.config.start_unix,
-            keys,
-            index,
-            offsets,
-            col_keys,
-            col_rates,
-            totals,
-        }
+        out.finish(trace.config.interval_secs, trace.config.start_unix, keys)
     }
 
     /// Number of intervals.
@@ -311,7 +321,8 @@ impl BandwidthMatrix {
         // Dense accumulator + touched list: keys are dense ids.
         let mut acc: Vec<f64> = vec![0.0; self.n_keys()];
         let mut touched: Vec<KeyId> = Vec::new();
-        let mut intervals: Vec<Vec<(KeyId, f32)>> = Vec::with_capacity(n_coarse);
+        // A coarse interval holds at most the entries of its fine ones.
+        let mut out = ColumnBuilder::with_capacity(n_coarse, self.col_keys.len());
         let inv = 1.0 / factor as f64;
         for m in 0..n_coarse {
             for n in (m * factor)..((m + 1) * factor).min(self.n_intervals()) {
@@ -329,24 +340,22 @@ impl BandwidthMatrix {
                 }
             }
             touched.sort_unstable();
-            let mut row: Vec<(KeyId, f32)> = Vec::with_capacity(touched.len());
             for &key in &touched {
                 let rate = (acc[key as usize] * inv) as f32;
                 acc[key as usize] = 0.0;
                 // A subnormal average can round to 0.0 in f32; keep the
                 // "zero = inactive" invariant rather than storing it.
                 if rate > 0.0 {
-                    row.push((key, rate));
+                    out.push(key, rate);
                 }
             }
             touched.clear();
-            intervals.push(row);
+            out.close();
         }
-        Self::from_parts(
+        out.finish(
             self.interval_secs * factor as u64,
             self.start_unix,
             self.keys.clone(),
-            intervals,
         )
     }
 
@@ -367,41 +376,45 @@ impl BandwidthMatrix {
             self.interval_secs % factor as u64 == 0,
             "refinement factor must divide the interval length"
         );
-        let mut intervals: Vec<Vec<(KeyId, f32)>> =
-            Vec::with_capacity(self.n_intervals() * factor);
-        let mut factors: Vec<f64> = vec![0.0; factor];
+        let mut out =
+            ColumnBuilder::with_capacity(self.n_intervals() * factor, self.col_keys.len() * factor);
+        // Per parent interval: key i's jitter for sub-slot j at
+        // `jitter[i * factor + j]`, and its normaliser at `norms[i]`.
+        let mut jitter: Vec<f64> = Vec::new();
+        let mut norms: Vec<f64> = Vec::new();
         for n in 0..self.n_intervals() {
             let view = self.interval(n);
-            let mut rows: Vec<Vec<(KeyId, f32)>> =
-                (0..factor).map(|_| Vec::with_capacity(view.len())).collect();
-            for (key, rate) in view.iter() {
+            jitter.clear();
+            norms.clear();
+            for &key in view.keys() {
                 let mut sum = 0.0f64;
-                for (j, f) in factors.iter_mut().enumerate() {
-                    let h = split_hash(
-                        seed ^ (u64::from(key) << 32) ^ ((n as u64) << 8) ^ j as u64,
-                    );
+                for j in 0..factor {
+                    let h =
+                        split_hash(seed ^ (u64::from(key) << 32) ^ ((n as u64) << 8) ^ j as u64);
                     // 53 uniform bits → [0, 1) → bounded jitter [0.75, 1.25).
                     let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                    *f = 0.75 + 0.5 * u;
-                    sum += *f;
+                    let f = 0.75 + 0.5 * u;
+                    jitter.push(f);
+                    sum += f;
                 }
-                let norm = factor as f64 / sum;
-                for (j, row) in rows.iter_mut().enumerate() {
-                    let sub = (f64::from(rate) * factors[j] * norm) as f32;
+                norms.push(factor as f64 / sum);
+            }
+            for j in 0..factor {
+                for (i, (key, rate)) in view.iter().enumerate() {
+                    let sub = (f64::from(rate) * jitter[i * factor + j] * norms[i]) as f32;
                     // Keep the "zero = inactive" invariant for subnormal
                     // parents whose jittered sub-rate rounds to 0.0.
                     if sub > 0.0 {
-                        row.push((key, sub));
+                        out.push(key, sub);
                     }
                 }
+                out.close();
             }
-            intervals.extend(rows);
         }
-        Self::from_parts(
+        out.finish(
             self.interval_secs / factor as u64,
             self.start_unix,
             self.keys.clone(),
-            intervals,
         )
     }
 
@@ -437,20 +450,33 @@ mod tests {
     use super::*;
     use eleph_bgp::synth::{self, SynthConfig};
     use eleph_trace::WorkloadConfig;
+    use proptest::prelude::*;
 
     fn prefix(s: &str) -> Prefix {
         s.parse().unwrap()
     }
 
+    /// A matrix of literal sparse rows, through the one builder.
+    fn from_rows(
+        interval_secs: u64,
+        start_unix: u64,
+        keys: Vec<Prefix>,
+        rows: &[&[(KeyId, f32)]],
+    ) -> BandwidthMatrix {
+        let mut out = ColumnBuilder::with_capacity(rows.len(), 0);
+        for row in rows {
+            for &(key, rate) in *row {
+                out.push(key, rate);
+            }
+            out.close();
+        }
+        out.finish(interval_secs, start_unix, keys)
+    }
+
     #[test]
-    fn from_parts_basics() {
+    fn column_builder_basics() {
         let keys = vec![prefix("10.0.0.0/8"), prefix("192.168.0.0/16")];
-        let intervals = vec![
-            vec![(0u32, 100.0f32), (1, 50.0)],
-            vec![(1, 75.0)],
-            vec![],
-        ];
-        let m = BandwidthMatrix::from_parts(300, 0, keys, intervals);
+        let m = from_rows(300, 0, keys, &[&[(0, 100.0), (1, 50.0)], &[(1, 75.0)], &[]]);
         assert_eq!(m.n_intervals(), 3);
         assert_eq!(m.n_keys(), 2);
         assert_eq!(m.rate(0, 0), 100.0);
@@ -468,8 +494,7 @@ mod tests {
     #[test]
     fn interval_view_accessors() {
         let keys = vec![prefix("10.0.0.0/8"), prefix("192.168.0.0/16")];
-        let intervals = vec![vec![(0u32, 100.0f32), (1, 50.0)], vec![]];
-        let m = BandwidthMatrix::from_parts(300, 0, keys, intervals);
+        let m = from_rows(300, 0, keys, &[&[(0, 100.0), (1, 50.0)], &[]]);
         let v = m.interval(0);
         assert_eq!(v.len(), 2);
         assert!(!v.is_empty());
@@ -486,8 +511,7 @@ mod tests {
     #[test]
     fn values_into_reuses_buffer() {
         let keys = vec![prefix("10.0.0.0/8"), prefix("192.168.0.0/16")];
-        let intervals = vec![vec![(0u32, 100.0f32), (1, 50.0)], vec![(1, 75.0)]];
-        let m = BandwidthMatrix::from_parts(300, 0, keys, intervals);
+        let m = from_rows(300, 0, keys, &[&[(0, 100.0), (1, 50.0)], &[(1, 75.0)]]);
         let mut buf = vec![999.0; 7];
         m.values_into(0, &mut buf);
         assert_eq!(buf, vec![100.0, 50.0]);
@@ -591,8 +615,184 @@ mod tests {
     #[test]
     fn totals_accessor_matches_pointwise() {
         let keys = vec![prefix("10.0.0.0/8")];
-        let intervals = vec![vec![(0u32, 10.0f32)], vec![(0, 20.0)]];
-        let m = BandwidthMatrix::from_parts(60, 0, keys, intervals);
+        let m = from_rows(60, 0, keys, &[&[(0, 10.0)], &[(0, 20.0)]]);
         assert_eq!(m.totals(), &[10.0, 20.0]);
+    }
+
+    /// The construction `coarsen` and `refine` replaced: every interval
+    /// built as its own `Vec<(KeyId, f32)>` row, then copied into the
+    /// columns by `from_parts`.
+    mod row_oracle {
+        use super::super::*;
+
+        pub fn from_parts(
+            interval_secs: u64,
+            start_unix: u64,
+            keys: Vec<Prefix>,
+            intervals: Vec<Vec<(KeyId, f32)>>,
+        ) -> BandwidthMatrix {
+            let index = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| (p, i as KeyId))
+                .collect();
+            let mut offsets = vec![0];
+            let (mut col_keys, mut col_rates, mut totals) = (Vec::new(), Vec::new(), Vec::new());
+            for row in &intervals {
+                let mut total = 0.0f64;
+                for &(key, rate) in row {
+                    col_keys.push(key);
+                    col_rates.push(rate);
+                    total += f64::from(rate);
+                }
+                offsets.push(col_keys.len());
+                totals.push(total);
+            }
+            BandwidthMatrix {
+                interval_secs,
+                start_unix,
+                keys,
+                index,
+                offsets,
+                col_keys,
+                col_rates,
+                totals,
+            }
+        }
+
+        pub fn coarsen(m: &BandwidthMatrix, factor: usize) -> BandwidthMatrix {
+            let n_coarse = m.n_intervals().div_ceil(factor);
+            let mut acc: Vec<f64> = vec![0.0; m.n_keys()];
+            let mut touched: Vec<KeyId> = Vec::new();
+            let mut intervals: Vec<Vec<(KeyId, f32)>> = Vec::with_capacity(n_coarse);
+            let inv = 1.0 / factor as f64;
+            for c in 0..n_coarse {
+                for n in (c * factor)..((c + 1) * factor).min(m.n_intervals()) {
+                    for (key, rate) in m.interval(n).iter() {
+                        if rate == 0.0 {
+                            continue;
+                        }
+                        if acc[key as usize] == 0.0 {
+                            touched.push(key);
+                        }
+                        acc[key as usize] += f64::from(rate);
+                    }
+                }
+                touched.sort_unstable();
+                let mut row = Vec::with_capacity(touched.len());
+                for &key in &touched {
+                    let rate = (acc[key as usize] * inv) as f32;
+                    acc[key as usize] = 0.0;
+                    if rate > 0.0 {
+                        row.push((key, rate));
+                    }
+                }
+                touched.clear();
+                intervals.push(row);
+            }
+            from_parts(
+                m.interval_secs * factor as u64,
+                m.start_unix,
+                m.keys.clone(),
+                intervals,
+            )
+        }
+
+        pub fn refine(m: &BandwidthMatrix, factor: usize, seed: u64) -> BandwidthMatrix {
+            let mut intervals: Vec<Vec<(KeyId, f32)>> = Vec::new();
+            let mut factors: Vec<f64> = vec![0.0; factor];
+            for n in 0..m.n_intervals() {
+                let view = m.interval(n);
+                let mut rows: Vec<Vec<(KeyId, f32)>> = vec![Vec::new(); factor];
+                for (key, rate) in view.iter() {
+                    let mut sum = 0.0f64;
+                    for (j, f) in factors.iter_mut().enumerate() {
+                        let h = split_hash(
+                            seed ^ (u64::from(key) << 32) ^ ((n as u64) << 8) ^ j as u64,
+                        );
+                        let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                        *f = 0.75 + 0.5 * u;
+                        sum += *f;
+                    }
+                    let norm = factor as f64 / sum;
+                    for (j, row) in rows.iter_mut().enumerate() {
+                        let sub = (f64::from(rate) * factors[j] * norm) as f32;
+                        if sub > 0.0 {
+                            row.push((key, sub));
+                        }
+                    }
+                }
+                intervals.extend(rows);
+            }
+            from_parts(
+                m.interval_secs / factor as u64,
+                m.start_unix,
+                m.keys.clone(),
+                intervals,
+            )
+        }
+    }
+
+    /// Equal column for column: offsets, keys, rates and totals by bits.
+    fn assert_same_columns(got: &BandwidthMatrix, want: &BandwidthMatrix) {
+        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits64 = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            (got.interval_secs, got.start_unix, &got.keys),
+            (want.interval_secs, want.start_unix, &want.keys)
+        );
+        assert_eq!(got.index, want.index);
+        assert_eq!(got.offsets, want.offsets);
+        assert_eq!(got.col_keys, want.col_keys);
+        assert_eq!(bits32(&got.col_rates), bits32(&want.col_rates));
+        assert_eq!(bits64(&got.totals), bits64(&want.totals));
+    }
+
+    /// A sparse matrix whose rates mix ordinary values with subnormals
+    /// (which `refine` can round to zero), explicit zeros (which
+    /// `coarsen` skips) and the smallest normal. T = 420 s is divisible
+    /// by every factor 1..=7.
+    fn sparse_matrix() -> impl Strategy<Value = BandwidthMatrix> {
+        let entry = || {
+            let rate = prop_oneof![
+                4 => 1e-3f32..1e9,
+                1 => (1u32..0x0080_0000).prop_map(f32::from_bits),
+                1 => Just(0.0f32),
+                1 => Just(f32::MIN_POSITIVE),
+            ];
+            prop_oneof![2 => Just(None), 1 => rate.prop_map(Some)]
+        };
+        (1usize..40, 0usize..24).prop_flat_map(move |(n_keys, n_intervals)| {
+            prop::collection::vec(prop::collection::vec(entry(), n_keys), n_intervals)
+                .prop_map(move |rows| {
+                    let keys = (0..n_keys as u32)
+                        .map(|i| Prefix::from_u32(i << 8, 24).expect("a /24"))
+                        .collect();
+                    let mut out = ColumnBuilder::with_capacity(rows.len(), 0);
+                    for row in &rows {
+                        for (key, rate) in row.iter().enumerate() {
+                            if let Some(rate) = *rate {
+                                out.push(key as KeyId, rate);
+                            }
+                        }
+                        out.close();
+                    }
+                    out.finish(420, 1_000, keys)
+                })
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn refine_and_coarsen_equal_the_row_oracle(
+            m in sparse_matrix(),
+            factor in 1usize..=7,
+            seed in any::<u64>(),
+        ) {
+            assert_same_columns(&m.refine(factor, seed), &row_oracle::refine(&m, factor, seed));
+            // Any interval count that `factor` does not divide leaves a
+            // trailing partial group.
+            assert_same_columns(&m.coarsen(factor), &row_oracle::coarsen(&m, factor));
+        }
     }
 }

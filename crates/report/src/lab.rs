@@ -39,7 +39,7 @@ pub enum MatrixId {
 /// answered from the memo.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LabCounters {
-    /// Links generated (table + trace + matrix).
+    /// Links generated (table + matrix).
     pub scenario_builds: usize,
     /// Detector passes over a whole matrix.
     pub detection_passes: usize,

@@ -82,17 +82,13 @@ impl Scenario {
         self
     }
 
-    /// Generate table, trace and matrix. Deterministic in the embedded
-    /// seeds.
+    /// Generate the table and the matrix. Deterministic in the embedded
+    /// seeds. The rate trace the matrix is read from is dropped once the
+    /// matrix exists: the matrix holds every rate it had.
     pub fn build(&self) -> ScenarioData {
         let table = eleph_bgp::synth::generate(&self.table);
-        let trace = RateTrace::generate(&self.workload, &table);
-        let matrix = BandwidthMatrix::from_rate_trace(&trace);
-        ScenarioData {
-            table,
-            trace,
-            matrix,
-        }
+        let matrix = BandwidthMatrix::from_rate_trace(&RateTrace::generate(&self.workload, &table));
+        ScenarioData { table, matrix }
     }
 
     /// The busy-period window of a built matrix: the `busy_slots`
@@ -103,13 +99,11 @@ impl Scenario {
     }
 }
 
-/// The generated artefacts of a scenario.
+/// The generated artefacts of a scenario: the table and the matrix.
 #[derive(Debug)]
 pub struct ScenarioData {
     /// The routing table.
     pub table: BgpTable,
-    /// The rate-level trace.
-    pub trace: RateTrace,
     /// The bandwidth matrix the classifiers consume.
     pub matrix: BandwidthMatrix,
 }

@@ -54,6 +54,87 @@ fn all_equals_the_eleven_experiments_run_alone() {
     }
 }
 
+/// `eleph all` at `--scale 0.05`, against the length and CRC-32 of each
+/// output it left behind before matrices were built in place: stdout
+/// without its `csv:` lines (they name a path under the working
+/// directory), then each CSV in the order the report names them. A
+/// change in how a matrix, a threshold or a table is computed shows
+/// here even when the eleven-experiments property still holds.
+#[test]
+fn all_output_equals_its_recorded_length_and_crc() {
+    /// An output's name, length and CRC-32.
+    type Output = (&'static str, usize, u32);
+    const RECORDED: [(u64, [Output; 12]); 2] = [
+        (
+            3,
+            [
+                ("stdout", 8224, 0x9923_226b),
+                ("fig1a_elephant_counts.csv", 6053, 0xade9_47f4),
+                ("fig1b_elephant_fraction.csv", 11471, 0x6cc8_10de),
+                ("fig1c_holding_histogram.csv", 711, 0x4f73_2cd7),
+                ("table1_single_feature.csv", 217, 0x5897_da41),
+                ("table2_latent_heat.csv", 226, 0xac79_e661),
+                ("table3_prefix_lengths.csv", 175, 0x2b0f_176a),
+                ("table4_interval_sweep.csv", 135, 0x8ff0_ca73),
+                ("ablation_gamma.csv", 160, 0x59e6_4689),
+                ("ablation_window.csv", 152, 0x5d25_a45a),
+                ("ablation_beta.csv", 93, 0xe254_43e4),
+                ("ablation_scheme.csv", 245, 0x58ba_3b1f),
+            ],
+        ),
+        (
+            20020911,
+            [
+                ("stdout", 8244, 0xddd8_3f1b),
+                ("fig1a_elephant_counts.csv", 6083, 0xb032_0ea2),
+                ("fig1b_elephant_fraction.csv", 11471, 0xd56f_366b),
+                ("fig1c_holding_histogram.csv", 712, 0x0be7_4b95),
+                ("table1_single_feature.csv", 217, 0xdf3d_c2f7),
+                ("table2_latent_heat.csv", 228, 0xe408_1458),
+                ("table3_prefix_lengths.csv", 165, 0x92f3_0ca0),
+                ("table4_interval_sweep.csv", 134, 0x7599_e458),
+                ("ablation_gamma.csv", 162, 0xe9d4_d653),
+                ("ablation_window.csv", 153, 0xf9bf_7d6e),
+                ("ablation_beta.csv", 93, 0x8ee6_6ac2),
+                ("ablation_scheme.csv", 244, 0x6e3e_e877),
+            ],
+        ),
+    ];
+    let _guard = csv_dir();
+    for (seed, outputs) in RECORDED {
+        let opts = CommonOpts { scale: 0.05, seed };
+        let all = render_all(opts).expect("all runs");
+        let stdout: String = all
+            .lines()
+            .filter(|line| !line.starts_with("csv: "))
+            .flat_map(|line| [line, "\n"])
+            .collect();
+        let mut measured = vec![("stdout".to_string(), stdout.into_bytes())];
+        measured.extend(csvs(&all).into_iter().map(|(path, bytes)| {
+            let name = path.file_name().expect("a file").to_string_lossy().into_owned();
+            (name, bytes)
+        }));
+        let measured: Vec<(String, usize, u32)> = measured
+            .into_iter()
+            .map(|(name, bytes)| (name, bytes.len(), eleph_pipeline::crc32(&bytes)))
+            .collect();
+        let recorded: Vec<(String, usize, u32)> = outputs
+            .iter()
+            .map(|&(name, len, crc)| (name.to_string(), len, crc))
+            .collect();
+        assert_eq!(measured, recorded, "seed {seed}");
+
+        // The aest detector has a tail to find at this scale, so the
+        // `Ecdf` it sorts is on the path these bytes pin.
+        let [aest] = Lab::new(opts.scale, seed)
+            .classify_on(MatrixId::West, [SchemeSpec::paper(DetectorKind::Aest)]);
+        assert!(
+            aest.raw_thresholds.iter().any(Option::is_some),
+            "seed {seed}: aest detected in no west interval"
+        );
+    }
+}
+
 #[test]
 fn all_builds_detects_and_classifies_each_thing_once() {
     let _guard = csv_dir();

@@ -110,8 +110,26 @@ pub struct AestResult {
 /// power-law scaling region (e.g. exponential or tight log-normal data) —
 /// callers fall back to a different threshold rule in that case, exactly
 /// as a traffic-engineering system must when a link's flow mix is not
-/// heavy-tailed.
+/// heavy-tailed. Samples that are not positive are ignored; a sample that
+/// is not finite (an infinity or NaN) is [`StatsError::BadParameter`]
+/// named `"samples"`, since it has no place on a log–log plot and would
+/// turn the centred data into NaNs.
 pub fn aest(samples: &[f64], config: &AestConfig) -> Result<AestResult, StatsError> {
+    aest_with(samples, config, Ecdf::new)
+}
+
+/// [`aest`] with the constructor that sorts each aggregation level.
+fn aest_with(
+    samples: &[f64],
+    config: &AestConfig,
+    ecdf: fn(Vec<f64>) -> Result<Ecdf, StatsError>,
+) -> Result<AestResult, StatsError> {
+    if let Some(&value) = samples.iter().find(|x| !x.is_finite()) {
+        return Err(StatsError::BadParameter {
+            name: "samples",
+            value,
+        });
+    }
     let positive: Vec<f64> = samples.iter().copied().filter(|&x| x > 0.0).collect();
     let needed = config.min_points_top * 2;
     if positive.len() < needed {
@@ -146,21 +164,20 @@ pub fn aest(samples: &[f64], config: &AestConfig) -> Result<AestResult, StatsErr
         });
     }
 
-    let ecdfs: Vec<Ecdf> = levels
-        .iter()
-        .map(|v| Ecdf::new(v.clone()).expect("levels are non-empty"))
-        .collect();
+    // Every level is built before any is sorted; each moves into its
+    // `Ecdf`, which sorts it in place.
+    let ecdfs: Vec<Ecdf> = levels.into_iter().map(ecdf).collect::<Result<_, _>>()?;
 
     // --- Probe grid ------------------------------------------------------
     // Deepest usable probability is bounded by the coarsest level's size;
     // shallower than 0.5 is the distribution body.
-    let n_top = levels.last().expect("non-empty").len() as f64;
+    let n_top = ecdfs.last().expect("non-empty").len() as f64;
     let p_min = (8.0 / n_top).max(1e-4);
     let p_max: f64 = 0.5;
     if p_min >= p_max {
         return Err(StatsError::NotEnoughSamples {
             needed,
-            got: levels[0].len(),
+            got: ecdfs[0].len(),
         });
     }
     let probes: Vec<f64> = (0..config.probes)
@@ -295,7 +312,7 @@ pub fn aest(samples: &[f64], config: &AestConfig) -> Result<AestResult, StatsErr
         alpha,
         tail_start,
         tail_fraction: p_star,
-        levels: levels.len(),
+        levels: ecdfs.len(),
         diagnostics,
     })
 }
@@ -437,6 +454,53 @@ mod tests {
         let b = aest(&xs, &AestConfig::default()).unwrap();
         assert_eq!(a.alpha, b.alpha);
         assert_eq!(a.tail_start, b.tail_start);
+    }
+
+    #[test]
+    fn a_non_finite_sample_is_a_typed_error() {
+        let finite = draw(&Pareto::new(1.0, 1.5).unwrap(), 1_000, 37);
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut xs = finite.clone();
+            xs.insert(500, bad);
+            match aest(&xs, &AestConfig::default()) {
+                Err(StatsError::BadParameter { name: "samples", value }) => {
+                    assert_eq!(value.to_bits(), bad.to_bits());
+                }
+                other => panic!("{bad}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn integer_sorted_levels_give_the_comparator_sorts_result() {
+        let mut compared = 0;
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(100 + seed);
+            let body = LogNormal::new(1.0 + seed as f64 / 4.0, 0.4 + seed as f64 / 16.0).unwrap();
+            let tail = Pareto::new(20.0 + 10.0 * seed as f64, 1.1 + seed as f64 / 10.0).unwrap();
+            let every = 5 + seed as usize % 20;
+            let xs: Vec<f64> = (0..20_000)
+                .map(|i| {
+                    if i % every == 0 {
+                        tail.sample(&mut rng)
+                    } else {
+                        body.sample(&mut rng)
+                    }
+                })
+                .collect();
+            let config = AestConfig::default();
+            match (aest(&xs, &config), aest_with(&xs, &config, Ecdf::by_comparator)) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got.tail_start.to_bits(), want.tail_start.to_bits(), "seed {seed}");
+                    assert_eq!(got.alpha.to_bits(), want.alpha.to_bits(), "seed {seed}");
+                    assert_eq!(got.tail_fraction.to_bits(), want.tail_fraction.to_bits());
+                    compared += 1;
+                }
+                (Err(got), Err(want)) => assert_eq!(got, want, "seed {seed}"),
+                (got, want) => panic!("seed {seed}: {got:?} vs {want:?}"),
+            }
+        }
+        assert!(compared >= 6, "only {compared} mixtures had a tail");
     }
 
     #[test]

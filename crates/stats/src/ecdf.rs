@@ -1,6 +1,6 @@
 //! Empirical cumulative distribution functions.
 
-use crate::StatsError;
+use crate::{from_sort_key, sort_key, StatsError};
 
 /// An empirical distribution over a sorted sample.
 ///
@@ -14,7 +14,36 @@ pub struct Ecdf {
 
 impl Ecdf {
     /// Build from samples (NaNs rejected, order irrelevant).
-    pub fn new(mut samples: Vec<f64>) -> Result<Self, StatsError> {
+    ///
+    /// The samples are sorted ascending as the integers [`sort_key`]
+    /// maps them to — IEEE 754 total order — in the buffer they came in.
+    /// That is the order a comparator sort gives, with one exception: a
+    /// comparator sees `-0.0` and `+0.0` as equal and leaves them in
+    /// input order, total order puts every `-0.0` first. The sorted
+    /// values compare equal either way, and without a `-0.0` among the
+    /// samples they are the same bits.
+    pub fn new(samples: Vec<f64>) -> Result<Self, StatsError> {
+        if samples.is_empty() {
+            return Err(StatsError::NotEnoughSamples { needed: 1, got: 0 });
+        }
+        if samples.iter().any(|x| x.is_nan()) {
+            return Err(StatsError::BadParameter {
+                name: "samples",
+                value: f64::NAN,
+            });
+        }
+        // Both maps reuse the allocation: `u64` and `f64` share a layout.
+        let mut keys: Vec<u64> = samples.into_iter().map(sort_key).collect();
+        keys.sort_unstable();
+        Ok(Ecdf {
+            sorted: keys.into_iter().map(from_sort_key).collect(),
+        })
+    }
+
+    /// The comparator sort [`Ecdf::new`] replaced: the oracle its
+    /// integer sort is held to.
+    #[cfg(test)]
+    pub(crate) fn by_comparator(mut samples: Vec<f64>) -> Result<Self, StatsError> {
         if samples.is_empty() {
             return Err(StatsError::NotEnoughSamples { needed: 1, got: 0 });
         }
@@ -113,9 +142,61 @@ impl Ecdf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ecdf(v: &[f64]) -> Ecdf {
         Ecdf::new(v.to_vec()).unwrap()
+    }
+
+    /// Ordinary values mixed with both zeros, both infinities, the
+    /// extremes, subnormals and many duplicates.
+    fn sample() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            4 => -1e6..1e6f64,
+            1 => Just(0.0),
+            1 => Just(-0.0),
+            1 => prop_oneof![
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(f64::MAX),
+                Just(f64::MIN),
+            ],
+            1 => (1u64..1 << 52).prop_map(f64::from_bits),
+            2 => (0u8..8).prop_map(f64::from),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn integer_sort_equals_the_comparator_sort(
+            samples in prop::collection::vec(sample(), 1..300),
+            probes in prop::collection::vec(0.0..1.0f64, 0..20),
+        ) {
+            let got = Ecdf::new(samples.clone()).expect("no NaN");
+            let want = Ecdf::by_comparator(samples.clone()).expect("no NaN");
+            prop_assert_eq!(got.values(), want.values());
+            // Only the relative order of -0.0 and +0.0 may differ.
+            let by_bits = !samples.iter().any(|x| x.to_bits() == (-0.0f64).to_bits());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            if by_bits {
+                prop_assert_eq!(bits(got.values()), bits(want.values()));
+            }
+            for q in probes.into_iter().chain([0.0, 1.0]) {
+                let (a, b) = (got.quantile(q).expect("q in range"), want.quantile(q).expect("q in range"));
+                prop_assert_eq!(a, b);
+                if by_bits {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_sorts_before_positive_zero() {
+        let e = ecdf(&[0.0, 1.0, -0.0, -1.0]);
+        let bits: Vec<u64> = e.values().iter().map(|x| x.to_bits()).collect();
+        let want: Vec<u64> = [-1.0, -0.0, 0.0, 1.0f64].iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, want);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! \[1\]. That estimator — and everything needed around it — lives here:
 //!
 //! * [`Ecdf`] — empirical CDF/CCDF with quantiles and log–log tail points;
+//! * [`sort_key`] / [`from_sort_key`] — the `f64 ↔ u64` total-order
+//!   mapping that `Ecdf` and the threshold detectors sort on;
 //! * [`Summary`] — streaming moments (mean/variance/min/max);
 //! * [`Histogram`] / [`LogHistogram`] — linear- and log-binned counts
 //!   (Figure 1(c) is a log-count histogram);
@@ -39,6 +41,7 @@ mod error;
 mod ewma;
 mod hill;
 mod histogram;
+mod order;
 mod regression;
 mod summary;
 
@@ -49,5 +52,6 @@ pub use error::StatsError;
 pub use ewma::Ewma;
 pub use hill::{hill_estimator, hill_plot};
 pub use histogram::{Histogram, LogHistogram};
+pub use order::{from_sort_key, sort_key};
 pub use regression::LinearFit;
 pub use summary::Summary;

@@ -88,7 +88,20 @@
 #      byte-identical (without `taskset` the pinned runs are skipped,
 #      and the gate says so); the capture is also piped through
 #      `cat … | eleph run --pcap /dev/stdin` without `--start-unix`, and
-#      its JSONL must equal the file run's.
+#      its JSONL must equal the file run's;
+#  15. paper tables: `eleph all`'s stdout and eleven CSVs at `--scale
+#      0.05` against the length and CRC-32 recorded before matrices were
+#      built in place, `refine` / `coarsen` against the row-then-copy
+#      construction they replaced (differential proptest), their heap
+#      high-water mark against their result (a counting allocator: one
+#      copy plus scratch, never two), `Ecdf`'s integer sort and `aest`
+#      against the comparator sort, and `aest` on a non-finite sample —
+#      all part of tier-1; re-run by name so a failure is attributed
+#      immediately; then `eleph all --scale 0.05 --seed 3` runs once
+#      under `taskset -c 0` and once unrestricted (trace generation and
+#      the session's detection passes use every core) and stdout and
+#      every CSV must be byte-identical (without `taskset` the pinned
+#      run is skipped, and the gate says so).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -306,5 +319,34 @@ cat "$in/c.pcap" | "$eleph" run --pcap /dev/stdin "${file_args[@]}" \
     --out "$tmpdir/piped.jsonl" 2> /dev/null
 cmp "$tmpdir/piped.jsonl" "$tmpdir/static_all.jsonl" \
     || { echo "thread count: the piped capture diverges from the file run" >&2; exit 1; }
+
+echo "== paper tables: recorded bytes, built-once matrices, Ecdf sort, one core vs every core =="
+cargo test -q -p eleph-report --test session all_output_equals_its_recorded_length_and_crc
+cargo test -q -p eleph-flow --lib matrix::tests::refine_and_coarsen_equal_the_row_oracle
+cargo test -q -p eleph-flow --test alloc
+cargo test -q -p eleph-stats --lib -- \
+    ecdf::tests::integer_sort_equals_the_comparator_sort \
+    aest::tests::integer_sorted_levels_give_the_comparator_sorts_result \
+    aest::tests::a_non_finite_sample_is_a_typed_error
+eleph_abs=$(pwd)/$eleph
+if command -v taskset > /dev/null; then
+    pins=(all one)
+else
+    pins=(all)
+    echo "   taskset not found: the one-core run is skipped"
+fi
+for pin in "${pins[@]}"; do
+    pin_cmd=()
+    [ "$pin" = one ] && pin_cmd=(taskset -c 0)
+    mkdir -p "$tmpdir/paper_$pin"
+    (cd "$tmpdir/paper_$pin" \
+        && "${pin_cmd[@]}" "$eleph_abs" all --scale 0.05 --seed 3 > stdout.txt)
+done
+[ "$(find "$tmpdir/paper_all/target/experiments" -name '*.csv' | wc -l)" -eq 11 ] \
+    || { echo "paper tables: eleph all did not write eleven CSVs" >&2; exit 1; }
+if [ "${#pins[@]}" -eq 2 ]; then
+    diff -r "$tmpdir/paper_one" "$tmpdir/paper_all" \
+        || { echo "paper tables: eleph all differs between one core and every core" >&2; exit 1; }
+fi
 
 echo "ci.sh: all gates green"
