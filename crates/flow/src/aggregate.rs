@@ -46,16 +46,29 @@ pub const NO_KEY: KeyId = KeyId::MAX;
 ///
 /// # Panics
 ///
-/// Panics when `interval_secs` is zero or either bound overflows `u64`.
+/// Panics when `interval_secs` is zero or either bound overflows `u64`
+/// — whatever [`try_window_bounds_ns`] refuses, with its message.
 pub fn window_bounds_ns(interval_secs: u64, start_unix: u64) -> (u64, u64) {
-    assert!(interval_secs > 0, "interval must be positive");
+    try_window_bounds_ns(interval_secs, start_unix).unwrap_or_else(|why| panic!("{why}"))
+}
+
+/// [`window_bounds_ns`] as a check: the bounds, or why no window can
+/// have them — for a caller that refuses a configuration before it
+/// builds anything.
+pub fn try_window_bounds_ns(
+    interval_secs: u64,
+    start_unix: u64,
+) -> Result<(u64, u64), &'static str> {
+    if interval_secs == 0 {
+        return Err("interval must be positive");
+    }
     let start_ns = start_unix
         .checked_mul(1_000_000_000)
-        .expect("start_unix too large: nanoseconds since the epoch overflow u64");
+        .ok_or("start_unix too large: nanoseconds since the epoch overflow u64")?;
     let interval_ns = interval_secs
         .checked_mul(1_000_000_000)
-        .expect("interval_secs too large: interval length in nanoseconds overflows u64");
-    (start_ns, interval_ns)
+        .ok_or("interval_secs too large: interval length in nanoseconds overflows u64")?;
+    Ok((start_ns, interval_ns))
 }
 
 /// Packets attributed per batched-lookup call on the chunked paths.

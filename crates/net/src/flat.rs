@@ -30,7 +30,8 @@ pub(crate) const SPILL_BIT: u32 = 1 << 31;
 /// into per-/24 blocks of 256 slots indexed by the last octet. Every
 /// lookup is therefore **O(1) with at most two dependent memory reads**, versus
 /// the pointer chase of a trie — on a backbone RIB this is roughly an
-/// order of magnitude faster per lookup (see `crates/bench/benches/lpm.rs`).
+/// order of magnitude faster per lookup (the benchmark's
+/// `net.flat_lookup_ns_per_pkt` times it).
 ///
 /// The table is *frozen*: built once from any existing [`crate::Lpm`] (or an
 /// entry iterator) and immutable afterwards — matching how routers
@@ -216,11 +217,11 @@ impl<V> FlatLpm<V> {
     /// consumes another lane's result (so stage-1 cache misses overlap
     /// across the out-of-order window instead of serialising against
     /// surrounding per-packet control flow), and the hit/miss decision
-    /// is shared with [`FlatLpm::lookup_id`]. On a pure lookup
-    /// micro-bench the per-address loop is already memory-parallelism
-    /// bound and the two tie (`crates/bench/benches/lpm.rs`); embedded
-    /// in per-packet work the batch form pulls ahead — see the
-    /// `attribution` group of `crates/bench/benches/packets.rs`.
+    /// is shared with [`FlatLpm::lookup_id`]. On a pure lookup loop the
+    /// per-address form is already memory-parallelism bound and the two
+    /// tie (the benchmark's `net.flat_lookup_ns_per_pkt`); embedded in
+    /// per-packet work the batch form pulls ahead — the benchmark's
+    /// `bgp.attribute_ns_per_pkt` times it there.
     ///
     /// # Panics
     /// If `addrs` and `out` differ in length.

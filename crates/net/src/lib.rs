@@ -34,8 +34,9 @@
 //! it into a [`FlatLpm`] (`FlatLpm::from(&trie)`) whenever the table
 //! changes; serve all lookups from the frozen copy. On a ~100k-prefix
 //! backbone table the flat table answers a lookup in a handful of
-//! nanoseconds — several times faster than the compressed trie (see
-//! `crates/bench/benches/lpm.rs`) — and its dense entry ids double as
+//! nanoseconds — several times faster than the compressed trie (the
+//! benchmark's `net.flat_lookup_ns_per_pkt` times it on a capture's
+//! destinations) — and its dense entry ids double as
 //! allocation-free accounting keys (`eleph_bgp::FrozenBgpTable`,
 //! `eleph_flow::Aggregator`).
 //!
@@ -49,12 +50,12 @@
 //! [`FlatLpm::lookup_many_raw`]): its resolve loop carries no per-call
 //! overhead and no lane-to-lane dependency, so the stage-1 cache misses
 //! of different addresses overlap instead of serialising against the
-//! caller's surrounding control flow. On a pure lookup micro-bench the
-//! per-address loop is already memory-parallelism-bound and the two tie
-//! (`crates/bench/benches/lpm.rs`); the batch form wins where it is
-//! embedded in real per-packet work — the flow aggregator's chunked
-//! attribution runs ~15–20% faster end-to-end on cache-cold
-//! destinations (`attribution` bench group). It is what
+//! caller's surrounding control flow. On a pure lookup loop the
+//! per-address form is already memory-parallelism-bound and the two tie
+//! (the benchmark's `net.flat_lookup_ns_per_pkt` times the batch form);
+//! the batch form wins where it is embedded in real per-packet work —
+//! chunked attribution ran ~15–20% faster end-to-end on cache-cold
+//! destinations, and `bgp.attribute_ns_per_pkt` times it. It is what
 //! `eleph_bgp::FrozenBgpTable::attribute_ids` and the flow aggregator's
 //! chunked hot path build on.
 //!

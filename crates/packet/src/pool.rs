@@ -3,6 +3,10 @@
 //! [`PacketMeta`], and a bounded ring of pooled buffers recycles every
 //! allocation.
 //!
+//! No `eleph` command reads through this module: it lost to the serial
+//! reader (three threads for what one does in the same time) and stays
+//! only as the benchmark's `packet.pool` probe, which still imports it.
+//!
 //! # Pipeline shape
 //!
 //! ```text

@@ -92,6 +92,4 @@ pub use sink::{
     CallbackSink, CollectedInterval, Collector, CollectorSink, JsonlSink, RotatingJsonlSink,
     SealedInterval, Sink,
 };
-pub use source::{
-    FaultedPcapSource, MetaSource, PacketSource, PcapSource, PooledPcapSource, TraceSource,
-};
+pub use source::{FaultedPcapSource, MetaSource, PacketSource, PcapSource, TraceSource};

@@ -381,7 +381,9 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     /// [`crate::MAX_WORKER_THREADS`]. Detection and classification run
     /// once, on the pipeline thread, on the merged snapshot, so output —
     /// thresholds, elephant sets, loads, checkpoints — is bit-identical
-    /// for every value of `n`; see the `shard` module docs.
+    /// for every value of `n`; see the `shard` module docs. It loses to
+    /// the serial row on two cores and stays only while the benchmark's
+    /// `backbone_shards2` workload and per-layer probes still drive it.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self

@@ -32,10 +32,9 @@ use std::thread::JoinHandle;
 use eleph_core::{ExactDense, StateBackend};
 use eleph_flow::KeyId;
 
-/// The most worker threads one stage of a run may be asked for: shard
-/// workers here, parser threads on the pooled pcap path. A count is a
-/// number of OS threads to spawn, so an absurd one is refused up front
-/// rather than left to fail at whichever `spawn` exhausts the process.
+/// The most shard workers a run may be asked for. A count is a number
+/// of OS threads to spawn, so an absurd one is refused up front rather
+/// than left to fail at whichever `spawn` exhausts the process.
 pub const MAX_WORKER_THREADS: usize = 256;
 
 /// Pairs waiting on the pipeline thread before they are sent to their

@@ -182,49 +182,6 @@ impl<R: Read> PacketSource for FaultedPcapSource<R> {
     }
 }
 
-/// Asynchronous zero-copy pcap ingest: the capture is scanned by a
-/// dedicated framer thread and parsed by a pool of worker threads (see
-/// [`eleph_packet::pool::PooledReader`]), so record framing and packet
-/// decoding overlap with attribution and classification instead of
-/// running inline on the pipeline thread.
-///
-/// Delivery is **deterministic and identical for every worker count**:
-/// packets arrive in capture order, chunk boundaries fall every
-/// [`eleph_packet::pool::FRAME_BATCH`] raw records, malformed counts
-/// accrue in delivery order, and structural errors abort at the exact
-/// record where [`PcapSource`] would. Checkpoints taken at chunk
-/// boundaries therefore resume against a `PooledPcapSource` with any
-/// other worker count.
-pub struct PooledPcapSource {
-    reader: eleph_packet::pool::PooledReader,
-}
-
-impl PooledPcapSource {
-    /// Spawn the ingest stage over an in-memory capture with `workers`
-    /// parser threads (clamped to at least 1); validates the capture
-    /// header before any thread starts.
-    pub fn new(data: std::sync::Arc<Vec<u8>>, workers: usize) -> eleph_packet::Result<Self> {
-        Ok(PooledPcapSource {
-            reader: eleph_packet::pool::PooledReader::new(data, workers)?,
-        })
-    }
-
-    /// The capture's link type.
-    pub fn link(&self) -> LinkType {
-        self.reader.link()
-    }
-}
-
-impl PacketSource for PooledPcapSource {
-    fn next_chunk(&mut self, out: &mut Vec<PacketMeta>) -> eleph_packet::Result<usize> {
-        self.reader.next_metas(out)
-    }
-
-    fn malformed(&self) -> u64 {
-        self.reader.malformed()
-    }
-}
-
 /// Synthesizes packets from a [`RateTrace`] workload, one interval per
 /// chunk — the pipeline's memory stays bounded by a single interval's
 /// packet population, however long the trace.

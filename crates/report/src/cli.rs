@@ -13,7 +13,7 @@
 //! One experiment or all of them, the path is the same: open a
 //! [`Lab`], run the named experiments in it, print what they render.
 
-use std::io::{self, Read};
+use std::io;
 use std::process::ExitCode;
 
 use eleph_core::{
@@ -21,11 +21,11 @@ use eleph_core::{
     PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
 use eleph_bgp::{FrozenBgpTable, LiveBgpTable, RouteEntry, UpdateBatch};
-use eleph_packet::pcap::{PcapSlice, RecordHeader};
+use eleph_packet::pcap::RecordHeader;
 use eleph_pipeline::{
     skip_offered, Checkpoint, Checkpointer, CheckpointsWritten, FaultedPcapSource, JsonlSink,
-    PacketSource, PcapSource, Pipeline, PipelineBuilder, PipelineReport, PooledPcapSource,
-    RotatingJsonlSink, TraceSource, MAX_WORKER_THREADS,
+    PacketSource, PcapSource, Pipeline, PipelineBuilder, PipelineReport, RotatingJsonlSink,
+    TraceSource, MAX_WORKER_THREADS,
 };
 use eleph_trace::{
     generate_churn, ChurnConfig, ChurnScenario, FaultConfig, FaultInjector, FaultStats, RateTrace,
@@ -186,7 +186,8 @@ RUN OPTIONS (eleph run):
     --synth                    stream a synthetic workload
     --flows N                  synthetic flows (default 400)
     --intervals N              interval count (synth default 120; pcap default unbounded)
-    --interval-secs S          measurement interval T in seconds
+    --interval-secs S          measurement interval T in seconds (synth
+                               default 60; pcap default 300)
     --start-unix T             first interval start (pcap; default: the
                                first packet's timestamp floored to the
                                interval length)
@@ -195,7 +196,8 @@ RUN OPTIONS (eleph run):
                                eleph_bgp::dump); without it a synthetic
                                table is generated, which only matches
                                captures produced against that same table
-    --prefixes N               synthetic routing-table size (default 20000)
+    --prefixes N               synthetic routing-table size (default 20000;
+                               under --synth without --rib, at least --flows)
     --rib-updates FILE         timed route-update stream (see eleph_bgp::dump
                                update format; `eleph churn` writes one):
                                the table becomes *live* and each batch
@@ -206,16 +208,18 @@ RUN OPTIONS (eleph run):
                                the classifier window
     --detector D               constant-load | aest (default constant-load)
     --beta F                   constant-load target (default 0.8)
-    --gamma F                  threshold EWMA smoothing (default 0.9)
+    --gamma F                  threshold EWMA smoothing, 0 <= F < 1
+                               (default 0.9)
     --scheme S                 latent | single | hysteresis (default latent)
     --window N                 latent-heat window (default 12)
     --enter F / --exit F       hysteresis thresholds (default 1.2 / 0.6)
     --shards N                 hold the open interval's byte rows on N
-                               worker threads keyed by prefix id (at most
-                               256); classification stays on the main
+                               worker threads (at most 256) keyed by
+                               prefix id; classification stays on the main
                                thread, so output and checkpoints are
                                bit-identical to serial for every N
-                               (default 0 = serial, inline)
+                               (default 0 = serial, inline; slower than
+                               serial on two cores)
     --state B                  state backend sealing each interval:
                                exact (default; the dense byte row,
                                bit-identical to every earlier release)
@@ -223,12 +227,6 @@ RUN OPTIONS (eleph run):
                                cmrow | bloom (deterministic, approximate;
                                incompatible with --shards)
     --state-budget BYTES       sketch memory budget (default 1048576)
-    --ingest-workers N         decode the pcap on a zero-copy async
-                               stage: a framer thread scans record spans
-                               ahead, N parser threads decode them from
-                               pooled buffers (default 0 = inline
-                               decode, at most 256; pcap path only,
-                               incompatible with --fault-*)
     --out FILE                 JSONL destination (default stdout)
     --rotate-bytes N           rotate --out when it would exceed N bytes
                                (current file stays at FILE; older
@@ -392,8 +390,6 @@ pub struct RunOpts {
     pub state: String,
     /// Sketch memory budget in bytes (non-exact backends).
     pub state_budget: u64,
-    /// Async pcap-ingest parser threads (0 = inline decode).
-    pub ingest_workers: usize,
     /// JSONL destination (`None` = stdout).
     pub out: Option<String>,
     /// Rotate the output file when it would exceed this many bytes.
@@ -437,7 +433,6 @@ impl Default for RunOpts {
             shards: 0,
             state: "exact".to_string(),
             state_budget: 1_048_576,
-            ingest_workers: 0,
             out: None,
             rotate_bytes: None,
             checkpoint_dir: None,
@@ -482,7 +477,6 @@ impl RunOpts {
                 "--shards" => o.shards = args.value(flag, "a count")?,
                 "--state" => o.state = args.value(flag, "a backend name")?,
                 "--state-budget" => o.state_budget = args.value(flag, "bytes")?,
-                "--ingest-workers" => o.ingest_workers = args.value(flag, "a count")?,
                 "--out" => o.out = Some(args.value(flag, "a file")?),
                 "--rotate-bytes" => o.rotate_bytes = Some(args.value(flag, "bytes")?),
                 "--checkpoint-dir" => {
@@ -508,13 +502,33 @@ impl RunOpts {
         if o.pcap.is_some() == o.synth {
             return usage("eleph run needs exactly one of --pcap FILE or --synth");
         }
-        // Each is a number of OS threads to spawn.
-        for (flag, count) in [("--shards", o.shards), ("--ingest-workers", o.ingest_workers)] {
-            if count > MAX_WORKER_THREADS {
-                return usage(format!(
-                    "{flag} {count}: at most {MAX_WORKER_THREADS} worker threads"
-                ));
-            }
+        // The library's own checks, which would otherwise panic once
+        // the table is built: γ's domain and the window's nanosecond
+        // bounds.
+        if let Err(e) = eleph_stats::Ewma::new(o.gamma) {
+            return usage(format!("--gamma {}: {e}", o.gamma));
+        }
+        // `--start-unix` places a capture's window; a synthetic one
+        // starts where its workload does, and a capture without it at
+        // its first packet, which is in range.
+        let start_unix = o.start_unix.filter(|_| !o.synth);
+        let secs = o.interval_secs();
+        if let Err(why) = eleph_flow::try_window_bounds_ns(secs, start_unix.unwrap_or(0)) {
+            let start = start_unix.map_or(String::new(), |t| format!(" --start-unix {t}"));
+            return usage(format!("--interval-secs {secs}{start}: {why}"));
+        }
+        if o.synth && o.rib.is_none() && o.flows > o.prefixes {
+            return usage(format!(
+                "--flows {} --prefixes {}: each synthetic flow needs a prefix of its own",
+                o.flows, o.prefixes
+            ));
+        }
+        // A number of OS threads to spawn.
+        if o.shards > MAX_WORKER_THREADS {
+            return usage(format!(
+                "--shards {}: at most {MAX_WORKER_THREADS} worker threads",
+                o.shards
+            ));
         }
         if o.resume && o.checkpoint_dir.is_none() {
             return usage("--resume needs --checkpoint-dir DIR (where the checkpoint lives)");
@@ -536,15 +550,6 @@ impl RunOpts {
         if o.wants_faults() && o.pcap.is_none() {
             return usage("--fault-* flags apply to the pcap path only");
         }
-        if o.ingest_workers > 0 && o.pcap.is_none() {
-            return usage("--ingest-workers applies to the pcap path only");
-        }
-        if o.ingest_workers > 0 && o.wants_faults() {
-            return usage(
-                "--ingest-workers is incompatible with --fault-* (fault injection mutates \
-                 records inline on the serial reader)",
-            );
-        }
         if o.state != "exact" && o.shards > 0 {
             return usage(format!(
                 "--state {} is incompatible with --shards (sketch backends run serially: \
@@ -559,6 +564,12 @@ impl RunOpts {
     pub fn make_state(&self) -> Result<StateBackendConfig, CliError> {
         let budget = usize::try_from(self.state_budget).unwrap_or(usize::MAX);
         StateBackendConfig::parse(&self.state, budget).or_else(usage)
+    }
+
+    /// The measurement interval T in seconds: `--interval-secs`, else
+    /// 60 for a synthetic workload and 300 for a capture.
+    pub fn interval_secs(&self) -> u64 {
+        self.interval_secs.unwrap_or(if self.synth { 60 } else { 300 })
     }
 
     /// Whether any fault-injection probability is non-zero.
@@ -666,7 +677,7 @@ fn stream(
         let config = WorkloadConfig {
             n_flows: opts.flows,
             n_intervals: opts.intervals.unwrap_or(120),
-            interval_secs: opts.interval_secs.unwrap_or(60),
+            interval_secs: opts.interval_secs(),
             ..WorkloadConfig::small_test(opts.seed)
         };
         trace = Some(RateTrace::generate(&config, &table));
@@ -772,7 +783,7 @@ fn stream(
 
     let mut fault_stats: Option<FaultStats> = None;
     let started = std::time::Instant::now();
-    let report = if let Some((mut file, path)) = pcap {
+    let report = if let Some((file, path)) = pcap {
         // The capture is opened once (it may be a pipe): the window's
         // anchor is peeked from the source the run then reads.
         let map_src =
@@ -785,19 +796,6 @@ fn stream(
             let report = drive(builder, &mut source, ckpt.as_ref(), checkpointer.as_mut())?;
             fault_stats = Some(source.fault_stats());
             report
-        } else if opts.ingest_workers > 0 {
-            // The async ingest stage decodes from a shared in-memory
-            // capture; delivery order, chunk boundaries and error
-            // positions are identical to the serial reader's, so
-            // checkpoints interoperate across worker counts.
-            let mut data = Vec::new();
-            file.read_to_end(&mut data)
-                .map_err(|e| io::Error::new(e.kind(), format!("--pcap {path}: {e}")))?;
-            let first = || Ok(PcapSlice::new(&data)?.next_record()?.map(|(head, _)| head));
-            let builder = pcap_window(opts, builder, first).map_err(map_src)?;
-            let mut source = PooledPcapSource::new(std::sync::Arc::new(data), opts.ingest_workers)
-                .map_err(map_src)?;
-            drive(builder, &mut source, ckpt.as_ref(), checkpointer.as_mut())?
         } else {
             let mut source = PcapSource::new(file).map_err(map_src)?;
             let builder = pcap_window(opts, builder, || source.peek_header()).map_err(map_src)?;
@@ -1113,7 +1111,7 @@ fn open_input<'p>(
     }
 }
 
-/// The window of a pcap run: `--interval-secs` (default 300),
+/// The window of a pcap run: [`RunOpts::interval_secs`],
 /// `--intervals`, and `--start-unix` or, without it, the interval start
 /// of the capture's first record, whose header `first` returns as
 /// captured, before any fault injection.
@@ -1129,7 +1127,7 @@ fn pcap_window<'t>(
     builder: PipelineBuilder<'t, Box<dyn ThresholdDetector>>,
     first: impl FnOnce() -> eleph_packet::Result<Option<RecordHeader>>,
 ) -> eleph_packet::Result<PipelineBuilder<'t, Box<dyn ThresholdDetector>>> {
-    let interval_secs = opts.interval_secs.unwrap_or(300);
+    let interval_secs = opts.interval_secs();
     let start_unix = match opts.start_unix {
         Some(t) => t,
         None => {
@@ -1452,11 +1450,22 @@ mod tests {
             ("run --synth --window 0", "--window 0"),
             ("run --synth --scheme hysteresis --enter 0.5", "exit <= 1 <= enter"),
             ("run --synth --state spacesaving --shards 2", "incompatible with --shards"),
-            ("run --pcap c.pcap --ingest-workers 2 --fault-drop 0.1", "incompatible with --fault-"),
-            ("run --synth --ingest-workers 2", "pcap path only"),
+            ("run --pcap c.pcap --ingest-workers 2 --fault-drop 0.1", "unknown argument --ingest-workers"),
             ("run --synth --shards 100000", "--shards 100000: at most 256 worker threads"),
             ("run --synth --shards 4294967297", "--shards 4294967297: at most 256"),
-            ("run --pcap c.pcap --ingest-workers 100000", "--ingest-workers 100000: at most 256"),
+            ("run --pcap c.pcap --ingest-workers 100000", "unknown argument --ingest-workers"),
+            // What the library would panic on once the table is built.
+            ("run --pcap c.pcap --interval-secs 0", "--interval-secs 0: interval must be positive"),
+            ("run --synth --interval-secs 0", "interval must be positive"),
+            ("run --pcap c.pcap --start-unix 7 --interval-secs 0", "--start-unix 7: interval must"),
+            ("run --synth --interval-secs 18446744074", "interval_secs too large"),
+            ("run --pcap c.pcap --start-unix 18446744073709551615", "start_unix too large"),
+            ("run --synth --gamma 1", "--gamma 1: parameter gamma = 1 out of domain"),
+            ("run --synth --gamma 2", "--gamma 2: parameter gamma"),
+            ("run --synth --gamma -0.5", "--gamma -0.5: parameter gamma"),
+            ("run --synth --gamma NaN", "--gamma NaN: parameter gamma"),
+            ("run --synth --flows 500 --prefixes 100", "--flows 500 --prefixes 100: each"),
+            ("run --synth --prefixes 0", "--flows 400 --prefixes 0: each"),
             ("run --synth --fault-drop 0.1", "pcap path only"),
             ("run", "exactly one of --pcap FILE or --synth"),
             ("run --synth --pcap c.pcap", "exactly one of --pcap FILE or --synth"),
@@ -1482,6 +1491,16 @@ mod tests {
         assert_eq!(opts.make_state().unwrap().kind(), "cmrow");
         assert_eq!(opts.make_scheme().unwrap(), Scheme::Hysteresis { enter: 1.5, exit: 0.5 });
         assert!(opts.resume && !opts.synth);
+        assert_eq!(opts.interval_secs(), 300, "a capture's default interval");
+        // The edges of what the checks above refuse are accepted.
+        let edges = RunOpts::parse(&args(
+            "--synth --gamma 0 --flows 100 --prefixes 100 --interval-secs 18446744073",
+        ))
+        .expect("in range");
+        assert_eq!((edges.gamma, edges.interval_secs()), (0.0, 18_446_744_073));
+        // A synthetic window starts where its workload does.
+        assert!(RunOpts::parse(&args("--synth --start-unix 18446744073709551615")).is_ok());
+        assert!(RunOpts::parse(&args("--synth --rib c.rib --flows 500 --prefixes 100")).is_ok());
         // Built by hand, an options struct is still checked where it is used.
         let hand = RunOpts { state: "bogus".to_string(), ..RunOpts::default() };
         assert!(matches!(hand.make_state(), Err(CliError::Usage(_))));

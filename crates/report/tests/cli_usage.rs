@@ -34,6 +34,17 @@ fn usage_errors_exit_2_without_a_panic() {
         "run --pcap c.pcap --ingest-workers 100000",
         "run --synth --checkpoint-dir d --checkpoint-every 0",
         "run --synth --checkpoint-every 5",
+        "run --pcap c.pcap --interval-secs 0",
+        "run --synth --interval-secs 0",
+        "run --pcap c.pcap --start-unix 7 --interval-secs 0",
+        "run --synth --interval-secs 18446744074",
+        "run --pcap c.pcap --start-unix 18446744073709551615",
+        "run --synth --gamma 1",
+        "run --synth --gamma 2",
+        "run --synth --gamma -0.5",
+        "run --synth --gamma NaN",
+        "run --synth --flows 500 --prefixes 100",
+        "run --synth --prefixes 0",
         "churn --storm-at soon",
         "churn --frobnicate",
         "sketch --budget x",
@@ -55,6 +66,13 @@ fn usage_errors_exit_2_without_a_panic() {
             "`eleph {line}`: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "`eleph {line}`: {stderr}");
+        // The pooled ingest path is gone: its flag is an unknown one.
+        if line.contains("--ingest-workers") {
+            assert!(
+                stderr.contains("unknown argument --ingest-workers"),
+                "`eleph {line}`: {stderr}"
+            );
+        }
     }
 }
 

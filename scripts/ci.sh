@@ -12,10 +12,9 @@
 #   3. streaming equivalence: the PR-4 pipeline (packets → sealing →
 #      online classification, no matrix) against aggregate_pcap +
 #      classify, bit-identical on the same capture bytes;
-#   4. bench compilation: the criterion harnesses must at least build;
-#   5. executables: examples build and the packet-path ones smoke-run,
+#   4. executables: examples build and the packet-path ones smoke-run,
 #      and `eleph run` streams a tiny synthetic workload to JSONL;
-#   6. crash safety: a checkpointed `eleph run` is SIGKILLed mid-capture
+#   5. crash safety: a checkpointed `eleph run` is SIGKILLed mid-capture
 #      and resumed with `--resume`; the recovered JSONL must be
 #      byte-identical to an uninterrupted reference run (no duplicated,
 #      no missing interval records), and the `eleph.ckpt` the recovered
@@ -26,19 +25,19 @@
 #      snapshot to resume from, and the gate fails if the victim was not
 #      killed mid-run (exit by SIGKILL with intervals still to seal): a
 #      run that finished first proves nothing about recovery;
-#   7. churn determinism: `eleph churn` generates a route-update
+#   6. churn determinism: `eleph churn` generates a route-update
 #      schedule, the same capture is streamed twice with `--rib-updates`
 #      replaying that schedule mid-stream, and the two JSONL outputs
 #      must be byte-for-byte identical (update replay is a function of
 #      packet timestamps, never of IO chunking or wall-clock);
-#   8. shard equivalence: the same capture streamed serially, at
+#   7. shard equivalence: the same capture streamed serially, at
 #      `--shards 1` and at `--shards 4` must produce byte-for-byte
 #      identical JSONL (sharding is a throughput knob, never a
 #      measurement change), the sharded proptest suite is re-run
 #      single-threaded (`RUST_TEST_THREADS=1`) so worker/test-harness
 #      interleavings cannot mask an ordering bug, and the sharded row is
 #      held to the dense row as a state backend, step by step;
-#   9. sketch tier: every state backend (exact, spacesaving, cmrow,
+#   8. sketch tier: every state backend (exact, spacesaving, cmrow,
 #      bloom) streams the same seeded synthetic capture twice and the
 #      two JSONL outputs must be byte-identical (sketches are
 #      deterministic functions of the stream, never of hashing luck or
@@ -48,11 +47,13 @@
 #      flows), where most misses evict; `eleph sketch` runs the
 #      exact-oracle accuracy harness end to end, asserting recall >= 0.95
 #      at the default budget on the west lab scenario;
-#  10. benchmark crate: `benchmark/` is its own workspace, so nothing
-#      above compiles it — build it against the current `crates/*` API
-#      and run its unit tests (`BENCHMARK.json` ≡ the crate's tables),
-#      so an API change that breaks it fails here and not at the driver;
-#  11. start-up path: the RIB/update-stream reader against its
+#   9. benchmark crate: `benchmark/` is its own workspace, so nothing
+#      above compiles it — the repository's one perf harness. Build it
+#      against the current `crates/*` API in release (thin LTO, as it is
+#      built to measure) and run its unit tests (`BENCHMARK.json` ≡ the
+#      crate's tables), so an API change that breaks it — or a break that
+#      only shows in a release build — fails here and not when it runs;
+#  10. start-up path: the RIB/update-stream reader against its
 #      `lines()`/`split`/`str::parse` oracle (differential + mutation
 #      proptest) and against itself cut into 2, 3 and 7 pieces (and at
 #      every line boundary, and over a read that fails part-way); the
@@ -65,13 +66,13 @@
 #      input named by its flag and path, a piped capture read as the
 #      file is — all part of tier-1; re-run by name so a failure is
 #      attributed immediately;
-#  12. sketch eviction: the slot heap against the linear scan it
+#  11. sketch eviction: the slot heap against the linear scan it
 #      replaced (differential proptest over record / seal / export →
 #      restore programs), its work per record as a step count on three
 #      adversarial streams, and checkpoint/resume with the cut placed
 #      after the open interval's first eviction — all part of tier-1;
 #      re-run by name so a failure is attributed immediately;
-#  13. checkpoint bytes: the sample images and the final `eleph.ckpt` of
+#  12. checkpoint bytes: the sample images and the final `eleph.ckpt` of
 #      six seeded `eleph run --synth` command lines against fixtures
 #      written before images were built in place, `crc32` against the
 #      bytewise loop it replaced, the in-place encoder against the
@@ -80,7 +81,7 @@
 #      image and then a small one, and a resumed run's cadence against
 #      the uninterrupted run's — all part of tier-1; re-run by name so a
 #      format drift is attributed immediately;
-#  14. thread count: start-up parses the RIB and paints the table on
+#  13. thread count: start-up parses the RIB and paints the table on
 #      every core, so `eleph run --pcap --rib` over the `capture_files`
 #      example's inputs (static, then live with `--rib-updates` and
 #      `--checkpoint-every 1`) runs once under `taskset -c 0` and once
@@ -89,7 +90,7 @@
 #      and the gate says so); the capture is also piped through
 #      `cat … | eleph run --pcap /dev/stdin` without `--start-unix`, and
 #      its JSONL must equal the file run's;
-#  15. paper tables: `eleph all`'s stdout and eleven CSVs at `--scale
+#  14. paper tables: `eleph all`'s stdout and eleven CSVs at `--scale
 #      0.05` against the length and CRC-32 recorded before matrices were
 #      built in place, `refine` / `coarsen` against the row-then-copy
 #      construction they replaced (differential proptest), their heap
@@ -124,9 +125,6 @@ cargo test -q -p eleph-core --lib online::
 
 echo "== streaming equivalence: pipeline vs aggregate_pcap + classify =="
 cargo test -q -p eleph-tests --test streaming_equivalence
-
-echo "== benches compile =="
-cargo build -p eleph-bench --benches --release
 
 echo "== examples build + packet-path smoke runs =="
 cargo build --release -p eleph-tests --examples
@@ -253,7 +251,8 @@ grep eleph_sketch "$tmpdir/sketch.summary" | tr ',{' '\n\n' \
 grep -q '"exact_bit_identical":true' "$tmpdir/sketch.summary" \
     || { echo "sketch tier: exact pin missing from harness summary" >&2; exit 1; }
 
-echo "== benchmark crate: builds against crates/*, BENCHMARK.json == its tables =="
+echo "== benchmark crate: builds against crates/* (release too), BENCHMARK.json == its tables =="
+cargo build -q --release --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "== start-up path: dump reader vs oracle, from_routes vs freeze, eleph run --pcap --rib vs library =="
