@@ -37,9 +37,10 @@
 //! batch [`classify`] / [`classify_many`] over a finished matrix (one
 //! detector pass amortised over a whole family of configurations — the
 //! engine behind the report crate's parameter sweeps) and the streaming
-//! [`OnlineClassifier`], one interval snapshot at a time. What varies
-//! under the streaming classifier is only how the open interval's byte
-//! row is held — a [`StateBackend`] ([`sketch`]).
+//! [`OnlineClassifier`], one interval snapshot at a time
+//! ([`classify_stream`] returns its outcomes as the batch result). What
+//! varies under the streaming classifier is only how the open interval's
+//! byte row is held — a [`StateBackend`] ([`sketch`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +62,7 @@ pub use classify::{
 pub use sketch::{
     AdaptiveBloom, CountMinRow, ExactDense, SpaceSaving, StateBackend, StateBackendConfig,
 };
-pub use online::{ClassifierState, IntervalOutcome, OnlineClassifier};
+pub use online::{classify_stream, ClassifierState, IntervalOutcome, OnlineClassifier};
 pub use threshold::{
     AestDetector, ConstantLoadDetector, PercentileDetector, ThresholdDetector, TopNDetector,
 };

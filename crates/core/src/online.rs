@@ -15,13 +15,17 @@
 //! else does. The elephant boundary is a property of the whole link, so
 //! there is one classifier per link however the byte row under it is
 //! held (dense, sketched, or spread over worker threads).
+//!
+//! [`classify_stream`] drives it over intervals a caller hands over and
+//! assembles the batch [`ClassificationResult`], for traffic that is
+//! walked rather than stored as a matrix.
 
 use std::collections::VecDeque;
 
 use eleph_flow::KeyId;
 
 use crate::window::{self, WindowState};
-use crate::{Scheme, ThresholdDetector, ThresholdTracker};
+use crate::{ClassificationResult, Scheme, ThresholdDetector, ThresholdTracker};
 
 /// The outcome of one streamed interval.
 #[derive(Debug, Clone)]
@@ -277,6 +281,45 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
     /// path is exact, so state cannot leak).
     pub fn tracked_keys(&self) -> usize {
         self.state.tracked()
+    }
+}
+
+/// Classify intervals as they are handed over, keeping only one window
+/// of them: `rows` is given a callback and calls it once per interval,
+/// in order, with that interval's sparse snapshot (ascending by key) —
+/// a walker such as [`eleph_flow::BandwidthMatrix::refine_each`] fits
+/// as is.
+///
+/// The rows go through one [`OnlineClassifier`], and the result is what
+/// batch [`crate::classify`] returns for a matrix of the same rows, by
+/// bits: thresholds and raw thresholds are the tracker's histories, and
+/// elephants and both loads come from each [`IntervalOutcome`] (an
+/// interval's total folds its rates in key order from `+0.0`, as a
+/// matrix's does). Panics like [`OnlineClassifier::new`].
+pub fn classify_stream<D: ThresholdDetector>(
+    detector: D,
+    gamma: f64,
+    scheme: Scheme,
+    rows: impl FnOnce(&mut dyn FnMut(&[(KeyId, f32)])),
+) -> ClassificationResult {
+    let mut online = OnlineClassifier::new(detector, gamma, scheme);
+    let (mut elephants, mut elephant_load, mut total_load) = (Vec::new(), Vec::new(), Vec::new());
+    rows(&mut |row| {
+        let outcome = online.observe(row);
+        elephants.push(outcome.elephants);
+        elephant_load.push(outcome.elephant_load);
+        total_load.push(outcome.total_load);
+    });
+    let detector = online.detector_name();
+    let (raw_thresholds, thresholds) = online.tracker.into_histories();
+    ClassificationResult {
+        detector,
+        scheme,
+        thresholds,
+        raw_thresholds,
+        elephants,
+        elephant_load,
+        total_load,
     }
 }
 

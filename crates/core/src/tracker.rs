@@ -170,6 +170,11 @@ impl<D: ThresholdDetector> ThresholdTracker<D> {
     pub fn smoothed_history(&self) -> &[f64] {
         self.series.smoothed_history()
     }
+
+    /// Consume the tracker, returning `(raw, smoothed)` histories.
+    pub fn into_histories(self) -> (Vec<Option<f64>>, Vec<f64>) {
+        self.series.into_histories()
+    }
 }
 
 #[cfg(test)]

@@ -7,12 +7,13 @@
 //! independent [`eleph_core::classify`] calls, so must any
 //! configuration stepped over stored [`eleph_core::RawThresholds`], and
 //! the two callers of the one window state machine — batch and
-//! streaming — must agree by bits, across a checkpoint too.
+//! streaming — must agree by bits, across a checkpoint too, and over
+//! traffic re-measured at another T as it is walked.
 
 use eleph_core::{
-    classify, classify_many, classify_with, holding, ClassificationResult, ClassifierState,
-    ClassifyConfig, ConstantLoadDetector, IntervalOutcome, OnlineClassifier, PercentileDetector,
-    RawThresholds, Scheme, ThresholdDetector, TopNDetector,
+    classify, classify_many, classify_stream, classify_with, holding, AestDetector,
+    ClassificationResult, ClassifierState, ClassifyConfig, ConstantLoadDetector, IntervalOutcome,
+    OnlineClassifier, PercentileDetector, RawThresholds, Scheme, ThresholdDetector, TopNDetector,
 };
 use eleph_flow::{BandwidthMatrix, KeyId};
 use eleph_net::Prefix;
@@ -579,6 +580,104 @@ proptest! {
                 prop_assert_eq!(outcome_bits(&got), outcome_bits(want), "{:?} resumed", scheme);
             }
             prop_assert_eq!(state_bits(&resumed.export_state()), state_bits(&at_end));
+        }
+    }
+}
+
+/// Sparse matrices for re-measuring, as `eleph_flow`'s walker property
+/// draws them: rates mix ordinary values with subnormals (which a
+/// refined sub-rate can round to zero) and the smallest normal, and
+/// T = 420 s is divisible by every factor 1..=7. Built through the
+/// public constructor, where zero means absent.
+fn arb_remeasurable() -> impl Strategy<Value = BandwidthMatrix> {
+    let entry = || {
+        let rate = prop_oneof![
+            4 => 1e-3f32..1e9,
+            1 => (1u32..0x0080_0000).prop_map(f32::from_bits),
+            1 => Just(f32::MIN_POSITIVE),
+        ];
+        prop_oneof![2 => Just(0.0), 1 => rate.prop_map(f64::from)]
+    };
+    (1usize..40, 0usize..24).prop_flat_map(move |(n_keys, n_intervals)| {
+        prop::collection::vec(prop::collection::vec(entry(), n_keys), n_intervals)
+            .prop_map(move |rows| BandwidthMatrix::from_dense(420, 1_000, keys(n_keys), &rows))
+    })
+}
+
+/// A walker over re-measured traffic: it calls its argument once per
+/// interval, in order.
+type Walk<'a> = &'a dyn Fn(&mut dyn FnMut(&[(KeyId, f32)]));
+
+/// The rows `walk` hands over, as a matrix at `interval_secs`: walkers
+/// never hand over a zero rate, and an f32 survives the trip through
+/// f64, so these are the walked rows exactly.
+fn collected(m: &BandwidthMatrix, interval_secs: u64, walk: Walk<'_>) -> BandwidthMatrix {
+    let mut rows: Vec<Vec<f64>> = Vec::new();
+    walk(&mut |row| {
+        let mut dense = vec![0.0; m.n_keys()];
+        for &(key, rate) in row {
+            dense[key as usize] = f64::from(rate);
+        }
+        rows.push(dense);
+    });
+    let keys = (0..m.n_keys() as KeyId).map(|id| m.key(id)).collect();
+    BandwidthMatrix::from_dense(interval_secs, m.start_unix(), keys, &rows)
+}
+
+proptest! {
+    #[test]
+    fn streamed_remeasurement_equals_batch_over_its_rows(
+        m in arb_remeasurable(),
+        factor in 1usize..=7,
+        seed in any::<u64>(),
+        (beta, cutoff) in (
+            0.3..0.95f64,
+            // Totals reach ~4e10 b/s: from "never abstains" to "never
+            // detects".
+            prop_oneof![1 => Just(0.0), 6 => 0.0..1e10f64, 1 => Just(1e12)],
+        ),
+        gamma in 0.0..0.99f64,
+        window in 1usize..6,
+        (enter, exit) in (1.0..1.8f64, 0.2..1.0f64),
+    ) {
+        // Constant load abstains on quiet intervals, so a run may start
+        // on the unbeatable stand-in and detect later; aest finds no tail
+        // in so few points and abstains throughout.
+        let constant_load = QuietAbstains { cutoff, inner: ConstantLoadDetector::new(beta) };
+        let aest = AestDetector::new();
+        let t = m.interval_secs();
+        let refine: Walk<'_> = &|row| m.refine_each(factor, seed, row);
+        let coarsen: Walk<'_> = &|row| m.coarsen_each(factor, row);
+        let walks = [
+            ("refined", refine, collected(&m, t / factor as u64, refine)),
+            ("coarsened", coarsen, collected(&m, t * factor as u64, coarsen)),
+        ];
+
+        for scheme in [
+            Scheme::SingleFeature,
+            Scheme::LatentHeat { window },
+            Scheme::Hysteresis { enter, exit },
+        ] {
+            for (what, walk, matrix) in &walks {
+                let streamed = classify_stream(constant_load, gamma, scheme, walk);
+                let batch = classify(matrix, constant_load, gamma, scheme);
+                prop_assert_eq!(
+                    result_bits(&streamed),
+                    result_bits(&batch),
+                    "{:?} {}, constant load",
+                    scheme,
+                    what
+                );
+                let streamed = classify_stream(aest.clone(), gamma, scheme, walk);
+                let batch = classify(matrix, aest.clone(), gamma, scheme);
+                prop_assert_eq!(
+                    result_bits(&streamed),
+                    result_bits(&batch),
+                    "{:?} {}, aest",
+                    scheme,
+                    what
+                );
+            }
         }
     }
 }

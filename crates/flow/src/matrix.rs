@@ -22,13 +22,14 @@ pub type KeyId = u32;
 ///
 /// Construction is either packet-driven ([`crate::Aggregator::finish`])
 /// or rate-driven ([`BandwidthMatrix::from_rate_trace`],
-/// [`BandwidthMatrix::from_dense`]), or re-measures an existing matrix
-/// at another T ([`BandwidthMatrix::coarsen`],
-/// [`BandwidthMatrix::refine`]); downstream classification cannot tell
-/// the difference, by design. Every path appends its entries, interval
-/// by interval, straight into the columns the matrix keeps — no
-/// per-interval rows are built first and copied — so a derived matrix
-/// is never held twice.
+/// [`BandwidthMatrix::from_dense`]); downstream classification cannot
+/// tell the difference, by design. Every path appends its entries,
+/// interval by interval, straight into the columns the matrix keeps — no
+/// per-interval rows are built first and copied. The same traffic
+/// re-measured at another T is not a matrix at all:
+/// [`BandwidthMatrix::coarsen_each`] and [`BandwidthMatrix::refine_each`]
+/// walk it one interval at a time, for a caller that classifies as it
+/// goes.
 #[derive(Debug, Clone)]
 pub struct BandwidthMatrix {
     interval_secs: u64,
@@ -302,27 +303,31 @@ impl BandwidthMatrix {
         out.extend(self.interval(n).rates.iter().map(|&r| f64::from(r)));
     }
 
-    /// Re-measure the same traffic at a coarser interval `T' = factor·T`:
-    /// every `factor` consecutive intervals merge into one, each key's
-    /// coarse rate being the time-average of its fine rates (absent
-    /// slots count as zero), so bytes are conserved exactly. This is the
-    /// paper's §II interval-sensitivity protocol — one traffic process,
-    /// different discretisations — without regenerating the workload.
+    /// Re-measure the same traffic at a coarser interval `T' = factor·T`
+    /// and hand each coarse interval to `row`, in order: every `factor`
+    /// consecutive intervals merge into one, each key's coarse rate
+    /// being the time-average of its fine rates (absent slots count as
+    /// zero), so bytes are conserved exactly. This is the paper's §II
+    /// interval-sensitivity protocol — one traffic process, different
+    /// discretisations — without regenerating the workload.
     ///
-    /// A trailing partial group still averages over the full coarse
+    /// A row is sparse and ascending by key, like
+    /// [`BandwidthMatrix::interval`], and lives in one buffer reused from
+    /// interval to interval: the re-measured matrix is never built, and
+    /// the walk holds O(keys) of scratch whatever the trace length. A
+    /// trailing partial group still averages over the full coarse
     /// interval length.
     ///
     /// # Panics
     ///
     /// Panics when `factor` is zero.
-    pub fn coarsen(&self, factor: usize) -> BandwidthMatrix {
+    pub fn coarsen_each(&self, factor: usize, mut row: impl FnMut(&[(KeyId, f32)])) {
         assert!(factor >= 1, "coarsening factor must be >= 1");
         let n_coarse = self.n_intervals().div_ceil(factor);
         // Dense accumulator + touched list: keys are dense ids.
         let mut acc: Vec<f64> = vec![0.0; self.n_keys()];
         let mut touched: Vec<KeyId> = Vec::new();
-        // A coarse interval holds at most the entries of its fine ones.
-        let mut out = ColumnBuilder::with_capacity(n_coarse, self.col_keys.len());
+        let mut out: Vec<(KeyId, f32)> = Vec::new();
         let inv = 1.0 / factor as f64;
         for m in 0..n_coarse {
             for n in (m * factor)..((m + 1) * factor).min(self.n_intervals()) {
@@ -344,44 +349,44 @@ impl BandwidthMatrix {
                 let rate = (acc[key as usize] * inv) as f32;
                 acc[key as usize] = 0.0;
                 // A subnormal average can round to 0.0 in f32; keep the
-                // "zero = inactive" invariant rather than storing it.
+                // "zero = inactive" invariant rather than handing it on.
                 if rate > 0.0 {
-                    out.push(key, rate);
+                    out.push((key, rate));
                 }
             }
             touched.clear();
-            out.close();
+            row(&out);
+            out.clear();
         }
-        out.finish(
-            self.interval_secs * factor as u64,
-            self.start_unix,
-            self.keys.clone(),
-        )
     }
 
-    /// Re-measure the same traffic at a finer interval `T' = T / factor`:
-    /// each interval splits into `factor` sub-slots, a key's sub-rates
-    /// being its rate times bounded mean-one jitter (uniform in
-    /// [0.75, 1.25), normalised so the sub-slots average back to the
-    /// parent rate — bytes are conserved per interval). The jitter is a
-    /// pure hash of `(seed, key, interval, slot)`: deterministic,
-    /// machine-independent, no RNG state.
+    /// Re-measure the same traffic at a finer interval `T' = T / factor`
+    /// and hand each sub-interval to `row`, in order: each interval
+    /// splits into `factor` sub-slots, a key's sub-rates being its rate
+    /// times bounded mean-one jitter (uniform in [0.75, 1.25), normalised
+    /// so the sub-slots average back to the parent rate — bytes are
+    /// conserved per interval). The jitter is a pure hash of
+    /// `(seed, key, interval, slot)`: deterministic, machine-independent,
+    /// no RNG state.
+    ///
+    /// Rows are sparse, ascending by key and lent from one reused buffer,
+    /// as in [`BandwidthMatrix::coarsen_each`]; the scratch is sized by
+    /// one parent interval's keys × `factor`, never by the matrix.
     ///
     /// # Panics
     ///
     /// Panics when `factor` is zero or does not divide `interval_secs`.
-    pub fn refine(&self, factor: usize, seed: u64) -> BandwidthMatrix {
+    pub fn refine_each(&self, factor: usize, seed: u64, mut row: impl FnMut(&[(KeyId, f32)])) {
         assert!(factor >= 1, "refinement factor must be >= 1");
         assert!(
             self.interval_secs % factor as u64 == 0,
             "refinement factor must divide the interval length"
         );
-        let mut out =
-            ColumnBuilder::with_capacity(self.n_intervals() * factor, self.col_keys.len() * factor);
         // Per parent interval: key i's jitter for sub-slot j at
         // `jitter[i * factor + j]`, and its normaliser at `norms[i]`.
         let mut jitter: Vec<f64> = Vec::new();
         let mut norms: Vec<f64> = Vec::new();
+        let mut out: Vec<(KeyId, f32)> = Vec::new();
         for n in 0..self.n_intervals() {
             let view = self.interval(n);
             jitter.clear();
@@ -405,17 +410,13 @@ impl BandwidthMatrix {
                     // Keep the "zero = inactive" invariant for subnormal
                     // parents whose jittered sub-rate rounds to 0.0.
                     if sub > 0.0 {
-                        out.push(key, sub);
+                        out.push((key, sub));
                     }
                 }
-                out.close();
+                row(&out);
+                out.clear();
             }
         }
-        out.finish(
-            self.interval_secs / factor as u64,
-            self.start_unix,
-            self.keys.clone(),
-        )
     }
 
     /// Total bandwidth of interval `n` in b/s.
@@ -436,7 +437,7 @@ impl BandwidthMatrix {
 }
 
 /// SplitMix64 finaliser: the stateless hash behind
-/// [`BandwidthMatrix::refine`]'s jitter.
+/// [`BandwidthMatrix::refine_each`]'s jitter.
 #[inline]
 fn split_hash(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -471,6 +472,25 @@ mod tests {
             out.close();
         }
         out.finish(interval_secs, start_unix, keys)
+    }
+
+    /// Every row a walker hands over, owned.
+    fn walk(each: impl FnOnce(&mut dyn FnMut(&[(KeyId, f32)]))) -> Vec<Vec<(KeyId, f32)>> {
+        let mut rows = Vec::new();
+        each(&mut |row| rows.push(row.to_vec()));
+        rows
+    }
+
+    /// `m`'s traffic re-measured at `interval_secs`, collected into a
+    /// matrix of its own.
+    fn collect(
+        m: &BandwidthMatrix,
+        interval_secs: u64,
+        each: impl FnOnce(&mut dyn FnMut(&[(KeyId, f32)])),
+    ) -> BandwidthMatrix {
+        let rows = walk(each);
+        let rows: Vec<&[(KeyId, f32)]> = rows.iter().map(Vec::as_slice).collect();
+        from_rows(interval_secs, m.start_unix, m.keys.clone(), &rows)
     }
 
     #[test]
@@ -562,11 +582,8 @@ mod tests {
             vec![10.0, 0.0],
         ];
         let m = BandwidthMatrix::from_dense(60, 500, keys, &rows);
-        let c = m.coarsen(2);
+        let c = collect(&m, 120, |row| m.coarsen_each(2, row));
         assert_eq!(c.n_intervals(), 3);
-        assert_eq!(c.interval_secs(), 120);
-        assert_eq!(c.start_unix(), 500);
-        assert_eq!(c.n_keys(), 2);
         assert_eq!(c.rate(0, 0), 75.0); // (100 + 50) / 2
         assert_eq!(c.rate(0, 1), 20.0); // (0 + 40) / 2
         assert_eq!(c.rate(1, 0), 15.0); // (0 + 30) / 2
@@ -583,9 +600,9 @@ mod tests {
         let keys = vec![prefix("10.0.0.0/8"), prefix("192.168.0.0/16")];
         let rows = vec![vec![300.0, 90.0], vec![0.0, 120.0]];
         let m = BandwidthMatrix::from_dense(300, 0, keys, &rows);
-        let f = m.refine(5, 7);
+        let refined = |seed| collect(&m, 60, |row| m.refine_each(5, seed, row));
+        let f = refined(7);
         assert_eq!(f.n_intervals(), 10);
-        assert_eq!(f.interval_secs(), 60);
         for n in 0..m.n_intervals() {
             for key in 0..2u32 {
                 let parent = m.rate(n, key);
@@ -604,8 +621,8 @@ mod tests {
             }
         }
         // Deterministic in the seed; different seeds differ.
-        let f2 = m.refine(5, 7);
-        let f3 = m.refine(5, 8);
+        let f2 = refined(7);
+        let f3 = refined(8);
         for n in 0..f.n_intervals() {
             assert_eq!(f.interval(n), f2.interval(n));
         }
@@ -619,48 +636,13 @@ mod tests {
         assert_eq!(m.totals(), &[10.0, 20.0]);
     }
 
-    /// The construction `coarsen` and `refine` replaced: every interval
-    /// built as its own `Vec<(KeyId, f32)>` row, then copied into the
-    /// columns by `from_parts`.
+    /// An independent construction of the same rows: every re-measured
+    /// interval built as its own `Vec<(KeyId, f32)>` and all of them
+    /// kept, the way the re-measured matrices were once built.
     mod row_oracle {
         use super::super::*;
 
-        pub fn from_parts(
-            interval_secs: u64,
-            start_unix: u64,
-            keys: Vec<Prefix>,
-            intervals: Vec<Vec<(KeyId, f32)>>,
-        ) -> BandwidthMatrix {
-            let index = keys
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| (p, i as KeyId))
-                .collect();
-            let mut offsets = vec![0];
-            let (mut col_keys, mut col_rates, mut totals) = (Vec::new(), Vec::new(), Vec::new());
-            for row in &intervals {
-                let mut total = 0.0f64;
-                for &(key, rate) in row {
-                    col_keys.push(key);
-                    col_rates.push(rate);
-                    total += f64::from(rate);
-                }
-                offsets.push(col_keys.len());
-                totals.push(total);
-            }
-            BandwidthMatrix {
-                interval_secs,
-                start_unix,
-                keys,
-                index,
-                offsets,
-                col_keys,
-                col_rates,
-                totals,
-            }
-        }
-
-        pub fn coarsen(m: &BandwidthMatrix, factor: usize) -> BandwidthMatrix {
+        pub fn coarsen(m: &BandwidthMatrix, factor: usize) -> Vec<Vec<(KeyId, f32)>> {
             let n_coarse = m.n_intervals().div_ceil(factor);
             let mut acc: Vec<f64> = vec![0.0; m.n_keys()];
             let mut touched: Vec<KeyId> = Vec::new();
@@ -690,15 +672,10 @@ mod tests {
                 touched.clear();
                 intervals.push(row);
             }
-            from_parts(
-                m.interval_secs * factor as u64,
-                m.start_unix,
-                m.keys.clone(),
-                intervals,
-            )
+            intervals
         }
 
-        pub fn refine(m: &BandwidthMatrix, factor: usize, seed: u64) -> BandwidthMatrix {
+        pub fn refine(m: &BandwidthMatrix, factor: usize, seed: u64) -> Vec<Vec<(KeyId, f32)>> {
             let mut intervals: Vec<Vec<(KeyId, f32)>> = Vec::new();
             let mut factors: Vec<f64> = vec![0.0; factor];
             for n in 0..m.n_intervals() {
@@ -724,33 +701,24 @@ mod tests {
                 }
                 intervals.extend(rows);
             }
-            from_parts(
-                m.interval_secs / factor as u64,
-                m.start_unix,
-                m.keys.clone(),
-                intervals,
-            )
+            intervals
         }
     }
 
-    /// Equal column for column: offsets, keys, rates and totals by bits.
-    fn assert_same_columns(got: &BandwidthMatrix, want: &BandwidthMatrix) {
-        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let bits64 = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            (got.interval_secs, got.start_unix, &got.keys),
-            (want.interval_secs, want.start_unix, &want.keys)
-        );
-        assert_eq!(got.index, want.index);
-        assert_eq!(got.offsets, want.offsets);
-        assert_eq!(got.col_keys, want.col_keys);
-        assert_eq!(bits32(&got.col_rates), bits32(&want.col_rates));
-        assert_eq!(bits64(&got.totals), bits64(&want.totals));
+    /// Rows with their rates as bits.
+    fn row_bits(rows: &[Vec<(KeyId, f32)>]) -> Vec<Vec<(KeyId, u32)>> {
+        rows.iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&(key, rate)| (key, rate.to_bits()))
+                    .collect()
+            })
+            .collect()
     }
 
     /// A sparse matrix whose rates mix ordinary values with subnormals
-    /// (which `refine` can round to zero), explicit zeros (which
-    /// `coarsen` skips) and the smallest normal. T = 420 s is divisible
+    /// (which `refine_each` can round to zero), explicit zeros (which
+    /// `coarsen_each` skips) and the smallest normal. T = 420 s is divisible
     /// by every factor 1..=7.
     fn sparse_matrix() -> impl Strategy<Value = BandwidthMatrix> {
         let entry = || {
@@ -789,10 +757,12 @@ mod tests {
             factor in 1usize..=7,
             seed in any::<u64>(),
         ) {
-            assert_same_columns(&m.refine(factor, seed), &row_oracle::refine(&m, factor, seed));
+            let refined = walk(|row| m.refine_each(factor, seed, row));
+            assert_eq!(row_bits(&refined), row_bits(&row_oracle::refine(&m, factor, seed)));
             // Any interval count that `factor` does not divide leaves a
             // trailing partial group.
-            assert_same_columns(&m.coarsen(factor), &row_oracle::coarsen(&m, factor));
+            let coarsened = walk(|row| m.coarsen_each(factor, row));
+            assert_eq!(row_bits(&coarsened), row_bits(&row_oracle::coarsen(&m, factor)));
         }
     }
 }

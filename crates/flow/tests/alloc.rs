@@ -1,7 +1,7 @@
-//! A derived matrix is built once, straight into its columns: while
-//! `refine` or `coarsen` runs, the heap holds the finished result plus
-//! the call's scratch and nothing else — never a second copy of the
-//! entries. Pinned as live and peak heap bytes, not as a timing.
+//! The same traffic re-measured at another T is walked, not built: while
+//! `refine_each` or `coarsen_each` runs, the heap holds the walk's
+//! scratch — one interval's row and what computes it — and never the
+//! re-measured entries. Pinned as peak heap bytes, not as a timing.
 //!
 //! The only test of its own binary, so the counting allocator below
 //! sees no other test's allocations.
@@ -63,20 +63,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Run `f` and return its result with how far the heap rose above what
-/// it holds once `f` has returned, with the result still alive.
-fn transient_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    PEAK.store(LIVE.load(Relaxed), Relaxed);
-    let out = f();
-    (out, PEAK.load(Relaxed) - LIVE.load(Relaxed))
+/// How far the heap rose above what it held when `f` started.
+fn peak_rise(f: impl FnOnce()) -> usize {
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    f();
+    PEAK.load(Relaxed) - before
 }
 
-/// The most a call may hold beyond its result: its scratch, which is
-/// sized by the keys of one interval, never by the matrix.
+/// The most a walk may hold: its scratch, which is sized by the keys,
+/// never by the trace.
 const SCRATCH_BOUND: usize = 1 << 20;
 
 #[test]
-fn refine_and_coarsen_hold_their_result_once() {
+fn refine_each_and_coarsen_each_hold_one_interval() {
     // 12 000 keys; interval n carries the 2 000 keys of block n % 6, so
     // each group of six fine intervals covers all of them and a coarse
     // interval holds as many entries as its six fine ones together.
@@ -100,21 +100,37 @@ fn refine_and_coarsen_hold_their_result_once() {
     drop(rows);
     let entries = INTERVALS * BLOCK;
 
-    let (fine, extra) = transient_bytes(|| m.refine(5, 42));
-    assert_eq!((0..fine.n_intervals()).map(|n| fine.active(n)).sum::<usize>(), entries * 5);
-    // One copy of the refined entries would be 8 bytes each.
+    // The callbacks only count and sum: whatever the heap gains is the
+    // walker's own.
+    let (mut walked, mut sum) = (0usize, 0.0f64);
+    let extra = peak_rise(|| {
+        m.refine_each(5, 42, |row| {
+            walked += row.len();
+            sum += row.iter().map(|&(_, rate)| f64::from(rate)).sum::<f64>();
+        })
+    });
+    assert_eq!(walked, entries * 5);
+    assert!(sum > 0.0);
+    // The refined matrix would have been 8 bytes an entry.
     assert!(entries * 5 * 8 > 8 * SCRATCH_BOUND);
     assert!(
         extra <= SCRATCH_BOUND,
-        "refine held {extra} bytes beyond its {} entries",
+        "refine_each held {extra} bytes walking {} entries",
         entries * 5
     );
 
-    let (coarse, extra) = transient_bytes(|| m.coarsen(6));
-    assert_eq!((0..coarse.n_intervals()).map(|n| coarse.active(n)).sum::<usize>(), entries);
+    let (mut walked, mut sum) = (0usize, 0.0f64);
+    let extra = peak_rise(|| {
+        m.coarsen_each(6, |row| {
+            walked += row.len();
+            sum += row.iter().map(|&(_, rate)| f64::from(rate)).sum::<f64>();
+        })
+    });
+    assert_eq!(walked, entries);
+    assert!(sum > 0.0);
     assert!(entries * 8 > SCRATCH_BOUND);
     assert!(
         extra <= SCRATCH_BOUND,
-        "coarsen held {extra} bytes beyond its {entries} entries"
+        "coarsen_each held {extra} bytes walking {entries} entries"
     );
 }

@@ -132,12 +132,10 @@ pub fn run_session(
             None => return usage(format!("unknown experiment {id}")),
         }
     }
-    let mut lab = Lab::new(opts.scale, opts.seed);
+    let lab = Lab::new(opts.scale, opts.seed);
     let mut rendered = Vec::with_capacity(ids.len());
     for experiment in experiments {
         rendered.push(experiment(&lab)?.render());
-        // What only this experiment measured goes with it.
-        lab.release_derived();
     }
     Ok((rendered, lab.counters()))
 }

@@ -2,13 +2,16 @@
 //! same small method variations of one question about the same two
 //! links, so a [`Lab`] answers each variation once.
 //!
-//! It owns what is expensive — the built links and the matrices derived
-//! from them — and memoises at two levels: the raw per-interval
-//! thresholds of each (matrix, detector, β), which is where
-//! classification time goes, and the finished result of each (matrix,
-//! detector, β, γ, scheme). An experiment names a matrix by
-//! [`MatrixId`] and gets its classifications from [`Lab::classify`];
-//! whether another experiment already paid for them is not its concern.
+//! It owns what is expensive — the built links, table and matrix each —
+//! and memoises at two levels: the raw per-interval thresholds of each
+//! (matrix, detector, β), which is where classification time goes, and
+//! the finished result of each (matrix, detector, β, γ, scheme). An
+//! experiment names a link's matrix by [`MatrixId`] and gets its
+//! classifications from [`Lab::classify`]; whether another experiment
+//! already paid for them is not its concern. A link's traffic
+//! re-measured at another T is not a matrix the session holds: table 4
+//! streams it through [`crate::SchemeSpec::classify_stream`], outside
+//! the memo.
 
 use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
@@ -19,19 +22,13 @@ use eleph_flow::BandwidthMatrix;
 
 use crate::{DetectorKind, Scenario, ScenarioData, SchemeSpec};
 
-/// The matrices a session can classify.
+/// The matrices a session can classify: one per link, at its native T.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MatrixId {
-    /// The west-coast link at its native T.
+    /// The west-coast link.
     West,
-    /// The east-coast link at its native T.
+    /// The east-coast link.
     East,
-    /// The west link's traffic re-measured at T = 1 min
-    /// ([`BandwidthMatrix::refine`]).
-    West1Min,
-    /// The west link's traffic re-measured at T = 30 min
-    /// ([`BandwidthMatrix::coarsen`]).
-    West30Min,
 }
 
 /// What a session has done so far. Sharing is a property of these
@@ -100,21 +97,18 @@ pub struct Lab {
     /// West-coast scenario + built data; every experiment reads it.
     pub west: (Scenario, ScenarioData),
     east: OnceCell<(Scenario, ScenarioData)>,
-    /// [`MatrixId::West1Min`] and [`MatrixId::West30Min`].
-    derived: [OnceCell<BandwidthMatrix>; 2],
     memo: RefCell<Memo>,
 }
 
 impl Lab {
-    /// Open a session: builds the west link; the east link and the
-    /// derived matrices are built when first asked for.
+    /// Open a session: builds the west link; the east link is built when
+    /// first asked for.
     pub fn new(scale: f64, seed: u64) -> Self {
         Lab {
             seed,
             scale,
             west: built(Scenario::west(seed).scaled(scale)),
             east: OnceCell::new(),
-            derived: Default::default(),
             memo: RefCell::default(),
         }
     }
@@ -125,21 +119,17 @@ impl Lab {
             .get_or_init(|| built(Scenario::east(self.seed).scaled(self.scale)))
     }
 
-    /// The matrix behind an id. The derived ones re-measure the *same*
-    /// west traffic at another T — the paper's interval-sensitivity
-    /// protocol — rather than regenerating a workload per T.
+    /// The session's seed: both links' workloads and table 4's
+    /// re-measurement jitter derive from it.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The matrix behind an id.
     pub fn matrix(&self, id: MatrixId) -> &BandwidthMatrix {
-        let west = &self.west.1.matrix;
-        let native_t = west.interval_secs();
         match id {
-            MatrixId::West => west,
+            MatrixId::West => &self.west.1.matrix,
             MatrixId::East => &self.east().1.matrix,
-            MatrixId::West1Min => {
-                self.derived[0].get_or_init(|| west.refine((native_t / 60) as usize, self.seed))
-            }
-            MatrixId::West30Min => {
-                self.derived[1].get_or_init(|| west.coarsen((1800 / native_t) as usize))
-            }
         }
     }
 
@@ -246,16 +236,6 @@ impl Lab {
         ])
         .try_into()
         .expect("four jobs, four results")
-    }
-
-    /// Free the derived matrices and everything computed over them; the
-    /// links and their results stay.
-    pub fn release_derived(&mut self) {
-        self.derived = Default::default();
-        let memo = self.memo.get_mut();
-        let is_link = |id: MatrixId| matches!(id, MatrixId::West | MatrixId::East);
-        memo.raw.retain(|pass, _| is_link(pass.0));
-        memo.results.retain(|key, _| is_link(key.0 .0));
     }
 
     /// What the session has done so far.

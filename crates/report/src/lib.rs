@@ -1,8 +1,9 @@
 //! Experiment harness: regenerate every figure and table of the paper.
 //!
-//! The `eleph` binary reproduces each result by subcommand — see
-//! DESIGN.md §4 for the full experiment index. All of them share the
-//! machinery here:
+//! The `eleph` binary reproduces each result by subcommand —
+//! [`experiments::EXPERIMENTS`] is the full experiment index, and the
+//! ROADMAP's design notes say how the session shares work. All of them
+//! share the machinery here:
 //!
 //! * [`Scenario`] — the paper's west-coast and east-coast OC-12 setups
 //!   (synthetic BGP table + synthetic workload), with a
@@ -12,6 +13,8 @@
 //! * [`Lab`] — the experiment session: it builds each link once and
 //!   hands every experiment its classifications, detecting once per
 //!   (matrix, detector) and classifying once per configuration;
+//!   traffic re-measured at another T is streamed through
+//!   [`SchemeSpec::classify_stream`] instead, and never stored;
 //! * [`run`] — classify a matrix with a scheme, outside any session;
 //! * [`emit`] — ASCII tables for stdout and CSV files under
 //!   `target/experiments/` for plotting.
@@ -30,10 +33,10 @@ pub use lab::{Lab, LabCounters, MatrixId};
 use eleph_bgp::synth::SynthConfig;
 use eleph_bgp::BgpTable;
 use eleph_core::{
-    classify_with, AestDetector, ClassificationResult, ClassifyConfig, ConstantLoadDetector,
-    RawThresholds, Scheme, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
+    classify_stream, classify_with, AestDetector, ClassificationResult, ClassifyConfig,
+    ConstantLoadDetector, RawThresholds, Scheme, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
-use eleph_flow::BandwidthMatrix;
+use eleph_flow::{BandwidthMatrix, KeyId};
 use eleph_trace::{RateTrace, WorkloadConfig};
 
 /// A fully specified experimental setup: one link, one table, one
@@ -170,6 +173,26 @@ impl SchemeSpec {
             DetectorKind::ConstantLoad => {
                 RawThresholds::detect(matrix, &ConstantLoadDetector::new(self.beta))
             }
+        }
+    }
+
+    /// This configuration over intervals handed over one at a time
+    /// ([`eleph_core::classify_stream`]): the result [`run`] gives for a
+    /// matrix of the same rows, without the matrix.
+    pub fn classify_stream(
+        &self,
+        rows: impl FnOnce(&mut dyn FnMut(&[(KeyId, f32)])),
+    ) -> ClassificationResult {
+        match self.detector {
+            DetectorKind::Aest => {
+                classify_stream(AestDetector::new(), self.gamma, self.scheme, rows)
+            }
+            DetectorKind::ConstantLoad => classify_stream(
+                ConstantLoadDetector::new(self.beta),
+                self.gamma,
+                self.scheme,
+                rows,
+            ),
         }
     }
 

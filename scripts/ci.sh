@@ -92,13 +92,17 @@
 #      its JSONL must equal the file run's;
 #  14. paper tables: `eleph all`'s stdout and eleven CSVs at `--scale
 #      0.05` against the length and CRC-32 recorded before matrices were
-#      built in place, `refine` / `coarsen` against the row-then-copy
-#      construction they replaced (differential proptest), their heap
-#      high-water mark against their result (a counting allocator: one
-#      copy plus scratch, never two), `Ecdf`'s integer sort and `aest`
-#      against the comparator sort, and `aest` on a non-finite sample —
-#      all part of tier-1; re-run by name so a failure is attributed
-#      immediately; then `eleph all --scale 0.05 --seed 3` runs once
+#      built in place; the walkers `refine_each` / `coarsen_each`, which
+#      hand over re-measured intervals one at a time and build no
+#      matrix, against a row-at-a-time oracle (differential proptest);
+#      classification streamed over their rows against batch `classify`
+#      over the same rows as a matrix (proptest, by bits); their heap
+#      high-water mark (a counting allocator: one interval's scratch,
+#      never the re-measured entries) and table 4's (less than the west
+#      matrix's own columns); `Ecdf`'s integer sort and `aest` against
+#      the comparator sort, and `aest` on a non-finite sample — all part
+#      of tier-1; re-run by name so a failure is attributed immediately;
+#      then `eleph all --scale 0.05 --seed 3` runs once
 #      under `taskset -c 0` and once unrestricted (trace generation and
 #      the session's detection passes use every core) and stdout and
 #      every CSV must be byte-identical (without `taskset` the pinned
@@ -319,10 +323,12 @@ cat "$in/c.pcap" | "$eleph" run --pcap /dev/stdin "${file_args[@]}" \
 cmp "$tmpdir/piped.jsonl" "$tmpdir/static_all.jsonl" \
     || { echo "thread count: the piped capture diverges from the file run" >&2; exit 1; }
 
-echo "== paper tables: recorded bytes, built-once matrices, Ecdf sort, one core vs every core =="
+echo "== paper tables: recorded bytes, streamed re-measurement, Ecdf sort, one core vs every core =="
 cargo test -q -p eleph-report --test session all_output_equals_its_recorded_length_and_crc
 cargo test -q -p eleph-flow --lib matrix::tests::refine_and_coarsen_equal_the_row_oracle
-cargo test -q -p eleph-flow --test alloc
+cargo test -q -p eleph-core --test props streamed_remeasurement_equals_batch_over_its_rows
+cargo test -q -p eleph-flow --test alloc refine_each_and_coarsen_each_hold_one_interval
+cargo test -q -p eleph-report --test alloc table4_holds_less_than_the_matrix_it_re_measures
 cargo test -q -p eleph-stats --lib -- \
     ecdf::tests::integer_sort_equals_the_comparator_sort \
     aest::tests::integer_sorted_levels_give_the_comparator_sorts_result \

@@ -1,8 +1,9 @@
 //! The load-bearing test of the whole reproduction: the packet-level
 //! measurement pipeline (pcap → parse → LPM attribution → interval
 //! binning) reproduces the rate-level trace the figure experiments run
-//! on. This is what justifies running the paper's experiments at rate
-//! level (DESIGN.md §3).
+//! on. This is what justifies running the paper's experiments
+//! (`eleph_report::experiments::EXPERIMENTS`) at rate level; the
+//! ROADMAP's design notes describe both paths.
 
 use eleph_bgp::synth::{self, SynthConfig};
 use eleph_flow::{aggregate_pcap, BandwidthMatrix};
