@@ -61,6 +61,18 @@
 //! decoded form staying one plain owned struct that tests can build,
 //! corrupt and re-encode.
 //!
+//! # Where an image is produced
+//!
+//! Off the packet path. At a due chunk boundary the packet thread takes
+//! the owned [`Checkpoint`] copy, waits for the previous image if it is
+//! still in flight, and hands the copy and the kept buffer to the
+//! [`Checkpointer`]'s one writer thread — spawned at the first image,
+//! joined on drop — which encodes, checksums and writes the image by the
+//! protocol below and hands the buffer back. At most one image is ever
+//! in flight, and [`Pipeline::run_checkpointed`] waits for it before it
+//! returns, so the bytes of every image, and the intervals at which
+//! they are taken, are what a writer on the packet thread produces.
+//!
 //! # Atomicity & exactly-once emission
 //!
 //! [`Checkpointer`] writes to `<file>.tmp`, fsyncs, then renames over
@@ -73,6 +85,14 @@
 //! continues, so every interval is emitted exactly once across any
 //! number of crashes.
 //!
+//! While a run is going, the durable image may trail the sinks by one
+//! more image than a writer on the packet thread would let it: the
+//! image in flight. That changes nothing for recovery — resume already
+//! truncates any number of intervals emitted after the snapshot — and
+//! once [`Pipeline::run_checkpointed`] has returned the image never
+//! trails: the one in flight has landed, or its failure is the error
+//! returned.
+//!
 //! Checkpoints are only taken at source chunk boundaries, which is what
 //! makes replay exact: the checkpoint's `offered` count is reproduced
 //! by [`skip_offered`] pulling whole chunks from a fresh source — the
@@ -82,6 +102,8 @@ use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::thread;
 use std::time::Instant;
 
 use eleph_bgp::RouteId;
@@ -692,6 +714,11 @@ impl Cursor<'_> {
 /// intervals (checked at source chunk boundaries), via temp file +
 /// fsync + rename so a crash at any instruction leaves either the old
 /// or the new checkpoint complete on disk — never a torn one.
+///
+/// The caller's thread only takes the owned [`Checkpoint`] copy; one
+/// writer thread, spawned at the first image and joined on drop,
+/// encodes it and puts it on disk while the caller goes on. At most one
+/// image is in flight: handing over the next waits for the previous.
 pub struct Checkpointer {
     path: PathBuf,
     tmp: PathBuf,
@@ -699,8 +726,13 @@ pub struct Checkpointer {
     /// Sealed-interval count at which the next image is due; `None`
     /// until the cadence has a pipeline to start from.
     next_at: Option<usize>,
-    /// The image buffer, kept across writes.
+    /// The image buffer, kept across writes: here between images, with
+    /// the writer while one is in flight.
     image: Vec<u8>,
+    /// `None` until the first image.
+    writer: Option<Writer>,
+    /// An image was handed over and its answer not yet taken.
+    in_flight: bool,
     written: CheckpointsWritten,
 }
 
@@ -713,11 +745,114 @@ pub struct CheckpointsWritten {
     pub last_bytes: u64,
     /// Size of all images together.
     pub total_bytes: u64,
-    /// Seconds spent building images: export, encode, checksum.
+    /// Seconds the writer thread spent building images: encode and
+    /// checksum (the owned copy the caller takes first is not counted).
     pub encode_secs: f64,
-    /// Seconds spent putting them on disk: create, write, fsync,
-    /// rename, directory fsync.
+    /// Seconds the writer thread spent putting them on disk: create,
+    /// write, fsync, rename, directory fsync.
     pub io_secs: f64,
+    /// Seconds the caller's thread spent blocked on an image in flight:
+    /// the part of checkpointing a run still pays.
+    pub wait_secs: f64,
+}
+
+/// One image for the writer thread.
+struct Job {
+    checkpoint: Checkpoint,
+    image: Vec<u8>,
+    /// Simulate dying halfway through the write ([`CrashPoint::MidCheckpointWrite`]).
+    torn: bool,
+}
+
+/// The writer thread's answer to one [`Job`]: the buffer back, whether
+/// the image was renamed into place, and what it cost.
+struct Done {
+    image: Vec<u8>,
+    renamed: io::Result<bool>,
+    encode_secs: f64,
+    io_secs: f64,
+}
+
+/// The long-lived writer thread and its two channels.
+struct Writer {
+    /// `None` once dropping: closing it ends the thread's loop.
+    jobs: Option<mpsc::Sender<Job>>,
+    done: mpsc::Receiver<Done>,
+    thread: Option<thread::JoinHandle<()>>,
+}
+
+impl Writer {
+    fn spawn(path: PathBuf, tmp: PathBuf) -> io::Result<Self> {
+        let (jobs, job_rx) = mpsc::channel::<Job>();
+        let (done_tx, done) = mpsc::channel();
+        let thread = thread::Builder::new().name("eleph-checkpoint".to_string()).spawn(move || {
+            for job in job_rx {
+                if done_tx.send(write_job(&path, &tmp, job)).is_err() {
+                    break;
+                }
+            }
+        })?;
+        Ok(Writer { jobs: Some(jobs), done, thread: Some(thread) })
+    }
+}
+
+impl Drop for Writer {
+    fn drop(&mut self) {
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            // A writer that panicked has already answered its caller with
+            // a closed channel; there is nothing left to report here.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// What the writer thread does with one image: encode it into the
+/// kept buffer, then the temp → write → fsync → rename protocol.
+fn write_job(path: &Path, tmp: &Path, job: Job) -> Done {
+    let Job { checkpoint, mut image, torn } = job;
+    let started = Instant::now();
+    checkpoint.write_image(&mut image);
+    drop(checkpoint);
+    let encoded = Instant::now();
+    let renamed = put_on_disk(path, tmp, &image, torn);
+    Done {
+        image,
+        renamed,
+        encode_secs: (encoded - started).as_secs_f64(),
+        io_secs: encoded.elapsed().as_secs_f64(),
+    }
+}
+
+/// Write `bytes` to `tmp`, fsync, rename over `path`, then fsync the
+/// directory. Returns whether the rename happened.
+fn put_on_disk(path: &Path, tmp: &Path, bytes: &[u8], torn: bool) -> io::Result<bool> {
+    let mut file = File::create(tmp)?;
+    if torn {
+        // Simulate dying mid-write: half the image reaches the temp
+        // file, the rename never happens, the previous checkpoint
+        // survives untouched.
+        file.write_all(&bytes[..bytes.len() / 2])?;
+        let _ = file.sync_all();
+        return Ok(false);
+    }
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    fs::rename(tmp, path)?;
+    // Make the rename itself durable where the platform allows opening
+    // directories; failure here cannot corrupt anything.
+    if let Some(dir) = path.parent() {
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(true)
+}
+
+/// The checkpoint I/O error a pipeline run fails with.
+fn io_error(e: io::Error) -> PipelineError {
+    PipelineError::Checkpoint(CheckpointError::Io(e))
 }
 
 /// File name a [`Checkpointer`] maintains inside its directory.
@@ -735,6 +870,8 @@ impl Checkpointer {
             every: every.max(1),
             next_at: None,
             image: Vec::new(),
+            writer: None,
+            in_flight: false,
             written: CheckpointsWritten::default(),
         })
     }
@@ -744,13 +881,16 @@ impl Checkpointer {
         &self.path
     }
 
-    /// Images written so far and what they cost.
+    /// Images written so far and what they cost. An image still in
+    /// flight is not counted until [`Checkpointer::flush`] takes its
+    /// answer.
     pub fn written(&self) -> CheckpointsWritten {
         self.written
     }
 
-    /// Checkpoint now if the cadence says one is due. Returns whether a
-    /// checkpoint was written.
+    /// Checkpoint now if the cadence says one is due. Returns whether an
+    /// image was handed to the writer thread; it may still be in flight
+    /// when this returns (see [`Checkpointer::flush`]).
     ///
     /// The cadence starts the first time this is called: the next image
     /// is due `every` intervals after the count the pipeline has sealed
@@ -766,51 +906,80 @@ impl Checkpointer {
         if sealed < *self.next_at.get_or_insert(sealed + self.every) {
             return Ok(false);
         }
-        self.write(pipeline)?;
+        self.hand_off(pipeline)?;
         Ok(true)
     }
 
-    /// Write a checkpoint unconditionally (atomic rename protocol).
+    /// Write a checkpoint unconditionally (atomic rename protocol) and
+    /// wait until it is on disk.
     pub fn write<D: ThresholdDetector>(
         &mut self,
         pipeline: &mut Pipeline<'_, D>,
     ) -> crate::Result<()> {
+        self.hand_off(pipeline)?;
+        self.flush()
+    }
+
+    /// Wait until the image in flight, if any, is on disk, and fail with
+    /// its error if it could not be written. A writer thread that died
+    /// reads as that error too.
+    pub fn flush(&mut self) -> crate::Result<()> {
+        if !self.in_flight {
+            return Ok(());
+        }
+        self.in_flight = false;
         let started = Instant::now();
-        let sealed = pipeline.intervals_sealed();
-        pipeline.export_checkpoint().write_image(&mut self.image);
-        let encoded = Instant::now();
-        let bytes = &self.image;
-        let io = |e: io::Error| PipelineError::Checkpoint(CheckpointError::Io(e));
-        let mut file = File::create(&self.tmp).map_err(io)?;
-        if pipeline.crash_now(CrashPoint::MidCheckpointWrite, sealed) {
-            // Simulate dying mid-write: half the image reaches the temp
-            // file, the rename never happens, the previous checkpoint
-            // survives untouched.
-            file.write_all(&bytes[..bytes.len() / 2]).map_err(io)?;
-            let _ = file.sync_all();
-            return Err(PipelineError::Crash(CrashPoint::MidCheckpointWrite));
+        let done = self.writer.as_ref().and_then(|w| w.done.recv().ok());
+        self.written.wait_secs += started.elapsed().as_secs_f64();
+        let done = done.ok_or_else(writer_gone)?;
+        self.image = done.image;
+        if done.renamed.map_err(io_error)? {
+            let len = self.image.len() as u64;
+            let w = &mut self.written;
+            w.images += 1;
+            w.last_bytes = len;
+            w.total_bytes += len;
+            w.encode_secs += done.encode_secs;
+            w.io_secs += done.io_secs;
         }
-        file.write_all(bytes).map_err(io)?;
-        file.sync_all().map_err(io)?;
-        drop(file);
-        fs::rename(&self.tmp, &self.path).map_err(io)?;
-        // Make the rename itself durable where the platform allows
-        // opening directories; failure here cannot corrupt anything.
-        if let Some(dir) = self.path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        self.next_at = Some(sealed + self.every);
-        let len = bytes.len() as u64;
-        let w = &mut self.written;
-        w.images += 1;
-        w.last_bytes = len;
-        w.total_bytes += len;
-        w.encode_secs += (encoded - started).as_secs_f64();
-        w.io_secs += encoded.elapsed().as_secs_f64();
         Ok(())
     }
+
+    /// Take the pipeline's snapshot, wait for the previous image, and
+    /// hand this one to the writer thread.
+    fn hand_off<D: ThresholdDetector>(
+        &mut self,
+        pipeline: &mut Pipeline<'_, D>,
+    ) -> crate::Result<()> {
+        let sealed = pipeline.intervals_sealed();
+        let checkpoint = pipeline.export_checkpoint();
+        self.flush()?;
+        let torn = pipeline.crash_now(CrashPoint::MidCheckpointWrite, sealed);
+        let writer = match &mut self.writer {
+            Some(writer) => writer,
+            None => self
+                .writer
+                .insert(Writer::spawn(self.path.clone(), self.tmp.clone()).map_err(io_error)?),
+        };
+        let job = Job { checkpoint, image: std::mem::take(&mut self.image), torn };
+        writer
+            .jobs
+            .as_ref()
+            .and_then(|jobs| jobs.send(job).ok())
+            .ok_or_else(writer_gone)?;
+        self.in_flight = true;
+        self.next_at = Some(sealed + self.every);
+        if torn {
+            self.flush()?;
+            return Err(PipelineError::Crash(CrashPoint::MidCheckpointWrite));
+        }
+        Ok(())
+    }
+}
+
+/// What a closed channel to or from the writer thread means.
+fn writer_gone() -> PipelineError {
+    io_error(io::Error::other("the checkpoint writer thread exited"))
 }
 
 /// Advance a fresh source past the records a checkpointed run had
@@ -1177,6 +1346,41 @@ mod tests {
         assert_eq!(written.images, 2);
         assert_eq!(written.last_bytes, images[1].len() as u64);
         assert_eq!(written.total_bytes, (images[0].len() + images[1].len()) as u64);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_dead_writer_is_an_io_error_not_a_hang() {
+        let table = synth::generate(&SynthConfig { n_prefixes: 300, ..SynthConfig::default() });
+        let dst = table.iter().next().expect("a route").prefix.network();
+        let mut pipeline =
+            pipeline_over(&table, Scheme::SingleFeature, StateBackendConfig::Exact, 0);
+        pipeline.observe_chunk(&[packet(dst, 1, 100)]).expect("observe");
+        let dir = std::env::temp_dir().join(format!("eleph-ckpt-dead-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut checkpointer = Checkpointer::new(&dir, 1).expect("checkpointer");
+        let is_io = |r: crate::Result<()>| {
+            matches!(r, Err(PipelineError::Checkpoint(CheckpointError::Io(_))))
+        };
+
+        // Gone between images: the job channel is closed.
+        let (jobs, _) = mpsc::channel();
+        let (_, done) = mpsc::channel();
+        checkpointer.writer = Some(Writer { jobs: Some(jobs), done, thread: None });
+        assert!(is_io(checkpointer.write(&mut pipeline)));
+
+        // Gone holding an image: the job is taken and no answer comes.
+        let (jobs, taken) = mpsc::channel::<Job>();
+        let (answer, done) = mpsc::channel::<Done>();
+        let thread = thread::spawn(move || {
+            let _job = taken.recv();
+            drop(answer);
+        });
+        checkpointer.writer = Some(Writer { jobs: Some(jobs), done, thread: Some(thread) });
+        assert!(is_io(checkpointer.write(&mut pipeline)));
+        assert!(is_io(checkpointer.write(&mut pipeline)), "and stays gone");
+        assert_eq!(checkpointer.written().images, 0);
+        assert!(!checkpointer.path().exists());
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -892,7 +892,9 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
     /// source chunk boundary where its cadence says one is due. Only
     /// chunk boundaries qualify — that is what lets
     /// [`crate::skip_offered`] replay a fresh source to *exactly* the
-    /// checkpoint's consumption count on resume.
+    /// checkpoint's consumption count on resume. Images are written on
+    /// the checkpointer's own thread while packets keep flowing; the
+    /// last one is on disk before this returns, `Ok` or `Err`.
     pub fn run_checkpointed<S: PacketSource>(
         &mut self,
         mut source: S,
@@ -902,6 +904,22 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
     }
 
     fn run_inner<S: PacketSource>(
+        &mut self,
+        source: &mut S,
+        mut checkpointer: Option<&mut Checkpointer>,
+    ) -> Result<()> {
+        let streamed = self.stream(source, checkpointer.as_deref_mut());
+        // The image in flight lands before the run returns, however the
+        // run ends, so what is on disk at every return is what a writer
+        // on this thread would have left. Its failure happened first, so
+        // it is the error reported.
+        match checkpointer {
+            Some(ckpt) => ckpt.flush().and(streamed),
+            None => streamed,
+        }
+    }
+
+    fn stream<S: PacketSource>(
         &mut self,
         source: &mut S,
         mut checkpointer: Option<&mut Checkpointer>,

@@ -24,8 +24,8 @@ use eleph_bgp::{FrozenBgpTable, LiveBgpTable, RouteEntry, UpdateBatch};
 use eleph_packet::pcap::RecordHeader;
 use eleph_pipeline::{
     skip_offered, Checkpoint, Checkpointer, CheckpointsWritten, FaultedPcapSource, JsonlSink,
-    PacketSource, PcapSource, Pipeline, PipelineBuilder, PipelineReport, RotatingJsonlSink,
-    TraceSource, MAX_WORKER_THREADS,
+    PacketSource, PcapSource, Pipeline, PipelineBuilder, PipelineError, PipelineReport,
+    RotatingJsonlSink, TraceSource, MAX_WORKER_THREADS,
 };
 use eleph_trace::{
     generate_churn, ChurnConfig, ChurnScenario, FaultConfig, FaultInjector, FaultStats, RateTrace,
@@ -846,10 +846,14 @@ fn drive<D: ThresholdDetector, S: PacketSource>(
             .map_err(|e| io::Error::other(e.to_string()))?;
     }
     match checkpointer {
-        Some(ck) => pipeline.run_checkpointed(&mut *source, ck),
-        None => pipeline.run(&mut *source),
-    }
-    .map_err(|e| io::Error::other(e.to_string()))?;
+        Some(ck) => pipeline.run_checkpointed(&mut *source, ck).map_err(|e| match e {
+            PipelineError::Checkpoint(_) => {
+                io::Error::other(format!("{}: {e}", ck.path().display()))
+            }
+            e => io::Error::other(e.to_string()),
+        }),
+        None => pipeline.run(&mut *source).map_err(|e| io::Error::other(e.to_string())),
+    }?;
     pipeline.finish().map_err(|e| io::Error::other(e.to_string()))
 }
 
@@ -858,8 +862,9 @@ fn drive<D: ThresholdDetector, S: PacketSource>(
 /// far-future-streak high-water mark, start-up and streaming wall-clock
 /// time, throughput, (under `--checkpoint-dir`) what this process's
 /// snapshots cost — how many it wrote, the size of the last one, the
-/// seconds spent building images and the seconds spent putting them on
-/// disk — and (when fault injection is on) the injector's counters:
+/// seconds the writer thread spent building images and putting them on
+/// disk, and the seconds the packet thread spent waiting for it — and
+/// (when fault injection is on) the injector's counters:
 /// machine-checkable run health at a glance.
 fn summary_json(
     opts: &RunOpts,
@@ -878,6 +883,9 @@ fn summary_json(
     // opening the source, building the pipeline, streaming and the
     // final seal; the rates are over `elapsed_secs` alone — bytes are
     // the *attributed* payload bytes, packets are all offered records.
+    // The checkpoint encode and io seconds are the writer thread's and
+    // overlap `elapsed_secs`; only `checkpoint_wait_secs`, the packet
+    // thread blocked on an image in flight, is inside it for certain.
     // A capture so tiny that the elapsed time rounds to zero (or a
     // non-finite clock reading) reports rates of 0 — the summary must
     // stay strict JSON, and `inf`/`NaN` are not JSON.
@@ -922,13 +930,14 @@ fn summary_json(
         line.push_str(&format!(
             ",\"checkpoint_dir\":{},\"checkpoint_every\":{},\"checkpoints\":{},\
              \"checkpoint_bytes\":{},\"checkpoint_encode_secs\":{:.6},\
-             \"checkpoint_io_secs\":{:.6}",
+             \"checkpoint_io_secs\":{:.6},\"checkpoint_wait_secs\":{:.6}",
             json_string(dir),
             opts.checkpoint_every,
             w.images,
             w.last_bytes,
             clamp(w.encode_secs),
             clamp(w.io_secs),
+            clamp(w.wait_secs),
         ));
     }
     if let Some(f) = fault_stats {
@@ -1333,7 +1342,7 @@ mod tests {
         // leak either).
         for elapsed in [0.0, -0.0, f64::NAN, f64::INFINITY, 1.5] {
             // The set-up span is a clock reading too: same rule — and so
-            // are the two checkpoint spans.
+            // are the three checkpoint spans.
             for setup in [elapsed, 0.25] {
                 let written = CheckpointsWritten {
                     images: 3,
@@ -1341,11 +1350,17 @@ mod tests {
                     total_bytes: 12_000,
                     encode_secs: elapsed,
                     io_secs: setup,
+                    wait_secs: elapsed,
                 };
                 let line =
                     summary_json(&opts, &report(), false, Some(written), None, setup, elapsed);
                 parse_json(&line)
                     .unwrap_or_else(|e| panic!("setup={setup} elapsed={elapsed}: {e}\n{line}"));
+                let wait = if elapsed.is_finite() && elapsed > 0.0 { elapsed } else { 0.0 };
+                assert!(
+                    line.contains(&format!("\"checkpoint_wait_secs\":{wait:.6}")),
+                    "setup={setup} elapsed={elapsed}: {line}"
+                );
             }
         }
         let written = CheckpointsWritten { images: 3, last_bytes: 4_096, ..Default::default() };
@@ -1354,7 +1369,8 @@ mod tests {
             line.contains(
                 "\"checkpoint_dir\":\"ck\\\"pt\\\\run\\u001b\\u0000\",\"checkpoint_every\":1,\
                  \"checkpoints\":3,\"checkpoint_bytes\":4096,\
-                 \"checkpoint_encode_secs\":0.000000,\"checkpoint_io_secs\":0.000000"
+                 \"checkpoint_encode_secs\":0.000000,\"checkpoint_io_secs\":0.000000,\
+                 \"checkpoint_wait_secs\":0.000000"
             ),
             "{line}"
         );
@@ -1367,7 +1383,7 @@ mod tests {
         assert!(line.contains("\"state\":\"spacesaving\""));
         assert!(line.contains("\"distinct_keys\":3"));
         assert!(line.contains("\"state_bytes\":1048576"));
-        // Without --checkpoint-dir none of the six fields appears.
+        // Without --checkpoint-dir none of the seven fields appears.
         let plain = RunOpts { synth: true, ..RunOpts::default() };
         let bare = summary_json(&plain, &report(), false, None, None, 0.125, 0.0);
         assert!(!bare.contains("checkpoint"), "{bare}");

@@ -1,8 +1,8 @@
 //! A wrong command line is answered, not crashed on: the message and a
 //! pointer to `eleph help` on stderr, nothing on stdout, exit status 2.
 //! An input that cannot be opened is named by its flag and path, exit
-//! status 1; and an input that can only be read once — a pipe — is read
-//! exactly as the file is.
+//! status 1, as is a checkpoint that cannot be written; and an input
+//! that can only be read once — a pipe — is read exactly as the file is.
 
 use std::fs;
 use std::io::Write;
@@ -117,6 +117,31 @@ fn a_missing_input_names_its_flag_and_path_before_any_is_read() {
         assert!(!stderr.contains("panicked"), "`eleph run {line}`: {stderr}");
         assert!(out.stdout.is_empty(), "`eleph run {line}` printed to stdout");
     }
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_unwritable_checkpoint_exits_1_naming_its_path() {
+    // A directory where the temp file goes: the create fails, for root
+    // too, on the writer thread — and the run still answers for it.
+    let dir = scratch("ckpt");
+    let ckpt = dir.join("ck");
+    fs::create_dir_all(ckpt.join("eleph.ckpt.tmp")).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_eleph"))
+        .args(["run", "--synth", "--flows", "200", "--intervals", "4", "--interval-secs", "20"])
+        .args(["--prefixes", "2000", "--checkpoint-dir"])
+        .arg(&ckpt)
+        .arg("--out")
+        .arg(dir.join("run.jsonl"))
+        .output()
+        .expect("eleph runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let path = ckpt.join("eleph.ckpt");
+    assert!(stderr.contains(path.to_str().expect("utf-8 temp dir")), "{stderr}");
+    assert!(stderr.contains("checkpoint I/O error"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!path.exists(), "no image was renamed into place");
     fs::remove_dir_all(&dir).ok();
 }
 

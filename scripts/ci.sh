@@ -24,7 +24,9 @@
 #      waits for the first checkpoint file, so there is always a
 #      snapshot to resume from, and the gate fails if the victim was not
 #      killed mid-run (exit by SIGKILL with intervals still to seal): a
-#      run that finished first proves nothing about recovery;
+#      run that finished first proves nothing about recovery; and no
+#      `eleph.ckpt.tmp` may be left beside either final image, so no
+#      image was still in flight on the writer thread when a run exited;
 #   6. churn determinism: `eleph churn` generates a route-update
 #      schedule, the same capture is streamed twice with `--rib-updates`
 #      replaying that schedule mid-stream, and the two JSONL outputs
@@ -78,15 +80,20 @@
 #      bytewise loop it replaced, the in-place encoder against the
 #      copying assembly it replaced (random captures x scheme x state
 #      backend x engine), one `Checkpointer` buffer reused for a large
-#      image and then a small one, and a resumed run's cadence against
-#      the uninterrupted run's — all part of tier-1; re-run by name so a
-#      format drift is attributed immediately;
+#      image and then a small one, a resumed run's cadence against the
+#      uninterrupted run's, and an image the writer thread cannot write
+#      (or a writer thread that is gone) failing the run with the typed
+#      I/O error, in the library and as `eleph run`'s exit status 1 —
+#      all part of tier-1; re-run by name so a format drift or a lost
+#      write error is attributed immediately;
 #  13. thread count: start-up parses the RIB and paints the table on
 #      every core, so `eleph run --pcap --rib` over the `capture_files`
 #      example's inputs (static, then live with `--rib-updates` and
 #      `--checkpoint-every 1`) runs once under `taskset -c 0` and once
-#      unrestricted, and the JSONL and the final `eleph.ckpt` must be
-#      byte-identical (without `taskset` the pinned runs are skipped,
+#      unrestricted, and the JSONL, the final `eleph.ckpt` and the
+#      summary's `"checkpoints":N` must be identical — the image count
+#      depends neither on cores nor on the writer thread's timing
+#      (without `taskset` the pinned runs are skipped,
 #      and the gate says so); the capture is also piped through
 #      `cat … | eleph run --pcap /dev/stdin` without `--start-unix`, and
 #      its JSONL must equal the file run's;
@@ -147,7 +154,9 @@ cargo run -q --release -p eleph-report --bin eleph -- \
 echo "== crash safety: SIGKILL a checkpointed run, resume, diff against reference =="
 eleph=target/release/eleph
 # Sized to outlive its first checkpoint by seconds, not milliseconds:
-# one snapshot (write + fsync + rename) per interval, 900 of them.
+# one snapshot per interval, 900 of them, each encoded and put on disk
+# (write + fsync + rename) by the writer thread while the next interval
+# streams, at most one in flight.
 crash_intervals=900
 crash_args=(run --synth --flows 2000 --intervals "$crash_intervals" --interval-secs 20
     --prefixes 2000)
@@ -177,6 +186,10 @@ diff "$tmpdir/crash.jsonl" "$tmpdir/crash_ref.jsonl" \
     || { echo "crash safety: resumed output diverges from reference" >&2; exit 1; }
 cmp "$tmpdir/ckpt/eleph.ckpt" "$tmpdir/ckpt_ref/eleph.ckpt" \
     || { echo "crash safety: resumed run ends on a different checkpoint than the reference" >&2; exit 1; }
+for ck in ckpt ckpt_ref; do
+    [ ! -e "$tmpdir/$ck/eleph.ckpt.tmp" ] \
+        || { echo "crash safety: $ck/eleph.ckpt.tmp left behind: an image was in flight at exit" >&2; exit 1; }
+done
 
 echo "== churn determinism: replay the same update schedule twice, diff JSONL =="
 "$eleph" churn --prefixes 2000 --seed 9 --start-unix 995990400 \
@@ -280,15 +293,18 @@ cargo test -q -p eleph-core --lib sketch::tests::slot_heap
 cargo test -q -p eleph-tests --test sketch_equivalence \
     sketch_checkpoint_resume_is_bit_identical_under_eviction
 
-echo "== checkpoint bytes: fixtures, crc32 vs bytewise, in-place vs copying encoder, buffer reuse, resume cadence =="
+echo "== checkpoint bytes: fixtures, crc32 vs bytewise, in-place vs copying encoder, buffer reuse, resume cadence, failed writes =="
 cargo test -q -p eleph-pipeline --lib -- \
     checkpoint::tests::sample_images_equal_the_committed_fixtures \
     checkpoint::tests::crc32_ \
     checkpoint::tests::in_place_image_equals_the_copying_oracle \
-    checkpoint::tests::a_reused_buffer_holds_only_the_new_image
+    checkpoint::tests::a_reused_buffer_holds_only_the_new_image \
+    checkpoint::tests::a_dead_writer_is_an_io_error_not_a_hang
 cargo test -q -p eleph-tests --test checkpoint_restore -- \
     synthetic_run_checkpoints_equal_their_recorded_length_and_crc \
-    resumed_run_keeps_the_uninterrupted_cadence
+    resumed_run_keeps_the_uninterrupted_cadence \
+    a_failed_image_write_is_a_typed_error
+cargo test -q -p eleph-report --test cli_usage an_unwritable_checkpoint_exits_1_naming_its_path
 
 echo "== thread count: one core vs every core, and a piped capture, byte-for-byte =="
 cargo run -q --release -p eleph-tests --example capture_files -- "$tmpdir/in" > /dev/null
@@ -317,6 +333,9 @@ if [ "${#pins[@]}" -eq 2 ]; then
         cmp "$tmpdir/$f" "$tmpdir/${f//one/all}" \
             || { echo "thread count: $f differs between one core and every core" >&2; exit 1; }
     done
+    images() { grep -o '"checkpoints":[0-9]*' "$tmpdir/live_$1.summary"; }
+    [ -n "$(images all)" ] && [ "$(images one)" = "$(images all)" ] \
+        || { echo "thread count: image count $(images one) on one core, $(images all) on every core" >&2; exit 1; }
 fi
 cat "$in/c.pcap" | "$eleph" run --pcap /dev/stdin "${file_args[@]}" \
     --out "$tmpdir/piped.jsonl" 2> /dev/null

@@ -439,24 +439,35 @@ fn resume_against_wrong_table_generation_is_a_typed_mismatch() {
         .expect("replayed table matches the recorded generation");
 }
 
-/// A source that looks at the checkpoint file before every chunk it
-/// hands out — the pipeline has just passed a chunk boundary, the only
-/// place it writes one — and keeps each new image.
-struct Watched<S> {
+/// A source that ends after every chunk it hands out, once, and then
+/// goes on: each `run_checkpointed` over it streams one chunk and
+/// returns, and a run returns only once the image it handed to the
+/// writer thread is on disk. Calling it until `done` is the whole run,
+/// with the checkpoint file observable at every chunk boundary — the
+/// only place one is written.
+struct OneChunkPerRun<S> {
     inner: S,
-    file: PathBuf,
-    last: Vec<u8>,
-    images: Vec<Vec<u8>>,
+    /// The last call handed out a chunk: the next one ends this run.
+    ending: bool,
+    /// The inner source is exhausted.
+    done: bool,
 }
 
-impl<S: PacketSource> PacketSource for Watched<S> {
+impl<S> OneChunkPerRun<S> {
+    fn new(inner: S) -> Self {
+        OneChunkPerRun { inner, ending: false, done: false }
+    }
+}
+
+impl<S: PacketSource> PacketSource for OneChunkPerRun<S> {
     fn next_chunk(&mut self, out: &mut Vec<PacketMeta>) -> eleph_packet::Result<usize> {
-        let now = fs::read(&self.file).unwrap_or_default();
-        if now != self.last {
-            self.images.push(now.clone());
-            self.last = now;
+        if std::mem::take(&mut self.ending) {
+            return Ok(0);
         }
-        self.inner.next_chunk(out)
+        let n = self.inner.next_chunk(out)?;
+        self.ending = n > 0;
+        self.done = n == 0;
+        Ok(n)
     }
 
     fn malformed(&self) -> u64 {
@@ -476,31 +487,35 @@ fn resumed_run_keeps_the_uninterrupted_cadence() {
     let (table, pcap, t, start, n) = capture(404, 12);
     let scheme = Scheme::LatentHeat { window: 2 };
     let every = 3;
-    // Run in `dir`, from its checkpoint file if it holds one; every
-    // image written, in order.
+    // Run in `dir`, from its checkpoint file if it holds one, one chunk
+    // per `run_checkpointed`; every image written, in order.
     let images_of_run_in = |dir: &Path| -> Vec<Vec<u8>> {
         let mut checkpointer = Checkpointer::new(dir, every).expect("checkpointer");
         let file = checkpointer.path().to_path_buf();
-        let mut source = Watched {
-            inner: PcapSource::new(&pcap[..]).expect("valid pcap"),
-            last: fs::read(&file).unwrap_or_default(),
-            file,
-            images: Vec::new(),
-        };
+        let mut last = fs::read(&file).unwrap_or_default();
+        let mut source = OneChunkPerRun::new(PcapSource::new(&pcap[..]).expect("valid pcap"));
         let builder = builder(&table, scheme, t, start, n);
-        let mut pipeline = if source.last.is_empty() {
+        let mut pipeline = if last.is_empty() {
             builder.build()
         } else {
-            let ckpt = Checkpoint::read_from(&mut &source.last[..]).expect("checkpoint");
+            let ckpt = Checkpoint::read_from(&mut &last[..]).expect("checkpoint");
             skip_offered(&mut source.inner, ckpt.offered()).expect("skip consumed records");
             builder.resume(&ckpt).expect("resume")
         };
-        pipeline
-            .run_checkpointed(&mut source, &mut checkpointer)
-            .expect("run");
+        let mut images = Vec::new();
+        while !source.done {
+            pipeline
+                .run_checkpointed(&mut source, &mut checkpointer)
+                .expect("run");
+            let now = fs::read(&file).unwrap_or_default();
+            if now != last {
+                images.push(now.clone());
+                last = now;
+            }
+        }
         pipeline.finish().expect("finish");
-        assert_eq!(checkpointer.written().images, source.images.len() as u64);
-        source.images
+        assert_eq!(checkpointer.written().images, images.len() as u64);
+        images
     };
     let sealed_at = |image: &Vec<u8>| {
         Checkpoint::read_from(&mut &image[..])
@@ -526,6 +541,47 @@ fn resumed_run_keeps_the_uninterrupted_cadence() {
         fs::remove_dir_all(&run_dir).ok();
     }
     fs::remove_dir_all(&dir).ok();
+}
+
+/// An image the writer thread cannot write fails the run with the typed
+/// I/O error — no hang, no panic — and leaves the image before it on
+/// disk, loadable. A directory planted where the temp file goes makes
+/// the create fail, for root too. Planted before the first image (of
+/// three, at 3, 6 and 9 sealed), the failure surfaces when the second
+/// is handed over; planted before the last, nothing is handed over
+/// after it, and the wait before the run returns is what surfaces it.
+#[test]
+fn a_failed_image_write_is_a_typed_error() {
+    let (table, pcap, t, start, n) = capture(404, 12);
+    let scheme = Scheme::LatentHeat { window: 2 };
+    for landed in [0, 2] {
+        let dir = scratch("failed-write");
+        let mut checkpointer = Checkpointer::new(&dir, 3).expect("checkpointer");
+        let mut pipeline = builder(&table, scheme, t, start, n).build();
+        let mut source = OneChunkPerRun::new(PcapSource::new(&pcap[..]).expect("valid pcap"));
+        while checkpointer.written().images < landed {
+            assert!(!source.done, "the run wrote fewer than {landed} images");
+            pipeline
+                .run_checkpointed(&mut source, &mut checkpointer)
+                .expect("run up to the planted directory");
+        }
+        let before = fs::read(checkpointer.path()).ok();
+        assert_eq!(before.is_some(), landed > 0);
+        fs::create_dir(dir.join(format!("{CHECKPOINT_FILE}.tmp"))).expect("plant a directory");
+        match pipeline.run_checkpointed(&mut source.inner, &mut checkpointer) {
+            Err(PipelineError::Checkpoint(CheckpointError::Io(_))) => {}
+            other => panic!("{landed} images landed: expected a checkpoint I/O error, got {other:?}"),
+        }
+        assert_eq!(checkpointer.written().images, landed);
+        match before {
+            Some(image) => {
+                assert_eq!(fs::read(checkpointer.path()).expect("previous image"), image);
+                Checkpoint::load(checkpointer.path()).expect("the previous image loads");
+            }
+            None => assert!(!checkpointer.path().exists(), "no image was renamed into place"),
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// The final `eleph.ckpt` of a seeded `eleph run --synth`, per scheme
