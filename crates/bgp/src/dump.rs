@@ -30,8 +30,8 @@
 //!
 //! [`read_routes`] is the reader: one pass over the bytes, one reused
 //! line buffer, no allocation per line beyond the route's own AS path.
-//! [`read_dump`] is that plus insertion into a mutable [`BgpTable`];
-//! a caller that only attributes packets wants
+//! [`read_dump`] is that put into a [`BgpTable`]'s order; a caller that
+//! only attributes packets wants
 //! [`crate::FrozenBgpTable::from_routes`]`(read_routes(..)?)` instead.
 //!
 //! [`read_routes`] (and so [`read_dump`]) is the one call here that uses
@@ -329,9 +329,8 @@ fn parse_route_fields(line: usize, fields: &[&str]) -> Result<RouteEntry, DumpEr
 /// [`crate::FrozenBgpTable::from_routes`] (or
 /// [`crate::LiveBgpTable::from_routes`]): both number the routes in
 /// ascending prefix order and let the last of two routes for one prefix
-/// win, exactly as inserting them into a [`BgpTable`] in file order and
-/// freezing that would. When the table has to stay mutable, hand it to
-/// [`BgpTable::from_entries`], which is what [`read_dump`] does.
+/// win, exactly as [`BgpTable::from_entries`] orders them — which is
+/// what [`read_dump`] does.
 ///
 /// The input is read to its end and parsed in line-aligned pieces on
 /// one thread per core (see the [module docs](self)); the routes and the
@@ -407,9 +406,9 @@ fn count_lines(bytes: &[u8]) -> usize {
     bytes.chunks(255).map(|chunk| usize::from(tally(chunk))).sum()
 }
 
-/// Parse a mutable table from the text format: [`read_routes`], each
-/// route inserted in file order (a later duplicate prefix replaces the
-/// earlier one).
+/// Parse a table from the text format: [`read_routes`] put into
+/// ascending prefix order, a later duplicate prefix replacing the
+/// earlier one.
 pub fn read_dump<R: Read>(input: R) -> Result<BgpTable, DumpError> {
     Ok(BgpTable::from_entries(read_routes(input)?))
 }

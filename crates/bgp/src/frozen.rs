@@ -16,17 +16,17 @@ pub type RouteId = u32;
 /// A RIB snapshot frozen into a flat-array lookup structure.
 ///
 /// This is the router RIB/FIB split applied to the measurement
-/// pipeline: [`crate::BgpTable`] stays the updatable source of truth (route
-/// churn, insertion, removal), while `FrozenBgpTable` is the immutable
-/// data-plane copy every packet is attributed against. Attribution is
+/// pipeline: a route list ([`crate::BgpTable`], a parsed dump) is the
+/// source of truth, and `FrozenBgpTable` is the immutable data-plane
+/// copy every packet is attributed against. Attribution is
 /// O(1) with ≤ 2 dependent memory reads ([`eleph_net::FlatLpm`]) and
 /// returns a dense [`RouteId`] — no `Prefix → id` hash lookup on the
 /// hot path.
 ///
 /// Build one with [`FrozenBgpTable::from_routes`] (straight from a
 /// route list, e.g. [`crate::dump::read_routes`]) or
-/// [`crate::BgpTable::freeze`] (from the mutable table); rebuild after
-/// the routes change.
+/// [`crate::BgpTable::freeze`]; rebuild after the routes change (or use
+/// a [`crate::LiveBgpTable`], which takes updates).
 #[derive(Debug, Clone)]
 pub struct FrozenBgpTable {
     flat: FlatLpm<RouteEntry>,
@@ -39,9 +39,9 @@ impl FrozenBgpTable {
     ///
     /// [`RouteId`]s run `0..len()` in ascending prefix order whatever
     /// order `routes` is in; of two routes for the same prefix the later
-    /// one wins. Both are what inserting the list into a `BgpTable` and
-    /// freezing that gives — [`crate::BgpTable::freeze`] is this
-    /// constructor over a clone of the table's routes.
+    /// one wins ([`eleph_net::rib_order`], which is also a `BgpTable`'s
+    /// order) — [`crate::BgpTable::freeze`] is this constructor over a
+    /// clone of the table's routes.
     pub fn from_routes(routes: Vec<RouteEntry>) -> Self {
         FrozenBgpTable {
             flat: FlatLpm::from_values(routes, |e| e.prefix),
@@ -156,6 +156,10 @@ mod tests {
             entry("10.1.2.0/25"),
             entry("203.0.113.7/32"),
         ]);
+        let mut linear = eleph_net::LinearLpm::new();
+        for e in table.iter() {
+            linear.insert(e.prefix, ());
+        }
         let frozen = table.freeze();
         assert_eq!(frozen.len(), table.len());
         for addr in [
@@ -166,9 +170,9 @@ mod tests {
             Ipv4Addr::new(203, 0, 113, 8),
             Ipv4Addr::new(11, 0, 0, 1),
         ] {
-            let live = table.attribute(addr).map(|(p, _)| p);
+            let want = linear.lookup_addr(addr).map(|(p, _)| p);
             let froze = frozen.attribute(addr).map(|(id, _)| frozen.prefix(id));
-            assert_eq!(live, froze, "addr {addr}");
+            assert_eq!(froze, want, "addr {addr}");
         }
     }
 

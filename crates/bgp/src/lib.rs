@@ -8,9 +8,9 @@
 //!
 //! * [`RouteEntry`] / [`Origin`] / [`PeerClass`] — one RIB entry with the
 //!   attributes the analysis needs (AS path, origin, peer classification);
-//! * [`BgpTable`] — an LPM-indexed RIB over [`eleph_net::CompressedTrieLpm`]
-//!   with prefix attribution ([`BgpTable::attribute`]) and unshadowed
-//!   address sampling for trace synthesis;
+//! * [`BgpTable`] — a RIB snapshot: its routes in ascending prefix order
+//!   ([`eleph_net::rib_order`]), with unshadowed address sampling for
+//!   trace synthesis ([`BgpTable::sample_unshadowed_addr`]);
 //! * [`FrozenBgpTable`] — the read-optimized FIB compiled from a table
 //!   snapshot by [`BgpTable::freeze`]: O(1) flat-array attribution
 //!   returning dense [`RouteId`]s, which is what the packet hot path in

@@ -215,7 +215,7 @@ impl LiveBgpTable {
         self.routes.lock().expect("route store poisoned").n_ids as usize
     }
 
-    /// Snapshot the *live* routes into an updatable [`BgpTable`]
+    /// Snapshot the *live* routes into a [`BgpTable`]
     /// (used to compare a delta-built table against a fresh freeze).
     pub fn to_table(&self) -> BgpTable {
         let view = self.view();

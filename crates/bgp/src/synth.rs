@@ -90,11 +90,11 @@ pub fn generate(config: &SynthConfig) -> BgpTable {
     assert!(total_weight > 0, "length_weights must not be all zero");
 
     let mut seen: HashSet<Prefix> = HashSet::with_capacity(config.n_prefixes);
-    let mut table = BgpTable::new();
+    let mut routes = Vec::with_capacity(config.n_prefixes);
 
     // A small pool of "first octets" weighted toward the ranges that were
     // actually allocated in 2001, so /8 collisions are realistic.
-    while table.len() < config.n_prefixes {
+    while routes.len() < config.n_prefixes {
         let len = sample_length(&mut rng, &config.length_weights, total_weight);
         let prefix = match sample_prefix(&mut rng, len) {
             Some(p) => p,
@@ -103,10 +103,9 @@ pub fn generate(config: &SynthConfig) -> BgpTable {
         if !seen.insert(prefix) {
             continue;
         }
-        let entry = make_entry(&mut rng, prefix, config);
-        table.insert(entry);
+        routes.push(make_entry(&mut rng, prefix, config));
     }
-    table
+    BgpTable::from_entries(routes)
 }
 
 fn sample_length<R: Rng + ?Sized>(rng: &mut R, weights: &[u32; 33], total: u64) -> u8 {
@@ -255,7 +254,7 @@ mod tests {
 
     #[test]
     fn attribution_works_against_synthetic_table() {
-        let t = generate(&small_config());
+        let t = generate(&small_config()).freeze();
         let mut rng = StdRng::seed_from_u64(5);
         let mut hits = 0;
         for _ in 0..1_000 {

@@ -1,62 +1,52 @@
-//! The LPM-indexed routing table.
+//! The routing table: its routes, in RIB-dump order.
 
 use std::net::Ipv4Addr;
 
-use eleph_net::{CompressedTrieLpm, Lpm, Prefix, PrefixSet};
+use eleph_net::{rib_order, Prefix, PrefixSet};
 use rand::Rng;
 
 use crate::RouteEntry;
 
-/// A BGP RIB snapshot indexed for longest-prefix-match attribution.
+/// A BGP RIB snapshot: one route per prefix, in ascending prefix order.
 ///
-/// [`BgpTable::attribute`] is the core of the paper's methodology: it maps
-/// a packet's destination address to the prefix whose per-interval
-/// bandwidth series the classification schemes operate on.
+/// This is the table the report scenarios and `--synth` generate
+/// traffic from ([`BgpTable::sample_unshadowed_addr`]) and a RIB dump is
+/// written from. Packets are attributed against its
+/// [`BgpTable::freeze`]d copy (or a [`crate::LiveBgpTable`]), never
+/// against this one.
 #[derive(Debug, Clone, Default)]
 pub struct BgpTable {
-    lpm: CompressedTrieLpm<RouteEntry>,
+    /// In [`rib_order`]: strictly ascending by prefix.
+    routes: Vec<RouteEntry>,
 }
 
 impl BgpTable {
     /// Empty table.
     pub fn new() -> Self {
-        BgpTable {
-            lpm: CompressedTrieLpm::new(),
-        }
+        BgpTable { routes: Vec::new() }
     }
 
     /// Build from entries; a duplicate prefix replaces the earlier entry.
     pub fn from_entries<I: IntoIterator<Item = RouteEntry>>(entries: I) -> Self {
-        let mut t = Self::new();
-        for e in entries {
-            t.insert(e);
+        BgpTable {
+            routes: rib_order(entries.into_iter().collect(), |e| e.prefix),
         }
-        t
-    }
-
-    /// Insert a route, returning the replaced entry if the prefix existed.
-    pub fn insert(&mut self, entry: RouteEntry) -> Option<RouteEntry> {
-        self.lpm.insert(entry.prefix, entry)
-    }
-
-    /// Remove the route for exactly `prefix`.
-    pub fn remove(&mut self, prefix: Prefix) -> Option<RouteEntry> {
-        self.lpm.remove(prefix)
     }
 
     /// Exact-match fetch.
     pub fn get(&self, prefix: Prefix) -> Option<&RouteEntry> {
-        self.lpm.get(prefix)
+        let i = self.routes.binary_search_by_key(&prefix, |e| e.prefix).ok()?;
+        Some(&self.routes[i])
     }
 
     /// Number of routes.
     pub fn len(&self) -> usize {
-        self.lpm.len()
+        self.routes.len()
     }
 
     /// Whether the table has no routes.
     pub fn is_empty(&self) -> bool {
-        self.lpm.is_empty()
+        self.routes.is_empty()
     }
 
     /// Freeze the current snapshot into a read-optimized
@@ -69,34 +59,24 @@ impl BgpTable {
     /// frozen copy of a dump should hand `from_routes` the routes
     /// [`crate::dump::read_routes`] returns and skip this table.
     pub fn freeze(&self) -> crate::FrozenBgpTable {
-        crate::FrozenBgpTable::from_routes(self.iter().cloned().collect())
-    }
-
-    /// Longest-prefix attribution of a destination address: the flow key.
-    pub fn attribute(&self, dst: Ipv4Addr) -> Option<(Prefix, &RouteEntry)> {
-        self.lpm.lookup_addr(dst)
-    }
-
-    /// Longest-prefix attribution from host-order bits.
-    pub fn attribute_u32(&self, dst: u32) -> Option<(Prefix, &RouteEntry)> {
-        self.lpm.lookup(dst)
+        crate::FrozenBgpTable::from_routes(self.routes.clone())
     }
 
     /// Iterate over all routes in RIB-dump order.
     pub fn iter(&self) -> impl Iterator<Item = &RouteEntry> {
-        self.lpm.iter().map(|(_, e)| e)
+        self.routes.iter()
     }
 
     /// The set of all prefixes in the table.
     pub fn prefix_set(&self) -> PrefixSet {
-        self.lpm.iter().map(|(p, _)| p).collect()
+        self.routes.iter().map(|e| e.prefix).collect()
     }
 
     /// Histogram of prefix lengths (index = length).
     pub fn length_histogram(&self) -> [usize; 33] {
         let mut h = [0usize; 33];
-        for (p, _) in self.lpm.iter() {
-            h[p.len() as usize] += 1;
+        for e in &self.routes {
+            h[e.prefix.len() as usize] += 1;
         }
         h
     }
@@ -104,7 +84,8 @@ impl BgpTable {
     /// Sample an address inside `prefix` that longest-matches `prefix`
     /// itself (i.e. is not shadowed by a more-specific route). Returns
     /// `None` after `tries` rejections — which happens when the prefix is
-    /// fully covered by more-specifics.
+    /// fully covered by more-specifics, and always when the table does
+    /// not hold `prefix`.
     ///
     /// Trace synthesis uses this so that generated traffic for a flow is
     /// attributed back to the same flow by the measurement pipeline.
@@ -114,6 +95,16 @@ impl BgpTable {
         rng: &mut R,
         tries: usize,
     ) -> Option<Ipv4Addr> {
+        // In ascending order a prefix's more-specifics are the run right
+        // after it; an address in `prefix` matches it longest iff it is
+        // in no route of that run.
+        let more_specifics = match self.routes.binary_search_by_key(&prefix, |e| e.prefix) {
+            Ok(i) => {
+                let after = &self.routes[i + 1..];
+                Some(&after[..after.partition_point(|e| prefix.contains_prefix(&e.prefix))])
+            }
+            Err(_) => None,
+        };
         let host_bits = 32 - prefix.len();
         for _ in 0..tries {
             let offset = if host_bits == 0 {
@@ -124,8 +115,8 @@ impl BgpTable {
                 rng.gen_range(0..(1u32 << host_bits))
             };
             let addr_bits = prefix.bits() | offset;
-            match self.lpm.lookup(addr_bits) {
-                Some((got, _)) if got == prefix => {
+            match more_specifics {
+                Some(run) if !run.iter().any(|e| e.prefix.contains_u32(addr_bits)) => {
                     return Some(Ipv4Addr::from(addr_bits));
                 }
                 _ => continue,
@@ -161,24 +152,22 @@ mod tests {
     #[test]
     fn attribution_longest_match() {
         let t = BgpTable::from_entries(vec![entry("10.0.0.0/8"), entry("10.1.0.0/16")]);
-        let (p, _) = t.attribute(Ipv4Addr::new(10, 1, 2, 3)).unwrap();
-        assert_eq!(p, "10.1.0.0/16".parse().unwrap());
-        let (p, _) = t.attribute(Ipv4Addr::new(10, 2, 0, 1)).unwrap();
-        assert_eq!(p, "10.0.0.0/8".parse().unwrap());
-        assert!(t.attribute(Ipv4Addr::new(11, 0, 0, 1)).is_none());
+        let frozen = t.freeze();
+        let prefix_of = |addr| frozen.attribute(addr).map(|(_, e)| e.prefix.to_string());
+        assert_eq!(prefix_of(Ipv4Addr::new(10, 1, 2, 3)).unwrap(), "10.1.0.0/16");
+        assert_eq!(prefix_of(Ipv4Addr::new(10, 2, 0, 1)).unwrap(), "10.0.0.0/8");
+        assert_eq!(prefix_of(Ipv4Addr::new(11, 0, 0, 1)), None);
     }
 
     #[test]
-    fn insert_replace_remove() {
-        let mut t = BgpTable::new();
-        assert!(t.insert(entry("10.0.0.0/8")).is_none());
+    fn duplicate_prefix_last_wins() {
         let mut replacement = entry("10.0.0.0/8");
         replacement.as_path = vec![7018];
-        let old = t.insert(replacement).unwrap();
-        assert_eq!(old.as_path, vec![1239, 701]);
-        assert_eq!(t.len(), 1);
-        assert!(t.remove("10.0.0.0/8".parse().unwrap()).is_some());
-        assert!(t.is_empty());
+        let t = BgpTable::from_entries(vec![entry("10.0.0.0/8"), entry("9.0.0.0/8"), replacement]);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.get("10.0.0.0/8".parse().unwrap()).unwrap().as_path, vec![7018]);
+        assert_eq!(t.get("10.0.0.0/9".parse().unwrap()), None);
+        assert!(BgpTable::new().is_empty());
     }
 
     #[test]
@@ -197,12 +186,13 @@ mod tests {
     #[test]
     fn unshadowed_sampling_avoids_specifics() {
         let t = BgpTable::from_entries(vec![entry("10.0.0.0/8"), entry("10.1.0.0/16")]);
+        let frozen = t.freeze();
         let mut rng = StdRng::seed_from_u64(1);
         let eight: Prefix = "10.0.0.0/8".parse().unwrap();
         for _ in 0..100 {
             let addr = t.sample_unshadowed_addr(eight, &mut rng, 64).unwrap();
-            let (p, _) = t.attribute(addr).unwrap();
-            assert_eq!(p, eight, "addr {addr} attributed to {p}");
+            let (_, e) = frozen.attribute(addr).unwrap();
+            assert_eq!(e.prefix, eight, "addr {addr} attributed to {}", e.prefix);
         }
     }
 

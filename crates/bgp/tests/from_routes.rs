@@ -1,14 +1,15 @@
 //! The one-pass constructors against the table they skip: for any
 //! route list — shuffled, with repeated prefixes, with routes longer
 //! than /24 — `FrozenBgpTable::from_routes` and
-//! `LiveBgpTable::from_routes` must build what inserting the list into
-//! a `BgpTable` and freezing (or `from_table`) builds: same ids, same
-//! routes, same lookups, the last of two routes for one prefix winning.
+//! `LiveBgpTable::from_routes` must build what putting the list into a
+//! `BgpTable` and freezing it (or `from_table`) builds: same ids, same
+//! routes, same lookups, the last of two routes for one prefix winning,
+//! and every lookup the linear-scan oracle's.
 
 use std::net::Ipv4Addr;
 
 use eleph_bgp::{BgpTable, FrozenBgpTable, LiveBgpTable, Origin, PeerClass, RouteEntry};
-use eleph_net::Prefix;
+use eleph_net::{LinearLpm, Prefix};
 use proptest::prelude::*;
 
 /// Routes from a small pool of prefixes (so they nest and repeat), each
@@ -66,11 +67,15 @@ proptest! {
             let last = list.iter().rev().find(|l| l.prefix == e.prefix).unwrap();
             prop_assert_eq!(got.route(got.id_of(e.prefix).unwrap()), last);
         }
+        let mut linear = LinearLpm::new();
+        for e in &list {
+            linear.insert(e.prefix, ());
+        }
         for addr in probes(&list) {
             prop_assert_eq!(got.attribute_id(addr), want.attribute_id(addr), "addr {:#010x}", addr);
-            // ... and both say what the trie says.
-            let by_trie = table.attribute_u32(addr).map(|(p, _)| p);
-            prop_assert_eq!(got.attribute_id(addr).map(|id| got.prefix(id)), by_trie);
+            // ... and both say what the linear scan says.
+            let by_scan = linear.lookup(addr).map(|(p, _)| p);
+            prop_assert_eq!(got.attribute_id(addr).map(|id| got.prefix(id)), by_scan);
         }
     }
 

@@ -8,10 +8,11 @@
 //! heat, with the single-interval-elephant count dropping from > 1000 to
 //! ≈ 50 (Figure 1(c)).
 
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use eleph_flow::KeyId;
-use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::ClassificationResult;
 
@@ -83,36 +84,29 @@ pub fn analyze(
         "window {window:?} beyond {} intervals",
         result.n_intervals()
     );
-    let mut slots: FxHashMap<KeyId, usize> = FxHashMap::default();
-    let mut runs: FxHashMap<KeyId, usize> = FxHashMap::default();
-    let mut prev: FxHashSet<KeyId> = FxHashSet::default();
-
+    // Per key, in key order: (slots, runs). Elephant lists are ascending,
+    // so "was it an elephant last interval" is a binary search.
+    let mut counts: BTreeMap<KeyId, (usize, usize)> = BTreeMap::new();
+    let mut prev: &[KeyId] = &[];
     for n in window.clone() {
-        let current: FxHashSet<KeyId> = result.elephants[n].iter().copied().collect();
-        for &key in &current {
-            *slots.entry(key).or_default() += 1;
-            if !prev.contains(&key) {
-                *runs.entry(key).or_default() += 1;
+        let current = &result.elephants[n][..];
+        for &key in current {
+            let (slots, runs) = counts.entry(key).or_default();
+            *slots += 1;
+            if prev.binary_search(&key).is_err() {
+                *runs += 1;
             }
         }
         prev = current;
     }
 
-    let mut per_flow: Vec<(KeyId, FlowHolding)> = slots
+    let per_flow: Vec<(KeyId, FlowHolding)> = counts
         .into_iter()
-        .map(|(key, s)| {
-            let r = runs[&key];
-            (
-                key,
-                FlowHolding {
-                    slots: s,
-                    runs: r,
-                    avg_slots: s as f64 / r as f64,
-                },
-            )
+        .map(|(key, (slots, runs))| {
+            let avg_slots = slots as f64 / runs as f64;
+            (key, FlowHolding { slots, runs, avg_slots })
         })
         .collect();
-    per_flow.sort_unstable_by_key(|&(key, _)| key);
 
     let mean_avg_slots = if per_flow.is_empty() {
         0.0
@@ -134,14 +128,30 @@ pub fn analyze(
 /// between consecutive intervals. The paper's motivation for latent heat
 /// is precisely to keep this small for TE applications.
 pub fn churn(result: &ClassificationResult) -> Vec<usize> {
+    let mut prev: &[KeyId] = &[];
     let mut out = Vec::with_capacity(result.n_intervals());
-    let mut prev: FxHashSet<KeyId> = FxHashSet::default();
-    for n in 0..result.n_intervals() {
-        let current: FxHashSet<KeyId> = result.elephants[n].iter().copied().collect();
-        out.push(current.symmetric_difference(&prev).count());
+    for current in &result.elephants {
+        out.push(symmetric_difference_len(prev, current));
         prev = current;
     }
     out
+}
+
+/// `|a △ b|` for two ascending lists without repeats, by one merge walk.
+fn symmetric_difference_len(a: &[KeyId], b: &[KeyId]) -> usize {
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    a.len() + b.len() - 2 * common
 }
 
 #[cfg(test)]
@@ -253,5 +263,19 @@ mod tests {
         // n=0: {} → {1,2}: 2 changes. n=1: {1,2} → {2,3}: 2. n=2: 0.
         // n=3: {2,3} → {}: 2.
         assert_eq!(churn(&r), vec![2, 2, 0, 2]);
+    }
+
+    #[test]
+    fn merge_walk_counts_what_a_set_difference_counts() {
+        use std::collections::BTreeSet;
+        // Every subset of 0..6, ascending, against every other.
+        let sets: Vec<Vec<KeyId>> =
+            (0u32..64).map(|n| (0..6).filter(|k| n >> k & 1 == 1).collect()).collect();
+        for a in &sets {
+            for b in &sets {
+                let (sa, sb): (BTreeSet<_>, BTreeSet<_>) = (a.iter().collect(), b.iter().collect());
+                assert_eq!(symmetric_difference_len(a, b), sa.symmetric_difference(&sb).count());
+            }
+        }
     }
 }

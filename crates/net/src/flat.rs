@@ -33,8 +33,8 @@ pub(crate) const SPILL_BIT: u32 = 1 << 31;
 /// order of magnitude faster per lookup (the benchmark's
 /// `net.flat_lookup_ns_per_pkt` times it).
 ///
-/// The table is *frozen*: built once from any existing [`crate::Lpm`] (or an
-/// entry iterator) and immutable afterwards — matching how routers
+/// The table is *frozen*: built once from a route list (any entry
+/// iterator) and immutable afterwards — matching how routers
 /// separate the RIB (updated by BGP) from the FIB (optimized for the
 /// data plane). Entries are stored densely in RIB-dump order, so
 /// [`FlatLpm::lookup_id`] also serves as a perfect `Prefix → dense id`
@@ -83,7 +83,7 @@ fn resolve(stage1: &[u32], spill: &[u32], mask: usize, addr: u32) -> Option<u32>
 
 /// Put `entries` into RIB-dump order: ascending [`Prefix`] order, one
 /// entry per prefix, a later duplicate replacing the earlier one (the
-/// outcome of inserting them one by one into any [`crate::Lpm`]).
+/// outcome of inserting them one by one into a map keyed by prefix).
 ///
 /// This is the order [`FlatLpm`] assigns its dense ids in. Input that
 /// is already strictly ascending — a dump written by a table, a table
@@ -107,7 +107,7 @@ pub fn rib_order<T>(mut entries: Vec<T>, prefix: impl Fn(&T) -> Prefix) -> Vec<T
 
 impl<V> FlatLpm<V> {
     /// Build from `(prefix, value)` entries. A later duplicate prefix
-    /// replaces the earlier one, matching repeated [`crate::Lpm::insert`].
+    /// replaces the earlier one, as [`rib_order`] says.
     ///
     /// Values are moved, never cloned, and entries that already arrive
     /// in RIB-dump order (every table iterator yields them so) are not
@@ -328,12 +328,6 @@ impl<V> FlatLpm<V> {
     }
 }
 
-impl<V: Clone> From<&crate::CompressedTrieLpm<V>> for FlatLpm<V> {
-    fn from(table: &crate::CompressedTrieLpm<V>) -> Self {
-        Self::from_entries(table.iter().map(|(p, v)| (p, v.clone())))
-    }
-}
-
 impl<V> FromIterator<(Prefix, V)> for FlatLpm<V> {
     fn from_iter<I: IntoIterator<Item = (Prefix, V)>>(iter: I) -> Self {
         Self::from_entries(iter)
@@ -354,7 +348,7 @@ impl<V: fmt::Debug> fmt::Debug for FlatLpm<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompressedTrieLpm, LinearLpm, Lpm};
+    use crate::LinearLpm;
     use proptest::prelude::*;
 
     fn p(s: &str) -> Prefix {
@@ -590,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_trie_on_a_mixed_table() {
+    fn matches_linear_on_a_mixed_table() {
         let entries = vec![
             (p("0.0.0.0/0"), 0u32),
             (p("10.0.0.0/8"), 1),
@@ -602,14 +596,12 @@ mod tests {
             (p("10.1.2.77/32"), 7),
             (p("203.0.113.0/24"), 8),
         ];
-        let mut trie = CompressedTrieLpm::new();
         let mut linear = LinearLpm::new();
         for (pfx, v) in &entries {
-            trie.insert(*pfx, *v);
             linear.insert(*pfx, *v);
         }
-        let flat = FlatLpm::from(&trie);
-        assert_eq!(flat.len(), trie.len());
+        let flat = FlatLpm::from_entries(entries.iter().rev().copied());
+        assert_eq!(flat.len(), linear.len());
         // Probe every entry's own range boundaries plus neighbours.
         let mut probes: Vec<u32> = Vec::new();
         for (pfx, _) in &entries {

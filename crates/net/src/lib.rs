@@ -9,13 +9,13 @@
 //! * [`Prefix`] — a canonical IPv4 CIDR prefix (`10.0.0.0/8`), with the set
 //!   algebra (containment, overlap, parent/children) the rest of the system
 //!   builds on;
-//! * [`Lpm`] — the longest-prefix-match interface, with two updatable
-//!   implementations: [`LinearLpm`] (naive reference used as a test
-//!   oracle) and [`CompressedTrieLpm`] (path-compressed radix trie, the
-//!   mutable builder);
+//! * [`rib_order`] — the one order a route list is kept in: ascending
+//!   prefixes, the last of two entries for a prefix winning;
 //! * [`FlatLpm`] — a frozen, DIR-24-8-style flat-array table built once
-//!   from a route list or a trie; the read path of the packet pipeline
+//!   from a route list; the read path of the packet pipeline
 //!   ([`EpochLpm`] is its copy-on-write form for live route churn);
+//! * [`LinearLpm`] — a naive linear scan, the oracle the property tests
+//!   hold both tables to;
 //! * [`PrefixSet`] — an aggregating set of prefixes (used for RIB synthesis
 //!   and the prefix-length analysis of the paper's §III).
 //!
@@ -25,20 +25,19 @@
 //!
 //! | backend | build cost | update | lookup cost | memory | use when |
 //! |---|---|---|---|---|---|
+//! | [`FlatLpm`] | O(n + painted range), striped over the cores | **no** (rebuild) | **O(1), ≤ 2 dependent reads** | 64 MiB + 1 KiB per spilled /24 | a static table: per-packet attribution at line rate |
+//! | [`EpochLpm`] | O(n + painted range), on one thread | yes: announce/withdraw batches repaint the covered range, copy-on-write | O(1), one more dependent read (the page) | 16 KiB pages, untouched ones shared | route churn mid-stream: readers pin a generation |
 //! | [`LinearLpm`] | O(1)/insert | yes | O(n) scan | ~n | test oracle only |
-//! | [`CompressedTrieLpm`] | O(len)/insert | yes | ≤ nesting-depth hops | node per entry | the *updatable* RIB: streaming route churn |
-//! | [`FlatLpm`] | O(n + painted range) freeze | **no** (rebuild) | **O(1), ≤ 2 dependent reads** | 64 MiB + 1 KiB per spilled /24 | the *read* path: per-packet attribution at line rate |
 //!
-//! The intended production shape mirrors a router's RIB/FIB split: keep
-//! a [`CompressedTrieLpm`] as the updatable source of truth, and freeze
-//! it into a [`FlatLpm`] (`FlatLpm::from(&trie)`) whenever the table
-//! changes; serve all lookups from the frozen copy. On a ~100k-prefix
-//! backbone table the flat table answers a lookup in a handful of
-//! nanoseconds — several times faster than the compressed trie (the
-//! benchmark's `net.flat_lookup_ns_per_pkt` times it on a capture's
-//! destinations) — and its dense entry ids double as
-//! allocation-free accounting keys (`eleph_bgp::FrozenBgpTable`,
-//! `eleph_flow::Aggregator`).
+//! The production shape mirrors a router's RIB/FIB split: the route
+//! list, in [`rib_order`], is the source of truth, and the lookup table
+//! is compiled from it ([`FlatLpm::from_entries`] /
+//! [`FlatLpm::from_values`]) — its dense entry ids are the list's
+//! indices, which double as allocation-free accounting keys
+//! (`eleph_bgp::FrozenBgpTable`, `eleph_flow::Aggregator`). On a
+//! ~100k-prefix backbone table the flat table answers a lookup in a
+//! handful of nanoseconds (the benchmark's `net.flat_lookup_ns_per_pkt`
+//! times it on a capture's destinations).
 //!
 //! ## Single vs batched lookups
 //!
@@ -62,21 +61,23 @@
 //! # Example
 //!
 //! ```
-//! use eleph_net::{Prefix, Lpm, CompressedTrieLpm};
+//! use eleph_net::FlatLpm;
 //!
-//! let mut table: CompressedTrieLpm<&str> = CompressedTrieLpm::new();
-//! table.insert("10.0.0.0/8".parse().unwrap(), "coarse");
-//! table.insert("10.1.0.0/16".parse().unwrap(), "fine");
+//! let table = FlatLpm::from_entries([
+//!     ("10.1.0.0/16".parse().unwrap(), "fine"),
+//!     ("10.0.0.0/8".parse().unwrap(), "coarse"),
+//! ]);
 //!
 //! let (pfx, val) = table.lookup_addr("10.1.2.3".parse().unwrap()).unwrap();
 //! assert_eq!(pfx, "10.1.0.0/16".parse().unwrap());
 //! assert_eq!(*val, "fine");
+//! // Ids are positions in ascending prefix order.
+//! assert_eq!(table.lookup_id(u32::from_be_bytes([10, 2, 0, 1])), Some(0));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod compressed;
 pub mod epoch;
 mod error;
 mod flat;
@@ -85,7 +86,6 @@ mod paint;
 mod prefix;
 mod set;
 
-pub use compressed::CompressedTrieLpm;
 pub use epoch::{Applied, EpochLpm, LpmDelta, LpmSnapshot};
 pub use error::PrefixError;
 pub use flat::{rib_order, FlatLpm};
@@ -94,40 +94,6 @@ pub use prefix::Prefix;
 pub use set::PrefixSet;
 
 use std::net::Ipv4Addr;
-
-/// Longest-prefix-match table interface.
-///
-/// A table maps [`Prefix`]es to route values `V`; [`Lpm::lookup`] returns
-/// the entry with the longest prefix containing the queried address, which
-/// is exactly the flow key the paper's methodology assigns to a packet.
-pub trait Lpm<V> {
-    /// Insert `value` under `prefix`, returning the previous value if the
-    /// prefix was already present.
-    fn insert(&mut self, prefix: Prefix, value: V) -> Option<V>;
-
-    /// Remove the entry for exactly `prefix` (not covering prefixes),
-    /// returning its value if present.
-    fn remove(&mut self, prefix: Prefix) -> Option<V>;
-
-    /// Exact-match lookup.
-    fn get(&self, prefix: Prefix) -> Option<&V>;
-
-    /// Longest-prefix match for a 32-bit address.
-    fn lookup(&self, addr: u32) -> Option<(Prefix, &V)>;
-
-    /// Longest-prefix match for an [`Ipv4Addr`].
-    fn lookup_addr(&self, addr: Ipv4Addr) -> Option<(Prefix, &V)> {
-        self.lookup(u32::from(addr))
-    }
-
-    /// Number of entries in the table.
-    fn len(&self) -> usize;
-
-    /// Whether the table is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Read-only longest-prefix-match resolution to dense ids, generic over
 /// the address family `A`.

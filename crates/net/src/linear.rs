@@ -1,12 +1,17 @@
 //! Naive linear-scan LPM table, the correctness oracle for the real tables.
 
-use crate::{Lpm, Prefix};
+use std::net::Ipv4Addr;
+
+use crate::Prefix;
 
 /// Longest-prefix-match by linear scan over a vector of entries.
 ///
-/// O(n) lookups make this useless in production, but its behaviour is
-/// obviously correct, so the property tests compare every other [`Lpm`]
-/// implementation against it.
+/// A table maps [`Prefix`]es to values `V`; [`LinearLpm::lookup`]
+/// returns the entry with the longest prefix containing the queried
+/// address, which is exactly the flow key the paper's methodology
+/// assigns to a packet. O(n) lookups make this useless in production,
+/// but its behaviour is obviously correct, so the property tests compare
+/// every real table ([`crate::FlatLpm`], [`crate::EpochLpm`]) against it.
 #[derive(Debug, Clone, Default)]
 pub struct LinearLpm<V> {
     entries: Vec<(Prefix, V)>,
@@ -22,10 +27,10 @@ impl<V> LinearLpm<V> {
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &V)> {
         self.entries.iter().map(|(p, v)| (*p, v))
     }
-}
 
-impl<V> Lpm<V> for LinearLpm<V> {
-    fn insert(&mut self, prefix: Prefix, value: V) -> Option<V> {
+    /// Insert `value` under `prefix`, returning the previous value if the
+    /// prefix was already present.
+    pub fn insert(&mut self, prefix: Prefix, value: V) -> Option<V> {
         for (p, v) in &mut self.entries {
             if *p == prefix {
                 return Some(core::mem::replace(v, value));
@@ -35,19 +40,23 @@ impl<V> Lpm<V> for LinearLpm<V> {
         None
     }
 
-    fn remove(&mut self, prefix: Prefix) -> Option<V> {
+    /// Remove the entry for exactly `prefix` (not covering prefixes),
+    /// returning its value if present.
+    pub fn remove(&mut self, prefix: Prefix) -> Option<V> {
         let idx = self.entries.iter().position(|(p, _)| *p == prefix)?;
         Some(self.entries.swap_remove(idx).1)
     }
 
-    fn get(&self, prefix: Prefix) -> Option<&V> {
+    /// Exact-match lookup.
+    pub fn get(&self, prefix: Prefix) -> Option<&V> {
         self.entries
             .iter()
             .find(|(p, _)| *p == prefix)
             .map(|(_, v)| v)
     }
 
-    fn lookup(&self, addr: u32) -> Option<(Prefix, &V)> {
+    /// Longest-prefix match for a 32-bit address.
+    pub fn lookup(&self, addr: u32) -> Option<(Prefix, &V)> {
         self.entries
             .iter()
             .filter(|(p, _)| p.contains_u32(addr))
@@ -55,8 +64,19 @@ impl<V> Lpm<V> for LinearLpm<V> {
             .map(|(p, v)| (*p, v))
     }
 
-    fn len(&self) -> usize {
+    /// Longest-prefix match for an [`Ipv4Addr`].
+    pub fn lookup_addr(&self, addr: Ipv4Addr) -> Option<(Prefix, &V)> {
+        self.lookup(u32::from(addr))
+    }
+
+    /// Number of entries in the table.
+    pub fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 

@@ -185,13 +185,6 @@ pub(crate) fn mask(len: u8) -> u32 {
     }
 }
 
-/// Bit `i` (0 = most significant) of a host-order address.
-#[inline]
-pub(crate) fn addr_bit(bits: u32, i: u8) -> bool {
-    debug_assert!(i < 32);
-    bits & (0x8000_0000 >> i) != 0
-}
-
 impl fmt::Display for Prefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.network(), self.len)

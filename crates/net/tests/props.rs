@@ -1,10 +1,8 @@
-//! Property tests: every real LPM implementation must agree with the
-//! linear-scan oracle on random tables, and prefix algebra must hold on
-//! random prefixes.
+//! Property tests: both real LPM tables (flat and epoch) must agree with
+//! the linear-scan oracle on random tables, and prefix algebra must hold
+//! on random prefixes.
 
-use eleph_net::{
-    CompressedTrieLpm, EpochLpm, FlatLpm, LinearLpm, Lpm, LpmDelta, Prefix, PrefixSet,
-};
+use eleph_net::{EpochLpm, FlatLpm, LinearLpm, LpmDelta, Prefix, PrefixSet};
 use proptest::prelude::*;
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -61,66 +59,6 @@ proptest! {
     }
 
     #[test]
-    fn all_lpm_impls_agree_with_linear(entries in arb_table(), queries in prop::collection::vec(any::<u32>(), 0..64)) {
-        let mut linear = LinearLpm::new();
-        let mut compressed = CompressedTrieLpm::new();
-        for (p, v) in &entries {
-            linear.insert(*p, *v);
-            compressed.insert(*p, *v);
-        }
-        prop_assert_eq!(compressed.len(), linear.len());
-
-        // Probe random addresses plus each entry's own network address
-        // (guaranteed hits).
-        let extra: Vec<u32> = entries.iter().map(|(p, _)| p.bits()).collect();
-        for addr in queries.iter().chain(extra.iter()) {
-            let want = linear.lookup(*addr).map(|(p, v)| (p, *v));
-            prop_assert_eq!(compressed.lookup(*addr).map(|(p, v)| (p, *v)), want);
-        }
-    }
-
-    #[test]
-    fn lpm_impls_agree_after_removals(entries in arb_table(), removals in prop::collection::vec(any::<prop::sample::Index>(), 0..16), queries in prop::collection::vec(any::<u32>(), 0..32)) {
-        let mut linear = LinearLpm::new();
-        let mut compressed = CompressedTrieLpm::new();
-        for (p, v) in &entries {
-            linear.insert(*p, *v);
-            compressed.insert(*p, *v);
-        }
-        if !entries.is_empty() {
-            for idx in removals {
-                let (p, _) = entries[idx.index(entries.len())];
-                let want = linear.remove(p);
-                prop_assert_eq!(compressed.remove(p), want);
-            }
-        }
-        prop_assert_eq!(compressed.len(), linear.len());
-        for addr in &queries {
-            let want = linear.lookup(*addr).map(|(p, v)| (p, *v));
-            prop_assert_eq!(compressed.lookup(*addr).map(|(p, v)| (p, *v)), want);
-        }
-    }
-
-    #[test]
-    fn iteration_yields_every_inserted_entry(entries in arb_table()) {
-        let mut compressed = CompressedTrieLpm::new();
-        let mut expected: std::collections::BTreeMap<Prefix, u32> = Default::default();
-        for (p, v) in &entries {
-            compressed.insert(*p, *v);
-            expected.insert(*p, *v);
-        }
-        let got: std::collections::BTreeMap<Prefix, u32> =
-            compressed.iter().map(|(p, v)| (p, *v)).collect();
-        prop_assert_eq!(got, expected);
-
-        // And iteration order is sorted.
-        let order: Vec<Prefix> = compressed.iter().map(|(p, _)| p).collect();
-        let mut sorted = order.clone();
-        sorted.sort();
-        prop_assert_eq!(order, sorted);
-    }
-
-    #[test]
     fn aggregation_preserves_address_coverage(prefixes in prop::collection::vec(arb_prefix(), 0..24), probes in prop::collection::vec(any::<u32>(), 0..64)) {
         let original: PrefixSet = prefixes.iter().copied().collect();
         let mut aggregated = original.clone();
@@ -148,21 +86,29 @@ proptest! {
 }
 
 // The frozen flat table allocates its 64 MiB stage-1 array per build, so
-// this block runs fewer cases than the incremental-table properties above;
+// this block runs fewer cases than the prefix-algebra properties above;
 // the generator deliberately covers >/24 prefixes, shadowed prefixes, the
 // default route and the empty table.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn flat_lpm_agrees_with_compressed_trie(entries in arb_table(), queries in prop::collection::vec(any::<u32>(), 0..64)) {
-        let compressed = CompressedTrieLpm::from_entries(entries.iter().copied());
-        // Build once from the entry list and once from the live trie:
-        // both construction paths must agree.
+    fn flat_lpm_agrees_with_linear(entries in arb_table(), queries in prop::collection::vec(any::<u32>(), 0..64)) {
+        let mut linear = LinearLpm::new();
+        for (p, v) in &entries {
+            linear.insert(*p, *v);
+        }
+        // RIB-dump order is what a map keyed by prefix iterates: every
+        // prefix once, ascending, the last value given for it kept.
+        let ordered = eleph_net::rib_order(entries.clone(), |e| e.0);
+        let by_map: std::collections::BTreeMap<Prefix, u32> = entries.iter().copied().collect();
+        prop_assert_eq!(&ordered, &by_map.into_iter().collect::<Vec<_>>());
+        // Build once from the entry list as given and once from it in
+        // that order: both construction paths must agree.
         let flat = FlatLpm::from_entries(entries.iter().copied());
-        let refrozen = FlatLpm::from(&compressed);
-        prop_assert_eq!(flat.len(), compressed.len());
-        prop_assert_eq!(refrozen.len(), compressed.len());
+        let refrozen = FlatLpm::from_entries(ordered);
+        prop_assert_eq!(flat.len(), linear.len());
+        prop_assert_eq!(refrozen.len(), linear.len());
 
         // Probe random addresses plus each entry's own network and last
         // address (guaranteed hits, including inside spill blocks).
@@ -171,7 +117,7 @@ proptest! {
             .flat_map(|(p, _)| [p.bits(), u32::from(p.last_addr())])
             .collect();
         for addr in queries.iter().chain(extra.iter()) {
-            let want = compressed.lookup(*addr).map(|(p, v)| (p, *v));
+            let want = linear.lookup(*addr).map(|(p, v)| (p, *v));
             prop_assert_eq!(flat.lookup(*addr).map(|(p, v)| (p, *v)), want);
             prop_assert_eq!(refrozen.lookup(*addr).map(|(p, v)| (p, *v)), want);
             // The dense-id lookup must resolve to the same prefix.
@@ -182,7 +128,7 @@ proptest! {
         // Exact-match agrees for every inserted prefix, and ids are
         // consistent with dump order.
         for (p, _) in &entries {
-            prop_assert_eq!(flat.get(*p), compressed.get(*p));
+            prop_assert_eq!(flat.get(*p), linear.get(*p));
             let id = flat.id_of(*p).expect("inserted prefix has an id");
             prop_assert_eq!(flat.prefix(id), *p);
         }

@@ -654,9 +654,9 @@ fn stream(
 
     // The routes the run attributes against. A capture is only
     // attributed, so its RIB dump goes from text straight into the
-    // table the pipeline reads (below): no mutable `BgpTable`, no copy
+    // table the pipeline reads (below): no `BgpTable`, no copy
     // of any route. `--synth` generates its packets from a `BgpTable`
-    // first: sampling addresses needs the updatable trie.
+    // first: flow addresses are sampled from its sorted routes.
     let rib_error = |path: &str, e| io::Error::other(format!("--rib {path}: {e}"));
     let synthetic_table = || {
         eleph_bgp::synth::generate(&eleph_bgp::synth::SynthConfig {

@@ -12,8 +12,6 @@ pub enum StatsError {
         /// Samples provided.
         got: usize,
     },
-    /// Samples must be strictly positive for this estimator (log scale).
-    NonPositiveSample(f64),
     /// A parameter was outside its valid domain.
     BadParameter {
         /// Which parameter.
@@ -30,9 +28,6 @@ impl fmt::Display for StatsError {
         match self {
             StatsError::NotEnoughSamples { needed, got } => {
                 write!(f, "need at least {needed} samples, got {got}")
-            }
-            StatsError::NonPositiveSample(x) => {
-                write!(f, "sample {x} is not strictly positive")
             }
             StatsError::BadParameter { name, value } => {
                 write!(f, "parameter {name} = {value} out of domain")
@@ -53,7 +48,6 @@ mod tests {
         assert!(StatsError::NotEnoughSamples { needed: 10, got: 3 }
             .to_string()
             .contains("10"));
-        assert!(StatsError::NonPositiveSample(-1.0).to_string().contains("-1"));
         assert!(StatsError::BadParameter { name: "alpha", value: 0.0 }
             .to_string()
             .contains("alpha"));

@@ -15,8 +15,6 @@
 //!   log–log CCDFs;
 //! * [`Ewma`] — the exponentially weighted threshold update
 //!   `T̄(n+1) = γ·T̄(n) + (1−γ)·T(n)` of the paper's §II;
-//! * [`hill_estimator`] — the classical Hill tail-index estimator
-//!   (cross-check for aest);
 //! * [`aest`] — the Crovella–Taqqu scaling estimator: tail index α̂ plus
 //!   the **tail-onset point** the paper uses as its threshold;
 //! * [`dist`] — inverse-transform samplers (Pareto, bounded Pareto,
@@ -39,7 +37,6 @@ pub mod dist;
 mod ecdf;
 mod error;
 mod ewma;
-mod hill;
 mod histogram;
 mod order;
 mod regression;
@@ -50,7 +47,6 @@ pub use aest::{aest, AestConfig, AestResult, PairDiagnostic};
 pub use ecdf::Ecdf;
 pub use error::StatsError;
 pub use ewma::Ewma;
-pub use hill::{hill_estimator, hill_plot};
 pub use histogram::{Histogram, LogHistogram};
 pub use order::{from_sort_key, sort_key};
 pub use regression::LinearFit;

@@ -21,12 +21,14 @@ use eleph_pipeline::{CallbackSink, Collector, PipelineBuilder, TraceSource};
 use eleph_trace::{RateTrace, WorkloadConfig};
 
 fn main() {
-    // 1. A routing table: the flow key space. (Real deployments load a
-    //    RIB dump. To attribute packets against it, the fast pair is
+    // 1. A routing table: the flow key space, as a BgpTable — its routes
+    //    in ascending prefix order, which traffic synthesis samples flow
+    //    addresses from. (Real deployments load a RIB dump. To attribute
+    //    packets against it, the fast pair is
     //    eleph_bgp::dump::read_routes + FrozenBgpTable::from_routes —
     //    text to lookup table in one pass, handed to
     //    PipelineBuilder::frozen; eleph_bgp::dump::read_dump builds the
-    //    mutable BgpTable this example needs to synthesize traffic.)
+    //    BgpTable this example needs to synthesize traffic.)
     let table = synth::generate(&SynthConfig {
         n_prefixes: 5_000,
         ..SynthConfig::default()

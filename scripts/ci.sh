@@ -62,8 +62,12 @@
 #      striped table paint against the serial one it replaced (`FlatLpm`
 #      at 1, 2, 3 and 8 stripes; `EpochLpm::from_entries` against
 #      insert + whole-range repaint, page for page, before and after
-#      random updates); the one-pass table constructors against insert-
-#      then-freeze; `eleph run --pcap --rib` (static and live, with a
+#      random updates); the flat table against the linear-scan oracle;
+#      the one-pass table constructors against a `BgpTable`'s freeze;
+#      the generated inputs — the default synthetic RIB's dump and a
+#      scenario's flow addresses — against their recorded length and
+#      CRC-32, and the address sampler against its linear-scan
+#      definition, draw for draw; `eleph run --pcap --rib` (static and live, with a
 #      resume) against the library calls, byte for byte; and a missing
 #      input named by its flag and path, a piped capture read as the
 #      file is — all part of tier-1; re-run by name so a failure is
@@ -272,7 +276,7 @@ echo "== benchmark crate: builds against crates/* (release too), BENCHMARK.json 
 cargo build -q --release --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
 
-echo "== start-up path: dump reader vs oracle, from_routes vs freeze, eleph run --pcap --rib vs library =="
+echo "== start-up path: dump reader vs oracle, from_routes vs freeze, generated inputs, eleph run --pcap --rib vs library =="
 cargo test -q -p eleph-bgp --lib dump::tests::differential
 cargo test -q -p eleph-bgp --lib -- \
     dump::tests::a_failing_read_fails_alike_in_every_piece_count \
@@ -283,7 +287,10 @@ cargo test -q -p eleph-net --lib -- \
     epoch::tests::from_entries_
 cargo test -q -p eleph-net --test props -- \
     epoch_deltas_equal_fresh_freeze \
-    flat_lpm_agrees_with_compressed_trie
+    flat_lpm_agrees_with_linear
+cargo test -q -p eleph-tests --test generated_inputs -- \
+    sample_unshadowed_addr_equals_the_linear_oracle \
+    synth_table_and_flow_addresses_equal_their_recorded_length_and_crc
 cargo test -q -p eleph-bgp --test from_routes
 cargo test -q -p eleph-tests --test cli_default_path
 cargo test -q -p eleph-report --test cli_usage

@@ -356,6 +356,7 @@ fn sketch_checkpoint_resume_is_bit_identical_mid_stream() {
 #[test]
 fn sketch_checkpoint_resume_is_bit_identical_under_eviction() {
     let (table, metas, t, start, n) = stream_of(29, 600);
+    let frozen = table.freeze();
     for (state, slots) in [
         (StateBackendConfig::SpaceSaving { budget_bytes: 512 }, 8),
         (StateBackendConfig::SpaceSaving { budget_bytes: 4096 }, 64),
@@ -369,7 +370,7 @@ fn sketch_checkpoint_resume_is_bit_identical_under_eviction() {
         // its minimum at least eight times.
         let past_full = slots + 8;
         let interval_of = |m: &PacketMeta| (m.ts_ns / 1_000_000_000 - start) / t;
-        let prefix_of = |m: &PacketMeta| table.attribute(m.dst).map(|(prefix, _)| prefix);
+        let prefix_of = |m: &PacketMeta| frozen.attribute(m.dst).map(|(_, e)| e.prefix);
         let mut seen = std::collections::HashSet::new();
         let cut = 1 + metas
             .iter()
