@@ -61,13 +61,7 @@ impl FrozenBgpTable {
     /// Longest-prefix attribution of a destination address.
     #[inline]
     pub fn attribute(&self, dst: Ipv4Addr) -> Option<(RouteId, &RouteEntry)> {
-        self.attribute_u32(u32::from(dst))
-    }
-
-    /// Longest-prefix attribution from host-order bits.
-    #[inline]
-    pub fn attribute_u32(&self, dst: u32) -> Option<(RouteId, &RouteEntry)> {
-        self.flat.lookup_with_id(dst).map(|(id, _, e)| (id, e))
+        self.flat.lookup_with_id(u32::from(dst)).map(|(id, _, e)| (id, e))
     }
 
     /// Longest-prefix attribution returning only the dense route id —

@@ -40,5 +40,5 @@ mod table;
 pub use frozen::{FrozenBgpTable, RouteId};
 pub use live::{ApplyReport, LiveBgpTable, RouteUpdate, TableView, UpdateBatch};
 pub use route::{Origin, PeerClass, RouteEntry};
-pub use synth::{SynthConfig, DEFAULT_LENGTH_WEIGHTS};
+pub use synth::SynthConfig;
 pub use table::BgpTable;

@@ -217,7 +217,7 @@ impl LiveBgpTable {
 
     /// Snapshot the *live* routes into a [`BgpTable`]
     /// (used to compare a delta-built table against a fresh freeze).
-    pub fn to_table(&self) -> BgpTable {
+    fn to_table(&self) -> BgpTable {
         let view = self.view();
         BgpTable::from_entries(
             self.lpm.entries().into_iter().map(|(_, id)| view.route(id).clone()),

@@ -94,44 +94,9 @@ pub struct RouteEntry {
     pub peer_class: PeerClass,
 }
 
-impl RouteEntry {
-    /// The originating AS (last element of the AS path).
-    pub fn origin_as(&self) -> Option<u32> {
-        self.as_path.last().copied()
-    }
-
-    /// The neighbour AS (first element of the AS path).
-    pub fn neighbor_as(&self) -> Option<u32> {
-        self.as_path.first().copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn entry() -> RouteEntry {
-        RouteEntry {
-            prefix: "10.0.0.0/8".parse().unwrap(),
-            next_hop: Ipv4Addr::new(192, 0, 2, 1),
-            as_path: vec![1239, 701, 3356],
-            origin: Origin::Igp,
-            peer_class: PeerClass::Tier1,
-        }
-    }
-
-    #[test]
-    fn as_path_accessors() {
-        let e = entry();
-        assert_eq!(e.neighbor_as(), Some(1239));
-        assert_eq!(e.origin_as(), Some(3356));
-        let empty = RouteEntry {
-            as_path: vec![],
-            ..entry()
-        };
-        assert_eq!(empty.origin_as(), None);
-        assert_eq!(empty.neighbor_as(), None);
-    }
 
     #[test]
     fn origin_round_trip() {

@@ -24,7 +24,7 @@ use crate::{BgpTable, Origin, PeerClass, RouteEntry};
 /// (the paper's "100 /8 networks became active during the day"), a /16
 /// plateau from legacy class B space, the CIDR shoulder at /17–/23, and
 /// the /24 bulk.
-pub const DEFAULT_LENGTH_WEIGHTS: [u32; 33] = [
+const DEFAULT_LENGTH_WEIGHTS: [u32; 33] = [
     0, 0, 0, 0, 0, 0, 0, 0, // 0-7
     500,   // /8
     6,     // /9
@@ -193,7 +193,7 @@ mod tests {
     fn exact_route_count_and_uniqueness() {
         let t = generate(&small_config());
         assert_eq!(t.len(), 20_000);
-        let set = t.prefix_set();
+        let set: std::collections::BTreeSet<_> = t.iter().map(|e| e.prefix).collect();
         assert_eq!(set.len(), 20_000); // BTreeSet deduplicates: must match
     }
 

@@ -2,7 +2,7 @@
 
 use std::net::Ipv4Addr;
 
-use eleph_net::{rib_order, Prefix, PrefixSet};
+use eleph_net::{rib_order, Prefix};
 use rand::Rng;
 
 use crate::RouteEntry;
@@ -65,11 +65,6 @@ impl BgpTable {
     /// Iterate over all routes in RIB-dump order.
     pub fn iter(&self) -> impl Iterator<Item = &RouteEntry> {
         self.routes.iter()
-    }
-
-    /// The set of all prefixes in the table.
-    pub fn prefix_set(&self) -> PrefixSet {
-        self.routes.iter().map(|e| e.prefix).collect()
     }
 
     /// Histogram of prefix lengths (index = length).
@@ -180,7 +175,7 @@ mod tests {
         let h = t.length_histogram();
         assert_eq!(h[8], 1);
         assert_eq!(h[16], 2);
-        assert_eq!(t.prefix_set().len(), 3);
+        assert_eq!(t.len(), 3);
     }
 
     #[test]

@@ -291,7 +291,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Admissible size specifications for [`vec`].
+    /// Admissible size specifications for [`vec`](fn@vec).
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -322,7 +322,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

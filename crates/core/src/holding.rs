@@ -51,11 +51,6 @@ impl HoldingStats {
         self.mean_avg_slots * self.interval_secs as f64 / 60.0
     }
 
-    /// Number of flows that were ever elephants in the window.
-    pub fn n_elephant_flows(&self) -> usize {
-        self.per_flow.len()
-    }
-
     /// Histogram of per-flow average holding times: bucket `k` counts
     /// flows whose average rounds to `k` slots (Figure 1(c)'s data, to be
     /// plotted with a log count axis). Bucket 0 is unused.
@@ -203,7 +198,7 @@ mod tests {
         let r = scripted(vec![vec![1, 2], vec![2], vec![]]);
         let h = analyze(&r, 0..3, 300);
         assert_eq!(h.single_interval_flows, 1); // key 1
-        assert_eq!(h.n_elephant_flows(), 2);
+        assert_eq!(h.per_flow.len(), 2);
     }
 
     #[test]
@@ -221,7 +216,7 @@ mod tests {
     fn empty_window_and_no_elephants() {
         let r = scripted(vec![vec![], vec![]]);
         let h = analyze(&r, 0..2, 300);
-        assert_eq!(h.n_elephant_flows(), 0);
+        assert!(h.per_flow.is_empty());
         assert_eq!(h.mean_avg_slots, 0.0);
         assert_eq!(h.single_interval_flows, 0);
         assert!(h.avg_holding_histogram(10).iter().all(|&c| c == 0));

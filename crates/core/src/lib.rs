@@ -15,8 +15,8 @@
 //!      (the paper's "β-constant load", β = 0.8);
 //!    * plus two baselines ([`TopNDetector`], [`PercentileDetector`])
 //!      for the scheme-comparison experiments.
-//! 2. **Threshold update** ([`ThresholdTracker`]): the EWMA smoothing
-//!    `T̄(n+1) = γ·T̄(n) + (1−γ)·T(n)`, γ = 0.9.
+//! 2. **Threshold update** (the crate-private `ThresholdTracker`): the
+//!    EWMA smoothing `T̄(n+1) = γ·T̄(n) + (1−γ)·T(n)`, γ = 0.9.
 //! 3. **Single-feature classification** ([`Scheme::SingleFeature`]):
 //!    flow `i` is an elephant in interval `n` iff `B_i(n) > T̄(n)`.
 //! 4. **Two-feature "latent heat" classification**
@@ -66,7 +66,7 @@ pub use online::{classify_stream, ClassifierState, IntervalOutcome, OnlineClassi
 pub use threshold::{
     AestDetector, ConstantLoadDetector, PercentileDetector, ThresholdDetector, TopNDetector,
 };
-pub use tracker::{ThresholdSeries, ThresholdTracker};
+use tracker::{ThresholdSeries, ThresholdTracker};
 
 /// The paper's default smoothing factor γ for the threshold update.
 pub const PAPER_GAMMA: f64 = 0.9;

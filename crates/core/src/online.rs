@@ -178,7 +178,9 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
             scheme,
             window,
             state: WindowState::default(),
-            history: VecDeque::with_capacity(window + 1),
+            // Grows with the run: it never holds more than `window + 1`
+            // entries, and a window can be far longer than any run.
+            history: VecDeque::new(),
         }
     }
 
@@ -252,11 +254,6 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
             state: WindowState::restore(state.sum_t, &state.per_key, state.members),
             history: state.history.into(),
         })
-    }
-
-    /// Number of intervals observed so far.
-    pub fn intervals_observed(&self) -> usize {
-        self.interval
     }
 
     /// The smoothing factor γ this classifier was built with.
@@ -363,7 +360,7 @@ mod tests {
             assert!((out.total_load - batch.total_load[n]).abs() < 1e-6);
             assert!((out.fraction() - batch.fraction(n)).abs() < 1e-9);
         }
-        assert_eq!(online.intervals_observed(), rows.len());
+        assert_eq!(online.interval, rows.len());
     }
 
     #[test]
@@ -374,6 +371,24 @@ mod tests {
     #[test]
     fn matches_batch_latent_heat() {
         run_both(Scheme::LatentHeat { window: 3 });
+    }
+
+    #[test]
+    fn a_window_longer_than_the_run_classifies_as_one_the_runs_length() {
+        let rows = rows();
+        let matrix = BandwidthMatrix::from_dense(60, 0, keys(4), &rows);
+        let outcomes = |window| {
+            let scheme = Scheme::LatentHeat { window };
+            let mut online = OnlineClassifier::new(ConstantLoadDetector::new(0.8), 0.9, scheme);
+            (0..rows.len())
+                .map(|n| {
+                    let out = online.observe(&matrix.interval(n).to_pairs());
+                    let bits = [out.threshold, out.elephant_load, out.total_load].map(f64::to_bits);
+                    (out.elephants, bits)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(outcomes(1 << 40), outcomes(rows.len()));
     }
 
     #[test]
@@ -594,7 +609,7 @@ mod tests {
                     state,
                 )
                 .expect("valid state");
-                assert_eq!(resumed.intervals_observed(), split);
+                assert_eq!(resumed.interval, split);
                 for n in split..rows.len() {
                     let out = resumed.observe(&matrix.interval(n).to_pairs());
                     let want = &expected[n];

@@ -33,20 +33,6 @@ pub struct PrefixReport {
     pub elephant_peer_classes: Option<[usize; 3]>,
 }
 
-impl PrefixReport {
-    /// Correlation summary the paper draws: the fraction of active
-    /// prefixes of a given length that became elephants. Returns `None`
-    /// when no prefix of that length was active.
-    pub fn elephant_rate_at_length(&self, len: u8) -> Option<f64> {
-        let active = self.active_by_length[len as usize];
-        if active == 0 {
-            None
-        } else {
-            Some(self.elephant_by_length[len as usize] as f64 / active as f64)
-        }
-    }
-}
-
 /// Join the classification with prefix metadata over `window`.
 ///
 /// `table` enables the peer-class breakdown; pass `None` when only
@@ -228,9 +214,11 @@ mod tests {
         let (m, table) = build_matrix(&prefixes, &rows);
         let r = scripted(&m, vec![vec!["10.0.0.0/16"]]);
         let report = prefix_report(&m, &r, Some(&table), 0..1);
-        assert!((report.elephant_rate_at_length(16).unwrap() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(report.elephant_rate_at_length(24).unwrap(), 0.0);
-        assert_eq!(report.elephant_rate_at_length(8), None);
+        // One of three active /16s became an elephant, none of the /24s,
+        // and no /8 was active.
+        assert_eq!((report.elephant_by_length[16], report.active_by_length[16]), (1, 3));
+        assert_eq!((report.elephant_by_length[24], report.active_by_length[24]), (0, 1));
+        assert_eq!(report.active_by_length[8], 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //!
 //! All sketch backends are deterministic: hashing uses fixed
 //! compile-time seeds, an eviction takes the lowest slot among the
-//! minimum counts (one [`SlotHeap`] decides it for both backends that
+//! minimum counts (one `SlotHeap` decides it for both backends that
 //! evict), and nothing reads a clock or an RNG — the same packet
 //! sequence always produces the same sealed snapshots, checkpoint
 //! payloads, and JSONL.
@@ -475,7 +475,7 @@ struct SsEntry {
 /// * any key with true count > B/k is tracked.
 ///
 /// A hit is a hash lookup and an add. A miss on a full summary asks
-/// the [`SlotHeap`] for the victim — counts only grow within an
+/// the `SlotHeap` for the victim — counts only grow within an
 /// interval, which is all the heap needs — and ties break on the lowest
 /// slot index, so the summary is a pure function of the record
 /// sequence.
@@ -492,7 +492,7 @@ pub struct SpaceSaving {
 
 impl SpaceSaving {
     /// Capacity derived from a byte budget (entry cost
-    /// [`SS_ENTRY_COST`]; minimum 8 entries).
+    /// `SS_ENTRY_COST`; minimum 8 entries).
     pub fn with_budget(budget_bytes: usize) -> Self {
         Self::with_capacity_and_budget((budget_bytes / SS_ENTRY_COST).max(8), budget_bytes)
     }
@@ -520,14 +520,16 @@ impl SpaceSaving {
     }
 
     /// Total bytes recorded into the open interval.
-    pub fn recorded_total(&self) -> u64 {
+    #[cfg(test)]
+    fn recorded_total(&self) -> u64 {
         self.total
     }
 
     /// The summary's estimate for `key` (0 when untracked). Never
     /// undercounts a tracked key; overestimates by at most
     /// `total / capacity`.
-    pub fn estimate(&self, key: KeyId) -> u64 {
+    #[cfg(test)]
+    fn estimate(&self, key: KeyId) -> u64 {
         self.index.get(&key).map_or(0, |&slot| self.entries[slot].count)
     }
 }
@@ -648,13 +650,13 @@ impl StateBackend for SpaceSaving {
 /// per-interval byte row, plus a bounded candidate list that makes the
 /// sealed snapshot enumerable (a raw count-min cannot be iterated).
 ///
-/// Half the budget buys the counter array ([`CM_DEPTH`] rows of a
+/// Half the budget buys the counter array (`CM_DEPTH` rows of a
 /// power-of-two width), half the candidate list. Estimates never
 /// undercount (count-min property); conservative update — only raising
 /// counters below the new estimate — keeps collision inflation to the
 /// minimum any count-min can achieve. Candidates admit keys whose
 /// running estimate beats the current minimum candidate, found by the
-/// same [`SlotHeap`] as [`SpaceSaving`]'s victim: a candidate's stored
+/// same `SlotHeap` as [`SpaceSaving`]'s victim: a candidate's stored
 /// estimate only grows within an interval (the update that stored it
 /// raised all of the key's counters to at least that value, and the
 /// next one adds bytes to their minimum). At seal, every candidate is
@@ -697,18 +699,20 @@ impl CountMinRow {
     }
 
     /// Counter-row width (power of two).
-    pub fn width(&self) -> usize {
+    #[cfg(test)]
+    fn width(&self) -> usize {
         self.width
     }
 
     /// Candidate-list capacity.
-    pub fn candidate_capacity(&self) -> usize {
+    #[cfg(test)]
+    fn candidate_capacity(&self) -> usize {
         self.cand_capacity
     }
 
     /// The count-min estimate for `key` (minimum over rows). Never
     /// undercounts.
-    pub fn estimate(&self, key: KeyId) -> u64 {
+    fn estimate(&self, key: KeyId) -> u64 {
         let mut est = u64::MAX;
         for (d, &seed) in HASH_SEEDS.iter().enumerate().take(CM_DEPTH) {
             let slot = (hash_key(key, seed) & self.mask) as usize;
@@ -939,11 +943,6 @@ impl AdaptiveBloom {
     /// Tracked-key capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Keys currently tracked exactly.
-    pub fn tracked_len(&self) -> usize {
-        self.tracked.len()
     }
 }
 

@@ -7,7 +7,7 @@ use eleph_stats::{aest, from_sort_key, sort_key, AestConfig};
 ///
 /// Returns `None` when the rule cannot produce a threshold for this
 /// snapshot (e.g. aest finds no power-law tail, or the snapshot is
-/// empty); the [`crate::ThresholdTracker`] then carries the previous
+/// empty); the crate's threshold tracker then carries the previous
 /// smoothed value forward — a measurement system cannot simply skip an
 /// interval.
 pub trait ThresholdDetector {

@@ -13,7 +13,7 @@ use crate::ThresholdDetector;
 /// interval. The raw detections are recorded alongside, so reports can
 /// show how often the detector abstained.
 #[derive(Debug)]
-pub struct ThresholdTracker<D> {
+pub(crate) struct ThresholdTracker<D> {
     detector: D,
     series: ThresholdSeries,
 }
@@ -26,7 +26,7 @@ pub struct ThresholdTracker<D> {
 /// configuration owns a `ThresholdSeries` (its own γ and histories)
 /// while sharing the detection work.
 #[derive(Debug)]
-pub struct ThresholdSeries {
+pub(crate) struct ThresholdSeries {
     ewma: Ewma,
     raw_history: Vec<Option<f64>>,
     smoothed_history: Vec<f64>,
@@ -94,17 +94,6 @@ impl ThresholdSeries {
         smoothed
     }
 
-    /// Raw (pre-smoothing) detections so far; `None` where the detector
-    /// abstained.
-    pub fn raw_history(&self) -> &[Option<f64>] {
-        &self.raw_history
-    }
-
-    /// Smoothed thresholds so far.
-    pub fn smoothed_history(&self) -> &[f64] {
-        &self.smoothed_history
-    }
-
     /// Consume the series, returning `(raw, smoothed)` histories.
     pub fn into_histories(self) -> (Vec<Option<f64>>, Vec<f64>) {
         (self.raw_history, self.smoothed_history)
@@ -160,17 +149,6 @@ impl<D: ThresholdDetector> ThresholdTracker<D> {
         self.detector.name()
     }
 
-    /// Raw (pre-smoothing) detections so far; `None` where the detector
-    /// abstained.
-    pub fn raw_history(&self) -> &[Option<f64>] {
-        self.series.raw_history()
-    }
-
-    /// Smoothed thresholds so far.
-    pub fn smoothed_history(&self) -> &[f64] {
-        self.series.smoothed_history()
-    }
-
     /// Consume the tracker, returning `(raw, smoothed)` histories.
     pub fn into_histories(self) -> (Vec<Option<f64>>, Vec<f64>) {
         self.series.into_histories()
@@ -202,8 +180,7 @@ mod tests {
     fn first_detection_initialises() {
         let mut t = tracker(vec![Some(100.0)]);
         assert_eq!(t.observe(&[]), 100.0);
-        assert_eq!(t.smoothed_history(), &[100.0]);
-        assert_eq!(t.raw_history(), &[Some(100.0)]);
+        assert_eq!(t.into_histories(), (vec![Some(100.0)], vec![100.0]));
     }
 
     #[test]
@@ -222,7 +199,7 @@ mod tests {
         assert_eq!(t.observe(&[]), 100.0);
         let s = t.observe(&[]);
         assert!((s - 90.0).abs() < 1e-12); // 0.9·100 + 0.1·0
-        assert_eq!(t.raw_history(), &[Some(100.0), None, None, Some(0.0)]);
+        assert_eq!(t.into_histories().0, vec![Some(100.0), None, None, Some(0.0)]);
     }
 
     #[test]

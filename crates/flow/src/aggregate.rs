@@ -31,10 +31,9 @@ use eleph_packet::{parse_buf_meta, LinkType, PacketMeta};
 use crate::matrix::ColumnBuilder;
 use crate::{BandwidthMatrix, KeyId};
 
-/// Sentinel for "route not yet assigned a key" in dense
-/// `RouteId → KeyId` maps. Shared with the streaming pipeline, whose
-/// key assignment must mirror the batch aggregator's exactly.
-pub const NO_KEY: KeyId = KeyId::MAX;
+/// Sentinel for "route not yet assigned a key" in the dense
+/// `RouteId → KeyId` map.
+const NO_KEY: KeyId = KeyId::MAX;
 
 /// Validate a measurement window's configuration and return its hoisted
 /// nanosecond bounds `(start_ns, interval_ns)`.

@@ -38,7 +38,7 @@ mod window;
 pub use aggregate::{
     aggregate_pcap, aggregate_pcap_frozen, attribute_metas, try_window_bounds_ns,
     window_bounds_ns, Aggregator, AggregatorStats, FrozenTableRef, KeyAllocator,
-    ATTRIBUTION_CHUNK, NO_KEY,
+    ATTRIBUTION_CHUNK,
 };
 pub use matrix::{BandwidthMatrix, IntervalView, KeyId};
 pub use window::busiest_window;

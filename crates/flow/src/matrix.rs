@@ -1,8 +1,9 @@
 //! The per-prefix, per-interval bandwidth matrix, stored columnar.
 
+use std::collections::HashMap;
+
 use eleph_net::Prefix;
 use eleph_trace::RateTrace;
-use rustc_hash::FxHashMap;
 
 /// Dense integer id for a prefix within one [`BandwidthMatrix`].
 pub type KeyId = u32;
@@ -35,7 +36,7 @@ pub struct BandwidthMatrix {
     interval_secs: u64,
     start_unix: u64,
     keys: Vec<Prefix>,
-    index: FxHashMap<Prefix, KeyId>,
+    index: HashMap<Prefix, KeyId>,
     /// `offsets[n]..offsets[n + 1]` is interval `n`'s run in the columns.
     offsets: Vec<usize>,
     /// Active key ids, ascending within each interval run.
@@ -60,11 +61,6 @@ impl<'a> IntervalView<'a> {
     /// Active key ids, ascending.
     pub fn keys(&self) -> &'a [KeyId] {
         self.keys
-    }
-
-    /// Rates parallel to [`IntervalView::keys`].
-    pub fn rates(&self) -> &'a [f32] {
-        self.rates
     }
 
     /// Number of active keys.
@@ -519,7 +515,6 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert!(!v.is_empty());
         assert_eq!(v.keys(), &[0, 1]);
-        assert_eq!(v.rates(), &[100.0, 50.0]);
         assert_eq!(v.to_pairs(), vec![(0, 100.0), (1, 50.0)]);
         assert_eq!(v, m.interval(0));
         assert!(m.interval(1).is_empty());

@@ -537,8 +537,9 @@ impl EpochLpm {
     }
 
     /// `(allocated, free)` spill-block counts — allocation telemetry
-    /// for tests and benches.
-    pub fn spill_stats(&self) -> (usize, usize) {
+    /// for the tests.
+    #[cfg(test)]
+    fn spill_stats(&self) -> (usize, usize) {
         let w = self.writer.lock().expect("epoch writer poisoned");
         (w.spill.len(), w.free_spill.len())
     }

@@ -323,7 +323,7 @@ impl<V> FlatLpm<V> {
     }
 
     /// Number of 256-slot spill blocks (/24s containing >/24 prefixes).
-    pub fn spill_blocks(&self) -> usize {
+    fn spill_blocks(&self) -> usize {
         self.spill.len() / 256
     }
 }

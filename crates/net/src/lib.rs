@@ -6,18 +6,15 @@
 //! matching routing-table entry for its destination address. Everything
 //! needed for that attribution lives here:
 //!
-//! * [`Prefix`] — a canonical IPv4 CIDR prefix (`10.0.0.0/8`), with the set
-//!   algebra (containment, overlap, parent/children) the rest of the system
-//!   builds on;
+//! * [`Prefix`] — a canonical IPv4 CIDR prefix (`10.0.0.0/8`) and its
+//!   containment tests;
 //! * [`rib_order`] — the one order a route list is kept in: ascending
 //!   prefixes, the last of two entries for a prefix winning;
 //! * [`FlatLpm`] — a frozen, DIR-24-8-style flat-array table built once
 //!   from a route list; the read path of the packet pipeline
 //!   ([`EpochLpm`] is its copy-on-write form for live route churn);
 //! * [`LinearLpm`] — a naive linear scan, the oracle the property tests
-//!   hold both tables to;
-//! * [`PrefixSet`] — an aggregating set of prefixes (used for RIB synthesis
-//!   and the prefix-length analysis of the paper's §III).
+//!   hold both tables to.
 //!
 //! All tables are generic over the attached route value `V`.
 //!
@@ -84,16 +81,12 @@ mod flat;
 mod linear;
 mod paint;
 mod prefix;
-mod set;
 
 pub use epoch::{Applied, EpochLpm, LpmDelta, LpmSnapshot};
 pub use error::PrefixError;
 pub use flat::{rib_order, FlatLpm};
 pub use linear::LinearLpm;
 pub use prefix::Prefix;
-pub use set::PrefixSet;
-
-use std::net::Ipv4Addr;
 
 /// Read-only longest-prefix-match resolution to dense ids, generic over
 /// the address family `A`.
@@ -123,16 +116,4 @@ impl<V> LpmView<u32> for FlatLpm<V> {
     fn lookup_batch(&self, addrs: &[u32], out: &mut [Option<u32>]) {
         self.lookup_many(addrs, out);
     }
-}
-
-/// Convert an IPv4 dotted-quad to its host-order `u32` representation.
-#[inline]
-pub fn addr_to_u32(addr: Ipv4Addr) -> u32 {
-    u32::from(addr)
-}
-
-/// Convert a host-order `u32` to an IPv4 dotted-quad.
-#[inline]
-pub fn u32_to_addr(bits: u32) -> Ipv4Addr {
-    Ipv4Addr::from(bits)
 }

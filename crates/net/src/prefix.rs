@@ -44,7 +44,7 @@ impl Prefix {
     }
 
     /// The /32 host route for `addr`.
-    pub fn host(addr: Ipv4Addr) -> Self {
+    fn host(addr: Ipv4Addr) -> Self {
         Prefix {
             bits: u32::from(addr),
             len: 32,
@@ -69,32 +69,10 @@ impl Prefix {
         self.len
     }
 
-    /// Whether this is the default route `0.0.0.0/0`.
-    #[inline]
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The netmask, e.g. `255.255.0.0` for a /16.
-    #[inline]
-    pub fn mask(&self) -> Ipv4Addr {
-        Ipv4Addr::from(mask(self.len))
-    }
-
     /// Highest address in the block (the broadcast address for subnets).
     #[inline]
     pub fn last_addr(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.bits | !mask(self.len))
-    }
-
-    /// Number of addresses covered; `None` for the default route (2^32
-    /// does not fit in a `u32`).
-    pub fn size(&self) -> Option<u32> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(1u32 << (32 - self.len))
-        }
     }
 
     /// Whether `addr` falls inside this prefix.
@@ -112,65 +90,6 @@ impl Prefix {
     /// Whether `other` is a subnet of (or equal to) `self`.
     pub fn contains_prefix(&self, other: &Prefix) -> bool {
         other.len >= self.len && self.contains_u32(other.bits)
-    }
-
-    /// Whether the two prefixes share any address.
-    pub fn overlaps(&self, other: &Prefix) -> bool {
-        self.contains_prefix(other) || other.contains_prefix(self)
-    }
-
-    /// The covering prefix one bit shorter; `None` for the default route.
-    pub fn parent(&self) -> Option<Prefix> {
-        if self.len == 0 {
-            None
-        } else {
-            let len = self.len - 1;
-            Some(Prefix {
-                bits: self.bits & mask(len),
-                len,
-            })
-        }
-    }
-
-    /// The two halves one bit longer; `None` for /32s.
-    pub fn children(&self) -> Option<(Prefix, Prefix)> {
-        if self.len >= 32 {
-            return None;
-        }
-        let len = self.len + 1;
-        let left = Prefix { bits: self.bits, len };
-        let right = Prefix {
-            bits: self.bits | (1u32 << (32 - len)),
-            len,
-        };
-        Some((left, right))
-    }
-
-    /// The sibling prefix (other half of the parent); `None` for the
-    /// default route.
-    pub fn sibling(&self) -> Option<Prefix> {
-        if self.len == 0 {
-            return None;
-        }
-        Some(Prefix {
-            bits: self.bits ^ (1u32 << (32 - self.len)),
-            len: self.len,
-        })
-    }
-
-    /// Bit `i` (0 = most significant) of the network address.
-    #[inline]
-    pub fn bit(&self, i: u8) -> bool {
-        debug_assert!(i < 32);
-        self.bits & (0x8000_0000 >> i) != 0
-    }
-
-    /// Length of the longest common prefix of the two blocks, capped at
-    /// `min(self.len, other.len)`.
-    pub fn common_prefix_len(&self, other: &Prefix) -> u8 {
-        let max = self.len.min(other.len);
-        let diff = self.bits ^ other.bits;
-        (diff.leading_zeros() as u8).min(max)
     }
 }
 
@@ -287,38 +206,13 @@ mod tests {
         assert!(Prefix::DEFAULT.contains(Ipv4Addr::new(255, 255, 255, 255)));
         assert!(Prefix::DEFAULT.contains(Ipv4Addr::new(0, 0, 0, 0)));
         assert!(Prefix::DEFAULT.contains_prefix(&p("10.0.0.0/8")));
-        assert!(Prefix::DEFAULT.is_default());
-        assert_eq!(Prefix::DEFAULT.size(), None);
-    }
-
-    #[test]
-    fn overlap_is_symmetric_nesting() {
-        assert!(p("10.0.0.0/8").overlaps(&p("10.1.0.0/16")));
-        assert!(p("10.1.0.0/16").overlaps(&p("10.0.0.0/8")));
-        assert!(!p("10.0.0.0/8").overlaps(&p("11.0.0.0/8")));
-        assert!(!p("10.0.0.0/9").overlaps(&p("10.128.0.0/9")));
-    }
-
-    #[test]
-    fn family_navigation() {
-        let a = p("10.128.0.0/9");
-        assert_eq!(a.parent().unwrap(), p("10.0.0.0/8"));
-        assert_eq!(a.sibling().unwrap(), p("10.0.0.0/9"));
-        let (l, r) = p("10.0.0.0/8").children().unwrap();
-        assert_eq!(l, p("10.0.0.0/9"));
-        assert_eq!(r, a);
-        assert_eq!(Prefix::DEFAULT.parent(), None);
-        assert_eq!(Prefix::DEFAULT.sibling(), None);
-        assert_eq!(p("1.2.3.4/32").children(), None);
     }
 
     #[test]
     fn mask_and_range() {
         let a = p("192.168.1.0/24");
-        assert_eq!(a.mask(), Ipv4Addr::new(255, 255, 255, 0));
         assert_eq!(a.last_addr(), Ipv4Addr::new(192, 168, 1, 255));
-        assert_eq!(a.size(), Some(256));
-        assert_eq!(p("1.2.3.4/32").size(), Some(1));
+        assert_eq!(p("1.2.3.4/32").last_addr(), Ipv4Addr::new(1, 2, 3, 4));
     }
 
     #[test]
@@ -332,20 +226,8 @@ mod tests {
     }
 
     #[test]
-    fn bits_and_common_prefix() {
-        let a = p("128.0.0.0/1");
-        assert!(a.bit(0));
-        let b = p("192.0.0.0/2");
-        assert_eq!(a.common_prefix_len(&b), 1);
-        assert_eq!(b.common_prefix_len(&a), 1);
-        assert_eq!(p("10.0.0.0/8").common_prefix_len(&p("10.0.0.0/24")), 8);
-        assert_eq!(p("0.0.0.0/0").common_prefix_len(&p("10.0.0.0/8")), 0);
-    }
-
-    #[test]
     fn host_route_from_addr() {
         let h: Prefix = Ipv4Addr::new(1, 2, 3, 4).into();
         assert_eq!(h, p("1.2.3.4/32"));
-        assert_eq!(h.size(), Some(1));
     }
 }

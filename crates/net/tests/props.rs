@@ -1,8 +1,8 @@
 //! Property tests: both real LPM tables (flat and epoch) must agree with
-//! the linear-scan oracle on random tables, and prefix algebra must hold
-//! on random prefixes.
+//! the linear-scan oracle on random tables, and prefixes must round-trip
+//! and contain their own endpoints.
 
-use eleph_net::{EpochLpm, FlatLpm, LinearLpm, LpmDelta, Prefix, PrefixSet};
+use eleph_net::{EpochLpm, FlatLpm, LinearLpm, LpmDelta, Prefix};
 use proptest::prelude::*;
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -32,61 +32,10 @@ proptest! {
         prop_assert!(p.contains(p.last_addr()));
         prop_assert!(p.contains_prefix(&p));
     }
-
-    #[test]
-    fn parent_contains_child(p in arb_prefix()) {
-        if let Some(parent) = p.parent() {
-            prop_assert!(parent.contains_prefix(&p));
-            prop_assert_eq!(parent.len() + 1, p.len());
-        }
-        if let Some((l, r)) = p.children() {
-            prop_assert!(p.contains_prefix(&l));
-            prop_assert!(p.contains_prefix(&r));
-            prop_assert!(!l.overlaps(&r));
-            prop_assert_eq!(l.sibling().unwrap(), r);
-        }
-    }
-
-    #[test]
-    fn common_prefix_len_is_symmetric_and_bounded(a in arb_prefix(), b in arb_prefix()) {
-        let ab = a.common_prefix_len(&b);
-        prop_assert_eq!(ab, b.common_prefix_len(&a));
-        prop_assert!(ab <= a.len().min(b.len()));
-        // The two blocks agree on their first `ab` bits.
-        let chopped_a = Prefix::from_u32(a.bits(), ab).unwrap();
-        let chopped_b = Prefix::from_u32(b.bits(), ab).unwrap();
-        prop_assert_eq!(chopped_a, chopped_b);
-    }
-
-    #[test]
-    fn aggregation_preserves_address_coverage(prefixes in prop::collection::vec(arb_prefix(), 0..24), probes in prop::collection::vec(any::<u32>(), 0..64)) {
-        let original: PrefixSet = prefixes.iter().copied().collect();
-        let mut aggregated = original.clone();
-        aggregated.aggregate();
-        prop_assert!(aggregated.len() <= original.len());
-        // Coverage must be identical at the member network addresses and at
-        // random probe addresses.
-        for p in original.iter() {
-            prop_assert!(aggregated.covers(p), "aggregation lost {}", p);
-        }
-        for bits in probes {
-            let addr = std::net::Ipv4Addr::from(bits);
-            prop_assert_eq!(original.contains_addr(addr), aggregated.contains_addr(addr));
-        }
-    }
-
-    #[test]
-    fn aggregation_is_idempotent(prefixes in prop::collection::vec(arb_prefix(), 0..24)) {
-        let mut once: PrefixSet = prefixes.iter().copied().collect();
-        once.aggregate();
-        let mut twice = once.clone();
-        twice.aggregate();
-        prop_assert_eq!(once, twice);
-    }
 }
 
 // The frozen flat table allocates its 64 MiB stage-1 array per build, so
-// this block runs fewer cases than the prefix-algebra properties above;
+// this block runs fewer cases than the prefix properties above;
 // the generator deliberately covers >/24 prefixes, shadowed prefixes, the
 // default route and the empty table.
 proptest! {

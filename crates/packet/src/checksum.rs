@@ -31,7 +31,7 @@ impl Checksum {
     }
 
     /// Fold a single big-endian 16-bit word into the sum.
-    pub fn add_u16(&mut self, word: u16) {
+    fn add_u16(&mut self, word: u16) {
         self.sum += u32::from(word);
     }
 

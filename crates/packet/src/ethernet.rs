@@ -6,26 +6,11 @@ use crate::error::check_len;
 use crate::Result;
 
 /// Length of an Ethernet II header: two MACs plus the ethertype.
-pub const ETHERNET_HEADER_LEN: usize = 14;
+pub(crate) const ETHERNET_HEADER_LEN: usize = 14;
 
 /// A 48-bit MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MacAddr(pub [u8; 6]);
-
-impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
-    /// Whether this is the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// Whether the group bit (multicast) is set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-}
 
 impl fmt::Display for MacAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -82,16 +67,6 @@ impl<'a> EthernetFrame<'a> {
         Ok(EthernetFrame { buf })
     }
 
-    /// Destination MAC.
-    pub fn dst(&self) -> MacAddr {
-        MacAddr(self.buf[0..6].try_into().expect("checked in parse"))
-    }
-
-    /// Source MAC.
-    pub fn src(&self) -> MacAddr {
-        MacAddr(self.buf[6..12].try_into().expect("checked in parse"))
-    }
-
     /// The ethertype field.
     pub fn ethertype(&self) -> EtherType {
         u16::from_be_bytes([self.buf[12], self.buf[13]]).into()
@@ -113,13 +88,6 @@ pub fn build_frame(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: &[
     out
 }
 
-/// Convenience: does this buffer look like an IPv4-bearing frame?
-pub fn is_ipv4_frame(buf: &[u8]) -> bool {
-    EthernetFrame::parse(buf)
-        .map(|f| f.ethertype() == EtherType::Ipv4)
-        .unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,9 +98,8 @@ mod tests {
         let dst = MacAddr([1, 2, 3, 4, 5, 6]);
         let src = MacAddr([7, 8, 9, 10, 11, 12]);
         let bytes = build_frame(dst, src, EtherType::Ipv4, b"hello");
+        assert_eq!(&bytes[..12], &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
         let frame = EthernetFrame::parse(&bytes).unwrap();
-        assert_eq!(frame.dst(), dst);
-        assert_eq!(frame.src(), src);
         assert_eq!(frame.ethertype(), EtherType::Ipv4);
         assert_eq!(frame.payload(), b"hello");
     }
@@ -147,10 +114,10 @@ mod tests {
 
     #[test]
     fn empty_payload_ok() {
-        let bytes = build_frame(MacAddr::BROADCAST, MacAddr::default(), EtherType::Arp, &[]);
+        let bytes = build_frame(MacAddr([0xff; 6]), MacAddr::default(), EtherType::Arp, &[]);
         let frame = EthernetFrame::parse(&bytes).unwrap();
         assert!(frame.payload().is_empty());
-        assert!(frame.dst().is_broadcast());
+        assert_eq!(frame.ethertype(), EtherType::Arp);
     }
 
     #[test]
@@ -163,20 +130,8 @@ mod tests {
     }
 
     #[test]
-    fn mac_display_and_flags() {
+    fn mac_display() {
         let m = MacAddr([0x02, 0x00, 0xde, 0xad, 0xbe, 0xef]);
         assert_eq!(m.to_string(), "02:00:de:ad:be:ef");
-        assert!(!m.is_multicast());
-        assert!(MacAddr([0x01, 0, 0, 0, 0, 0]).is_multicast());
-        assert!(MacAddr::BROADCAST.is_multicast());
-    }
-
-    #[test]
-    fn ipv4_frame_sniffing() {
-        let v4 = build_frame(MacAddr::default(), MacAddr::default(), EtherType::Ipv4, &[]);
-        let arp = build_frame(MacAddr::default(), MacAddr::default(), EtherType::Arp, &[]);
-        assert!(is_ipv4_frame(&v4));
-        assert!(!is_ipv4_frame(&arp));
-        assert!(!is_ipv4_frame(&[0u8; 3]));
     }
 }

@@ -7,7 +7,7 @@ use crate::error::check_len;
 use crate::{PacketError, Result};
 
 /// Minimum IPv4 header length (IHL = 5, no options).
-pub const IPV4_MIN_HEADER_LEN: usize = 20;
+pub(crate) const IPV4_MIN_HEADER_LEN: usize = 20;
 
 /// IP protocol numbers the pipeline understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,53 +78,18 @@ impl<'a> Ipv4Packet<'a> {
     }
 
     /// Header length in bytes (IHL × 4).
-    pub fn header_len(&self) -> usize {
+    fn header_len(&self) -> usize {
         usize::from(self.buf[0] & 0x0f) * 4
     }
 
     /// The total-length field: header plus payload.
-    pub fn total_len(&self) -> usize {
+    fn total_len(&self) -> usize {
         usize::from(u16::from_be_bytes([self.buf[2], self.buf[3]]))
-    }
-
-    /// Type-of-service byte.
-    pub fn tos(&self) -> u8 {
-        self.buf[1]
-    }
-
-    /// Identification field.
-    pub fn identification(&self) -> u16 {
-        u16::from_be_bytes([self.buf[4], self.buf[5]])
-    }
-
-    /// Don't-fragment flag.
-    pub fn dont_fragment(&self) -> bool {
-        self.buf[6] & 0x40 != 0
-    }
-
-    /// More-fragments flag.
-    pub fn more_fragments(&self) -> bool {
-        self.buf[6] & 0x20 != 0
-    }
-
-    /// Fragment offset in 8-byte units.
-    pub fn fragment_offset(&self) -> u16 {
-        u16::from_be_bytes([self.buf[6] & 0x1f, self.buf[7]])
-    }
-
-    /// Time to live.
-    pub fn ttl(&self) -> u8 {
-        self.buf[8]
     }
 
     /// The protocol field.
     pub fn protocol(&self) -> IpProtocol {
         self.buf[9].into()
-    }
-
-    /// The checksum field as stored.
-    pub fn stored_checksum(&self) -> u16 {
-        u16::from_be_bytes([self.buf[10], self.buf[11]])
     }
 
     /// Source address.
@@ -202,14 +167,11 @@ mod tests {
         assert_eq!(p.src(), Ipv4Addr::new(10, 0, 0, 1));
         assert_eq!(p.dst(), Ipv4Addr::new(192, 0, 2, 7));
         assert_eq!(p.protocol(), IpProtocol::Udp);
-        assert_eq!(p.ttl(), 64);
-        assert_eq!(p.identification(), 0x1234);
+        assert_eq!(bytes[8], 64, "ttl");
+        assert_eq!(&bytes[4..6], &[0x12, 0x34], "identification");
         assert_eq!(p.header_len(), 20);
         assert_eq!(p.total_len(), 20 + 13);
         assert_eq!(p.payload(), b"payload bytes");
-        assert!(p.dont_fragment());
-        assert!(!p.more_fragments());
-        assert_eq!(p.fragment_offset(), 0);
         assert!(p.verify_checksum());
     }
 

@@ -10,9 +10,13 @@
 //! * **builders** that emit well-formed packets ([`PacketBuilder`]);
 //! * a classic **libpcap** file [`pcap::PcapReader`] / [`pcap::PcapWriter`]
 //!   supporting both byte orders and microsecond/nanosecond resolution;
+//!   the reader lends each record out of its block
+//!   ([`pcap::PcapReader::next_record_ref`]) and owns no record copy;
 //! * [`PacketMeta`] — the per-packet record (timestamp, addresses, ports,
 //!   protocol, wire length) the flow-aggregation pipeline consumes, and
-//!   [`parse_meta`] to extract it from raw capture bytes.
+//!   [`parse_meta`] to extract it from raw capture bytes
+//!   ([`parse_buf_meta`] for a pcap record: its original length is the
+//!   wire length).
 //!
 //! Malformed input never panics: every accessor that could run off the end
 //! of a buffer is fronted by a length check, and parsers return
@@ -48,11 +52,11 @@ mod tcp;
 mod udp;
 
 pub use error::PacketError;
-pub use ethernet::{is_ipv4_frame, EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
-pub use ipv4::{IpProtocol, Ipv4Packet, IPV4_MIN_HEADER_LEN};
-pub use meta::{parse_buf_meta, parse_meta, parse_record_meta, LinkType, PacketBuilder, PacketMeta};
-pub use tcp::{TcpFlags, TcpSegment, TCP_MIN_HEADER_LEN};
-pub use udp::{UdpDatagram, UDP_HEADER_LEN};
+pub use ethernet::{EtherType, EthernetFrame, MacAddr};
+pub use ipv4::{IpProtocol, Ipv4Packet};
+pub use meta::{parse_buf_meta, parse_meta, LinkType, PacketBuilder, PacketMeta};
+pub use tcp::{TcpFlags, TcpSegment};
+pub use udp::UdpDatagram;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = core::result::Result<T, PacketError>;

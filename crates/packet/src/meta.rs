@@ -4,7 +4,6 @@ use std::net::Ipv4Addr;
 
 use crate::ethernet::{self, EthernetFrame, EtherType, MacAddr};
 use crate::ipv4::{self, IpProtocol, Ipv4Packet};
-use crate::pcap::PcapRecord;
 use crate::tcp::{self, TcpFlags, TcpSegment};
 use crate::udp::{self, UdpDatagram};
 use crate::{PacketError, Result};
@@ -70,7 +69,7 @@ pub struct PacketMeta {
 /// unverifiable in general.
 ///
 /// `wire_len` is taken from the buffer length; when parsing snapped pcap
-/// records use [`parse_record_meta`], which substitutes the record's
+/// records use [`parse_buf_meta`], which substitutes the record's
 /// original length.
 pub fn parse_meta(link: LinkType, buf: &[u8], ts_ns: u64) -> Result<PacketMeta> {
     let (ip_bytes, wire_len) = match link {
@@ -109,21 +108,12 @@ pub fn parse_meta(link: LinkType, buf: &[u8], ts_ns: u64) -> Result<PacketMeta> 
     })
 }
 
-/// Extract metadata from a pcap record, preferring the record's original
-/// length over the (possibly snapped) captured length for bandwidth
-/// accounting.
-pub fn parse_record_meta(link: LinkType, record: &PcapRecord) -> Result<PacketMeta> {
-    let head = crate::pcap::RecordHeader {
-        ts_ns: record.ts_ns,
-        orig_len: record.orig_len,
-    };
-    parse_buf_meta(link, &record.data, &head)
-}
-
-/// [`parse_record_meta`] for the borrowed-record read paths
+/// Extract metadata from a pcap record
 /// ([`crate::pcap::PcapReader::next_record_ref`],
 /// [`crate::pcap::PcapSlice::next_record`]): captured bytes in `data`,
-/// timestamp and original length from `head`.
+/// timestamp and original length from `head`, the original length
+/// preferred over the (possibly snapped) captured length for bandwidth
+/// accounting.
 pub fn parse_buf_meta(
     link: LinkType,
     data: &[u8],
@@ -146,8 +136,6 @@ pub struct PacketBuilder {
     dst: Ipv4Addr,
     src_port: u16,
     dst_port: u16,
-    ttl: u8,
-    identification: u16,
     payload: Vec<u8>,
     tcp_flags: TcpFlags,
 }
@@ -170,8 +158,6 @@ impl PacketBuilder {
             dst: Ipv4Addr::UNSPECIFIED,
             src_port: 0,
             dst_port: 0,
-            ttl: 64,
-            identification: 0,
             payload: Vec::new(),
             tcp_flags: TcpFlags(TcpFlags::ACK),
         }
@@ -188,18 +174,6 @@ impl PacketBuilder {
     pub fn dst(mut self, addr: Ipv4Addr, port: u16) -> Self {
         self.dst = addr;
         self.dst_port = port;
-        self
-    }
-
-    /// Time-to-live.
-    pub fn ttl(mut self, ttl: u8) -> Self {
-        self.ttl = ttl;
-        self
-    }
-
-    /// IPv4 identification field.
-    pub fn identification(mut self, id: u16) -> Self {
-        self.identification = id;
         self
     }
 
@@ -249,8 +223,8 @@ impl PacketBuilder {
             self.src,
             self.dst,
             self.proto,
-            self.ttl,
-            self.identification,
+            64,
+            0,
             &transport,
         )
     }
@@ -342,10 +316,10 @@ mod tests {
 
         let mut r = PcapReader::new(&buf[..]).unwrap();
         let link = LinkType::from_code(r.header().linktype).unwrap();
-        let rec = r.next_record().unwrap().unwrap();
+        let (head, data) = r.next_record_ref().unwrap().unwrap();
         // The IPv4 total-length check fails on the snapped buffer — parse
         // must report truncation, not panic...
-        let err = parse_record_meta(link, &rec).unwrap_err();
+        let err = parse_buf_meta(link, data, &head).unwrap_err();
         assert!(matches!(err, PacketError::Truncated { .. }));
 
         // ...and an unsnapped record reports the true wire length.
@@ -354,8 +328,8 @@ mod tests {
         w2.write_record(5_000_000_000, packet.len() as u32, &packet).unwrap();
         w2.finish().unwrap();
         let mut r2 = PcapReader::new(&buf2[..]).unwrap();
-        let rec2 = r2.next_record().unwrap().unwrap();
-        let meta = parse_record_meta(LinkType::RawIp, &rec2).unwrap();
+        let (head, data) = r2.next_record_ref().unwrap().unwrap();
+        let meta = parse_buf_meta(LinkType::RawIp, data, &head).unwrap();
         assert_eq!(meta.wire_len as usize, packet.len());
     }
 

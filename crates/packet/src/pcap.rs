@@ -13,8 +13,6 @@
 
 use std::io::{Read, Write};
 
-use bytes::Bytes;
-
 use crate::{PacketError, Result};
 
 /// Magic number for microsecond-resolution files.
@@ -24,7 +22,7 @@ pub const MAGIC_NANOS: u32 = 0xa1b2_3c4d;
 
 /// Captured lengths above this are treated as file corruption rather than
 /// honoured with a giant allocation.
-pub const MAX_SANE_CAPLEN: u32 = 1 << 26; // 64 MiB
+const MAX_SANE_CAPLEN: u32 = 1 << 26; // 64 MiB
 
 /// Timestamp resolution of a capture file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,19 +47,6 @@ pub struct PcapHeader {
     pub linktype: u32,
 }
 
-/// One captured packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PcapRecord {
-    /// Capture timestamp in nanoseconds since the epoch.
-    pub ts_ns: u64,
-    /// Original on-the-wire length (≥ `data.len()` when truncated by the
-    /// snap length). Bandwidth accounting must use this, not the captured
-    /// length.
-    pub orig_len: u32,
-    /// Captured bytes.
-    pub data: Bytes,
-}
-
 /// Header fields of a record whose captured bytes are handed back
 /// separately ([`PcapReader::next_record_ref`], [`PcapSlice::next_record`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +54,7 @@ pub struct RecordHeader {
     /// Capture timestamp in nanoseconds since the epoch.
     pub ts_ns: u64,
     /// Original on-the-wire length (≥ captured length when snapped).
+    /// Bandwidth accounting must use this, not the captured length.
     pub orig_len: u32,
 }
 
@@ -247,7 +233,7 @@ impl<R: Read> PcapReader<R> {
     /// inside a record header, [`PacketError::Io`] when it ends inside
     /// a record body or the input itself fails, and
     /// [`PacketError::ImplausibleCaptureLen`] for a captured length
-    /// above [`MAX_SANE_CAPLEN`].
+    /// above 64 MiB.
     pub fn next_record_ref(&mut self) -> Result<Option<(RecordHeader, &[u8])>> {
         let Some((head, len)) = self.buffer_record()? else {
             return Ok(None);
@@ -334,16 +320,6 @@ impl<R: Read> PcapReader<R> {
             head
         }))
     }
-
-    /// [`PcapReader::next_record_ref`] as an owned [`PcapRecord`] (one
-    /// allocation per record).
-    pub fn next_record(&mut self) -> Result<Option<PcapRecord>> {
-        Ok(self.next_record_ref()?.map(|(head, bytes)| PcapRecord {
-            ts_ns: head.ts_ns,
-            orig_len: head.orig_len,
-            data: Bytes::copy_from_slice(bytes),
-        }))
-    }
 }
 
 /// Decode one 16-byte record header, shared by the streaming reader and
@@ -374,14 +350,6 @@ fn decode_record_header(
         TsResolution::Nano => secs * 1_000_000_000 + subsec,
     };
     Ok((RecordHeader { ts_ns, orig_len }, caplen))
-}
-
-impl<R: Read> Iterator for PcapReader<R> {
-    type Item = Result<PcapRecord>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().transpose()
-    }
 }
 
 /// Zero-copy record cursor over an in-memory (or memory-mapped) capture.
@@ -435,7 +403,7 @@ impl<'a> PcapSlice<'a> {
     /// [`crate::pool::PooledReader`]).
     ///
     /// This is the two-cursor form of the scan: a *scan-ahead* cursor
-    /// walks the raw bytes roughly [`SCAN_AHEAD_BYTES`] in front of the
+    /// walks the raw bytes roughly `SCAN_AHEAD_BYTES` (4 KiB) in front of the
     /// decode position, requesting one cache line per touch, while the
     /// *consume* cursor decodes record headers behind it. The header
     /// walk itself is a dependent chain (each record's offset comes from
@@ -540,17 +508,17 @@ mod tests {
         assert_eq!(r.header().resolution, resolution);
         assert!(!r.header().swapped);
 
-        let rec = r.next_record().unwrap().unwrap();
-        assert_eq!(rec.orig_len, 100);
-        assert_eq!(&rec.data[..], &[1, 2, 3, 4]);
+        let (head, data) = r.next_record_ref().unwrap().unwrap();
+        assert_eq!(head.orig_len, 100);
+        assert_eq!(data, &[1, 2, 3, 4]);
         match resolution {
-            TsResolution::Nano => assert_eq!(rec.ts_ns, 1_000_000_123_456_789),
+            TsResolution::Nano => assert_eq!(head.ts_ns, 1_000_000_123_456_789),
             // Microsecond files round sub-µs digits away.
-            TsResolution::Micro => assert_eq!(rec.ts_ns, 1_000_000_123_456_000),
+            TsResolution::Micro => assert_eq!(head.ts_ns, 1_000_000_123_456_000),
         }
-        let rec = r.next_record().unwrap().unwrap();
-        assert_eq!(&rec.data[..], &[9, 8, 7, 6]);
-        assert!(r.next_record().unwrap().is_none());
+        let (_, data) = r.next_record_ref().unwrap().unwrap();
+        assert_eq!(data, &[9, 8, 7, 6]);
+        assert!(r.next_record_ref().unwrap().is_none());
     }
 
     #[test]
@@ -585,10 +553,10 @@ mod tests {
         assert!(h.swapped);
         assert_eq!(h.snaplen, 1500);
         assert_eq!(h.linktype, 101);
-        let rec = r.next_record().unwrap().unwrap();
-        assert_eq!(rec.ts_ns, 7_000_005_000);
-        assert_eq!(rec.orig_len, 60);
-        assert_eq!(&rec.data[..], &[0xAA, 0xBB]);
+        let (head, data) = r.next_record_ref().unwrap().unwrap();
+        assert_eq!(head.ts_ns, 7_000_005_000);
+        assert_eq!(head.orig_len, 60);
+        assert_eq!(data, &[0xAA, 0xBB]);
     }
 
     #[test]
@@ -600,9 +568,9 @@ mod tests {
         w.finish().unwrap();
 
         let mut r = PcapReader::new(&buf[..]).unwrap();
-        let rec = r.next_record().unwrap().unwrap();
-        assert_eq!(rec.data.len(), 8);
-        assert_eq!(rec.orig_len, 32);
+        let (head, data) = r.next_record_ref().unwrap().unwrap();
+        assert_eq!(data.len(), 8);
+        assert_eq!(head.orig_len, 32);
     }
 
     #[test]
@@ -628,7 +596,7 @@ mod tests {
         buf.extend_from_slice(&[0u8; 7]); // garbage partial record header
         let mut r = PcapReader::new(&buf[..]).unwrap();
         assert!(matches!(
-            r.next_record().unwrap_err(),
+            r.next_record_ref().unwrap_err(),
             PacketError::Truncated { needed: 16, got: 7 }
         ));
     }
@@ -641,7 +609,7 @@ mod tests {
         w.finish().unwrap();
         buf.truncate(buf.len() - 2);
         let mut r = PcapReader::new(&buf[..]).unwrap();
-        assert!(matches!(r.next_record().unwrap_err(), PacketError::Io(_)));
+        assert!(matches!(r.next_record_ref().unwrap_err(), PacketError::Io(_)));
     }
 
     #[test]
@@ -655,7 +623,7 @@ mod tests {
         buf.extend_from_slice(&0u32.to_le_bytes());
         let mut r = PcapReader::new(&buf[..]).unwrap();
         assert!(matches!(
-            r.next_record().unwrap_err(),
+            r.next_record_ref().unwrap_err(),
             PacketError::ImplausibleCaptureLen(_)
         ));
     }
@@ -856,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn buffer_reusing_read_matches_allocating_read() {
+    fn buffer_reusing_read_matches_borrowing_read() {
         let mut buf = Vec::new();
         let mut w = PcapWriter::new(&mut buf, 1).unwrap();
         w.write_record(1_000_000, 8, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
@@ -864,17 +832,16 @@ mod tests {
         w.write_record(3_000_000, 3, &[7, 7, 7]).unwrap();
         w.finish().unwrap();
 
-        let mut alloc_reader = PcapReader::new(&buf[..]).unwrap();
+        let mut borrow_reader = PcapReader::new(&buf[..]).unwrap();
         let mut reuse_reader = PcapReader::new(&buf[..]).unwrap();
         let mut scratch = Vec::new();
         loop {
-            let a = alloc_reader.next_record().unwrap();
+            let a = borrow_reader.next_record_ref().unwrap();
             let b = reuse_reader.next_record_into(&mut scratch).unwrap();
             match (a, b) {
-                (Some(rec), Some(head)) => {
-                    assert_eq!(rec.ts_ns, head.ts_ns);
-                    assert_eq!(rec.orig_len, head.orig_len);
-                    assert_eq!(&rec.data[..], &scratch[..]);
+                (Some((head_a, data)), Some(head)) => {
+                    assert_eq!(head_a, head);
+                    assert_eq!(data, &scratch[..]);
                 }
                 (None, None) => break,
                 (a, b) => panic!("readers disagree: {a:?} vs {b:?}"),
@@ -898,16 +865,11 @@ mod tests {
         let mut slice = PcapSlice::new(&buf[..]).unwrap();
         assert_eq!(stream.header(), slice.header());
         loop {
-            let a = stream.next_record().unwrap();
+            let a = stream.next_record_ref().unwrap();
             let b = slice.next_record().unwrap();
-            match (a, b) {
-                (Some(rec), Some((head, data))) => {
-                    assert_eq!(rec.ts_ns, head.ts_ns);
-                    assert_eq!(rec.orig_len, head.orig_len);
-                    assert_eq!(&rec.data[..], data);
-                }
-                (None, None) => break,
-                (a, b) => panic!("readers disagree: {a:?} vs {b:?}"),
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
             }
         }
         assert_eq!(slice.position(), buf.len());
@@ -930,8 +892,8 @@ mod tests {
         let mut r = PcapReader::new(&buf[..]).unwrap();
         // The accepted boundary record round-trips without wrapping
         // (microsecond resolution rounds the sub-µs digits away).
-        let rec = r.next_record().unwrap().unwrap();
-        assert_eq!(rec.ts_ns, u64::from(u32::MAX) * 1_000_000_000 + 999_999_000);
+        let (head, _) = r.next_record_ref().unwrap().unwrap();
+        assert_eq!(head.ts_ns, u64::from(u32::MAX) * 1_000_000_000 + 999_999_000);
     }
 
     #[test]
@@ -943,9 +905,9 @@ mod tests {
         w.write_record(0, 2, &[1, 2, 3, 4, 5]).unwrap();
         w.finish().unwrap();
         let mut r = PcapReader::new(&buf[..]).unwrap();
-        let rec = r.next_record().unwrap().unwrap();
-        assert_eq!(rec.data.len(), 5);
-        assert_eq!(rec.orig_len, 5, "orig_len must cover the captured bytes");
+        let (head, data) = r.next_record_ref().unwrap().unwrap();
+        assert_eq!(data.len(), 5);
+        assert_eq!(head.orig_len, 5, "orig_len must cover the captured bytes");
     }
 
     #[test]
@@ -1009,20 +971,5 @@ mod tests {
         ));
         let mut cut_body = PcapSlice::new(&buf[..buf.len() - 2]).unwrap();
         assert!(matches!(cut_body.next_record().unwrap_err(), PacketError::Io(_)));
-    }
-
-    #[test]
-    fn iterator_interface() {
-        let mut buf = Vec::new();
-        let mut w = PcapWriter::new(&mut buf, 1).unwrap();
-        for i in 0..5u8 {
-            w.write_record(u64::from(i) * 1_000, 1, &[i]).unwrap();
-        }
-        w.finish().unwrap();
-        let r = PcapReader::new(&buf[..]).unwrap();
-        let records: Result<Vec<_>> = r.collect();
-        let records = records.unwrap();
-        assert_eq!(records.len(), 5);
-        assert_eq!(&records[3].data[..], &[3]);
     }
 }

@@ -37,7 +37,7 @@
 //! # Bounded memory
 //!
 //! Both buffer kinds (span vectors, meta vectors) live in rings of at
-//! most [`RING_DEPTH`] entries, recycled through return channels once
+//! most `RING_DEPTH` (8) entries, recycled through return channels once
 //! the reader consumes a batch. The framer allocates a fresh span
 //! vector only while the ring is not yet full; after that it *blocks*
 //! on the return channel — the one blocking edge in the graph, which
@@ -55,11 +55,11 @@ use crate::pcap::{PcapSlice, RecordHeader};
 use crate::{parse_buf_meta, LinkType, PacketMeta, Result};
 
 /// Records per framed batch — one batch becomes one consumer chunk.
-pub const FRAME_BATCH: usize = 256;
+const FRAME_BATCH: usize = 256;
 
 /// Maximum batches in flight (scanned but not yet consumed): the depth
 /// of both buffer rings, and the backpressure bound on the framer.
-pub const RING_DEPTH: usize = 8;
+const RING_DEPTH: usize = 8;
 
 /// One record span: its decoded header plus the byte range of its
 /// captured payload in the capture buffer.
@@ -345,13 +345,6 @@ fn parse_spans(
         metas,
         malformed,
     }
-}
-
-/// Convenience check used by tests and callers sizing worker counts:
-/// a pooled reader with this many workers saturates the stage without
-/// oversubscribing the host.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get().saturating_sub(2)).unwrap_or(1).max(1)
 }
 
 #[cfg(test)]

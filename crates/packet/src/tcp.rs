@@ -8,7 +8,7 @@ use crate::error::check_len;
 use crate::{PacketError, Result};
 
 /// Minimum TCP header length (data offset = 5, no options).
-pub const TCP_MIN_HEADER_LEN: usize = 20;
+pub(crate) const TCP_MIN_HEADER_LEN: usize = 20;
 
 /// The TCP flag bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -16,17 +16,17 @@ pub struct TcpFlags(pub u8);
 
 impl TcpFlags {
     /// FIN flag.
-    pub const FIN: u8 = 0x01;
+    const FIN: u8 = 0x01;
     /// SYN flag.
     pub const SYN: u8 = 0x02;
     /// RST flag.
-    pub const RST: u8 = 0x04;
+    const RST: u8 = 0x04;
     /// PSH flag.
-    pub const PSH: u8 = 0x08;
+    const PSH: u8 = 0x08;
     /// ACK flag.
     pub const ACK: u8 = 0x10;
     /// URG flag.
-    pub const URG: u8 = 0x20;
+    const URG: u8 = 0x20;
 
     /// Whether `bit` is set.
     pub fn contains(&self, bit: u8) -> bool {
@@ -81,34 +81,9 @@ impl<'a> TcpSegment<'a> {
         u16::from_be_bytes([self.buf[2], self.buf[3]])
     }
 
-    /// Sequence number.
-    pub fn seq(&self) -> u32 {
-        u32::from_be_bytes(self.buf[4..8].try_into().expect("checked in parse"))
-    }
-
-    /// Acknowledgement number.
-    pub fn ack(&self) -> u32 {
-        u32::from_be_bytes(self.buf[8..12].try_into().expect("checked in parse"))
-    }
-
     /// Header length in bytes.
-    pub fn header_len(&self) -> usize {
+    fn header_len(&self) -> usize {
         usize::from(self.buf[12] >> 4) * 4
-    }
-
-    /// The flag bits.
-    pub fn flags(&self) -> TcpFlags {
-        TcpFlags(self.buf[13] & 0x3f)
-    }
-
-    /// Advertised receive window.
-    pub fn window(&self) -> u16 {
-        u16::from_be_bytes([self.buf[14], self.buf[15]])
-    }
-
-    /// The checksum field as stored.
-    pub fn stored_checksum(&self) -> u16 {
-        u16::from_be_bytes([self.buf[16], self.buf[17]])
     }
 
     /// The payload after header and options.
@@ -186,13 +161,10 @@ mod tests {
         let seg = TcpSegment::parse(&bytes).unwrap();
         assert_eq!(seg.src_port(), 443);
         assert_eq!(seg.dst_port(), 51000);
-        assert_eq!(seg.seq(), 0xdeadbeef);
-        assert_eq!(seg.ack(), 0x01020304);
+        assert_eq!(&bytes[4..12], &[0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4], "seq, ack");
         assert_eq!(seg.header_len(), 20);
-        assert!(seg.flags().contains(TcpFlags::ACK));
-        assert!(seg.flags().contains(TcpFlags::PSH));
-        assert!(!seg.flags().contains(TcpFlags::SYN));
-        assert_eq!(seg.window(), 65535);
+        assert_eq!(TcpFlags(bytes[13]), TcpFlags(TcpFlags::ACK | TcpFlags::PSH));
+        assert_eq!(&bytes[14..16], &[0xff, 0xff], "window");
         assert_eq!(seg.payload(), b"tls bytes");
         assert!(seg.verify_checksum(SRC, DST));
     }

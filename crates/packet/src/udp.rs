@@ -7,7 +7,7 @@ use crate::error::check_len;
 use crate::{PacketError, Result};
 
 /// UDP header length.
-pub const UDP_HEADER_LEN: usize = 8;
+pub(crate) const UDP_HEADER_LEN: usize = 8;
 
 /// Zero-copy view of a UDP datagram.
 #[derive(Debug, Clone, Copy)]
@@ -38,12 +38,12 @@ impl<'a> UdpDatagram<'a> {
     }
 
     /// The length field: header plus payload.
-    pub fn len_field(&self) -> usize {
+    fn len_field(&self) -> usize {
         usize::from(u16::from_be_bytes([self.buf[4], self.buf[5]]))
     }
 
     /// The checksum field as stored (0 means "not computed" in IPv4).
-    pub fn stored_checksum(&self) -> u16 {
+    fn stored_checksum(&self) -> u16 {
         u16::from_be_bytes([self.buf[6], self.buf[7]])
     }
 

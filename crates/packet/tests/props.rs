@@ -125,19 +125,20 @@ proptest! {
         }
         w.finish().unwrap();
 
-        let r = PcapReader::new(&buf[..]).unwrap();
-        let got: eleph_packet::Result<Vec<_>> = r.collect();
-        let got = got.unwrap();
-        prop_assert_eq!(got.len(), records.len());
-        for ((ts, data), rec) in records.iter().zip(&got) {
+        let mut r = PcapReader::new(&buf[..]).unwrap();
+        let mut got = 0;
+        while let Some((head, bytes)) = r.next_record_ref().unwrap() {
+            let (ts, data) = &records[got];
             let ts = ts % (u64::from(u32::MAX) * 1_000_000_000);
             let expect_ts = match resolution {
                 TsResolution::Nano => ts,
                 TsResolution::Micro => (ts / 1_000) * 1_000,
             };
-            prop_assert_eq!(rec.ts_ns, expect_ts);
-            prop_assert_eq!(&rec.data[..], &data[..]);
-            prop_assert_eq!(rec.orig_len as usize, data.len());
+            prop_assert_eq!(head.ts_ns, expect_ts);
+            prop_assert_eq!(bytes, &data[..]);
+            prop_assert_eq!(head.orig_len as usize, data.len());
+            got += 1;
         }
+        prop_assert_eq!(got, records.len());
     }
 }

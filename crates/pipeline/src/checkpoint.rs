@@ -219,7 +219,7 @@ fn crc_step(crc: u32, byte: u8) -> u32 {
     (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize]
 }
 
-/// CRC-32 of `data` (IEEE), [`CRC_STRIDE`] bytes per step: the running
+/// CRC-32 of `data` (IEEE), `CRC_STRIDE` (16) bytes per step: the running
 /// CRC is folded into the first four bytes, every byte looks up the
 /// table for its distance from the end of the stride, and the sixteen
 /// results XOR together — independent loads instead of a sixteen-deep

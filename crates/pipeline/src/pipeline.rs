@@ -54,7 +54,7 @@ pub enum PipelineError {
     /// as a kill at that point would.
     Crash(CrashPoint),
     /// An unbounded stream persistently jumped further ahead than
-    /// [`MAX_UNBOUNDED_GAP`] intervals — the monitor cannot seal that
+    /// `MAX_UNBOUNDED_GAP` intervals — the monitor cannot seal that
     /// many empty intervals, and dropping the traffic silently would
     /// corrupt the measurement. Restart the pipeline with a fresh
     /// window (or bound it with `n_intervals`).
@@ -331,14 +331,6 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     /// aggregator's window semantics.
     pub fn n_intervals(mut self, n: usize) -> Self {
         self.n_intervals = Some(n);
-        self
-    }
-
-    /// Remove the interval bound (the default): the pipeline runs for
-    /// as long as the source produces packets, sealing every interval
-    /// the stream crosses.
-    pub fn unbounded(mut self) -> Self {
-        self.n_intervals = None;
         self
     }
 
@@ -834,7 +826,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
 
     /// Observe one parsed packet (single-lookup path; rejected packets
     /// cost no table access).
-    pub fn observe_meta(&mut self, meta: &PacketMeta) -> Result<()> {
+    fn observe_meta(&mut self, meta: &PacketMeta) -> Result<()> {
         if meta.ts_ns >= self.next_update_ns() {
             self.apply_due_updates(meta.ts_ns);
         }

@@ -283,11 +283,6 @@ impl RotatingJsonlSink {
         name.push(format!(".{n}"));
         std::path::PathBuf::from(name)
     }
-
-    /// Number of rotated segments (`path.1 ..= path.<n>`).
-    pub fn segments(&self) -> usize {
-        self.segments
-    }
 }
 
 impl Sink for RotatingJsonlSink {

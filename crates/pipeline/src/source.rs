@@ -211,11 +211,6 @@ impl<'a> TraceSource<'a> {
             intervals,
         }
     }
-
-    /// Source from a pre-configured synthesizer (custom packet mix).
-    pub fn from_synth(synth: PacketSynth<'a>, intervals: std::ops::Range<usize>) -> Self {
-        TraceSource { synth, intervals }
-    }
 }
 
 impl PacketSource for TraceSource<'_> {

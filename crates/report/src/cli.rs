@@ -300,7 +300,7 @@ pub fn eleph_main() -> ExitCode {
 }
 
 /// Run the subcommand `args` names.
-pub fn dispatch(args: &[String]) -> Result<(), CliError> {
+pub(crate) fn dispatch(args: &[String]) -> Result<(), CliError> {
     let Some((cmd, rest)) = args.split_first() else {
         print!("{USAGE}");
         return Ok(());
@@ -344,7 +344,7 @@ fn take_flag_value(args: &[String], flag: &str) -> Option<(String, Vec<String>)>
 /// All options of `eleph run` in one struct — the single configuration
 /// surface for streaming invocations.
 #[derive(Debug, Clone)]
-pub struct RunOpts {
+pub(crate) struct RunOpts {
     /// Stream this pcap file (mutually exclusive with `synth`).
     pub pcap: Option<String>,
     /// Stream a synthetic workload.
@@ -626,7 +626,7 @@ impl RunOpts {
 /// `eleph run`: wire a source into the streaming pipeline and emit
 /// per-interval JSONL, with a run summary on stderr. Everything that
 /// can be wrong with the command line is decided here, before
-/// [`stream`] opens a file.
+/// `stream` opens a file.
 pub fn run_streaming(args: &[String]) -> Result<(), CliError> {
     let entered = std::time::Instant::now();
     let opts = RunOpts::parse(args)?;
@@ -784,20 +784,21 @@ fn stream(
     let report = if let Some((file, path)) = pcap {
         // The capture is opened once (it may be a pipe): the window's
         // anchor is peeked from the source the run then reads.
-        let map_src =
-            |e: eleph_packet::PacketError| io::Error::other(format!("--pcap {path}: {e}"));
+        let input = format!("--pcap {path}");
+        let map_src = |e: eleph_packet::PacketError| io::Error::other(format!("{input}: {e}"));
         if opts.wants_faults() {
             let injector = FaultInjector::try_new(opts.fault_config())
                 .map_err(io::Error::other)?;
             let mut source = FaultedPcapSource::new(file, injector).map_err(map_src)?;
             let builder = pcap_window(opts, builder, || source.peek_header()).map_err(map_src)?;
-            let report = drive(builder, &mut source, ckpt.as_ref(), checkpointer.as_mut())?;
+            let report =
+                drive(builder, &mut source, &input, ckpt.as_ref(), checkpointer.as_mut())?;
             fault_stats = Some(source.fault_stats());
             report
         } else {
             let mut source = PcapSource::new(file).map_err(map_src)?;
             let builder = pcap_window(opts, builder, || source.peek_header()).map_err(map_src)?;
-            drive(builder, &mut source, ckpt.as_ref(), checkpointer.as_mut())?
+            drive(builder, &mut source, &input, ckpt.as_ref(), checkpointer.as_mut())?
         }
     } else {
         let trace = trace.expect("generated above under --synth");
@@ -806,7 +807,7 @@ fn stream(
             .start_unix(trace.config.start_unix)
             .n_intervals(trace.config.n_intervals);
         let mut source = TraceSource::new(&trace);
-        drive(builder, &mut source, ckpt.as_ref(), checkpointer.as_mut())?
+        drive(builder, &mut source, "--synth", ckpt.as_ref(), checkpointer.as_mut())?
     };
 
     let setup = started.duration_since(entered).as_secs_f64();
@@ -824,13 +825,20 @@ fn stream(
 /// `eleph run` source/configuration combination.
 ///
 /// Takes the source by `&mut` so the caller keeps ownership and can read
-/// source-side state (fault counters) after the run.
+/// source-side state (fault counters) after the run. A source that fails
+/// mid-stream is named by `input` (`--pcap PATH`), as one that fails to
+/// open is.
 fn drive<D: ThresholdDetector, S: PacketSource>(
     builder: PipelineBuilder<'_, D>,
     source: &mut S,
+    input: &str,
     ckpt: Option<&Checkpoint>,
     checkpointer: Option<&mut Checkpointer>,
 ) -> io::Result<PipelineReport> {
+    let named = |e: PipelineError| match e {
+        PipelineError::Packet(e) => io::Error::other(format!("{input}: {e}")),
+        e => io::Error::other(e.to_string()),
+    };
     let mut pipeline: Pipeline<'_, D> = match ckpt {
         Some(c) => builder
             .resume(c)
@@ -842,19 +850,18 @@ fn drive<D: ThresholdDetector, S: PacketSource>(
         // checkpoint's consumed-record count (parsed + malformed, both
         // already folded into `offered`) realigns the stream with the
         // restored classifier state.
-        skip_offered(&mut *source, c.offered())
-            .map_err(|e| io::Error::other(e.to_string()))?;
+        skip_offered(&mut *source, c.offered()).map_err(named)?;
     }
     match checkpointer {
         Some(ck) => pipeline.run_checkpointed(&mut *source, ck).map_err(|e| match e {
             PipelineError::Checkpoint(_) => {
                 io::Error::other(format!("{}: {e}", ck.path().display()))
             }
-            e => io::Error::other(e.to_string()),
+            e => named(e),
         }),
-        None => pipeline.run(&mut *source).map_err(|e| io::Error::other(e.to_string())),
+        None => pipeline.run(&mut *source).map_err(named),
     }?;
-    pipeline.finish().map_err(|e| io::Error::other(e.to_string()))
+    pipeline.finish().map_err(named)
 }
 
 /// The end-of-run summary as one JSON line: interval/prefix counts,
@@ -970,7 +977,7 @@ fn json_string(s: &str) -> String {
 /// Options of `eleph churn` — a deterministic route-update stream
 /// generator for exercising `eleph run --rib-updates`.
 #[derive(Debug, Clone)]
-pub struct ChurnOpts {
+pub(crate) struct ChurnOpts {
     /// Synthetic table size to sample prefixes from (must match the
     /// run's `--prefixes` for the updates to hit routed prefixes).
     pub prefixes: usize,
@@ -1074,7 +1081,7 @@ impl ChurnOpts {
 /// `eleph churn`: sample prefixes from the same synthetic table `eleph
 /// run` defaults to and write a deterministic timed update stream —
 /// same options, same bytes, every time.
-pub fn run_churn(args: &[String]) -> Result<(), CliError> {
+pub(crate) fn run_churn(args: &[String]) -> Result<(), CliError> {
     let opts = ChurnOpts::parse(args)?;
     let table = eleph_bgp::synth::generate(&eleph_bgp::synth::SynthConfig {
         n_prefixes: opts.prefixes,

@@ -77,7 +77,7 @@ impl Comparison {
 }
 
 /// Directory where experiment CSVs are written.
-pub fn experiments_dir() -> PathBuf {
+fn experiments_dir() -> PathBuf {
     let base = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string());
     PathBuf::from(base).join("experiments")
 }

@@ -77,7 +77,7 @@ impl Deref for Fig1Data {
 }
 
 /// Column labels matching [`Lab::fig1_runs`] order.
-pub const FIG1_SERIES: [&str; 4] = [
+const FIG1_SERIES: [&str; 4] = [
     "constant load (west coast)",
     "aest (west coast)",
     "constant load (east coast)",

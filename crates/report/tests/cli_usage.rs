@@ -1,8 +1,10 @@
 //! A wrong command line is answered, not crashed on: the message and a
-//! pointer to `eleph help` on stderr, nothing on stdout, exit status 2.
-//! An input that cannot be opened is named by its flag and path, exit
-//! status 1, as is a checkpoint that cannot be written; and an input
-//! that can only be read once — a pipe — is read exactly as the file is.
+//! pointer to `eleph help` on stderr, nothing on stdout, exit status 2;
+//! a command line at the edge of what is accepted runs. An input that
+//! cannot be opened, or a capture that fails mid-stream, is named by its
+//! flag and path, exit status 1, as is a checkpoint that cannot be
+//! written; and an input that can only be read once — a pipe — is read
+//! exactly as the file is.
 
 use std::fs;
 use std::io::Write;
@@ -76,6 +78,31 @@ fn usage_errors_exit_2_without_a_panic() {
     }
 }
 
+/// `eleph run --synth` options at the edge of what is accepted.
+const ACCEPTED_EDGES: &[&str] = &[
+    // A latent-heat window far longer than the run: the history grows
+    // with the run, it is not reserved for the window.
+    "--window 1000000000",
+];
+
+#[test]
+fn accepted_edges_exit_0() {
+    let dir = scratch("edges");
+    for line in ACCEPTED_EDGES {
+        let out = Command::new(env!("CARGO_BIN_EXE_eleph"))
+            .args(["run", "--synth", "--flows", "200", "--intervals", "4", "--interval-secs", "20"])
+            .args(["--prefixes", "2000"])
+            .args(line.split_whitespace())
+            .arg("--out")
+            .arg(dir.join("run.jsonl"))
+            .output()
+            .expect("eleph runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "`eleph run --synth … {line}`: {stderr}");
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// A fresh scratch directory for one test.
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("eleph-usage-{tag}-{}", std::process::id()));
@@ -142,6 +169,39 @@ fn an_unwritable_checkpoint_exits_1_naming_its_path() {
     assert!(stderr.contains("checkpoint I/O error"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!path.exists(), "no image was renamed into place");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_capture_that_fails_mid_stream_names_its_input() {
+    let dir = scratch("midstream");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp dir").to_string();
+    let table = synth::generate(&SynthConfig { n_prefixes: 2_000, ..SynthConfig::default() });
+    let mut rib = Vec::new();
+    write_dump(&table, &mut rib).expect("write dump");
+    fs::write(path("c.rib"), rib).unwrap();
+    let trace = RateTrace::generate(&WorkloadConfig::small_test(5), &table);
+    let mut pcap = Vec::new();
+    PacketSynth::new(&trace).write_pcap(0..1, &mut pcap).expect("pcap synthesis");
+    // Keep the global header and the first record, whole: without
+    // --start-unix that record is peeked when the capture opens, so the
+    // damage is met mid-stream. Then a record claiming 0xFFFFFFF0 bytes.
+    let caplen = u32::from_le_bytes(pcap[32..36].try_into().unwrap()) as usize;
+    pcap.truncate(24 + 16 + caplen);
+    for field in [0u32, 0, 0xFFFF_FFF0, 0xFFFF_FFF0] {
+        pcap.extend_from_slice(&field.to_le_bytes());
+    }
+    fs::write(path("c.pcap"), &pcap).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_eleph"))
+        .args(["run", "--pcap", &path("c.pcap"), "--rib", &path("c.rib")])
+        .args(["--out", &path("run.jsonl")])
+        .output()
+        .expect("eleph runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("--pcap {}: ", path("c.pcap"))), "{stderr}");
+    assert!(stderr.contains("implausible pcap capture length"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -63,19 +63,9 @@ impl SetAccuracy {
         }
     }
 
-    /// Σ |approx ∩ oracle| so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
     /// Σ |oracle| so far.
     pub fn oracle_total(&self) -> u64 {
         self.oracle
-    }
-
-    /// Σ |approx| so far.
-    pub fn approx_total(&self) -> u64 {
-        self.approx
     }
 
     /// Fraction of oracle elephants found (1.0 when the oracle found
@@ -146,7 +136,6 @@ mod tests {
         let mut acc = SetAccuracy::new();
         acc.observe(&[1], &[1], |_| 1.0); // perfect interval
         acc.observe(&[2, 3, 4], &[9], |_| 1.0); // terrible interval
-        assert_eq!(acc.hits(), 1);
         assert_eq!(acc.oracle_total(), 4);
         assert_eq!(acc.recall(), 0.25);
         assert_eq!(acc.precision(), 0.5);

@@ -43,16 +43,6 @@ impl Pareto {
         Ok(Pareto { xm, alpha })
     }
 
-    /// The tail index α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// The scale (minimum value) xm.
-    pub fn xm(&self) -> f64 {
-        self.xm
-    }
-
     /// Analytic mean (for α > 1).
     pub fn mean(&self) -> Option<f64> {
         (self.alpha > 1.0).then(|| self.alpha * self.xm / (self.alpha - 1.0))
@@ -65,48 +55,6 @@ impl Sample for Pareto {
         // gen::<f64>() yields [0,1); map to (0,1] to avoid u = 0.
         let u = 1.0 - rng.gen::<f64>();
         self.xm * u.powf(-1.0 / self.alpha)
-    }
-}
-
-/// Bounded Pareto on `[lo, hi]` — Pareto conditioned to a finite range,
-/// used where a hard cap exists physically (a flow cannot exceed link
-/// capacity).
-#[derive(Debug, Clone, Copy)]
-pub struct BoundedPareto {
-    lo: f64,
-    hi: f64,
-    alpha: f64,
-}
-
-impl BoundedPareto {
-    /// Create with `0 < lo < hi` and shape `alpha > 0`.
-    pub fn new(lo: f64, hi: f64, alpha: f64) -> Result<Self, StatsError> {
-        if !(lo > 0.0) {
-            return Err(StatsError::BadParameter { name: "lo", value: lo });
-        }
-        if !(hi > lo) {
-            return Err(StatsError::BadParameter { name: "hi", value: hi });
-        }
-        if !(alpha > 0.0) {
-            return Err(StatsError::BadParameter {
-                name: "alpha",
-                value: alpha,
-            });
-        }
-        Ok(BoundedPareto { lo, hi, alpha })
-    }
-}
-
-impl Sample for BoundedPareto {
-    /// Inverse CDF of the truncated Pareto:
-    /// `x = (−(u·hi^α − u·lo^α − hi^α) / (hi^α·lo^α))^(−1/α)`
-    /// (standard bounded-Pareto form, e.g. Crovella's workload generators).
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen();
-        let la = self.lo.powf(self.alpha);
-        let ha = self.hi.powf(self.alpha);
-        let x = -(u * ha - u * la - ha) / (ha * la);
-        x.powf(-1.0 / self.alpha)
     }
 }
 
@@ -188,40 +136,6 @@ impl Sample for LogNormal {
     }
 }
 
-/// Weibull distribution with scale λ and shape k.
-///
-/// Used for on/off period durations: k < 1 gives the long-tailed activity
-/// periods seen in flow lifetimes.
-#[derive(Debug, Clone, Copy)]
-pub struct Weibull {
-    lambda: f64,
-    k: f64,
-}
-
-impl Weibull {
-    /// Create with scale `lambda > 0` and shape `k > 0`.
-    pub fn new(lambda: f64, k: f64) -> Result<Self, StatsError> {
-        if !(lambda > 0.0) {
-            return Err(StatsError::BadParameter {
-                name: "lambda",
-                value: lambda,
-            });
-        }
-        if !(k > 0.0) {
-            return Err(StatsError::BadParameter { name: "k", value: k });
-        }
-        Ok(Weibull { lambda, k })
-    }
-}
-
-impl Sample for Weibull {
-    /// Inverse CDF: `x = λ·(−ln u)^(1/k)`.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u = 1.0 - rng.gen::<f64>();
-        self.lambda * (-u.ln()).powf(1.0 / self.k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,16 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_pareto_stays_in_range() {
-        let d = BoundedPareto::new(1.0, 100.0, 1.2).unwrap();
-        let xs = draw(&d, 50_000);
-        assert!(xs.iter().all(|&x| (1.0..=100.0).contains(&x)));
-        // Most mass near the bottom for a heavy-tail shape.
-        let below_10 = xs.iter().filter(|&&x| x < 10.0).count() as f64 / xs.len() as f64;
-        assert!(below_10 > 0.8, "bottom-decade mass {below_10}");
-    }
-
-    #[test]
     fn exponential_moments() {
         let d = Exp::new(0.25).unwrap();
         let xs = draw(&d, 200_000);
@@ -287,14 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn weibull_shape_one_is_exponential() {
-        let d = Weibull::new(2.0, 1.0).unwrap();
-        let xs = draw(&d, 200_000);
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!((mean - 2.0).abs() < 0.05, "mean {mean}"); // Γ(2) = 1 → mean = λ
-    }
-
-    #[test]
     fn standard_normal_moments() {
         let mut r = rng();
         let xs: Vec<f64> = (0..200_000).map(|_| standard_normal(&mut r)).collect();
@@ -308,13 +204,8 @@ mod tests {
     fn parameter_validation() {
         assert!(Pareto::new(0.0, 1.0).is_err());
         assert!(Pareto::new(1.0, 0.0).is_err());
-        assert!(BoundedPareto::new(0.0, 1.0, 1.0).is_err());
-        assert!(BoundedPareto::new(2.0, 1.0, 1.0).is_err());
-        assert!(BoundedPareto::new(1.0, 2.0, 0.0).is_err());
         assert!(Exp::new(0.0).is_err());
         assert!(LogNormal::new(0.0, 0.0).is_err());
-        assert!(Weibull::new(0.0, 1.0).is_err());
-        assert!(Weibull::new(1.0, 0.0).is_err());
     }
 
     #[test]

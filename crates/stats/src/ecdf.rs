@@ -4,9 +4,8 @@ use crate::{from_sort_key, sort_key, StatsError};
 
 /// An empirical distribution over a sorted sample.
 ///
-/// Provides the CDF/CCDF, quantiles, and the log–log complementary
-/// distribution points that the aest estimator and the paper's
-/// flow-bandwidth analysis work from.
+/// Provides the CDF/CCDF and the quantiles that the aest estimator
+/// works from.
 #[derive(Debug, Clone)]
 pub struct Ecdf {
     sorted: Vec<f64>,
@@ -113,29 +112,6 @@ impl Ecdf {
     /// Maximum sample.
     pub fn max(&self) -> f64 {
         *self.sorted.last().expect("non-empty by construction")
-    }
-
-    /// Log–log complementary distribution points `(log10 x, log10 P[X>x])`
-    /// over the distinct positive sample values, excluding the maximum
-    /// (whose CCDF is 0). This is the plot the aest estimator inspects.
-    pub fn log_log_ccdf(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len() as f64;
-        let mut points = Vec::new();
-        let mut i = 0;
-        while i < self.sorted.len() {
-            let x = self.sorted[i];
-            // advance to the last duplicate
-            let mut j = i;
-            while j + 1 < self.sorted.len() && self.sorted[j + 1] == x {
-                j += 1;
-            }
-            let above = self.sorted.len() - j - 1;
-            if x > 0.0 && above > 0 {
-                points.push(((x).log10(), (above as f64 / n).log10()));
-            }
-            i = j + 1;
-        }
-        points
     }
 }
 
@@ -255,58 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn log_log_ccdf_points() {
-        let e = ecdf(&[1.0, 10.0, 100.0, 1000.0]);
-        let pts = e.log_log_ccdf();
-        // 1000 excluded (ccdf = 0); 1, 10, 100 present.
-        assert_eq!(pts.len(), 3);
-        assert!((pts[0].0 - 0.0).abs() < 1e-12);
-        assert!((pts[0].1 - (0.75f64).log10()).abs() < 1e-12);
-        assert!((pts[2].0 - 2.0).abs() < 1e-12);
-        assert!((pts[2].1 - (0.25f64).log10()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_log_ccdf_skips_nonpositive_x() {
-        let e = ecdf(&[-1.0, 0.0, 1.0, 2.0]);
-        let pts = e.log_log_ccdf();
-        assert_eq!(pts.len(), 1); // only x = 1 (x = 2 is the max)
-        assert!((pts[0].0 - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn min_max() {
         let e = ecdf(&[3.0, 1.0, 2.0]);
         assert_eq!(e.min(), 1.0);
         assert_eq!(e.max(), 3.0);
         assert_eq!(e.len(), 3);
-    }
-
-    #[test]
-    fn pareto_ccdf_is_linear_in_log_log() {
-        // Deterministic Pareto-like grid: x_i = (1 - u_i)^(-1/α), α = 1.5.
-        let alpha = 1.5;
-        let n = 10_000;
-        let samples: Vec<f64> = (0..n)
-            .map(|i| {
-                let u = (i as f64 + 0.5) / n as f64;
-                (1.0 - u).powf(-1.0 / alpha)
-            })
-            .collect();
-        let e = Ecdf::new(samples).unwrap();
-        let pts = e.log_log_ccdf();
-        // Fit a line through the middle of the tail; slope should be ≈ -α.
-        let tail: Vec<(f64, f64)> = pts
-            .iter()
-            .copied()
-            .filter(|(lx, _)| *lx > 0.3 && *lx < 1.5)
-            .collect();
-        let fit = crate::LinearFit::fit(&tail).unwrap();
-        assert!(
-            (fit.slope + alpha).abs() < 0.05,
-            "slope {} vs -{}",
-            fit.slope,
-            alpha
-        );
     }
 }

@@ -29,14 +29,6 @@ impl Ewma {
         })
     }
 
-    /// The paper's default, γ = 0.9.
-    pub fn paper_default() -> Self {
-        Ewma {
-            gamma: 0.9,
-            current: None,
-        }
-    }
-
     /// The memory parameter γ.
     pub fn gamma(&self) -> f64 {
         self.gamma
@@ -56,11 +48,6 @@ impl Ewma {
     pub fn value(&self) -> Option<f64> {
         self.current
     }
-
-    /// Reset to the pre-observation state.
-    pub fn reset(&mut self) {
-        self.current = None;
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +64,7 @@ mod tests {
 
     #[test]
     fn paper_update_rule() {
-        let mut e = Ewma::paper_default();
+        let mut e = Ewma::new(0.9).unwrap();
         e.update(100.0);
         // T̄ = 0.9·100 + 0.1·200 = 110
         assert!((e.update(200.0) - 110.0).abs() < 1e-12);
@@ -129,14 +116,5 @@ mod tests {
             }
         }
         assert!(max - min < 0.25, "swing {} too large", max - min);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut e = Ewma::paper_default();
-        e.update(3.0);
-        e.reset();
-        assert_eq!(e.value(), None);
-        assert_eq!(e.update(8.0), 8.0);
     }
 }

@@ -5,21 +5,17 @@
 //! flow-bandwidth distribution, using the Crovella–Taqqu scaling estimator
 //! \[1\]. That estimator — and everything needed around it — lives here:
 //!
-//! * [`Ecdf`] — empirical CDF/CCDF with quantiles and log–log tail points;
+//! * [`Ecdf`] — empirical CDF/CCDF with quantiles;
 //! * [`sort_key`] / [`from_sort_key`] — the `f64 ↔ u64` total-order
 //!   mapping that `Ecdf` and the threshold detectors sort on;
 //! * [`Summary`] — streaming moments (mean/variance/min/max);
-//! * [`Histogram`] / [`LogHistogram`] — linear- and log-binned counts
-//!   (Figure 1(c) is a log-count histogram);
-//! * [`LinearFit`] — ordinary least squares, used for local slopes of
-//!   log–log CCDFs;
 //! * [`Ewma`] — the exponentially weighted threshold update
 //!   `T̄(n+1) = γ·T̄(n) + (1−γ)·T(n)` of the paper's §II;
 //! * [`aest`] — the Crovella–Taqqu scaling estimator: tail index α̂ plus
 //!   the **tail-onset point** the paper uses as its threshold;
-//! * [`dist`] — inverse-transform samplers (Pareto, bounded Pareto,
-//!   exponential, log-normal, Weibull) for workload synthesis and for
-//!   validating the estimators against known ground truth;
+//! * [`dist`] — inverse-transform samplers (Pareto, log-normal) for
+//!   workload synthesis, and the exponential for validating the
+//!   estimator against known ground truth;
 //! * [`SetAccuracy`] — recall / precision / byte-coverage of an
 //!   approximate elephant set against the exact oracle's, the scoring
 //!   behind the sketch-tier evaluation.
@@ -37,9 +33,7 @@ pub mod dist;
 mod ecdf;
 mod error;
 mod ewma;
-mod histogram;
 mod order;
-mod regression;
 mod summary;
 
 pub use accuracy::SetAccuracy;
@@ -47,7 +41,5 @@ pub use aest::{aest, AestConfig, AestResult, PairDiagnostic};
 pub use ecdf::Ecdf;
 pub use error::StatsError;
 pub use ewma::Ewma;
-pub use histogram::{Histogram, LogHistogram};
 pub use order::{from_sort_key, sort_key};
-pub use regression::LinearFit;
 pub use summary::Summary;

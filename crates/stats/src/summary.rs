@@ -45,27 +45,6 @@ impl Summary {
         self.max = self.max.max(x);
     }
 
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -94,17 +73,8 @@ impl Summary {
         }
     }
 
-    /// Sample (Bessel-corrected) variance.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -170,35 +140,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 5.0).collect();
-        let whole = Summary::of(&data);
-        let mut merged = Summary::of(&data[..37]);
-        merged.merge(&Summary::of(&data[37..]));
-        assert!(close(whole.mean(), merged.mean()));
-        assert!((whole.variance() - merged.variance()).abs() < 1e-9);
-        assert_eq!(whole.count(), merged.count());
-        assert_eq!(whole.min(), merged.min());
-        assert_eq!(whole.max(), merged.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s = Summary::of(&[1.0, 2.0]);
-        let snapshot = s;
-        s.merge(&Summary::new());
-        assert!(close(s.mean(), snapshot.mean()));
-        let mut e = Summary::new();
-        e.merge(&snapshot);
-        assert!(close(e.mean(), snapshot.mean()));
-        assert_eq!(e.count(), 2);
-    }
-
-    #[test]
     fn stable_for_large_offsets() {
         // Welford must not lose precision with a large common offset.
         let s = Summary::of(&[1e9 + 4.0, 1e9 + 7.0, 1e9 + 13.0, 1e9 + 16.0]);
         assert!(close(s.mean(), 1e9 + 10.0));
-        assert!(close(s.sample_variance(), 30.0));
+        assert!(close(s.variance(), 22.5));
     }
 }

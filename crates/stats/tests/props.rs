@@ -1,6 +1,6 @@
 //! Property tests for the statistics substrate.
 
-use eleph_stats::{Ecdf, Ewma, Histogram, LinearFit, LogHistogram, Summary};
+use eleph_stats::{Ecdf, Ewma, Summary};
 use proptest::prelude::*;
 
 fn finite_samples() -> impl Strategy<Value = Vec<f64>> {
@@ -41,19 +41,6 @@ proptest! {
     }
 
     #[test]
-    fn summary_merge_equals_sequential(samples in finite_samples(), split in any::<prop::sample::Index>()) {
-        let at = split.index(samples.len() + 1);
-        let whole = Summary::of(&samples);
-        let mut merged = Summary::of(&samples[..at]);
-        merged.merge(&Summary::of(&samples[at..]));
-        prop_assert_eq!(whole.count(), merged.count());
-        prop_assert!((whole.mean() - merged.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((whole.variance() - merged.variance()).abs() < 1e-4 * (1.0 + whole.variance()));
-        prop_assert_eq!(whole.min(), merged.min());
-        prop_assert_eq!(whole.max(), merged.max());
-    }
-
-    #[test]
     fn summary_mean_within_extrema(samples in finite_samples()) {
         let s = Summary::of(&samples);
         let (min, max) = (s.min().expect("non-empty"), s.max().expect("non-empty"));
@@ -70,50 +57,6 @@ proptest! {
         for &x in &inputs {
             let v = e.update(x);
             prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "EWMA {v} outside [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn histogram_conserves_observations(lo in -100.0..0.0f64, width in 1.0..100.0f64, bins in 1usize..30, samples in prop::collection::vec(-1e3..1e3f64, 0..200)) {
-        let mut h = Histogram::new(lo, lo + width, bins).expect("valid");
-        for &x in &samples {
-            h.record(x);
-        }
-        prop_assert_eq!(h.total() as usize, samples.len());
-        let binned: u64 = h.counts().iter().sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), h.total());
-    }
-
-    #[test]
-    fn log_histogram_conserves_observations(samples in prop::collection::vec(-10.0..1e5f64, 0..200)) {
-        let mut h = LogHistogram::new(1.0, 10.0, 4).expect("valid");
-        for &x in &samples {
-            h.record(x);
-        }
-        prop_assert_eq!(h.total() as usize, samples.len());
-    }
-
-    #[test]
-    fn linear_fit_recovers_exact_lines(slope in -100.0..100.0f64, intercept in -100.0..100.0f64, n in 3usize..50) {
-        let pts: Vec<(f64, f64)> = (0..n).map(|i| {
-            let x = i as f64;
-            (x, intercept + slope * x)
-        }).collect();
-        let fit = LinearFit::fit(&pts).expect("distinct x");
-        prop_assert!((fit.slope - slope).abs() < 1e-6 * (1.0 + slope.abs()));
-        prop_assert!((fit.intercept - intercept).abs() < 1e-5 * (1.0 + intercept.abs()));
-        prop_assert!(fit.r2 > 1.0 - 1e-9);
-    }
-
-    #[test]
-    fn log_log_ccdf_points_are_decreasing(samples in prop::collection::vec(0.001..1e6f64, 2..300)) {
-        let e = Ecdf::new(samples).expect("non-empty");
-        let pts = e.log_log_ccdf();
-        // x strictly increasing, y strictly decreasing (CCDF of distinct
-        // values).
-        for w in pts.windows(2) {
-            prop_assert!(w[1].0 > w[0].0);
-            prop_assert!(w[1].1 < w[0].1 + 1e-12);
         }
     }
 }

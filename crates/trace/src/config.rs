@@ -26,7 +26,7 @@ impl LinkSpec {
 }
 
 /// Unix timestamp of 2001-07-24 00:00 UTC — the capture day of the paper.
-pub const JUL_24_2001_UTC: u64 = 995_932_800;
+const JUL_24_2001_UTC: u64 = 995_932_800;
 
 /// Everything that defines a synthetic workload. The trace is a pure
 /// function of this struct (see [`crate::RateTrace::generate`]).
@@ -188,7 +188,7 @@ impl WorkloadConfig {
 
     /// Local time-of-day of interval `n`'s midpoint, in seconds since
     /// local midnight — the argument the diurnal profile expects.
-    pub fn interval_local_secs(&self, n: usize) -> u64 {
+    fn interval_local_secs(&self, n: usize) -> u64 {
         let mid = self.interval_start_unix(n) + self.interval_secs / 2;
         let local = mid as i64 + self.tz_offset_secs;
         local.rem_euclid(86_400) as u64

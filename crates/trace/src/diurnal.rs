@@ -79,7 +79,7 @@ impl DiurnalProfile {
 
     /// Evaluate at local hour `h ∈ [0, 24)`, with midnight wrap-around
     /// (a peak at 23:30 also lifts 00:15).
-    pub fn eval_hours(&self, h: f64) -> f64 {
+    fn eval_hours(&self, h: f64) -> f64 {
         let mut v = self.base;
         for p in &self.peaks {
             // Distance on the 24 h circle.
@@ -91,28 +91,19 @@ impl DiurnalProfile {
         }
         v.clamp(0.0, 1.0)
     }
-
-    /// Ratio of the busiest to the quietest hourly level — the
-    /// "burstiness" of the profile (west ≫ east).
-    pub fn peak_to_trough(&self) -> f64 {
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for i in 0..240 {
-            let v = self.eval_hours(i as f64 / 10.0);
-            min = min.min(v);
-            max = max.max(v);
-        }
-        if min <= 0.0 {
-            f64::INFINITY
-        } else {
-            max / min
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Ratio of the busiest to the quietest level over the day, sampled
+    /// every six minutes — the "burstiness" of a profile.
+    fn peak_to_trough(p: &DiurnalProfile) -> f64 {
+        let levels = (0..240).map(|i| p.eval_hours(i as f64 / 10.0));
+        let (min, max) = levels.fold((f64::INFINITY, 0.0f64), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        max / min
+    }
 
     #[test]
     fn flat_profile_is_constant() {
@@ -120,7 +111,7 @@ mod tests {
         for h in [0.0, 6.0, 12.0, 18.0, 23.9] {
             assert_eq!(p.eval_hours(h), 0.4);
         }
-        assert_eq!(p.peak_to_trough(), 1.0);
+        assert_eq!(peak_to_trough(&p), 1.0);
     }
 
     #[test]
@@ -135,12 +126,8 @@ mod tests {
     fn east_is_smoother_than_west() {
         let w = DiurnalProfile::west_coast();
         let e = DiurnalProfile::east_coast();
-        assert!(
-            w.peak_to_trough() > e.peak_to_trough() * 1.3,
-            "west {} vs east {}",
-            w.peak_to_trough(),
-            e.peak_to_trough()
-        );
+        let (west, east) = (peak_to_trough(&w), peak_to_trough(&e));
+        assert!(west > east * 1.3, "west {west} vs east {east}");
     }
 
     #[test]

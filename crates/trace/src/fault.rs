@@ -202,16 +202,6 @@ impl CrashSwitch {
             false
         }
     }
-
-    /// The configured crash point.
-    pub fn point(&self) -> CrashPoint {
-        self.point
-    }
-
-    /// Whether the switch already fired.
-    pub fn tripped(&self) -> bool {
-        self.tripped
-    }
 }
 
 /// One route-churn stress scenario, applied to prefixes sampled
@@ -466,9 +456,9 @@ mod tests {
         let mut switch = CrashSwitch::new(CrashPoint::AfterSink, 2);
         assert!(!switch.should_crash(CrashPoint::AfterSeal, 2), "wrong point");
         assert!(!switch.should_crash(CrashPoint::AfterSink, 1), "wrong interval");
-        assert!(!switch.tripped());
+        assert!(!switch.tripped);
         assert!(switch.should_crash(CrashPoint::AfterSink, 2));
-        assert!(switch.tripped());
+        assert!(switch.tripped);
         assert!(!switch.should_crash(CrashPoint::AfterSink, 2), "one-shot");
     }
 

@@ -215,13 +215,6 @@ impl FlowPopulation {
             .map(|(id, _)| id)
             .collect()
     }
-
-    /// Find the flow for a prefix, if any (linear scan; test helper).
-    pub fn find_by_prefix(&self, prefix: Prefix) -> Option<FlowId> {
-        self.iter()
-            .find(|(_, f)| f.prefix == prefix)
-            .map(|(id, _)| id)
-    }
 }
 
 /// Per-flow RNG stream: stable regardless of population size or iteration

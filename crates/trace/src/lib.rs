@@ -23,7 +23,9 @@
 //! Two fidelities share one model:
 //!
 //! * [`RateTrace::generate`] — the full-length rate-level trace used by
-//!   the figure experiments (fast: no packets);
+//!   the figure experiments (fast: no packets), read an interval at a
+//!   time: [`RateTrace::interval`]'s `(flow, rate)` row and
+//!   [`RateTrace::total`];
 //! * [`PacketSynth`] — packet-level synthesis of any interval window,
 //!   emitting [`eleph_packet::PacketMeta`]-compatible packets (and pcap
 //!   files) whose aggregation reproduces the rate-level trace. An

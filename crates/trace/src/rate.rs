@@ -49,7 +49,7 @@ impl RateTrace {
     /// rates in flow-id order. The output is therefore *identical*
     /// whatever the shard count — still a pure function of
     /// `(config, population)`.
-    pub fn from_population(config: &WorkloadConfig, population: FlowPopulation) -> Self {
+    fn from_population(config: &WorkloadConfig, population: FlowPopulation) -> Self {
         let n_int = config.n_intervals;
         let n_flows = population.len();
 
@@ -140,28 +140,9 @@ impl RateTrace {
         self.totals[n]
     }
 
-    /// Link utilization series (fraction of capacity per interval).
-    pub fn utilization(&self) -> Vec<f64> {
-        self.totals
-            .iter()
-            .map(|t| t / self.config.link.capacity_bps)
-            .collect()
-    }
-
     /// Number of active flows in interval `n`.
     pub fn active_flows(&self, n: usize) -> usize {
         self.intervals[n].len()
-    }
-
-    /// The bandwidth snapshot of interval `n` as a plain vector (input to
-    /// the threshold detectors).
-    pub fn bandwidth_values(&self, n: usize) -> Vec<f64> {
-        self.intervals[n].iter().map(|&(_, r)| f64::from(r)).collect()
-    }
-
-    /// Full series for one flow (dense, zeros when inactive).
-    pub fn flow_series(&self, flow: FlowId) -> Vec<f64> {
-        (0..self.n_intervals()).map(|n| self.rate(n, flow)).collect()
     }
 }
 
@@ -345,8 +326,8 @@ mod tests {
     #[test]
     fn utilization_is_sane() {
         let t = small_trace(4);
-        let u = t.utilization();
-        assert_eq!(u.len(), t.n_intervals());
+        let capacity = t.config.link.capacity_bps;
+        let u: Vec<f64> = (0..t.n_intervals()).map(|n| t.total(n) / capacity).collect();
         // Flat profile at 0.8, target peak 0.5: expect util around
         // 0.5·0.8-ish with slack for stochastics; never pathological.
         let mean = u.iter().sum::<f64>() / u.len() as f64;
@@ -373,16 +354,6 @@ mod tests {
             share > 0.4 && share < 0.95,
             "heavy share {share} out of expected band"
         );
-    }
-
-    #[test]
-    fn flow_series_matches_matrix() {
-        let t = small_trace(6);
-        let series = t.flow_series(0);
-        assert_eq!(series.len(), t.n_intervals());
-        for (n, &v) in series.iter().enumerate() {
-            assert_eq!(v, t.rate(n, 0));
-        }
     }
 
     #[test]

@@ -81,13 +81,13 @@ fn main() {
 
     let mut reader = PcapReader::new(&pcap_bytes[..]).expect("valid pcap header");
     let link = LinkType::from_code(reader.header().linktype).expect("known linktype");
-    while let Some(record) = reader.next_record().expect("records parse") {
-        let mut data = record.data.to_vec();
+    while let Some((head, bytes)) = reader.next_record_ref().expect("records parse") {
+        let mut data = bytes.to_vec();
         if injector.apply(&mut data) == eleph_trace::FaultAction::Dropped {
             continue;
         }
         pipeline
-            .observe_raw(link, &data, record.ts_ns)
+            .observe_raw(link, &data, head.ts_ns)
             .expect("sinks accept intervals");
     }
     let fstats = injector.stats();

@@ -117,7 +117,10 @@
 #      under `taskset -c 0` and once unrestricted (trace generation and
 #      the session's detection passes use every core) and stdout and
 #      every CSV must be byte-identical (without `taskset` the pinned
-#      run is skipped, and the gate says so).
+#      run is skipped, and the gate says so);
+#  15. doc links: `cargo doc` over the workspace with broken and
+#      private intra-doc links denied, so a public doc that names a
+#      deleted or private item fails here.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -379,5 +382,9 @@ if [ "${#pins[@]}" -eq 2 ]; then
     diff -r "$tmpdir/paper_one" "$tmpdir/paper_all" \
         || { echo "paper tables: eleph all differs between one core and every core" >&2; exit 1; }
 fi
+
+echo "== doc links: no broken or private intra-doc link in the workspace =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc -q --no-deps --workspace
 
 echo "ci.sh: all gates green"

@@ -51,12 +51,12 @@ fn run_with_faults(fault: FaultConfig) -> (eleph_flow::AggregatorStats, eleph_tr
         trace.config.start_unix,
         trace.config.n_intervals,
     );
-    while let Some(record) = reader.next_record().expect("records") {
-        let mut data = record.data.to_vec();
+    while let Some((head, bytes)) = reader.next_record_ref().expect("records") {
+        let mut data = bytes.to_vec();
         if injector.apply(&mut data) == FaultAction::Dropped {
             continue;
         }
-        agg.observe_raw(link, &data, record.ts_ns);
+        agg.observe_raw(link, &data, head.ts_ns);
     }
     (agg.stats(), injector.stats())
 }
@@ -141,13 +141,13 @@ fn header_corruption_never_misattributes() {
     let mut flipped = 0usize;
     let mut survived_parse = 0usize;
     let mut i = 0usize;
-    while let Some(record) = reader.next_record().expect("records") {
-        let mut data = record.data.to_vec();
+    while let Some((head, bytes)) = reader.next_record_ref().expect("records") {
+        let mut data = bytes.to_vec();
         // Flip one bit of the destination address on every third packet.
         if i % 3 == 0 && data.len() >= 20 {
             data[16 + (i % 4)] ^= 1 << (i % 8);
             flipped += 1;
-            if let Ok(meta) = eleph_packet::parse_meta(link, &data, record.ts_ns) {
+            if let Ok(meta) = eleph_packet::parse_meta(link, &data, head.ts_ns) {
                 survived_parse += 1;
                 // If it parses despite the checksum, attribution is wrong.
                 assert!(
