@@ -30,9 +30,11 @@
 //! Peak memory is bounded by the classifier window plus O(distinct
 //! keys) of dense per-key state — independent of trace length, so
 //! unbounded captures stream in constant space. Output is
-//! **bit-identical** to the batch path on the same bytes (same
-//! thresholds, elephants and loads per interval; pinned by
-//! `tests/tests/streaming_equivalence.rs`).
+//! **bit-identical** to the paper's method written as one plain program
+//! (`tests/src/model.rs`: same thresholds, elephants, loads, key table
+//! and accounting per interval), whatever the row, the shard count, the
+//! chunking or a kill and resume in between — pinned by
+//! `tests/tests/model.rs` over random programs.
 //!
 //! # Example: pcap to JSONL
 //!

@@ -24,6 +24,11 @@
 //!   and a restore is `record_many` of those pairs — so an image carries
 //!   no trace of the shard count, and any count (serial included)
 //!   resumes from any other's.
+//!
+//! The tests below hold the row to [`ExactDense`] step by step; the model
+//! test (`tests/tests/model.rs`) holds whole runs at 0 to 3 workers, cut
+//! and resumed at another count, to the paper's method and their images
+//! to the serial run's.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender};

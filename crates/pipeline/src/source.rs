@@ -56,7 +56,7 @@ impl<S: PacketSource + ?Sized> PacketSource for &mut S {
 /// Structural pcap errors abort the run — a damaged file is not a
 /// measurement. Packets that fail *packet* parsing (bad IPv4 header,
 /// truncated transport) are counted via [`PacketSource::malformed`] and
-/// skipped, exactly like the batch `aggregate_pcap` path.
+/// skipped: offered, never binned.
 pub struct PcapSource<R: Read> {
     reader: PcapReader<R>,
     link: LinkType,

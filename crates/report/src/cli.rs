@@ -548,6 +548,12 @@ impl RunOpts {
         if o.wants_faults() && o.pcap.is_none() {
             return usage("--fault-* flags apply to the pcap path only");
         }
+        // The injector's own check, which would otherwise fail the run
+        // once the table is built; its message names the field.
+        if let Err(why) = o.fault_config().validate() {
+            let flag = ["drop", "corrupt", "truncate"].into_iter().find(|f| why.starts_with(f));
+            return usage(format!("--fault-{}: {why}", flag.unwrap_or("drop")));
+        }
         if o.state != "exact" && o.shards > 0 {
             return usage(format!(
                 "--state {} is incompatible with --shards (sketch backends run serially: \
@@ -1052,6 +1058,29 @@ impl ChurnOpts {
                 "eleph churn needs at least one scenario (--storm-count or --flap-count > 0)",
             );
         }
+        // The last update of each scenario, in checked arithmetic: every
+        // other time `generate_churn` computes is at most that one.
+        let storm_end = o.start_unix.checked_add(o.storm_at);
+        if o.storm_count > 0 && storm_end.and_then(|t| t.checked_add(o.storm_hold)).is_none() {
+            return usage(format!(
+                "--start-unix {} --storm-at {} --storm-hold {}: the storm ends past the last \
+                 representable second",
+                o.start_unix, o.storm_at, o.storm_hold
+            ));
+        }
+        let cycles = u64::from(o.flap_cycles.max(1));
+        let last_return = if o.flap_damped { 8 } else { 1 };
+        let flap_end = o.start_unix.checked_add(o.flap_start).and_then(|t| {
+            let last_down = (cycles - 1).checked_mul(2)?.checked_mul(o.flap_period)?;
+            t.checked_add(last_down)?.checked_add(o.flap_period.checked_mul(last_return)?)
+        });
+        if o.flap_count > 0 && flap_end.is_none() {
+            return usage(format!(
+                "--start-unix {} --flap-start {} --flap-period {} --flap-cycles {}: the flaps end \
+                 past the last representable second",
+                o.start_unix, o.flap_start, o.flap_period, o.flap_cycles
+            ));
+        }
         Ok(o)
     }
 
@@ -1488,6 +1517,9 @@ mod tests {
             ("run --synth --flows 500 --prefixes 100", "--flows 500 --prefixes 100: each"),
             ("run --synth --prefixes 0", "--flows 400 --prefixes 0: each"),
             ("run --synth --fault-drop 0.1", "pcap path only"),
+            ("run --pcap c.pcap --fault-drop 1.5", "--fault-drop: drop_prob must be a probability"),
+            ("run --pcap c.pcap --fault-corrupt NaN", "--fault-corrupt: corrupt_prob must be"),
+            ("run --pcap c.pcap --fault-truncate -1", "--fault-truncate: truncate_prob must be"),
             ("run", "exactly one of --pcap FILE or --synth"),
             ("run --synth --pcap c.pcap", "exactly one of --pcap FILE or --synth"),
             ("run --synth --resume --out o.jsonl", "--resume needs --checkpoint-dir"),
@@ -1535,6 +1567,10 @@ mod tests {
             ("churn --flap-cycles -1", "--flap-cycles takes a count"),
             ("churn --synth", "unknown argument --synth"),
             ("churn --storm-count 0 --flap-count 0", "at least one scenario"),
+            ("churn --start-unix 18446744073709551615", "the storm ends past the last"),
+            ("churn --storm-count 0 --start-unix 18446744073709551615", "the flaps end past"),
+            ("churn --flap-period 9223372036854775807", "--flap-period 9223372036854775807"),
+            ("churn --flap-damped --flap-cycles 1 --flap-period 2305843009213693952", "the flaps end"),
         ] {
             let message = refused(line);
             assert!(message.contains(needle), "`eleph {line}`: {message}");

@@ -47,7 +47,11 @@ fn usage_errors_exit_2_without_a_panic() {
         "run --synth --gamma NaN",
         "run --synth --flows 500 --prefixes 100",
         "run --synth --prefixes 0",
+        "run --pcap c.pcap --fault-drop 1.5",
+        "run --pcap c.pcap --fault-corrupt NaN",
         "churn --storm-at soon",
+        "churn --start-unix 18446744073709551615",
+        "churn --flap-period 9223372036854775807",
         "churn --frobnicate",
         "sketch --budget x",
         "sketch --seed",

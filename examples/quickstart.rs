@@ -117,8 +117,8 @@ fn main() {
     //    state, key allocation, the open interval — into a checksummed
     //    snapshot, and a new process resumes from it bit-identically.
     //    (`eleph run --checkpoint-dir DIR --resume` does this across
-    //    real kills; tests/tests/checkpoint_restore.rs pins the full
-    //    kill/resume matrix.)
+    //    real kills; tests/tests/model.rs pins a kill at every crash
+    //    point, resumed, against the uninterrupted run.)
     let monitor = || {
         PipelineBuilder::new()
             .table(&table)

@@ -9,9 +9,15 @@
 #      streaming, across an export/resume — the properties that license
 #      every classifier change (already part of tier-1; re-run by name
 #      so a failure is attributed immediately);
-#   3. streaming equivalence: the PR-4 pipeline (packets → sealing →
-#      online classification, no matrix) against aggregate_pcap +
-#      classify, bit-identical on the same capture bytes;
+#   3. model equivalence: the pipeline against the executable model of
+#      the paper (`tests/src/model.rs`) over random programs — packets,
+#      gaps, malformed and late records, route-update batches, random
+#      chunking — under every scheme, a detector that abstains, 0 to 3
+#      shard workers and the exact or a roomy Space-Saving row, each cut
+#      at a random crash point and resumed, possibly at another shard
+#      count: outcomes by `to_bits`, keys, accounting, the JSONL chain and
+#      the checkpoint images all equal (part of tier-1; re-run by name so
+#      a failure is attributed immediately);
 #   4. executables: examples build and the packet-path ones smoke-run,
 #      and `eleph run` streams a tiny synthetic workload to JSONL;
 #   5. crash safety: a checkpointed `eleph run` is SIGKILLed mid-capture
@@ -35,10 +41,11 @@
 #   7. shard equivalence: the same capture streamed serially, at
 #      `--shards 1` and at `--shards 4` must produce byte-for-byte
 #      identical JSONL (sharding is a throughput knob, never a
-#      measurement change), the sharded proptest suite is re-run
-#      single-threaded (`RUST_TEST_THREADS=1`) so worker/test-harness
-#      interleavings cannot mask an ordering bug, and the sharded row is
-#      held to the dense row as a state backend, step by step;
+#      measurement change), the model test, which draws shard counts, is
+#      re-run single-threaded (`RUST_TEST_THREADS=1`) so
+#      worker/test-harness interleavings cannot mask an ordering bug, and
+#      the sharded row is held to the dense row as a state backend, step
+#      by step;
 #   8. sketch tier: every state backend (exact, spacesaving, cmrow,
 #      bloom) streams the same seeded synthetic capture twice and the
 #      two JSONL outputs must be byte-identical (sketches are
@@ -76,7 +83,8 @@
 #      replaced (differential proptest over record / seal / export →
 #      restore programs), its work per record as a step count on three
 #      adversarial streams, and checkpoint/resume with the cut placed
-#      after the open interval's first eviction — all part of tier-1;
+#      after the open interval's first eviction (a roomy summary never
+#      evicts, so the model test cannot reach this) — all part of tier-1;
 #      re-run by name so a failure is attributed immediately;
 #  12. checkpoint bytes: the sample images and the final `eleph.ckpt` of
 #      six seeded `eleph run --synth` command lines against fixtures
@@ -85,7 +93,9 @@
 #      copying assembly it replaced (random captures x scheme x state
 #      backend x engine), one `Checkpointer` buffer reused for a large
 #      image and then a small one, a resumed run's cadence against the
-#      uninterrupted run's, and an image the writer thread cannot write
+#      uninterrupted run's (that an image at a cut is the uninterrupted
+#      run's, byte for byte, is gate 3's), and an image the writer thread
+#      cannot write
 #      (or a writer thread that is gone) failing the run with the typed
 #      I/O error, in the library and as `eleph run`'s exit status 1 —
 #      all part of tier-1; re-run by name so a format drift or a lost
@@ -141,8 +151,8 @@ cargo test -q -p eleph-core --test props -- \
     batch_and_streaming_agree_across_a_checkpoint
 cargo test -q -p eleph-core --lib online::
 
-echo "== streaming equivalence: pipeline vs aggregate_pcap + classify =="
-cargo test -q -p eleph-tests --test streaming_equivalence
+echo "== model equivalence: the pipeline vs the executable model, across a cut and resume =="
+cargo test -q -p eleph-tests --test model
 
 echo "== examples build + packet-path smoke runs =="
 cargo build --release -p eleph-tests --examples
@@ -231,8 +241,8 @@ cmp "$tmpdir/shards0.jsonl" "$tmpdir/shards4.jsonl" \
 grep -q '"shards":4' "$tmpdir/shards4.summary" \
     || { echo "shard equivalence: summary does not record the shard count" >&2; exit 1; }
 
-echo "== shard equivalence: proptests single-threaded (RUST_TEST_THREADS=1) =="
-RUST_TEST_THREADS=1 cargo test -q -p eleph-tests --test sharded_equivalence
+echo "== shard equivalence: the model test single-threaded (RUST_TEST_THREADS=1) =="
+RUST_TEST_THREADS=1 cargo test -q -p eleph-tests --test model
 cargo test -q -p eleph-pipeline --lib shard::tests::sharded_row_is_exact_dense_at_every_step
 
 echo "== sketch tier: per-backend determinism, byte-for-byte JSONL =="

@@ -5,39 +5,19 @@
 //! (`eleph_report::experiments::EXPERIMENTS`) at rate level; the
 //! ROADMAP's design notes describe both paths.
 
-use eleph_bgp::synth::{self, SynthConfig};
+use eleph_core::Scheme;
 use eleph_flow::{aggregate_pcap, BandwidthMatrix};
-use eleph_trace::{PacketSynth, RateTrace, WorkloadConfig};
-
-fn small_scenario(seed: u64) -> (eleph_bgp::BgpTable, RateTrace) {
-    let table = synth::generate(&SynthConfig {
-        n_prefixes: 2_000,
-        ..SynthConfig::default()
-    });
-    let config = WorkloadConfig {
-        n_flows: 120,
-        n_intervals: 6,
-        interval_secs: 20,
-        link: eleph_trace::LinkSpec {
-            name: "equivalence link".to_string(),
-            capacity_bps: 3_000_000.0,
-            target_peak_util: 0.5,
-        },
-        ..WorkloadConfig::small_test(seed)
-    };
-    let trace = RateTrace::generate(&config, &table);
-    (table, trace)
-}
+use eleph_pipeline::{JsonlSink, PacketSource, PcapSource, PipelineBuilder, TraceSource};
+use eleph_tests::{capture_of, small_link, SharedBuf};
+use eleph_trace::PacketSynth;
 
 #[test]
 fn packet_path_reproduces_rate_path() {
-    let (table, trace) = small_scenario(101);
+    let (table, trace) = small_link(101, 120, 6);
     let rate_matrix = BandwidthMatrix::from_rate_trace(&trace);
 
     // Rate trace → packets → pcap bytes → aggregation.
-    let synth = PacketSynth::new(&trace);
-    let mut pcap = Vec::new();
-    synth.write_pcap(0..trace.n_intervals(), &mut pcap).expect("synthesis");
+    let pcap = capture_of(&trace);
     let (pkt_matrix, stats) = aggregate_pcap(
         &pcap[..],
         &table,
@@ -92,11 +72,9 @@ fn packet_path_reproduces_rate_path() {
 fn classification_agrees_across_paths() {
     use eleph_core::{classify, ConstantLoadDetector, Scheme};
 
-    let (table, trace) = small_scenario(202);
+    let (table, trace) = small_link(202, 120, 6);
     let rate_matrix = BandwidthMatrix::from_rate_trace(&trace);
-    let synth = PacketSynth::new(&trace);
-    let mut pcap = Vec::new();
-    synth.write_pcap(0..trace.n_intervals(), &mut pcap).expect("synthesis");
+    let pcap = capture_of(&trace);
     let (pkt_matrix, _) = aggregate_pcap(
         &pcap[..],
         &table,
@@ -131,7 +109,7 @@ fn classification_agrees_across_paths() {
 
 #[test]
 fn pcap_file_round_trip_through_disk() {
-    let (table, trace) = small_scenario(303);
+    let (table, trace) = small_link(303, 120, 6);
     let synth = PacketSynth::new(&trace);
 
     let dir = std::env::temp_dir().join("eleph-integration");
@@ -154,4 +132,31 @@ fn pcap_file_round_trip_through_disk() {
     assert!(stats.is_conserved());
     assert!(matrix.total(0) > 0.0);
     std::fs::remove_file(&path).ok();
+}
+
+/// `TraceSource` yields the packets `write_pcap` writes: streaming the
+/// synthetic source and streaming the capture of the same trace emit the
+/// same JSONL, key table and accounting.
+#[test]
+fn trace_source_runs_as_the_capture_it_writes() {
+    let (table, trace) = small_link(212, 120, 6);
+    let pcap = capture_of(&trace);
+    let run = |source: &mut dyn PacketSource| {
+        let jsonl = SharedBuf::default();
+        let mut pipeline = PipelineBuilder::new()
+            .table(&table)
+            .interval_secs(trace.config.interval_secs)
+            .start_unix(trace.config.start_unix)
+            .n_intervals(trace.n_intervals())
+            .scheme(Scheme::LatentHeat { window: 3 })
+            .sink(JsonlSink::new(jsonl.clone()))
+            .build();
+        pipeline.run(source).expect("run");
+        (pipeline.finish().expect("finish"), jsonl.take())
+    };
+    let (synth, synth_jsonl) = run(&mut TraceSource::new(&trace));
+    let (captured, pcap_jsonl) = run(&mut PcapSource::new(&pcap[..]).expect("pcap"));
+    assert!(synth.stats.attributed > 0, "the trace carries traffic");
+    assert_eq!((synth.keys, synth.stats), (captured.keys, captured.stats));
+    assert!(synth_jsonl == pcap_jsonl, "the JSONL differs");
 }

@@ -7,6 +7,7 @@ use eleph_flow::Aggregator;
 use eleph_packet::pcap::PcapReader;
 use eleph_packet::LinkType;
 use eleph_pipeline::{FaultedPcapSource, PipelineBuilder, PipelineStats, StateBackendConfig};
+use eleph_tests::capture_of;
 use eleph_trace::{
     FaultAction, FaultConfig, FaultInjector, PacketSynth, RateTrace, WorkloadConfig,
 };
@@ -32,15 +33,9 @@ fn scenario() -> (eleph_bgp::BgpTable, RateTrace) {
     (table, trace)
 }
 
-fn capture(trace: &RateTrace) -> Vec<u8> {
-    let mut pcap = Vec::new();
-    PacketSynth::new(trace).write_pcap(0..trace.n_intervals(), &mut pcap).expect("synthesis");
-    pcap
-}
-
 fn run_with_faults(fault: FaultConfig) -> (eleph_flow::AggregatorStats, eleph_trace::FaultStats) {
     let (table, trace) = scenario();
-    let pcap = capture(&trace);
+    let pcap = capture_of(&trace);
 
     let mut injector = FaultInjector::new(fault);
     let mut reader = PcapReader::new(&pcap[..]).expect("header");
@@ -67,7 +62,7 @@ fn run_with_faults(fault: FaultConfig) -> (eleph_flow::AggregatorStats, eleph_tr
 fn pipeline_runs_with_faults(fault: FaultConfig) -> Vec<(PipelineStats, eleph_trace::FaultStats)> {
     let (table, trace) = scenario();
     let frozen = table.freeze();
-    let pcap = capture(&trace);
+    let pcap = capture_of(&trace);
     let budget_bytes = 2048;
     [
         (StateBackendConfig::Exact, 0),
