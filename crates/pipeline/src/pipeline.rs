@@ -1189,6 +1189,8 @@ mod tests {
     use crate::sink::Collector;
     use crate::source::MetaSource;
     use eleph_bgp::{Origin, PeerClass, RouteEntry, RouteUpdate};
+    use eleph_core::classify;
+    use eleph_flow::Aggregator;
     use eleph_packet::IpProtocol;
     use std::net::Ipv4Addr;
 
@@ -1238,6 +1240,167 @@ mod tests {
         v.insert(0, meta([10, 0, 0, 1], 900, 50)); // before window
         v.push(meta([10, 0, 0, 1], 1031, 60)); // past window
         v
+    }
+
+    fn batch_reference(
+        metas: &[PacketMeta],
+        scheme: Scheme,
+    ) -> (eleph_flow::BandwidthMatrix, eleph_core::ClassificationResult) {
+        let t = table();
+        let mut agg = Aggregator::new(&t, 10, 1000, 3);
+        for m in metas {
+            agg.observe(m);
+        }
+        let (matrix, _) = agg.finish();
+        let result = classify(&matrix, ConstantLoadDetector::new(0.8), 0.9, scheme);
+        (matrix, result)
+    }
+
+    fn run_pipeline(metas: Vec<PacketMeta>, scheme: Scheme) -> (Vec<crate::CollectedInterval>, PipelineReport) {
+        run_pipeline_sharded(metas, scheme, 0)
+    }
+
+    fn run_pipeline_sharded(
+        metas: Vec<PacketMeta>,
+        scheme: Scheme,
+        shards: usize,
+    ) -> (Vec<crate::CollectedInterval>, PipelineReport) {
+        let t = table();
+        let collector = Collector::new();
+        let mut p = PipelineBuilder::new()
+            .table(&t)
+            .interval_secs(10)
+            .start_unix(1000)
+            .n_intervals(3)
+            .detector(ConstantLoadDetector::new(0.8))
+            .gamma(0.9)
+            .scheme(scheme)
+            .shards(shards)
+            .sink(collector.sink())
+            .build();
+        p.run(MetaSource::new(metas)).expect("run");
+        let report = p.finish().expect("finish");
+        (collector.take(), report)
+    }
+
+    #[test]
+    fn matches_batch_on_mixed_stream() {
+        for scheme in [
+            Scheme::SingleFeature,
+            Scheme::LatentHeat { window: 2 },
+            Scheme::Hysteresis { enter: 1.2, exit: 0.6 },
+        ] {
+            let metas = stream();
+            let (matrix, batch) = batch_reference(&metas, scheme);
+            let (outcomes, report) = run_pipeline(metas, scheme);
+            assert_eq!(outcomes.len(), 3);
+            assert_eq!(report.intervals, 3);
+            // Key table identical to the batch matrix's.
+            assert_eq!(report.keys.len(), matrix.n_keys());
+            for (id, &key) in report.keys.iter().enumerate() {
+                assert_eq!(key, matrix.key(id as KeyId), "{scheme:?} key {id}");
+            }
+            for (n, got) in outcomes.iter().enumerate() {
+                let o = &got.outcome;
+                assert_eq!(o.interval, n);
+                assert_eq!(o.elephants, batch.elephants[n], "{scheme:?} interval {n}");
+                assert_eq!(
+                    o.threshold.to_bits(),
+                    batch.thresholds[n].to_bits(),
+                    "{scheme:?} interval {n} threshold"
+                );
+                assert_eq!(o.elephant_load.to_bits(), batch.elephant_load[n].to_bits());
+                assert_eq!(o.total_load.to_bits(), batch.total_load[n].to_bits());
+                assert_eq!(got.interval_start_unix, 1000 + n as u64 * 10);
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_matches_serial_bit_for_bit() {
+        for scheme in [
+            Scheme::SingleFeature,
+            Scheme::LatentHeat { window: 2 },
+            Scheme::Hysteresis { enter: 1.2, exit: 0.6 },
+        ] {
+            let (serial, serial_report) = run_pipeline(stream(), scheme);
+            for shards in [1, 2, 4, 7] {
+                let (sharded, report) = run_pipeline_sharded(stream(), scheme, shards);
+                assert_eq!(sharded.len(), serial.len(), "{scheme:?} shards={shards}");
+                for (s, g) in serial.iter().zip(&sharded) {
+                    let (a, b) = (&s.outcome, &g.outcome);
+                    assert_eq!(a.interval, b.interval);
+                    assert_eq!(a.elephants, b.elephants, "{scheme:?} shards={shards}");
+                    assert_eq!(a.threshold.to_bits(), b.threshold.to_bits());
+                    assert_eq!(a.elephant_load.to_bits(), b.elephant_load.to_bits());
+                    assert_eq!(a.total_load.to_bits(), b.total_load.to_bits());
+                }
+                assert_eq!(report.stats, serial_report.stats);
+                assert_eq!(report.keys, serial_report.keys);
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_checkpoint_bytes_equal_serial_and_cross_resume() {
+        // The same prefix of the stream, consumed serially and sharded,
+        // must export byte-identical checkpoints (shard count is not
+        // part of the recovery frontier) — and either checkpoint must
+        // resume under either engine to the identical tail.
+        let metas = stream();
+        let scheme = Scheme::LatentHeat { window: 2 };
+        let split = 4; // mid-stream, with the open interval non-empty
+        let t = table();
+        let build = |shards: usize| {
+            PipelineBuilder::new()
+                .table(&t)
+                .interval_secs(10)
+                .start_unix(1000)
+                .n_intervals(3)
+                .scheme(scheme)
+                .shards(shards)
+                .build()
+        };
+        let export = |shards: usize| {
+            let mut p = build(shards);
+            p.observe_chunk(&metas[..split]).unwrap();
+            let mut bytes = Vec::new();
+            p.checkpoint(&mut bytes).unwrap();
+            bytes
+        };
+        let serial_ckpt = export(0);
+        for shards in [1, 2, 4, 7] {
+            assert_eq!(export(shards), serial_ckpt, "checkpoint bytes, shards={shards}");
+        }
+        // Reference: the serial run over the whole stream.
+        let (reference, _) = run_pipeline(metas.clone(), scheme);
+        let ckpt = Checkpoint::read_from(&mut serial_ckpt.as_slice()).unwrap();
+        for shards in [0, 1, 2, 4, 7] {
+            let collector = Collector::new();
+            let mut p = PipelineBuilder::new()
+                .table(&t)
+                .interval_secs(10)
+                .start_unix(1000)
+                .n_intervals(3)
+                .scheme(scheme)
+                .shards(shards)
+                .sink(collector.sink())
+                .resume(&ckpt)
+                .unwrap();
+            p.observe_chunk(&metas[split..]).unwrap();
+            let report = p.finish().unwrap();
+            let resumed = collector.take();
+            // The resumed run seals only the intervals after the split.
+            assert_eq!(report.intervals, 3);
+            assert_eq!(resumed.len(), 3, "shards={shards}");
+            for (s, g) in reference.iter().zip(&resumed) {
+                let (a, b) = (&s.outcome, &g.outcome);
+                assert_eq!(a.elephants, b.elephants, "resume shards={shards}");
+                assert_eq!(a.threshold.to_bits(), b.threshold.to_bits());
+                assert_eq!(a.elephant_load.to_bits(), b.elephant_load.to_bits());
+                assert_eq!(a.total_load.to_bits(), b.total_load.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -1309,20 +1472,30 @@ mod tests {
     }
 
     #[test]
-    fn empty_interval_seals_empty_outcome() {
+    fn stats_match_batch_aggregator() {
+        let metas = stream();
         let t = table();
-        let collector = Collector::new();
-        let mut p = PipelineBuilder::new()
-            .table(&t)
-            .interval_secs(10)
-            .start_unix(1000)
-            .n_intervals(3)
-            .scheme(Scheme::LatentHeat { window: 2 })
-            .sink(collector.sink())
-            .build();
-        p.run(MetaSource::new(stream())).expect("run");
-        p.finish().expect("finish");
-        let gap = &collector.take()[1].outcome;
+        let mut agg = Aggregator::new(&t, 10, 1000, 3);
+        for m in &metas {
+            agg.observe(m);
+        }
+        let batch = agg.stats();
+        let (_, report) = run_pipeline(metas, Scheme::SingleFeature);
+        let s = report.stats;
+        assert!(s.is_conserved());
+        assert_eq!(s.late, 0);
+        assert_eq!(s.offered, batch.offered);
+        assert_eq!(s.attributed, batch.attributed);
+        assert_eq!(s.attributed_bytes, batch.attributed_bytes);
+        assert_eq!(s.unroutable, batch.unroutable);
+        assert_eq!(s.out_of_window, batch.out_of_window);
+        assert_eq!(s.malformed, batch.malformed);
+    }
+
+    #[test]
+    fn empty_interval_seals_empty_outcome() {
+        let (outcomes, _) = run_pipeline(stream(), Scheme::LatentHeat { window: 2 });
+        let gap = &outcomes[1].outcome;
         assert!(gap.elephants.is_empty(), "gap interval emitted elephants");
         assert_eq!(gap.total_load, 0.0);
         assert_eq!(gap.fraction(), 0.0);

@@ -1,52 +1,18 @@
-//! PR 7's load-bearing property: routing churn applied mid-stream
-//! re-attributes traffic without rewriting history. A withdrawn prefix's
-//! key stops accumulating and retires naturally through the latent-heat
-//! window; the re-announced prefix gets a *fresh* RouteId and therefore
-//! a fresh KeyId. And the whole churn-under-stream path is a
-//! deterministic function of the offered packet stream and the update
-//! schedule: two identical runs produce byte-identical JSONL.
+//! Routing churn applied mid-stream is a deterministic function of the
+//! offered packet stream and the update schedule: the same packets,
+//! offered in different chunkings, produce byte-identical JSONL. How a
+//! withdrawn key retires through the latent-heat window is pinned in
+//! `model.rs`.
 
-use std::io::Write;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
 
 use eleph_bgp::synth::{self, SynthConfig};
-use eleph_bgp::{BgpTable, LiveBgpTable, Origin, PeerClass, RouteEntry, RouteUpdate, UpdateBatch};
+use eleph_bgp::LiveBgpTable;
 use eleph_core::{ConstantLoadDetector, Scheme};
 use eleph_packet::{IpProtocol, PacketMeta};
-use eleph_pipeline::{Collector, JsonlSink, MetaSource, PipelineBuilder, PipelineReport};
+use eleph_pipeline::{JsonlSink, PipelineBuilder, PipelineReport};
+use eleph_tests::SharedBuf;
 use eleph_trace::{generate_churn, ChurnConfig, ChurnScenario};
-
-/// A `Write` handle the test can read back after the pipeline consumed
-/// the sink (the pipeline owns its sinks by value).
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    fn take(&self) -> Vec<u8> {
-        std::mem::take(&mut self.0.lock().unwrap())
-    }
-}
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-fn entry(prefix: &str, hop: [u8; 4], asn: u32) -> RouteEntry {
-    RouteEntry {
-        prefix: prefix.parse().unwrap(),
-        next_hop: Ipv4Addr::from(hop),
-        as_path: vec![asn],
-        origin: Origin::Igp,
-        peer_class: PeerClass::Tier1,
-    }
-}
 
 fn meta(dst: [u8; 4], ts_s: u64, len: u32) -> PacketMeta {
     PacketMeta {
@@ -58,103 +24,6 @@ fn meta(dst: [u8; 4], ts_s: u64, len: u32) -> PacketMeta {
         dst_port: 2,
         wire_len: len,
     }
-}
-
-/// Hand-built churn scenario pinning the retirement semantics: a heavy
-/// /16 is withdrawn and immediately re-announced at the start of
-/// interval 3 of 6. Its traffic continues uninterrupted, but from the
-/// churn on it attributes to a fresh key. The old key's window sum
-/// drains over the latent-heat window (`window = 2`): it may linger as
-/// an elephant briefly, and is provably gone once the window has
-/// rolled past its last pre-churn interval. History is never rewritten
-/// — pre-churn intervals keep the old key.
-#[test]
-fn withdrawn_key_retires_through_the_latent_heat_window() {
-    let table = BgpTable::from_entries(vec![
-        entry("10.0.0.0/8", [192, 0, 2, 1], 1),
-        entry("10.1.0.0/16", [192, 0, 2, 2], 2),
-        entry("172.16.0.0/16", [192, 0, 2, 3], 4),
-    ]);
-    let live = LiveBgpTable::from_table(&table);
-    let sixteen = "10.1.0.0/16".parse().unwrap();
-    let schedule = vec![UpdateBatch {
-        at_unix: 1030,
-        updates: vec![
-            RouteUpdate::Withdraw(sixteen),
-            RouteUpdate::Announce(entry("10.1.0.0/16", [192, 0, 2, 9], 3)),
-        ],
-    }];
-    // Steady traffic. The /16 is heavy enough that a single interval's
-    // bytes exceed the whole latent-heat window's threshold sum (the
-    // constant-load cut lands on the mid-weight 172.16/16, so the
-    // per-interval threshold is its rate): exactly the regime where a
-    // withdrawn key visibly lingers one interval before retiring.
-    let mut metas = Vec::new();
-    for i in 0..6u64 {
-        metas.push(meta([10, 1, 0, 1], 1000 + 10 * i + 1, 1500));
-        metas.push(meta([172, 16, 0, 1], 1000 + 10 * i + 2, 500));
-        metas.push(meta([10, 2, 0, 1], 1000 + 10 * i + 3, 100));
-    }
-
-    let collector = Collector::new();
-    let mut pipeline = PipelineBuilder::new()
-        .live(&live)
-        .interval_secs(10)
-        .start_unix(1000)
-        .n_intervals(6)
-        .detector(ConstantLoadDetector::new(0.8))
-        .gamma(0.9)
-        .scheme(Scheme::LatentHeat { window: 2 })
-        .route_updates(schedule)
-        .sink(collector.sink())
-        .build();
-    pipeline.run(MetaSource::new(metas)).expect("run");
-    let report = pipeline.finish().expect("finish");
-
-    // The prefix appears twice in the key table: old id retired, fresh
-    // id (and key) minted at re-announce.
-    assert_eq!(report.generation, 1);
-    assert_eq!(report.route_updates_applied, 1);
-    assert_eq!(
-        report.keys,
-        vec![
-            sixteen,
-            "172.16.0.0/16".parse().unwrap(),
-            "10.0.0.0/8".parse().unwrap(),
-            sixteen
-        ],
-        "same prefix under two distinct keys"
-    );
-    assert!(report.stats.is_conserved());
-
-    let outcomes = collector.take();
-    assert_eq!(outcomes.len(), 6);
-    let elephants: Vec<Vec<u32>> =
-        outcomes.iter().map(|o| o.outcome.elephants.clone()).collect();
-    // Pre-churn: the old key (0) is the elephant; history stays that
-    // way — re-attribution never rewrites sealed intervals.
-    assert_eq!(&elephants[..3], &[vec![0], vec![0], vec![0]]);
-    // From the churn interval on, the fresh key (3) is the elephant.
-    for (i, e) in elephants.iter().enumerate().skip(3) {
-        assert!(e.contains(&3), "fresh key classified from interval {i}: {e:?}");
-    }
-    // Latent heat: the old key lingers through the churn interval (its
-    // window still holds interval 2's bytes), then retires for good
-    // once the window has rolled past its last active interval.
-    assert!(
-        elephants[3].contains(&0),
-        "old key lingers one interval via latent heat: {elephants:?}"
-    );
-    assert!(
-        !elephants[4].contains(&0) && !elephants[5].contains(&0),
-        "old key must retire through the window: {elephants:?}"
-    );
-    // Regression pin: the exact per-interval elephant sets.
-    assert_eq!(
-        elephants,
-        vec![vec![0], vec![0], vec![0], vec![0, 3], vec![3], vec![3]],
-        "latent-heat retirement trajectory changed"
-    );
 }
 
 /// Full-stack determinism: a synthetic RIB, a generated churn schedule

@@ -16,13 +16,14 @@
 //! its images at the cut and at the end are the serial run's at the
 //! same stream position, byte for byte.
 //!
-//! The mutants the pairwise suites this test replaced were on record as
-//! killing, each applied alone to a scratch copy of the tree. The middle
-//! column names the deleted tests that failed with the mutant in, the
-//! last how many of this property's 256 programs fail with it, and
-//! whether the fixed program below does too:
+//! The mutants the pairwise suites (streaming, sharded, checkpoint and
+//! sketch equivalence, which each compare two implementations) are on
+//! record as killing, each applied alone to a scratch copy of the tree.
+//! The middle column names the pairwise tests that fail with the mutant
+//! in, the last how many of this property's 256 programs fail with it,
+//! and whether the fixed program below does too:
 //!
-//! | mutant | killed before by | killed by the model |
+//! | mutant | killed by the pairwise tests | killed by the model |
 //! |---|---|---|
 //! | `OnlineClassifier::observe` totals with `Iterator::sum` (`-0.0` on an empty interval) | `capture_gaps_and_trailing_silence_match_batch`, `streaming_equals_batch_on_random_captures`, `matches_batch_on_mixed_stream` | 216 of 256 |
 //! | `WindowState::restore` drops the hysteresis members | `kill_and_resume_is_bit_identical_at_every_crash_point` | 13 of 256 |
@@ -37,7 +38,7 @@
 //! | a zero-length packet leaves an entry in the exact row | none | 63 of 256 |
 //!
 //! One more mutant, the infinite threshold's stand-in without its
-//! `+ 1.0`, fails neither the deleted suites nor this test: it changes
+//! `+ 1.0`, fails neither the pairwise suites nor this test: it changes
 //! an outcome only when a rate lands within 1 b/s above a threshold.
 //!
 //! What the model cannot hold stays with its own tests: sketch error

@@ -1,5 +1,5 @@
-//! PR 8's load-bearing property: the key-partitioned sharded online
-//! path is **bit-identical** to the serial path on the same bytes —
+//! The key-partitioned sharded online path is **bit-identical** to the
+//! serial path on the same bytes —
 //! same thresholds, same elephant sets, same loads (all compared by
 //! `to_bits`), same JSONL output byte for byte, same accounting — for
 //! every shard count, under every scheme, with routing churn applied
@@ -8,11 +8,8 @@
 //! knob: the measurement is the same measurement.
 
 use std::fs;
-use std::io::Write;
 use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::path::Path;
 
 use eleph_bgp::synth::{self, SynthConfig};
 use eleph_bgp::{BgpTable, LiveBgpTable, RouteUpdate, UpdateBatch};
@@ -23,7 +20,8 @@ use eleph_pipeline::{
     skip_offered, Checkpoint, Checkpointer, CollectedInterval, Collector, JsonlSink, PcapSource,
     PipelineBuilder, PipelineError, PipelineReport, RotatingJsonlSink, CHECKPOINT_FILE,
 };
-use eleph_trace::{CrashPoint, CrashSwitch, PacketSynth, RateTrace, WorkloadConfig};
+use eleph_tests::{capture_of, read_chain, scratch, small_link, SharedBuf};
+use eleph_trace::{CrashPoint, CrashSwitch};
 use proptest::prelude::*;
 
 const BETA: f64 = 0.8;
@@ -34,70 +32,12 @@ const GAMMA: f64 = 0.9;
 /// partitions.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
-/// A `Write` handle the test can read back after the pipeline consumed
-/// the sink (the pipeline owns its sinks by value).
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    fn take(&self) -> Vec<u8> {
-        std::mem::take(&mut self.0.lock().unwrap())
-    }
-}
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// A unique scratch directory per invocation (tests run concurrently).
-fn scratch(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "eleph-sharded-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed),
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
-/// The same small synthetic capture the sibling suites use: enough
-/// traffic for real thresholds, small enough to replay dozens of times.
+/// The shared small link as capture bytes, with its table and window:
+/// T, the start and the interval count.
 fn small_capture(seed: u64) -> (BgpTable, Vec<u8>, u64, u64, usize) {
-    let table = synth::generate(&SynthConfig {
-        n_prefixes: 2_000,
-        ..SynthConfig::default()
-    });
-    let config = WorkloadConfig {
-        n_flows: 120,
-        n_intervals: 6,
-        interval_secs: 20,
-        link: eleph_trace::LinkSpec {
-            name: "sharded link".to_string(),
-            capacity_bps: 3_000_000.0,
-            target_peak_util: 0.5,
-        },
-        ..WorkloadConfig::small_test(seed)
-    };
-    let trace = RateTrace::generate(&config, &table);
-    let mut pcap = Vec::new();
-    PacketSynth::new(&trace)
-        .write_pcap(0..trace.n_intervals(), &mut pcap)
-        .expect("pcap synthesis");
-    (
-        table,
-        pcap,
-        config.interval_secs,
-        config.start_unix,
-        config.n_intervals,
-    )
+    let (table, trace) = small_link(seed, 120, 6);
+    let config = &trace.config;
+    (table, capture_of(&trace), config.interval_secs, config.start_unix, config.n_intervals)
 }
 
 /// Run a frozen-table pipeline at `shards` (0 = serial) and return the
@@ -269,22 +209,6 @@ fn sharded_matches_serial_under_mid_stream_churn() {
             );
         }
     }
-}
-
-/// Concatenate a [`RotatingJsonlSink`] output chain in chronological
-/// order: `path.1`, `path.2`, …, then the current file at `path`.
-fn read_chain(path: &Path) -> Vec<u8> {
-    let mut out = Vec::new();
-    for n in 1.. {
-        let mut seg = path.as_os_str().to_os_string();
-        seg.push(format!(".{n}"));
-        match fs::read(PathBuf::from(seg)) {
-            Ok(bytes) => out.extend_from_slice(&bytes),
-            Err(_) => break,
-        }
-    }
-    out.extend_from_slice(&fs::read(path).unwrap_or_default());
-    out
 }
 
 fn frozen_builder<'t>(

@@ -1,17 +1,22 @@
-//! The sketch state-backend tier, where it differs from the exact row:
+//! The sketch state-backend tier:
 //!
+//! * `--state exact` is **byte-identical** to the default row — same
+//!   outcomes by `to_bits`, same JSONL, same checkpoint bytes — at every
+//!   shard count (the explicit selection is the same code path, not a
+//!   parallel implementation);
 //! * Space-Saving's classical error bound (any key's count error is at
 //!   most `total / k`) holds on arbitrary streams, pinned by proptest;
-//! * a run resumed from a sketch checkpoint (format v3) cut where the
-//!   summary has already evicted goes on bit-identically;
+//! * a run resumed from a sketch checkpoint (format v3) goes on
+//!   bit-identically, mid-stream and where the summary has already
+//!   evicted;
 //! * resuming a sketch checkpoint under a different backend or a
 //!   different budget is rejected loudly, never silently misread;
-//! * with a generous budget the hashed sketches find every exact
-//!   elephant.
+//! * with a generous budget the sketches agree with the exact row
+//!   (Space-Saving bit-identically; the hashed sketches at recall 1).
 //!
-//! That the default row, an explicit `Exact` one and Space-Saving with
-//! room for every key all run the model, across a kill and resume, is
-//! the model test's property (`tests/tests/model.rs`).
+//! The model test (`tests/tests/model.rs`) holds the default row, an
+//! explicit `Exact` one and a roomy Space-Saving to the paper's method
+//! across a kill and resume.
 
 use eleph_bgp::synth::{self, SynthConfig};
 use eleph_bgp::BgpTable;
@@ -19,13 +24,16 @@ use eleph_core::{ConstantLoadDetector, Scheme, SpaceSaving, StateBackend, StateB
 use eleph_packet::PacketMeta;
 use eleph_pipeline::{
     Checkpoint, CollectedInterval, Collector, JsonlSink, PacketSource, PipelineBuilder,
-    TraceSource,
+    PipelineReport, TraceSource,
 };
 use eleph_tests::{small_link, SharedBuf};
 use proptest::prelude::*;
 
 const BETA: f64 = 0.8;
 const GAMMA: f64 = 0.9;
+
+/// Shard counts the exact-backend identity is pinned at (0 = serial).
+const SHARD_COUNTS: [usize; 3] = [0, 1, 4];
 
 /// The shared small link carrying `n_flows` flows over six intervals,
 /// as parsed packets so a run can be cut at any packet.
@@ -56,30 +64,124 @@ fn builder(
         .state_backend(state)
 }
 
-/// Run a pipeline over the packets under one state backend: its
-/// outcomes and, with `checkpoint_after`, the image taken after that
-/// many packets.
+struct RunOutput {
+    outcomes: Vec<CollectedInterval>,
+    report: PipelineReport,
+    jsonl: Vec<u8>,
+    /// The image taken after `checkpoint_after` packets, if asked for.
+    mid_checkpoint: Option<Vec<u8>>,
+}
+
+/// Run a pipeline over the packets under one state backend and shard
+/// count: its outcomes, report, JSONL and, with `checkpoint_after`, the
+/// image taken after that many packets.
 fn run_with(
     table: &BgpTable,
     metas: &[PacketMeta],
     t: u64,
     start: u64,
     n: usize,
+    shards: usize,
     state: StateBackendConfig,
     checkpoint_after: Option<usize>,
-) -> (Vec<CollectedInterval>, Option<Vec<u8>>) {
+) -> RunOutput {
     let collector = Collector::new();
-    let mut pipeline = builder(table, (t, start, n), state).sink(collector.sink()).build();
+    let jsonl = SharedBuf::default();
+    let mut pipeline = builder(table, (t, start, n), state)
+        .shards(shards)
+        .sink(collector.sink())
+        .sink(JsonlSink::new(jsonl.clone()))
+        .build();
     let cut = checkpoint_after.unwrap_or(metas.len());
     pipeline.observe_chunk(&metas[..cut]).expect("head");
-    let image = checkpoint_after.map(|_| {
+    let mid_checkpoint = checkpoint_after.map(|_| {
         let mut bytes = Vec::new();
         pipeline.checkpoint(&mut bytes).expect("checkpoint");
         bytes
     });
     pipeline.observe_chunk(&metas[cut..]).expect("tail");
-    pipeline.finish().expect("finish");
-    (collector.take(), image)
+    let report = pipeline.finish().expect("finish");
+    RunOutput { outcomes: collector.take(), report, jsonl: jsonl.take(), mid_checkpoint }
+}
+
+/// Bit-level outcome identity between two runs.
+fn assert_outcomes_identical(got: &RunOutput, want: &RunOutput, context: &str) {
+    assert_eq!(got.outcomes.len(), want.outcomes.len(), "{context}: interval count");
+    for (g, w) in got.outcomes.iter().zip(&want.outcomes) {
+        let n = w.outcome.interval;
+        assert_eq!(g.outcome.interval, n, "{context}: interval index");
+        assert_eq!(g.outcome.elephants, w.outcome.elephants, "{context}: elephants at {n}");
+        assert_eq!(
+            g.outcome.threshold.to_bits(),
+            w.outcome.threshold.to_bits(),
+            "{context}: threshold at {n}"
+        );
+        assert_eq!(
+            g.outcome.elephant_load.to_bits(),
+            w.outcome.elephant_load.to_bits(),
+            "{context}: elephant load at {n}"
+        );
+        assert_eq!(
+            g.outcome.total_load.to_bits(),
+            w.outcome.total_load.to_bits(),
+            "{context}: total load at {n}"
+        );
+    }
+    assert_eq!(got.jsonl, want.jsonl, "{context}: JSONL bytes");
+    assert_eq!(got.report.keys, want.report.keys, "{context}: key table");
+    assert_eq!(
+        got.report.stats.attributed_bytes, want.report.stats.attributed_bytes,
+        "{context}: attributed bytes"
+    );
+}
+
+// ---------------------------------------------------------------------
+// --state exact ≡ the default row, at every shard count
+// ---------------------------------------------------------------------
+
+#[test]
+fn exact_backend_is_byte_identical_to_default_at_every_shard_count() {
+    let (table, metas, t, start, n) = stream_of(11, 120);
+    let cut = metas.len() / 2;
+    for shards in SHARD_COUNTS {
+        // The default path: no state_backend call at all.
+        let collector = Collector::new();
+        let jsonl = SharedBuf::default();
+        let mut baseline = PipelineBuilder::new()
+            .table(&table)
+            .interval_secs(t)
+            .start_unix(start)
+            .n_intervals(n)
+            .detector(ConstantLoadDetector::new(BETA))
+            .gamma(GAMMA)
+            .scheme(Scheme::LatentHeat { window: 12 })
+            .shards(shards)
+            .sink(collector.sink())
+            .sink(JsonlSink::new(jsonl.clone()))
+            .build();
+        baseline.observe_chunk(&metas[..cut]).expect("first half");
+        let mut baseline_ckpt = Vec::new();
+        baseline.checkpoint(&mut baseline_ckpt).expect("checkpoint");
+        baseline.observe_chunk(&metas[cut..]).expect("second half");
+        let report = baseline.finish().expect("finish");
+        let want = RunOutput {
+            outcomes: collector.take(),
+            report,
+            jsonl: jsonl.take(),
+            mid_checkpoint: Some(baseline_ckpt),
+        };
+
+        let got =
+            run_with(&table, &metas, t, start, n, shards, StateBackendConfig::Exact, Some(cut));
+        let context = format!("--state exact vs default, shards={shards}");
+        assert_outcomes_identical(&got, &want, &context);
+        assert_eq!(got.mid_checkpoint, want.mid_checkpoint, "{context}: checkpoint bytes");
+        // An exact checkpoint stays on format v2.
+        let bytes = got.mid_checkpoint.as_ref().expect("mid checkpoint");
+        assert_eq!(&bytes[8..12], &2u32.to_le_bytes(), "{context}: version");
+        assert_eq!(got.report.state_backend, "exact", "{context}: backend label");
+        assert_eq!(got.report.distinct_keys, got.report.keys.len(), "{context}: distinct keys");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -120,7 +222,65 @@ proptest! {
     }
 }
 
-/// A summary with room to spare never evicts, and the eviction order
+// ---------------------------------------------------------------------
+// Sketch checkpoints: v3 round trip, kind/budget rejection
+// ---------------------------------------------------------------------
+
+#[test]
+fn sketch_checkpoint_resume_is_bit_identical_mid_stream() {
+    let (table, metas, t, start, n) = stream_of(23, 120);
+    // Cut mid-interval so the checkpoint carries live sketch state.
+    let cut = metas.len() / 3;
+    for state in [
+        StateBackendConfig::SpaceSaving { budget_bytes: 64 * 1024 },
+        StateBackendConfig::CountMinRow { budget_bytes: 64 * 1024 },
+        StateBackendConfig::AdaptiveBloom { budget_bytes: 64 * 1024 },
+    ] {
+        let kind = state.kind();
+        let reference = run_with(&table, &metas, t, start, n, 0, state, None);
+        let interrupted = run_with(&table, &metas, t, start, n, 0, state, Some(cut));
+        assert_outcomes_identical(
+            &interrupted,
+            &reference,
+            &format!("{kind}: checkpointed run vs uninterrupted"),
+        );
+
+        let bytes = interrupted.mid_checkpoint.expect("mid checkpoint");
+        // Sketch snapshots use format v3.
+        assert_eq!(&bytes[8..12], &3u32.to_le_bytes(), "{kind}: version");
+        let ckpt = Checkpoint::read_from(&mut &bytes[..]).expect("well-formed checkpoint");
+
+        // Resume and replay the tail: the combined outcome stream must
+        // equal the uninterrupted run's, bit for bit.
+        let collector = Collector::new();
+        let mut resumed = builder(&table, (t, start, n), state)
+            .sink(collector.sink())
+            .resume(&ckpt)
+            .unwrap_or_else(|e| panic!("{kind}: resume failed: {e}"));
+        resumed.observe_chunk(&metas[cut..]).expect("tail");
+        let report = resumed.finish().expect("resumed finish");
+        assert_eq!(report.state_backend, kind, "{kind}: backend label");
+
+        let sealed_before = ckpt.intervals_sealed();
+        let tail = collector.take();
+        assert_eq!(
+            tail.len(),
+            reference.outcomes.len() - sealed_before,
+            "{kind}: resumed interval count"
+        );
+        for (g, w) in tail.iter().zip(&reference.outcomes[sealed_before..]) {
+            assert_eq!(g.outcome.elephants, w.outcome.elephants, "{kind}: resumed elephants");
+            assert_eq!(
+                g.outcome.threshold.to_bits(),
+                w.outcome.threshold.to_bits(),
+                "{kind}: resumed threshold"
+            );
+        }
+    }
+}
+
+/// The test above runs 120 flows into 1 024 entries: its snapshot has
+/// never seen an eviction. A summary with room to spare never evicts, and the eviction order
 /// rebuilt after `restore_sketch` is never asked for a victim. Here 600
 /// flows meet summaries of 8 to 64 entries, and the cut falls where the
 /// open interval has already outgrown them, with new keys still to come.
@@ -223,8 +383,8 @@ fn sketch_checkpoint_rejects_backend_and_budget_mismatch() {
     let (table, metas, t, start, n) = stream_of(31, 120);
     let cut = metas.len() / 3;
     let state = StateBackendConfig::SpaceSaving { budget_bytes: 64 * 1024 };
-    let (_, image) = run_with(&table, &metas, t, start, n, state, Some(cut));
-    let bytes = image.expect("mid checkpoint");
+    let run = run_with(&table, &metas, t, start, n, 0, state, Some(cut));
+    let bytes = run.mid_checkpoint.expect("mid checkpoint");
     let ckpt = Checkpoint::read_from(&mut &bytes[..]).expect("well-formed checkpoint");
 
     let attempt = |state| builder(&table, (t, start, n), state).resume(&ckpt).map(|_| ());
@@ -253,20 +413,36 @@ fn sketch_checkpoint_rejects_backend_and_budget_mismatch() {
 }
 
 // ---------------------------------------------------------------------
-// Generous budgets: the hashed sketches find every exact elephant
+// Generous budgets: sketches agree with the exact row
 // ---------------------------------------------------------------------
+
+#[test]
+fn generous_budget_space_saving_is_bit_identical_to_exact() {
+    let (table, metas, t, start, n) = stream_of(47, 120);
+    let exact = run_with(&table, &metas, t, start, n, 0, StateBackendConfig::Exact, None);
+    // Capacity (budget / 64) far exceeds the distinct-key count, so no
+    // counter is ever evicted and every count is exact.
+    let generous = StateBackendConfig::SpaceSaving { budget_bytes: 4 * 1024 * 1024 };
+    let ss = run_with(&table, &metas, t, start, n, 0, generous, None);
+    assert!(
+        exact.report.keys.len() * 64 < 4 * 1024 * 1024,
+        "scenario outgrew the generous budget"
+    );
+    assert_outcomes_identical(&ss, &exact, "spacesaving@4MiB vs exact");
+    assert_eq!(ss.report.state_bytes, 4 * 1024 * 1024, "sketch budget is the footprint");
+}
 
 #[test]
 fn generous_budget_hashed_sketches_reach_full_recall() {
     let (table, metas, t, start, n) = stream_of(53, 120);
-    let (exact, _) = run_with(&table, &metas, t, start, n, StateBackendConfig::Exact, None);
+    let exact = run_with(&table, &metas, t, start, n, 0, StateBackendConfig::Exact, None);
     for state in [
         StateBackendConfig::CountMinRow { budget_bytes: 4 * 1024 * 1024 },
         StateBackendConfig::AdaptiveBloom { budget_bytes: 4 * 1024 * 1024 },
     ] {
-        let (approx, _) = run_with(&table, &metas, t, start, n, state, None);
+        let approx = run_with(&table, &metas, t, start, n, 0, state, None);
         let mut acc = eleph_stats::SetAccuracy::new();
-        for (g, w) in approx.iter().zip(&exact) {
+        for (g, w) in approx.outcomes.iter().zip(&exact.outcomes) {
             acc.observe(&w.outcome.elephants, &g.outcome.elephants, |_| 1.0);
         }
         assert!(

@@ -1,11 +1,12 @@
-//! PR 4's load-bearing property: the streaming pipeline (packets →
-//! attribution → interval sealing → online classification), which never
-//! materializes the bandwidth matrix, produces per-interval outcomes
-//! **bit-identical** to the batch path (`aggregate_pcap` →
+//! The streaming pipeline (packets → attribution → interval sealing →
+//! online classification), which never materializes the bandwidth
+//! matrix, produces per-interval outcomes **bit-identical** to the batch
+//! path (`aggregate_pcap` →
 //! `BandwidthMatrix` → `classify`) on the same capture bytes — same
 //! thresholds, same elephant sets, same load sums, same statistics.
 //! This is what licenses validating a configuration offline and
-//! deploying it as a live monitor.
+//! deploying it as a live monitor. That a `TraceSource` streams as the
+//! capture it writes is pinned in `pipeline_equivalence.rs`.
 
 use eleph_bgp::synth::{self, SynthConfig};
 use eleph_bgp::BgpTable;
@@ -13,33 +14,13 @@ use eleph_core::{classify, ConstantLoadDetector, Scheme};
 use eleph_flow::{aggregate_pcap, BandwidthMatrix, KeyId};
 use eleph_packet::pcap::PcapWriter;
 use eleph_packet::{LinkType, PacketBuilder};
-use eleph_pipeline::{Collector, PcapSource, PipelineBuilder, TraceSource};
-use eleph_trace::{PacketSynth, RateTrace, WorkloadConfig};
+use eleph_pipeline::{Collector, PcapSource, PipelineBuilder};
+use eleph_tests::{capture_of, small_link};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 const BETA: f64 = 0.8;
 const GAMMA: f64 = 0.9;
-
-fn small_scenario(seed: u64) -> (BgpTable, RateTrace) {
-    let table = synth::generate(&SynthConfig {
-        n_prefixes: 2_000,
-        ..SynthConfig::default()
-    });
-    let config = WorkloadConfig {
-        n_flows: 120,
-        n_intervals: 6,
-        interval_secs: 20,
-        link: eleph_trace::LinkSpec {
-            name: "equivalence link".to_string(),
-            capacity_bps: 3_000_000.0,
-            target_peak_util: 0.5,
-        },
-        ..WorkloadConfig::small_test(seed)
-    };
-    let trace = RateTrace::generate(&config, &table);
-    (table, trace)
-}
 
 /// Run the batch path over capture bytes.
 fn batch(
@@ -146,12 +127,8 @@ fn assert_equivalent(
 
 #[test]
 fn streaming_matches_batch_on_synthetic_capture() {
-    let (table, trace) = small_scenario(211);
-    let synth = PacketSynth::new(&trace);
-    let mut pcap = Vec::new();
-    synth
-        .write_pcap(0..trace.n_intervals(), &mut pcap)
-        .expect("pcap synthesis");
+    let (table, trace) = small_link(211, 120, 6);
+    let pcap = capture_of(&trace);
     let t = trace.config.interval_secs;
     let start = trace.config.start_unix;
     let n = trace.n_intervals();
@@ -163,49 +140,6 @@ fn streaming_matches_batch_on_synthetic_capture() {
         let (matrix, stats, result) = batch(&pcap, &table, t, start, n, scheme);
         let (outcomes, report) = streaming(&pcap, &table, t, start, n, scheme);
         assert_equivalent(&matrix, &stats, &result, &outcomes, &report, &format!("{scheme:?}"));
-    }
-}
-
-#[test]
-fn trace_source_matches_batch_over_same_packets() {
-    // The synthetic source yields the same packets write_pcap would
-    // emit, so classifying its stream equals classifying the capture.
-    let (table, trace) = small_scenario(212);
-    let synth = PacketSynth::new(&trace);
-    let mut pcap = Vec::new();
-    synth
-        .write_pcap(0..trace.n_intervals(), &mut pcap)
-        .expect("pcap synthesis");
-    let scheme = Scheme::LatentHeat { window: 3 };
-    let (matrix, _, result) = batch(
-        &pcap,
-        &table,
-        trace.config.interval_secs,
-        trace.config.start_unix,
-        trace.n_intervals(),
-        scheme,
-    );
-
-    let collector = Collector::new();
-    let mut pipeline = PipelineBuilder::new()
-        .table(&table)
-        .interval_secs(trace.config.interval_secs)
-        .start_unix(trace.config.start_unix)
-        .n_intervals(trace.n_intervals())
-        .detector(ConstantLoadDetector::new(BETA))
-        .gamma(GAMMA)
-        .scheme(scheme)
-        .sink(collector.sink())
-        .build();
-    pipeline.run(TraceSource::new(&trace)).expect("trace run");
-    let report = pipeline.finish().expect("finish");
-    let outcomes = collector.take();
-    assert_eq!(outcomes.len(), result.n_intervals());
-    assert_eq!(report.keys.len(), matrix.n_keys());
-    for (n, got) in outcomes.iter().enumerate() {
-        assert_eq!(got.outcome.elephants, result.elephants[n], "interval {n}");
-        assert_eq!(got.outcome.threshold.to_bits(), result.thresholds[n].to_bits());
-        assert_eq!(got.outcome.total_load.to_bits(), result.total_load[n].to_bits());
     }
 }
 
