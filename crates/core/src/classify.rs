@@ -158,6 +158,8 @@ struct ConfigState {
     state: WindowState,
     /// The threshold term each interval slid in with, to retire it by.
     t_terms: Vec<f64>,
+    thresholds: Vec<f64>,
+    raw_thresholds: Vec<Option<f64>>,
     elephants: Vec<Vec<KeyId>>,
     elephant_load: Vec<f64>,
     total_load: Vec<f64>,
@@ -173,6 +175,8 @@ impl ConfigState {
             series: ThresholdSeries::new(config.gamma),
             state: WindowState::with_ids(if latent { n_keys } else { 0 }),
             t_terms: Vec::with_capacity(if latent { n_intervals } else { 0 }),
+            thresholds: Vec::new(),
+            raw_thresholds: Vec::new(),
             elephants: Vec::with_capacity(n_intervals),
             elephant_load: Vec::with_capacity(n_intervals),
             total_load: Vec::with_capacity(n_intervals),
@@ -183,7 +187,9 @@ impl ConfigState {
     /// classification.
     fn step(&mut self, matrix: &BandwidthMatrix, raw: &RawThresholds, n: usize) {
         let view = matrix.interval(n);
+        self.raw_thresholds.push(raw.raw[n]);
         let threshold = self.series.observe_raw(raw.raw[n]);
+        self.thresholds.push(threshold);
 
         if let Some(window) = self.window {
             // The stand-in is read only while nothing has been detected,
@@ -211,12 +217,11 @@ impl ConfigState {
     }
 
     fn finish(self, detector: String) -> ClassificationResult {
-        let (raw_thresholds, thresholds) = self.series.into_histories();
         ClassificationResult {
             detector,
             scheme: self.scheme,
-            thresholds,
-            raw_thresholds,
+            thresholds: self.thresholds,
+            raw_thresholds: self.raw_thresholds,
             elephants: self.elephants,
             elephant_load: self.elephant_load,
             total_load: self.total_load,

@@ -15,7 +15,7 @@
 //!      (the paper's "β-constant load", β = 0.8);
 //!    * plus two baselines ([`TopNDetector`], [`PercentileDetector`])
 //!      for the scheme-comparison experiments.
-//! 2. **Threshold update** (the crate-private `ThresholdTracker`): the
+//! 2. **Threshold update** (the crate-private `ThresholdSeries`): the
 //!    EWMA smoothing `T̄(n+1) = γ·T̄(n) + (1−γ)·T(n)`, γ = 0.9.
 //! 3. **Single-feature classification** ([`Scheme::SingleFeature`]):
 //!    flow `i` is an elephant in interval `n` iff `B_i(n) > T̄(n)`.
@@ -50,6 +50,7 @@ mod classify;
 pub mod holding;
 mod online;
 pub mod prefix_analysis;
+mod reader;
 pub mod sketch;
 mod threshold;
 mod tracker;
@@ -63,10 +64,11 @@ pub use sketch::{
     AdaptiveBloom, CountMinRow, ExactDense, SpaceSaving, StateBackend, StateBackendConfig,
 };
 pub use online::{classify_stream, ClassifierState, IntervalOutcome, OnlineClassifier};
+pub use reader::ByteReader;
 pub use threshold::{
     AestDetector, ConstantLoadDetector, PercentileDetector, ThresholdDetector, TopNDetector,
 };
-use tracker::{ThresholdSeries, ThresholdTracker};
+use tracker::ThresholdSeries;
 
 /// The paper's default smoothing factor γ for the threshold update.
 pub const PAPER_GAMMA: f64 = 0.9;

@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 use eleph_flow::KeyId;
 
 use crate::window::{self, WindowState};
-use crate::{ClassificationResult, Scheme, ThresholdDetector, ThresholdTracker};
+use crate::{ClassificationResult, Scheme, ThresholdDetector, ThresholdSeries};
 
 /// The outcome of one streamed interval.
 #[derive(Debug, Clone)]
@@ -59,10 +59,10 @@ impl IntervalOutcome {
 /// The per-key sliding sums are *path-dependent* floats (incremental
 /// adds and retirement subtractions in stream order), so they are
 /// carried verbatim rather than recomputed from the window — recomputing
-/// would bit-differ from an uninterrupted run. Threshold histories are
-/// deliberately **not** part of the state: a checkpoint stays bounded by
-/// the window and key population, independent of run length, and a
-/// resumed classifier's outputs depend only on the smoothed EWMA value.
+/// would bit-differ from an uninterrupted run. Of the threshold only the
+/// smoothed EWMA value is kept — the classifier records no per-interval
+/// history — so a checkpoint stays bounded by the window and key
+/// population, independent of run length.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassifierState {
     /// Intervals observed so far (the next outcome's index).
@@ -155,7 +155,8 @@ impl ClassifierState {
 /// reports the number of keys currently holding window state.
 #[derive(Debug)]
 pub struct OnlineClassifier<D> {
-    tracker: ThresholdTracker<D>,
+    detector: D,
+    series: ThresholdSeries,
     /// Intervals observed so far (the next outcome's index).
     interval: usize,
     scheme: Scheme,
@@ -173,7 +174,8 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
     pub fn new(detector: D, gamma: f64, scheme: Scheme) -> Self {
         let window = scheme.window();
         OnlineClassifier {
-            tracker: ThresholdTracker::new(detector, gamma),
+            detector,
+            series: ThresholdSeries::new(gamma),
             interval: 0,
             scheme,
             window,
@@ -190,13 +192,21 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
     /// (the interval in, the one that falls out retired), then the
     /// scheme's membership rule.
     pub fn observe(&mut self, snapshot: &[(KeyId, f32)]) -> IntervalOutcome {
+        self.step(snapshot).0
+    }
+
+    /// [`OnlineClassifier::observe`], also returning the interval's raw
+    /// detection (`None` = the detector abstained), which
+    /// [`classify_stream`] reports beside the smoothed threshold.
+    fn step(&mut self, snapshot: &[(KeyId, f32)]) -> (IntervalOutcome, Option<f64>) {
         debug_assert!(snapshot.windows(2).all(|w| w[0].0 < w[1].0));
         let values: Vec<f64> = snapshot.iter().map(|&(_, r)| f64::from(r)).collect();
         // Fold from +0.0 like the batch matrix's total accumulation —
         // `Iterator::sum` starts from -0.0, which would make an empty
         // interval's total bit-differ from the batch path.
         let total_load: f64 = values.iter().fold(0.0, |s, &v| s + v);
-        let threshold = self.tracker.observe(&values);
+        let raw = self.detector.detect(&values);
+        let threshold = self.series.observe_raw(raw);
         let t_term = window::threshold_term(threshold, || window::unbeatable(&values));
         let interval = self.interval;
         self.interval += 1;
@@ -214,7 +224,7 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
             elephants.push(key);
             elephant_load += term;
         });
-        IntervalOutcome { interval, threshold, elephants, elephant_load, total_load }
+        (IntervalOutcome { interval, threshold, elephants, elephant_load, total_load }, raw)
     }
 
     /// Export the recovery frontier (see [`ClassifierState`]).
@@ -222,7 +232,7 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
         let (sum_t, per_key, members) = self.state.export();
         ClassifierState {
             interval: self.interval,
-            smoothed: self.tracker.smoothed_value(),
+            smoothed: self.series.smoothed_value(),
             sum_t,
             per_key,
             history: self.history.iter().cloned().collect(),
@@ -230,35 +240,30 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
         }
     }
 
-    /// Rebuild a classifier from a checkpointed [`ClassifierState`],
-    /// continuing bit-identically to the classifier that exported it
-    /// (same detector and configuration required — the caller validates
-    /// those against its checkpoint metadata). `n_keys` is the number of
-    /// keys the run had assigned at export; the state goes through
-    /// [`ClassifierState::validate`] before anything is sized by it, so
-    /// a corrupted one is rejected with a description, never partially
-    /// restored. Panics like [`OnlineClassifier::new`].
-    pub fn from_state(
-        detector: D,
-        gamma: f64,
-        scheme: Scheme,
-        n_keys: usize,
-        state: ClassifierState,
-    ) -> Result<Self, String> {
-        state.validate(scheme, n_keys)?;
-        Ok(OnlineClassifier {
-            tracker: ThresholdTracker::with_state(detector, gamma, state.smoothed),
-            interval: state.interval,
-            scheme,
-            window: scheme.window(),
-            state: WindowState::restore(state.sum_t, &state.per_key, state.members),
-            history: state.history.into(),
-        })
+    /// Continue from a checkpointed [`ClassifierState`] in place: from
+    /// here on this classifier's outcomes are, by bits, those of the
+    /// classifier that exported it (same detector and configuration
+    /// required — the caller validates those against its checkpoint
+    /// metadata). `n_keys` is the number of keys the run had assigned at
+    /// export; the state goes through [`ClassifierState::validate`]
+    /// before anything is sized by it, so a corrupted one is rejected
+    /// with a description and leaves this classifier as it was.
+    pub fn restore(&mut self, n_keys: usize, state: ClassifierState) -> Result<(), String> {
+        state.validate(self.scheme, n_keys)?;
+        self.series = ThresholdSeries::new(self.series.gamma());
+        if let Some(smoothed) = state.smoothed {
+            // A first detection sets the EWMA to exactly its value.
+            self.series.observe_raw(Some(smoothed));
+        }
+        self.interval = state.interval;
+        self.state = WindowState::restore(state.sum_t, &state.per_key, state.members);
+        self.history = state.history.into();
+        Ok(())
     }
 
     /// The smoothing factor γ this classifier was built with.
     pub fn gamma(&self) -> f64 {
-        self.tracker.gamma()
+        self.series.gamma()
     }
 
     /// The classification scheme this classifier was built with.
@@ -270,7 +275,7 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
     /// with it, so a snapshot cannot silently resume under a different
     /// detector).
     pub fn detector_name(&self) -> String {
-        self.tracker.detector_name()
+        self.detector.name()
     }
 
     /// Number of keys currently holding sliding-window state — zero
@@ -289,8 +294,8 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
 ///
 /// The rows go through one [`OnlineClassifier`], and the result is what
 /// batch [`crate::classify`] returns for a matrix of the same rows, by
-/// bits: thresholds and raw thresholds are the tracker's histories, and
-/// elephants and both loads come from each [`IntervalOutcome`] (an
+/// bits: each interval's raw detection and everything in its
+/// [`IntervalOutcome`] go into the result's columns (an
 /// interval's total folds its rates in key order from `+0.0`, as a
 /// matrix's does). Panics like [`OnlineClassifier::new`].
 pub fn classify_stream<D: ThresholdDetector>(
@@ -300,24 +305,24 @@ pub fn classify_stream<D: ThresholdDetector>(
     rows: impl FnOnce(&mut dyn FnMut(&[(KeyId, f32)])),
 ) -> ClassificationResult {
     let mut online = OnlineClassifier::new(detector, gamma, scheme);
-    let (mut elephants, mut elephant_load, mut total_load) = (Vec::new(), Vec::new(), Vec::new());
-    rows(&mut |row| {
-        let outcome = online.observe(row);
-        elephants.push(outcome.elephants);
-        elephant_load.push(outcome.elephant_load);
-        total_load.push(outcome.total_load);
-    });
-    let detector = online.detector_name();
-    let (raw_thresholds, thresholds) = online.tracker.into_histories();
-    ClassificationResult {
-        detector,
+    let mut result = ClassificationResult {
+        detector: online.detector_name(),
         scheme,
-        thresholds,
-        raw_thresholds,
-        elephants,
-        elephant_load,
-        total_load,
-    }
+        thresholds: Vec::new(),
+        raw_thresholds: Vec::new(),
+        elephants: Vec::new(),
+        elephant_load: Vec::new(),
+        total_load: Vec::new(),
+    };
+    rows(&mut |row| {
+        let (outcome, raw) = online.step(row);
+        result.raw_thresholds.push(raw);
+        result.thresholds.push(outcome.threshold);
+        result.elephants.push(outcome.elephants);
+        result.elephant_load.push(outcome.elephant_load);
+        result.total_load.push(outcome.total_load);
+    });
+    result
 }
 
 #[cfg(test)]
@@ -601,14 +606,9 @@ mod tests {
                 }
                 let state = first.export_state();
                 assert_eq!(state, first.export_state(), "export must be pure");
-                let mut resumed = OnlineClassifier::from_state(
-                    ConstantLoadDetector::new(0.8),
-                    0.9,
-                    scheme,
-                    4,
-                    state,
-                )
-                .expect("valid state");
+                let mut resumed =
+                    OnlineClassifier::new(ConstantLoadDetector::new(0.8), 0.9, scheme);
+                resumed.restore(4, state).expect("valid state");
                 assert_eq!(resumed.interval, split);
                 for n in split..rows.len() {
                     let out = resumed.observe(&matrix.interval(n).to_pairs());
@@ -631,7 +631,8 @@ mod tests {
         online.observe(&[(1, 60.0)]);
         let good = online.export_state();
         let rebuild = |state: ClassifierState| {
-            OnlineClassifier::from_state(ConstantLoadDetector::new(0.8), 0.9, scheme, 5, state)
+            let mut online = OnlineClassifier::new(ConstantLoadDetector::new(0.8), 0.9, scheme);
+            online.restore(5, state).map(|()| online)
         };
         assert!(rebuild(good.clone()).is_ok());
 

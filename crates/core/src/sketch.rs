@@ -49,6 +49,8 @@
 use eleph_flow::KeyId;
 use rustc_hash::FxHashMap;
 
+use crate::ByteReader;
+
 /// How many bytes one [`SpaceSaving`] entry is charged when capacity
 /// is derived from a byte budget: the 24 B entry (key, counter, error
 /// bound), its 16 B [`SlotHeap`] node, and its share of the hash index
@@ -587,20 +589,20 @@ impl StateBackend for SpaceSaving {
     }
 
     fn export_sketch(&self) -> Option<Vec<u8>> {
-        let mut w = PayloadWriter::new();
-        w.u64(self.total);
-        w.u64(self.capacity as u64);
-        w.u64(self.entries.len() as u64);
+        let mut w = new_payload();
+        w.extend_from_slice(&self.total.to_le_bytes());
+        w.extend_from_slice(&(self.capacity as u64).to_le_bytes());
+        w.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
         for e in &self.entries {
-            w.u32(e.key);
-            w.u64(e.count);
-            w.u64(e.err);
+            w.extend_from_slice(&e.key.to_le_bytes());
+            w.extend_from_slice(&e.count.to_le_bytes());
+            w.extend_from_slice(&e.err.to_le_bytes());
         }
-        Some(w.finish())
+        Some(w)
     }
 
     fn restore_sketch(&mut self, payload: &[u8]) -> Result<(), String> {
-        let mut r = PayloadReader::new(payload)?;
+        let mut r = payload_reader(payload)?;
         let total = r.u64()?;
         // The capacity is the accuracy guarantee (error ≤ total / k):
         // resuming under a different budget would silently change the
@@ -613,7 +615,7 @@ impl StateBackend for SpaceSaving {
                 self.capacity
             ));
         }
-        let n = r.len_prefix(20, "space-saving entries")?;
+        let n = r.count(20, "space-saving entries")?;
         if n > self.capacity {
             return Err(format!(
                 "space-saving payload holds {n} entries but this backend's capacity is {}",
@@ -796,23 +798,23 @@ impl StateBackend for CountMinRow {
     }
 
     fn export_sketch(&self) -> Option<Vec<u8>> {
-        let mut w = PayloadWriter::new();
-        w.u64(self.total);
-        w.u64(self.cand_capacity as u64);
-        w.u64(self.counters.len() as u64);
+        let mut w = new_payload();
+        w.extend_from_slice(&self.total.to_le_bytes());
+        w.extend_from_slice(&(self.cand_capacity as u64).to_le_bytes());
+        w.extend_from_slice(&(self.counters.len() as u64).to_le_bytes());
         for &c in &self.counters {
-            w.u64(c);
+            w.extend_from_slice(&c.to_le_bytes());
         }
-        w.u64(self.candidates.len() as u64);
+        w.extend_from_slice(&(self.candidates.len() as u64).to_le_bytes());
         for &(key, est) in &self.candidates {
-            w.u32(key);
-            w.u64(est);
+            w.extend_from_slice(&key.to_le_bytes());
+            w.extend_from_slice(&est.to_le_bytes());
         }
-        Some(w.finish())
+        Some(w)
     }
 
     fn restore_sketch(&mut self, payload: &[u8]) -> Result<(), String> {
-        let mut r = PayloadReader::new(payload)?;
+        let mut r = payload_reader(payload)?;
         let total = r.u64()?;
         // Both halves of the geometry bound the error; a budget change
         // mid-run must be loud even when the snapshot happens to fit.
@@ -824,7 +826,7 @@ impl StateBackend for CountMinRow {
                 self.cand_capacity
             ));
         }
-        let n_counters = r.len_prefix(8, "count-min counters")?;
+        let n_counters = r.count(8, "count-min counters")?;
         if n_counters != self.counters.len() {
             return Err(format!(
                 "count-min payload holds {n_counters} counters but this backend's geometry \
@@ -836,7 +838,7 @@ impl StateBackend for CountMinRow {
         for _ in 0..n_counters {
             counters.push(r.u64()?);
         }
-        let n_cand = r.len_prefix(12, "count-min candidates")?;
+        let n_cand = r.count(12, "count-min candidates")?;
         if n_cand > self.cand_capacity {
             return Err(format!(
                 "count-min payload holds {n_cand} candidates but this backend's capacity is {}",
@@ -1027,25 +1029,25 @@ impl StateBackend for AdaptiveBloom {
     }
 
     fn export_sketch(&self) -> Option<Vec<u8>> {
-        let mut w = PayloadWriter::new();
-        w.u64(self.total);
-        w.u64(self.capacity as u64);
-        w.u64(self.threshold);
-        w.u8(u8::from(self.saturated));
-        w.u64(self.counters.len() as u64);
+        let mut w = new_payload();
+        w.extend_from_slice(&self.total.to_le_bytes());
+        w.extend_from_slice(&(self.capacity as u64).to_le_bytes());
+        w.extend_from_slice(&self.threshold.to_le_bytes());
+        w.push(u8::from(self.saturated));
+        w.extend_from_slice(&(self.counters.len() as u64).to_le_bytes());
         for &c in &self.counters {
-            w.u64(c);
+            w.extend_from_slice(&c.to_le_bytes());
         }
-        w.u64(self.tracked.len() as u64);
+        w.extend_from_slice(&(self.tracked.len() as u64).to_le_bytes());
         for &(key, count) in &self.tracked {
-            w.u32(key);
-            w.u64(count);
+            w.extend_from_slice(&key.to_le_bytes());
+            w.extend_from_slice(&count.to_le_bytes());
         }
-        Some(w.finish())
+        Some(w)
     }
 
     fn restore_sketch(&mut self, payload: &[u8]) -> Result<(), String> {
-        let mut r = PayloadReader::new(payload)?;
+        let mut r = payload_reader(payload)?;
         let total = r.u64()?;
         let capacity = r.u64()?;
         if capacity != self.capacity as u64 {
@@ -1061,7 +1063,7 @@ impl StateBackend for AdaptiveBloom {
             1 => true,
             t => return Err(format!("bad multistage saturation flag {t}")),
         };
-        let n_counters = r.len_prefix(8, "multistage counters")?;
+        let n_counters = r.count(8, "multistage counters")?;
         if n_counters != self.counters.len() {
             return Err(format!(
                 "multistage payload holds {n_counters} counters but this backend's geometry \
@@ -1073,7 +1075,7 @@ impl StateBackend for AdaptiveBloom {
         for _ in 0..n_counters {
             counters.push(r.u64()?);
         }
-        let n_tracked = r.len_prefix(12, "multistage tracked keys")?;
+        let n_tracked = r.count(12, "multistage tracked keys")?;
         if n_tracked > self.capacity {
             return Err(format!(
                 "multistage payload holds {n_tracked} tracked keys but this backend's \
@@ -1110,97 +1112,24 @@ impl StateBackend for AdaptiveBloom {
 // Payload plumbing
 // ---------------------------------------------------------------------
 
-/// Little-endian payload writer; every payload opens with
+/// A new payload: the [`SKETCH_PAYLOAD_VERSION`] prefix every payload
+/// opens with.
+fn new_payload() -> Vec<u8> {
+    SKETCH_PAYLOAD_VERSION.to_le_bytes().to_vec()
+}
+
+/// A reader over `payload` past its version prefix, which must be
 /// [`SKETCH_PAYLOAD_VERSION`].
-struct PayloadWriter(Vec<u8>);
-
-impl PayloadWriter {
-    fn new() -> Self {
-        let mut w = PayloadWriter(Vec::new());
-        w.u32(SKETCH_PAYLOAD_VERSION);
-        w
+fn payload_reader(payload: &[u8]) -> Result<ByteReader<'_>, String> {
+    let mut r = ByteReader::new(payload, "sketch payload");
+    let version = r.u32()?;
+    if version != SKETCH_PAYLOAD_VERSION {
+        return Err(format!(
+            "unsupported sketch payload version {version} \
+             (this build reads {SKETCH_PAYLOAD_VERSION})"
+        ));
     }
-
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn finish(self) -> Vec<u8> {
-        self.0
-    }
-}
-
-/// Bounds-checked little-endian payload reader; verifies the version
-/// prefix up front and `end()` rejects trailing bytes.
-struct PayloadReader<'a> {
-    data: &'a [u8],
-    at: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    fn new(data: &'a [u8]) -> Result<Self, String> {
-        let mut r = PayloadReader { data, at: 0 };
-        let version = r.u32()?;
-        if version != SKETCH_PAYLOAD_VERSION {
-            return Err(format!(
-                "unsupported sketch payload version {version} \
-                 (this build reads {SKETCH_PAYLOAD_VERSION})"
-            ));
-        }
-        Ok(r)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.data.len())
-            .ok_or_else(|| "sketch payload shorter than declared".to_string())?;
-        let slice = &self.data[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// A length prefix, sanity-bounded by the bytes remaining so a
-    /// corrupt count cannot trigger a huge allocation.
-    fn len_prefix(&mut self, min_elem: usize, what: &str) -> Result<usize, String> {
-        let n = self.u64()?;
-        let remaining = (self.data.len() - self.at) as u64;
-        if n.saturating_mul(min_elem as u64) > remaining {
-            return Err(format!("{what} count {n} exceeds remaining payload"));
-        }
-        Ok(n as usize)
-    }
-
-    fn end(&self) -> Result<(), String> {
-        if self.at != self.data.len() {
-            return Err(format!(
-                "{} bytes of trailing sketch payload",
-                self.data.len() - self.at
-            ));
-        }
-        Ok(())
-    }
+    Ok(r)
 }
 
 #[cfg(test)]

@@ -572,9 +572,8 @@ proptest! {
             }
 
             // Streaming, resumed from its own frontier.
-            let mut resumed =
-                OnlineClassifier::from_state(detector, gamma, scheme, n_keys, at_cut)
-                    .expect("an exported state is valid");
+            let mut resumed = OnlineClassifier::new(detector, gamma, scheme);
+            resumed.restore(n_keys, at_cut).expect("an exported state is valid");
             for (snapshot, want) in snapshots[cut..].iter().zip(&expected[cut..]) {
                 let got = resumed.observe(snapshot);
                 prop_assert_eq!(outcome_bits(&got), outcome_bits(want), "{:?} resumed", scheme);

@@ -20,12 +20,17 @@
 //!
 //! The payload opens with a configuration fingerprint (interval length,
 //! window start, γ bits, scheme, detector name, route-id space size,
-//! routing-table generation, per-key prefixes);
-//! [`crate::PipelineBuilder::resume`] refuses a snapshot whose
-//! fingerprint disagrees with the builder, so state can never be
-//! grafted onto a different measurement definition — including a live
-//! routing table at a different update generation than the one the
-//! snapshot was taken against (version 2 added the generation field).
+//! routing-table generation), followed later by the per-key prefixes.
+//! [`crate::PipelineBuilder::resume`] builds the pipeline as
+//! [`crate::PipelineBuilder::build`] does and restores the snapshot into
+//! it; the pipeline's own fingerprint — the one function that also
+//! writes it into every image — is compared with the snapshot's field
+//! by field, and so are the state backend and the per-key prefixes, so
+//! state can never be grafted onto a different measurement definition —
+//! including a live routing table at a different update generation than
+//! the one the snapshot was taken against (version 2 added the
+//! generation field). The payload is read by [`eleph_core::ByteReader`],
+//! the reader the sketch payloads inside it go through too.
 //!
 //! Version 3 extends version 2 for pipelines running a sketch state
 //! backend ([`eleph_core::sketch`]): the version-2 payload (whose dense
@@ -107,7 +112,7 @@ use std::thread;
 use std::time::Instant;
 
 use eleph_bgp::RouteId;
-use eleph_core::{ClassifierState, Scheme, ThresholdDetector};
+use eleph_core::{ByteReader, ClassifierState, Scheme, ThresholdDetector};
 use eleph_flow::KeyId;
 use eleph_net::Prefix;
 use eleph_trace::CrashPoint;
@@ -397,7 +402,7 @@ impl Checkpoint {
         if actual != expected {
             return Err(CheckpointError::Checksum { expected, actual });
         }
-        Self::decode(&payload, version)
+        Self::decode(&payload, version).map_err(CheckpointError::Format)
     }
 
     /// Read and verify a checkpoint file.
@@ -489,25 +494,26 @@ impl Checkpoint {
         }
     }
 
-    fn decode(payload: &[u8], version: u32) -> Result<Self, CheckpointError> {
-        let mut r = Cursor { data: payload, at: 0 };
+    /// Read a payload; every error is a format error's message.
+    fn decode(payload: &[u8], version: u32) -> Result<Self, String> {
+        let mut r = ByteReader::new(payload, "payload");
         let interval_secs = r.u64()?;
         let start_unix = r.u64()?;
-        let n_intervals = r.opt_u64()?;
+        let n_intervals = opt_u64(&mut r)?;
         let gamma = f64::from_bits(r.u64()?);
         let scheme = match r.u8()? {
             0 => Scheme::SingleFeature,
             1 => Scheme::LatentHeat {
                 window: usize::try_from(r.u64()?)
-                    .map_err(|_| CheckpointError::Format("window too large".to_string()))?,
+                    .map_err(|_| "window too large".to_string())?,
             },
             2 => Scheme::Hysteresis {
                 enter: f64::from_bits(r.u64()?),
                 exit: f64::from_bits(r.u64()?),
             },
-            t => return Err(CheckpointError::Format(format!("unknown scheme tag {t}"))),
+            t => return Err(format!("unknown scheme tag {t}")),
         };
-        let detector = r.string()?;
+        let detector = string(&mut r)?;
         let n_routes = r.u64()?;
         let generation = r.u64()?;
         let open = r.u64()?;
@@ -528,7 +534,7 @@ impl Checkpoint {
             let bits = r.u32()?;
             let len = r.u8()?;
             let prefix = Prefix::from_u32(bits, len)
-                .map_err(|e| CheckpointError::Format(format!("bad key prefix: {e}")))?;
+                .map_err(|e| format!("bad key prefix: {e}"))?;
             keys.push((route, prefix));
         }
         let n_row = r.count(12, "row")?;
@@ -537,8 +543,8 @@ impl Checkpoint {
             row.push((r.u32()?, r.u64()?));
         }
         let interval = usize::try_from(r.u64()?)
-            .map_err(|_| CheckpointError::Format("interval index too large".to_string()))?;
-        let smoothed = r.opt_f64()?;
+            .map_err(|_| "interval index too large".to_string())?;
+        let smoothed = opt_u64(&mut r)?.map(f64::from_bits);
         let sum_t = f64::from_bits(r.u64()?);
         let n_per_key = r.count(16, "per-key state")?;
         let mut per_key = Vec::with_capacity(n_per_key);
@@ -562,13 +568,11 @@ impl Checkpoint {
             members.push(r.u32()?);
         }
         let sketch = if version == VERSION_SKETCH {
-            let kind = r.string()?;
+            let kind = string(&mut r)?;
             let n_sketch = r.count(1, "sketch payload")?;
             let bytes = r.take(n_sketch)?.to_vec();
             if !row.is_empty() {
-                return Err(CheckpointError::Format(
-                    "sketch checkpoint carries a dense row".to_string(),
-                ));
+                return Err("sketch checkpoint carries a dense row".to_string());
             }
             Some((kind, bytes))
         } else {
@@ -576,9 +580,9 @@ impl Checkpoint {
         };
         r.end()?;
         if interval as u64 != open {
-            return Err(CheckpointError::Format(format!(
+            return Err(format!(
                 "classifier at interval {interval} but {open} intervals sealed"
-            )));
+            ));
         }
         Ok(Checkpoint {
             config: CheckpointConfig {
@@ -634,78 +638,19 @@ fn put_str(w: &mut Vec<u8>, s: &str) {
     w.extend_from_slice(s.as_bytes());
 }
 
-/// Bounds-checked little-endian payload reader.
-struct Cursor<'a> {
-    data: &'a [u8],
-    at: usize,
+/// What [`put_opt_u64`] (and, as bits, [`put_opt_f64`]) wrote.
+fn opt_u64(r: &mut ByteReader<'_>) -> Result<Option<u64>, String> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.u64()?)),
+        t => Err(format!("bad option tag {t}")),
+    }
 }
 
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.data.len())
-            .ok_or_else(|| CheckpointError::Format("payload shorter than declared".to_string()))?;
-        let slice = &self.data[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            t => Err(CheckpointError::Format(format!("bad option tag {t}"))),
-        }
-    }
-
-    fn opt_f64(&mut self) -> Result<Option<f64>, CheckpointError> {
-        Ok(self.opt_u64()?.map(f64::from_bits))
-    }
-
-    fn string(&mut self) -> Result<String, CheckpointError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CheckpointError::Format("non-UTF-8 string".to_string()))
-    }
-
-    /// A length prefix, sanity-bounded by the bytes remaining (each
-    /// element needs at least `min_elem` bytes) so a corrupt count
-    /// cannot trigger a huge allocation before the decode fails.
-    fn count(&mut self, min_elem: usize, what: &str) -> Result<usize, CheckpointError> {
-        let n = self.u64()?;
-        let remaining = (self.data.len() - self.at) as u64;
-        if n.saturating_mul(min_elem as u64) > remaining {
-            return Err(CheckpointError::Format(format!(
-                "{what} count {n} exceeds remaining payload"
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    fn end(&self) -> Result<(), CheckpointError> {
-        if self.at != self.data.len() {
-            return Err(CheckpointError::Format(format!(
-                "{} bytes of trailing payload",
-                self.data.len() - self.at
-            )));
-        }
-        Ok(())
-    }
+/// What [`put_str`] wrote.
+fn string(r: &mut ByteReader<'_>) -> Result<String, String> {
+    let len = r.u32()? as usize;
+    String::from_utf8(r.take(len)?.to_vec()).map_err(|_| "non-UTF-8 string".to_string())
 }
 
 /// Periodic atomic checkpoint writer for [`Pipeline::run_checkpointed`].

@@ -5,7 +5,7 @@ use std::fmt;
 
 use eleph_bgp::{BgpTable, FrozenBgpTable, LiveBgpTable, RouteId, TableView, UpdateBatch};
 use eleph_core::{
-    ConstantLoadDetector, ExactDense, IntervalOutcome, OnlineClassifier, Scheme, StateBackend,
+    ConstantLoadDetector, ExactDense, OnlineClassifier, Scheme, StateBackend,
     StateBackendConfig, ThresholdDetector, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
 use eleph_flow::{attribute_metas, FrozenTableRef, KeyAllocator, KeyId};
@@ -212,13 +212,6 @@ impl TableHandle<'_> {
         match self {
             TableHandle::Frozen(t) => attribute_metas(t.get(), metas, routes),
             TableHandle::Live { view, .. } => attribute_metas(view, metas, routes),
-        }
-    }
-
-    fn attribute_one(&self, dst: u32) -> Option<RouteId> {
-        match self {
-            TableHandle::Frozen(t) => t.get().attribute_id(dst),
-            TableHandle::Live { view, .. } => view.attribute_id(dst),
         }
     }
 }
@@ -433,11 +426,6 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
         let (start_ns, interval_ns) =
             eleph_flow::window_bounds_ns(self.interval_secs, self.start_unix);
         let n_routes = table.id_space();
-        let engine = Engine {
-            classifier: OnlineClassifier::new(self.detector, self.gamma, self.scheme),
-            row: open_row(self.state, self.shards),
-            snapshot: Vec::new(),
-        };
         Pipeline {
             table,
             updates: self.updates,
@@ -449,7 +437,9 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
             start_ns,
             interval_ns,
             n_intervals: self.n_intervals,
-            engine,
+            classifier: OnlineClassifier::new(self.detector, self.gamma, self.scheme),
+            row: open_row(self.state, self.shards),
+            snapshot: Vec::new(),
             n_shards: self.shards,
             sinks: self.sinks,
             key_alloc: KeyAllocator::new(n_routes),
@@ -464,13 +454,17 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     }
 
     /// Assemble a pipeline that *continues* a checkpointed run instead
-    /// of starting fresh.
+    /// of starting fresh: [`PipelineBuilder::build`], then one checked
+    /// restore of the snapshot into what it built.
     ///
     /// The builder must be configured identically to the run that wrote
-    /// the snapshot — same table, interval geometry, detector, γ and
-    /// scheme; the checkpoint's fingerprint is validated against every
-    /// one of them and a [`CheckpointError::Mismatch`] names the first
-    /// disagreement. The caller is responsible for (a) truncating
+    /// the snapshot — same table (size, generation and every key's
+    /// prefix), interval geometry, detector, γ, scheme and state backend.
+    /// The built pipeline's fingerprint, the one a checkpoint of it would
+    /// record, is compared with the snapshot's field by field and a
+    /// [`CheckpointError::Mismatch`] names the first disagreement; a
+    /// snapshot whose state fails validation is a
+    /// [`CheckpointError::State`]. The caller is responsible for (a) truncating
     /// durable sink output to [`Checkpoint::intervals_sealed`] records
     /// (see [`crate::RotatingJsonlSink::resume`]) *before* attaching the
     /// sinks, and (b) advancing the packet source past
@@ -480,175 +474,9 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     ///
     /// Panics on what [`PipelineBuilder::build`] panics on.
     pub fn resume(self, ckpt: &Checkpoint) -> std::result::Result<Pipeline<'t, D>, CheckpointError> {
-        let mismatch = |what: &str, have: String, want: String| {
-            CheckpointError::Mismatch(format!("{what}: pipeline has {have}, checkpoint has {want}"))
-        };
-        let c = &ckpt.config;
-        if self.interval_secs != c.interval_secs {
-            return Err(mismatch(
-                "interval_secs",
-                self.interval_secs.to_string(),
-                c.interval_secs.to_string(),
-            ));
-        }
-        if self.start_unix != c.start_unix {
-            return Err(mismatch(
-                "start_unix",
-                self.start_unix.to_string(),
-                c.start_unix.to_string(),
-            ));
-        }
-        if self.n_intervals.map(|n| n as u64) != c.n_intervals {
-            return Err(mismatch(
-                "n_intervals",
-                format!("{:?}", self.n_intervals),
-                format!("{:?}", c.n_intervals),
-            ));
-        }
-        if self.gamma.to_bits() != c.gamma.to_bits() {
-            return Err(mismatch("gamma", self.gamma.to_string(), c.gamma.to_string()));
-        }
-        if self.scheme != c.scheme {
-            return Err(mismatch(
-                "scheme",
-                format!("{:?}", self.scheme),
-                format!("{:?}", c.scheme),
-            ));
-        }
-        let name = self.detector.name();
-        if name != c.detector {
-            return Err(mismatch("detector", name, c.detector.clone()));
-        }
-        // Version-2 checkpoints have no sketch tail: they are exact by
-        // construction.
-        let ckpt_kind = ckpt.sketch.as_ref().map_or("exact", |(kind, _)| kind.as_str());
-        if self.state.kind() != ckpt_kind {
-            return Err(mismatch(
-                "state backend",
-                self.state.kind().to_string(),
-                ckpt_kind.to_string(),
-            ));
-        }
-        let table = self.table.expect("PipelineBuilder needs a table (.table, .frozen or .live)");
-        let update_ns = update_schedule(&table, &self.updates);
-        // A live table must be replayed to the checkpoint's generation
-        // before resuming (apply the first `generation` batches of the
-        // same schedule); a frozen table is forever at generation 0, so
-        // a checkpoint born live refuses to graft onto it — and vice
-        // versa.
-        if table.generation() != c.generation {
-            return Err(mismatch(
-                "table generation",
-                table.generation().to_string(),
-                c.generation.to_string(),
-            ));
-        }
-        let next_update = usize::try_from(c.generation).map_err(|_| {
-            CheckpointError::Mismatch(format!("table generation: {} exceeds usize", c.generation))
-        })?;
-        if matches!(table, TableHandle::Live { .. }) && next_update > update_ns.len() {
-            return Err(CheckpointError::Mismatch(format!(
-                "table generation: checkpoint consumed {} update batches but the schedule \
-                 holds {}",
-                c.generation,
-                update_ns.len()
-            )));
-        }
-        let n_routes = table.id_space();
-        if n_routes as u64 != c.n_routes {
-            return Err(mismatch(
-                "routing table size",
-                n_routes.to_string(),
-                c.n_routes.to_string(),
-            ));
-        }
-        // Every checkpointed key must still resolve to the same prefix
-        // in this table — otherwise key ids would silently change
-        // meaning mid-run.
-        for (id, &(route, prefix)) in ckpt.keys.iter().enumerate() {
-            if route as usize >= n_routes {
-                return Err(CheckpointError::State(format!(
-                    "key {id}: route {route} outside the table"
-                )));
-            }
-            let actual = table.prefix(route);
-            if actual != prefix {
-                return Err(mismatch(
-                    &format!("key {id} prefix"),
-                    actual.to_string(),
-                    prefix.to_string(),
-                ));
-            }
-        }
-        let key_alloc = KeyAllocator::from_key_routes(
-            n_routes,
-            &ckpt.keys.iter().map(|&(route, _)| route).collect::<Vec<_>>(),
-        )
-        .map_err(CheckpointError::State)?;
-        let open = ckpt.open as usize;
-        if let Some(n) = self.n_intervals {
-            if open > n {
-                return Err(CheckpointError::State(format!(
-                    "checkpoint sealed {open} intervals but the run is bounded to {n}"
-                )));
-            }
-        }
-        let classifier = OnlineClassifier::from_state(
-            self.detector,
-            self.gamma,
-            self.scheme,
-            ckpt.keys.len(),
-            ckpt.state.clone(),
-        )
-        .map_err(CheckpointError::State)?;
-        // The open row: a sketch restores from its payload, onto the one
-        // backend kind (and geometry) it was exported from; an exact
-        // row is validated against the key table and then recorded into
-        // whatever holds it, so the shard count is free to change.
-        let mut row = open_row(self.state, self.shards);
-        match &ckpt.sketch {
-            Some((_, payload)) => row.restore_sketch(payload).map_err(CheckpointError::State)?,
-            None => {
-                ExactDense::from_checkpoint_row(ckpt.keys.len(), &ckpt.row)
-                    .map_err(CheckpointError::State)?;
-                row.record_many(&ckpt.row);
-            }
-        }
-        let engine = Engine { classifier, row, snapshot: Vec::new() };
-        let (start_ns, interval_ns) =
-            eleph_flow::window_bounds_ns(self.interval_secs, self.start_unix);
-        Ok(Pipeline {
-            table,
-            updates: self.updates,
-            update_ns,
-            next_update,
-            interval_secs: self.interval_secs,
-            secs: self.interval_secs as f64,
-            start_unix: self.start_unix,
-            start_ns,
-            interval_ns,
-            n_intervals: self.n_intervals,
-            engine,
-            n_shards: self.shards,
-            sinks: self.sinks,
-            key_alloc,
-            route_scratch: Vec::new(),
-            binned: Vec::new(),
-            far_future_streak: ckpt.far_future_streak,
-            keys: ckpt.keys.iter().map(|&(_, prefix)| prefix).collect(),
-            open,
-            stats: ckpt.stats,
-            crash: self.crash,
-        })
-    }
-
-    /// [`PipelineBuilder::resume`] from a serialized checkpoint stream.
-    pub fn resume_from<R: std::io::Read>(
-        self,
-        input: &mut R,
-    ) -> std::result::Result<Pipeline<'t, D>, CheckpointError> {
-        let ckpt = Checkpoint::read_from(input)?;
-        self.resume(&ckpt)
+        let mut pipeline = self.build();
+        pipeline.restore(ckpt)?;
+        Ok(pipeline)
     }
 }
 
@@ -676,29 +504,6 @@ fn update_schedule(table: &TableHandle<'_>, updates: &[UpdateBatch]) -> Vec<u64>
         "route-update schedule must be in non-decreasing time order"
     );
     ns
-}
-
-/// The classification engine behind a [`Pipeline`]: the one online
-/// classifier plus the open interval's byte row, whatever holds it (the
-/// dense row, a sketch, the dense row spread over shard workers — see
-/// [`open_row`]). A seal is the same two calls for every configuration,
-/// so the pipeline's window logic, sealing cadence, sinks, checkpoints
-/// and crash points never ask which row is underneath.
-struct Engine<D> {
-    classifier: OnlineClassifier<D>,
-    row: Box<dyn StateBackend>,
-    /// Seal-path scratch: the sparse snapshot handed to the classifier.
-    snapshot: Vec<(KeyId, f32)>,
-}
-
-impl<D: ThresholdDetector> Engine<D> {
-    /// Seal the open interval: build its sparse snapshot (ascending by
-    /// key id, rates converted with the exact arithmetic of the batch
-    /// matrix) and classify it.
-    fn seal_interval(&mut self, secs: f64) -> IntervalOutcome {
-        self.row.seal_into(secs, &mut self.snapshot);
-        self.classifier.observe(&self.snapshot)
-    }
 }
 
 /// The open-interval row a builder's `state_backend` × `shards` asks
@@ -742,7 +547,15 @@ pub struct Pipeline<'t, D: ThresholdDetector> {
     start_ns: u64,
     interval_ns: u64,
     n_intervals: Option<usize>,
-    engine: Engine<D>,
+    /// The one online classifier, fed each sealed interval's snapshot.
+    classifier: OnlineClassifier<D>,
+    /// The open interval's byte row, whatever holds it (the dense row, a
+    /// sketch, the dense row spread over shard workers — see
+    /// [`open_row`]), so sealing, sinks, checkpoints and crash points
+    /// never ask which row is underneath.
+    row: Box<dyn StateBackend>,
+    /// Seal-path scratch: the sparse snapshot handed to the classifier.
+    snapshot: Vec<(KeyId, f32)>,
     /// Shard workers holding the row (0 = none), as the builder was told.
     n_shards: usize,
     sinks: Vec<Box<dyn Sink>>,
@@ -820,24 +633,13 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
 
     /// Move the collected pairs into the row (one dispatch per chunk).
     fn record_binned(&mut self) {
-        self.engine.row.record_many(&self.binned);
+        self.row.record_many(&self.binned);
         self.binned.clear();
     }
 
-    /// Observe one parsed packet (single-lookup path; rejected packets
-    /// cost no table access).
+    /// Observe one parsed packet: a chunk of one.
     fn observe_meta(&mut self, meta: &PacketMeta) -> Result<()> {
-        if meta.ts_ns >= self.next_update_ns() {
-            self.apply_due_updates(meta.ts_ns);
-        }
-        self.stats.offered += 1;
-        let Some(interval) = self.classify_window(meta.ts_ns)? else {
-            return Ok(());
-        };
-        let route = self.table.attribute_one(u32::from(meta.dst));
-        let result = self.advance_and_bin(meta, route, interval);
-        self.record_binned();
-        result
+        self.observe_chunk(std::slice::from_ref(meta))
     }
 
     /// Nanosecond time of the next scheduled update batch (`u64::MAX`
@@ -1034,12 +836,14 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
         Ok(())
     }
 
-    /// Seal the open interval: classify its snapshot (see
-    /// [`Engine::seal_interval`]), fan out to the sinks, advance.
+    /// Seal the open interval: build its sparse snapshot (ascending by
+    /// key id, rates converted with the exact arithmetic of the batch
+    /// matrix), classify it, fan out to the sinks, advance.
     fn seal(&mut self) -> Result<()> {
         let seal_index = self.open;
         self.record_binned();
-        let outcome = self.engine.seal_interval(self.secs);
+        self.row.seal_into(self.secs, &mut self.snapshot);
+        let outcome = self.classifier.observe(&self.snapshot);
         if self.crash_now(CrashPoint::AfterSeal, seal_index) {
             // The classifier advanced in memory only; nothing durable
             // recorded this interval. A resume replays it entirely.
@@ -1083,18 +887,9 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
         let key_routes = self.key_alloc.key_routes();
         debug_assert_eq!(key_routes.len(), self.keys.len());
         debug_assert!(self.binned.is_empty(), "pairs outside the row at a chunk boundary");
-        let Engine { classifier, row, .. } = &self.engine;
+        let row = &self.row;
         Checkpoint {
-            config: CheckpointConfig {
-                interval_secs: self.interval_secs,
-                start_unix: self.start_unix,
-                n_intervals: self.n_intervals.map(|n| n as u64),
-                gamma: classifier.gamma(),
-                scheme: classifier.scheme(),
-                detector: classifier.detector_name(),
-                n_routes: self.table.id_space() as u64,
-                generation: self.table.generation(),
-            },
+            config: self.fingerprint(),
             open: self.open as u64,
             far_future_streak: self.far_future_streak,
             stats: self.stats,
@@ -1108,9 +903,167 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             // state travels as the version-3 tail instead and its row is
             // empty.
             row: row.open_row(),
-            state: classifier.export_state(),
+            state: self.classifier.export_state(),
             sketch: row.export_sketch().map(|payload| (row.kind().to_string(), payload)),
         }
+    }
+
+    /// The configuration this pipeline measures under, as a checkpoint
+    /// records it and a resume must match it.
+    fn fingerprint(&self) -> CheckpointConfig {
+        CheckpointConfig {
+            interval_secs: self.interval_secs,
+            start_unix: self.start_unix,
+            n_intervals: self.n_intervals.map(|n| n as u64),
+            gamma: self.classifier.gamma(),
+            scheme: self.classifier.scheme(),
+            detector: self.classifier.detector_name(),
+            n_routes: self.table.id_space() as u64,
+            generation: self.table.generation(),
+        }
+    }
+
+    /// Continue `ckpt`'s run from this freshly built pipeline. Its
+    /// [`Pipeline::fingerprint`] and state backend are compared with the
+    /// checkpoint's field by field, and so is every key's prefix (a
+    /// [`CheckpointError::Mismatch`] names the first disagreement); the
+    /// bounded run, the classifier state and the open row are validated
+    /// (a [`CheckpointError::State`]); the key table, classifier, open
+    /// row, accounting and schedule position are restored as they pass.
+    /// On an error the pipeline is part restored and must be dropped.
+    fn restore(&mut self, ckpt: &Checkpoint) -> std::result::Result<(), CheckpointError> {
+        let mismatch = |what: &str, have: String, want: String| {
+            CheckpointError::Mismatch(format!("{what}: pipeline has {have}, checkpoint has {want}"))
+        };
+        // Destructured, so a field added to the fingerprint is a compile
+        // error here until it is compared.
+        let CheckpointConfig {
+            interval_secs,
+            start_unix,
+            n_intervals,
+            gamma,
+            scheme,
+            detector,
+            n_routes,
+            generation,
+        } = self.fingerprint();
+        let c = &ckpt.config;
+        if interval_secs != c.interval_secs {
+            return Err(mismatch(
+                "interval_secs",
+                interval_secs.to_string(),
+                c.interval_secs.to_string(),
+            ));
+        }
+        if start_unix != c.start_unix {
+            return Err(mismatch("start_unix", start_unix.to_string(), c.start_unix.to_string()));
+        }
+        if n_intervals != c.n_intervals {
+            return Err(mismatch(
+                "n_intervals",
+                format!("{n_intervals:?}"),
+                format!("{:?}", c.n_intervals),
+            ));
+        }
+        if gamma.to_bits() != c.gamma.to_bits() {
+            return Err(mismatch("gamma", gamma.to_string(), c.gamma.to_string()));
+        }
+        if scheme != c.scheme {
+            return Err(mismatch("scheme", format!("{scheme:?}"), format!("{:?}", c.scheme)));
+        }
+        if detector != c.detector {
+            return Err(mismatch("detector", detector, c.detector.clone()));
+        }
+        // Version-2 checkpoints have no sketch tail: they are exact by
+        // construction.
+        let kind = ckpt.sketch.as_ref().map_or("exact", |(kind, _)| kind.as_str());
+        if self.row.kind() != kind {
+            return Err(mismatch("state backend", self.row.kind().to_string(), kind.to_string()));
+        }
+        // A live table must be replayed to the checkpoint's generation
+        // before resuming (apply the first `generation` batches of the
+        // same schedule); a frozen table is forever at generation 0, so
+        // a checkpoint born live refuses to graft onto it — and vice
+        // versa.
+        if generation != c.generation {
+            return Err(mismatch(
+                "table generation",
+                generation.to_string(),
+                c.generation.to_string(),
+            ));
+        }
+        let next_update = usize::try_from(c.generation).map_err(|_| {
+            CheckpointError::Mismatch(format!("table generation: {} exceeds usize", c.generation))
+        })?;
+        if matches!(self.table, TableHandle::Live { .. }) && next_update > self.update_ns.len() {
+            return Err(CheckpointError::Mismatch(format!(
+                "table generation: checkpoint consumed {} update batches but the schedule \
+                 holds {}",
+                c.generation,
+                self.update_ns.len()
+            )));
+        }
+        if n_routes != c.n_routes {
+            return Err(mismatch(
+                "routing table size",
+                n_routes.to_string(),
+                c.n_routes.to_string(),
+            ));
+        }
+        // Every checkpointed key must still resolve to the same prefix
+        // in this table — otherwise key ids would silently change
+        // meaning mid-run.
+        for (id, &(route, prefix)) in ckpt.keys.iter().enumerate() {
+            if u64::from(route) >= n_routes {
+                return Err(CheckpointError::State(format!(
+                    "key {id}: route {route} outside the table"
+                )));
+            }
+            let actual = self.table.prefix(route);
+            if actual != prefix {
+                return Err(mismatch(
+                    &format!("key {id} prefix"),
+                    actual.to_string(),
+                    prefix.to_string(),
+                ));
+            }
+        }
+        self.key_alloc = KeyAllocator::from_key_routes(
+            n_routes as usize,
+            &ckpt.keys.iter().map(|&(route, _)| route).collect::<Vec<_>>(),
+        )
+        .map_err(CheckpointError::State)?;
+        let open = ckpt.open as usize;
+        if let Some(n) = self.n_intervals {
+            if open > n {
+                return Err(CheckpointError::State(format!(
+                    "checkpoint sealed {open} intervals but the run is bounded to {n}"
+                )));
+            }
+        }
+        self.classifier
+            .restore(ckpt.keys.len(), ckpt.state.clone())
+            .map_err(CheckpointError::State)?;
+        // The open row: a sketch restores from its payload, onto the one
+        // backend kind (and geometry) it was exported from; an exact
+        // row is validated against the key table and then recorded into
+        // whatever holds it, so the shard count is free to change.
+        match &ckpt.sketch {
+            Some((_, payload)) => {
+                self.row.restore_sketch(payload).map_err(CheckpointError::State)?;
+            }
+            None => {
+                ExactDense::from_checkpoint_row(ckpt.keys.len(), &ckpt.row)
+                    .map_err(CheckpointError::State)?;
+                self.row.record_many(&ckpt.row);
+            }
+        }
+        self.next_update = next_update;
+        self.far_future_streak = ckpt.far_future_streak;
+        self.keys = ckpt.keys.iter().map(|&(_, prefix)| prefix).collect();
+        self.open = open;
+        self.stats = ckpt.stats;
+        Ok(())
     }
 
     /// Seal the remaining window and flush the sinks.
@@ -1127,7 +1080,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
                 }
             }
             None => {
-                if self.engine.row.has_traffic() {
+                if self.row.has_traffic() {
                     self.seal()?;
                 }
             }
@@ -1142,8 +1095,8 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             generation: self.table.generation(),
             route_updates_applied: self.next_update as u64,
             distinct_keys: self.keys.len(),
-            state_bytes: self.engine.row.state_bytes(),
-            state_backend: self.engine.row.kind(),
+            state_bytes: self.row.state_bytes(),
+            state_backend: self.row.kind(),
             keys: self.keys,
         })
     }
@@ -1173,7 +1126,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
 
     /// Keys currently holding classifier window state.
     pub fn tracked_keys(&self) -> usize {
-        self.engine.classifier.tracked_keys()
+        self.classifier.tracked_keys()
     }
 
     /// Number of shard workers holding the open byte row (0 = serial,

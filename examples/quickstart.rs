@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use eleph_bgp::synth::{self, SynthConfig};
 use eleph_core::{ConstantLoadDetector, Scheme, PAPER_GAMMA, PAPER_LATENT_WINDOW};
-use eleph_pipeline::{CallbackSink, Collector, PipelineBuilder, TraceSource};
+use eleph_pipeline::{CallbackSink, Checkpoint, Collector, PipelineBuilder, TraceSource};
 use eleph_trace::{RateTrace, WorkloadConfig};
 
 fn main() {
@@ -140,9 +140,10 @@ fn main() {
     drop(first_process); // …the monitor dies here…
 
     let resumed_outcomes = eleph_pipeline::Collector::new();
+    let checkpoint = Checkpoint::read_from(&mut snapshot.as_slice()).expect("read snapshot");
     let mut second_process = monitor()
         .sink(resumed_outcomes.sink())
-        .resume_from(&mut snapshot.as_slice())
+        .resume(&checkpoint)
         .expect("restore snapshot");
     second_process
         .run(TraceSource::window(&trace, 24..48))

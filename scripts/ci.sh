@@ -97,7 +97,9 @@
 #      backend x engine), one `Checkpointer` buffer reused for a large
 #      image and then a small one, a resumed run's cadence against the
 #      uninterrupted run's (that an image at a cut is the uninterrupted
-#      run's, byte for byte, is gate 3's), and an image the writer thread
+#      run's, byte for byte, is gate 3's), a resume refusing a pipeline
+#      that differs in any one fingerprint field with a mismatch naming
+#      that field, and an image the writer thread
 #      cannot write
 #      (or a writer thread that is gone) failing the run with the typed
 #      I/O error, in the library and as `eleph run`'s exit status 1 —
@@ -122,8 +124,10 @@
 #      classification streamed over their rows against batch `classify`
 #      over the same rows as a matrix (proptest, by bits); their heap
 #      high-water mark (a counting allocator: one interval's scratch,
-#      never the re-measured entries) and table 4's (less than the west
-#      matrix's own columns); `Ecdf`'s integer sort and `aest` against
+#      never the re-measured entries), table 4's (less than the west
+#      matrix's own columns) and the streaming classifier's live heap
+#      (the same after 20 000 intervals as after 2 000: no per-interval
+#      threshold record); `Ecdf`'s integer sort and `aest` against
 #      the comparator sort, and `aest` on a non-finite sample — all part
 #      of tier-1; re-run by name so a failure is attributed immediately;
 #      then `eleph all --scale 0.05 --seed 3` runs once
@@ -318,7 +322,7 @@ cargo test -q -p eleph-core --lib sketch::tests::slot_heap
 cargo test -q -p eleph-tests --test sketch_equivalence \
     sketch_checkpoint_resume_is_bit_identical_under_eviction
 
-echo "== checkpoint bytes: fixtures, crc32 vs bytewise, in-place vs copying encoder, buffer reuse, resume cadence, failed writes =="
+echo "== checkpoint bytes: fixtures, crc32 vs bytewise, in-place vs copying encoder, buffer reuse, resume cadence, fingerprint refusals, failed writes =="
 cargo test -q -p eleph-pipeline --lib -- \
     checkpoint::tests::sample_images_equal_the_committed_fixtures \
     checkpoint::tests::crc32_ \
@@ -328,6 +332,7 @@ cargo test -q -p eleph-pipeline --lib -- \
 cargo test -q -p eleph-tests --test checkpoint_restore -- \
     synthetic_run_checkpoints_equal_their_recorded_length_and_crc \
     resumed_run_keeps_the_uninterrupted_cadence \
+    resume_refuses_every_fingerprint_field_by_name \
     a_failed_image_write_is_a_typed_error
 cargo test -q -p eleph-report --test cli_usage an_unwritable_checkpoint_exits_1_naming_its_path
 
@@ -373,6 +378,7 @@ cargo test -q -p eleph-flow --lib matrix::tests::refine_and_coarsen_equal_the_ro
 cargo test -q -p eleph-core --test props streamed_remeasurement_equals_batch_over_its_rows
 cargo test -q -p eleph-flow --test alloc refine_each_and_coarsen_each_hold_one_interval
 cargo test -q -p eleph-report --test alloc table4_holds_less_than_the_matrix_it_re_measures
+cargo test -q -p eleph-core --test alloc
 cargo test -q -p eleph-stats --lib -- \
     ecdf::tests::integer_sort_equals_the_comparator_sort \
     aest::tests::integer_sorted_levels_give_the_comparator_sorts_result \

@@ -11,8 +11,9 @@ use std::net::Ipv4Addr;
 use std::path::Path;
 
 use eleph_bgp::synth::{self, SynthConfig};
-use eleph_bgp::{BgpTable, LiveBgpTable, RouteUpdate, UpdateBatch};
+use eleph_bgp::{BgpTable, LiveBgpTable, RouteEntry, RouteUpdate, UpdateBatch};
 use eleph_core::{ConstantLoadDetector, Scheme};
+use eleph_net::Prefix;
 use eleph_packet::pcap::PcapWriter;
 use eleph_packet::{LinkType, PacketBuilder};
 use eleph_pipeline::{
@@ -361,6 +362,74 @@ fn resume_against_wrong_table_generation_is_a_typed_mismatch() {
     configured(on(&replayed), scheme, t, start, n)
         .resume(&ckpt)
         .expect("replayed table matches the recorded generation");
+}
+
+/// Every field of the fingerprint a checkpoint records is compared on
+/// resume: a pipeline that differs from the checkpointed run in any one
+/// of them — the window (T, its start, the interval count), the scheme,
+/// the detector, the routing table's size or one key's prefix — is
+/// refused with a `Mismatch` naming that field. (γ, the table generation
+/// and the state backend are refused by name in the tests above and in
+/// `sketch_equivalence`.)
+#[test]
+fn resume_refuses_every_fingerprint_field_by_name() {
+    let (table, pcap, t, start, n) = capture(405, 6);
+    let scheme = Scheme::LatentHeat { window: 2 };
+    let mut pipeline = builder(&table, scheme, t, start, n).build();
+    pipeline
+        .run(PcapSource::new(&pcap[..]).expect("valid pcap"))
+        .expect("run");
+    let mut bytes = Vec::new();
+    pipeline.checkpoint(&mut bytes).expect("serialize checkpoint");
+    let ckpt = Checkpoint::read_from(&mut &bytes[..]).expect("decode checkpoint");
+    builder(&table, scheme, t, start, n)
+        .resume(&ckpt)
+        .expect("the checkpointed configuration resumes");
+
+    let routes: Vec<RouteEntry> = table.iter().cloned().collect();
+    // One route more, past every other, so every key's route keeps its
+    // id and its prefix: only the size differs.
+    let last = Prefix::from_u32(u32::MAX, 32).expect("a /32");
+    assert!(table.get(last).is_none());
+    let grown = BgpTable::from_entries(
+        routes.iter().cloned().chain([RouteEntry { prefix: last, ..routes[0].clone() }]),
+    );
+    // The same number of routes, one key's moved one bit longer: it
+    // sorts where it did, so only that key's prefix differs.
+    let (key, route, moved_to) = pipeline
+        .keys()
+        .iter()
+        .enumerate()
+        .find_map(|(key, &prefix)| {
+            let longer = Prefix::from_u32(prefix.bits(), prefix.len() + 1).ok()?;
+            let route = routes.iter().position(|r| r.prefix == prefix)?;
+            table.get(longer).is_none().then_some((key, route, longer))
+        })
+        .expect("a key whose prefix can grow by a bit");
+    let mut moved = routes;
+    moved[route].prefix = moved_to;
+    let moved = BgpTable::from_entries(moved);
+    assert_eq!(moved.len(), table.len());
+
+    let at = |table| builder(table, scheme, t, start, n);
+    let key_prefix = format!("key {key} prefix");
+    for (field, resuming) in [
+        ("interval_secs", builder(&table, scheme, 2 * t, start, n)),
+        ("start_unix", builder(&table, scheme, t, start + 1, n)),
+        ("n_intervals", builder(&table, scheme, t, start, n + 1)),
+        ("scheme", builder(&table, Scheme::SingleFeature, t, start, n)),
+        ("detector", at(&table).detector(ConstantLoadDetector::new(0.7))),
+        ("routing table size", at(&grown)),
+        (key_prefix.as_str(), at(&moved)),
+    ] {
+        match resuming.resume(&ckpt) {
+            Err(CheckpointError::Mismatch(what)) => {
+                assert!(what.starts_with(field), "mismatch names {field}: {what}")
+            }
+            Err(other) => panic!("{field}: expected a mismatch, got {other}"),
+            Ok(_) => panic!("{field}: a differing pipeline resumed"),
+        }
+    }
 }
 
 /// A resumed run continues the cadence of the run that wrote its
