@@ -104,19 +104,26 @@ fn check_keys(
 impl ClassifierState {
     /// Structurally validate this state against a scheme and the number
     /// of keys the run has assigned: history bounded by the scheme's
-    /// window; key lists and snapshots ascending and naming only
-    /// existing keys (dense per-key state is sized by the largest id, so
-    /// an id a corrupt checkpoint merely claims must never get that
-    /// far); membership only under hysteresis; per-key occupancy counts
-    /// exactly matching the history (the retire path depends on that to
-    /// release state). The one validator behind every resume path, so a
-    /// corrupt state is rejected identically everywhere. Panics on
-    /// invalid scheme parameters, like [`OnlineClassifier::new`].
+    /// window and by the intervals observed; key lists and snapshots
+    /// ascending and naming only existing keys (dense per-key state is
+    /// sized by the largest id, so an id a corrupt checkpoint merely
+    /// claims must never get that far); membership only under
+    /// hysteresis; per-key occupancy counts exactly matching the history
+    /// (the retire path depends on that to release state). The one
+    /// validator behind every resume path, so a corrupt state is rejected
+    /// identically everywhere. Panics on invalid scheme parameters, like
+    /// [`OnlineClassifier::new`].
     pub fn validate(&self, scheme: Scheme, n_keys: usize) -> Result<(), String> {
         let (slots, window) = (self.history.len(), scheme.window());
         if slots > window {
             return Err(format!(
                 "classifier state holds {slots} history slots for a window of {window}"
+            ));
+        }
+        if slots > self.interval {
+            return Err(format!(
+                "classifier state holds {slots} history slots after {} intervals",
+                self.interval
             ));
         }
         check_keys("per-key state", self.per_key.iter().map(|&(key, _, _)| key), n_keys)?;
@@ -229,15 +236,26 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
 
     /// Export the recovery frontier (see [`ClassifierState`]).
     pub fn export_state(&self) -> ClassifierState {
+        self.export_state_from(0).0
+    }
+
+    /// [`OnlineClassifier::export_state`] with only the history of
+    /// interval `from` and later — the slots a caller that already holds
+    /// the earlier ones has not seen — and the number of slots the whole
+    /// history holds.
+    pub fn export_state_from(&self, from: usize) -> (ClassifierState, usize) {
         let (sum_t, per_key, members) = self.state.export();
-        ClassifierState {
+        let first = self.interval - self.history.len();
+        let skip = from.saturating_sub(first).min(self.history.len());
+        let state = ClassifierState {
             interval: self.interval,
             smoothed: self.series.smoothed_value(),
             sum_t,
             per_key,
-            history: self.history.iter().cloned().collect(),
+            history: self.history.iter().skip(skip).cloned().collect(),
             members,
-        }
+        };
+        (state, self.history.len())
     }
 
     /// Continue from a checkpointed [`ClassifierState`] in place: from
@@ -650,6 +668,11 @@ mod tests {
         let mut bad = good.clone();
         bad.history.extend_from_slice(&[(1.0, vec![]), (1.0, vec![]), (1.0, vec![])]);
         assert!(rebuild(bad).unwrap_err().contains("window"));
+
+        // More history than intervals observed.
+        let mut bad = good.clone();
+        bad.interval = 1;
+        assert!(rebuild(bad).unwrap_err().contains("after 1 intervals"));
 
         // Unsorted snapshot inside the history.
         let mut bad = good.clone();

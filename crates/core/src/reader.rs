@@ -58,6 +58,11 @@ impl<'a> ByteReader<'a> {
         Ok(n as usize)
     }
 
+    /// Bytes read so far.
+    pub fn position(&self) -> usize {
+        self.at
+    }
+
     /// Every byte has been read.
     pub fn end(&self) -> Result<(), String> {
         if self.at != self.data.len() {

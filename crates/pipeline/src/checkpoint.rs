@@ -8,7 +8,7 @@
 //! open interval's byte row, and the packet accounting — so a resumed
 //! pipeline continues **bit-identically** to the run that wrote it.
 //!
-//! # Format (versions 2 and 3)
+//! # Format (versions 2, 3 and 4)
 //!
 //! ```text
 //! magic    8 B  b"ELPHCKPT"
@@ -41,6 +41,65 @@
 //! earlier release; a reader accepts both versions and a resume
 //! cross-checks the recorded backend kind against the builder's.
 //!
+//! Versions 2 and 3 are the one self-contained form:
+//! [`Pipeline::checkpoint`] and [`Checkpoint::write_to`] write them and
+//! [`Checkpoint::read_from`] reads them. Version 4 is what a
+//! [`Checkpointer`] writes: only the part of the frontier that mutates.
+//! Its payload is the version-2 payload without the key table and the
+//! window's history slots, which live in the image's **log**; in the
+//! key table's place it records the log's file name, its byte watermark
+//! (the log's length when the image was taken), the number of keys it
+//! holds and the number of history slots the window holds. Of the
+//! per-key window state it keeps the sliding sums alone, in ascending
+//! key order: which keys the window holds, and in how many of its
+//! slots, is read off the history. A state backend tag (0 exact,
+//! 1 sketch, followed by the version-3 tail) closes it.
+//! [`Checkpoint::load`] reads an image of any version; for a version-4
+//! image it then reads the log up to the watermark, and the
+//! [`Checkpoint`] it returns is the one the version-2 or 3 image of the
+//! same moment decodes to. `read_from`, which has no directory to find
+//! the log in, refuses a version-4 image with a format error.
+//!
+//! # The log
+//!
+//! ```text
+//! magic    8 B  b"ELPHCLOG"
+//! version  4 B  u32 LE
+//! records  ...  kind (1 B), payload length (8 B), payload, CRC-32 (4 B)
+//!               of kind, length and payload
+//! ```
+//!
+//! A key record (kind 1) holds the id of its first key and then the keys
+//! assigned since the image before, 9 bytes each (route, prefix bits,
+//! prefix length): every key is appended once, when the first image
+//! after its assignment is taken. A slot record (kind 2) holds one
+//! sealed interval of the window: its index, the bits of its threshold
+//! term and its sparse snapshot, 8 bytes a key. Every slot still in the
+//! window when an image is taken is appended once, by that image. The
+//! log is named `eleph.<n>.log` beside the image: a compaction's log
+//! takes the number after the one it compacts, and a log a run starts
+//! takes the number after every log in the directory (0 in an empty
+//! one).
+//!
+//! A load reads the whole log up to the watermark and checks every
+//! record's CRC: a flipped byte is a checksum or format error, a log
+//! shorter than its watermark a format error naming both lengths, a
+//! missing log an I/O error naming its path. No count is believed
+//! before it has been bounded by the bytes that hold it. Bytes past the
+//! watermark are ignored: they belong to an image that never landed.
+//!
+//! **Compaction.** After each append the writer compares the log's
+//! dead bytes — slots that have left the window, the framing of all key
+//! records but one — with its live bytes, which are what a compaction
+//! keeps: the header, one key record holding every key, and the
+//! window's slot records. When the dead bytes are more, it streams the
+//! live records into the next log, syncs it, writes the image that
+//! names it and deletes the old one. So the log never holds more than
+//! twice its live bytes after an image, and since the rule reads only
+//! the images taken, the log, the image and every file name are a
+//! function of the input, the configuration and the cadence — on one
+//! core or many, and across any number of crashes and resumes.
+//!
 //! # How an image is produced
 //!
 //! One buffer, one pass to fill it, one pass to checksum it
@@ -52,37 +111,53 @@
 //! bytes per step through compile-time tables, so it costs about what
 //! the encoding pass does instead of several times as much — for the
 //! reader too, which checksums the same bytes on every resume. A
-//! [`Checkpointer`] keeps its buffer from one write to the next; the
-//! one-shot forms ([`Pipeline::checkpoint`], [`Checkpoint::write_to`])
-//! run the same routine over a fresh one.
+//! [`Checkpointer`] keeps its image and log buffers from one write to
+//! the next; the one-shot forms ([`Pipeline::checkpoint`],
+//! [`Checkpoint::write_to`]) run the same routine over a fresh one.
 //!
-//! What the pipeline lends and what it copies: the key → route inverse
-//! is kept by the key allocator as keys are assigned and lent as a
-//! slice (it used to be rebuilt by scanning the whole route-id space);
-//! the key table, the open row, the per-key window sums and the history
-//! snapshots are copied into a [`Checkpoint`] first — about a tenth of a
-//! millisecond for the half-megabyte image of a 21 000-key run, a fifth
-//! of what encoding and checksumming it take, and the price of the
-//! decoded form staying one plain owned struct that tests can build,
-//! corrupt and re-encode.
+//! What the pipeline copies: for a [`Checkpointer`] only the frontier
+//! — the open row, the per-key window state and the membership — plus
+//! the keys assigned and the slots sealed since the log it continues
+//! was last written (all of them when it starts a log). The one-shot
+//! forms copy the whole key table and window too: the decoded form
+//! stays one plain owned struct that tests can build, corrupt and
+//! re-encode.
 //!
 //! # Where an image is produced
 //!
 //! Off the packet path. At a due chunk boundary the packet thread takes
-//! the owned [`Checkpoint`] copy, waits for the previous image if it is
-//! still in flight, and hands the copy and the kept buffer to the
+//! the owned copy, waits for the previous image if it is still in
+//! flight, and hands the copy and the kept buffers to the
 //! [`Checkpointer`]'s one writer thread — spawned at the first image,
-//! joined on drop — which encodes, checksums and writes the image by the
-//! protocol below and hands the buffer back. At most one image is ever
-//! in flight, and [`Pipeline::run_checkpointed`] waits for it before it
-//! returns, so the bytes of every image, and the intervals at which
-//! they are taken, are what a writer on the packet thread produces.
+//! joined on drop — which encodes, checksums and writes the log records
+//! and the image by the protocol below and hands the buffers back. At
+//! most one image is ever in flight, and [`Pipeline::run_checkpointed`]
+//! waits for it before it returns, so the bytes of every file, and the
+//! intervals at which images are taken, are what a writer on the packet
+//! thread produces.
 //!
 //! # Atomicity & exactly-once emission
 //!
-//! [`Checkpointer`] writes to `<file>.tmp`, fsyncs, then renames over
-//! the final name (plus a best-effort directory fsync) — a crash mid
-//! write leaves a torn temp file and the previous complete checkpoint.
+//! The writer thread takes four steps per image, in this order:
+//! 1. append the image's records to the log and fsync it (a new log
+//!    gets its header first, and the directory is synced);
+//! 2. compact, when the rule above says so: the live records go into
+//!    the next log, which is synced;
+//! 3. write the image to `<file>.tmp`, fsync, rename it over the final
+//!    name, then fsync the directory (best effort);
+//! 4. delete the log the image before named, if this one names another.
+//!
+//! A crash before the rename leaves the previous image in place and its
+//! log complete up to that image's watermark — possibly with a torn or
+//! complete tail of records behind it, and a new log no image names.
+//! [`Checkpointer::new`] is the recovery: it cuts the log its directory's
+//! image names back to the watermark (the torn-tail rule of
+//! [`crate::RotatingJsonlSink::resume`]) and deletes every other log. A
+//! resumed pipeline then appends to that log where the image left it,
+//! so a resumed run writes the files the uninterrupted run writes. A
+//! resume from a version-2 or 3 image starts a new log at its first
+//! image.
+//!
 //! The snapshot records the number of intervals sealed *and already
 //! delivered to the sinks*; on resume the durable JSONL output is
 //! truncated back to exactly that many complete lines (torn trailing
@@ -103,9 +178,10 @@
 //! by [`skip_offered`] pulling whole chunks from a fresh source — the
 //! chunking is deterministic, so the count lands on the same boundary.
 
+use std::collections::VecDeque;
 use std::fmt;
-use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::thread;
@@ -125,11 +201,27 @@ const VERSION: u32 = 2;
 /// Format written when the pipeline runs a sketch state backend: the
 /// version-2 payload plus the backend kind and its sketch payload.
 const VERSION_SKETCH: u32 = 3;
+/// Format a [`Checkpointer`] writes: the frontier, with the key table
+/// and the window's history in the log it names.
+const VERSION_LOGGED: u32 = 4;
 /// Header layout: magic (8), version (4), then the two fields patched
 /// in once the payload exists — its length (8) and CRC-32 (4).
 const LENGTH_AT: usize = 12;
 const CRC_AT: usize = 20;
 const HEADER_LEN: usize = 24;
+
+/// Log header: magic (8), version (4).
+const LOG_MAGIC: [u8; 8] = *b"ELPHCLOG";
+const LOG_VERSION: u32 = 1;
+const LOG_HEADER_LEN: u64 = 12;
+/// Log record kinds.
+const KEY_RECORD: u8 = 1;
+const SLOT_RECORD: u8 = 2;
+/// A record's bytes besides its payload: kind (1), payload length (8),
+/// CRC-32 (4).
+const RECORD_FRAME: u64 = 13;
+/// Where a key record's entries start: kind, length, first key id.
+const KEYS_AT: u64 = 17;
 
 /// Why a checkpoint could not be read, written, or applied.
 #[derive(Debug)]
@@ -137,13 +229,14 @@ pub enum CheckpointError {
     /// Underlying file I/O failed.
     Io(io::Error),
     /// The bytes are not a checkpoint (bad magic, unknown version,
-    /// truncation, trailing garbage, or a malformed payload).
+    /// truncation, trailing garbage, or a malformed payload or log).
     Format(String),
-    /// The payload bytes do not match their recorded checksum.
+    /// The payload or a log record does not match its recorded
+    /// checksum.
     Checksum {
-        /// CRC recorded in the header.
+        /// CRC recorded in the header or the record.
         expected: u32,
-        /// CRC of the payload as read.
+        /// CRC of the bytes as read.
         actual: u32,
     },
     /// The snapshot's configuration fingerprint disagrees with the
@@ -230,7 +323,13 @@ fn crc_step(crc: u32, byte: u8) -> u32 {
 /// results XOR together — independent loads instead of a sixteen-deep
 /// dependency chain. The tail shorter than a stride goes bytewise.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    crc32_extend(0, data)
+}
+
+/// The CRC-32 of some bytes followed by `data`, given `crc`, the CRC-32
+/// of those bytes: what lets a record be checksummed as it streams.
+fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
+    let mut crc = !crc;
     let mut strides = data.chunks_exact(CRC_STRIDE);
     for stride in &mut strides {
         let (lo, hi) = stride.split_at(8);
@@ -282,6 +381,10 @@ pub struct Checkpoint {
     /// `None` for the exact backend — and its presence alone is what
     /// selects format version 3 on disk.
     pub(crate) sketch: Option<(String, Vec<u8>)>,
+    /// The log of the version-4 image this was loaded from: a pipeline
+    /// resumed from it lets a [`Checkpointer`] append to that log. `None`
+    /// for every snapshot not loaded from a version-4 image.
+    pub(crate) log: Option<LogState>,
 }
 
 impl Checkpoint {
@@ -317,15 +420,16 @@ impl Checkpoint {
         self.config.generation
     }
 
-    /// Serialize (header + checksummed payload).
+    /// Serialize as the self-contained image (version 2, or 3 for a
+    /// sketch backend: header + checksummed payload).
     pub fn write_to<W: Write>(&self, out: &mut W) -> io::Result<()> {
         out.write_all(&self.to_bytes())
     }
 
-    /// The complete on-disk image in a fresh buffer.
+    /// The complete self-contained image in a fresh buffer.
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut image = Vec::new();
-        self.write_image(&mut image);
+        self.write_image(&mut image, None);
         image
     }
 
@@ -333,15 +437,21 @@ impl Checkpoint {
     /// it held (see "How an image is produced" in the module docs): the
     /// buffer is sized once from the parts, the payload is encoded
     /// behind a header whose length and CRC fields are patched in last.
-    pub(crate) fn write_image(&self, image: &mut Vec<u8>) {
-        let version = if self.sketch.is_none() { VERSION } else { VERSION_SKETCH };
+    /// With `log`, the image is version 4 and names that log; its key
+    /// table and history are then left out, whatever this holds.
+    fn write_image(&self, image: &mut Vec<u8>, log: Option<&LogRef>) {
+        let version = match (log, &self.sketch) {
+            (Some(_), _) => VERSION_LOGGED,
+            (None, None) => VERSION,
+            (None, Some(_)) => VERSION_SKETCH,
+        };
         let reserved = HEADER_LEN + self.payload_len_bound();
         image.clear();
         image.reserve(reserved);
         image.extend_from_slice(&MAGIC);
         image.extend_from_slice(&version.to_le_bytes());
         image.extend_from_slice(&[0; HEADER_LEN - LENGTH_AT]);
-        self.encode_into(image);
+        self.encode_into(image, log);
         debug_assert!(image.len() <= reserved, "payload_len_bound fell short");
         let (header, payload) = image.split_at_mut(HEADER_LEN);
         header[LENGTH_AT..CRC_AT].copy_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -352,9 +462,9 @@ impl Checkpoint {
     /// grows with the run: what [`Checkpoint::write_image`] reserves so
     /// the encoder never reallocates.
     fn payload_len_bound(&self) -> usize {
-        // Every fixed-width field, option tag and length prefix of the
-        // layout, each option and scheme at its widest.
-        const FIXED: usize = 256;
+        // Every fixed-width field, option tag, length prefix and log
+        // reference of the layout, each option and scheme at its widest.
+        const FIXED: usize = 320;
         let st = &self.state;
         let snapshots: usize = st.history.iter().map(|(_, snapshot)| 16 + 8 * snapshot.len()).sum();
         let sketch = self.sketch.as_ref().map_or(0, |(kind, payload)| kind.len() + payload.len());
@@ -368,51 +478,45 @@ impl Checkpoint {
             + sketch
     }
 
-    /// Read and verify a checkpoint.
+    /// Read and verify a self-contained (version 2 or 3) checkpoint. A
+    /// version-4 image is a format error: its key table and window are
+    /// in a log beside its file, which [`Checkpoint::load`] reads.
     pub fn read_from<R: Read>(input: &mut R) -> Result<Self, CheckpointError> {
-        let mut head = [0u8; HEADER_LEN];
-        input.read_exact(&mut head)?;
-        if head[..8] != MAGIC {
-            return Err(CheckpointError::Format("bad magic".to_string()));
+        let (version, payload) = read_image(input)?;
+        if version == VERSION_LOGGED {
+            return Err(CheckpointError::Format(
+                "a version-4 image needs its log: load it from its file beside the log".to_string(),
+            ));
         }
-        let version = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
-        if version != VERSION && version != VERSION_SKETCH {
-            return Err(CheckpointError::Format(format!(
-                "unsupported version {version} (this build reads {VERSION} and {VERSION_SKETCH})"
-            )));
-        }
-        let len = u64::from_le_bytes(head[LENGTH_AT..CRC_AT].try_into().expect("8 bytes"));
-        let expected = u32::from_le_bytes(head[CRC_AT..].try_into().expect("4 bytes"));
-        // Read through `take` so a corrupt length field cannot trigger
-        // a huge up-front allocation: memory stays bounded by what the
-        // stream actually holds.
-        let mut payload = Vec::new();
-        input.take(len).read_to_end(&mut payload).map_err(CheckpointError::Io)?;
-        if (payload.len() as u64) < len {
-            return Err(CheckpointError::Format(format!(
-                "payload truncated: header declares {len} bytes, stream holds {}",
-                payload.len()
-            )));
-        }
-        let mut probe = [0u8; 1];
-        if input.read(&mut probe).map_err(CheckpointError::Io)? != 0 {
-            return Err(CheckpointError::Format("trailing bytes after payload".to_string()));
-        }
-        let actual = crc32(&payload);
-        if actual != expected {
-            return Err(CheckpointError::Checksum { expected, actual });
-        }
-        Self::decode(&payload, version).map_err(CheckpointError::Format)
+        let (checkpoint, _) = Self::decode(&payload, version).map_err(CheckpointError::Format)?;
+        Ok(checkpoint)
     }
 
-    /// Read and verify a checkpoint file.
+    /// Read and verify a checkpoint file: a self-contained image, or a
+    /// version-4 image and its log up to the watermark.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        Self::read_from(&mut File::open(path)?)
+        Self::load_logged(path.as_ref()).map(|(checkpoint, _)| checkpoint)
+    }
+
+    /// [`Checkpoint::load`], also returning a version-4 image's log as
+    /// its writer accounts for it.
+    fn load_logged(path: &Path) -> Result<(Self, Option<LogState>), CheckpointError> {
+        let (version, payload) = read_image(&mut File::open(path)?)?;
+        let (mut checkpoint, log) =
+            Self::decode(&payload, version).map_err(CheckpointError::Format)?;
+        let Some(log) = log else {
+            return Ok((checkpoint, None));
+        };
+        let log = read_log(path, &log, &mut checkpoint)?;
+        checkpoint.log = Some(log.clone());
+        Ok((checkpoint, Some(log)))
     }
 
     /// Append the payload to `w` — the one encoder every image goes
-    /// through.
-    fn encode_into(&self, w: &mut Vec<u8>) {
+    /// through. With `log` (version 4) the log's reference takes the
+    /// key table's place, the history is left out and a state backend
+    /// tag precedes the sketch tail.
+    fn encode_into(&self, w: &mut Vec<u8>, log: Option<&LogRef>) {
         // Configuration fingerprint.
         w.extend_from_slice(&self.config.interval_secs.to_le_bytes());
         w.extend_from_slice(&self.config.start_unix.to_le_bytes());
@@ -448,12 +552,15 @@ impl Checkpoint {
         ] {
             w.extend_from_slice(&v.to_le_bytes());
         }
-        // Key table.
-        w.extend_from_slice(&(self.keys.len() as u64).to_le_bytes());
-        for &(route, prefix) in &self.keys {
-            w.extend_from_slice(&route.to_le_bytes());
-            w.extend_from_slice(&prefix.bits().to_le_bytes());
-            w.push(prefix.len());
+        match log {
+            // Key table.
+            None => {
+                w.extend_from_slice(&(self.keys.len() as u64).to_le_bytes());
+                for &(route, prefix) in &self.keys {
+                    put_key(w, route, prefix);
+                }
+            }
+            Some(log) => log.encode_into(w),
         }
         // Open interval row.
         w.extend_from_slice(&(self.row.len() as u64).to_le_bytes());
@@ -468,25 +575,34 @@ impl Checkpoint {
         w.extend_from_slice(&st.sum_t.to_bits().to_le_bytes());
         w.extend_from_slice(&(st.per_key.len() as u64).to_le_bytes());
         for &(key, sum, live) in &st.per_key {
-            w.extend_from_slice(&key.to_le_bytes());
-            w.extend_from_slice(&sum.to_bits().to_le_bytes());
-            w.extend_from_slice(&live.to_le_bytes());
-        }
-        w.extend_from_slice(&(st.history.len() as u64).to_le_bytes());
-        for (t_term, snapshot) in &st.history {
-            w.extend_from_slice(&t_term.to_bits().to_le_bytes());
-            w.extend_from_slice(&(snapshot.len() as u64).to_le_bytes());
-            for &(key, rate) in snapshot {
+            // Version 4 keeps only the sums: which keys the window holds,
+            // and in how many of its slots, is the history in the log.
+            if log.is_none() {
                 w.extend_from_slice(&key.to_le_bytes());
-                w.extend_from_slice(&rate.to_bits().to_le_bytes());
+            }
+            w.extend_from_slice(&sum.to_bits().to_le_bytes());
+            if log.is_none() {
+                w.extend_from_slice(&live.to_le_bytes());
+            }
+        }
+        if log.is_none() {
+            w.extend_from_slice(&(st.history.len() as u64).to_le_bytes());
+            for (t_term, snapshot) in &st.history {
+                w.extend_from_slice(&t_term.to_bits().to_le_bytes());
+                w.extend_from_slice(&(snapshot.len() as u64).to_le_bytes());
+                put_snapshot(w, snapshot);
             }
         }
         w.extend_from_slice(&(st.members.len() as u64).to_le_bytes());
         for &key in &st.members {
             w.extend_from_slice(&key.to_le_bytes());
         }
-        // Version-3 tail: sketch-backend kind + payload. Absent (and the
-        // image stays a byte-identical version 2) for the exact backend.
+        if log.is_some() {
+            w.push(u8::from(self.sketch.is_some()));
+        }
+        // Sketch tail: backend kind + payload. Absent (and a
+        // self-contained image stays a byte-identical version 2) for the
+        // exact backend.
         if let Some((kind, sketch)) = &self.sketch {
             put_str(w, kind);
             w.extend_from_slice(&(sketch.len() as u64).to_le_bytes());
@@ -494,8 +610,10 @@ impl Checkpoint {
         }
     }
 
-    /// Read a payload; every error is a format error's message.
-    fn decode(payload: &[u8], version: u32) -> Result<Self, String> {
+    /// Read a payload; every error is a format error's message. A
+    /// version-4 payload decodes with an empty key table and history and
+    /// the reference to the log that holds them.
+    fn decode(payload: &[u8], version: u32) -> Result<(Self, Option<LogRef>), String> {
         let mut r = ByteReader::new(payload, "payload");
         let interval_secs = r.u64()?;
         let start_unix = r.u64()?;
@@ -527,15 +645,14 @@ impl Checkpoint {
             malformed: r.u64()?,
             late: r.u64()?,
         };
-        let n_keys = r.count(9, "keys")?;
-        let mut keys = Vec::with_capacity(n_keys);
-        for _ in 0..n_keys {
-            let route = r.u32()?;
-            let bits = r.u32()?;
-            let len = r.u8()?;
-            let prefix = Prefix::from_u32(bits, len)
-                .map_err(|e| format!("bad key prefix: {e}"))?;
-            keys.push((route, prefix));
+        let log = if version == VERSION_LOGGED { Some(LogRef::decode(&mut r)?) } else { None };
+        let mut keys = Vec::new();
+        if log.is_none() {
+            let n_keys = r.count(9, "keys")?;
+            keys.reserve_exact(n_keys);
+            for _ in 0..n_keys {
+                keys.push(key(&mut r)?);
+            }
         }
         let n_row = r.count(12, "row")?;
         let mut row = Vec::with_capacity(n_row);
@@ -546,28 +663,41 @@ impl Checkpoint {
             .map_err(|_| "interval index too large".to_string())?;
         let smoothed = opt_u64(&mut r)?.map(f64::from_bits);
         let sum_t = f64::from_bits(r.u64()?);
-        let n_per_key = r.count(16, "per-key state")?;
+        // A version-4 image holds the sums alone; their keys and
+        // occupancy come from the history in its log (see `read_log`).
+        let n_per_key = r.count(if log.is_none() { 16 } else { 8 }, "per-key state")?;
         let mut per_key = Vec::with_capacity(n_per_key);
         for _ in 0..n_per_key {
-            per_key.push((r.u32()?, f64::from_bits(r.u64()?), r.u32()?));
+            per_key.push(match log {
+                None => (r.u32()?, f64::from_bits(r.u64()?), r.u32()?),
+                Some(_) => (0, f64::from_bits(r.u64()?), 0),
+            });
         }
-        let n_history = r.count(16, "history")?;
-        let mut history = Vec::with_capacity(n_history);
-        for _ in 0..n_history {
-            let t_term = f64::from_bits(r.u64()?);
-            let n_snap = r.count(8, "snapshot")?;
-            let mut snapshot = Vec::with_capacity(n_snap);
-            for _ in 0..n_snap {
-                snapshot.push((r.u32()?, f32::from_bits(r.u32()?)));
+        let mut history = Vec::new();
+        if log.is_none() {
+            let n_history = r.count(16, "history")?;
+            history.reserve_exact(n_history);
+            for _ in 0..n_history {
+                let t_term = f64::from_bits(r.u64()?);
+                let n_snap = r.count(8, "snapshot")?;
+                history.push((t_term, snapshot(&mut r, n_snap)?));
             }
-            history.push((t_term, snapshot));
         }
         let n_members = r.count(4, "members")?;
         let mut members = Vec::with_capacity(n_members);
         for _ in 0..n_members {
             members.push(r.u32()?);
         }
-        let sketch = if version == VERSION_SKETCH {
+        let sketched = match version {
+            VERSION_SKETCH => true,
+            VERSION_LOGGED => match r.u8()? {
+                0 => false,
+                1 => true,
+                t => return Err(format!("unknown state backend tag {t}")),
+            },
+            _ => false,
+        };
+        let sketch = if sketched {
             let kind = string(&mut r)?;
             let n_sketch = r.count(1, "sketch payload")?;
             let bytes = r.take(n_sketch)?.to_vec();
@@ -584,7 +714,7 @@ impl Checkpoint {
                 "classifier at interval {interval} but {open} intervals sealed"
             ));
         }
-        Ok(Checkpoint {
+        let checkpoint = Checkpoint {
             config: CheckpointConfig {
                 interval_secs,
                 start_unix,
@@ -609,8 +739,48 @@ impl Checkpoint {
                 members,
             },
             sketch,
-        })
+            log: None,
+        };
+        Ok((checkpoint, log))
     }
+}
+
+/// Read an image's header and payload and verify its checksum: the
+/// version and the payload.
+fn read_image<R: Read>(input: &mut R) -> Result<(u32, Vec<u8>), CheckpointError> {
+    let mut head = [0u8; HEADER_LEN];
+    input.read_exact(&mut head)?;
+    if head[..8] != MAGIC {
+        return Err(CheckpointError::Format("bad magic".to_string()));
+    }
+    let version = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
+    if !(VERSION..=VERSION_LOGGED).contains(&version) {
+        return Err(CheckpointError::Format(format!(
+            "unsupported version {version} (this build reads {VERSION} to {VERSION_LOGGED})"
+        )));
+    }
+    let len = u64::from_le_bytes(head[LENGTH_AT..CRC_AT].try_into().expect("8 bytes"));
+    let expected = u32::from_le_bytes(head[CRC_AT..].try_into().expect("4 bytes"));
+    // Read through `take` so a corrupt length field cannot trigger
+    // a huge up-front allocation: memory stays bounded by what the
+    // stream actually holds.
+    let mut payload = Vec::new();
+    input.take(len).read_to_end(&mut payload).map_err(CheckpointError::Io)?;
+    if (payload.len() as u64) < len {
+        return Err(CheckpointError::Format(format!(
+            "payload truncated: header declares {len} bytes, stream holds {}",
+            payload.len()
+        )));
+    }
+    let mut probe = [0u8; 1];
+    if input.read(&mut probe).map_err(CheckpointError::Io)? != 0 {
+        return Err(CheckpointError::Format("trailing bytes after payload".to_string()));
+    }
+    let actual = crc32(&payload);
+    if actual != expected {
+        return Err(CheckpointError::Checksum { expected, actual });
+    }
+    Ok((version, payload))
 }
 
 fn put_opt_u64(w: &mut Vec<u8>, v: Option<u64>) {
@@ -638,6 +808,21 @@ fn put_str(w: &mut Vec<u8>, s: &str) {
     w.extend_from_slice(s.as_bytes());
 }
 
+/// One key-table entry: route, prefix bits, prefix length (9 bytes).
+fn put_key(w: &mut Vec<u8>, route: RouteId, prefix: Prefix) {
+    w.extend_from_slice(&route.to_le_bytes());
+    w.extend_from_slice(&prefix.bits().to_le_bytes());
+    w.push(prefix.len());
+}
+
+/// A history snapshot's entries: key, rate bits (8 bytes each).
+fn put_snapshot(w: &mut Vec<u8>, snapshot: &[(KeyId, f32)]) {
+    for &(key, rate) in snapshot {
+        w.extend_from_slice(&key.to_le_bytes());
+        w.extend_from_slice(&rate.to_bits().to_le_bytes());
+    }
+}
+
 /// What [`put_opt_u64`] (and, as bits, [`put_opt_f64`]) wrote.
 fn opt_u64(r: &mut ByteReader<'_>) -> Result<Option<u64>, String> {
     match r.u8()? {
@@ -653,17 +838,390 @@ fn string(r: &mut ByteReader<'_>) -> Result<String, String> {
     String::from_utf8(r.take(len)?.to_vec()).map_err(|_| "non-UTF-8 string".to_string())
 }
 
+/// What [`put_key`] wrote.
+fn key(r: &mut ByteReader<'_>) -> Result<(RouteId, Prefix), String> {
+    let route = r.u32()?;
+    let bits = r.u32()?;
+    let len = r.u8()?;
+    let prefix = Prefix::from_u32(bits, len).map_err(|e| format!("bad key prefix: {e}"))?;
+    Ok((route, prefix))
+}
+
+/// What [`put_snapshot`] wrote, `n` entries of it.
+fn snapshot(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<(KeyId, f32)>, String> {
+    (0..n).map(|_| Ok((r.u32()?, f32::from_bits(r.u32()?)))).collect()
+}
+
+/// File name of the checkpoint log numbered `seq`.
+fn log_name(seq: u64) -> String {
+    format!("eleph.{seq}.log")
+}
+
+/// The number of a checkpoint log's file name; `None` for any name
+/// [`log_name`] does not write.
+fn log_seq(name: &str) -> Option<u64> {
+    let digits = name.strip_prefix("eleph.")?.strip_suffix(".log")?;
+    let seq = digits.parse().ok().filter(|_| digits.bytes().all(|b| b.is_ascii_digit()))?;
+    (log_name(seq) == name).then_some(seq)
+}
+
+/// What a version-4 image records of its log.
+#[derive(Debug, Clone, PartialEq)]
+struct LogRef {
+    /// The log's file name, beside the image.
+    name: String,
+    /// The log's length when the image was taken: what it reads.
+    watermark: u64,
+    /// Keys the log holds up to the watermark.
+    keys: u64,
+    /// History slots the window holds: the last slot records up to the
+    /// watermark.
+    window: u64,
+}
+
+impl LogRef {
+    fn encode_into(&self, w: &mut Vec<u8>) {
+        put_str(w, &self.name);
+        for v in [self.watermark, self.keys, self.window] {
+            w.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        let name = string(r)?;
+        if log_seq(&name).is_none() {
+            return Err(format!("bad log name {name:?}"));
+        }
+        Ok(LogRef { name, watermark: r.u64()?, keys: r.u64()?, window: r.u64()? })
+    }
+}
+
+/// A checkpoint log as its writer accounts for it: enough to append to
+/// it, to tell its live bytes from its dead ones and to compact it.
+///
+/// A pipeline carries the state of the log that holds its key table and
+/// window, and a [`Checkpointer`] appends to its log only for a pipeline
+/// that carries that log's state — the pipeline it last wrote, or one
+/// resumed from the image that names the log.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LogState {
+    seq: u64,
+    path: PathBuf,
+    /// Bytes written (0: not yet created).
+    len: u64,
+    keys: usize,
+    /// Intervals sealed at the last image: every slot of an earlier
+    /// interval that was in the window then is in the log.
+    open: u64,
+    /// Where the key entries lie, one run per key record:
+    /// `(offset, bytes)`.
+    key_runs: Vec<(u64, u64)>,
+    /// The window's slot records, oldest first: `(offset, bytes)`.
+    slots: VecDeque<(u64, u64)>,
+}
+
+/// Bytes of a key record holding `keys` keys.
+fn key_record_len(keys: usize) -> u64 {
+    KEYS_AT + 9 * keys as u64 + 4
+}
+
+/// Bytes of a slot record holding `entries` keys.
+fn slot_record_len(entries: usize) -> u64 {
+    RECORD_FRAME + 16 + 8 * entries as u64
+}
+
+impl LogState {
+    /// Log `seq` beside `image`, not yet created.
+    fn new(seq: u64, image: &Path) -> Self {
+        LogState {
+            seq,
+            path: image.with_file_name(log_name(seq)),
+            len: 0,
+            keys: 0,
+            open: 0,
+            key_runs: Vec::new(),
+            slots: VecDeque::new(),
+        }
+    }
+
+    /// What an image naming this log records of it.
+    fn reference(&self) -> LogRef {
+        LogRef {
+            name: log_name(self.seq),
+            watermark: self.len,
+            keys: self.keys as u64,
+            window: self.slots.len() as u64,
+        }
+    }
+
+    /// The bytes a compaction keeps: the header, one key record holding
+    /// every key, the window's slot records.
+    fn live(&self) -> u64 {
+        let keys = if self.keys > 0 { key_record_len(self.keys) } else { 0 };
+        LOG_HEADER_LEN + keys + self.slots.iter().map(|&(_, len)| len).sum::<u64>()
+    }
+
+    /// Account for the records `delta` appends — and the header, on a
+    /// log not yet created.
+    fn append(&mut self, delta: &Delta) {
+        let snapshot = &delta.snapshot;
+        debug_assert_eq!(delta.keys_from, self.keys, "the delta continues this log");
+        if self.len == 0 {
+            self.len = LOG_HEADER_LEN;
+        }
+        if !snapshot.keys.is_empty() {
+            self.key_runs.push((self.len + KEYS_AT, 9 * snapshot.keys.len() as u64));
+            self.len += key_record_len(snapshot.keys.len());
+            self.keys += snapshot.keys.len();
+        }
+        for (_, slot) in &snapshot.state.history {
+            let len = slot_record_len(slot.len());
+            self.slots.push_back((self.len, len));
+            self.len += len;
+        }
+        while self.slots.len() > delta.window {
+            self.slots.pop_front();
+        }
+        self.open = snapshot.open;
+    }
+
+    /// This log compacted into log `seq`: its accounting, and the
+    /// writer's plan for the copy.
+    fn compacted(&self, seq: u64, image: &Path) -> (LogState, Compaction) {
+        let mut into = LogState::new(seq, image);
+        into.len = LOG_HEADER_LEN;
+        into.open = self.open;
+        if self.keys > 0 {
+            into.keys = self.keys;
+            into.key_runs.push((into.len + KEYS_AT, 9 * self.keys as u64));
+            into.len += key_record_len(self.keys);
+        }
+        for &(_, len) in &self.slots {
+            into.slots.push_back((into.len, len));
+            into.len += len;
+        }
+        let plan = Compaction {
+            from: self.path.clone(),
+            into: into.path.clone(),
+            keys: self.keys,
+            key_runs: self.key_runs.clone(),
+            slots: self.slots.iter().copied().collect(),
+            len: into.len,
+        };
+        (into, plan)
+    }
+}
+
+/// Read the log `log` names beside `image` up to its watermark, put its
+/// key table and window into `checkpoint`, and return the log as its
+/// writer accounts for it.
+fn read_log(
+    image: &Path,
+    log: &LogRef,
+    checkpoint: &mut Checkpoint,
+) -> Result<LogState, CheckpointError> {
+    let path = image.with_file_name(&log.name);
+    let named = |e: io::Error| {
+        CheckpointError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+    };
+    // Read through `take`: memory stays bounded by what the file holds,
+    // whatever the watermark says.
+    let mut bytes = Vec::new();
+    File::open(&path)
+        .and_then(|file| file.take(log.watermark).read_to_end(&mut bytes))
+        .map_err(named)?;
+    if (bytes.len() as u64) < log.watermark {
+        return Err(CheckpointError::Format(format!(
+            "log {} holds {} bytes, image needs {}",
+            path.display(),
+            bytes.len(),
+            log.watermark
+        )));
+    }
+    let seq = log_seq(&log.name).expect("validated at decode");
+    let mut state = LogState::new(seq, image);
+    state.len = log.watermark;
+    state.open = checkpoint.open;
+    let format = |e: String| CheckpointError::Format(format!("log {}: {e}", path.display()));
+    // Counts, bounded by the bytes that must hold them before anything
+    // is sized by them.
+    if log.keys.saturating_mul(9) > log.watermark {
+        return Err(format(format!("key count {} exceeds the log", log.keys)));
+    }
+    if log.window.saturating_mul(slot_record_len(0)) > log.watermark {
+        return Err(format(format!("window count {} exceeds the log", log.window)));
+    }
+    let (n_keys, window) = (log.keys as usize, log.window as usize);
+    let mut keys = Vec::with_capacity(n_keys);
+    // The last `window` slots: their intervals, and the history.
+    let mut intervals = VecDeque::with_capacity(window);
+    let mut history = VecDeque::with_capacity(window);
+    let mut last_interval = None;
+    let mut r = ByteReader::new(&bytes, "log");
+    if r.take(8).map_err(format)? != LOG_MAGIC {
+        return Err(format("bad magic".to_string()));
+    }
+    let version = r.u32().map_err(format)?;
+    if version != LOG_VERSION {
+        return Err(format(format!("unsupported version {version}")));
+    }
+    while r.position() < bytes.len() {
+        let at = r.position();
+        let kind = r.u8().map_err(format)?;
+        let len = usize::try_from(r.u64().map_err(format)?)
+            .map_err(|_| format("record length too large".to_string()))?;
+        let payload = r.take(len).map_err(format)?;
+        let actual = crc32(&bytes[at..r.position()]);
+        let expected = r.u32().map_err(format)?;
+        if actual != expected {
+            return Err(CheckpointError::Checksum { expected, actual });
+        }
+        let mut p = ByteReader::new(payload, "log record");
+        match kind {
+            KEY_RECORD => {
+                let first = p.u64().map_err(format)?;
+                let n = (len.saturating_sub(8)) / 9;
+                if first != keys.len() as u64 || len < 8 || (len - 8) % 9 != 0 {
+                    return Err(format(format!(
+                        "key record of {len} bytes from key {first} after {} keys",
+                        keys.len()
+                    )));
+                }
+                if keys.len() + n > n_keys {
+                    return Err(format(format!("more keys than the image's {n_keys}")));
+                }
+                state.key_runs.push((at as u64 + KEYS_AT, 9 * n as u64));
+                for _ in 0..n {
+                    keys.push(key(&mut p).map_err(format)?);
+                }
+            }
+            SLOT_RECORD => {
+                let interval = p.u64().map_err(format)?;
+                let t_term = f64::from_bits(p.u64().map_err(format)?);
+                let ascending = last_interval.is_none_or(|last| last < interval);
+                if len < 16 || (len - 16) % 8 != 0 || !ascending {
+                    return Err(format(format!(
+                        "slot record of {len} bytes for interval {interval} after \
+                         {last_interval:?}"
+                    )));
+                }
+                last_interval = Some(interval);
+                state.slots.push_back((at as u64, (r.position() - at) as u64));
+                intervals.push_back(interval);
+                history.push_back((t_term, snapshot(&mut p, (len - 16) / 8).map_err(format)?));
+                if history.len() > window {
+                    state.slots.pop_front();
+                    intervals.pop_front();
+                    history.pop_front();
+                }
+            }
+            k => return Err(format(format!("unknown record kind {k}"))),
+        }
+        p.end().map_err(format)?;
+    }
+    if keys.len() != n_keys {
+        return Err(format(format!("holds {} keys, image records {n_keys}", keys.len())));
+    }
+    let open = checkpoint.open;
+    let consecutive = intervals.iter().enumerate().all(|(i, &at)| at + (window - i) as u64 == open);
+    if intervals.len() != window || !consecutive {
+        return Err(format(format!(
+            "its last slots are intervals {intervals:?}, the image's window is the {window} \
+             before {open}"
+        )));
+    }
+    // The window's keys, ascending, and the slots each is in: the keys
+    // and occupancy of the per-key sums the image holds in that order.
+    let mut in_window: Vec<KeyId> =
+        history.iter().flat_map(|(_, slot)| slot.iter().map(|&(key, _)| key)).collect();
+    in_window.sort_unstable();
+    let occupancy: Vec<(KeyId, u32)> =
+        in_window.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u32)).collect();
+    let per_key = &mut checkpoint.state.per_key;
+    if occupancy.len() != per_key.len() {
+        return Err(format(format!(
+            "the image holds {} window sums, the window's slots {} keys",
+            per_key.len(),
+            occupancy.len()
+        )));
+    }
+    for (entry, &(key, live)) in per_key.iter_mut().zip(&occupancy) {
+        (entry.0, entry.2) = (key, live);
+    }
+    state.keys = n_keys;
+    checkpoint.keys = keys;
+    checkpoint.state.history = history.into();
+    Ok(state)
+}
+
+/// What one image of a [`Checkpointer`] takes from the pipeline: the
+/// snapshot holding only the keys from `keys_from` on and only the
+/// history slots not yet in the log (the last ones of the window), and
+/// how many slots the whole window holds.
+pub(crate) struct Delta {
+    pub(crate) snapshot: Checkpoint,
+    pub(crate) keys_from: usize,
+    pub(crate) window: usize,
+}
+
+impl Delta {
+    /// Append this image's log records to `w`: one key record holding
+    /// the new keys (none when there are none), then one slot record per
+    /// new slot.
+    fn encode_records(&self, w: &mut Vec<u8>) {
+        let s = &self.snapshot;
+        if !s.keys.is_empty() {
+            put_record(w, KEY_RECORD, |w| {
+                w.extend_from_slice(&(self.keys_from as u64).to_le_bytes());
+                for &(route, prefix) in &s.keys {
+                    put_key(w, route, prefix);
+                }
+            });
+        }
+        let first = s.state.interval - s.state.history.len();
+        for (i, (t_term, snapshot)) in s.state.history.iter().enumerate() {
+            put_record(w, SLOT_RECORD, |w| {
+                w.extend_from_slice(&((first + i) as u64).to_le_bytes());
+                w.extend_from_slice(&t_term.to_bits().to_le_bytes());
+                put_snapshot(w, snapshot);
+            });
+        }
+    }
+}
+
+/// Frame the record `fill` writes: kind, payload length, payload, then
+/// the CRC-32 of all three.
+fn put_record(w: &mut Vec<u8>, kind: u8, fill: impl FnOnce(&mut Vec<u8>)) {
+    let start = w.len();
+    w.push(kind);
+    w.extend_from_slice(&[0; 8]);
+    fill(w);
+    let len = (w.len() - start) as u64 - 9;
+    w[start + 1..start + 9].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&w[start..]);
+    w.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// A log header.
+fn put_log_header(w: &mut Vec<u8>) {
+    w.extend_from_slice(&LOG_MAGIC);
+    w.extend_from_slice(&LOG_VERSION.to_le_bytes());
+}
+
 /// Periodic atomic checkpoint writer for [`Pipeline::run_checkpointed`].
 ///
-/// Writes `eleph.ckpt` inside its directory every `every` sealed
-/// intervals (checked at source chunk boundaries), via temp file +
-/// fsync + rename so a crash at any instruction leaves either the old
-/// or the new checkpoint complete on disk — never a torn one.
+/// Keeps `eleph.ckpt` and one log (`eleph.<n>.log`) inside its
+/// directory, writing an image every `every` sealed intervals (checked
+/// at source chunk boundaries): the log append is synced before the
+/// image is written to a temp file, synced and renamed into place, so a
+/// crash at any instruction leaves the old or the new image complete on
+/// disk, with its log complete up to its watermark — never a torn one.
+/// See the module docs for the protocol, the log and its compaction.
 ///
-/// The caller's thread only takes the owned [`Checkpoint`] copy; one
-/// writer thread, spawned at the first image and joined on drop,
-/// encodes it and puts it on disk while the caller goes on. At most one
-/// image is in flight: handing over the next waits for the previous.
+/// The caller's thread only takes the owned copy; one writer thread,
+/// spawned at the first image and joined on drop, encodes it and puts
+/// it on disk while the caller goes on. At most one image is in flight:
+/// handing over the next waits for the previous.
 pub struct Checkpointer {
     path: PathBuf,
     tmp: PathBuf,
@@ -671,9 +1229,18 @@ pub struct Checkpointer {
     /// Sealed-interval count at which the next image is due; `None`
     /// until the cadence has a pipeline to start from.
     next_at: Option<usize>,
-    /// The image buffer, kept across writes: here between images, with
-    /// the writer while one is in flight.
+    /// The image and log-record buffers, kept across writes: here
+    /// between images, with the writer while one is in flight.
     image: Vec<u8>,
+    records: Vec<u8>,
+    /// The log the next image appends to, as it will stand once the
+    /// image in flight has landed; `None` when the next image starts a
+    /// log.
+    log: Option<LogState>,
+    /// The log the image on disk names.
+    durable_log: Option<PathBuf>,
+    /// Number of the next log started.
+    next_seq: u64,
     /// `None` until the first image.
     writer: Option<Writer>,
     /// An image was handed over and its answer not yet taken.
@@ -686,15 +1253,19 @@ pub struct Checkpointer {
 pub struct CheckpointsWritten {
     /// Images written (renamed into place).
     pub images: u64,
-    /// Size of the last image in bytes.
+    /// Bytes the last image put on disk: the image and its log append.
     pub last_bytes: u64,
-    /// Size of all images together.
+    /// Bytes all images put on disk: images, log appends and the logs
+    /// compactions wrote.
     pub total_bytes: u64,
-    /// Seconds the writer thread spent building images: encode and
-    /// checksum (the owned copy the caller takes first is not counted).
+    /// Compactions: logs rewritten to their live records.
+    pub compactions: u64,
+    /// Seconds the writer thread spent building images and log records:
+    /// encode and checksum (the owned copy the caller takes first is not
+    /// counted).
     pub encode_secs: f64,
-    /// Seconds the writer thread spent putting them on disk: create,
-    /// write, fsync, rename, directory fsync.
+    /// Seconds the writer thread spent putting them on disk: log append,
+    /// compaction, create, write, fsync, rename, directory fsync.
     pub io_secs: f64,
     /// Seconds the caller's thread spent blocked on an image in flight:
     /// the part of checkpointing a run still pays.
@@ -703,17 +1274,50 @@ pub struct CheckpointsWritten {
 
 /// One image for the writer thread.
 struct Job {
-    checkpoint: Checkpoint,
+    delta: Delta,
     image: Vec<u8>,
-    /// Simulate dying halfway through the write ([`CrashPoint::MidCheckpointWrite`]).
-    torn: bool,
+    records: Vec<u8>,
+    plan: LogPlan,
+    /// Simulate dying at this point of the protocol.
+    crash: Option<CrashPoint>,
 }
 
-/// The writer thread's answer to one [`Job`]: the buffer back, whether
+/// What the writer thread does to the logs for one image.
+struct LogPlan {
+    /// The log the records go to, and its length before them (0: create
+    /// it, header first).
+    append_to: PathBuf,
+    append_at: u64,
+    compaction: Option<Compaction>,
+    /// The log as the image names it.
+    named: LogRef,
+    /// Its path.
+    named_path: PathBuf,
+    /// The log the image before named, when this one names another.
+    retire: Option<PathBuf>,
+}
+
+/// A compaction's copy: the live records of `from` into a new log.
+struct Compaction {
+    from: PathBuf,
+    into: PathBuf,
+    keys: usize,
+    /// Where `from` holds the key entries and the window's slot records:
+    /// `(offset, bytes)`.
+    key_runs: Vec<(u64, u64)>,
+    slots: Vec<(u64, u64)>,
+    /// Bytes of the new log.
+    len: u64,
+}
+
+/// The writer thread's answer to one [`Job`]: the buffers back, whether
 /// the image was renamed into place, and what it cost.
 struct Done {
     image: Vec<u8>,
+    records: Vec<u8>,
     renamed: io::Result<bool>,
+    named_path: PathBuf,
+    compacted: Option<u64>,
     encode_secs: f64,
     io_secs: f64,
 }
@@ -752,28 +1356,151 @@ impl Drop for Writer {
     }
 }
 
-/// What the writer thread does with one image: encode it into the
-/// kept buffer, then the temp → write → fsync → rename protocol.
+/// What the writer thread does with one image: encode the log records
+/// and the image into the kept buffers, then the protocol of the module
+/// docs.
 fn write_job(path: &Path, tmp: &Path, job: Job) -> Done {
-    let Job { checkpoint, mut image, torn } = job;
+    let Job { delta, mut image, mut records, plan, crash } = job;
     let started = Instant::now();
-    checkpoint.write_image(&mut image);
-    drop(checkpoint);
+    records.clear();
+    if plan.append_at == 0 {
+        put_log_header(&mut records);
+    }
+    delta.encode_records(&mut records);
+    delta.snapshot.write_image(&mut image, Some(&plan.named));
+    drop(delta);
     let encoded = Instant::now();
-    let renamed = put_on_disk(path, tmp, &image, torn);
+    let renamed = put_logged(path, tmp, &plan, &records, &image, crash);
     Done {
         image,
+        records,
         renamed,
+        named_path: plan.named_path,
+        compacted: plan.compaction.map(|c| c.len),
         encode_secs: (encoded - started).as_secs_f64(),
         io_secs: encoded.elapsed().as_secs_f64(),
     }
 }
 
+/// Append `records` to the log and sync it, compact if the plan says
+/// so, put `image` in place, retire the log it no longer names. Returns
+/// whether the image was renamed into place: not when `crash` stops the
+/// protocol first.
+fn put_logged(
+    path: &Path,
+    tmp: &Path,
+    plan: &LogPlan,
+    records: &[u8],
+    image: &[u8],
+    crash: Option<CrashPoint>,
+) -> io::Result<bool> {
+    let mut log = if plan.append_at == 0 {
+        File::create(&plan.append_to)?
+    } else {
+        let log = OpenOptions::new().append(true).open(&plan.append_to)?;
+        let held = log.metadata()?.len();
+        if held != plan.append_at {
+            return Err(io::Error::other(format!(
+                "{}: log holds {held} bytes, the last image left {}",
+                plan.append_to.display(),
+                plan.append_at
+            )));
+        }
+        log
+    };
+    if crash == Some(CrashPoint::MidLogAppend) {
+        // Half the records reach the log; no image names them.
+        log.write_all(&records[..records.len() / 2])?;
+        let _ = log.sync_all();
+        return Ok(false);
+    }
+    log.write_all(records)?;
+    log.sync_data()?;
+    drop(log);
+    if plan.append_at == 0 {
+        sync_dir(path);
+    }
+    if let Some(compaction) = &plan.compaction {
+        compact(compaction)?;
+        sync_dir(path);
+        if crash == Some(CrashPoint::MidCompaction) {
+            return Ok(false);
+        }
+    }
+    if !put_on_disk(path, tmp, image, crash)? {
+        return Ok(false);
+    }
+    if let Some(old) = &plan.retire {
+        match fs::remove_file(old) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
+    }
+    Ok(true)
+}
+
+/// Stream `c.from`'s live records into `c.into` — one key record holding
+/// every key, then the window's slot records as they are — and sync it.
+fn compact(c: &Compaction) -> io::Result<()> {
+    let mut from = File::open(&c.from)?;
+    let mut into = BufWriter::with_capacity(1 << 16, File::create(&c.into)?);
+    let mut buf = vec![0u8; 1 << 16];
+    let mut head = Vec::with_capacity(KEYS_AT as usize);
+    put_log_header(&mut head);
+    into.write_all(&head)?;
+    if c.keys > 0 {
+        head.clear();
+        head.push(KEY_RECORD);
+        head.extend_from_slice(&(8 + 9 * c.keys as u64).to_le_bytes());
+        head.extend_from_slice(&0u64.to_le_bytes());
+        let mut crc = crc32(&head);
+        into.write_all(&head)?;
+        for &(at, len) in &c.key_runs {
+            copy_range(&mut from, at, len, &mut buf, |bytes| {
+                crc = crc32_extend(crc, bytes);
+                into.write_all(bytes)
+            })?;
+        }
+        into.write_all(&crc.to_le_bytes())?;
+    }
+    for &(at, len) in &c.slots {
+        copy_range(&mut from, at, len, &mut buf, |bytes| into.write_all(bytes))?;
+    }
+    let into = into.into_inner().map_err(io::IntoInnerError::into_error)?;
+    debug_assert_eq!(into.metadata()?.len(), c.len);
+    into.sync_data()
+}
+
+/// Hand `len` bytes of `from` at `at` to `out`, a buffer at a time.
+fn copy_range(
+    from: &mut File,
+    at: u64,
+    len: u64,
+    buf: &mut [u8],
+    mut out: impl FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<()> {
+    from.seek(SeekFrom::Start(at))?;
+    let mut left = len;
+    while left > 0 {
+        let n = left.min(buf.len() as u64) as usize;
+        from.read_exact(&mut buf[..n])?;
+        out(&buf[..n])?;
+        left -= n as u64;
+    }
+    Ok(())
+}
+
 /// Write `bytes` to `tmp`, fsync, rename over `path`, then fsync the
-/// directory. Returns whether the rename happened.
-fn put_on_disk(path: &Path, tmp: &Path, bytes: &[u8], torn: bool) -> io::Result<bool> {
+/// directory. Returns whether the rename happened: not when `crash`
+/// stops the protocol first.
+fn put_on_disk(
+    path: &Path,
+    tmp: &Path,
+    bytes: &[u8],
+    crash: Option<CrashPoint>,
+) -> io::Result<bool> {
     let mut file = File::create(tmp)?;
-    if torn {
+    if crash == Some(CrashPoint::MidCheckpointWrite) {
         // Simulate dying mid-write: half the image reaches the temp
         // file, the rename never happens, the previous checkpoint
         // survives untouched.
@@ -784,15 +1511,22 @@ fn put_on_disk(path: &Path, tmp: &Path, bytes: &[u8], torn: bool) -> io::Result<
     file.write_all(bytes)?;
     file.sync_all()?;
     drop(file);
+    if crash == Some(CrashPoint::LogSyncedImageNotRenamed) {
+        return Ok(false);
+    }
     fs::rename(tmp, path)?;
-    // Make the rename itself durable where the platform allows opening
-    // directories; failure here cannot corrupt anything.
+    sync_dir(path);
+    Ok(true)
+}
+
+/// Make the directory entries beside `path` durable where the platform
+/// allows opening directories; failure here cannot corrupt anything.
+fn sync_dir(path: &Path) {
     if let Some(dir) = path.parent() {
         if let Ok(d) = File::open(dir) {
             let _ = d.sync_all();
         }
     }
-    Ok(true)
 }
 
 /// The checkpoint I/O error a pipeline run fails with.
@@ -803,21 +1537,73 @@ fn io_error(e: io::Error) -> PipelineError {
 /// File name a [`Checkpointer`] maintains inside its directory.
 pub const CHECKPOINT_FILE: &str = "eleph.ckpt";
 
+/// Bring the directory of the image at `path` back to what the image
+/// names, as a resume needs it: the log it names cut back to its
+/// watermark, every other log deleted. Returns that log and the number
+/// the next log started takes. An image that cannot be read names
+/// nothing and touches nothing; a missing one names no log.
+fn recover(path: &Path) -> io::Result<(Option<LogState>, u64)> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let mut logs = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        if let Some(seq) = entry?.file_name().to_str().and_then(log_seq) {
+            logs.push(seq);
+        }
+    }
+    let named = if path.exists() {
+        match Checkpoint::load_logged(path) {
+            Ok((_, log)) => log,
+            Err(_) => return Ok((None, logs.iter().map(|seq| seq + 1).max().unwrap_or(0))),
+        }
+    } else {
+        None
+    };
+    for &seq in &logs {
+        if named.as_ref().is_none_or(|named| named.seq != seq) {
+            fs::remove_file(path.with_file_name(log_name(seq)))?;
+        }
+    }
+    if let Some(log) = &named {
+        let file = OpenOptions::new().write(true).open(&log.path)?;
+        if file.metadata()?.len() > log.len {
+            file.set_len(log.len)?;
+            file.sync_all()?;
+        }
+    }
+    let next_seq = named.as_ref().map_or(0, |log| log.seq + 1);
+    Ok((named, next_seq))
+}
+
 impl Checkpointer {
     /// Checkpoint into `dir` (created if missing) every `every` sealed
     /// intervals (`every` ≥ 1).
+    ///
+    /// This is also the recovery of a directory a crash left behind: the
+    /// log its image names is cut back to the image's watermark and every
+    /// other log is deleted (an image that cannot be read is left, with
+    /// every log, as it is). A pipeline resumed from that image appends
+    /// to that log; any other starts a new one at its first image.
     pub fn new(dir: impl AsRef<Path>, every: usize) -> io::Result<Self> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
+        let path = dir.join(CHECKPOINT_FILE);
+        let (log, next_seq) = recover(&path)?;
         Ok(Checkpointer {
-            path: dir.join(CHECKPOINT_FILE),
             tmp: dir.join(format!("{CHECKPOINT_FILE}.tmp")),
             every: every.max(1),
             next_at: None,
             image: Vec::new(),
+            records: Vec::new(),
+            durable_log: log.as_ref().map(|log| log.path.clone()),
+            log,
+            next_seq,
             writer: None,
             in_flight: false,
             written: CheckpointsWritten::default(),
+            path,
         })
     }
 
@@ -867,7 +1653,8 @@ impl Checkpointer {
 
     /// Wait until the image in flight, if any, is on disk, and fail with
     /// its error if it could not be written. A writer thread that died
-    /// reads as that error too.
+    /// reads as that error too. After a failure the next image starts a
+    /// new log: what the failed one left in its log is named by no image.
     pub fn flush(&mut self) -> crate::Result<()> {
         if !self.in_flight {
             return Ok(());
@@ -876,49 +1663,110 @@ impl Checkpointer {
         let started = Instant::now();
         let done = self.writer.as_ref().and_then(|w| w.done.recv().ok());
         self.written.wait_secs += started.elapsed().as_secs_f64();
-        let done = done.ok_or_else(writer_gone)?;
+        let Some(done) = done else {
+            self.log = None;
+            return Err(writer_gone());
+        };
         self.image = done.image;
-        if done.renamed.map_err(io_error)? {
-            let len = self.image.len() as u64;
-            let w = &mut self.written;
-            w.images += 1;
-            w.last_bytes = len;
-            w.total_bytes += len;
-            w.encode_secs += done.encode_secs;
-            w.io_secs += done.io_secs;
+        self.records = done.records;
+        match done.renamed {
+            Ok(true) => {
+                let bytes = (self.image.len() + self.records.len()) as u64;
+                let w = &mut self.written;
+                w.images += 1;
+                w.last_bytes = bytes;
+                w.total_bytes += bytes + done.compacted.unwrap_or(0);
+                w.compactions += u64::from(done.compacted.is_some());
+                w.encode_secs += done.encode_secs;
+                w.io_secs += done.io_secs;
+                self.durable_log = Some(done.named_path);
+            }
+            // An injected crash stopped the protocol: the run ends here.
+            Ok(false) => {}
+            Err(e) => {
+                self.log = None;
+                return Err(io_error(e));
+            }
         }
         Ok(())
     }
 
-    /// Take the pipeline's snapshot, wait for the previous image, and
-    /// hand this one to the writer thread.
+    /// Take the pipeline's delta, wait for the previous image, plan the
+    /// log's part, and hand the image to the writer thread.
     fn hand_off<D: ThresholdDetector>(
         &mut self,
         pipeline: &mut Pipeline<'_, D>,
     ) -> crate::Result<()> {
         let sealed = pipeline.intervals_sealed();
-        let checkpoint = pipeline.export_checkpoint();
+        // Append only for the pipeline whose keys and window the log
+        // holds; any other starts a log of its own.
+        let continued = self.log.take().filter(|log| pipeline.log.as_ref() == Some(log));
+        let (keys_from, open_from) =
+            continued.as_ref().map_or((0, 0), |log| (log.keys, log.open as usize));
+        let delta = pipeline.export_delta(keys_from, open_from);
         self.flush()?;
-        let torn = pipeline.crash_now(CrashPoint::MidCheckpointWrite, sealed);
+        let mut log = continued.unwrap_or_else(|| {
+            let seq = self.take_seq();
+            LogState::new(seq, &self.path)
+        });
+        let (append_to, append_at) = (log.path.clone(), log.len);
+        log.append(&delta);
+        let live = log.live();
+        let compaction = (log.len - live > live).then(|| {
+            let (compacted, plan) = log.compacted(self.take_seq(), &self.path);
+            log = compacted;
+            plan
+        });
+        let writer_points = [
+            CrashPoint::MidLogAppend,
+            CrashPoint::LogSyncedImageNotRenamed,
+            CrashPoint::MidCheckpointWrite,
+        ];
+        let crash = writer_points
+            .into_iter()
+            .chain(compaction.is_some().then_some(CrashPoint::MidCompaction))
+            .find(|&point| pipeline.crash_now(point, sealed));
+        let plan = LogPlan {
+            append_to,
+            append_at,
+            compaction,
+            named: log.reference(),
+            named_path: log.path.clone(),
+            retire: self.durable_log.clone().filter(|old| *old != log.path),
+        };
         let writer = match &mut self.writer {
             Some(writer) => writer,
             None => self
                 .writer
                 .insert(Writer::spawn(self.path.clone(), self.tmp.clone()).map_err(io_error)?),
         };
-        let job = Job { checkpoint, image: std::mem::take(&mut self.image), torn };
+        let job = Job {
+            delta,
+            image: std::mem::take(&mut self.image),
+            records: std::mem::take(&mut self.records),
+            plan,
+            crash,
+        };
         writer
             .jobs
             .as_ref()
             .and_then(|jobs| jobs.send(job).ok())
             .ok_or_else(writer_gone)?;
+        pipeline.log = Some(log.clone());
+        self.log = Some(log);
         self.in_flight = true;
         self.next_at = Some(sealed + self.every);
-        if torn {
+        if let Some(point) = crash {
             self.flush()?;
-            return Err(PipelineError::Crash(CrashPoint::MidCheckpointWrite));
+            return Err(PipelineError::Crash(point));
         }
         Ok(())
+    }
+
+    /// The number of the next log started, taken.
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
     }
 }
 
@@ -1154,6 +2002,7 @@ mod tests {
                 members: vec![],
             },
             sketch: None,
+            log: None,
         }
     }
 
@@ -1261,10 +2110,12 @@ mod tests {
 
     #[test]
     fn a_reused_buffer_holds_only_the_new_image() {
-        // One `Checkpointer`, so one buffer: first a pipeline with 200
-        // keys in its window, then one with two. The second file must be
-        // the small pipeline's image exactly — header fields rewritten,
-        // nothing of the large image behind it.
+        // One `Checkpointer`, so one pair of buffers: first a pipeline
+        // with 200 keys in its window, then one with two. The second
+        // image must load as the small pipeline's snapshot exactly —
+        // header fields rewritten, nothing of the large image behind it —
+        // and, as it is not the pipeline the first log holds, name a log
+        // of its own, the first one deleted.
         let table = synth::generate(&SynthConfig { n_prefixes: 300, ..SynthConfig::default() });
         let dsts: Vec<Ipv4Addr> = table.iter().map(|e| e.prefix.network()).collect();
         let scheme = Scheme::LatentHeat { window: 3 };
@@ -1276,21 +2127,190 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("eleph-ckpt-reuse-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let mut checkpointer = Checkpointer::new(&dir, 1).expect("checkpointer");
-        let mut images = Vec::new();
-        for metas in [&busy[..], &quiet[..]] {
+        let mut on_disk = Vec::new();
+        for (seq, metas) in [&busy[..], &quiet[..]].into_iter().enumerate() {
             let mut pipeline = pipeline_over(&table, scheme, StateBackendConfig::Exact, 0);
             pipeline.observe_chunk(metas).expect("observe");
             checkpointer.write(&mut pipeline).expect("write");
-            let file = fs::read(checkpointer.path()).expect("checkpoint file");
-            assert_eq!(file, pipeline.export_checkpoint().to_bytes_by_copy());
-            assert!(Checkpoint::load(checkpointer.path()).is_ok());
-            images.push(file);
+            let loaded = Checkpoint::load(checkpointer.path()).expect("the image loads");
+            assert_eq!(loaded.to_bytes(), pipeline.export_checkpoint().to_bytes_by_copy());
+            let log = dir.join(log_name(seq as u64));
+            assert_eq!(dir_files(&dir), [log_name(seq as u64), CHECKPOINT_FILE.to_string()]);
+            let len = |path: &Path| fs::metadata(path).expect("file").len();
+            on_disk.push((len(checkpointer.path()), len(&log)));
         }
-        assert!(images[0].len() > 10 * images[1].len(), "the second image is much the smaller");
+        assert!(on_disk[0].0 > 10 * on_disk[1].0, "the second image is much the smaller");
         let written = checkpointer.written();
         assert_eq!(written.images, 2);
-        assert_eq!(written.last_bytes, images[1].len() as u64);
-        assert_eq!(written.total_bytes, (images[0].len() + images[1].len()) as u64);
+        // Each image started its log, so its append is the whole log.
+        assert_eq!(written.last_bytes, on_disk[1].0 + on_disk[1].1);
+        let all: u64 = on_disk.iter().map(|(image, log)| image + log).sum();
+        assert_eq!((written.total_bytes, written.compactions), (all, 0));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The files in `dir`, sorted.
+    fn dir_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .expect("read dir")
+            .map(|entry| entry.expect("entry").file_name().into_string().expect("utf-8"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// A checkpoint directory written by a `Checkpointer` at cadence 1
+    /// over 40 intervals of a latent-heat pipeline whose key set grows,
+    /// and the self-contained image of its final state. Every image on
+    /// the way, compactions included, loads as the self-contained image
+    /// of its moment.
+    fn logged_dir(tag: &str, state: StateBackendConfig) -> (PathBuf, Vec<u8>) {
+        let table = synth::generate(&SynthConfig { n_prefixes: 300, ..SynthConfig::default() });
+        let dsts: Vec<Ipv4Addr> = table.iter().map(|e| e.prefix.network()).collect();
+        let dir = std::env::temp_dir().join(format!("eleph-ckpt-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut checkpointer = Checkpointer::new(&dir, 1).expect("checkpointer");
+        let mut pipeline = pipeline_over(&table, Scheme::LatentHeat { window: 4 }, state, 0);
+        for interval in 0..40u64 {
+            let metas: Vec<PacketMeta> = (0..8u64)
+                .map(|i| {
+                    let dst = dsts[((interval * 3 + i * i) % 280) as usize];
+                    packet(dst, interval * 10_000_000_000 + i, 100 + 10 * i as u32)
+                })
+                .collect();
+            pipeline.observe_chunk(&metas).expect("observe");
+            if checkpointer.maybe_write(&mut pipeline).expect("image") {
+                checkpointer.flush().expect("image on disk");
+                let loaded = Checkpoint::load(checkpointer.path()).expect("the image loads");
+                let want = pipeline.export_checkpoint().to_bytes();
+                assert_eq!(loaded.to_bytes(), want, "image after interval {interval}");
+            }
+        }
+        assert!(checkpointer.written().compactions > 0, "the run compacts its log");
+        (dir, pipeline.export_checkpoint().to_bytes())
+    }
+
+    /// The one log beside the image in `dir`.
+    fn only_log(dir: &Path) -> PathBuf {
+        let logs: Vec<PathBuf> = dir_files(dir)
+            .into_iter()
+            .filter(|name| log_seq(name).is_some())
+            .map(|name| dir.join(name))
+            .collect();
+        assert_eq!(logs.len(), 1, "{logs:?}");
+        logs[0].clone()
+    }
+
+    #[test]
+    fn a_log_backed_image_loads_as_the_self_contained_one() {
+        let sketch = StateBackendConfig::SpaceSaving { budget_bytes: 2_048 };
+        for state in [StateBackendConfig::Exact, sketch] {
+            let (dir, want) = logged_dir("equal", state);
+            let image = dir.join(CHECKPOINT_FILE);
+            assert_eq!(fs::read(&image).expect("image")[8..12], VERSION_LOGGED.to_le_bytes());
+            assert_eq!(Checkpoint::load(&image).expect("load").to_bytes(), want, "{state:?}");
+            only_log(&dir);
+            match Checkpoint::read_from(&mut File::open(&image).expect("image")) {
+                Err(CheckpointError::Format(why)) => {
+                    assert!(why.contains("needs its log"), "{why}")
+                }
+                other => panic!("a bare version-4 image read as {other:?}"),
+            }
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn every_flipped_log_byte_below_the_watermark_is_rejected() {
+        let (dir, _) = logged_dir("log-flip", StateBackendConfig::Exact);
+        let (image, log) = (dir.join(CHECKPOINT_FILE), only_log(&dir));
+        let good = fs::read(&log).expect("log");
+        for i in 0..good.len() {
+            let mut bad = good.clone();
+            bad[i] ^= 0xA5;
+            fs::write(&log, &bad).expect("plant");
+            match Checkpoint::load(&image) {
+                Err(CheckpointError::Checksum { .. } | CheckpointError::Format(_)) => {}
+                other => panic!("flip at log byte {i}: {other:?}"),
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_log_truncation_below_the_watermark_is_a_format_error() {
+        let (dir, _) = logged_dir("log-cut", StateBackendConfig::Exact);
+        let (image, log) = (dir.join(CHECKPOINT_FILE), only_log(&dir));
+        let good = fs::read(&log).expect("log");
+        for keep in 0..good.len() {
+            fs::write(&log, &good[..keep]).expect("plant");
+            match Checkpoint::load(&image) {
+                Err(CheckpointError::Format(why)) => assert!(
+                    why.contains(&format!("holds {keep} bytes, image needs {}", good.len())),
+                    "{why}"
+                ),
+                other => panic!("log cut to {keep} bytes: {other:?}"),
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn log_bytes_past_the_watermark_are_ignored_by_load_and_cut_by_resume() {
+        let (dir, want) = logged_dir("log-tail", StateBackendConfig::Exact);
+        let (image, log) = (dir.join(CHECKPOINT_FILE), only_log(&dir));
+        let good = fs::read(&log).expect("log");
+        let mut torn = good.clone();
+        torn.extend_from_slice(&good[LOG_HEADER_LEN as usize..][..good.len() / 3]);
+        fs::write(&log, &torn).expect("plant a tail");
+        // A log no image names, as a compaction cut short leaves it.
+        let stray = dir.join(log_name(99));
+        fs::write(&stray, &good).expect("plant a stray log");
+        assert_eq!(Checkpoint::load(&image).expect("load").to_bytes(), want);
+        Checkpointer::new(&dir, 1).expect("recover the directory");
+        assert_eq!(fs::read(&log).expect("log"), good, "the tail is cut");
+        assert!(!stray.exists(), "the stray log is deleted");
+        assert_eq!(Checkpoint::load(&image).expect("load").to_bytes(), want);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_missing_log_is_an_io_error_naming_its_path() {
+        let (dir, _) = logged_dir("log-gone", StateBackendConfig::Exact);
+        let (image, log) = (dir.join(CHECKPOINT_FILE), only_log(&dir));
+        fs::remove_file(&log).expect("remove the log");
+        match Checkpoint::load(&image) {
+            Err(CheckpointError::Io(e)) => {
+                assert!(e.to_string().contains(&log.display().to_string()), "{e}")
+            }
+            other => panic!("a missing log loaded as {other:?}"),
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn log_counts_are_bounded_by_the_log() {
+        // A well-formed image — its CRC recomputed — claiming more keys
+        // or slots than its log could hold: refused before anything is
+        // sized by the count.
+        let (dir, _) = logged_dir("log-count", StateBackendConfig::Exact);
+        let image = dir.join(CHECKPOINT_FILE);
+        let (version, payload) = read_image(&mut File::open(&image).expect("image")).expect("read");
+        let (checkpoint, log) = Checkpoint::decode(&payload, version).expect("decode");
+        let log = log.expect("a version-4 image");
+        for (what, bad) in [
+            ("key count", LogRef { keys: u64::MAX / 2, ..log.clone() }),
+            ("window count", LogRef { window: u64::MAX / 2, ..log.clone() }),
+            ("image needs", LogRef { watermark: u64::MAX, ..log.clone() }),
+        ] {
+            let mut bytes = Vec::new();
+            checkpoint.write_image(&mut bytes, Some(&bad));
+            fs::write(&image, &bytes).expect("plant");
+            match Checkpoint::load(&image) {
+                Err(CheckpointError::Format(why)) => assert!(why.contains(what), "{why}"),
+                other => panic!("{what}: {other:?}"),
+            }
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -13,7 +13,9 @@ use eleph_net::Prefix;
 use eleph_packet::{LinkType, PacketMeta};
 use eleph_trace::{CrashPoint, CrashSwitch};
 
-use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointError, Checkpointer};
+use crate::checkpoint::{
+    Checkpoint, CheckpointConfig, CheckpointError, Checkpointer, Delta, LogState,
+};
 use crate::shard::ShardedRow;
 use crate::sink::{SealedInterval, Sink};
 use crate::source::PacketSource;
@@ -450,6 +452,7 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
             open: 0,
             stats: PipelineStats::default(),
             crash: self.crash,
+            log: None,
         }
     }
 
@@ -579,6 +582,10 @@ pub struct Pipeline<'t, D: ThresholdDetector> {
     stats: PipelineStats,
     /// Armed process-fault injection (tests only; `None` in production).
     crash: Option<CrashSwitch>,
+    /// The checkpoint log that holds this pipeline's key table and
+    /// window: set by the [`Checkpointer`] that last wrote it, or by a
+    /// resume from a log-backed image.
+    pub(crate) log: Option<LogState>,
 }
 
 impl<D: ThresholdDetector> Pipeline<'_, D> {
@@ -884,18 +891,27 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
 
     /// The decoded form of [`Pipeline::checkpoint`].
     pub(crate) fn export_checkpoint(&self) -> Checkpoint {
+        self.export_delta(0, 0).snapshot
+    }
+
+    /// What one image of a log-backed [`Checkpointer`] copies: the
+    /// snapshot holding the keys from `keys_from` on and the history of
+    /// interval `open_from` and later — a log that continues this
+    /// pipeline holds the rest.
+    pub(crate) fn export_delta(&self, keys_from: usize, open_from: usize) -> Delta {
         let key_routes = self.key_alloc.key_routes();
         debug_assert_eq!(key_routes.len(), self.keys.len());
         debug_assert!(self.binned.is_empty(), "pairs outside the row at a chunk boundary");
+        let (state, window) = self.classifier.export_state_from(open_from);
         let row = &self.row;
-        Checkpoint {
+        let snapshot = Checkpoint {
             config: self.fingerprint(),
             open: self.open as u64,
             far_future_streak: self.far_future_streak,
             stats: self.stats,
-            keys: key_routes
+            keys: key_routes[keys_from..]
                 .iter()
-                .zip(&self.keys)
+                .zip(&self.keys[keys_from..])
                 .map(|(&route, &prefix)| (route, prefix))
                 .collect(),
             // Every exact row exports the same sorted pairs (format
@@ -903,9 +919,11 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             // state travels as the version-3 tail instead and its row is
             // empty.
             row: row.open_row(),
-            state: self.classifier.export_state(),
+            state,
             sketch: row.export_sketch().map(|payload| (row.kind().to_string(), payload)),
-        }
+            log: None,
+        };
+        Delta { snapshot, keys_from, window }
     }
 
     /// The configuration this pipeline measures under, as a checkpoint
@@ -1063,6 +1081,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
         self.keys = ckpt.keys.iter().map(|&(_, prefix)| prefix).collect();
         self.open = open;
         self.stats = ckpt.stats;
+        self.log = ckpt.log.clone();
         Ok(())
     }
 

@@ -230,8 +230,12 @@ RUN OPTIONS (eleph run):
                                (current file stays at FILE; older
                                segments are FILE.1, FILE.2, ... in
                                chronological order)
-    --checkpoint-dir DIR       write crash-safe snapshots (eleph.ckpt,
-                               atomic temp+fsync+rename) into DIR
+    --checkpoint-dir DIR       write crash-safe snapshots into DIR: the
+                               image eleph.ckpt and the log it names,
+                               eleph.N.log (keys and window slots, each
+                               written once); per image the log append
+                               is fsynced, then the image is written to
+                               a temp file, fsynced and renamed
     --checkpoint-every N       snapshot cadence in sealed intervals
                                (default 1, at least 1; checked at source
                                chunk boundaries; needs --checkpoint-dir)
@@ -874,9 +878,11 @@ fn drive<D: ThresholdDetector, S: PacketSource>(
 /// every packet-accounting counter, the conservation verdict, the
 /// far-future-streak high-water mark, start-up and streaming wall-clock
 /// time, throughput, (under `--checkpoint-dir`) what this process's
-/// snapshots cost — how many it wrote, the size of the last one, the
-/// seconds the writer thread spent building images and putting them on
-/// disk, and the seconds the packet thread spent waiting for it — and
+/// snapshots cost — how many it wrote, the bytes the last one put on
+/// disk (image and log append), the bytes all of them did (compactions
+/// included) and how many compactions there were, the seconds the
+/// writer thread spent building images and putting them on disk, and
+/// the seconds the packet thread spent waiting for it — and
 /// (when fault injection is on) the injector's counters:
 /// machine-checkable run health at a glance.
 fn summary_json(
@@ -942,12 +948,15 @@ fn summary_json(
     if let (Some(dir), Some(w)) = (&opts.checkpoint_dir, checkpoints) {
         line.push_str(&format!(
             ",\"checkpoint_dir\":{},\"checkpoint_every\":{},\"checkpoints\":{},\
-             \"checkpoint_bytes\":{},\"checkpoint_encode_secs\":{:.6},\
+             \"checkpoint_bytes\":{},\"checkpoint_total_bytes\":{},\
+             \"checkpoint_compactions\":{},\"checkpoint_encode_secs\":{:.6},\
              \"checkpoint_io_secs\":{:.6},\"checkpoint_wait_secs\":{:.6}",
             json_string(dir),
             opts.checkpoint_every,
             w.images,
             w.last_bytes,
+            w.total_bytes,
+            w.compactions,
             clamp(w.encode_secs),
             clamp(w.io_secs),
             clamp(w.wait_secs),
@@ -1384,6 +1393,7 @@ mod tests {
                     images: 3,
                     last_bytes: 4_096,
                     total_bytes: 12_000,
+                    compactions: 1,
                     encode_secs: elapsed,
                     io_secs: setup,
                     wait_secs: elapsed,
@@ -1399,14 +1409,20 @@ mod tests {
                 );
             }
         }
-        let written = CheckpointsWritten { images: 3, last_bytes: 4_096, ..Default::default() };
+        let written = CheckpointsWritten {
+            images: 3,
+            last_bytes: 4_096,
+            total_bytes: 20_480,
+            compactions: 2,
+            ..Default::default()
+        };
         let line = summary_json(&opts, &report(), false, Some(written), None, 0.125, 0.0);
         assert!(
             line.contains(
                 "\"checkpoint_dir\":\"ck\\\"pt\\\\run\\u001b\\u0000\",\"checkpoint_every\":1,\
-                 \"checkpoints\":3,\"checkpoint_bytes\":4096,\
-                 \"checkpoint_encode_secs\":0.000000,\"checkpoint_io_secs\":0.000000,\
-                 \"checkpoint_wait_secs\":0.000000"
+                 \"checkpoints\":3,\"checkpoint_bytes\":4096,\"checkpoint_total_bytes\":20480,\
+                 \"checkpoint_compactions\":2,\"checkpoint_encode_secs\":0.000000,\
+                 \"checkpoint_io_secs\":0.000000,\"checkpoint_wait_secs\":0.000000"
             ),
             "{line}"
         );
@@ -1419,7 +1435,7 @@ mod tests {
         assert!(line.contains("\"state\":\"spacesaving\""));
         assert!(line.contains("\"distinct_keys\":3"));
         assert!(line.contains("\"state_bytes\":1048576"));
-        // Without --checkpoint-dir none of the seven fields appears.
+        // Without --checkpoint-dir none of the nine fields appears.
         let plain = RunOpts { synth: true, ..RunOpts::default() };
         let bare = summary_json(&plain, &report(), false, None, None, 0.125, 0.0);
         assert!(!bare.contains("checkpoint"), "{bare}");

@@ -152,6 +152,15 @@ impl FaultInjector {
 /// - [`CrashPoint::MidCheckpointWrite`]: the new snapshot is torn —
 ///   resume must fall back to the last complete checkpoint, never read
 ///   a partial one.
+/// - [`CrashPoint::MidLogAppend`]: the checkpoint log holds half of the
+///   new image's records past the watermark the durable image records —
+///   resume must cut them off.
+/// - [`CrashPoint::LogSyncedImageNotRenamed`]: the log append is durable
+///   and the new image complete in its temp file, but the old image is
+///   still the one in place — resume cuts the log back to it.
+/// - [`CrashPoint::MidCompaction`]: a compaction has written the new log
+///   beside the old one, and no image names it yet — resume must delete
+///   it and keep reading the old log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrashPoint {
     /// After an interval seals, before any sink sees it.
@@ -160,14 +169,26 @@ pub enum CrashPoint {
     AfterSink,
     /// Midway through writing the checkpoint file.
     MidCheckpointWrite,
+    /// Midway through appending the image's records to the checkpoint
+    /// log, before any image is written.
+    MidLogAppend,
+    /// After the log append is synced and the image written to its temp
+    /// file, before the rename.
+    LogSyncedImageNotRenamed,
+    /// After a compaction has written and synced the new log, before the
+    /// image naming it is renamed into place and the old log removed.
+    MidCompaction,
 }
 
 impl CrashPoint {
     /// Every crash point, for exhaustive harness loops.
-    pub const ALL: [CrashPoint; 3] = [
+    pub const ALL: [CrashPoint; 6] = [
         CrashPoint::AfterSeal,
         CrashPoint::AfterSink,
         CrashPoint::MidCheckpointWrite,
+        CrashPoint::MidLogAppend,
+        CrashPoint::LogSyncedImageNotRenamed,
+        CrashPoint::MidCompaction,
     ];
 }
 

@@ -25,16 +25,20 @@
 #   5. crash safety: a checkpointed `eleph run` is SIGKILLed mid-capture
 #      and resumed with `--resume`; the recovered JSONL must be
 #      byte-identical to an uninterrupted reference run (no duplicated,
-#      no missing interval records), and the `eleph.ckpt` the recovered
-#      run ends on must be byte-identical to the one the reference run,
-#      checkpointing into a directory of its own, ends on (recovery
-#      converges on the same image, not only the same output). The kill
-#      waits for the first checkpoint file, so there is always a
-#      snapshot to resume from, and the gate fails if the victim was not
-#      killed mid-run (exit by SIGKILL with intervals still to seal): a
-#      run that finished first proves nothing about recovery; and no
-#      `eleph.ckpt.tmp` may be left beside either final image, so no
-#      image was still in flight on the writer thread when a run exited;
+#      no missing interval records), and the checkpoint directory the
+#      recovered run ends on — the image `eleph.ckpt` and its log
+#      `eleph.N.log` — must be identical, file for file and byte for
+#      byte (`diff -r`), to the one the reference run, checkpointing
+#      into a directory of its own, ends on (recovery converges on the
+#      same image and log, the log's name included, not only the same
+#      output). The kill waits for the first checkpoint file, so there is
+#      always a snapshot to resume from, and the gate fails if the victim
+#      was not killed mid-run (exit by SIGKILL with intervals still to
+#      seal): a run that finished first proves nothing about recovery;
+#      and each directory must hold exactly the image and the one log it
+#      names — no `eleph.ckpt.tmp` and no log left by a compaction — so
+#      no image was still in flight on the writer thread when a run
+#      exited and every log the image stopped naming was deleted;
 #   6. churn determinism: `eleph churn` generates a route-update
 #      schedule, the same capture is streamed twice with `--rib-updates`
 #      replaying that schedule mid-stream, and the two JSONL outputs
@@ -89,29 +93,37 @@
 #      after the open interval's first eviction (a roomy summary never
 #      evicts, so the model test cannot reach this) — all part of tier-1;
 #      re-run by name so a failure is attributed immediately;
-#  12. checkpoint bytes: the sample images and the final `eleph.ckpt` of
-#      six seeded `eleph run --synth` command lines against fixtures
-#      written before images were built in place, `crc32` against the
-#      bytewise loop it replaced, the in-place encoder against the
-#      copying assembly it replaced (random captures x scheme x state
-#      backend x engine), one `Checkpointer` buffer reused for a large
-#      image and then a small one, a resumed run's cadence against the
-#      uninterrupted run's (that an image at a cut is the uninterrupted
-#      run's, byte for byte, is gate 3's), a resume refusing a pipeline
-#      that differs in any one fingerprint field with a mismatch naming
-#      that field, and an image the writer thread
-#      cannot write
-#      (or a writer thread that is gone) failing the run with the typed
-#      I/O error, in the library and as `eleph run`'s exit status 1 —
+#  12. checkpoint bytes: the sample images, and the final `eleph.ckpt` of
+#      six seeded `eleph run --synth` command lines loaded with its log
+#      and re-encoded self-contained, against fixtures written before
+#      images were built in place, `crc32` against the bytewise loop it
+#      replaced, the in-place encoder against the copying assembly it
+#      replaced (random captures x scheme x state backend x engine), one
+#      `Checkpointer` buffer reused for a large image and then a small
+#      one, a resumed run's cadence and files against the uninterrupted
+#      run's (that an image at a cut is the uninterrupted run's, byte
+#      for byte, is gate 3's), a resume refusing a pipeline that differs
+#      in any one fingerprint field with a mismatch naming that field,
+#      and an image the writer thread cannot write (or a writer thread
+#      that is gone) failing the run with the typed I/O error, in the
+#      library and as `eleph run`'s exit status 1; then the log: an
+#      image and its log loading as the self-contained image of the same
+#      moment, every flipped log byte and every truncation below the
+#      watermark a typed error, bytes past it ignored by a load and cut
+#      by a resume, a missing log an I/O error naming it, its counts
+#      bounded by its length, and what an image puts on disk following
+#      what changed since the image before, not what the run has seen —
 #      all part of tier-1; re-run by name so a format drift or a lost
 #      write error is attributed immediately;
 #  13. thread count: start-up parses the RIB and paints the table on
 #      every core, so `eleph run --pcap --rib` over the `capture_files`
 #      example's inputs (static, then live with `--rib-updates` and
 #      `--checkpoint-every 1`) runs once under `taskset -c 0` and once
-#      unrestricted, and the JSONL, the final `eleph.ckpt` and the
-#      summary's `"checkpoints":N` must be identical — the image count
-#      depends neither on cores nor on the writer thread's timing
+#      unrestricted, and the JSONL, the final checkpoint directory
+#      (`diff -r`: the image and the one log it names, which is all
+#      either directory may hold) and the summary's `"checkpoints":N`
+#      must be identical — the image count, the log and its compactions
+#      depend neither on cores nor on the writer thread's timing
 #      (without `taskset` the pinned runs are skipped,
 #      and the gate says so); the capture is also piped through
 #      `cat … | eleph run --pcap /dev/stdin` without `--start-unix`, and
@@ -178,10 +190,21 @@ cargo run -q --release -p eleph-report --bin eleph -- \
 
 echo "== crash safety: SIGKILL a checkpointed run, resume, diff against reference =="
 eleph=target/release/eleph
+# A checkpoint directory a run has finished with holds exactly the image
+# and the one log it names: no temp image (eleph.ckpt.tmp, the one temp
+# name the checkpointer uses) and no log a compaction or an earlier image
+# left behind.
+check_ckpt_dir() {
+    local dir=$1 gate=$2 files log
+    files=$(ls -A "$dir" | sort | tr '\n' ' ')
+    log=$(ls -A "$dir" | grep -E '^eleph\.[0-9]+\.log$' || true)
+    [ "$files" = "$log eleph.ckpt " ] && grep -qaF "$log" "$dir/eleph.ckpt" \
+        || { echo "$gate: $dir holds: $files— not eleph.ckpt and the one log it names" >&2; exit 1; }
+}
 # Sized to outlive its first checkpoint by seconds, not milliseconds:
 # one snapshot per interval, 900 of them, each encoded and put on disk
-# (write + fsync + rename) by the writer thread while the next interval
-# streams, at most one in flight.
+# (log append + fsync, image write + fsync + rename) by the writer
+# thread while the next interval streams, at most one in flight.
 crash_intervals=900
 crash_args=(run --synth --flows 2000 --intervals "$crash_intervals" --interval-secs 20
     --prefixes 2000)
@@ -209,12 +232,11 @@ echo "   victim exit status $victim_status, $durable of $crash_intervals interva
     --checkpoint-dir "$tmpdir/ckpt" --resume 2> /dev/null
 diff "$tmpdir/crash.jsonl" "$tmpdir/crash_ref.jsonl" \
     || { echo "crash safety: resumed output diverges from reference" >&2; exit 1; }
-cmp "$tmpdir/ckpt/eleph.ckpt" "$tmpdir/ckpt_ref/eleph.ckpt" \
-    || { echo "crash safety: resumed run ends on a different checkpoint than the reference" >&2; exit 1; }
 for ck in ckpt ckpt_ref; do
-    [ ! -e "$tmpdir/$ck/eleph.ckpt.tmp" ] \
-        || { echo "crash safety: $ck/eleph.ckpt.tmp left behind: an image was in flight at exit" >&2; exit 1; }
+    check_ckpt_dir "$tmpdir/$ck" "crash safety"
 done
+diff -r "$tmpdir/ckpt" "$tmpdir/ckpt_ref" \
+    || { echo "crash safety: resumed run ends on a different checkpoint directory than the reference" >&2; exit 1; }
 
 echo "== churn determinism: replay the same update schedule twice, diff JSONL =="
 "$eleph" churn --prefixes 2000 --seed 9 --start-unix 995990400 \
@@ -322,18 +344,25 @@ cargo test -q -p eleph-core --lib sketch::tests::slot_heap
 cargo test -q -p eleph-tests --test sketch_equivalence \
     sketch_checkpoint_resume_is_bit_identical_under_eviction
 
-echo "== checkpoint bytes: fixtures, crc32 vs bytewise, in-place vs copying encoder, buffer reuse, resume cadence, fingerprint refusals, failed writes =="
+echo "== checkpoint bytes: fixtures, crc32 vs bytewise, in-place vs copying encoder, buffer reuse, resume cadence, fingerprint refusals, failed writes, the log, bytes per image =="
 cargo test -q -p eleph-pipeline --lib -- \
     checkpoint::tests::sample_images_equal_the_committed_fixtures \
     checkpoint::tests::crc32_ \
     checkpoint::tests::in_place_image_equals_the_copying_oracle \
     checkpoint::tests::a_reused_buffer_holds_only_the_new_image \
-    checkpoint::tests::a_dead_writer_is_an_io_error_not_a_hang
+    checkpoint::tests::a_dead_writer_is_an_io_error_not_a_hang \
+    checkpoint::tests::a_log_backed_image_loads_as_the_self_contained_one \
+    checkpoint::tests::every_flipped_log_byte_below_the_watermark_is_rejected \
+    checkpoint::tests::every_log_truncation_below_the_watermark_is_a_format_error \
+    checkpoint::tests::log_bytes_past_the_watermark_are_ignored_by_load_and_cut_by_resume \
+    checkpoint::tests::a_missing_log_is_an_io_error_naming_its_path \
+    checkpoint::tests::log_counts_are_bounded_by_the_log
 cargo test -q -p eleph-tests --test checkpoint_restore -- \
     synthetic_run_checkpoints_equal_their_recorded_length_and_crc \
     resumed_run_keeps_the_uninterrupted_cadence \
     resume_refuses_every_fingerprint_field_by_name \
-    a_failed_image_write_is_a_typed_error
+    a_failed_image_write_is_a_typed_error \
+    checkpoint_bytes_follow_what_changed
 cargo test -q -p eleph-report --test cli_usage an_unwritable_checkpoint_exits_1_naming_its_path
 
 echo "== thread count: one core vs every core, and a piped capture, byte-for-byte =="
@@ -358,11 +387,16 @@ for pin in "${pins[@]}"; do
 done
 grep -q '"route_updates":0' "$tmpdir/live_all.summary" \
     && { echo "thread count: no update batch was applied mid-stream" >&2; exit 1; }
+for pin in "${pins[@]}"; do
+    check_ckpt_dir "$tmpdir/ck_$pin" "thread count"
+done
 if [ "${#pins[@]}" -eq 2 ]; then
-    for f in static_one.jsonl live_one.jsonl ck_one/eleph.ckpt; do
+    for f in static_one.jsonl live_one.jsonl; do
         cmp "$tmpdir/$f" "$tmpdir/${f//one/all}" \
             || { echo "thread count: $f differs between one core and every core" >&2; exit 1; }
     done
+    diff -r "$tmpdir/ck_one" "$tmpdir/ck_all" \
+        || { echo "thread count: the checkpoint directory differs between one core and every core" >&2; exit 1; }
     images() { grep -o '"checkpoints":[0-9]*' "$tmpdir/live_$1.summary"; }
     [ -n "$(images all)" ] && [ "$(images one)" = "$(images all)" ] \
         || { echo "thread count: image count $(images one) on one core, $(images all) on every core" >&2; exit 1; }

@@ -52,6 +52,24 @@ pub fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// Files by name, with their bytes.
+pub type Files = Vec<(String, Vec<u8>)>;
+
+/// Every file in `dir` and its bytes, sorted by name: what a checkpoint
+/// directory holds, to compare one with another.
+pub fn dir_files(dir: &Path) -> Files {
+    let mut files: Files = fs::read_dir(dir)
+        .expect("read dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            let name = entry.file_name().into_string().expect("utf-8 name");
+            (name, fs::read(entry.path()).expect("read file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 /// A `RotatingJsonlSink` output chain in chronological order:
 /// `path.1`, `path.2`, …, then the current file at `path`.
 pub fn read_chain(path: &Path) -> Vec<u8> {

@@ -15,13 +15,13 @@ use eleph_bgp::{BgpTable, LiveBgpTable, RouteEntry, RouteUpdate, UpdateBatch};
 use eleph_core::{ConstantLoadDetector, Scheme};
 use eleph_net::Prefix;
 use eleph_packet::pcap::PcapWriter;
-use eleph_packet::{LinkType, PacketBuilder};
+use eleph_packet::{IpProtocol, LinkType, PacketBuilder, PacketMeta};
 use eleph_pipeline::{
     crc32, skip_offered, Checkpoint, CheckpointError, Checkpointer, CollectedInterval, Collector,
     PcapSource, PipelineBuilder, PipelineError, PipelineReport, RotatingJsonlSink,
     CHECKPOINT_FILE,
 };
-use eleph_tests::{capture_of, read_chain, scratch, small_link, OneChunkPerRun};
+use eleph_tests::{capture_of, dir_files, read_chain, scratch, small_link, Files, OneChunkPerRun};
 use eleph_trace::{CrashPoint, CrashSwitch};
 use proptest::prelude::*;
 
@@ -435,27 +435,33 @@ fn resume_refuses_every_fingerprint_field_by_name() {
 /// A resumed run continues the cadence of the run that wrote its
 /// checkpoint: resumed at k sealed intervals with a cadence of n, it
 /// writes nothing before k + n, and every image it writes from there on
-/// is the uninterrupted run's at the same interval count, byte for
-/// byte. (It used to rewrite the checkpoint it had just loaded at the
-/// first chunk boundary — one chunk of packets later, no interval
-/// sealed — and its cadence counted from there.)
+/// is the uninterrupted run's at the same interval count — loaded and
+/// re-encoded, byte for byte. (It used to rewrite the checkpoint it had
+/// just loaded at the first chunk boundary — one chunk of packets later,
+/// no interval sealed — and its cadence counted from there.) Resumed
+/// from the directory as the uninterrupted run left it at an image, it
+/// leaves every file of the uninterrupted run's directory after each of
+/// its images, the log's name included; resumed from the same image
+/// planted self-contained (version 2), it writes the same images.
 #[test]
 fn resumed_run_keeps_the_uninterrupted_cadence() {
     let (table, pcap, t, start, n) = capture(404, 12);
     let scheme = Scheme::LatentHeat { window: 2 };
     let every = 3;
     // Run in `dir`, from its checkpoint file if it holds one, one chunk
-    // per `run_checkpointed`; every image written, in order.
-    let images_of_run_in = |dir: &Path| -> Vec<Vec<u8>> {
+    // per `run_checkpointed`; every image written, in order, loaded and
+    // re-encoded, with the directory's files after it.
+    let images_of_run_in = |dir: &Path| -> Vec<(Vec<u8>, Files)> {
         let mut checkpointer = Checkpointer::new(dir, every).expect("checkpointer");
         let file = checkpointer.path().to_path_buf();
-        let mut last = fs::read(&file).unwrap_or_default();
+        let image = || Checkpoint::load(&file).map(|ckpt| ckpt_bytes(&ckpt)).unwrap_or_default();
+        let mut last = image();
         let mut source = OneChunkPerRun::new(PcapSource::new(&pcap[..]).expect("valid pcap"));
         let builder = builder(&table, scheme, t, start, n);
         let mut pipeline = if last.is_empty() {
             builder.build()
         } else {
-            let ckpt = Checkpoint::read_from(&mut &last[..]).expect("checkpoint");
+            let ckpt = Checkpoint::load(&file).expect("checkpoint");
             skip_offered(&mut source.inner, ckpt.offered()).expect("skip consumed records");
             builder.resume(&ckpt).expect("resume")
         };
@@ -464,9 +470,9 @@ fn resumed_run_keeps_the_uninterrupted_cadence() {
             pipeline
                 .run_checkpointed(&mut source, &mut checkpointer)
                 .expect("run");
-            let now = fs::read(&file).unwrap_or_default();
+            let now = image();
             if now != last {
-                images.push(now.clone());
+                images.push((now.clone(), dir_files(dir)));
                 last = now;
             }
         }
@@ -474,8 +480,8 @@ fn resumed_run_keeps_the_uninterrupted_cadence() {
         assert_eq!(checkpointer.written().images, images.len() as u64);
         images
     };
-    let sealed_at = |image: &Vec<u8>| {
-        Checkpoint::read_from(&mut &image[..])
+    let sealed_at = |image: &(Vec<u8>, Files)| {
+        Checkpoint::read_from(&mut &image.0[..])
             .expect("a written image loads")
             .intervals_sealed()
     };
@@ -484,9 +490,13 @@ fn resumed_run_keeps_the_uninterrupted_cadence() {
     let uninterrupted = images_of_run_in(&dir);
     let sealed: Vec<usize> = uninterrupted.iter().map(sealed_at).collect();
     assert_eq!(sealed, [3, 6, 9], "one image every {every} sealed intervals");
-    for (i, image) in uninterrupted.iter().enumerate() {
+    for (i, (image, files)) in uninterrupted.iter().enumerate() {
+        let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names.len(), 2, "the image and one log: {names:?}");
         let run_dir = scratch("cadence-run");
-        fs::write(run_dir.join(CHECKPOINT_FILE), image).expect("plant checkpoint");
+        for (name, bytes) in files {
+            fs::write(run_dir.join(name), bytes).expect("plant the directory");
+        }
         let resumed = images_of_run_in(&run_dir);
         assert!(
             resumed == uninterrupted[i + 1..],
@@ -496,8 +506,25 @@ fn resumed_run_keeps_the_uninterrupted_cadence() {
             &sealed[i + 1..],
         );
         fs::remove_dir_all(&run_dir).ok();
+
+        let run_dir = scratch("cadence-run-v2");
+        fs::write(run_dir.join(CHECKPOINT_FILE), image).expect("plant a version-2 image");
+        let resumed: Vec<Vec<u8>> =
+            images_of_run_in(&run_dir).into_iter().map(|(image, _)| image).collect();
+        let want: Vec<Vec<u8>> =
+            uninterrupted[i + 1..].iter().map(|(image, _)| image.clone()).collect();
+        assert!(resumed == want, "resumed at {} sealed from a version-2 image", sealed[i]);
+        fs::remove_dir_all(&run_dir).ok();
     }
     fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint as its self-contained image: what `Checkpoint::load`
+/// read, re-encoded through `write_to`.
+fn ckpt_bytes(ckpt: &Checkpoint) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    ckpt.write_to(&mut bytes).expect("write to a Vec");
+    bytes
 }
 
 /// An image the writer thread cannot write fails the run with the typed
@@ -542,7 +569,8 @@ fn a_failed_image_write_is_a_typed_error() {
 }
 
 /// The final `eleph.ckpt` of a seeded `eleph run --synth`, per scheme
-/// and state backend, against the length and CRC-32 the same command
+/// and state backend, loaded with its log and re-encoded as the
+/// self-contained image, against the length and CRC-32 the same command
 /// left behind before images were built in place (zlib's `crc32` of the
 /// whole file) — a format drift shows here even if encoder and decoder
 /// drift together.
@@ -567,7 +595,8 @@ fn synthetic_run_checkpoints_equal_their_recorded_length_and_crc() {
         );
         let args: Vec<String> = args.split_whitespace().map(str::to_string).collect();
         eleph_report::cli::run_streaming(&args).expect("eleph run");
-        let image = fs::read(ckpt_dir.join(CHECKPOINT_FILE)).expect("checkpoint file");
+        let loaded = Checkpoint::load(ckpt_dir.join(CHECKPOINT_FILE)).expect("checkpoint file");
+        let image = ckpt_bytes(&loaded);
         assert_eq!(
             (image.len(), crc32(&image)),
             (len, crc),
@@ -575,6 +604,99 @@ fn synthetic_run_checkpoints_equal_their_recorded_length_and_crc() {
         );
         fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Checkpoints cost what changed, not what the run has seen: a steady
+/// synthetic run of 2 400 one-second intervals at cadence 1, whose key
+/// set keeps growing (two keys a second that were never seen before,
+/// beside twenty recurring ones), cut into chunks that end on the first
+/// packet of an interval. Once the window is full, every image puts on
+/// disk — image and log append — at most 16 bytes per key in the
+/// window's sums, one slot, 9 bytes per key assigned since the image
+/// before, and 512 bytes of framing; and the directory never holds more
+/// than twice the key table and window, as the log frames them, plus
+/// the image.
+#[test]
+fn checkpoint_bytes_follow_what_changed() {
+    const INTERVALS: u64 = 2_400;
+    const WINDOW: usize = 12;
+    const START: u64 = 1_000_000;
+    let table = synth::generate(&SynthConfig { n_prefixes: 8_000, ..SynthConfig::default() });
+    let dsts: Vec<Ipv4Addr> = table.iter().map(|e| e.prefix.network()).collect();
+    assert!(dsts.len() >= 2_000 + 2 * INTERVALS as usize);
+    let packet = |interval: u64, i: u64, dst: Ipv4Addr| PacketMeta {
+        ts_ns: (START + interval) * 1_000_000_000 + i * 1_000_000,
+        src: Ipv4Addr::new(198, 18, 0, 1),
+        dst,
+        proto: IpProtocol::Udp,
+        src_port: 9,
+        dst_port: 53,
+        wire_len: 100 + 7 * i as u32,
+    };
+    // Interval k: twenty packets among 2 000 recurring routes, then two
+    // to routes no interval before it reached.
+    let intervals: Vec<Vec<PacketMeta>> = (0..INTERVALS)
+        .map(|k| {
+            let recurring = (0..20).map(|i| dsts[((k * 7 + i * 13) % 2_000) as usize]);
+            let fresh = (0..2).map(|i| dsts[(2_000 + 2 * k + i) as usize]);
+            recurring.chain(fresh).enumerate().map(|(i, dst)| packet(k, i as u64, dst)).collect()
+        })
+        .collect();
+    let dir = scratch("bytes");
+    let mut checkpointer = Checkpointer::new(&dir, 1).expect("checkpointer");
+    let mut pipeline = PipelineBuilder::new()
+        .table(&table)
+        .interval_secs(1)
+        .start_unix(START)
+        .scheme(Scheme::LatentHeat { window: WINDOW })
+        .build();
+    assert!(!checkpointer.maybe_write(&mut pipeline).expect("cadence starts"));
+    pipeline.observe_chunk(&intervals[0][..1]).expect("first packet");
+    let mut keys_before = 0;
+    for k in 0..INTERVALS as usize {
+        // The rest of interval k and the first packet of k + 1, which
+        // seals k: one image per chunk, its open row one packet.
+        let mut chunk = intervals[k][1..].to_vec();
+        chunk.extend(intervals.get(k + 1).map(|next| next[0]));
+        pipeline.observe_chunk(&chunk).expect("observe");
+        if k + 1 == INTERVALS as usize {
+            break;
+        }
+        assert!(checkpointer.maybe_write(&mut pipeline).expect("image"), "interval {k}");
+        checkpointer.flush().expect("image on disk");
+        let sealed = pipeline.intervals_sealed();
+        assert_eq!(sealed, k + 1);
+        let written = checkpointer.written();
+        let keys = pipeline.keys().len();
+        let new_keys = keys - std::mem::replace(&mut keys_before, keys);
+        // A slot holds at most a key per packet of its interval.
+        let slot = |interval: usize| intervals[interval].len();
+        if sealed > WINDOW {
+            let bound = 16 * pipeline.tracked_keys() + (16 + 8 * slot(k)) + 9 * new_keys + 512;
+            assert!(
+                written.last_bytes as usize <= bound,
+                "image at {sealed} sealed put {} bytes on disk, more than {bound}",
+                written.last_bytes
+            );
+        }
+        // The log's live part: its header, one key record, the window's
+        // slot records (kind, length and CRC around interval, threshold
+        // term and 8 bytes a key).
+        let key_table = 12 + 21 + 9 * keys;
+        let window: usize = (sealed.saturating_sub(WINDOW)..sealed).map(|i| 29 + 8 * slot(i)).sum();
+        let image = fs::metadata(checkpointer.path()).expect("image").len() as usize;
+        let on_disk: u64 = fs::read_dir(&dir)
+            .expect("read dir")
+            .map(|entry| entry.expect("entry").metadata().expect("metadata").len())
+            .sum();
+        assert!(
+            on_disk as usize <= 2 * (key_table + window) + image,
+            "{on_disk} bytes in the directory at {sealed} sealed: key table {key_table}, \
+             window {window}, image {image}"
+        );
+    }
+    assert!(checkpointer.written().compactions > 0, "the log was compacted");
+    fs::remove_dir_all(&dir).ok();
 }
 
 /// A compact random packet (same generator as the streaming-equivalence
