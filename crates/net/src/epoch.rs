@@ -12,17 +12,21 @@
 //!   behind an `Arc`. Untouched pages all share one zero page, so an
 //!   empty table costs ~48 KiB instead of 64 MiB — the moral equivalent
 //!   of `FlatLpm`'s masked single-slot empty representation, except it
-//!   upgrades in place on first insert: announcing a route copies-on-write
-//!   only the pages its range covers.
+//!   upgrades on first insert: announcing a route materializes only the
+//!   pages its range covers.
 //! * A writer applies an announce/withdraw batch by **repainting only the
 //!   slot range the changed prefix covers** (one slot for a /24, 256
-//!   pages for a /8 — never the whole table), copying-on-write each
-//!   touched page, then publishes the new page table as a fresh
-//!   [`LpmSnapshot`] under a bumped generation number.
-//! * Readers [`EpochLpm::pin`] a snapshot: an `Arc` clone taken under a
-//!   briefly-held read lock. Once pinned, `lookup_many` batches run
+//!   pages for a /8 — never the whole table) under a bumped generation
+//!   number. The table keeps no published copy of itself: a page is
+//!   written in place unless a pinned snapshot still shares it, and only
+//!   then copied first (`Arc::make_mut`). A reader that re-pins after
+//!   each batch, as the pipeline does, costs the writer no copies at all.
+//! * Readers [`EpochLpm::pin`] a snapshot: the page table's and the spill
+//!   blocks' `Arc`s (4096 + one per block), cloned under the writer lock
+//!   — so a pin waits for an `apply` in progress and costs ~32 KiB plus
+//!   an `Arc` bump per page. Once pinned, `lookup_many` batches run
 //!   **wait-free** — they touch only the snapshot's own `Arc`s, which no
-//!   writer ever mutates (writers copy; they never write in place).
+//!   writer mutates while the snapshot holds them.
 //!
 //! The table stores bare `u32` ids; the caller owns id assignment and
 //! the id → value mapping (`eleph_bgp::LiveBgpTable` layers stable
@@ -30,25 +34,32 @@
 //! miss, bit 31 set = spill-block index, otherwise `id + 1`.
 //!
 //! Writers are serialized by a mutex; `apply` cost is O(covered slots +
-//! contained entries), and the published snapshot shares every page and
-//! spill block the batch did not touch. Old pinned snapshots stay valid
-//! (and immutable) for as long as the reader holds them — that is the
-//! epoch: a generation retires only when its last reader drops it.
+//! contained entries), plus one 16 KiB copy per touched page some
+//! pinned snapshot shares. Old pinned snapshots stay valid (and
+//! immutable) for as long as the reader holds them — that is the epoch:
+//! a generation retires only when its last reader drops it.
 //!
 //! [`EpochLpm::from_entries`] paints through the routine `FlatLpm` uses
-//! (`paint.rs`) and builds the table `apply`-ing its whole range would —
-//! the same pages, the same pages left on the zero page, the same spill
-//! indices. Nothing here spawns a thread. `FlatLpm` stripes its paint
-//! over the cores because its stage 1 is one allocation the threads only
-//! write into; these pages are allocations of their own, which a helper
-//! thread would take from its own malloc arena, and a page `apply` later
-//! copies away would be freed into an arena the writer never allocates
-//! from again (`ops_live` `peak_rss_mib` read 97.2 → 108.0 MiB with a
-//! striped paint, for ~7 ms of start-up).
+//! (`paint.rs`), striped over the cores as `FlatLpm`'s is, and builds
+//! the table `apply`-ing its whole range would — the same pages, the
+//! same pages left on the zero page, the same spill indices, whatever
+//! the thread count. The pages a helper thread paints come from its own
+//! malloc arena; while `apply` copied every page it touched, each copy
+//! freed a helper's page into an arena the writer never allocates from
+//! again, which is why the paint used to stay on one thread. Writing in
+//! place, the pages stay where they were painted. `ops_live` on a
+//! 2-core guest, `peak_rss_mib` over 5 runs and the median `setup_secs`:
+//!
+//! | variant | peak RSS, MiB | `setup_secs` |
+//! |---|---:|---:|
+//! | copy on every write, one-thread paint | 96.0 | 0.103 |
+//! | copy on every write, striped paint | 107.4 | 0.081 |
+//! | in place, one-thread paint | 71.0 | 0.102 |
+//! | in place, striped paint | 72.1 | 0.085 |
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 use crate::flat::{EMPTY, SPILL_BIT};
 use crate::paint::{self, Page, SpillBlock, N_PAGES, PAGE_BITS, PAGE_MASK, PAGE_SLOTS};
@@ -79,7 +90,7 @@ pub enum LpmDelta {
 /// Result of one [`EpochLpm::apply`] batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Applied {
-    /// Generation number of the snapshot published for this batch.
+    /// Generation number this batch was applied as.
     pub generation: u64,
     /// Ids that stopped being reachable: withdrawn entries plus entries
     /// replaced by a re-announce, in batch order. Withdraws of absent
@@ -87,10 +98,11 @@ pub struct Applied {
     pub retired: Vec<u32>,
 }
 
-/// An immutable published generation of an [`EpochLpm`].
+/// An immutable generation of an [`EpochLpm`].
 ///
 /// Obtained from [`EpochLpm::pin`]; lookups against it never block and
-/// never observe a later write. Cloning is an `Arc` bump.
+/// never observe a later write (while it shares a page, the writer
+/// copies that page before writing it). Cloning the `Arc` is a bump.
 pub struct LpmSnapshot {
     pages: Vec<Arc<Page>>,
     spill: Vec<Arc<SpillBlock>>,
@@ -146,7 +158,7 @@ impl LpmSnapshot {
         }
     }
 
-    /// The generation number this snapshot was published under.
+    /// The generation number this snapshot was pinned at.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -173,7 +185,8 @@ impl LpmView<u32> for LpmSnapshot {
 
 /// Writer-side state: the authoritative prefix → id map plus the
 /// current paint. Guarded by [`EpochLpm::writer`]; snapshots are built
-/// by cloning the `Arc` vectors.
+/// by cloning the `Arc` vectors, and the writer writes a page or spill
+/// block in place whenever no snapshot shares it.
 struct Writer {
     /// Source-of-truth RIB: every live prefix and its current id.
     rib: BTreeMap<Prefix, u32>,
@@ -187,7 +200,7 @@ struct Writer {
     spill: Vec<Arc<SpillBlock>>,
     /// Spill indices orphaned by withdraws/repaints, reused first.
     free_spill: Vec<u32>,
-    /// Generation of the most recently published snapshot.
+    /// Generation of the last applied batch.
     generation: u64,
 }
 
@@ -222,7 +235,8 @@ impl Writer {
         self.pages[block >> PAGE_BITS][block & PAGE_MASK]
     }
 
-    /// Overwrite the stage-1 slot for /24 block `block` (copy-on-write).
+    /// Overwrite the stage-1 slot for /24 block `block` (in place, or a
+    /// copy of the page if a snapshot shares it).
     fn set_slot(&mut self, block: usize, val: u32) {
         Arc::make_mut(&mut self.pages[block >> PAGE_BITS])[block & PAGE_MASK] = val;
     }
@@ -400,12 +414,13 @@ impl Writer {
     }
 }
 
-/// An incrementally updatable LPM table with epoch-swapped publication.
+/// An incrementally updatable LPM table with pinned, immutable
+/// generations.
 ///
 /// See the [module docs](self) for the design. In short: one writer at
-/// a time [`EpochLpm::apply`]s announce/withdraw batches (each batch
-/// publishes a new generation); any number of readers [`EpochLpm::pin`]
-/// the current generation and run wait-free lookups against it.
+/// a time [`EpochLpm::apply`]s announce/withdraw batches (each batch is
+/// a new generation); any number of readers [`EpochLpm::pin`] the
+/// current generation and run wait-free lookups against it.
 ///
 /// ```
 /// use eleph_net::{EpochLpm, LpmDelta, Prefix};
@@ -420,27 +435,32 @@ impl Writer {
 /// ```
 pub struct EpochLpm {
     writer: Mutex<Writer>,
-    current: RwLock<Arc<LpmSnapshot>>,
 }
 
 impl EpochLpm {
     /// An empty table at generation 0. Costs ~48 KiB (one shared zero
     /// page plus the page table), not the 64 MiB of a populated
-    /// stage 1; pages materialize copy-on-write as routes are announced.
+    /// stage 1; pages materialize as routes are announced.
     pub fn new() -> Self {
-        let writer = Writer::new();
-        let snap = writer.snapshot();
-        EpochLpm { writer: Mutex::new(writer), current: RwLock::new(snap) }
+        EpochLpm { writer: Mutex::new(Writer::new()) }
     }
 
-    /// Bulk-build from `(prefix, id)` entries (later duplicates win),
-    /// published as generation 0. Equivalent to applying every entry as
-    /// an announce but painted in one pass, on the calling thread (see
-    /// the [module docs](self) for why not on more).
+    /// Bulk-build from `(prefix, id)` entries (later duplicates win) as
+    /// generation 0. Equivalent to applying every entry as an announce
+    /// but painted in one pass, stage 1 striped over the cores.
     ///
     /// # Panics
     /// If any id is `>= 2³¹ − 1` (the encoding reserves bit 31).
     pub fn from_entries<I>(entries: I) -> Self
+    where
+        I: IntoIterator<Item = (Prefix, u32)>,
+    {
+        Self::from_entries_striped(entries, paint::stripes())
+    }
+
+    /// [`EpochLpm::from_entries`] with stage 1 painted on `stripes`
+    /// threads.
+    fn from_entries_striped<I>(entries: I, stripes: usize) -> Self
     where
         I: IntoIterator<Item = (Prefix, u32)>,
     {
@@ -451,20 +471,20 @@ impl EpochLpm {
         let entries = crate::rib_order(entries, |e| e.0);
         let mut writer = Writer::new();
         let Writer { pages, spill, .. } = &mut writer;
-        paint::paint(&entries, pages, 1, |block| {
+        paint::paint(&entries, pages, stripes, |block| {
             spill.push(Arc::new(block));
             (spill.len() - 1) as u32
         });
         // Built in bulk from RIB order, not inserted one entry at a time.
         writer.rib = entries.into_iter().collect();
-        let snap = writer.snapshot();
-        EpochLpm { writer: Mutex::new(writer), current: RwLock::new(snap) }
+        EpochLpm { writer: Mutex::new(writer) }
     }
 
-    /// Apply a batch of deltas and publish the result as a new
-    /// generation (even an empty batch publishes, so callers can use
-    /// generations to fence). Writers are serialized; concurrent
-    /// readers keep resolving against their pinned snapshots throughout.
+    /// Apply a batch of deltas as a new generation (even an empty batch
+    /// bumps it, so callers can use generations to fence). Writers are
+    /// serialized; pages no snapshot shares are written in place, and
+    /// concurrent readers keep resolving against their pinned snapshots
+    /// throughout.
     ///
     /// # Panics
     /// If an announced id is `>= 2³¹ − 1`.
@@ -489,21 +509,21 @@ impl EpochLpm {
             }
         }
         w.generation += 1;
-        let snap = w.snapshot();
-        *self.current.write().expect("epoch publish lock poisoned") = snap;
         Applied { generation: w.generation, retired }
     }
 
-    /// Pin the current generation: an `Arc` clone under a briefly-held
-    /// read lock. All lookups against the returned snapshot are
-    /// wait-free and see exactly that generation.
+    /// Pin the current generation: the page table's and spill blocks'
+    /// `Arc`s, cloned under the writer lock (so this waits for an
+    /// `apply` in progress). All lookups against the returned snapshot
+    /// are wait-free and see exactly that generation; while it is held,
+    /// `apply` copies each page it shares before writing it.
     pub fn pin(&self) -> Arc<LpmSnapshot> {
-        self.current.read().expect("epoch publish lock poisoned").clone()
+        self.writer.lock().expect("epoch writer poisoned").snapshot()
     }
 
-    /// Generation of the most recently published snapshot.
+    /// Generation of the last applied batch (0 = as built).
     pub fn generation(&self) -> u64 {
-        self.pin().generation
+        self.writer.lock().expect("epoch writer poisoned").generation
     }
 
     /// Number of live prefixes.
@@ -714,6 +734,32 @@ mod tests {
     }
 
     #[test]
+    fn apply_writes_in_place_unless_a_snapshot_is_pinned() {
+        let table = EpochLpm::new();
+        table.apply(&[announce("10.0.0.0/16", 1)]);
+        // 10.0.0.0/12 is exactly one page, materialized by the /16.
+        let page = 0x0A00_0000usize >> (8 + PAGE_BITS);
+        let page_at = |t: &EpochLpm| Arc::as_ptr(&t.writer.lock().unwrap().pages[page]);
+        let painted = page_at(&table);
+
+        table.apply(&[announce("10.0.1.0/24", 2)]);
+        assert_eq!(page_at(&table), painted, "no snapshot pinned: written in place");
+
+        let pinned = table.pin();
+        table.apply(&[announce("10.0.1.0/24", 3)]);
+        let copied = page_at(&table);
+        assert_ne!(copied, painted, "a pinned snapshot shares the page: the writer copies it");
+        assert_eq!(Arc::as_ptr(&pinned.pages[page]), painted);
+        assert_eq!(pinned.lookup_id(0x0A00_0101), Some(2), "the pin resolves the old id");
+        assert_eq!(table.pin().lookup_id(0x0A00_0101), Some(3));
+
+        drop(pinned);
+        table.apply(&[announce("10.0.1.0/24", 4)]);
+        assert_eq!(page_at(&table), copied, "the pin dropped: in place again");
+        assert_eq!(table.pin().lookup_id(0x0A00_0101), Some(4));
+    }
+
+    #[test]
     fn from_entries_matches_incremental_build() {
         let entries = vec![
             (p("10.0.0.0/8"), 0),
@@ -742,8 +788,7 @@ mod tests {
             writer.rib.insert(prefix, id);
         }
         writer.repaint(Prefix::DEFAULT);
-        let snap = writer.snapshot();
-        EpochLpm { writer: Mutex::new(writer), current: RwLock::new(snap) }
+        EpochLpm { writer: Mutex::new(writer) }
     }
 
     /// `a` and `b` are one table: the same RIB, the same pages with the
@@ -796,6 +841,33 @@ mod tests {
                 };
                 assert_eq!(new.apply(&[delta]), old.apply(&[delta]));
                 assert_same_table(&new, &old, &format!("after op {k}"));
+            }
+        }
+    }
+
+    proptest! {
+        // Six builds and up to 51 whole-table comparisons a case.
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn from_entries_striped_is_one_table_at_every_stripe_count(
+            entries in prop::collection::vec((arb_prefix(), 0u32..1000), 0..40),
+            ops in prop::collection::vec((arb_prefix(), any::<bool>(), 0u32..1000), 0..16),
+        ) {
+            // Two tables at a time: a /0 entry materializes all 64 MiB.
+            for stripes in [2, 3, 8] {
+                let one = EpochLpm::from_entries_striped(entries.iter().copied(), 1);
+                let striped = EpochLpm::from_entries_striped(entries.iter().copied(), stripes);
+                assert_same_table(&striped, &one, &format!("{stripes} stripes as built"));
+                for (k, &(prefix, announce, id)) in ops.iter().enumerate() {
+                    let delta = if announce {
+                        LpmDelta::Announce { prefix, id }
+                    } else {
+                        LpmDelta::Withdraw { prefix }
+                    };
+                    assert_eq!(striped.apply(&[delta]), one.apply(&[delta]));
+                    assert_same_table(&striped, &one, &format!("{stripes} stripes, op {k}"));
+                }
             }
         }
     }

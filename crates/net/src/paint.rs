@@ -2,11 +2,11 @@
 //! both [`crate::FlatLpm`] (stage 1 as one contiguous array) and
 //! [`crate::EpochLpm::from_entries`] (stage 1 as copy-on-write pages).
 //!
-//! Stage 1 is painted on as many threads as the caller asks for (`FlatLpm`
-//! asks for [`stripes`]; `EpochLpm` for one, see its module docs), each
-//! owning one contiguous address range, so each thread first-touches
-//! only its own pages; spill blocks are then painted on the calling
-//! thread. The result never depends on the thread count:
+//! Stage 1 is painted on as many threads as the caller asks for (both
+//! tables ask for [`stripes`]), each owning one contiguous address
+//! range, so each thread first-touches only its own pages; spill blocks
+//! are then painted on the calling thread. The result never depends on
+//! the thread count:
 //!
 //! * every stage-1 slot belongs to exactly one stripe, which writes it in
 //!   the order a serial paint would;
@@ -24,8 +24,8 @@ use crate::Prefix;
 
 /// log2 of the stage-1 page size. 12 → 4096 slots = 16 KiB per page,
 /// 4096 pages to cover the 2²⁴ stage-1 slots: small enough that a /24
-/// update copies one page, large enough that the page table (4096
-/// `Arc`s) clones cheaply per published generation.
+/// update under a pinned snapshot copies one page, large enough that
+/// the page table (4096 `Arc`s) clones cheaply per pin.
 pub(crate) const PAGE_BITS: usize = 12;
 /// Slots per stage-1 page.
 pub(crate) const PAGE_SLOTS: usize = 1 << PAGE_BITS;

@@ -1,6 +1,7 @@
 //! Property tests: both real LPM tables (flat and epoch) must agree with
-//! the linear-scan oracle on random tables, and prefixes must round-trip
-//! and contain their own endpoints.
+//! the linear-scan oracle on random tables, a pinned epoch snapshot must
+//! keep resolving its own generation, and prefixes must round-trip and
+//! contain their own endpoints.
 
 use eleph_net::{EpochLpm, FlatLpm, LinearLpm, LpmDelta, Prefix};
 use proptest::prelude::*;
@@ -197,6 +198,94 @@ proptest! {
             prop_assert_eq!(batch, want, "lookup_many at {:#010x}", addr);
             let raw = if live_raw[i] == 0 { None } else { Some(id_to_prefix[&(live_raw[i] - 1)]) };
             prop_assert_eq!(raw, want, "lookup_many_raw at {:#010x}", addr);
+        }
+    }
+
+    /// `apply` writes a page in place unless a pinned snapshot shares
+    /// it, and copies it first if one does. Batches land in four
+    /// stage-1 pages (10.0.0.0/10) so most of them touch a page some
+    /// batch before painted; before a random subset of batches the
+    /// current generation is pinned and kept. Every kept snapshot —
+    /// and the last generation — must resolve exactly as a `FlatLpm`
+    /// frozen from its own generation's RIB, by resolved prefix, on the
+    /// scalar, `lookup_many` and `lookup_many_raw` paths.
+    #[test]
+    fn pinned_generations_stay_exact_across_in_place_and_copied_batches(
+        batches in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    (0u32..0x0040_0000, prop_oneof![8u8..=32, 20u8..=32], any::<bool>()),
+                    1..8,
+                ),
+                any::<bool>(),
+            ),
+            1..8,
+        ),
+        queries in prop::collection::vec(any::<u32>(), 0..32),
+    ) {
+        let table = EpochLpm::new();
+        let mut rib: std::collections::BTreeMap<Prefix, u32> = Default::default();
+        let mut touched: Vec<Prefix> = Vec::new();
+        let mut next_id = 0u32;
+        let mut kept = Vec::new();
+        for (generation, (ops, pin)) in batches.iter().enumerate() {
+            if *pin {
+                kept.push((generation as u64, table.pin(), rib.clone()));
+            }
+            let mut deltas = Vec::new();
+            for &(offset, len, is_withdraw) in ops {
+                // A withdraw takes a live prefix, so that it repaints.
+                if is_withdraw && !rib.is_empty() {
+                    let prefix = *rib.keys().nth(offset as usize % rib.len()).unwrap();
+                    rib.remove(&prefix);
+                    deltas.push(LpmDelta::Withdraw { prefix });
+                } else {
+                    let prefix = Prefix::from_u32(0x0A00_0000 | offset, len).unwrap();
+                    rib.insert(prefix, next_id);
+                    touched.push(prefix);
+                    deltas.push(LpmDelta::Announce { prefix, id: next_id });
+                    next_id += 1;
+                }
+            }
+            table.apply(&deltas);
+        }
+        kept.push((batches.len() as u64, table.pin(), rib));
+
+        let addrs: Vec<u32> = queries
+            .iter()
+            .copied()
+            .chain(touched.iter().flat_map(|p| {
+                let first = p.bits();
+                let last = u32::from(p.last_addr());
+                [first, last, first.wrapping_sub(1), last.wrapping_add(1)]
+            }))
+            .collect();
+        for (generation, snap, rib) in &kept {
+            prop_assert_eq!(snap.generation(), *generation);
+            let flat: FlatLpm<Prefix> = FlatLpm::from_entries(rib.keys().map(|p| (*p, *p)));
+            let id_to_prefix: std::collections::HashMap<u32, Prefix> =
+                rib.iter().map(|(p, &id)| (id, *p)).collect();
+            let resolve = |id: u32| id_to_prefix.get(&id).copied();
+            let mut batch = vec![None; addrs.len()];
+            snap.lookup_many(&addrs, &mut batch);
+            let mut raw = vec![0u32; addrs.len()];
+            snap.lookup_many_raw(&addrs, &mut raw);
+            for (i, &addr) in addrs.iter().enumerate() {
+                // A stale id (one no longer in this RIB) resolves to
+                // `Some(None)` and fails the comparison.
+                let want = flat.lookup(addr).map(|(p, _)| Some(p));
+                let scalar = snap.lookup_id(addr).map(resolve);
+                prop_assert_eq!(scalar, want, "generation {} scalar at {:#010x}", generation, addr);
+                prop_assert_eq!(
+                    batch[i].map(resolve), want,
+                    "generation {} lookup_many at {:#010x}", generation, addr
+                );
+                let raw = raw[i].checked_sub(1).map(resolve);
+                prop_assert_eq!(
+                    raw, want,
+                    "generation {} lookup_many_raw at {:#010x}", generation, addr
+                );
+            }
         }
     }
 }

@@ -2,6 +2,7 @@
 //! sealing, online classification, sink fan-out.
 
 use std::fmt;
+use std::time::Instant;
 
 use eleph_bgp::{BgpTable, FrozenBgpTable, LiveBgpTable, RouteId, TableView, UpdateBatch};
 use eleph_core::{
@@ -158,6 +159,10 @@ pub struct PipelineReport {
     /// Scheduled route-update batches applied over the whole run
     /// (counting batches replayed before a resume).
     pub route_updates_applied: u64,
+    /// Wall-clock seconds this process's packet thread spent applying
+    /// scheduled route-update batches and re-pinning the table view
+    /// (0 for a frozen table).
+    pub route_update_secs: f64,
     /// Distinct keys attributed over the run (`keys.len()`), reported
     /// separately so memory claims are reproducible from a summary
     /// alone.
@@ -173,15 +178,24 @@ pub struct PipelineReport {
 
 /// The routing table a pipeline attributes against: either a frozen
 /// snapshot (generation 0 forever) or a live [`LiveBgpTable`] plus the
-/// pinned [`TableView`] the hot path currently reads. Applying an
-/// update batch re-pins the view; packets already attributed keep the
-/// route ids (and therefore keys) the old generation gave them.
+/// pinned [`TableView`] the hot path currently reads. Applying update
+/// batches releases the view first, so they write the table in place
+/// instead of copying what the view shares, and re-pins it after;
+/// packets already attributed keep the route ids (and therefore keys)
+/// the old generation gave them.
 enum TableHandle<'t> {
     Frozen(FrozenTableRef<'t>),
     Live {
         table: &'t LiveBgpTable,
-        view: TableView,
+        /// `None` only while [`Pipeline::apply_due_updates`] applies.
+        view: Option<TableView>,
     },
+}
+
+/// A live handle's view, pinned everywhere outside
+/// [`Pipeline::apply_due_updates`].
+fn pinned(view: &Option<TableView>) -> &TableView {
+    view.as_ref().expect("the table view is re-pinned after every batch")
 }
 
 impl TableHandle<'_> {
@@ -190,14 +204,14 @@ impl TableHandle<'_> {
     fn id_space(&self) -> usize {
         match self {
             TableHandle::Frozen(t) => t.get().len(),
-            TableHandle::Live { view, .. } => view.n_ids(),
+            TableHandle::Live { view, .. } => pinned(view).n_ids(),
         }
     }
 
     fn generation(&self) -> u64 {
         match self {
             TableHandle::Frozen(_) => 0,
-            TableHandle::Live { view, .. } => view.generation(),
+            TableHandle::Live { view, .. } => pinned(view).generation(),
         }
     }
 
@@ -206,14 +220,14 @@ impl TableHandle<'_> {
     fn prefix(&self, route: RouteId) -> Prefix {
         match self {
             TableHandle::Frozen(t) => t.get().prefix(route),
-            TableHandle::Live { view, .. } => view.prefix(route),
+            TableHandle::Live { view, .. } => pinned(view).prefix(route),
         }
     }
 
     fn attribute(&self, metas: &[PacketMeta], routes: &mut Vec<Option<RouteId>>) {
         match self {
             TableHandle::Frozen(t) => attribute_metas(t.get(), metas, routes),
-            TableHandle::Live { view, .. } => attribute_metas(view, metas, routes),
+            TableHandle::Live { view, .. } => attribute_metas(pinned(view), metas, routes),
         }
     }
 }
@@ -285,11 +299,11 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     /// Attribute against a *live* table: update batches (applied by
     /// this pipeline's [`PipelineBuilder::route_updates`] schedule, or
     /// by the caller between chunks) take effect mid-stream without a
-    /// refreeze. The pipeline pins a view at build time and re-pins
-    /// after every batch it applies.
+    /// refreeze. The pipeline pins a view at build time, releases it
+    /// while its own batches apply and re-pins after them.
     pub fn live(mut self, table: &'t LiveBgpTable) -> Self {
         self.table = Some(TableHandle::Live {
-            view: table.view(),
+            view: Some(table.view()),
             table,
         });
         self
@@ -433,6 +447,7 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
             updates: self.updates,
             update_ns,
             next_update: 0,
+            route_update_secs: 0.0,
             interval_secs: self.interval_secs,
             secs: self.interval_secs as f64,
             start_unix: self.start_unix,
@@ -543,6 +558,8 @@ pub struct Pipeline<'t, D: ThresholdDetector> {
     update_ns: Vec<u64>,
     /// First schedule entry not yet applied to the table.
     next_update: usize,
+    /// Seconds spent in [`Pipeline::apply_due_updates`] by this process.
+    route_update_secs: f64,
     interval_secs: u64,
     /// `interval_secs as f64`, hoisted for the seal-path rate division.
     secs: f64,
@@ -656,16 +673,23 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
         self.update_ns.get(self.next_update).copied().unwrap_or(u64::MAX)
     }
 
-    /// Apply every scheduled batch due at or before `ts_ns`, re-pinning
-    /// the table view after each so subsequent attribution sees it.
+    /// Apply every scheduled batch due at or before `ts_ns` with the
+    /// table view released — nothing else pins the table, so the
+    /// batches write it in place — then re-pin it so subsequent
+    /// attribution sees them. Only a live table has a schedule.
     fn apply_due_updates(&mut self, ts_ns: u64) {
-        while self.next_update < self.updates.len() && self.update_ns[self.next_update] <= ts_ns {
-            if let TableHandle::Live { table, view } = &mut self.table {
+        let started = Instant::now();
+        if let TableHandle::Live { table, view } = &mut self.table {
+            *view = None;
+            while self.next_update < self.updates.len()
+                && self.update_ns[self.next_update] <= ts_ns
+            {
                 table.apply(&self.updates[self.next_update].updates);
-                *view = table.view();
+                self.next_update += 1;
             }
-            self.next_update += 1;
+            *view = Some(table.view());
         }
+        self.route_update_secs += started.elapsed().as_secs_f64();
     }
 
     /// Observe one raw packet: parse, then bin; parse failures are
@@ -1113,6 +1137,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             far_future_streak: self.far_future_streak,
             generation: self.table.generation(),
             route_updates_applied: self.next_update as u64,
+            route_update_secs: self.route_update_secs,
             distinct_keys: self.keys.len(),
             state_bytes: self.row.state_bytes(),
             state_backend: self.row.kind(),

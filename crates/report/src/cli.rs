@@ -876,7 +876,8 @@ fn drive<D: ThresholdDetector, S: PacketSource>(
 
 /// The end-of-run summary as one JSON line: interval/prefix counts,
 /// every packet-accounting counter, the conservation verdict, the
-/// far-future-streak high-water mark, start-up and streaming wall-clock
+/// far-future-streak high-water mark, the route-update batches applied
+/// and the wall-clock time they took, start-up and streaming wall-clock
 /// time, throughput, (under `--checkpoint-dir`) what this process's
 /// snapshots cost — how many it wrote, the bytes the last one put on
 /// disk (image and log append), the bytes all of them did (compactions
@@ -902,6 +903,8 @@ fn summary_json(
     // opening the source, building the pipeline, streaming and the
     // final seal; the rates are over `elapsed_secs` alone — bytes are
     // the *attributed* payload bytes, packets are all offered records.
+    // `route_update_secs` is the part of `elapsed_secs` the packet
+    // thread spent applying route-update batches and re-pinning.
     // The checkpoint encode and io seconds are the writer thread's and
     // overlap `elapsed_secs`; only `checkpoint_wait_secs`, the packet
     // thread blocked on an image in flight, is inside it for certain.
@@ -918,7 +921,8 @@ fn summary_json(
         "{{\"eleph_run\":{{\"intervals\":{},\"prefixes\":{},\"offered\":{},\
          \"attributed\":{},\"attributed_bytes\":{},\"unroutable\":{},\
          \"out_of_window\":{},\"malformed\":{},\"late\":{},\"conserved\":{},\
-         \"far_future_streak\":{},\"generation\":{},\"route_updates\":{},\"resumed\":{},\
+         \"far_future_streak\":{},\"generation\":{},\"route_updates\":{},\
+         \"route_update_secs\":{:.6},\"resumed\":{},\
          \"shards\":{},\"state\":\"{}\",\"distinct_keys\":{},\"state_bytes\":{},\
          \"setup_secs\":{:.6},\"elapsed_secs\":{:.6},\"throughput_bytes_per_sec\":{:.1},\
          \"packets_per_sec\":{:.1}",
@@ -935,6 +939,7 @@ fn summary_json(
         report.far_future_streak,
         report.generation,
         report.route_updates_applied,
+        clamp(report.route_update_secs),
         resumed,
         opts.shards,
         report.state_backend,
@@ -1365,7 +1370,8 @@ mod tests {
             keys: Vec::new(),
             far_future_streak: 0,
             generation: 0,
-            route_updates_applied: 0,
+            route_updates_applied: 2,
+            route_update_secs: 0.0625,
             distinct_keys: 3,
             state_bytes: 1_048_576,
             state_backend: "spacesaving",
@@ -1432,6 +1438,10 @@ mod tests {
         );
         assert!(line.contains("\"throughput_bytes_per_sec\":0.0"));
         assert!(line.contains("\"packets_per_sec\":0.0"));
+        assert!(
+            line.contains("\"route_updates\":2,\"route_update_secs\":0.062500,\"resumed\":false,"),
+            "the routing time follows the batch count: {line}"
+        );
         assert!(line.contains("\"state\":\"spacesaving\""));
         assert!(line.contains("\"distinct_keys\":3"));
         assert!(line.contains("\"state_bytes\":1048576"));

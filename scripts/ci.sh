@@ -73,10 +73,14 @@
 #      `lines()`/`split`/`str::parse` oracle (differential + mutation
 #      proptest) and against itself cut into 2, 3 and 7 pieces (and at
 #      every line boundary, and over a read that fails part-way); the
-#      striped table paint against the serial one it replaced (`FlatLpm`
-#      at 1, 2, 3 and 8 stripes; `EpochLpm::from_entries` against
-#      insert + whole-range repaint, page for page, before and after
-#      random updates); the flat table against the linear-scan oracle;
+#      striped table paint, which both tables use, against the serial
+#      one it replaced (`FlatLpm` and `EpochLpm` each at 1, 2, 3 and 8
+#      stripes, the epoch table page for page before and after random
+#      updates; `EpochLpm::from_entries` against insert + whole-range
+#      repaint); a live table written in place unless a pinned snapshot
+#      shares the page, and every pinned generation resolving as its
+#      own RIB frozen, across in-place and copied batches; the flat
+#      table against the linear-scan oracle;
 #      the one-pass table constructors against a `BgpTable`'s freeze;
 #      the generated inputs — the default synthetic RIB's dump and a
 #      scenario's flow addresses — against their recorded length and
@@ -115,8 +119,9 @@
 #      what changed since the image before, not what the run has seen —
 #      all part of tier-1; re-run by name so a format drift or a lost
 #      write error is attributed immediately;
-#  13. thread count: start-up parses the RIB and paints the table on
-#      every core, so `eleph run --pcap --rib` over the `capture_files`
+#  13. thread count: start-up parses the RIB and paints either table
+#      (`FlatLpm` for a static run, `EpochLpm` for a live one) striped
+#      over every core, so `eleph run --pcap --rib` over the `capture_files`
 #      example's inputs (static, then live with `--rib-updates` and
 #      `--checkpoint-every 1`) runs once under `taskset -c 0` and once
 #      unrestricted, and the JSONL, the final checkpoint directory
@@ -139,7 +144,9 @@
 #      never the re-measured entries), table 4's (less than the west
 #      matrix's own columns) and the streaming classifier's live heap
 #      (the same after 20 000 intervals as after 2 000: no per-interval
-#      threshold record); `Ecdf`'s integer sort and `aest` against
+#      threshold record), and the bytes a pipeline allocates applying a
+#      mid-stream batch of 64 announces into 64 painted pages (under 32
+#      pages' worth: the live table is written in place); `Ecdf`'s integer sort and `aest` against
 #      the comparator sort, and `aest` on a non-finite sample — all part
 #      of tier-1; re-run by name so a failure is attributed immediately;
 #      then `eleph all --scale 0.05 --seed 3` runs once
@@ -247,14 +254,15 @@ churn_args=(run --synth --flows 200 --intervals 30 --interval-secs 20 --prefixes
 "$eleph" "${churn_args[@]}" --out "$tmpdir/churn2.jsonl" 2> "$tmpdir/churn2.summary"
 cmp "$tmpdir/churn1.jsonl" "$tmpdir/churn2.jsonl" \
     || { echo "churn determinism: JSONL outputs diverge" >&2; exit 1; }
-# The summary's timing fields (setup_secs, elapsed_secs, throughput,
-# pps) are wall-clock measurements — legitimately different between
-# runs; every other field must reproduce exactly.
-strip_timing='s/"setup_secs":[0-9.]*,"elapsed_secs":[0-9.]*,"throughput_bytes_per_sec":[0-9.]*,"packets_per_sec":[0-9.]*/TIMING/'
+# The summary's timing fields (route_update_secs, setup_secs,
+# elapsed_secs, throughput, pps) are wall-clock measurements —
+# legitimately different between runs; every other field must reproduce
+# exactly.
+strip_timing='s/"route_update_secs":[0-9.]*,/ROUTE_TIMING,/;s/"setup_secs":[0-9.]*,"elapsed_secs":[0-9.]*,"throughput_bytes_per_sec":[0-9.]*,"packets_per_sec":[0-9.]*/TIMING/'
 diff <(sed -E "$strip_timing" "$tmpdir/churn1.summary") \
      <(sed -E "$strip_timing" "$tmpdir/churn2.summary") \
     || { echo "churn determinism: summaries diverge" >&2; exit 1; }
-grep -q TIMING <(sed -E "$strip_timing" "$tmpdir/churn1.summary") \
+grep -q 'ROUTE_TIMING,.*[^_]TIMING' <(sed -E "$strip_timing" "$tmpdir/churn1.summary") \
     || { echo "churn determinism: summary lost its timing fields" >&2; exit 1; }
 grep -q '"route_updates":0' "$tmpdir/churn1.summary" \
     && { echo "churn determinism: no update batch was applied mid-stream" >&2; exit 1; }
@@ -320,7 +328,7 @@ echo "== benchmark crate: builds against crates/* (release too), BENCHMARK.json 
 cargo build -q --release --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
 
-echo "== start-up path: dump reader vs oracle, from_routes vs freeze, generated inputs, eleph run --pcap --rib vs library =="
+echo "== start-up path: dump reader vs oracle, striped paint, in-place apply, from_routes vs freeze, generated inputs, eleph run --pcap --rib vs library =="
 cargo test -q -p eleph-bgp --lib dump::tests::differential
 cargo test -q -p eleph-bgp --lib -- \
     dump::tests::a_failing_read_fails_alike_in_every_piece_count \
@@ -328,9 +336,12 @@ cargo test -q -p eleph-bgp --lib -- \
     dump::tests::a_dump_cut_at_every_line_boundary_reads_as_one
 cargo test -q -p eleph-net --lib -- \
     flat::tests::stripe_count_never_reaches_ \
-    epoch::tests::from_entries_
+    epoch::tests::from_entries_ \
+    epoch::tests::from_entries_striped_is_one_table_at_every_stripe_count \
+    epoch::tests::apply_writes_in_place_unless_a_snapshot_is_pinned
 cargo test -q -p eleph-net --test props -- \
     epoch_deltas_equal_fresh_freeze \
+    pinned_generations_stay_exact_across_in_place_and_copied_batches \
     flat_lpm_agrees_with_linear
 cargo test -q -p eleph-tests --test generated_inputs -- \
     sample_unshadowed_addr_equals_the_linear_oracle \
@@ -406,13 +417,14 @@ cat "$in/c.pcap" | "$eleph" run --pcap /dev/stdin "${file_args[@]}" \
 cmp "$tmpdir/piped.jsonl" "$tmpdir/static_all.jsonl" \
     || { echo "thread count: the piped capture diverges from the file run" >&2; exit 1; }
 
-echo "== paper tables: recorded bytes, streamed re-measurement, Ecdf sort, one core vs every core =="
+echo "== paper tables: recorded bytes, streamed re-measurement, heap counts, Ecdf sort, one core vs every core =="
 cargo test -q -p eleph-report --test session all_output_equals_its_recorded_length_and_crc
 cargo test -q -p eleph-flow --lib matrix::tests::refine_and_coarsen_equal_the_row_oracle
 cargo test -q -p eleph-core --test props streamed_remeasurement_equals_batch_over_its_rows
 cargo test -q -p eleph-flow --test alloc refine_each_and_coarsen_each_hold_one_interval
 cargo test -q -p eleph-report --test alloc table4_holds_less_than_the_matrix_it_re_measures
 cargo test -q -p eleph-core --test alloc
+cargo test -q -p eleph-pipeline --test alloc
 cargo test -q -p eleph-stats --lib -- \
     ecdf::tests::integer_sort_equals_the_comparator_sort \
     aest::tests::integer_sorted_levels_give_the_comparator_sorts_result \
