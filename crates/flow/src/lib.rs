@@ -10,9 +10,11 @@
 //!   as a frozen CSR-style columnar structure (one offsets array plus
 //!   parallel key/rate columns, see [`IntervalView`]); built either
 //!   from packets (via [`Aggregator`]) or directly from a rate-level
-//!   synthetic trace ([`BandwidthMatrix::from_rate_trace`] — same
-//!   object either way, which is what lets the experiments run at rate
-//!   level while the integration tests pin packet-level equivalence);
+//!   synthetic workload ([`BandwidthMatrix::from_workload`], generated
+//!   interval by interval into the columns, or
+//!   [`BandwidthMatrix::from_rate_trace`] — same object either way,
+//!   which is what lets the experiments run at rate level while the
+//!   integration tests pin packet-level equivalence);
 //! * [`Aggregator`] — streaming packet-to-interval aggregation with full
 //!   accounting ([`AggregatorStats`]): malformed, unroutable and
 //!   out-of-window packets are counted, never silently dropped. The hot

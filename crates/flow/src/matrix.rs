@@ -2,8 +2,9 @@
 
 use std::collections::HashMap;
 
+use eleph_bgp::BgpTable;
 use eleph_net::Prefix;
-use eleph_trace::RateTrace;
+use eleph_trace::{FlowPopulation, RateTrace, WorkloadConfig};
 
 /// Dense integer id for a prefix within one [`BandwidthMatrix`].
 pub type KeyId = u32;
@@ -22,7 +23,8 @@ pub type KeyId = u32;
 /// detectors' input — without allocating).
 ///
 /// Construction is either packet-driven ([`crate::Aggregator::finish`])
-/// or rate-driven ([`BandwidthMatrix::from_rate_trace`],
+/// or rate-driven ([`BandwidthMatrix::from_workload`],
+/// [`BandwidthMatrix::from_rate_trace`],
 /// [`BandwidthMatrix::from_dense`]); downstream classification cannot
 /// tell the difference, by design. Every path appends its entries,
 /// interval by interval, straight into the columns the matrix keeps — no
@@ -232,6 +234,28 @@ impl BandwidthMatrix {
             out.close();
         }
         out.finish(trace.config.interval_secs, trace.config.start_unix, keys)
+    }
+
+    /// Generate a synthetic workload straight into a matrix keyed by
+    /// prefix: [`RateTrace::walk`]'s rows, each appended to the columns
+    /// as it is handed over. The matrix equals
+    /// `from_rate_trace(&RateTrace::generate(config, table))` bit for
+    /// bit, without the trace: the link is never held twice.
+    pub fn from_workload(config: &WorkloadConfig, table: &BgpTable) -> Self {
+        let population = FlowPopulation::build(config, table);
+        let keys: Vec<Prefix> = population.iter().map(|(_, meta)| meta.prefix).collect();
+        // The entry count is known only once the walk ends: the columns
+        // grow as the rows arrive.
+        let mut out = ColumnBuilder::with_capacity(config.n_intervals, 0);
+        RateTrace::walk(config, &population, |row| {
+            // FlowId and KeyId coincide: population order is key order.
+            for &(key, rate) in row {
+                out.push(key, rate);
+            }
+            out.close();
+        });
+        drop(population);
+        out.finish(config.interval_secs, config.start_unix, keys)
     }
 
     /// Number of intervals.
@@ -560,6 +584,53 @@ mod tests {
                 let prefix = trace.population.get(id).prefix;
                 let key = m.key_id(prefix).expect("every flow prefix is a key");
                 assert_eq!(m.rate(n, key), f64::from(r));
+            }
+        }
+    }
+
+    #[test]
+    fn from_workload_equals_the_generated_trace_by_bits() {
+        let table = synth::generate(&SynthConfig {
+            n_prefixes: 1_500,
+            ..SynthConfig::default()
+        });
+        for (seed, n_intervals, silent) in
+            [(3, 20, false), (4, 75, false), (5, 0, false), (6, 9, true)]
+        {
+            let mut config = WorkloadConfig {
+                n_flows: 300,
+                n_intervals,
+                ..WorkloadConfig::small_test(seed)
+            };
+            if silent {
+                // No flow is ever on: every interval is empty.
+                config.heavy_on_prob = 0.0;
+                config.mouse_on_prob = 0.0;
+            }
+            let trace = eleph_trace::RateTrace::generate(&config, &table);
+            let want = BandwidthMatrix::from_rate_trace(&trace);
+            let got = BandwidthMatrix::from_workload(&config, &table);
+            assert_eq!(got.keys, want.keys, "seed {seed}");
+            assert_eq!(got.offsets, want.offsets, "seed {seed}");
+            assert_eq!(got.col_keys, want.col_keys, "seed {seed}");
+            let bits = |m: &BandwidthMatrix| -> (Vec<u32>, Vec<u64>) {
+                (
+                    m.col_rates.iter().map(|r| r.to_bits()).collect(),
+                    m.totals.iter().map(|t| t.to_bits()).collect(),
+                )
+            };
+            assert_eq!(bits(&got), bits(&want), "seed {seed}");
+            assert_eq!(
+                (got.interval_secs, got.start_unix),
+                (want.interval_secs, want.start_unix)
+            );
+            // The trace sums each interval as the matrix does.
+            for n in 0..trace.n_intervals() {
+                assert_eq!(
+                    trace.total(n).to_bits(),
+                    want.total(n).to_bits(),
+                    "interval {n}"
+                );
             }
         }
     }

@@ -37,7 +37,7 @@ use eleph_core::{
     ConstantLoadDetector, RawThresholds, Scheme, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
 use eleph_flow::{BandwidthMatrix, KeyId};
-use eleph_trace::{RateTrace, WorkloadConfig};
+use eleph_trace::WorkloadConfig;
 
 /// A fully specified experimental setup: one link, one table, one
 /// workload.
@@ -86,11 +86,12 @@ impl Scenario {
     }
 
     /// Generate the table and the matrix. Deterministic in the embedded
-    /// seeds. The rate trace the matrix is read from is dropped once the
-    /// matrix exists: the matrix holds every rate it had.
+    /// seeds. The workload is generated interval by interval straight
+    /// into the matrix ([`BandwidthMatrix::from_workload`]): no rate
+    /// trace of the whole link is ever held beside it.
     pub fn build(&self) -> ScenarioData {
         let table = eleph_bgp::synth::generate(&self.table);
-        let matrix = BandwidthMatrix::from_rate_trace(&RateTrace::generate(&self.workload, &table));
+        let matrix = BandwidthMatrix::from_workload(&self.workload, &table);
         ScenarioData { table, matrix }
     }
 

@@ -22,10 +22,11 @@
 //!
 //! Two fidelities share one model:
 //!
-//! * [`RateTrace::generate`] — the full-length rate-level trace used by
-//!   the figure experiments (fast: no packets), read an interval at a
-//!   time: [`RateTrace::interval`]'s `(flow, rate)` row and
-//!   [`RateTrace::total`];
+//! * [`RateTrace::walk`] — the rate-level trace the figure experiments
+//!   use (fast: no packets), handed over one interval's `(flow, rate)`
+//!   row at a time and never held whole; [`RateTrace::generate`] is the
+//!   walk collected, read an interval at a time through
+//!   [`RateTrace::interval`] and [`RateTrace::total`];
 //! * [`PacketSynth`] — packet-level synthesis of any interval window,
 //!   emitting [`eleph_packet::PacketMeta`]-compatible packets (and pcap
 //!   files) whose aggregation reproduces the rate-level trace. An

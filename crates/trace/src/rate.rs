@@ -1,11 +1,29 @@
-//! Rate-level trace generation: the `B_i(n)` matrix.
+//! Rate-level trace generation: the `B_i(n)` matrix, one interval at a
+//! time.
+//!
+//! Every flow is an independent seeded process with its own RNG stream
+//! (`flow_rng(seed, id, _)`), so the order in which flows and intervals
+//! are visited changes no draw. The walk ([`RateTrace::walk`]) visits
+//! them in blocks of `BLOCK` intervals: for each block, every flow
+//! advances its `(rng, on)` state through the block's intervals — the
+//! flows split into contiguous id ranges, one thread each, on a large
+//! enough workload — and then the block's rows are handed over,
+//! interval by interval, ascending by flow id. It holds one block of
+//! rows and one state per flow, never the whole link.
 
 use eleph_bgp::BgpTable;
 use eleph_stats::dist::{Pareto, Sample};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::flows::{flow_rng, unit_mean_jitter};
 use crate::{FlowId, FlowKind, FlowPopulation, WorkloadConfig};
+
+/// Intervals the walk generates before handing their rows over: enough
+/// that a flow's state is loaded once per block rather than once per
+/// interval, few enough that a block of rows is a small fraction of the
+/// link.
+const BLOCK: usize = 32;
 
 /// A complete rate-level trace: for every interval, the sparse list of
 /// active flows and their average bandwidth over that interval.
@@ -15,6 +33,11 @@ use crate::{FlowId, FlowKind, FlowPopulation, WorkloadConfig};
 /// without materialising packets. [`crate::PacketSynth`] can expand any
 /// window of it into packets; an integration test pins the equivalence of
 /// the two representations.
+///
+/// A trace is [`RateTrace::walk`] collected: a pure function of
+/// `(config, population)`, and so of `(config, table)`. A caller that
+/// reads each interval once (a bandwidth matrix, a classifier) takes the
+/// walk's rows as they come instead of keeping the trace.
 #[derive(Debug, Clone)]
 pub struct RateTrace {
     /// The workload this trace was generated from.
@@ -33,88 +56,51 @@ impl RateTrace {
     /// Each flow's trajectory is an independent seeded process:
     /// a two-state (on/off) Markov chain whose stationary on-probability
     /// follows the diurnal level, with multiplicative mean-one log-normal
-    /// jitter on the rate while on, and Pareto bursts for mice.
+    /// jitter on the rate while on, and Pareto bursts for mice. Each
+    /// interval's total is its rates summed in flow-id order from `+0.0`,
+    /// as a bandwidth matrix sums them.
     pub fn generate(config: &WorkloadConfig, table: &BgpTable) -> Self {
         let population = FlowPopulation::build(config, table);
-        Self::from_population(config, population)
-    }
-
-    /// Generate with an existing population (used by sweeps that vary
-    /// dynamics but keep the flow mix fixed).
-    ///
-    /// Every flow's trajectory comes from its own seeded RNG stream
-    /// (`flow_rng(seed, id, _)`), so flows are generated in parallel
-    /// shards of contiguous id ranges; per-interval rows concatenate in
-    /// shard order and per-interval totals are summed over the stored
-    /// rates in flow-id order. The output is therefore *identical*
-    /// whatever the shard count — still a pure function of
-    /// `(config, population)`.
-    fn from_population(config: &WorkloadConfig, population: FlowPopulation) -> Self {
-        let n_int = config.n_intervals;
-        let n_flows = population.len();
-
-        // Precompute per-interval diurnal levels.
-        let levels: Vec<f64> = (0..n_int).map(|n| config.diurnal_level(n)).collect();
-
-        let burst_dist = Pareto::new(config.burst_min_factor, config.burst_alpha)
-            .expect("burst parameters are positive");
-
-        // Below ~a quarter-million flow-intervals the spawn overhead is
-        // not worth it; thread count never changes the output.
-        let threads = if n_flows.saturating_mul(n_int) < 250_000 {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get()).min(16)
-        };
-
-        let mut intervals: Vec<Vec<(FlowId, f32)>> = if threads <= 1 {
-            generate_flow_range(config, &population, &levels, &burst_dist, 0..n_flows as FlowId)
-        } else {
-            let chunk = n_flows.div_ceil(threads);
-            let mut shards: Vec<Vec<Vec<(FlowId, f32)>>> = std::thread::scope(|s| {
-                let population = &population;
-                let levels = &levels[..];
-                let burst_dist = &burst_dist;
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let lo = (t * chunk).min(n_flows) as FlowId;
-                        let hi = ((t + 1) * chunk).min(n_flows) as FlowId;
-                        s.spawn(move || {
-                            generate_flow_range(config, population, levels, burst_dist, lo..hi)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("flow generation does not panic"))
-                    .collect()
-            });
-            let mut merged = shards.remove(0);
-            for shard in shards {
-                for (row, mut part) in merged.iter_mut().zip(shard) {
-                    row.append(&mut part);
-                }
-            }
-            merged
-        };
-
-        // (FlowIds were pushed in ascending order per interval already —
-        // shard order is flow-id order — but make the invariant
-        // explicit.)
-        for v in &mut intervals {
-            v.sort_unstable_by_key(|&(id, _)| id);
-        }
-        let totals: Vec<f64> = intervals
-            .iter()
-            .map(|row| row.iter().map(|&(_, r)| f64::from(r)).sum())
-            .collect();
-
+        let mut intervals = Vec::with_capacity(config.n_intervals);
+        let mut totals = Vec::with_capacity(config.n_intervals);
+        Self::walk(config, &population, |row| {
+            let total = row.iter().fold(0.0, |t, &(_, rate)| t + f64::from(rate));
+            totals.push(total);
+            intervals.push(row.to_vec());
+        });
         RateTrace {
             config: config.clone(),
             population,
             intervals,
             totals,
         }
+    }
+
+    /// Generate the trace of `population` under `config` one interval at
+    /// a time: `row` receives interval 0's ascending `(flow, bps)` pairs,
+    /// then interval 1's, and so on — the rows [`RateTrace::interval`]
+    /// returns, bit for bit — each lent from a buffer the walk reuses.
+    ///
+    /// The walk holds one block of rows and an `(rng, on)` state per
+    /// flow, whatever the trace length. Above about a quarter-million
+    /// flow-intervals it steps each block's flows on every core, in
+    /// contiguous id ranges; the rows are the same on any number of
+    /// cores.
+    pub fn walk(
+        config: &WorkloadConfig,
+        population: &FlowPopulation,
+        row: impl FnMut(&[(FlowId, f32)]),
+    ) {
+        // Below ~a quarter-million flow-intervals the spawn overhead is
+        // not worth it; the thread count never changes a row.
+        let threads = if population.len().saturating_mul(config.n_intervals) < 250_000 {
+            1
+        } else {
+            std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(16)
+        };
+        walk_blocks(config, population, BLOCK, threads, row);
     }
 
     /// Number of intervals.
@@ -146,36 +132,18 @@ impl RateTrace {
     }
 }
 
-/// Generate the trajectories of one contiguous flow-id range: the
-/// per-shard body of [`RateTrace::from_population`]. Returns the
-/// range's per-interval `(flow, bps)` rows, ascending by flow id.
-fn generate_flow_range(
-    config: &WorkloadConfig,
-    population: &FlowPopulation,
-    levels: &[f64],
-    burst_dist: &Pareto,
-    range: std::ops::Range<FlowId>,
-) -> Vec<Vec<(FlowId, f32)>> {
-    let n_int = config.n_intervals;
-    let mut intervals: Vec<Vec<(FlowId, f32)>> = vec![Vec::new(); n_int];
+/// The Markov chain of one flow kind: its escape rate, its jitter, and
+/// per interval the off → on probability that targets the stationary
+/// on-probability of the interval's diurnal level.
+struct KindPlan {
+    p_on0: f64,
+    p_off: f64,
+    sigma: f64,
+    p_on_trans: Vec<f64>,
+}
 
-    // Everything that depends only on (interval, flow kind) is hoisted
-    // out of the flow×interval loop — the diurnal rate factor (a powf)
-    // and the Markov transition probabilities — computed exactly as the
-    // per-flow expressions did, so every flow draws identical values
-    // from an identical RNG stream.
-    let rate_level: Vec<f64> = levels
-        .iter()
-        .map(|&d| d.powf(config.diurnal_rate_exponent))
-        .collect();
-    struct KindPlan {
-        p_on0: f64,
-        p_off: f64,
-        sigma: f64,
-        /// Per interval: P[off → on] targeting the stationary π(d).
-        p_on_trans: Vec<f64>,
-    }
-    let plan = |p_on_peak: f64, mean_on: f64, sigma: f64| -> KindPlan {
+impl KindPlan {
+    fn new(p_on_peak: f64, mean_on: f64, sigma: f64, levels: &[f64]) -> Self {
         let p_off = 1.0 / mean_on; // P[on → off] per interval
         KindPlan {
             p_on0: stationary_on(p_on_peak, levels.first().copied().unwrap_or(0.0)),
@@ -193,60 +161,174 @@ fn generate_flow_range(
                 })
                 .collect(),
         }
-    };
-    let heavy_plan = plan(
-        config.heavy_on_prob,
-        config.heavy_mean_on,
-        config.heavy_jitter_sigma,
-    );
-    let mouse_plan = plan(
-        config.mouse_on_prob,
-        config.mouse_mean_on,
-        config.mouse_jitter_sigma,
-    );
+    }
+}
 
-    for id in range {
-        let meta = population.get(id);
-        let mut rng = flow_rng(config.seed, id, 0xA7E5);
-        let plan = match meta.kind {
-            FlowKind::Heavy => &heavy_plan,
-            FlowKind::Mouse => &mouse_plan,
-        };
-        // A mouse behind a sufficiently specific prefix can burst:
-        // transient bursts model a single application flaring up, and
-        // traffic to very short prefixes (< /12) is too aggregated for
-        // one application to move the whole aggregate — the paper's own
-        // observation about /8 networks.
-        let can_burst = meta.kind == FlowKind::Mouse && meta.prefix.len() >= 12;
+/// Everything a flow's step reads besides its own state. What depends
+/// only on (interval, flow kind) — the diurnal rate factor (a powf) and
+/// the Markov transition probabilities — is computed once, out of the
+/// flow × interval loop.
+struct Plan<'a> {
+    config: &'a WorkloadConfig,
+    population: &'a FlowPopulation,
+    rate_level: Vec<f64>,
+    heavy: KindPlan,
+    mouse: KindPlan,
+    burst_dist: Pareto,
+}
 
-        // Start in the stationary state for interval 0's level.
-        let mut on = rng.gen::<f64>() < plan.p_on0;
-
-        for n in 0..n_int {
-            // Markov step: target stationary π(d), fixed escape rate.
-            on = if on {
-                rng.gen::<f64>() >= plan.p_off
-            } else {
-                rng.gen::<f64>() < plan.p_on_trans[n]
-            };
-            if !on {
-                continue;
-            }
-
-            let mut rate = meta.base_rate_bps
-                * rate_level[n]
-                * unit_mean_jitter(&mut rng, plan.sigma);
-            if can_burst && rng.gen::<f64>() < config.burst_prob {
-                let factor = burst_dist.sample(&mut rng).min(config.burst_cap_factor);
-                rate *= factor;
-            }
-            // Physical cap: a single flow cannot exceed the line rate.
-            rate = rate.min(config.link.capacity_bps);
-
-            intervals[n].push((id, rate as f32));
+impl<'a> Plan<'a> {
+    fn new(config: &'a WorkloadConfig, population: &'a FlowPopulation) -> Self {
+        let levels: Vec<f64> = (0..config.n_intervals)
+            .map(|n| config.diurnal_level(n))
+            .collect();
+        Plan {
+            config,
+            population,
+            rate_level: levels
+                .iter()
+                .map(|&d| d.powf(config.diurnal_rate_exponent))
+                .collect(),
+            heavy: KindPlan::new(
+                config.heavy_on_prob,
+                config.heavy_mean_on,
+                config.heavy_jitter_sigma,
+                &levels,
+            ),
+            mouse: KindPlan::new(
+                config.mouse_on_prob,
+                config.mouse_mean_on,
+                config.mouse_jitter_sigma,
+                &levels,
+            ),
+            burst_dist: Pareto::new(config.burst_min_factor, config.burst_alpha)
+                .expect("burst parameters are positive"),
         }
     }
-    intervals
+
+    fn kind(&self, kind: FlowKind) -> &KindPlan {
+        match kind {
+            FlowKind::Heavy => &self.heavy,
+            FlowKind::Mouse => &self.mouse,
+        }
+    }
+
+    /// Every flow's state before interval 0: its RNG stream, and on with
+    /// the stationary probability of interval 0's level.
+    fn start(&self) -> Vec<(StdRng, bool)> {
+        self.population
+            .iter()
+            .map(|(id, meta)| {
+                let mut rng = flow_rng(self.config.seed, id, 0xA7E5);
+                let on = rng.gen::<f64>() < self.kind(meta.kind).p_on0;
+                (rng, on)
+            })
+            .collect()
+    }
+
+    /// Step the flows `first_flow..` (whose states are `states`) through
+    /// the intervals `first..first + rows.len()`, pushing each active
+    /// flow's `(flow, bps)` onto the interval's row.
+    fn advance(
+        &self,
+        first_flow: FlowId,
+        states: &mut [(StdRng, bool)],
+        first: usize,
+        rows: &mut [Vec<(FlowId, f32)>],
+    ) {
+        let config = self.config;
+        for (id, state) in (first_flow..).zip(states) {
+            let meta = self.population.get(id);
+            let plan = self.kind(meta.kind);
+            // A mouse behind a sufficiently specific prefix can burst:
+            // transient bursts model a single application flaring up,
+            // and traffic to very short prefixes (< /12) is too
+            // aggregated for one application to move the whole
+            // aggregate — the paper's own observation about /8 networks.
+            let can_burst = meta.kind == FlowKind::Mouse && meta.prefix.len() >= 12;
+            // The state is worked on in locals, which the compiler can
+            // keep in registers, and put back once the block is done.
+            let (mut rng, mut on) = state.clone();
+            for (n, out) in (first..).zip(rows.iter_mut()) {
+                // Markov step: target stationary π(d), fixed escape rate.
+                on = if on {
+                    rng.gen::<f64>() >= plan.p_off
+                } else {
+                    rng.gen::<f64>() < plan.p_on_trans[n]
+                };
+                if !on {
+                    continue;
+                }
+
+                let mut rate = meta.base_rate_bps
+                    * self.rate_level[n]
+                    * unit_mean_jitter(&mut rng, plan.sigma);
+                if can_burst && rng.gen::<f64>() < config.burst_prob {
+                    let factor = self
+                        .burst_dist
+                        .sample(&mut rng)
+                        .min(config.burst_cap_factor);
+                    rate *= factor;
+                }
+                // Physical cap: a single flow cannot exceed the line rate.
+                rate = rate.min(config.link.capacity_bps);
+
+                out.push((id, rate as f32));
+            }
+            *state = (rng, on);
+        }
+    }
+}
+
+/// [`RateTrace::walk`] at any block size, over `threads` contiguous
+/// flow-id ranges. Each block's ranges are stepped on threads of their
+/// own, and an interval's row is the ranges' rows in range order, so
+/// ascending by flow id. The rows, and every draw behind them, are the
+/// same whatever `block` and `threads` are; only how many rows are held
+/// at once, and on how many cores they are made, changes.
+pub(crate) fn walk_blocks(
+    config: &WorkloadConfig,
+    population: &FlowPopulation,
+    block: usize,
+    threads: usize,
+    mut row: impl FnMut(&[(FlowId, f32)]),
+) {
+    assert!(block >= 1, "a block holds at least one interval");
+    let n_int = config.n_intervals;
+    let plan = Plan::new(config, population);
+    let mut states = plan.start();
+    let chunk = states.len().div_ceil(threads.max(1)).max(1);
+    let mut ranges: Vec<Vec<Vec<(FlowId, f32)>>> =
+        vec![vec![Vec::new(); block.min(n_int)]; states.len().div_ceil(chunk).max(1)];
+    let mut merged: Vec<(FlowId, f32)> = Vec::new();
+    for first in (0..n_int).step_by(block) {
+        let len = block.min(n_int - first);
+        if let [rows] = &mut ranges[..] {
+            plan.advance(0, &mut states, first, &mut rows[..len]);
+        } else {
+            std::thread::scope(|s| {
+                for (k, (states, rows)) in states.chunks_mut(chunk).zip(&mut ranges).enumerate() {
+                    let plan = &plan;
+                    s.spawn(move || {
+                        plan.advance((k * chunk) as FlowId, states, first, &mut rows[..len]);
+                    });
+                }
+            });
+        }
+        for n in 0..len {
+            if let [rows] = &mut ranges[..] {
+                row(&rows[n]);
+                rows[n].clear();
+            } else {
+                merged.clear();
+                for rows in &mut ranges {
+                    merged.extend_from_slice(&rows[n]);
+                    rows[n].clear();
+                }
+                row(&merged);
+            }
+        }
+    }
 }
 
 /// Stationary on-probability at diurnal level `d`: scaled so flows are
@@ -259,6 +341,7 @@ fn stationary_on(p_peak: f64, d: f64) -> f64 {
 mod tests {
     use super::*;
     use eleph_bgp::synth::{self, SynthConfig};
+    use proptest::prelude::*;
 
     fn table() -> BgpTable {
         synth::generate(&SynthConfig {
@@ -285,6 +368,73 @@ mod tests {
         let c = small_trace(10);
         let same = (0..a.n_intervals()).all(|n| a.interval(n) == c.interval(n));
         assert!(!same);
+    }
+
+    /// Every row of `walk_blocks` at `block` and `threads`, rates as
+    /// bits.
+    fn walked_bits(
+        config: &WorkloadConfig,
+        population: &FlowPopulation,
+        block: usize,
+        threads: usize,
+    ) -> Vec<Vec<(FlowId, u32)>> {
+        let mut rows = Vec::new();
+        walk_blocks(config, population, block, threads, |row| {
+            rows.push(row.iter().map(|&(id, r)| (id, r.to_bits())).collect());
+        });
+        rows
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The block size and the thread count change how many rows the
+        /// walk holds and where they are made, never a row: one interval
+        /// at a time, an odd block that leaves a short last one, and the
+        /// whole trace as one block, each on 1 to 4 threads (more than
+        /// there are flows, too), all give `generate`'s rows.
+        #[test]
+        fn walk_at_every_block_size_gives_the_generated_rows(
+            seed in any::<u64>(),
+            n_flows in prop_oneof![1usize..5, 5usize..300],
+            n_intervals in 0usize..80,
+        ) {
+            let table = table();
+            let config = WorkloadConfig {
+                n_flows,
+                n_intervals,
+                ..WorkloadConfig::small_test(seed)
+            };
+            let trace = RateTrace::generate(&config, &table);
+            let generated: Vec<Vec<(FlowId, u32)>> = (0..trace.n_intervals())
+                .map(|n| trace.interval(n).iter().map(|&(id, r)| (id, r.to_bits())).collect())
+                .collect();
+            for block in [1, 7, n_intervals.max(1)] {
+                for threads in 1..=4 {
+                    prop_assert_eq!(
+                        &walked_bits(&config, &trace.population, block, threads),
+                        &generated,
+                        "block {}, {} threads",
+                        block,
+                        threads
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_interval_totals_positive_zero() {
+        let config = WorkloadConfig {
+            heavy_on_prob: 0.0,
+            mouse_on_prob: 0.0,
+            ..WorkloadConfig::small_test(6)
+        };
+        let t = RateTrace::generate(&config, &table());
+        for n in 0..t.n_intervals() {
+            assert_eq!(t.active_flows(n), 0, "interval {n}");
+            assert_eq!(t.total(n).to_bits(), 0.0f64.to_bits(), "interval {n}");
+        }
     }
 
     #[test]

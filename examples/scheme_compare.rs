@@ -16,7 +16,7 @@ use eleph_core::{
     TopNDetector, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
 use eleph_flow::{busiest_window, BandwidthMatrix};
-use eleph_trace::{RateTrace, WorkloadConfig};
+use eleph_trace::WorkloadConfig;
 
 fn main() {
     // A mid-sized workload: big enough for aest to see the tail.
@@ -35,8 +35,7 @@ fn main() {
         mouse_log_mean: (15_000f64).ln(),
         ..WorkloadConfig::small_test(23)
     };
-    let trace = RateTrace::generate(&workload, &table);
-    let matrix = BandwidthMatrix::from_rate_trace(&trace);
+    let matrix = BandwidthMatrix::from_workload(&workload, &table);
     let busy = busiest_window(matrix.totals(), 60).expect("window fits");
 
     println!(

@@ -17,7 +17,7 @@ use eleph_bgp::synth::{self, SynthConfig};
 use eleph_core::holding::churn;
 use eleph_core::{classify, ConstantLoadDetector, Scheme, PAPER_GAMMA, PAPER_LATENT_WINDOW};
 use eleph_flow::BandwidthMatrix;
-use eleph_trace::{RateTrace, WorkloadConfig};
+use eleph_trace::WorkloadConfig;
 
 fn main() {
     let table = synth::generate(&SynthConfig {
@@ -30,8 +30,7 @@ fn main() {
         interval_secs: 300,
         ..WorkloadConfig::small_test(11)
     };
-    let trace = RateTrace::generate(&workload, &table);
-    let matrix = BandwidthMatrix::from_rate_trace(&trace);
+    let matrix = BandwidthMatrix::from_workload(&workload, &table);
 
     println!("two-path TE simulation: elephants pinned to the secondary path\n");
     println!(

@@ -68,7 +68,10 @@
 #      against the current `crates/*` API in release (thin LTO, as it is
 #      built to measure) and run its unit tests (`BENCHMARK.json` ≡ the
 #      crate's tables), so an API change that breaks it — or a break that
-#      only shows in a release build — fails here and not when it runs;
+#      only shows in a release build — fails here and not when it runs.
+#      The committed `benchmark/Cargo.lock` is stale and the build
+#      rewrites it, so it is copied aside first and put back when the
+#      script exits, green or not;
 #  10. start-up path: the RIB/update-stream reader against its
 #      `lines()`/`split`/`str::parse` oracle (differential + mutation
 #      proptest) and against itself cut into 2, 3 and 7 pieces (and at
@@ -135,7 +138,17 @@
 #      its JSONL must equal the file run's;
 #  14. paper tables: `eleph all`'s stdout and eleven CSVs at `--scale
 #      0.05` against the length and CRC-32 recorded before matrices were
-#      built in place; the walkers `refine_each` / `coarsen_each`, which
+#      built in place; the rate trace's rows for the west link at scale
+#      0.3 against the length and CRC-32 recorded before it was walked
+#      interval by interval; the walk at block sizes 1, 7 and the whole
+#      trace on 1 to 4 threads against `RateTrace::generate`'s rows
+#      (proptest, by bits), a matrix generated straight from the
+#      workload against one read from the generated trace (columns and
+#      totals by bits), and an empty interval's total `+0.0` in the
+#      trace as in the matrix; a link's build heap (a counting
+#      allocator: the table and matrix it keeps, the population, two
+#      blocks of rows and one column's growth — never the trace beside
+#      the matrix); the walkers `refine_each` / `coarsen_each`, which
 #      hand over re-measured intervals one at a time and build no
 #      matrix, against a row-at-a-time oracle (differential proptest);
 #      classification streamed over their rows against batch `classify`
@@ -325,6 +338,10 @@ grep -q '"exact_bit_identical":true' "$tmpdir/sketch.summary" \
     || { echo "sketch tier: exact pin missing from harness summary" >&2; exit 1; }
 
 echo "== benchmark crate: builds against crates/* (release too), BENCHMARK.json == its tables =="
+echo "   the committed benchmark/Cargo.lock is stale (ROADMAP item 1 regenerates it):"
+echo "   the build rewrites it, and it is restored when this script exits"
+cp benchmark/Cargo.lock "$tmpdir/benchmark.Cargo.lock"
+trap 'cp "$tmpdir/benchmark.Cargo.lock" benchmark/Cargo.lock; rm -rf "$tmpdir"' EXIT
 cargo build -q --release --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
 
@@ -417,8 +434,14 @@ cat "$in/c.pcap" | "$eleph" run --pcap /dev/stdin "${file_args[@]}" \
 cmp "$tmpdir/piped.jsonl" "$tmpdir/static_all.jsonl" \
     || { echo "thread count: the piped capture diverges from the file run" >&2; exit 1; }
 
-echo "== paper tables: recorded bytes, streamed re-measurement, heap counts, Ecdf sort, one core vs every core =="
+echo "== paper tables: recorded bytes, the interval walk, streamed re-measurement, heap counts, Ecdf sort, one core vs every core =="
 cargo test -q -p eleph-report --test session all_output_equals_its_recorded_length_and_crc
+cargo test -q -p eleph-tests --test generated_inputs rate_trace_rows_equal_their_recorded_length_and_crc
+cargo test -q -p eleph-trace --lib -- \
+    rate::tests::walk_at_every_block_size_gives_the_generated_rows \
+    rate::tests::an_empty_interval_totals_positive_zero
+cargo test -q -p eleph-flow --lib matrix::tests::from_workload_equals_the_generated_trace_by_bits
+cargo test -q -p eleph-report --test build_alloc building_a_link_never_holds_its_trace_beside_its_matrix
 cargo test -q -p eleph-flow --lib matrix::tests::refine_and_coarsen_equal_the_row_oracle
 cargo test -q -p eleph-core --test props streamed_remeasurement_equals_batch_over_its_rows
 cargo test -q -p eleph-flow --test alloc refine_each_and_coarsen_each_hold_one_interval

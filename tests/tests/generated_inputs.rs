@@ -1,8 +1,9 @@
 //! What the generated inputs are made of, pinned as bytes: the default
-//! synthetic RIB as its dump text, and the flow population's prefixes
-//! and sampled destination addresses. Every benchmark input (`bb.rib`,
-//! the capture, the churn schedule) and every report scenario is built
-//! from these two generators, so a change in either shows here first.
+//! synthetic RIB as its dump text, the flow population's prefixes and
+//! sampled destination addresses, and the rate trace's interval rows.
+//! Every benchmark input (`bb.rib`, the capture, the churn schedule) and
+//! every report scenario is built from these generators, so a change in
+//! any of them shows here first.
 //! The address sampler they rest on is held to its definition, a loop
 //! over a linear-scan longest match, draw for draw.
 
@@ -12,7 +13,7 @@ use eleph_bgp::synth::{self, SynthConfig};
 use eleph_bgp::{BgpTable, Origin, PeerClass, RouteEntry};
 use eleph_net::{LinearLpm, Prefix};
 use eleph_report::Scenario;
-use eleph_trace::FlowPopulation;
+use eleph_trace::{FlowPopulation, RateTrace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -41,6 +42,32 @@ fn synth_table_and_flow_addresses_equal_their_recorded_length_and_crc() {
         len_crc(flows.as_bytes()),
         (356_558, 0x55f2_7dd3),
         "west(1) at 0.3: (prefix, dst_addr) per flow"
+    );
+}
+
+/// Every row of the west link at scale 0.3, interval by interval: the
+/// row's length, then each `(flow, rate)` as the flow id and the rate's
+/// bits, little-endian. `eleph all` reads this link, so a generator
+/// change that moves one rate by one ulp shows here before it shows in
+/// a table.
+#[test]
+fn rate_trace_rows_equal_their_recorded_length_and_crc() {
+    let scenario = Scenario::west(1).scaled(0.3);
+    let table = synth::generate(&scenario.table);
+    let trace = RateTrace::generate(&scenario.workload, &table);
+    let mut rows = Vec::new();
+    for n in 0..trace.n_intervals() {
+        let row = trace.interval(n);
+        rows.extend_from_slice(&(row.len() as u32).to_le_bytes());
+        for &(flow, rate) in row {
+            rows.extend_from_slice(&flow.to_le_bytes());
+            rows.extend_from_slice(&rate.to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(
+        len_crc(&rows),
+        (10_096_120, 0x53c2_b6f8),
+        "west(1) at 0.3: every interval's rows"
     );
 }
 
