@@ -1,12 +1,14 @@
-//! Dense key-id bitset backing the classifier state.
+//! Dense key-id bitset backing the classifier state and the prefix
+//! analysis.
 //!
 //! Classification tracks *membership* per [`KeyId`] — which keys have
-//! window history, which keys are current elephants. Key ids are dense
-//! (first-seen order from the measurement pipeline), so a flat `u64`
-//! word array beats a hash set on every axis that matters here: O(1)
-//! branch-free test/set/clear, and ordered iteration is a word scan
-//! that yields keys already ascending — the classifier emits sorted
-//! elephant lists without a per-interval `collect` + `sort`.
+//! window history; the prefix analysis, which keys were ever active or
+//! ever elephants. Key ids are dense (first-seen order from the
+//! measurement pipeline), so a flat `u64` word array beats a hash set on
+//! every axis that matters here: O(1) branch-free test/set/clear, and
+//! ordered iteration is a word scan that yields keys already ascending —
+//! the classifier emits sorted elephant lists without a per-interval
+//! `collect` + `sort`.
 
 use eleph_flow::KeyId;
 
@@ -33,13 +35,11 @@ impl KeyBitset {
     }
 
     /// Whether no bit is set.
-    #[allow(dead_code)] // API completeness next to len(); exercised in tests
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Whether `key` is in the set.
-    #[allow(dead_code)] // the read side of insert/remove; exercised in tests
     #[inline]
     pub fn contains(&self, key: KeyId) -> bool {
         let w = (key / 64) as usize;

@@ -1,22 +1,22 @@
-//! The classification schemes over a bandwidth matrix.
+//! The classification schemes over rows of a bandwidth matrix.
 //!
-//! The engine is columnar and dense: per-key state is one
-//! `WindowState` (`crate::window`) per configuration — flat vectors
-//! indexed by [`KeyId`], the same state machine the streaming classifier
-//! runs — so a classification pass is linear walks over the matrix's
-//! key/rate columns with no hashing and no per-interval allocation
+//! The engine is dense: per-key state is flat vectors indexed by
+//! [`KeyId`] (`crate::window`), the same state machine the streaming
+//! classifier runs, so a classification pass is linear walks over each
+//! interval's sparse row with no hashing and no per-interval allocation
 //! beyond the emitted elephant lists (which come out already sorted).
-//! Detection and classification are two passes:
-//! [`RawThresholds::detect`] runs the detector over each interval once,
-//! and [`classify_with`] steps a whole family of configurations (γ /
-//! window / scheme variants) over that series — [`classify`] and
-//! [`classify_many`] are the two composed, and the report crate's
-//! session keeps the series so every later configuration reuses it.
+//! One driver, [`Sweep`], steps any family of configurations over rows
+//! handed over one at a time, detecting once per (detector, row);
+//! [`classify`], [`classify_many`] and [`classify_stream`] are that
+//! driver with one detector, and the report crate's session runs it on
+//! a link's rows as they are generated.
+
+use std::collections::VecDeque;
 
 use eleph_flow::{BandwidthMatrix, KeyId};
 
-use crate::window::{self, WindowState};
-use crate::{ThresholdDetector, ThresholdSeries};
+use crate::window::{KeySums, SchemeState};
+use crate::ThresholdDetector;
 
 /// Which classification scheme to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,120 +146,164 @@ impl ClassificationResult {
     }
 }
 
-/// Per-configuration classifier state inside [`classify_with`]: the
-/// EWMA series, the shared [`WindowState`] and the result columns. The
-/// window retires straight from `matrix.interval(n − w)` (no snapshot
-/// copies) and is fed only under latent heat, the one scheme reading it.
-struct ConfigState {
-    scheme: Scheme,
-    /// The latent-heat window; `None` for the single-interval schemes.
-    window: Option<usize>,
-    series: ThresholdSeries,
-    state: WindowState,
-    /// The threshold term each interval slid in with, to retire it by.
-    t_terms: Vec<f64>,
-    thresholds: Vec<f64>,
+/// One detector over a [`Sweep`]'s rows, and the configurations that
+/// step over its detections.
+struct Pass<'d> {
+    detector: Box<dyn ThresholdDetector + 'd>,
     raw_thresholds: Vec<Option<f64>>,
+    configs: Vec<Config>,
+}
+
+/// One configuration of a [`Pass`]: its step state and its result
+/// columns.
+struct Config {
+    state: SchemeState,
+    /// Its window in [`Sweep::sums`] (latent heat only: the one scheme
+    /// reading the key sums).
+    sums: Option<usize>,
+    thresholds: Vec<f64>,
     elephants: Vec<Vec<KeyId>>,
     elephant_load: Vec<f64>,
+}
+
+/// Many classification configurations stepped over one stream of
+/// interval rows as they are handed over: each detector runs once per
+/// row, and every configuration over its detections takes the one
+/// per-interval step (`crate::window`).
+///
+/// What depends only on the rows is kept once: the values the detectors
+/// read, the interval totals, one ring of the last `max w` rows and, per
+/// distinct latent-heat window `w`, one set of per-key sliding sums that
+/// every configuration with that `w` reads. Each configuration keeps
+/// only its EWMA, its threshold terms and their sum, its hysteresis
+/// members and its result columns. So `c` configurations over `d`
+/// detectors cost `d` detections and one window slide per distinct `w`
+/// per row, and every result is by bits what [`classify`] gives for a
+/// matrix of the same rows.
+///
+/// [`classify`], [`classify_many`] and [`classify_stream`] are this
+/// driver with one detector; the report crate's session steps every
+/// configuration an experiment asks for on one walk of a link.
+#[derive(Default)]
+pub struct Sweep<'d> {
+    passes: Vec<Pass<'d>>,
+    /// `(w, sums over the last w rows)`, one per distinct latent window.
+    sums: Vec<(usize, KeySums)>,
+    /// The last `max w` rows, oldest first; empty without latent heat.
+    ring: VecDeque<Vec<(KeyId, f32)>>,
+    /// The current row's rates as f64: every detector's input.
+    values: Vec<f64>,
     total_load: Vec<f64>,
 }
 
-impl ConfigState {
-    fn new(config: &ClassifyConfig, n_keys: usize, n_intervals: usize) -> Self {
-        let window = config.scheme.window();
-        let latent = matches!(config.scheme, Scheme::LatentHeat { .. });
-        ConfigState {
-            scheme: config.scheme,
-            window: latent.then_some(window),
-            series: ThresholdSeries::new(config.gamma),
-            state: WindowState::with_ids(if latent { n_keys } else { 0 }),
-            t_terms: Vec::with_capacity(if latent { n_intervals } else { 0 }),
-            thresholds: Vec::new(),
+impl<'d> Sweep<'d> {
+    /// A sweep with nothing to step yet.
+    pub fn new() -> Self {
+        Sweep::default()
+    }
+
+    /// Run `detector` over every row, and step each of `configs` over its
+    /// detections. Their results come out of [`Sweep::finish`] after
+    /// those of earlier passes, in `configs` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row has already been observed, or like
+    /// [`OnlineClassifier::new`](crate::OnlineClassifier::new) on an
+    /// invalid configuration.
+    pub fn pass(&mut self, detector: impl ThresholdDetector + 'd, configs: &[ClassifyConfig]) {
+        assert!(self.total_load.is_empty(), "passes are added before the first row");
+        let configs = configs
+            .iter()
+            .map(|config| {
+                let state = SchemeState::new(config.gamma, config.scheme);
+                let sums = match config.scheme {
+                    Scheme::LatentHeat { window } => Some(
+                        self.sums.iter().position(|&(w, _)| w == window).unwrap_or_else(|| {
+                            self.sums.push((window, KeySums::default()));
+                            self.sums.len() - 1
+                        }),
+                    ),
+                    Scheme::SingleFeature | Scheme::Hysteresis { .. } => None,
+                };
+                Config {
+                    state,
+                    sums,
+                    thresholds: Vec::new(),
+                    elephants: Vec::new(),
+                    elephant_load: Vec::new(),
+                }
+            })
+            .collect();
+        self.passes.push(Pass {
+            detector: Box::new(detector),
             raw_thresholds: Vec::new(),
-            elephants: Vec::with_capacity(n_intervals),
-            elephant_load: Vec::with_capacity(n_intervals),
-            total_load: Vec::with_capacity(n_intervals),
-        }
-    }
-
-    /// Advance to interval `n`: threshold update, window slide,
-    /// classification.
-    fn step(&mut self, matrix: &BandwidthMatrix, raw: &RawThresholds, n: usize) {
-        let view = matrix.interval(n);
-        self.raw_thresholds.push(raw.raw[n]);
-        let threshold = self.series.observe_raw(raw.raw[n]);
-        self.thresholds.push(threshold);
-
-        if let Some(window) = self.window {
-            // The stand-in is read only while nothing has been detected,
-            // which is exactly the intervals `unbeatable` covers.
-            let t_term = window::threshold_term(threshold, || raw.unbeatable[n]);
-            self.t_terms.push(t_term);
-            self.state.slide_in(t_term, view.iter());
-            if let Some(retire) = n.checked_sub(window) {
-                self.state.retire(self.t_terms[retire], matrix.interval(retire).iter());
-            }
-        }
-
-        // Elephants come out ascending and the load is added in that
-        // order, for bit-identical float sums on every path.
-        let mut current: Vec<KeyId> = Vec::new();
-        let mut load = 0.0f64;
-        self.state.classify(self.scheme, threshold, view.iter(), |key, term| {
-            current.push(key);
-            load += term;
+            configs,
         });
-
-        self.elephant_load.push(load);
-        self.total_load.push(matrix.total(n));
-        self.elephants.push(current);
     }
 
-    fn finish(self, detector: String) -> ClassificationResult {
-        ClassificationResult {
-            detector,
-            scheme: self.scheme,
-            thresholds: self.thresholds,
-            raw_thresholds: self.raw_thresholds,
-            elephants: self.elephants,
-            elephant_load: self.elephant_load,
-            total_load: self.total_load,
-        }
-    }
-}
+    /// Classify the next interval: `row` is its sparse snapshot,
+    /// ascending by key.
+    pub fn observe(&mut self, row: &[(KeyId, f32)]) {
+        debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0));
+        self.values.clear();
+        self.values.extend(row.iter().map(|&(_, rate)| f64::from(rate)));
+        // Fold from +0.0, as a matrix's totals are.
+        self.total_load.push(self.values.iter().fold(0.0, |s, &v| s + v));
 
-/// One detector's raw per-interval thresholds over one matrix: the
-/// detection half of a classification, which dominates its cost and
-/// depends on nothing in a [`ClassifyConfig`]. Detect once, then step
-/// any number of configurations over it with [`classify_with`], now or
-/// later.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RawThresholds {
-    detector: String,
-    raw: Vec<Option<f64>>,
-    /// One entry per interval before the first detection — the only
-    /// state with an infinite smoothed threshold, whatever the γ — with
-    /// that interval's finite stand-in (its largest rate + 1).
-    unbeatable: Vec<f64>,
-}
-
-impl RawThresholds {
-    /// Run `detector` over every interval of `matrix`.
-    pub fn detect<D: ThresholdDetector>(matrix: &BandwidthMatrix, detector: &D) -> Self {
-        let n_int = matrix.n_intervals();
-        let mut raw = Vec::with_capacity(n_int);
-        let mut unbeatable = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        for n in 0..n_int {
-            matrix.values_into(n, &mut values);
-            let detection = detector.detect(&values);
-            if detection.is_none() && unbeatable.len() == n {
-                unbeatable.push(window::unbeatable(&values));
+        if !self.sums.is_empty() {
+            // The ring holds the rows before this one, newest last.
+            for (w, sums) in &mut self.sums {
+                sums.slide_in(row);
+                if let Some(old) = self.ring.len().checked_sub(*w) {
+                    sums.retire(&self.ring[old]);
+                }
             }
-            raw.push(detection);
+            let max_w = self.sums.iter().map(|&(w, _)| w).max().expect("not empty");
+            let mut kept = if self.ring.len() == max_w {
+                self.ring.pop_front().expect("max_w >= 1")
+            } else {
+                Vec::new()
+            };
+            kept.clear();
+            kept.extend_from_slice(row);
+            self.ring.push_back(kept);
         }
-        RawThresholds { detector: detector.name(), raw, unbeatable }
+
+        for pass in &mut self.passes {
+            let raw = pass.detector.detect(&self.values);
+            pass.raw_thresholds.push(raw);
+            for config in &mut pass.configs {
+                let sums = config.sums.map(|at| &self.sums[at].1);
+                let step = config.state.step(raw, &self.values, sums, row);
+                config.thresholds.push(step.threshold);
+                config.elephants.push(step.elephants);
+                config.elephant_load.push(step.elephant_load);
+            }
+        }
+    }
+
+    /// Every configuration's result over the rows observed, pass by
+    /// pass in the order added.
+    pub fn finish(self) -> Vec<ClassificationResult> {
+        let total_load = self.total_load;
+        self.passes
+            .into_iter()
+            .flat_map(|pass| {
+                let detector = pass.detector.name();
+                let raw_thresholds = pass.raw_thresholds;
+                let total_load = &total_load;
+                pass.configs.into_iter().map(move |config| ClassificationResult {
+                    detector: detector.clone(),
+                    scheme: config.state.scheme(),
+                    thresholds: config.thresholds,
+                    raw_thresholds: raw_thresholds.clone(),
+                    elephants: config.elephants,
+                    elephant_load: config.elephant_load,
+                    total_load: total_load.clone(),
+                })
+            })
+            .collect()
     }
 }
 
@@ -282,47 +326,51 @@ pub fn classify<D: ThresholdDetector>(
 }
 
 /// Run a whole family of configurations over one matrix, detecting
-/// once: [`RawThresholds::detect`] followed by [`classify_with`].
+/// once per interval: a [`Sweep`] with one detector over the matrix's
+/// rows.
 ///
 /// For a sweep of `c` configurations this removes `c − 1` of the
-/// detection passes, which dominate classification cost. Every returned
-/// result is byte-identical to running [`classify`] separately with that
+/// detection passes, which dominate classification cost. Each
+/// configuration keeps its own EWMA series, so different γ values smooth
+/// the shared detections independently, and every returned result is
+/// byte-identical to running [`classify`] separately with that
 /// configuration (pinned by property tests).
 pub fn classify_many<D: ThresholdDetector>(
     matrix: &BandwidthMatrix,
     detector: &D,
     configs: &[ClassifyConfig],
 ) -> Vec<ClassificationResult> {
-    classify_with(matrix, &RawThresholds::detect(matrix, detector), configs)
+    let mut sweep = Sweep::new();
+    sweep.pass(detector, configs);
+    let mut row: Vec<(KeyId, f32)> = Vec::new();
+    for n in 0..matrix.n_intervals() {
+        row.clear();
+        row.extend(matrix.interval(n).iter());
+        sweep.observe(&row);
+    }
+    sweep.finish()
 }
 
-/// Step each configuration over the raw thresholds `raw` holds for
-/// `matrix`. Each configuration keeps its own EWMA series, so different
-/// γ values smooth the shared detections independently, and no
-/// configuration's result depends on which others ran beside it.
+/// Classify intervals as they are handed over, keeping only one window
+/// of them: `rows` is given a callback and calls it once per interval,
+/// in order, with that interval's sparse snapshot (ascending by key) —
+/// a walker such as [`eleph_flow::BandwidthMatrix::refine_each`] fits
+/// as is.
 ///
-/// # Panics
-///
-/// Panics when `raw` was detected over a matrix with another number of
-/// intervals.
-pub fn classify_with(
-    matrix: &BandwidthMatrix,
-    raw: &RawThresholds,
-    configs: &[ClassifyConfig],
-) -> Vec<ClassificationResult> {
-    let n_int = matrix.n_intervals();
-    assert_eq!(raw.raw.len(), n_int, "raw thresholds of another matrix");
-    let n_keys = matrix.n_keys();
-    let mut states: Vec<ConfigState> =
-        configs.iter().map(|c| ConfigState::new(c, n_keys, n_int)).collect();
-
-    for n in 0..n_int {
-        for state in &mut states {
-            state.step(matrix, raw, n);
-        }
-    }
-
-    states.into_iter().map(|s| s.finish(raw.detector.clone())).collect()
+/// The result is what [`classify`] returns for a matrix of the same
+/// rows, by bits (an interval's total folds its rates in key order from
+/// `+0.0`, as a matrix's does). Panics like
+/// [`OnlineClassifier::new`](crate::OnlineClassifier::new).
+pub fn classify_stream<D: ThresholdDetector>(
+    detector: D,
+    gamma: f64,
+    scheme: Scheme,
+    rows: impl FnOnce(&mut dyn FnMut(&[(KeyId, f32)])),
+) -> ClassificationResult {
+    let mut sweep = Sweep::new();
+    sweep.pass(detector, &[ClassifyConfig { gamma, scheme }]);
+    rows(&mut |row| sweep.observe(row));
+    sweep.finish().pop().expect("one config in, one result out")
 }
 
 #[cfg(test)]

@@ -30,17 +30,22 @@
 //! live in [`holding`], and the paper's §III prefix-length analysis in
 //! [`prefix_analysis`].
 //!
-//! Steps 3 and 4 (and the hysteresis baseline) are one state machine,
+//! Steps 2 – 4 (and the hysteresis baseline) are one per-interval step,
 //! the private `window` module: per-key sliding sums in flat vectors
-//! indexed by `KeyId`, slid in and retired one interval at a time and
-//! classified by [`Scheme`]. Two engines call it and agree by bits:
-//! batch [`classify`] / [`classify_many`] over a finished matrix (one
-//! detector pass amortised over a whole family of configurations — the
-//! engine behind the report crate's parameter sweeps) and the streaming
-//! [`OnlineClassifier`], one interval snapshot at a time
-//! ([`classify_stream`] returns its outcomes as the batch result). What
-//! varies under the streaming classifier is only how the open interval's
-//! byte row is held — a [`StateBackend`] ([`sketch`]).
+//! indexed by `KeyId`, slid in and retired one interval at a time, and
+//! one configuration's EWMA, threshold window and membership rule by
+//! [`Scheme`]. Two drivers call it and agree by bits: [`Sweep`], which
+//! steps a whole family of configurations over rows handed over one at
+//! a time, detecting once per row and sharing each window's sums between
+//! the configurations that read it — [`classify`] / [`classify_many`]
+//! over a finished matrix and [`classify_stream`] over a walk are it
+//! with one detector, and the report crate's session runs it on a
+//! link's rows as they are generated — and the streaming
+//! [`OnlineClassifier`], which also keeps what a checkpoint needs. What
+//! varies under the streaming classifier is only how the open
+//! interval's byte row is held — a [`StateBackend`] ([`sketch`]).
+//! [`KeyBitset`] is the dense id set the window and the prefix analysis
+//! keep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,14 +61,14 @@ mod threshold;
 mod tracker;
 mod window;
 
+pub use bits::KeyBitset;
 pub use classify::{
-    classify, classify_many, classify_with, ClassificationResult, ClassifyConfig, RawThresholds,
-    Scheme,
+    classify, classify_many, classify_stream, ClassificationResult, ClassifyConfig, Scheme, Sweep,
 };
 pub use sketch::{
     AdaptiveBloom, CountMinRow, ExactDense, SpaceSaving, StateBackend, StateBackendConfig,
 };
-pub use online::{classify_stream, ClassifierState, IntervalOutcome, OnlineClassifier};
+pub use online::{ClassifierState, IntervalOutcome, OnlineClassifier};
 pub use reader::ByteReader;
 pub use threshold::{
     AestDetector, ConstantLoadDetector, PercentileDetector, ThresholdDetector, TopNDetector,

@@ -9,23 +9,20 @@
 //! classifier (pinned by tests), so experiments validated offline
 //! transfer directly to the online deployment.
 //!
-//! It is one struct: the detector and its EWMA, the interval counter,
-//! the `WindowState` (`crate::window`) the batch engine also steps, and
-//! the window's snapshots, which a stream must keep because nothing
-//! else does. The elephant boundary is a property of the whole link, so
+//! It is one struct: the detector, the interval counter, the one
+//! per-interval step's state (`crate::window`: the EWMA, the threshold
+//! terms, the hysteresis members), the per-key window sums and the
+//! window's snapshots, which a stream must keep because nothing else
+//! does. The elephant boundary is a property of the whole link, so
 //! there is one classifier per link however the byte row under it is
 //! held (dense, sketched, or spread over worker threads).
-//!
-//! [`classify_stream`] drives it over intervals a caller hands over and
-//! assembles the batch [`ClassificationResult`], for traffic that is
-//! walked rather than stored as a matrix.
 
 use std::collections::VecDeque;
 
 use eleph_flow::KeyId;
 
-use crate::window::{self, WindowState};
-use crate::{ClassificationResult, Scheme, ThresholdDetector, ThresholdSeries};
+use crate::window::{KeySums, SchemeState};
+use crate::{Scheme, ThresholdDetector};
 
 /// The outcome of one streamed interval.
 #[derive(Debug, Clone)]
@@ -163,15 +160,15 @@ impl ClassifierState {
 #[derive(Debug)]
 pub struct OnlineClassifier<D> {
     detector: D,
-    series: ThresholdSeries,
     /// Intervals observed so far (the next outcome's index).
     interval: usize,
-    scheme: Scheme,
-    window: usize,
-    state: WindowState,
-    /// Oldest first: (threshold term, snapshot) per in-window interval,
-    /// kept so each interval retires with exactly what it slid in with.
-    history: VecDeque<(f64, Vec<(KeyId, f32)>)>,
+    state: SchemeState,
+    /// The per-key sums over the scheme's window (fed under every
+    /// scheme, so a checkpoint's state is the same whatever it reads).
+    sums: KeySums,
+    /// Oldest first: the in-window snapshots, kept so each interval
+    /// retires with exactly what it slid in with.
+    rows: VecDeque<Vec<(KeyId, f32)>>,
 }
 
 impl<D: ThresholdDetector> OnlineClassifier<D> {
@@ -179,33 +176,23 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
     /// a latent-heat window is 0, or the hysteresis multipliers are not
     /// `0 <= exit <= 1 <= enter`.
     pub fn new(detector: D, gamma: f64, scheme: Scheme) -> Self {
-        let window = scheme.window();
         OnlineClassifier {
             detector,
-            series: ThresholdSeries::new(gamma),
             interval: 0,
-            scheme,
-            window,
-            state: WindowState::default(),
+            state: SchemeState::new(gamma, scheme),
+            sums: KeySums::default(),
             // Grows with the run: it never holds more than `window + 1`
             // entries, and a window can be far longer than any run.
-            history: VecDeque::new(),
+            rows: VecDeque::new(),
         }
     }
 
     /// Feed one interval's sparse snapshot (ascending by key, as
     /// produced by the measurement pipeline) and classify it: detection
-    /// and smoothing on the interval's values, one slide of the window
-    /// (the interval in, the one that falls out retired), then the
-    /// scheme's membership rule.
+    /// on the interval's values, one slide of the window (the interval
+    /// in, the one that falls out retired), then the one per-interval
+    /// step — smoothing and the scheme's membership rule.
     pub fn observe(&mut self, snapshot: &[(KeyId, f32)]) -> IntervalOutcome {
-        self.step(snapshot).0
-    }
-
-    /// [`OnlineClassifier::observe`], also returning the interval's raw
-    /// detection (`None` = the detector abstained), which
-    /// [`classify_stream`] reports beside the smoothed threshold.
-    fn step(&mut self, snapshot: &[(KeyId, f32)]) -> (IntervalOutcome, Option<f64>) {
         debug_assert!(snapshot.windows(2).all(|w| w[0].0 < w[1].0));
         let values: Vec<f64> = snapshot.iter().map(|&(_, r)| f64::from(r)).collect();
         // Fold from +0.0 like the batch matrix's total accumulation —
@@ -213,25 +200,23 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
         // interval's total bit-differ from the batch path.
         let total_load: f64 = values.iter().fold(0.0, |s, &v| s + v);
         let raw = self.detector.detect(&values);
-        let threshold = self.series.observe_raw(raw);
-        let t_term = window::threshold_term(threshold, || window::unbeatable(&values));
         let interval = self.interval;
         self.interval += 1;
 
-        self.state.slide_in(t_term, snapshot.iter().copied());
-        self.history.push_back((t_term, snapshot.to_vec()));
-        if self.history.len() > self.window {
-            let (old_t, old_snapshot) = self.history.pop_front().expect("len checked");
-            self.state.retire(old_t, old_snapshot.into_iter());
+        self.sums.slide_in(snapshot);
+        self.rows.push_back(snapshot.to_vec());
+        if self.rows.len() > self.state.window() {
+            let old = self.rows.pop_front().expect("len checked");
+            self.sums.retire(&old);
         }
-
-        let mut elephants: Vec<KeyId> = Vec::new();
-        let mut elephant_load = 0.0f64;
-        self.state.classify(self.scheme, threshold, snapshot.iter().copied(), |key, term| {
-            elephants.push(key);
-            elephant_load += term;
-        });
-        (IntervalOutcome { interval, threshold, elephants, elephant_load, total_load }, raw)
+        let step = self.state.step(raw, &values, Some(&self.sums), snapshot);
+        IntervalOutcome {
+            interval,
+            threshold: step.threshold,
+            elephants: step.elephants,
+            elephant_load: step.elephant_load,
+            total_load,
+        }
     }
 
     /// Export the recovery frontier (see [`ClassifierState`]).
@@ -244,18 +229,23 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
     /// the earlier ones has not seen — and the number of slots the whole
     /// history holds.
     pub fn export_state_from(&self, from: usize) -> (ClassifierState, usize) {
-        let (sum_t, per_key, members) = self.state.export();
-        let first = self.interval - self.history.len();
-        let skip = from.saturating_sub(first).min(self.history.len());
+        let (smoothed, t_terms, sum_t, members) = self.state.export();
+        let first = self.interval - self.rows.len();
+        let skip = from.saturating_sub(first).min(self.rows.len());
         let state = ClassifierState {
             interval: self.interval,
-            smoothed: self.series.smoothed_value(),
+            smoothed,
             sum_t,
-            per_key,
-            history: self.history.iter().skip(skip).cloned().collect(),
-            members,
+            per_key: self.sums.export(),
+            history: t_terms
+                .iter()
+                .zip(&self.rows)
+                .skip(skip)
+                .map(|(&t_term, row)| (t_term, row.clone()))
+                .collect(),
+            members: members.to_vec(),
         };
-        (state, self.history.len())
+        (state, self.rows.len())
     }
 
     /// Continue from a checkpointed [`ClassifierState`] in place: from
@@ -267,26 +257,23 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
     /// before anything is sized by it, so a corrupted one is rejected
     /// with a description and leaves this classifier as it was.
     pub fn restore(&mut self, n_keys: usize, state: ClassifierState) -> Result<(), String> {
-        state.validate(self.scheme, n_keys)?;
-        self.series = ThresholdSeries::new(self.series.gamma());
-        if let Some(smoothed) = state.smoothed {
-            // A first detection sets the EWMA to exactly its value.
-            self.series.observe_raw(Some(smoothed));
-        }
+        state.validate(self.state.scheme(), n_keys)?;
         self.interval = state.interval;
-        self.state = WindowState::restore(state.sum_t, &state.per_key, state.members);
-        self.history = state.history.into();
+        self.sums = KeySums::restore(&state.per_key);
+        let (t_terms, rows) = state.history.into_iter().unzip();
+        self.state.restore(state.smoothed, t_terms, state.sum_t, state.members);
+        self.rows = rows;
         Ok(())
     }
 
     /// The smoothing factor γ this classifier was built with.
     pub fn gamma(&self) -> f64 {
-        self.series.gamma()
+        self.state.gamma()
     }
 
     /// The classification scheme this classifier was built with.
     pub fn scheme(&self) -> Scheme {
-        self.scheme
+        self.state.scheme()
     }
 
     /// The detector's name (checkpoints fingerprint the configuration
@@ -300,47 +287,8 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
     /// again once every key has been idle for a full window (the retire
     /// path is exact, so state cannot leak).
     pub fn tracked_keys(&self) -> usize {
-        self.state.tracked()
+        self.sums.tracked()
     }
-}
-
-/// Classify intervals as they are handed over, keeping only one window
-/// of them: `rows` is given a callback and calls it once per interval,
-/// in order, with that interval's sparse snapshot (ascending by key) —
-/// a walker such as [`eleph_flow::BandwidthMatrix::refine_each`] fits
-/// as is.
-///
-/// The rows go through one [`OnlineClassifier`], and the result is what
-/// batch [`crate::classify`] returns for a matrix of the same rows, by
-/// bits: each interval's raw detection and everything in its
-/// [`IntervalOutcome`] go into the result's columns (an
-/// interval's total folds its rates in key order from `+0.0`, as a
-/// matrix's does). Panics like [`OnlineClassifier::new`].
-pub fn classify_stream<D: ThresholdDetector>(
-    detector: D,
-    gamma: f64,
-    scheme: Scheme,
-    rows: impl FnOnce(&mut dyn FnMut(&[(KeyId, f32)])),
-) -> ClassificationResult {
-    let mut online = OnlineClassifier::new(detector, gamma, scheme);
-    let mut result = ClassificationResult {
-        detector: online.detector_name(),
-        scheme,
-        thresholds: Vec::new(),
-        raw_thresholds: Vec::new(),
-        elephants: Vec::new(),
-        elephant_load: Vec::new(),
-        total_load: Vec::new(),
-    };
-    rows(&mut |row| {
-        let (outcome, raw) = online.step(row);
-        result.raw_thresholds.push(raw);
-        result.thresholds.push(outcome.threshold);
-        result.elephants.push(outcome.elephants);
-        result.elephant_load.push(outcome.elephant_load);
-        result.total_load.push(outcome.total_load);
-    });
-    result
 }
 
 #[cfg(test)]

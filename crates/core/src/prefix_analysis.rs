@@ -6,15 +6,12 @@
 //! became active during the day, only three received traffic at a rate
 //! sufficiently high to place them in the elephant class."
 
-use std::collections::HashSet;
-use std::ops::Range;
-
 use eleph_bgp::{BgpTable, PeerClass};
-use eleph_flow::{BandwidthMatrix, KeyId};
+use eleph_net::Prefix;
 
-use crate::ClassificationResult;
+use crate::{ClassificationResult, KeyBitset};
 
-/// Prefix-level characteristics of the elephant class over a window.
+/// Prefix-level characteristics of the elephant class over a run.
 #[derive(Debug, Clone)]
 pub struct PrefixReport {
     /// Distinct active prefixes per length (index = length).
@@ -33,23 +30,22 @@ pub struct PrefixReport {
     pub elephant_peer_classes: Option<[usize; 3]>,
 }
 
-/// Join the classification with prefix metadata over `window`.
+/// Join a classification of a whole run with prefix metadata: `keys[id]`
+/// is key `id`'s prefix, and `ever_active` holds every key active in
+/// some interval of the run — the two things the join reads of the
+/// link, so it needs neither its rows nor a matrix.
 ///
 /// `table` enables the peer-class breakdown; pass `None` when only
 /// length statistics are needed.
 pub fn prefix_report(
-    matrix: &BandwidthMatrix,
+    keys: &[Prefix],
+    ever_active: &KeyBitset,
     result: &ClassificationResult,
     table: Option<&BgpTable>,
-    window: Range<usize>,
 ) -> PrefixReport {
-    assert!(window.end <= result.n_intervals());
-
-    let mut active: HashSet<KeyId> = HashSet::new();
-    let mut elephant: HashSet<KeyId> = HashSet::new();
-    for n in window {
-        active.extend(matrix.interval(n).keys().iter().copied());
-        elephant.extend(result.elephants[n].iter().copied());
+    let mut elephant = KeyBitset::with_capacity(keys.len());
+    for &key in result.elephants.iter().flatten() {
+        elephant.insert(key);
     }
 
     let mut active_by_length = [0usize; 33];
@@ -60,15 +56,15 @@ pub fn prefix_report(
     let mut max_len = 0u8;
     let mut peer = [0usize; 3];
 
-    for &key in &active {
-        let len = matrix.key(key).len();
+    for key in ever_active.iter() {
+        let len = keys[key as usize].len();
         active_by_length[len as usize] += 1;
         if len == 8 {
             active_slash8 += 1;
         }
     }
-    for &key in &elephant {
-        let prefix = matrix.key(key);
+    for key in elephant.iter() {
+        let prefix = keys[key as usize];
         let len = prefix.len();
         elephant_by_length[len as usize] += 1;
         if len == 8 {
@@ -106,7 +102,7 @@ mod tests {
     use super::*;
     use crate::Scheme;
     use eleph_bgp::{Origin, RouteEntry};
-    use eleph_net::Prefix;
+    use eleph_flow::{BandwidthMatrix, KeyId};
     use std::net::Ipv4Addr;
 
     fn build_matrix(prefixes: &[&str], rows: &[Vec<f64>]) -> (BandwidthMatrix, BgpTable) {
@@ -144,6 +140,23 @@ mod tests {
         (m, table)
     }
 
+    /// The report over the whole of `m`: its keys, and every key active
+    /// in some interval of it.
+    fn report_over(
+        m: &BandwidthMatrix,
+        r: &ClassificationResult,
+        table: Option<&BgpTable>,
+    ) -> PrefixReport {
+        let keys: Vec<Prefix> = (0..m.n_keys() as KeyId).map(|id| m.key(id)).collect();
+        let mut ever_active = KeyBitset::default();
+        for n in 0..m.n_intervals() {
+            for &key in m.interval(n).keys() {
+                ever_active.insert(key);
+            }
+        }
+        prefix_report(&keys, &ever_active, r, table)
+    }
+
     fn scripted(m: &BandwidthMatrix, sets: Vec<Vec<&str>>) -> ClassificationResult {
         let elephants: Vec<Vec<KeyId>> = sets
             .iter()
@@ -177,7 +190,7 @@ mod tests {
         ];
         let (m, table) = build_matrix(&prefixes, &rows);
         let r = scripted(&m, vec![vec!["10.16.0.0/12", "10.32.0.0/16"], vec!["10.16.0.0/12"]]);
-        let report = prefix_report(&m, &r, Some(&table), 0..2);
+        let report = report_over(&m, &r, Some(&table));
 
         assert_eq!(report.active_by_length[8], 1);
         assert_eq!(report.active_by_length[12], 1);
@@ -198,10 +211,10 @@ mod tests {
         let (m, table) = build_matrix(&prefixes, &rows);
         // Peer classes cycle Tier1, Tier2, Stub by construction.
         let r = scripted(&m, vec![vec!["10.16.0.0/12", "11.32.0.0/16"]]);
-        let report = prefix_report(&m, &r, Some(&table), 0..1);
+        let report = report_over(&m, &r, Some(&table));
         assert_eq!(report.elephant_peer_classes, Some([1, 1, 0]));
 
-        let no_table = prefix_report(&m, &r, None, 0..1);
+        let no_table = report_over(&m, &r, None);
         assert_eq!(no_table.elephant_peer_classes, None);
     }
 
@@ -213,7 +226,7 @@ mod tests {
         let rows = vec![vec![8.0, 8.0, 8.0, 8.0]];
         let (m, table) = build_matrix(&prefixes, &rows);
         let r = scripted(&m, vec![vec!["10.0.0.0/16"]]);
-        let report = prefix_report(&m, &r, Some(&table), 0..1);
+        let report = report_over(&m, &r, Some(&table));
         // One of three active /16s became an elephant, none of the /24s,
         // and no /8 was active.
         assert_eq!((report.elephant_by_length[16], report.active_by_length[16]), (1, 3));
@@ -227,7 +240,7 @@ mod tests {
         let rows = vec![vec![8.0]];
         let (m, table) = build_matrix(&prefixes, &rows);
         let r = scripted(&m, vec![vec![]]);
-        let report = prefix_report(&m, &r, Some(&table), 0..1);
+        let report = report_over(&m, &r, Some(&table));
         assert_eq!(report.elephant_length_range, None);
         assert_eq!(report.elephant_peer_classes, Some([0, 0, 0]));
     }

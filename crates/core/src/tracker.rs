@@ -12,10 +12,9 @@ use eleph_stats::Ewma;
 /// a week of intervals as after one; a caller that reports the
 /// per-interval thresholds collects them itself.
 ///
-/// [`crate::OnlineClassifier`] owns one beside its detector, and
-/// [`crate::classify_many`] runs one detector over each interval once
-/// and fans the raw detection out to many configurations, each owning a
-/// `ThresholdSeries` with its own γ.
+/// Each configuration's per-interval step owns one (`crate::window`),
+/// so the configurations a [`crate::Sweep`] fans one detector's raw
+/// detections out to smooth them each with its own γ.
 #[derive(Debug)]
 pub(crate) struct ThresholdSeries {
     ewma: Ewma,

@@ -3,17 +3,17 @@
 //! naively, the structural invariants of a classification must hold on
 //! arbitrary bandwidth matrices, the dense columnar engine must agree
 //! with a faithful replica of the legacy hash-map classifier,
-//! [`eleph_core::classify_many`] must be indistinguishable from
-//! independent [`eleph_core::classify`] calls, so must any
-//! configuration stepped over stored [`eleph_core::RawThresholds`], and
-//! the two callers of the one window state machine — batch and
-//! streaming — must agree by bits, across a checkpoint too, and over
-//! traffic re-measured at another T as it is walked.
+//! [`eleph_core::classify_many`] — and one [`eleph_core::Sweep`] of
+//! several detectors and windows — must be indistinguishable from
+//! independent [`eleph_core::classify`] calls, and the two drivers of
+//! the one per-interval step — batch and streaming — must agree by
+//! bits, across a checkpoint too, and over traffic re-measured at
+//! another T as it is walked.
 
 use eleph_core::{
-    classify, classify_many, classify_stream, classify_with, holding, AestDetector,
-    ClassificationResult, ClassifierState, ClassifyConfig, ConstantLoadDetector, IntervalOutcome,
-    OnlineClassifier, PercentileDetector, RawThresholds, Scheme, ThresholdDetector, TopNDetector,
+    classify, classify_many, classify_stream, holding, AestDetector, ClassificationResult,
+    ClassifierState, ClassifyConfig, ConstantLoadDetector, IntervalOutcome, OnlineClassifier,
+    PercentileDetector, Scheme, Sweep, ThresholdDetector, TopNDetector,
 };
 use eleph_flow::{BandwidthMatrix, KeyId};
 use eleph_net::Prefix;
@@ -424,45 +424,52 @@ proptest! {
 
 proptest! {
     #[test]
-    fn stepping_stored_thresholds_equals_classify(
+    fn one_sweep_of_many_detectors_and_windows_equals_independent_classifies(
         rows in arb_rows(),
         beta in 0.3..0.95f64,
         // Interval totals reach ~11 000 b/s: from "never abstains" to
         // "never detects".
         cutoff in prop_oneof![1 => Just(0.0), 6 => 0.0..6000.0f64, 1 => Just(1e9)],
         gamma in 0.0..0.99f64,
-        window in 1usize..6,
+        windows in prop::collection::vec(1usize..8, 1..4),
         enter in 1.0..1.8f64,
         exit in 0.2..1.0f64,
     ) {
         let m = matrix(&rows);
-        let detector = QuietAbstains { cutoff, inner: ConstantLoadDetector::new(beta) };
-        let configs = [
-            Scheme::SingleFeature,
-            Scheme::LatentHeat { window },
-            Scheme::Hysteresis { enter, exit },
-        ]
-        .map(|scheme| ClassifyConfig { gamma, scheme });
-
-        // Detect once and keep the series; step the whole family over
-        // it, then each configuration alone and in another order, as a
-        // session asked for them at different times would.
-        let stored = RawThresholds::detect(&m, &detector);
-        let together = classify_with(&m, &stored, &configs);
-        prop_assert_eq!(together.len(), configs.len());
-        for (config, got) in configs.iter().zip(&together).rev() {
-            let later = classify_with(&m, &stored, std::slice::from_ref(config));
-            prop_assert_eq!(later.len(), 1);
-            let solo = classify(&m, detector, config.gamma, config.scheme);
-            prop_assert_eq!(result_bits(got), result_bits(&solo), "{:?} together", config);
-            prop_assert_eq!(result_bits(&later[0]), result_bits(&solo), "{:?} later", config);
-            // And against the engine-independent replica, which detects
-            // inline and never stores a series.
-            let reference = legacy::classify(&m, detector, config.gamma, config.scheme);
+        let abstains = QuietAbstains { cutoff, inner: ConstantLoadDetector::new(beta) };
+        let constant_load = ConstantLoadDetector::new(beta);
+        // Latent-heat configurations of several windows share one ring
+        // of rows and, per distinct window, one set of key sums — across
+        // both detectors.
+        let mut configs = vec![
+            ClassifyConfig { gamma, scheme: Scheme::SingleFeature },
+            ClassifyConfig { gamma, scheme: Scheme::Hysteresis { enter, exit } },
+        ];
+        configs.extend(
+            windows.iter().map(|&window| ClassifyConfig { gamma, scheme: Scheme::LatentHeat { window } }),
+        );
+        let mut sweep = Sweep::new();
+        sweep.pass(abstains, &configs);
+        sweep.pass(constant_load, &configs[2..]);
+        for n in 0..m.n_intervals() {
+            sweep.observe(&m.interval(n).to_pairs());
+        }
+        let swept = sweep.finish();
+        prop_assert_eq!(swept.len(), 2 * configs.len() - 2);
+        let (first, second) = swept.split_at(configs.len());
+        for (config, got) in configs.iter().zip(first) {
+            let solo = classify(&m, abstains, config.gamma, config.scheme);
+            prop_assert_eq!(result_bits(got), result_bits(&solo), "{:?} abstaining", config);
+            // And against the engine-independent replica.
+            let reference = legacy::classify(&m, abstains, config.gamma, config.scheme);
             prop_assert_eq!(&got.elephants, &reference.elephants, "{:?}", config);
             prop_assert_eq!(&got.thresholds, &reference.thresholds, "{:?}", config);
             prop_assert_eq!(&got.elephant_load, &reference.elephant_load, "{:?}", config);
             prop_assert_eq!(&got.total_load, &reference.total_load, "{:?}", config);
+        }
+        for (config, got) in configs[2..].iter().zip(second) {
+            let solo = classify(&m, constant_load, config.gamma, config.scheme);
+            prop_assert_eq!(result_bits(got), result_bits(&solo), "{:?} constant load", config);
         }
     }
 }

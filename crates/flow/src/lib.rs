@@ -28,6 +28,8 @@
 //! * [`aggregate_pcap`] / [`aggregate_pcap_frozen`] — drive an
 //!   [`Aggregator`] from a capture stream (chunked decode + batched
 //!   attribution internally);
+//! * [`Refine`] / [`Coarsen`] — the same traffic re-measured at a finer
+//!   or coarser T, as row adapters over any walk of a link's rows;
 //! * [`busiest_window`] — locate the paper's "five hour busy period".
 
 #![forbid(unsafe_code)]
@@ -35,6 +37,7 @@
 
 mod aggregate;
 mod matrix;
+mod remeasure;
 mod window;
 
 pub use aggregate::{
@@ -43,4 +46,5 @@ pub use aggregate::{
     ATTRIBUTION_CHUNK,
 };
 pub use matrix::{BandwidthMatrix, IntervalView, KeyId};
+pub use remeasure::{Coarsen, Refine};
 pub use window::busiest_window;

@@ -6,6 +6,8 @@ use eleph_bgp::BgpTable;
 use eleph_net::Prefix;
 use eleph_trace::{FlowPopulation, RateTrace, WorkloadConfig};
 
+use crate::remeasure::{Coarsen, Refine};
+
 /// Dense integer id for a prefix within one [`BandwidthMatrix`].
 pub type KeyId = u32;
 
@@ -324,118 +326,48 @@ impl BandwidthMatrix {
     }
 
     /// Re-measure the same traffic at a coarser interval `T' = factor·T`
-    /// and hand each coarse interval to `row`, in order: every `factor`
-    /// consecutive intervals merge into one, each key's coarse rate
-    /// being the time-average of its fine rates (absent slots count as
-    /// zero), so bytes are conserved exactly. This is the paper's §II
-    /// interval-sensitivity protocol — one traffic process, different
-    /// discretisations — without regenerating the workload.
-    ///
-    /// A row is sparse and ascending by key, like
-    /// [`BandwidthMatrix::interval`], and lives in one buffer reused from
-    /// interval to interval: the re-measured matrix is never built, and
-    /// the walk holds O(keys) of scratch whatever the trace length. A
-    /// trailing partial group still averages over the full coarse
-    /// interval length.
+    /// and hand each coarse interval to `row`, in order: this matrix's
+    /// rows walked through a [`Coarsen`] adapter, which says how (bytes
+    /// are conserved exactly; a trailing partial group still averages
+    /// over the full coarse interval length). The re-measured matrix is
+    /// never built: each row is lent from one reused buffer.
     ///
     /// # Panics
     ///
     /// Panics when `factor` is zero.
     pub fn coarsen_each(&self, factor: usize, mut row: impl FnMut(&[(KeyId, f32)])) {
-        assert!(factor >= 1, "coarsening factor must be >= 1");
-        let n_coarse = self.n_intervals().div_ceil(factor);
-        // Dense accumulator + touched list: keys are dense ids.
-        let mut acc: Vec<f64> = vec![0.0; self.n_keys()];
-        let mut touched: Vec<KeyId> = Vec::new();
-        let mut out: Vec<(KeyId, f32)> = Vec::new();
-        let inv = 1.0 / factor as f64;
-        for m in 0..n_coarse {
-            for n in (m * factor)..((m + 1) * factor).min(self.n_intervals()) {
-                for (key, rate) in self.interval(n).iter() {
-                    // Skip explicit zero-rate entries: they contribute
-                    // nothing, and the `acc == 0.0` first-touch sentinel
-                    // below would otherwise record the key twice.
-                    if rate == 0.0 {
-                        continue;
-                    }
-                    if acc[key as usize] == 0.0 {
-                        touched.push(key);
-                    }
-                    acc[key as usize] += f64::from(rate);
-                }
-            }
-            touched.sort_unstable();
-            for &key in &touched {
-                let rate = (acc[key as usize] * inv) as f32;
-                acc[key as usize] = 0.0;
-                // A subnormal average can round to 0.0 in f32; keep the
-                // "zero = inactive" invariant rather than handing it on.
-                if rate > 0.0 {
-                    out.push((key, rate));
-                }
-            }
-            touched.clear();
-            row(&out);
-            out.clear();
-        }
+        let mut coarsen = Coarsen::new(factor);
+        self.each_row(|fine| coarsen.push(fine, &mut row));
+        coarsen.finish(row);
     }
 
     /// Re-measure the same traffic at a finer interval `T' = T / factor`
-    /// and hand each sub-interval to `row`, in order: each interval
-    /// splits into `factor` sub-slots, a key's sub-rates being its rate
-    /// times bounded mean-one jitter (uniform in [0.75, 1.25), normalised
-    /// so the sub-slots average back to the parent rate — bytes are
-    /// conserved per interval). The jitter is a pure hash of
-    /// `(seed, key, interval, slot)`: deterministic, machine-independent,
-    /// no RNG state.
-    ///
-    /// Rows are sparse, ascending by key and lent from one reused buffer,
-    /// as in [`BandwidthMatrix::coarsen_each`]; the scratch is sized by
-    /// one parent interval's keys × `factor`, never by the matrix.
+    /// and hand each sub-interval to `row`, in order: this matrix's rows
+    /// walked through a [`Refine`] adapter under `seed`, which says how
+    /// (bounded mean-one jitter; bytes conserved per interval). Rows are
+    /// lent from one reused buffer, as in
+    /// [`BandwidthMatrix::coarsen_each`].
     ///
     /// # Panics
     ///
     /// Panics when `factor` is zero or does not divide `interval_secs`.
     pub fn refine_each(&self, factor: usize, seed: u64, mut row: impl FnMut(&[(KeyId, f32)])) {
-        assert!(factor >= 1, "refinement factor must be >= 1");
+        let mut refine = Refine::new(factor, seed);
         assert!(
-            self.interval_secs % factor as u64 == 0,
+            self.interval_secs.is_multiple_of(factor as u64),
             "refinement factor must divide the interval length"
         );
-        // Per parent interval: key i's jitter for sub-slot j at
-        // `jitter[i * factor + j]`, and its normaliser at `norms[i]`.
-        let mut jitter: Vec<f64> = Vec::new();
-        let mut norms: Vec<f64> = Vec::new();
-        let mut out: Vec<(KeyId, f32)> = Vec::new();
+        self.each_row(|parent| refine.push(parent, &mut row));
+    }
+
+    /// Hand each interval's sparse row to `row`, in order, from one
+    /// reused buffer.
+    fn each_row(&self, mut row: impl FnMut(&[(KeyId, f32)])) {
+        let mut pairs: Vec<(KeyId, f32)> = Vec::new();
         for n in 0..self.n_intervals() {
-            let view = self.interval(n);
-            jitter.clear();
-            norms.clear();
-            for &key in view.keys() {
-                let mut sum = 0.0f64;
-                for j in 0..factor {
-                    let h =
-                        split_hash(seed ^ (u64::from(key) << 32) ^ ((n as u64) << 8) ^ j as u64);
-                    // 53 uniform bits → [0, 1) → bounded jitter [0.75, 1.25).
-                    let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                    let f = 0.75 + 0.5 * u;
-                    jitter.push(f);
-                    sum += f;
-                }
-                norms.push(factor as f64 / sum);
-            }
-            for j in 0..factor {
-                for (i, (key, rate)) in view.iter().enumerate() {
-                    let sub = (f64::from(rate) * jitter[i * factor + j] * norms[i]) as f32;
-                    // Keep the "zero = inactive" invariant for subnormal
-                    // parents whose jittered sub-rate rounds to 0.0.
-                    if sub > 0.0 {
-                        out.push((key, sub));
-                    }
-                }
-                row(&out);
-                out.clear();
-            }
+            pairs.clear();
+            pairs.extend(self.interval(n).iter());
+            row(&pairs);
         }
     }
 
@@ -454,16 +386,6 @@ impl BandwidthMatrix {
     pub fn totals(&self) -> &[f64] {
         &self.totals
     }
-}
-
-/// SplitMix64 finaliser: the stateless hash behind
-/// [`BandwidthMatrix::refine_each`]'s jitter.
-#[inline]
-fn split_hash(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -707,6 +629,7 @@ mod tests {
     /// kept, the way the re-measured matrices were once built.
     mod row_oracle {
         use super::super::*;
+        use crate::remeasure::split_hash;
 
         pub fn coarsen(m: &BandwidthMatrix, factor: usize) -> Vec<Vec<(KeyId, f32)>> {
             let n_coarse = m.n_intervals().div_ceil(factor);

@@ -141,8 +141,8 @@ impl<W: Write> Sink for JsonlSink<W> {
     }
 }
 
-/// Durable JSONL file sink with size-based rotation and crash-safe
-/// resume.
+/// JSONL file sink with size-based rotation and resume after a killed
+/// process.
 ///
 /// The current file is always at `path`; when a line would push it past
 /// `rotate_bytes`, the file is renamed to `path.1`, `path.2`, …
@@ -153,7 +153,12 @@ impl<W: Write> Sink for JsonlSink<W> {
 /// Every line is flushed as it is sealed; [`RotatingJsonlSink::resume`]
 /// truncates the chain back to the checkpoint's interval count,
 /// removing torn trailing lines and post-checkpoint duplicates, which
-/// is what makes interval emission exactly-once across crashes.
+/// is what makes interval emission exactly-once across a killed
+/// process. Flushed is not synced: neither JSONL sink fsyncs its lines,
+/// and a rotation's rename syncs no directory, so after a power cut the
+/// chain can hold fewer lines than a (fsynced) checkpoint image counts,
+/// and resume then refuses. Durability across a power cut is ROADMAP
+/// item 6.
 pub struct RotatingJsonlSink {
     path: std::path::PathBuf,
     rotate_bytes: Option<u64>,
@@ -193,12 +198,14 @@ impl RotatingJsonlSink {
     }
 
     /// Re-open an output chain after a crash, truncating it to exactly
-    /// `expected_lines` complete lines — the count the checkpoint
-    /// recorded as durably emitted. Handles a torn trailing line (flush
-    /// raced the crash) and whole extra lines (crash between sink write
-    /// and checkpoint write). Errors if the chain holds *fewer*
-    /// complete lines than expected: that output cannot have come from
-    /// the checkpointed run.
+    /// `expected_lines` complete lines — the count of lines the
+    /// checkpoint recorded as emitted, which were flushed to the OS but
+    /// not fsynced. Handles a torn trailing line (flush raced the crash)
+    /// and whole extra lines (crash between sink write and checkpoint
+    /// write). Errors if the chain holds *fewer* complete lines than
+    /// expected: that output cannot have come from the checkpointed run
+    /// — or the machine lost power after the checkpoint was synced and
+    /// before the lines reached the disk (ROADMAP item 6).
     pub fn resume(
         path: impl Into<std::path::PathBuf>,
         rotate_bytes: Option<u64>,

@@ -11,7 +11,8 @@
 //!   [`eleph_pipeline`] builder and emit per-interval JSONL.
 //!
 //! One experiment or all of them, the path is the same: open a
-//! [`Lab`], run the named experiments in it, print what they render.
+//! [`Lab`], walk each link once for what the named experiments declare
+//! they read, run them, print what they render.
 
 use std::io;
 use std::process::ExitCode;
@@ -32,8 +33,8 @@ use eleph_trace::{
     WorkloadConfig,
 };
 
-use crate::experiments::{Experiment, EXPERIMENTS};
-use crate::{Lab, LabCounters};
+use crate::experiments::{Experiment, Needs, EXPERIMENTS};
+use crate::{Lab, LabCounters, Need};
 
 /// Why an `eleph` invocation failed.
 #[derive(Debug)]
@@ -119,22 +120,27 @@ pub fn parse_common(args: &[String]) -> Result<CommonOpts, CliError> {
 }
 
 /// Run the named experiments in one session and return what each
-/// renders, with the session's counters. An id outside [`EXPERIMENTS`]
-/// is a [`CliError::Usage`], reported before anything is built.
+/// renders, with the session's counters. The session first walks each
+/// link once for what all of them declared they read
+/// ([`Lab::prepare`]); the experiments then read finished results. An id
+/// outside [`EXPERIMENTS`] is a [`CliError::Usage`], reported before
+/// anything is built.
 pub fn run_session(
     ids: &[&str],
     opts: CommonOpts,
 ) -> Result<(Vec<String>, LabCounters), CliError> {
-    let mut experiments: Vec<Experiment> = Vec::with_capacity(ids.len());
+    let mut experiments: Vec<(Needs, Experiment)> = Vec::with_capacity(ids.len());
     for id in ids {
-        match EXPERIMENTS.iter().find(|(known, _)| known == id) {
-            Some(&(_, experiment)) => experiments.push(experiment),
+        match EXPERIMENTS.iter().find(|(known, _, _)| known == id) {
+            Some(&(_, needs, experiment)) => experiments.push((needs, experiment)),
             None => return usage(format!("unknown experiment {id}")),
         }
     }
     let lab = Lab::new(opts.scale, opts.seed);
+    let needs: Vec<Need> = experiments.iter().flat_map(|(needs, _)| needs(&lab)).collect();
+    lab.prepare(&needs);
     let mut rendered = Vec::with_capacity(ids.len());
-    for experiment in experiments {
+    for (_, experiment) in experiments {
         rendered.push(experiment(&lab)?.render());
     }
     Ok((rendered, lab.counters()))
@@ -148,7 +154,7 @@ pub fn render_experiment(id: &str, opts: CommonOpts) -> Result<String, CliError>
 /// Run every experiment — the `eleph all` subcommand: the same session
 /// with all of [`EXPERIMENTS`] in it, a blank line after each report.
 pub fn render_all(opts: CommonOpts) -> Result<String, CliError> {
-    let (rendered, _) = run_session(&EXPERIMENTS.map(|(id, _)| id), opts)?;
+    let (rendered, _) = run_session(&EXPERIMENTS.map(|(id, _, _)| id), opts)?;
     Ok(rendered.iter().flat_map(|r| [r.as_str(), "\n"]).collect())
 }
 

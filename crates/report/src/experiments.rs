@@ -1,6 +1,14 @@
 //! One function per figure/table of the paper ([`EXPERIMENTS`] lists
 //! them in the order `eleph all` runs them), each reading its
-//! classifications from a [`Lab`] session.
+//! classifications from a [`Lab`] session, beside the [`Needs`] that
+//! declare what it reads.
+//!
+//! `eleph all` gathers every experiment's needs and walks each link once
+//! for all of them ([`crate::cli::run_session`]); each experiment then
+//! reads only finished results, a link's totals (for its busy window)
+//! and, for table 3, its keys, table and ever-active keys. An experiment
+//! called on its own — as the benchmark's trace calls them — asks for
+//! its own needs first, and its session walks what it lacks.
 
 use std::io;
 use std::ops::Deref;
@@ -13,7 +21,8 @@ use eleph_core::{ClassificationResult, Scheme};
 use eleph_stats::Summary;
 
 use crate::emit::{fmt, write_csv, Comparison};
-use crate::{DetectorKind, Lab, MatrixId, Scenario, ScenarioData, SchemeSpec};
+use crate::lab::FIG1_JOBS;
+use crate::{DetectorKind, Job, Lab, MatrixId, Measure, Need, Scenario, SchemeSpec};
 
 /// The output of one experiment: a paper-vs-measured table plus the CSVs
 /// that regenerate the figure.
@@ -43,20 +52,54 @@ impl ExperimentOutput {
 /// An experiment: it reads what it needs from the session it is given.
 pub type Experiment = fn(&Lab) -> io::Result<ExperimentOutput>;
 
-/// Every experiment by id, in the order `eleph all` runs them.
-pub const EXPERIMENTS: [(&str, Experiment); 11] = [
-    ("fig1a", fig1a),
-    ("fig1b", fig1b),
-    ("fig1c", fig1c),
-    ("table1", table1),
-    ("table2", table2),
-    ("table3", table3),
-    ("table4", table4_in),
-    ("ablation_gamma", |lab| ablation_gamma(&lab.west.0, lab)),
-    ("ablation_window", |lab| ablation_window(&lab.west.0, lab)),
-    ("ablation_beta", |lab| ablation_beta(&lab.west.0, lab)),
-    ("ablation_scheme", |lab| ablation_scheme(&lab.west.0, lab)),
+/// What an experiment reads from its session, declared before any link
+/// is walked.
+pub type Needs = fn(&Lab) -> Vec<Need>;
+
+/// Every experiment by id, with its needs, in the order `eleph all`
+/// runs them.
+pub const EXPERIMENTS: [(&str, Needs, Experiment); 11] = [
+    ("fig1a", fig1_needs, fig1a),
+    ("fig1b", fig1_needs, fig1b),
+    ("fig1c", fig1_needs, fig1c),
+    ("table1", |_| results(&table1_jobs()), table1),
+    ("table2", fig1_needs, table2),
+    ("table3", |_| table3_needs(), table3),
+    ("table4", |lab| results(&table4_jobs(lab)), table4_in),
+    ("ablation_gamma", |_| results(&gamma_jobs()), |lab| {
+        ablation_gamma(lab.scenario(MatrixId::West), lab)
+    }),
+    ("ablation_window", |_| results(&window_jobs()), |lab| {
+        ablation_window(lab.scenario(MatrixId::West), lab)
+    }),
+    ("ablation_beta", |_| results(&beta_jobs()), |lab| {
+        ablation_beta(lab.scenario(MatrixId::West), lab)
+    }),
+    ("ablation_scheme", |_| results(&scheme_jobs()), |lab| {
+        ablation_scheme(lab.scenario(MatrixId::West), lab)
+    }),
 ];
+
+/// The needs of classification jobs.
+fn results(jobs: &[Job]) -> Vec<Need> {
+    jobs.iter().map(|&job| Need::Result(job)).collect()
+}
+
+/// Jobs on the west link at its own T.
+fn west<const N: usize>(specs: [SchemeSpec; N]) -> [Job; N] {
+    specs.map(|spec| Job::native(MatrixId::West, spec))
+}
+
+/// Table 1's four single-feature runs, on Figure 1's links and
+/// detectors.
+fn table1_jobs() -> [Job; 4] {
+    FIG1_JOBS.map(|(id, detector)| Job::native(id, SchemeSpec::single(detector)))
+}
+
+/// Figure 1's four classifications ([`Lab::fig1_runs`]).
+fn fig1_needs(_: &Lab) -> Vec<Need> {
+    results(&FIG1_JOBS.map(|(id, detector)| Job::native(id, SchemeSpec::paper(detector))))
+}
 
 /// A session whose four Figure 1 classifications (2 links × 2
 /// detectors, latent heat) are already computed — what the three panels
@@ -91,22 +134,13 @@ pub fn fig1_data(scale: f64, seed: u64) -> Fig1Data {
     Fig1Data { lab, runs }
 }
 
-/// The link behind entry `idx` of [`Lab::fig1_runs`].
-fn fig1_link(lab: &Lab, idx: usize) -> &(Scenario, ScenarioData) {
-    if idx < 2 {
-        &lab.west
-    } else {
-        lab.east()
-    }
-}
-
 /// Figure 1(a): number of elephants per interval, four series.
 pub fn fig1a(lab: &Lab) -> io::Result<ExperimentOutput> {
     let runs = lab.fig1_runs();
     let n = runs[0].n_intervals();
     let rows: Vec<Vec<String>> = (0..n)
         .map(|i| {
-            let mut row = vec![lab.west.0.workload.interval_label(i)];
+            let mut row = vec![lab.scenario(MatrixId::West).workload.interval_label(i)];
             row.extend(runs.iter().map(|r| r.count(i).to_string()));
             row
         })
@@ -148,7 +182,7 @@ pub fn fig1b(lab: &Lab) -> io::Result<ExperimentOutput> {
     let n = runs[0].n_intervals();
     let rows: Vec<Vec<String>> = (0..n)
         .map(|i| {
-            let mut row = vec![lab.west.0.workload.interval_label(i)];
+            let mut row = vec![lab.scenario(MatrixId::West).workload.interval_label(i)];
             row.extend(runs.iter().map(|r| format!("{:.4}", r.fraction(i))));
             row
         })
@@ -190,10 +224,9 @@ pub fn fig1c(lab: &Lab) -> io::Result<ExperimentOutput> {
     let max_slots = 60usize;
     let mut hists: Vec<Vec<u64>> = Vec::new();
     let mut stats: Vec<HoldingStats> = Vec::new();
-    for (idx, result) in lab.fig1_runs().iter().enumerate() {
-        let (scenario, scen_data) = fig1_link(lab, idx);
-        let window = scenario.busy_window(&scen_data.matrix);
-        let h = holding::analyze(result, window, scenario.workload.interval_secs);
+    for (&(link, _), result) in FIG1_JOBS.iter().zip(&lab.fig1_runs()) {
+        let window = lab.busy_window(link);
+        let h = holding::analyze(result, window, lab.scenario(link).workload.interval_secs);
         hists.push(h.avg_holding_histogram(max_slots));
         stats.push(h);
     }
@@ -235,21 +268,15 @@ pub fn fig1c(lab: &Lab) -> io::Result<ExperimentOutput> {
 
 /// T1 (§II in-text): single-feature classification is volatile.
 ///
-/// The four single-feature runs step over the raw thresholds Figure 1
-/// already detected on both links.
+/// The four single-feature runs of Figure 1's links and detectors; in
+/// `eleph all` they step on the same walks as Figure 1's.
 pub fn table1(lab: &Lab) -> io::Result<ExperimentOutput> {
     let mut c = Comparison::new();
     let mut rows = Vec::new();
-    let setups = [
-        (MatrixId::West, DetectorKind::ConstantLoad),
-        (MatrixId::West, DetectorKind::Aest),
-        (MatrixId::East, DetectorKind::ConstantLoad),
-        (MatrixId::East, DetectorKind::Aest),
-    ];
-    let results = lab.classify(&setups.map(|(id, detector)| (id, SchemeSpec::single(detector))));
-    for (idx, (&(_, detector), result)) in setups.iter().zip(&results).enumerate() {
-        let (scenario, scen_data) = fig1_link(lab, idx);
-        let window = scenario.busy_window(&scen_data.matrix);
+    let results = lab.results(&table1_jobs());
+    for (&(link, detector), result) in FIG1_JOBS.iter().zip(&results) {
+        let scenario = lab.scenario(link);
+        let window = lab.busy_window(link);
         let h = holding::analyze(result, window, scenario.workload.interval_secs);
         let label = format!("{} / {}", scenario.name, detector.label());
         c.row(
@@ -288,10 +315,9 @@ pub fn table1(lab: &Lab) -> io::Result<ExperimentOutput> {
 pub fn table2(lab: &Lab) -> io::Result<ExperimentOutput> {
     let mut c = Comparison::new();
     let mut rows = Vec::new();
-    for (idx, result) in lab.fig1_runs().iter().enumerate() {
-        let (scenario, scen_data) = fig1_link(lab, idx);
-        let window = scenario.busy_window(&scen_data.matrix);
-        let h = holding::analyze(result, window, scenario.workload.interval_secs);
+    for (idx, (&(link, _), result)) in FIG1_JOBS.iter().zip(&lab.fig1_runs()).enumerate() {
+        let window = lab.busy_window(link);
+        let h = holding::analyze(result, window, lab.scenario(link).workload.interval_secs);
         let label = FIG1_SERIES[idx];
         c.row(
             format!("avg holding, {label}"),
@@ -334,13 +360,24 @@ pub fn table2(lab: &Lab) -> io::Result<ExperimentOutput> {
     })
 }
 
-/// T3 (§III in-text): prefix-length characteristics of elephants.
+/// Table 3's one classification: Figure 1's west constant-load run.
+fn table3_job() -> Job {
+    Job::native(MatrixId::West, SchemeSpec::paper(DetectorKind::ConstantLoad))
+}
+
+/// Table 3's classification and the west link's ever-active keys.
+fn table3_needs() -> Vec<Need> {
+    vec![Need::Result(table3_job()), Need::EverActive(MatrixId::West)]
+}
+
+/// T3 (§III in-text): prefix-length characteristics of elephants, over
+/// the whole run.
 pub fn table3(lab: &Lab) -> io::Result<ExperimentOutput> {
-    let scen_data = &lab.west.1;
-    let [result] =
-        lab.classify_on(MatrixId::West, [SchemeSpec::paper(DetectorKind::ConstantLoad)]);
-    let window = 0..result.n_intervals();
-    let report = prefix_report(&scen_data.matrix, &result, Some(&scen_data.table), window);
+    lab.prepare(&table3_needs());
+    let [result]: [_; 1] = lab.results(&[table3_job()]).try_into().expect("one job");
+    let ever_active = lab.ever_active(MatrixId::West);
+    let link = lab.link(MatrixId::West);
+    let report = prefix_report(&link.keys, &ever_active, &result, Some(&link.table));
 
     let mut c = Comparison::new();
     // The paper states the bulk range (/12-/26) and separately that three
@@ -400,42 +437,44 @@ pub fn table4(scale: f64, seed: u64) -> io::Result<ExperimentOutput> {
     table4_in(&Lab::new(scale, seed))
 }
 
+/// Table 4's three points of the west link, finest first, with their
+/// T in seconds: 1 min, the native 5 min and 30 min, all under the
+/// paper's constant-load configuration.
+fn table4_points(lab: &Lab) -> [(&'static str, u64, Job); 3] {
+    let spec = SchemeSpec::paper(DetectorKind::ConstantLoad);
+    let native_t = lab.scenario(MatrixId::West).workload.interval_secs;
+    let (fine, coarse) = ((native_t / 60) as usize, (1800 / native_t) as usize);
+    [
+        ("1 min", native_t / fine as u64, Measure::Refined(fine)),
+        ("5 min", native_t, Measure::Native),
+        ("30 min", native_t * coarse as u64, Measure::Coarsened(coarse)),
+    ]
+    .map(|(label, t_secs, measure)| (label, t_secs, Job { link: MatrixId::West, measure, spec }))
+}
+
+/// Table 4's three classifications.
+fn table4_jobs(lab: &Lab) -> [Job; 3] {
+    table4_points(lab).map(|(_, _, job)| job)
+}
+
 /// One traffic process, three discretisations — the paper's own
 /// protocol: the west link at its native T = 5 min, re-measured at
-/// 1 min ([`eleph_flow::BandwidthMatrix::refine_each`]) and at 30 min
-/// ([`eleph_flow::BandwidthMatrix::coarsen_each`]). A fresh random
-/// workload per T would mix discretisation sensitivity with realization
-/// noise in the reported spread.
+/// 1 min ([`eleph_flow::Refine`]) and at 30 min
+/// ([`eleph_flow::Coarsen`]). A fresh random workload per T would mix
+/// discretisation sensitivity with realization noise in the reported
+/// spread.
 ///
-/// The 5-min point is the session's (Figure 1 has usually paid for it);
-/// the other two are classified as they are walked, one interval at a
-/// time, so neither re-measured matrix is ever built.
+/// The 5-min point is Figure 1's west constant-load run; the other two
+/// are classified on the same walk of the link, each re-measured row as
+/// it is produced, so no measurement of the link is ever held whole.
 fn table4_in(lab: &Lab) -> io::Result<ExperimentOutput> {
-    let spec = SchemeSpec::paper(DetectorKind::ConstantLoad);
-    let west = lab.matrix(MatrixId::West);
-    let native_t = west.interval_secs();
-    let (fine, coarse) = ((native_t / 60) as usize, (1800 / native_t) as usize);
-    let [native] = lab.classify_on(MatrixId::West, [spec]);
-    let points = [
-        (
-            "1 min",
-            native_t / fine as u64,
-            Arc::new(spec.classify_stream(|row| west.refine_each(fine, lab.seed(), row))),
-        ),
-        ("5 min", native_t, native),
-        (
-            "30 min",
-            native_t * coarse as u64,
-            Arc::new(spec.classify_stream(|row| west.coarsen_each(coarse, row))),
-        ),
-    ];
-
+    let results = lab.results(&table4_jobs(lab));
     let mut c = Comparison::new();
     let mut rows = Vec::new();
     let mut fractions = Vec::new();
-    for (label, t_secs, result) in &points {
+    for ((label, t_secs, _), result) in table4_points(lab).iter().zip(&results) {
         // Keep the busy period at 5 wall-clock hours. An interval's total
-        // load is its matrix total, bit for bit.
+        // load is its rates folded in key order, as a matrix's is.
         let busy_slots = (5 * 3600 / t_secs) as usize;
         let window =
             eleph_flow::busiest_window(&result.total_load, busy_slots.min(result.n_intervals()))
@@ -479,20 +518,24 @@ fn table4_in(lab: &Lab) -> io::Result<ExperimentOutput> {
 /// every configuration two of them have in common.
 pub fn west_lab(scale: f64, seed: u64) -> (Scenario, Lab) {
     let lab = Lab::new(scale, seed);
-    (lab.west.0.clone(), lab)
+    (lab.scenario(MatrixId::West).clone(), lab)
+}
+
+/// A1's smoothing factors.
+const GAMMAS: [f64; 4] = [0.0, 0.5, 0.9, 0.99];
+
+/// A1's classifications: the paper's west configuration at each γ.
+fn gamma_jobs() -> [Job; 4] {
+    let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
+    west(GAMMAS.map(|gamma| SchemeSpec { gamma, ..paper }))
 }
 
 /// A1 (ablation): how γ affects threshold smoothness and churn.
 pub fn ablation_gamma(_scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentOutput> {
-    let gammas = [0.0, 0.5, 0.9, 0.99];
-    let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
-    let results = lab.classify_on(
-        MatrixId::West,
-        gammas.map(|gamma| SchemeSpec { gamma, ..paper }),
-    );
+    let results = lab.results(&gamma_jobs());
     let mut c = Comparison::new();
     let mut rows = Vec::new();
-    for (&gamma, result) in gammas.iter().zip(&results) {
+    for (&gamma, result) in GAMMAS.iter().zip(&results) {
         let cv = series_cv(&result.thresholds);
         let churn: f64 = holding::churn(result).iter().map(|&x| x as f64).sum::<f64>()
             / result.n_intervals() as f64;
@@ -522,21 +565,22 @@ pub fn ablation_gamma(_scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentO
     })
 }
 
+/// A2's latent-heat windows.
+const WINDOWS: [usize; 4] = [1, 6, 12, 24];
+
+/// A2's classifications: the paper's west configuration at each window.
+fn window_jobs() -> [Job; 4] {
+    let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
+    west(WINDOWS.map(|window| SchemeSpec { scheme: Scheme::LatentHeat { window }, ..paper }))
+}
+
 /// A2 (ablation): latent-heat window sweep.
 pub fn ablation_window(scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentOutput> {
-    let windows = [1usize, 6, 12, 24];
-    let window_range = scenario.busy_window(lab.matrix(MatrixId::West));
-    let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
-    let results = lab.classify_on(
-        MatrixId::West,
-        windows.map(|window| SchemeSpec {
-            scheme: Scheme::LatentHeat { window },
-            ..paper
-        }),
-    );
+    let results = lab.results(&window_jobs());
+    let window_range = scenario.busy_window(&lab.link(MatrixId::West).totals);
     let mut c = Comparison::new();
     let mut rows = Vec::new();
-    for (&w, result) in windows.iter().zip(&results) {
+    for (&w, result) in WINDOWS.iter().zip(&results) {
         let h = holding::analyze(result, window_range.clone(), scenario.workload.interval_secs);
         c.row(
             format!("avg holding, w = {w}"),
@@ -564,20 +608,24 @@ pub fn ablation_window(scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentO
     })
 }
 
+/// A3's constant-load targets.
+const BETAS: [f64; 4] = [0.5, 0.7, 0.8, 0.9];
+
+/// A3's classifications: the paper's west configuration at each β.
+fn beta_jobs() -> [Job; 4] {
+    let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
+    west(BETAS.map(|beta| SchemeSpec { beta, ..paper }))
+}
+
 /// A3 (ablation): constant-load β sweep.
 ///
 /// The detector itself changes per point, so each β is a detection pass
 /// of its own (β = 0.8 being the one every other experiment shares).
 pub fn ablation_beta(_scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentOutput> {
-    let betas = [0.5, 0.7, 0.8, 0.9];
-    let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
-    let results = lab.classify_on(
-        MatrixId::West,
-        betas.map(|beta| SchemeSpec { beta, ..paper }),
-    );
+    let results = lab.results(&beta_jobs());
     let mut c = Comparison::new();
     let mut rows = Vec::new();
-    for (&beta, result) in betas.iter().zip(&results) {
+    for (&beta, result) in BETAS.iter().zip(&results) {
         c.row(
             format!("mean fraction, beta = {beta}"),
             if beta == 0.8 { "~0.6 after latent heat" } else { "-" },
@@ -602,27 +650,32 @@ pub fn ablation_beta(_scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentOu
     })
 }
 
+/// A4's persistence mechanisms, by name.
+const SCHEMES: [(&str, Scheme); 4] = [
+    ("single", Scheme::SingleFeature),
+    ("latent-heat w=12", Scheme::LatentHeat { window: 12 }),
+    ("hysteresis 1.0/0.5", Scheme::Hysteresis { enter: 1.0, exit: 0.5 }),
+    ("hysteresis 1.5/0.33", Scheme::Hysteresis { enter: 1.5, exit: 0.33 }),
+];
+
+/// A4's classifications: the paper's west configuration under each
+/// mechanism.
+fn scheme_jobs() -> [Job; 4] {
+    let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
+    west(SCHEMES.map(|(_, scheme)| SchemeSpec { scheme, ..paper }))
+}
+
 /// A4 (ablation, ours): latent heat vs high/low-watermark hysteresis.
 ///
 /// The paper chose latent heat over simpler persistence mechanisms; this
 /// quantifies the trade-off against the classic two-threshold scheme on
 /// the same workload.
 pub fn ablation_scheme(scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentOutput> {
-    let window_range = scenario.busy_window(lab.matrix(MatrixId::West));
+    let results = lab.results(&scheme_jobs());
+    let window_range = scenario.busy_window(&lab.link(MatrixId::West).totals);
     let mut c = Comparison::new();
     let mut rows = Vec::new();
-    let schemes: [(&str, Scheme); 4] = [
-        ("single", Scheme::SingleFeature),
-        ("latent-heat w=12", Scheme::LatentHeat { window: 12 }),
-        ("hysteresis 1.0/0.5", Scheme::Hysteresis { enter: 1.0, exit: 0.5 }),
-        ("hysteresis 1.5/0.33", Scheme::Hysteresis { enter: 1.5, exit: 0.33 }),
-    ];
-    let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
-    let results = lab.classify_on(
-        MatrixId::West,
-        schemes.map(|(_, scheme)| SchemeSpec { scheme, ..paper }),
-    );
-    for ((name, _), result) in schemes.iter().zip(&results) {
+    for ((name, _), result) in SCHEMES.iter().zip(&results) {
         let h = holding::analyze(result, window_range.clone(), scenario.workload.interval_secs);
         let churn: f64 = holding::churn(result).iter().map(|&x| x as f64).sum::<f64>()
             / result.n_intervals() as f64;

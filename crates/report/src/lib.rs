@@ -10,11 +10,10 @@
 //!   [`Scenario::scaled`] knob so tests can run a miniature version;
 //! * [`SchemeSpec`] — the classification configurations under study
 //!   (aest vs β-constant-load, single-feature vs latent heat);
-//! * [`Lab`] — the experiment session: it builds each link once and
-//!   hands every experiment its classifications, detecting once per
-//!   (matrix, detector) and classifying once per configuration;
-//!   traffic re-measured at another T is streamed through
-//!   [`SchemeSpec::classify_stream`] instead, and never stored;
+//! * [`Lab`] — the experiment session: it walks each link's generated
+//!   rows once for everything its experiments declared, detecting once
+//!   per (link, measurement, detector) and classifying once per
+//!   configuration as the rows go by, and holds no link whole;
 //! * [`run`] — classify a matrix with a scheme, outside any session;
 //! * [`emit`] — ASCII tables for stdout and CSV files under
 //!   `target/experiments/` for plotting.
@@ -28,15 +27,15 @@ pub mod experiments;
 mod lab;
 pub mod sketch;
 
-pub use lab::{Lab, LabCounters, MatrixId};
+pub use lab::{Job, Lab, LabCounters, Link, MatrixId, Measure, Need};
 
 use eleph_bgp::synth::SynthConfig;
 use eleph_bgp::BgpTable;
 use eleph_core::{
-    classify_stream, classify_with, AestDetector, ClassificationResult, ClassifyConfig,
-    ConstantLoadDetector, RawThresholds, Scheme, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
+    classify_many, AestDetector, ClassificationResult, ClassifyConfig, ConstantLoadDetector,
+    Scheme, ThresholdDetector, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
-use eleph_flow::{BandwidthMatrix, KeyId};
+use eleph_flow::BandwidthMatrix;
 use eleph_trace::WorkloadConfig;
 
 /// A fully specified experimental setup: one link, one table, one
@@ -85,25 +84,28 @@ impl Scenario {
         self
     }
 
-    /// Generate the table and the matrix. Deterministic in the embedded
-    /// seeds. The workload is generated interval by interval straight
-    /// into the matrix ([`BandwidthMatrix::from_workload`]): no rate
-    /// trace of the whole link is ever held beside it.
+    /// Generate the table and the matrix, outside any session (a
+    /// [`Lab`] never builds one). Deterministic in the embedded seeds.
+    /// The workload is generated interval by interval straight into the
+    /// matrix ([`BandwidthMatrix::from_workload`]): no rate trace of the
+    /// whole link is ever held beside it.
     pub fn build(&self) -> ScenarioData {
         let table = eleph_bgp::synth::generate(&self.table);
         let matrix = BandwidthMatrix::from_workload(&self.workload, &table);
         ScenarioData { table, matrix }
     }
 
-    /// The busy-period window of a built matrix: the `busy_slots`
-    /// consecutive intervals with the highest total traffic.
-    pub fn busy_window(&self, matrix: &BandwidthMatrix) -> std::ops::Range<usize> {
-        eleph_flow::busiest_window(matrix.totals(), self.busy_slots.min(matrix.n_intervals()))
+    /// The busy-period window of a link with these per-interval totals:
+    /// the `busy_slots` consecutive intervals with the highest total
+    /// traffic.
+    pub fn busy_window(&self, totals: &[f64]) -> std::ops::Range<usize> {
+        eleph_flow::busiest_window(totals, self.busy_slots.min(totals.len()))
             .expect("busy window fits the trace")
     }
 }
 
-/// The generated artefacts of a scenario: the table and the matrix.
+/// The generated artefacts of a scenario built outside a session: the
+/// table and the matrix.
 #[derive(Debug)]
 pub struct ScenarioData {
     /// The routing table.
@@ -167,37 +169,15 @@ impl SchemeSpec {
         }
     }
 
-    /// The detector half: its raw thresholds over `matrix`.
-    pub fn detect(&self, matrix: &BandwidthMatrix) -> RawThresholds {
+    /// The detector half.
+    pub fn detector(&self) -> Box<dyn ThresholdDetector> {
         match self.detector {
-            DetectorKind::Aest => RawThresholds::detect(matrix, &AestDetector::new()),
-            DetectorKind::ConstantLoad => {
-                RawThresholds::detect(matrix, &ConstantLoadDetector::new(self.beta))
-            }
+            DetectorKind::Aest => Box::new(AestDetector::new()),
+            DetectorKind::ConstantLoad => Box::new(ConstantLoadDetector::new(self.beta)),
         }
     }
 
-    /// This configuration over intervals handed over one at a time
-    /// ([`eleph_core::classify_stream`]): the result [`run`] gives for a
-    /// matrix of the same rows, without the matrix.
-    pub fn classify_stream(
-        &self,
-        rows: impl FnOnce(&mut dyn FnMut(&[(KeyId, f32)])),
-    ) -> ClassificationResult {
-        match self.detector {
-            DetectorKind::Aest => {
-                classify_stream(AestDetector::new(), self.gamma, self.scheme, rows)
-            }
-            DetectorKind::ConstantLoad => classify_stream(
-                ConstantLoadDetector::new(self.beta),
-                self.gamma,
-                self.scheme,
-                rows,
-            ),
-        }
-    }
-
-    /// The detector-independent half, for [`eleph_core::classify_with`].
+    /// The detector-independent half.
     pub fn config(&self) -> ClassifyConfig {
         ClassifyConfig {
             gamma: self.gamma,
@@ -209,7 +189,7 @@ impl SchemeSpec {
 /// Run a classification configuration over a matrix, stand-alone (no
 /// session, nothing kept).
 pub fn run(matrix: &BandwidthMatrix, spec: SchemeSpec) -> ClassificationResult {
-    classify_with(matrix, &spec.detect(matrix), &[spec.config()])
+    classify_many(matrix, &spec.detector(), &[spec.config()])
         .pop()
         .expect("one config in, one result out")
 }

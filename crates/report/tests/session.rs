@@ -1,15 +1,15 @@
 //! Sharing in the experiment session, pinned as a property and as
 //! counts rather than as a timing: running all eleven experiments in
 //! one session prints and writes exactly what eleven sessions of one
-//! experiment do, while building, detecting and classifying each
-//! distinct thing once.
+//! experiment do, while generating each link once and detecting and
+//! classifying each distinct thing once.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
 use eleph_report::cli::{render_all, render_experiment, run_session, CommonOpts};
 use eleph_report::experiments::EXPERIMENTS;
-use eleph_report::{DetectorKind, Lab, LabCounters, MatrixId, SchemeSpec};
+use eleph_report::{DetectorKind, Lab, LabCounters, MatrixId, Scenario, SchemeSpec};
 
 /// Every session writes its CSVs to the same paths, and the tests of
 /// one binary run on parallel threads: one session at a time.
@@ -43,7 +43,7 @@ fn all_equals_the_eleven_experiments_run_alone() {
 
         let mut alone = String::new();
         let mut alone_csvs = Vec::new();
-        for (id, _) in EXPERIMENTS {
+        for (id, _, _) in EXPERIMENTS {
             let rendered = render_experiment(id, opts).expect("experiment runs");
             alone_csvs.extend(csvs(&rendered));
             alone.push_str(&rendered);
@@ -142,7 +142,7 @@ fn all_builds_detects_and_classifies_each_thing_once() {
         scale: 0.02,
         seed: 5,
     };
-    let all = EXPERIMENTS.map(|(id, _)| id);
+    let all = EXPERIMENTS.map(|(id, _, _)| id);
     let (rendered, counters) = run_session(&all, opts).expect("all runs");
     assert_eq!(rendered.len(), 11);
     assert_eq!(
@@ -150,19 +150,22 @@ fn all_builds_detects_and_classifies_each_thing_once() {
         LabCounters {
             // West and east.
             scenario_builds: 2,
+            // Each link generated once, for everything asked of it.
+            walks: 2,
             // {west, east} × {constant load 0.8, aest}; β = 0.5, 0.7 and
-            // 0.9 on west. Table 4's 1-min and 30-min points are streamed
-            // outside the memo and count nowhere here.
-            detection_passes: 7,
+            // 0.9 on west; table 4's west link re-measured at 1 and at
+            // 30 minutes.
+            detection_passes: 7 + 2,
             // Figure 1's four runs asked for by fig1a/b/c and table 2,
-            // table 1's four, table 3's one, table 4's 5-min one, four per
+            // table 1's four, table 3's one, table 4's three, four per
             // ablation.
-            results_requested: 4 * 4 + 4 + 1 + 1 + 4 * 4,
-            // Distinct (matrix, detector, β, γ, scheme): Figure 1's 4,
-            // table 1's 4, γ ∈ {0, 0.5, 0.99}, w ∈ {1, 6, 24},
-            // β ∈ {0.5, 0.7, 0.9}, two hysteresis pairs — ten of them over
-            // (west, constant load 0.8) alone.
-            results_computed: 4 + 4 + 3 + 3 + 3 + 2,
+            results_requested: 4 * 4 + 4 + 1 + 3 + 4 * 4,
+            // Distinct (link, measure, detector, β, γ, scheme): Figure
+            // 1's 4, table 1's 4, γ ∈ {0, 0.5, 0.99}, w ∈ {1, 6, 24},
+            // β ∈ {0.5, 0.7, 0.9}, two hysteresis pairs — ten of them
+            // over (west, constant load 0.8) alone — and table 4's 1-min
+            // and 30-min points.
+            results_computed: 4 + 4 + 3 + 3 + 3 + 2 + 2,
         }
     );
 
@@ -172,6 +175,7 @@ fn all_builds_detects_and_classifies_each_thing_once() {
         table3,
         LabCounters {
             scenario_builds: 1,
+            walks: 1,
             detection_passes: 1,
             results_requested: 1,
             results_computed: 1,
@@ -182,6 +186,7 @@ fn all_builds_detects_and_classifies_each_thing_once() {
         gamma,
         LabCounters {
             scenario_builds: 1,
+            walks: 1,
             detection_passes: 1,
             results_requested: 4,
             results_computed: 4,
@@ -200,16 +205,20 @@ fn the_memo_answers_with_the_result_a_fresh_run_gives() {
         std::sync::Arc::ptr_eq(&first, &again),
         "second request recomputed"
     );
+    // A configuration asked after the first walk is answered by a
+    // second walk, which detects again: the session keeps results, not
+    // thresholds.
     let counters = lab.counters();
     assert_eq!(
-        (counters.detection_passes, counters.results_computed),
-        (1, 2)
+        (counters.walks, counters.detection_passes, counters.results_computed),
+        (2, 2, 2)
     );
     assert_eq!(counters.results_requested, 3);
 
-    // A configuration stepped later, over thresholds detected earlier,
-    // is the one a stand-alone classification computes.
-    let fresh = eleph_report::run(lab.matrix(MatrixId::West), single);
+    // And it is the one a stand-alone classification of the link's
+    // matrix computes.
+    let matrix = Scenario::west(11).scaled(0.02).build().matrix;
+    let fresh = eleph_report::run(&matrix, single);
     assert_eq!(other.elephants, fresh.elephants);
     assert_eq!(other.raw_thresholds, fresh.raw_thresholds);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

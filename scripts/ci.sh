@@ -3,10 +3,11 @@
 # trust it:
 #
 #   1. tier-1: release build + full test suite (see ROADMAP.md);
-#   2. classifier equivalence: the one window state machine against the
-#      legacy-replica oracle, classify_many against independent
-#      classify runs, and its two callers against each other — batch ≡
-#      streaming, across an export/resume — the properties that license
+#   2. classifier equivalence: the one per-interval step against the
+#      legacy-replica oracle, classify_many and one sweep of several
+#      detectors and windows against independent classify runs, and its
+#      two drivers against each other — batch ≡ streaming, across an
+#      export/resume — the properties that license
 #      every classifier change (already part of tier-1; re-run by name
 #      so a failure is attributed immediately);
 #   3. model equivalence: the pipeline against the executable model of
@@ -149,13 +150,20 @@
 #      allocator: the table and matrix it keeps, the population, two
 #      blocks of rows and one column's growth — never the trace beside
 #      the matrix); the walkers `refine_each` / `coarsen_each`, which
-#      hand over re-measured intervals one at a time and build no
-#      matrix, against a row-at-a-time oracle (differential proptest);
-#      classification streamed over their rows against batch `classify`
-#      over the same rows as a matrix (proptest, by bits); their heap
-#      high-water mark (a counting allocator: one interval's scratch,
-#      never the re-measured entries), table 4's (less than the west
-#      matrix's own columns) and the streaming classifier's live heap
+#      hand over re-measured intervals one at a time through the row
+#      adapters `Refine` / `Coarsen` and build no matrix, against a
+#      row-at-a-time oracle (differential proptest); classification
+#      streamed over their rows against batch `classify` over the same
+#      rows as a matrix (proptest, by bits); the session's planned walk
+#      against `classify` over each link's matrix, for random sets of
+#      jobs and a job asked after the walk (`planned_walk`, proptest,
+#      every column by bits); their heap high-water mark (a counting
+#      allocator: one interval's scratch, never the re-measured
+#      entries), table 4's (less than the west matrix's own columns),
+#      the whole session's (`session_alloc`: `eleph all` at scale 0.05
+#      peaks below the results it keeps, both tables, one walk, the
+#      rings and the key sums — never both matrices) and the streaming
+#      classifier's live heap
 #      (the same after 20 000 intervals as after 2 000: no per-interval
 #      threshold record), and the bytes a pipeline allocates applying a
 #      mid-stream batch of 64 announces into 64 painted pages (under 32
@@ -163,8 +171,8 @@
 #      the comparator sort, and `aest` on a non-finite sample — all part
 #      of tier-1; re-run by name so a failure is attributed immediately;
 #      then `eleph all --scale 0.05 --seed 3` runs once
-#      under `taskset -c 0` and once unrestricted (trace generation and
-#      the session's detection passes use every core) and stdout and
+#      under `taskset -c 0` and once unrestricted (trace generation uses
+#      every core) and stdout and
 #      every CSV must be byte-identical (without `taskset` the pinned
 #      run is skipped, and the gate says so);
 #  15. doc links: `cargo doc` over the workspace with broken and
@@ -185,6 +193,7 @@ echo "== classifier equivalence: dense vs legacy, classify_many vs classify, bat
 cargo test -q -p eleph-core --test props -- \
     dense_classify_matches_legacy_reference \
     classify_many_equals_independent_classifies \
+    one_sweep_of_many_detectors_and_windows_equals_independent_classifies \
     exact_retire_keeps_epsilon_scale_microflow \
     adversarial_magnitudes_leave_no_stale_state \
     batch_and_streaming_agree_across_a_checkpoint
@@ -434,7 +443,7 @@ cat "$in/c.pcap" | "$eleph" run --pcap /dev/stdin "${file_args[@]}" \
 cmp "$tmpdir/piped.jsonl" "$tmpdir/static_all.jsonl" \
     || { echo "thread count: the piped capture diverges from the file run" >&2; exit 1; }
 
-echo "== paper tables: recorded bytes, the interval walk, streamed re-measurement, heap counts, Ecdf sort, one core vs every core =="
+echo "== paper tables: recorded bytes, the interval walk, streamed re-measurement, the planned walk, heap counts, Ecdf sort, one core vs every core =="
 cargo test -q -p eleph-report --test session all_output_equals_its_recorded_length_and_crc
 cargo test -q -p eleph-tests --test generated_inputs rate_trace_rows_equal_their_recorded_length_and_crc
 cargo test -q -p eleph-trace --lib -- \
@@ -445,7 +454,9 @@ cargo test -q -p eleph-report --test build_alloc building_a_link_never_holds_its
 cargo test -q -p eleph-flow --lib matrix::tests::refine_and_coarsen_equal_the_row_oracle
 cargo test -q -p eleph-core --test props streamed_remeasurement_equals_batch_over_its_rows
 cargo test -q -p eleph-flow --test alloc refine_each_and_coarsen_each_hold_one_interval
+cargo test -q -p eleph-report --test planned_walk planned_walk_equals_classify_over_the_matrix
 cargo test -q -p eleph-report --test alloc table4_holds_less_than_the_matrix_it_re_measures
+cargo test -q -p eleph-report --test session_alloc a_session_keeps_its_results_and_tables_and_one_walk
 cargo test -q -p eleph-core --test alloc
 cargo test -q -p eleph-pipeline --test alloc
 cargo test -q -p eleph-stats --lib -- \

@@ -11,7 +11,7 @@
 
 use eleph_core::holding;
 use eleph_report::experiments::fig1_data;
-use eleph_report::{run, DetectorKind, Scenario, SchemeSpec};
+use eleph_report::{run, DetectorKind, MatrixId, Scenario, SchemeSpec};
 
 const SCALE: f64 = 0.08;
 const SEED: u64 = 77;
@@ -20,7 +20,7 @@ const SEED: u64 = 77;
 fn latent_heat_beats_single_feature_on_stability() {
     let scenario = Scenario::west(SEED).scaled(SCALE);
     let data = scenario.build();
-    let window = scenario.busy_window(&data.matrix);
+    let window = scenario.busy_window(data.matrix.totals());
 
     let single = run(&data.matrix, SchemeSpec::single(DetectorKind::ConstantLoad));
     let latent = run(&data.matrix, SchemeSpec::paper(DetectorKind::ConstantLoad));
@@ -142,13 +142,13 @@ fn prefix_structure_matches_paper() {
     // Run at a larger scale than the other tests: /8 statistics are
     // small counts and need a bigger population to be meaningful.
     let data = fig1_data(0.2, SEED);
-    let (_, scen_data) = &data.west;
     let result = &data.runs[0];
+    let link = data.link(MatrixId::West);
     let report = eleph_core::prefix_analysis::prefix_report(
-        &scen_data.matrix,
+        &link.keys,
+        &data.ever_active(MatrixId::West),
         result,
-        Some(&scen_data.table),
-        0..result.n_intervals(),
+        Some(&link.table),
     );
     // Elephant /8s must be a small minority of active /8s.
     assert!(
