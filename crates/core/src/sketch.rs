@@ -1385,6 +1385,28 @@ mod tests {
         }
     }
 
+    /// `sketch_payload_round_trips_mid_interval` cuts the first interval,
+    /// where the bloom filter's threshold is still its initial value.
+    /// Every seal adapts it, and the payload carries it: a filter
+    /// restored after a seal holds the original's threshold.
+    #[test]
+    fn a_restored_bloom_keeps_its_adapted_threshold() {
+        let stream = skewed_stream(7, 4000, 500);
+        let mut first = AdaptiveBloom::with_budget(16 * 1024);
+        for &(k, b) in &stream[..3000] {
+            first.record(k, b);
+        }
+        first.seal_into(60.0, &mut Vec::new());
+        assert_ne!(first.threshold(), BLOOM_THRESHOLD_INIT, "the seal adapted the threshold");
+        for &(k, b) in &stream[3000..] {
+            first.record(k, b);
+        }
+        let mut resumed = AdaptiveBloom::with_budget(16 * 1024);
+        resumed.restore_sketch(&first.export_sketch().expect("payload")).expect("restore");
+        assert_eq!(resumed.threshold(), first.threshold());
+        assert_eq!(resumed.export_sketch(), first.export_sketch());
+    }
+
     #[test]
     fn restore_rejects_geometry_and_garbage() {
         let mut cm = CountMinRow::with_budget(64 * 1024);

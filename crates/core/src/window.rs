@@ -295,3 +295,35 @@ impl SchemeState {
         self.members = members;
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Before the first detection the threshold term is the interval's
+    /// largest rate + 1. Under latent heat over two intervals a key at
+    /// that largest rate, which then sits within 1 b/s above the first
+    /// detected threshold, has a window sum short of the threshold sum
+    /// by less than 1 — so the `+ 1` alone decides its membership.
+    #[test]
+    fn the_stand_in_beats_the_interval_maximum_by_one() {
+        let elephants_at = |rate: f32| {
+            let mut state = SchemeState::new(0.5, Scheme::LatentHeat { window: 2 });
+            let mut sums = KeySums::default();
+            // Interval 0: the detector abstains; key 0 is the largest.
+            let row = [(0, 100.0), (1, 40.0)];
+            sums.slide_in(&row);
+            let step = state.step(None, &[100.0, 40.0], Some(&sums), &row);
+            assert!(step.threshold.is_infinite() && step.elephants.is_empty());
+            // Interval 1: the first detection, 50. Key 0's window sum is
+            // 100 + rate against the threshold sum 101 + 50.
+            let row = [(0, rate), (1, 10.0)];
+            sums.slide_in(&row);
+            let step = state.step(Some(50.0), &[f64::from(rate), 10.0], Some(&sums), &row);
+            assert_eq!(step.threshold, 50.0);
+            step.elephants
+        };
+        assert_eq!(elephants_at(50.5), Vec::<KeyId>::new());
+        assert_eq!(elephants_at(51.5), vec![0]);
+    }
+}

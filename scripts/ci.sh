@@ -17,10 +17,8 @@
 #      shard workers and the exact or a roomy Space-Saving row, each cut
 #      at a random crash point and resumed, possibly at another shard
 #      count: outcomes by `to_bits`, keys, accounting, the JSONL chain and
-#      the checkpoint images all equal; and the streaming pipeline
-#      against aggregate_pcap + classify, bit-identical on the same
-#      capture bytes (part of tier-1; re-run by name so a failure is
-#      attributed immediately);
+#      the checkpoint images all equal (part of tier-1; re-run by name so
+#      a failure is attributed immediately);
 #   4. executables: examples build and the packet-path ones smoke-run,
 #      and `eleph run` streams a tiny synthetic workload to JSONL;
 #   5. crash safety: a checkpointed `eleph run` is SIGKILLed mid-capture
@@ -48,10 +46,9 @@
 #   7. shard equivalence: the same capture streamed serially, at
 #      `--shards 1` and at `--shards 4` must produce byte-for-byte
 #      identical JSONL (sharding is a throughput knob, never a
-#      measurement change), the model test, which draws shard counts, and
-#      the sharded-vs-serial suite are re-run single-threaded
-#      (`RUST_TEST_THREADS=1`) so worker/test-harness interleavings cannot
-#      mask an ordering bug, and
+#      measurement change), the model test, which draws shard counts, is
+#      re-run single-threaded (`RUST_TEST_THREADS=1`) so worker/test-harness
+#      interleavings cannot mask an ordering bug, and
 #      the sharded row is held to the dense row as a state backend, step
 #      by step;
 #   8. sketch tier: every state backend (exact, spacesaving, cmrow,
@@ -177,7 +174,13 @@
 #      run is skipped, and the gate says so);
 #  15. doc links: `cargo doc` over the workspace with broken and
 #      private intra-doc links denied, so a public doc that names a
-#      deleted or private item fails here.
+#      deleted or private item fails here;
+#  16. mutants: `scripts/mutants.sh` on four of the patches in
+#      `tests/mutants/`, one each in the classifier core, the pipeline,
+#      the checkpoint log and a sketch: each applied alone to a copy of
+#      the tree, it must still apply and build, and some test must kill
+#      it (every patch, against `tests/mutants/TABLE.md`, is
+#      `scripts/mutants.sh` with no argument).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -201,7 +204,6 @@ cargo test -q -p eleph-core --lib online::
 
 echo "== model equivalence: the pipeline vs the executable model, across a cut and resume =="
 cargo test -q -p eleph-tests --test model
-cargo test -q -p eleph-tests --test streaming_equivalence
 
 echo "== examples build + packet-path smoke runs =="
 cargo build --release -p eleph-tests --examples
@@ -303,7 +305,6 @@ grep -q '"shards":4' "$tmpdir/shards4.summary" \
 
 echo "== shard equivalence: the model test single-threaded (RUST_TEST_THREADS=1) =="
 RUST_TEST_THREADS=1 cargo test -q -p eleph-tests --test model
-RUST_TEST_THREADS=1 cargo test -q -p eleph-tests --test sharded_equivalence
 cargo test -q -p eleph-pipeline --lib shard::tests::sharded_row_is_exact_dense_at_every_step
 
 echo "== sketch tier: per-backend determinism, byte-for-byte JSONL =="
@@ -487,5 +488,12 @@ fi
 echo "== doc links: no broken or private intra-doc link in the workspace =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
     cargo doc -q --no-deps --workspace
+
+echo "== mutants: four patches, each killed by the model or a unit test =="
+scripts/mutants.sh \
+    tests/mutants/20-stand-in-without-its-plus-one.patch \
+    tests/mutants/07-malformed-records-left-out-of-offered.patch \
+    tests/mutants/12-resume-keeps-the-log-past-its-watermark.patch \
+    tests/mutants/14-space-saving-newcomer-inherits-no-error.patch
 
 echo "ci.sh: all gates green"

@@ -1,0 +1,185 @@
+#!/usr/bin/env bash
+# The mutant table. Each patch under tests/mutants/ plants one small bug
+# in the library. The script copies the working tree to a temporary
+# directory, keeps one target dir there for every mutant, and for each
+# patch: applies it with `git apply`, builds, runs the tests named below
+# with --no-fail-fast, and reverts it. A test that fails kills the
+# mutant. Before the first patch the same tests run on the unpatched
+# copy, where every one must pass.
+#
+# It prints one table, mutant x test -> killed (x) or not (.), and exits
+# non-zero when a patch no longer applies or does not build, when a
+# mutant survives every test, or, run with no argument (every patch),
+# when the table differs from the committed tests/mutants/TABLE.md.
+# Proptest seeds come from test names, so the table is the same from
+# run to run.
+#
+# Usage: scripts/mutants.sh [PATCH...]
+set -euo pipefail
+root=$(cd "$(dirname "$0")/.." && pwd)
+
+# The tests every mutant runs against, each as package, target and the
+# test's full name in that target: the model test and the fixed program
+# beside it, then the unit tests that guard what the model cannot reach,
+# then the pairwise tests that compare two implementations and are still
+# to retire against this table.
+tests=(
+    "eleph-tests --test model every_run_of_the_pipeline_is_the_model"
+    "eleph-tests --test model a_re_announced_prefix_is_a_new_key_and_the_old_one_drains"
+    "eleph-core --lib window::tests::the_stand_in_beats_the_interval_maximum_by_one"
+    "eleph-core --lib threshold::tests::constant_load_flows_above_carry_beta"
+    "eleph-core --lib sketch::tests::slot_heap_evicts_exactly_what_the_scan_did"
+    "eleph-core --lib sketch::tests::a_restored_bloom_keeps_its_adapted_threshold"
+    "eleph-core --lib sketch::tests::exact_dense_matches_reference_map"
+    "eleph-stats --lib ewma::tests::first_observation_initialises"
+    "eleph-net --lib flat::tests::rib_order_sorts_stably_and_keeps_the_last_duplicate"
+    "eleph-bgp --lib live::tests::replacing_announce_retires_old_id"
+    "eleph-flow --lib aggregate::tests::rejects_are_counted_not_dropped"
+    "eleph-pipeline --lib pipeline::tests::late_packets_are_counted_not_binned"
+    "eleph-pipeline --lib shard::tests::sharded_row_is_exact_dense_at_every_step"
+    "eleph-pipeline --lib checkpoint::tests::sketch_tail_mismatches_are_rejected"
+    "eleph-pipeline --lib checkpoint::tests::log_bytes_past_the_watermark_are_ignored_by_load_and_cut_by_resume"
+    "eleph-pipeline --lib checkpoint::tests::a_log_backed_image_loads_as_the_self_contained_one"
+    "eleph-pipeline --lib pipeline::tests::matches_batch_on_mixed_stream"
+    "eleph-pipeline --lib pipeline::tests::sharded_matches_serial_bit_for_bit"
+    "eleph-pipeline --lib pipeline::tests::sharded_checkpoint_bytes_equal_serial_and_cross_resume"
+    "eleph-pipeline --lib pipeline::tests::stats_match_batch_aggregator"
+    "eleph-tests --test sketch_equivalence exact_backend_is_byte_identical_to_default_at_every_shard_count"
+    "eleph-tests --test sketch_equivalence generous_budget_space_saving_is_bit_identical_to_exact"
+    "eleph-tests --test sketch_equivalence sketch_checkpoint_resume_is_bit_identical_mid_stream"
+)
+
+if [ $# -eq 0 ]; then
+    full=1
+    patches=("$root"/tests/mutants/*.patch)
+else
+    full=0
+    patches=()
+    for p in "$@"; do
+        patches+=("$(cd "$(dirname "$p")" && pwd)/$(basename "$p")")
+    done
+fi
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+(cd "$root" && git ls-files -z --cached --others --exclude-standard \
+    | tar --null --ignore-failed-read -T - -cf - 2> /dev/null) | tar -xf - -C "$work"
+# A repository of its own, so `git apply` patches this copy and nothing
+# around it.
+git -C "$work" init -q
+export CARGO_TARGET_DIR=$work/target
+
+# Cargo's arguments: each package and target once, then the names.
+packages=() targets=() names=()
+for t in "${tests[@]}"; do
+    read -r package kind rest <<< "$t"
+    [[ " ${packages[*]} " == *" -p $package "* ]] || packages+=(-p "$package")
+    if [ "$kind" = --lib ]; then
+        [[ " ${targets[*]} " == *" --lib "* ]] || targets+=(--lib)
+        names+=("$rest")
+    else
+        read -r target name <<< "$rest"
+        [[ " ${targets[*]} " == *" --test $target "* ]] || targets+=(--test "$target")
+        names+=("$name")
+    fi
+done
+cargo_test=(cargo test --no-fail-fast "${packages[@]}" "${targets[@]}")
+
+# Build and run the tests in the copy as it stands; set `result[i]` to
+# ok or FAILED for test i (empty when it reported nothing: its binary
+# died). Returns 1 when the copy does not build.
+declare -a result
+run_tests() {
+    (cd "$work" && "${cargo_test[@]}" --no-run) > "$work/build.log" 2>&1 || return 1
+    (cd "$work" && timeout 600 "${cargo_test[@]}" -- --exact "${names[@]}") \
+        > "$work/test.log" 2>&1 || true
+    local i
+    for i in "${!names[@]}"; do
+        result[i]=$(sed -nE "s/^test ${names[i]}( - should panic)? \.\.\. (ok|FAILED)\$/\2/p" \
+            "$work/test.log" | head -n 1)
+    done
+}
+
+echo "mutants: building and running ${#names[@]} tests on the unpatched tree" >&2
+if ! run_tests; then
+    tail -n 30 "$work/build.log" >&2
+    echo "mutants: the unpatched tree does not build" >&2
+    exit 1
+fi
+for i in "${!names[@]}"; do
+    if [ "${result[i]}" != ok ]; then
+        echo "mutants: ${names[i]} does not pass on the unpatched tree (${result[i]:-no result})" >&2
+        exit 1
+    fi
+done
+
+header="| mutant |"
+rule="|---|"
+for i in "${!names[@]}"; do
+    header+=" $((i + 1)) |"
+    rule+=":-:|"
+done
+table=("$header" "$rule")
+status=0
+for patch in "${patches[@]}"; do
+    mutant=$(basename "$patch" .patch)
+    row="| \`$mutant\` |"
+    if ! (cd "$work" && git apply --check "$patch") 2> "$work/apply.log"; then
+        cat "$work/apply.log" >&2
+        echo "mutants: $mutant no longer applies" >&2
+        table+=("$row does not apply |")
+        status=1
+        continue
+    fi
+    echo "mutants: $mutant" >&2
+    (cd "$work" && git apply "$patch")
+    if run_tests; then
+        killed=0
+        for i in "${!names[@]}"; do
+            if [ "${result[i]}" = ok ]; then
+                row+=" . |"
+            else
+                row+=" x |"
+                killed=$((killed + 1))
+            fi
+        done
+        if [ "$killed" -eq 0 ]; then
+            echo "mutants: $mutant survives every test" >&2
+            status=1
+        fi
+    else
+        tail -n 30 "$work/build.log" >&2
+        echo "mutants: $mutant does not build" >&2
+        row+=" does not build |"
+        status=1
+    fi
+    table+=("$row")
+    (cd "$work" && git apply -R "$patch")
+done
+
+{
+    echo "# The mutant table"
+    echo
+    echo "Written by \`scripts/mutants.sh\`; do not edit. A row is a patch in"
+    echo "\`tests/mutants/\`, a column a test below; \`x\`: the test fails with"
+    echo "the patch applied (it kills the mutant), \`.\`: it passes."
+    echo
+    printf '%s\n' "${table[@]}"
+    echo
+    for i in "${!tests[@]}"; do
+        read -r package kind rest <<< "${tests[i]}"
+        if [ "$kind" = --lib ]; then
+            echo "$((i + 1)). \`$package\` lib: \`$rest\`"
+        else
+            read -r target name <<< "$rest"
+            echo "$((i + 1)). \`$package\` \`$target\`: \`$name\`"
+        fi
+    done
+} > "$work/TABLE.md"
+cat "$work/TABLE.md"
+
+if [ "$full" -eq 1 ] && ! diff -u "$root/tests/mutants/TABLE.md" "$work/TABLE.md" >&2; then
+    echo "mutants: the table differs from tests/mutants/TABLE.md" >&2
+    status=1
+fi
+exit "$status"

@@ -1,10 +1,9 @@
-//! Checkpoint images on disk: a run killed at any crash point — after a
-//! seal's classifier update, after its sink emission, or halfway through
-//! writing the checkpoint itself — and resumed from its last image equals
-//! the uninterrupted run (same JSONL bytes, thresholds and loads to the
-//! bit, same accounting); what resume refuses; when images are written;
-//! and the bytes they hold. The model test (`tests/tests/model.rs`) holds
-//! the same property for every row and shard count.
+//! Checkpoint images on disk: what resume refuses, when images are
+//! written, and the bytes they hold. That a run killed at any crash
+//! point — after a seal's classifier update, after its sink emission, or
+//! halfway through writing the checkpoint itself — and resumed from its
+//! last image equals the uninterrupted run is the model test's
+//! (`tests/tests/model.rs`), for every row and shard count.
 
 use std::fs;
 use std::net::Ipv4Addr;
@@ -14,16 +13,12 @@ use eleph_bgp::synth::{self, SynthConfig};
 use eleph_bgp::{BgpTable, LiveBgpTable, RouteEntry, RouteUpdate, UpdateBatch};
 use eleph_core::{ConstantLoadDetector, Scheme};
 use eleph_net::Prefix;
-use eleph_packet::pcap::PcapWriter;
-use eleph_packet::{IpProtocol, LinkType, PacketBuilder, PacketMeta};
+use eleph_packet::{IpProtocol, PacketMeta};
 use eleph_pipeline::{
-    crc32, skip_offered, Checkpoint, CheckpointError, Checkpointer, CollectedInterval, Collector,
-    PcapSource, PipelineBuilder, PipelineError, PipelineReport, RotatingJsonlSink,
-    CHECKPOINT_FILE,
+    crc32, skip_offered, Checkpoint, CheckpointError, Checkpointer, PcapSource, PipelineBuilder,
+    PipelineError, CHECKPOINT_FILE,
 };
-use eleph_tests::{capture_of, dir_files, read_chain, scratch, small_link, Files, OneChunkPerRun};
-use eleph_trace::{CrashPoint, CrashSwitch};
-use proptest::prelude::*;
+use eleph_tests::{capture_of, dir_files, scratch, small_link, Files, OneChunkPerRun};
 
 const BETA: f64 = 0.8;
 const GAMMA: f64 = 0.9;
@@ -62,200 +57,6 @@ fn configured<'t>(
         .detector(ConstantLoadDetector::new(BETA))
         .gamma(GAMMA)
         .scheme(scheme)
-}
-
-/// Every interval of the uninterrupted run, plus its report and JSONL
-/// chain — the oracle every kill/resume combination must reproduce.
-fn reference(
-    table: &BgpTable,
-    pcap: &[u8],
-    scheme: Scheme,
-    t: u64,
-    start: u64,
-    n: usize,
-    dir: &Path,
-    rotate: Option<u64>,
-) -> (Vec<CollectedInterval>, PipelineReport, Vec<u8>) {
-    let out = dir.join("ref.jsonl");
-    let collector = Collector::new();
-    let mut pipeline = builder(table, scheme, t, start, n)
-        .sink(collector.sink())
-        .sink(RotatingJsonlSink::create(&out, rotate).expect("ref sink"))
-        .build();
-    pipeline
-        .run(PcapSource::new(pcap).expect("valid pcap"))
-        .expect("reference run");
-    let report = pipeline.finish().expect("reference finish");
-    (collector.take(), report, read_chain(&out))
-}
-
-fn assert_outcomes_identical(
-    got: &[CollectedInterval],
-    want: &[CollectedInterval],
-    context: &str,
-) {
-    assert_eq!(got.len(), want.len(), "{context}: interval count");
-    for (g, w) in got.iter().zip(want) {
-        let n = w.outcome.interval;
-        assert_eq!(g.outcome.interval, n, "{context}: interval index");
-        assert_eq!(g.outcome.elephants, w.outcome.elephants, "{context}: elephants at {n}");
-        assert_eq!(
-            g.outcome.threshold.to_bits(),
-            w.outcome.threshold.to_bits(),
-            "{context}: threshold at {n}"
-        );
-        assert_eq!(
-            g.outcome.elephant_load.to_bits(),
-            w.outcome.elephant_load.to_bits(),
-            "{context}: elephant load at {n}"
-        );
-        assert_eq!(
-            g.outcome.total_load.to_bits(),
-            w.outcome.total_load.to_bits(),
-            "{context}: total load at {n}"
-        );
-    }
-}
-
-/// Kill a checkpointed run at (`point`, `at_seal`), resume from
-/// whatever the crash left on disk, and return the stitched outcome
-/// sequence, the resumed run's final report, and the JSONL chain.
-///
-/// Mirrors exactly what `eleph run --resume` does: load the snapshot
-/// (fresh start when the kill landed before the first checkpoint),
-/// truncate the durable output chain to the checkpointed interval
-/// count, rebuild the pipeline from the snapshot, replay the source
-/// past the consumed records, and keep going.
-fn crash_and_resume(
-    table: &BgpTable,
-    pcap: &[u8],
-    scheme: Scheme,
-    t: u64,
-    start: u64,
-    n: usize,
-    dir: &Path,
-    rotate: Option<u64>,
-    point: CrashPoint,
-    at_seal: usize,
-) -> (Vec<CollectedInterval>, PipelineReport, Vec<u8>) {
-    let out = dir.join("out.jsonl");
-    let context = format!("{scheme:?} {point:?} at seal {at_seal}");
-
-    // Phase 1: run until the injected kill.
-    let crashed = Collector::new();
-    let mut checkpointer = Checkpointer::new(dir, 1).expect("checkpointer");
-    let mut pipeline = builder(table, scheme, t, start, n)
-        .sink(crashed.sink())
-        .sink(RotatingJsonlSink::create(&out, rotate).expect("sink"))
-        .crash_switch(CrashSwitch::new(point, at_seal))
-        .build();
-    let run = pipeline.run_checkpointed(
-        &mut PcapSource::new(pcap).expect("valid pcap"),
-        &mut checkpointer,
-    );
-    match run {
-        Err(PipelineError::Crash(p)) => {
-            assert_eq!(p, point, "{context}: crash point");
-            drop(pipeline); // the "process" dies: buffers gone, files stay
-        }
-        // The capture may end before `at_seal` seals mid-run: trailing
-        // intervals seal in `finish`, so the kill lands there instead —
-        // and a mid-checkpoint-write kill before the first write never
-        // fires at all, in which case the run simply completes.
-        Ok(()) => match pipeline.finish() {
-            Ok(report) => return (crashed.take(), report, read_chain(&out)),
-            Err(PipelineError::Crash(p)) => assert_eq!(p, point, "{context}: finish crash"),
-            Err(e) => panic!("{context}: unexpected finish error {e}"),
-        },
-        Err(e) => panic!("{context}: unexpected error {e}"),
-    }
-
-    // Phase 2: resume from whatever survived on disk.
-    let ckpt_path = dir.join(CHECKPOINT_FILE);
-    let resumed = Collector::new();
-    let mut checkpointer = Checkpointer::new(dir, 1).expect("checkpointer");
-    let (mut outcomes, report) = if ckpt_path.exists() {
-        let ckpt = Checkpoint::load(&ckpt_path).expect("load checkpoint");
-        let sealed = ckpt.intervals_sealed();
-        let sink = RotatingJsonlSink::resume(&out, rotate, sealed as u64)
-            .expect("truncate output chain");
-        let mut pipeline = builder(table, scheme, t, start, n)
-            .sink(resumed.sink())
-            .sink(sink)
-            .resume(&ckpt)
-            .expect("resume from checkpoint");
-        let mut source = PcapSource::new(pcap).expect("valid pcap");
-        skip_offered(&mut source, ckpt.offered()).expect("skip consumed records");
-        pipeline
-            .run_checkpointed(&mut source, &mut checkpointer)
-            .expect("resumed run");
-        let report = pipeline.finish().expect("resumed finish");
-        // Stitch: the crashed process's outcomes up to the snapshot,
-        // then everything the resumed process sealed (the durable JSONL
-        // chain went through the same cut via the sink truncation).
-        let mut outcomes = crashed.take();
-        outcomes.truncate(sealed);
-        (outcomes, report)
-    } else {
-        // The kill landed before the first checkpoint: nothing durable
-        // yet, so resume degrades to a fresh start (what `eleph run
-        // --resume` does too).
-        let sink = RotatingJsonlSink::create(&out, rotate).expect("fresh sink");
-        let mut pipeline = builder(table, scheme, t, start, n)
-            .sink(resumed.sink())
-            .sink(sink)
-            .build();
-        pipeline
-            .run_checkpointed(&mut PcapSource::new(pcap).expect("valid pcap"), &mut checkpointer)
-            .expect("fresh restart");
-        let report = pipeline.finish().expect("fresh finish");
-        (Vec::new(), report)
-    };
-    outcomes.extend(resumed.take());
-    (outcomes, report, read_chain(&out))
-}
-
-/// The crash-point matrix: every [`CrashPoint`] × every seal index ×
-/// every scheme. Latent heat with a 2-slot window crosses latent-heat
-/// retirement mid-run and hysteresis crosses membership transitions, so
-/// kills land on both sides of every path-dependent state update.
-#[test]
-fn kill_and_resume_is_bit_identical_at_every_crash_point() {
-    let (table, pcap, t, start, n) = capture(401, 6);
-    for scheme in [
-        Scheme::SingleFeature,
-        Scheme::LatentHeat { window: 2 },
-        Scheme::Hysteresis { enter: 1.2, exit: 0.6 },
-    ] {
-        let dir = scratch("matrix");
-        let (ref_outcomes, ref_report, ref_chain) =
-            reference(&table, &pcap, scheme, t, start, n, &dir, Some(256));
-        assert_eq!(ref_outcomes.len(), n);
-        for point in CrashPoint::ALL {
-            for at_seal in 0..n - 1 {
-                let context = format!("{scheme:?} {point:?} at seal {at_seal}");
-                let dir = scratch("matrix-run");
-                let (outcomes, report, chain) = crash_and_resume(
-                    &table, &pcap, scheme, t, start, n, &dir, Some(256), point, at_seal,
-                );
-                assert_outcomes_identical(&outcomes, &ref_outcomes, &context);
-                assert_eq!(
-                    chain,
-                    ref_chain,
-                    "{context}: JSONL chain differs from the uninterrupted run"
-                );
-                assert_eq!(report.intervals, ref_report.intervals, "{context}: intervals");
-                assert_eq!(report.stats, ref_report.stats, "{context}: stats");
-                assert_eq!(report.keys, ref_report.keys, "{context}: key order");
-                assert_eq!(
-                    report.far_future_streak, ref_report.far_future_streak,
-                    "{context}: far-future streak"
-                );
-                fs::remove_dir_all(&dir).ok();
-            }
-        }
-        fs::remove_dir_all(&dir).ok();
-    }
 }
 
 /// Corrupted and truncated checkpoint files must be rejected with the
@@ -697,105 +498,4 @@ fn checkpoint_bytes_follow_what_changed() {
     }
     assert!(checkpointer.written().compactions > 0, "the log was compacted");
     fs::remove_dir_all(&dir).ok();
-}
-
-/// A compact random packet (same generator as the streaming-equivalence
-/// suite): route choice, interval, jitter, payload, routability.
-#[derive(Debug, Clone, Copy)]
-struct RandomPacket {
-    route: usize,
-    interval: u64,
-    offset_ns: u64,
-    payload: u16,
-    unroutable: bool,
-}
-
-fn arb_packet(n_intervals: u64) -> impl Strategy<Value = RandomPacket> {
-    (
-        0usize..400,
-        0..n_intervals + 2, // some past the window
-        0u64..20_000_000_000,
-        0u16..1200,
-        0u8..20, // 1-in-20 packets unroutable
-    )
-        .prop_map(|(route, interval, offset_ns, payload, unroutable)| RandomPacket {
-            route,
-            interval,
-            offset_ns,
-            payload,
-            unroutable: unroutable == 0,
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Checkpoint/restore round-trips after **every** interval of
-    /// arbitrary captures — mixed prefixes, unroutable destinations,
-    /// out-of-window records, malformed records, idle intervals — and
-    /// the stitched run stays bit-identical under every scheme.
-    #[test]
-    fn resume_after_every_interval_is_bit_identical(
-        packets in prop::collection::vec(arb_packet(5), 1..250),
-        malformed_every in 5usize..40,
-        window in 1usize..4,
-        scheme_pick in 0u8..3,
-    ) {
-        let table = synth::generate(&SynthConfig {
-            n_prefixes: 400,
-            ..SynthConfig::default()
-        });
-        let dsts: Vec<Ipv4Addr> = table.iter().map(|e| e.prefix.network()).collect();
-
-        // Time-sort (the streaming contract) and serialize.
-        let mut packets = packets;
-        packets.sort_by_key(|p| p.interval * 20_000_000_000 + p.offset_ns);
-        let mut pcap = Vec::new();
-        let mut writer = PcapWriter::new(&mut pcap, LinkType::RawIp.code()).unwrap();
-        for (i, p) in packets.iter().enumerate() {
-            let ts_ns = p.interval * 20_000_000_000 + p.offset_ns;
-            let dst = if p.unroutable {
-                Ipv4Addr::new(203, 0, 113, 1) // TEST-NET-3: never in the table
-            } else {
-                dsts[p.route % dsts.len()]
-            };
-            let packet = PacketBuilder::udp()
-                .src(Ipv4Addr::new(198, 18, 0, 1), 9)
-                .dst(dst, 53)
-                .payload_len(p.payload as usize)
-                .build_ipv4();
-            writer.write_record(ts_ns, packet.len() as u32, &packet).unwrap();
-            if i % malformed_every == 0 {
-                writer.write_record(ts_ns, 3, &[0xBA, 0xAD, 0x00]).unwrap();
-            }
-        }
-        writer.finish().unwrap();
-
-        let scheme = match scheme_pick {
-            0 => Scheme::SingleFeature,
-            1 => Scheme::LatentHeat { window },
-            _ => Scheme::Hysteresis { enter: 1.2, exit: 0.6 },
-        };
-        let n = 5;
-        let dir = scratch("prop");
-        let (ref_outcomes, ref_report, ref_chain) =
-            reference(&table, &pcap, scheme, 20, 0, n, &dir, None);
-        for at_seal in 0..n - 1 {
-            let context = format!("proptest {scheme:?} at seal {at_seal}");
-            let run_dir = scratch("prop-run");
-            let (outcomes, report, chain) = crash_and_resume(
-                &table, &pcap, scheme, 20, 0, n, &run_dir, None,
-                CrashPoint::AfterSink, at_seal,
-            );
-            assert_outcomes_identical(&outcomes, &ref_outcomes, &context);
-            prop_assert_eq!(&chain, &ref_chain, "{}: JSONL chain", context);
-            prop_assert_eq!(report.stats, ref_report.stats, "{}: stats", context);
-            prop_assert_eq!(
-                report.far_future_streak, ref_report.far_future_streak,
-                "{}: far-future streak", context
-            );
-            fs::remove_dir_all(&run_dir).ok();
-        }
-        fs::remove_dir_all(&dir).ok();
-    }
 }

@@ -17,43 +17,20 @@
 //! re-encoded, are the serial run's at the same stream position, byte
 //! for byte.
 //!
-//! The mutants the pairwise suites (streaming, sharded, checkpoint and
-//! sketch equivalence, which each compare two implementations) are on
-//! record as killing, each applied alone to a scratch copy of the tree.
-//! The middle column names the pairwise tests that fail with the mutant
-//! in, the last how many of this property's 256 programs fail with it,
-//! and whether the fixed program below does too. The counts were taken
-//! again when the cut's crash point came to be drawn from all six
-//! points, not the first three, which changed the programs; drawn from
-//! three, the mutants above the last two still kill what the table
-//! recorded before (the re-announce mutant, rebuilt as a prefix
-//! re-announced while still routed keeping its id, 77 against 81):
-//!
-//! | mutant | killed by the pairwise tests | killed by the model |
-//! |---|---|---|
-//! | `OnlineClassifier::observe` totals with `Iterator::sum` (`-0.0` on an empty interval) | `capture_gaps_and_trailing_silence_match_batch`, `streaming_equals_batch_on_random_captures`, `matches_batch_on_mixed_stream` | 216 of 256 |
-//! | `WindowState::restore` drops the hysteresis members | `kill_and_resume_is_bit_identical_at_every_crash_point` | 6 of 256 |
-//! | latent heat without its empty-interval guard | `capture_gaps_and_trailing_silence_match_batch` | 32 of 256 |
-//! | a route batch applied after the packet stamped at its time (`>` for `>=`) | none | 104 of 256 |
-//! | a re-announced prefix keeps its old route id, so its old key | `withdrawn_key_retires_through_the_latent_heat_window` | 77 of 256, and the fixed program |
-//! | a late packet binned into the open interval | none (the kept `late_packets_are_counted_not_binned` does) | 198 of 256 |
-//! | malformed records left out of `offered` | `resume_after_every_interval_is_bit_identical`, `capture_gaps_and_trailing_silence_match_batch`, `streaming_equals_batch_on_random_captures` | 236 of 256 |
-//! | `RotatingJsonlSink::resume` keeps one line more | `kill_and_resume_is_bit_identical_at_every_crash_point`, `resume_after_every_interval_is_bit_identical`, `kill_and_resume_across_shard_counts_is_bit_identical` | 76 of 256, and the fixed program |
-//! | sharded slices merged in worker order | all four `sharded_equivalence` tests, `exact_backend_is_byte_identical_to_default_at_every_shard_count` | 92 of 256, and the fixed program |
-//! | `WindowState::restore` zeroes the threshold sum | both resume tests of `checkpoint_restore`, `kill_and_resume_across_shard_counts_is_bit_identical`, `sketch_checkpoint_resume_is_bit_identical_mid_stream` | 61 of 256, and the fixed program |
-//! | a zero-length packet leaves an entry in the exact row | none | 63 of 256 |
-//! | a resume that does not cut the log back to its image's watermark (`Checkpointer::new` skips the truncation) | `kill_and_resume_is_bit_identical_at_every_crash_point`, `checkpoint::tests::log_bytes_past_the_watermark_are_ignored_by_load_and_cut_by_resume` | 32 of 256 |
-//! | a compaction that drops the window's oldest slot record | `kill_and_resume_is_bit_identical_at_every_crash_point`, the six log tests of `checkpoint::tests` | 36 of 256, and the fixed program |
-//!
-//! One more mutant, the infinite threshold's stand-in without its
-//! `+ 1.0`, fails neither the pairwise suites nor this test: it changes
-//! an outcome only when a rate lands within 1 b/s above a threshold.
+//! What this property kills is in `tests/mutants/TABLE.md`, which
+//! `scripts/mutants.sh` writes: each mutant a small patch in
+//! `tests/mutants/`, applied alone to a copy of the tree, against this
+//! test, the fixed program below, the unit tests that guard what the
+//! model cannot reach and the pairwise tests not yet retired. A pairwise
+//! test retires when every mutant it kills is killed by a test that stays.
 //!
 //! What the model cannot hold stays with its own tests: sketch error
 //! bounds and resume under eviction (`sketch_equivalence.rs`), image
 //! rejection and cadence (`checkpoint_restore.rs`), `TraceSource`
-//! against the capture it writes (`pipeline_equivalence.rs`), and the
-//! sharded row step by step against the dense one (`shard::tests`).
+//! against the capture it writes (`pipeline_equivalence.rs`), the
+//! sharded row step by step against the dense one (`shard::tests`), and
+//! the `+ 1` of the stand-in for a threshold not yet detected, which
+//! decides only a rate within 1 b/s of it (`window::tests`).
 
 use std::fs;
 use std::net::Ipv4Addr;
