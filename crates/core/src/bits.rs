@@ -1,14 +1,12 @@
-//! Dense key-id bitset backing the classifier state and the prefix
-//! analysis.
+//! Dense key-id bitset backing the prefix analysis and the report's
+//! ever-active key sets.
 //!
-//! Classification tracks *membership* per [`KeyId`] — which keys have
-//! window history; the prefix analysis, which keys were ever active or
-//! ever elephants. Key ids are dense (first-seen order from the
-//! measurement pipeline), so a flat `u64` word array beats a hash set on
-//! every axis that matters here: O(1) branch-free test/set/clear, and
-//! ordered iteration is a word scan that yields keys already ascending —
-//! the classifier emits sorted elephant lists without a per-interval
-//! `collect` + `sort`.
+//! The prefix analysis tracks *membership* per [`KeyId`] — which keys
+//! were ever active, which were ever elephants. Key ids are dense
+//! (first-seen order from the measurement pipeline), so a flat `u64`
+//! word array beats a hash set on every axis that matters here: O(1)
+//! branch-free test/set/clear, and ordered iteration is a word scan
+//! that yields keys already ascending.
 
 use eleph_flow::KeyId;
 

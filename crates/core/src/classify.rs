@@ -6,7 +6,8 @@
 //! interval's sparse row with no hashing and no per-interval allocation
 //! beyond the emitted elephant lists (which come out already sorted).
 //! One driver, [`Sweep`], steps any family of configurations over rows
-//! handed over one at a time, detecting once per (detector, row);
+//! handed over one at a time, detecting once per (detector, row),
+//! sorting each row at most once and scanning each window once per row;
 //! [`classify`], [`classify_many`] and [`classify_stream`] are that
 //! driver with one detector, and the report crate's session runs it on
 //! a link's rows as they are generated.
@@ -15,8 +16,8 @@ use std::collections::VecDeque;
 
 use eleph_flow::{BandwidthMatrix, KeyId};
 
-use crate::window::{KeySums, SchemeState};
-use crate::ThresholdDetector;
+use crate::window::{latent_heat, KeySums, SchemeState};
+use crate::{RowOrder, ThresholdDetector};
 
 /// Which classification scheme to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,16 +155,31 @@ struct Pass<'d> {
     configs: Vec<Config>,
 }
 
-/// One configuration of a [`Pass`]: its step state and its result
-/// columns.
+/// One configuration of a [`Pass`]: where its step state is kept, and
+/// its result columns.
 struct Config {
-    state: SchemeState,
-    /// Its window in [`Sweep::sums`] (latent heat only: the one scheme
-    /// reading the key sums).
-    sums: Option<usize>,
+    scheme: Scheme,
+    state: Slot,
     thresholds: Vec<f64>,
     elephants: Vec<Vec<KeyId>>,
     elephant_load: Vec<f64>,
+}
+
+/// Where a configuration's step state is kept.
+enum Slot {
+    /// With the configuration: the single-interval schemes.
+    Own(SchemeState),
+    /// The `at`-th state of `Sweep::windows[window]`: latent heat.
+    Window { window: usize, at: usize },
+}
+
+/// Every latent-heat configuration over one window length `w`, across
+/// passes: the sums they all read, and their states, which one scan of
+/// the sums per row answers together.
+struct Window {
+    w: usize,
+    sums: KeySums,
+    states: Vec<SchemeState>,
 }
 
 /// Many classification configurations stepped over one stream of
@@ -172,14 +188,17 @@ struct Config {
 /// per-interval step (`crate::window`).
 ///
 /// What depends only on the rows is kept once: the values the detectors
-/// read, the interval totals, one ring of the last `max w` rows and, per
-/// distinct latent-heat window `w`, one set of per-key sliding sums that
-/// every configuration with that `w` reads. Each configuration keeps
-/// only its EWMA, its threshold terms and their sum, its hysteresis
-/// members and its result columns. So `c` configurations over `d`
-/// detectors cost `d` detections and one window slide per distinct `w`
-/// per row, and every result is by bits what [`classify`] gives for a
-/// matrix of the same rows.
+/// read and one descending order of them, which every detector that
+/// sorts (β-constant load, at any β) reads and extends; the interval
+/// totals; one ring of the last `max w` rows; and, per distinct
+/// latent-heat window `w`, one set of per-key sliding sums and one scan
+/// of them per row that answers every latent-heat configuration with
+/// that `w`, across passes. Each configuration keeps only its EWMA, its
+/// threshold terms and their sum, its hysteresis members and its result
+/// columns. So `c` configurations over `d` detectors cost `d`
+/// detections (at most one sort), one window slide and one window scan
+/// per distinct `w` per row, and every result is by bits what
+/// [`classify`] gives for a matrix of the same rows.
 ///
 /// [`classify`], [`classify_many`] and [`classify_stream`] are this
 /// driver with one detector; the report crate's session steps every
@@ -187,12 +206,14 @@ struct Config {
 #[derive(Default)]
 pub struct Sweep<'d> {
     passes: Vec<Pass<'d>>,
-    /// `(w, sums over the last w rows)`, one per distinct latent window.
-    sums: Vec<(usize, KeySums)>,
+    /// One per distinct latent window.
+    windows: Vec<Window>,
     /// The last `max w` rows, oldest first; empty without latent heat.
     ring: VecDeque<Vec<(KeyId, f32)>>,
     /// The current row's rates as f64: every detector's input.
     values: Vec<f64>,
+    /// `values` in descending order, as far as a detector sorted them.
+    order: RowOrder,
     total_load: Vec<f64>,
 }
 
@@ -217,18 +238,23 @@ impl<'d> Sweep<'d> {
             .iter()
             .map(|config| {
                 let state = SchemeState::new(config.gamma, config.scheme);
-                let sums = match config.scheme {
-                    Scheme::LatentHeat { window } => Some(
-                        self.sums.iter().position(|&(w, _)| w == window).unwrap_or_else(|| {
-                            self.sums.push((window, KeySums::default()));
-                            self.sums.len() - 1
-                        }),
-                    ),
-                    Scheme::SingleFeature | Scheme::Hysteresis { .. } => None,
+                let state = match config.scheme {
+                    Scheme::LatentHeat { window: w } => {
+                        let windows = &mut self.windows;
+                        let window = windows.iter().position(|at| at.w == w).unwrap_or_else(|| {
+                            let sums = KeySums::default();
+                            windows.push(Window { w, sums, states: Vec::new() });
+                            windows.len() - 1
+                        });
+                        let states = &mut windows[window].states;
+                        states.push(state);
+                        Slot::Window { window, at: states.len() - 1 }
+                    }
+                    Scheme::SingleFeature | Scheme::Hysteresis { .. } => Slot::Own(state),
                 };
                 Config {
+                    scheme: config.scheme,
                     state,
-                    sums,
                     thresholds: Vec::new(),
                     elephants: Vec::new(),
                     elephant_load: Vec::new(),
@@ -248,18 +274,19 @@ impl<'d> Sweep<'d> {
         debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0));
         self.values.clear();
         self.values.extend(row.iter().map(|&(_, rate)| f64::from(rate)));
+        self.order.reset();
         // Fold from +0.0, as a matrix's totals are.
         self.total_load.push(self.values.iter().fold(0.0, |s, &v| s + v));
 
-        if !self.sums.is_empty() {
+        if !self.windows.is_empty() {
             // The ring holds the rows before this one, newest last.
-            for (w, sums) in &mut self.sums {
-                sums.slide_in(row);
-                if let Some(old) = self.ring.len().checked_sub(*w) {
-                    sums.retire(&self.ring[old]);
+            for window in &mut self.windows {
+                window.sums.slide_in(row);
+                if let Some(old) = self.ring.len().checked_sub(window.w) {
+                    window.sums.retire(&self.ring[old]);
                 }
             }
-            let max_w = self.sums.iter().map(|&(w, _)| w).max().expect("not empty");
+            let max_w = self.windows.iter().map(|window| window.w).max().expect("not empty");
             let mut kept = if self.ring.len() == max_w {
                 self.ring.pop_front().expect("max_w >= 1")
             } else {
@@ -270,12 +297,33 @@ impl<'d> Sweep<'d> {
             self.ring.push_back(kept);
         }
 
+        // Every threshold update first, then one scan per window for the
+        // latent-heat configurations of every pass.
         for pass in &mut self.passes {
-            let raw = pass.detector.detect(&self.values);
+            let raw = pass.detector.detect_in(&self.values, &mut self.order);
             pass.raw_thresholds.push(raw);
             for config in &mut pass.configs {
-                let sums = config.sums.map(|at| &self.sums[at].1);
-                let step = config.state.step(raw, &self.values, sums, row);
+                match &mut config.state {
+                    Slot::Own(state) => {
+                        state.smooth(raw, &self.values);
+                        state.pick_single(row);
+                    }
+                    &mut Slot::Window { window, at } => {
+                        self.windows[window].states[at].smooth(raw, &self.values);
+                    }
+                }
+            }
+        }
+        for window in &mut self.windows {
+            latent_heat(&window.sums, row, &mut window.states);
+        }
+        for pass in &mut self.passes {
+            for config in &mut pass.configs {
+                let state = match &mut config.state {
+                    Slot::Own(state) => state,
+                    &mut Slot::Window { window, at } => &mut self.windows[window].states[at],
+                };
+                let step = state.take_step();
                 config.thresholds.push(step.threshold);
                 config.elephants.push(step.elephants);
                 config.elephant_load.push(step.elephant_load);
@@ -295,7 +343,7 @@ impl<'d> Sweep<'d> {
                 let total_load = &total_load;
                 pass.configs.into_iter().map(move |config| ClassificationResult {
                     detector: detector.clone(),
-                    scheme: config.state.scheme(),
+                    scheme: config.scheme,
                     thresholds: config.thresholds,
                     raw_thresholds: raw_thresholds.clone(),
                     elephants: config.elephants,

@@ -209,7 +209,7 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
             let old = self.rows.pop_front().expect("len checked");
             self.sums.retire(&old);
         }
-        let step = self.state.step(raw, &values, Some(&self.sums), snapshot);
+        let step = self.state.step(raw, &values, &self.sums, snapshot);
         IntervalOutcome {
             interval,
             threshold: step.threshold,

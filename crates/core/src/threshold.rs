@@ -15,8 +15,92 @@ pub trait ThresholdDetector {
     /// (unsorted, all > 0).
     fn detect(&self, values: &[f64]) -> Option<f64>;
 
+    /// [`ThresholdDetector::detect`] on a row other detectors may
+    /// already have ordered: `order` is `values`' descending order as
+    /// far as earlier readers sorted it since its last
+    /// [`RowOrder::reset`]. A detector that reads the largest values
+    /// first reads and extends it instead of sorting the row again; the
+    /// default ignores it. The result is `detect`'s, by bits.
+    fn detect_in(&self, values: &[f64], order: &mut RowOrder) -> Option<f64> {
+        let _ = order;
+        self.detect(values)
+    }
+
     /// Short name for reports ("aest", "0.8-constant-load", ...).
     fn name(&self) -> String;
+}
+
+/// One interval's values in descending order, sorted from the top only
+/// as far as its readers ask, so several detectors over the same row
+/// share one sort.
+///
+/// The crossing a constant-load detector looks for usually sits in the
+/// top few percent of a heavy-tailed snapshot, so a full sort is wasted
+/// work: the order selects the largest 256 values (the multiset is
+/// unique even with boundary ties) and sorts only them, and each time a
+/// reader runs past what is sorted it selects and sorts the next 8
+/// times as many from the rest. The descending value sequence is
+/// identical to a full sort's, whoever extended it.
+#[derive(Debug, Default)]
+pub struct RowOrder {
+    /// The row's values as [`sort_key`]s: `keys[sorted..]` ascending,
+    /// and no key in `keys[..sorted]` above `keys[sorted]`.
+    keys: Vec<u64>,
+    sorted: usize,
+    /// How many keys the next extension sorts.
+    next: usize,
+    /// The row's total, as [`ConstantLoadDetector`] reads it.
+    total: f64,
+    /// Whether `keys` holds the current row.
+    filled: bool,
+}
+
+impl RowOrder {
+    /// An order that holds no row yet.
+    pub fn new() -> Self {
+        RowOrder::default()
+    }
+
+    /// Let the order go: the next reader fills it from the row it is
+    /// handed. Call it before each new row.
+    pub fn reset(&mut self) {
+        self.filled = false;
+    }
+
+    /// Hold `values` unless the order already holds its row.
+    fn fill(&mut self, values: &[f64]) {
+        if self.filled {
+            return;
+        }
+        debug_assert!(values.iter().all(|v| v.is_finite()), "bandwidths are finite");
+        self.keys.clear();
+        self.keys.extend(values.iter().map(|&v| sort_key(v)));
+        self.sorted = self.keys.len();
+        self.next = 256;
+        self.total = values.iter().sum();
+        self.filled = true;
+    }
+
+    /// Sort the next values down from the top; false when every value
+    /// is sorted already.
+    fn extend(&mut self) -> bool {
+        if self.sorted == 0 {
+            return false;
+        }
+        let rest = &mut self.keys[..self.sorted];
+        let top = if self.next < rest.len() {
+            let split = rest.len() - self.next;
+            rest.select_nth_unstable(split);
+            self.sorted = split;
+            &mut rest[split..]
+        } else {
+            self.sorted = 0;
+            rest
+        };
+        top.sort_unstable();
+        self.next *= 8;
+        true
+    }
 }
 
 /// The paper's "aest" rule: the threshold is the point where the
@@ -67,53 +151,37 @@ impl ConstantLoadDetector {
 
 impl ThresholdDetector for ConstantLoadDetector {
     fn detect(&self, values: &[f64]) -> Option<f64> {
+        self.detect_in(values, &mut RowOrder::new())
+    }
+
+    fn detect_in(&self, values: &[f64], order: &mut RowOrder) -> Option<f64> {
         if values.is_empty() {
             return None;
         }
-        let total: f64 = values.iter().sum();
-        if total <= 0.0 {
+        order.fill(values);
+        if order.total <= 0.0 {
             return None;
         }
-        debug_assert!(values.iter().all(|v| v.is_finite()), "bandwidths are finite");
-        let mut keys: Vec<u64> = values.iter().map(|&v| sort_key(v)).collect();
-        let target = self.beta * total;
-
-        // The crossing point of the descending cumulative sum usually
-        // sits in the top few percent of a heavy-tailed snapshot, so a
-        // full sort is wasted work: select the top-k multiset (unique
-        // even with boundary ties), sort only it, and scan; grow k and
-        // repeat on the remainder if the target was not reached. The
-        // descending value sequence — and therefore every partial sum
-        // and the returned threshold — is identical to a full sort.
+        let target = self.beta * order.total;
+        // Cumulate down from the largest value, sorting further only
+        // when the sorted top runs out.
         let mut cum = 0.0;
-        let mut rest: &mut [u64] = &mut keys;
-        let mut k = 256usize;
+        let mut at = order.keys.len();
         loop {
-            let chunk = std::mem::take(&mut rest);
-            let top: &mut [u64] = if k < chunk.len() {
-                let split = chunk.len() - k;
-                chunk.select_nth_unstable(split);
-                let (low, top) = chunk.split_at_mut(split);
-                rest = low;
-                top
-            } else {
-                chunk
-            };
-            top.sort_unstable();
-            for &key in top.iter().rev() {
-                let v = from_sort_key(key);
+            while at > order.sorted {
+                at -= 1;
+                let v = from_sort_key(order.keys[at]);
                 cum += v;
                 if cum >= target {
                     return Some(v);
                 }
             }
-            if rest.is_empty() {
+            if !order.extend() {
                 // Rounding kept the descending sum below β·total: fall
                 // back to the smallest bandwidth, as the full-sort scan
                 // did.
-                return Some(from_sort_key(top[0]));
+                return Some(from_sort_key(order.keys[0]));
             }
-            k *= 8;
         }
     }
 
@@ -176,9 +244,16 @@ impl ThresholdDetector for PercentileDetector {
 /// Forwarding impls so runtime-chosen detectors (`Box<dyn
 /// ThresholdDetector>`) and borrowed detectors plug directly into the
 /// generic classification entry points — no caller-side adapter structs.
+/// Each forwards [`ThresholdDetector::detect_in`] too: one that did not
+/// would give the same thresholds and quietly sort every row once per
+/// detector again.
 impl<T: ThresholdDetector + ?Sized> ThresholdDetector for Box<T> {
     fn detect(&self, values: &[f64]) -> Option<f64> {
         (**self).detect(values)
+    }
+
+    fn detect_in(&self, values: &[f64], order: &mut RowOrder) -> Option<f64> {
+        (**self).detect_in(values, order)
     }
 
     fn name(&self) -> String {
@@ -189,6 +264,10 @@ impl<T: ThresholdDetector + ?Sized> ThresholdDetector for Box<T> {
 impl<T: ThresholdDetector + ?Sized> ThresholdDetector for &T {
     fn detect(&self, values: &[f64]) -> Option<f64> {
         (**self).detect(values)
+    }
+
+    fn detect_in(&self, values: &[f64], order: &mut RowOrder) -> Option<f64> {
+        (**self).detect_in(values, order)
     }
 
     fn name(&self) -> String {
@@ -247,6 +326,30 @@ mod tests {
                 "beta {beta}: threshold not minimal"
             );
         }
+    }
+
+    /// Summed largest first, these values fall short of their total
+    /// summed as given (the two `1e-16` are lost against `1.0` one at a
+    /// time, not together): the crossing falls back to the smallest.
+    #[test]
+    fn constant_load_falls_back_to_the_smallest_value_when_rounding_keeps_the_sum_short() {
+        let values = [1e-16, 1e-16, 1.0];
+        assert!(1.0 + 1e-16 + 1e-16 < values.iter().sum::<f64>());
+        assert_eq!(ConstantLoadDetector::new(1.0).detect(&values), Some(1e-16));
+    }
+
+    /// A boxed detector forwards `detect_in`, so the order it is handed
+    /// is the one it sorts, and the next detector of the row reads it.
+    #[test]
+    fn a_boxed_constant_load_detector_sorts_the_shared_order() {
+        let values: Vec<f64> = (1..=1000).map(f64::from).collect();
+        let boxed: Box<dyn ThresholdDetector> = Box::new(ConstantLoadDetector::new(0.1));
+        let mut order = RowOrder::new();
+        assert_eq!(boxed.detect_in(&values, &mut order), Some(949.0));
+        assert!(order.filled && order.sorted == 1000 - 256, "sorted {}", order.sorted);
+        let borrowed = &ConstantLoadDetector::new(0.9);
+        assert_eq!(borrowed.detect_in(&values, &mut order), borrowed.detect(&values));
+        assert_eq!(order.sorted, 0, "the second detector extends the first one's order");
     }
 
     #[test]

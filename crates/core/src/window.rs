@@ -6,18 +6,22 @@
 //! configuration with the same `w` over the same rows can read one of
 //! them. [`SchemeState`] holds what one configuration adds: its EWMA,
 //! its window of threshold terms and their sum, and the hysteresis
-//! members. [`SchemeState::step`] is the one per-interval step — EWMA →
-//! threshold term → window → scheme rule — that every driver calls:
-//! the streaming classifier with the window it keeps for checkpoints,
-//! and the batch driver ([`crate::Sweep`]) with the windows it shares
-//! between configurations. Both perform the identical float operation
+//! members. The per-interval step is the threshold update
+//! ([`SchemeState::smooth`]: EWMA → threshold term → window) and then
+//! the scheme rule: [`SchemeState::pick_single`] for the
+//! single-interval schemes, and for latent heat [`latent_heat`], one
+//! ascending scan of a window's sums that answers every configuration
+//! reading them at once. Every driver calls these: the streaming
+//! classifier, through [`SchemeState::step`], as a group of one with
+//! the window it keeps for checkpoints, and the batch driver
+//! ([`crate::Sweep`]) with the windows it shares between
+//! configurations. Both perform the identical float operation
 //! sequence, so their outputs agree by bits.
 
 use std::collections::VecDeque;
 
 use eleph_flow::KeyId;
 
-use crate::bits::KeyBitset;
 use crate::{Scheme, ThresholdSeries};
 
 /// The finite stand-in for the threshold term of an interval that has
@@ -36,7 +40,10 @@ fn unbeatable(values: &[f64]) -> f64 {
 /// (positive = a phantom elephant that never goes away, negative = a
 /// live micro-flow wrongly suppressed). A mid-window negative excursion
 /// (possible only under catastrophic cancellation of enormously
-/// mismatched rates) is clamped to 0.
+/// mismatched rates) is clamped to 0. So an id out of the window
+/// (`live == 0`) holds `+0.0`, and `live` alone says which ids are in
+/// it: a slide is loads and stores, and the ids in the window are read
+/// by scanning `live` in id order.
 ///
 /// It keeps no rows: its owner slides each row in and retires, `w` rows
 /// later, exactly the row it slid in.
@@ -44,8 +51,6 @@ fn unbeatable(values: &[f64]) -> f64 {
 pub(crate) struct KeySums {
     sum: Vec<f64>,
     live: Vec<u32>,
-    /// Ids with `live > 0`; ordered iteration emits elephants ascending.
-    in_window: KeyBitset,
 }
 
 impl KeySums {
@@ -59,7 +64,6 @@ impl KeySums {
             }
             if self.live[k] == 0 {
                 self.sum[k] = f64::from(rate);
-                self.in_window.insert(id);
             } else {
                 self.sum[k] += f64::from(rate);
             }
@@ -75,7 +79,6 @@ impl KeySums {
             self.live[k] -= 1;
             if self.live[k] == 0 {
                 self.sum[k] = 0.0;
-                self.in_window.remove(id);
             } else {
                 self.sum[k] = (self.sum[k] - f64::from(rate)).max(0.0);
             }
@@ -85,14 +88,14 @@ impl KeySums {
     /// Number of ids currently holding window state — zero again once
     /// every id has been idle for a full window.
     pub(crate) fn tracked(&self) -> usize {
-        self.in_window.len()
+        self.live.iter().filter(|&&live| live != 0).count()
     }
 
     /// The sums as a checkpoint carries them: `(id, sliding sum,
     /// occupied slots)` for every id in the window, ascending.
     pub(crate) fn export(&self) -> Vec<(KeyId, f64, u32)> {
-        let row = |id: KeyId| (id, self.sum[id as usize], self.live[id as usize]);
-        self.in_window.iter().map(row).collect()
+        let in_window = self.live.iter().enumerate().filter(|&(_, &live)| live != 0);
+        in_window.map(|(k, &live)| (k as KeyId, self.sum[k], live)).collect()
     }
 
     /// Rebuild from [`KeySums::export`]ed entries. The caller has
@@ -103,14 +106,51 @@ impl KeySums {
         let mut sums = KeySums {
             sum: vec![0.0; n_ids],
             live: vec![0; n_ids],
-            in_window: KeyBitset::with_capacity(n_ids),
         };
         for &(id, sum, live) in per_key {
             sums.sum[id as usize] = sum;
             sums.live[id as usize] = live;
-            sums.in_window.insert(id);
         }
         sums
+    }
+}
+
+/// The latent-heat rule for every configuration in `group`, all over
+/// the window `sums` (with `row` slid in and the row `w` back retired):
+/// each picks the ids whose window sum exceeds its threshold sum.
+///
+/// One ascending scan over the ids answers them all. An id whose sum
+/// is not above the group's smallest threshold sum is no one's
+/// elephant; those that are go through each configuration's own
+/// test, and the row's rate of each is found by one ordered merge
+/// (0 when inactive). So every configuration picks its elephants
+/// ascending and adds their load in that order, the same operations
+/// whichever group it is in.
+pub(crate) fn latent_heat(sums: &KeySums, row: &[(KeyId, f32)], group: &mut [SchemeState]) {
+    // An interval with zero attributed packets — a capture gap, not a
+    // flow dip — emits no elephants: there is no load to apportion, and
+    // a monitor must not keep alerting on stale window state. The
+    // window itself still slides, so flows resume their standing when
+    // traffic returns.
+    if row.is_empty() {
+        return;
+    }
+    let floor = group.iter().map(|state| state.sum_t).fold(f64::INFINITY, f64::min);
+    let mut row = row.iter().peekable();
+    for (k, (&sum, &live)) in sums.sum.iter().zip(&sums.live).enumerate() {
+        // `live` decides membership: an id out of the window holds
+        // +0.0, which a threshold sum rounded below zero would beat.
+        if sum > floor && live != 0 {
+            let id = k as KeyId;
+            while row.next_if(|&&(j, _)| j < id).is_some() {}
+            let rate = row.next_if(|&&(j, _)| j == id).map_or(0.0, |&(_, rate)| f64::from(rate));
+            for state in group.iter_mut() {
+                if sum > state.sum_t {
+                    state.picked.push(id);
+                    state.picked_load += rate;
+                }
+            }
+        }
     }
 }
 
@@ -128,7 +168,8 @@ pub(crate) struct Step {
 
 /// One configuration's classifier state between intervals: the EWMA,
 /// the window's threshold terms (oldest first) and their sliding sum,
-/// and the hysteresis membership.
+/// and the hysteresis membership; and, within an interval, its
+/// threshold and the elephants picked so far.
 #[derive(Debug)]
 pub(crate) struct SchemeState {
     scheme: Scheme,
@@ -141,10 +182,14 @@ pub(crate) struct SchemeState {
     sum_t: f64,
     /// The previous interval's elephants, ascending (hysteresis only).
     members: Vec<KeyId>,
+    /// The current interval's smoothed threshold.
+    threshold: f64,
     /// The current interval's elephants as they are picked: a buffer
     /// reused from interval to interval, so each list handed out is
     /// allocated at its exact length.
     picked: Vec<KeyId>,
+    /// Their load, added as they are picked.
+    picked_load: f64,
 }
 
 impl SchemeState {
@@ -161,7 +206,9 @@ impl SchemeState {
             t_terms: VecDeque::new(),
             sum_t: 0.0,
             members: Vec::new(),
+            threshold: f64::INFINITY,
             picked: Vec::new(),
+            picked_load: 0.0,
         }
     }
 
@@ -181,24 +228,33 @@ impl SchemeState {
         self.series.gamma()
     }
 
-    /// Classify one interval, the one per-interval step of every driver:
-    /// the raw detection (`None` = the detector abstained) goes into the
-    /// EWMA; the smoothed threshold — or, before the first detection,
-    /// the finite stand-in computed from `values` — enters the window's
-    /// threshold sum, and the term `window` intervals back leaves it;
-    /// then the scheme's rule picks the elephants of `row`.
-    ///
-    /// `values` are `row`'s rates as f64 (the detector's input) and
-    /// `sums` the per-key window over `w = self.window()` rows with `row`
-    /// already slid in and the row `w` back retired; only latent heat
-    /// reads it.
+    /// Classify one interval, as a group of one: the threshold update
+    /// ([`SchemeState::smooth`]), then the scheme's rule, then the
+    /// step taken. `sums` is the per-key window over `w =
+    /// self.window()` rows with `row` already slid in and the row `w`
+    /// back retired; only latent heat reads it.
     pub(crate) fn step(
         &mut self,
         raw: Option<f64>,
         values: &[f64],
-        sums: Option<&KeySums>,
+        sums: &KeySums,
         row: &[(KeyId, f32)],
     ) -> Step {
+        self.smooth(raw, values);
+        match self.scheme {
+            Scheme::LatentHeat { .. } => latent_heat(sums, row, std::slice::from_mut(self)),
+            Scheme::SingleFeature | Scheme::Hysteresis { .. } => self.pick_single(row),
+        }
+        self.take_step()
+    }
+
+    /// Start an interval with its threshold update: the raw detection
+    /// (`None` = the detector abstained) goes into the EWMA; the
+    /// smoothed threshold — or, before the first detection, the finite
+    /// stand-in computed from `values`, the interval's rates as f64 —
+    /// enters the window's threshold sum, and the term `window`
+    /// intervals back leaves it. Nothing is picked yet.
+    pub(crate) fn smooth(&mut self, raw: Option<f64>, values: &[f64]) {
         let threshold = self.series.observe_raw(raw);
         // Before the first detection the threshold is infinite, which
         // would poison the sliding sum; the finite stand-in models "no
@@ -209,44 +265,28 @@ impl SchemeState {
         if self.t_terms.len() > self.window {
             self.sum_t -= self.t_terms.pop_front().expect("len checked");
         }
+        self.threshold = threshold;
+        self.picked.clear();
+        self.picked_load = 0.0;
+    }
 
-        // Elephants come out ascending and the load is added in that
-        // order, for bit-identical float sums on every path.
-        let picked = &mut self.picked;
-        picked.clear();
-        let mut elephant_load = 0.0f64;
-        let mut emit = |id: KeyId, term: f64| {
-            picked.push(id);
-            elephant_load += term;
-        };
+    /// The single-interval schemes' rule over `row`: single feature and
+    /// hysteresis. Elephants come out ascending and the load is added in
+    /// that order, as [`latent_heat`] does, for bit-identical float sums
+    /// on every path.
+    pub(crate) fn pick_single(&mut self, row: &[(KeyId, f32)]) {
+        let threshold = self.threshold;
         match self.scheme {
             Scheme::SingleFeature => {
                 for &(id, rate) in row {
                     let b = f64::from(rate);
                     if b > threshold {
-                        emit(id, b);
+                        self.picked.push(id);
+                        self.picked_load += b;
                     }
                 }
             }
-            // An interval with zero attributed packets — a capture gap,
-            // not a flow dip — emits no elephants: there is no load to
-            // apportion, and a monitor must not keep alerting on stale
-            // window state. The window itself still slides, so flows
-            // resume their standing when traffic returns.
-            Scheme::LatentHeat { .. } if row.is_empty() => {}
-            Scheme::LatentHeat { .. } => {
-                let sums = sums.expect("latent heat reads the key sums");
-                // Window ids and row both ascend: the load join is an
-                // ordered merge.
-                let mut row = row.iter().peekable();
-                for id in sums.in_window.iter() {
-                    if sums.sum[id as usize] > self.sum_t {
-                        while row.next_if(|&&(k, _)| k < id).is_some() {}
-                        let active = row.next_if(|&&(k, _)| k == id);
-                        emit(id, active.map_or(0.0, |&(_, rate)| f64::from(rate)));
-                    }
-                }
-            }
+            Scheme::LatentHeat { .. } => unreachable!("latent heat is picked by its window"),
             Scheme::Hysteresis { enter, exit } => {
                 // Membership becomes exactly the current elephant set;
                 // the previous one ascends like the row does.
@@ -261,12 +301,21 @@ impl SchemeState {
                     };
                     if keep {
                         self.members.push(id);
-                        emit(id, b);
+                        self.picked.push(id);
+                        self.picked_load += b;
                     }
                 }
             }
         }
-        Step { threshold, elephants: self.picked.to_vec(), elephant_load }
+    }
+
+    /// The interval's step as picked.
+    pub(crate) fn take_step(&mut self) -> Step {
+        Step {
+            threshold: self.threshold,
+            elephants: self.picked.to_vec(),
+            elephant_load: self.picked_load,
+        }
     }
 
     /// The state as a checkpoint carries it: the smoothed threshold, the
@@ -299,6 +348,79 @@ impl SchemeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    /// The dense latent-heat scan reads `live` alone for membership, and
+    /// `export` scans it in id order. So after any run of slides and
+    /// retires an id out of the window must hold `+0.0` by bits, and the
+    /// ids with `live != 0` must be exactly a sparse reference's:
+    /// `tracked()` its length, `export` its entries ascending, by bits
+    /// (the rates span forty decades, so rounding takes sums to zero
+    /// and below while their ids are still in the window).
+    #[test]
+    fn ids_out_of_the_window_hold_positive_zero_and_export_is_the_reference() {
+        let mut rng = StdRng::seed_from_u64(35);
+        for _ in 0..200 {
+            let w = rng.gen_range(1usize..6);
+            let n_ids = rng.gen_range(1u32..300);
+            let density = rng.gen_range(0.05..0.6);
+            let mut sums = KeySums::default();
+            let mut reference: BTreeMap<KeyId, (f64, u32)> = BTreeMap::new();
+            let mut ring: VecDeque<Vec<(KeyId, f32)>> = VecDeque::new();
+            let n_rows = rng.gen_range(1usize..40);
+            for n in 0..n_rows + w {
+                // The last `w` steps only retire: every id drains.
+                if n < n_rows {
+                    let mut row: Vec<(KeyId, f32)> = Vec::new();
+                    for id in 0..n_ids {
+                        if rng.gen_bool(density) {
+                            let decade = rng.gen_range(0u32..40) as i32 - 10;
+                            row.push((id, rng.gen_range(1.0f32..10.0) * 10f32.powi(decade)));
+                        }
+                    }
+                    sums.slide_in(&row);
+                    for &(id, rate) in &row {
+                        let (sum, live) = reference.entry(id).or_insert((0.0, 0));
+                        *sum = if *live == 0 { f64::from(rate) } else { *sum + f64::from(rate) };
+                        *live += 1;
+                    }
+                    ring.push_back(row);
+                }
+                if ring.len() > w || (n >= n_rows && !ring.is_empty()) {
+                    let old = ring.pop_front().expect("a row to retire");
+                    sums.retire(&old);
+                    for &(id, rate) in &old {
+                        let (sum, live) = reference.get_mut(&id).expect("slid in");
+                        *live -= 1;
+                        if *live == 0 {
+                            reference.remove(&id);
+                        } else {
+                            *sum = (*sum - f64::from(rate)).max(0.0);
+                        }
+                    }
+                }
+                for (&sum, &live) in sums.sum.iter().zip(&sums.live) {
+                    if live == 0 {
+                        assert_eq!(sum.to_bits(), 0.0f64.to_bits(), "an id out of the window");
+                    }
+                }
+                let live = sums.live.iter().filter(|&&live| live != 0).count();
+                assert_eq!((sums.tracked(), live), (reference.len(), reference.len()));
+                let exported = sums.export();
+                assert!(exported.windows(2).all(|pair| pair[0].0 < pair[1].0));
+                let bits = |entries: &[(KeyId, f64, u32)]| -> Vec<(KeyId, u64, u32)> {
+                    entries.iter().map(|&(id, sum, live)| (id, sum.to_bits(), live)).collect()
+                };
+                let expected: Vec<(KeyId, f64, u32)> =
+                    reference.iter().map(|(&id, &(sum, live))| (id, sum, live)).collect();
+                assert_eq!(bits(&exported), bits(&expected));
+                assert_eq!(bits(&KeySums::restore(&exported).export()), bits(&exported));
+            }
+            assert_eq!(sums.tracked(), 0);
+        }
+    }
 
     /// Before the first detection the threshold term is the interval's
     /// largest rate + 1. Under latent heat over two intervals a key at
@@ -313,13 +435,13 @@ mod tests {
             // Interval 0: the detector abstains; key 0 is the largest.
             let row = [(0, 100.0), (1, 40.0)];
             sums.slide_in(&row);
-            let step = state.step(None, &[100.0, 40.0], Some(&sums), &row);
+            let step = state.step(None, &[100.0, 40.0], &sums, &row);
             assert!(step.threshold.is_infinite() && step.elephants.is_empty());
             // Interval 1: the first detection, 50. Key 0's window sum is
             // 100 + rate against the threshold sum 101 + 50.
             let row = [(0, rate), (1, 10.0)];
             sums.slide_in(&row);
-            let step = state.step(Some(50.0), &[f64::from(rate), 10.0], Some(&sums), &row);
+            let step = state.step(Some(50.0), &[f64::from(rate), 10.0], &sums, &row);
             assert_eq!(step.threshold, 50.0);
             step.elephants
         };

@@ -5,7 +5,9 @@
 //! with a faithful replica of the legacy hash-map classifier,
 //! [`eleph_core::classify_many`] — and one [`eleph_core::Sweep`] of
 //! several detectors and windows — must be indistinguishable from
-//! independent [`eleph_core::classify`] calls, and the two drivers of
+//! independent [`eleph_core::classify`] calls and, sharing row orders
+//! and window scans, from the replica, constant-load detection on a
+//! shared order must be a full sort's, and the two drivers of
 //! the one per-interval step — batch and streaming — must agree by
 //! bits, across a checkpoint too, and over traffic re-measured at
 //! another T as it is walked.
@@ -13,7 +15,7 @@
 use eleph_core::{
     classify, classify_many, classify_stream, holding, AestDetector, ClassificationResult,
     ClassifierState, ClassifyConfig, ConstantLoadDetector, IntervalOutcome, OnlineClassifier,
-    PercentileDetector, Scheme, Sweep, ThresholdDetector, TopNDetector,
+    PercentileDetector, RowOrder, Scheme, Sweep, ThresholdDetector, TopNDetector,
 };
 use eleph_flow::{BandwidthMatrix, KeyId};
 use eleph_net::Prefix;
@@ -32,6 +34,7 @@ mod legacy {
     use std::collections::{HashMap, HashSet};
 
     pub struct LegacyResult {
+        pub raw_thresholds: Vec<Option<f64>>,
         pub thresholds: Vec<f64>,
         pub elephants: Vec<Vec<KeyId>>,
         pub elephant_load: Vec<f64>,
@@ -46,6 +49,7 @@ mod legacy {
     ) -> LegacyResult {
         let mut ewma = eleph_stats::Ewma::new(gamma).expect("valid gamma");
         let n_int = matrix.n_intervals();
+        let mut raw_thresholds = Vec::with_capacity(n_int);
         let mut thresholds = Vec::with_capacity(n_int);
         let mut elephants: Vec<Vec<KeyId>> = Vec::with_capacity(n_int);
         let mut elephant_load = Vec::with_capacity(n_int);
@@ -61,7 +65,9 @@ mod legacy {
 
         for n in 0..n_int {
             let values = matrix.values(n);
-            let threshold = match detector.detect(&values) {
+            let raw = detector.detect(&values);
+            raw_thresholds.push(raw);
+            let threshold = match raw {
                 Some(t) => ewma.update(t),
                 None => ewma.value().unwrap_or(f64::INFINITY),
             };
@@ -129,6 +135,7 @@ mod legacy {
             elephants.push(current);
         }
         LegacyResult {
+            raw_thresholds,
             thresholds,
             elephants,
             elephant_load,
@@ -470,6 +477,100 @@ proptest! {
         for (config, got) in configs[2..].iter().zip(second) {
             let solo = classify(&m, constant_load, config.gamma, config.scheme);
             prop_assert_eq!(result_bits(got), result_bits(&solo), "{:?} constant load", config);
+        }
+    }
+}
+
+/// The β-constant-load threshold by a full sort: cumulate the values
+/// largest first and return the first that reaches β of the total, or
+/// the smallest when rounding keeps the sum short of it.
+fn full_sort_crossing(values: &[f64], beta: f64) -> Option<f64> {
+    let total: f64 = values.iter().sum();
+    if values.is_empty() || total <= 0.0 {
+        return None;
+    }
+    let mut descending = values.to_vec();
+    descending.sort_by(|a, b| b.total_cmp(a));
+    let mut cum = 0.0;
+    for &v in &descending {
+        cum += v;
+        if cum >= beta * total {
+            return Some(v);
+        }
+    }
+    descending.last().copied()
+}
+
+proptest! {
+    /// Several β read one row's order in turn, each sorting it further
+    /// only past where the ones before stopped; rows run to 5 000 values,
+    /// past the first two extensions (256 and 2 048), with ties, and
+    /// β = 1 where rounding can leave the sum short of the total.
+    #[test]
+    fn constant_load_on_a_shared_order_equals_a_full_sort(
+        values in prop::collection::vec(
+            prop_oneof![6 => 0.1..1e6f64, 1 => Just(250.0), 1 => 1e-3..1e9f64],
+            1..5000,
+        ),
+        betas in prop::collection::vec(prop_oneof![1 => Just(1.0), 4 => 0.01..1.0f64], 1..8),
+    ) {
+        let mut order = RowOrder::new();
+        for &beta in &betas {
+            let detector = ConstantLoadDetector::new(beta);
+            let expected = full_sort_crossing(&values, beta).map(f64::to_bits);
+            let shared = detector.detect_in(&values, &mut order).map(f64::to_bits);
+            prop_assert_eq!(shared, expected, "β {} on the shared order", beta);
+            let alone = detector.detect(&values).map(f64::to_bits);
+            prop_assert_eq!(alone, expected, "β {} alone", beta);
+        }
+    }
+
+    /// One sweep shares each row's order between two constant-load
+    /// passes at different β, and each window's scan between two
+    /// latent-heat configurations at different γ in each pass; each
+    /// result is held, column by column, to the legacy replica, which
+    /// detects every row on its own and keeps its own hash-map sums.
+    #[test]
+    fn one_sweep_sharing_row_orders_and_window_scans_equals_the_legacy_replica(
+        rows in arb_rows(),
+        betas in (0.3..0.95f64, 0.3..0.95f64),
+        gammas in (0.0..0.99f64, 0.0..0.99f64),
+        windows in prop::collection::vec(1usize..6, 1..3),
+        enter in 1.0..1.8f64,
+        exit in 0.2..1.0f64,
+    ) {
+        let m = matrix(&rows);
+        let mut configs = vec![
+            ClassifyConfig { gamma: gammas.0, scheme: Scheme::Hysteresis { enter, exit } },
+            ClassifyConfig { gamma: gammas.1, scheme: Scheme::SingleFeature },
+        ];
+        for &window in &windows {
+            for gamma in [gammas.0, gammas.1] {
+                configs.push(ClassifyConfig { gamma, scheme: Scheme::LatentHeat { window } });
+            }
+        }
+        let detectors = [ConstantLoadDetector::new(betas.0), ConstantLoadDetector::new(betas.1)];
+        let mut sweep = Sweep::new();
+        for detector in detectors {
+            // Boxed, as the report crate's session hands detectors over.
+            let boxed: Box<dyn ThresholdDetector> = Box::new(detector);
+            sweep.pass(boxed, &configs);
+        }
+        for n in 0..m.n_intervals() {
+            sweep.observe(&m.interval(n).to_pairs());
+        }
+        let swept = sweep.finish();
+        prop_assert_eq!(swept.len(), detectors.len() * configs.len());
+        for (i, got) in swept.iter().enumerate() {
+            let (detector, config) = (detectors[i / configs.len()], configs[i % configs.len()]);
+            let reference = legacy::classify(&m, detector, config.gamma, config.scheme);
+            let at = format!("{config:?} β {}", detector.beta);
+            prop_assert_eq!(&got.detector, &detector.name());
+            prop_assert_eq!(&got.raw_thresholds, &reference.raw_thresholds, "{}", at);
+            prop_assert_eq!(&got.thresholds, &reference.thresholds, "{}", at);
+            prop_assert_eq!(&got.elephants, &reference.elephants, "{}", at);
+            prop_assert_eq!(&got.elephant_load, &reference.elephant_load, "{}", at);
+            prop_assert_eq!(&got.total_load, &reference.total_load, "{}", at);
         }
     }
 }

@@ -388,9 +388,11 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Intervals sealed (and durably emitted) when this snapshot was
-    /// taken — the line count the output must be truncated to before
-    /// resuming.
+    /// Intervals sealed when this snapshot was taken, each handed to
+    /// every sink before it — the line count the output must be
+    /// truncated to before resuming. The JSONL sinks flush each line but
+    /// do not fsync it, so after a power cut the output can hold fewer
+    /// (see [`crate::RotatingJsonlSink`]).
     pub fn intervals_sealed(&self) -> usize {
         self.open as usize
     }

@@ -5,7 +5,10 @@
 #   1. tier-1: release build + full test suite (see ROADMAP.md);
 #   2. classifier equivalence: the one per-interval step against the
 #      legacy-replica oracle, classify_many and one sweep of several
-#      detectors and windows against independent classify runs, and its
+#      detectors and windows against independent classify runs, one
+#      sweep sharing each row's order and each window's scan against the
+#      replica, constant-load detection on a shared order against a full
+#      sort, the window sums' invariants, and its
 #      two drivers against each other — batch ≡ streaming, across an
 #      export/resume — the properties that license
 #      every classifier change (already part of tier-1; re-run by name
@@ -175,9 +178,10 @@
 #  15. doc links: `cargo doc` over the workspace with broken and
 #      private intra-doc links denied, so a public doc that names a
 #      deleted or private item fails here;
-#  16. mutants: `scripts/mutants.sh` on four of the patches in
-#      `tests/mutants/`, one each in the classifier core, the pipeline,
-#      the checkpoint log and a sketch: each applied alone to a copy of
+#  16. mutants: `scripts/mutants.sh` on five of the patches in
+#      `tests/mutants/`, one each in the classifier core, the batch
+#      sweep's shared window scan, the pipeline, the checkpoint log and a
+#      sketch: each applied alone to a copy of
 #      the tree, it must still apply and build, and some test must kill
 #      it (every patch, against `tests/mutants/TABLE.md`, is
 #      `scripts/mutants.sh` with no argument).
@@ -192,15 +196,18 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
-echo "== classifier equivalence: dense vs legacy, classify_many vs classify, batch vs streaming =="
+echo "== classifier equivalence: dense vs legacy, classify_many vs classify, shared sweep vs legacy, batch vs streaming =="
 cargo test -q -p eleph-core --test props -- \
     dense_classify_matches_legacy_reference \
     classify_many_equals_independent_classifies \
     one_sweep_of_many_detectors_and_windows_equals_independent_classifies \
+    one_sweep_sharing_row_orders_and_window_scans_equals_the_legacy_replica \
+    constant_load_on_a_shared_order_equals_a_full_sort \
     exact_retire_keeps_epsilon_scale_microflow \
     adversarial_magnitudes_leave_no_stale_state \
     batch_and_streaming_agree_across_a_checkpoint
 cargo test -q -p eleph-core --lib online::
+cargo test -q -p eleph-core --lib window::
 
 echo "== model equivalence: the pipeline vs the executable model, across a cut and resume =="
 cargo test -q -p eleph-tests --test model
@@ -489,9 +496,10 @@ echo "== doc links: no broken or private intra-doc link in the workspace =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
     cargo doc -q --no-deps --workspace
 
-echo "== mutants: four patches, each killed by the model or a unit test =="
+echo "== mutants: five patches, each killed by the model, a unit or a property test =="
 scripts/mutants.sh \
     tests/mutants/20-stand-in-without-its-plus-one.patch \
+    tests/mutants/27-latent-heat-prefilter-on-the-largest-threshold-sum.patch \
     tests/mutants/07-malformed-records-left-out-of-offered.patch \
     tests/mutants/12-resume-keeps-the-log-past-its-watermark.patch \
     tests/mutants/14-space-saving-newcomer-inherits-no-error.patch
