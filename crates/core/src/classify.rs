@@ -1,22 +1,23 @@
 //! The classification schemes over rows of a bandwidth matrix.
 //!
 //! The engine is dense: per-key state is flat vectors indexed by
-//! [`KeyId`] (`crate::window`), the same state machine the streaming
-//! classifier runs, so a classification pass is linear walks over each
-//! interval's sparse row with no hashing and no per-interval allocation
-//! beyond the emitted elephant lists (which come out already sorted).
-//! One driver, [`Sweep`], steps any family of configurations over rows
-//! handed over one at a time, detecting once per (detector, row),
-//! sorting each row at most once and scanning each window once per row;
-//! [`classify`], [`classify_many`] and [`classify_stream`] are that
-//! driver with one detector, and the report crate's session runs it on
-//! a link's rows as they are generated.
+//! [`KeyId`] (`crate::window`), so a classification pass is linear walks
+//! over each interval's sparse row with no hashing and no per-interval
+//! allocation beyond the emitted elephant lists (which come out already
+//! sorted). One driver, [`Sweep`], steps any family of configurations
+//! over rows handed over one at a time, detecting once per (detector,
+//! row), sorting each row at most once and scanning each window once per
+//! row; [`classify`], [`classify_many`] and [`classify_stream`] are that
+//! driver with one detector, the report crate's session runs it on a
+//! link's rows as they are generated, and the streaming
+//! [`OnlineClassifier`](crate::OnlineClassifier) is it with one
+//! configuration.
 
 use std::collections::VecDeque;
 
 use eleph_flow::{BandwidthMatrix, KeyId};
 
-use crate::window::{latent_heat, KeySums, SchemeState};
+use crate::window::{latent_heat, KeySums, SchemeState, Step};
 use crate::{RowOrder, ThresholdDetector};
 
 /// Which classification scheme to run.
@@ -147,25 +148,18 @@ impl ClassificationResult {
     }
 }
 
-/// One detector over a [`Sweep`]'s rows, and the configurations that
-/// step over its detections.
-struct Pass<'d> {
-    detector: Box<dyn ThresholdDetector + 'd>,
-    raw_thresholds: Vec<Option<f64>>,
-    configs: Vec<Config>,
-}
-
-/// One configuration of a [`Pass`]: where its step state is kept, and
-/// its result columns.
-struct Config {
-    scheme: Scheme,
-    state: Slot,
-    thresholds: Vec<f64>,
-    elephants: Vec<Vec<KeyId>>,
-    elephant_load: Vec<f64>,
+/// One detector over a [`Sweep`]'s rows, and where the step state of
+/// each configuration over its detections is kept.
+#[derive(Debug)]
+struct Pass<D> {
+    detector: D,
+    /// The current row's detection.
+    raw: Option<f64>,
+    slots: Vec<Slot>,
 }
 
 /// Where a configuration's step state is kept.
+#[derive(Debug)]
 enum Slot {
     /// With the configuration: the single-interval schemes.
     Own(SchemeState),
@@ -176,6 +170,7 @@ enum Slot {
 /// Every latent-heat configuration over one window length `w`, across
 /// passes: the sums they all read, and their states, which one scan of
 /// the sums per row answers together.
+#[derive(Debug)]
 struct Window {
     w: usize,
     sums: KeySums,
@@ -189,35 +184,53 @@ struct Window {
 ///
 /// What depends only on the rows is kept once: the values the detectors
 /// read and one descending order of them, which every detector that
-/// sorts (β-constant load, at any β) reads and extends; the interval
-/// totals; one ring of the last `max w` rows; and, per distinct
-/// latent-heat window `w`, one set of per-key sliding sums and one scan
-/// of them per row that answers every latent-heat configuration with
-/// that `w`, across passes. Each configuration keeps only its EWMA, its
-/// threshold terms and their sum, its hysteresis members and its result
-/// columns. So `c` configurations over `d` detectors cost `d`
-/// detections (at most one sort), one window slide and one window scan
-/// per distinct `w` per row, and every result is by bits what
-/// [`classify`] gives for a matrix of the same rows.
+/// sorts (β-constant load, at any β) reads and extends; one ring of the
+/// last `max w` rows; and, per distinct latent-heat window `w`, one set
+/// of per-key sliding sums and one scan of them per row that answers
+/// every latent-heat configuration with that `w`, across passes. Each
+/// configuration keeps only its EWMA, its threshold terms and their sum,
+/// its hysteresis members and its result columns. So `c` configurations
+/// over `d` detectors cost `d` detections (at most one sort), one window
+/// slide and one window scan per distinct `w` per row, and every result
+/// is by bits what [`classify`] gives for a matrix of the same rows.
 ///
-/// [`classify`], [`classify_many`] and [`classify_stream`] are this
-/// driver with one detector; the report crate's session steps every
-/// configuration an experiment asks for on one walk of a link.
-#[derive(Default)]
-pub struct Sweep<'d> {
-    passes: Vec<Pass<'d>>,
+/// It is the one driver of the step: [`classify`], [`classify_many`]
+/// and [`classify_stream`] are it with one detector, the report crate's
+/// session steps every configuration an experiment asks for on one walk
+/// of a link, and the streaming [`OnlineClassifier`](crate::OnlineClassifier)
+/// is it with one configuration.
+#[derive(Debug)]
+pub struct Sweep<D = Box<dyn ThresholdDetector>> {
+    passes: Vec<Pass<D>>,
     /// One per distinct latent window.
     windows: Vec<Window>,
-    /// The last `max w` rows, oldest first; empty without latent heat.
+    /// The last `max w` rows, oldest first; empty without a window.
     ring: VecDeque<Vec<(KeyId, f32)>>,
     /// The current row's rates as f64: every detector's input.
     values: Vec<f64>,
     /// `values` in descending order, as far as a detector sorted them.
     order: RowOrder,
-    total_load: Vec<f64>,
+    /// Rows observed so far.
+    pub(crate) rows: usize,
+    /// Each configuration's result as [`Sweep::observe`] collects it.
+    results: Vec<ClassificationResult>,
 }
 
-impl<'d> Sweep<'d> {
+impl<D> Default for Sweep<D> {
+    fn default() -> Self {
+        Sweep {
+            passes: Vec::new(),
+            windows: Vec::new(),
+            ring: VecDeque::new(),
+            values: Vec::new(),
+            order: RowOrder::new(),
+            rows: 0,
+            results: Vec::new(),
+        }
+    }
+}
+
+impl<D: ThresholdDetector> Sweep<D> {
     /// A sweep with nothing to step yet.
     pub fn new() -> Self {
         Sweep::default()
@@ -229,54 +242,80 @@ impl<'d> Sweep<'d> {
     ///
     /// # Panics
     ///
-    /// Panics when a row has already been observed, or like
-    /// [`OnlineClassifier::new`](crate::OnlineClassifier::new) on an
-    /// invalid configuration.
-    pub fn pass(&mut self, detector: impl ThresholdDetector + 'd, configs: &[ClassifyConfig]) {
-        assert!(self.total_load.is_empty(), "passes are added before the first row");
-        let configs = configs
+    /// Panics when a row has already been observed, or on an invalid
+    /// configuration: γ outside [0, 1), a latent-heat window of 0, or
+    /// hysteresis multipliers not `0 <= exit <= 1 <= enter`.
+    pub fn pass(&mut self, detector: D, configs: &[ClassifyConfig]) {
+        assert_eq!(self.rows, 0, "passes are added before the first row");
+        let slots = configs
             .iter()
             .map(|config| {
                 let state = SchemeState::new(config.gamma, config.scheme);
-                let state = match config.scheme {
+                self.results.push(ClassificationResult {
+                    detector: detector.name(),
+                    scheme: config.scheme,
+                    thresholds: Vec::new(),
+                    raw_thresholds: Vec::new(),
+                    elephants: Vec::new(),
+                    elephant_load: Vec::new(),
+                    total_load: Vec::new(),
+                });
+                match config.scheme {
                     Scheme::LatentHeat { window: w } => {
-                        let windows = &mut self.windows;
-                        let window = windows.iter().position(|at| at.w == w).unwrap_or_else(|| {
-                            let sums = KeySums::default();
-                            windows.push(Window { w, sums, states: Vec::new() });
-                            windows.len() - 1
-                        });
-                        let states = &mut windows[window].states;
+                        let window = self.window(w);
+                        let states = &mut self.windows[window].states;
                         states.push(state);
                         Slot::Window { window, at: states.len() - 1 }
                     }
                     Scheme::SingleFeature | Scheme::Hysteresis { .. } => Slot::Own(state),
-                };
-                Config {
-                    scheme: config.scheme,
-                    state,
-                    thresholds: Vec::new(),
-                    elephants: Vec::new(),
-                    elephant_load: Vec::new(),
                 }
             })
             .collect();
-        self.passes.push(Pass {
-            detector: Box::new(detector),
-            raw_thresholds: Vec::new(),
-            configs,
-        });
+        self.passes.push(Pass { detector, raw: None, slots });
+    }
+
+    /// The index of the sums over `w` rows, made when no configuration
+    /// reads them yet.
+    pub(crate) fn window(&mut self, w: usize) -> usize {
+        self.windows.iter().position(|window| window.w == w).unwrap_or_else(|| {
+            self.windows.push(Window { w, sums: KeySums::default(), states: Vec::new() });
+            self.windows.len() - 1
+        })
     }
 
     /// Classify the next interval: `row` is its sparse snapshot,
     /// ascending by key.
     pub fn observe(&mut self, row: &[(KeyId, f32)]) {
+        // The columns are the consumer's: out of `self` while it steps.
+        let mut results = std::mem::take(&mut self.results);
+        self.observe_with(row, |config, raw, total_load, step| {
+            let result = &mut results[config];
+            result.raw_thresholds.push(raw);
+            result.thresholds.push(step.threshold);
+            result.elephants.push(step.elephants);
+            result.elephant_load.push(step.elephant_load);
+            result.total_load.push(total_load);
+        });
+        self.results = results;
+    }
+
+    /// The per-interval body: step every configuration over `row`, and
+    /// hand each one's step — in [`Sweep::finish`] order, with its
+    /// index there, its pass's raw detection and the row's total — to
+    /// `each`.
+    pub(crate) fn observe_with(
+        &mut self,
+        row: &[(KeyId, f32)],
+        mut each: impl FnMut(usize, Option<f64>, f64, Step),
+    ) {
         debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0));
+        self.rows += 1;
         self.values.clear();
         self.values.extend(row.iter().map(|&(_, rate)| f64::from(rate)));
         self.order.reset();
-        // Fold from +0.0, as a matrix's totals are.
-        self.total_load.push(self.values.iter().fold(0.0, |s, &v| s + v));
+        // Fold from +0.0, as a matrix's totals are: `Iterator::sum`
+        // starts from -0.0, which an empty interval's total would keep.
+        let total_load = self.values.iter().fold(0.0, |s, &v| s + v);
 
         if !self.windows.is_empty() {
             // The ring holds the rows before this one, newest last.
@@ -300,33 +339,33 @@ impl<'d> Sweep<'d> {
         // Every threshold update first, then one scan per window for the
         // latent-heat configurations of every pass.
         for pass in &mut self.passes {
-            let raw = pass.detector.detect_in(&self.values, &mut self.order);
-            pass.raw_thresholds.push(raw);
-            for config in &mut pass.configs {
-                match &mut config.state {
+            pass.raw = pass.detector.detect_in(&self.values, &mut self.order);
+            for slot in &mut pass.slots {
+                match slot {
                     Slot::Own(state) => {
-                        state.smooth(raw, &self.values);
+                        state.smooth(pass.raw, &self.values);
                         state.pick_single(row);
                     }
                     &mut Slot::Window { window, at } => {
-                        self.windows[window].states[at].smooth(raw, &self.values);
+                        self.windows[window].states[at].smooth(pass.raw, &self.values);
                     }
                 }
             }
         }
-        for window in &mut self.windows {
+        // A window no configuration scans (the streaming classifier's,
+        // under the single-interval schemes) only slides.
+        for window in self.windows.iter_mut().filter(|window| !window.states.is_empty()) {
             latent_heat(&window.sums, row, &mut window.states);
         }
+        let mut config = 0;
         for pass in &mut self.passes {
-            for config in &mut pass.configs {
-                let state = match &mut config.state {
+            for slot in &mut pass.slots {
+                let state = match slot {
                     Slot::Own(state) => state,
                     &mut Slot::Window { window, at } => &mut self.windows[window].states[at],
                 };
-                let step = state.take_step();
-                config.thresholds.push(step.threshold);
-                config.elephants.push(step.elephants);
-                config.elephant_load.push(step.elephant_load);
+                each(config, pass.raw, total_load, state.take_step());
+                config += 1;
             }
         }
     }
@@ -334,24 +373,34 @@ impl<'d> Sweep<'d> {
     /// Every configuration's result over the rows observed, pass by
     /// pass in the order added.
     pub fn finish(self) -> Vec<ClassificationResult> {
-        let total_load = self.total_load;
-        self.passes
-            .into_iter()
-            .flat_map(|pass| {
-                let detector = pass.detector.name();
-                let raw_thresholds = pass.raw_thresholds;
-                let total_load = &total_load;
-                pass.configs.into_iter().map(move |config| ClassificationResult {
-                    detector: detector.clone(),
-                    scheme: config.scheme,
-                    thresholds: config.thresholds,
-                    raw_thresholds: raw_thresholds.clone(),
-                    elephants: config.elephants,
-                    elephant_load: config.elephant_load,
-                    total_load: total_load.clone(),
-                })
-            })
-            .collect()
+        self.results
+    }
+
+    /// The first pass's detector.
+    pub(crate) fn detector(&self) -> &D {
+        &self.passes[0].detector
+    }
+
+    /// What a sweep of one configuration and one window resumes from:
+    /// the configuration's step state, the window's sums and the ring.
+    pub(crate) fn frontier(&self) -> (&SchemeState, &KeySums, &VecDeque<Vec<(KeyId, f32)>>) {
+        let state = match &self.passes[0].slots[0] {
+            Slot::Own(state) => state,
+            Slot::Window { .. } => &self.windows[0].states[0],
+        };
+        (state, &self.windows[0].sums, &self.ring)
+    }
+
+    /// [`Sweep::frontier`], to restore.
+    pub(crate) fn frontier_mut(
+        &mut self,
+    ) -> (&mut SchemeState, &mut KeySums, &mut VecDeque<Vec<(KeyId, f32)>>) {
+        let Window { sums, states, .. } = &mut self.windows[0];
+        let state = match &mut self.passes[0].slots[0] {
+            Slot::Own(state) => state,
+            Slot::Window { .. } => &mut states[0],
+        };
+        (state, sums, &mut self.ring)
     }
 }
 
@@ -407,8 +456,7 @@ pub fn classify_many<D: ThresholdDetector>(
 ///
 /// The result is what [`classify`] returns for a matrix of the same
 /// rows, by bits (an interval's total folds its rates in key order from
-/// `+0.0`, as a matrix's does). Panics like
-/// [`OnlineClassifier::new`](crate::OnlineClassifier::new).
+/// `+0.0`, as a matrix's does). Panics like [`Sweep::pass`].
 pub fn classify_stream<D: ThresholdDetector>(
     detector: D,
     gamma: f64,

@@ -35,19 +35,18 @@
 //! indexed by `KeyId`, slid in and retired one interval at a time, and
 //! one configuration's EWMA, threshold window and membership rule by
 //! [`Scheme`] — the latent-heat rule one ascending scan of a window's
-//! sums that answers every configuration reading them. Two drivers call
-//! it and agree by bits: [`Sweep`], which steps a whole family of
-//! configurations over rows handed over one at a time, detecting once
-//! per row, sorting each row at most once for every β-constant-load
-//! detector ([`RowOrder`]) and sharing each window's sums and scan
-//! between the configurations that read it — [`classify`] /
-//! [`classify_many`] over a finished matrix and [`classify_stream`] over
-//! a walk are it with one detector, and the report crate's session runs
-//! it on a link's rows as they are generated — and the streaming
-//! [`OnlineClassifier`], a group of one that also keeps what a
-//! checkpoint needs. What varies under the streaming classifier is only
-//! how the open interval's byte row is held — a [`StateBackend`]
-//! ([`sketch`]). [`KeyBitset`] is the dense id set the prefix analysis
+//! sums that answers every configuration reading them. One driver calls
+//! it: [`Sweep`], which steps a whole family of configurations over
+//! rows handed over one at a time, detecting once per row, sorting each
+//! row at most once for every β-constant-load detector ([`RowOrder`])
+//! and sharing each window's sums and scan between the configurations
+//! that read it. [`classify`] / [`classify_many`] over a finished
+//! matrix and [`classify_stream`] over a walk are it with one detector,
+//! the report crate's session runs it on a link's rows as they are
+//! generated, and the streaming [`OnlineClassifier`] is it with one
+//! configuration, plus the export and restore of what a checkpoint
+//! needs. What varies under the streaming classifier is only how the
+//! open interval's byte row is held — a [`StateBackend`] ([`sketch`]). [`KeyBitset`] is the dense id set the prefix analysis
 //! keeps.
 
 #![forbid(unsafe_code)]

@@ -1,28 +1,27 @@
 //! Streaming classification: one interval at a time.
 //!
-//! The batch API ([`crate::classify`]) consumes a finished
-//! [`eleph_flow::BandwidthMatrix`]; a traffic-engineering controller
-//! instead sees one measurement interval at a time and must emit the
-//! elephant set before the next interval lands. [`OnlineClassifier`] is
-//! that incremental form: feed it interval snapshots, get the current
-//! elephant set back. Its output is bit-identical to the batch
-//! classifier (pinned by tests), so experiments validated offline
-//! transfer directly to the online deployment.
+//! A traffic-engineering controller sees one measurement interval at a
+//! time and must emit the elephant set before the next interval lands.
+//! [`OnlineClassifier`] is that form: feed it interval snapshots, get
+//! the current elephant set back. It is the batch driver,
+//! [`crate::Sweep`], with one configuration, so experiments validated
+//! offline are what the online deployment runs.
 //!
-//! It is one struct: the detector, the interval counter, the one
-//! per-interval step's state (`crate::window`: the EWMA, the threshold
-//! terms, the hysteresis members), the per-key window sums and the
-//! window's snapshots, which a stream must keep because nothing else
-//! does. The elephant boundary is a property of the whole link, so
-//! there is one classifier per link however the byte row under it is
-//! held (dense, sketched, or spread over worker threads).
-
-use std::collections::VecDeque;
+//! What it adds is the recovery frontier: [`ClassifierState`] exports
+//! the sweep's row counter, its ring of the window's snapshots, its
+//! per-key window sums and its step state (`crate::window`: the EWMA,
+//! the threshold terms, the hysteresis members), and restores them,
+//! validated, after a restart. The elephant boundary is a property of
+//! the whole link, so there is one classifier per link however the byte
+//! row under it is held (dense, sketched, or spread over shard
+//! workers). Its memory is a few words per key id up to the highest
+//! seen — with the pipeline's dense first-seen ids, per key ever active
+//! — plus the window's snapshots.
 
 use eleph_flow::KeyId;
 
-use crate::window::{KeySums, SchemeState};
-use crate::{Scheme, ThresholdDetector};
+use crate::window::{KeySums, Step};
+use crate::{ClassifyConfig, Scheme, Sweep, ThresholdDetector};
 
 /// The outcome of one streamed interval.
 #[derive(Debug, Clone)]
@@ -106,10 +105,11 @@ impl ClassifierState {
     /// sized by the largest id, so an id a corrupt checkpoint merely
     /// claims must never get that far); membership only under
     /// hysteresis; per-key occupancy counts exactly matching the history
-    /// (the retire path depends on that to release state). The one
+    /// (the retire path depends on that to release state); every float
+    /// finite, and the rates and window sums not negative. The one
     /// validator behind every resume path, so a corrupt state is rejected
     /// identically everywhere. Panics on invalid scheme parameters, like
-    /// [`OnlineClassifier::new`].
+    /// [`Sweep::pass`].
     pub fn validate(&self, scheme: Scheme, n_keys: usize) -> Result<(), String> {
         let (slots, window) = (self.history.len(), scheme.window());
         if slots > window {
@@ -146,77 +146,54 @@ impl ClassifierState {
                 ));
             }
         }
+        // A checkpoint's floats are decoded as raw bits: a NaN threshold
+        // beats no rate, and no key would ever be an elephant again.
+        let finite = |what: &str, value: f64| match value.is_finite() {
+            true => Ok(()),
+            false => Err(format!("classifier state holds the {what} {value}")),
+        };
+        let rate = |key: KeyId, what: &str, value: f64| match value.is_finite() && value >= 0.0 {
+            true => Ok(()),
+            false => Err(format!("key {key} holds the {what} {value}")),
+        };
+        finite("smoothed threshold", self.smoothed.unwrap_or(0.0))?;
+        finite("threshold sum", self.sum_t)?;
+        for (t_term, snapshot) in &self.history {
+            finite("threshold term", *t_term)?;
+            for &(key, value) in snapshot {
+                rate(key, "rate", f64::from(value))?;
+            }
+        }
+        for &(key, sum, _) in &self.per_key {
+            rate(key, "window sum", sum)?;
+        }
         Ok(())
     }
 }
 
-/// Incremental implementation of all three classification schemes.
-///
-/// Memory: O(highest key id seen) words of dense per-key state plus the
-/// window's snapshots — with the pipeline's dense first-seen key ids
-/// that is O(distinct keys ever active), each key costing a few words
-/// for the lifetime of the monitor. [`OnlineClassifier::tracked_keys`]
-/// reports the number of keys currently holding window state.
+/// All three classification schemes, one interval at a time: a [`Sweep`]
+/// of one configuration whose sums over the scheme's window slide under
+/// every scheme, so a checkpoint holds the same state whatever it reads.
 #[derive(Debug)]
 pub struct OnlineClassifier<D> {
-    detector: D,
-    /// Intervals observed so far (the next outcome's index).
-    interval: usize,
-    state: SchemeState,
-    /// The per-key sums over the scheme's window (fed under every
-    /// scheme, so a checkpoint's state is the same whatever it reads).
-    sums: KeySums,
-    /// Oldest first: the in-window snapshots, kept so each interval
-    /// retires with exactly what it slid in with.
-    rows: VecDeque<Vec<(KeyId, f32)>>,
+    sweep: Sweep<D>,
 }
 
 impl<D: ThresholdDetector> OnlineClassifier<D> {
-    /// Create a streaming classifier. Panics when γ is outside [0, 1),
-    /// a latent-heat window is 0, or the hysteresis multipliers are not
-    /// `0 <= exit <= 1 <= enter`.
+    /// Create a streaming classifier; panics like [`Sweep::pass`].
     pub fn new(detector: D, gamma: f64, scheme: Scheme) -> Self {
-        OnlineClassifier {
-            detector,
-            interval: 0,
-            state: SchemeState::new(gamma, scheme),
-            sums: KeySums::default(),
-            // Grows with the run: it never holds more than `window + 1`
-            // entries, and a window can be far longer than any run.
-            rows: VecDeque::new(),
-        }
+        let mut sweep = Sweep::new();
+        sweep.pass(detector, &[ClassifyConfig { gamma, scheme }]);
+        sweep.window(scheme.window());
+        OnlineClassifier { sweep }
     }
 
-    /// Feed one interval's sparse snapshot (ascending by key, as
-    /// produced by the measurement pipeline) and classify it: detection
-    /// on the interval's values, one slide of the window (the interval
-    /// in, the one that falls out retired), then the one per-interval
-    /// step — smoothing and the scheme's membership rule.
+    /// Classify one interval's sparse snapshot, ascending by key.
     pub fn observe(&mut self, snapshot: &[(KeyId, f32)]) -> IntervalOutcome {
-        debug_assert!(snapshot.windows(2).all(|w| w[0].0 < w[1].0));
-        let values: Vec<f64> = snapshot.iter().map(|&(_, r)| f64::from(r)).collect();
-        // Fold from +0.0 like the batch matrix's total accumulation —
-        // `Iterator::sum` starts from -0.0, which would make an empty
-        // interval's total bit-differ from the batch path.
-        let total_load: f64 = values.iter().fold(0.0, |s, &v| s + v);
-        let raw = self.detector.detect(&values);
-        let interval = self.interval;
-        self.interval += 1;
-
-        self.sums.slide_in(snapshot);
-        self.rows.push_back(snapshot.to_vec());
-        if self.rows.len() > self.state.window() {
-            let old = self.rows.pop_front().expect("len checked");
-            self.sums.retire(&old);
-        }
-        let step = self.state.step(raw, &values, &self.sums, snapshot);
-        IntervalOutcome {
-            interval,
-            threshold: step.threshold,
-            elephants: step.elephants,
-            elephant_load: step.elephant_load,
-            total_load,
-        }
+        let (interval, mut outcome) = (self.sweep.rows, None);
+        self.sweep.observe_with(snapshot, |_, _, total, step| outcome = Some((step, total)));
+        let (Step { threshold, elephants, elephant_load }, total_load) = outcome.expect("a step");
+        IntervalOutcome { interval, threshold, elephants, elephant_load, total_load }
     }
 
     /// Export the recovery frontier (see [`ClassifierState`]).
@@ -224,150 +201,79 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
         self.export_state_from(0).0
     }
 
-    /// [`OnlineClassifier::export_state`] with only the history of
-    /// interval `from` and later — the slots a caller that already holds
-    /// the earlier ones has not seen — and the number of slots the whole
-    /// history holds.
+    /// [`OnlineClassifier::export_state`] with the history from interval
+    /// `from` on (what holders of the rest lack), and its whole length.
     pub fn export_state_from(&self, from: usize) -> (ClassifierState, usize) {
-        let (smoothed, t_terms, sum_t, members) = self.state.export();
-        let first = self.interval - self.rows.len();
-        let skip = from.saturating_sub(first).min(self.rows.len());
-        let state = ClassifierState {
-            interval: self.interval,
-            smoothed,
-            sum_t,
-            per_key: self.sums.export(),
-            history: t_terms
-                .iter()
-                .zip(&self.rows)
-                .skip(skip)
-                .map(|(&t_term, row)| (t_term, row.clone()))
-                .collect(),
-            members: members.to_vec(),
-        };
-        (state, self.rows.len())
+        let ((state, sums, rows), interval) = (self.sweep.frontier(), self.sweep.rows);
+        let (smoothed, t_terms, sum_t, members) = state.export();
+        let history = t_terms.iter().zip(rows).skip(from.saturating_sub(interval - rows.len()));
+        let history = history.map(|(&t_term, row)| (t_term, row.clone())).collect();
+        let (per_key, members) = (sums.export(), members.to_vec());
+        (ClassifierState { interval, smoothed, sum_t, per_key, history, members }, rows.len())
     }
 
-    /// Continue from a checkpointed [`ClassifierState`] in place: from
-    /// here on this classifier's outcomes are, by bits, those of the
-    /// classifier that exported it (same detector and configuration
-    /// required — the caller validates those against its checkpoint
-    /// metadata). `n_keys` is the number of keys the run had assigned at
-    /// export; the state goes through [`ClassifierState::validate`]
-    /// before anything is sized by it, so a corrupted one is rejected
-    /// with a description and leaves this classifier as it was.
+    /// Continue, by bits, as the classifier (same detector and
+    /// configuration) that exported `state` with `n_keys` keys assigned;
+    /// one failing [`ClassifierState::validate`] changes nothing.
     pub fn restore(&mut self, n_keys: usize, state: ClassifierState) -> Result<(), String> {
-        state.validate(self.state.scheme(), n_keys)?;
-        self.interval = state.interval;
-        self.sums = KeySums::restore(&state.per_key);
-        let (t_terms, rows) = state.history.into_iter().unzip();
-        self.state.restore(state.smoothed, t_terms, state.sum_t, state.members);
-        self.rows = rows;
+        let (scheme_state, sums, rows) = self.sweep.frontier_mut();
+        state.validate(scheme_state.scheme(), n_keys)?;
+        let (t_terms, history) = state.history.into_iter().unzip();
+        (*sums, *rows) = (KeySums::restore(&state.per_key), history);
+        scheme_state.restore(state.smoothed, t_terms, state.sum_t, state.members);
+        self.sweep.rows = state.interval;
         Ok(())
     }
 
-    /// The smoothing factor γ this classifier was built with.
-    pub fn gamma(&self) -> f64 {
-        self.state.gamma()
+    /// The smoothing factor γ and the scheme this classifier was built with.
+    pub fn config(&self) -> ClassifyConfig {
+        let state = self.sweep.frontier().0;
+        ClassifyConfig { gamma: state.gamma(), scheme: state.scheme() }
     }
 
-    /// The classification scheme this classifier was built with.
-    pub fn scheme(&self) -> Scheme {
-        self.state.scheme()
-    }
-
-    /// The detector's name (checkpoints fingerprint the configuration
-    /// with it, so a snapshot cannot silently resume under a different
-    /// detector).
+    /// The detector's name, which checkpoints fingerprint.
     pub fn detector_name(&self) -> String {
-        self.detector.name()
+        self.sweep.detector().name()
     }
 
-    /// Number of keys currently holding sliding-window state — zero
-    /// again once every key has been idle for a full window (the retire
-    /// path is exact, so state cannot leak).
+    /// Keys holding window state: none once all were idle for a window.
     pub fn tracked_keys(&self) -> usize {
-        self.sums.tracked()
+        self.sweep.frontier().1.tracked()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{classify, ConstantLoadDetector};
-    use eleph_flow::BandwidthMatrix;
-    use eleph_net::Prefix;
+    use crate::ConstantLoadDetector;
 
-    fn keys(n: usize) -> Vec<Prefix> {
-        (0..n)
-            .map(|i| format!("10.0.{i}.0/24").parse().expect("valid"))
-            .collect()
-    }
-
-    fn rows() -> Vec<Vec<f64>> {
+    fn rows() -> Vec<Vec<(KeyId, f32)>> {
         // A mix of persistent, flickering and bursting flows.
         vec![
-            vec![500.0, 10.0, 0.0, 80.0],
-            vec![480.0, 12.0, 900.0, 0.0],
-            vec![510.0, 9.0, 0.0, 70.0],
-            vec![490.0, 11.0, 0.0, 75.0],
-            vec![505.0, 10.0, 0.0, 0.0],
-            vec![495.0, 10.0, 0.0, 90.0],
+            vec![(0, 500.0), (1, 10.0), (3, 80.0)],
+            vec![(0, 480.0), (1, 12.0), (2, 900.0)],
+            vec![(0, 510.0), (1, 9.0), (3, 70.0)],
+            vec![(0, 490.0), (1, 11.0), (3, 75.0)],
+            vec![(0, 505.0), (1, 10.0)],
+            vec![(0, 495.0), (1, 10.0), (3, 90.0)],
         ]
-    }
-
-    fn run_both(scheme: Scheme) {
-        let rows = rows();
-        let matrix = BandwidthMatrix::from_dense(60, 0, keys(4), &rows);
-        let batch = classify(&matrix, ConstantLoadDetector::new(0.8), 0.9, scheme);
-
-        let mut online = OnlineClassifier::new(ConstantLoadDetector::new(0.8), 0.9, scheme);
-        for n in 0..rows.len() {
-            let out = online.observe(&matrix.interval(n).to_pairs());
-            assert_eq!(out.interval, n);
-            assert_eq!(out.elephants, batch.elephants[n], "{scheme:?} interval {n}");
-            assert!((out.threshold - batch.thresholds[n]).abs() < 1e-9);
-            assert!((out.elephant_load - batch.elephant_load[n]).abs() < 1e-6);
-            assert!((out.total_load - batch.total_load[n]).abs() < 1e-6);
-            assert!((out.fraction() - batch.fraction(n)).abs() < 1e-9);
-        }
-        assert_eq!(online.interval, rows.len());
-    }
-
-    #[test]
-    fn matches_batch_single_feature() {
-        run_both(Scheme::SingleFeature);
-    }
-
-    #[test]
-    fn matches_batch_latent_heat() {
-        run_both(Scheme::LatentHeat { window: 3 });
     }
 
     #[test]
     fn a_window_longer_than_the_run_classifies_as_one_the_runs_length() {
         let rows = rows();
-        let matrix = BandwidthMatrix::from_dense(60, 0, keys(4), &rows);
         let outcomes = |window| {
             let scheme = Scheme::LatentHeat { window };
             let mut online = OnlineClassifier::new(ConstantLoadDetector::new(0.8), 0.9, scheme);
-            (0..rows.len())
-                .map(|n| {
-                    let out = online.observe(&matrix.interval(n).to_pairs());
+            rows.iter()
+                .map(|row| {
+                    let out = online.observe(row);
                     let bits = [out.threshold, out.elephant_load, out.total_load].map(f64::to_bits);
                     (out.elephants, bits)
                 })
                 .collect::<Vec<_>>()
         };
         assert_eq!(outcomes(1 << 40), outcomes(rows.len()));
-    }
-
-    #[test]
-    fn matches_batch_hysteresis() {
-        run_both(Scheme::Hysteresis {
-            enter: 1.2,
-            exit: 0.6,
-        });
     }
 
     #[test]
@@ -433,42 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn randomized_equivalence_with_batch() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(99);
-        let n_keys = 40;
-        let n_int = 30;
-        let rows: Vec<Vec<f64>> = (0..n_int)
-            .map(|_| {
-                (0..n_keys)
-                    .map(|_| {
-                        if rng.gen::<f64>() < 0.4 {
-                            0.0
-                        } else {
-                            rng.gen_range(1.0..1000.0)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let matrix = BandwidthMatrix::from_dense(60, 0, keys(n_keys), &rows);
-        for scheme in [
-            Scheme::SingleFeature,
-            Scheme::LatentHeat { window: 5 },
-            Scheme::Hysteresis { enter: 1.3, exit: 0.7 },
-        ] {
-            let batch = classify(&matrix, ConstantLoadDetector::new(0.7), 0.9, scheme);
-            let mut online =
-                OnlineClassifier::new(ConstantLoadDetector::new(0.7), 0.9, scheme);
-            for n in 0..n_int {
-                let out = online.observe(&matrix.interval(n).to_pairs());
-                assert_eq!(out.elephants, batch.elephants[n], "{scheme:?} at {n}");
-            }
-        }
-    }
-
-    #[test]
     fn mid_stream_empty_interval_yields_no_elephants() {
         // Regression (PR 4): a capture gap mid-stream. The keys' latent
         // heat stays hugely positive, but an interval with zero
@@ -493,37 +363,6 @@ mod tests {
         // The window survives the gap: the elephant returns immediately.
         let back = online.observe(&[(0, 10_000.0), (1, 5_000.0), (2, 100.0)]);
         assert_eq!(back.elephants, vec![0]);
-    }
-
-    #[test]
-    fn batch_and_online_agree_on_empty_intervals() {
-        // The empty-interval guard must hold identically in both
-        // engines or the streaming pipeline's bit-equivalence breaks.
-        let rows = vec![
-            vec![800.0, 10.0],
-            vec![790.0, 12.0],
-            vec![0.0, 0.0], // capture gap
-            vec![810.0, 11.0],
-        ];
-        let matrix = BandwidthMatrix::from_dense(60, 0, keys(2), &rows);
-        let batch = classify(
-            &matrix,
-            ConstantLoadDetector::new(0.8),
-            0.9,
-            Scheme::LatentHeat { window: 3 },
-        );
-        assert!(batch.elephants[2].is_empty(), "batch emits stale elephants");
-        assert_eq!(batch.fraction(2), 0.0);
-        let mut online = OnlineClassifier::new(
-            ConstantLoadDetector::new(0.8),
-            0.9,
-            Scheme::LatentHeat { window: 3 },
-        );
-        for n in 0..rows.len() {
-            let out = online.observe(&matrix.interval(n).to_pairs());
-            assert_eq!(out.elephants, batch.elephants[n], "interval {n}");
-            assert_eq!(out.threshold.to_bits(), batch.thresholds[n].to_bits());
-        }
     }
 
     #[test]
@@ -558,26 +397,24 @@ mod tests {
             Scheme::LatentHeat { window: 2 },
             Scheme::Hysteresis { enter: 1.2, exit: 0.6 },
         ] {
-            let matrix = BandwidthMatrix::from_dense(60, 0, keys(4), &rows);
             let mut reference =
                 OnlineClassifier::new(ConstantLoadDetector::new(0.8), 0.9, scheme);
-            let expected: Vec<IntervalOutcome> = (0..rows.len())
-                .map(|n| reference.observe(&matrix.interval(n).to_pairs()))
-                .collect();
+            let expected: Vec<IntervalOutcome> =
+                rows.iter().map(|row| reference.observe(row)).collect();
             for split in 0..rows.len() {
                 let mut first =
                     OnlineClassifier::new(ConstantLoadDetector::new(0.8), 0.9, scheme);
-                for n in 0..split {
-                    first.observe(&matrix.interval(n).to_pairs());
+                for row in &rows[..split] {
+                    first.observe(row);
                 }
                 let state = first.export_state();
                 assert_eq!(state, first.export_state(), "export must be pure");
                 let mut resumed =
                     OnlineClassifier::new(ConstantLoadDetector::new(0.8), 0.9, scheme);
                 resumed.restore(4, state).expect("valid state");
-                assert_eq!(resumed.interval, split);
+                assert_eq!(resumed.export_state().interval, split);
                 for n in split..rows.len() {
-                    let out = resumed.observe(&matrix.interval(n).to_pairs());
+                    let out = resumed.observe(&rows[n]);
                     let want = &expected[n];
                     assert_eq!(out.interval, want.interval);
                     assert_eq!(out.elephants, want.elephants, "{scheme:?} split {split} at {n}");
@@ -639,8 +476,28 @@ mod tests {
         let mut bad = good.clone();
         bad.history[0].1.push((u32::MAX, 1.0));
         assert!(rebuild(bad).unwrap_err().contains("names key 4294967295"));
-        let mut bad = good;
+        let mut bad = good.clone();
         bad.members = vec![1 << 28];
         assert!(rebuild(bad).unwrap_err().contains("names key 268435456"));
+
+        // A float no run reaches, in each field that holds one.
+        let mut bad = good.clone();
+        bad.smoothed = Some(f64::NAN);
+        assert!(rebuild(bad).unwrap_err().contains("smoothed threshold NaN"));
+        let mut bad = good.clone();
+        bad.sum_t = f64::INFINITY;
+        assert!(rebuild(bad).unwrap_err().contains("threshold sum inf"));
+        let mut bad = good.clone();
+        bad.history[1].0 = f64::NEG_INFINITY;
+        assert!(rebuild(bad).unwrap_err().contains("threshold term -inf"));
+        let mut bad = good.clone();
+        bad.per_key[1].1 = f64::NAN;
+        assert!(rebuild(bad).unwrap_err().contains("key 4 holds the window sum NaN"));
+        let mut bad = good.clone();
+        bad.per_key[0].1 = -110.0;
+        assert!(rebuild(bad).unwrap_err().contains("key 1 holds the window sum -110"));
+        let mut bad = good;
+        bad.history[0].1[1].1 = -700.0;
+        assert!(rebuild(bad).unwrap_err().contains("key 4 holds the rate -700"));
     }
 }

@@ -8,7 +8,9 @@
 //! from either the exact dense row or a fixed-budget sketch snapshot
 //! without touching detection, EWMA smoothing, latent heat, or
 //! hysteresis: whatever the backend, the sealed snapshot feeds the same
-//! [`OnlineClassifier::observe`](crate::OnlineClassifier::observe).
+//! [`OnlineClassifier::observe`](crate::OnlineClassifier::observe) —
+//! the one classifier driver, [`Sweep`](crate::Sweep), with one
+//! configuration.
 //!
 //! Four backends:
 //!
@@ -136,7 +138,8 @@ fn prev_power_of_two(x: usize) -> usize {
 ///   with the open interval's `(key, rate)` snapshot in **ascending key
 ///   order**, converting with the exact expression of the batch matrix
 ///   (`(bytes as f64 * 8.0 / secs) as f32`), then resets the open
-///   state. The snapshot feeds `OnlineClassifier::observe` unchanged.
+///   state. The snapshot feeds `OnlineClassifier::observe` — the one
+///   classifier driver's step — unchanged.
 /// * [`export_sketch`](StateBackend::export_sketch) /
 ///   [`restore_sketch`](StateBackend::restore_sketch) round-trip the
 ///   backend's full open state through a versioned byte payload

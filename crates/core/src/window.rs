@@ -11,12 +11,9 @@
 //! the scheme rule: [`SchemeState::pick_single`] for the
 //! single-interval schemes, and for latent heat [`latent_heat`], one
 //! ascending scan of a window's sums that answers every configuration
-//! reading them at once. Every driver calls these: the streaming
-//! classifier, through [`SchemeState::step`], as a group of one with
-//! the window it keeps for checkpoints, and the batch driver
-//! ([`crate::Sweep`]) with the windows it shares between
-//! configurations. Both perform the identical float operation
-//! sequence, so their outputs agree by bits.
+//! reading them at once. One driver calls these, [`crate::Sweep`], with
+//! the windows it shares between configurations; the streaming
+//! classifier is that driver with one configuration.
 
 use std::collections::VecDeque;
 
@@ -217,35 +214,9 @@ impl SchemeState {
         self.scheme
     }
 
-    /// The window length the scheme classifies over (1 for the
-    /// single-interval schemes).
-    pub(crate) fn window(&self) -> usize {
-        self.window
-    }
-
     /// The EWMA's smoothing factor γ.
     pub(crate) fn gamma(&self) -> f64 {
         self.series.gamma()
-    }
-
-    /// Classify one interval, as a group of one: the threshold update
-    /// ([`SchemeState::smooth`]), then the scheme's rule, then the
-    /// step taken. `sums` is the per-key window over `w =
-    /// self.window()` rows with `row` already slid in and the row `w`
-    /// back retired; only latent heat reads it.
-    pub(crate) fn step(
-        &mut self,
-        raw: Option<f64>,
-        values: &[f64],
-        sums: &KeySums,
-        row: &[(KeyId, f32)],
-    ) -> Step {
-        self.smooth(raw, values);
-        match self.scheme {
-            Scheme::LatentHeat { .. } => latent_heat(sums, row, std::slice::from_mut(self)),
-            Scheme::SingleFeature | Scheme::Hysteresis { .. } => self.pick_single(row),
-        }
-        self.take_step()
     }
 
     /// Start an interval with its threshold update: the raw detection
@@ -429,21 +400,29 @@ mod tests {
     /// by less than 1 — so the `+ 1` alone decides its membership.
     #[test]
     fn the_stand_in_beats_the_interval_maximum_by_one() {
+        /// Abstains on the row holding the rate 100, and detects 50 on
+        /// any other.
+        struct AbstainsAtHundred;
+        impl crate::ThresholdDetector for AbstainsAtHundred {
+            fn detect(&self, values: &[f64]) -> Option<f64> {
+                (!values.contains(&100.0)).then_some(50.0)
+            }
+            fn name(&self) -> String {
+                "abstains at 100".to_string()
+            }
+        }
         let elephants_at = |rate: f32| {
-            let mut state = SchemeState::new(0.5, Scheme::LatentHeat { window: 2 });
-            let mut sums = KeySums::default();
-            // Interval 0: the detector abstains; key 0 is the largest.
-            let row = [(0, 100.0), (1, 40.0)];
-            sums.slide_in(&row);
-            let step = state.step(None, &[100.0, 40.0], &sums, &row);
-            assert!(step.threshold.is_infinite() && step.elephants.is_empty());
-            // Interval 1: the first detection, 50. Key 0's window sum is
-            // 100 + rate against the threshold sum 101 + 50.
-            let row = [(0, rate), (1, 10.0)];
-            sums.slide_in(&row);
-            let step = state.step(Some(50.0), &[f64::from(rate), 10.0], &sums, &row);
-            assert_eq!(step.threshold, 50.0);
-            step.elephants
+            let scheme = Scheme::LatentHeat { window: 2 };
+            let mut result = crate::classify_stream(AbstainsAtHundred, 0.5, scheme, |observe| {
+                // Interval 0: the detector abstains; key 0 is the largest.
+                observe(&[(0, 100.0), (1, 40.0)]);
+                // Interval 1: the first detection, 50. Key 0's window sum
+                // is 100 + rate against the threshold sum 101 + 50.
+                observe(&[(0, rate), (1, 10.0)]);
+            });
+            assert!(result.thresholds[0].is_infinite() && result.elephants[0].is_empty());
+            assert_eq!(result.thresholds[1], 50.0);
+            result.elephants.pop().expect("two intervals")
         };
         assert_eq!(elephants_at(50.5), Vec::<KeyId>::new());
         assert_eq!(elephants_at(51.5), vec![0]);

@@ -957,8 +957,8 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             interval_secs: self.interval_secs,
             start_unix: self.start_unix,
             n_intervals: self.n_intervals.map(|n| n as u64),
-            gamma: self.classifier.gamma(),
-            scheme: self.classifier.scheme(),
+            gamma: self.classifier.config().gamma,
+            scheme: self.classifier.config().scheme,
             detector: self.classifier.detector_name(),
             n_routes: self.table.id_space() as u64,
             generation: self.table.generation(),

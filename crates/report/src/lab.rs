@@ -157,7 +157,7 @@ enum Adapter {
 /// the walk's rows.
 struct Stream {
     adapter: Adapter,
-    sweep: Sweep<'static>,
+    sweep: Sweep,
     /// The results the sweep finishes with, in its order.
     keys: Vec<ResultKey>,
     passes: usize,

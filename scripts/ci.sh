@@ -8,9 +8,10 @@
 #      detectors and windows against independent classify runs, one
 #      sweep sharing each row's order and each window's scan against the
 #      replica, constant-load detection on a shared order against a full
-#      sort, the window sums' invariants, and its
-#      two drivers against each other — batch ≡ streaming, across an
-#      export/resume — the properties that license
+#      sort, the window sums' invariants, and the streaming classifier
+#      (the one driver with one configuration) against the replica and
+#      resumed by bits across an export/resume, with its checks of a
+#      checkpointed state — the properties that license
 #      every classifier change (already part of tier-1; re-run by name
 #      so a failure is attributed immediately);
 #   3. model equivalence: the pipeline against the executable model of
@@ -196,7 +197,7 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
-echo "== classifier equivalence: dense vs legacy, classify_many vs classify, shared sweep vs legacy, batch vs streaming =="
+echo "== classifier equivalence: dense vs legacy, classify_many vs classify, shared sweep vs legacy, streaming vs legacy and across a resume =="
 cargo test -q -p eleph-core --test props -- \
     dense_classify_matches_legacy_reference \
     classify_many_equals_independent_classifies \

@@ -22,7 +22,8 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # test's full name in that target: the model test and the fixed program
 # beside it, then the unit and property tests that guard what the model
 # cannot reach (the model streams one configuration; the batch sweep's
-# sharing between configurations is held to the legacy replica), then the
+# sharing between configurations is held to the legacy replica, and the
+# streaming classifier to the replica and across a resume), then the
 # pairwise tests that compare two implementations and are still to retire
 # against this table.
 tests=(
@@ -43,6 +44,7 @@ tests=(
     "eleph-pipeline --lib checkpoint::tests::log_bytes_past_the_watermark_are_ignored_by_load_and_cut_by_resume"
     "eleph-pipeline --lib checkpoint::tests::a_log_backed_image_loads_as_the_self_contained_one"
     "eleph-core --test props one_sweep_sharing_row_orders_and_window_scans_equals_the_legacy_replica"
+    "eleph-core --test props batch_and_streaming_agree_across_a_checkpoint"
     "eleph-pipeline --lib pipeline::tests::matches_batch_on_mixed_stream"
     "eleph-pipeline --lib pipeline::tests::sharded_matches_serial_bit_for_bit"
     "eleph-pipeline --lib pipeline::tests::sharded_checkpoint_bytes_equal_serial_and_cross_resume"
