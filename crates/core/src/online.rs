@@ -106,7 +106,8 @@ impl ClassifierState {
     /// claims must never get that far); membership only under
     /// hysteresis; per-key occupancy counts exactly matching the history
     /// (the retire path depends on that to release state); every float
-    /// finite, and the rates and window sums not negative. The one
+    /// finite, and the thresholds, rates and window sums not negative
+    /// (the sliding threshold sum alone may round below zero). The one
     /// validator behind every resume path, so a corrupt state is rejected
     /// identically everywhere. Panics on invalid scheme parameters, like
     /// [`Sweep::pass`].
@@ -147,8 +148,10 @@ impl ClassifierState {
             }
         }
         // A checkpoint's floats are decoded as raw bits: a NaN threshold
-        // beats no rate, and no key would ever be an elephant again.
-        let finite = |what: &str, value: f64| match value.is_finite() {
+        // beats no rate, and no key would ever be an elephant again; a
+        // negative one, which no detector returns and the stand-in never
+        // is, makes every active key one.
+        let float = |what: &str, value: f64, least: f64| match value.is_finite() && value >= least {
             true => Ok(()),
             false => Err(format!("classifier state holds the {what} {value}")),
         };
@@ -156,10 +159,10 @@ impl ClassifierState {
             true => Ok(()),
             false => Err(format!("key {key} holds the {what} {value}")),
         };
-        finite("smoothed threshold", self.smoothed.unwrap_or(0.0))?;
-        finite("threshold sum", self.sum_t)?;
+        float("smoothed threshold", self.smoothed.unwrap_or(0.0), 0.0)?;
+        float("threshold sum", self.sum_t, f64::NEG_INFINITY)?;
         for (t_term, snapshot) in &self.history {
-            finite("threshold term", *t_term)?;
+            float("threshold term", *t_term, 0.0)?;
             for &(key, value) in snapshot {
                 rate(key, "rate", f64::from(value))?;
             }
@@ -490,6 +493,16 @@ mod tests {
         let mut bad = good.clone();
         bad.history[1].0 = f64::NEG_INFINITY;
         assert!(rebuild(bad).unwrap_err().contains("threshold term -inf"));
+        let mut bad = good.clone();
+        bad.smoothed = Some(-1.0);
+        assert!(rebuild(bad).unwrap_err().contains("smoothed threshold -1"));
+        let mut bad = good.clone();
+        bad.history[0].0 = -1.0;
+        assert!(rebuild(bad).unwrap_err().contains("threshold term -1"));
+        // The sliding threshold sum may round below zero.
+        let mut ok = good.clone();
+        ok.sum_t = -1e-12;
+        assert!(rebuild(ok).is_ok());
         let mut bad = good.clone();
         bad.per_key[1].1 = f64::NAN;
         assert!(rebuild(bad).unwrap_err().contains("key 4 holds the window sum NaN"));

@@ -12,7 +12,9 @@ use eleph_stats::{aest, from_sort_key, sort_key, AestConfig};
 /// interval.
 pub trait ThresholdDetector {
     /// Compute the raw threshold `T(n)` from the active flows' bandwidths
-    /// (unsorted, all > 0).
+    /// (unsorted, all > 0). The result is a non-negative bandwidth: the
+    /// smoothed threshold is an EWMA of results, and a checkpoint that
+    /// holds a negative one is refused on resume.
     fn detect(&self, values: &[f64]) -> Option<f64>;
 
     /// [`ThresholdDetector::detect`] on a row other detectors may

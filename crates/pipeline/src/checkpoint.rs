@@ -191,7 +191,6 @@ use eleph_bgp::RouteId;
 use eleph_core::{ByteReader, ClassifierState, Scheme, ThresholdDetector};
 use eleph_flow::KeyId;
 use eleph_net::Prefix;
-use eleph_trace::CrashPoint;
 
 use crate::pipeline::{Pipeline, PipelineError, PipelineStats};
 use crate::source::PacketSource;
@@ -1280,8 +1279,6 @@ struct Job {
     image: Vec<u8>,
     records: Vec<u8>,
     plan: LogPlan,
-    /// Simulate dying at this point of the protocol.
-    crash: Option<CrashPoint>,
 }
 
 /// What the writer thread does to the logs for one image.
@@ -1313,11 +1310,11 @@ struct Compaction {
 }
 
 /// The writer thread's answer to one [`Job`]: the buffers back, whether
-/// the image was renamed into place, and what it cost.
+/// the protocol put the image in place, and what it cost.
 struct Done {
     image: Vec<u8>,
     records: Vec<u8>,
-    renamed: io::Result<bool>,
+    written: io::Result<()>,
     named_path: PathBuf,
     compacted: Option<u64>,
     encode_secs: f64,
@@ -1362,7 +1359,7 @@ impl Drop for Writer {
 /// and the image into the kept buffers, then the protocol of the module
 /// docs.
 fn write_job(path: &Path, tmp: &Path, job: Job) -> Done {
-    let Job { delta, mut image, mut records, plan, crash } = job;
+    let Job { delta, mut image, mut records, plan } = job;
     let started = Instant::now();
     records.clear();
     if plan.append_at == 0 {
@@ -1372,11 +1369,11 @@ fn write_job(path: &Path, tmp: &Path, job: Job) -> Done {
     delta.snapshot.write_image(&mut image, Some(&plan.named));
     drop(delta);
     let encoded = Instant::now();
-    let renamed = put_logged(path, tmp, &plan, &records, &image, crash);
+    let written = put_logged(path, tmp, &plan, &records, &image);
     Done {
         image,
         records,
-        renamed,
+        written,
         named_path: plan.named_path,
         compacted: plan.compaction.map(|c| c.len),
         encode_secs: (encoded - started).as_secs_f64(),
@@ -1385,17 +1382,14 @@ fn write_job(path: &Path, tmp: &Path, job: Job) -> Done {
 }
 
 /// Append `records` to the log and sync it, compact if the plan says
-/// so, put `image` in place, retire the log it no longer names. Returns
-/// whether the image was renamed into place: not when `crash` stops the
-/// protocol first.
+/// so, put `image` in place, retire the log it no longer names.
 fn put_logged(
     path: &Path,
     tmp: &Path,
     plan: &LogPlan,
     records: &[u8],
     image: &[u8],
-    crash: Option<CrashPoint>,
-) -> io::Result<bool> {
+) -> io::Result<()> {
     let mut log = if plan.append_at == 0 {
         File::create(&plan.append_to)?
     } else {
@@ -1410,12 +1404,6 @@ fn put_logged(
         }
         log
     };
-    if crash == Some(CrashPoint::MidLogAppend) {
-        // Half the records reach the log; no image names them.
-        log.write_all(&records[..records.len() / 2])?;
-        let _ = log.sync_all();
-        return Ok(false);
-    }
     log.write_all(records)?;
     log.sync_data()?;
     drop(log);
@@ -1425,20 +1413,15 @@ fn put_logged(
     if let Some(compaction) = &plan.compaction {
         compact(compaction)?;
         sync_dir(path);
-        if crash == Some(CrashPoint::MidCompaction) {
-            return Ok(false);
-        }
     }
-    if !put_on_disk(path, tmp, image, crash)? {
-        return Ok(false);
-    }
+    put_on_disk(path, tmp, image)?;
     if let Some(old) = &plan.retire {
         match fs::remove_file(old) {
             Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
             _ => {}
         }
     }
-    Ok(true)
+    Ok(())
 }
 
 /// Stream `c.from`'s live records into `c.into` — one key record holding
@@ -1493,32 +1476,15 @@ fn copy_range(
 }
 
 /// Write `bytes` to `tmp`, fsync, rename over `path`, then fsync the
-/// directory. Returns whether the rename happened: not when `crash`
-/// stops the protocol first.
-fn put_on_disk(
-    path: &Path,
-    tmp: &Path,
-    bytes: &[u8],
-    crash: Option<CrashPoint>,
-) -> io::Result<bool> {
+/// directory.
+fn put_on_disk(path: &Path, tmp: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut file = File::create(tmp)?;
-    if crash == Some(CrashPoint::MidCheckpointWrite) {
-        // Simulate dying mid-write: half the image reaches the temp
-        // file, the rename never happens, the previous checkpoint
-        // survives untouched.
-        file.write_all(&bytes[..bytes.len() / 2])?;
-        let _ = file.sync_all();
-        return Ok(false);
-    }
     file.write_all(bytes)?;
     file.sync_all()?;
     drop(file);
-    if crash == Some(CrashPoint::LogSyncedImageNotRenamed) {
-        return Ok(false);
-    }
     fs::rename(tmp, path)?;
     sync_dir(path);
-    Ok(true)
+    Ok(())
 }
 
 /// Make the directory entries beside `path` durable where the platform
@@ -1671,25 +1637,19 @@ impl Checkpointer {
         };
         self.image = done.image;
         self.records = done.records;
-        match done.renamed {
-            Ok(true) => {
-                let bytes = (self.image.len() + self.records.len()) as u64;
-                let w = &mut self.written;
-                w.images += 1;
-                w.last_bytes = bytes;
-                w.total_bytes += bytes + done.compacted.unwrap_or(0);
-                w.compactions += u64::from(done.compacted.is_some());
-                w.encode_secs += done.encode_secs;
-                w.io_secs += done.io_secs;
-                self.durable_log = Some(done.named_path);
-            }
-            // An injected crash stopped the protocol: the run ends here.
-            Ok(false) => {}
-            Err(e) => {
-                self.log = None;
-                return Err(io_error(e));
-            }
+        if let Err(e) = done.written {
+            self.log = None;
+            return Err(io_error(e));
         }
+        let bytes = (self.image.len() + self.records.len()) as u64;
+        let w = &mut self.written;
+        w.images += 1;
+        w.last_bytes = bytes;
+        w.total_bytes += bytes + done.compacted.unwrap_or(0);
+        w.compactions += u64::from(done.compacted.is_some());
+        w.encode_secs += done.encode_secs;
+        w.io_secs += done.io_secs;
+        self.durable_log = Some(done.named_path);
         Ok(())
     }
 
@@ -1719,15 +1679,6 @@ impl Checkpointer {
             log = compacted;
             plan
         });
-        let writer_points = [
-            CrashPoint::MidLogAppend,
-            CrashPoint::LogSyncedImageNotRenamed,
-            CrashPoint::MidCheckpointWrite,
-        ];
-        let crash = writer_points
-            .into_iter()
-            .chain(compaction.is_some().then_some(CrashPoint::MidCompaction))
-            .find(|&point| pipeline.crash_now(point, sealed));
         let plan = LogPlan {
             append_to,
             append_at,
@@ -1747,7 +1698,6 @@ impl Checkpointer {
             image: std::mem::take(&mut self.image),
             records: std::mem::take(&mut self.records),
             plan,
-            crash,
         };
         writer
             .jobs
@@ -1758,10 +1708,6 @@ impl Checkpointer {
         self.log = Some(log);
         self.in_flight = true;
         self.next_at = Some(sealed + self.every);
-        if let Some(point) = crash {
-            self.flush()?;
-            return Err(PipelineError::Crash(point));
-        }
         Ok(())
     }
 

@@ -94,4 +94,4 @@ pub use sink::{
     CallbackSink, CollectedInterval, Collector, CollectorSink, JsonlSink, RotatingJsonlSink,
     SealedInterval, Sink,
 };
-pub use source::{FaultedPcapSource, MetaSource, PacketSource, PcapSource, TraceSource};
+pub use source::{MetaSource, PacketSource, PcapSource, TraceSource};

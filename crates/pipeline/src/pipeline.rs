@@ -12,7 +12,6 @@ use eleph_core::{
 use eleph_flow::{attribute_metas, FrozenTableRef, KeyAllocator, KeyId};
 use eleph_net::Prefix;
 use eleph_packet::{LinkType, PacketMeta};
-use eleph_trace::{CrashPoint, CrashSwitch};
 
 use crate::checkpoint::{
     Checkpoint, CheckpointConfig, CheckpointError, Checkpointer, Delta, LogState,
@@ -52,10 +51,6 @@ pub enum PipelineError {
     Sink(std::io::Error),
     /// Reading, writing, or applying a checkpoint failed.
     Checkpoint(CheckpointError),
-    /// An injected process fault tripped (failure-injection harness
-    /// only; see [`eleph_trace::CrashSwitch`]). The run aborted exactly
-    /// as a kill at that point would.
-    Crash(CrashPoint),
     /// An unbounded stream persistently jumped further ahead than
     /// `MAX_UNBOUNDED_GAP` intervals — the monitor cannot seal that
     /// many empty intervals, and dropping the traffic silently would
@@ -75,7 +70,6 @@ impl fmt::Display for PipelineError {
             PipelineError::Packet(e) => write!(f, "packet source error: {e}"),
             PipelineError::Sink(e) => write!(f, "sink error: {e}"),
             PipelineError::Checkpoint(e) => write!(f, "{e}"),
-            PipelineError::Crash(point) => write!(f, "injected crash at {point:?}"),
             PipelineError::GapExceeded { open, interval } => write!(
                 f,
                 "stream jumped from open interval {open} to interval {interval}, \
@@ -251,7 +245,6 @@ pub struct PipelineBuilder<'t, D> {
     shards: usize,
     state: StateBackendConfig,
     sinks: Vec<Box<dyn Sink>>,
-    crash: Option<CrashSwitch>,
 }
 
 impl Default for PipelineBuilder<'_, ConstantLoadDetector> {
@@ -270,7 +263,6 @@ impl Default for PipelineBuilder<'_, ConstantLoadDetector> {
             shards: 0,
             state: StateBackendConfig::Exact,
             sinks: Vec::new(),
-            crash: None,
         }
     }
 }
@@ -358,7 +350,6 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
             shards: self.shards,
             state: self.state,
             sinks: self.sinks,
-            crash: self.crash,
         }
     }
 
@@ -415,15 +406,6 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
         self
     }
 
-    /// Arm an injected process fault (failure-injection harness): the
-    /// run aborts with [`PipelineError::Crash`] at the configured
-    /// [`CrashPoint`], leaving partial durable state exactly as a kill
-    /// at that instruction would.
-    pub fn crash_switch(mut self, switch: CrashSwitch) -> Self {
-        self.crash = Some(switch);
-        self
-    }
-
     /// Assemble the pipeline.
     ///
     /// # Panics
@@ -466,7 +448,6 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
             keys: Vec::new(),
             open: 0,
             stats: PipelineStats::default(),
-            crash: self.crash,
             log: None,
         }
     }
@@ -571,8 +552,8 @@ pub struct Pipeline<'t, D: ThresholdDetector> {
     classifier: OnlineClassifier<D>,
     /// The open interval's byte row, whatever holds it (the dense row, a
     /// sketch, the dense row spread over shard workers — see
-    /// [`open_row`]), so sealing, sinks, checkpoints and crash points
-    /// never ask which row is underneath.
+    /// [`open_row`]), so sealing, sinks and checkpoints never ask which
+    /// row is underneath.
     row: Box<dyn StateBackend>,
     /// Seal-path scratch: the sparse snapshot handed to the classifier.
     snapshot: Vec<(KeyId, f32)>,
@@ -597,8 +578,6 @@ pub struct Pipeline<'t, D: ThresholdDetector> {
     /// Index of the open (not yet sealed) interval.
     open: usize,
     stats: PipelineStats,
-    /// Armed process-fault injection (tests only; `None` in production).
-    crash: Option<CrashSwitch>,
     /// The checkpoint log that holds this pipeline's key table and
     /// window: set by the [`Checkpointer`] that last wrote it, or by a
     /// resume from a log-backed image.
@@ -871,15 +850,9 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
     /// key id, rates converted with the exact arithmetic of the batch
     /// matrix), classify it, fan out to the sinks, advance.
     fn seal(&mut self) -> Result<()> {
-        let seal_index = self.open;
         self.record_binned();
         self.row.seal_into(self.secs, &mut self.snapshot);
         let outcome = self.classifier.observe(&self.snapshot);
-        if self.crash_now(CrashPoint::AfterSeal, seal_index) {
-            // The classifier advanced in memory only; nothing durable
-            // recorded this interval. A resume replays it entirely.
-            return Err(PipelineError::Crash(CrashPoint::AfterSeal));
-        }
         let sealed = SealedInterval {
             outcome: &outcome,
             interval_start_unix: self.start_unix + self.open as u64 * self.interval_secs,
@@ -890,19 +863,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             sink.on_interval(&sealed)?;
         }
         self.open += 1;
-        if self.crash_now(CrashPoint::AfterSink, seal_index) {
-            // The sinks hold one more interval than the last checkpoint
-            // records; resume must truncate the duplicate.
-            return Err(PipelineError::Crash(CrashPoint::AfterSink));
-        }
         Ok(())
-    }
-
-    /// Poll the armed crash switch (no-op without one).
-    pub(crate) fn crash_now(&mut self, point: CrashPoint, seal_index: usize) -> bool {
-        self.crash
-            .as_mut()
-            .is_some_and(|switch| switch.should_crash(point, seal_index))
     }
 
     /// Serialize the full recovery frontier (see [`Checkpoint`] and the

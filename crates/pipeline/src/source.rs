@@ -57,10 +57,29 @@ impl<S: PacketSource + ?Sized> PacketSource for &mut S {
 /// measurement. Packets that fail *packet* parsing (bad IPv4 header,
 /// truncated transport) are counted via [`PacketSource::malformed`] and
 /// skipped: offered, never binned.
+///
+/// [`PcapSource::with_faults`] puts a [`FaultInjector`] between the
+/// capture and the parser — the path `eleph run`'s `--fault-*` flags
+/// take for degraded-input drills: every record is copied and offered
+/// to the injector first, so drops vanish before parsing while
+/// corruption and truncation usually surface as malformed packets.
+/// Deterministic in the injector's seed: replaying the same capture with
+/// the same config reproduces the identical packet stream, which is what
+/// lets a checkpointed faulted run resume exactly (the resume replays
+/// the skipped records through a fresh injector, realigning its RNG
+/// stream).
 pub struct PcapSource<R: Read> {
     reader: PcapReader<R>,
     link: LinkType,
     malformed: u64,
+    faults: Option<Faults>,
+}
+
+/// The injector of a faulted [`PcapSource`] and the scratch buffer it
+/// mutates each record's copy in.
+struct Faults {
+    injector: FaultInjector,
+    buf: Vec<u8>,
 }
 
 impl<R: Read> PcapSource<R> {
@@ -72,7 +91,14 @@ impl<R: Read> PcapSource<R> {
             reader,
             link,
             malformed: 0,
+            faults: None,
         })
+    }
+
+    /// Open a pcap stream with fault injection.
+    pub fn with_faults(input: R, injector: FaultInjector) -> eleph_packet::Result<Self> {
+        let faults = Some(Faults { injector, buf: Vec::new() });
+        Ok(PcapSource { faults, ..Self::new(input)? })
     }
 
     /// The capture's link type.
@@ -80,25 +106,32 @@ impl<R: Read> PcapSource<R> {
         self.link
     }
 
-    /// The header of the next record, which stays unread
-    /// ([`PcapReader::peek_header`]); `Ok(None)` at the end of the
-    /// capture.
+    /// What the injector did so far; `None` without one.
+    pub fn fault_stats(&self) -> Option<FaultStats> {
+        self.faults.as_ref().map(|f| f.injector.stats())
+    }
+
+    /// The header of the next record as captured — before any injector
+    /// has seen it — which stays unread ([`PcapReader::peek_header`]);
+    /// `Ok(None)` at the end of the capture.
     pub fn peek_header(&mut self) -> eleph_packet::Result<Option<RecordHeader>> {
         self.reader.peek_header()
     }
 
-    /// The framing loop of both pcap sources: records until
-    /// [`SOURCE_CHUNK`] of them have parsed or the capture ends. With
-    /// `faults`, every record is copied into the scratch buffer and
-    /// offered to the injector first (it mutates the bytes).
+    /// The framing loop: records until [`SOURCE_CHUNK`] of them have
+    /// parsed or the capture ends. With `faults`, every record is copied
+    /// into the scratch buffer and offered to the injector first (it
+    /// mutates the bytes).
     fn frame_chunk(
-        &mut self,
-        mut faults: Option<(&mut FaultInjector, &mut Vec<u8>)>,
+        reader: &mut PcapReader<R>,
+        link: LinkType,
+        malformed: &mut u64,
+        mut faults: Option<&mut Faults>,
         out: &mut Vec<PacketMeta>,
     ) -> eleph_packet::Result<usize> {
         let base = out.len();
-        while let Some((head, mut bytes)) = self.reader.next_record_ref()? {
-            if let Some((injector, buf)) = &mut faults {
+        while let Some((head, mut bytes)) = reader.next_record_ref()? {
+            if let Some(Faults { injector, buf }) = &mut faults {
                 buf.clear();
                 buf.extend_from_slice(bytes);
                 if injector.apply(buf) == FaultAction::Dropped {
@@ -108,14 +141,14 @@ impl<R: Read> PcapSource<R> {
                 }
                 bytes = buf;
             }
-            match parse_buf_meta(self.link, bytes, &head) {
+            match parse_buf_meta(link, bytes, &head) {
                 Ok(meta) => {
                     out.push(meta);
                     if out.len() - base >= SOURCE_CHUNK {
                         break;
                     }
                 }
-                Err(_) => self.malformed += 1,
+                Err(_) => *malformed += 1,
             }
         }
         Ok(out.len() - base)
@@ -124,61 +157,17 @@ impl<R: Read> PcapSource<R> {
 
 impl<R: Read> PacketSource for PcapSource<R> {
     fn next_chunk(&mut self, out: &mut Vec<PacketMeta>) -> eleph_packet::Result<usize> {
-        self.frame_chunk(None, out)
+        let PcapSource { reader, link, malformed, faults } = self;
+        // A fault-free source calls the loop with a literal `None`, so the
+        // compiler can leave the injector's branch out of it.
+        match faults {
+            None => Self::frame_chunk(reader, *link, malformed, None, out),
+            Some(faults) => Self::frame_chunk(reader, *link, malformed, Some(faults), out),
+        }
     }
 
     fn malformed(&self) -> u64 {
         self.malformed
-    }
-}
-
-/// A [`PcapSource`] with a [`FaultInjector`] between the capture and
-/// the parser: every record is offered to the injector first, so drops
-/// vanish before parsing while corruption/truncation usually surface as
-/// malformed packets — the same path `eleph run`'s `--fault-*` flags
-/// exercise for degraded-input drills.
-///
-/// Deterministic in the injector's seed: replaying the same capture
-/// with the same config reproduces the identical packet stream, which
-/// is what lets a checkpointed faulted run resume exactly (the resume
-/// replays the skipped records through a fresh injector, realigning the
-/// RNG stream).
-pub struct FaultedPcapSource<R: Read> {
-    source: PcapSource<R>,
-    injector: FaultInjector,
-    buf: Vec<u8>,
-}
-
-impl<R: Read> FaultedPcapSource<R> {
-    /// Open a pcap stream with fault injection.
-    pub fn new(input: R, injector: FaultInjector) -> eleph_packet::Result<Self> {
-        Ok(FaultedPcapSource {
-            source: PcapSource::new(input)?,
-            injector,
-            buf: Vec::new(),
-        })
-    }
-
-    /// What the injector did so far.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.injector.stats()
-    }
-
-    /// The header of the next record as captured — before the injector
-    /// has seen it — which stays unread ([`PcapSource::peek_header`]).
-    pub fn peek_header(&mut self) -> eleph_packet::Result<Option<RecordHeader>> {
-        self.source.peek_header()
-    }
-}
-
-impl<R: Read> PacketSource for FaultedPcapSource<R> {
-    fn next_chunk(&mut self, out: &mut Vec<PacketMeta>) -> eleph_packet::Result<usize> {
-        self.source
-            .frame_chunk(Some((&mut self.injector, &mut self.buf)), out)
-    }
-
-    fn malformed(&self) -> u64 {
-        self.source.malformed
     }
 }
 

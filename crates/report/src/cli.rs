@@ -24,9 +24,9 @@ use eleph_core::{
 use eleph_bgp::{FrozenBgpTable, LiveBgpTable, RouteEntry, UpdateBatch};
 use eleph_packet::pcap::RecordHeader;
 use eleph_pipeline::{
-    skip_offered, Checkpoint, Checkpointer, CheckpointsWritten, FaultedPcapSource, JsonlSink,
-    PacketSource, PcapSource, Pipeline, PipelineBuilder, PipelineError, PipelineReport,
-    RotatingJsonlSink, TraceSource, MAX_WORKER_THREADS,
+    skip_offered, Checkpoint, Checkpointer, CheckpointsWritten, JsonlSink, PacketSource,
+    PcapSource, Pipeline, PipelineBuilder, PipelineError, PipelineReport, RotatingJsonlSink,
+    TraceSource, MAX_WORKER_THREADS,
 };
 use eleph_trace::{
     generate_churn, ChurnConfig, ChurnScenario, FaultConfig, FaultInjector, FaultStats, RateTrace,
@@ -795,27 +795,23 @@ fn stream(
         None => builder.sink(JsonlSink::new(io::BufWriter::new(io::stdout()))),
     };
 
-    let mut fault_stats: Option<FaultStats> = None;
     let started = std::time::Instant::now();
-    let report = if let Some((file, path)) = pcap {
+    let (report, fault_stats) = if let Some((file, path)) = pcap {
         // The capture is opened once (it may be a pipe): the window's
         // anchor is peeked from the source the run then reads.
         let input = format!("--pcap {path}");
         let map_src = |e: eleph_packet::PacketError| io::Error::other(format!("{input}: {e}"));
-        if opts.wants_faults() {
+        let mut source = if opts.wants_faults() {
             let injector = FaultInjector::try_new(opts.fault_config())
                 .map_err(io::Error::other)?;
-            let mut source = FaultedPcapSource::new(file, injector).map_err(map_src)?;
-            let builder = pcap_window(opts, builder, || source.peek_header()).map_err(map_src)?;
-            let report =
-                drive(builder, &mut source, &input, ckpt.as_ref(), checkpointer.as_mut())?;
-            fault_stats = Some(source.fault_stats());
-            report
+            PcapSource::with_faults(file, injector)
         } else {
-            let mut source = PcapSource::new(file).map_err(map_src)?;
-            let builder = pcap_window(opts, builder, || source.peek_header()).map_err(map_src)?;
-            drive(builder, &mut source, &input, ckpt.as_ref(), checkpointer.as_mut())?
+            PcapSource::new(file)
         }
+        .map_err(map_src)?;
+        let builder = pcap_window(opts, builder, || source.peek_header()).map_err(map_src)?;
+        let report = drive(builder, &mut source, &input, ckpt.as_ref(), checkpointer.as_mut())?;
+        (report, source.fault_stats())
     } else {
         let trace = trace.expect("generated above under --synth");
         let builder = builder
@@ -823,7 +819,8 @@ fn stream(
             .start_unix(trace.config.start_unix)
             .n_intervals(trace.config.n_intervals);
         let mut source = TraceSource::new(&trace);
-        drive(builder, &mut source, "--synth", ckpt.as_ref(), checkpointer.as_mut())?
+        let report = drive(builder, &mut source, "--synth", ckpt.as_ref(), checkpointer.as_mut())?;
+        (report, None)
     };
 
     let setup = started.duration_since(entered).as_secs_f64();

@@ -138,93 +138,6 @@ impl FaultInjector {
     }
 }
 
-/// Where, within the seal → emit → checkpoint sequence, a *process*
-/// fault strikes. Packet damage (above) exercises the input path; these
-/// exercise the recovery path — each point leaves a distinct on-disk
-/// state the resume logic must reconcile:
-///
-/// - [`CrashPoint::AfterSeal`]: the classifier advanced in memory but
-///   the interval never reached a sink — resume replays it from the
-///   previous checkpoint.
-/// - [`CrashPoint::AfterSink`]: the interval is durably written but the
-///   checkpoint still describes the previous one — resume must truncate
-///   the duplicate record before replaying.
-/// - [`CrashPoint::MidCheckpointWrite`]: the new snapshot is torn —
-///   resume must fall back to the last complete checkpoint, never read
-///   a partial one.
-/// - [`CrashPoint::MidLogAppend`]: the checkpoint log holds half of the
-///   new image's records past the watermark the durable image records —
-///   resume must cut them off.
-/// - [`CrashPoint::LogSyncedImageNotRenamed`]: the log append is durable
-///   and the new image complete in its temp file, but the old image is
-///   still the one in place — resume cuts the log back to it.
-/// - [`CrashPoint::MidCompaction`]: a compaction has written the new log
-///   beside the old one, and no image names it yet — resume must delete
-///   it and keep reading the old log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CrashPoint {
-    /// After an interval seals, before any sink sees it.
-    AfterSeal,
-    /// After the sinks wrote the interval, before the checkpoint.
-    AfterSink,
-    /// Midway through writing the checkpoint file.
-    MidCheckpointWrite,
-    /// Midway through appending the image's records to the checkpoint
-    /// log, before any image is written.
-    MidLogAppend,
-    /// After the log append is synced and the image written to its temp
-    /// file, before the rename.
-    LogSyncedImageNotRenamed,
-    /// After a compaction has written and synced the new log, before the
-    /// image naming it is renamed into place and the old log removed.
-    MidCompaction,
-}
-
-impl CrashPoint {
-    /// Every crash point, for exhaustive harness loops.
-    pub const ALL: [CrashPoint; 6] = [
-        CrashPoint::AfterSeal,
-        CrashPoint::AfterSink,
-        CrashPoint::MidCheckpointWrite,
-        CrashPoint::MidLogAppend,
-        CrashPoint::LogSyncedImageNotRenamed,
-        CrashPoint::MidCompaction,
-    ];
-}
-
-/// A one-shot trigger that simulates a crash at a chosen [`CrashPoint`]
-/// on a chosen interval. The pipeline polls it at each point; when it
-/// trips, the run aborts exactly as a SIGKILL would at that instruction
-/// (no unwinding of already-durable effects).
-#[derive(Debug, Clone)]
-pub struct CrashSwitch {
-    point: CrashPoint,
-    at_seal: usize,
-    tripped: bool,
-}
-
-impl CrashSwitch {
-    /// Crash at `point` while sealing interval `at_seal` (0-based).
-    pub fn new(point: CrashPoint, at_seal: usize) -> Self {
-        CrashSwitch {
-            point,
-            at_seal,
-            tripped: false,
-        }
-    }
-
-    /// Poll the switch: true exactly once, at the configured point and
-    /// interval.
-    pub fn should_crash(&mut self, point: CrashPoint, seal_index: usize) -> bool {
-        if !self.tripped && point == self.point && seal_index == self.at_seal {
-            self.tripped = true;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 /// One route-churn stress scenario, applied to prefixes sampled
 /// deterministically from the routing table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -470,17 +383,6 @@ mod tests {
             corrupt_prob: f64::NAN,
             ..FaultConfig::none()
         });
-    }
-
-    #[test]
-    fn crash_switch_fires_exactly_once() {
-        let mut switch = CrashSwitch::new(CrashPoint::AfterSink, 2);
-        assert!(!switch.should_crash(CrashPoint::AfterSeal, 2), "wrong point");
-        assert!(!switch.should_crash(CrashPoint::AfterSink, 1), "wrong interval");
-        assert!(!switch.tripped);
-        assert!(switch.should_crash(CrashPoint::AfterSink, 2));
-        assert!(switch.tripped);
-        assert!(!switch.should_crash(CrashPoint::AfterSink, 2), "one-shot");
     }
 
     fn churn_table() -> BgpTable {

@@ -51,8 +51,8 @@ mod rate;
 pub use config::{LinkSpec, WorkloadConfig};
 pub use diurnal::{DiurnalProfile, GaussianPeak};
 pub use fault::{
-    generate_churn, ChurnConfig, ChurnScenario, CrashPoint, CrashSwitch, FaultAction, FaultConfig,
-    FaultInjector, FaultStats,
+    generate_churn, ChurnConfig, ChurnScenario, FaultAction, FaultConfig, FaultInjector,
+    FaultStats,
 };
 pub use flows::{FlowId, FlowKind, FlowMeta, FlowPopulation};
 pub use packets::{PacketMix, PacketSynth};

@@ -19,7 +19,8 @@
 #      gaps, malformed and late records, route-update batches, random
 #      chunking — under every scheme, a detector that abstains, 0 to 3
 #      shard workers and the exact or a roomy Space-Saving row, each cut
-#      at a random crash point and resumed, possibly at another shard
+#      at a random seal by a failing sink, left with the debris a killed
+#      checkpoint writer leaves, and resumed, possibly at another shard
 #      count: outcomes by `to_bits`, keys, accounting, the JSONL chain and
 #      the checkpoint images all equal (part of tier-1; re-run by name so
 #      a failure is attributed immediately);
@@ -183,7 +184,8 @@
 #      `tests/mutants/`, one each in the classifier core, the batch
 #      sweep's shared window scan, the pipeline, the checkpoint log and a
 #      sketch: each applied alone to a copy of
-#      the tree, it must still apply and build, and some test must kill
+#      the tree, it must still apply at the lines it was cut at (no
+#      hunk at an offset) and build, and some test must kill
 #      it (every patch, against `tests/mutants/TABLE.md`, is
 #      `scripts/mutants.sh` with no argument).
 #

@@ -8,14 +8,20 @@
 //! abstains on quiet intervals, a frozen or live table, bounded or not,
 //! 0 to 3 shard workers, and the default row, `Exact` or a roomy
 //! Space-Saving. Each program runs serially, one chunk at a time,
-//! keeping its image at every chunk boundary; then a `CrashSwitch` cuts
-//! a checkpointed run at a random point and seal, and it resumes from
-//! the durable image, possibly at another shard count. Both runs'
-//! outcomes equal the model's by `to_bits`, and their keys and
-//! accounting too; the cut run's JSONL chain is the serial run's, and
-//! its images at the cut and at the end, loaded with their log and
-//! re-encoded, are the serial run's at the same stream position, byte
-//! for byte.
+//! keeping its image at every chunk boundary; then a checkpointed run is
+//! cut at a random seal by a sink that fails there, attached before the
+//! output sink (the interval never reaches the output) or after it (the
+//! output holds an interval no image records). A dying process keeps
+//! only what is on disk, so the cut leaves the directory as a checkpoint
+//! writer killed in its protocol would: nothing more, a torn or whole
+//! tail of log records past the watermark of the log the image names, a
+//! torn or whole `eleph.ckpt.tmp`, the next log no image names (an
+//! unfinished compaction), or all three. The run resumes from the
+//! durable image, possibly at another shard count. Both runs' outcomes
+//! equal the model's by `to_bits`, and their keys and accounting too;
+//! the cut run's JSONL chain is the serial run's, and its images at the
+//! cut and at the end, loaded with their log and re-encoded, are the
+//! serial run's at the same stream position, byte for byte.
 //!
 //! What this property kills is in `tests/mutants/TABLE.md`, which
 //! `scripts/mutants.sh` writes: each mutant a small patch in
@@ -32,7 +38,8 @@
 //! the `+ 1` of the stand-in for a threshold not yet detected, which
 //! decides only a rate within 1 b/s of it (`window::tests`).
 
-use std::fs;
+use std::fs::{self, OpenOptions};
+use std::io::{self, Write};
 use std::net::Ipv4Addr;
 use std::path::Path;
 
@@ -42,12 +49,11 @@ use eleph_net::Prefix;
 use eleph_packet::{IpProtocol, PacketMeta};
 use eleph_pipeline::{
     skip_offered, Checkpoint, Checkpointer, CollectedInterval, Collector, JsonlSink, PacketSource,
-    PipelineBuilder, PipelineError, PipelineReport, RotatingJsonlSink, StateBackendConfig,
-    CHECKPOINT_FILE,
+    PipelineBuilder, PipelineError, PipelineReport, RotatingJsonlSink, SealedInterval, Sink,
+    StateBackendConfig, CHECKPOINT_FILE,
 };
 use eleph_tests::model::{self, Config, Rule};
 use eleph_tests::{read_chain, scratch, OneChunkPerRun, SharedBuf};
-use eleph_trace::{CrashPoint, CrashSwitch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,7 +119,7 @@ fn a_re_announced_prefix_is_a_new_key_and_the_old_one_drains() {
         },
         state: None,
         shards: (2, 0),
-        cut: (CrashPoint::AfterSink, 3),
+        cut: Cut { at_seal: 3, after_output: true, debris: Debris::None },
         every: 1,
         rotate: None,
     };
@@ -147,7 +153,7 @@ struct Case {
     state: Option<StateBackendConfig>,
     /// Shard workers before and after the cut.
     shards: (usize, usize),
-    cut: (CrashPoint, usize),
+    cut: Cut,
     /// Checkpoint cadence in sealed intervals.
     every: usize,
     rotate: Option<u64>,
@@ -183,12 +189,63 @@ impl Case {
             },
             state,
             shards,
-            cut: (
-                CrashPoint::ALL[rng.gen_range(0..CrashPoint::ALL.len())],
-                rng.gen_range(1..=n_intervals.unwrap_or(8)),
-            ),
+            cut: Cut {
+                at_seal: rng.gen_range(1..=n_intervals.unwrap_or(8)),
+                after_output: rng.gen_bool(0.5),
+                debris: match rng.gen_range(0..5u8) {
+                    0 => Debris::None,
+                    1 => Debris::LogTail { whole: rng.gen_bool(0.5) },
+                    2 => Debris::TmpImage { whole: rng.gen_bool(0.5) },
+                    3 => Debris::UnnamedLog,
+                    _ => Debris::All { whole: rng.gen_bool(0.5) },
+                },
+            },
             every: if rng.gen_bool(0.75) { 1 } else { 2 },
             rotate: rng.gen_bool(0.3).then(|| rng.gen_range(100..600)),
+        }
+    }
+}
+
+/// Where and how the checkpointed run is cut.
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    /// The seal (0-based interval) at which a sink fails.
+    at_seal: usize,
+    /// The failing sink comes after the output sink: the output holds
+    /// the interval; before it, it does not.
+    after_output: bool,
+    debris: Debris,
+}
+
+/// What a checkpoint writer killed at the cut leaves beside the durable
+/// image and its log.
+#[derive(Debug, Clone, Copy)]
+enum Debris {
+    None,
+    /// Log records past the watermark of the log the image names: whole
+    /// (appended and synced, the image never landed) or cut off halfway.
+    LogTail { whole: bool },
+    /// An image in `eleph.ckpt.tmp`: whole (written, never renamed) or
+    /// cut off halfway.
+    TmpImage { whole: bool },
+    /// The next log, written by a compaction no image names yet.
+    UnnamedLog,
+    /// A tail, a temp image and a next log together.
+    All { whole: bool },
+}
+
+/// A sink that fails when the interval it names seals, as the process
+/// dies there.
+struct CutAt(usize);
+
+/// What a [`CutAt`] sink fails with.
+const CUT: &str = "the run is cut here";
+
+impl Sink for CutAt {
+    fn on_interval(&mut self, sealed: &SealedInterval<'_>) -> io::Result<()> {
+        match sealed.outcome.interval == self.0 {
+            true => Err(io::Error::other(CUT)),
+            false => Ok(()),
         }
     }
 }
@@ -417,7 +474,7 @@ fn check(program: &Program, case: &Case) -> model::Run {
     let (serial, images) = serial(program, case);
     assert_is_model(&want, &case.config, &serial, &format!("serial {context}"));
     let dir = scratch("model");
-    let (cut, durable) = cut_and_resume(program, case, &dir);
+    let (cut, durable) = cut_and_resume(program, case, &dir, &images[0]);
     assert_is_model(&want, &case.config, &cut, &format!("cut {context}"));
     assert!(cut.jsonl == serial.jsonl, "{context}: the JSONL chain is not the serial run's");
     let offered = |image: &Vec<u8>| Checkpoint::read_from(&mut &image[..]).unwrap().offered();
@@ -452,38 +509,46 @@ fn serial(program: &Program, case: &Case) -> (Output, Vec<Vec<u8>>) {
     (Output { outcomes: collector.take(), report, jsonl: jsonl.take() }, images)
 }
 
-/// Cut a checkpointed run where `case.cut` says, then resume it from
-/// whatever image is durable (from the start if none is) at the other
-/// shard count, as `eleph run --resume` does. Returns the stitched run
-/// and the image the cut left.
-fn cut_and_resume(program: &Program, case: &Case, dir: &Path) -> (Output, Option<Vec<u8>>) {
+/// Cut a checkpointed run where `case.cut` says and leave its debris in
+/// `dir` (`stand_in` is an image for debris when none is durable), then
+/// resume it from whatever image is durable (from the start if none is)
+/// at the other shard count, as `eleph run --resume` does. Returns the
+/// stitched run and the image the cut left.
+fn cut_and_resume(
+    program: &Program,
+    case: &Case,
+    dir: &Path,
+    stand_in: &[u8],
+) -> (Output, Option<Vec<u8>>) {
     let out = dir.join("out.jsonl");
-    let (point, at_seal) = case.cut;
     let live = program.live_table();
     let crashed = Collector::new();
     let mut checkpointer = Checkpointer::new(dir, case.every).expect("checkpointer");
-    let mut pipeline = builder(program, case, live.as_ref(), case.shards.0)
-        .sink(crashed.sink())
-        .sink(RotatingJsonlSink::create(&out, case.rotate).expect("sink"))
-        .crash_switch(CrashSwitch::new(point, at_seal))
-        .build();
+    let output = RotatingJsonlSink::create(&out, case.rotate).expect("sink");
+    let cut_at = CutAt(case.cut.at_seal);
+    let first = builder(program, case, live.as_ref(), case.shards.0).sink(crashed.sink());
+    let mut pipeline = match case.cut.after_output {
+        true => first.sink(output).sink(cut_at),
+        false => first.sink(cut_at).sink(output),
+    }
+    .build();
+    let is_cut = |e: &PipelineError| matches!(e, PipelineError::Sink(e) if e.to_string() == CUT);
     match pipeline.run_checkpointed(ProgramSource::new(program), &mut checkpointer) {
-        // The switch may never trip: then the run is whole.
+        // The run may never reach the seal: then it is whole.
         Ok(()) => match pipeline.finish() {
             Ok(report) => {
                 let jsonl = read_chain(&out);
                 return (Output { outcomes: crashed.take(), report, jsonl }, None);
             }
-            Err(PipelineError::Crash(p)) => assert_eq!(p, point),
-            Err(e) => panic!("finish: {e}"),
+            Err(e) => assert!(is_cut(&e), "finish: {e}"),
         },
-        Err(PipelineError::Crash(p)) => {
-            assert_eq!(p, point);
+        Err(e) => {
+            assert!(is_cut(&e), "run: {e}");
             drop(pipeline); // the process dies: buffers go, files stay
         }
-        Err(e) => panic!("run: {e}"),
     }
     drop(checkpointer);
+    plant(dir, case.cut.debris, stand_in);
 
     let ckpt = durable_image(dir);
     let durable = ckpt.as_ref().map(ckpt_bytes);
@@ -517,6 +582,48 @@ fn cut_and_resume(program: &Program, case: &Case, dir: &Path) -> (Output, Option
     let report = pipeline.finish().expect("resumed finish");
     outcomes.extend(resumed.take());
     (Output { outcomes, report, jsonl: read_chain(&out) }, durable)
+}
+
+/// Leave `debris` in `dir`, which holds the durable image and the one
+/// log it names, or neither: then the debris of a log is a log no image
+/// names, and `stand_in` takes the image's place.
+fn plant(dir: &Path, debris: Debris, stand_in: &[u8]) {
+    let (tail, tmp, unnamed, whole) = match debris {
+        Debris::None => return,
+        Debris::LogTail { whole } => (true, false, false, whole),
+        Debris::TmpImage { whole } => (false, true, false, whole),
+        Debris::UnnamedLog => (false, false, true, true),
+        Debris::All { whole } => (true, true, true, whole),
+    };
+    let part = |bytes: &[u8]| bytes[..if whole { bytes.len() } else { bytes.len() / 2 }].to_vec();
+    let log_path = |seq: u64| dir.join(format!("eleph.{seq}.log"));
+    let logs: Vec<u64> = fs::read_dir(dir)
+        .expect("read dir")
+        .filter_map(|entry| {
+            let name = entry.expect("dir entry").file_name().into_string().ok()?;
+            name.strip_prefix("eleph.")?.strip_suffix(".log")?.parse().ok()
+        })
+        .collect();
+    assert!(logs.len() <= 1, "logs {logs:?} beside one image");
+    let named = logs.first().map(|&seq| (seq, fs::read(log_path(seq)).expect("log")));
+    let image = fs::read(dir.join(CHECKPOINT_FILE)).unwrap_or_else(|_| stand_in.to_vec());
+    if tmp {
+        fs::write(dir.join(format!("{CHECKPOINT_FILE}.tmp")), part(&image)).expect("plant tmp");
+    }
+    match &named {
+        Some((seq, log)) => {
+            // Records follow the log's 12-byte header (magic, version).
+            if tail {
+                let mut file = OpenOptions::new().append(true).open(log_path(*seq)).expect("log");
+                file.write_all(&part(&log[12..])).expect("plant a tail");
+            }
+            if unnamed {
+                fs::write(log_path(seq + 1), log).expect("plant the next log");
+            }
+        }
+        None if tail || unnamed => fs::write(log_path(0), part(&image)).expect("plant a log"),
+        None => {}
+    }
 }
 
 /// The image on disk in `dir`, if there is one, loaded with its log.

@@ -6,7 +6,7 @@ use eleph_bgp::synth::{self, SynthConfig};
 use eleph_flow::Aggregator;
 use eleph_packet::pcap::PcapReader;
 use eleph_packet::LinkType;
-use eleph_pipeline::{FaultedPcapSource, PipelineBuilder, PipelineStats, StateBackendConfig};
+use eleph_pipeline::{PcapSource, PipelineBuilder, PipelineStats, StateBackendConfig};
 use eleph_tests::capture_of;
 use eleph_trace::{
     FaultAction, FaultConfig, FaultInjector, PacketSynth, RateTrace, WorkloadConfig,
@@ -82,11 +82,11 @@ fn pipeline_runs_with_faults(fault: FaultConfig) -> Vec<(PipelineStats, eleph_tr
             .shards(shards)
             .build();
         let mut source =
-            FaultedPcapSource::new(&pcap[..], FaultInjector::new(fault)).expect("header");
+            PcapSource::with_faults(&pcap[..], FaultInjector::new(fault)).expect("header");
         pipeline.run(&mut source).expect("faults are counted, not fatal");
         let report = pipeline.finish().expect("finish");
         assert_eq!(report.intervals, trace.config.n_intervals);
-        (report.stats, source.fault_stats())
+        (report.stats, source.fault_stats().expect("an injector"))
     })
     .collect()
 }
