@@ -149,10 +149,10 @@
 //!
 //! A crash before the rename leaves the previous image in place and its
 //! log complete up to that image's watermark — possibly with a torn or
-//! complete tail of records behind it, and a new log no image names.
-//! [`Checkpointer::new`] is the recovery: it cuts the log its directory's
-//! image names back to the watermark (the torn-tail rule of
-//! [`crate::RotatingJsonlSink::resume`]) and deletes every other log. A
+//! complete tail of records behind it, a new log no image names and a
+//! temp image. [`Checkpointer::new`] is the recovery: it cuts the log
+//! its image names back to the watermark (the torn-tail rule of
+//! [`crate::RotatingJsonlSink::resume`]) and deletes the rest. A
 //! resumed pipeline then appends to that log where the image left it,
 //! so a resumed run writes the files the uninterrupted run writes. A
 //! resume from a version-2 or 3 image starts a new log at its first
@@ -1507,9 +1507,9 @@ pub const CHECKPOINT_FILE: &str = "eleph.ckpt";
 
 /// Bring the directory of the image at `path` back to what the image
 /// names, as a resume needs it: the log it names cut back to its
-/// watermark, every other log deleted. Returns that log and the number
-/// the next log started takes. An image that cannot be read names
-/// nothing and touches nothing; a missing one names no log.
+/// watermark, every other log and the temp image deleted. Returns that
+/// log and the number the next log started takes. An image that cannot
+/// be read names nothing and touches nothing; a missing one names no log.
 fn recover(path: &Path) -> io::Result<(Option<LogState>, u64)> {
     let dir = match path.parent() {
         Some(dir) if !dir.as_os_str().is_empty() => dir,
@@ -1541,6 +1541,9 @@ fn recover(path: &Path) -> io::Result<(Option<LogState>, u64)> {
             file.sync_all()?;
         }
     }
+    // A temp image no writer renamed. One that cannot go makes the next
+    // image fail, naming it.
+    let _ = fs::remove_file(path.with_file_name(format!("{CHECKPOINT_FILE}.tmp")));
     let next_seq = named.as_ref().map_or(0, |log| log.seq + 1);
     Ok((named, next_seq))
 }
@@ -1550,10 +1553,11 @@ impl Checkpointer {
     /// intervals (`every` ≥ 1).
     ///
     /// This is also the recovery of a directory a crash left behind: the
-    /// log its image names is cut back to the image's watermark and every
-    /// other log is deleted (an image that cannot be read is left, with
-    /// every log, as it is). A pipeline resumed from that image appends
-    /// to that log; any other starts a new one at its first image.
+    /// log its image names is cut back to the image's watermark, and every
+    /// other log and the temp image are deleted (an image that cannot be
+    /// read is left, with every log, as it is). A pipeline resumed from
+    /// that image appends to that log; any other starts a new one at its
+    /// first image.
     pub fn new(dir: impl AsRef<Path>, every: usize) -> io::Result<Self> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
@@ -1730,7 +1734,7 @@ fn writer_gone() -> PipelineError {
 /// Chunking is deterministic, so pulling whole chunks reproduces the
 /// original consumption exactly and the count lands on a chunk
 /// boundary; landing past it means the source does not match the
-/// checkpoint (different capture, different fault seed) and is a
+/// checkpoint (a different capture) and is a
 /// [`CheckpointError::Mismatch`].
 pub fn skip_offered<S: PacketSource>(source: &mut S, target: u64) -> crate::Result<()> {
     let mut buf = Vec::new();

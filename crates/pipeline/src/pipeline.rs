@@ -11,7 +11,7 @@ use eleph_core::{
 };
 use eleph_flow::{attribute_metas, FrozenTableRef, KeyAllocator, KeyId};
 use eleph_net::Prefix;
-use eleph_packet::{LinkType, PacketMeta};
+use eleph_packet::PacketMeta;
 
 use crate::checkpoint::{
     Checkpoint, CheckpointConfig, CheckpointError, Checkpointer, Delta, LogState,
@@ -640,11 +640,6 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
         self.binned.clear();
     }
 
-    /// Observe one parsed packet: a chunk of one.
-    fn observe_meta(&mut self, meta: &PacketMeta) -> Result<()> {
-        self.observe_chunk(std::slice::from_ref(meta))
-    }
-
     /// Nanosecond time of the next scheduled update batch (`u64::MAX`
     /// when the schedule is exhausted).
     #[inline]
@@ -669,19 +664,6 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             *view = Some(table.view());
         }
         self.route_update_secs += started.elapsed().as_secs_f64();
-    }
-
-    /// Observe one raw packet: parse, then bin; parse failures are
-    /// counted as malformed, never propagated as errors.
-    pub fn observe_raw(&mut self, link: LinkType, data: &[u8], ts_ns: u64) -> Result<()> {
-        match eleph_packet::parse_meta(link, data, ts_ns) {
-            Ok(meta) => self.observe_meta(&meta),
-            Err(_) => {
-                self.stats.offered += 1;
-                self.stats.malformed += 1;
-                Ok(())
-            }
-        }
     }
 
     /// Drain a [`PacketSource`] to exhaustion, folding its malformed
@@ -1183,6 +1165,13 @@ mod tests {
         }
     }
 
+    impl<D: ThresholdDetector> Pipeline<'_, D> {
+        /// Observe one parsed packet: a chunk of one.
+        fn observe_meta(&mut self, meta: &PacketMeta) -> Result<()> {
+            self.observe_chunk(std::slice::from_ref(meta))
+        }
+    }
+
     /// Mixed stream across 3 intervals: both prefixes, an unroutable
     /// destination, out-of-window timestamps, and an empty interval 1.
     fn stream() -> Vec<PacketMeta> {
@@ -1563,21 +1552,6 @@ mod tests {
         let report = p.finish().unwrap();
         assert_eq!(report.intervals, 0);
         assert!(report.keys.is_empty());
-    }
-
-    #[test]
-    fn observe_raw_counts_malformed() {
-        let t = table();
-        let mut p = PipelineBuilder::new()
-            .table(&t)
-            .interval_secs(10)
-            .start_unix(0)
-            .n_intervals(1)
-            .build();
-        p.observe_raw(LinkType::RawIp, &[0xFF; 6], 5_000_000_000).unwrap();
-        let stats = p.stats();
-        assert_eq!(stats.malformed, 1);
-        assert!(stats.is_conserved());
     }
 
     /// A `Write` target the test can read back after the pipeline

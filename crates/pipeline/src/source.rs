@@ -4,7 +4,7 @@ use std::io::Read;
 
 use eleph_packet::pcap::{PcapReader, RecordHeader};
 use eleph_packet::{parse_buf_meta, LinkType, PacketMeta};
-use eleph_trace::{FaultAction, FaultInjector, FaultStats, PacketSynth, RateTrace};
+use eleph_trace::{PacketSynth, RateTrace};
 
 /// Records decoded per [`PacketSource::next_chunk`] call on the pcap
 /// path: large enough to amortize the virtual call, small enough that
@@ -36,8 +36,8 @@ pub trait PacketSource {
 }
 
 /// A `&mut` source is a source: lets callers keep ownership across
-/// [`crate::Pipeline::run`] to read source-side state (fault counters,
-/// malformed totals) after the run.
+/// [`crate::Pipeline::run`] to read source-side state (the malformed
+/// total) after the run.
 impl<S: PacketSource + ?Sized> PacketSource for &mut S {
     fn next_chunk(&mut self, out: &mut Vec<PacketMeta>) -> eleph_packet::Result<usize> {
         (**self).next_chunk(out)
@@ -57,29 +57,10 @@ impl<S: PacketSource + ?Sized> PacketSource for &mut S {
 /// measurement. Packets that fail *packet* parsing (bad IPv4 header,
 /// truncated transport) are counted via [`PacketSource::malformed`] and
 /// skipped: offered, never binned.
-///
-/// [`PcapSource::with_faults`] puts a [`FaultInjector`] between the
-/// capture and the parser — the path `eleph run`'s `--fault-*` flags
-/// take for degraded-input drills: every record is copied and offered
-/// to the injector first, so drops vanish before parsing while
-/// corruption and truncation usually surface as malformed packets.
-/// Deterministic in the injector's seed: replaying the same capture with
-/// the same config reproduces the identical packet stream, which is what
-/// lets a checkpointed faulted run resume exactly (the resume replays
-/// the skipped records through a fresh injector, realigning its RNG
-/// stream).
 pub struct PcapSource<R: Read> {
     reader: PcapReader<R>,
     link: LinkType,
     malformed: u64,
-    faults: Option<Faults>,
-}
-
-/// The injector of a faulted [`PcapSource`] and the scratch buffer it
-/// mutates each record's copy in.
-struct Faults {
-    injector: FaultInjector,
-    buf: Vec<u8>,
 }
 
 impl<R: Read> PcapSource<R> {
@@ -91,14 +72,7 @@ impl<R: Read> PcapSource<R> {
             reader,
             link,
             malformed: 0,
-            faults: None,
         })
-    }
-
-    /// Open a pcap stream with fault injection.
-    pub fn with_faults(input: R, injector: FaultInjector) -> eleph_packet::Result<Self> {
-        let faults = Some(Faults { injector, buf: Vec::new() });
-        Ok(PcapSource { faults, ..Self::new(input)? })
     }
 
     /// The capture's link type.
@@ -106,64 +80,31 @@ impl<R: Read> PcapSource<R> {
         self.link
     }
 
-    /// What the injector did so far; `None` without one.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.faults.as_ref().map(|f| f.injector.stats())
-    }
-
-    /// The header of the next record as captured — before any injector
-    /// has seen it — which stays unread ([`PcapReader::peek_header`]);
-    /// `Ok(None)` at the end of the capture.
+    /// The header of the next record, which stays unread
+    /// ([`PcapReader::peek_header`]); `Ok(None)` at the end of the
+    /// capture.
     pub fn peek_header(&mut self) -> eleph_packet::Result<Option<RecordHeader>> {
         self.reader.peek_header()
     }
+}
 
-    /// The framing loop: records until [`SOURCE_CHUNK`] of them have
-    /// parsed or the capture ends. With `faults`, every record is copied
-    /// into the scratch buffer and offered to the injector first (it
-    /// mutates the bytes).
-    fn frame_chunk(
-        reader: &mut PcapReader<R>,
-        link: LinkType,
-        malformed: &mut u64,
-        mut faults: Option<&mut Faults>,
-        out: &mut Vec<PacketMeta>,
-    ) -> eleph_packet::Result<usize> {
+impl<R: Read> PacketSource for PcapSource<R> {
+    /// Records until `SOURCE_CHUNK` of them have parsed or the
+    /// capture ends.
+    fn next_chunk(&mut self, out: &mut Vec<PacketMeta>) -> eleph_packet::Result<usize> {
         let base = out.len();
-        while let Some((head, mut bytes)) = reader.next_record_ref()? {
-            if let Some(Faults { injector, buf }) = &mut faults {
-                buf.clear();
-                buf.extend_from_slice(bytes);
-                if injector.apply(buf) == FaultAction::Dropped {
-                    // Dropped before capture from the pipeline's
-                    // point of view: not offered, not malformed.
-                    continue;
-                }
-                bytes = buf;
-            }
-            match parse_buf_meta(link, bytes, &head) {
+        while let Some((head, bytes)) = self.reader.next_record_ref()? {
+            match parse_buf_meta(self.link, bytes, &head) {
                 Ok(meta) => {
                     out.push(meta);
                     if out.len() - base >= SOURCE_CHUNK {
                         break;
                     }
                 }
-                Err(_) => *malformed += 1,
+                Err(_) => self.malformed += 1,
             }
         }
         Ok(out.len() - base)
-    }
-}
-
-impl<R: Read> PacketSource for PcapSource<R> {
-    fn next_chunk(&mut self, out: &mut Vec<PacketMeta>) -> eleph_packet::Result<usize> {
-        let PcapSource { reader, link, malformed, faults } = self;
-        // A fault-free source calls the loop with a literal `None`, so the
-        // compiler can leave the injector's branch out of it.
-        match faults {
-            None => Self::frame_chunk(reader, *link, malformed, None, out),
-            Some(faults) => Self::frame_chunk(reader, *link, malformed, Some(faults), out),
-        }
     }
 
     fn malformed(&self) -> u64 {

@@ -28,10 +28,7 @@ use eleph_pipeline::{
     PcapSource, Pipeline, PipelineBuilder, PipelineError, PipelineReport, RotatingJsonlSink,
     TraceSource, MAX_WORKER_THREADS,
 };
-use eleph_trace::{
-    generate_churn, ChurnConfig, ChurnScenario, FaultConfig, FaultInjector, FaultStats, RateTrace,
-    WorkloadConfig,
-};
+use eleph_trace::{generate_churn, ChurnConfig, ChurnScenario, RateTrace, WorkloadConfig};
 
 use crate::experiments::{Experiment, Needs, EXPERIMENTS};
 use crate::{Lab, LabCounters, Need};
@@ -253,10 +250,6 @@ RUN OPTIONS (eleph run):
                                continues bit-identically to an
                                uninterrupted run. Falls back to a fresh
                                start when no checkpoint exists yet.
-    --fault-drop F             inject packet faults on the pcap path
-    --fault-corrupt F          (probabilities in [0,1]; counters appear
-    --fault-truncate F         in the end-of-run summary)
-    --fault-seed N             fault injector RNG seed (default 0)
 
 CHURN OPTIONS (eleph churn):
     --out FILE                 update-stream destination (default stdout)
@@ -285,9 +278,8 @@ SKETCH OPTIONS (eleph sketch):
 The end of a run prints one JSON summary line on stderr: intervals
 sealed, prefix count, every packet-accounting counter (offered,
 attributed, attributed_bytes, unroutable, out_of_window, malformed,
-late, conserved, far_future_streak), the routing-table generation and
-applied update-batch count, and the fault-injection counters (seen,
-dropped, corrupted, truncated), so degraded-input runs are visible
+late, conserved, far_future_streak) and the routing-table generation
+and applied update-batch count, so degraded-input runs are visible
 without grepping logs.
 ";
 
@@ -408,14 +400,6 @@ pub(crate) struct RunOpts {
     pub checkpoint_every: usize,
     /// Continue from the checkpoint in `checkpoint_dir`.
     pub resume: bool,
-    /// Fault-injection drop probability (pcap path only).
-    pub fault_drop: f64,
-    /// Fault-injection bit-flip probability (pcap path only).
-    pub fault_corrupt: f64,
-    /// Fault-injection truncation probability (pcap path only).
-    pub fault_truncate: f64,
-    /// Fault injector RNG seed.
-    pub fault_seed: u64,
 }
 
 impl Default for RunOpts {
@@ -446,10 +430,6 @@ impl Default for RunOpts {
             checkpoint_dir: None,
             checkpoint_every: 1,
             resume: false,
-            fault_drop: 0.0,
-            fault_corrupt: 0.0,
-            fault_truncate: 0.0,
-            fault_seed: 0,
         }
     }
 }
@@ -495,10 +475,6 @@ impl RunOpts {
                     cadence_given = true;
                 }
                 "--resume" => o.resume = true,
-                "--fault-drop" => o.fault_drop = args.value(flag, "a probability")?,
-                "--fault-corrupt" => o.fault_corrupt = args.value(flag, "a probability")?,
-                "--fault-truncate" => o.fault_truncate = args.value(flag, "a probability")?,
-                "--fault-seed" => o.fault_seed = args.value(flag, "an integer")?,
                 other => return usage(format!("unknown argument {other}")),
             }
         }
@@ -555,15 +531,6 @@ impl RunOpts {
         if cadence_given && o.checkpoint_dir.is_none() {
             return usage("--checkpoint-every needs --checkpoint-dir DIR (where the snapshots go)");
         }
-        if o.wants_faults() && o.pcap.is_none() {
-            return usage("--fault-* flags apply to the pcap path only");
-        }
-        // The injector's own check, which would otherwise fail the run
-        // once the table is built; its message names the field.
-        if let Err(why) = o.fault_config().validate() {
-            let flag = ["drop", "corrupt", "truncate"].into_iter().find(|f| why.starts_with(f));
-            return usage(format!("--fault-{}: {why}", flag.unwrap_or("drop")));
-        }
         if o.state != "exact" && o.shards > 0 {
             return usage(format!(
                 "--state {} is incompatible with --shards (sketch backends run serially: \
@@ -584,21 +551,6 @@ impl RunOpts {
     /// 60 for a synthetic workload and 300 for a capture.
     pub fn interval_secs(&self) -> u64 {
         self.interval_secs.unwrap_or(if self.synth { 60 } else { 300 })
-    }
-
-    /// Whether any fault-injection probability is non-zero.
-    pub fn wants_faults(&self) -> bool {
-        self.fault_drop != 0.0 || self.fault_corrupt != 0.0 || self.fault_truncate != 0.0
-    }
-
-    /// The configured fault injector settings.
-    pub fn fault_config(&self) -> FaultConfig {
-        FaultConfig {
-            drop_prob: self.fault_drop,
-            corrupt_prob: self.fault_corrupt,
-            truncate_prob: self.fault_truncate,
-            seed: self.fault_seed,
-        }
     }
 
     /// The configured detector, chosen at runtime.
@@ -796,31 +748,22 @@ fn stream(
     };
 
     let started = std::time::Instant::now();
-    let (report, fault_stats) = if let Some((file, path)) = pcap {
+    let report = if let Some((file, path)) = pcap {
         // The capture is opened once (it may be a pipe): the window's
         // anchor is peeked from the source the run then reads.
         let input = format!("--pcap {path}");
         let map_src = |e: eleph_packet::PacketError| io::Error::other(format!("{input}: {e}"));
-        let mut source = if opts.wants_faults() {
-            let injector = FaultInjector::try_new(opts.fault_config())
-                .map_err(io::Error::other)?;
-            PcapSource::with_faults(file, injector)
-        } else {
-            PcapSource::new(file)
-        }
-        .map_err(map_src)?;
+        let mut source = PcapSource::new(file).map_err(map_src)?;
         let builder = pcap_window(opts, builder, || source.peek_header()).map_err(map_src)?;
-        let report = drive(builder, &mut source, &input, ckpt.as_ref(), checkpointer.as_mut())?;
-        (report, source.fault_stats())
+        drive(builder, source, &input, ckpt.as_ref(), checkpointer.as_mut())?
     } else {
         let trace = trace.expect("generated above under --synth");
         let builder = builder
             .interval_secs(trace.config.interval_secs)
             .start_unix(trace.config.start_unix)
             .n_intervals(trace.config.n_intervals);
-        let mut source = TraceSource::new(&trace);
-        let report = drive(builder, &mut source, "--synth", ckpt.as_ref(), checkpointer.as_mut())?;
-        (report, None)
+        let source = TraceSource::new(&trace);
+        drive(builder, source, "--synth", ckpt.as_ref(), checkpointer.as_mut())?
     };
 
     let setup = started.duration_since(entered).as_secs_f64();
@@ -828,22 +771,19 @@ fn stream(
     let written = checkpointer.as_ref().map(Checkpointer::written);
     eprintln!(
         "{}",
-        summary_json(opts, &report, ckpt.is_some(), written, fault_stats, setup, elapsed)
+        summary_json(opts, &report, ckpt.is_some(), written, setup, elapsed)
     );
     Ok(())
 }
 
 /// Build the pipeline (fresh or resumed), replay past the checkpoint's
 /// consumed records, and run it to completion — the shared tail of every
-/// `eleph run` source/configuration combination.
-///
-/// Takes the source by `&mut` so the caller keeps ownership and can read
-/// source-side state (fault counters) after the run. A source that fails
+/// `eleph run` source/configuration combination. A source that fails
 /// mid-stream is named by `input` (`--pcap PATH`), as one that fails to
 /// open is.
 fn drive<D: ThresholdDetector, S: PacketSource>(
     builder: PipelineBuilder<'_, D>,
-    source: &mut S,
+    mut source: S,
     input: &str,
     ckpt: Option<&Checkpoint>,
     checkpointer: Option<&mut Checkpointer>,
@@ -863,16 +803,16 @@ fn drive<D: ThresholdDetector, S: PacketSource>(
         // checkpoint's consumed-record count (parsed + malformed, both
         // already folded into `offered`) realigns the stream with the
         // restored classifier state.
-        skip_offered(&mut *source, c.offered()).map_err(named)?;
+        skip_offered(&mut source, c.offered()).map_err(named)?;
     }
     match checkpointer {
-        Some(ck) => pipeline.run_checkpointed(&mut *source, ck).map_err(|e| match e {
+        Some(ck) => pipeline.run_checkpointed(source, ck).map_err(|e| match e {
             PipelineError::Checkpoint(_) => {
                 io::Error::other(format!("{}: {e}", ck.path().display()))
             }
             e => named(e),
         }),
-        None => pipeline.run(&mut *source).map_err(named),
+        None => pipeline.run(source).map_err(named),
     }?;
     pipeline.finish().map_err(named)
 }
@@ -886,15 +826,13 @@ fn drive<D: ThresholdDetector, S: PacketSource>(
 /// disk (image and log append), the bytes all of them did (compactions
 /// included) and how many compactions there were, the seconds the
 /// writer thread spent building images and putting them on disk, and
-/// the seconds the packet thread spent waiting for it — and
-/// (when fault injection is on) the injector's counters:
+/// the seconds the packet thread spent waiting for it:
 /// machine-checkable run health at a glance.
 fn summary_json(
     opts: &RunOpts,
     report: &PipelineReport,
     resumed: bool,
     checkpoints: Option<CheckpointsWritten>,
-    fault_stats: Option<FaultStats>,
     setup_secs: f64,
     elapsed_secs: f64,
 ) -> String {
@@ -968,12 +906,6 @@ fn summary_json(
             clamp(w.encode_secs),
             clamp(w.io_secs),
             clamp(w.wait_secs),
-        ));
-    }
-    if let Some(f) = fault_stats {
-        line.push_str(&format!(
-            ",\"fault\":{{\"seen\":{},\"dropped\":{},\"corrupted\":{},\"truncated\":{}}}",
-            f.seen, f.dropped, f.corrupted, f.truncated
         ));
     }
     line.push_str("}}");
@@ -1173,8 +1105,7 @@ fn open_input<'p>(
 
 /// The window of a pcap run: [`RunOpts::interval_secs`],
 /// `--intervals`, and `--start-unix` or, without it, the interval start
-/// of the capture's first record, whose header `first` returns as
-/// captured, before any fault injection.
+/// of the capture's first record, whose header `first` returns.
 ///
 /// Real captures carry epoch timestamps, and starting at 0 would make
 /// the pipeline seal decades of empty intervals before the first real
@@ -1408,7 +1339,7 @@ mod tests {
                     wait_secs: elapsed,
                 };
                 let line =
-                    summary_json(&opts, &report(), false, Some(written), None, setup, elapsed);
+                    summary_json(&opts, &report(), false, Some(written), setup, elapsed);
                 parse_json(&line)
                     .unwrap_or_else(|e| panic!("setup={setup} elapsed={elapsed}: {e}\n{line}"));
                 let wait = if elapsed.is_finite() && elapsed > 0.0 { elapsed } else { 0.0 };
@@ -1425,7 +1356,7 @@ mod tests {
             compactions: 2,
             ..Default::default()
         };
-        let line = summary_json(&opts, &report(), false, Some(written), None, 0.125, 0.0);
+        let line = summary_json(&opts, &report(), false, Some(written), 0.125, 0.0);
         assert!(
             line.contains(
                 "\"checkpoint_dir\":\"ck\\\"pt\\\\run\\u001b\\u0000\",\"checkpoint_every\":1,\
@@ -1450,7 +1381,7 @@ mod tests {
         assert!(line.contains("\"state_bytes\":1048576"));
         // Without --checkpoint-dir none of the nine fields appears.
         let plain = RunOpts { synth: true, ..RunOpts::default() };
-        let bare = summary_json(&plain, &report(), false, None, None, 0.125, 0.0);
+        let bare = summary_json(&plain, &report(), false, None, 0.125, 0.0);
         assert!(!bare.contains("checkpoint"), "{bare}");
         parse_json(&bare).expect("strict JSON");
     }
@@ -1545,10 +1476,11 @@ mod tests {
             ("run --synth --gamma NaN", "--gamma NaN: parameter gamma"),
             ("run --synth --flows 500 --prefixes 100", "--flows 500 --prefixes 100: each"),
             ("run --synth --prefixes 0", "--flows 400 --prefixes 0: each"),
-            ("run --synth --fault-drop 0.1", "pcap path only"),
-            ("run --pcap c.pcap --fault-drop 1.5", "--fault-drop: drop_prob must be a probability"),
-            ("run --pcap c.pcap --fault-corrupt NaN", "--fault-corrupt: corrupt_prob must be"),
-            ("run --pcap c.pcap --fault-truncate -1", "--fault-truncate: truncate_prob must be"),
+            ("run --synth --fault-drop 0.1", "unknown argument --fault-drop"),
+            ("run --pcap c.pcap --fault-drop 1.5", "unknown argument --fault-drop"),
+            ("run --pcap c.pcap --fault-corrupt NaN", "unknown argument --fault-corrupt"),
+            ("run --pcap c.pcap --fault-truncate -1", "unknown argument --fault-truncate"),
+            ("run --pcap c.pcap --fault-seed 3", "unknown argument --fault-seed"),
             ("run", "exactly one of --pcap FILE or --synth"),
             ("run --synth --pcap c.pcap", "exactly one of --pcap FILE or --synth"),
             ("run --synth --resume --out o.jsonl", "--resume needs --checkpoint-dir"),

@@ -72,10 +72,14 @@ fn usage_errors_exit_2_without_a_panic() {
             "`eleph {line}`: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "`eleph {line}`: {stderr}");
-        // The pooled ingest path is gone: its flag is an unknown one.
-        if line.contains("--ingest-workers") {
+        // The pooled ingest path and the fault injector are gone: the
+        // first of their flags is an unknown argument.
+        let gone = line
+            .split_whitespace()
+            .find(|w| w.starts_with("--ingest-") || w.starts_with("--fault-"));
+        if let Some(flag) = gone {
             assert!(
-                stderr.contains("unknown argument --ingest-workers"),
+                stderr.contains(&format!("unknown argument {flag}")),
                 "`eleph {line}`: {stderr}"
             );
         }

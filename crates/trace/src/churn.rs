@@ -1,13 +1,6 @@
-//! Fault injection for raw packet streams and the routing control
-//! plane.
-//!
-//! Mirrors the fault-injection options of smoltcp's examples
-//! (`--drop-chance`, `--corrupt-chance`, …): measurement infrastructure
-//! must account for damaged input rather than crash or silently
-//! miscount, and the robustness tests drive the pipeline through this
-//! injector to prove it. [`generate_churn`] extends the same idea to
-//! the routing table: deterministic announce/withdraw storms and
-//! flap-damping scenarios stress mid-stream re-attribution.
+//! Route churn for the routing control plane: deterministic
+//! announce/withdraw storms and flap-damping scenarios that stress
+//! mid-stream re-attribution ([`generate_churn`]).
 
 use eleph_bgp::{BgpTable, RouteEntry, RouteUpdate, UpdateBatch};
 use rand::rngs::StdRng;
@@ -15,128 +8,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 use crate::mix64;
-
-/// Probabilities for each fault class, evaluated independently per
-/// packet in the order drop → corrupt → truncate.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultConfig {
-    /// Probability the packet is dropped entirely.
-    pub drop_prob: f64,
-    /// Probability one random bit is flipped.
-    pub corrupt_prob: f64,
-    /// Probability the packet is truncated to a random shorter length.
-    pub truncate_prob: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl FaultConfig {
-    /// No faults at all.
-    pub fn none() -> Self {
-        FaultConfig {
-            drop_prob: 0.0,
-            corrupt_prob: 0.0,
-            truncate_prob: 0.0,
-            seed: 0,
-        }
-    }
-
-    /// Check every probability is a real number in [0, 1].
-    ///
-    /// `gen_bool`-style sampling silently misbehaves on NaN or
-    /// out-of-range values, so a config is rejected up front with the
-    /// offending field named.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, p) in [
-            ("drop_prob", self.drop_prob),
-            ("corrupt_prob", self.corrupt_prob),
-            ("truncate_prob", self.truncate_prob),
-        ] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("{name} must be a probability in [0, 1], got {p}"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Counters for what the injector did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Packets offered to the injector.
-    pub seen: u64,
-    /// Packets dropped.
-    pub dropped: u64,
-    /// Packets with a bit flipped.
-    pub corrupted: u64,
-    /// Packets truncated.
-    pub truncated: u64,
-}
-
-/// What happened to a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Packet continues (possibly mutated).
-    Forwarded,
-    /// Packet is gone; the caller must not process it.
-    Dropped,
-}
-
-/// Stateful fault injector.
-#[derive(Debug)]
-pub struct FaultInjector {
-    config: FaultConfig,
-    rng: StdRng,
-    stats: FaultStats,
-}
-
-impl FaultInjector {
-    /// Create an injector; deterministic in `config.seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a probability is NaN or outside [0, 1] (see
-    /// [`FaultInjector::try_new`] for the non-panicking form).
-    pub fn new(config: FaultConfig) -> Self {
-        Self::try_new(config).unwrap_or_else(|e| panic!("invalid fault config: {e}"))
-    }
-
-    /// Create an injector, rejecting NaN / out-of-range probabilities.
-    pub fn try_new(config: FaultConfig) -> Result<Self, String> {
-        config.validate()?;
-        Ok(FaultInjector {
-            rng: StdRng::seed_from_u64(config.seed),
-            config,
-            stats: FaultStats::default(),
-        })
-    }
-
-    /// Apply faults to one packet in place.
-    pub fn apply(&mut self, packet: &mut Vec<u8>) -> FaultAction {
-        self.stats.seen += 1;
-        if self.rng.gen::<f64>() < self.config.drop_prob {
-            self.stats.dropped += 1;
-            return FaultAction::Dropped;
-        }
-        if !packet.is_empty() && self.rng.gen::<f64>() < self.config.corrupt_prob {
-            let idx = self.rng.gen_range(0..packet.len());
-            let bit = self.rng.gen_range(0..8u8);
-            packet[idx] ^= 1 << bit;
-            self.stats.corrupted += 1;
-        }
-        if packet.len() > 1 && self.rng.gen::<f64>() < self.config.truncate_prob {
-            let keep = self.rng.gen_range(1..packet.len());
-            packet.truncate(keep);
-            self.stats.truncated += 1;
-        }
-        FaultAction::Forwarded
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
-    }
-}
 
 /// One route-churn stress scenario, applied to prefixes sampled
 /// deterministically from the routing table.
@@ -246,144 +117,6 @@ fn sample<'e>(entries: &'e [RouteEntry], count: usize, rng: &mut StdRng) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn packet() -> Vec<u8> {
-        (0u8..64).collect()
-    }
-
-    #[test]
-    fn no_faults_is_identity() {
-        let mut inj = FaultInjector::new(FaultConfig::none());
-        for _ in 0..100 {
-            let mut p = packet();
-            assert_eq!(inj.apply(&mut p), FaultAction::Forwarded);
-            assert_eq!(p, packet());
-        }
-        assert_eq!(
-            inj.stats(),
-            FaultStats {
-                seen: 100,
-                ..Default::default()
-            }
-        );
-    }
-
-    #[test]
-    fn drop_rate_approximates_probability() {
-        let mut inj = FaultInjector::new(FaultConfig {
-            drop_prob: 0.3,
-            corrupt_prob: 0.0,
-            truncate_prob: 0.0,
-            seed: 5,
-        });
-        let mut dropped = 0;
-        for _ in 0..10_000 {
-            let mut p = packet();
-            if inj.apply(&mut p) == FaultAction::Dropped {
-                dropped += 1;
-            }
-        }
-        let rate = dropped as f64 / 10_000.0;
-        assert!((rate - 0.3).abs() < 0.02, "drop rate {rate}");
-        assert_eq!(inj.stats().dropped, dropped);
-    }
-
-    #[test]
-    fn corruption_flips_exactly_one_bit() {
-        let mut inj = FaultInjector::new(FaultConfig {
-            drop_prob: 0.0,
-            corrupt_prob: 1.0,
-            truncate_prob: 0.0,
-            seed: 6,
-        });
-        for _ in 0..100 {
-            let mut p = packet();
-            assert_eq!(inj.apply(&mut p), FaultAction::Forwarded);
-            let diff_bits: u32 = p
-                .iter()
-                .zip(packet())
-                .map(|(a, b)| (a ^ b).count_ones())
-                .sum();
-            assert_eq!(diff_bits, 1);
-        }
-        assert_eq!(inj.stats().corrupted, 100);
-    }
-
-    #[test]
-    fn truncation_shortens_but_never_empties() {
-        let mut inj = FaultInjector::new(FaultConfig {
-            drop_prob: 0.0,
-            corrupt_prob: 0.0,
-            truncate_prob: 1.0,
-            seed: 7,
-        });
-        for _ in 0..100 {
-            let mut p = packet();
-            inj.apply(&mut p);
-            assert!(!p.is_empty());
-            assert!(p.len() < 64);
-        }
-        assert_eq!(inj.stats().truncated, 100);
-    }
-
-    #[test]
-    fn deterministic_in_seed() {
-        let run = || {
-            let mut inj = FaultInjector::new(FaultConfig {
-                drop_prob: 0.2,
-                corrupt_prob: 0.2,
-                truncate_prob: 0.2,
-                seed: 42,
-            });
-            let mut out = Vec::new();
-            for _ in 0..200 {
-                let mut p = packet();
-                let act = inj.apply(&mut p);
-                out.push((act, p));
-            }
-            (out, inj.stats())
-        };
-        let (a, sa) = run();
-        let (b, sb) = run();
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn bad_probabilities_are_rejected() {
-        for bad in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
-            let config = FaultConfig {
-                drop_prob: bad,
-                ..FaultConfig::none()
-            };
-            let err = FaultInjector::try_new(config).unwrap_err();
-            assert!(err.contains("drop_prob"), "error names the field: {err}");
-        }
-        let config = FaultConfig {
-            truncate_prob: 2.0,
-            ..FaultConfig::none()
-        };
-        assert!(FaultInjector::try_new(config).unwrap_err().contains("truncate_prob"));
-        // Boundary values are legal.
-        for p in [0.0, 1.0] {
-            let config = FaultConfig {
-                drop_prob: p,
-                corrupt_prob: p,
-                truncate_prob: p,
-                ..FaultConfig::none()
-            };
-            assert!(FaultInjector::try_new(config).is_ok());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid fault config")]
-    fn new_panics_on_nan() {
-        let _ = FaultInjector::new(FaultConfig {
-            corrupt_prob: f64::NAN,
-            ..FaultConfig::none()
-        });
-    }
 
     fn churn_table() -> BgpTable {
         use eleph_bgp::{Origin, PeerClass};
@@ -509,19 +242,5 @@ mod tests {
         // Every scenario re-announces what it withdraws, so the live
         // route count ends where it started.
         assert_eq!(live.len(), table.len());
-    }
-
-    #[test]
-    fn empty_packet_never_panics() {
-        let mut inj = FaultInjector::new(FaultConfig {
-            drop_prob: 0.1,
-            corrupt_prob: 0.9,
-            truncate_prob: 0.9,
-            seed: 9,
-        });
-        for _ in 0..50 {
-            let mut p = Vec::new();
-            let _ = inj.apply(&mut p);
-        }
     }
 }

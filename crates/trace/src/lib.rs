@@ -32,28 +32,23 @@
 //!   files) whose aggregation reproduces the rate-level trace. An
 //!   integration test pins that equivalence.
 //!
-//! A [`FaultInjector`] mutates raw packet streams (drop / corrupt /
-//! truncate) for robustness testing, in the spirit of smoltcp's fault
-//! injection options, and [`generate_churn`] produces deterministic
-//! route announce/withdraw storms and flap-damping scenarios for
-//! stressing mid-stream re-attribution.
+//! [`generate_churn`] produces deterministic route announce/withdraw
+//! storms and flap-damping scenarios for stressing mid-stream
+//! re-attribution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod churn;
 mod config;
 mod diurnal;
-mod fault;
 mod flows;
 mod packets;
 mod rate;
 
+pub use churn::{generate_churn, ChurnConfig, ChurnScenario};
 pub use config::{LinkSpec, WorkloadConfig};
 pub use diurnal::{DiurnalProfile, GaussianPeak};
-pub use fault::{
-    generate_churn, ChurnConfig, ChurnScenario, FaultAction, FaultConfig, FaultInjector,
-    FaultStats,
-};
 pub use flows::{FlowId, FlowKind, FlowMeta, FlowPopulation};
 pub use packets::{PacketMix, PacketSynth};
 pub use rate::RateTrace;

@@ -4,31 +4,18 @@
 //! Unlike the figure experiments (which run at rate level for speed),
 //! this exercises the full packet machinery: pcap file I/O, IPv4/TCP
 //! parsing with checksums, longest-prefix-match attribution, streaming
-//! interval sealing and online classification — plus optional fault
-//! injection between "capture" and "analysis", in the spirit of
-//! smoltcp's example flags:
+//! interval sealing and online classification:
 //!
 //! ```sh
 //! cargo run -p eleph-tests --example link_report
-//! cargo run -p eleph-tests --example link_report -- --drop 0.05 --corrupt 0.02
 //! ```
-//!
-//! Because the faults mutate *raw* packet bytes, the stream goes in
-//! through [`eleph_pipeline::Pipeline::observe_raw`], which re-parses
-//! each packet (including the IPv4 header checksum) so injected
-//! corruption is counted as malformed instead of being attributed to a
-//! possibly-wrong prefix.
 
 use eleph_bgp::synth::{self, SynthConfig};
 use eleph_core::{ConstantLoadDetector, Scheme, PAPER_GAMMA};
-use eleph_packet::pcap::PcapReader;
-use eleph_packet::LinkType;
-use eleph_pipeline::{Collector, PipelineBuilder};
-use eleph_trace::{FaultConfig, FaultInjector, PacketSynth, RateTrace, WorkloadConfig};
+use eleph_pipeline::{Collector, PcapSource, PipelineBuilder};
+use eleph_trace::{PacketSynth, RateTrace, WorkloadConfig};
 
 fn main() {
-    let (drop_p, corrupt_p) = parse_args();
-
     // A small link so the packet volume stays example-sized.
     let table = synth::generate(&SynthConfig {
         n_prefixes: 3_000,
@@ -59,14 +46,7 @@ fn main() {
         pcap_bytes.len() as f64 / (1024.0 * 1024.0)
     );
 
-    // --- 2. Stream it back through the online pipeline, with faults
-    //        injected between "capture" and "analysis". ------------------
-    let mut injector = FaultInjector::new(FaultConfig {
-        drop_prob: drop_p,
-        corrupt_prob: corrupt_p,
-        truncate_prob: 0.0,
-        seed: 99,
-    });
+    // --- 2. Stream it back through the online pipeline. ---------------
     let collector = Collector::new();
     let mut pipeline = PipelineBuilder::new()
         .table(&table)
@@ -79,18 +59,10 @@ fn main() {
         .sink(collector.sink())
         .build();
 
-    let mut reader = PcapReader::new(&pcap_bytes[..]).expect("valid pcap header");
-    let link = LinkType::from_code(reader.header().linktype).expect("known linktype");
-    while let Some((head, bytes)) = reader.next_record_ref().expect("records parse") {
-        let mut data = bytes.to_vec();
-        if injector.apply(&mut data) == eleph_trace::FaultAction::Dropped {
-            continue;
-        }
-        pipeline
-            .observe_raw(link, &data, head.ts_ns)
-            .expect("sinks accept intervals");
-    }
-    let fstats = injector.stats();
+    let source = PcapSource::new(&pcap_bytes[..]).expect("valid pcap header");
+    pipeline
+        .run(source)
+        .expect("records parse and sinks accept intervals");
     let report = pipeline.finish().expect("pipeline finish");
     let stats = report.stats;
     println!(
@@ -101,12 +73,6 @@ fn main() {
         stats.unroutable,
         stats.is_conserved(),
     );
-    if fstats.dropped + fstats.corrupted > 0 {
-        println!(
-            "fault injector: {} dropped, {} corrupted of {} seen",
-            fstats.dropped, fstats.corrupted, fstats.seen
-        );
-    }
 
     // --- 3. Report per interval — classification already happened
     //        online, interval by interval, as the stream crossed each
@@ -125,25 +91,4 @@ fn main() {
             100.0 * o.fraction(),
         );
     }
-}
-
-fn parse_args() -> (f64, f64) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut drop_p = 0.0;
-    let mut corrupt_p = 0.0;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--drop" if i + 1 < args.len() => {
-                drop_p = args[i + 1].parse().expect("--drop takes a probability");
-                i += 2;
-            }
-            "--corrupt" if i + 1 < args.len() => {
-                corrupt_p = args[i + 1].parse().expect("--corrupt takes a probability");
-                i += 2;
-            }
-            other => panic!("unknown argument {other}; supported: --drop P --corrupt P"),
-        }
-    }
-    (drop_p, corrupt_p)
 }

@@ -218,7 +218,7 @@ cargo test -q -p eleph-tests --test model
 echo "== examples build + packet-path smoke runs =="
 cargo build --release -p eleph-tests --examples
 cargo run -q --release -p eleph-tests --example quickstart > /dev/null
-cargo run -q --release -p eleph-tests --example link_report -- --drop 0.02 > /dev/null
+cargo run -q --release -p eleph-tests --example link_report > /dev/null
 
 echo "== eleph run: tiny synthetic workload to JSONL =="
 tmpdir=$(mktemp -d)

@@ -12,9 +12,12 @@ use std::sync::{Arc, Mutex};
 
 use eleph_bgp::synth::{self, SynthConfig};
 use eleph_bgp::BgpTable;
+use eleph_packet::pcap::{PcapReader, PcapWriter};
 use eleph_packet::PacketMeta;
 use eleph_pipeline::PacketSource;
 use eleph_trace::{LinkSpec, PacketSynth, RateTrace, WorkloadConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A `Write` handle a test can read back after the pipeline, which owns
 /// its sinks by value, is done with it.
@@ -114,6 +117,37 @@ pub fn capture_of(trace: &RateTrace) -> Vec<u8> {
         .write_pcap(0..trace.n_intervals(), &mut pcap)
         .expect("pcap synthesis");
     pcap
+}
+
+/// `pcap` rewritten as a damaged capture: from `seed`, each record is,
+/// with probability `rate`, dropped, given one flipped bit, or cut short
+/// (its captured length, never its original length) — one of the three,
+/// equally likely. Returns the damaged capture and the records it holds.
+pub fn damaged(pcap: &[u8], seed: u64, rate: f64) -> (Vec<u8>, u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut reader = PcapReader::new(pcap).expect("a capture");
+    let h = reader.header();
+    let mut writer = PcapWriter::with_options(Vec::new(), h.linktype, h.resolution, h.snaplen)
+        .expect("pcap header");
+    while let Some((head, bytes)) = reader.next_record_ref().expect("whole records") {
+        let mut data = bytes.to_vec();
+        if rng.gen_bool(rate) {
+            match rng.gen_range(0..3u8) {
+                0 => continue,
+                1 if !data.is_empty() => {
+                    let bit = rng.gen_range(0..data.len() * 8);
+                    data[bit / 8] ^= 1 << (bit % 8);
+                }
+                2 if !data.is_empty() => data.truncate(rng.gen_range(0..data.len())),
+                _ => {}
+            }
+        }
+        writer
+            .write_record(head.ts_ns, head.orig_len, &data)
+            .expect("write record");
+    }
+    let kept = writer.records_written();
+    (writer.finish().expect("flush"), kept)
 }
 
 /// A source that ends after every chunk of `inner` it hands out, once,

@@ -9,7 +9,10 @@
 //! `.live(&LiveBgpTable::from_table(..))` produce from the same files —
 //! including a dump whose lines are out of order and repeat a prefix —
 //! and a `--resume` from a mid-run checkpoint has to finish on the same
-//! bytes.
+//! bytes. Each check runs on the capture and on a damaged copy of it
+//! (records dropped, bits flipped, captured lengths cut), whose
+//! malformed records a resume must skip as the uninterrupted run read
+//! them.
 
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
@@ -21,13 +24,15 @@ use eleph_pipeline::{
     Checkpoint, Checkpointer, PcapSource, PipelineBuilder, RotatingJsonlSink, CHECKPOINT_FILE,
 };
 use eleph_report::cli::run_streaming;
-use eleph_tests::dir_files;
+use eleph_tests::{damaged, dir_files};
 use eleph_trace::{
     generate_churn, ChurnConfig, ChurnScenario, PacketSynth, RateTrace, WorkloadConfig,
 };
 
 const T: u64 = 20;
 const N: usize = 6;
+/// The capture, then its damaged copy.
+const CAPTURES: [&str; 2] = ["c.pcap", "d.pcap"];
 
 struct Inputs {
     dir: PathBuf,
@@ -44,8 +49,9 @@ impl Inputs {
     }
 }
 
-/// A small table, a capture generated against it and a churn schedule
-/// inside the capture's window, as files in a fresh directory.
+/// A small table, a capture generated against it, a damaged copy of the
+/// capture and a churn schedule inside the capture's window, as files in
+/// a fresh directory.
 fn inputs(tag: &str) -> Inputs {
     let dir = std::env::temp_dir().join(format!("eleph-cli-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -75,6 +81,7 @@ fn inputs(tag: &str) -> Inputs {
     PacketSynth::new(&trace)
         .write_pcap(0..N, &mut pcap)
         .expect("pcap synthesis");
+    fs::write(inputs.path("d.pcap"), damaged(&pcap, 5, 0.3).0).expect("write damaged capture");
     fs::write(inputs.path("c.pcap"), pcap).expect("write capture");
 
     // The dump, made hard: route lines in descending order, then the
@@ -123,10 +130,10 @@ fn inputs(tag: &str) -> Inputs {
     inputs
 }
 
-fn cli(inputs: &Inputs, out: &str, extra: &[&str]) {
+fn cli(inputs: &Inputs, pcap: &str, out: &str, extra: &[&str]) {
     let mut args: Vec<String> = [
         "--pcap",
-        &inputs.path("c.pcap"),
+        &inputs.path(pcap),
         "--rib",
         &inputs.path("c.rib"),
         "--interval-secs",
@@ -159,34 +166,43 @@ fn window<'t>(inputs: &Inputs) -> PipelineBuilder<'t, eleph_core::ConstantLoadDe
         .n_intervals(N)
 }
 
-fn capture(inputs: &Inputs) -> PcapSource<File> {
-    PcapSource::new(File::open(inputs.path("c.pcap")).expect("open capture")).expect("valid pcap")
+fn capture(inputs: &Inputs, pcap: &str) -> PcapSource<File> {
+    PcapSource::new(File::open(inputs.path(pcap)).expect("open capture")).expect("valid pcap")
+}
+
+/// The damaged capture reads as damaged.
+fn check_damage(pcap: &str, stats: &eleph_pipeline::PipelineStats) {
+    assert_eq!(pcap == "d.pcap", stats.malformed > 0, "{pcap}: {stats:?}");
 }
 
 #[test]
 fn static_rib_matches_the_library_path() {
     let inputs = inputs("static");
-    cli(&inputs, "cli.jsonl", &[]);
-
     let table = read_dump(File::open(inputs.path("c.rib")).expect("open rib")).expect("valid rib");
-    let mut pipeline = window(&inputs)
-        .table(&table)
-        .sink(RotatingJsonlSink::create(inputs.path("lib.jsonl"), None).expect("create sink"))
-        .build();
-    pipeline.run(capture(&inputs)).expect("library run");
-    let report = pipeline.finish().expect("finish");
+    for pcap in CAPTURES {
+        let (cli_out, lib_out) = (format!("{pcap}.cli.jsonl"), format!("{pcap}.lib.jsonl"));
+        cli(&inputs, pcap, &cli_out, &[]);
 
-    assert_eq!(lines(&inputs.path("cli.jsonl")), N);
-    assert!(
-        report.stats.attributed > 0 && report.stats.unroutable == 0,
-        "{:?}",
-        report.stats
-    );
-    assert_eq!(
-        fs::read(inputs.path("cli.jsonl")).unwrap(),
-        fs::read(inputs.path("lib.jsonl")).unwrap(),
-        "eleph run --pcap --rib diverges from PipelineBuilder::table(&read_dump(..))"
-    );
+        let mut pipeline = window(&inputs)
+            .table(&table)
+            .sink(RotatingJsonlSink::create(inputs.path(&lib_out), None).expect("create sink"))
+            .build();
+        pipeline.run(capture(&inputs, pcap)).expect("library run");
+        let report = pipeline.finish().expect("finish");
+
+        assert_eq!(lines(&inputs.path(&cli_out)), N);
+        assert!(
+            report.stats.attributed > 0 && report.stats.unroutable == 0,
+            "{pcap}: {:?}",
+            report.stats
+        );
+        check_damage(pcap, &report.stats);
+        assert_eq!(
+            fs::read(inputs.path(&cli_out)).unwrap(),
+            fs::read(inputs.path(&lib_out)).unwrap(),
+            "{pcap}: eleph run --pcap --rib diverges from PipelineBuilder::table(&read_dump(..))"
+        );
+    }
     fs::remove_dir_all(&inputs.dir).ok();
 }
 
@@ -205,65 +221,89 @@ fn live_rib_matches_the_library_path_and_resumes_onto_the_same_bytes() {
         ]
         .map(str::to_string)
     };
-    let args = live_args(&inputs.path("ck_cli"), "1");
-    cli(&inputs, "cli.jsonl", &args.each_ref().map(String::as_str));
-
     let table = read_dump(File::open(inputs.path("c.rib")).expect("open rib")).expect("valid rib");
-    let live = LiveBgpTable::from_table(&table);
     let schedule = read_updates(File::open(&churn).expect("open churn")).expect("valid churn");
     assert!(!schedule.is_empty());
-    let mut pipeline = window(&inputs)
-        .live(&live)
-        .route_updates(schedule)
-        .sink(RotatingJsonlSink::create(inputs.path("lib.jsonl"), None).expect("create sink"))
-        .build();
-    let mut checkpointer = Checkpointer::new(inputs.path("ck_lib"), 1).expect("checkpoint dir");
-    pipeline
-        .run_checkpointed(capture(&inputs), &mut checkpointer)
-        .expect("library run");
-    let report = pipeline.finish().expect("finish");
-    assert!(
-        report.route_updates_applied > 0,
-        "the schedule fell outside the capture"
-    );
+    for pcap in CAPTURES {
+        let name = |what: &str| format!("{pcap}.{what}");
+        let args = live_args(&inputs.path(&name("ck_cli")), "1");
+        cli(
+            &inputs,
+            pcap,
+            &name("cli.jsonl"),
+            &args.each_ref().map(String::as_str),
+        );
 
-    let reference = fs::read(inputs.path("lib.jsonl")).unwrap();
-    assert_eq!(
-        fs::read(inputs.path("cli.jsonl")).unwrap(),
-        reference,
-        "eleph run --rib-updates diverges from PipelineBuilder::live(&from_table(..))"
-    );
-    let ckpt = |dir: &str| Path::new(&inputs.path(dir)).join(CHECKPOINT_FILE);
-    // The image and the log it names, file for file.
-    let files = |dir: &str| dir_files(Path::new(&inputs.path(dir)));
-    assert!(
-        files("ck_cli") == files("ck_lib"),
-        "checkpoint files (route ids, key ids, config fingerprint) differ"
-    );
+        let live = LiveBgpTable::from_table(&table);
+        let mut pipeline = window(&inputs)
+            .live(&live)
+            .route_updates(schedule.clone())
+            .sink(
+                RotatingJsonlSink::create(inputs.path(&name("lib.jsonl")), None)
+                    .expect("create sink"),
+            )
+            .build();
+        let mut checkpointer =
+            Checkpointer::new(inputs.path(&name("ck_lib")), 1).expect("checkpoint dir");
+        pipeline
+            .run_checkpointed(capture(&inputs, pcap), &mut checkpointer)
+            .expect("library run");
+        let report = pipeline.finish().expect("finish");
+        assert!(
+            report.route_updates_applied > 0,
+            "{pcap}: the schedule fell outside the capture"
+        );
+        check_damage(pcap, &report.stats);
 
-    // A run that checkpoints only once, mid-stream, leaves that
-    // snapshot behind; resuming from it truncates the chain to the
-    // snapshot and must write the rest out identically.
-    let args = live_args(&inputs.path("ck_resume"), "3");
-    cli(
-        &inputs,
-        "resumed.jsonl",
-        &args.each_ref().map(String::as_str),
-    );
-    let sealed = Checkpoint::load(ckpt("ck_resume"))
-        .expect("load checkpoint")
-        .intervals_sealed();
-    assert!(
-        (3..N).contains(&sealed),
-        "checkpoint holds {sealed} of {N} intervals"
-    );
-    assert!(
-        Checkpoint::load(ckpt("ck_resume")).unwrap().generation() > 0,
-        "mid-churn snapshot"
-    );
-    let mut resume: Vec<&str> = args.iter().map(String::as_str).collect();
-    resume.push("--resume");
-    cli(&inputs, "resumed.jsonl", &resume);
-    assert_eq!(fs::read(inputs.path("resumed.jsonl")).unwrap(), reference);
+        let reference = fs::read(inputs.path(&name("lib.jsonl"))).unwrap();
+        assert_eq!(
+            fs::read(inputs.path(&name("cli.jsonl"))).unwrap(),
+            reference,
+            "{pcap}: eleph run --rib-updates diverges from PipelineBuilder::live(&from_table(..))"
+        );
+        let ckpt = |dir: &str| Path::new(&inputs.path(&name(dir))).join(CHECKPOINT_FILE);
+        // The image and the log it names, file for file.
+        let files = |dir: &str| dir_files(Path::new(&inputs.path(&name(dir))));
+        assert!(
+            files("ck_cli") == files("ck_lib"),
+            "{pcap}: checkpoint files (route ids, key ids, config fingerprint) differ"
+        );
+
+        // A run that checkpoints only once, mid-stream, leaves that
+        // snapshot behind; resuming from it truncates the chain to the
+        // snapshot and must write the rest out identically, and leave
+        // the checkpoint files the uninterrupted run left.
+        let args = live_args(&inputs.path(&name("ck_resume")), "3");
+        cli(
+            &inputs,
+            pcap,
+            &name("resumed.jsonl"),
+            &args.each_ref().map(String::as_str),
+        );
+        let uninterrupted = files("ck_resume");
+        let sealed = Checkpoint::load(ckpt("ck_resume"))
+            .expect("load checkpoint")
+            .intervals_sealed();
+        assert!(
+            (3..N).contains(&sealed),
+            "{pcap}: checkpoint holds {sealed} of {N} intervals"
+        );
+        assert!(
+            Checkpoint::load(ckpt("ck_resume")).unwrap().generation() > 0,
+            "{pcap}: mid-churn snapshot"
+        );
+        let mut resume: Vec<&str> = args.iter().map(String::as_str).collect();
+        resume.push("--resume");
+        cli(&inputs, pcap, &name("resumed.jsonl"), &resume);
+        assert_eq!(
+            fs::read(inputs.path(&name("resumed.jsonl"))).unwrap(),
+            reference,
+            "{pcap}"
+        );
+        assert!(
+            files("ck_resume") == uninterrupted,
+            "{pcap}: resumed checkpoint files differ"
+        );
+    }
     fs::remove_dir_all(&inputs.dir).ok();
 }

@@ -19,9 +19,10 @@
 //! unfinished compaction), or all three. The run resumes from the
 //! durable image, possibly at another shard count. Both runs' outcomes
 //! equal the model's by `to_bits`, and their keys and accounting too;
-//! the cut run's JSONL chain is the serial run's, and its images at the
-//! cut and at the end, loaded with their log and re-encoded, are the
-//! serial run's at the same stream position, byte for byte.
+//! the cut run's JSONL chain is the serial run's, its images at the cut
+//! and at the end, loaded with their log and re-encoded, are the serial
+//! run's at the same stream position, byte for byte, and its directory
+//! ends holding the last image and the one log it names, or nothing.
 //!
 //! What this property kills is in `tests/mutants/TABLE.md`, which
 //! `scripts/mutants.sh` writes: each mutant a small patch in
@@ -484,6 +485,19 @@ fn check(program: &Program, case: &Case) -> model::Run {
         let serial_image = images.iter().find(|i| offered(i) == at);
         assert!(serial_image == Some(image), "{context}: image after {at} records differs");
     }
+    // The finished run leaves the image and the one log it names, or
+    // nothing: no temp image, no other log.
+    let mut left: Vec<String> = fs::read_dir(&dir)
+        .expect("read dir")
+        .map(|entry| entry.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+        .filter(|name| name.starts_with("eleph."))
+        .collect();
+    left.sort();
+    let tidy = match &last {
+        Some(_) => left.len() == 2 && left[0].ends_with(".log") && left[1] == CHECKPOINT_FILE,
+        None => left.is_empty(),
+    };
+    assert!(tidy, "{context}: the checkpoint directory holds {left:?}");
     fs::remove_dir_all(&dir).ok();
     want
 }

@@ -1,19 +1,18 @@
-//! Fault-injection robustness: the measurement pipeline must survive
-//! arbitrary packet damage without panicking, and account for every
-//! packet it was offered.
+//! A damaged capture — records dropped, bits flipped, captured lengths
+//! cut short — is measured, not crashed on: the pipeline survives it and
+//! accounts for every record the file holds, in every row it can hold
+//! its open interval in.
 
 use eleph_bgp::synth::{self, SynthConfig};
-use eleph_flow::Aggregator;
+use eleph_bgp::FrozenBgpTable;
 use eleph_packet::pcap::PcapReader;
 use eleph_packet::LinkType;
 use eleph_pipeline::{PcapSource, PipelineBuilder, PipelineStats, StateBackendConfig};
-use eleph_tests::capture_of;
-use eleph_trace::{
-    FaultAction, FaultConfig, FaultInjector, PacketSynth, RateTrace, WorkloadConfig,
-};
+use eleph_tests::{capture_of, damaged};
+use eleph_trace::{PacketSynth, RateTrace, WorkloadConfig};
 use proptest::prelude::*;
 
-fn scenario() -> (eleph_bgp::BgpTable, RateTrace) {
+fn scenario() -> (FrozenBgpTable, RateTrace) {
     let table = synth::generate(&SynthConfig {
         n_prefixes: 1_500,
         ..SynthConfig::default()
@@ -30,39 +29,12 @@ fn scenario() -> (eleph_bgp::BgpTable, RateTrace) {
         ..WorkloadConfig::small_test(55)
     };
     let trace = RateTrace::generate(&config, &table);
-    (table, trace)
+    (table.freeze(), trace)
 }
 
-fn run_with_faults(fault: FaultConfig) -> (eleph_flow::AggregatorStats, eleph_trace::FaultStats) {
-    let (table, trace) = scenario();
-    let pcap = capture_of(&trace);
-
-    let mut injector = FaultInjector::new(fault);
-    let mut reader = PcapReader::new(&pcap[..]).expect("header");
-    let link = LinkType::from_code(reader.header().linktype).expect("linktype");
-    let mut agg = Aggregator::new(
-        &table,
-        trace.config.interval_secs,
-        trace.config.start_unix,
-        trace.config.n_intervals,
-    );
-    while let Some((head, bytes)) = reader.next_record_ref().expect("records") {
-        let mut data = bytes.to_vec();
-        if injector.apply(&mut data) == FaultAction::Dropped {
-            continue;
-        }
-        agg.observe_raw(link, &data, head.ts_ns);
-    }
-    (agg.stats(), injector.stats())
-}
-
-/// The same faulted capture through the streaming path, for every row
-/// a pipeline can hold its open interval in (budgets small enough that
-/// the sketches evict).
-fn pipeline_runs_with_faults(fault: FaultConfig) -> Vec<(PipelineStats, eleph_trace::FaultStats)> {
-    let (table, trace) = scenario();
-    let frozen = table.freeze();
-    let pcap = capture_of(&trace);
+/// Every row a pipeline can hold its open interval in — budgets small
+/// enough that the sketches evict — and the exact row on two shards.
+fn rows() -> [(StateBackendConfig, usize); 5] {
     let budget_bytes = 2048;
     [
         (StateBackendConfig::Exact, 0),
@@ -71,46 +43,50 @@ fn pipeline_runs_with_faults(fault: FaultConfig) -> Vec<(PipelineStats, eleph_tr
         (StateBackendConfig::AdaptiveBloom { budget_bytes }, 0),
         (StateBackendConfig::Exact, 2),
     ]
-    .into_iter()
-    .map(|(state, shards)| {
-        let mut pipeline = PipelineBuilder::new()
-            .frozen(&frozen)
-            .interval_secs(trace.config.interval_secs)
-            .start_unix(trace.config.start_unix)
-            .n_intervals(trace.config.n_intervals)
-            .state_backend(state)
-            .shards(shards)
-            .build();
-        let mut source =
-            PcapSource::with_faults(&pcap[..], FaultInjector::new(fault)).expect("header");
-        pipeline.run(&mut source).expect("faults are counted, not fatal");
-        let report = pipeline.finish().expect("finish");
-        assert_eq!(report.intervals, trace.config.n_intervals);
-        (report.stats, source.fault_stats().expect("an injector"))
-    })
-    .collect()
+}
+
+/// `pcap`, a capture of `trace`'s window, through the streaming path.
+fn run(
+    table: &FrozenBgpTable,
+    trace: &RateTrace,
+    pcap: &[u8],
+    (state, shards): (StateBackendConfig, usize),
+) -> PipelineStats {
+    let mut pipeline = PipelineBuilder::new()
+        .frozen(table)
+        .interval_secs(trace.config.interval_secs)
+        .start_unix(trace.config.start_unix)
+        .n_intervals(trace.config.n_intervals)
+        .state_backend(state)
+        .shards(shards)
+        .build();
+    let source = PcapSource::new(pcap).expect("header");
+    pipeline.run(source).expect("damage is counted, not fatal");
+    let report = pipeline.finish().expect("finish");
+    assert_eq!(report.intervals, trace.config.n_intervals);
+    report.stats
 }
 
 #[test]
 fn clean_stream_fully_attributed() {
-    let (stats, _) = run_with_faults(FaultConfig::none());
-    assert!(stats.is_conserved());
-    assert_eq!(stats.malformed, 0);
-    assert_eq!(stats.attributed, stats.offered);
+    let (table, trace) = scenario();
+    let pcap = capture_of(&trace);
+    for row in rows() {
+        let stats = run(&table, &trace, &pcap, row);
+        assert!(stats.is_conserved());
+        assert_eq!(stats.malformed, 0);
+        assert_eq!(stats.attributed, stats.offered);
+    }
 }
 
 #[test]
 fn heavy_corruption_is_counted_not_fatal() {
-    let (stats, fstats) = run_with_faults(FaultConfig {
-        drop_prob: 0.1,
-        corrupt_prob: 0.5,
-        truncate_prob: 0.2,
-        seed: 1,
-    });
+    let (table, trace) = scenario();
+    let (pcap, kept) = damaged(&capture_of(&trace), 1, 0.6);
+    let stats = run(&table, &trace, &pcap, (StateBackendConfig::Exact, 0));
     assert!(stats.is_conserved());
-    assert!(stats.malformed > 0, "corruption must surface as malformed");
-    // Offered = synthesized − dropped.
-    assert_eq!(stats.offered, fstats.seen - fstats.dropped);
+    assert!(stats.malformed > 0, "damage must surface as malformed");
+    assert_eq!(stats.offered, kept);
     // Despite the damage, the majority of surviving traffic still lands.
     assert!(stats.attributed > stats.offered / 2);
 }
@@ -166,23 +142,15 @@ proptest! {
 
     #[test]
     fn accounting_conserved_under_arbitrary_fault_mix(
-        drop_p in 0.0..0.5f64,
-        corrupt_p in 0.0..0.8f64,
-        truncate_p in 0.0..0.5f64,
+        rate in 0.0..1.0f64,
         seed in any::<u64>(),
     ) {
-        let fault = FaultConfig {
-            drop_prob: drop_p,
-            corrupt_prob: corrupt_p,
-            truncate_prob: truncate_p,
-            seed,
-        };
-        let (stats, fstats) = run_with_faults(fault);
-        prop_assert!(stats.is_conserved());
-        prop_assert_eq!(stats.offered, fstats.seen - fstats.dropped);
-        for (stats, fstats) in pipeline_runs_with_faults(fault) {
+        let (table, trace) = scenario();
+        let (pcap, kept) = damaged(&capture_of(&trace), seed, rate);
+        for row in rows() {
+            let stats = run(&table, &trace, &pcap, row);
             prop_assert!(stats.is_conserved(), "{:?}", stats);
-            prop_assert_eq!(stats.offered, fstats.seen - fstats.dropped);
+            prop_assert_eq!(stats.offered, kept);
         }
     }
 }
