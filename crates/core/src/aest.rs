@@ -31,64 +31,31 @@
 //! deeper probes stays high; α̂ is the median of accepted shift estimates
 //! in that region.
 
-use crate::{Ecdf, StatsError};
+use crate::ecdf::Ecdf;
+use crate::error::StatsError;
 
-/// Tuning knobs for [`aest`]. `Default` matches the settings used
-/// throughout the reproduction.
-#[derive(Debug, Clone, Copy)]
-pub struct AestConfig {
-    /// Maximum number of halvings: aggregation levels are m = 2^0 .. 2^j.
-    pub max_levels: usize,
-    /// Minimum number of samples required at the coarsest level.
-    pub min_points_top: usize,
-    /// Number of log-spaced probability probes per level pair.
-    pub probes: usize,
-    /// Reject probes implying α below this (slowly varying, not a tail).
-    pub min_alpha: f64,
-    /// Reject probes implying α above this (finite variance ⇒ not heavy).
-    pub max_alpha: f64,
-    /// Relative tolerance between the shift and slope α estimates.
-    pub consistency_tol: f64,
-    /// Required acceptance rate over the tail region.
-    pub accept_fraction: f64,
-    /// Minimum number of accepted probes for a positive result.
-    pub min_accepted: usize,
-}
+/// Maximum number of aggregation levels: m = 2^0 .. 2^(MAX_LEVELS − 1).
+const MAX_LEVELS: usize = 6;
+/// Minimum number of samples required at the coarsest level.
+const MIN_POINTS_TOP: usize = 200;
+/// Number of log-spaced probability probes per level pair.
+const PROBES: usize = 40;
+/// Reject probes implying α below this (slowly varying, not a tail).
+const MIN_ALPHA: f64 = 0.4;
+/// Reject probes implying α above this (finite variance ⇒ not heavy).
+const MAX_ALPHA: f64 = 2.5;
+/// Relative tolerance between the shift and slope α estimates.
+const CONSISTENCY_TOL: f64 = 0.40;
+/// Required acceptance rate over the tail region.
+const ACCEPT_FRACTION: f64 = 0.70;
+/// Minimum number of accepted probes for a positive result.
+const MIN_ACCEPTED: usize = 4;
 
-impl Default for AestConfig {
-    fn default() -> Self {
-        AestConfig {
-            max_levels: 6,
-            min_points_top: 200,
-            probes: 40,
-            min_alpha: 0.4,
-            max_alpha: 2.5,
-            consistency_tol: 0.40,
-            accept_fraction: 0.70,
-            min_accepted: 4,
-        }
-    }
-}
-
-/// Per-probe, per-level-pair measurement, kept for diagnostics and the
-/// ablation benches.
-#[derive(Debug, Clone, Copy)]
-pub struct PairDiagnostic {
-    /// Index of the finer aggregation level (0 = raw data).
-    pub level: usize,
-    /// Upper-tail probability of the probe.
-    pub p: f64,
-    /// α implied by the horizontal shift between the level pair.
-    pub alpha_shift: f64,
-    /// α implied by the local slope of the finer curve.
-    pub alpha_slope: f64,
-    /// Whether this pair accepted the probe.
-    pub accepted: bool,
-}
-
-/// A detected heavy tail.
+/// A detected heavy tail. The detector reads only `tail_start`;
+/// `alpha` and `tail_fraction` are what the tests hold the estimator to.
 #[derive(Debug, Clone)]
-pub struct AestResult {
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) struct AestResult {
     /// Estimated tail index α̂.
     pub alpha: f64,
     /// The value (in original sample units) where power-law behaviour
@@ -98,10 +65,6 @@ pub struct AestResult {
     /// Fraction of probability mass in the detected tail (the p* of the
     /// acceptance scan).
     pub tail_fraction: f64,
-    /// Number of aggregation levels examined.
-    pub levels: usize,
-    /// Raw per-probe measurements.
-    pub diagnostics: Vec<PairDiagnostic>,
 }
 
 /// Run the aest estimator over positive samples.
@@ -114,14 +77,13 @@ pub struct AestResult {
 /// is not finite (an infinity or NaN) is [`StatsError::BadParameter`]
 /// named `"samples"`, since it has no place on a log–log plot and would
 /// turn the centred data into NaNs.
-pub fn aest(samples: &[f64], config: &AestConfig) -> Result<AestResult, StatsError> {
-    aest_with(samples, config, Ecdf::new)
+pub(crate) fn aest(samples: &[f64]) -> Result<AestResult, StatsError> {
+    aest_with(samples, Ecdf::new)
 }
 
 /// [`aest`] with the constructor that sorts each aggregation level.
 fn aest_with(
     samples: &[f64],
-    config: &AestConfig,
     ecdf: fn(Vec<f64>) -> Result<Ecdf, StatsError>,
 ) -> Result<AestResult, StatsError> {
     if let Some(&value) = samples.iter().find(|x| !x.is_finite()) {
@@ -131,7 +93,7 @@ fn aest_with(
         });
     }
     let positive: Vec<f64> = samples.iter().copied().filter(|&x| x > 0.0).collect();
-    let needed = config.min_points_top * 2;
+    let needed = MIN_POINTS_TOP * 2;
     if positive.len() < needed {
         return Err(StatsError::NotEnoughSamples {
             needed,
@@ -150,8 +112,8 @@ fn aest_with(
 
     // --- Aggregation pyramid -------------------------------------------
     let mut levels: Vec<Vec<f64>> = vec![centred];
-    while levels.len() < config.max_levels
-        && levels.last().expect("non-empty").len() / 2 >= config.min_points_top
+    while levels.len() < MAX_LEVELS
+        && levels.last().expect("non-empty").len() / 2 >= MIN_POINTS_TOP
     {
         let prev = levels.last().expect("non-empty");
         let next: Vec<f64> = prev.chunks_exact(2).map(|c| c[0] + c[1]).collect();
@@ -180,16 +142,15 @@ fn aest_with(
             got: ecdfs[0].len(),
         });
     }
-    let probes: Vec<f64> = (0..config.probes)
+    let probes: Vec<f64> = (0..PROBES)
         .map(|i| {
-            let t = i as f64 / (config.probes - 1).max(1) as f64;
+            let t = i as f64 / (PROBES - 1).max(1) as f64;
             // log-spaced from p_min (deep tail) to p_max (body)
             (p_min.ln() + t * (p_max.ln() - p_min.ln())).exp()
         })
         .collect();
 
     let log2 = 2f64.log10();
-    let mut diagnostics = Vec::new();
     // probe index -> (accepted?, median alpha among accepting pairs)
     let mut probe_votes: Vec<(bool, f64)> = Vec::with_capacity(probes.len());
 
@@ -214,13 +175,6 @@ fn aest_with(
             let x_fine = fine.upper_quantile(p).expect("p in (0,1)");
             let x_coarse = coarse.upper_quantile(p).expect("p in (0,1)");
             if x_fine <= 0.0 || x_coarse <= x_fine {
-                diagnostics.push(PairDiagnostic {
-                    level: j,
-                    p,
-                    alpha_shift: f64::NAN,
-                    alpha_slope: f64::NAN,
-                    accepted: false,
-                });
                 continue;
             }
             let dx = x_coarse.log10() - x_fine.log10();
@@ -239,21 +193,14 @@ fn aest_with(
                 f64::INFINITY
             };
 
-            let alpha_ok = alpha_shift >= config.min_alpha && alpha_shift <= config.max_alpha;
+            let alpha_ok = alpha_shift >= MIN_ALPHA && alpha_shift <= MAX_ALPHA;
             let slope_ok = alpha_slope.is_finite()
-                && alpha_slope >= config.min_alpha * 0.6
-                && alpha_slope <= config.max_alpha * 1.4;
+                && alpha_slope >= MIN_ALPHA * 0.6
+                && alpha_slope <= MAX_ALPHA * 1.4;
             let consistent = (alpha_slope - alpha_shift).abs()
-                <= config.consistency_tol * alpha_shift.max(alpha_slope);
+                <= CONSISTENCY_TOL * alpha_shift.max(alpha_slope);
             let accepted = alpha_ok && slope_ok && consistent;
 
-            diagnostics.push(PairDiagnostic {
-                level: j,
-                p,
-                alpha_shift,
-                alpha_slope,
-                accepted,
-            });
             if accepted {
                 pair_alphas.push(alpha_shift);
                 if j == 0 {
@@ -292,8 +239,8 @@ fn aest_with(
         accepted_in_region as f64 / best_k as f64
     };
     if best_k == 0
-        || accepted_in_region < config.min_accepted
-        || region_frac < config.accept_fraction
+        || accepted_in_region < MIN_ACCEPTED
+        || region_frac < ACCEPT_FRACTION
     {
         return Err(StatsError::NoTailFound);
     }
@@ -312,8 +259,6 @@ fn aest_with(
         alpha,
         tail_start,
         tail_fraction: p_star,
-        levels: ecdfs.len(),
-        diagnostics,
     })
 }
 
@@ -333,20 +278,39 @@ fn median(values: &mut [f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{Exp, LogNormal, Pareto, Sample};
+    use eleph_trace::dist::{LogNormal, Pareto, Sample};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn draw<D: Sample>(d: &D, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n).map(|_| d.sample(&mut rng)).collect()
     }
 
+    /// The exponential distribution with rate λ, by inverse CDF
+    /// `x = −ln(u)/λ`: a light tail the estimator must reject.
+    struct Exp(f64);
+
+    impl Sample for Exp {
+        fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+            let u = 1.0 - rng.gen::<f64>();
+            -u.ln() / self.0
+        }
+    }
+
+    #[test]
+    fn exponential_moments() {
+        let xs = draw(&Exp(0.25), 200_000, 0x5EED);
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+        assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
+        assert!(xs.iter().all(|&x| x >= 0.0));
+    }
+
     #[test]
     fn detects_pure_pareto_and_estimates_alpha() {
         for (alpha, seed) in [(1.1, 1u64), (1.5, 2), (1.8, 3)] {
             let xs = draw(&Pareto::new(1.0, alpha).unwrap(), 60_000, seed);
-            let res = aest(&xs, &AestConfig::default())
+            let res = aest(&xs)
                 .unwrap_or_else(|e| panic!("alpha {alpha}: {e}"));
             assert!(
                 (res.alpha - alpha).abs() / alpha < 0.25,
@@ -367,9 +331,9 @@ mod tests {
 
     #[test]
     fn rejects_exponential() {
-        let xs = draw(&Exp::new(1.0).unwrap(), 60_000, 7);
+        let xs = draw(&Exp(1.0), 60_000, 7);
         assert!(matches!(
-            aest(&xs, &AestConfig::default()),
+            aest(&xs),
             Err(StatsError::NoTailFound)
         ));
     }
@@ -378,7 +342,7 @@ mod tests {
     fn rejects_tight_lognormal() {
         let xs = draw(&LogNormal::new(0.0, 0.5).unwrap(), 60_000, 11);
         assert!(matches!(
-            aest(&xs, &AestConfig::default()),
+            aest(&xs),
             Err(StatsError::NoTailFound)
         ));
     }
@@ -399,7 +363,7 @@ mod tests {
                 }
             })
             .collect();
-        let res = aest(&xs, &AestConfig::default()).expect("mixture has a tail");
+        let res = aest(&xs).expect("mixture has a tail");
         // Threshold must land between the body bulk and the tail start
         // region (within a factor of ~4 of x_t = 50 in these tests).
         assert!(
@@ -421,7 +385,7 @@ mod tests {
     fn too_few_samples_rejected() {
         let xs = vec![1.0; 100];
         assert!(matches!(
-            aest(&xs, &AestConfig::default()),
+            aest(&xs),
             Err(StatsError::NotEnoughSamples { .. })
         ));
     }
@@ -431,27 +395,15 @@ mod tests {
         let mut xs = draw(&Pareto::new(1.0, 1.5).unwrap(), 60_000, 17);
         xs.extend(std::iter::repeat(0.0).take(1_000));
         xs.extend(std::iter::repeat(-5.0).take(1_000));
-        let res = aest(&xs, &AestConfig::default()).unwrap();
+        let res = aest(&xs).unwrap();
         assert!((res.alpha - 1.5).abs() < 0.4);
-    }
-
-    #[test]
-    fn diagnostics_are_populated() {
-        let xs = draw(&Pareto::new(1.0, 1.5).unwrap(), 40_000, 23);
-        let res = aest(&xs, &AestConfig::default()).unwrap();
-        assert!(!res.diagnostics.is_empty());
-        assert!(res.levels >= 2);
-        assert!(res.diagnostics.iter().any(|d| d.accepted));
-        // Diagnostics cover every level pair.
-        let max_level = res.diagnostics.iter().map(|d| d.level).max().unwrap();
-        assert_eq!(max_level, res.levels - 2);
     }
 
     #[test]
     fn deterministic_for_same_input() {
         let xs = draw(&Pareto::new(1.0, 1.2).unwrap(), 30_000, 29);
-        let a = aest(&xs, &AestConfig::default()).unwrap();
-        let b = aest(&xs, &AestConfig::default()).unwrap();
+        let a = aest(&xs).unwrap();
+        let b = aest(&xs).unwrap();
         assert_eq!(a.alpha, b.alpha);
         assert_eq!(a.tail_start, b.tail_start);
     }
@@ -462,7 +414,7 @@ mod tests {
         for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
             let mut xs = finite.clone();
             xs.insert(500, bad);
-            match aest(&xs, &AestConfig::default()) {
+            match aest(&xs) {
                 Err(StatsError::BadParameter { name: "samples", value }) => {
                     assert_eq!(value.to_bits(), bad.to_bits());
                 }
@@ -488,8 +440,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let config = AestConfig::default();
-            match (aest(&xs, &config), aest_with(&xs, &config, Ecdf::by_comparator)) {
+            match (aest(&xs), aest_with(&xs, Ecdf::by_comparator)) {
                 (Ok(got), Ok(want)) => {
                     assert_eq!(got.tail_start.to_bits(), want.tail_start.to_bits(), "seed {seed}");
                     assert_eq!(got.alpha.to_bits(), want.alpha.to_bits(), "seed {seed}");
@@ -508,7 +459,7 @@ mod tests {
         // Pareto with α = 3.5 has finite variance: aggregates normalise
         // and the estimator should refuse or at least not report α < 2.
         let xs = draw(&Pareto::new(1.0, 3.5).unwrap(), 60_000, 31);
-        match aest(&xs, &AestConfig::default()) {
+        match aest(&xs) {
             Err(StatsError::NoTailFound) => {}
             Ok(res) => assert!(res.alpha > 2.0, "claimed heavy tail alpha {}", res.alpha),
             Err(e) => panic!("unexpected error {e}"),

@@ -1,13 +1,13 @@
 //! Empirical cumulative distribution functions.
 
-use crate::{from_sort_key, sort_key, StatsError};
+use crate::error::StatsError;
+use crate::order::{from_sort_key, sort_key};
 
 /// An empirical distribution over a sorted sample.
 ///
-/// Provides the CDF/CCDF and the quantiles that the aest estimator
-/// works from.
+/// Provides the quantiles that the aest estimator works from.
 #[derive(Debug, Clone)]
-pub struct Ecdf {
+pub(crate) struct Ecdf {
     sorted: Vec<f64>,
 }
 
@@ -61,28 +61,6 @@ impl Ecdf {
         self.sorted.len()
     }
 
-    /// Whether the sample set is empty (never true post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// The sorted sample values.
-    pub fn values(&self) -> &[f64] {
-        &self.sorted
-    }
-
-    /// `P[X <= x]`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        let n = self.sorted.len();
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / n as f64
-    }
-
-    /// `P[X > x]`.
-    pub fn ccdf(&self, x: f64) -> f64 {
-        1.0 - self.cdf(x)
-    }
-
     /// The q-quantile (0 ≤ q ≤ 1), by the nearest-rank method: the
     /// smallest sample value v with CDF(v) ≥ q.
     pub fn quantile(&self, q: f64) -> Result<f64, StatsError> {
@@ -102,16 +80,6 @@ impl Ecdf {
     /// `upper_quantile(p)` form (at most) the top p-fraction.
     pub fn upper_quantile(&self, p: f64) -> Result<f64, StatsError> {
         self.quantile(1.0 - p)
-    }
-
-    /// Minimum sample.
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
-    }
-
-    /// Maximum sample.
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty by construction")
     }
 }
 
@@ -150,12 +118,12 @@ mod tests {
         ) {
             let got = Ecdf::new(samples.clone()).expect("no NaN");
             let want = Ecdf::by_comparator(samples.clone()).expect("no NaN");
-            prop_assert_eq!(got.values(), want.values());
+            prop_assert_eq!(&got.sorted, &want.sorted);
             // Only the relative order of -0.0 and +0.0 may differ.
             let by_bits = !samples.iter().any(|x| x.to_bits() == (-0.0f64).to_bits());
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             if by_bits {
-                prop_assert_eq!(bits(got.values()), bits(want.values()));
+                prop_assert_eq!(bits(&got.sorted), bits(&want.sorted));
             }
             for q in probes.into_iter().chain([0.0, 1.0]) {
                 let (a, b) = (got.quantile(q).expect("q in range"), want.quantile(q).expect("q in range"));
@@ -165,12 +133,31 @@ mod tests {
                 }
             }
         }
+
+        #[test]
+        fn quantile_inverts_cdf(samples in prop::collection::vec(-1e6..1e6f64, 1..300), q in 0.001..1.0f64) {
+            let e = Ecdf::new(samples).expect("non-empty");
+            let v = e.quantile(q).expect("q in range");
+            // The mass at or below the q-quantile covers at least q...
+            let cdf = e.sorted.iter().filter(|&&x| x <= v).count() as f64 / e.len() as f64;
+            prop_assert!(cdf >= q - 1e-12);
+            // ...and the quantile is an actual sample value.
+            prop_assert!(e.sorted.contains(&v));
+        }
+
+        #[test]
+        fn upper_quantile_bounds_tail(samples in prop::collection::vec(-1e6..1e6f64, 1..300), p in 0.001..0.999f64) {
+            let e = Ecdf::new(samples).expect("non-empty");
+            let t = e.upper_quantile(p).expect("p in range");
+            let ccdf = e.sorted.iter().filter(|&&x| x > t).count() as f64 / e.len() as f64;
+            prop_assert!(ccdf <= p + 1e-12);
+        }
     }
 
     #[test]
     fn negative_zero_sorts_before_positive_zero() {
         let e = ecdf(&[0.0, 1.0, -0.0, -1.0]);
-        let bits: Vec<u64> = e.values().iter().map(|x| x.to_bits()).collect();
+        let bits: Vec<u64> = e.sorted.iter().map(|x| x.to_bits()).collect();
         let want: Vec<u64> = [-1.0, -0.0, 0.0, 1.0f64].iter().map(|x| x.to_bits()).collect();
         assert_eq!(bits, want);
     }
@@ -182,24 +169,6 @@ mod tests {
             Err(StatsError::NotEnoughSamples { .. })
         ));
         assert!(Ecdf::new(vec![1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn cdf_step_function() {
-        let e = ecdf(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(e.cdf(0.5), 0.0);
-        assert_eq!(e.cdf(1.0), 0.25);
-        assert_eq!(e.cdf(2.5), 0.5);
-        assert_eq!(e.cdf(4.0), 1.0);
-        assert_eq!(e.cdf(100.0), 1.0);
-    }
-
-    #[test]
-    fn ccdf_complements_cdf() {
-        let e = ecdf(&[1.0, 2.0, 3.0, 4.0]);
-        for x in [0.0, 1.0, 2.5, 4.0, 9.0] {
-            assert!((e.cdf(x) + e.ccdf(x) - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -219,22 +188,23 @@ mod tests {
         let e = ecdf(&(1..=100).map(f64::from).collect::<Vec<_>>());
         let t = e.upper_quantile(0.1).unwrap();
         assert_eq!(t, 90.0);
-        assert!(e.ccdf(t) <= 0.1 + 1e-12);
+        assert_eq!(e.sorted.iter().filter(|&&v| v > t).count(), 10);
     }
 
     #[test]
     fn duplicates_handled() {
         let e = ecdf(&[5.0, 5.0, 5.0, 10.0]);
-        assert_eq!(e.cdf(5.0), 0.75);
-        assert_eq!(e.ccdf(5.0), 0.25);
         assert_eq!(e.quantile(0.5).unwrap(), 5.0);
+        assert_eq!(e.quantile(0.75).unwrap(), 5.0);
+        assert_eq!(e.quantile(0.76).unwrap(), 10.0);
+        assert_eq!(e.upper_quantile(0.25).unwrap(), 5.0);
     }
 
     #[test]
     fn min_max() {
         let e = ecdf(&[3.0, 1.0, 2.0]);
-        assert_eq!(e.min(), 1.0);
-        assert_eq!(e.max(), 3.0);
+        assert_eq!(e.quantile(0.0).unwrap(), 1.0);
+        assert_eq!(e.quantile(1.0).unwrap(), 3.0);
         assert_eq!(e.len(), 3);
     }
 }

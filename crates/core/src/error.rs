@@ -1,10 +1,10 @@
-//! Error type for the statistics substrate.
+//! Error type for the aest estimator and its [`Ecdf`](crate::ecdf::Ecdf).
 
 use core::fmt;
 
-/// Errors from estimators and accumulators.
+/// Errors from the estimator and its empirical distributions.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StatsError {
+pub(crate) enum StatsError {
     /// Operation requires at least `needed` samples, got `got`.
     NotEnoughSamples {
         /// Samples required.

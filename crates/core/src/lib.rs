@@ -9,14 +9,14 @@
 //!    separation bandwidth `T(n)` is derived from the flow-bandwidth
 //!    snapshot, by either
 //!    * [`AestDetector`] — the onset of the power-law tail, found with
-//!      the Crovella–Taqqu estimator ([`eleph_stats::aest`]); or
+//!      the Crovella–Taqqu scaling estimator (the crate-private `aest`
+//!      module, over the empirical distributions of `ecdf`); or
 //!    * [`ConstantLoadDetector`] — the smallest bandwidth such that
 //!      flows above it carry a target fraction β of total traffic
-//!      (the paper's "β-constant load", β = 0.8);
-//!    * plus two baselines ([`TopNDetector`], [`PercentileDetector`])
-//!      for the scheme-comparison experiments.
+//!      (the paper's "β-constant load", β = 0.8).
 //! 2. **Threshold update** (the crate-private `ThresholdSeries`): the
-//!    EWMA smoothing `T̄(n+1) = γ·T̄(n) + (1−γ)·T(n)`, γ = 0.9.
+//!    EWMA smoothing `T̄(n+1) = γ·T̄(n) + (1−γ)·T(n)`, γ = 0.9, for any
+//!    γ that [`check_gamma`] accepts.
 //! 3. **Single-feature classification** ([`Scheme::SingleFeature`]):
 //!    flow `i` is an elephant in interval `n` iff `B_i(n) > T̄(n)`.
 //! 4. **Two-feature "latent heat" classification**
@@ -52,10 +52,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod aest;
 mod bits;
 mod classify;
+mod ecdf;
+mod error;
 pub mod holding;
 mod online;
+mod order;
 pub mod prefix_analysis;
 mod reader;
 pub mod sketch;
@@ -72,10 +76,8 @@ pub use sketch::{
 };
 pub use online::{ClassifierState, IntervalOutcome, OnlineClassifier};
 pub use reader::ByteReader;
-pub use threshold::{
-    AestDetector, ConstantLoadDetector, PercentileDetector, RowOrder, ThresholdDetector,
-    TopNDetector,
-};
+pub use threshold::{AestDetector, ConstantLoadDetector, RowOrder, ThresholdDetector};
+pub use tracker::check_gamma;
 use tracker::ThresholdSeries;
 
 /// The paper's default smoothing factor γ for the threshold update.

@@ -9,14 +9,14 @@
 /// exact value, so code built on it returns bit-identical results to a
 /// comparator sort.
 #[inline]
-pub fn sort_key(v: f64) -> u64 {
+pub(crate) fn sort_key(v: f64) -> u64 {
     let b = v.to_bits();
     b ^ ((((b as i64) >> 63) as u64) | 0x8000_0000_0000_0000)
 }
 
 /// Inverse of [`sort_key`].
 #[inline]
-pub fn from_sort_key(k: u64) -> f64 {
+pub(crate) fn from_sort_key(k: u64) -> f64 {
     f64::from_bits(k ^ ((((!k as i64) >> 63) as u64) | 0x8000_0000_0000_0000))
 }
 

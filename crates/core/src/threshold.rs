@@ -1,6 +1,7 @@
 //! Per-interval threshold detection.
 
-use eleph_stats::{aest, from_sort_key, sort_key, AestConfig};
+use crate::aest::aest;
+use crate::order::{from_sort_key, sort_key};
 
 /// A rule that derives the elephant/mouse separation bandwidth from one
 /// interval's flow-bandwidth snapshot.
@@ -109,21 +110,18 @@ impl RowOrder {
 /// power-law tail of the flow-bandwidth distribution begins, located by
 /// the Crovella–Taqqu scaling estimator.
 #[derive(Debug, Clone, Default)]
-pub struct AestDetector {
-    /// Estimator tuning; defaults match [`AestConfig::default`].
-    pub config: AestConfig,
-}
+pub struct AestDetector;
 
 impl AestDetector {
-    /// Detector with default estimator settings.
+    /// Detector with the estimator's settings.
     pub fn new() -> Self {
-        Self::default()
+        AestDetector
     }
 }
 
 impl ThresholdDetector for AestDetector {
     fn detect(&self, values: &[f64]) -> Option<f64> {
-        aest(values, &self.config).ok().map(|r| r.tail_start)
+        aest(values).ok().map(|r| r.tail_start)
     }
 
     fn name(&self) -> String {
@@ -192,57 +190,6 @@ impl ThresholdDetector for ConstantLoadDetector {
     }
 }
 
-/// Baseline: the threshold is the bandwidth of the N-th largest flow, so
-/// exactly N−1 flows strictly exceed it.
-#[derive(Debug, Clone, Copy)]
-pub struct TopNDetector {
-    /// Rank defining the threshold.
-    pub n: usize,
-}
-
-impl ThresholdDetector for TopNDetector {
-    fn detect(&self, values: &[f64]) -> Option<f64> {
-        if self.n == 0 || values.is_empty() {
-            return None;
-        }
-        debug_assert!(values.iter().all(|v| v.is_finite()), "bandwidths are finite");
-        // The N-th largest is a selection, not a sort: O(len) expected.
-        let mut keys: Vec<u64> = values.iter().map(|&v| sort_key(v)).collect();
-        let idx = keys.len() - self.n.min(keys.len());
-        let (_, k, _) = keys.select_nth_unstable(idx);
-        Some(from_sort_key(*k))
-    }
-
-    fn name(&self) -> String {
-        format!("top-{}", self.n)
-    }
-}
-
-/// Baseline: a fixed upper quantile of the snapshot (e.g. the 95th
-/// percentile of flow bandwidths).
-#[derive(Debug, Clone, Copy)]
-pub struct PercentileDetector {
-    /// Quantile in (0, 1), e.g. 0.95.
-    pub q: f64,
-}
-
-impl ThresholdDetector for PercentileDetector {
-    fn detect(&self, values: &[f64]) -> Option<f64> {
-        if values.is_empty() || !(0.0..1.0).contains(&self.q) {
-            return None;
-        }
-        debug_assert!(values.iter().all(|v| v.is_finite()), "bandwidths are finite");
-        let mut keys: Vec<u64> = values.iter().map(|&v| sort_key(v)).collect();
-        let rank = ((self.q * keys.len() as f64).ceil() as usize).clamp(1, keys.len());
-        let (_, k, _) = keys.select_nth_unstable(rank - 1);
-        Some(from_sort_key(*k))
-    }
-
-    fn name(&self) -> String {
-        format!("p{:.0}", self.q * 100.0)
-    }
-}
-
 /// Forwarding impls so runtime-chosen detectors (`Box<dyn
 /// ThresholdDetector>`) and borrowed detectors plug directly into the
 /// generic classification entry points — no caller-side adapter structs.
@@ -280,7 +227,7 @@ impl<T: ThresholdDetector + ?Sized> ThresholdDetector for &T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eleph_stats::dist::{LogNormal, Pareto, Sample};
+    use eleph_trace::dist::{LogNormal, Pareto, Sample};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -397,30 +344,8 @@ mod tests {
     }
 
     #[test]
-    fn top_n_detector() {
-        let d = TopNDetector { n: 3 };
-        assert_eq!(d.detect(&[5.0, 1.0, 4.0, 2.0, 3.0]), Some(3.0));
-        // Fewer values than N: threshold is the minimum.
-        assert_eq!(d.detect(&[5.0, 1.0]), Some(1.0));
-        assert_eq!(TopNDetector { n: 0 }.detect(&[1.0]), None);
-        assert_eq!(d.detect(&[]), None);
-    }
-
-    #[test]
-    fn percentile_detector() {
-        let values: Vec<f64> = (1..=100).map(f64::from).collect();
-        let d = PercentileDetector { q: 0.95 };
-        assert_eq!(d.detect(&values), Some(95.0));
-        assert_eq!(PercentileDetector { q: 0.5 }.detect(&values), Some(50.0));
-        assert_eq!(PercentileDetector { q: 1.5 }.detect(&values), None);
-        assert_eq!(d.detect(&[]), None);
-    }
-
-    #[test]
     fn names_are_descriptive() {
         assert_eq!(AestDetector::new().name(), "aest");
         assert_eq!(ConstantLoadDetector::new(0.8).name(), "0.80-constant-load");
-        assert_eq!(TopNDetector { n: 500 }.name(), "top-500");
-        assert_eq!(PercentileDetector { q: 0.95 }.name(), "p95");
     }
 }

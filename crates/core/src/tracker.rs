@@ -1,15 +1,29 @@
 //! The threshold update phase: EWMA smoothing across intervals.
 
-use eleph_stats::Ewma;
+/// Check that the smoothing factor γ lies in [0, 1): γ = 0 reproduces
+/// the raw detections (no smoothing), γ → 1 freezes the first one.
+///
+/// # Errors
+///
+/// `parameter gamma = γ out of domain` for any other γ, NaN included.
+pub fn check_gamma(gamma: f64) -> Result<(), String> {
+    if (0.0..1.0).contains(&gamma) {
+        Ok(())
+    } else {
+        Err(format!("parameter gamma = {gamma} out of domain"))
+    }
+}
 
 /// The paper's §II update rule `T̄(n+1) = γ·T̄(n) + (1−γ)·T(n)` applied
-/// to a stream of raw detections.
+/// to a stream of raw detections, with γ = 0.9 reported as
+/// "sufficiently smooth". The first detection initialises the average
+/// (no bias toward zero).
 ///
 /// When the detector cannot produce a raw threshold for an interval
 /// (aest finding no tail, an empty snapshot), the series *holds* the
 /// previous smoothed value: the classification must keep operating every
-/// interval. The series keeps only its EWMA, so it costs the same after
-/// a week of intervals as after one; a caller that reports the
+/// interval. The series keeps only `T̄`, so it costs the same after a
+/// week of intervals as after one; a caller that reports the
 /// per-interval thresholds collects them itself.
 ///
 /// Each configuration's per-interval step owns one (`crate::window`),
@@ -17,7 +31,9 @@ use eleph_stats::Ewma;
 /// detections out to smooth them each with its own γ.
 #[derive(Debug)]
 pub(crate) struct ThresholdSeries {
-    ewma: Ewma,
+    gamma: f64,
+    /// `T̄(n)`; `None` before the first successful detection.
+    smoothed: Option<f64>,
 }
 
 impl ThresholdSeries {
@@ -27,20 +43,24 @@ impl ThresholdSeries {
     ///
     /// Panics when γ is outside [0, 1).
     pub fn new(gamma: f64) -> Self {
+        if let Err(e) = check_gamma(gamma) {
+            panic!("invalid gamma: {e}");
+        }
         ThresholdSeries {
-            ewma: Ewma::new(gamma).unwrap_or_else(|e| panic!("invalid gamma: {e}")),
+            gamma,
+            smoothed: None,
         }
     }
 
     /// The current smoothed threshold (`None` before the first
     /// successful detection) — the one scalar a checkpoint must carry.
     pub fn smoothed_value(&self) -> Option<f64> {
-        self.ewma.value()
+        self.smoothed
     }
 
     /// The smoothing factor γ.
     pub fn gamma(&self) -> f64 {
-        self.ewma.gamma()
+        self.gamma
     }
 
     /// Feed one interval's raw detection (`None` = the detector
@@ -51,10 +71,15 @@ impl ThresholdSeries {
     /// classifies as an elephant — the conservative choice for a TE
     /// application).
     pub fn observe_raw(&mut self, raw: Option<f64>) -> f64 {
-        match raw {
-            Some(t) => self.ewma.update(t),
-            None => self.ewma.value().unwrap_or(f64::INFINITY),
-        }
+        let Some(t) = raw else {
+            return self.smoothed.unwrap_or(f64::INFINITY);
+        };
+        let next = match self.smoothed {
+            None => t,
+            Some(prev) => self.gamma * prev + (1.0 - self.gamma) * t,
+        };
+        self.smoothed = Some(next);
+        next
     }
 }
 
@@ -69,7 +94,9 @@ mod tests {
     #[test]
     fn first_detection_initialises() {
         let mut s = series();
+        assert_eq!(s.smoothed_value(), None);
         assert_eq!(s.observe_raw(Some(100.0)), 100.0);
+        assert_eq!(s.smoothed_value(), Some(100.0));
     }
 
     #[test]
@@ -78,6 +105,8 @@ mod tests {
         s.observe_raw(Some(100.0));
         let smoothed = s.observe_raw(Some(200.0));
         assert!((smoothed - 110.0).abs() < 1e-12); // 0.9·100 + 0.1·200
+        let smoothed = s.observe_raw(Some(0.0));
+        assert!((smoothed - 99.0).abs() < 1e-12); // 0.9·110 + 0.1·0
     }
 
     #[test]
@@ -104,6 +133,16 @@ mod tests {
     }
 
     #[test]
+    fn invalid_gamma_rejected() {
+        assert_eq!(check_gamma(1.0), Err("parameter gamma = 1 out of domain".to_string()));
+        assert!(check_gamma(-0.1).is_err());
+        assert!(check_gamma(1.5).is_err());
+        assert!(check_gamma(f64::NAN).is_err());
+        assert_eq!(check_gamma(0.0), Ok(()));
+        assert_eq!(check_gamma(0.999), Ok(()));
+    }
+
+    #[test]
     fn smoothing_dampens_spikes() {
         // A single spiky detection moves the smoothed value by only 10%.
         let mut s = series();
@@ -115,10 +154,41 @@ mod tests {
     }
 
     #[test]
+    fn smoothing_reduces_variance() {
+        // Alternating ±1 input: smoothed sequence must have much smaller
+        // swing than the raw input.
+        let mut s = series();
+        s.observe_raw(Some(0.0));
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        for i in 0..200 {
+            let x = if i % 2 == 0 { 1.0 } else { -1.0 };
+            let v = s.observe_raw(Some(x));
+            if i > 50 {
+                min = min.min(v);
+                max = max.max(v);
+            }
+        }
+        assert!(max - min < 0.25, "swing {} too large", max - min);
+    }
+
+    #[test]
+    fn converges_to_constant_input() {
+        let mut s = series();
+        s.observe_raw(Some(0.0));
+        let mut last = 0.0;
+        for _ in 0..500 {
+            last = s.observe_raw(Some(7.0));
+        }
+        assert!((last - 7.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn gamma_zero_tracks_raw() {
         let mut s = ThresholdSeries::new(0.0);
-        assert_eq!(s.observe_raw(Some(5.0)), 5.0);
-        assert_eq!(s.observe_raw(Some(7.0)), 7.0);
+        for x in [5.0, 7.0, 42.0] {
+            assert_eq!(s.observe_raw(Some(x)), x);
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use eleph_core::{
     classify, classify_many, classify_stream, holding, AestDetector, ClassificationResult,
     ClassifierState, ClassifyConfig, ConstantLoadDetector, IntervalOutcome, OnlineClassifier,
-    PercentileDetector, RowOrder, Scheme, Sweep, ThresholdDetector, TopNDetector,
+    RowOrder, Scheme, Sweep, ThresholdDetector,
 };
 use eleph_flow::{BandwidthMatrix, KeyId};
 use eleph_net::Prefix;
@@ -47,7 +47,7 @@ mod legacy {
         gamma: f64,
         scheme: Scheme,
     ) -> LegacyResult {
-        let mut ewma = eleph_stats::Ewma::new(gamma).expect("valid gamma");
+        let mut smoothed: Option<f64> = None;
         let n_int = matrix.n_intervals();
         let mut raw_thresholds = Vec::with_capacity(n_int);
         let mut thresholds = Vec::with_capacity(n_int);
@@ -68,8 +68,8 @@ mod legacy {
             let raw = detector.detect(&values);
             raw_thresholds.push(raw);
             let threshold = match raw {
-                Some(t) => ewma.update(t),
-                None => ewma.value().unwrap_or(f64::INFINITY),
+                Some(t) => *smoothed.insert(smoothed.map_or(t, |s| gamma * s + (1.0 - gamma) * t)),
+                None => smoothed.unwrap_or(f64::INFINITY),
             };
             thresholds.push(threshold);
             let t_term = if threshold.is_finite() {
@@ -345,19 +345,16 @@ proptest! {
     }
 
     #[test]
-    fn top_n_detector_counts(values in prop::collection::vec(0.1..1e6f64, 1..100), n in 1usize..20) {
-        let d = TopNDetector { n };
-        let t = d.detect(&values).expect("non-empty");
-        let above = values.iter().filter(|&&v| v > t).count();
-        prop_assert!(above < n, "{above} flows above top-{n} threshold");
-    }
-
-    #[test]
-    fn percentile_detector_bounds_tail(values in prop::collection::vec(0.1..1e6f64, 1..200), q in 0.01..0.99f64) {
-        let d = PercentileDetector { q };
-        let t = d.detect(&values).expect("non-empty");
-        let above = values.iter().filter(|&&v| v > t).count();
-        prop_assert!(above as f64 <= (1.0 - q) * values.len() as f64 + 1.0);
+    fn ewma_stays_within_input_range(gamma in 0.0..0.999f64, inputs in prop::collection::vec(1e-3..1e3f32, 1..100)) {
+        // One key per interval: a β = 1 constant-load detection is its
+        // rate, so the threshold is the EWMA of the inputs.
+        let mut online = OnlineClassifier::new(ConstantLoadDetector::new(1.0), gamma, Scheme::SingleFeature);
+        let lo = f64::from(inputs.iter().cloned().fold(f32::INFINITY, f32::min));
+        let hi = f64::from(inputs.iter().cloned().fold(f32::NEG_INFINITY, f32::max));
+        for &x in &inputs {
+            let v = online.observe(&[(0, x)]).threshold;
+            prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "EWMA {v} outside [{lo}, {hi}]");
+        }
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl<R: Read> PcapSource<R> {
         })
     }
 
-    /// The capture's link type.
-    pub fn link(&self) -> LinkType {
-        self.link
-    }
-
     /// The header of the next record, which stays unread
     /// ([`PcapReader::peek_header`]); `Ok(None)` at the end of the
     /// capture.

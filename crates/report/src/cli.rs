@@ -489,7 +489,7 @@ impl RunOpts {
         // The library's own checks, which would otherwise panic once
         // the table is built: γ's domain and the window's nanosecond
         // bounds.
-        if let Err(e) = eleph_stats::Ewma::new(o.gamma) {
+        if let Err(e) = eleph_core::check_gamma(o.gamma) {
             return usage(format!("--gamma {}: {e}", o.gamma));
         }
         // `--start-unix` places a capture's window; a synthetic one
@@ -677,7 +677,10 @@ fn stream(
     // the sink exists, because resuming truncates the output chain to
     // exactly the checkpointed interval count (exactly-once emission).
     let mut checkpointer = match &opts.checkpoint_dir {
-        Some(dir) => Some(Checkpointer::new(dir, opts.checkpoint_every)?),
+        Some(dir) => Some(
+            Checkpointer::new(dir, opts.checkpoint_every)
+                .map_err(|e| io::Error::new(e.kind(), format!("--checkpoint-dir {dir}: {e}")))?,
+        ),
         None => None,
     };
     let ckpt: Option<Checkpoint> = if opts.resume {

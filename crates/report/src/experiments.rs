@@ -18,7 +18,6 @@ use std::sync::Arc;
 use eleph_core::holding::{self, HoldingStats};
 use eleph_core::prefix_analysis::prefix_report;
 use eleph_core::{ClassificationResult, Scheme};
-use eleph_stats::Summary;
 
 use crate::emit::{fmt, write_csv, Comparison};
 use crate::lab::FIG1_JOBS;
@@ -706,11 +705,22 @@ pub fn ablation_scheme(scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentO
     })
 }
 
-/// Coefficient of variation of a series (σ/μ); 0 for a flat series.
+/// Coefficient of variation of a series' finite values (σ/μ, the
+/// population σ); 0 when their mean is zero.
 fn series_cv(values: &[f64]) -> f64 {
-    let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-    let s = Summary::of(&finite);
-    s.cv().unwrap_or(0.0)
+    // Welford's running mean and sum of squared deviations.
+    let (mut n, mut mean, mut m2) = (0u64, 0.0, 0.0);
+    for &x in values.iter().filter(|v| v.is_finite()) {
+        n += 1;
+        let delta = x - mean;
+        mean += delta / n as f64;
+        m2 += delta * (x - mean);
+    }
+    if mean.abs() < f64::EPSILON {
+        return 0.0;
+    }
+    let variance = if n < 2 { 0.0 } else { m2 / n as f64 };
+    variance.sqrt() / mean
 }
 
 /// Ratio of the busiest to the quietest smoothed elephant count.
@@ -731,5 +741,42 @@ fn count_peak_to_trough(result: &ClassificationResult) -> f64 {
         f64::INFINITY
     } else {
         max / min
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::series_cv;
+
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() < 1e-9
+    }
+
+    #[test]
+    fn series_cv_of_no_finite_values_is_zero() {
+        assert_eq!(series_cv(&[]), 0.0);
+        assert_eq!(series_cv(&[f64::INFINITY, f64::NAN]), 0.0);
+        assert_eq!(series_cv(&[0.0, 0.0, f64::INFINITY]), 0.0);
+    }
+
+    #[test]
+    fn series_cv_of_one_value_is_zero() {
+        assert_eq!(series_cv(&[3.5]), 0.0);
+        assert_eq!(series_cv(&[3.5, f64::INFINITY]), 0.0);
+    }
+
+    #[test]
+    fn series_cv_is_the_population_cv_of_the_finite_values() {
+        // The classic example: μ = 5, σ = 2.
+        assert!(close(series_cv(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]), 0.4));
+        let classic = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0, f64::INFINITY, f64::NAN];
+        assert!(close(series_cv(&classic), 0.4));
+    }
+
+    #[test]
+    fn series_cv_is_stable_for_large_offsets() {
+        // Welford keeps the variance (22.5) under a large common offset.
+        let offset = [1e9 + 4.0, 1e9 + 7.0, 1e9 + 13.0, 1e9 + 16.0];
+        assert!(close(series_cv(&offset) * (1e9 + 10.0), 22.5f64.sqrt()));
     }
 }

@@ -16,17 +16,22 @@
 //!   configuration as the rows go by, and holds no link whole;
 //! * [`run`] — classify a matrix with a scheme, outside any session;
 //! * [`emit`] — ASCII tables for stdout and CSV files under
-//!   `target/experiments/` for plotting.
+//!   `target/experiments/` for plotting;
+//! * [`SetAccuracy`] — recall / precision / byte coverage of an
+//!   approximate elephant set against the exact oracle's, the scoring
+//!   behind `eleph sketch` ([`sketch`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod accuracy;
 pub mod cli;
 pub mod emit;
 pub mod experiments;
 mod lab;
 pub mod sketch;
 
+pub use accuracy::SetAccuracy;
 pub use lab::{Job, Lab, LabCounters, Link, MatrixId, Measure, Need};
 
 use eleph_bgp::synth::SynthConfig;

@@ -11,7 +11,7 @@
 //!   streaming `--state exact` run is pinned **bit-identical** to
 //!   (same key ids, same elephants, same threshold bits);
 //! * each sketch backend (`spacesaving`, `cmrow`, `bloom`) is scored
-//!   against that oracle with [`eleph_stats::SetAccuracy`]:
+//!   against that oracle with [`SetAccuracy`]:
 //!   recall, precision and byte coverage of the elephant set,
 //!   micro-averaged over intervals;
 //! * a **memory-vs-accuracy frontier** sweeps the state budget at the
@@ -35,11 +35,10 @@ use eleph_pipeline::{
     CollectedInterval, Collector, MetaSource, PacketSource, PipelineBuilder, PipelineReport,
     TraceSource,
 };
-use eleph_stats::SetAccuracy;
 use eleph_trace::{LinkSpec, RateTrace};
 
 use crate::cli::{usage, Args, CliError};
-use crate::Scenario;
+use crate::{Scenario, SetAccuracy};
 
 /// Budgets swept by the memory-vs-accuracy frontier, bytes.
 const FRONTIER_BUDGETS: [usize; 4] = [65_536, 262_144, 1_048_576, 4_194_304];

@@ -177,6 +177,23 @@ fn an_unwritable_checkpoint_exits_1_naming_its_path() {
     assert!(stderr.contains("checkpoint I/O error"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!path.exists(), "no image was renamed into place");
+    // A regular file where the directory goes: the checkpointer cannot
+    // open it, and the run names the flag and the path.
+    let file = dir.join("file");
+    fs::write(&file, "not a directory").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_eleph"))
+        .args(["run", "--synth", "--flows", "200", "--intervals", "4", "--interval-secs", "20"])
+        .args(["--prefixes", "2000", "--checkpoint-dir"])
+        .arg(&file)
+        .arg("--out")
+        .arg(dir.join("file.jsonl"))
+        .output()
+        .expect("eleph runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let named = format!("--checkpoint-dir {}: ", file.to_str().expect("utf-8 temp dir"));
+    assert!(stderr.contains(&named), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -9,8 +9,6 @@
 
 use rand::Rng;
 
-use crate::StatsError;
-
 /// Sample from a distribution using the supplied RNG.
 pub trait Sample {
     /// Draw one value.
@@ -29,18 +27,10 @@ pub struct Pareto {
 }
 
 impl Pareto {
-    /// Create with scale `xm > 0` and shape `alpha > 0`.
-    pub fn new(xm: f64, alpha: f64) -> Result<Self, StatsError> {
-        if !(xm > 0.0) {
-            return Err(StatsError::BadParameter { name: "xm", value: xm });
-        }
-        if !(alpha > 0.0) {
-            return Err(StatsError::BadParameter {
-                name: "alpha",
-                value: alpha,
-            });
-        }
-        Ok(Pareto { xm, alpha })
+    /// Create with scale `xm > 0` and shape `alpha > 0`; `None` outside
+    /// that domain.
+    pub fn new(xm: f64, alpha: f64) -> Option<Self> {
+        (xm > 0.0 && alpha > 0.0).then_some(Pareto { xm, alpha })
     }
 
     /// Analytic mean (for α > 1).
@@ -58,38 +48,6 @@ impl Sample for Pareto {
     }
 }
 
-/// Exponential distribution with rate λ.
-#[derive(Debug, Clone, Copy)]
-pub struct Exp {
-    lambda: f64,
-}
-
-impl Exp {
-    /// Create with rate `lambda > 0`.
-    pub fn new(lambda: f64) -> Result<Self, StatsError> {
-        if !(lambda > 0.0) {
-            return Err(StatsError::BadParameter {
-                name: "lambda",
-                value: lambda,
-            });
-        }
-        Ok(Exp { lambda })
-    }
-
-    /// Analytic mean 1/λ.
-    pub fn mean(&self) -> f64 {
-        1.0 / self.lambda
-    }
-}
-
-impl Sample for Exp {
-    /// Inverse CDF: `x = −ln(u)/λ`.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u = 1.0 - rng.gen::<f64>();
-        -u.ln() / self.lambda
-    }
-}
-
 /// Log-normal distribution: `ln X ~ N(mu, sigma²)`.
 ///
 /// The "body" of flow-bandwidth distributions (the mice) is well described
@@ -101,15 +59,10 @@ pub struct LogNormal {
 }
 
 impl LogNormal {
-    /// Create with log-mean `mu` and log-std `sigma > 0`.
-    pub fn new(mu: f64, sigma: f64) -> Result<Self, StatsError> {
-        if !(sigma > 0.0) {
-            return Err(StatsError::BadParameter {
-                name: "sigma",
-                value: sigma,
-            });
-        }
-        Ok(LogNormal { mu, sigma })
+    /// Create with log-mean `mu` and log-std `sigma > 0`; `None` outside
+    /// that domain.
+    pub fn new(mu: f64, sigma: f64) -> Option<Self> {
+        (sigma > 0.0).then_some(LogNormal { mu, sigma })
     }
 
     /// Analytic mean `exp(mu + sigma²/2)`.
@@ -171,15 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_moments() {
-        let d = Exp::new(0.25).unwrap();
-        let xs = draw(&d, 200_000);
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
-        assert!(xs.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
     fn lognormal_median_and_mean() {
         let d = LogNormal::new(1.0, 0.5).unwrap();
         let mut xs = draw(&d, 200_000);
@@ -202,10 +146,9 @@ mod tests {
 
     #[test]
     fn parameter_validation() {
-        assert!(Pareto::new(0.0, 1.0).is_err());
-        assert!(Pareto::new(1.0, 0.0).is_err());
-        assert!(Exp::new(0.0).is_err());
-        assert!(LogNormal::new(0.0, 0.0).is_err());
+        assert!(Pareto::new(0.0, 1.0).is_none());
+        assert!(Pareto::new(1.0, 0.0).is_none());
+        assert!(LogNormal::new(0.0, 0.0).is_none());
     }
 
     #[test]

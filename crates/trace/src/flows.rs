@@ -4,11 +4,11 @@ use std::net::Ipv4Addr;
 
 use eleph_bgp::{BgpTable, PeerClass};
 use eleph_net::Prefix;
-use eleph_stats::dist::{LogNormal, Pareto, Sample};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+use crate::dist::{LogNormal, Pareto, Sample};
 use crate::{mix64, WorkloadConfig};
 
 /// Index of a flow within a [`FlowPopulation`]. Flow = BGP prefix, per
@@ -225,7 +225,7 @@ pub(crate) fn flow_rng(seed: u64, flow: FlowId, salt: u64) -> StdRng {
 
 /// Draw a mean-one log-normal jitter factor: `exp(σZ − σ²/2)`.
 pub(crate) fn unit_mean_jitter<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
-    (sigma * eleph_stats::dist::standard_normal(rng) - sigma * sigma / 2.0).exp()
+    (sigma * crate::dist::standard_normal(rng) - sigma * sigma / 2.0).exp()
 }
 
 #[cfg(test)]

@@ -35,12 +35,16 @@
 //! [`generate_churn`] produces deterministic route announce/withdraw
 //! storms and flap-damping scenarios for stressing mid-stream
 //! re-attribution.
+//!
+//! [`dist`] holds the inverse-transform samplers (Pareto, log-normal)
+//! the population and the bursts are drawn from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod churn;
 mod config;
+pub mod dist;
 mod diurnal;
 mod flows;
 mod packets;

@@ -12,10 +12,10 @@
 //! rows and one state per flow, never the whole link.
 
 use eleph_bgp::BgpTable;
-use eleph_stats::dist::{Pareto, Sample};
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::dist::{Pareto, Sample};
 use crate::flows::{flow_rng, unit_mean_jitter};
 use crate::{FlowId, FlowKind, FlowPopulation, WorkloadConfig};
 

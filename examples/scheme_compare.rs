@@ -1,19 +1,18 @@
 //! Side-by-side comparison of threshold detectors on the same workload.
 //!
-//! Runs the paper's two detectors (aest, 0.8-constant-load) and the two
-//! baselines (top-N, 95th percentile) under both classification schemes,
-//! and prints the metrics that matter for traffic engineering: how many
+//! Runs the paper's two detectors (aest, 0.8-constant-load) under both
+//! classification schemes, and prints the metrics that matter for traffic engineering: how many
 //! elephants, how much traffic they carry, and how stable the class is.
 //!
 //! ```sh
-//! cargo run --release -p eleph-examples --bin scheme_compare
+//! cargo run --release -p eleph-tests --example scheme_compare
 //! ```
 
 use eleph_bgp::synth::{self, SynthConfig};
 use eleph_core::holding::{self, churn};
 use eleph_core::{
-    classify, AestDetector, ConstantLoadDetector, PercentileDetector, Scheme, ThresholdDetector,
-    TopNDetector, PAPER_GAMMA, PAPER_LATENT_WINDOW,
+    classify, AestDetector, ConstantLoadDetector, Scheme, ThresholdDetector, PAPER_GAMMA,
+    PAPER_LATENT_WINDOW,
 };
 use eleph_flow::{busiest_window, BandwidthMatrix};
 use eleph_trace::WorkloadConfig;
@@ -53,8 +52,6 @@ fn main() {
     let detectors: Vec<Box<dyn Fn() -> Box<dyn ThresholdDetector>>> = vec![
         Box::new(|| Box::new(AestDetector::new())),
         Box::new(|| Box::new(ConstantLoadDetector::new(0.8))),
-        Box::new(|| Box::new(TopNDetector { n: 150 })),
-        Box::new(|| Box::new(PercentileDetector { q: 0.95 })),
     ];
 
     for make in &detectors {

@@ -170,7 +170,8 @@
 #      threshold record), and the bytes a pipeline allocates applying a
 #      mid-stream batch of 64 announces into 64 painted pages (under 32
 #      pages' worth: the live table is written in place); `Ecdf`'s integer sort and `aest` against
-#      the comparator sort, and `aest` on a non-finite sample — all part
+#      the comparator sort, and `aest` on a non-finite sample (both
+#      crate-private in `eleph-core`, beside the detectors) — all part
 #      of tier-1; re-run by name so a failure is attributed immediately;
 #      then `eleph all --scale 0.05 --seed 3` runs once
 #      under `taskset -c 0` and once unrestricted (trace generation uses
@@ -179,7 +180,8 @@
 #      run is skipped, and the gate says so);
 #  15. doc links: `cargo doc` over the workspace with broken and
 #      private intra-doc links denied, so a public doc that names a
-#      deleted or private item fails here;
+#      deleted, moved or crate-private item (`eleph-core`'s `aest`,
+#      `Ecdf` and `ThresholdSeries`) fails here;
 #  16. mutants: `scripts/mutants.sh` on five of the patches in
 #      `tests/mutants/`, one each in the classifier core, the batch
 #      sweep's shared window scan, the pipeline, the checkpoint log and a
@@ -470,7 +472,7 @@ cargo test -q -p eleph-report --test alloc table4_holds_less_than_the_matrix_it_
 cargo test -q -p eleph-report --test session_alloc a_session_keeps_its_results_and_tables_and_one_walk
 cargo test -q -p eleph-core --test alloc
 cargo test -q -p eleph-pipeline --test alloc
-cargo test -q -p eleph-stats --lib -- \
+cargo test -q -p eleph-core --lib -- \
     ecdf::tests::integer_sort_equals_the_comparator_sort \
     aest::tests::integer_sorted_levels_give_the_comparator_sorts_result \
     aest::tests::a_non_finite_sample_is_a_typed_error

@@ -36,7 +36,7 @@ tests=(
     "eleph-core --lib sketch::tests::slot_heap_evicts_exactly_what_the_scan_did"
     "eleph-core --lib sketch::tests::a_restored_bloom_keeps_its_adapted_threshold"
     "eleph-core --lib sketch::tests::exact_dense_matches_reference_map"
-    "eleph-stats --lib ewma::tests::first_observation_initialises"
+    "eleph-core --lib tracker::tests::first_detection_initialises"
     "eleph-net --lib flat::tests::rib_order_sorts_stably_and_keeps_the_last_duplicate"
     "eleph-bgp --lib live::tests::replacing_announce_retires_old_id"
     "eleph-flow --lib aggregate::tests::rejects_are_counted_not_dropped"

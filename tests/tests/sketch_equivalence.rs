@@ -371,7 +371,7 @@ fn generous_budget_hashed_sketches_reach_full_recall() {
         StateBackendConfig::AdaptiveBloom { budget_bytes: 4 * 1024 * 1024 },
     ] {
         let approx = run_with(&table, &metas, t, start, n, 0, state, None);
-        let mut acc = eleph_stats::SetAccuracy::new();
+        let mut acc = eleph_report::SetAccuracy::new();
         for (g, w) in approx.outcomes.iter().zip(&exact.outcomes) {
             acc.observe(&w.outcome.elephants, &g.outcome.elephants, |_| 1.0);
         }
