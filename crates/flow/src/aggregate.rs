@@ -21,6 +21,7 @@
 //!   holds them ([`PcapReader::next_record_ref`]) instead of copying
 //!   or allocating per record.
 
+use std::borrow::Cow;
 use std::io::Read;
 
 use eleph_bgp::{BgpTable, FrozenBgpTable, RouteId};
@@ -229,33 +230,12 @@ impl AggregatorStats {
     }
 }
 
-/// A frozen attribution table, owned or borrowed: owned when built
-/// from a live [`BgpTable`], borrowed when several consumers share one
-/// freeze. Shared with the streaming pipeline so both paths hold their
-/// table the same way.
-#[derive(Debug)]
-pub enum FrozenTableRef<'t> {
-    /// Owns its freeze.
-    Owned(Box<FrozenBgpTable>),
-    /// Borrows a shared freeze.
-    Borrowed(&'t FrozenBgpTable),
-}
-
-impl FrozenTableRef<'_> {
-    /// The table itself.
-    #[inline]
-    pub fn get(&self) -> &FrozenBgpTable {
-        match self {
-            FrozenTableRef::Owned(t) => t,
-            FrozenTableRef::Borrowed(t) => t,
-        }
-    }
-}
-
 /// Streaming aggregator: packets in, [`BandwidthMatrix`] out.
 #[derive(Debug)]
 pub struct Aggregator<'t> {
-    table: FrozenTableRef<'t>,
+    /// Owned when built from a [`BgpTable`], borrowed when several
+    /// aggregators share one freeze.
+    table: Cow<'t, FrozenBgpTable>,
     interval_secs: u64,
     start_unix: u64,
     n_intervals: usize,
@@ -287,12 +267,7 @@ impl<'t> Aggregator<'t> {
         start_unix: u64,
         n_intervals: usize,
     ) -> Self {
-        Self::build(
-            FrozenTableRef::Owned(Box::new(table.freeze())),
-            interval_secs,
-            start_unix,
-            n_intervals,
-        )
+        Self::build(Cow::Owned(table.freeze()), interval_secs, start_unix, n_intervals)
     }
 
     /// Create an aggregator borrowing an existing frozen table.
@@ -302,22 +277,17 @@ impl<'t> Aggregator<'t> {
         start_unix: u64,
         n_intervals: usize,
     ) -> Self {
-        Self::build(
-            FrozenTableRef::Borrowed(table),
-            interval_secs,
-            start_unix,
-            n_intervals,
-        )
+        Self::build(Cow::Borrowed(table), interval_secs, start_unix, n_intervals)
     }
 
     fn build(
-        table: FrozenTableRef<'t>,
+        table: Cow<'t, FrozenBgpTable>,
         interval_secs: u64,
         start_unix: u64,
         n_intervals: usize,
     ) -> Self {
         let (start_ns, interval_ns) = window_bounds_ns(interval_secs, start_unix);
-        let n_routes = table.get().len();
+        let n_routes = table.len();
         Aggregator {
             table,
             interval_secs,
@@ -341,7 +311,7 @@ impl<'t> Aggregator<'t> {
             self.stats.out_of_window += 1;
             return;
         };
-        let route = self.table.get().attribute_id(u32::from(meta.dst));
+        let route = self.table.attribute_id(u32::from(meta.dst));
         self.bin(meta, route, interval);
     }
 
@@ -359,7 +329,7 @@ impl<'t> Aggregator<'t> {
     /// drivers feed.
     pub fn observe_chunk(&mut self, metas: &[PacketMeta]) {
         let mut routes = std::mem::take(&mut self.route_scratch);
-        attribute_metas(self.table.get(), metas, &mut routes);
+        attribute_metas(&*self.table, metas, &mut routes);
         for (meta, &route) in metas.iter().zip(routes.iter()) {
             // Window before routability, as in `observe`: the order
             // fixes which reject bucket a doubly-bad packet lands in.
@@ -404,18 +374,6 @@ impl<'t> Aggregator<'t> {
         self.stats.attributed_bytes += u64::from(meta.wire_len);
     }
 
-    /// Observe one raw packet (parse, then bin); parse failures are
-    /// counted as malformed, never propagated as errors.
-    pub fn observe_raw(&mut self, link: LinkType, data: &[u8], ts_ns: u64) {
-        match eleph_packet::parse_meta(link, data, ts_ns) {
-            Ok(meta) => self.observe(&meta),
-            Err(_) => {
-                self.stats.offered += 1;
-                self.stats.malformed += 1;
-            }
-        }
-    }
-
     /// Current statistics.
     pub fn stats(&self) -> AggregatorStats {
         self.stats
@@ -428,7 +386,7 @@ impl<'t> Aggregator<'t> {
             .keys
             .key_routes()
             .iter()
-            .map(|&r| self.table.get().prefix(r))
+            .map(|&r| self.table.prefix(r))
             .collect();
         let matrix = matrix_from_rows(self.interval_secs, self.start_unix, keys, &self.rows);
         (matrix, self.stats)
@@ -622,32 +580,14 @@ mod tests {
         agg.observe(&meta([11, 0, 0, 1], 1005, 100)); // unroutable
         agg.observe(&meta([10, 0, 0, 1], 999, 100)); // before window
         agg.observe(&meta([10, 0, 0, 1], 1020, 100)); // after window
-        agg.observe_raw(LinkType::RawIp, &[0xFF; 10], 1_005_000_000_000); // malformed
         agg.observe(&meta([10, 0, 0, 1], 1005, 100)); // good
 
         let stats = agg.stats();
-        assert_eq!(stats.offered, 5);
+        assert_eq!(stats.offered, 4);
         assert_eq!(stats.unroutable, 1);
         assert_eq!(stats.out_of_window, 2);
-        assert_eq!(stats.malformed, 1);
         assert_eq!(stats.attributed, 1);
         assert!(stats.is_conserved());
-    }
-
-    #[test]
-    fn observe_raw_parses_real_packets() {
-        let t = table();
-        let mut agg = Aggregator::new(&t, 10, 0, 1);
-        let bytes = PacketBuilder::udp()
-            .src(Ipv4Addr::new(198, 18, 0, 1), 9)
-            .dst(Ipv4Addr::new(10, 1, 2, 3), 53)
-            .payload_len(72)
-            .build_ipv4();
-        agg.observe_raw(LinkType::RawIp, &bytes, 5_000_000_000);
-        let (m, stats) = agg.finish();
-        assert_eq!(stats.attributed, 1);
-        let p16 = m.key_id("10.1.0.0/16".parse().unwrap()).unwrap();
-        assert_eq!(m.rate(0, p16), bytes.len() as f64 * 8.0 / 10.0);
     }
 
     #[test]

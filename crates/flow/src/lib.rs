@@ -42,8 +42,7 @@ mod window;
 
 pub use aggregate::{
     aggregate_pcap, aggregate_pcap_frozen, attribute_metas, try_window_bounds_ns,
-    window_bounds_ns, Aggregator, AggregatorStats, FrozenTableRef, KeyAllocator,
-    ATTRIBUTION_CHUNK,
+    window_bounds_ns, Aggregator, AggregatorStats, KeyAllocator, ATTRIBUTION_CHUNK,
 };
 pub use matrix::{BandwidthMatrix, IntervalView, KeyId};
 pub use remeasure::{Coarsen, Refine};

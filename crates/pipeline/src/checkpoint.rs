@@ -77,7 +77,7 @@
 //! term and its sparse snapshot, 8 bytes a key. Every slot still in the
 //! window when an image is taken is appended once, by that image. The
 //! log is named `eleph.<n>.log` beside the image: a compaction's log
-//! takes the number after the one it compacts, and a log a run starts
+//! takes the number after the one it replaces, and a log a run starts
 //! takes the number after every log in the directory (0 in an empty
 //! one).
 //!
@@ -88,17 +88,20 @@
 //! before it has been bounded by the bytes that hold it. Bytes past the
 //! watermark are ignored: they belong to an image that never landed.
 //!
-//! **Compaction.** After each append the writer compares the log's
-//! dead bytes — slots that have left the window, the framing of all key
-//! records but one — with its live bytes, which are what a compaction
-//! keeps: the header, one key record holding every key, and the
-//! window's slot records. When the dead bytes are more, it streams the
-//! live records into the next log, syncs it, writes the image that
-//! names it and deletes the old one. So the log never holds more than
-//! twice its live bytes after an image, and since the rule reads only
-//! the images taken, the log, the image and every file name are a
-//! function of the input, the configuration and the cadence — on one
-//! core or many, and across any number of crashes and resumes.
+//! **Compaction.** Before each append the [`Checkpointer`] compares
+//! what the log would then hold of dead bytes — slots that have left
+//! the window, the framing of all key records but one — with its live
+//! bytes: the header, one key record holding every key, and the
+//! window's slot records, which is what a log started from the same
+//! frontier holds. When the dead bytes would be more, the image does
+//! not append: it starts the next log from the pipeline's whole key
+//! table and window, as a first image does, and the old log is deleted
+//! once the image naming the new one is in place. No log is ever read
+//! to write another. So the log never holds more than twice its live
+//! bytes after an image, and since the rule reads only the images
+//! taken, the log, the image and every file name are a function of the
+//! input, the configuration and the cadence — on one core or many, and
+//! across any number of crashes and resumes.
 //!
 //! # How an image is produced
 //!
@@ -118,10 +121,11 @@
 //! What the pipeline copies: for a [`Checkpointer`] only the frontier
 //! — the open row, the per-key window state and the membership — plus
 //! the keys assigned and the slots sealed since the log it continues
-//! was last written (all of them when it starts a log). The one-shot
-//! forms copy the whole key table and window too: the decoded form
-//! stays one plain owned struct that tests can build, corrupt and
-//! re-encode.
+//! was last written (all of them when it starts a log; an image the
+//! compaction rule turns into a start takes those, then all of them).
+//! The one-shot forms copy the whole key table and window too: the
+//! decoded form stays one plain owned struct that tests can build,
+//! corrupt and re-encode.
 //!
 //! # Where an image is produced
 //!
@@ -138,20 +142,19 @@
 //!
 //! # Atomicity & exactly-once emission
 //!
-//! The writer thread takes four steps per image, in this order:
-//! 1. append the image's records to the log and fsync it (a new log
-//!    gets its header first, and the directory is synced);
-//! 2. compact, when the rule above says so: the live records go into
-//!    the next log, which is synced;
-//! 3. write the image to `<file>.tmp`, fsync, rename it over the final
+//! The writer thread takes three steps per image, in this order:
+//! 1. append the image's records to the log it names and fsync it, or
+//!    create that log whole — header first — fsync it and sync the
+//!    directory;
+//! 2. write the image to `<file>.tmp`, fsync, rename it over the final
 //!    name, then fsync the directory (best effort);
-//! 4. delete the log the image before named, if this one names another.
+//! 3. delete the log the image before named, if this one names another.
 //!
 //! A crash before the rename leaves the previous image in place and its
 //! log complete up to that image's watermark — possibly with a torn or
-//! complete tail of records behind it, a new log no image names and a
-//! temp image. [`Checkpointer::new`] is the recovery: it cuts the log
-//! its image names back to the watermark (the torn-tail rule of
+//! complete tail of records behind it, or a new log no image names —
+//! and a temp image. [`Checkpointer::new`] is the recovery: it cuts the
+//! log its image names back to the watermark (the torn-tail rule of
 //! [`crate::RotatingJsonlSink::resume`]) and deletes the rest. A
 //! resumed pipeline then appends to that log where the image left it,
 //! so a resumed run writes the files the uninterrupted run writes. A
@@ -181,7 +184,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::thread;
@@ -322,13 +325,7 @@ fn crc_step(crc: u32, byte: u8) -> u32 {
 /// results XOR together — independent loads instead of a sixteen-deep
 /// dependency chain. The tail shorter than a stride goes bytewise.
 pub fn crc32(data: &[u8]) -> u32 {
-    crc32_extend(0, data)
-}
-
-/// The CRC-32 of some bytes followed by `data`, given `crc`, the CRC-32
-/// of those bytes: what lets a record be checksummed as it streams.
-fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
-    let mut crc = !crc;
+    let mut crc = !0u32;
     let mut strides = data.chunks_exact(CRC_STRIDE);
     for stride in &mut strides {
         let (lo, hi) = stride.split_at(8);
@@ -898,7 +895,7 @@ impl LogRef {
 }
 
 /// A checkpoint log as its writer accounts for it: enough to append to
-/// it, to tell its live bytes from its dead ones and to compact it.
+/// it and to tell its live bytes from its dead ones.
 ///
 /// A pipeline carries the state of the log that holds its key table and
 /// window, and a [`Checkpointer`] appends to its log only for a pipeline
@@ -914,11 +911,8 @@ pub(crate) struct LogState {
     /// Intervals sealed at the last image: every slot of an earlier
     /// interval that was in the window then is in the log.
     open: u64,
-    /// Where the key entries lie, one run per key record:
-    /// `(offset, bytes)`.
-    key_runs: Vec<(u64, u64)>,
-    /// The window's slot records, oldest first: `(offset, bytes)`.
-    slots: VecDeque<(u64, u64)>,
+    /// Bytes of the window's slot records, oldest first.
+    slots: VecDeque<u64>,
 }
 
 /// Bytes of a key record holding `keys` keys.
@@ -940,7 +934,6 @@ impl LogState {
             len: 0,
             keys: 0,
             open: 0,
-            key_runs: Vec::new(),
             slots: VecDeque::new(),
         }
     }
@@ -955,11 +948,11 @@ impl LogState {
         }
     }
 
-    /// The bytes a compaction keeps: the header, one key record holding
-    /// every key, the window's slot records.
+    /// The bytes a log started from the same frontier holds: the header,
+    /// one key record holding every key, the window's slot records.
     fn live(&self) -> u64 {
         let keys = if self.keys > 0 { key_record_len(self.keys) } else { 0 };
-        LOG_HEADER_LEN + keys + self.slots.iter().map(|&(_, len)| len).sum::<u64>()
+        LOG_HEADER_LEN + keys + self.slots.iter().sum::<u64>()
     }
 
     /// Account for the records `delta` appends — and the header, on a
@@ -971,45 +964,18 @@ impl LogState {
             self.len = LOG_HEADER_LEN;
         }
         if !snapshot.keys.is_empty() {
-            self.key_runs.push((self.len + KEYS_AT, 9 * snapshot.keys.len() as u64));
             self.len += key_record_len(snapshot.keys.len());
             self.keys += snapshot.keys.len();
         }
         for (_, slot) in &snapshot.state.history {
             let len = slot_record_len(slot.len());
-            self.slots.push_back((self.len, len));
+            self.slots.push_back(len);
             self.len += len;
         }
         while self.slots.len() > delta.window {
             self.slots.pop_front();
         }
         self.open = snapshot.open;
-    }
-
-    /// This log compacted into log `seq`: its accounting, and the
-    /// writer's plan for the copy.
-    fn compacted(&self, seq: u64, image: &Path) -> (LogState, Compaction) {
-        let mut into = LogState::new(seq, image);
-        into.len = LOG_HEADER_LEN;
-        into.open = self.open;
-        if self.keys > 0 {
-            into.keys = self.keys;
-            into.key_runs.push((into.len + KEYS_AT, 9 * self.keys as u64));
-            into.len += key_record_len(self.keys);
-        }
-        for &(_, len) in &self.slots {
-            into.slots.push_back((into.len, len));
-            into.len += len;
-        }
-        let plan = Compaction {
-            from: self.path.clone(),
-            into: into.path.clone(),
-            keys: self.keys,
-            key_runs: self.key_runs.clone(),
-            slots: self.slots.iter().copied().collect(),
-            len: into.len,
-        };
-        (into, plan)
     }
 }
 
@@ -1091,7 +1057,6 @@ fn read_log(
                 if keys.len() + n > n_keys {
                     return Err(format(format!("more keys than the image's {n_keys}")));
                 }
-                state.key_runs.push((at as u64 + KEYS_AT, 9 * n as u64));
                 for _ in 0..n {
                     keys.push(key(&mut p).map_err(format)?);
                 }
@@ -1107,7 +1072,7 @@ fn read_log(
                     )));
                 }
                 last_interval = Some(interval);
-                state.slots.push_back((at as u64, (r.position() - at) as u64));
+                state.slots.push_back((r.position() - at) as u64);
                 intervals.push_back(interval);
                 history.push_back((t_term, snapshot(&mut p, (len - 16) / 8).map_err(format)?));
                 if history.len() > window {
@@ -1213,10 +1178,11 @@ fn put_log_header(w: &mut Vec<u8>) {
 ///
 /// Keeps `eleph.ckpt` and one log (`eleph.<n>.log`) inside its
 /// directory, writing an image every `every` sealed intervals (checked
-/// at source chunk boundaries): the log append is synced before the
-/// image is written to a temp file, synced and renamed into place, so a
-/// crash at any instruction leaves the old or the new image complete on
-/// disk, with its log complete up to its watermark — never a torn one.
+/// at source chunk boundaries): the log append, or the new log, is
+/// synced before the image is written to a temp file, synced and renamed
+/// into place, so a crash at any instruction leaves the old or the new
+/// image complete on disk, with its log complete up to its watermark —
+/// never a torn one.
 /// See the module docs for the protocol, the log and its compaction.
 ///
 /// The caller's thread only takes the owned copy; one writer thread,
@@ -1244,8 +1210,9 @@ pub struct Checkpointer {
     next_seq: u64,
     /// `None` until the first image.
     writer: Option<Writer>,
-    /// An image was handed over and its answer not yet taken.
-    in_flight: bool,
+    /// `Some` while an image was handed over and its answer not yet
+    /// taken: `Some(true)` when it starts a log by the compaction rule.
+    in_flight: Option<bool>,
     written: CheckpointsWritten,
 }
 
@@ -1254,19 +1221,22 @@ pub struct Checkpointer {
 pub struct CheckpointsWritten {
     /// Images written (renamed into place).
     pub images: u64,
-    /// Bytes the last image put on disk: the image and its log append.
+    /// Bytes the last image put on disk: the image and its log append —
+    /// the whole log when it started one, save a log the compaction rule
+    /// started, which counts only in `total_bytes`.
     pub last_bytes: u64,
     /// Bytes all images put on disk: images, log appends and the logs
-    /// compactions wrote.
+    /// they started, compactions included.
     pub total_bytes: u64,
-    /// Compactions: logs rewritten to their live records.
+    /// Compactions: logs started because the one before held more dead
+    /// bytes than live ones.
     pub compactions: u64,
     /// Seconds the writer thread spent building images and log records:
     /// encode and checksum (the owned copy the caller takes first is not
     /// counted).
     pub encode_secs: f64,
-    /// Seconds the writer thread spent putting them on disk: log append,
-    /// compaction, create, write, fsync, rename, directory fsync.
+    /// Seconds the writer thread spent putting them on disk: log append
+    /// or new log, create, write, fsync, rename, directory fsync.
     pub io_secs: f64,
     /// Seconds the caller's thread spent blocked on an image in flight:
     /// the part of checkpointing a run still pays.
@@ -1283,30 +1253,14 @@ struct Job {
 
 /// What the writer thread does to the logs for one image.
 struct LogPlan {
-    /// The log the records go to, and its length before them (0: create
-    /// it, header first).
-    append_to: PathBuf,
-    append_at: u64,
-    compaction: Option<Compaction>,
+    /// The log the records go to, which the image names, and its length
+    /// before them (0: create it, header first).
+    path: PathBuf,
+    at: u64,
     /// The log as the image names it.
     named: LogRef,
-    /// Its path.
-    named_path: PathBuf,
     /// The log the image before named, when this one names another.
     retire: Option<PathBuf>,
-}
-
-/// A compaction's copy: the live records of `from` into a new log.
-struct Compaction {
-    from: PathBuf,
-    into: PathBuf,
-    keys: usize,
-    /// Where `from` holds the key entries and the window's slot records:
-    /// `(offset, bytes)`.
-    key_runs: Vec<(u64, u64)>,
-    slots: Vec<(u64, u64)>,
-    /// Bytes of the new log.
-    len: u64,
 }
 
 /// The writer thread's answer to one [`Job`]: the buffers back, whether
@@ -1316,7 +1270,6 @@ struct Done {
     records: Vec<u8>,
     written: io::Result<()>,
     named_path: PathBuf,
-    compacted: Option<u64>,
     encode_secs: f64,
     io_secs: f64,
 }
@@ -1362,7 +1315,7 @@ fn write_job(path: &Path, tmp: &Path, job: Job) -> Done {
     let Job { delta, mut image, mut records, plan } = job;
     let started = Instant::now();
     records.clear();
-    if plan.append_at == 0 {
+    if plan.at == 0 {
         put_log_header(&mut records);
     }
     delta.encode_records(&mut records);
@@ -1374,15 +1327,14 @@ fn write_job(path: &Path, tmp: &Path, job: Job) -> Done {
         image,
         records,
         written,
-        named_path: plan.named_path,
-        compacted: plan.compaction.map(|c| c.len),
+        named_path: plan.path,
         encode_secs: (encoded - started).as_secs_f64(),
         io_secs: encoded.elapsed().as_secs_f64(),
     }
 }
 
-/// Append `records` to the log and sync it, compact if the plan says
-/// so, put `image` in place, retire the log it no longer names.
+/// Append `records` to the log, or create it with them, and sync it;
+/// put `image` in place; retire the log it no longer names.
 fn put_logged(
     path: &Path,
     tmp: &Path,
@@ -1390,16 +1342,16 @@ fn put_logged(
     records: &[u8],
     image: &[u8],
 ) -> io::Result<()> {
-    let mut log = if plan.append_at == 0 {
-        File::create(&plan.append_to)?
+    let mut log = if plan.at == 0 {
+        File::create(&plan.path)?
     } else {
-        let log = OpenOptions::new().append(true).open(&plan.append_to)?;
+        let log = OpenOptions::new().append(true).open(&plan.path)?;
         let held = log.metadata()?.len();
-        if held != plan.append_at {
+        if held != plan.at {
             return Err(io::Error::other(format!(
                 "{}: log holds {held} bytes, the last image left {}",
-                plan.append_to.display(),
-                plan.append_at
+                plan.path.display(),
+                plan.at
             )));
         }
         log
@@ -1407,11 +1359,7 @@ fn put_logged(
     log.write_all(records)?;
     log.sync_data()?;
     drop(log);
-    if plan.append_at == 0 {
-        sync_dir(path);
-    }
-    if let Some(compaction) = &plan.compaction {
-        compact(compaction)?;
+    if plan.at == 0 {
         sync_dir(path);
     }
     put_on_disk(path, tmp, image)?;
@@ -1420,57 +1368,6 @@ fn put_logged(
             Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
             _ => {}
         }
-    }
-    Ok(())
-}
-
-/// Stream `c.from`'s live records into `c.into` — one key record holding
-/// every key, then the window's slot records as they are — and sync it.
-fn compact(c: &Compaction) -> io::Result<()> {
-    let mut from = File::open(&c.from)?;
-    let mut into = BufWriter::with_capacity(1 << 16, File::create(&c.into)?);
-    let mut buf = vec![0u8; 1 << 16];
-    let mut head = Vec::with_capacity(KEYS_AT as usize);
-    put_log_header(&mut head);
-    into.write_all(&head)?;
-    if c.keys > 0 {
-        head.clear();
-        head.push(KEY_RECORD);
-        head.extend_from_slice(&(8 + 9 * c.keys as u64).to_le_bytes());
-        head.extend_from_slice(&0u64.to_le_bytes());
-        let mut crc = crc32(&head);
-        into.write_all(&head)?;
-        for &(at, len) in &c.key_runs {
-            copy_range(&mut from, at, len, &mut buf, |bytes| {
-                crc = crc32_extend(crc, bytes);
-                into.write_all(bytes)
-            })?;
-        }
-        into.write_all(&crc.to_le_bytes())?;
-    }
-    for &(at, len) in &c.slots {
-        copy_range(&mut from, at, len, &mut buf, |bytes| into.write_all(bytes))?;
-    }
-    let into = into.into_inner().map_err(io::IntoInnerError::into_error)?;
-    debug_assert_eq!(into.metadata()?.len(), c.len);
-    into.sync_data()
-}
-
-/// Hand `len` bytes of `from` at `at` to `out`, a buffer at a time.
-fn copy_range(
-    from: &mut File,
-    at: u64,
-    len: u64,
-    buf: &mut [u8],
-    mut out: impl FnMut(&[u8]) -> io::Result<()>,
-) -> io::Result<()> {
-    from.seek(SeekFrom::Start(at))?;
-    let mut left = len;
-    while left > 0 {
-        let n = left.min(buf.len() as u64) as usize;
-        from.read_exact(&mut buf[..n])?;
-        out(&buf[..n])?;
-        left -= n as u64;
     }
     Ok(())
 }
@@ -1573,7 +1470,7 @@ impl Checkpointer {
             log,
             next_seq,
             writer: None,
-            in_flight: false,
+            in_flight: None,
             written: CheckpointsWritten::default(),
             path,
         })
@@ -1628,10 +1525,9 @@ impl Checkpointer {
     /// reads as that error too. After a failure the next image starts a
     /// new log: what the failed one left in its log is named by no image.
     pub fn flush(&mut self) -> crate::Result<()> {
-        if !self.in_flight {
+        let Some(compaction) = self.in_flight.take() else {
             return Ok(());
-        }
-        self.in_flight = false;
+        };
         let started = Instant::now();
         let done = self.writer.as_ref().and_then(|w| w.done.recv().ok());
         self.written.wait_secs += started.elapsed().as_secs_f64();
@@ -1645,12 +1541,12 @@ impl Checkpointer {
             self.log = None;
             return Err(io_error(e));
         }
-        let bytes = (self.image.len() + self.records.len()) as u64;
+        let (image, log) = (self.image.len() as u64, self.records.len() as u64);
         let w = &mut self.written;
         w.images += 1;
-        w.last_bytes = bytes;
-        w.total_bytes += bytes + done.compacted.unwrap_or(0);
-        w.compactions += u64::from(done.compacted.is_some());
+        w.last_bytes = if compaction { image } else { image + log };
+        w.total_bytes += image + log;
+        w.compactions += u64::from(compaction);
         w.encode_secs += done.encode_secs;
         w.io_secs += done.io_secs;
         self.durable_log = Some(done.named_path);
@@ -1669,26 +1565,27 @@ impl Checkpointer {
         let continued = self.log.take().filter(|log| pipeline.log.as_ref() == Some(log));
         let (keys_from, open_from) =
             continued.as_ref().map_or((0, 0), |log| (log.keys, log.open as usize));
-        let delta = pipeline.export_delta(keys_from, open_from);
+        let mut delta = pipeline.export_delta(keys_from, open_from);
         self.flush()?;
         let mut log = continued.unwrap_or_else(|| {
             let seq = self.take_seq();
             LogState::new(seq, &self.path)
         });
-        let (append_to, append_at) = (log.path.clone(), log.len);
+        let mut at = log.len;
         log.append(&delta);
+        // Compaction: a log whose dead bytes outgrow its live ones is not
+        // continued; the image starts the next log, as a first image does.
         let live = log.live();
-        let compaction = (log.len - live > live).then(|| {
-            let (compacted, plan) = log.compacted(self.take_seq(), &self.path);
-            log = compacted;
-            plan
-        });
+        let compaction = log.len - live > live;
+        if compaction {
+            (delta, at) = (pipeline.export_delta(0, 0), 0);
+            log = LogState::new(self.take_seq(), &self.path);
+            log.append(&delta);
+        }
         let plan = LogPlan {
-            append_to,
-            append_at,
-            compaction,
+            path: log.path.clone(),
+            at,
             named: log.reference(),
-            named_path: log.path.clone(),
             retire: self.durable_log.clone().filter(|old| *old != log.path),
         };
         let writer = match &mut self.writer {
@@ -1710,7 +1607,7 @@ impl Checkpointer {
             .ok_or_else(writer_gone)?;
         pipeline.log = Some(log.clone());
         self.log = Some(log);
-        self.in_flight = true;
+        self.in_flight = Some(compaction);
         self.next_at = Some(sealed + self.every);
         Ok(())
     }
@@ -1994,15 +1891,20 @@ mod tests {
         }
     }
 
+    /// A synthetic table of 300 routes, frozen.
+    fn small_table() -> eleph_bgp::FrozenBgpTable {
+        synth::generate(&SynthConfig { n_prefixes: 300, ..SynthConfig::default() }).freeze()
+    }
+
     /// A pipeline over ten-second intervals from time 0.
     fn pipeline_over<'t>(
-        table: &'t eleph_bgp::BgpTable,
+        table: &'t eleph_bgp::FrozenBgpTable,
         scheme: Scheme,
         state: StateBackendConfig,
         shards: usize,
     ) -> Pipeline<'t, eleph_core::ConstantLoadDetector> {
         PipelineBuilder::new()
-            .table(table)
+            .frozen(table)
             .interval_secs(10)
             .scheme(scheme)
             .state_backend(state)
@@ -2024,7 +1926,7 @@ mod tests {
             ),
             window in 1usize..4,
         ) {
-            let table = synth::generate(&SynthConfig { n_prefixes: 300, ..SynthConfig::default() });
+            let table = small_table();
             let dsts: Vec<Ipv4Addr> = table.iter().map(|e| e.prefix.network()).collect();
             let mut metas: Vec<PacketMeta> = packets
                 .iter()
@@ -2068,7 +1970,7 @@ mod tests {
         // header fields rewritten, nothing of the large image behind it —
         // and, as it is not the pipeline the first log holds, name a log
         // of its own, the first one deleted.
-        let table = synth::generate(&SynthConfig { n_prefixes: 300, ..SynthConfig::default() });
+        let table = small_table();
         let dsts: Vec<Ipv4Addr> = table.iter().map(|e| e.prefix.network()).collect();
         let scheme = Scheme::LatentHeat { window: 3 };
         let busy: Vec<PacketMeta> = (0..600u64)
@@ -2111,26 +2013,31 @@ mod tests {
         names
     }
 
+    /// Interval `interval` of a stream whose key set grows: eight packets
+    /// among the first 280 of `dsts`, ten seconds an interval.
+    fn growing_interval(dsts: &[Ipv4Addr], interval: u64) -> Vec<PacketMeta> {
+        (0..8u64)
+            .map(|i| {
+                let dst = dsts[((interval * 3 + i * i) % 280) as usize];
+                packet(dst, interval * 10_000_000_000 + i, 100 + 10 * i as u32)
+            })
+            .collect()
+    }
+
     /// A checkpoint directory written by a `Checkpointer` at cadence 1
     /// over 40 intervals of a latent-heat pipeline whose key set grows,
     /// and the self-contained image of its final state. Every image on
     /// the way, compactions included, loads as the self-contained image
     /// of its moment.
     fn logged_dir(tag: &str, state: StateBackendConfig) -> (PathBuf, Vec<u8>) {
-        let table = synth::generate(&SynthConfig { n_prefixes: 300, ..SynthConfig::default() });
+        let table = small_table();
         let dsts: Vec<Ipv4Addr> = table.iter().map(|e| e.prefix.network()).collect();
         let dir = std::env::temp_dir().join(format!("eleph-ckpt-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let mut checkpointer = Checkpointer::new(&dir, 1).expect("checkpointer");
         let mut pipeline = pipeline_over(&table, Scheme::LatentHeat { window: 4 }, state, 0);
         for interval in 0..40u64 {
-            let metas: Vec<PacketMeta> = (0..8u64)
-                .map(|i| {
-                    let dst = dsts[((interval * 3 + i * i) % 280) as usize];
-                    packet(dst, interval * 10_000_000_000 + i, 100 + 10 * i as u32)
-                })
-                .collect();
-            pipeline.observe_chunk(&metas).expect("observe");
+            pipeline.observe_chunk(&growing_interval(&dsts, interval)).expect("observe");
             if checkpointer.maybe_write(&mut pipeline).expect("image") {
                 checkpointer.flush().expect("image on disk");
                 let loaded = Checkpoint::load(checkpointer.path()).expect("the image loads");
@@ -2151,6 +2058,37 @@ mod tests {
             .collect();
         assert_eq!(logs.len(), 1, "{logs:?}");
         logs[0].clone()
+    }
+
+    #[test]
+    fn a_compacted_log_is_the_log_a_first_image_writes() {
+        // The image at the first compaction names a log that holds the
+        // key table and window as a first image writes them: byte for
+        // byte the log a new `Checkpointer` in an empty directory writes
+        // for a twin pipeline at the same interval.
+        let table = small_table();
+        let dsts: Vec<Ipv4Addr> = table.iter().map(|e| e.prefix.network()).collect();
+        let pid = std::process::id();
+        let dirs = ["rule", "fresh"]
+            .map(|tag| std::env::temp_dir().join(format!("eleph-ckpt-{tag}-{pid}")));
+        dirs.iter().for_each(|dir| drop(fs::remove_dir_all(dir)));
+        let mut checkpointer = Checkpointer::new(&dirs[0], 1).expect("checkpointer");
+        let [mut pipeline, mut twin] = [(); 2].map(|_| {
+            pipeline_over(&table, Scheme::LatentHeat { window: 4 }, StateBackendConfig::Exact, 0)
+        });
+        let compacted_after = (0..40u64).find(|&interval| {
+            let metas = growing_interval(&dsts, interval);
+            pipeline.observe_chunk(&metas).expect("observe");
+            twin.observe_chunk(&metas).expect("observe");
+            checkpointer.maybe_write(&mut pipeline).expect("image");
+            checkpointer.flush().expect("image on disk");
+            checkpointer.written().compactions > 0
+        });
+        assert!(compacted_after.is_some(), "the run compacts its log");
+        Checkpointer::new(&dirs[1], 1).expect("checkpointer").write(&mut twin).expect("image");
+        let [started, fresh] = dirs.each_ref().map(|dir| fs::read(only_log(dir)).expect("log"));
+        assert!(started == fresh, "the log started by the compaction after {compacted_after:?}");
+        dirs.iter().for_each(|dir| drop(fs::remove_dir_all(dir)));
     }
 
     #[test]
@@ -2268,7 +2206,7 @@ mod tests {
 
     #[test]
     fn a_dead_writer_is_an_io_error_not_a_hang() {
-        let table = synth::generate(&SynthConfig { n_prefixes: 300, ..SynthConfig::default() });
+        let table = small_table();
         let dst = table.iter().next().expect("a route").prefix.network();
         let mut pipeline =
             pipeline_over(&table, Scheme::SingleFeature, StateBackendConfig::Exact, 0);

@@ -45,12 +45,15 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let table: eleph_bgp::BgpTable = /* load or synthesize a RIB */
 //! #     eleph_bgp::synth::generate(&eleph_bgp::synth::SynthConfig::default());
+//! // Freeze once: the flat-array LPM that attribution reads, which any
+//! // number of pipelines may share.
+//! let frozen = table.freeze();
 //! // The bare `File` is the fast form: the reader inside `PcapSource`
 //! // reads it a block at a time, so a `BufReader` would only add a copy.
 //! let file = std::fs::File::open("capture.pcap")?;
 //!
 //! let mut pipeline = PipelineBuilder::new()
-//!     .table(&table)
+//!     .frozen(&frozen)
 //!     .interval_secs(300)
 //!     .start_unix(995_990_400)
 //!     .detector(ConstantLoadDetector::new(0.8))

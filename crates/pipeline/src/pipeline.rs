@@ -4,12 +4,12 @@
 use std::fmt;
 use std::time::Instant;
 
-use eleph_bgp::{BgpTable, FrozenBgpTable, LiveBgpTable, RouteId, TableView, UpdateBatch};
+use eleph_bgp::{FrozenBgpTable, LiveBgpTable, RouteId, TableView, UpdateBatch};
 use eleph_core::{
     ConstantLoadDetector, ExactDense, OnlineClassifier, Scheme, StateBackend,
     StateBackendConfig, ThresholdDetector, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
-use eleph_flow::{attribute_metas, FrozenTableRef, KeyAllocator, KeyId};
+use eleph_flow::{attribute_metas, KeyAllocator, KeyId};
 use eleph_net::Prefix;
 use eleph_packet::PacketMeta;
 
@@ -178,7 +178,7 @@ pub struct PipelineReport {
 /// packets already attributed keep the route ids (and therefore keys)
 /// the old generation gave them.
 enum TableHandle<'t> {
-    Frozen(FrozenTableRef<'t>),
+    Frozen(&'t FrozenBgpTable),
     Live {
         table: &'t LiveBgpTable,
         /// `None` only while [`Pipeline::apply_due_updates`] applies.
@@ -197,7 +197,7 @@ impl TableHandle<'_> {
     /// the all-time id count (retired ids included) for a live one.
     fn id_space(&self) -> usize {
         match self {
-            TableHandle::Frozen(t) => t.get().len(),
+            TableHandle::Frozen(t) => t.len(),
             TableHandle::Live { view, .. } => pinned(view).n_ids(),
         }
     }
@@ -213,14 +213,14 @@ impl TableHandle<'_> {
     /// which checkpoint revalidation relies on).
     fn prefix(&self, route: RouteId) -> Prefix {
         match self {
-            TableHandle::Frozen(t) => t.get().prefix(route),
+            TableHandle::Frozen(t) => t.prefix(route),
             TableHandle::Live { view, .. } => pinned(view).prefix(route),
         }
     }
 
     fn attribute(&self, metas: &[PacketMeta], routes: &mut Vec<Option<RouteId>>) {
         match self {
-            TableHandle::Frozen(t) => attribute_metas(t.get(), metas, routes),
+            TableHandle::Frozen(t) => attribute_metas(*t, metas, routes),
             TableHandle::Live { view, .. } => attribute_metas(pinned(view), metas, routes),
         }
     }
@@ -231,8 +231,8 @@ impl TableHandle<'_> {
 /// a 12-slot window), T = 300 s starting at Unix time 0, unbounded
 /// interval count, no sinks.
 ///
-/// A routing table ([`PipelineBuilder::table`] or
-/// [`PipelineBuilder::frozen`]) is the one mandatory ingredient.
+/// A routing table ([`PipelineBuilder::frozen`] or
+/// [`PipelineBuilder::live`]) is the one mandatory ingredient.
 pub struct PipelineBuilder<'t, D> {
     table: Option<TableHandle<'t>>,
     updates: Vec<UpdateBatch>,
@@ -275,16 +275,10 @@ impl PipelineBuilder<'_, ConstantLoadDetector> {
 }
 
 impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
-    /// Attribute against a read-optimized copy of `table` (frozen
-    /// immediately; the pipeline does not borrow the live table).
-    pub fn table(mut self, table: &BgpTable) -> Self {
-        self.table = Some(TableHandle::Frozen(FrozenTableRef::Owned(Box::new(table.freeze()))));
-        self
-    }
-
-    /// Attribute against an existing freeze (shared across pipelines).
+    /// Attribute against a frozen table ([`eleph_bgp::BgpTable::freeze`]),
+    /// which any number of pipelines may share.
     pub fn frozen(mut self, table: &'t FrozenBgpTable) -> Self {
-        self.table = Some(TableHandle::Frozen(FrozenTableRef::Borrowed(table)));
+        self.table = Some(TableHandle::Frozen(table));
         self
     }
 
@@ -417,7 +411,7 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     /// when [`PipelineBuilder::shards`] is above
     /// [`crate::MAX_WORKER_THREADS`] or combined with a sketch backend.
     pub fn build(self) -> Pipeline<'t, D> {
-        let table = self.table.expect("PipelineBuilder needs a table (.table, .frozen or .live)");
+        let table = self.table.expect("PipelineBuilder needs a table (.frozen or .live)");
         let update_ns = update_schedule(&table, &self.updates);
         // Shared with the batch aggregator so the two paths cannot
         // drift on window validation.
@@ -439,7 +433,6 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
             classifier: OnlineClassifier::new(self.detector, self.gamma, self.scheme),
             row: open_row(self.state, self.shards),
             snapshot: Vec::new(),
-            n_shards: self.shards,
             sinks: self.sinks,
             key_alloc: KeyAllocator::new(n_routes),
             route_scratch: Vec::new(),
@@ -488,7 +481,7 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
 fn update_schedule(table: &TableHandle<'_>, updates: &[UpdateBatch]) -> Vec<u64> {
     assert!(
         updates.is_empty() || matches!(table, TableHandle::Live { .. }),
-        "route updates need a live table (use .live(..), not .table/.frozen)"
+        "route updates need a live table (use .live(..), not .frozen(..))"
     );
     let ns: Vec<u64> = updates
         .iter()
@@ -557,8 +550,6 @@ pub struct Pipeline<'t, D: ThresholdDetector> {
     row: Box<dyn StateBackend>,
     /// Seal-path scratch: the sparse snapshot handed to the classifier.
     snapshot: Vec<(KeyId, f32)>,
-    /// Shard workers holding the row (0 = none), as the builder was told.
-    n_shards: usize,
     sinks: Vec<Box<dyn Sink>>,
     /// Shared first-seen key assignment (the same allocator the batch
     /// aggregator uses, so the two paths cannot drift on key order).
@@ -1115,12 +1106,6 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
     pub fn tracked_keys(&self) -> usize {
         self.classifier.tracked_keys()
     }
-
-    /// Number of shard workers holding the open byte row (0 = serial,
-    /// the row inline on the pipeline thread).
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
-    }
 }
 
 #[cfg(test)]
@@ -1128,7 +1113,7 @@ mod tests {
     use super::*;
     use crate::sink::Collector;
     use crate::source::MetaSource;
-    use eleph_bgp::{Origin, PeerClass, RouteEntry, RouteUpdate};
+    use eleph_bgp::{BgpTable, Origin, PeerClass, RouteEntry, RouteUpdate};
     use eleph_core::classify;
     use eleph_flow::Aggregator;
     use eleph_packet::IpProtocol;
@@ -1212,10 +1197,10 @@ mod tests {
         scheme: Scheme,
         shards: usize,
     ) -> (Vec<crate::CollectedInterval>, PipelineReport) {
-        let t = table();
+        let t = table().freeze();
         let collector = Collector::new();
         let mut p = PipelineBuilder::new()
-            .table(&t)
+            .frozen(&t)
             .interval_secs(10)
             .start_unix(1000)
             .n_intervals(3)
@@ -1297,10 +1282,10 @@ mod tests {
         let metas = stream();
         let scheme = Scheme::LatentHeat { window: 2 };
         let split = 4; // mid-stream, with the open interval non-empty
-        let t = table();
+        let t = table().freeze();
         let build = |shards: usize| {
             PipelineBuilder::new()
-                .table(&t)
+                .frozen(&t)
                 .interval_secs(10)
                 .start_unix(1000)
                 .n_intervals(3)
@@ -1325,7 +1310,7 @@ mod tests {
         for shards in [0, 1, 2, 4, 7] {
             let collector = Collector::new();
             let mut p = PipelineBuilder::new()
-                .table(&t)
+                .frozen(&t)
                 .interval_secs(10)
                 .start_unix(1000)
                 .n_intervals(3)
@@ -1365,10 +1350,10 @@ mod tests {
             meta([10, 2, 0, 1], 1011, 100),
         ];
         let scheme = Scheme::Hysteresis { enter: 1.0, exit: 0.5 };
-        let t = table();
+        let t = table().freeze();
         let builder = |shards: usize, state: StateBackendConfig| {
             PipelineBuilder::new()
-                .table(&t)
+                .frozen(&t)
                 .interval_secs(10)
                 .start_unix(1000)
                 .n_intervals(3)
@@ -1451,9 +1436,9 @@ mod tests {
 
     #[test]
     fn late_packets_are_counted_not_binned() {
-        let t = table();
+        let t = table().freeze();
         let mut p = PipelineBuilder::new()
-            .table(&t)
+            .frozen(&t)
             .interval_secs(10)
             .start_unix(1000)
             .n_intervals(3)
@@ -1470,10 +1455,10 @@ mod tests {
 
     #[test]
     fn unbounded_seals_through_last_traffic() {
-        let t = table();
+        let t = table().freeze();
         let collector = Collector::new();
         let mut p = PipelineBuilder::new()
-            .table(&t)
+            .frozen(&t)
             .interval_secs(10)
             .start_unix(0)
             .sink(collector.sink())
@@ -1487,10 +1472,10 @@ mod tests {
 
     #[test]
     fn empty_run_bounded_seals_all_intervals() {
-        let t = table();
+        let t = table().freeze();
         let collector = Collector::new();
         let p = PipelineBuilder::new()
-            .table(&t)
+            .frozen(&t)
             .interval_secs(10)
             .start_unix(0)
             .n_intervals(4)
@@ -1511,8 +1496,8 @@ mod tests {
         // timestamp must not force sealing millions of empty intervals
         // in unbounded mode — it is counted out-of-window instead, and
         // the stream continues normally afterwards.
-        let t = table();
-        let mut p = PipelineBuilder::new().table(&t).interval_secs(10).start_unix(0).build();
+        let t = table().freeze();
+        let mut p = PipelineBuilder::new().frozen(&t).interval_secs(10).start_unix(0).build();
         p.observe_meta(&meta([10, 2, 0, 1], 5, 100)).unwrap();
         p.observe_meta(&meta([10, 2, 0, 1], u64::MAX / 1_000_000_000 - 1, 100)).unwrap();
         p.observe_meta(&meta([10, 2, 0, 1], 15, 100)).unwrap(); // still interval 1
@@ -1529,8 +1514,8 @@ mod tests {
         // Regression: a stream that genuinely jumped past the unbounded
         // gap horizon must error after a bounded number of rejects, not
         // silently discard all further traffic as out-of-window.
-        let t = table();
-        let mut p = PipelineBuilder::new().table(&t).interval_secs(10).start_unix(0).build();
+        let t = table().freeze();
+        let mut p = PipelineBuilder::new().frozen(&t).interval_secs(10).start_unix(0).build();
         p.observe_meta(&meta([10, 2, 0, 1], 5, 100)).unwrap();
         let far = u64::MAX / 1_000_000_000 - 1;
         let mut tripped = None;
@@ -1547,8 +1532,8 @@ mod tests {
 
     #[test]
     fn empty_run_unbounded_seals_nothing() {
-        let t = table();
-        let p = PipelineBuilder::new().table(&t).interval_secs(10).build();
+        let t = table().freeze();
+        let p = PipelineBuilder::new().frozen(&t).interval_secs(10).build();
         let report = p.finish().unwrap();
         assert_eq!(report.intervals, 0);
         assert!(report.keys.is_empty());
@@ -1616,9 +1601,9 @@ mod tests {
 
     #[test]
     fn frozen_pipeline_reports_generation_zero() {
-        let t = table();
+        let t = table().freeze();
         let mut p = PipelineBuilder::new()
-            .table(&t)
+            .frozen(&t)
             .interval_secs(10)
             .start_unix(1000)
             .n_intervals(1)
@@ -1632,21 +1617,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "route updates need a live table")]
     fn route_updates_without_live_table_panic_at_build() {
-        let t = table();
+        let t = table().freeze();
         let _ = PipelineBuilder::new()
-            .table(&t)
+            .frozen(&t)
             .route_updates(vec![UpdateBatch { at_unix: 0, updates: vec![] }])
             .build();
     }
 
     #[test]
     fn multi_sink_fan_out_delivers_to_all() {
-        let t = table();
+        let t = table().freeze();
         let a = Collector::new();
         let b = Collector::new();
         let jsonl = SharedBuf::default();
         let mut p = PipelineBuilder::new()
-            .table(&t)
+            .frozen(&t)
             .interval_secs(10)
             .start_unix(1000)
             .n_intervals(2)

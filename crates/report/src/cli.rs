@@ -826,7 +826,8 @@ fn drive<D: ThresholdDetector, S: PacketSource>(
 /// and the wall-clock time they took, start-up and streaming wall-clock
 /// time, throughput, (under `--checkpoint-dir`) what this process's
 /// snapshots cost — how many it wrote, the bytes the last one put on
-/// disk (image and log append), the bytes all of them did (compactions
+/// disk (image and log append; the image alone when a compaction made it
+/// start a log), the bytes all of them did (the logs compactions started
 /// included) and how many compactions there were, the seconds the
 /// writer thread spent building images and putting them on disk, and
 /// the seconds the packet thread spent waiting for it:

@@ -48,8 +48,9 @@ fn main() {
 
     // --- 2. Stream it back through the online pipeline. ---------------
     let collector = Collector::new();
+    let frozen = table.freeze();
     let mut pipeline = PipelineBuilder::new()
-        .table(&table)
+        .frozen(&frozen)
         .interval_secs(workload.interval_secs)
         .start_unix(workload.start_unix)
         .n_intervals(workload.n_intervals)

@@ -53,10 +53,11 @@ fn main() {
     //    callback that fires *the moment* an interval seals — a live
     //    monitor's early-alert hook, impossible in batch mode.
     let collector = Collector::new();
+    let frozen = table.freeze();
     let busy_intervals = Arc::new(AtomicUsize::new(0));
     let busy_hook = Arc::clone(&busy_intervals);
     let mut pipeline = PipelineBuilder::new()
-        .table(&table)
+        .frozen(&frozen)
         .interval_secs(workload.interval_secs)
         .start_unix(workload.start_unix)
         .n_intervals(workload.n_intervals)
@@ -121,7 +122,7 @@ fn main() {
     //    point, resumed, against the uninterrupted run.)
     let monitor = || {
         PipelineBuilder::new()
-            .table(&table)
+            .frozen(&frozen)
             .interval_secs(workload.interval_secs)
             .start_unix(workload.start_unix)
             .n_intervals(workload.n_intervals)

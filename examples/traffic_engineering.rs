@@ -10,7 +10,7 @@
 //! exactly that criterion: re-routing churn vs load-balance quality.
 //!
 //! ```sh
-//! cargo run -p eleph-examples --bin traffic_engineering
+//! cargo run -p eleph-tests --example traffic_engineering
 //! ```
 
 use eleph_bgp::synth::{self, SynthConfig};

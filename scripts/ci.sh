@@ -121,8 +121,10 @@
 #      moment, every flipped log byte and every truncation below the
 #      watermark a typed error, bytes past it ignored by a load and cut
 #      by a resume, a missing log an I/O error naming it, its counts
-#      bounded by its length, and what an image puts on disk following
-#      what changed since the image before, not what the run has seen —
+#      bounded by its length, the log a compaction starts equal to the
+#      log a first image writes for the same pipeline, byte for byte,
+#      and what an image puts on disk following what changed since the
+#      image before, not what the run has seen —
 #      all part of tier-1; re-run by name so a format drift or a lost
 #      write error is attributed immediately;
 #  13. thread count: start-up parses the RIB and paints either table
@@ -394,7 +396,7 @@ cargo test -q -p eleph-core --lib sketch::tests::slot_heap
 cargo test -q -p eleph-tests --test sketch_equivalence \
     sketch_checkpoint_resume_is_bit_identical_under_eviction
 
-echo "== checkpoint bytes: fixtures, crc32 vs bytewise, in-place vs copying encoder, buffer reuse, resume cadence, fingerprint refusals, failed writes, the log, bytes per image =="
+echo "== checkpoint bytes: fixtures, crc32 vs bytewise, in-place vs copying encoder, buffer reuse, resume cadence, fingerprint refusals, failed writes, the log, compaction, bytes per image =="
 cargo test -q -p eleph-pipeline --lib -- \
     checkpoint::tests::sample_images_equal_the_committed_fixtures \
     checkpoint::tests::crc32_ \
@@ -406,7 +408,8 @@ cargo test -q -p eleph-pipeline --lib -- \
     checkpoint::tests::every_log_truncation_below_the_watermark_is_a_format_error \
     checkpoint::tests::log_bytes_past_the_watermark_are_ignored_by_load_and_cut_by_resume \
     checkpoint::tests::a_missing_log_is_an_io_error_naming_its_path \
-    checkpoint::tests::log_counts_are_bounded_by_the_log
+    checkpoint::tests::log_counts_are_bounded_by_the_log \
+    checkpoint::tests::a_compacted_log_is_the_log_a_first_image_writes
 cargo test -q -p eleph-tests --test checkpoint_restore -- \
     synthetic_run_checkpoints_equal_their_recorded_length_and_crc \
     resumed_run_keeps_the_uninterrupted_cadence \

@@ -27,7 +27,8 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # sharing between configurations is held to the legacy replica, and the
 # streaming classifier to the replica and across a resume), then the
 # pairwise tests that compare two implementations and are still to retire
-# against this table.
+# against this table, and last the log a compaction starts against the
+# log a first image writes.
 tests=(
     "eleph-tests --test model every_run_of_the_pipeline_is_the_model"
     "eleph-tests --test model a_re_announced_prefix_is_a_new_key_and_the_old_one_drains"
@@ -52,6 +53,7 @@ tests=(
     "eleph-pipeline --lib pipeline::tests::sharded_checkpoint_bytes_equal_serial_and_cross_resume"
     "eleph-pipeline --lib pipeline::tests::stats_match_batch_aggregator"
     "eleph-tests --test sketch_equivalence exact_backend_is_byte_identical_to_default_at_every_shard_count"
+    "eleph-pipeline --lib checkpoint::tests::a_compacted_log_is_the_log_a_first_image_writes"
 )
 
 if [ $# -eq 0 ]; then

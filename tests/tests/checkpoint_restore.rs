@@ -10,7 +10,7 @@ use std::net::Ipv4Addr;
 use std::path::Path;
 
 use eleph_bgp::synth::{self, SynthConfig};
-use eleph_bgp::{BgpTable, LiveBgpTable, RouteEntry, RouteUpdate, UpdateBatch};
+use eleph_bgp::{BgpTable, FrozenBgpTable, LiveBgpTable, RouteEntry, RouteUpdate, UpdateBatch};
 use eleph_core::{ConstantLoadDetector, Scheme};
 use eleph_net::Prefix;
 use eleph_packet::{IpProtocol, PacketMeta};
@@ -33,13 +33,13 @@ fn capture(seed: u64, n_intervals: usize) -> (BgpTable, Vec<u8>, u64, u64, usize
 }
 
 fn builder<'t>(
-    table: &'t BgpTable,
+    table: &'t FrozenBgpTable,
     scheme: Scheme,
     interval_secs: u64,
     start_unix: u64,
     n: usize,
 ) -> PipelineBuilder<'t, ConstantLoadDetector> {
-    configured(PipelineBuilder::new().table(table), scheme, interval_secs, start_unix, n)
+    configured(PipelineBuilder::new().frozen(table), scheme, interval_secs, start_unix, n)
 }
 
 /// `base`, which holds the table, with the window, detector, γ and
@@ -64,10 +64,11 @@ fn configured<'t>(
 #[test]
 fn corrupted_checkpoint_files_are_rejected_on_disk() {
     let (table, pcap, t, start, n) = capture(402, 6);
+    let frozen = table.freeze();
     let scheme = Scheme::LatentHeat { window: 2 };
     let dir = scratch("corrupt");
     let mut checkpointer = Checkpointer::new(&dir, 1).expect("checkpointer");
-    let mut pipeline = builder(&table, scheme, t, start, n).build();
+    let mut pipeline = builder(&frozen, scheme, t, start, n).build();
     pipeline
         .run_checkpointed(&mut PcapSource::new(&pcap[..]).expect("valid pcap"), &mut checkpointer)
         .expect("run");
@@ -99,7 +100,7 @@ fn corrupted_checkpoint_files_are_rejected_on_disk() {
 
     // A differently-configured pipeline must refuse the snapshot.
     let ckpt = Checkpoint::load(&ckpt_path).expect("good checkpoint");
-    match builder(&table, scheme, t, start, n).gamma(0.5).resume(&ckpt) {
+    match builder(&frozen, scheme, t, start, n).gamma(0.5).resume(&ckpt) {
         Err(CheckpointError::Mismatch(what)) => {
             assert!(what.contains("gamma"), "mismatch names the field: {what}")
         }
@@ -117,6 +118,7 @@ fn corrupted_checkpoint_files_are_rejected_on_disk() {
 #[test]
 fn resume_against_wrong_table_generation_is_a_typed_mismatch() {
     let (table, pcap, t, start, n) = capture(403, 6);
+    let frozen = table.freeze();
     let scheme = Scheme::LatentHeat { window: 2 };
     let victim = table.iter().next().expect("nonempty table").prefix;
     // One withdraw early in the capture: the run ends at generation 1.
@@ -148,7 +150,7 @@ fn resume_against_wrong_table_generation_is_a_typed_mismatch() {
 
     // A frozen table is forever at generation 0: it can never host a
     // checkpoint born from a live run that applied updates.
-    match builder(&table, scheme, t, start, n).resume(&ckpt) {
+    match builder(&frozen, scheme, t, start, n).resume(&ckpt) {
         Err(CheckpointError::Mismatch(what)) => {
             assert!(what.contains("table generation"), "mismatch names the field: {what}")
         }
@@ -175,15 +177,16 @@ fn resume_against_wrong_table_generation_is_a_typed_mismatch() {
 #[test]
 fn resume_refuses_every_fingerprint_field_by_name() {
     let (table, pcap, t, start, n) = capture(405, 6);
+    let frozen = table.freeze();
     let scheme = Scheme::LatentHeat { window: 2 };
-    let mut pipeline = builder(&table, scheme, t, start, n).build();
+    let mut pipeline = builder(&frozen, scheme, t, start, n).build();
     pipeline
         .run(PcapSource::new(&pcap[..]).expect("valid pcap"))
         .expect("run");
     let mut bytes = Vec::new();
     pipeline.checkpoint(&mut bytes).expect("serialize checkpoint");
     let ckpt = Checkpoint::read_from(&mut &bytes[..]).expect("decode checkpoint");
-    builder(&table, scheme, t, start, n)
+    builder(&frozen, scheme, t, start, n)
         .resume(&ckpt)
         .expect("the checkpointed configuration resumes");
 
@@ -194,7 +197,8 @@ fn resume_refuses_every_fingerprint_field_by_name() {
     assert!(table.get(last).is_none());
     let grown = BgpTable::from_entries(
         routes.iter().cloned().chain([RouteEntry { prefix: last, ..routes[0].clone() }]),
-    );
+    )
+    .freeze();
     // The same number of routes, one key's moved one bit longer: it
     // sorts where it did, so only that key's prefix differs.
     let (key, route, moved_to) = pipeline
@@ -209,17 +213,17 @@ fn resume_refuses_every_fingerprint_field_by_name() {
         .expect("a key whose prefix can grow by a bit");
     let mut moved = routes;
     moved[route].prefix = moved_to;
-    let moved = BgpTable::from_entries(moved);
+    let moved = BgpTable::from_entries(moved).freeze();
     assert_eq!(moved.len(), table.len());
 
     let at = |table| builder(table, scheme, t, start, n);
     let key_prefix = format!("key {key} prefix");
     for (field, resuming) in [
-        ("interval_secs", builder(&table, scheme, 2 * t, start, n)),
-        ("start_unix", builder(&table, scheme, t, start + 1, n)),
-        ("n_intervals", builder(&table, scheme, t, start, n + 1)),
-        ("scheme", builder(&table, Scheme::SingleFeature, t, start, n)),
-        ("detector", at(&table).detector(ConstantLoadDetector::new(0.7))),
+        ("interval_secs", builder(&frozen, scheme, 2 * t, start, n)),
+        ("start_unix", builder(&frozen, scheme, t, start + 1, n)),
+        ("n_intervals", builder(&frozen, scheme, t, start, n + 1)),
+        ("scheme", builder(&frozen, Scheme::SingleFeature, t, start, n)),
+        ("detector", at(&frozen).detector(ConstantLoadDetector::new(0.7))),
         ("routing table size", at(&grown)),
         (key_prefix.as_str(), at(&moved)),
     ] {
@@ -247,6 +251,7 @@ fn resume_refuses_every_fingerprint_field_by_name() {
 #[test]
 fn resumed_run_keeps_the_uninterrupted_cadence() {
     let (table, pcap, t, start, n) = capture(404, 12);
+    let frozen = table.freeze();
     let scheme = Scheme::LatentHeat { window: 2 };
     let every = 3;
     // Run in `dir`, from its checkpoint file if it holds one, one chunk
@@ -258,7 +263,7 @@ fn resumed_run_keeps_the_uninterrupted_cadence() {
         let image = || Checkpoint::load(&file).map(|ckpt| ckpt_bytes(&ckpt)).unwrap_or_default();
         let mut last = image();
         let mut source = OneChunkPerRun::new(PcapSource::new(&pcap[..]).expect("valid pcap"));
-        let builder = builder(&table, scheme, t, start, n);
+        let builder = builder(&frozen, scheme, t, start, n);
         let mut pipeline = if last.is_empty() {
             builder.build()
         } else {
@@ -338,11 +343,12 @@ fn ckpt_bytes(ckpt: &Checkpoint) -> Vec<u8> {
 #[test]
 fn a_failed_image_write_is_a_typed_error() {
     let (table, pcap, t, start, n) = capture(404, 12);
+    let frozen = table.freeze();
     let scheme = Scheme::LatentHeat { window: 2 };
     for landed in [0, 2] {
         let dir = scratch("failed-write");
         let mut checkpointer = Checkpointer::new(&dir, 3).expect("checkpointer");
-        let mut pipeline = builder(&table, scheme, t, start, n).build();
+        let mut pipeline = builder(&frozen, scheme, t, start, n).build();
         let mut source = OneChunkPerRun::new(PcapSource::new(&pcap[..]).expect("valid pcap"));
         while checkpointer.written().images < landed {
             assert!(!source.done, "the run wrote fewer than {landed} images");
@@ -445,8 +451,9 @@ fn checkpoint_bytes_follow_what_changed() {
         .collect();
     let dir = scratch("bytes");
     let mut checkpointer = Checkpointer::new(&dir, 1).expect("checkpointer");
+    let frozen = table.freeze();
     let mut pipeline = PipelineBuilder::new()
-        .table(&table)
+        .frozen(&frozen)
         .interval_secs(1)
         .start_unix(START)
         .scheme(Scheme::LatentHeat { window: WINDOW })

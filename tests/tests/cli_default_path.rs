@@ -5,7 +5,7 @@
 //! the one table the run attributes against (`FrozenBgpTable` or, under
 //! `--rib-updates`, `LiveBgpTable`); it builds no `BgpTable`. That must
 //! not show: the JSONL chain and the checkpoint file have to equal, byte
-//! for byte, what `PipelineBuilder::table(&read_dump(..))` and
+//! for byte, what `PipelineBuilder::frozen(&read_dump(..).freeze())` and
 //! `.live(&LiveBgpTable::from_table(..))` produce from the same files —
 //! including a dump whose lines are out of order and repeat a prefix —
 //! and a `--resume` from a mid-run checkpoint has to finish on the same
@@ -179,12 +179,13 @@ fn check_damage(pcap: &str, stats: &eleph_pipeline::PipelineStats) {
 fn static_rib_matches_the_library_path() {
     let inputs = inputs("static");
     let table = read_dump(File::open(inputs.path("c.rib")).expect("open rib")).expect("valid rib");
+    let table = table.freeze();
     for pcap in CAPTURES {
         let (cli_out, lib_out) = (format!("{pcap}.cli.jsonl"), format!("{pcap}.lib.jsonl"));
         cli(&inputs, pcap, &cli_out, &[]);
 
         let mut pipeline = window(&inputs)
-            .table(&table)
+            .frozen(&table)
             .sink(RotatingJsonlSink::create(inputs.path(&lib_out), None).expect("create sink"))
             .build();
         pipeline.run(capture(&inputs, pcap)).expect("library run");
@@ -200,7 +201,7 @@ fn static_rib_matches_the_library_path() {
         assert_eq!(
             fs::read(inputs.path(&cli_out)).unwrap(),
             fs::read(inputs.path(&lib_out)).unwrap(),
-            "{pcap}: eleph run --pcap --rib diverges from PipelineBuilder::table(&read_dump(..))"
+            "{pcap}: eleph run --pcap --rib diverges from PipelineBuilder::frozen(..)"
         );
     }
     fs::remove_dir_all(&inputs.dir).ok();

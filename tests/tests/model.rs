@@ -44,7 +44,9 @@ use std::io::{self, Write};
 use std::net::Ipv4Addr;
 use std::path::Path;
 
-use eleph_bgp::{BgpTable, LiveBgpTable, Origin, PeerClass, RouteEntry, RouteUpdate, UpdateBatch};
+use eleph_bgp::{
+    BgpTable, FrozenBgpTable, LiveBgpTable, Origin, PeerClass, RouteEntry, RouteUpdate, UpdateBatch,
+};
 use eleph_core::{ConstantLoadDetector, Scheme, ThresholdDetector};
 use eleph_net::Prefix;
 use eleph_packet::{IpProtocol, PacketMeta};
@@ -365,11 +367,20 @@ impl Program {
         }
     }
 
-    /// A fresh live table for each run (it moves on as the schedule
-    /// replays), or `None`: the builder freezes the routes.
-    fn live_table(&self) -> Option<LiveBgpTable> {
-        self.live.then(|| LiveBgpTable::from_routes(self.routes.clone()))
+    /// A fresh table for each run: a live one (it moves on as the
+    /// schedule replays), or the routes frozen.
+    fn table(&self) -> Table {
+        match self.live {
+            true => Table::Live(LiveBgpTable::from_routes(self.routes.clone())),
+            false => Table::Frozen(BgpTable::from_entries(self.routes.clone()).freeze()),
+        }
     }
+}
+
+/// What a run attributes against.
+enum Table {
+    Live(LiveBgpTable),
+    Frozen(FrozenBgpTable),
 }
 
 /// The constant-load detector, abstaining on intervals with fewer than
@@ -395,7 +406,7 @@ impl ThresholdDetector for Quiet {
 fn builder<'t>(
     program: &Program,
     case: &Case,
-    live: Option<&'t LiveBgpTable>,
+    table: &'t Table,
     shards: usize,
 ) -> PipelineBuilder<'t, Quiet> {
     let config = &case.config;
@@ -405,9 +416,9 @@ fn builder<'t>(
         Rule::Hysteresis { enter, exit } => Scheme::Hysteresis { enter, exit },
     };
     let schedule = program.schedule.clone();
-    let builder = match live {
-        Some(live) => PipelineBuilder::new().live(live).route_updates(schedule),
-        None => PipelineBuilder::new().table(&BgpTable::from_entries(program.routes.clone())),
+    let builder = match table {
+        Table::Live(live) => PipelineBuilder::new().live(live).route_updates(schedule),
+        Table::Frozen(frozen) => PipelineBuilder::new().frozen(frozen),
     }
     .interval_secs(config.interval_secs)
     .start_unix(config.start_unix)
@@ -505,9 +516,9 @@ fn check(program: &Program, case: &Case) -> model::Run {
 /// The serial run, one chunk at a time, and its image at every chunk
 /// boundary.
 fn serial(program: &Program, case: &Case) -> (Output, Vec<Vec<u8>>) {
-    let live = program.live_table();
+    let table = program.table();
     let (collector, jsonl) = (Collector::new(), SharedBuf::default());
-    let mut pipeline = builder(program, case, live.as_ref(), 0)
+    let mut pipeline = builder(program, case, &table, 0)
         .sink(collector.sink())
         .sink(JsonlSink::new(jsonl.clone()))
         .build();
@@ -535,12 +546,12 @@ fn cut_and_resume(
     stand_in: &[u8],
 ) -> (Output, Option<Vec<u8>>) {
     let out = dir.join("out.jsonl");
-    let live = program.live_table();
+    let table = program.table();
     let crashed = Collector::new();
     let mut checkpointer = Checkpointer::new(dir, case.every).expect("checkpointer");
     let output = RotatingJsonlSink::create(&out, case.rotate).expect("sink");
     let cut_at = CutAt(case.cut.at_seal);
-    let first = builder(program, case, live.as_ref(), case.shards.0).sink(crashed.sink());
+    let first = builder(program, case, &table, case.shards.0).sink(crashed.sink());
     let mut pipeline = match case.cut.after_output {
         true => first.sink(output).sink(cut_at),
         false => first.sink(cut_at).sink(output),
@@ -567,8 +578,8 @@ fn cut_and_resume(
     let ckpt = durable_image(dir);
     let durable = ckpt.as_ref().map(ckpt_bytes);
     let sealed = ckpt.as_ref().map_or(0, Checkpoint::intervals_sealed);
-    let live = program.live_table();
-    if let (Some(live), Some(ckpt)) = (&live, &ckpt) {
+    let table = program.table();
+    if let (Table::Live(live), Some(ckpt)) = (&table, &ckpt) {
         for batch in &program.schedule[..ckpt.generation() as usize] {
             live.apply(&batch.updates);
         }
@@ -578,7 +589,7 @@ fn cut_and_resume(
         None => RotatingJsonlSink::create(&out, case.rotate),
     };
     let resumed = Collector::new();
-    let builder = builder(program, case, live.as_ref(), case.shards.1)
+    let builder = builder(program, case, &table, case.shards.1)
         .sink(resumed.sink())
         .sink(sink.expect("the output chain"));
     let mut source = ProgramSource::new(program);

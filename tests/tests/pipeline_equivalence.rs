@@ -140,11 +140,12 @@ fn pcap_file_round_trip_through_disk() {
 #[test]
 fn trace_source_runs_as_the_capture_it_writes() {
     let (table, trace) = small_link(212, 120, 6);
+    let table = table.freeze();
     let pcap = capture_of(&trace);
     let run = |source: &mut dyn PacketSource| {
         let jsonl = SharedBuf::default();
         let mut pipeline = PipelineBuilder::new()
-            .table(&table)
+            .frozen(&table)
             .interval_secs(trace.config.interval_secs)
             .start_unix(trace.config.start_unix)
             .n_intervals(trace.n_intervals())

@@ -18,7 +18,7 @@
 //! by bits, across a cut run and its resume.
 
 use eleph_bgp::synth::{self, SynthConfig};
-use eleph_bgp::BgpTable;
+use eleph_bgp::FrozenBgpTable;
 use eleph_core::{ConstantLoadDetector, Scheme, SpaceSaving, StateBackend, StateBackendConfig};
 use eleph_packet::PacketMeta;
 use eleph_pipeline::{
@@ -36,24 +36,24 @@ const SHARD_COUNTS: [usize; 3] = [0, 1, 4];
 
 /// The shared small link carrying `n_flows` flows over six intervals,
 /// as parsed packets so a run can be cut at any packet.
-fn stream_of(seed: u64, n_flows: usize) -> (BgpTable, Vec<PacketMeta>, u64, u64, usize) {
+fn stream_of(seed: u64, n_flows: usize) -> (FrozenBgpTable, Vec<PacketMeta>, u64, u64, usize) {
     let (table, trace) = small_link(seed, n_flows, 6);
     let mut source = TraceSource::new(&trace);
     let mut metas = Vec::new();
     while source.next_chunk(&mut metas).expect("synthetic source") > 0 {}
     let config = &trace.config;
-    (table, metas, config.interval_secs, config.start_unix, config.n_intervals)
+    (table.freeze(), metas, config.interval_secs, config.start_unix, config.n_intervals)
 }
 
 /// A pipeline over the link's table and window, latent heat over 12
 /// slots, sealing from `state`.
 fn builder(
-    table: &BgpTable,
+    table: &FrozenBgpTable,
     (t, start, n): (u64, u64, usize),
     state: StateBackendConfig,
-) -> PipelineBuilder<'static, ConstantLoadDetector> {
+) -> PipelineBuilder<'_, ConstantLoadDetector> {
     PipelineBuilder::new()
-        .table(table)
+        .frozen(table)
         .interval_secs(t)
         .start_unix(start)
         .n_intervals(n)
@@ -75,7 +75,7 @@ struct RunOutput {
 /// count: its outcomes, report, JSONL and, with `checkpoint_after`, the
 /// image taken after that many packets.
 fn run_with(
-    table: &BgpTable,
+    table: &FrozenBgpTable,
     metas: &[PacketMeta],
     t: u64,
     start: u64,
@@ -147,7 +147,7 @@ fn exact_backend_is_byte_identical_to_default_at_every_shard_count() {
         let collector = Collector::new();
         let jsonl = SharedBuf::default();
         let mut baseline = PipelineBuilder::new()
-            .table(&table)
+            .frozen(&table)
             .interval_secs(t)
             .start_unix(start)
             .n_intervals(n)
@@ -233,7 +233,6 @@ proptest! {
 #[test]
 fn sketch_checkpoint_resume_is_bit_identical_under_eviction() {
     let (table, metas, t, start, n) = stream_of(29, 600);
-    let frozen = table.freeze();
     for (state, slots) in [
         (StateBackendConfig::SpaceSaving { budget_bytes: 512 }, 8),
         (StateBackendConfig::SpaceSaving { budget_bytes: 4096 }, 64),
@@ -247,7 +246,7 @@ fn sketch_checkpoint_resume_is_bit_identical_under_eviction() {
         // its minimum at least eight times.
         let past_full = slots + 8;
         let interval_of = |m: &PacketMeta| (m.ts_ns / 1_000_000_000 - start) / t;
-        let prefix_of = |m: &PacketMeta| frozen.attribute(m.dst).map(|(_, e)| e.prefix);
+        let prefix_of = |m: &PacketMeta| table.attribute(m.dst).map(|(_, e)| e.prefix);
         let mut seen = std::collections::HashSet::new();
         let cut = 1 + metas
             .iter()
@@ -400,8 +399,9 @@ fn sketch_backend_with_shards_panics() {
         n_prefixes: 200,
         ..SynthConfig::default()
     });
+    let table = table.freeze();
     let _ = PipelineBuilder::new()
-        .table(&table)
+        .frozen(&table)
         .interval_secs(20)
         .detector(ConstantLoadDetector::new(BETA))
         .shards(2)
