@@ -319,14 +319,14 @@ impl<D: ThresholdDetector> Sweep<D> {
 
         if !self.windows.is_empty() {
             // The ring holds the rows before this one, newest last.
+            let n = self.ring.len();
             for window in &mut self.windows {
-                window.sums.slide_in(row);
-                if let Some(old) = self.ring.len().checked_sub(window.w) {
-                    window.sums.retire(&self.ring[old]);
-                }
+                let retired = n.checked_sub(window.w).map_or(&[][..], |old| &self.ring[old]);
+                let rows = self.ring.range((n + 1).saturating_sub(window.w)..);
+                window.sums.slide(row, retired, rows.map(Vec::as_slice).chain([row]));
             }
             let max_w = self.windows.iter().map(|window| window.w).max().expect("not empty");
-            let mut kept = if self.ring.len() == max_w {
+            let mut kept = if n == max_w {
                 self.ring.pop_front().expect("max_w >= 1")
             } else {
                 Vec::new()

@@ -8,19 +8,22 @@
 //! offline are what the online deployment runs.
 //!
 //! What it adds is the recovery frontier: [`ClassifierState`] exports
-//! the sweep's row counter, its ring of the window's snapshots, its
-//! per-key window sums and its step state (`crate::window`: the EWMA,
-//! the threshold terms, the hysteresis members), and restores them,
-//! validated, after a restart. The elephant boundary is a property of
+//! the sweep's row counter, its ring of the window's snapshots and its
+//! step state (`crate::window`: whether a detection was made, the
+//! threshold terms and their sum, the hysteresis members), and restores
+//! them, validated, after a restart, sliding the snapshots into fresh
+//! window sums. The elephant boundary is a property of
 //! the whole link, so there is one classifier per link however the byte
 //! row under it is held (dense, sketched, or spread over shard
 //! workers). Its memory is a few words per key id up to the highest
 //! seen — with the pipeline's dense first-seen ids, per key ever active
 //! — plus the window's snapshots.
 
+use std::collections::VecDeque;
+
 use eleph_flow::KeyId;
 
-use crate::window::{KeySums, Step};
+use crate::window::{exact_sum, KeySums, Step};
 use crate::{ClassifyConfig, Scheme, Sweep, ThresholdDetector};
 
 /// The outcome of one streamed interval.
@@ -52,24 +55,23 @@ impl IntervalOutcome {
 /// The full recovery frontier of an [`OnlineClassifier`], exported for
 /// checkpointing and re-imported on restart.
 ///
-/// The per-key sliding sums are *path-dependent* floats (incremental
-/// adds and retirement subtractions in stream order), so they are
-/// carried verbatim rather than recomputed from the window — recomputing
-/// would bit-differ from an uninterrupted run. Of the threshold only the
-/// smoothed EWMA value is kept — the classifier records no per-interval
-/// history — so a checkpoint stays bounded by the window and key
-/// population, independent of run length.
+/// What the window derives is not carried: each key's window sum is the
+/// correctly rounded sum of its rates in `history`, and after a
+/// detection the smoothed threshold is the last slot's threshold term,
+/// so a restore slides the history in again and reads both off it. The
+/// threshold sum is carried (its sliding add and subtract round, so a
+/// fresh sum would differ by bits), and of the threshold's past only
+/// the window's terms: a checkpoint stays bounded by the window and the
+/// key population, independent of run length.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassifierState {
     /// Intervals observed so far (the next outcome's index).
     pub interval: usize,
-    /// Current smoothed threshold (`None` before the first detection).
-    pub smoothed: Option<f64>,
+    /// Whether the detector has made a detection: the smoothed threshold
+    /// is then the last history slot's threshold term.
+    pub detected: bool,
     /// Sliding threshold sum over the window (path-dependent).
     pub sum_t: f64,
-    /// Per-key window state for every key with `live > 0`, ascending by
-    /// key id: `(key, sliding bandwidth sum, occupied window slots)`.
-    pub per_key: Vec<(KeyId, f64, u32)>,
     /// The in-window history, oldest first: each entry is the interval's
     /// threshold term and its sparse snapshot (ascending by key).
     pub history: Vec<(f64, Vec<(KeyId, f32)>)>,
@@ -98,17 +100,34 @@ fn check_keys(
 }
 
 impl ClassifierState {
+    /// The smoothed threshold the state restores to: the last history
+    /// slot's threshold term after a detection, `None` before one.
+    pub fn smoothed(&self) -> Option<f64> {
+        self.history.last().filter(|_| self.detected).map(|&(t_term, _)| t_term)
+    }
+
+    /// Each key in the history with its window sum — the correctly
+    /// rounded sum of its rates there, which a restore derives — and the
+    /// slots it is in, ascending by key.
+    pub fn window_sums(&self) -> Vec<(KeyId, f64, u32)> {
+        let mut entries: Vec<(KeyId, f32)> =
+            self.history.iter().flat_map(|(_, snapshot)| snapshot.iter().copied()).collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        let runs = entries.chunk_by(|a, b| a.0 == b.0);
+        let sum = |run: &[(KeyId, f32)]| exact_sum(run.iter().map(|&(_, rate)| f64::from(rate)));
+        runs.map(|run| (run[0].0, sum(run), run.len() as u32)).collect()
+    }
+
     /// Structurally validate this state against a scheme and the number
     /// of keys the run has assigned: history bounded by the scheme's
-    /// window and by the intervals observed; key lists and snapshots
-    /// ascending and naming only existing keys (dense per-key state is
-    /// sized by the largest id, so an id a corrupt checkpoint merely
-    /// claims must never get that far); membership only under
-    /// hysteresis; per-key occupancy counts exactly matching the history
-    /// (the retire path depends on that to release state); every float
-    /// finite, and the thresholds, rates and window sums not negative
-    /// (the sliding threshold sum alone may round below zero). The one
-    /// validator behind every resume path, so a corrupt state is rejected
+    /// window and by the intervals observed, and holding a slot when a
+    /// detection was made; key lists and snapshots ascending and naming
+    /// only existing keys (dense per-key state is sized by the largest
+    /// id, so an id a corrupt checkpoint merely claims must never get
+    /// that far); membership only under hysteresis; every float finite,
+    /// and the threshold terms and rates not negative (the sliding
+    /// threshold sum alone may round below zero). The one validator
+    /// behind every resume path, so a corrupt state is rejected
     /// identically everywhere. Panics on invalid scheme parameters, like
     /// [`Sweep::pass`].
     pub fn validate(&self, scheme: Scheme, n_keys: usize) -> Result<(), String> {
@@ -124,59 +143,39 @@ impl ClassifierState {
                 self.interval
             ));
         }
-        check_keys("per-key state", self.per_key.iter().map(|&(key, _, _)| key), n_keys)?;
+        if self.detected && slots == 0 {
+            return Err("classifier state holds a detection but no history slot".to_string());
+        }
         check_keys("membership list", self.members.iter().copied(), n_keys)?;
         if !matches!(scheme, Scheme::Hysteresis { .. }) && !self.members.is_empty() {
             return Err("membership state present for a non-hysteresis scheme".to_string());
-        }
-        let mut live_check: Vec<(KeyId, u32)> =
-            self.per_key.iter().map(|&(key, _, _)| (key, 0)).collect();
-        for (_, snapshot) in &self.history {
-            check_keys("history snapshot", snapshot.iter().map(|&(key, _)| key), n_keys)?;
-            for &(key, _) in snapshot {
-                let Ok(at) = live_check.binary_search_by_key(&key, |&(k, _)| k) else {
-                    return Err(format!("history references key {key} absent from per-key state"));
-                };
-                live_check[at].1 += 1;
-            }
-        }
-        for (&(key, _, live), &(_, counted)) in self.per_key.iter().zip(&live_check) {
-            if live == 0 || live != counted {
-                return Err(format!(
-                    "key {key} occupancy {live} does not match its {counted} history slots"
-                ));
-            }
         }
         // A checkpoint's floats are decoded as raw bits: a NaN threshold
         // beats no rate, and no key would ever be an elephant again; a
         // negative one, which no detector returns and the stand-in never
         // is, makes every active key one.
-        let float = |what: &str, value: f64, least: f64| match value.is_finite() && value >= least {
-            true => Ok(()),
-            false => Err(format!("classifier state holds the {what} {value}")),
-        };
-        let rate = |key: KeyId, what: &str, value: f64| match value.is_finite() && value >= 0.0 {
-            true => Ok(()),
-            false => Err(format!("key {key} holds the {what} {value}")),
-        };
-        float("smoothed threshold", self.smoothed.unwrap_or(0.0), 0.0)?;
-        float("threshold sum", self.sum_t, f64::NEG_INFINITY)?;
-        for (t_term, snapshot) in &self.history {
-            float("threshold term", *t_term, 0.0)?;
-            for &(key, value) in snapshot {
-                rate(key, "rate", f64::from(value))?;
-            }
+        if !self.sum_t.is_finite() {
+            return Err(format!("classifier state holds the threshold sum {}", self.sum_t));
         }
-        for &(key, sum, _) in &self.per_key {
-            rate(key, "window sum", sum)?;
+        for (t_term, snapshot) in &self.history {
+            if !(t_term.is_finite() && *t_term >= 0.0) {
+                return Err(format!("classifier state holds the threshold term {t_term}"));
+            }
+            check_keys("history snapshot", snapshot.iter().map(|&(key, _)| key), n_keys)?;
+            for &(key, rate) in snapshot {
+                if !(rate.is_finite() && rate >= 0.0) {
+                    return Err(format!("key {key} holds the rate {rate}"));
+                }
+            }
         }
         Ok(())
     }
 }
 
 /// All three classification schemes, one interval at a time: a [`Sweep`]
-/// of one configuration whose sums over the scheme's window slide under
-/// every scheme, so a checkpoint holds the same state whatever it reads.
+/// of one configuration whose window over the scheme's length slides
+/// under every scheme, so a checkpoint holds the same state whatever it
+/// reads and [`OnlineClassifier::tracked_keys`] counts the keys in it.
 #[derive(Debug)]
 pub struct OnlineClassifier<D> {
     sweep: Sweep<D>,
@@ -207,23 +206,40 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
     /// [`OnlineClassifier::export_state`] with the history from interval
     /// `from` on (what holders of the rest lack), and its whole length.
     pub fn export_state_from(&self, from: usize) -> (ClassifierState, usize) {
-        let ((state, sums, rows), interval) = (self.sweep.frontier(), self.sweep.rows);
-        let (smoothed, t_terms, sum_t, members) = state.export();
-        let history = t_terms.iter().zip(rows).skip(from.saturating_sub(interval - rows.len()));
-        let history = history.map(|(&t_term, row)| (t_term, row.clone())).collect();
-        let (per_key, members) = (sums.export(), members.to_vec());
-        (ClassifierState { interval, smoothed, sum_t, per_key, history, members }, rows.len())
+        let (detected, t_terms, sum_t, members) = self.sweep.frontier().0.export();
+        let (rows, window) = self.window_from(from);
+        let t_terms = t_terms.iter().skip(window - rows.len());
+        let history = t_terms.zip(rows).map(|(&t_term, row)| (t_term, row.to_vec())).collect();
+        let (interval, members) = (self.sweep.rows, members.to_vec());
+        (ClassifierState { interval, detected, sum_t, history, members }, window)
+    }
+
+    /// The snapshots [`OnlineClassifier::export_state_from`] copies,
+    /// borrowed, and the window's whole length.
+    pub fn window_from(
+        &self,
+        from: usize,
+    ) -> (impl ExactSizeIterator<Item = &[(KeyId, f32)]> + '_, usize) {
+        let (rows, interval) = (self.sweep.frontier().2, self.sweep.rows);
+        let skipped = from.saturating_sub(interval - rows.len());
+        (rows.iter().skip(skipped).map(Vec::as_slice), rows.len())
     }
 
     /// Continue, by bits, as the classifier (same detector and
-    /// configuration) that exported `state` with `n_keys` keys assigned;
-    /// one failing [`ClassifierState::validate`] changes nothing.
+    /// configuration) that exported `state` with `n_keys` keys assigned:
+    /// the history slides into fresh window sums, oldest first, as it
+    /// slid in before. One failing [`ClassifierState::validate`] changes
+    /// nothing.
     pub fn restore(&mut self, n_keys: usize, state: ClassifierState) -> Result<(), String> {
         let (scheme_state, sums, rows) = self.sweep.frontier_mut();
         state.validate(scheme_state.scheme(), n_keys)?;
-        let (t_terms, history) = state.history.into_iter().unzip();
-        (*sums, *rows) = (KeySums::restore(&state.per_key), history);
-        scheme_state.restore(state.smoothed, t_terms, state.sum_t, state.members);
+        let (t_terms, history): (_, VecDeque<_>) = state.history.into_iter().unzip();
+        *sums = KeySums::default();
+        for (slot, row) in history.iter().enumerate() {
+            sums.slide(row, &[], history.range(..=slot).map(Vec::as_slice));
+        }
+        *rows = history;
+        scheme_state.restore(state.detected, t_terms, state.sum_t, state.members);
         self.sweep.rows = state.interval;
         Ok(())
     }
@@ -388,42 +404,79 @@ mod tests {
         assert_eq!(online.tracked_keys(), 0, "stale window state leaked");
     }
 
+    /// Rows whose window sums round: `2^55` beside small rates, so the
+    /// sliding add and subtract of keys 0 to 2 stop being exact, and
+    /// their sums are the window's only when recomputed from it.
+    fn rounding_rows() -> Vec<Vec<(KeyId, f32)>> {
+        let huge = (1u64 << 55) as f32;
+        vec![
+            vec![(0, 3.0), (1, huge)],
+            vec![(0, huge), (1, 5.0), (3, 40.0)],
+            vec![(0, 1.0), (2, 7.0)],
+            vec![(0, 2.0), (1, 1.0), (2, huge)],
+            vec![(0, 6.0), (2, 3.0), (3, huge)],
+            vec![(1, 9.0), (2, 1.0)],
+            vec![(0, huge), (2, 5.0), (3, 2.0)],
+            vec![(0, 3.0), (3, 7.0)],
+        ]
+    }
+
+    /// The classifier's window sums are, by bits, the ones its exported
+    /// state derives from the window, under every scheme.
+    fn assert_sums_are_the_windows<D: ThresholdDetector>(online: &OnlineClassifier<D>) {
+        let bits = |sums: Vec<(KeyId, f64, u32)>| -> Vec<(KeyId, u64, u32)> {
+            sums.into_iter().map(|(key, sum, live)| (key, sum.to_bits(), live)).collect()
+        };
+        let live = online.sweep.frontier().1.export();
+        assert_eq!(bits(live), bits(online.export_state().window_sums()));
+    }
+
     #[test]
     fn state_round_trip_continues_bit_identically() {
         // Export/import at every split point; the resumed classifier's
         // remaining outcomes must match the uninterrupted run *by bits*,
         // including across latent-heat retirement and hysteresis
-        // transitions exercised by the `rows()` mix.
-        let rows = rows();
-        for scheme in [
-            Scheme::SingleFeature,
-            Scheme::LatentHeat { window: 2 },
-            Scheme::Hysteresis { enter: 1.2, exit: 0.6 },
-        ] {
-            let mut reference =
-                OnlineClassifier::new(ConstantLoadDetector::new(0.8), 0.9, scheme);
-            let expected: Vec<IntervalOutcome> =
-                rows.iter().map(|row| reference.observe(row)).collect();
-            for split in 0..rows.len() {
-                let mut first =
-                    OnlineClassifier::new(ConstantLoadDetector::new(0.8), 0.9, scheme);
-                for row in &rows[..split] {
-                    first.observe(row);
-                }
-                let state = first.export_state();
-                assert_eq!(state, first.export_state(), "export must be pure");
-                let mut resumed =
-                    OnlineClassifier::new(ConstantLoadDetector::new(0.8), 0.9, scheme);
-                resumed.restore(4, state).expect("valid state");
-                assert_eq!(resumed.export_state().interval, split);
-                for n in split..rows.len() {
-                    let out = resumed.observe(&rows[n]);
-                    let want = &expected[n];
-                    assert_eq!(out.interval, want.interval);
-                    assert_eq!(out.elephants, want.elephants, "{scheme:?} split {split} at {n}");
-                    assert_eq!(out.threshold.to_bits(), want.threshold.to_bits());
-                    assert_eq!(out.elephant_load.to_bits(), want.elephant_load.to_bits());
-                    assert_eq!(out.total_load.to_bits(), want.total_load.to_bits());
+        // transitions exercised by the `rows()` mix, and across the
+        // rounded sums of `rounding_rows()`.
+        for rows in [rows(), rounding_rows()] {
+            for scheme in [
+                Scheme::SingleFeature,
+                Scheme::LatentHeat { window: 2 },
+                Scheme::LatentHeat { window: 3 },
+                Scheme::Hysteresis { enter: 1.2, exit: 0.6 },
+            ] {
+                let new = || OnlineClassifier::new(ConstantLoadDetector::new(0.8), 0.9, scheme);
+                let mut reference = new();
+                let expected: Vec<IntervalOutcome> = rows
+                    .iter()
+                    .map(|row| {
+                        let out = reference.observe(row);
+                        assert_sums_are_the_windows(&reference);
+                        out
+                    })
+                    .collect();
+                for split in 0..rows.len() {
+                    let mut first = new();
+                    for row in &rows[..split] {
+                        first.observe(row);
+                    }
+                    let state = first.export_state();
+                    assert_eq!(state, first.export_state(), "export must be pure");
+                    let mut resumed = new();
+                    resumed.restore(4, state).expect("valid state");
+                    assert_eq!(resumed.export_state().interval, split);
+                    assert_sums_are_the_windows(&resumed);
+                    for n in split..rows.len() {
+                        let out = resumed.observe(&rows[n]);
+                        assert_sums_are_the_windows(&resumed);
+                        let want = &expected[n];
+                        let at = format!("{scheme:?} split {split} at {n}");
+                        assert_eq!(out.interval, want.interval);
+                        assert_eq!(out.elephants, want.elephants, "{at}");
+                        assert_eq!(out.threshold.to_bits(), want.threshold.to_bits(), "{at}");
+                        assert_eq!(out.elephant_load.to_bits(), want.elephant_load.to_bits());
+                        assert_eq!(out.total_load.to_bits(), want.total_load.to_bits());
+                    }
                 }
             }
         }
@@ -441,16 +494,6 @@ mod tests {
             online.restore(5, state).map(|()| online)
         };
         assert!(rebuild(good.clone()).is_ok());
-
-        // Occupancy out of sync with the history.
-        let mut bad = good.clone();
-        bad.per_key[0].2 += 1;
-        assert!(rebuild(bad).unwrap_err().contains("occupancy"));
-
-        // History key missing from the per-key table.
-        let mut bad = good.clone();
-        bad.per_key.remove(1);
-        assert!(rebuild(bad).unwrap_err().contains("absent"));
 
         // More history than the window can hold.
         let mut bad = good.clone();
@@ -474,7 +517,7 @@ mod tests {
 
         // A key the run never assigned (it has keys 0..5), in each list.
         let mut bad = good.clone();
-        bad.per_key.push((5, 1.0, 1));
+        bad.history[1].1.push((5, 1.0));
         assert!(rebuild(bad).unwrap_err().contains("names key 5"));
         let mut bad = good.clone();
         bad.history[0].1.push((u32::MAX, 1.0));
@@ -483,10 +526,12 @@ mod tests {
         bad.members = vec![1 << 28];
         assert!(rebuild(bad).unwrap_err().contains("names key 268435456"));
 
-        // A float no run reaches, in each field that holds one.
+        // A detection with no slot to read the smoothed threshold off.
         let mut bad = good.clone();
-        bad.smoothed = Some(f64::NAN);
-        assert!(rebuild(bad).unwrap_err().contains("smoothed threshold NaN"));
+        bad.history.clear();
+        assert!(good.detected && rebuild(bad).unwrap_err().contains("no history slot"));
+
+        // A float no run reaches, in each field that holds one.
         let mut bad = good.clone();
         bad.sum_t = f64::INFINITY;
         assert!(rebuild(bad).unwrap_err().contains("threshold sum inf"));
@@ -494,21 +539,12 @@ mod tests {
         bad.history[1].0 = f64::NEG_INFINITY;
         assert!(rebuild(bad).unwrap_err().contains("threshold term -inf"));
         let mut bad = good.clone();
-        bad.smoothed = Some(-1.0);
-        assert!(rebuild(bad).unwrap_err().contains("smoothed threshold -1"));
-        let mut bad = good.clone();
         bad.history[0].0 = -1.0;
         assert!(rebuild(bad).unwrap_err().contains("threshold term -1"));
         // The sliding threshold sum may round below zero.
         let mut ok = good.clone();
         ok.sum_t = -1e-12;
         assert!(rebuild(ok).is_ok());
-        let mut bad = good.clone();
-        bad.per_key[1].1 = f64::NAN;
-        assert!(rebuild(bad).unwrap_err().contains("key 4 holds the window sum NaN"));
-        let mut bad = good.clone();
-        bad.per_key[0].1 = -110.0;
-        assert!(rebuild(bad).unwrap_err().contains("key 1 holds the window sum -110"));
         let mut bad = good;
         bad.history[0].1[1].1 = -700.0;
         assert!(rebuild(bad).unwrap_err().contains("key 4 holds the rate -700"));

@@ -53,7 +53,7 @@ impl ThresholdSeries {
     }
 
     /// The current smoothed threshold (`None` before the first
-    /// successful detection) — the one scalar a checkpoint must carry.
+    /// successful detection).
     pub fn smoothed_value(&self) -> Option<f64> {
         self.smoothed
     }

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 
 use eleph_flow::KeyId;
 
-use crate::{Scheme, ThresholdSeries};
+use crate::{KeyBitset, Scheme, ThresholdSeries};
 
 /// The finite stand-in for the threshold term of an interval that has
 /// no threshold yet: the interval's largest rate + 1.
@@ -29,56 +29,88 @@ fn unbeatable(values: &[f64]) -> f64 {
 
 /// Sliding latent-heat sums, dense over ids, over the last `w` rows.
 ///
-/// `sum[k]` is `Σ B_k(j)` over the window slots in which `k` was
-/// active and `live[k]` counts those slots. The count makes retirement
-/// *exact*: when a key's last in-window activity retires, its sum is
-/// reset to literal `0.0` instead of relying on add/subtract round trips
-/// to cancel — accumulated f64 rounding can otherwise leave a residue
-/// (positive = a phantom elephant that never goes away, negative = a
-/// live micro-flow wrongly suppressed). A mid-window negative excursion
-/// (possible only under catastrophic cancellation of enormously
-/// mismatched rates) is clamped to 0. So an id out of the window
-/// (`live == 0`) holds `+0.0`, and `live` alone says which ids are in
-/// it: a slide is loads and stores, and the ids in the window are read
-/// by scanning `live` in id order.
+/// `sum[k]` is the correctly rounded sum of `k`'s rates in the window's
+/// slots and `live[k]` counts those slots, so a sum depends on the
+/// window alone, not on the order rows slid in and out in: a checkpoint
+/// carries the window, and a restore slides it in again. A rate goes in
+/// and out by an f64 add and subtract, each checked for exactness (for
+/// `a, b >= 0`, `s = a + b` is exact iff `s - a == b && s - b == a`),
+/// and while every operation on a key is exact its sum is the exact
+/// window sum. The first one that rounds marks the key: from then until
+/// its last slot retires, its sum is recomputed from the window's rows
+/// with an exact-partials sum at every change. So no sum is negative,
+/// and the last retirement leaves `+0.0` (`x - x`, or the sum of no
+/// rates): an id out of the window (`live == 0`) holds `+0.0`, and
+/// `live` alone says which ids are in it — a slide is loads and stores,
+/// and the ids in the window are read by scanning `live` in id order.
 ///
-/// It keeps no rows: its owner slides each row in and retires, `w` rows
-/// later, exactly the row it slid in.
+/// It keeps no rows: its owner hands each slide the row going in, the
+/// row `w` back going out, and the rows the window then holds.
 #[derive(Debug, Default)]
 pub(crate) struct KeySums {
     sum: Vec<f64>,
     live: Vec<u32>,
+    /// The ids whose sums are recomputed from the window.
+    rounded: KeyBitset,
 }
 
 impl KeySums {
-    /// Add one row to the window.
-    pub(crate) fn slide_in(&mut self, row: &[(KeyId, f32)]) {
+    /// Add `row` to the window and take `retired` — exactly the row
+    /// slid in `w` rows before, or nothing — out of it; `window` is the
+    /// rows it then holds, oldest first.
+    pub(crate) fn slide<'a>(
+        &mut self,
+        row: &[(KeyId, f32)],
+        retired: &[(KeyId, f32)],
+        window: impl Iterator<Item = &'a [(KeyId, f32)]> + Clone,
+    ) {
         for &(id, rate) in row {
-            let k = id as usize;
+            let (k, rate) = (id as usize, f64::from(rate));
             if k >= self.live.len() {
                 self.live.resize(k + 1, 0);
                 self.sum.resize(k + 1, 0.0);
             }
-            if self.live[k] == 0 {
-                self.sum[k] = f64::from(rate);
-            } else {
-                self.sum[k] += f64::from(rate);
-            }
             self.live[k] += 1;
+            if self.live[k] == 1 {
+                self.sum[k] = rate;
+                continue;
+            }
+            let (sum, next) = (self.sum[k], self.sum[k] + rate);
+            if exact(sum, rate, next) && !self.rounded.contains(id) {
+                self.sum[k] = next;
+            } else {
+                self.recompute(id, &window);
+            }
+        }
+        for &(id, rate) in retired {
+            let (k, rate) = (id as usize, f64::from(rate));
+            self.live[k] -= 1;
+            let (sum, next) = (self.sum[k], self.sum[k] - rate);
+            if exact(next, rate, sum) && !self.rounded.contains(id) {
+                self.sum[k] = next;
+            } else {
+                self.recompute(id, &window);
+            }
         }
     }
 
-    /// Take the window's oldest row back out: exactly what
-    /// [`KeySums::slide_in`] was given for it.
-    pub(crate) fn retire(&mut self, row: &[(KeyId, f32)]) {
-        for &(id, rate) in row {
-            let k = id as usize;
-            self.live[k] -= 1;
-            if self.live[k] == 0 {
-                self.sum[k] = 0.0;
-            } else {
-                self.sum[k] = (self.sum[k] - f64::from(rate)).max(0.0);
-            }
+    /// Key `id`'s sum after an add or subtract that rounded, or on a key
+    /// already rounded: the correctly rounded sum of its rates in
+    /// `window`. The key stays rounded while it is in the window.
+    #[cold]
+    fn recompute<'a>(
+        &mut self,
+        id: KeyId,
+        window: &(impl Iterator<Item = &'a [(KeyId, f32)]> + Clone),
+    ) {
+        let rates = window.clone().filter_map(|row| {
+            let at = row.binary_search_by_key(&id, |&(key, _)| key).ok()?;
+            Some(f64::from(row[at].1))
+        });
+        self.sum[id as usize] = exact_sum(rates);
+        match self.live[id as usize] {
+            0 => self.rounded.remove(id),
+            _ => self.rounded.insert(id),
         }
     }
 
@@ -88,28 +120,72 @@ impl KeySums {
         self.live.iter().filter(|&&live| live != 0).count()
     }
 
-    /// The sums as a checkpoint carries them: `(id, sliding sum,
-    /// occupied slots)` for every id in the window, ascending.
+    /// `(id, window sum, occupied slots)` for every id in the window,
+    /// ascending.
+    #[cfg(test)]
     pub(crate) fn export(&self) -> Vec<(KeyId, f64, u32)> {
         let in_window = self.live.iter().enumerate().filter(|&(_, &live)| live != 0);
         in_window.map(|(k, &live)| (k as KeyId, self.sum[k], live)).collect()
     }
+}
 
-    /// Rebuild from [`KeySums::export`]ed entries. The caller has
-    /// validated them: ids ascending and below the id count the state
-    /// may be sized for.
-    pub(crate) fn restore(per_key: &[(KeyId, f64, u32)]) -> Self {
-        let n_ids = per_key.last().map_or(0, |&(id, _, _)| id as usize + 1);
-        let mut sums = KeySums {
-            sum: vec![0.0; n_ids],
-            live: vec![0; n_ids],
-        };
-        for &(id, sum, live) in per_key {
-            sums.sum[id as usize] = sum;
-            sums.live[id as usize] = live;
+/// Whether `s = a + b` holds exactly, `s` the f64 add of `a, b >= 0`
+/// or `a` the f64 subtract of `b` from `s >= b`: the two-sum test.
+fn exact(a: f64, b: f64, s: f64) -> bool {
+    s - a == b && s - b == a
+}
+
+/// The correctly rounded sum of `values`: Shewchuk's exact partials, as
+/// Python's `math.fsum` keeps them, added from the largest down with
+/// the round-half-even correction at the end. Its value does not depend
+/// on the order of `values`; every finite sum here is far from
+/// overflow.
+pub(crate) fn exact_sum(values: impl IntoIterator<Item = f64>) -> f64 {
+    // Non-overlapping, ascending in magnitude; their sum is exact.
+    let mut partials: Vec<f64> = Vec::new();
+    for mut x in values {
+        let mut kept = 0;
+        for j in 0..partials.len() {
+            let mut y = partials[j];
+            if x.abs() < y.abs() {
+                std::mem::swap(&mut x, &mut y);
+            }
+            let hi = x + y;
+            let lo = y - (hi - x);
+            if lo != 0.0 {
+                partials[kept] = lo;
+                kept += 1;
+            }
+            x = hi;
         }
-        sums
+        partials.truncate(kept);
+        if x != 0.0 {
+            partials.push(x);
+        }
     }
+    let Some(mut hi) = partials.pop() else {
+        return 0.0;
+    };
+    let mut lo = 0.0;
+    while let Some(y) = partials.pop() {
+        let x = hi;
+        hi = x + y;
+        lo = y - (hi - x);
+        if lo != 0.0 {
+            break;
+        }
+    }
+    // `hi` rounded `lo` away; when the partial below has `lo`'s sign,
+    // the true sum lies past the half-way point `hi + lo` alone sits on.
+    let past_half = |below: &f64| (lo < 0.0 && *below < 0.0) || (lo > 0.0 && *below > 0.0);
+    if partials.last().is_some_and(past_half) {
+        let y = lo * 2.0;
+        let x = hi + y;
+        if y == x - hi {
+            hi = x;
+        }
+    }
+    hi
 }
 
 /// The latent-heat rule for every configuration in `group`, all over
@@ -229,8 +305,13 @@ impl SchemeState {
         let threshold = self.series.observe_raw(raw);
         // Before the first detection the threshold is infinite, which
         // would poison the sliding sum; the finite stand-in models "no
-        // flow can beat this interval" instead.
-        let t_term = if threshold.is_finite() { threshold } else { unbeatable(values) };
+        // flow can beat this interval" instead. After it the threshold
+        // is finite, so it is the term by bits: a checkpoint keeps only
+        // whether a detection was made, and restores the EWMA from the
+        // last term.
+        let detected = self.series.smoothed_value().is_some();
+        assert!(!detected || threshold.is_finite(), "a detection is finite");
+        let t_term = if detected { threshold } else { unbeatable(values) };
         self.sum_t += t_term;
         self.t_terms.push_back(t_term);
         if self.t_terms.len() > self.window {
@@ -289,26 +370,28 @@ impl SchemeState {
         }
     }
 
-    /// The state as a checkpoint carries it: the smoothed threshold, the
-    /// in-window threshold terms (oldest first), their sliding sum and
-    /// the hysteresis membership.
-    pub(crate) fn export(&self) -> (Option<f64>, &VecDeque<f64>, f64, &[KeyId]) {
-        (self.series.smoothed_value(), &self.t_terms, self.sum_t, &self.members)
+    /// The state as a checkpoint carries it: whether a detection was
+    /// made, the in-window threshold terms (oldest first), their sliding
+    /// sum and the hysteresis membership.
+    pub(crate) fn export(&self) -> (bool, &VecDeque<f64>, f64, &[KeyId]) {
+        (self.series.smoothed_value().is_some(), &self.t_terms, self.sum_t, &self.members)
     }
 
     /// Continue from [`SchemeState::export`]ed parts. The caller has
-    /// validated them against the scheme.
+    /// validated them against the scheme: after a detection there is a
+    /// last term, and it is the smoothed threshold (see
+    /// [`SchemeState::smooth`]).
     pub(crate) fn restore(
         &mut self,
-        smoothed: Option<f64>,
+        detected: bool,
         t_terms: VecDeque<f64>,
         sum_t: f64,
         members: Vec<KeyId>,
     ) {
         self.series = ThresholdSeries::new(self.series.gamma());
-        if let Some(smoothed) = smoothed {
+        if detected {
             // A first detection sets the EWMA to exactly its value.
-            self.series.observe_raw(Some(smoothed));
+            self.series.observe_raw(t_terms.back().copied());
         }
         self.t_terms = t_terms;
         self.sum_t = sum_t;
@@ -326,19 +409,21 @@ mod tests {
     /// The dense latent-heat scan reads `live` alone for membership, and
     /// `export` scans it in id order. So after any run of slides and
     /// retires an id out of the window must hold `+0.0` by bits, and the
-    /// ids with `live != 0` must be exactly a sparse reference's:
+    /// ids with `live != 0` must be exactly a sparse reference's, whose
+    /// sums are each key's rates in the window summed afresh:
     /// `tracked()` its length, `export` its entries ascending, by bits
-    /// (the rates span forty decades, so rounding takes sums to zero
-    /// and below while their ids are still in the window).
+    /// (the rates span forty decades, so sliding sums round while their
+    /// ids are still in the window, and only a sum recomputed from the
+    /// window is the reference's).
     #[test]
     fn ids_out_of_the_window_hold_positive_zero_and_export_is_the_reference() {
         let mut rng = StdRng::seed_from_u64(35);
+        let mut rounded = 0;
         for _ in 0..200 {
             let w = rng.gen_range(1usize..6);
             let n_ids = rng.gen_range(1u32..300);
             let density = rng.gen_range(0.05..0.6);
             let mut sums = KeySums::default();
-            let mut reference: BTreeMap<KeyId, (f64, u32)> = BTreeMap::new();
             let mut ring: VecDeque<Vec<(KeyId, f32)>> = VecDeque::new();
             let n_rows = rng.gen_range(1usize..40);
             for n in 0..n_rows + w {
@@ -351,26 +436,15 @@ mod tests {
                             row.push((id, rng.gen_range(1.0f32..10.0) * 10f32.powi(decade)));
                         }
                     }
-                    sums.slide_in(&row);
-                    for &(id, rate) in &row {
-                        let (sum, live) = reference.entry(id).or_insert((0.0, 0));
-                        *sum = if *live == 0 { f64::from(rate) } else { *sum + f64::from(rate) };
-                        *live += 1;
-                    }
                     ring.push_back(row);
                 }
-                if ring.len() > w || (n >= n_rows && !ring.is_empty()) {
-                    let old = ring.pop_front().expect("a row to retire");
-                    sums.retire(&old);
-                    for &(id, rate) in &old {
-                        let (sum, live) = reference.get_mut(&id).expect("slid in");
-                        *live -= 1;
-                        if *live == 0 {
-                            reference.remove(&id);
-                        } else {
-                            *sum = (*sum - f64::from(rate)).max(0.0);
-                        }
-                    }
+                let retired = if ring.len() > w || n >= n_rows { ring.pop_front() } else { None };
+                let row: &[(KeyId, f32)] = if n < n_rows { ring.back().expect("a row") } else { &[] };
+                sums.slide(row, retired.as_deref().unwrap_or(&[]), ring.iter().map(Vec::as_slice));
+                rounded += sums.rounded.len();
+                let mut reference: BTreeMap<KeyId, Vec<f64>> = BTreeMap::new();
+                for &(id, rate) in ring.iter().flatten() {
+                    reference.entry(id).or_default().push(f64::from(rate));
                 }
                 for (&sum, &live) in sums.sum.iter().zip(&sums.live) {
                     if live == 0 {
@@ -379,17 +453,46 @@ mod tests {
                 }
                 let live = sums.live.iter().filter(|&&live| live != 0).count();
                 assert_eq!((sums.tracked(), live), (reference.len(), reference.len()));
-                let exported = sums.export();
-                assert!(exported.windows(2).all(|pair| pair[0].0 < pair[1].0));
-                let bits = |entries: &[(KeyId, f64, u32)]| -> Vec<(KeyId, u64, u32)> {
-                    entries.iter().map(|&(id, sum, live)| (id, sum.to_bits(), live)).collect()
+                let bits = |entries: Vec<(KeyId, f64, u32)>| -> Vec<(KeyId, u64, u32)> {
+                    entries.into_iter().map(|(id, sum, live)| (id, sum.to_bits(), live)).collect()
                 };
-                let expected: Vec<(KeyId, f64, u32)> =
-                    reference.iter().map(|(&id, &(sum, live))| (id, sum, live)).collect();
-                assert_eq!(bits(&exported), bits(&expected));
-                assert_eq!(bits(&KeySums::restore(&exported).export()), bits(&exported));
+                let expected = reference.into_iter().map(|(id, rates)| {
+                    (id, exact_sum(rates.iter().copied()), rates.len() as u32)
+                });
+                assert_eq!(bits(sums.export()), bits(expected.collect()));
             }
             assert_eq!(sums.tracked(), 0);
+            assert!(sums.rounded.is_empty(), "a key out of the window is rounded no more");
+        }
+        assert!(rounded > 1_000, "only {rounded} sums were rounded");
+    }
+
+    /// Correctly rounded whatever the order and the cancellation:
+    /// `math.fsum`'s own cases, and every permutation of a few.
+    #[test]
+    fn exact_sum_is_correctly_rounded() {
+        let p = |e: i32| 2f64.powi(e);
+        for (values, sum) in [
+            (vec![], 0.0),
+            (vec![0.0], 0.0),
+            (vec![1e100, 1.0, -1e100, 1e-100, 1e50, -1.0, -1e50], 1e-100),
+            (vec![p(53), -0.5, -p(-54)], p(53) - 1.0),
+            (vec![p(53), 1.0, p(-100)], p(53) + 2.0),
+            (vec![p(53) + 10.0, 1.0, p(-100)], p(53) + 12.0),
+            (vec![p(53) - 4.0, 0.5, p(-54)], p(53) - 3.0),
+            (vec![1e16, 1.0, 1e-16], 10_000_000_000_000_002.0),
+            (vec![1e16 - 2.0, 1.0 - p(-53), -(1e16 - 2.0), -(1.0 - p(-53))], 0.0),
+            (vec![0.1; 10], 1.0),
+            (vec![p(55), 3.0, 1.0], p(55)),
+            (vec![p(55), 3.0, 1.0, 1.0], p(55) + 8.0),
+        ] {
+            let mut order = values.clone();
+            assert_eq!(exact_sum(values).to_bits(), f64::to_bits(sum));
+            for _ in 0..order.len() {
+                order.rotate_left(1);
+                order.reverse();
+                assert_eq!(exact_sum(order.iter().copied()), sum, "{order:?}");
+            }
         }
     }
 

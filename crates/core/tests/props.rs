@@ -612,17 +612,12 @@ fn outcome_bits(o: &IntervalOutcome) -> (usize, u64, &[KeyId], u64, u64) {
 
 /// A recovery frontier with its floats as bits.
 fn state_bits(s: &ClassifierState) -> impl PartialEq + std::fmt::Debug + '_ {
-    let per_key: Vec<(KeyId, u64, u32)> =
-        s.per_key.iter().map(|&(k, sum, live)| (k, sum.to_bits(), live)).collect();
     let history: Vec<(u64, Vec<(KeyId, u32)>)> = s
         .history
         .iter()
         .map(|(t, snap)| (t.to_bits(), snap.iter().map(|&(k, r)| (k, r.to_bits())).collect()))
         .collect();
-    (
-        (s.interval, s.smoothed.map(f64::to_bits), s.sum_t.to_bits()),
-        (per_key, history, &s.members),
-    )
+    ((s.interval, s.detected, s.sum_t.to_bits()), (history, &s.members))
 }
 
 proptest! {

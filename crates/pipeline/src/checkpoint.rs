@@ -3,12 +3,15 @@
 //! A long-horizon monitor cannot afford to lose its classifier window:
 //! latent heat and hysteresis are *temporal* stabilizers, so a restart
 //! that resets them silently reclassifies every flow. A [`Checkpoint`]
-//! carries the full recovery frontier — classifier window ring and
-//! sliding sums, EWMA smoothing state, the first-seen key mapping, the
-//! open interval's byte row, and the packet accounting — so a resumed
-//! pipeline continues **bit-identically** to the run that wrote it.
+//! carries the full recovery frontier — the classifier's window ring,
+//! threshold terms and their sliding sum, whether a detection was made,
+//! the first-seen key mapping, the open interval's byte row, and the
+//! packet accounting — so a resumed pipeline continues
+//! **bit-identically** to the run that wrote it. What the window
+//! derives — each key's window sum and occupancy, and the smoothed
+//! threshold — a resume derives again.
 //!
-//! # Format (versions 2, 3 and 4)
+//! # Format (versions 2, 3 and 5)
 //!
 //! ```text
 //! magic    8 B  b"ELPHCKPT"
@@ -43,22 +46,30 @@
 //!
 //! Versions 2 and 3 are the one self-contained form:
 //! [`Pipeline::checkpoint`] and [`Checkpoint::write_to`] write them and
-//! [`Checkpoint::read_from`] reads them. Version 4 is what a
-//! [`Checkpointer`] writes: only the part of the frontier that mutates.
-//! Its payload is the version-2 payload without the key table and the
-//! window's history slots, which live in the image's **log**; in the
-//! key table's place it records the log's file name, its byte watermark
-//! (the log's length when the image was taken), the number of keys it
-//! holds and the number of history slots the window holds. Of the
-//! per-key window state it keeps the sliding sums alone, in ascending
-//! key order: which keys the window holds, and in how many of its
-//! slots, is read off the history. A state backend tag (0 exact,
-//! 1 sketch, followed by the version-3 tail) closes it.
-//! [`Checkpoint::load`] reads an image of any version; for a version-4
-//! image it then reads the log up to the watermark, and the
-//! [`Checkpoint`] it returns is the one the version-2 or 3 image of the
-//! same moment decodes to. `read_from`, which has no directory to find
-//! the log in, refuses a version-4 image with a format error.
+//! [`Checkpoint::read_from`] reads them. Their classifier state stores
+//! the smoothed threshold and a per-key block — every key in the window,
+//! ascending, with its window sum and the slots it is in — which the
+//! encoder derives from the window ([`ClassifierState::smoothed`],
+//! [`ClassifierState::window_sums`]) and the decoder derives again: a
+//! stored value that differs by a bit is a format error naming the key
+//! or the smoothed threshold.
+//!
+//! Version 5 is what a [`Checkpointer`] writes: only the part of the
+//! frontier that mutates. Its payload is the version-2 payload without
+//! the key table, the per-key block and the window's history slots,
+//! which live in the image's **log**; in the key table's place it
+//! records the log's file name, its byte watermark (the log's length
+//! when the image was taken), the number of keys it holds and the
+//! number of history slots the window holds, and in the smoothed
+//! threshold's place one byte, 1 when a detection was made. A state
+//! backend tag (0 exact, 1 sketch, followed by the version-3 tail)
+//! closes it. [`Checkpoint::load`] reads an image of any of these
+//! versions; for a version-5 image it then reads the log up to the
+//! watermark, and the [`Checkpoint`] it returns is the one the version-2
+//! or 3 image of the same moment decodes to. `read_from`, which has no
+//! directory to find the log in, refuses a version-5 image with a
+//! format error. Version 4, the logged image that also stored each
+//! key's window sum, is not read: a format error names it.
 //!
 //! # The log
 //!
@@ -119,13 +130,13 @@
 //! [`Checkpoint::write_to`]) run the same routine over a fresh one.
 //!
 //! What the pipeline copies: for a [`Checkpointer`] only the frontier
-//! — the open row, the per-key window state and the membership — plus
-//! the keys assigned and the slots sealed since the log it continues
-//! was last written (all of them when it starts a log; an image the
-//! compaction rule turns into a start takes those, then all of them).
-//! The one-shot forms copy the whole key table and window too: the
-//! decoded form stays one plain owned struct that tests can build,
-//! corrupt and re-encode.
+//! — the open row and the membership — plus the keys assigned and the
+//! slots sealed since the log it continues was last written (all of
+//! them when it starts a log). The compaction rule is decided first,
+//! from the number of new keys and each new slot's pair count, so an
+//! image copies once. The one-shot forms copy the whole key table and
+//! window too: the decoded form stays one plain owned struct that tests
+//! can build, corrupt and re-encode.
 //!
 //! # Where an image is produced
 //!
@@ -205,7 +216,7 @@ const VERSION: u32 = 2;
 const VERSION_SKETCH: u32 = 3;
 /// Format a [`Checkpointer`] writes: the frontier, with the key table
 /// and the window's history in the log it names.
-const VERSION_LOGGED: u32 = 4;
+const VERSION_LOGGED: u32 = 5;
 /// Header layout: magic (8), version (4), then the two fields patched
 /// in once the payload exists — its length (8) and CRC-32 (4).
 const LENGTH_AT: usize = 12;
@@ -377,9 +388,9 @@ pub struct Checkpoint {
     /// `None` for the exact backend — and its presence alone is what
     /// selects format version 3 on disk.
     pub(crate) sketch: Option<(String, Vec<u8>)>,
-    /// The log of the version-4 image this was loaded from: a pipeline
+    /// The log of the version-5 image this was loaded from: a pipeline
     /// resumed from it lets a [`Checkpointer`] append to that log. `None`
-    /// for every snapshot not loaded from a version-4 image.
+    /// for every snapshot not loaded from a version-5 image.
     pub(crate) log: Option<LogState>,
 }
 
@@ -435,7 +446,7 @@ impl Checkpoint {
     /// it held (see "How an image is produced" in the module docs): the
     /// buffer is sized once from the parts, the payload is encoded
     /// behind a header whose length and CRC fields are patched in last.
-    /// With `log`, the image is version 4 and names that log; its key
+    /// With `log`, the image is version 5 and names that log; its key
     /// table and history are then left out, whatever this holds.
     fn write_image(&self, image: &mut Vec<u8>, log: Option<&LogRef>) {
         let version = match (log, &self.sketch) {
@@ -443,7 +454,7 @@ impl Checkpoint {
             (None, None) => VERSION,
             (None, Some(_)) => VERSION_SKETCH,
         };
-        let reserved = HEADER_LEN + self.payload_len_bound();
+        let reserved = HEADER_LEN + self.payload_len_bound(log.is_some());
         image.clear();
         image.reserve(reserved);
         image.extend_from_slice(&MAGIC);
@@ -456,34 +467,37 @@ impl Checkpoint {
         header[CRC_AT..].copy_from_slice(&crc32(payload).to_le_bytes());
     }
 
-    /// An upper bound on the payload's size, exact in every part that
-    /// grows with the run: what [`Checkpoint::write_image`] reserves so
-    /// the encoder never reallocates.
-    fn payload_len_bound(&self) -> usize {
+    /// An upper bound on the payload's size: what
+    /// [`Checkpoint::write_image`] reserves so the encoder never
+    /// reallocates. A `logged` image holds no per-key block; a
+    /// self-contained one holds at most a key per history entry in it.
+    fn payload_len_bound(&self, logged: bool) -> usize {
         // Every fixed-width field, option tag, length prefix and log
         // reference of the layout, each option and scheme at its widest.
         const FIXED: usize = 320;
         let st = &self.state;
-        let snapshots: usize = st.history.iter().map(|(_, snapshot)| 16 + 8 * snapshot.len()).sum();
+        let entries: usize = st.history.iter().map(|(_, snapshot)| snapshot.len()).sum();
+        let per_key = if logged { 0 } else { 16 * entries };
         let sketch = self.sketch.as_ref().map_or(0, |(kind, payload)| kind.len() + payload.len());
         FIXED
             + self.config.detector.len()
             + 9 * self.keys.len()
             + 12 * self.row.len()
-            + 16 * st.per_key.len()
-            + snapshots
+            + per_key
+            + 16 * st.history.len()
+            + 8 * entries
             + 4 * st.members.len()
             + sketch
     }
 
     /// Read and verify a self-contained (version 2 or 3) checkpoint. A
-    /// version-4 image is a format error: its key table and window are
+    /// version-5 image is a format error: its key table and window are
     /// in a log beside its file, which [`Checkpoint::load`] reads.
     pub fn read_from<R: Read>(input: &mut R) -> Result<Self, CheckpointError> {
         let (version, payload) = read_image(input)?;
         if version == VERSION_LOGGED {
             return Err(CheckpointError::Format(
-                "a version-4 image needs its log: load it from its file beside the log".to_string(),
+                "a version-5 image needs its log: load it from its file beside the log".to_string(),
             ));
         }
         let (checkpoint, _) = Self::decode(&payload, version).map_err(CheckpointError::Format)?;
@@ -491,12 +505,12 @@ impl Checkpoint {
     }
 
     /// Read and verify a checkpoint file: a self-contained image, or a
-    /// version-4 image and its log up to the watermark.
+    /// version-5 image and its log up to the watermark.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
         Self::load_logged(path.as_ref()).map(|(checkpoint, _)| checkpoint)
     }
 
-    /// [`Checkpoint::load`], also returning a version-4 image's log as
+    /// [`Checkpoint::load`], also returning a version-5 image's log as
     /// its writer accounts for it.
     fn load_logged(path: &Path) -> Result<(Self, Option<LogState>), CheckpointError> {
         let (version, payload) = read_image(&mut File::open(path)?)?;
@@ -511,8 +525,9 @@ impl Checkpoint {
     }
 
     /// Append the payload to `w` — the one encoder every image goes
-    /// through. With `log` (version 4) the log's reference takes the
-    /// key table's place, the history is left out and a state backend
+    /// through. With `log` (version 5) the log's reference takes the
+    /// key table's place, a detection flag the smoothed threshold's, the
+    /// per-key block and the history are left out and a state backend
     /// tag precedes the sketch tail.
     fn encode_into(&self, w: &mut Vec<u8>, log: Option<&LogRef>) {
         // Configuration fingerprint.
@@ -566,24 +581,24 @@ impl Checkpoint {
             w.extend_from_slice(&key.to_le_bytes());
             w.extend_from_slice(&bytes.to_le_bytes());
         }
-        // Classifier state.
+        // Classifier state. A version-5 image keeps whether a detection
+        // was made; versions 2 and 3 store what the window derives: the
+        // smoothed threshold, and every key's window sum and occupancy.
         let st = &self.state;
         w.extend_from_slice(&(st.interval as u64).to_le_bytes());
-        put_opt_f64(w, st.smoothed);
+        match log {
+            None => put_opt_f64(w, st.smoothed()),
+            Some(_) => w.push(u8::from(st.detected)),
+        }
         w.extend_from_slice(&st.sum_t.to_bits().to_le_bytes());
-        w.extend_from_slice(&(st.per_key.len() as u64).to_le_bytes());
-        for &(key, sum, live) in &st.per_key {
-            // Version 4 keeps only the sums: which keys the window holds,
-            // and in how many of its slots, is the history in the log.
-            if log.is_none() {
+        if log.is_none() {
+            let per_key = st.window_sums();
+            w.extend_from_slice(&(per_key.len() as u64).to_le_bytes());
+            for (key, sum, live) in per_key {
                 w.extend_from_slice(&key.to_le_bytes());
-            }
-            w.extend_from_slice(&sum.to_bits().to_le_bytes());
-            if log.is_none() {
+                w.extend_from_slice(&sum.to_bits().to_le_bytes());
                 w.extend_from_slice(&live.to_le_bytes());
             }
-        }
-        if log.is_none() {
             w.extend_from_slice(&(st.history.len() as u64).to_le_bytes());
             for (t_term, snapshot) in &st.history {
                 w.extend_from_slice(&t_term.to_bits().to_le_bytes());
@@ -609,7 +624,7 @@ impl Checkpoint {
     }
 
     /// Read a payload; every error is a format error's message. A
-    /// version-4 payload decodes with an empty key table and history and
+    /// version-5 payload decodes with an empty key table and history and
     /// the reference to the log that holds them.
     fn decode(payload: &[u8], version: u32) -> Result<(Self, Option<LogRef>), String> {
         let mut r = ByteReader::new(payload, "payload");
@@ -659,20 +674,25 @@ impl Checkpoint {
         }
         let interval = usize::try_from(r.u64()?)
             .map_err(|_| "interval index too large".to_string())?;
-        let smoothed = opt_u64(&mut r)?.map(f64::from_bits);
+        let (smoothed, detected) = match log {
+            None => {
+                let smoothed = opt_u64(&mut r)?.map(f64::from_bits);
+                (smoothed, smoothed.is_some())
+            }
+            Some(_) => match r.u8()? {
+                tag @ (0 | 1) => (None, tag == 1),
+                t => return Err(format!("bad detection tag {t}")),
+            },
+        };
         let sum_t = f64::from_bits(r.u64()?);
-        // A version-4 image holds the sums alone; their keys and
-        // occupancy come from the history in its log (see `read_log`).
-        let n_per_key = r.count(if log.is_none() { 16 } else { 8 }, "per-key state")?;
-        let mut per_key = Vec::with_capacity(n_per_key);
-        for _ in 0..n_per_key {
-            per_key.push(match log {
-                None => (r.u32()?, f64::from_bits(r.u64()?), r.u32()?),
-                Some(_) => (0, f64::from_bits(r.u64()?), 0),
-            });
-        }
+        let mut per_key = Vec::new();
         let mut history = Vec::new();
         if log.is_none() {
+            let n_per_key = r.count(16, "per-key state")?;
+            per_key.reserve_exact(n_per_key);
+            for _ in 0..n_per_key {
+                per_key.push((r.u32()?, f64::from_bits(r.u64()?), r.u32()?));
+            }
             let n_history = r.count(16, "history")?;
             history.reserve_exact(n_history);
             for _ in 0..n_history {
@@ -728,19 +748,48 @@ impl Checkpoint {
             stats,
             keys,
             row,
-            state: ClassifierState {
-                interval,
-                smoothed,
-                sum_t,
-                per_key,
-                history,
-                members,
-            },
+            state: ClassifierState { interval, detected, sum_t, history, members },
             sketch,
             log: None,
         };
+        if log.is_none() {
+            check_derived(&checkpoint.state, smoothed, &per_key)?;
+        }
         Ok((checkpoint, log))
     }
+}
+
+/// Refuse a version-2 or 3 image whose stored smoothed threshold or
+/// per-key block is not, by bits, what its window derives.
+fn check_derived(
+    state: &ClassifierState,
+    smoothed: Option<f64>,
+    per_key: &[(KeyId, f64, u32)],
+) -> Result<(), String> {
+    if smoothed.map(f64::to_bits) != state.smoothed().map(f64::to_bits) {
+        return Err(format!(
+            "stored smoothed threshold {smoothed:?} is not the window's {:?}",
+            state.smoothed()
+        ));
+    }
+    // The first place the two ascending lists differ, named by the
+    // smaller key there, with its `(sum, slots)` in each.
+    let derived = state.window_sums();
+    let bits = |e: Option<&(KeyId, f64, u32)>| e.map(|&(key, sum, live)| (key, sum.to_bits(), live));
+    let at = (0..per_key.len().max(derived.len()))
+        .find(|&i| bits(per_key.get(i)) != bits(derived.get(i)));
+    let Some((stored, window)) = at.map(|i| (per_key.get(i), derived.get(i))) else {
+        return Ok(());
+    };
+    let key = stored.into_iter().chain(window).map(|e| e.0).min().expect("a list reaches it");
+    let of = |e: Option<&(KeyId, f64, u32)>| {
+        e.filter(|e| e.0 == key).map(|&(_, sum, live)| (sum, live))
+    };
+    Err(format!(
+        "key {key}: stored window sum and slots {:?} are not the window's {:?}",
+        of(stored),
+        of(window)
+    ))
 }
 
 /// Read an image's header and payload and verify its checksum: the
@@ -752,9 +801,11 @@ fn read_image<R: Read>(input: &mut R) -> Result<(u32, Vec<u8>), CheckpointError>
         return Err(CheckpointError::Format("bad magic".to_string()));
     }
     let version = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
-    if !(VERSION..=VERSION_LOGGED).contains(&version) {
+    // Version 4 was the logged image that stored each key's window sum,
+    // which the window now derives.
+    if !(VERSION..=VERSION_LOGGED).contains(&version) || version == 4 {
         return Err(CheckpointError::Format(format!(
-            "unsupported version {version} (this build reads {VERSION} to {VERSION_LOGGED})"
+            "unsupported version {version} (this build reads versions 2, 3 and 5)"
         )));
     }
     let len = u64::from_le_bytes(head[LENGTH_AT..CRC_AT].try_into().expect("8 bytes"));
@@ -863,7 +914,7 @@ fn log_seq(name: &str) -> Option<u64> {
     (log_name(seq) == name).then_some(seq)
 }
 
-/// What a version-4 image records of its log.
+/// What a version-5 image records of its log.
 #[derive(Debug, Clone, PartialEq)]
 struct LogRef {
     /// The log's file name, beside the image.
@@ -955,27 +1006,33 @@ impl LogState {
         LOG_HEADER_LEN + keys + self.slots.iter().sum::<u64>()
     }
 
-    /// Account for the records `delta` appends — and the header, on a
-    /// log not yet created.
-    fn append(&mut self, delta: &Delta) {
-        let snapshot = &delta.snapshot;
-        debug_assert_eq!(delta.keys_from, self.keys, "the delta continues this log");
+    /// Account for the records an image appends — the keys assigned since
+    /// the image before, and one slot record per new slot, holding the
+    /// pairs `slots` counts — and the header, on a log not yet created.
+    /// The window then holds `window` slots, `open` intervals sealed.
+    fn append(
+        &mut self,
+        keys: usize,
+        slots: impl Iterator<Item = usize>,
+        window: usize,
+        open: u64,
+    ) {
         if self.len == 0 {
             self.len = LOG_HEADER_LEN;
         }
-        if !snapshot.keys.is_empty() {
-            self.len += key_record_len(snapshot.keys.len());
-            self.keys += snapshot.keys.len();
+        if keys > 0 {
+            self.len += key_record_len(keys);
+            self.keys += keys;
         }
-        for (_, slot) in &snapshot.state.history {
-            let len = slot_record_len(slot.len());
+        for entries in slots {
+            let len = slot_record_len(entries);
             self.slots.push_back(len);
             self.len += len;
         }
-        while self.slots.len() > delta.window {
+        while self.slots.len() > window {
             self.slots.pop_front();
         }
-        self.open = snapshot.open;
+        self.open = open;
     }
 }
 
@@ -1095,24 +1152,6 @@ fn read_log(
             "its last slots are intervals {intervals:?}, the image's window is the {window} \
              before {open}"
         )));
-    }
-    // The window's keys, ascending, and the slots each is in: the keys
-    // and occupancy of the per-key sums the image holds in that order.
-    let mut in_window: Vec<KeyId> =
-        history.iter().flat_map(|(_, slot)| slot.iter().map(|&(key, _)| key)).collect();
-    in_window.sort_unstable();
-    let occupancy: Vec<(KeyId, u32)> =
-        in_window.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u32)).collect();
-    let per_key = &mut checkpoint.state.per_key;
-    if occupancy.len() != per_key.len() {
-        return Err(format(format!(
-            "the image holds {} window sums, the window's slots {} keys",
-            per_key.len(),
-            occupancy.len()
-        )));
-    }
-    for (entry, &(key, live)) in per_key.iter_mut().zip(&occupancy) {
-        (entry.0, entry.2) = (key, live);
     }
     state.keys = n_keys;
     checkpoint.keys = keys;
@@ -1562,26 +1601,30 @@ impl Checkpointer {
         let sealed = pipeline.intervals_sealed();
         // Append only for the pipeline whose keys and window the log
         // holds; any other starts a log of its own.
-        let continued = self.log.take().filter(|log| pipeline.log.as_ref() == Some(log));
-        let (keys_from, open_from) =
-            continued.as_ref().map_or((0, 0), |log| (log.keys, log.open as usize));
-        let mut delta = pipeline.export_delta(keys_from, open_from);
-        self.flush()?;
-        let mut log = continued.unwrap_or_else(|| {
-            let seq = self.take_seq();
-            LogState::new(seq, &self.path)
-        });
-        let mut at = log.len;
-        log.append(&delta);
-        // Compaction: a log whose dead bytes outgrow its live ones is not
-        // continued; the image starts the next log, as a first image does.
-        let live = log.live();
-        let compaction = log.len - live > live;
-        if compaction {
-            (delta, at) = (pipeline.export_delta(0, 0), 0);
-            log = LogState::new(self.take_seq(), &self.path);
-            log.append(&delta);
+        let mut continued = self.log.take().filter(|log| pipeline.log.as_ref() == Some(log));
+        // Compaction: a log whose dead bytes would outgrow its live ones
+        // is not continued; the image starts the next log, as a first
+        // image does. The rule reads what the image appends counted, so
+        // the pipeline is copied once, knowing how much of it to take.
+        let (mut keys_from, mut open_from, mut at) = (0, 0, 0);
+        if let Some(log) = &mut continued {
+            (keys_from, open_from, at) = (log.keys, log.open as usize, log.len);
+            let (slots, window) = pipeline.classifier.window_from(open_from);
+            let slots = slots.map(<[_]>::len);
+            log.append(pipeline.keys().len() - keys_from, slots, window, sealed as u64);
         }
+        let compaction = continued.take_if(|log| log.len - log.live() > log.live()).is_some();
+        if compaction {
+            (keys_from, open_from, at) = (0, 0, 0);
+        }
+        let delta = pipeline.export_delta(keys_from, open_from);
+        self.flush()?;
+        let log = continued.unwrap_or_else(|| {
+            let mut log = LogState::new(self.take_seq(), &self.path);
+            let slots = delta.snapshot.state.history.iter().map(|(_, slot)| slot.len());
+            log.append(delta.snapshot.keys.len(), slots, delta.window, delta.snapshot.open);
+            log
+        });
         let plan = LogPlan {
             path: log.path.clone(),
             at,
@@ -1733,10 +1776,11 @@ mod tests {
             // Classifier state.
             let st = &self.state;
             w.extend_from_slice(&(st.interval as u64).to_le_bytes());
-            put_opt_f64(&mut w, st.smoothed);
+            put_opt_f64(&mut w, st.smoothed());
             w.extend_from_slice(&st.sum_t.to_bits().to_le_bytes());
-            w.extend_from_slice(&(st.per_key.len() as u64).to_le_bytes());
-            for &(key, sum, live) in &st.per_key {
+            let per_key = st.window_sums();
+            w.extend_from_slice(&(per_key.len() as u64).to_le_bytes());
+            for &(key, sum, live) in &per_key {
                 w.extend_from_slice(&key.to_le_bytes());
                 w.extend_from_slice(&sum.to_bits().to_le_bytes());
                 w.extend_from_slice(&live.to_le_bytes());
@@ -1841,9 +1885,8 @@ mod tests {
             row: vec![(0, 700), (1, 42)],
             state: ClassifierState {
                 interval: 5,
-                smoothed: Some(123.456),
+                detected: true,
                 sum_t: 900.25,
-                per_key: vec![(0, 50.5, 2), (1, 7.0, 1)],
                 history: vec![
                     (100.0, vec![(0, 25.25f32), (1, 7.0)]),
                     (200.5, vec![(0, 25.25f32)]),
@@ -1867,16 +1910,77 @@ mod tests {
     fn sample_images_equal_the_committed_fixtures() {
         // Written by the encoder as it stood before images were built in
         // place: the format is pinned to files, not to two encoders in
-        // this tree agreeing with each other.
+        // this tree agreeing with each other. The files store the
+        // smoothed threshold 123.456, which their window does not derive
+        // (its last threshold term is 200.5): loading either is a typed
+        // error naming it, and the consistent sample writes them with
+        // those 8 bytes, and so the CRC, changed.
         let v2: &[u8] = include_bytes!("../tests/fixtures/sample_v2.ckpt");
         let v3: &[u8] = include_bytes!("../tests/fixtures/sample_v3.ckpt");
-        assert_eq!(sample().to_bytes(), v2);
-        assert_eq!(sample_sketch().to_bytes(), v3);
-        assert_eq!(sample().to_bytes_by_copy(), v2);
-        assert_eq!(sample_sketch().to_bytes_by_copy(), v3);
-        let mut written = Vec::new();
-        sample_sketch().write_to(&mut written).expect("write to a Vec");
-        assert_eq!(written, v3);
+        for (fixture, ckpt) in [(v2, sample()), (v3, sample_sketch())] {
+            match Checkpoint::read_from(&mut &fixture[..]) {
+                Err(CheckpointError::Format(why)) => assert!(
+                    why.contains("stored smoothed threshold Some(123.456)")
+                        && why.contains("window's Some(200.5)"),
+                    "{why}"
+                ),
+                other => panic!("a stored smoothed threshold the window denies: {other:?}"),
+            }
+            let lie = 123.456f64.to_bits().to_le_bytes();
+            let at = fixture.windows(8).position(|bytes| bytes == lie).expect("stored smoothed");
+            let mut want = fixture.to_vec();
+            want[at..at + 8].copy_from_slice(&200.5f64.to_bits().to_le_bytes());
+            let crc = crc32(&want[HEADER_LEN..]);
+            want[CRC_AT..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(ckpt.to_bytes(), want);
+            assert_eq!(ckpt.to_bytes_by_copy(), want);
+            let mut written = Vec::new();
+            ckpt.write_to(&mut written).expect("write to a Vec");
+            assert_eq!(written, want);
+        }
+    }
+
+    #[test]
+    fn a_stored_window_sum_the_window_denies_is_refused_naming_its_key() {
+        // Key 0 sums 25.25 twice: 50.5. An image re-encoded with it one
+        // ulp above, its CRC valid, does not load.
+        let mut bytes = sample().to_bytes();
+        let sum = 50.5f64.to_bits().to_le_bytes();
+        let at = bytes.windows(8).position(|b| b == sum).expect("stored window sum");
+        assert_eq!(bytes[at - 4..at], 0u32.to_le_bytes(), "key 0's entry");
+        bytes[at..at + 8].copy_from_slice(&50.5f64.next_up().to_bits().to_le_bytes());
+        let crc = crc32(&bytes[HEADER_LEN..]);
+        bytes[CRC_AT..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        match Checkpoint::read_from(&mut &bytes[..]) {
+            Err(CheckpointError::Format(why)) => assert!(
+                why.contains("key 0: stored window sum and slots Some((50.50000000000001, 2))")
+                    && why.contains("window's Some((50.5, 2))"),
+                "{why}"
+            ),
+            other => panic!("a window sum one ulp off loaded as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_version_4_image_is_a_format_error_naming_its_version() {
+        // Version 4 stored each key's window sum, which the window now
+        // derives: an image a build before version 5 left is refused,
+        // by `load` and by `read_from`.
+        let (dir, _) = logged_dir("v4", StateBackendConfig::Exact);
+        let image = dir.join(CHECKPOINT_FILE);
+        let mut bytes = fs::read(&image).expect("image");
+        assert_eq!(bytes[8..12], VERSION_LOGGED.to_le_bytes());
+        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+        fs::write(&image, &bytes).expect("plant");
+        for read in [Checkpoint::load(&image), Checkpoint::read_from(&mut &bytes[..])] {
+            match read {
+                Err(CheckpointError::Format(why)) => {
+                    assert!(why.contains("unsupported version 4"), "{why}")
+                }
+                other => panic!("a version-4 image read as {other:?}"),
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
     }
 
     fn packet(dst: Ipv4Addr, ts_ns: u64, wire_len: u32) -> PacketMeta {
@@ -2104,7 +2208,7 @@ mod tests {
                 Err(CheckpointError::Format(why)) => {
                     assert!(why.contains("needs its log"), "{why}")
                 }
-                other => panic!("a bare version-4 image read as {other:?}"),
+                other => panic!("a bare version-5 image read as {other:?}"),
             }
             fs::remove_dir_all(&dir).ok();
         }
@@ -2187,7 +2291,7 @@ mod tests {
         let image = dir.join(CHECKPOINT_FILE);
         let (version, payload) = read_image(&mut File::open(&image).expect("image")).expect("read");
         let (checkpoint, log) = Checkpoint::decode(&payload, version).expect("decode");
-        let log = log.expect("a version-4 image");
+        let log = log.expect("a version-5 image");
         for (what, bad) in [
             ("key count", LogRef { keys: u64::MAX / 2, ..log.clone() }),
             ("window count", LogRef { window: u64::MAX / 2, ..log.clone() }),

@@ -542,7 +542,7 @@ pub struct Pipeline<'t, D: ThresholdDetector> {
     interval_ns: u64,
     n_intervals: Option<usize>,
     /// The one online classifier, fed each sealed interval's snapshot.
-    classifier: OnlineClassifier<D>,
+    pub(crate) classifier: OnlineClassifier<D>,
     /// The open interval's byte row, whatever holds it (the dense row, a
     /// sketch, the dense row spread over shard workers — see
     /// [`open_row`]), so sealing, sinks and checkpoints never ask which
@@ -1340,8 +1340,8 @@ mod tests {
         // Dense per-key state is sized by the largest key id, so an id a
         // checkpoint merely claims must be refused by validation, which
         // runs before any engine is built: `u32::MAX` would otherwise
-        // ask for 48 GiB. Hysteresis at window 1 fills all three key
-        // lists of the classifier state; the image is re-encoded, so
+        // ask for 48 GiB. Hysteresis at window 1 fills both key lists
+        // of the classifier state; the image is re-encoded, so
         // its CRC is valid and only the state check can object.
         // Interval 0 sealed with both keys active, interval 1 open.
         let metas = [
@@ -1373,13 +1373,12 @@ mod tests {
             p.checkpoint(&mut image).unwrap();
             let good = Checkpoint::read_from(&mut image.as_slice()).unwrap();
             let n_keys = good.keys.len() as KeyId;
-            assert!(!good.state.per_key.is_empty() && !good.state.members.is_empty());
+            assert!(!good.state.members.is_empty());
             assert!(!good.state.history[0].1.is_empty());
             assert!(builder(shards, state).resume(&good).is_ok());
 
             type Plant = fn(&mut Checkpoint, KeyId);
             let mut plants: Vec<(&str, Plant)> = vec![
-                ("per-key state", |c, id| c.state.per_key.push((id, 1.0, 1))),
                 ("history snapshot", |c, id| c.state.history[0].1.push((id, 1.0))),
                 ("membership list", |c, id| c.state.members.push(id)),
             ];

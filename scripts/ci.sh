@@ -106,9 +106,12 @@
 #  12. checkpoint bytes: the sample images, and the final `eleph.ckpt` of
 #      six seeded `eleph run --synth` command lines loaded with its log
 #      and re-encoded self-contained, against fixtures written before
-#      images were built in place, `crc32` against the bytewise loop it
-#      replaced, the in-place encoder against the copying assembly it
-#      replaced (random captures x scheme x state backend x engine), one
+#      images were built in place (the sample fixtures store a smoothed
+#      threshold their window denies, which loading refuses, as it
+#      refuses a window sum one ulp off and a version-4 image), `crc32`
+#      against the bytewise loop it replaced, the in-place encoder
+#      against the copying assembly it replaced (random captures x
+#      scheme x state backend x engine), one
 #      `Checkpointer` buffer reused for a large image and then a small
 #      one, a resumed run's cadence and files against the uninterrupted
 #      run's (that an image at a cut is the uninterrupted run's, byte
@@ -399,6 +402,8 @@ cargo test -q -p eleph-tests --test sketch_equivalence \
 echo "== checkpoint bytes: fixtures, crc32 vs bytewise, in-place vs copying encoder, buffer reuse, resume cadence, fingerprint refusals, failed writes, the log, compaction, bytes per image =="
 cargo test -q -p eleph-pipeline --lib -- \
     checkpoint::tests::sample_images_equal_the_committed_fixtures \
+    checkpoint::tests::a_stored_window_sum_the_window_denies_is_refused_naming_its_key \
+    checkpoint::tests::a_version_4_image_is_a_format_error_naming_its_version \
     checkpoint::tests::crc32_ \
     checkpoint::tests::in_place_image_equals_the_copying_oracle \
     checkpoint::tests::a_reused_buffer_holds_only_the_new_image \

@@ -25,7 +25,8 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # beside it, then the unit and property tests that guard what the model
 # cannot reach (the model streams one configuration; the batch sweep's
 # sharing between configurations is held to the legacy replica, and the
-# streaming classifier to the replica and across a resume), then the
+# streaming classifier to the replica and across a resume, its window
+# sums to the window's under sums that round), then the
 # pairwise tests that compare two implementations and are still to retire
 # against this table, and last the log a compaction starts against the
 # log a first image writes.
@@ -33,6 +34,7 @@ tests=(
     "eleph-tests --test model every_run_of_the_pipeline_is_the_model"
     "eleph-tests --test model a_re_announced_prefix_is_a_new_key_and_the_old_one_drains"
     "eleph-core --lib window::tests::the_stand_in_beats_the_interval_maximum_by_one"
+    "eleph-core --lib online::tests::state_round_trip_continues_bit_identically"
     "eleph-core --lib threshold::tests::constant_load_flows_above_carry_beta"
     "eleph-core --lib sketch::tests::slot_heap_evicts_exactly_what_the_scan_did"
     "eleph-core --lib sketch::tests::a_restored_bloom_keeps_its_adapted_threshold"

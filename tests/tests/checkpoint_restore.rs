@@ -418,9 +418,10 @@ fn synthetic_run_checkpoints_equal_their_recorded_length_and_crc() {
 /// set keeps growing (two keys a second that were never seen before,
 /// beside twenty recurring ones), cut into chunks that end on the first
 /// packet of an interval. Once the window is full, every image puts on
-/// disk — image and log append — at most 16 bytes per key in the
-/// window's sums, one slot, 9 bytes per key assigned since the image
-/// before, and 512 bytes of framing; and the directory never holds more
+/// disk — image and log append — at most one slot, 9 bytes per key
+/// assigned since the image before, and 512 bytes of framing (nothing
+/// per key in the window: its sums are the window's, derived on
+/// resume); and the directory never holds more
 /// than twice the key table and window, as the log frames them, plus
 /// the image.
 #[test]
@@ -480,7 +481,7 @@ fn checkpoint_bytes_follow_what_changed() {
         // A slot holds at most a key per packet of its interval.
         let slot = |interval: usize| intervals[interval].len();
         if sealed > WINDOW {
-            let bound = 16 * pipeline.tracked_keys() + (16 + 8 * slot(k)) + 9 * new_keys + 512;
+            let bound = (16 + 8 * slot(k)) + 9 * new_keys + 512;
             assert!(
                 written.last_bytes as usize <= bound,
                 "image at {sealed} sealed put {} bytes on disk, more than {bound}",
