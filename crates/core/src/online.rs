@@ -119,27 +119,24 @@ impl ClassifierState {
     }
 
     /// Structurally validate this state against a scheme and the number
-    /// of keys the run has assigned: history bounded by the scheme's
-    /// window and by the intervals observed, and holding a slot when a
-    /// detection was made; key lists and snapshots ascending and naming
-    /// only existing keys (dense per-key state is sized by the largest
-    /// id, so an id a corrupt checkpoint merely claims must never get
-    /// that far); membership only under hysteresis; every float finite,
-    /// and the threshold terms and rates not negative (the sliding
-    /// threshold sum alone may round below zero). The one validator
-    /// behind every resume path, so a corrupt state is rejected
+    /// of keys the run has assigned: history exactly as long as the
+    /// scheme's window or the intervals observed, whichever is fewer, and
+    /// holding a slot when a detection was made; key lists and snapshots
+    /// ascending and naming only existing keys (dense per-key state is
+    /// sized by the largest id, so an id a corrupt checkpoint merely
+    /// claims must never get that far); membership only under hysteresis;
+    /// every float finite, and the threshold terms and rates not negative
+    /// (the sliding threshold sum alone may round below zero). The one
+    /// validator behind every resume path, so a corrupt state is rejected
     /// identically everywhere. Panics on invalid scheme parameters, like
     /// [`Sweep::pass`].
     pub fn validate(&self, scheme: Scheme, n_keys: usize) -> Result<(), String> {
         let (slots, window) = (self.history.len(), scheme.window());
-        if slots > window {
+        let expected = window.min(self.interval);
+        if slots != expected {
             return Err(format!(
-                "classifier state holds {slots} history slots for a window of {window}"
-            ));
-        }
-        if slots > self.interval {
-            return Err(format!(
-                "classifier state holds {slots} history slots after {} intervals",
+                "classifier state holds {slots} history slots where a window of {window} \
+                 holds {expected} after {} intervals",
                 self.interval
             ));
         }
@@ -498,7 +495,9 @@ mod tests {
         // More history than the window can hold.
         let mut bad = good.clone();
         bad.history.extend_from_slice(&[(1.0, vec![]), (1.0, vec![]), (1.0, vec![])]);
-        assert!(rebuild(bad).unwrap_err().contains("window"));
+        bad.interval = 10;
+        let err = rebuild(bad).unwrap_err();
+        assert!(err.contains("holds 5 history slots where a window of 3 holds 3"), "{err}");
 
         // More history than intervals observed.
         let mut bad = good.clone();
@@ -526,9 +525,16 @@ mod tests {
         bad.members = vec![1 << 28];
         assert!(rebuild(bad).unwrap_err().contains("names key 268435456"));
 
+        // Less history than the intervals observed: window sums over
+        // fewer slots than the run had.
+        let mut bad = good.clone();
+        bad.history.remove(0);
+        assert!(rebuild(bad).unwrap_err().contains("holds 1 history slots where"));
+
         // A detection with no slot to read the smoothed threshold off.
         let mut bad = good.clone();
         bad.history.clear();
+        bad.interval = 0;
         assert!(good.detected && rebuild(bad).unwrap_err().contains("no history slot"));
 
         // A float no run reaches, in each field that holds one.

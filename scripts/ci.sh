@@ -153,10 +153,8 @@
 #      (proptest, by bits), a matrix generated straight from the
 #      workload against one read from the generated trace (columns and
 #      totals by bits), and an empty interval's total `+0.0` in the
-#      trace as in the matrix; a link's build heap (a counting
-#      allocator: the table and matrix it keeps, the population, two
-#      blocks of rows and one column's growth — never the trace beside
-#      the matrix); the walkers `refine_each` / `coarsen_each`, which
+#      trace as in the matrix; the walkers `refine_each` /
+#      `coarsen_each`, which
 #      hand over re-measured intervals one at a time through the row
 #      adapters `Refine` / `Coarsen` and build no matrix, against a
 #      row-at-a-time oracle (differential proptest); classification
@@ -164,17 +162,24 @@
 #      rows as a matrix (proptest, by bits); the session's planned walk
 #      against `classify` over each link's matrix, for random sets of
 #      jobs and a job asked after the walk (`planned_walk`, proptest,
-#      every column by bits); their heap high-water mark (a counting
-#      allocator: one interval's scratch, never the re-measured
-#      entries), table 4's (less than the west matrix's own columns),
-#      the whole session's (`session_alloc`: `eleph all` at scale 0.05
-#      peaks below the results it keeps, both tables, one walk, the
-#      rings and the key sums — never both matrices) and the streaming
-#      classifier's live heap
-#      (the same after 20 000 intervals as after 2 000: no per-interval
-#      threshold record), and the bytes a pipeline allocates applying a
-#      mid-stream batch of 64 announces into 64 painted pages (under 32
-#      pages' worth: the live table is written in place); `Ecdf`'s integer sort and `aest` against
+#      every column by bits); the heap counts over one counting
+#      allocator (`tests/src/heap.rs`), in three binaries
+#      (`tests/tests/{alloc,build_alloc,session_alloc}.rs`; each test of
+#      `alloc` runs alone in a process of its own): once warm, the
+#      serial exact path makes 0 allocation calls per packet over more
+#      than 100 000 packets, at most 10 per seal and at most 11 per
+#      checkpoint image (28 for one that compacts); a mid-stream batch
+#      of 64 announces into 64 painted pages allocates under 32 pages'
+#      worth (the live table is written in place); the streaming
+#      classifier's live heap is the same after 20 000 intervals as
+#      after 2 000 (no per-interval threshold record); and the peak heap
+#      of the walkers (one interval's scratch, never the re-measured
+#      entries), of a link's build (never the trace beside the matrix),
+#      of table 4 (less than the west matrix's own columns) and of the
+#      whole `eleph all` session at scale 0.05 (the results it keeps,
+#      both tables, one walk, the rings and the key sums — never both
+#      matrices);
+#      `Ecdf`'s integer sort and `aest` against
 #      the comparator sort, and `aest` on a non-finite sample (both
 #      crate-private in `eleph-core`, beside the detectors) — all part
 #      of tier-1; re-run by name so a failure is attributed immediately;
@@ -471,15 +476,10 @@ cargo test -q -p eleph-trace --lib -- \
     rate::tests::walk_at_every_block_size_gives_the_generated_rows \
     rate::tests::an_empty_interval_totals_positive_zero
 cargo test -q -p eleph-flow --lib matrix::tests::from_workload_equals_the_generated_trace_by_bits
-cargo test -q -p eleph-report --test build_alloc building_a_link_never_holds_its_trace_beside_its_matrix
 cargo test -q -p eleph-flow --lib matrix::tests::refine_and_coarsen_equal_the_row_oracle
 cargo test -q -p eleph-core --test props streamed_remeasurement_equals_batch_over_its_rows
-cargo test -q -p eleph-flow --test alloc refine_each_and_coarsen_each_hold_one_interval
 cargo test -q -p eleph-report --test planned_walk planned_walk_equals_classify_over_the_matrix
-cargo test -q -p eleph-report --test alloc table4_holds_less_than_the_matrix_it_re_measures
-cargo test -q -p eleph-report --test session_alloc a_session_keeps_its_results_and_tables_and_one_walk
-cargo test -q -p eleph-core --test alloc
-cargo test -q -p eleph-pipeline --test alloc
+cargo test -q -p eleph-tests --test alloc --test build_alloc --test session_alloc
 cargo test -q -p eleph-core --lib -- \
     ecdf::tests::integer_sort_equals_the_comparator_sort \
     aest::tests::integer_sorted_levels_give_the_comparator_sorts_result \

@@ -28,8 +28,10 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # streaming classifier to the replica and across a resume, its window
 # sums to the window's under sums that round), then the
 # pairwise tests that compare two implementations and are still to retire
-# against this table, and last the log a compaction starts against the
-# log a first image writes.
+# against this table, the log a compaction starts against the log a first
+# image writes, and last the heap counts (what the serial path allocates
+# per packet, per seal and per checkpoint image, and what the bounded-space
+# paths hold at their peak).
 tests=(
     "eleph-tests --test model every_run_of_the_pipeline_is_the_model"
     "eleph-tests --test model a_re_announced_prefix_is_a_new_key_and_the_old_one_drains"
@@ -56,6 +58,14 @@ tests=(
     "eleph-pipeline --lib pipeline::tests::stats_match_batch_aggregator"
     "eleph-tests --test sketch_equivalence exact_backend_is_byte_identical_to_default_at_every_shard_count"
     "eleph-pipeline --lib checkpoint::tests::a_compacted_log_is_the_log_a_first_image_writes"
+    "eleph-tests --test alloc serial_ingest_allocates_nothing_per_packet"
+    "eleph-tests --test alloc a_checkpoint_image_allocates_a_bounded_count"
+    "eleph-tests --test alloc a_scheduled_batch_copies_no_page"
+    "eleph-tests --test alloc live_heap_does_not_grow_with_the_intervals_observed"
+    "eleph-tests --test alloc refine_each_and_coarsen_each_hold_one_interval"
+    "eleph-tests --test build_alloc building_a_link_never_holds_its_trace_beside_its_matrix"
+    "eleph-tests --test alloc table4_holds_less_than_the_matrix_it_re_measures"
+    "eleph-tests --test session_alloc a_session_keeps_its_results_and_tables_and_one_walk"
 )
 
 if [ $# -eq 0 ]; then

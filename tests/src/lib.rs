@@ -1,7 +1,9 @@
 //! Cross-crate integration tests live in `tests/`. This library holds
-//! what they share: the executable model of the paper ([`model`]) and
-//! the fixtures runs are built from.
+//! what they share: the executable model of the paper ([`model`]), the
+//! counting allocator the heap checks install ([`heap`]) and the
+//! fixtures runs are built from.
 
+pub mod heap;
 pub mod model;
 
 use std::fs;
