@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 
 use eleph_flow::KeyId;
 
-use crate::window::{exact_sum, KeySums, Step};
+use crate::window::{KeySums, Step};
 use crate::{ClassifyConfig, Scheme, Sweep, ThresholdDetector};
 
 /// The outcome of one streamed interval.
@@ -100,24 +100,6 @@ fn check_keys(
 }
 
 impl ClassifierState {
-    /// The smoothed threshold the state restores to: the last history
-    /// slot's threshold term after a detection, `None` before one.
-    pub fn smoothed(&self) -> Option<f64> {
-        self.history.last().filter(|_| self.detected).map(|&(t_term, _)| t_term)
-    }
-
-    /// Each key in the history with its window sum — the correctly
-    /// rounded sum of its rates there, which a restore derives — and the
-    /// slots it is in, ascending by key.
-    pub fn window_sums(&self) -> Vec<(KeyId, f64, u32)> {
-        let mut entries: Vec<(KeyId, f32)> =
-            self.history.iter().flat_map(|(_, snapshot)| snapshot.iter().copied()).collect();
-        entries.sort_unstable_by_key(|&(key, _)| key);
-        let runs = entries.chunk_by(|a, b| a.0 == b.0);
-        let sum = |run: &[(KeyId, f32)]| exact_sum(run.iter().map(|&(_, rate)| f64::from(rate)));
-        runs.map(|run| (run[0].0, sum(run), run.len() as u32)).collect()
-    }
-
     /// Structurally validate this state against a scheme and the number
     /// of keys the run has assigned: history exactly as long as the
     /// scheme's window or the intervals observed, whichever is fewer, and
@@ -261,6 +243,7 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::exact_sum;
     use crate::ConstantLoadDetector;
 
     fn rows() -> Vec<Vec<(KeyId, f32)>> {
@@ -418,6 +401,18 @@ mod tests {
         ]
     }
 
+    /// Each key in `state`'s history with its window sum — the correctly
+    /// rounded sum of its rates there, which a restore derives — and the
+    /// slots it is in, ascending by key.
+    fn window_sums(state: &ClassifierState) -> Vec<(KeyId, f64, u32)> {
+        let mut entries: Vec<(KeyId, f32)> =
+            state.history.iter().flat_map(|(_, snapshot)| snapshot.iter().copied()).collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        let runs = entries.chunk_by(|a, b| a.0 == b.0);
+        let sum = |run: &[(KeyId, f32)]| exact_sum(run.iter().map(|&(_, rate)| f64::from(rate)));
+        runs.map(|run| (run[0].0, sum(run), run.len() as u32)).collect()
+    }
+
     /// The classifier's window sums are, by bits, the ones its exported
     /// state derives from the window, under every scheme.
     fn assert_sums_are_the_windows<D: ThresholdDetector>(online: &OnlineClassifier<D>) {
@@ -425,7 +420,7 @@ mod tests {
             sums.into_iter().map(|(key, sum, live)| (key, sum.to_bits(), live)).collect()
         };
         let live = online.sweep.frontier().1.export();
-        assert_eq!(bits(live), bits(online.export_state().window_sums()));
+        assert_eq!(bits(live), bits(window_sums(&online.export_state())));
     }
 
     #[test]

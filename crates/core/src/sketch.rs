@@ -142,9 +142,9 @@ fn prev_power_of_two(x: usize) -> usize {
 ///   classifier driver's step — unchanged.
 /// * [`export_sketch`](StateBackend::export_sketch) /
 ///   [`restore_sketch`](StateBackend::restore_sketch) round-trip the
-///   backend's full open state through a versioned byte payload
-///   (checkpoint format v3); the exact backend instead exposes its row
-///   through [`open_row`](StateBackend::open_row) (format v2).
+///   backend's full open state through a versioned byte payload (a
+///   checkpoint's sketch payload); the exact backend instead exposes its
+///   row through [`open_row`](StateBackend::open_row) (its open row).
 /// * Everything is deterministic: same record sequence → same
 ///   snapshots, same payload bytes.
 pub trait StateBackend: Send {
@@ -173,7 +173,7 @@ pub trait StateBackend: Send {
     fn seal_into(&mut self, secs: f64, out: &mut Vec<(KeyId, f32)>);
 
     /// The open interval's exact nonzero byte row as sorted
-    /// `(key, bytes)` pairs — the checkpoint-v2 frontier. Sketches
+    /// `(key, bytes)` pairs — a checkpoint's open row. Sketches
     /// return an empty row (their state lives in the sketch payload).
     fn open_row(&self) -> Vec<(KeyId, u64)>;
 

@@ -52,10 +52,10 @@ impl ThresholdSeries {
         }
     }
 
-    /// The current smoothed threshold (`None` before the first
-    /// successful detection).
-    pub fn smoothed_value(&self) -> Option<f64> {
-        self.smoothed
+    /// Whether a detection has been made, so that a smoothed
+    /// threshold exists.
+    pub fn detected(&self) -> bool {
+        self.smoothed.is_some()
     }
 
     /// The smoothing factor γ.
@@ -94,9 +94,9 @@ mod tests {
     #[test]
     fn first_detection_initialises() {
         let mut s = series();
-        assert_eq!(s.smoothed_value(), None);
+        assert_eq!(s.smoothed, None);
         assert_eq!(s.observe_raw(Some(100.0)), 100.0);
-        assert_eq!(s.smoothed_value(), Some(100.0));
+        assert_eq!(s.smoothed, Some(100.0));
     }
 
     #[test]

@@ -309,7 +309,7 @@ impl SchemeState {
         // is finite, so it is the term by bits: a checkpoint keeps only
         // whether a detection was made, and restores the EWMA from the
         // last term.
-        let detected = self.series.smoothed_value().is_some();
+        let detected = self.series.detected();
         assert!(!detected || threshold.is_finite(), "a detection is finite");
         let t_term = if detected { threshold } else { unbeatable(values) };
         self.sum_t += t_term;
@@ -374,7 +374,7 @@ impl SchemeState {
     /// made, the in-window threshold terms (oldest first), their sliding
     /// sum and the hysteresis membership.
     pub(crate) fn export(&self) -> (bool, &VecDeque<f64>, f64, &[KeyId]) {
-        (self.series.smoothed_value().is_some(), &self.t_terms, self.sum_t, &self.members)
+        (self.series.detected(), &self.t_terms, self.sum_t, &self.members)
     }
 
     /// Continue from [`SchemeState::export`]ed parts. The caller has

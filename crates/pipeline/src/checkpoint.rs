@@ -11,7 +11,7 @@
 //! derives — each key's window sum and occupancy, and the smoothed
 //! threshold — a resume derives again.
 //!
-//! # Format (versions 2, 3 and 5)
+//! # Format (versions 5 and 6)
 //!
 //! ```text
 //! magic    8 B  b"ELPHCKPT"
@@ -31,45 +31,37 @@
 //! by field, and so are the state backend and the per-key prefixes, so
 //! state can never be grafted onto a different measurement definition —
 //! including a live routing table at a different update generation than
-//! the one the snapshot was taken against (version 2 added the
-//! generation field). The payload is read by [`eleph_core::ByteReader`],
-//! the reader the sketch payloads inside it go through too.
+//! the one the snapshot was taken against. The payload is read by
+//! [`eleph_core::ByteReader`], the reader the sketch payloads inside it
+//! go through too.
 //!
-//! Version 3 extends version 2 for pipelines running a sketch state
-//! backend ([`eleph_core::sketch`]): the version-2 payload (whose dense
-//! row is then empty — a sketch has no exact row) is followed by the
-//! backend kind string and its length-prefixed, internally-versioned
-//! sketch payload. Exact-backend checkpoints keep writing version 2
-//! byte-for-byte, so `--state exact` images remain identical to every
-//! earlier release; a reader accepts both versions and a resume
-//! cross-checks the recorded backend kind against the builder's.
+//! After the fingerprint and the packet accounting come the key table
+//! and the window's history, as the records of a log (see "The log"),
+//! then the open interval's byte row, the classifier's interval index, a
+//! detection byte (1: the smoothed threshold is the last slot's
+//! threshold term), the threshold sum, the hysteresis membership, and a
+//! state backend tag: 0 for the exact backend, 1 for a sketch
+//! ([`eleph_core::sketch`]), whose kind string and length-prefixed,
+//! internally-versioned payload follow (the dense row is then empty).
 //!
-//! Versions 2 and 3 are the one self-contained form:
-//! [`Pipeline::checkpoint`] and [`Checkpoint::write_to`] write them and
-//! [`Checkpoint::read_from`] reads them. Their classifier state stores
-//! the smoothed threshold and a per-key block — every key in the window,
-//! ascending, with its window sum and the slots it is in — which the
-//! encoder derives from the window ([`ClassifierState::smoothed`],
-//! [`ClassifierState::window_sums`]) and the decoder derives again: a
-//! stored value that differs by a bit is a format error naming the key
-//! or the smoothed threshold.
+//! The two versions differ in the one field that holds the log records:
+//! - **Version 5**, what a [`Checkpointer`] writes, names the image's
+//!   log: its file name, its byte watermark (its length when the image
+//!   was taken), the keys it holds and the history slots the window
+//!   holds. [`Checkpoint::load`] reads that log up to the watermark;
+//!   [`Checkpoint::read_from`], which has no directory to find it in,
+//!   refuses the image with a format error.
+//! - **Version 6**, the self-contained form that [`Pipeline::checkpoint`]
+//!   and [`Checkpoint::write_to`] write and both readers read, holds the
+//!   key and window counts and the log's own bytes, length-prefixed: the
+//!   header, one key record holding every key and one slot record per
+//!   window slot — the log a [`Checkpointer`] starts from that snapshot.
 //!
-//! Version 5 is what a [`Checkpointer`] writes: only the part of the
-//! frontier that mutates. Its payload is the version-2 payload without
-//! the key table, the per-key block and the window's history slots,
-//! which live in the image's **log**; in the key table's place it
-//! records the log's file name, its byte watermark (the log's length
-//! when the image was taken), the number of keys it holds and the
-//! number of history slots the window holds, and in the smoothed
-//! threshold's place one byte, 1 when a detection was made. A state
-//! backend tag (0 exact, 1 sketch, followed by the version-3 tail)
-//! closes it. [`Checkpoint::load`] reads an image of any of these
-//! versions; for a version-5 image it then reads the log up to the
-//! watermark, and the [`Checkpoint`] it returns is the one the version-2
-//! or 3 image of the same moment decodes to. `read_from`, which has no
-//! directory to find the log in, refuses a version-5 image with a
-//! format error. Version 4, the logged image that also stored each
-//! key's window sum, is not read: a format error names it.
+//! So a key and a history slot have one encoding, the log record, and
+//! one decoder, the record walk both versions share: a version-5 image
+//! and its log load as the [`Checkpoint`] the version-6 image of the
+//! same moment decodes to. Versions 2 to 4, the layouts before these,
+//! are refused with a format error naming the version.
 //!
 //! # The log
 //!
@@ -169,8 +161,7 @@
 //! [`crate::RotatingJsonlSink::resume`]) and deletes the rest. A
 //! resumed pipeline then appends to that log where the image left it,
 //! so a resumed run writes the files the uninterrupted run writes. A
-//! resume from a version-2 or 3 image starts a new log at its first
-//! image.
+//! resume from a version-6 image starts a new log at its first image.
 //!
 //! The snapshot records the number of intervals sealed *and already
 //! delivered to the sinks*; on resume the durable JSONL output is
@@ -210,13 +201,12 @@ use crate::pipeline::{Pipeline, PipelineError, PipelineStats};
 use crate::source::PacketSource;
 
 const MAGIC: [u8; 8] = *b"ELPHCKPT";
-const VERSION: u32 = 2;
-/// Format written when the pipeline runs a sketch state backend: the
-/// version-2 payload plus the backend kind and its sketch payload.
-const VERSION_SKETCH: u32 = 3;
 /// Format a [`Checkpointer`] writes: the frontier, with the key table
 /// and the window's history in the log it names.
 const VERSION_LOGGED: u32 = 5;
+/// The self-contained format: the version-5 payload holding its log's
+/// bytes where version 5 names the log.
+const VERSION_INLINE: u32 = 6;
 /// Header layout: magic (8), version (4), then the two fields patched
 /// in once the payload exists — its length (8) and CRC-32 (4).
 const LENGTH_AT: usize = 12;
@@ -385,8 +375,8 @@ pub struct Checkpoint {
     pub(crate) row: Vec<(KeyId, u64)>,
     pub(crate) state: ClassifierState,
     /// Sketch-backend open state: `(backend kind, serialized sketch)`.
-    /// `None` for the exact backend — and its presence alone is what
-    /// selects format version 3 on disk.
+    /// `None` for the exact backend, whose images carry state backend
+    /// tag 0.
     pub(crate) sketch: Option<(String, Vec<u8>)>,
     /// The log of the version-5 image this was loaded from: a pipeline
     /// resumed from it lets a [`Checkpointer`] append to that log. `None`
@@ -429,8 +419,8 @@ impl Checkpoint {
         self.config.generation
     }
 
-    /// Serialize as the self-contained image (version 2, or 3 for a
-    /// sketch backend: header + checksummed payload).
+    /// Serialize as the self-contained image (version 6: header +
+    /// checksummed payload, the log inline).
     pub fn write_to<W: Write>(&self, out: &mut W) -> io::Result<()> {
         out.write_all(&self.to_bytes())
     }
@@ -448,13 +438,10 @@ impl Checkpoint {
     /// behind a header whose length and CRC fields are patched in last.
     /// With `log`, the image is version 5 and names that log; its key
     /// table and history are then left out, whatever this holds.
+    /// Without, it is version 6 and holds them as a log's records.
     fn write_image(&self, image: &mut Vec<u8>, log: Option<&LogRef>) {
-        let version = match (log, &self.sketch) {
-            (Some(_), _) => VERSION_LOGGED,
-            (None, None) => VERSION,
-            (None, Some(_)) => VERSION_SKETCH,
-        };
-        let reserved = HEADER_LEN + self.payload_len_bound(log.is_some());
+        let version = if log.is_some() { VERSION_LOGGED } else { VERSION_INLINE };
+        let reserved = HEADER_LEN + self.payload_len_bound();
         image.clear();
         image.reserve(reserved);
         image.extend_from_slice(&MAGIC);
@@ -469,39 +456,30 @@ impl Checkpoint {
 
     /// An upper bound on the payload's size: what
     /// [`Checkpoint::write_image`] reserves so the encoder never
-    /// reallocates. A `logged` image holds no per-key block; a
-    /// self-contained one holds at most a key per history entry in it.
-    fn payload_len_bound(&self, logged: bool) -> usize {
-        // Every fixed-width field, option tag, length prefix and log
-        // reference of the layout, each option and scheme at its widest.
+    /// reallocates (a version-5 image holds none of the log records
+    /// counted).
+    fn payload_len_bound(&self) -> usize {
+        // Every fixed-width field, option tag, length prefix, log
+        // reference and log header of the layout, each option and scheme
+        // at its widest.
         const FIXED: usize = 320;
-        let st = &self.state;
-        let entries: usize = st.history.iter().map(|(_, snapshot)| snapshot.len()).sum();
-        let per_key = if logged { 0 } else { 16 * entries };
+        let slots = self.state.history.iter().map(|(_, slot)| slot_record_len(slot.len()));
+        let records = key_record_len(self.keys.len()) + slots.sum::<u64>();
         let sketch = self.sketch.as_ref().map_or(0, |(kind, payload)| kind.len() + payload.len());
         FIXED
             + self.config.detector.len()
-            + 9 * self.keys.len()
+            + records as usize
             + 12 * self.row.len()
-            + per_key
-            + 16 * st.history.len()
-            + 8 * entries
-            + 4 * st.members.len()
+            + 4 * self.state.members.len()
             + sketch
     }
 
-    /// Read and verify a self-contained (version 2 or 3) checkpoint. A
+    /// Read and verify a self-contained (version 6) checkpoint. A
     /// version-5 image is a format error: its key table and window are
     /// in a log beside its file, which [`Checkpoint::load`] reads.
     pub fn read_from<R: Read>(input: &mut R) -> Result<Self, CheckpointError> {
         let (version, payload) = read_image(input)?;
-        if version == VERSION_LOGGED {
-            return Err(CheckpointError::Format(
-                "a version-5 image needs its log: load it from its file beside the log".to_string(),
-            ));
-        }
-        let (checkpoint, _) = Self::decode(&payload, version).map_err(CheckpointError::Format)?;
-        Ok(checkpoint)
+        Self::from_image(&payload, version, None).map(|(checkpoint, _)| checkpoint)
     }
 
     /// Read and verify a checkpoint file: a self-contained image, or a
@@ -514,21 +492,41 @@ impl Checkpoint {
     /// its writer accounts for it.
     fn load_logged(path: &Path) -> Result<(Self, Option<LogState>), CheckpointError> {
         let (version, payload) = read_image(&mut File::open(path)?)?;
-        let (mut checkpoint, log) =
-            Self::decode(&payload, version).map_err(CheckpointError::Format)?;
-        let Some(log) = log else {
-            return Ok((checkpoint, None));
-        };
-        let log = read_log(path, &log, &mut checkpoint)?;
-        checkpoint.log = Some(log.clone());
-        Ok((checkpoint, Some(log)))
+        Self::from_image(&payload, version, Some(path))
+    }
+
+    /// The checkpoint a verified payload holds, its key table and window
+    /// walked off the records it holds (version 6) or off the log it
+    /// names beside `image` (version 5, which without `image` is a format
+    /// error); with that log as its writer accounts for it.
+    fn from_image(
+        payload: &[u8],
+        version: u32,
+        image: Option<&Path>,
+    ) -> Result<(Self, Option<LogState>), CheckpointError> {
+        let (mut checkpoint, records) =
+            Self::decode(payload, version).map_err(CheckpointError::Format)?;
+        match records {
+            Records::Inline { keys, window, bytes } => {
+                walk_log(bytes, keys, window, &mut checkpoint, "inline log")?;
+                Ok((checkpoint, None))
+            }
+            Records::Named(log) => {
+                let Some(image) = image else {
+                    let why = "a version-5 image needs its log: load it from its file beside it";
+                    return Err(CheckpointError::Format(why.to_string()));
+                };
+                let log = read_log(image, &log, &mut checkpoint)?;
+                checkpoint.log = Some(log.clone());
+                Ok((checkpoint, Some(log)))
+            }
+        }
     }
 
     /// Append the payload to `w` — the one encoder every image goes
     /// through. With `log` (version 5) the log's reference takes the
-    /// key table's place, a detection flag the smoothed threshold's, the
-    /// per-key block and the history are left out and a state backend
-    /// tag precedes the sketch tail.
+    /// place of the key table and history, which version 6 holds as the
+    /// records of a log started from this snapshot.
     fn encode_into(&self, w: &mut Vec<u8>, log: Option<&LogRef>) {
         // Configuration fingerprint.
         w.extend_from_slice(&self.config.interval_secs.to_le_bytes());
@@ -565,15 +563,19 @@ impl Checkpoint {
         ] {
             w.extend_from_slice(&v.to_le_bytes());
         }
+        // Key table and history.
         match log {
-            // Key table.
+            Some(log) => log.encode_into(w),
             None => {
                 w.extend_from_slice(&(self.keys.len() as u64).to_le_bytes());
-                for &(route, prefix) in &self.keys {
-                    put_key(w, route, prefix);
-                }
+                w.extend_from_slice(&(self.state.history.len() as u64).to_le_bytes());
+                let at = w.len();
+                w.extend_from_slice(&[0; 8]);
+                put_log_header(w);
+                self.encode_records(0, w);
+                let len = (w.len() - at - 8) as u64;
+                w[at..at + 8].copy_from_slice(&len.to_le_bytes());
             }
-            Some(log) => log.encode_into(w),
         }
         // Open interval row.
         w.extend_from_slice(&(self.row.len() as u64).to_le_bytes());
@@ -581,41 +583,17 @@ impl Checkpoint {
             w.extend_from_slice(&key.to_le_bytes());
             w.extend_from_slice(&bytes.to_le_bytes());
         }
-        // Classifier state. A version-5 image keeps whether a detection
-        // was made; versions 2 and 3 store what the window derives: the
-        // smoothed threshold, and every key's window sum and occupancy.
+        // Classifier state.
         let st = &self.state;
         w.extend_from_slice(&(st.interval as u64).to_le_bytes());
-        match log {
-            None => put_opt_f64(w, st.smoothed()),
-            Some(_) => w.push(u8::from(st.detected)),
-        }
+        w.push(u8::from(st.detected));
         w.extend_from_slice(&st.sum_t.to_bits().to_le_bytes());
-        if log.is_none() {
-            let per_key = st.window_sums();
-            w.extend_from_slice(&(per_key.len() as u64).to_le_bytes());
-            for (key, sum, live) in per_key {
-                w.extend_from_slice(&key.to_le_bytes());
-                w.extend_from_slice(&sum.to_bits().to_le_bytes());
-                w.extend_from_slice(&live.to_le_bytes());
-            }
-            w.extend_from_slice(&(st.history.len() as u64).to_le_bytes());
-            for (t_term, snapshot) in &st.history {
-                w.extend_from_slice(&t_term.to_bits().to_le_bytes());
-                w.extend_from_slice(&(snapshot.len() as u64).to_le_bytes());
-                put_snapshot(w, snapshot);
-            }
-        }
         w.extend_from_slice(&(st.members.len() as u64).to_le_bytes());
         for &key in &st.members {
             w.extend_from_slice(&key.to_le_bytes());
         }
-        if log.is_some() {
-            w.push(u8::from(self.sketch.is_some()));
-        }
-        // Sketch tail: backend kind + payload. Absent (and a
-        // self-contained image stays a byte-identical version 2) for the
-        // exact backend.
+        // State backend tag, then a sketch's kind and payload.
+        w.push(u8::from(self.sketch.is_some()));
         if let Some((kind, sketch)) = &self.sketch {
             put_str(w, kind);
             w.extend_from_slice(&(sketch.len() as u64).to_le_bytes());
@@ -623,10 +601,33 @@ impl Checkpoint {
         }
     }
 
-    /// Read a payload; every error is a format error's message. A
-    /// version-5 payload decodes with an empty key table and history and
-    /// the reference to the log that holds them.
-    fn decode(payload: &[u8], version: u32) -> Result<(Self, Option<LogRef>), String> {
+    /// Append this snapshot's log records to `w`: one key record holding
+    /// its keys, the first of them key `keys_from` (none when it holds
+    /// none), then one slot record per history slot.
+    fn encode_records(&self, keys_from: usize, w: &mut Vec<u8>) {
+        if !self.keys.is_empty() {
+            put_record(w, KEY_RECORD, |w| {
+                w.extend_from_slice(&(keys_from as u64).to_le_bytes());
+                for &(route, prefix) in &self.keys {
+                    put_key(w, route, prefix);
+                }
+            });
+        }
+        let first = self.state.interval - self.state.history.len();
+        for (i, (t_term, snapshot)) in self.state.history.iter().enumerate() {
+            put_record(w, SLOT_RECORD, |w| {
+                w.extend_from_slice(&((first + i) as u64).to_le_bytes());
+                w.extend_from_slice(&t_term.to_bits().to_le_bytes());
+                put_snapshot(w, snapshot);
+            });
+        }
+    }
+
+    /// Read a payload; every error is a format error's message. The
+    /// checkpoint decodes with an empty key table and history, and the
+    /// log records that hold them: the ones the payload holds, or the
+    /// reference to the log that does.
+    fn decode(payload: &[u8], version: u32) -> Result<(Self, Records<'_>), String> {
         let mut r = ByteReader::new(payload, "payload");
         let interval_secs = r.u64()?;
         let start_unix = r.u64()?;
@@ -658,15 +659,13 @@ impl Checkpoint {
             malformed: r.u64()?,
             late: r.u64()?,
         };
-        let log = if version == VERSION_LOGGED { Some(LogRef::decode(&mut r)?) } else { None };
-        let mut keys = Vec::new();
-        if log.is_none() {
-            let n_keys = r.count(9, "keys")?;
-            keys.reserve_exact(n_keys);
-            for _ in 0..n_keys {
-                keys.push(key(&mut r)?);
-            }
-        }
+        let records = if version == VERSION_LOGGED {
+            Records::Named(LogRef::decode(&mut r)?)
+        } else {
+            let (keys, window) = (r.u64()?, r.u64()?);
+            let len = r.count(1, "inline log")?;
+            Records::Inline { keys, window, bytes: r.take(len)? }
+        };
         let n_row = r.count(12, "row")?;
         let mut row = Vec::with_capacity(n_row);
         for _ in 0..n_row {
@@ -674,57 +673,28 @@ impl Checkpoint {
         }
         let interval = usize::try_from(r.u64()?)
             .map_err(|_| "interval index too large".to_string())?;
-        let (smoothed, detected) = match log {
-            None => {
-                let smoothed = opt_u64(&mut r)?.map(f64::from_bits);
-                (smoothed, smoothed.is_some())
-            }
-            Some(_) => match r.u8()? {
-                tag @ (0 | 1) => (None, tag == 1),
-                t => return Err(format!("bad detection tag {t}")),
-            },
+        let detected = match r.u8()? {
+            tag @ (0 | 1) => tag == 1,
+            t => return Err(format!("bad detection tag {t}")),
         };
         let sum_t = f64::from_bits(r.u64()?);
-        let mut per_key = Vec::new();
-        let mut history = Vec::new();
-        if log.is_none() {
-            let n_per_key = r.count(16, "per-key state")?;
-            per_key.reserve_exact(n_per_key);
-            for _ in 0..n_per_key {
-                per_key.push((r.u32()?, f64::from_bits(r.u64()?), r.u32()?));
-            }
-            let n_history = r.count(16, "history")?;
-            history.reserve_exact(n_history);
-            for _ in 0..n_history {
-                let t_term = f64::from_bits(r.u64()?);
-                let n_snap = r.count(8, "snapshot")?;
-                history.push((t_term, snapshot(&mut r, n_snap)?));
-            }
-        }
         let n_members = r.count(4, "members")?;
         let mut members = Vec::with_capacity(n_members);
         for _ in 0..n_members {
             members.push(r.u32()?);
         }
-        let sketched = match version {
-            VERSION_SKETCH => true,
-            VERSION_LOGGED => match r.u8()? {
-                0 => false,
-                1 => true,
-                t => return Err(format!("unknown state backend tag {t}")),
-            },
-            _ => false,
-        };
-        let sketch = if sketched {
-            let kind = string(&mut r)?;
-            let n_sketch = r.count(1, "sketch payload")?;
-            let bytes = r.take(n_sketch)?.to_vec();
-            if !row.is_empty() {
-                return Err("sketch checkpoint carries a dense row".to_string());
+        let sketch = match r.u8()? {
+            0 => None,
+            1 => {
+                let kind = string(&mut r)?;
+                let n_sketch = r.count(1, "sketch payload")?;
+                let bytes = r.take(n_sketch)?.to_vec();
+                if !row.is_empty() {
+                    return Err("sketch checkpoint carries a dense row".to_string());
+                }
+                Some((kind, bytes))
             }
-            Some((kind, bytes))
-        } else {
-            None
+            t => return Err(format!("unknown state backend tag {t}")),
         };
         r.end()?;
         if interval as u64 != open {
@@ -746,50 +716,23 @@ impl Checkpoint {
             open,
             far_future_streak,
             stats,
-            keys,
+            keys: Vec::new(),
             row,
-            state: ClassifierState { interval, detected, sum_t, history, members },
+            state: ClassifierState { interval, detected, sum_t, history: Vec::new(), members },
             sketch,
             log: None,
         };
-        if log.is_none() {
-            check_derived(&checkpoint.state, smoothed, &per_key)?;
-        }
-        Ok((checkpoint, log))
+        Ok((checkpoint, records))
     }
 }
 
-/// Refuse a version-2 or 3 image whose stored smoothed threshold or
-/// per-key block is not, by bits, what its window derives.
-fn check_derived(
-    state: &ClassifierState,
-    smoothed: Option<f64>,
-    per_key: &[(KeyId, f64, u32)],
-) -> Result<(), String> {
-    if smoothed.map(f64::to_bits) != state.smoothed().map(f64::to_bits) {
-        return Err(format!(
-            "stored smoothed threshold {smoothed:?} is not the window's {:?}",
-            state.smoothed()
-        ));
-    }
-    // The first place the two ascending lists differ, named by the
-    // smaller key there, with its `(sum, slots)` in each.
-    let derived = state.window_sums();
-    let bits = |e: Option<&(KeyId, f64, u32)>| e.map(|&(key, sum, live)| (key, sum.to_bits(), live));
-    let at = (0..per_key.len().max(derived.len()))
-        .find(|&i| bits(per_key.get(i)) != bits(derived.get(i)));
-    let Some((stored, window)) = at.map(|i| (per_key.get(i), derived.get(i))) else {
-        return Ok(());
-    };
-    let key = stored.into_iter().chain(window).map(|e| e.0).min().expect("a list reaches it");
-    let of = |e: Option<&(KeyId, f64, u32)>| {
-        e.filter(|e| e.0 == key).map(|&(_, sum, live)| (sum, live))
-    };
-    Err(format!(
-        "key {key}: stored window sum and slots {:?} are not the window's {:?}",
-        of(stored),
-        of(window)
-    ))
+/// Where a decoded image's key table and history are: log records.
+enum Records<'a> {
+    /// In the log a version-5 image names.
+    Named(LogRef),
+    /// In the log bytes a version-6 image holds: `keys` keys and a
+    /// window of `window` slots.
+    Inline { keys: u64, window: u64, bytes: &'a [u8] },
 }
 
 /// Read an image's header and payload and verify its checksum: the
@@ -801,11 +744,9 @@ fn read_image<R: Read>(input: &mut R) -> Result<(u32, Vec<u8>), CheckpointError>
         return Err(CheckpointError::Format("bad magic".to_string()));
     }
     let version = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
-    // Version 4 was the logged image that stored each key's window sum,
-    // which the window now derives.
-    if !(VERSION..=VERSION_LOGGED).contains(&version) || version == 4 {
+    if version != VERSION_LOGGED && version != VERSION_INLINE {
         return Err(CheckpointError::Format(format!(
-            "unsupported version {version} (this build reads versions 2, 3 and 5)"
+            "unsupported version {version} (this build reads versions 5 and 6)"
         )));
     }
     let len = u64::from_le_bytes(head[LENGTH_AT..CRC_AT].try_into().expect("8 bytes"));
@@ -842,16 +783,6 @@ fn put_opt_u64(w: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-fn put_opt_f64(w: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        Some(x) => {
-            w.push(1);
-            w.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        None => w.push(0),
-    }
-}
-
 fn put_str(w: &mut Vec<u8>, s: &str) {
     w.extend_from_slice(&(s.len() as u32).to_le_bytes());
     w.extend_from_slice(s.as_bytes());
@@ -872,7 +803,7 @@ fn put_snapshot(w: &mut Vec<u8>, snapshot: &[(KeyId, f32)]) {
     }
 }
 
-/// What [`put_opt_u64`] (and, as bits, [`put_opt_f64`]) wrote.
+/// What [`put_opt_u64`] wrote.
 fn opt_u64(r: &mut ByteReader<'_>) -> Result<Option<u64>, String> {
     match r.u8()? {
         0 => Ok(None),
@@ -1062,26 +993,48 @@ fn read_log(
             log.watermark
         )));
     }
-    let seq = log_seq(&log.name).expect("validated at decode");
-    let mut state = LogState::new(seq, image);
-    state.len = log.watermark;
-    state.open = checkpoint.open;
-    let format = |e: String| CheckpointError::Format(format!("log {}: {e}", path.display()));
+    let what = format!("log {}", path.display());
+    let slots = walk_log(&bytes, log.keys, log.window, checkpoint, &what)?;
+    Ok(LogState {
+        seq: log_seq(&log.name).expect("validated at decode"),
+        path,
+        len: log.watermark,
+        keys: checkpoint.keys.len(),
+        open: checkpoint.open,
+        slots,
+    })
+}
+
+/// Walk a log's records, `bytes` from its header on, into `checkpoint`:
+/// its key table, the `keys` keys the log holds, and its window, the
+/// last `window` slot records, which must be the intervals before the
+/// checkpoint's open one. Returns the byte lengths of those slot
+/// records, oldest first. `what` names the log in errors.
+fn walk_log(
+    bytes: &[u8],
+    keys: u64,
+    window: u64,
+    checkpoint: &mut Checkpoint,
+    what: &str,
+) -> Result<VecDeque<u64>, CheckpointError> {
+    let format = |e: String| CheckpointError::Format(format!("{what}: {e}"));
     // Counts, bounded by the bytes that must hold them before anything
     // is sized by them.
-    if log.keys.saturating_mul(9) > log.watermark {
-        return Err(format(format!("key count {} exceeds the log", log.keys)));
+    if keys.saturating_mul(9) > bytes.len() as u64 {
+        return Err(format(format!("key count {keys} exceeds the log")));
     }
-    if log.window.saturating_mul(slot_record_len(0)) > log.watermark {
-        return Err(format(format!("window count {} exceeds the log", log.window)));
+    if window.saturating_mul(slot_record_len(0)) > bytes.len() as u64 {
+        return Err(format(format!("window count {window} exceeds the log")));
     }
-    let (n_keys, window) = (log.keys as usize, log.window as usize);
+    let (n_keys, window) = (keys as usize, window as usize);
     let mut keys = Vec::with_capacity(n_keys);
-    // The last `window` slots: their intervals, and the history.
+    // The last `window` slots: their record lengths, their intervals,
+    // and the history.
+    let mut slots = VecDeque::with_capacity(window);
     let mut intervals = VecDeque::with_capacity(window);
     let mut history = VecDeque::with_capacity(window);
     let mut last_interval = None;
-    let mut r = ByteReader::new(&bytes, "log");
+    let mut r = ByteReader::new(bytes, "log");
     if r.take(8).map_err(format)? != LOG_MAGIC {
         return Err(format("bad magic".to_string()));
     }
@@ -1129,11 +1082,11 @@ fn read_log(
                     )));
                 }
                 last_interval = Some(interval);
-                state.slots.push_back((r.position() - at) as u64);
+                slots.push_back((r.position() - at) as u64);
                 intervals.push_back(interval);
                 history.push_back((t_term, snapshot(&mut p, (len - 16) / 8).map_err(format)?));
                 if history.len() > window {
-                    state.slots.pop_front();
+                    slots.pop_front();
                     intervals.pop_front();
                     history.pop_front();
                 }
@@ -1153,10 +1106,9 @@ fn read_log(
              before {open}"
         )));
     }
-    state.keys = n_keys;
     checkpoint.keys = keys;
     checkpoint.state.history = history.into();
-    Ok(state)
+    Ok(slots)
 }
 
 /// What one image of a [`Checkpointer`] takes from the pipeline: the
@@ -1167,31 +1119,6 @@ pub(crate) struct Delta {
     pub(crate) snapshot: Checkpoint,
     pub(crate) keys_from: usize,
     pub(crate) window: usize,
-}
-
-impl Delta {
-    /// Append this image's log records to `w`: one key record holding
-    /// the new keys (none when there are none), then one slot record per
-    /// new slot.
-    fn encode_records(&self, w: &mut Vec<u8>) {
-        let s = &self.snapshot;
-        if !s.keys.is_empty() {
-            put_record(w, KEY_RECORD, |w| {
-                w.extend_from_slice(&(self.keys_from as u64).to_le_bytes());
-                for &(route, prefix) in &s.keys {
-                    put_key(w, route, prefix);
-                }
-            });
-        }
-        let first = s.state.interval - s.state.history.len();
-        for (i, (t_term, snapshot)) in s.state.history.iter().enumerate() {
-            put_record(w, SLOT_RECORD, |w| {
-                w.extend_from_slice(&((first + i) as u64).to_le_bytes());
-                w.extend_from_slice(&t_term.to_bits().to_le_bytes());
-                put_snapshot(w, snapshot);
-            });
-        }
-    }
 }
 
 /// Frame the record `fill` writes: kind, payload length, payload, then
@@ -1357,7 +1284,7 @@ fn write_job(path: &Path, tmp: &Path, job: Job) -> Done {
     if plan.at == 0 {
         put_log_header(&mut records);
     }
-    delta.encode_records(&mut records);
+    delta.snapshot.encode_records(delta.keys_from, &mut records);
     delta.snapshot.write_image(&mut image, Some(&plan.named));
     drop(delta);
     let encoded = Instant::now();
@@ -1720,15 +1647,26 @@ mod tests {
     }
 
     /// Oracle: the image assembly [`Checkpoint::write_image`] replaced,
-    /// kept as it was — the payload encoded into an unsized buffer of
-    /// its own, then copied behind a header built around it.
+    /// kept apart from it — the payload encoded into an unsized buffer
+    /// of its own, its log records framed by hand, then copied behind a
+    /// header built around it.
     impl Checkpoint {
         fn encode(&self) -> Vec<u8> {
             let mut w = Vec::new();
+            let string = |w: &mut Vec<u8>, s: &str| {
+                w.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                w.extend_from_slice(s.as_bytes());
+            };
             // Configuration fingerprint.
             w.extend_from_slice(&self.config.interval_secs.to_le_bytes());
             w.extend_from_slice(&self.config.start_unix.to_le_bytes());
-            put_opt_u64(&mut w, self.config.n_intervals);
+            match self.config.n_intervals {
+                Some(n) => {
+                    w.push(1);
+                    w.extend_from_slice(&n.to_le_bytes());
+                }
+                None => w.push(0),
+            }
             w.extend_from_slice(&self.config.gamma.to_bits().to_le_bytes());
             match self.config.scheme {
                 Scheme::SingleFeature => w.push(0),
@@ -1742,7 +1680,7 @@ mod tests {
                     w.extend_from_slice(&exit.to_bits().to_le_bytes());
                 }
             }
-            put_str(&mut w, &self.config.detector);
+            string(&mut w, &self.config.detector);
             w.extend_from_slice(&self.config.n_routes.to_le_bytes());
             w.extend_from_slice(&self.config.generation.to_le_bytes());
             // Progress.
@@ -1760,13 +1698,41 @@ mod tests {
             ] {
                 w.extend_from_slice(&v.to_le_bytes());
             }
-            // Key table.
+            // Key table and history: counts, then a log's bytes.
+            let st = &self.state;
             w.extend_from_slice(&(self.keys.len() as u64).to_le_bytes());
-            for &(route, prefix) in &self.keys {
-                w.extend_from_slice(&route.to_le_bytes());
-                w.extend_from_slice(&prefix.bits().to_le_bytes());
-                w.push(prefix.len());
+            w.extend_from_slice(&(st.history.len() as u64).to_le_bytes());
+            let mut log = b"ELPHCLOG".to_vec();
+            log.extend_from_slice(&1u32.to_le_bytes());
+            let mut record = |kind: u8, payload: Vec<u8>| {
+                let mut framed = vec![kind];
+                framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+                framed.extend_from_slice(&payload);
+                let crc = crc32_bytewise(&framed);
+                log.extend_from_slice(&framed);
+                log.extend_from_slice(&crc.to_le_bytes());
+            };
+            if !self.keys.is_empty() {
+                let mut keys = 0u64.to_le_bytes().to_vec();
+                for &(route, prefix) in &self.keys {
+                    keys.extend_from_slice(&route.to_le_bytes());
+                    keys.extend_from_slice(&prefix.bits().to_le_bytes());
+                    keys.push(prefix.len());
+                }
+                record(1, keys);
             }
+            let first = st.interval - st.history.len();
+            for (i, (t_term, snapshot)) in st.history.iter().enumerate() {
+                let mut slot = ((first + i) as u64).to_le_bytes().to_vec();
+                slot.extend_from_slice(&t_term.to_bits().to_le_bytes());
+                for &(key, rate) in snapshot {
+                    slot.extend_from_slice(&key.to_le_bytes());
+                    slot.extend_from_slice(&rate.to_bits().to_le_bytes());
+                }
+                record(2, slot);
+            }
+            w.extend_from_slice(&(log.len() as u64).to_le_bytes());
+            w.extend_from_slice(&log);
             // Open interval row.
             w.extend_from_slice(&(self.row.len() as u64).to_le_bytes());
             for &(key, bytes) in &self.row {
@@ -1774,51 +1740,40 @@ mod tests {
                 w.extend_from_slice(&bytes.to_le_bytes());
             }
             // Classifier state.
-            let st = &self.state;
             w.extend_from_slice(&(st.interval as u64).to_le_bytes());
-            put_opt_f64(&mut w, st.smoothed());
+            w.push(u8::from(st.detected));
             w.extend_from_slice(&st.sum_t.to_bits().to_le_bytes());
-            let per_key = st.window_sums();
-            w.extend_from_slice(&(per_key.len() as u64).to_le_bytes());
-            for &(key, sum, live) in &per_key {
-                w.extend_from_slice(&key.to_le_bytes());
-                w.extend_from_slice(&sum.to_bits().to_le_bytes());
-                w.extend_from_slice(&live.to_le_bytes());
-            }
-            w.extend_from_slice(&(st.history.len() as u64).to_le_bytes());
-            for (t_term, snapshot) in &st.history {
-                w.extend_from_slice(&t_term.to_bits().to_le_bytes());
-                w.extend_from_slice(&(snapshot.len() as u64).to_le_bytes());
-                for &(key, rate) in snapshot {
-                    w.extend_from_slice(&key.to_le_bytes());
-                    w.extend_from_slice(&rate.to_bits().to_le_bytes());
-                }
-            }
             w.extend_from_slice(&(st.members.len() as u64).to_le_bytes());
             for &key in &st.members {
                 w.extend_from_slice(&key.to_le_bytes());
             }
-            // Version-3 tail: sketch-backend kind + payload. Absent (and the
-            // image stays a byte-identical version 2) for the exact backend.
-            if let Some((kind, sketch)) = &self.sketch {
-                put_str(&mut w, kind);
-                w.extend_from_slice(&(sketch.len() as u64).to_le_bytes());
-                w.extend_from_slice(sketch);
+            // State backend tag: 1 and the sketch's kind and payload, or 0.
+            match &self.sketch {
+                Some((kind, sketch)) => {
+                    w.push(1);
+                    string(&mut w, kind);
+                    w.extend_from_slice(&(sketch.len() as u64).to_le_bytes());
+                    w.extend_from_slice(sketch);
+                }
+                None => w.push(0),
             }
             w
         }
 
         fn to_bytes_by_copy(&self) -> Vec<u8> {
-            let payload = self.encode();
-            let version = if self.sketch.is_none() { VERSION } else { VERSION_SKETCH };
-            let mut bytes = Vec::with_capacity(24 + payload.len());
-            bytes.extend_from_slice(&MAGIC);
-            bytes.extend_from_slice(&version.to_le_bytes());
-            bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(&crc32_bytewise(&payload).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-            bytes
+            image_of(&self.encode())
         }
+    }
+
+    /// A version-6 image around `payload`: header, length, CRC.
+    fn image_of(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(24 + payload.len());
+        bytes.extend_from_slice(b"ELPHCKPT");
+        bytes.extend_from_slice(&6u32.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&crc32_bytewise(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
     }
 
     #[test]
@@ -1883,12 +1838,16 @@ mod tests {
                 (0, "192.168.0.0/16".parse().expect("prefix")),
             ],
             row: vec![(0, 700), (1, 42)],
+            // Five intervals sealed under a window of twelve: five slots.
             state: ClassifierState {
                 interval: 5,
                 detected: true,
                 sum_t: 900.25,
                 history: vec![
                     (100.0, vec![(0, 25.25f32), (1, 7.0)]),
+                    (150.0, vec![(1, 3.5)]),
+                    (175.25, vec![]),
+                    (180.0, vec![(0, 12.0)]),
                     (200.5, vec![(0, 25.25f32)]),
                 ],
                 members: vec![],
@@ -1898,7 +1857,7 @@ mod tests {
         }
     }
 
-    /// A sketch-backend snapshot: empty dense row, version-3 tail.
+    /// A sketch-backend snapshot: empty dense row, a sketch payload.
     fn sample_sketch() -> Checkpoint {
         let mut ckpt = sample();
         ckpt.row = Vec::new();
@@ -1908,76 +1867,47 @@ mod tests {
 
     #[test]
     fn sample_images_equal_the_committed_fixtures() {
-        // Written by the encoder as it stood before images were built in
-        // place: the format is pinned to files, not to two encoders in
-        // this tree agreeing with each other. The files store the
-        // smoothed threshold 123.456, which their window does not derive
-        // (its last threshold term is 200.5): loading either is a typed
-        // error naming it, and the consistent sample writes them with
-        // those 8 bytes, and so the CRC, changed.
-        let v2: &[u8] = include_bytes!("../tests/fixtures/sample_v2.ckpt");
-        let v3: &[u8] = include_bytes!("../tests/fixtures/sample_v3.ckpt");
-        for (fixture, ckpt) in [(v2, sample()), (v3, sample_sketch())] {
-            match Checkpoint::read_from(&mut &fixture[..]) {
-                Err(CheckpointError::Format(why)) => assert!(
-                    why.contains("stored smoothed threshold Some(123.456)")
-                        && why.contains("window's Some(200.5)"),
-                    "{why}"
-                ),
-                other => panic!("a stored smoothed threshold the window denies: {other:?}"),
-            }
-            let lie = 123.456f64.to_bits().to_le_bytes();
-            let at = fixture.windows(8).position(|bytes| bytes == lie).expect("stored smoothed");
-            let mut want = fixture.to_vec();
-            want[at..at + 8].copy_from_slice(&200.5f64.to_bits().to_le_bytes());
-            let crc = crc32(&want[HEADER_LEN..]);
-            want[CRC_AT..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-            assert_eq!(ckpt.to_bytes(), want);
-            assert_eq!(ckpt.to_bytes_by_copy(), want);
+        // Written once by the version-6 encoder: the format is pinned to
+        // files, not to two encoders in this tree agreeing with each
+        // other. Each decodes to a state a resume accepts.
+        let exact: &[u8] = include_bytes!("../tests/fixtures/sample_v6_exact.ckpt");
+        let sketch: &[u8] = include_bytes!("../tests/fixtures/sample_v6_sketch.ckpt");
+        for (fixture, ckpt) in [(exact, sample()), (sketch, sample_sketch())] {
+            let decoded = Checkpoint::read_from(&mut &fixture[..]).expect("the fixture reads");
+            decoded
+                .state
+                .validate(decoded.config.scheme, decoded.keys.len())
+                .expect("a state a resume accepts");
+            assert_eq!(decoded.to_bytes(), fixture);
+            assert_eq!(ckpt.to_bytes(), fixture);
+            assert_eq!(ckpt.to_bytes_by_copy(), fixture);
             let mut written = Vec::new();
             ckpt.write_to(&mut written).expect("write to a Vec");
-            assert_eq!(written, want);
-        }
-    }
-
-    #[test]
-    fn a_stored_window_sum_the_window_denies_is_refused_naming_its_key() {
-        // Key 0 sums 25.25 twice: 50.5. An image re-encoded with it one
-        // ulp above, its CRC valid, does not load.
-        let mut bytes = sample().to_bytes();
-        let sum = 50.5f64.to_bits().to_le_bytes();
-        let at = bytes.windows(8).position(|b| b == sum).expect("stored window sum");
-        assert_eq!(bytes[at - 4..at], 0u32.to_le_bytes(), "key 0's entry");
-        bytes[at..at + 8].copy_from_slice(&50.5f64.next_up().to_bits().to_le_bytes());
-        let crc = crc32(&bytes[HEADER_LEN..]);
-        bytes[CRC_AT..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-        match Checkpoint::read_from(&mut &bytes[..]) {
-            Err(CheckpointError::Format(why)) => assert!(
-                why.contains("key 0: stored window sum and slots Some((50.50000000000001, 2))")
-                    && why.contains("window's Some((50.5, 2))"),
-                "{why}"
-            ),
-            other => panic!("a window sum one ulp off loaded as {other:?}"),
+            assert_eq!(written, fixture);
         }
     }
 
     #[test]
     fn a_version_4_image_is_a_format_error_naming_its_version() {
-        // Version 4 stored each key's window sum, which the window now
-        // derives: an image a build before version 5 left is refused,
-        // by `load` and by `read_from`.
+        // Versions 2 and 3 stored a smoothed threshold and each key's
+        // window sum beside the window, version 4 the sums beside a log:
+        // an image a build before versions 5 and 6 left is refused, by
+        // `load` and by `read_from`.
         let (dir, _) = logged_dir("v4", StateBackendConfig::Exact);
         let image = dir.join(CHECKPOINT_FILE);
-        let mut bytes = fs::read(&image).expect("image");
-        assert_eq!(bytes[8..12], VERSION_LOGGED.to_le_bytes());
-        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
-        fs::write(&image, &bytes).expect("plant");
-        for read in [Checkpoint::load(&image), Checkpoint::read_from(&mut &bytes[..])] {
-            match read {
-                Err(CheckpointError::Format(why)) => {
-                    assert!(why.contains("unsupported version 4"), "{why}")
+        let good = fs::read(&image).expect("image");
+        assert_eq!(good[8..12], VERSION_LOGGED.to_le_bytes());
+        for version in [2u32, 3, 4] {
+            let mut bytes = good.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            fs::write(&image, &bytes).expect("plant");
+            for read in [Checkpoint::load(&image), Checkpoint::read_from(&mut &bytes[..])] {
+                match read {
+                    Err(CheckpointError::Format(why)) => {
+                        assert!(why.contains(&format!("unsupported version {version}")), "{why}")
+                    }
+                    other => panic!("a version-{version} image read as {other:?}"),
                 }
-                other => panic!("a version-4 image read as {other:?}"),
             }
         }
         fs::remove_dir_all(&dir).ok();
@@ -2196,6 +2126,36 @@ mod tests {
     }
 
     #[test]
+    fn the_inline_log_is_the_log_a_first_image_writes() {
+        // A self-contained image holds, byte for byte, the log a new
+        // `Checkpointer` in an empty directory starts for the same
+        // pipeline: a key and a slot have one encoding, the log record.
+        let table = small_table();
+        let dsts: Vec<Ipv4Addr> = table.iter().map(|e| e.prefix.network()).collect();
+        let sketch = StateBackendConfig::SpaceSaving { budget_bytes: 2_048 };
+        for state in [StateBackendConfig::Exact, sketch] {
+            let mut pipeline = pipeline_over(&table, Scheme::LatentHeat { window: 4 }, state, 0);
+            for interval in 0..9 {
+                pipeline.observe_chunk(&growing_interval(&dsts, interval)).expect("observe");
+            }
+            let dir =
+                std::env::temp_dir().join(format!("eleph-ckpt-inline-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            Checkpointer::new(&dir, 1).expect("checkpointer").write(&mut pipeline).expect("image");
+            let mut image = Vec::new();
+            pipeline.checkpoint(&mut image).expect("write to a Vec");
+            let (_, records) =
+                Checkpoint::decode(&image[HEADER_LEN..], VERSION_INLINE).expect("decode");
+            let Records::Inline { keys, window, bytes } = records else {
+                panic!("a version-6 image")
+            };
+            assert_eq!((keys, window), (pipeline.keys().len() as u64, 4), "{state:?}");
+            assert!(bytes == fs::read(only_log(&dir)).expect("log"), "{state:?}");
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
     fn a_log_backed_image_loads_as_the_self_contained_one() {
         let sketch = StateBackendConfig::SpaceSaving { budget_bytes: 2_048 };
         for state in [StateBackendConfig::Exact, sketch] {
@@ -2290,8 +2250,8 @@ mod tests {
         let (dir, _) = logged_dir("log-count", StateBackendConfig::Exact);
         let image = dir.join(CHECKPOINT_FILE);
         let (version, payload) = read_image(&mut File::open(&image).expect("image")).expect("read");
-        let (checkpoint, log) = Checkpoint::decode(&payload, version).expect("decode");
-        let log = log.expect("a version-5 image");
+        let (checkpoint, records) = Checkpoint::decode(&payload, version).expect("decode");
+        let Records::Named(log) = records else { panic!("a version-5 image") };
         for (what, bad) in [
             ("key count", LogRef { keys: u64::MAX / 2, ..log.clone() }),
             ("window count", LogRef { window: u64::MAX / 2, ..log.clone() }),
@@ -2357,15 +2317,17 @@ mod tests {
         assert_eq!(decoded.row, original.row);
         assert_eq!(decoded.state, original.state);
         assert_eq!(decoded.sketch, None);
-        assert_eq!(bytes[8..12], VERSION.to_le_bytes(), "exact images stay version 2");
+        assert_eq!(decoded.log, None);
+        assert_eq!(bytes[8..12], VERSION_INLINE.to_le_bytes());
     }
 
     #[test]
-    fn sketch_round_trip_is_version_3() {
+    fn sketch_round_trip_is_version_6() {
         let original = sample_sketch();
         let bytes = original.to_bytes();
-        assert_eq!(bytes[8..12], VERSION_SKETCH.to_le_bytes());
+        assert_eq!(bytes[8..12], VERSION_INLINE.to_le_bytes());
         let decoded = Checkpoint::read_from(&mut &bytes[..]).expect("round trip");
+        assert_eq!(decoded.keys, original.keys);
         assert_eq!(decoded.state, original.state);
         assert_eq!(decoded.row, Vec::new());
         assert_eq!(decoded.sketch, original.sketch);
@@ -2373,28 +2335,27 @@ mod tests {
 
     #[test]
     fn sketch_tail_mismatches_are_rejected() {
-        // A v3 header over a tail-less v2 payload must not decode.
-        let payload = sample().encode();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&VERSION_SKETCH.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert!(Checkpoint::read_from(&mut &bytes[..]).is_err());
-        // And a v2 header over a payload carrying a tail leaves trailing
-        // bytes — also rejected.
-        let payload = sample_sketch().encode();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        // The state backend tag, each CRC valid: tag 1 over a payload
+        // with no sketch behind it must not decode...
+        let mut payload = sample().encode();
+        let tag = payload.len() - 1;
+        assert_eq!(payload[tag], 0);
+        payload[tag] = 1;
         assert!(matches!(
-            Checkpoint::read_from(&mut &bytes[..]),
+            Checkpoint::read_from(&mut &image_of(&payload)[..]),
             Err(CheckpointError::Format(_))
         ));
+        // ...and tag 0 over a sketch leaves it trailing.
+        let ckpt = sample_sketch();
+        let (kind, sketch) = ckpt.sketch.as_ref().expect("a sketch");
+        let mut payload = ckpt.encode();
+        let tag = payload.len() - (4 + kind.len() + 8 + sketch.len()) - 1;
+        assert_eq!(payload[tag], 1);
+        payload[tag] = 0;
+        match Checkpoint::read_from(&mut &image_of(&payload)[..]) {
+            Err(CheckpointError::Format(why)) => assert!(why.contains("trailing"), "{why}"),
+            other => panic!("a sketch behind tag 0 read as {other:?}"),
+        }
     }
 
     #[test]
@@ -2481,17 +2442,11 @@ mod tests {
         // corrupted payload: the decoder must reject the count, not
         // allocate petabytes.
         let mut payload = sample().encode();
-        // keys count sits right after config + progress; stomp the last
-        // 8 payload bytes instead (members count) to u64::MAX.
-        let at = payload.len() - 12;
+        // The members count, before the state backend tag, to u64::MAX.
+        let at = payload.len() - 9;
+        assert_eq!(payload[at..at + 8], 0u64.to_le_bytes());
         payload[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        match Checkpoint::read_from(&mut &bytes[..]) {
+        match Checkpoint::read_from(&mut &image_of(&payload)[..]) {
             Err(CheckpointError::Format(msg)) => assert!(msg.contains("count"), "{msg}"),
             other => panic!("expected count rejection, got {other:?}"),
         }

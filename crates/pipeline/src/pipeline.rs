@@ -872,10 +872,9 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
                 .zip(&self.keys[keys_from..])
                 .map(|(&route, &prefix)| (route, prefix))
                 .collect(),
-            // Every exact row exports the same sorted pairs (format
-            // version 2, whatever the shard count); a sketch's open
-            // state travels as the version-3 tail instead and its row is
-            // empty.
+            // Every exact row exports the same sorted pairs, whatever
+            // the shard count; a sketch's open state travels as the
+            // image's sketch payload instead and its row is empty.
             row: row.open_row(),
             state,
             sketch: row.export_sketch().map(|payload| (row.kind().to_string(), payload)),
@@ -950,8 +949,8 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
         if detector != c.detector {
             return Err(mismatch("detector", detector, c.detector.clone()));
         }
-        // Version-2 checkpoints have no sketch tail: they are exact by
-        // construction.
+        // A checkpoint without a sketch payload is of the exact
+        // backend.
         let kind = ckpt.sketch.as_ref().map_or("exact", |(kind, _)| kind.as_str());
         if self.row.kind() != kind {
             return Err(mismatch("state backend", self.row.kind().to_string(), kind.to_string()));

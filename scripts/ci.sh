@@ -103,13 +103,17 @@
 #      after the open interval's first eviction (a roomy summary never
 #      evicts, so the model test cannot reach this) — all part of tier-1;
 #      re-run by name so a failure is attributed immediately;
-#  12. checkpoint bytes: the sample images, and the final `eleph.ckpt` of
-#      six seeded `eleph run --synth` command lines loaded with its log
-#      and re-encoded self-contained, against fixtures written before
-#      images were built in place (the sample fixtures store a smoothed
-#      threshold their window denies, which loading refuses, as it
-#      refuses a window sum one ulp off and a version-4 image), `crc32`
-#      against the bytewise loop it replaced, the in-place encoder
+#  12. checkpoint bytes: the two sample images (exact and sketch
+#      backend, each decoding to a state a resume accepts) against their
+#      committed version-6 fixtures, and the checkpoint directory six
+#      seeded `eleph run --synth` command lines end on (the version-5
+#      image and its log) against lengths and CRCs recorded before
+#      self-contained images carried their log, each loaded checkpoint's
+#      self-contained re-encoding reading back as itself; every field
+#      round-tripping through a version-6 image, exact or sketch, an
+#      image of version 2, 3 or 4 refused naming its version, a state
+#      backend tag that disagrees with the bytes behind it refused,
+#      `crc32` against the bytewise loop it replaced, the in-place encoder
 #      against the copying assembly it replaced (random captures x
 #      scheme x state backend x engine), one
 #      `Checkpointer` buffer reused for a large image and then a small
@@ -121,10 +125,12 @@
 #      that is gone) failing the run with the typed I/O error, in the
 #      library and as `eleph run`'s exit status 1; then the log: an
 #      image and its log loading as the self-contained image of the same
-#      moment, every flipped log byte and every truncation below the
-#      watermark a typed error, bytes past it ignored by a load and cut
-#      by a resume, a missing log an I/O error naming it, its counts
-#      bounded by its length, the log a compaction starts equal to the
+#      moment, the log a self-contained image holds equal to the log a
+#      first image writes, every flipped log byte and every truncation
+#      below the watermark a typed error, bytes past it ignored by a
+#      load and cut by a resume, a missing log an I/O error naming it,
+#      its counts bounded by its length, the log a compaction starts
+#      equal to the
 #      log a first image writes for the same pipeline, byte for byte,
 #      and what an image puts on disk following what changed since the
 #      image before, not what the run has seen —
@@ -407,8 +413,11 @@ cargo test -q -p eleph-tests --test sketch_equivalence \
 echo "== checkpoint bytes: fixtures, crc32 vs bytewise, in-place vs copying encoder, buffer reuse, resume cadence, fingerprint refusals, failed writes, the log, compaction, bytes per image =="
 cargo test -q -p eleph-pipeline --lib -- \
     checkpoint::tests::sample_images_equal_the_committed_fixtures \
-    checkpoint::tests::a_stored_window_sum_the_window_denies_is_refused_naming_its_key \
     checkpoint::tests::a_version_4_image_is_a_format_error_naming_its_version \
+    checkpoint::tests::sketch_tail_mismatches_are_rejected \
+    checkpoint::tests::round_trip_preserves_every_field \
+    checkpoint::tests::sketch_round_trip_is_version_6 \
+    checkpoint::tests::the_inline_log_is_the_log_a_first_image_writes \
     checkpoint::tests::crc32_ \
     checkpoint::tests::in_place_image_equals_the_copying_oracle \
     checkpoint::tests::a_reused_buffer_holds_only_the_new_image \

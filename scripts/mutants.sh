@@ -29,7 +29,9 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # sums to the window's under sums that round), then the
 # pairwise tests that compare two implementations and are still to retire
 # against this table, the log a compaction starts against the log a first
-# image writes, and last the heap counts (what the serial path allocates
+# image writes, the self-contained image against its committed fixtures
+# (no other column resumes from a version-6 image that holds a window),
+# and last the heap counts (what the serial path allocates
 # per packet, per seal and per checkpoint image, and what the bounded-space
 # paths hold at their peak).
 tests=(
@@ -58,6 +60,7 @@ tests=(
     "eleph-pipeline --lib pipeline::tests::stats_match_batch_aggregator"
     "eleph-tests --test sketch_equivalence exact_backend_is_byte_identical_to_default_at_every_shard_count"
     "eleph-pipeline --lib checkpoint::tests::a_compacted_log_is_the_log_a_first_image_writes"
+    "eleph-pipeline --lib checkpoint::tests::sample_images_equal_the_committed_fixtures"
     "eleph-tests --test alloc serial_ingest_allocates_nothing_per_packet"
     "eleph-tests --test alloc a_checkpoint_image_allocates_a_bounded_count"
     "eleph-tests --test alloc a_scheduled_batch_copies_no_page"

@@ -247,7 +247,7 @@ fn resume_refuses_every_fingerprint_field_by_name() {
 /// from the directory as the uninterrupted run left it at an image, it
 /// leaves every file of the uninterrupted run's directory after each of
 /// its images, the log's name included; resumed from the same image
-/// planted self-contained (version 2), it writes the same images.
+/// planted self-contained (version 6), it writes the same images.
 #[test]
 fn resumed_run_keeps_the_uninterrupted_cadence() {
     let (table, pcap, t, start, n) = capture(404, 12);
@@ -313,13 +313,13 @@ fn resumed_run_keeps_the_uninterrupted_cadence() {
         );
         fs::remove_dir_all(&run_dir).ok();
 
-        let run_dir = scratch("cadence-run-v2");
-        fs::write(run_dir.join(CHECKPOINT_FILE), image).expect("plant a version-2 image");
+        let run_dir = scratch("cadence-run-v6");
+        fs::write(run_dir.join(CHECKPOINT_FILE), image).expect("plant a version-6 image");
         let resumed: Vec<Vec<u8>> =
             images_of_run_in(&run_dir).into_iter().map(|(image, _)| image).collect();
         let want: Vec<Vec<u8>> =
             uninterrupted[i + 1..].iter().map(|(image, _)| image.clone()).collect();
-        assert!(resumed == want, "resumed at {} sealed from a version-2 image", sealed[i]);
+        assert!(resumed == want, "resumed at {} sealed from a version-6 image", sealed[i]);
         fs::remove_dir_all(&run_dir).ok();
     }
     fs::remove_dir_all(&dir).ok();
@@ -375,21 +375,22 @@ fn a_failed_image_write_is_a_typed_error() {
     }
 }
 
-/// The final `eleph.ckpt` of a seeded `eleph run --synth`, per scheme
-/// and state backend, loaded with its log and re-encoded as the
-/// self-contained image, against the length and CRC-32 the same command
-/// left behind before images were built in place (zlib's `crc32` of the
-/// whole file) — a format drift shows here even if encoder and decoder
-/// drift together.
+/// The checkpoint directory a seeded `eleph run --synth` ends on, per
+/// scheme and state backend — the image `eleph.ckpt` (version 5) and the
+/// one log it names — against the length and CRC-32 of its files end to
+/// end, in name order (log, then image), recorded before self-contained
+/// images carried their log: a drift in what a `Checkpointer` writes
+/// shows here even if encoder and decoder drift together. The loaded
+/// checkpoint, re-encoded self-contained, reads back as itself.
 #[test]
 fn synthetic_run_checkpoints_equal_their_recorded_length_and_crc() {
     for (scheme, state, len, crc) in [
-        ("single", "exact", 4_631, 0x07dd_cd30_u32),
-        ("latent", "exact", 13_375, 0xd6bc_de6f),
-        ("hysteresis", "exact", 4_659, 0x1fac_e290),
-        ("latent", "spacesaving", 12_514, 0x86e6_024d),
-        ("latent", "cmrow", 9_652, 0x452e_c589),
-        ("latent", "bloom", 9_077, 0x7f22_dd05),
+        ("single", "exact", 3_485, 0xc2a3_b956_u32),
+        ("latent", "exact", 11_541, 0xb71a_5f3f),
+        ("hysteresis", "exact", 3_513, 0xa9de_8cb8),
+        ("latent", "spacesaving", 10_640, 0x73a4_0127),
+        ("latent", "cmrow", 8_466, 0xeab7_f424),
+        ("latent", "bloom", 7_891, 0xd164_4e5d),
     ] {
         let dir = scratch("synth-fixture");
         let ckpt_dir = dir.join("ckpt");
@@ -402,13 +403,23 @@ fn synthetic_run_checkpoints_equal_their_recorded_length_and_crc() {
         );
         let args: Vec<String> = args.split_whitespace().map(str::to_string).collect();
         eleph_report::cli::run_streaming(&args).expect("eleph run");
+        let at = format!("--scheme {scheme} --state {state}");
+        let files = dir_files(&ckpt_dir);
+        let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+        assert!(
+            matches!(names[..], [log, CHECKPOINT_FILE] if log.ends_with(".log")),
+            "{at}: the image and one log: {names:?}"
+        );
+        let written: Vec<u8> = files.into_iter().flat_map(|(_, bytes)| bytes).collect();
+        assert_eq!((written.len(), crc32(&written)), (len, crc), "{at}");
         let loaded = Checkpoint::load(ckpt_dir.join(CHECKPOINT_FILE)).expect("checkpoint file");
         let image = ckpt_bytes(&loaded);
-        assert_eq!(
-            (image.len(), crc32(&image)),
-            (len, crc),
-            "--scheme {scheme} --state {state}"
-        );
+        let reread = Checkpoint::read_from(&mut &image[..]).expect("the re-encoding reads back");
+        assert_eq!(reread.intervals_sealed(), loaded.intervals_sealed(), "{at}");
+        assert_eq!(reread.stats(), loaded.stats(), "{at}");
+        assert_eq!(reread.detector(), loaded.detector(), "{at}");
+        assert_eq!(reread.generation(), loaded.generation(), "{at}");
+        assert!(ckpt_bytes(&reread) == image, "{at}: the re-encoding reads back as itself");
         fs::remove_dir_all(&dir).ok();
     }
 }

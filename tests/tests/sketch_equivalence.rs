@@ -6,7 +6,7 @@
 //!   parallel implementation);
 //! * Space-Saving's classical error bound (any key's count error is at
 //!   most `total / k`) holds on arbitrary streams, pinned by proptest;
-//! * a run resumed from a sketch checkpoint (format v3) goes on
+//! * a run resumed from a sketch checkpoint goes on
 //!   bit-identically where the summary has already evicted;
 //! * resuming a sketch checkpoint under a different backend or a
 //!   different budget is rejected loudly, never silently misread;
@@ -175,9 +175,11 @@ fn exact_backend_is_byte_identical_to_default_at_every_shard_count() {
         let context = format!("--state exact vs default, shards={shards}");
         assert_outcomes_identical(&got, &want, &context);
         assert_eq!(got.mid_checkpoint, want.mid_checkpoint, "{context}: checkpoint bytes");
-        // An exact checkpoint stays on format v2.
+        // An exact checkpoint is self-contained (format v6) and closes
+        // on the exact backend's tag, 0.
         let bytes = got.mid_checkpoint.as_ref().expect("mid checkpoint");
-        assert_eq!(&bytes[8..12], &2u32.to_le_bytes(), "{context}: version");
+        assert_eq!(&bytes[8..12], &6u32.to_le_bytes(), "{context}: version");
+        assert_eq!(bytes.last(), Some(&0), "{context}: state backend tag");
         assert_eq!(got.report.state_backend, "exact", "{context}: backend label");
         assert_eq!(got.report.distinct_keys, got.report.keys.len(), "{context}: distinct keys");
     }
@@ -222,7 +224,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Sketch checkpoints: v3 round trip, kind/budget rejection
+// Sketch checkpoints: round trip, kind/budget rejection
 // ---------------------------------------------------------------------
 
 /// A summary with room to spare, like the model test's, never evicts,
