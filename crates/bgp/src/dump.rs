@@ -92,14 +92,25 @@ pub enum DumpError {
 impl fmt::Display for DumpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DumpError::FieldCount { line, expected, got } => {
+            DumpError::FieldCount {
+                line,
+                expected,
+                got,
+            } => {
                 write!(f, "line {line}: expected {expected} fields, got {got}")
             }
-            DumpError::BadField { line, field, content } => {
+            DumpError::BadField {
+                line,
+                field,
+                content,
+            } => {
                 write!(f, "line {line}: bad {field}: {content:?}")
             }
             DumpError::NonMonotonic { line, prev, got } => {
-                write!(f, "line {line}: timestamp {got} goes backwards (previous {prev})")
+                write!(
+                    f,
+                    "line {line}: timestamp {got} goes backwards (previous {prev})"
+                )
             }
             DumpError::Io(msg) => write!(f, "I/O error: {msg}"),
         }
@@ -167,7 +178,11 @@ impl<'a> Record<'a> {
         if count < MAX_FIELDS {
             fields[count] = &text[start..];
         }
-        Record { line, fields, count: count + 1 }
+        Record {
+            line,
+            fields,
+            count: count + 1,
+        }
     }
 
     /// The fields, which must number exactly `expected`.
@@ -175,13 +190,21 @@ impl<'a> Record<'a> {
         if self.count == expected {
             Ok(&self.fields[..expected])
         } else {
-            Err(DumpError::FieldCount { line: self.line, expected, got: self.count })
+            Err(DumpError::FieldCount {
+                line: self.line,
+                expected,
+                got: self.count,
+            })
         }
     }
 }
 
 fn bad_field(line: usize, field: &'static str, content: &str) -> DumpError {
-    DumpError::BadField { line, field, content: content.to_string() }
+    DumpError::BadField {
+        line,
+        field,
+        content: content.to_string(),
+    }
 }
 
 /// The record loop of both formats: read `reader` a line at a time into
@@ -207,7 +230,11 @@ fn for_each_record<R: BufRead>(
             Err(_) => {
                 let end = buf.len() - usize::from(buf.ends_with(b"\n"));
                 let end = end - usize::from(buf[..end].ends_with(b"\r"));
-                return Err(bad_field(line, "utf8", &String::from_utf8_lossy(&buf[..end])));
+                return Err(bad_field(
+                    line,
+                    "utf8",
+                    &String::from_utf8_lossy(&buf[..end]),
+                ));
             }
         };
         if !text.is_empty() && !text.starts_with('#') {
@@ -237,7 +264,9 @@ fn digits(s: &[u8]) -> Option<u64> {
 
 /// `s.parse::<T>()` for an unsigned integer type.
 fn number<T: TryFrom<u64> + FromStr>(s: &str) -> Option<T> {
-    digits(s.as_bytes()).and_then(|v| T::try_from(v).ok()).or_else(|| s.parse().ok())
+    digits(s.as_bytes())
+        .and_then(|v| T::try_from(v).ok())
+        .or_else(|| s.parse().ok())
 }
 
 /// Four decimal octets, none with a leading zero, as host-order bits:
@@ -270,7 +299,9 @@ fn dotted_quad(s: &str) -> Option<u32> {
 
 /// `s.parse::<Ipv4Addr>()`.
 fn parse_addr(s: &str) -> Option<Ipv4Addr> {
-    dotted_quad(s).map(Ipv4Addr::from).or_else(|| s.parse().ok())
+    dotted_quad(s)
+        .map(Ipv4Addr::from)
+        .or_else(|| s.parse().ok())
 }
 
 /// `s.parse::<Prefix>()`.
@@ -318,7 +349,9 @@ fn parse_route_fields(line: usize, fields: &[&str]) -> Result<RouteEntry, DumpEr
         next_hop: parse_addr(fields[1]).ok_or_else(|| bad("next_hop", fields[1]))?,
         as_path: parse_as_path(fields[2]).map_err(|token| bad("as_path", token))?,
         origin: fields[3].parse().map_err(|_| bad("origin", fields[3]))?,
-        peer_class: fields[4].parse().map_err(|_| bad("peer_class", fields[4]))?,
+        peer_class: fields[4]
+            .parse()
+            .map_err(|_| bad("peer_class", fields[4]))?,
     })
 }
 
@@ -367,12 +400,18 @@ fn read_routes_in<R: Read>(
         .map(|()| routes)
     };
     let routes = std::thread::scope(|scope| {
-        let rest: Vec<_> =
-            pieces[1..].iter().map(|&piece| scope.spawn(move || parse(piece))).collect();
+        let rest: Vec<_> = pieces[1..]
+            .iter()
+            .map(|&piece| scope.spawn(move || parse(piece)))
+            .collect();
         // In file order, so the first error met is the earliest line's.
         let mut routes = parse(pieces[0])?;
         for piece in rest {
-            routes.extend(piece.join().unwrap_or_else(|e| std::panic::resume_unwind(e))?);
+            routes.extend(
+                piece
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e))?,
+            );
         }
         Ok::<_, DumpError>(routes)
     })?;
@@ -390,7 +429,10 @@ fn line_pieces(text: &[u8], n: usize) -> Vec<(usize, usize, usize)> {
     let (mut start, mut line) = (0, 1);
     for k in 1..n {
         let cut = (text.len() * k / n).max(start);
-        let end = text[cut..].iter().position(|&b| b == b'\n').map_or(text.len(), |i| cut + i + 1);
+        let end = text[cut..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(text.len(), |i| cut + i + 1);
         pieces.push((start, end, line));
         line += count_lines(&text[start..end]);
         start = end;
@@ -403,7 +445,10 @@ fn line_pieces(text: &[u8], n: usize) -> Vec<(usize, usize, usize)> {
 /// the compiler vectorizes (a plain `filter().count()` it does not).
 fn count_lines(bytes: &[u8]) -> usize {
     let tally = |chunk: &[u8]| chunk.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'));
-    bytes.chunks(255).map(|chunk| usize::from(tally(chunk))).sum()
+    bytes
+        .chunks(255)
+        .map(|chunk| usize::from(tally(chunk)))
+        .sum()
 }
 
 /// Parse a table from the text format: [`read_routes`] put into
@@ -416,7 +461,11 @@ pub fn read_dump<R: Read>(input: R) -> Result<BgpTable, DumpError> {
 /// Serialise timed update batches to the update-stream text format.
 pub fn write_updates<W: Write>(batches: &[UpdateBatch], mut out: W) -> Result<(), DumpError> {
     let n: usize = batches.iter().map(|b| b.updates.len()).sum();
-    writeln!(out, "# backbone-elephants update stream: {n} updates in {} batches", batches.len())?;
+    writeln!(
+        out,
+        "# backbone-elephants update stream: {n} updates in {} batches",
+        batches.len()
+    )?;
     writeln!(out, "# time|A|prefix|next_hop|as_path|origin|peer_class")?;
     writeln!(out, "# time|W|prefix")?;
     for batch in batches {
@@ -442,7 +491,11 @@ pub fn read_updates<R: Read>(input: R) -> Result<Vec<UpdateBatch>, DumpError> {
     let mut batches: Vec<UpdateBatch> = Vec::new();
     for_each_record(BufReader::new(input), 1, |rec| {
         if rec.count < 3 {
-            return Err(DumpError::FieldCount { line: rec.line, expected: 3, got: rec.count });
+            return Err(DumpError::FieldCount {
+                line: rec.line,
+                expected: 3,
+                got: rec.count,
+            });
         }
         let [time, action, prefix, ..] = rec.fields;
         let at_unix: u64 = number(time).ok_or_else(|| bad_field(rec.line, "timestamp", time))?;
@@ -467,7 +520,10 @@ pub fn read_updates<R: Read>(input: R) -> Result<Vec<UpdateBatch>, DumpError> {
         };
         match batches.last_mut() {
             Some(last) if last.at_unix == at_unix => last.updates.push(update),
-            _ => batches.push(UpdateBatch { at_unix, updates: vec![update] }),
+            _ => batches.push(UpdateBatch {
+                at_unix,
+                updates: vec![update],
+            }),
         }
         Ok(())
     })?;
@@ -519,12 +575,18 @@ mod oracle {
             field: "peer_class",
             content: fields[4].to_string(),
         })?;
-        Ok(RouteEntry { prefix, next_hop, as_path, origin, peer_class })
+        Ok(RouteEntry {
+            prefix,
+            next_hop,
+            as_path,
+            origin,
+            peer_class,
+        })
     }
 
     /// Parse a dump's routes, in file order (the parent commit's
     /// `read_dump`, which inserted each into a table instead).
-    pub fn read_routes<R: Read>(input: R) -> Result<Vec<RouteEntry>, DumpError> {
+    pub(crate) fn read_routes<R: Read>(input: R) -> Result<Vec<RouteEntry>, DumpError> {
         let reader = BufReader::new(input);
         let mut table = Vec::new();
         for (idx, line) in reader.lines().enumerate() {
@@ -550,7 +612,7 @@ mod oracle {
     /// Parse a timed update stream. Consecutive updates sharing a
     /// timestamp coalesce into one [`UpdateBatch`]; timestamps must be
     /// non-decreasing ([`DumpError::NonMonotonic`] otherwise).
-    pub fn read_updates<R: Read>(input: R) -> Result<Vec<UpdateBatch>, DumpError> {
+    pub(crate) fn read_updates<R: Read>(input: R) -> Result<Vec<UpdateBatch>, DumpError> {
         let reader = BufReader::new(input);
         let mut batches: Vec<UpdateBatch> = Vec::new();
         for (idx, line) in reader.lines().enumerate() {
@@ -562,7 +624,11 @@ mod oracle {
             }
             let fields: Vec<&str> = trimmed.split('|').collect();
             if fields.len() < 3 {
-                return Err(DumpError::FieldCount { line: line_no, expected: 3, got: fields.len() });
+                return Err(DumpError::FieldCount {
+                    line: line_no,
+                    expected: 3,
+                    got: fields.len(),
+                });
             }
             let at_unix: u64 = fields[0].parse().map_err(|_| DumpError::BadField {
                 line: line_no,
@@ -613,7 +679,10 @@ mod oracle {
             };
             match batches.last_mut() {
                 Some(last) if last.at_unix == at_unix => last.updates.push(update),
-                _ => batches.push(UpdateBatch { at_unix, updates: vec![update] }),
+                _ => batches.push(UpdateBatch {
+                    at_unix,
+                    updates: vec![update],
+                }),
             }
         }
         Ok(batches)
@@ -667,7 +736,14 @@ mod tests {
     fn field_count_error_reports_line_and_expectation() {
         let text = "# ok\n10.0.0.0/8|192.0.2.1|1239\n";
         let err = read_dump(text.as_bytes()).unwrap_err();
-        assert_eq!(err, DumpError::FieldCount { line: 2, expected: 5, got: 3 });
+        assert_eq!(
+            err,
+            DumpError::FieldCount {
+                line: 2,
+                expected: 5,
+                got: 3
+            }
+        );
         assert_eq!(err.to_string(), "line 2: expected 5 fields, got 3");
     }
 
@@ -677,7 +753,11 @@ mod tests {
         let err = read_dump(text.as_bytes()).unwrap_err();
         assert_eq!(
             err,
-            DumpError::BadField { line: 1, field: "as_path", content: "bogus".to_string() }
+            DumpError::BadField {
+                line: 1,
+                field: "as_path",
+                content: "bogus".to_string()
+            }
         );
         assert_eq!(err.to_string(), "line 1: bad as_path: \"bogus\"");
     }
@@ -775,36 +855,75 @@ mod tests {
         let cases: Vec<(&str, DumpError)> = vec![
             (
                 "nope|W|10.0.0.0/8\n",
-                DumpError::BadField { line: 1, field: "timestamp", content: "nope".into() },
+                DumpError::BadField {
+                    line: 1,
+                    field: "timestamp",
+                    content: "nope".into(),
+                },
             ),
             (
                 "# hdr\n5|X|10.0.0.0/8\n",
-                DumpError::BadField { line: 2, field: "action", content: "X".into() },
+                DumpError::BadField {
+                    line: 2,
+                    field: "action",
+                    content: "X".into(),
+                },
             ),
             (
                 "5|W|10.0.0.0/8|extra\n",
-                DumpError::FieldCount { line: 1, expected: 3, got: 4 },
+                DumpError::FieldCount {
+                    line: 1,
+                    expected: 3,
+                    got: 4,
+                },
             ),
             (
                 "5|A|10.0.0.0/8|192.0.2.1|1239|IGP\n",
-                DumpError::FieldCount { line: 1, expected: 7, got: 6 },
+                DumpError::FieldCount {
+                    line: 1,
+                    expected: 7,
+                    got: 6,
+                },
             ),
-            ("5|W\n", DumpError::FieldCount { line: 1, expected: 3, got: 2 }),
+            (
+                "5|W\n",
+                DumpError::FieldCount {
+                    line: 1,
+                    expected: 3,
+                    got: 2,
+                },
+            ),
             (
                 "5|A|10.0.0.0/8|192.0.2.1|1239|XXX|TIER1\n",
-                DumpError::BadField { line: 1, field: "origin", content: "XXX".into() },
+                DumpError::BadField {
+                    line: 1,
+                    field: "origin",
+                    content: "XXX".into(),
+                },
             ),
             (
                 "5|W|999.0.0.0/8\n",
-                DumpError::BadField { line: 1, field: "prefix", content: "999.0.0.0/8".into() },
+                DumpError::BadField {
+                    line: 1,
+                    field: "prefix",
+                    content: "999.0.0.0/8".into(),
+                },
             ),
             (
                 "9|W|10.0.0.0/8\n5|W|172.16.0.0/12\n",
-                DumpError::NonMonotonic { line: 2, prev: 9, got: 5 },
+                DumpError::NonMonotonic {
+                    line: 2,
+                    prev: 9,
+                    got: 5,
+                },
             ),
         ];
         for (text, want) in cases {
-            assert_eq!(read_updates(text.as_bytes()).unwrap_err(), want, "input {text:?}");
+            assert_eq!(
+                read_updates(text.as_bytes()).unwrap_err(),
+                want,
+                "input {text:?}"
+            );
         }
     }
 
@@ -843,7 +962,10 @@ mod tests {
         // The table keeps the last of the two 10.1/16 routes.
         let table = read_dump(text.as_bytes()).unwrap();
         assert_eq!(table.len(), 2);
-        assert_eq!(table.get("10.1.0.0/16".parse().unwrap()).unwrap().as_path, [3]);
+        assert_eq!(
+            table.get("10.1.0.0/16".parse().unwrap()).unwrap().as_path,
+            [3]
+        );
     }
 
     #[test]
@@ -861,8 +983,14 @@ mod tests {
             read_dump(&dump[..]).unwrap_err(),
             utf8(3, "10.0.0.0/8|192.0.2.1|12\u{fffd}39|IGP|TIER1")
         );
-        assert_eq!(read_routes(&dump[..]).unwrap_err(), read_dump(&dump[..]).unwrap_err());
-        assert_eq!(read_dump(&b"# caf\xe9\n"[..]).unwrap_err(), utf8(1, "# caf\u{fffd}"));
+        assert_eq!(
+            read_routes(&dump[..]).unwrap_err(),
+            read_dump(&dump[..]).unwrap_err()
+        );
+        assert_eq!(
+            read_dump(&b"# caf\xe9\n"[..]).unwrap_err(),
+            utf8(1, "# caf\u{fffd}")
+        );
         assert_eq!(
             read_updates(&b"5|W|10.0.0.0/8\n\n7|W|172.16.0.0/12\xc3"[..]).unwrap_err(),
             utf8(3, "7|W|172.16.0.0/12\u{fffd}")
@@ -870,7 +998,11 @@ mod tests {
         // An earlier line's own error still comes first.
         assert_eq!(
             read_updates(&b"5|X|10.0.0.0/8\n\xff\n"[..]).unwrap_err(),
-            DumpError::BadField { line: 1, field: "action", content: "X".into() }
+            DumpError::BadField {
+                line: 1,
+                field: "action",
+                content: "X".into()
+            }
         );
         assert_eq!(
             utf8(3, "x").to_string(),
@@ -904,7 +1036,11 @@ mod tests {
         // The same bytes are not a dump: the first line's error wins.
         assert_eq!(
             read_dump(FailingRead(0)).unwrap_err(),
-            DumpError::FieldCount { line: 1, expected: 5, got: 3 }
+            DumpError::FieldCount {
+                line: 1,
+                expected: 5,
+                got: 3
+            }
         );
     }
 
@@ -931,7 +1067,11 @@ mod tests {
         for pieces in [1, 2, 3, 7] {
             assert_eq!(
                 read_routes_in(FailingRead(0), |_| pieces).unwrap_err(),
-                DumpError::FieldCount { line: 1, expected: 5, got: 3 },
+                DumpError::FieldCount {
+                    line: 1,
+                    expected: 5,
+                    got: 3
+                },
                 "{pieces} pieces"
             );
             // The completed lines parse, the cut one is not read, and the
@@ -944,7 +1084,11 @@ mod tests {
             // ... unless a completed line is wrong.
             assert_eq!(
                 read_routes_in(FailsAfter(bad, 0), |_| pieces).unwrap_err(),
-                DumpError::BadField { line: 3, field: "as_path", content: "x".to_string() },
+                DumpError::BadField {
+                    line: 3,
+                    field: "as_path",
+                    content: "x".to_string()
+                },
                 "{pieces} pieces"
             );
         }
@@ -959,8 +1103,14 @@ mod tests {
             let mut at = (0, 1);
             for &(start, end, line) in &pieces {
                 assert_eq!((start, line), at, "{n} pieces: {pieces:?}");
-                assert!(end == text.len() || text[end - 1] == b'\n', "{n} pieces: {pieces:?}");
-                at = (end, line + text[start..end].iter().filter(|&&b| b == b'\n').count());
+                assert!(
+                    end == text.len() || text[end - 1] == b'\n',
+                    "{n} pieces: {pieces:?}"
+                );
+                at = (
+                    end,
+                    line + text[start..end].iter().filter(|&&b| b == b'\n').count(),
+                );
             }
             assert_eq!(at.0, text.len());
         }
@@ -990,13 +1140,23 @@ mod tests {
             let text: Vec<u8> = lines
                 .iter()
                 .enumerate()
-                .map(|(i, l)| if Some(i) == broken { l.replace('|', "/") } else { l.to_string() })
+                .map(|(i, l)| {
+                    if Some(i) == broken {
+                        l.replace('|', "/")
+                    } else {
+                        l.to_string()
+                    }
+                })
                 .collect::<Vec<_>>()
                 .join("\n")
                 .into_bytes();
             let one = read_routes_in(&text[..], |_| 1);
             assert_eq!(one.is_err(), broken.is_some());
-            assert_eq!(read_routes_in(&text[..], |len| len), one, "line {broken:?} broken");
+            assert_eq!(
+                read_routes_in(&text[..], |len| len),
+                one,
+                "line {broken:?} broken"
+            );
         }
     }
 
@@ -1018,7 +1178,14 @@ mod tests {
             // A small address pool so prefixes repeat within one dump.
             let bits = prop_oneof![any::<u32>(), (0u32..4).prop_map(|i| 0x0A00_0000 | i << 16)];
             let asn = prop_oneof![1u32..65_536, any::<u32>()];
-            (bits, 0u8..=32, any::<u32>(), prop::collection::vec(asn, 0..7), 0u8..3, 0u8..3)
+            (
+                bits,
+                0u8..=32,
+                any::<u32>(),
+                prop::collection::vec(asn, 0..7),
+                0u8..3,
+                0u8..3,
+            )
                 .prop_map(|(bits, len, hop, as_path, origin, class)| RouteEntry {
                     prefix: Prefix::from_u32(bits, len).unwrap(),
                     next_hop: Ipv4Addr::from(hop),
@@ -1050,7 +1217,10 @@ mod tests {
                     } else {
                         RouteUpdate::Withdraw(e.prefix)
                     };
-                    UpdateBatch { at_unix: at, updates: vec![update] }
+                    UpdateBatch {
+                        at_unix: at,
+                        updates: vec![update],
+                    }
                 })
                 .collect();
             let mut out = Vec::new();
@@ -1062,12 +1232,50 @@ mod tests {
         /// wrong: signs, leading zeros, range edges, short and long
         /// quads, non-space whitespace, non-ASCII digits and blanks.
         const TOKENS: &[&str] = &[
-            "+7", "007", "256", "255", "0", "00", "-1", "4294967295", "4294967296",
-            "00000000000000000000007", "18446744073709551616", "1.2.3.4/33", "1.2.3.4/32",
-            "1.2.3.4/+8", "1.2.3.4/008", "1.2.3.4/", "/8", "1.2.3/8", "1.2.3.4.5/8",
-            "01.2.3.4/8", "1.2.3.256/8", "1.2.3.4/8/9", "1.2.3", "01.2.3.4", "1.2.3.4",
-            "+1.2.3.4", "1..3.4", "1.2.3.4.", "", " ", "1 2", "1  2 ", "1\t2", "1\u{b}2",
-            "1\u{a0}2", "1\u{2003}2", "\u{663}", "igp", "IGP ", "INCOMPLETE", "TIER3", "A", "W", "#",
+            "+7",
+            "007",
+            "256",
+            "255",
+            "0",
+            "00",
+            "-1",
+            "4294967295",
+            "4294967296",
+            "00000000000000000000007",
+            "18446744073709551616",
+            "1.2.3.4/33",
+            "1.2.3.4/32",
+            "1.2.3.4/+8",
+            "1.2.3.4/008",
+            "1.2.3.4/",
+            "/8",
+            "1.2.3/8",
+            "1.2.3.4.5/8",
+            "01.2.3.4/8",
+            "1.2.3.256/8",
+            "1.2.3.4/8/9",
+            "1.2.3",
+            "01.2.3.4",
+            "1.2.3.4",
+            "+1.2.3.4",
+            "1..3.4",
+            "1.2.3.4.",
+            "",
+            " ",
+            "1 2",
+            "1  2 ",
+            "1\t2",
+            "1\u{b}2",
+            "1\u{a0}2",
+            "1\u{2003}2",
+            "\u{663}",
+            "igp",
+            "IGP ",
+            "INCOMPLETE",
+            "TIER3",
+            "A",
+            "W",
+            "#",
         ];
 
         /// The start and end (newline excluded) of line `k` of `text`.
@@ -1088,14 +1296,17 @@ mod tests {
             let n_lines = text.split(|&b| b == b'\n').count();
             let (start, end) = line_span(text, rng.gen_range(0..n_lines));
             let at = |rng: &mut StdRng| rng.gen_range(start..=end).min(text.len());
-            let splice = |from: usize, to: usize, with: &[u8]| {
-                [&text[..from], with, &text[to..]].concat()
-            };
+            let splice =
+                |from: usize, to: usize, with: &[u8]| [&text[..from], with, &text[to..]].concat();
             let mut out = vec![text.to_vec()];
             // Byte flips, half of them to bytes that are not ASCII.
             for _ in 0..4 {
                 let i = at(&mut rng);
-                let byte = if rng.gen_bool(0.5) { rng.gen_range(0x80..=0xFFu8) } else { rng.gen() };
+                let byte = if rng.gen_bool(0.5) {
+                    rng.gen_range(0x80..=0xFFu8)
+                } else {
+                    rng.gen()
+                };
                 out.push(splice(i, (i + 1).min(text.len()), &[byte]));
             }
             // The chosen line cut at every offset, as the last line.
@@ -1107,17 +1318,29 @@ mod tests {
                 out.push(splice(start + bar, start + bar + 1, b""));
             }
             // Line endings and blanks.
-            out.push(String::from_utf8_lossy(text).replace('\n', "\r\n").into_bytes());
+            out.push(
+                String::from_utf8_lossy(text)
+                    .replace('\n', "\r\n")
+                    .into_bytes(),
+            );
             out.push(splice(end, end, b" \t "));
             out.push(splice(start, start, b"\t "));
             out.push(text.strip_suffix(b"\n").unwrap_or(text).to_vec());
             out.push(splice(end, end, b"\n\n   \n# note"));
             // The chosen line twice (a duplicate prefix; a repeated time).
-            out.push(splice(start, start, &[&text[start..end], &b"\n"[..]].concat()));
+            out.push(splice(
+                start,
+                start,
+                &[&text[start..end], &b"\n"[..]].concat(),
+            ));
             // One field of the chosen line replaced by each hard token.
             let bars: Vec<usize> = (start..end).filter(|&i| text[i] == b'|').collect();
             let field = rng.gen_range(0..=bars.len());
-            let from = if field == 0 { start } else { bars[field - 1] + 1 };
+            let from = if field == 0 {
+                start
+            } else {
+                bars[field - 1] + 1
+            };
             let to = bars.get(field).copied().unwrap_or(end);
             out.extend(TOKENS.iter().map(|t| splice(from, to, t.as_bytes())));
             // ... and one token inside the AS path, when there is one.
@@ -1215,15 +1438,31 @@ mod tests {
         fn every_hard_token_in_every_field_matches_the_oracle() {
             // Exhaustive where the proptest samples: 5 + 7 fields × every
             // token, on a dump line and on an announce line.
-            let fields = ["5", "A", "10.1.0.0/16", "192.0.2.1", "1239 701", "IGP", "TIER1"];
+            let fields = [
+                "5",
+                "A",
+                "10.1.0.0/16",
+                "192.0.2.1",
+                "1239 701",
+                "IGP",
+                "TIER1",
+            ];
             for k in 0..fields.len() {
                 for token in TOKENS {
                     let mut line = fields;
                     line[k] = token;
                     let announce = format!("{}\n", line.join("|")).into_bytes();
-                    agree(&announce, read_updates(&announce[..]), oracle::read_updates(&announce[..]));
+                    agree(
+                        &announce,
+                        read_updates(&announce[..]),
+                        oracle::read_updates(&announce[..]),
+                    );
                     let dump = format!("{}\n", line[2..].join("|")).into_bytes();
-                    agree(&dump, read_routes(&dump[..]), oracle::read_routes(&dump[..]));
+                    agree(
+                        &dump,
+                        read_routes(&dump[..]),
+                        oracle::read_routes(&dump[..]),
+                    );
                 }
             }
         }

@@ -53,15 +53,12 @@ impl FrozenBgpTable {
         self.flat.len()
     }
 
-    /// Whether the table has no routes.
-    pub fn is_empty(&self) -> bool {
-        self.flat.is_empty()
-    }
-
     /// Longest-prefix attribution of a destination address.
     #[inline]
     pub fn attribute(&self, dst: Ipv4Addr) -> Option<(RouteId, &RouteEntry)> {
-        self.flat.lookup_with_id(u32::from(dst)).map(|(id, _, e)| (id, e))
+        self.flat
+            .lookup_with_id(u32::from(dst))
+            .map(|(id, _, e)| (id, e))
     }
 
     /// Longest-prefix attribution returning only the dense route id —
@@ -186,7 +183,10 @@ mod tests {
         let (id, e) = frozen.attribute(Ipv4Addr::new(10, 1, 2, 3)).unwrap();
         assert_eq!(id, 2);
         assert_eq!(e.prefix, "10.1.0.0/16".parse().unwrap());
-        assert_eq!(frozen.attribute_id(u32::from(Ipv4Addr::new(10, 1, 2, 3))), Some(2));
+        assert_eq!(
+            frozen.attribute_id(u32::from(Ipv4Addr::new(10, 1, 2, 3))),
+            Some(2)
+        );
     }
 
     #[test]
@@ -218,8 +218,8 @@ mod tests {
 
     #[test]
     fn empty_freeze() {
-        let frozen = BgpTable::new().freeze();
-        assert!(frozen.is_empty());
+        let frozen = BgpTable::default().freeze();
+        assert_eq!(frozen.len(), 0);
         assert_eq!(frozen.attribute(Ipv4Addr::new(10, 0, 0, 1)), None);
     }
 }

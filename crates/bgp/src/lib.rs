@@ -38,7 +38,6 @@ pub mod synth;
 mod table;
 
 pub use frozen::{FrozenBgpTable, RouteId};
-pub use live::{ApplyReport, LiveBgpTable, RouteUpdate, TableView, UpdateBatch};
+pub use live::{LiveBgpTable, RouteUpdate, TableView, UpdateBatch};
 pub use route::{Origin, PeerClass, RouteEntry};
-pub use synth::SynthConfig;
 pub use table::BgpTable;

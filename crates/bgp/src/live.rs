@@ -1,7 +1,7 @@
 //! Continuously updatable routing table with stable route ids — the
-//! live counterpart of [`FrozenBgpTable`].
+//! live counterpart of [`crate::FrozenBgpTable`].
 //!
-//! [`FrozenBgpTable`] is a snapshot: correct for a fixed RIB, but a
+//! [`crate::FrozenBgpTable`] is a snapshot: correct for a fixed RIB, but a
 //! single route change costs a full refreeze while lookups stall. A
 //! [`LiveBgpTable`] stays updatable end-to-end: announce/withdraw
 //! batches ([`RouteUpdate`]) apply incrementally through
@@ -33,13 +33,12 @@
 //! while the live route count ([`LiveBgpTable::len`]) tracks the RIB.
 
 use std::fmt;
-use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
 use eleph_net::epoch::LpmSnapshot;
 use eleph_net::{EpochLpm, LpmDelta, LpmView, Prefix};
 
-use crate::{BgpTable, FrozenBgpTable, RouteEntry, RouteId};
+use crate::{BgpTable, RouteEntry, RouteId};
 
 /// Entries per chunk of the append-only id → route store. Chunks behind
 /// an `Arc` are shared with pinned [`TableView`]s; only the (at most
@@ -129,7 +128,11 @@ impl LiveBgpTable {
     pub fn new() -> Self {
         LiveBgpTable {
             lpm: EpochLpm::new(),
-            routes: Mutex::new(Routes { chunks: Vec::new(), n_ids: 0, live: 0 }),
+            routes: Mutex::new(Routes {
+                chunks: Vec::new(),
+                n_ids: 0,
+                live: 0,
+            }),
         }
     }
 
@@ -137,18 +140,25 @@ impl LiveBgpTable {
     /// [`crate::dump::read_routes`]), moving the routes in. Initial ids
     /// run `0..len()` in ascending prefix order, a later route for the
     /// same prefix replacing the earlier — identical to what
-    /// [`FrozenBgpTable::from_routes`] would assign — and the table
+    /// [`crate::FrozenBgpTable::from_routes`] would assign — and the table
     /// starts at generation 0, so a checkpoint taken against the
     /// equivalent frozen table fingerprints the same.
     pub fn from_routes(routes: Vec<RouteEntry>) -> Self {
-        let mut store = Routes { chunks: Vec::new(), n_ids: 0, live: 0 };
+        let mut store = Routes {
+            chunks: Vec::new(),
+            n_ids: 0,
+            live: 0,
+        };
         let mut entries = Vec::with_capacity(routes.len());
         for e in eleph_net::rib_order(routes, |e| e.prefix) {
             let prefix = e.prefix;
             entries.push((prefix, store.push(e)));
         }
         store.live = entries.len();
-        LiveBgpTable { lpm: EpochLpm::from_entries(entries), routes: Mutex::new(store) }
+        LiveBgpTable {
+            lpm: EpochLpm::from_entries(entries),
+            routes: Mutex::new(store),
+        }
     }
 
     /// Seed a live table from a RIB snapshot:
@@ -172,7 +182,10 @@ impl LiveBgpTable {
             match update {
                 RouteUpdate::Announce(entry) => {
                     let id = routes.push(entry.clone());
-                    deltas.push(LpmDelta::Announce { prefix: entry.prefix, id });
+                    deltas.push(LpmDelta::Announce {
+                        prefix: entry.prefix,
+                        id,
+                    });
                     announced += 1;
                 }
                 RouteUpdate::Withdraw(prefix) => {
@@ -182,7 +195,11 @@ impl LiveBgpTable {
         }
         let applied = self.lpm.apply(&deltas);
         routes.live = routes.live + announced - applied.retired.len();
-        ApplyReport { generation: applied.generation, announced, retired: applied.retired }
+        ApplyReport {
+            generation: applied.generation,
+            announced,
+            retired: applied.retired,
+        }
     }
 
     /// Pin a consistent read view of the current generation. The view
@@ -197,7 +214,11 @@ impl LiveBgpTable {
         // the pin always cover every id the snapshot can resolve.
         let snap = self.lpm.pin();
         let routes = self.routes.lock().expect("route store poisoned");
-        TableView { snap, chunks: routes.chunks.clone(), n_ids: routes.n_ids }
+        TableView {
+            snap,
+            chunks: routes.chunks.clone(),
+            n_ids: routes.n_ids,
+        }
     }
 
     /// Generation of the most recently applied batch (0 = as built).
@@ -210,30 +231,10 @@ impl LiveBgpTable {
         self.routes.lock().expect("route store poisoned").live
     }
 
-    /// Whether no routes are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Total ids ever allocated (live + retired); the id space the
     /// downstream `KeyAllocator` must be able to address.
     pub fn n_ids(&self) -> usize {
         self.routes.lock().expect("route store poisoned").n_ids as usize
-    }
-
-    /// Snapshot the *live* routes into a [`BgpTable`]
-    /// (used to compare a delta-built table against a fresh freeze).
-    fn to_table(&self) -> BgpTable {
-        let view = self.view();
-        BgpTable::from_entries(
-            self.lpm.entries().into_iter().map(|(_, id)| view.route(id).clone()),
-        )
-    }
-
-    /// Compact the live routes into a [`FrozenBgpTable`] (dense
-    /// dump-ordered ids — the stable-id mapping is *not* preserved).
-    pub fn freeze(&self) -> FrozenBgpTable {
-        self.to_table().freeze()
     }
 }
 
@@ -256,7 +257,7 @@ impl fmt::Debug for LiveBgpTable {
 
 /// A pinned, immutable view of a [`LiveBgpTable`] generation.
 ///
-/// Mirrors the [`FrozenBgpTable`] attribution API; additionally
+/// Mirrors the [`crate::FrozenBgpTable`] attribution API; additionally
 /// resolves *retired* ids (their routes stay in the append-only store),
 /// which checkpoint revalidation relies on. While a view is held, an
 /// [`LiveBgpTable::apply`] copies each page and route chunk it shares
@@ -279,26 +280,10 @@ impl TableView {
         self.n_ids as usize
     }
 
-    /// Longest-prefix attribution of a destination address.
-    #[inline]
-    pub fn attribute(&self, dst: Ipv4Addr) -> Option<(RouteId, &RouteEntry)> {
-        let id = self.snap.lookup_id(u32::from(dst))?;
-        Some((id, self.route(id)))
-    }
-
     /// Longest-prefix attribution returning only the route id.
     #[inline]
     pub fn attribute_id(&self, dst: u32) -> Option<RouteId> {
         self.snap.lookup_id(dst)
-    }
-
-    /// Batched [`TableView::attribute_id`], the chunked hot-path form.
-    ///
-    /// # Panics
-    /// If `dsts` and `out` differ in length.
-    #[inline]
-    pub fn attribute_ids(&self, dsts: &[u32], out: &mut [Option<RouteId>]) {
-        self.snap.lookup_many(dsts, out);
     }
 
     /// The prefix of route `id` — resolvable for retired ids too.
@@ -316,7 +301,11 @@ impl TableView {
     /// If `id` was never allocated in this view's generation.
     #[inline]
     pub fn route(&self, id: RouteId) -> &RouteEntry {
-        assert!(id < self.n_ids, "route id {id} not allocated (n_ids {})", self.n_ids);
+        assert!(
+            id < self.n_ids,
+            "route id {id} not allocated (n_ids {})",
+            self.n_ids
+        );
         &self.chunks[id as usize / ROUTE_CHUNK][id as usize % ROUTE_CHUNK]
     }
 }
@@ -344,6 +333,7 @@ impl LpmView<u32> for TableView {
 mod tests {
     use super::*;
     use crate::{Origin, PeerClass};
+    use std::net::Ipv4Addr;
 
     fn entry(prefix: &str) -> RouteEntry {
         RouteEntry {
@@ -373,7 +363,11 @@ mod tests {
         assert_eq!(live.n_ids(), 3);
         let view = live.view();
         for a in ["9.1.1.1", "10.1.2.3", "10.200.0.1", "11.0.0.1"] {
-            assert_eq!(view.attribute_id(addr(a)), frozen.attribute_id(addr(a)), "{a}");
+            assert_eq!(
+                view.attribute_id(addr(a)),
+                frozen.attribute_id(addr(a)),
+                "{a}"
+            );
         }
         assert_eq!(view.prefix(0), "9.0.0.0/8".parse().unwrap());
     }
@@ -391,7 +385,11 @@ mod tests {
         assert_eq!(report.retired, vec![1]);
         assert_eq!(live.len(), 1);
         let mid = live.view();
-        assert_eq!(mid.attribute_id(addr("10.1.2.3")), Some(0), "falls back to /8");
+        assert_eq!(
+            mid.attribute_id(addr("10.1.2.3")),
+            Some(0),
+            "falls back to /8"
+        );
         // the retired id still resolves its prefix (checkpoint path)
         assert_eq!(mid.prefix(old_id), "10.1.0.0/16".parse().unwrap());
 
@@ -415,7 +413,11 @@ mod tests {
         let id = view.attribute_id(addr("10.9.9.9")).unwrap();
         assert_eq!(id, 1);
         assert_eq!(view.route(id).as_path, vec![7018]);
-        assert_eq!(view.route(0).as_path, vec![1239, 701], "retired entry preserved");
+        assert_eq!(
+            view.route(0).as_path,
+            vec![1239, 701],
+            "retired entry preserved"
+        );
     }
 
     #[test]
@@ -448,13 +450,18 @@ mod tests {
         .freeze();
         let view = live.view();
         for a in [
-            "10.0.0.1", "10.1.2.3", "10.1.2.200", "10.1.2.223", "203.0.113.9", "8.8.8.8",
+            "10.0.0.1",
+            "10.1.2.3",
+            "10.1.2.200",
+            "10.1.2.223",
+            "203.0.113.9",
+            "8.8.8.8",
         ] {
             let via_live = view.attribute_id(addr(a)).map(|id| view.prefix(id));
             let via_fresh = fresh.attribute_id(addr(a)).map(|id| fresh.prefix(id));
             assert_eq!(via_live, via_fresh, "{a}");
         }
-        assert_eq!(live.to_table().freeze().len(), fresh.len());
+        assert_eq!(live.len(), fresh.len());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::{BgpTable, Origin, PeerClass, RouteEntry};
 /// plateau from legacy class B space, the CIDR shoulder at /17–/23, and
 /// the /24 bulk.
 const DEFAULT_LENGTH_WEIGHTS: [u32; 33] = [
-    0, 0, 0, 0, 0, 0, 0, 0, // 0-7
+    0, 0, 0, 0, 0, 0, 0, 0,     // 0-7
     500,   // /8
     6,     // /9
     12,    // /10
@@ -203,7 +203,10 @@ mod tests {
             n_prefixes: 50_000,
             ..SynthConfig::default()
         });
-        let h = t.length_histogram();
+        let mut h = [0usize; 33];
+        for e in t.iter() {
+            h[e.prefix.len() as usize] += 1;
+        }
         // /24 must dominate by far, /16 must be the secondary mode.
         let max_len = (0..33).max_by_key(|&l| h[l]).unwrap();
         assert_eq!(max_len, 24, "histogram {h:?}");

@@ -21,11 +21,6 @@ pub struct BgpTable {
 }
 
 impl BgpTable {
-    /// Empty table.
-    pub fn new() -> Self {
-        BgpTable { routes: Vec::new() }
-    }
-
     /// Build from entries; a duplicate prefix replaces the earlier entry.
     pub fn from_entries<I: IntoIterator<Item = RouteEntry>>(entries: I) -> Self {
         BgpTable {
@@ -35,18 +30,16 @@ impl BgpTable {
 
     /// Exact-match fetch.
     pub fn get(&self, prefix: Prefix) -> Option<&RouteEntry> {
-        let i = self.routes.binary_search_by_key(&prefix, |e| e.prefix).ok()?;
+        let i = self
+            .routes
+            .binary_search_by_key(&prefix, |e| e.prefix)
+            .ok()?;
         Some(&self.routes[i])
     }
 
     /// Number of routes.
     pub fn len(&self) -> usize {
         self.routes.len()
-    }
-
-    /// Whether the table has no routes.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
     }
 
     /// Freeze the current snapshot into a read-optimized
@@ -65,15 +58,6 @@ impl BgpTable {
     /// Iterate over all routes in RIB-dump order.
     pub fn iter(&self) -> impl Iterator<Item = &RouteEntry> {
         self.routes.iter()
-    }
-
-    /// Histogram of prefix lengths (index = length).
-    pub fn length_histogram(&self) -> [usize; 33] {
-        let mut h = [0usize; 33];
-        for e in &self.routes {
-            h[e.prefix.len() as usize] += 1;
-        }
-        h
     }
 
     /// Sample an address inside `prefix` that longest-matches `prefix`
@@ -149,7 +133,10 @@ mod tests {
         let t = BgpTable::from_entries(vec![entry("10.0.0.0/8"), entry("10.1.0.0/16")]);
         let frozen = t.freeze();
         let prefix_of = |addr| frozen.attribute(addr).map(|(_, e)| e.prefix.to_string());
-        assert_eq!(prefix_of(Ipv4Addr::new(10, 1, 2, 3)).unwrap(), "10.1.0.0/16");
+        assert_eq!(
+            prefix_of(Ipv4Addr::new(10, 1, 2, 3)).unwrap(),
+            "10.1.0.0/16"
+        );
         assert_eq!(prefix_of(Ipv4Addr::new(10, 2, 0, 1)).unwrap(), "10.0.0.0/8");
         assert_eq!(prefix_of(Ipv4Addr::new(11, 0, 0, 1)), None);
     }
@@ -160,22 +147,12 @@ mod tests {
         replacement.as_path = vec![7018];
         let t = BgpTable::from_entries(vec![entry("10.0.0.0/8"), entry("9.0.0.0/8"), replacement]);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.get("10.0.0.0/8".parse().unwrap()).unwrap().as_path, vec![7018]);
+        assert_eq!(
+            t.get("10.0.0.0/8".parse().unwrap()).unwrap().as_path,
+            vec![7018]
+        );
         assert_eq!(t.get("10.0.0.0/9".parse().unwrap()), None);
-        assert!(BgpTable::new().is_empty());
-    }
-
-    #[test]
-    fn histograms_and_sets() {
-        let t = BgpTable::from_entries(vec![
-            entry("10.0.0.0/8"),
-            entry("10.1.0.0/16"),
-            entry("10.2.0.0/16"),
-        ]);
-        let h = t.length_histogram();
-        assert_eq!(h[8], 1);
-        assert_eq!(h[16], 2);
-        assert_eq!(t.len(), 3);
+        assert_eq!(BgpTable::default().len(), 0);
     }
 
     #[test]

@@ -164,7 +164,10 @@ impl<V> Union<V> {
     /// Panics when `options` is empty or all weights are zero.
     pub fn new(options: Vec<(u32, BoxedStrategy<V>)>) -> Self {
         let total: u64 = options.iter().map(|&(w, _)| u64::from(w)).sum();
-        assert!(total > 0, "prop_oneof! requires at least one positive weight");
+        assert!(
+            total > 0,
+            "prop_oneof! requires at least one positive weight"
+        );
         Union { options }
     }
 }
@@ -300,26 +303,38 @@ pub mod collection {
 
     impl From<usize> for SizeRange {
         fn from(n: usize) -> Self {
-            SizeRange { lo: n, hi_inclusive: n }
+            SizeRange {
+                lo: n,
+                hi_inclusive: n,
+            }
         }
     }
 
     impl From<std::ops::Range<usize>> for SizeRange {
         fn from(r: std::ops::Range<usize>) -> Self {
             assert!(r.start < r.end, "empty size range");
-            SizeRange { lo: r.start, hi_inclusive: r.end - 1 }
+            SizeRange {
+                lo: r.start,
+                hi_inclusive: r.end - 1,
+            }
         }
     }
 
     impl From<std::ops::RangeInclusive<usize>> for SizeRange {
         fn from(r: std::ops::RangeInclusive<usize>) -> Self {
-            SizeRange { lo: *r.start(), hi_inclusive: *r.end() }
+            SizeRange {
+                lo: *r.start(),
+                hi_inclusive: *r.end(),
+            }
         }
     }
 
     /// Strategy producing `Vec`s of `element` with a length in `size`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     /// See [`vec`](fn@vec).

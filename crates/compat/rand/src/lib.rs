@@ -352,7 +352,10 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "shuffle left the slice sorted (astronomically unlikely)");
+        assert_ne!(
+            v, sorted,
+            "shuffle left the slice sorted (astronomically unlikely)"
+        );
     }
 
     #[test]

@@ -112,8 +112,7 @@ fn aest_with(
 
     // --- Aggregation pyramid -------------------------------------------
     let mut levels: Vec<Vec<f64>> = vec![centred];
-    while levels.len() < MAX_LEVELS
-        && levels.last().expect("non-empty").len() / 2 >= MIN_POINTS_TOP
+    while levels.len() < MAX_LEVELS && levels.last().expect("non-empty").len() / 2 >= MIN_POINTS_TOP
     {
         let prev = levels.last().expect("non-empty");
         let next: Vec<f64> = prev.chunks_exact(2).map(|c| c[0] + c[1]).collect();
@@ -197,8 +196,8 @@ fn aest_with(
             let slope_ok = alpha_slope.is_finite()
                 && alpha_slope >= MIN_ALPHA * 0.6
                 && alpha_slope <= MAX_ALPHA * 1.4;
-            let consistent = (alpha_slope - alpha_shift).abs()
-                <= CONSISTENCY_TOL * alpha_shift.max(alpha_slope);
+            let consistent =
+                (alpha_slope - alpha_shift).abs() <= CONSISTENCY_TOL * alpha_shift.max(alpha_slope);
             let accepted = alpha_ok && slope_ok && consistent;
 
             if accepted {
@@ -238,10 +237,7 @@ fn aest_with(
     } else {
         accepted_in_region as f64 / best_k as f64
     };
-    if best_k == 0
-        || accepted_in_region < MIN_ACCEPTED
-        || region_frac < ACCEPT_FRACTION
-    {
+    if best_k == 0 || accepted_in_region < MIN_ACCEPTED || region_frac < ACCEPT_FRACTION {
         return Err(StatsError::NoTailFound);
     }
 
@@ -310,8 +306,7 @@ mod tests {
     fn detects_pure_pareto_and_estimates_alpha() {
         for (alpha, seed) in [(1.1, 1u64), (1.5, 2), (1.8, 3)] {
             let xs = draw(&Pareto::new(1.0, alpha).unwrap(), 60_000, seed);
-            let res = aest(&xs)
-                .unwrap_or_else(|e| panic!("alpha {alpha}: {e}"));
+            let res = aest(&xs).unwrap_or_else(|e| panic!("alpha {alpha}: {e}"));
             assert!(
                 (res.alpha - alpha).abs() / alpha < 0.25,
                 "alpha {alpha}: estimated {}",
@@ -332,19 +327,13 @@ mod tests {
     #[test]
     fn rejects_exponential() {
         let xs = draw(&Exp(1.0), 60_000, 7);
-        assert!(matches!(
-            aest(&xs),
-            Err(StatsError::NoTailFound)
-        ));
+        assert!(matches!(aest(&xs), Err(StatsError::NoTailFound)));
     }
 
     #[test]
     fn rejects_tight_lognormal() {
         let xs = draw(&LogNormal::new(0.0, 0.5).unwrap(), 60_000, 11);
-        assert!(matches!(
-            aest(&xs),
-            Err(StatsError::NoTailFound)
-        ));
+        assert!(matches!(aest(&xs), Err(StatsError::NoTailFound)));
     }
 
     #[test]
@@ -415,7 +404,10 @@ mod tests {
             let mut xs = finite.clone();
             xs.insert(500, bad);
             match aest(&xs) {
-                Err(StatsError::BadParameter { name: "samples", value }) => {
+                Err(StatsError::BadParameter {
+                    name: "samples",
+                    value,
+                }) => {
                     assert_eq!(value.to_bits(), bad.to_bits());
                 }
                 other => panic!("{bad}: {other:?}"),
@@ -442,7 +434,11 @@ mod tests {
                 .collect();
             match (aest(&xs), aest_with(&xs, Ecdf::by_comparator)) {
                 (Ok(got), Ok(want)) => {
-                    assert_eq!(got.tail_start.to_bits(), want.tail_start.to_bits(), "seed {seed}");
+                    assert_eq!(
+                        got.tail_start.to_bits(),
+                        want.tail_start.to_bits(),
+                        "seed {seed}"
+                    );
                     assert_eq!(got.alpha.to_bits(), want.alpha.to_bits(), "seed {seed}");
                     assert_eq!(got.tail_fraction.to_bits(), want.tail_fraction.to_bits());
                     compared += 1;

@@ -27,19 +27,14 @@ impl KeyBitset {
         }
     }
 
-    /// Number of set bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Whether no bit is set.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Whether `key` is in the set.
     #[inline]
-    pub fn contains(&self, key: KeyId) -> bool {
+    pub(crate) fn contains(&self, key: KeyId) -> bool {
         let w = (key / 64) as usize;
         w < self.words.len() && self.words[w] & (1u64 << (key % 64)) != 0
     }
@@ -58,7 +53,7 @@ impl KeyBitset {
 
     /// Remove `key` if present.
     #[inline]
-    pub fn remove(&mut self, key: KeyId) {
+    pub(crate) fn remove(&mut self, key: KeyId) {
         let w = (key / 64) as usize;
         if w < self.words.len() {
             let bit = 1u64 << (key % 64);
@@ -68,7 +63,7 @@ impl KeyBitset {
     }
 
     /// Iterate set keys in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = KeyId> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = KeyId> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| {
             let base = (w as u32) * 64;
             BitIter { word, base }
@@ -107,7 +102,7 @@ mod tests {
         s.insert(3);
         s.insert(64);
         s.insert(3); // idempotent
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.len, 2);
         assert!(s.contains(3));
         assert!(s.contains(64));
         assert!(!s.contains(4));
@@ -115,7 +110,7 @@ mod tests {
         s.remove(3);
         s.remove(3); // idempotent
         s.remove(999); // absent beyond capacity: no-op
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.len, 1);
         assert!(!s.contains(3));
     }
 
@@ -124,7 +119,7 @@ mod tests {
         let mut s = KeyBitset::default();
         s.insert(1000);
         assert!(s.contains(1000));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.len, 1);
     }
 
     #[test]

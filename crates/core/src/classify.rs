@@ -59,7 +59,10 @@ impl Scheme {
             }
             Scheme::SingleFeature => 1,
             Scheme::Hysteresis { enter, exit } => {
-                assert!(enter >= 1.0 && (0.0..=1.0).contains(&exit), "need exit <= 1 <= enter");
+                assert!(
+                    enter >= 1.0 && (0.0..=1.0).contains(&exit),
+                    "need exit <= 1 <= enter"
+                );
                 1
             }
         }
@@ -265,22 +268,36 @@ impl<D: ThresholdDetector> Sweep<D> {
                         let window = self.window(w);
                         let states = &mut self.windows[window].states;
                         states.push(state);
-                        Slot::Window { window, at: states.len() - 1 }
+                        Slot::Window {
+                            window,
+                            at: states.len() - 1,
+                        }
                     }
                     Scheme::SingleFeature | Scheme::Hysteresis { .. } => Slot::Own(state),
                 }
             })
             .collect();
-        self.passes.push(Pass { detector, raw: None, slots });
+        self.passes.push(Pass {
+            detector,
+            raw: None,
+            slots,
+        });
     }
 
     /// The index of the sums over `w` rows, made when no configuration
     /// reads them yet.
     pub(crate) fn window(&mut self, w: usize) -> usize {
-        self.windows.iter().position(|window| window.w == w).unwrap_or_else(|| {
-            self.windows.push(Window { w, sums: KeySums::default(), states: Vec::new() });
-            self.windows.len() - 1
-        })
+        self.windows
+            .iter()
+            .position(|window| window.w == w)
+            .unwrap_or_else(|| {
+                self.windows.push(Window {
+                    w,
+                    sums: KeySums::default(),
+                    states: Vec::new(),
+                });
+                self.windows.len() - 1
+            })
     }
 
     /// Classify the next interval: `row` is its sparse snapshot,
@@ -311,7 +328,8 @@ impl<D: ThresholdDetector> Sweep<D> {
         debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0));
         self.rows += 1;
         self.values.clear();
-        self.values.extend(row.iter().map(|&(_, rate)| f64::from(rate)));
+        self.values
+            .extend(row.iter().map(|&(_, rate)| f64::from(rate)));
         self.order.reset();
         // Fold from +0.0, as a matrix's totals are: `Iterator::sum`
         // starts from -0.0, which an empty interval's total would keep.
@@ -321,11 +339,20 @@ impl<D: ThresholdDetector> Sweep<D> {
             // The ring holds the rows before this one, newest last.
             let n = self.ring.len();
             for window in &mut self.windows {
-                let retired = n.checked_sub(window.w).map_or(&[][..], |old| &self.ring[old]);
+                let retired = n
+                    .checked_sub(window.w)
+                    .map_or(&[][..], |old| &self.ring[old]);
                 let rows = self.ring.range((n + 1).saturating_sub(window.w)..);
-                window.sums.slide(row, retired, rows.map(Vec::as_slice).chain([row]));
+                window
+                    .sums
+                    .slide(row, retired, rows.map(Vec::as_slice).chain([row]));
             }
-            let max_w = self.windows.iter().map(|window| window.w).max().expect("not empty");
+            let max_w = self
+                .windows
+                .iter()
+                .map(|window| window.w)
+                .max()
+                .expect("not empty");
             let mut kept = if n == max_w {
                 self.ring.pop_front().expect("max_w >= 1")
             } else {
@@ -354,7 +381,11 @@ impl<D: ThresholdDetector> Sweep<D> {
         }
         // A window no configuration scans (the streaming classifier's,
         // under the single-interval schemes) only slides.
-        for window in self.windows.iter_mut().filter(|window| !window.states.is_empty()) {
+        for window in self
+            .windows
+            .iter_mut()
+            .filter(|window| !window.states.is_empty())
+        {
             latent_heat(&window.sums, row, &mut window.states);
         }
         let mut config = 0;
@@ -394,7 +425,11 @@ impl<D: ThresholdDetector> Sweep<D> {
     /// [`Sweep::frontier`], to restore.
     pub(crate) fn frontier_mut(
         &mut self,
-    ) -> (&mut SchemeState, &mut KeySums, &mut VecDeque<Vec<(KeyId, f32)>>) {
+    ) -> (
+        &mut SchemeState,
+        &mut KeySums,
+        &mut VecDeque<Vec<(KeyId, f32)>>,
+    ) {
         let Window { sums, states, .. } = &mut self.windows[0];
         let state = match &mut self.passes[0].slots[0] {
             Slot::Own(state) => state,
@@ -533,10 +568,7 @@ mod tests {
 
     #[test]
     fn single_feature_thresholding() {
-        let m = matrix(&[
-            vec![100.0, 10.0, 60.0],
-            vec![100.0, 80.0, 10.0],
-        ]);
+        let m = matrix(&[vec![100.0, 10.0, 60.0], vec![100.0, 80.0, 10.0]]);
         let r = classify(&m, Fixed(50.0), 0.0, Scheme::SingleFeature);
         assert_eq!(r.n_intervals(), 2);
         // Interval 0: keys with rate > 50 are 0 (100) and 2 (60).
@@ -567,9 +599,15 @@ mod tests {
         let k0 = m.key_id(prefix(0)).unwrap();
         let k1 = m.key_id(prefix(1)).unwrap();
 
-        assert!(single.is_elephant(2, k1), "single feature must flag the burst");
+        assert!(
+            single.is_elephant(2, k1),
+            "single feature must flag the burst"
+        );
         for n in 0..6 {
-            assert!(!latent.is_elephant(n, k1), "latent heat flagged burst at {n}");
+            assert!(
+                !latent.is_elephant(n, k1),
+                "latent heat flagged burst at {n}"
+            );
             assert!(latent.is_elephant(n, k0), "persistent flow lost at {n}");
         }
     }
@@ -688,12 +726,20 @@ mod tests {
         }
         let rows: Vec<Vec<f64>> = (0..40).map(|_| vec![50.0]).collect();
         let m = matrix(&rows);
-        let r = classify(&m, Alternate(std::cell::Cell::new(true)), 0.9, Scheme::SingleFeature);
+        let r = classify(
+            &m,
+            Alternate(std::cell::Cell::new(true)),
+            0.9,
+            Scheme::SingleFeature,
+        );
         // After burn-in the smoothed series must stay near 50 despite the
         // raw series swinging 0..100.
         let tail = &r.thresholds[20..];
         for t in tail {
-            assert!((t - 50.0).abs() < 15.0, "threshold {t} insufficiently smooth");
+            assert!(
+                (t - 50.0).abs() < 15.0,
+                "threshold {t} insufficiently smooth"
+            );
         }
     }
 
@@ -710,7 +756,10 @@ mod tests {
             &m,
             Fixed(100.0),
             0.0,
-            Scheme::Hysteresis { enter: 1.2, exit: 0.6 },
+            Scheme::Hysteresis {
+                enter: 1.2,
+                exit: 0.6,
+            },
         );
         let got: Vec<bool> = (0..rows.len()).map(|n| r.count(n) == 1).collect();
         assert_eq!(got, vec![true, true, false, false, true]);
@@ -730,12 +779,24 @@ mod tests {
             .collect();
         let m = matrix(&rows);
         let configs = [
-            ClassifyConfig { gamma: 0.0, scheme: Scheme::SingleFeature },
-            ClassifyConfig { gamma: 0.9, scheme: Scheme::LatentHeat { window: 3 } },
-            ClassifyConfig { gamma: 0.5, scheme: Scheme::LatentHeat { window: 1 } },
+            ClassifyConfig {
+                gamma: 0.0,
+                scheme: Scheme::SingleFeature,
+            },
             ClassifyConfig {
                 gamma: 0.9,
-                scheme: Scheme::Hysteresis { enter: 1.2, exit: 0.6 },
+                scheme: Scheme::LatentHeat { window: 3 },
+            },
+            ClassifyConfig {
+                gamma: 0.5,
+                scheme: Scheme::LatentHeat { window: 1 },
+            },
+            ClassifyConfig {
+                gamma: 0.9,
+                scheme: Scheme::Hysteresis {
+                    enter: 1.2,
+                    exit: 0.6,
+                },
             },
         ];
         let shared = classify_many(&m, &crate::ConstantLoadDetector::new(0.8), &configs);

@@ -21,7 +21,7 @@ impl Ecdf {
     /// input order, total order puts every `-0.0` first. The sorted
     /// values compare equal either way, and without a `-0.0` among the
     /// samples they are the same bits.
-    pub fn new(samples: Vec<f64>) -> Result<Self, StatsError> {
+    pub(crate) fn new(samples: Vec<f64>) -> Result<Self, StatsError> {
         if samples.is_empty() {
             return Err(StatsError::NotEnoughSamples { needed: 1, got: 0 });
         }
@@ -57,15 +57,18 @@ impl Ecdf {
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sorted.len()
     }
 
     /// The q-quantile (0 ≤ q ≤ 1), by the nearest-rank method: the
     /// smallest sample value v with CDF(v) ≥ q.
-    pub fn quantile(&self, q: f64) -> Result<f64, StatsError> {
+    pub(crate) fn quantile(&self, q: f64) -> Result<f64, StatsError> {
         if !(0.0..=1.0).contains(&q) {
-            return Err(StatsError::BadParameter { name: "q", value: q });
+            return Err(StatsError::BadParameter {
+                name: "q",
+                value: q,
+            });
         }
         let n = self.sorted.len();
         if q <= 0.0 {
@@ -78,7 +81,7 @@ impl Ecdf {
     /// The upper-tail quantile: the smallest value v such that
     /// `P[X > v] <= p`. This is the threshold primitive: all samples above
     /// `upper_quantile(p)` form (at most) the top p-fraction.
-    pub fn upper_quantile(&self, p: f64) -> Result<f64, StatsError> {
+    pub(crate) fn upper_quantile(&self, p: f64) -> Result<f64, StatsError> {
         self.quantile(1.0 - p)
     }
 }
@@ -158,7 +161,10 @@ mod tests {
     fn negative_zero_sorts_before_positive_zero() {
         let e = ecdf(&[0.0, 1.0, -0.0, -1.0]);
         let bits: Vec<u64> = e.sorted.iter().map(|x| x.to_bits()).collect();
-        let want: Vec<u64> = [-1.0, -0.0, 0.0, 1.0f64].iter().map(|x| x.to_bits()).collect();
+        let want: Vec<u64> = [-1.0, -0.0, 0.0, 1.0f64]
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
         assert_eq!(bits, want);
     }
 

@@ -48,9 +48,15 @@ mod tests {
         assert!(StatsError::NotEnoughSamples { needed: 10, got: 3 }
             .to_string()
             .contains("10"));
-        assert!(StatsError::BadParameter { name: "alpha", value: 0.0 }
-            .to_string()
-            .contains("alpha"));
-        assert_eq!(StatsError::NoTailFound.to_string(), "no power-law tail detected");
+        assert!(StatsError::BadParameter {
+            name: "alpha",
+            value: 0.0
+        }
+        .to_string()
+        .contains("alpha"));
+        assert_eq!(
+            StatsError::NoTailFound.to_string(),
+            "no power-law tail detected"
+        );
     }
 }

@@ -99,7 +99,14 @@ pub fn analyze(
         .into_iter()
         .map(|(key, (slots, runs))| {
             let avg_slots = slots as f64 / runs as f64;
-            (key, FlowHolding { slots, runs, avg_slots })
+            (
+                key,
+                FlowHolding {
+                    slots,
+                    runs,
+                    avg_slots,
+                },
+            )
         })
         .collect();
 
@@ -264,12 +271,16 @@ mod tests {
     fn merge_walk_counts_what_a_set_difference_counts() {
         use std::collections::BTreeSet;
         // Every subset of 0..6, ascending, against every other.
-        let sets: Vec<Vec<KeyId>> =
-            (0u32..64).map(|n| (0..6).filter(|k| n >> k & 1 == 1).collect()).collect();
+        let sets: Vec<Vec<KeyId>> = (0u32..64)
+            .map(|n| (0..6).filter(|k| n >> k & 1 == 1).collect())
+            .collect();
         for a in &sets {
             for b in &sets {
                 let (sa, sb): (BTreeSet<_>, BTreeSet<_>) = (a.iter().collect(), b.iter().collect());
-                assert_eq!(symmetric_difference_len(a, b), sa.symmetric_difference(&sb).count());
+                assert_eq!(
+                    symmetric_difference_len(a, b),
+                    sa.symmetric_difference(&sb).count()
+                );
             }
         }
     }

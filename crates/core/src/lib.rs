@@ -46,8 +46,9 @@
 //! generated, and the streaming [`OnlineClassifier`] is it with one
 //! configuration, plus the export and restore of what a checkpoint
 //! needs. What varies under the streaming classifier is only how the
-//! open interval's byte row is held — a [`StateBackend`] ([`sketch`]). [`KeyBitset`] is the dense id set the prefix analysis
-//! keeps.
+//! open interval's byte row is held — a [`StateBackend`], exact or a
+//! sketch, chosen by [`StateBackendConfig`]. [`KeyBitset`] is the dense
+//! id set the prefix analysis keeps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,7 +63,7 @@ mod online;
 mod order;
 pub mod prefix_analysis;
 mod reader;
-pub mod sketch;
+mod sketch;
 mod threshold;
 mod tracker;
 mod window;
@@ -71,11 +72,11 @@ pub use bits::KeyBitset;
 pub use classify::{
     classify, classify_many, classify_stream, ClassificationResult, ClassifyConfig, Scheme, Sweep,
 };
+pub use online::{ClassifierState, IntervalOutcome, OnlineClassifier};
+pub use reader::ByteReader;
 pub use sketch::{
     AdaptiveBloom, CountMinRow, ExactDense, SpaceSaving, StateBackend, StateBackendConfig,
 };
-pub use online::{ClassifierState, IntervalOutcome, OnlineClassifier};
-pub use reader::ByteReader;
 pub use threshold::{AestDetector, ConstantLoadDetector, RowOrder, ThresholdDetector};
 pub use tracker::check_gamma;
 use tracker::ThresholdSeries;

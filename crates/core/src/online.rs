@@ -81,18 +81,16 @@ pub struct ClassifierState {
 }
 
 /// `keys` strictly ascending and every one below `n_keys`.
-fn check_keys(
-    what: &str,
-    keys: impl Iterator<Item = KeyId>,
-    n_keys: usize,
-) -> Result<(), String> {
+fn check_keys(what: &str, keys: impl Iterator<Item = KeyId>, n_keys: usize) -> Result<(), String> {
     let mut prev = None;
     for key in keys {
         if prev.is_some_and(|p| p >= key) {
             return Err(format!("{what} not ascending by key id"));
         }
         if key as usize >= n_keys {
-            return Err(format!("{what} names key {key} of a run that has {n_keys} keys"));
+            return Err(format!(
+                "{what} names key {key} of a run that has {n_keys} keys"
+            ));
         }
         prev = Some(key);
     }
@@ -134,13 +132,22 @@ impl ClassifierState {
         // negative one, which no detector returns and the stand-in never
         // is, makes every active key one.
         if !self.sum_t.is_finite() {
-            return Err(format!("classifier state holds the threshold sum {}", self.sum_t));
+            return Err(format!(
+                "classifier state holds the threshold sum {}",
+                self.sum_t
+            ));
         }
         for (t_term, snapshot) in &self.history {
             if !(t_term.is_finite() && *t_term >= 0.0) {
-                return Err(format!("classifier state holds the threshold term {t_term}"));
+                return Err(format!(
+                    "classifier state holds the threshold term {t_term}"
+                ));
             }
-            check_keys("history snapshot", snapshot.iter().map(|&(key, _)| key), n_keys)?;
+            check_keys(
+                "history snapshot",
+                snapshot.iter().map(|&(key, _)| key),
+                n_keys,
+            )?;
             for &(key, rate) in snapshot {
                 if !(rate.is_finite() && rate >= 0.0) {
                     return Err(format!("key {key} holds the rate {rate}"));
@@ -154,7 +161,7 @@ impl ClassifierState {
 /// All three classification schemes, one interval at a time: a [`Sweep`]
 /// of one configuration whose window over the scheme's length slides
 /// under every scheme, so a checkpoint holds the same state whatever it
-/// reads and [`OnlineClassifier::tracked_keys`] counts the keys in it.
+/// reads.
 #[derive(Debug)]
 pub struct OnlineClassifier<D> {
     sweep: Sweep<D>,
@@ -172,9 +179,23 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
     /// Classify one interval's sparse snapshot, ascending by key.
     pub fn observe(&mut self, snapshot: &[(KeyId, f32)]) -> IntervalOutcome {
         let (interval, mut outcome) = (self.sweep.rows, None);
-        self.sweep.observe_with(snapshot, |_, _, total, step| outcome = Some((step, total)));
-        let (Step { threshold, elephants, elephant_load }, total_load) = outcome.expect("a step");
-        IntervalOutcome { interval, threshold, elephants, elephant_load, total_load }
+        self.sweep
+            .observe_with(snapshot, |_, _, total, step| outcome = Some((step, total)));
+        let (
+            Step {
+                threshold,
+                elephants,
+                elephant_load,
+            },
+            total_load,
+        ) = outcome.expect("a step");
+        IntervalOutcome {
+            interval,
+            threshold,
+            elephants,
+            elephant_load,
+            total_load,
+        }
     }
 
     /// Export the recovery frontier (see [`ClassifierState`]).
@@ -188,9 +209,21 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
         let (detected, t_terms, sum_t, members) = self.sweep.frontier().0.export();
         let (rows, window) = self.window_from(from);
         let t_terms = t_terms.iter().skip(window - rows.len());
-        let history = t_terms.zip(rows).map(|(&t_term, row)| (t_term, row.to_vec())).collect();
+        let history = t_terms
+            .zip(rows)
+            .map(|(&t_term, row)| (t_term, row.to_vec()))
+            .collect();
         let (interval, members) = (self.sweep.rows, members.to_vec());
-        (ClassifierState { interval, detected, sum_t, history, members }, window)
+        (
+            ClassifierState {
+                interval,
+                detected,
+                sum_t,
+                history,
+                members,
+            },
+            window,
+        )
     }
 
     /// The snapshots [`OnlineClassifier::export_state_from`] copies,
@@ -226,17 +259,15 @@ impl<D: ThresholdDetector> OnlineClassifier<D> {
     /// The smoothing factor γ and the scheme this classifier was built with.
     pub fn config(&self) -> ClassifyConfig {
         let state = self.sweep.frontier().0;
-        ClassifyConfig { gamma: state.gamma(), scheme: state.scheme() }
+        ClassifyConfig {
+            gamma: state.gamma(),
+            scheme: state.scheme(),
+        }
     }
 
     /// The detector's name, which checkpoints fingerprint.
     pub fn detector_name(&self) -> String {
         self.sweep.detector().name()
-    }
-
-    /// Keys holding window state: none once all were idle for a window.
-    pub fn tracked_keys(&self) -> usize {
-        self.sweep.frontier().1.tracked()
     }
 }
 
@@ -245,6 +276,13 @@ mod tests {
     use super::*;
     use crate::window::exact_sum;
     use crate::ConstantLoadDetector;
+
+    impl<D: ThresholdDetector> OnlineClassifier<D> {
+        /// Keys holding window state: none once all were idle for a window.
+        fn tracked_keys(&self) -> usize {
+            self.sweep.frontier().1.tracked()
+        }
+    }
 
     fn rows() -> Vec<Vec<(KeyId, f32)>> {
         // A mix of persistent, flickering and bursting flows.
@@ -318,7 +356,11 @@ mod tests {
         for n in 0..50u32 {
             let snapshot = vec![(n * 3, 10.0f32), (n * 3 + 1, 20.0), (n * 3 + 2, 30.0)];
             online.observe(&snapshot);
-            assert!(online.tracked_keys() <= 6, "window leak: {}", online.tracked_keys());
+            assert!(
+                online.tracked_keys() <= 6,
+                "window leak: {}",
+                online.tracked_keys()
+            );
         }
     }
 
@@ -405,19 +447,25 @@ mod tests {
     /// rounded sum of its rates there, which a restore derives — and the
     /// slots it is in, ascending by key.
     fn window_sums(state: &ClassifierState) -> Vec<(KeyId, f64, u32)> {
-        let mut entries: Vec<(KeyId, f32)> =
-            state.history.iter().flat_map(|(_, snapshot)| snapshot.iter().copied()).collect();
+        let mut entries: Vec<(KeyId, f32)> = state
+            .history
+            .iter()
+            .flat_map(|(_, snapshot)| snapshot.iter().copied())
+            .collect();
         entries.sort_unstable_by_key(|&(key, _)| key);
         let runs = entries.chunk_by(|a, b| a.0 == b.0);
         let sum = |run: &[(KeyId, f32)]| exact_sum(run.iter().map(|&(_, rate)| f64::from(rate)));
-        runs.map(|run| (run[0].0, sum(run), run.len() as u32)).collect()
+        runs.map(|run| (run[0].0, sum(run), run.len() as u32))
+            .collect()
     }
 
     /// The classifier's window sums are, by bits, the ones its exported
     /// state derives from the window, under every scheme.
     fn assert_sums_are_the_windows<D: ThresholdDetector>(online: &OnlineClassifier<D>) {
         let bits = |sums: Vec<(KeyId, f64, u32)>| -> Vec<(KeyId, u64, u32)> {
-            sums.into_iter().map(|(key, sum, live)| (key, sum.to_bits(), live)).collect()
+            sums.into_iter()
+                .map(|(key, sum, live)| (key, sum.to_bits(), live))
+                .collect()
         };
         let live = online.sweep.frontier().1.export();
         assert_eq!(bits(live), bits(window_sums(&online.export_state())));
@@ -435,7 +483,10 @@ mod tests {
                 Scheme::SingleFeature,
                 Scheme::LatentHeat { window: 2 },
                 Scheme::LatentHeat { window: 3 },
-                Scheme::Hysteresis { enter: 1.2, exit: 0.6 },
+                Scheme::Hysteresis {
+                    enter: 1.2,
+                    exit: 0.6,
+                },
             ] {
                 let new = || OnlineClassifier::new(ConstantLoadDetector::new(0.8), 0.9, scheme);
                 let mut reference = new();
@@ -489,10 +540,14 @@ mod tests {
 
         // More history than the window can hold.
         let mut bad = good.clone();
-        bad.history.extend_from_slice(&[(1.0, vec![]), (1.0, vec![]), (1.0, vec![])]);
+        bad.history
+            .extend_from_slice(&[(1.0, vec![]), (1.0, vec![]), (1.0, vec![])]);
         bad.interval = 10;
         let err = rebuild(bad).unwrap_err();
-        assert!(err.contains("holds 5 history slots where a window of 3 holds 3"), "{err}");
+        assert!(
+            err.contains("holds 5 history slots where a window of 3 holds 3"),
+            "{err}"
+        );
 
         // More history than intervals observed.
         let mut bad = good.clone();
@@ -524,7 +579,9 @@ mod tests {
         // fewer slots than the run had.
         let mut bad = good.clone();
         bad.history.remove(0);
-        assert!(rebuild(bad).unwrap_err().contains("holds 1 history slots where"));
+        assert!(rebuild(bad)
+            .unwrap_err()
+            .contains("holds 1 history slots where"));
 
         // A detection with no slot to read the smoothed threshold off.
         let mut bad = good.clone();
@@ -548,6 +605,8 @@ mod tests {
         assert!(rebuild(ok).is_ok());
         let mut bad = good;
         bad.history[0].1[1].1 = -700.0;
-        assert!(rebuild(bad).unwrap_err().contains("key 4 holds the rate -700"));
+        assert!(rebuild(bad)
+            .unwrap_err()
+            .contains("key 4 holds the rate -700"));
     }
 }

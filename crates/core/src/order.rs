@@ -27,8 +27,20 @@ mod tests {
     #[test]
     fn sort_key_is_monotone_and_invertible() {
         let samples = [
-            0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, 1e308, -1e308, 0.5, 2.0,
-            f64::MAX, f64::MIN, f64::MIN_POSITIVE,
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            1e-300,
+            -1e-300,
+            5e-324,
+            1e308,
+            -1e308,
+            0.5,
+            2.0,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
         ];
         for &a in &samples {
             assert_eq!(from_sort_key(sort_key(a)).to_bits(), a.to_bits());

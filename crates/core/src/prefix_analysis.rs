@@ -184,12 +184,12 @@ mod tests {
     #[test]
     fn length_histograms_and_range() {
         let prefixes = ["9.0.0.0/8", "10.16.0.0/12", "10.32.0.0/16", "10.1.2.0/24"];
-        let rows = vec![
-            vec![10.0, 100.0, 100.0, 10.0],
-            vec![10.0, 100.0, 0.0, 10.0],
-        ];
+        let rows = vec![vec![10.0, 100.0, 100.0, 10.0], vec![10.0, 100.0, 0.0, 10.0]];
         let (m, table) = build_matrix(&prefixes, &rows);
-        let r = scripted(&m, vec![vec!["10.16.0.0/12", "10.32.0.0/16"], vec!["10.16.0.0/12"]]);
+        let r = scripted(
+            &m,
+            vec![vec!["10.16.0.0/12", "10.32.0.0/16"], vec!["10.16.0.0/12"]],
+        );
         let report = report_over(&m, &r, Some(&table));
 
         assert_eq!(report.active_by_length[8], 1);
@@ -229,8 +229,14 @@ mod tests {
         let report = report_over(&m, &r, Some(&table));
         // One of three active /16s became an elephant, none of the /24s,
         // and no /8 was active.
-        assert_eq!((report.elephant_by_length[16], report.active_by_length[16]), (1, 3));
-        assert_eq!((report.elephant_by_length[24], report.active_by_length[24]), (0, 1));
+        assert_eq!(
+            (report.elephant_by_length[16], report.active_by_length[16]),
+            (1, 3)
+        );
+        assert_eq!(
+            (report.elephant_by_length[24], report.active_by_length[24]),
+            (0, 1)
+        );
         assert_eq!(report.active_by_length[8], 0);
     }
 

@@ -340,8 +340,11 @@ impl StateBackend for ExactDense {
     }
 
     fn open_row(&self) -> Vec<(KeyId, u64)> {
-        let mut pairs: Vec<(KeyId, u64)> =
-            self.touched.iter().map(|&key| (key, self.row[key as usize])).collect();
+        let mut pairs: Vec<(KeyId, u64)> = self
+            .touched
+            .iter()
+            .map(|&key| (key, self.row[key as usize]))
+            .collect();
         pairs.sort_unstable();
         pairs
     }
@@ -409,7 +412,8 @@ impl SlotHeap {
     /// `table` must be non-empty and keep its length between `clear`s.
     fn min_slot<T>(&mut self, table: &[T], count: impl Fn(&T) -> u64) -> usize {
         if self.nodes.is_empty() {
-            self.nodes.extend(table.iter().enumerate().map(|(slot, e)| (count(e), slot)));
+            self.nodes
+                .extend(table.iter().enumerate().map(|(slot, e)| (count(e), slot)));
             #[cfg(test)]
             {
                 self.sift_steps += self.nodes.len() as u64;
@@ -418,7 +422,11 @@ impl SlotHeap {
                 self.sift_down(at);
             }
         }
-        debug_assert_eq!(self.nodes.len(), table.len(), "table resized under the heap");
+        debug_assert_eq!(
+            self.nodes.len(),
+            table.len(),
+            "table resized under the heap"
+        );
         loop {
             let (stored, slot) = self.nodes[0];
             let current = count(&table[slot]);
@@ -502,12 +510,6 @@ impl SpaceSaving {
         Self::with_capacity_and_budget((budget_bytes / SS_ENTRY_COST).max(8), budget_bytes)
     }
 
-    /// Exactly `k` tracked entries (tests and the accuracy harness).
-    pub fn with_capacity(k: usize) -> Self {
-        let k = k.max(1);
-        Self::with_capacity_and_budget(k, k * SS_ENTRY_COST)
-    }
-
     fn with_capacity_and_budget(capacity: usize, budget: usize) -> Self {
         SpaceSaving {
             budget,
@@ -535,7 +537,9 @@ impl SpaceSaving {
     /// `total / capacity`.
     #[cfg(test)]
     fn estimate(&self, key: KeyId) -> u64 {
-        self.index.get(&key).map_or(0, |&slot| self.entries[slot].count)
+        self.index
+            .get(&key)
+            .map_or(0, |&slot| self.entries[slot].count)
     }
 }
 
@@ -555,7 +559,11 @@ impl StateBackend for SpaceSaving {
         }
         if self.entries.len() < self.capacity {
             self.index.insert(key, self.entries.len());
-            self.entries.push(SsEntry { key, count: bytes, err: 0 });
+            self.entries.push(SsEntry {
+                key,
+                count: bytes,
+                err: 0,
+            });
             return;
         }
         // Evict the minimum counter; the newcomer inherits its count as
@@ -628,7 +636,11 @@ impl StateBackend for SpaceSaving {
         let mut entries = Vec::with_capacity(n);
         let mut index = FxHashMap::default();
         for _ in 0..n {
-            let e = SsEntry { key: r.u32()?, count: r.u64()?, err: r.u64()? };
+            let e = SsEntry {
+                key: r.u32()?,
+                count: r.u64()?,
+                err: r.u64()?,
+            };
             if index.insert(e.key, entries.len()).is_some() {
                 return Err(format!("space-saving payload duplicates key {}", e.key));
             }
@@ -689,7 +701,8 @@ impl CountMinRow {
     /// candidates fill the rest (minimum 8).
     pub fn with_budget(budget_bytes: usize) -> Self {
         let width = prev_power_of_two(budget_bytes / 2 / (8 * CM_DEPTH)).max(64);
-        let cand_capacity = (budget_bytes.saturating_sub(width * 8 * CM_DEPTH) / CANDIDATE_COST).max(8);
+        let cand_capacity =
+            (budget_bytes.saturating_sub(width * 8 * CM_DEPTH) / CANDIDATE_COST).max(8);
         CountMinRow {
             budget: budget_bytes,
             width,
@@ -781,8 +794,11 @@ impl StateBackend for CountMinRow {
         out.clear();
         // Re-estimate every candidate from the counters (the stored
         // running estimate can be stale-low after later collisions).
-        let mut sealed: Vec<(KeyId, u64)> =
-            self.candidates.iter().map(|&(key, _)| (key, self.estimate(key))).collect();
+        let mut sealed: Vec<(KeyId, u64)> = self
+            .candidates
+            .iter()
+            .map(|&(key, _)| (key, self.estimate(key)))
+            .collect();
         sealed.sort_unstable();
         for (key, bytes) in sealed {
             if bytes > 0 {
@@ -938,16 +954,6 @@ impl AdaptiveBloom {
             saturated: false,
             total: 0,
         }
-    }
-
-    /// The current tracking threshold in bytes per interval.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// Tracked-key capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -1140,6 +1146,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    impl SpaceSaving {
+        /// Exactly `k` tracked entries.
+        fn with_capacity(k: usize) -> Self {
+            let k = k.max(1);
+            Self::with_capacity_and_budget(k, k * SS_ENTRY_COST)
+        }
+    }
+
     /// Deterministic keystream for adversarial-ish tests (splitmix64).
     struct Lcg(u64);
     impl Lcg {
@@ -1270,7 +1284,10 @@ mod tests {
         let (mut a, mut b) = (Vec::new(), Vec::new());
         cm.seal_into(60.0, &mut a);
         exact.seal_into(60.0, &mut b);
-        assert_eq!(a, b, "wide count-min must be collision-free on a small key space");
+        assert_eq!(
+            a, b,
+            "wide count-min must be collision-free on a small key space"
+        );
     }
 
     #[test]
@@ -1287,9 +1304,12 @@ mod tests {
             }
         }
         let mut out = Vec::new();
-        let threshold = bloom.threshold();
+        let threshold = bloom.threshold;
         bloom.seal_into(1.0, &mut out);
-        let got = out.iter().find(|&&(k, _)| k == heavy).expect("heavy key tracked");
+        let got = out
+            .iter()
+            .find(|&&(k, _)| k == heavy)
+            .expect("heavy key tracked");
         let est_bytes = (f64::from(got.1) / 8.0) as u64;
         assert!(
             est_bytes.abs_diff(sent) <= threshold + 1500,
@@ -1300,7 +1320,7 @@ mod tests {
     #[test]
     fn bloom_threshold_adapts_both_ways() {
         let mut bloom = AdaptiveBloom::with_budget(8 * 1024); // tiny: capacity 8..
-        let t0 = bloom.threshold();
+        let t0 = bloom.threshold;
         // Saturate: more heavy keys than capacity.
         for k in 0..64u32 {
             for _ in 0..64 {
@@ -1309,22 +1329,28 @@ mod tests {
         }
         let mut out = Vec::new();
         bloom.seal_into(60.0, &mut out);
-        assert!(bloom.threshold() > t0, "saturation must raise the threshold");
+        assert!(bloom.threshold > t0, "saturation must raise the threshold");
         // Idle intervals decay it back down to the floor.
         for _ in 0..64 {
             bloom.record(1, 64);
             bloom.seal_into(60.0, &mut out);
         }
-        assert_eq!(bloom.threshold(), BLOOM_THRESHOLD_MIN);
+        assert_eq!(bloom.threshold, BLOOM_THRESHOLD_MIN);
     }
 
     #[test]
     fn sketches_are_deterministic() {
         let stream = skewed_stream(6, 8000, 3000);
         for config in [
-            StateBackendConfig::SpaceSaving { budget_bytes: 32 * 1024 },
-            StateBackendConfig::CountMinRow { budget_bytes: 32 * 1024 },
-            StateBackendConfig::AdaptiveBloom { budget_bytes: 32 * 1024 },
+            StateBackendConfig::SpaceSaving {
+                budget_bytes: 32 * 1024,
+            },
+            StateBackendConfig::CountMinRow {
+                budget_bytes: 32 * 1024,
+            },
+            StateBackendConfig::AdaptiveBloom {
+                budget_bytes: 32 * 1024,
+            },
         ] {
             let run = || {
                 let mut b = config.build();
@@ -1358,9 +1384,15 @@ mod tests {
         let stream = skewed_stream(7, 6000, 500);
         let split = 2500;
         for config in [
-            StateBackendConfig::SpaceSaving { budget_bytes: 16 * 1024 },
-            StateBackendConfig::CountMinRow { budget_bytes: 16 * 1024 },
-            StateBackendConfig::AdaptiveBloom { budget_bytes: 16 * 1024 },
+            StateBackendConfig::SpaceSaving {
+                budget_bytes: 16 * 1024,
+            },
+            StateBackendConfig::CountMinRow {
+                budget_bytes: 16 * 1024,
+            },
+            StateBackendConfig::AdaptiveBloom {
+                budget_bytes: 16 * 1024,
+            },
         ] {
             let mut reference = config.build();
             let mut first = config.build();
@@ -1400,13 +1432,18 @@ mod tests {
             first.record(k, b);
         }
         first.seal_into(60.0, &mut Vec::new());
-        assert_ne!(first.threshold(), BLOOM_THRESHOLD_INIT, "the seal adapted the threshold");
+        assert_ne!(
+            first.threshold, BLOOM_THRESHOLD_INIT,
+            "the seal adapted the threshold"
+        );
         for &(k, b) in &stream[3000..] {
             first.record(k, b);
         }
         let mut resumed = AdaptiveBloom::with_budget(16 * 1024);
-        resumed.restore_sketch(&first.export_sketch().expect("payload")).expect("restore");
-        assert_eq!(resumed.threshold(), first.threshold());
+        resumed
+            .restore_sketch(&first.export_sketch().expect("payload"))
+            .expect("restore");
+        assert_eq!(resumed.threshold, first.threshold);
         assert_eq!(resumed.export_sketch(), first.export_sketch());
     }
 
@@ -1430,11 +1467,22 @@ mod tests {
     #[test]
     fn config_parses_and_budgets_scale_geometry() {
         assert_eq!(
-            StateBackendConfig::parse("spacesaving", 1024).expect("parse").kind(),
+            StateBackendConfig::parse("spacesaving", 1024)
+                .expect("parse")
+                .kind(),
             "spacesaving"
         );
-        assert_eq!(StateBackendConfig::parse("exact", 0).expect("parse").kind(), "exact");
-        assert_eq!(StateBackendConfig::parse("exact", 0).expect("parse").build().kind(), "exact");
+        assert_eq!(
+            StateBackendConfig::parse("exact", 0).expect("parse").kind(),
+            "exact"
+        );
+        assert_eq!(
+            StateBackendConfig::parse("exact", 0)
+                .expect("parse")
+                .build()
+                .kind(),
+            "exact"
+        );
         assert!(StateBackendConfig::parse("bogus", 0).is_err());
         let small = SpaceSaving::with_budget(4 * 1024);
         let large = SpaceSaving::with_budget(1024 * 1024);
@@ -1443,7 +1491,11 @@ mod tests {
         let large = CountMinRow::with_budget(1024 * 1024);
         assert!(large.width() > small.width());
         assert!(large.candidate_capacity() > small.candidate_capacity());
-        assert_eq!(large.state_bytes(), 1024 * 1024, "sketches report their budget");
+        assert_eq!(
+            large.state_bytes(),
+            1024 * 1024,
+            "sketches report their budget"
+        );
     }
 
     #[test]
@@ -1458,7 +1510,11 @@ mod tests {
             assert!(!b.has_traffic(), "{}", config.kind());
             let mut out = vec![(9, 1.0f32)];
             b.seal_into(60.0, &mut out);
-            assert!(out.is_empty(), "{}: seal must clear the scratch", config.kind());
+            assert!(
+                out.is_empty(),
+                "{}: seal must clear the scratch",
+                config.kind()
+            );
         }
     }
 
@@ -1509,7 +1565,10 @@ mod tests {
         }
 
         fn slots(&self) -> Vec<(KeyId, u64, u64)> {
-            self.entries.iter().map(|e| (e.key, e.count, e.err)).collect()
+            self.entries
+                .iter()
+                .map(|e| (e.key, e.count, e.err))
+                .collect()
         }
 
         fn estimate_of(&self, key: KeyId) -> u64 {
@@ -1534,7 +1593,11 @@ mod tests {
             }
             if self.entries.len() < self.capacity {
                 self.index.insert(key, self.entries.len());
-                self.entries.push(SsEntry { key, count: bytes, err: 0 });
+                self.entries.push(SsEntry {
+                    key,
+                    count: bytes,
+                    err: 0,
+                });
                 return;
             }
             let slot = find_min_by_scan(min_slot, &self.entries, |e| e.count);
@@ -1560,7 +1623,10 @@ mod tests {
         }
 
         fn slots(&self) -> Vec<(KeyId, u64, u64)> {
-            self.candidates.iter().map(|&(key, est)| (key, est, 0)).collect()
+            self.candidates
+                .iter()
+                .map(|&(key, est)| (key, est, 0))
+                .collect()
         }
 
         fn estimate_of(&self, key: KeyId) -> u64 {
@@ -1653,7 +1719,10 @@ mod tests {
 
     /// A sealed snapshot with its rates as bits.
     fn bits(snapshot: &[(KeyId, f32)]) -> Vec<(KeyId, u32)> {
-        snapshot.iter().map(|&(key, rate)| (key, rate.to_bits())).collect()
+        snapshot
+            .iter()
+            .map(|&(key, rate)| (key, rate.to_bits()))
+            .collect()
     }
 
     /// Run `steps` through the heap-backed backend and the scan oracle
@@ -1690,9 +1759,17 @@ mod tests {
                 }
             }
             assert_eq!(real.slots(), oracle.slots(), "{at}: slots");
-            assert_eq!(real.export_sketch(), oracle.export_sketch(), "{at}: payload");
+            assert_eq!(
+                real.export_sketch(),
+                oracle.export_sketch(),
+                "{at}: payload"
+            );
             for key in 0..key_space {
-                assert_eq!(real.estimate_of(key), oracle.estimate_of(key), "{at}: key {key}");
+                assert_eq!(
+                    real.estimate_of(key),
+                    oracle.estimate_of(key),
+                    "{at}: key {key}"
+                );
             }
         }
     }
@@ -1771,8 +1848,16 @@ mod tests {
         const N: u64 = 200_000;
         let check = |b: &B, records: u64, stream: &str| {
             let (steps, bound) = (b.heap_steps(), records * u64::from(K.ilog2()));
-            assert!(steps > records, "{} {stream}: the stream hardly reached the heap", b.kind());
-            assert!(steps <= bound, "{} {stream}: {steps} steps > {bound}", b.kind());
+            assert!(
+                steps > records,
+                "{} {stream}: the stream hardly reached the heap",
+                b.kind()
+            );
+            assert!(
+                steps <= bound,
+                "{} {stream}: {steps} steps > {bound}",
+                b.kind()
+            );
         };
 
         // Every key new: every record past the first K evicts.
@@ -1842,7 +1927,11 @@ mod tests {
         }
 
         fn estimate(&self, key: KeyId) -> u64 {
-            self.cells(key).map(|cell| self.counters[cell]).into_iter().min().expect("depth > 0")
+            self.cells(key)
+                .map(|cell| self.counters[cell])
+                .into_iter()
+                .min()
+                .expect("depth > 0")
         }
     }
 

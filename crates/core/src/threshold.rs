@@ -20,10 +20,11 @@ pub trait ThresholdDetector {
 
     /// [`ThresholdDetector::detect`] on a row other detectors may
     /// already have ordered: `order` is `values`' descending order as
-    /// far as earlier readers sorted it since its last
-    /// [`RowOrder::reset`]. A detector that reads the largest values
-    /// first reads and extends it instead of sorting the row again; the
-    /// default ignores it. The result is `detect`'s, by bits.
+    /// far as earlier readers sorted it since it was handed this row (a
+    /// [`RowOrder`] is emptied before each new row). A detector that
+    /// reads the largest values first reads and extends it instead of
+    /// sorting the row again; the default ignores it. The result is
+    /// `detect`'s, by bits.
     fn detect_in(&self, values: &[f64], order: &mut RowOrder) -> Option<f64> {
         let _ = order;
         self.detect(values)
@@ -66,7 +67,7 @@ impl RowOrder {
 
     /// Let the order go: the next reader fills it from the row it is
     /// handed. Call it before each new row.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.filled = false;
     }
 
@@ -75,7 +76,10 @@ impl RowOrder {
         if self.filled {
             return;
         }
-        debug_assert!(values.iter().all(|v| v.is_finite()), "bandwidths are finite");
+        debug_assert!(
+            values.iter().all(|v| v.is_finite()),
+            "bandwidths are finite"
+        );
         self.keys.clear();
         self.keys.extend(values.iter().map(|&v| sort_key(v)));
         self.sorted = self.keys.len();
@@ -239,9 +243,15 @@ mod tests {
         // 100+60+40 = 200; 80% = 160 → 100+60 = 160 hits exactly at 60.
         assert_eq!(d.detect(&[40.0, 100.0, 60.0]), Some(60.0));
         // 50% of 200 = 100 → first flow suffices.
-        assert_eq!(ConstantLoadDetector::new(0.5).detect(&[40.0, 100.0, 60.0]), Some(100.0));
+        assert_eq!(
+            ConstantLoadDetector::new(0.5).detect(&[40.0, 100.0, 60.0]),
+            Some(100.0)
+        );
         // β = 1 needs every flow: threshold is the smallest.
-        assert_eq!(ConstantLoadDetector::new(1.0).detect(&[40.0, 100.0, 60.0]), Some(40.0));
+        assert_eq!(
+            ConstantLoadDetector::new(1.0).detect(&[40.0, 100.0, 60.0]),
+            Some(40.0)
+        );
     }
 
     #[test]
@@ -295,10 +305,20 @@ mod tests {
         let boxed: Box<dyn ThresholdDetector> = Box::new(ConstantLoadDetector::new(0.1));
         let mut order = RowOrder::new();
         assert_eq!(boxed.detect_in(&values, &mut order), Some(949.0));
-        assert!(order.filled && order.sorted == 1000 - 256, "sorted {}", order.sorted);
+        assert!(
+            order.filled && order.sorted == 1000 - 256,
+            "sorted {}",
+            order.sorted
+        );
         let borrowed = &ConstantLoadDetector::new(0.9);
-        assert_eq!(borrowed.detect_in(&values, &mut order), borrowed.detect(&values));
-        assert_eq!(order.sorted, 0, "the second detector extends the first one's order");
+        assert_eq!(
+            borrowed.detect_in(&values, &mut order),
+            borrowed.detect(&values)
+        );
+        assert_eq!(
+            order.sorted, 0,
+            "the second detector extends the first one's order"
+        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl ThresholdSeries {
     /// # Panics
     ///
     /// Panics when γ is outside [0, 1).
-    pub fn new(gamma: f64) -> Self {
+    pub(crate) fn new(gamma: f64) -> Self {
         if let Err(e) = check_gamma(gamma) {
             panic!("invalid gamma: {e}");
         }
@@ -54,12 +54,12 @@ impl ThresholdSeries {
 
     /// Whether a detection has been made, so that a smoothed
     /// threshold exists.
-    pub fn detected(&self) -> bool {
+    pub(crate) fn detected(&self) -> bool {
         self.smoothed.is_some()
     }
 
     /// The smoothing factor γ.
-    pub fn gamma(&self) -> f64 {
+    pub(crate) fn gamma(&self) -> f64 {
         self.gamma
     }
 
@@ -70,7 +70,7 @@ impl ThresholdSeries {
     /// threshold and the series returns `f64::INFINITY` (nothing
     /// classifies as an elephant — the conservative choice for a TE
     /// application).
-    pub fn observe_raw(&mut self, raw: Option<f64>) -> f64 {
+    pub(crate) fn observe_raw(&mut self, raw: Option<f64>) -> f64 {
         let Some(t) = raw else {
             return self.smoothed.unwrap_or(f64::INFINITY);
         };
@@ -134,7 +134,10 @@ mod tests {
 
     #[test]
     fn invalid_gamma_rejected() {
-        assert_eq!(check_gamma(1.0), Err("parameter gamma = 1 out of domain".to_string()));
+        assert_eq!(
+            check_gamma(1.0),
+            Err("parameter gamma = 1 out of domain".to_string())
+        );
         assert!(check_gamma(-0.1).is_err());
         assert!(check_gamma(1.5).is_err());
         assert!(check_gamma(f64::NAN).is_err());

@@ -116,6 +116,7 @@ impl KeySums {
 
     /// Number of ids currently holding window state — zero again once
     /// every id has been idle for a full window.
+    #[cfg(test)]
     pub(crate) fn tracked(&self) -> usize {
         self.live.iter().filter(|&&live| live != 0).count()
     }
@@ -125,7 +126,9 @@ impl KeySums {
     #[cfg(test)]
     pub(crate) fn export(&self) -> Vec<(KeyId, f64, u32)> {
         let in_window = self.live.iter().enumerate().filter(|&(_, &live)| live != 0);
-        in_window.map(|(k, &live)| (k as KeyId, self.sum[k], live)).collect()
+        in_window
+            .map(|(k, &live)| (k as KeyId, self.sum[k], live))
+            .collect()
     }
 }
 
@@ -208,7 +211,10 @@ pub(crate) fn latent_heat(sums: &KeySums, row: &[(KeyId, f32)], group: &mut [Sch
     if row.is_empty() {
         return;
     }
-    let floor = group.iter().map(|state| state.sum_t).fold(f64::INFINITY, f64::min);
+    let floor = group
+        .iter()
+        .map(|state| state.sum_t)
+        .fold(f64::INFINITY, f64::min);
     let mut row = row.iter().peekable();
     for (k, (&sum, &live)) in sums.sum.iter().zip(&sums.live).enumerate() {
         // `live` decides membership: an id out of the window holds
@@ -216,7 +222,9 @@ pub(crate) fn latent_heat(sums: &KeySums, row: &[(KeyId, f32)], group: &mut [Sch
         if sum > floor && live != 0 {
             let id = k as KeyId;
             while row.next_if(|&&(j, _)| j < id).is_some() {}
-            let rate = row.next_if(|&&(j, _)| j == id).map_or(0.0, |&(_, rate)| f64::from(rate));
+            let rate = row
+                .next_if(|&&(j, _)| j == id)
+                .map_or(0.0, |&(_, rate)| f64::from(rate));
             for state in group.iter_mut() {
                 if sum > state.sum_t {
                     state.picked.push(id);
@@ -311,7 +319,11 @@ impl SchemeState {
         // last term.
         let detected = self.series.detected();
         assert!(!detected || threshold.is_finite(), "a detection is finite");
-        let t_term = if detected { threshold } else { unbeatable(values) };
+        let t_term = if detected {
+            threshold
+        } else {
+            unbeatable(values)
+        };
         self.sum_t += t_term;
         self.t_terms.push_back(t_term);
         if self.t_terms.len() > self.window {
@@ -374,7 +386,12 @@ impl SchemeState {
     /// made, the in-window threshold terms (oldest first), their sliding
     /// sum and the hysteresis membership.
     pub(crate) fn export(&self) -> (bool, &VecDeque<f64>, f64, &[KeyId]) {
-        (self.series.detected(), &self.t_terms, self.sum_t, &self.members)
+        (
+            self.series.detected(),
+            &self.t_terms,
+            self.sum_t,
+            &self.members,
+        )
     }
 
     /// Continue from [`SchemeState::export`]ed parts. The caller has
@@ -438,10 +455,22 @@ mod tests {
                     }
                     ring.push_back(row);
                 }
-                let retired = if ring.len() > w || n >= n_rows { ring.pop_front() } else { None };
-                let row: &[(KeyId, f32)] = if n < n_rows { ring.back().expect("a row") } else { &[] };
-                sums.slide(row, retired.as_deref().unwrap_or(&[]), ring.iter().map(Vec::as_slice));
-                rounded += sums.rounded.len();
+                let retired = if ring.len() > w || n >= n_rows {
+                    ring.pop_front()
+                } else {
+                    None
+                };
+                let row: &[(KeyId, f32)] = if n < n_rows {
+                    ring.back().expect("a row")
+                } else {
+                    &[]
+                };
+                sums.slide(
+                    row,
+                    retired.as_deref().unwrap_or(&[]),
+                    ring.iter().map(Vec::as_slice),
+                );
+                rounded += sums.rounded.iter().count();
                 let mut reference: BTreeMap<KeyId, Vec<f64>> = BTreeMap::new();
                 for &(id, rate) in ring.iter().flatten() {
                     reference.entry(id).or_default().push(f64::from(rate));
@@ -454,15 +483,21 @@ mod tests {
                 let live = sums.live.iter().filter(|&&live| live != 0).count();
                 assert_eq!((sums.tracked(), live), (reference.len(), reference.len()));
                 let bits = |entries: Vec<(KeyId, f64, u32)>| -> Vec<(KeyId, u64, u32)> {
-                    entries.into_iter().map(|(id, sum, live)| (id, sum.to_bits(), live)).collect()
+                    entries
+                        .into_iter()
+                        .map(|(id, sum, live)| (id, sum.to_bits(), live))
+                        .collect()
                 };
-                let expected = reference.into_iter().map(|(id, rates)| {
-                    (id, exact_sum(rates.iter().copied()), rates.len() as u32)
-                });
+                let expected = reference
+                    .into_iter()
+                    .map(|(id, rates)| (id, exact_sum(rates.iter().copied()), rates.len() as u32));
                 assert_eq!(bits(sums.export()), bits(expected.collect()));
             }
             assert_eq!(sums.tracked(), 0);
-            assert!(sums.rounded.is_empty(), "a key out of the window is rounded no more");
+            assert!(
+                sums.rounded.is_empty(),
+                "a key out of the window is rounded no more"
+            );
         }
         assert!(rounded > 1_000, "only {rounded} sums were rounded");
     }
@@ -481,7 +516,10 @@ mod tests {
             (vec![p(53) + 10.0, 1.0, p(-100)], p(53) + 12.0),
             (vec![p(53) - 4.0, 0.5, p(-54)], p(53) - 3.0),
             (vec![1e16, 1.0, 1e-16], 10_000_000_000_000_002.0),
-            (vec![1e16 - 2.0, 1.0 - p(-53), -(1e16 - 2.0), -(1.0 - p(-53))], 0.0),
+            (
+                vec![1e16 - 2.0, 1.0 - p(-53), -(1e16 - 2.0), -(1.0 - p(-53))],
+                0.0,
+            ),
             (vec![0.1; 10], 1.0),
             (vec![p(55), 3.0, 1.0], p(55)),
             (vec![p(55), 3.0, 1.0, 1.0], p(55) + 8.0),

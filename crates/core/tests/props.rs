@@ -33,7 +33,7 @@ mod legacy {
     use eleph_flow::{BandwidthMatrix, KeyId};
     use std::collections::{HashMap, HashSet};
 
-    pub struct LegacyResult {
+    pub(crate) struct LegacyResult {
         pub raw_thresholds: Vec<Option<f64>>,
         pub thresholds: Vec<f64>,
         pub elephants: Vec<Vec<KeyId>>,
@@ -41,7 +41,7 @@ mod legacy {
         pub total_load: Vec<f64>,
     }
 
-    pub fn classify<D: ThresholdDetector>(
+    pub(crate) fn classify<D: ThresholdDetector>(
         matrix: &BandwidthMatrix,
         detector: D,
         gamma: f64,
@@ -183,10 +183,19 @@ impl ThresholdDetector for QuietAbstains {
 /// Every field of a result, floats by their bits.
 fn result_bits(r: &ClassificationResult) -> impl PartialEq + std::fmt::Debug + '_ {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    let raw: Vec<Option<u64>> = r.raw_thresholds.iter().map(|t| t.map(f64::to_bits)).collect();
+    let raw: Vec<Option<u64>> = r
+        .raw_thresholds
+        .iter()
+        .map(|t| t.map(f64::to_bits))
+        .collect();
     (
         (&r.detector, r.scheme, &r.elephants),
-        (raw, bits(&r.thresholds), bits(&r.elephant_load), bits(&r.total_load)),
+        (
+            raw,
+            bits(&r.thresholds),
+            bits(&r.elephant_load),
+            bits(&r.total_load),
+        ),
     )
 }
 
@@ -204,10 +213,7 @@ fn keys(n: usize) -> Vec<Prefix> {
 fn arb_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
     (1usize..12, 1usize..20).prop_flat_map(|(nk, ni)| {
         prop::collection::vec(
-            prop::collection::vec(
-                prop_oneof![3 => Just(0.0), 7 => 1.0..1000.0f64],
-                nk,
-            ),
+            prop::collection::vec(prop_oneof![3 => Just(0.0), 7 => 1.0..1000.0f64], nk),
             ni,
         )
     })
@@ -615,9 +621,17 @@ fn state_bits(s: &ClassifierState) -> impl PartialEq + std::fmt::Debug + '_ {
     let history: Vec<(u64, Vec<(KeyId, u32)>)> = s
         .history
         .iter()
-        .map(|(t, snap)| (t.to_bits(), snap.iter().map(|&(k, r)| (k, r.to_bits())).collect()))
+        .map(|(t, snap)| {
+            (
+                t.to_bits(),
+                snap.iter().map(|&(k, r)| (k, r.to_bits())).collect(),
+            )
+        })
         .collect();
-    ((s.interval, s.detected, s.sum_t.to_bits()), (history, &s.members))
+    (
+        (s.interval, s.detected, s.sum_t.to_bits()),
+        (history, &s.members),
+    )
 }
 
 proptest! {

@@ -192,7 +192,10 @@ impl KeyAllocator {
                 .get_mut(route as usize)
                 .ok_or_else(|| format!("key {key}: route {route} outside table of {n_routes}"))?;
             if *slot != NO_KEY {
-                return Err(format!("route {route} assigned to keys {} and {key}", *slot));
+                return Err(format!(
+                    "route {route} assigned to keys {} and {key}",
+                    *slot
+                ));
             }
             *slot = key as KeyId;
         }
@@ -261,13 +264,13 @@ impl<'t> Aggregator<'t> {
     ///
     /// Freezes a read-optimized copy of `table`; to amortize one freeze
     /// across several aggregators use [`Aggregator::with_frozen`].
-    pub fn new(
-        table: &BgpTable,
-        interval_secs: u64,
-        start_unix: u64,
-        n_intervals: usize,
-    ) -> Self {
-        Self::build(Cow::Owned(table.freeze()), interval_secs, start_unix, n_intervals)
+    pub fn new(table: &BgpTable, interval_secs: u64, start_unix: u64, n_intervals: usize) -> Self {
+        Self::build(
+            Cow::Owned(table.freeze()),
+            interval_secs,
+            start_unix,
+            n_intervals,
+        )
     }
 
     /// Create an aggregator borrowing an existing frozen table.
@@ -602,8 +605,10 @@ mod tests {
 
         let mut buf = Vec::new();
         let mut w = PcapWriter::new(&mut buf, LinkType::RawIp.code()).unwrap();
-        w.write_record(1_000_000_000, good.len() as u32, &good).unwrap();
-        w.write_record(2_000_000_000, 4, &[0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
+        w.write_record(1_000_000_000, good.len() as u32, &good)
+            .unwrap();
+        w.write_record(2_000_000_000, 4, &[0xDE, 0xAD, 0xBE, 0xEF])
+            .unwrap();
         w.finish().unwrap();
 
         let (m, stats) = aggregate_pcap(&buf[..], &t, 10, 0, 1).unwrap();
@@ -720,7 +725,13 @@ mod tests {
         assert_eq!(rebuilt.key_for(0), (3, false));
         assert_eq!(rebuilt.key_for(5), (4, true));
 
-        assert!(KeyAllocator::from_key_routes(10, &[1, 1]).is_err(), "duplicate route");
-        assert!(KeyAllocator::from_key_routes(3, &[4]).is_err(), "route out of bounds");
+        assert!(
+            KeyAllocator::from_key_routes(10, &[1, 1]).is_err(),
+            "duplicate route"
+        );
+        assert!(
+            KeyAllocator::from_key_routes(3, &[4]).is_err(),
+            "route out of bounds"
+        );
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! * [`BandwidthMatrix`] — the `B_i(n)` matrix keyed by prefix, stored
 //!   as a frozen CSR-style columnar structure (one offsets array plus
-//!   parallel key/rate columns, see [`IntervalView`]); built either
+//!   parallel key/rate columns, one interval a view of both); built either
 //!   from packets (via [`Aggregator`]) or directly from a rate-level
 //!   synthetic workload ([`BandwidthMatrix::from_workload`], generated
 //!   interval by interval into the columns, or
@@ -16,7 +16,7 @@
 //!   which is what lets the experiments run at rate level while the
 //!   integration tests pin packet-level equivalence);
 //! * [`Aggregator`] — streaming packet-to-interval aggregation with full
-//!   accounting ([`AggregatorStats`]): malformed, unroutable and
+//!   accounting ([`Aggregator::stats`]): malformed, unroutable and
 //!   out-of-window packets are counted, never silently dropped. The hot
 //!   path is allocation- and hash-free: frozen flat-array attribution
 //!   (`eleph_bgp::FrozenBgpTable`) into dense per-interval byte rows.
@@ -41,9 +41,9 @@ mod remeasure;
 mod window;
 
 pub use aggregate::{
-    aggregate_pcap, aggregate_pcap_frozen, attribute_metas, try_window_bounds_ns,
-    window_bounds_ns, Aggregator, AggregatorStats, KeyAllocator, ATTRIBUTION_CHUNK,
+    aggregate_pcap, aggregate_pcap_frozen, attribute_metas, try_window_bounds_ns, window_bounds_ns,
+    Aggregator, KeyAllocator, ATTRIBUTION_CHUNK,
 };
-pub use matrix::{BandwidthMatrix, IntervalView, KeyId};
+pub use matrix::{BandwidthMatrix, KeyId};
 pub use remeasure::{Coarsen, Refine};
 pub use window::busiest_window;

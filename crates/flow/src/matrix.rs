@@ -20,9 +20,9 @@ pub type KeyId = u32;
 /// previous per-interval `Vec<(KeyId, f32)>` boxes this keeps the whole
 /// matrix in three contiguous allocations, so a classification pass is
 /// one linear walk with no pointer chasing, and the key/rate columns can
-/// be consumed independently ([`BandwidthMatrix::values_into`] fills a
-/// caller-owned buffer with an interval's rates — the threshold
-/// detectors' input — without allocating).
+/// be consumed independently (an interval's rates — the threshold
+/// detectors' input — are read into a reused buffer without touching
+/// its keys).
 ///
 /// Construction is either packet-driven ([`crate::Aggregator::finish`])
 /// or rate-driven ([`BandwidthMatrix::from_workload`],
@@ -65,11 +65,6 @@ impl<'a> IntervalView<'a> {
     /// Active key ids, ascending.
     pub fn keys(&self) -> &'a [KeyId] {
         self.keys
-    }
-
-    /// Number of active keys.
-    pub fn len(&self) -> usize {
-        self.keys.len()
     }
 
     /// Whether the interval carried no traffic.
@@ -309,8 +304,8 @@ impl BandwidthMatrix {
     }
 
     /// All bandwidth values of interval `n` (the threshold detectors'
-    /// input). Allocates; the classification hot path uses
-    /// [`BandwidthMatrix::values_into`] instead.
+    /// input). Allocates; the classification hot path fills a reused
+    /// buffer instead.
     pub fn values(&self, n: usize) -> Vec<f64> {
         let mut out = Vec::new();
         self.values_into(n, &mut out);
@@ -320,7 +315,7 @@ impl BandwidthMatrix {
     /// Fill `out` with interval `n`'s bandwidth values (clearing it
     /// first). Reusing one buffer across intervals keeps a
     /// classification pass allocation-free.
-    pub fn values_into(&self, n: usize, out: &mut Vec<f64>) {
+    pub(crate) fn values_into(&self, n: usize, out: &mut Vec<f64>) {
         out.clear();
         out.extend(self.interval(n).rates.iter().map(|&r| f64::from(r)));
     }
@@ -458,7 +453,7 @@ mod tests {
         let keys = vec![prefix("10.0.0.0/8"), prefix("192.168.0.0/16")];
         let m = from_rows(300, 0, keys, &[&[(0, 100.0), (1, 50.0)], &[]]);
         let v = m.interval(0);
-        assert_eq!(v.len(), 2);
+        assert_eq!(v.keys.len(), 2);
         assert!(!v.is_empty());
         assert_eq!(v.keys(), &[0, 1]);
         assert_eq!(v.to_pairs(), vec![(0, 100.0), (1, 50.0)]);
@@ -577,7 +572,7 @@ mod tests {
         assert_eq!(c.rate(1, 0), 15.0); // (0 + 30) / 2
         assert_eq!(c.rate(1, 1), 30.0);
         assert_eq!(c.rate(2, 0), 5.0); // trailing partial group
-        // Bytes conserve: fine Σ rate·60 == coarse Σ rate·120.
+                                       // Bytes conserve: fine Σ rate·60 == coarse Σ rate·120.
         let fine: f64 = (0..m.n_intervals()).map(|n| m.total(n) * 60.0).sum();
         let coarse: f64 = (0..c.n_intervals()).map(|n| c.total(n) * 120.0).sum();
         assert!((fine - coarse).abs() < 1e-6);
@@ -594,8 +589,7 @@ mod tests {
         for n in 0..m.n_intervals() {
             for key in 0..2u32 {
                 let parent = m.rate(n, key);
-                let mean: f64 =
-                    (0..5).map(|j| f.rate(n * 5 + j, key)).sum::<f64>() / 5.0;
+                let mean: f64 = (0..5).map(|j| f.rate(n * 5 + j, key)).sum::<f64>() / 5.0;
                 assert!(
                     (mean - parent).abs() <= parent * 1e-5,
                     "key {key} interval {n}: mean {mean} vs parent {parent}"
@@ -631,7 +625,7 @@ mod tests {
         use super::super::*;
         use crate::remeasure::split_hash;
 
-        pub fn coarsen(m: &BandwidthMatrix, factor: usize) -> Vec<Vec<(KeyId, f32)>> {
+        pub(crate) fn coarsen(m: &BandwidthMatrix, factor: usize) -> Vec<Vec<(KeyId, f32)>> {
             let n_coarse = m.n_intervals().div_ceil(factor);
             let mut acc: Vec<f64> = vec![0.0; m.n_keys()];
             let mut touched: Vec<KeyId> = Vec::new();
@@ -664,7 +658,11 @@ mod tests {
             intervals
         }
 
-        pub fn refine(m: &BandwidthMatrix, factor: usize, seed: u64) -> Vec<Vec<(KeyId, f32)>> {
+        pub(crate) fn refine(
+            m: &BandwidthMatrix,
+            factor: usize,
+            seed: u64,
+        ) -> Vec<Vec<(KeyId, f32)>> {
             let mut intervals: Vec<Vec<(KeyId, f32)>> = Vec::new();
             let mut factors: Vec<f64> = vec![0.0; factor];
             for n in 0..m.n_intervals() {
@@ -720,8 +718,8 @@ mod tests {
             prop_oneof![2 => Just(None), 1 => rate.prop_map(Some)]
         };
         (1usize..40, 0usize..24).prop_flat_map(move |(n_keys, n_intervals)| {
-            prop::collection::vec(prop::collection::vec(entry(), n_keys), n_intervals)
-                .prop_map(move |rows| {
+            prop::collection::vec(prop::collection::vec(entry(), n_keys), n_intervals).prop_map(
+                move |rows| {
                     let keys = (0..n_keys as u32)
                         .map(|i| Prefix::from_u32(i << 8, 24).expect("a /24"))
                         .collect();
@@ -735,7 +733,8 @@ mod tests {
                         out.close();
                     }
                     out.finish(420, 1_000, keys)
-                })
+                },
+            )
         })
     }
 

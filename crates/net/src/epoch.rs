@@ -140,7 +140,11 @@ impl LpmSnapshot {
     /// # Panics
     /// If `out.len() != addrs.len()`.
     pub fn lookup_many(&self, addrs: &[u32], out: &mut [Option<u32>]) {
-        assert_eq!(addrs.len(), out.len(), "lookup_many: output length mismatch");
+        assert_eq!(
+            addrs.len(),
+            out.len(),
+            "lookup_many: output length mismatch"
+        );
         for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
             *slot = self.lookup_id(*addr);
         }
@@ -152,7 +156,11 @@ impl LpmSnapshot {
     /// # Panics
     /// If `out.len() != addrs.len()`.
     pub fn lookup_many_raw(&self, addrs: &[u32], out: &mut [u32]) {
-        assert_eq!(addrs.len(), out.len(), "lookup_many_raw: output length mismatch");
+        assert_eq!(
+            addrs.len(),
+            out.len(),
+            "lookup_many_raw: output length mismatch"
+        );
         for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
             *slot = self.resolve_raw(*addr);
         }
@@ -266,7 +274,11 @@ impl Writer {
         while s <= hi {
             let page_idx = s >> PAGE_BITS;
             let page_lo = s & PAGE_MASK;
-            let page_hi = if hi >> PAGE_BITS == page_idx { hi & PAGE_MASK } else { PAGE_MASK };
+            let page_hi = if hi >> PAGE_BITS == page_idx {
+                hi & PAGE_MASK
+            } else {
+                PAGE_MASK
+            };
             let full = page_lo == 0 && page_hi == PAGE_MASK;
             let already_empty = val == EMPTY && Arc::ptr_eq(&self.pages[page_idx], &self.zero_page);
             if !already_empty {
@@ -442,7 +454,9 @@ impl EpochLpm {
     /// page plus the page table), not the 64 MiB of a populated
     /// stage 1; pages materialize as routes are announced.
     pub fn new() -> Self {
-        EpochLpm { writer: Mutex::new(Writer::new()) }
+        EpochLpm {
+            writer: Mutex::new(Writer::new()),
+        }
     }
 
     /// Bulk-build from `(prefix, id)` entries (later duplicates win) as
@@ -477,7 +491,9 @@ impl EpochLpm {
         });
         // Built in bulk from RIB order, not inserted one entry at a time.
         writer.rib = entries.into_iter().collect();
-        EpochLpm { writer: Mutex::new(writer) }
+        EpochLpm {
+            writer: Mutex::new(writer),
+        }
     }
 
     /// Apply a batch of deltas as a new generation (even an empty batch
@@ -509,7 +525,10 @@ impl EpochLpm {
             }
         }
         w.generation += 1;
-        Applied { generation: w.generation, retired }
+        Applied {
+            generation: w.generation,
+            retired,
+        }
     }
 
     /// Pin the current generation: the page table's and spill blocks'
@@ -518,42 +537,24 @@ impl EpochLpm {
     /// are wait-free and see exactly that generation; while it is held,
     /// `apply` copies each page it shares before writing it.
     pub fn pin(&self) -> Arc<LpmSnapshot> {
-        self.writer.lock().expect("epoch writer poisoned").snapshot()
+        self.writer
+            .lock()
+            .expect("epoch writer poisoned")
+            .snapshot()
     }
 
     /// Generation of the last applied batch (0 = as built).
     pub fn generation(&self) -> u64 {
-        self.writer.lock().expect("epoch writer poisoned").generation
-    }
-
-    /// Number of live prefixes.
-    pub fn len(&self) -> usize {
-        self.writer.lock().expect("epoch writer poisoned").rib.len()
-    }
-
-    /// Whether the table has no live prefixes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.writer
+            .lock()
+            .expect("epoch writer poisoned")
+            .generation
     }
 
     /// The live `(prefix, id)` entries in ascending (RIB-dump) order.
     pub fn entries(&self) -> Vec<(Prefix, u32)> {
         let w = self.writer.lock().expect("epoch writer poisoned");
         w.rib.iter().map(|(p, &id)| (*p, id)).collect()
-    }
-
-    /// Approximate resident table memory in bytes: materialized pages,
-    /// the page table, and spill blocks. An empty table reports ~48 KiB.
-    pub fn table_bytes(&self) -> usize {
-        let w = self.writer.lock().expect("epoch writer poisoned");
-        let resident = w
-            .pages
-            .iter()
-            .filter(|p| !Arc::ptr_eq(p, &w.zero_page))
-            .count();
-        (resident + 1) * PAGE_SLOTS * 4
-            + w.pages.len() * std::mem::size_of::<Arc<Page>>()
-            + w.spill.len() * 256 * 4
     }
 
     /// `(allocated, free)` spill-block counts — allocation telemetry
@@ -592,8 +593,25 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// Approximate resident table memory in bytes: materialized pages,
+    /// the page table, and spill blocks. An empty table reports ~48 KiB.
+    fn table_bytes(table: &EpochLpm) -> usize {
+        let w = table.writer.lock().expect("epoch writer poisoned");
+        let resident = w
+            .pages
+            .iter()
+            .filter(|p| !Arc::ptr_eq(p, &w.zero_page))
+            .count();
+        (resident + 1) * PAGE_SLOTS * 4
+            + w.pages.len() * std::mem::size_of::<Arc<Page>>()
+            + w.spill.len() * 256 * 4
+    }
+
     fn announce(prefix: &str, id: u32) -> LpmDelta {
-        LpmDelta::Announce { prefix: p(prefix), id }
+        LpmDelta::Announce {
+            prefix: p(prefix),
+            id,
+        }
     }
 
     fn withdraw(prefix: &str) -> LpmDelta {
@@ -642,7 +660,10 @@ mod tests {
     #[test]
     fn empty_table_is_tiny_and_upgrades_on_first_insert() {
         let table = EpochLpm::new();
-        assert!(table.table_bytes() < 128 * 1024, "empty table must stay small");
+        assert!(
+            table_bytes(&table) < 128 * 1024,
+            "empty table must stay small"
+        );
         assert_eq!(table.pin().lookup_id(0x0A000001), None);
 
         let applied = table.apply(&[announce("10.0.0.0/24", 3)]);
@@ -652,7 +673,7 @@ mod tests {
         assert_eq!(snap.lookup_id(0x0A000001), Some(3));
         assert_eq!(snap.lookup_id(0x0A000101), None);
         // one page materialized, not the whole table
-        assert!(table.table_bytes() < 256 * 1024);
+        assert!(table_bytes(&table) < 256 * 1024);
     }
 
     #[test]
@@ -665,7 +686,10 @@ mod tests {
             &[withdraw("10.1.0.0/16")],
             &[announce("10.1.0.0/16", 6)], // re-announce, fresh id
             &[withdraw("10.1.2.0/26"), withdraw("10.0.0.0/8")],
-            &[announce("192.168.0.0/12", 7), announce("192.168.1.128/25", 8)],
+            &[
+                announce("192.168.0.0/12", 7),
+                announce("192.168.1.128/25", 8),
+            ],
             &[withdraw("0.0.0.0/0")],
         ];
         for batch in batches {
@@ -699,7 +723,11 @@ mod tests {
         assert_eq!(table.spill_stats(), (1, 1));
         table.apply(&[announce("172.16.5.0/30", 2)]);
         assert_eq!(table.spill_stats(), (1, 0), "freed block reused");
-        assert_eq!(table.pin().lookup_id(0x0A000081), None, "stale paint unreachable");
+        assert_eq!(
+            table.pin().lookup_id(0x0A000081),
+            None,
+            "stale paint unreachable"
+        );
         assert_eq!(table.pin().lookup_id(0xAC100502), Some(2));
     }
 
@@ -713,7 +741,11 @@ mod tests {
         let (alloc, free) = table.spill_stats();
         assert_eq!(alloc - free, 1, "exactly one live spill block");
         assert_eq!(table.pin().lookup_id(0x0A000701), Some(2));
-        assert_eq!(table.pin().lookup_id(0x0A000741), Some(3), "seed follows new id");
+        assert_eq!(
+            table.pin().lookup_id(0x0A000741),
+            Some(3),
+            "seed follows new id"
+        );
         table.apply(&[withdraw("10.0.7.0/26"), withdraw("10.0.0.0/16")]);
         let (alloc, free) = table.spill_stats();
         assert_eq!(alloc, free, "no live spill blocks remain");
@@ -743,14 +775,25 @@ mod tests {
         let painted = page_at(&table);
 
         table.apply(&[announce("10.0.1.0/24", 2)]);
-        assert_eq!(page_at(&table), painted, "no snapshot pinned: written in place");
+        assert_eq!(
+            page_at(&table),
+            painted,
+            "no snapshot pinned: written in place"
+        );
 
         let pinned = table.pin();
         table.apply(&[announce("10.0.1.0/24", 3)]);
         let copied = page_at(&table);
-        assert_ne!(copied, painted, "a pinned snapshot shares the page: the writer copies it");
+        assert_ne!(
+            copied, painted,
+            "a pinned snapshot shares the page: the writer copies it"
+        );
         assert_eq!(Arc::as_ptr(&pinned.pages[page]), painted);
-        assert_eq!(pinned.lookup_id(0x0A00_0101), Some(2), "the pin resolves the old id");
+        assert_eq!(
+            pinned.lookup_id(0x0A00_0101),
+            Some(2),
+            "the pin resolves the old id"
+        );
         assert_eq!(table.pin().lookup_id(0x0A00_0101), Some(3));
 
         drop(pinned);
@@ -787,8 +830,10 @@ mod tests {
         for &(prefix, id) in entries {
             writer.rib.insert(prefix, id);
         }
-        writer.repaint(Prefix::DEFAULT);
-        EpochLpm { writer: Mutex::new(writer) }
+        writer.repaint(p("0.0.0.0/0"));
+        EpochLpm {
+            writer: Mutex::new(writer),
+        }
     }
 
     /// `a` and `b` are one table: the same RIB, the same pages with the

@@ -37,8 +37,14 @@ mod tests {
     #[test]
     fn display_messages_are_informative() {
         assert!(PrefixError::LengthOutOfRange(40).to_string().contains("40"));
-        assert!(PrefixError::Malformed("x".into()).to_string().contains("a.b.c.d/len"));
-        assert!(PrefixError::BadAddress("1.2.3".into()).to_string().contains("1.2.3"));
-        assert!(PrefixError::BadLength("zz".into()).to_string().contains("zz"));
+        assert!(PrefixError::Malformed("x".into())
+            .to_string()
+            .contains("a.b.c.d/len"));
+        assert!(PrefixError::BadAddress("1.2.3".into())
+            .to_string()
+            .contains("1.2.3"));
+        assert!(PrefixError::BadLength("zz".into())
+            .to_string()
+            .contains("zz"));
     }
 }

@@ -116,8 +116,9 @@ impl<V> FlatLpm<V> {
     where
         I: IntoIterator<Item = (Prefix, V)>,
     {
-        let (prefixes, values) =
-            rib_order(entries.into_iter().collect(), |e| e.0).into_iter().unzip();
+        let (prefixes, values) = rib_order(entries.into_iter().collect(), |e| e.0)
+            .into_iter()
+            .unzip();
         Self::build(prefixes, values)
     }
 
@@ -179,11 +180,6 @@ impl<V> FlatLpm<V> {
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.prefixes.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.prefixes.is_empty()
     }
 
     /// The dense id of the longest prefix containing `addr`, if any.
@@ -379,7 +375,7 @@ mod tests {
     #[test]
     fn empty_table() {
         let t: FlatLpm<u32> = FlatLpm::from_entries(Vec::new());
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert_eq!(t.lookup(0), None);
         assert_eq!(t.lookup(u32::MAX), None);
         assert_eq!(t.lookup_id(12345), None);
@@ -459,7 +455,10 @@ mod tests {
     fn default_route_covers_everything() {
         let t = FlatLpm::from_entries(vec![(p("0.0.0.0/0"), 1u32)]);
         for addr in [0u32, 1, 0x0A00_0001, u32::MAX] {
-            assert_eq!(t.lookup(addr).map(|(pfx, v)| (pfx, *v)), Some((p("0.0.0.0/0"), 1)));
+            assert_eq!(
+                t.lookup(addr).map(|(pfx, v)| (pfx, *v)),
+                Some((p("0.0.0.0/0"), 1))
+            );
         }
     }
 
@@ -536,7 +535,10 @@ mod tests {
         ]);
         assert_eq!(got, want);
         // Ascending but not strictly: still deduplicated.
-        assert_eq!(order(vec![("9.0.0.0/8", 1), ("9.0.0.0/8", 2)]), order(vec![("9.0.0.0/8", 2)]));
+        assert_eq!(
+            order(vec![("9.0.0.0/8", 1), ("9.0.0.0/8", 2)]),
+            order(vec![("9.0.0.0/8", 2)])
+        );
         assert!(order(Vec::new()).is_empty());
     }
 
@@ -559,8 +561,19 @@ mod tests {
             assert_eq!(by_value.prefix(id), by_value.value(id).0);
         }
         assert_eq!(by_value.get(p("10.1.2.0/25")).unwrap().1, "c");
-        for addr in [0x0A01_0203u32, 0x0A01_0280, 0x0A02_0000, 0xCB00_7107, 0xCB00_7108, 0] {
-            assert_eq!(by_value.lookup_id(addr), by_entry.lookup_id(addr), "addr {addr:#010x}");
+        for addr in [
+            0x0A01_0203u32,
+            0x0A01_0280,
+            0x0A02_0000,
+            0xCB00_7107,
+            0xCB00_7108,
+            0,
+        ] {
+            assert_eq!(
+                by_value.lookup_id(addr),
+                by_entry.lookup_id(addr),
+                "addr {addr:#010x}"
+            );
         }
     }
 
@@ -580,7 +593,10 @@ mod tests {
         assert_eq!(t.prefix(2), p("10.1.2.0/24"));
         assert_eq!(*t.value(0), "a");
         let order: Vec<Prefix> = t.iter().map(|(p, _)| p).collect();
-        assert_eq!(order, vec![p("9.0.0.0/8"), p("10.1.0.0/16"), p("10.1.2.0/24")]);
+        assert_eq!(
+            order,
+            vec![p("9.0.0.0/8"), p("10.1.0.0/16"), p("10.1.2.0/24")]
+        );
     }
 
     #[test]
@@ -676,14 +692,23 @@ mod tests {
         blocks.dedup();
         let mut from = 0;
         for &block in &blocks {
-            assert!(t.stage1[from..block] == stage1[from..block], "stage 1 below block {block:#x}");
+            assert!(
+                t.stage1[from..block] == stage1[from..block],
+                "stage 1 below block {block:#x}"
+            );
             let (a, b) = (t.stage1[block], stage1[block]);
             assert!(a & b & SPILL_BIT != 0, "block {block:#x} spills in both");
-            let (a, b) = (((a & !SPILL_BIT) as usize) << 8, ((b & !SPILL_BIT) as usize) << 8);
+            let (a, b) = (
+                ((a & !SPILL_BIT) as usize) << 8,
+                ((b & !SPILL_BIT) as usize) << 8,
+            );
             assert_eq!(t.spill[a..a + 256], spill[b..b + 256], "block {block:#x}");
             from = block + 1;
         }
-        assert!(t.stage1[from..] == stage1[from..], "stage 1 above the last block");
+        assert!(
+            t.stage1[from..] == stage1[from..],
+            "stage 1 above the last block"
+        );
         assert_eq!(t.spill.len(), spill.len());
     }
 
@@ -712,7 +737,11 @@ mod tests {
     fn arb_table() -> impl Strategy<Value = Vec<(Prefix, u32)>> {
         let bits = prop_oneof![any::<u32>(), (0u32..0x400).prop_map(|x| 0x0A00_0000 | x)];
         prop::collection::vec(
-            (bits, prop_oneof![0u8..=32, 8u8..=24, 25u8..=32], any::<u32>())
+            (
+                bits,
+                prop_oneof![0u8..=32, 8u8..=24, 25u8..=32],
+                any::<u32>(),
+            )
                 .prop_map(|(bits, len, v)| (Prefix::from_u32(bits, len).unwrap(), v)),
             0..64,
         )

@@ -82,8 +82,8 @@ mod linear;
 mod paint;
 mod prefix;
 
-pub use epoch::{Applied, EpochLpm, LpmDelta, LpmSnapshot};
-pub use error::PrefixError;
+pub use epoch::{EpochLpm, LpmDelta};
+use error::PrefixError;
 pub use flat::{rib_order, FlatLpm};
 pub use linear::LinearLpm;
 pub use prefix::Prefix;
@@ -92,7 +92,7 @@ pub use prefix::Prefix;
 /// the address family `A`.
 ///
 /// This is the seam the packet pipeline attributes through: both the
-/// frozen [`FlatLpm`] and a pinned live [`LpmSnapshot`] implement it
+/// frozen [`FlatLpm`] and a pinned live [`epoch::LpmSnapshot`] implement it
 /// for `A = u32` (IPv4), so downstream attribution
 /// (`eleph_flow::attribute_metas`) is agnostic to whether the table
 /// underneath it is a one-shot freeze or an epoch-swapped live view. An

@@ -20,12 +20,9 @@ pub struct LinearLpm<V> {
 impl<V> LinearLpm<V> {
     /// Create an empty table.
     pub fn new() -> Self {
-        LinearLpm { entries: Vec::new() }
-    }
-
-    /// Iterate over all entries in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &V)> {
-        self.entries.iter().map(|(p, v)| (*p, v))
+        LinearLpm {
+            entries: Vec::new(),
+        }
     }
 
     /// Insert `value` under `prefix`, returning the previous value if the
@@ -73,11 +70,6 @@ impl<V> LinearLpm<V> {
     pub fn len(&self) -> usize {
         self.entries.len()
     }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +109,7 @@ mod tests {
         t.insert(p("10.0.0.0/8"), 1);
         assert_eq!(t.remove(p("10.0.0.0/8")), Some(1));
         assert_eq!(t.remove(p("10.0.0.0/8")), None);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert_eq!(t.lookup(0x0a000001), None);
     }
 
@@ -125,6 +117,6 @@ mod tests {
     fn empty_table_misses() {
         let t: LinearLpm<()> = LinearLpm::new();
         assert_eq!(t.lookup(0), None);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
     }
 }

@@ -23,12 +23,9 @@ pub struct Prefix {
 }
 
 impl Prefix {
-    /// The default route, `0.0.0.0/0`.
-    pub const DEFAULT: Prefix = Prefix { bits: 0, len: 0 };
-
     /// Construct from a network address and a prefix length, masking host
     /// bits. Fails only if `len > 32`.
-    pub fn new(addr: Ipv4Addr, len: u8) -> Result<Self, PrefixError> {
+    pub(crate) fn new(addr: Ipv4Addr, len: u8) -> Result<Self, PrefixError> {
         Self::from_u32(u32::from(addr), len)
     }
 
@@ -185,10 +182,22 @@ mod tests {
 
     #[test]
     fn parse_errors() {
-        assert!(matches!("10.0.0.0".parse::<Prefix>(), Err(PrefixError::Malformed(_))));
-        assert!(matches!("10.0.0/8".parse::<Prefix>(), Err(PrefixError::BadAddress(_))));
-        assert!(matches!("10.0.0.0/x".parse::<Prefix>(), Err(PrefixError::BadLength(_))));
-        assert!(matches!("10.0.0.0/40".parse::<Prefix>(), Err(PrefixError::LengthOutOfRange(40))));
+        assert!(matches!(
+            "10.0.0.0".parse::<Prefix>(),
+            Err(PrefixError::Malformed(_))
+        ));
+        assert!(matches!(
+            "10.0.0/8".parse::<Prefix>(),
+            Err(PrefixError::BadAddress(_))
+        ));
+        assert!(matches!(
+            "10.0.0.0/x".parse::<Prefix>(),
+            Err(PrefixError::BadLength(_))
+        ));
+        assert!(matches!(
+            "10.0.0.0/40".parse::<Prefix>(),
+            Err(PrefixError::LengthOutOfRange(40))
+        ));
     }
 
     #[test]
@@ -203,9 +212,10 @@ mod tests {
 
     #[test]
     fn default_route_contains_everything() {
-        assert!(Prefix::DEFAULT.contains(Ipv4Addr::new(255, 255, 255, 255)));
-        assert!(Prefix::DEFAULT.contains(Ipv4Addr::new(0, 0, 0, 0)));
-        assert!(Prefix::DEFAULT.contains_prefix(&p("10.0.0.0/8")));
+        let default = p("0.0.0.0/0");
+        assert!(default.contains(Ipv4Addr::new(255, 255, 255, 255)));
+        assert!(default.contains(Ipv4Addr::new(0, 0, 0, 0)));
+        assert!(default.contains_prefix(&p("10.0.0.0/8")));
     }
 
     #[test]
@@ -217,11 +227,21 @@ mod tests {
 
     #[test]
     fn ordering_sorts_like_a_rib_dump() {
-        let mut v = vec![p("10.1.0.0/16"), p("10.0.0.0/8"), p("9.0.0.0/8"), p("10.0.0.0/16")];
+        let mut v = vec![
+            p("10.1.0.0/16"),
+            p("10.0.0.0/8"),
+            p("9.0.0.0/8"),
+            p("10.0.0.0/16"),
+        ];
         v.sort();
         assert_eq!(
             v,
-            vec![p("9.0.0.0/8"), p("10.0.0.0/8"), p("10.0.0.0/16"), p("10.1.0.0/16")]
+            vec![
+                p("9.0.0.0/8"),
+                p("10.0.0.0/8"),
+                p("10.0.0.0/16"),
+                p("10.1.0.0/16")
+            ]
         );
     }
 

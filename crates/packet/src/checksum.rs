@@ -8,19 +8,19 @@ use std::net::Ipv4Addr;
 /// checksums (which additionally mix in the pseudo-header via
 /// [`Checksum::add_pseudo_header`]).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Checksum {
+pub(crate) struct Checksum {
     sum: u32,
 }
 
 impl Checksum {
     /// Fresh accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Checksum { sum: 0 }
     }
 
     /// Fold `data` into the sum. Odd-length data is zero-padded on the
     /// right, per RFC 1071.
-    pub fn add_bytes(&mut self, data: &[u8]) {
+    pub(crate) fn add_bytes(&mut self, data: &[u8]) {
         let mut chunks = data.chunks_exact(2);
         for chunk in &mut chunks {
             self.sum += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
@@ -37,7 +37,7 @@ impl Checksum {
 
     /// Fold the TCP/UDP pseudo-header: source, destination, protocol and
     /// upper-layer length.
-    pub fn add_pseudo_header(&mut self, src: Ipv4Addr, dst: Ipv4Addr, proto: u8, len: u16) {
+    pub(crate) fn add_pseudo_header(&mut self, src: Ipv4Addr, dst: Ipv4Addr, proto: u8, len: u16) {
         self.add_bytes(&src.octets());
         self.add_bytes(&dst.octets());
         self.add_u16(u16::from(proto));
@@ -45,7 +45,7 @@ impl Checksum {
     }
 
     /// Final ones-complement fold and inversion.
-    pub fn finish(self) -> u16 {
+    pub(crate) fn finish(self) -> u16 {
         let mut sum = self.sum;
         while sum >> 16 != 0 {
             sum = (sum & 0xffff) + (sum >> 16);
@@ -55,7 +55,7 @@ impl Checksum {
 }
 
 /// One-shot checksum of a byte slice (the IPv4 header case).
-pub fn checksum(data: &[u8]) -> u16 {
+pub(crate) fn checksum(data: &[u8]) -> u16 {
     let mut c = Checksum::new();
     c.add_bytes(data);
     c.finish()
@@ -63,7 +63,7 @@ pub fn checksum(data: &[u8]) -> u16 {
 
 /// Verify a buffer whose checksum field is already in place: the sum over
 /// the whole buffer must finish to zero.
-pub fn verify(data: &[u8]) -> bool {
+pub(crate) fn verify(data: &[u8]) -> bool {
     checksum(data) == 0
 }
 

@@ -54,7 +54,10 @@ impl fmt::Display for PacketError {
                 write!(f, "implausible pcap capture length {l}")
             }
             PacketError::UnrepresentableTimestamp(ns) => {
-                write!(f, "timestamp {ns} ns overflows the pcap 32-bit seconds field")
+                write!(
+                    f,
+                    "timestamp {ns} ns overflows the pcap 32-bit seconds field"
+                )
             }
             PacketError::UnsupportedLinkType(t) => write!(f, "unsupported pcap linktype {t}"),
             PacketError::Io(msg) => write!(f, "I/O error: {msg}"),
@@ -107,7 +110,11 @@ mod tests {
     #[test]
     fn displays_are_specific() {
         assert!(PacketError::BadVersion(6).to_string().contains('6'));
-        assert!(PacketError::BadMagic(0xdead_beef).to_string().contains("0xdeadbeef"));
-        assert!(PacketError::UnsupportedEtherType(0x86dd).to_string().contains("0x86dd"));
+        assert!(PacketError::BadMagic(0xdead_beef)
+            .to_string()
+            .contains("0xdeadbeef"));
+        assert!(PacketError::UnsupportedEtherType(0x86dd)
+            .to_string()
+            .contains("0x86dd"));
     }
 }

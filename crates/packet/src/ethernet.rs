@@ -10,7 +10,7 @@ pub(crate) const ETHERNET_HEADER_LEN: usize = 14;
 
 /// A 48-bit MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct MacAddr(pub [u8; 6]);
+pub(crate) struct MacAddr(pub [u8; 6]);
 
 impl fmt::Display for MacAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -25,7 +25,7 @@ impl fmt::Display for MacAddr {
 
 /// The ethertypes the pipeline understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EtherType {
+pub(crate) enum EtherType {
     /// IPv4, `0x0800`.
     Ipv4,
     /// ARP, `0x0806` (recognised so it can be counted, not parsed further).
@@ -56,30 +56,35 @@ impl From<EtherType> for u16 {
 
 /// Zero-copy view of an Ethernet II frame.
 #[derive(Debug, Clone, Copy)]
-pub struct EthernetFrame<'a> {
+pub(crate) struct EthernetFrame<'a> {
     buf: &'a [u8],
 }
 
 impl<'a> EthernetFrame<'a> {
     /// Wrap a buffer, checking only that the fixed header fits.
-    pub fn parse(buf: &'a [u8]) -> Result<Self> {
+    pub(crate) fn parse(buf: &'a [u8]) -> Result<Self> {
         check_len(buf, ETHERNET_HEADER_LEN)?;
         Ok(EthernetFrame { buf })
     }
 
     /// The ethertype field.
-    pub fn ethertype(&self) -> EtherType {
+    pub(crate) fn ethertype(&self) -> EtherType {
         u16::from_be_bytes([self.buf[12], self.buf[13]]).into()
     }
 
     /// The bytes after the header.
-    pub fn payload(&self) -> &'a [u8] {
+    pub(crate) fn payload(&self) -> &'a [u8] {
         &self.buf[ETHERNET_HEADER_LEN..]
     }
 }
 
 /// Serialise an Ethernet II frame around `payload`.
-pub fn build_frame(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn build_frame(
+    dst: MacAddr,
+    src: MacAddr,
+    ethertype: EtherType,
+    payload: &[u8],
+) -> Vec<u8> {
     let mut out = Vec::with_capacity(ETHERNET_HEADER_LEN + payload.len());
     out.extend_from_slice(&dst.0);
     out.extend_from_slice(&src.0);
@@ -108,7 +113,10 @@ mod tests {
     fn truncated_header_rejected() {
         assert_eq!(
             EthernetFrame::parse(&[0u8; 13]).unwrap_err(),
-            PacketError::Truncated { needed: 14, got: 13 }
+            PacketError::Truncated {
+                needed: 14,
+                got: 13
+            }
         );
     }
 

@@ -88,17 +88,17 @@ impl<'a> Ipv4Packet<'a> {
     }
 
     /// The protocol field.
-    pub fn protocol(&self) -> IpProtocol {
+    pub(crate) fn protocol(&self) -> IpProtocol {
         self.buf[9].into()
     }
 
     /// Source address.
-    pub fn src(&self) -> Ipv4Addr {
+    pub(crate) fn src(&self) -> Ipv4Addr {
         Ipv4Addr::new(self.buf[12], self.buf[13], self.buf[14], self.buf[15])
     }
 
     /// Destination address.
-    pub fn dst(&self) -> Ipv4Addr {
+    pub(crate) fn dst(&self) -> Ipv4Addr {
         Ipv4Addr::new(self.buf[16], self.buf[17], self.buf[18], self.buf[19])
     }
 
@@ -118,7 +118,7 @@ impl<'a> Ipv4Packet<'a> {
 /// The checksum is computed and stored; `identification`, `ttl` and `tos`
 /// take protocol-typical defaults unless specified via the full builder in
 /// [`crate::PacketBuilder`].
-pub fn build_packet(
+pub(crate) fn build_packet(
     src: Ipv4Addr,
     dst: Ipv4Addr,
     protocol: IpProtocol,
@@ -127,7 +127,10 @@ pub fn build_packet(
     payload: &[u8],
 ) -> Vec<u8> {
     let total_len = IPV4_MIN_HEADER_LEN + payload.len();
-    assert!(total_len <= usize::from(u16::MAX), "payload too large for IPv4");
+    assert!(
+        total_len <= usize::from(u16::MAX),
+        "payload too large for IPv4"
+    );
     let mut out = Vec::with_capacity(total_len);
     out.push(0x45); // version 4, IHL 5
     out.push(0); // TOS
@@ -187,14 +190,20 @@ mod tests {
     fn rejects_wrong_version() {
         let mut bytes = sample();
         bytes[0] = 0x65; // version 6
-        assert_eq!(Ipv4Packet::parse(&bytes).unwrap_err(), PacketError::BadVersion(6));
+        assert_eq!(
+            Ipv4Packet::parse(&bytes).unwrap_err(),
+            PacketError::BadVersion(6)
+        );
     }
 
     #[test]
     fn rejects_bad_ihl() {
         let mut bytes = sample();
         bytes[0] = 0x42; // IHL 2 < 5
-        assert_eq!(Ipv4Packet::parse(&bytes).unwrap_err(), PacketError::BadHeaderLen(2));
+        assert_eq!(
+            Ipv4Packet::parse(&bytes).unwrap_err(),
+            PacketError::BadHeaderLen(2)
+        );
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! paper's input is a packet trace captured on an OC-12 backbone link; this
 //! crate provides everything needed to produce and consume such traces:
 //!
-//! * zero-copy **views** over `&[u8]` for Ethernet II ([`EthernetFrame`]),
-//!   IPv4 ([`Ipv4Packet`]), TCP ([`TcpSegment`]) and UDP ([`UdpDatagram`]),
-//!   each with checksum generation and validation;
-//! * **builders** that emit well-formed packets ([`PacketBuilder`]);
+//! * **builders** that emit well-formed UDP or TCP packets over IPv4,
+//!   bare or in an Ethernet II frame, with valid checksums
+//!   ([`PacketBuilder`]);
+//! * zero-copy **views** over `&[u8]` for IPv4 ([`Ipv4Packet`]) and
+//!   UDP ([`UdpDatagram`]) that validate the checksums the builders
+//!   write (the Ethernet and TCP views stay inside the crate, behind
+//!   [`parse_meta`]);
 //! * a classic **libpcap** file [`pcap::PcapReader`] / [`pcap::PcapWriter`]
 //!   supporting both byte orders and microsecond/nanosecond resolution;
 //!   the reader lends each record out of its block
@@ -16,7 +19,9 @@
 //!   protocol, wire length) the flow-aggregation pipeline consumes, and
 //!   [`parse_meta`] to extract it from raw capture bytes
 //!   ([`parse_buf_meta`] for a pcap record: its original length is the
-//!   wire length).
+//!   wire length);
+//! * [`pool::PooledReader`] — the same records framed on one thread and
+//!   parsed on others, delivered in capture order.
 //!
 //! Malformed input never panics: every accessor that could run off the end
 //! of a buffer is fronted by a length check, and parsers return
@@ -41,7 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checksum;
+mod checksum;
 mod error;
 mod ethernet;
 mod ipv4;
@@ -52,10 +57,9 @@ mod tcp;
 mod udp;
 
 pub use error::PacketError;
-pub use ethernet::{EtherType, EthernetFrame, MacAddr};
 pub use ipv4::{IpProtocol, Ipv4Packet};
 pub use meta::{parse_buf_meta, parse_meta, LinkType, PacketBuilder, PacketMeta};
-pub use tcp::{TcpFlags, TcpSegment};
+pub use tcp::TcpFlags;
 pub use udp::UdpDatagram;
 
 /// Result alias used throughout the crate.

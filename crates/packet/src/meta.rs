@@ -2,7 +2,7 @@
 
 use std::net::Ipv4Addr;
 
-use crate::ethernet::{self, EthernetFrame, EtherType, MacAddr};
+use crate::ethernet::{self, EtherType, EthernetFrame, MacAddr};
 use crate::ipv4::{self, IpProtocol, Ipv4Packet};
 use crate::tcp::{self, TcpFlags, TcpSegment};
 use crate::udp::{self, UdpDatagram};
@@ -219,14 +219,7 @@ impl PacketBuilder {
             ),
             other => panic!("PacketBuilder only builds TCP/UDP, got {other:?}"),
         };
-        ipv4::build_packet(
-            self.src,
-            self.dst,
-            self.proto,
-            64,
-            0,
-            &transport,
-        )
+        ipv4::build_packet(self.src, self.dst, self.proto, 64, 0, &transport)
     }
 
     /// Serialise as an Ethernet II frame around the IPv4 packet.
@@ -311,7 +304,8 @@ mod tests {
             64,
         )
         .unwrap();
-        w.write_record(5_000_000_000, packet.len() as u32, &packet).unwrap();
+        w.write_record(5_000_000_000, packet.len() as u32, &packet)
+            .unwrap();
         w.finish().unwrap();
 
         let mut r = PcapReader::new(&buf[..]).unwrap();
@@ -325,7 +319,8 @@ mod tests {
         // ...and an unsnapped record reports the true wire length.
         let mut buf2 = Vec::new();
         let mut w2 = PcapWriter::new(&mut buf2, LinkType::RawIp.code()).unwrap();
-        w2.write_record(5_000_000_000, packet.len() as u32, &packet).unwrap();
+        w2.write_record(5_000_000_000, packet.len() as u32, &packet)
+            .unwrap();
         w2.finish().unwrap();
         let mut r2 = PcapReader::new(&buf2[..]).unwrap();
         let (head, data) = r2.next_record_ref().unwrap().unwrap();

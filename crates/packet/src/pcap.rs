@@ -384,11 +384,6 @@ impl<'a> PcapSlice<'a> {
         self.header
     }
 
-    /// Byte offset of the next unread record.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Decode up to `max` records, appending each as its header and the
     /// byte *span* (offsets into the input buffer) of its captured
     /// bytes; returns how many were decoded, fewer than `max` meaning
@@ -416,7 +411,7 @@ impl<'a> PcapSlice<'a> {
     /// Errors abort the batch exactly like [`PcapSlice::next_record`]:
     /// spans already appended to `out` are valid, the cursor stops at
     /// the damaged record.
-    pub fn next_batch_spans(
+    pub(crate) fn next_batch_spans(
         &mut self,
         max: usize,
         out: &mut Vec<(RecordHeader, std::ops::Range<usize>)>,
@@ -496,10 +491,11 @@ mod tests {
     fn round_trip(resolution: TsResolution) {
         let mut buf = Vec::new();
         {
-            let mut w =
-                PcapWriter::with_options(&mut buf, 1, resolution, 65535).unwrap();
-            w.write_record(1_000_000_123_456_789, 100, &[1, 2, 3, 4]).unwrap();
-            w.write_record(1_000_000_999_999_000, 4, &[9, 8, 7, 6]).unwrap();
+            let mut w = PcapWriter::with_options(&mut buf, 1, resolution, 65535).unwrap();
+            w.write_record(1_000_000_123_456_789, 100, &[1, 2, 3, 4])
+                .unwrap();
+            w.write_record(1_000_000_999_999_000, 4, &[9, 8, 7, 6])
+                .unwrap();
             assert_eq!(w.records_written(), 2);
             w.finish().unwrap();
         }
@@ -585,7 +581,10 @@ mod tests {
     #[test]
     fn truncated_global_header_rejected() {
         let buf = [0u8; 10];
-        assert!(matches!(PcapReader::new(&buf[..]).unwrap_err(), PacketError::Io(_)));
+        assert!(matches!(
+            PcapReader::new(&buf[..]).unwrap_err(),
+            PacketError::Io(_)
+        ));
     }
 
     #[test]
@@ -609,7 +608,10 @@ mod tests {
         w.finish().unwrap();
         buf.truncate(buf.len() - 2);
         let mut r = PcapReader::new(&buf[..]).unwrap();
-        assert!(matches!(r.next_record_ref().unwrap_err(), PacketError::Io(_)));
+        assert!(matches!(
+            r.next_record_ref().unwrap_err(),
+            PacketError::Io(_)
+        ));
     }
 
     #[test]
@@ -679,7 +681,8 @@ mod tests {
         let mut ends = Vec::new();
         for i in 0..n {
             let len = 40 + i % 61;
-            w.write_record(i as u64 * 1_000, len as u32, &vec![i as u8; len]).unwrap();
+            w.write_record(i as u64 * 1_000, len as u32, &vec![i as u8; len])
+                .unwrap();
             ends.push(w.out.len());
         }
         w.finish().unwrap();
@@ -792,10 +795,16 @@ mod tests {
         assert_eq!(r.peek_header().unwrap(), None);
         assert!(r.next_record_ref().unwrap().is_none());
         // An empty capture has no first record; a cut one is an error.
-        assert_eq!(PcapReader::new(&head[..]).unwrap().peek_header().unwrap(), None);
+        assert_eq!(
+            PcapReader::new(&head[..]).unwrap().peek_header().unwrap(),
+            None
+        );
         let cut = [&head[..], &records[0][..20]].concat();
         assert!(matches!(
-            PcapReader::new(&cut[..]).unwrap().peek_header().unwrap_err(),
+            PcapReader::new(&cut[..])
+                .unwrap()
+                .peek_header()
+                .unwrap_err(),
             PacketError::Io(_)
         ));
     }
@@ -827,7 +836,8 @@ mod tests {
     fn buffer_reusing_read_matches_borrowing_read() {
         let mut buf = Vec::new();
         let mut w = PcapWriter::new(&mut buf, 1).unwrap();
-        w.write_record(1_000_000, 8, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+        w.write_record(1_000_000, 8, &[1, 2, 3, 4, 5, 6, 7, 8])
+            .unwrap();
         w.write_record(2_000_000, 100, &[9, 8]).unwrap(); // snapped record
         w.write_record(3_000_000, 3, &[7, 7, 7]).unwrap();
         w.finish().unwrap();
@@ -854,8 +864,7 @@ mod tests {
     #[test]
     fn slice_cursor_matches_streaming_reader() {
         let mut buf = Vec::new();
-        let mut w =
-            PcapWriter::with_options(&mut buf, 101, TsResolution::Nano, 65535).unwrap();
+        let mut w = PcapWriter::with_options(&mut buf, 101, TsResolution::Nano, 65535).unwrap();
         w.write_record(1_234_567_890, 64, &[0xAB; 40]).unwrap();
         w.write_record(2_000_000_001, 2, &[1, 2]).unwrap();
         w.write_record(3_000_000_002, 0, &[]).unwrap();
@@ -872,7 +881,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(slice.position(), buf.len());
+        assert_eq!(slice.pos, buf.len());
     }
 
     #[test]
@@ -893,7 +902,10 @@ mod tests {
         // The accepted boundary record round-trips without wrapping
         // (microsecond resolution rounds the sub-µs digits away).
         let (head, _) = r.next_record_ref().unwrap().unwrap();
-        assert_eq!(head.ts_ns, u64::from(u32::MAX) * 1_000_000_000 + 999_999_000);
+        assert_eq!(
+            head.ts_ns,
+            u64::from(u32::MAX) * 1_000_000_000 + 999_999_000
+        );
     }
 
     #[test]
@@ -916,7 +928,8 @@ mod tests {
         let mut w = PcapWriter::with_options(&mut buf, 101, TsResolution::Nano, 65535).unwrap();
         for i in 0..300u64 {
             let len = (i % 97) as usize;
-            w.write_record(i * 1_000, len as u32, &vec![i as u8; len]).unwrap();
+            w.write_record(i * 1_000, len as u32, &vec![i as u8; len])
+                .unwrap();
         }
         w.finish().unwrap();
 
@@ -930,11 +943,15 @@ mod tests {
                     break;
                 }
             }
-            assert_eq!(batched.position(), buf.len());
+            assert_eq!(batched.pos, buf.len());
             let mut i = 0;
             while let Some((head, data)) = single.next_record().unwrap() {
                 let (got_head, span) = got[i].clone();
-                assert_eq!((got_head, &buf[span]), (head, data), "batch {batch_size}, record {i}");
+                assert_eq!(
+                    (got_head, &buf[span]),
+                    (head, data),
+                    "batch {batch_size}, record {i}"
+                );
                 i += 1;
             }
             assert_eq!(got.len(), i, "batch {batch_size}");
@@ -970,6 +987,9 @@ mod tests {
             PacketError::Truncated { needed: 16, .. }
         ));
         let mut cut_body = PcapSlice::new(&buf[..buf.len() - 2]).unwrap();
-        assert!(matches!(cut_body.next_record().unwrap_err(), PacketError::Io(_)));
+        assert!(matches!(
+            cut_body.next_record().unwrap_err(),
+            PacketError::Io(_)
+        ));
     }
 }

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! * The **framer** thread walks the shared in-memory capture with
-//!   [`PcapSlice::next_batch_spans`] — the two-cursor scan-ahead walk,
+//!   [`PcapSlice`]'s batched span scan — the two-cursor scan-ahead walk,
 //!   promoted from an inline helper to a dedicated thread, so header
 //!   cache misses overlap with parsing and consumption instead of
 //!   serialising in front of them. It emits `(header, byte-range)`
@@ -88,13 +88,14 @@ type Parsed = (u64, Result<ParsedBatch>);
 /// [`PooledReader::next_metas`] — one framed batch per call, in capture
 /// order.
 pub struct PooledReader {
-    link: LinkType,
     parsed_rx: Option<Receiver<Parsed>>,
     spans_pool_tx: Option<Sender<Vec<Span>>>,
     metas_pool_tx: Option<Sender<Vec<PacketMeta>>>,
     /// Batches received ahead of [`PooledReader::next_seq`].
     reorder: BTreeMap<u64, Result<ParsedBatch>>,
     next_seq: u64,
+    /// Records delivered so far that framed but failed packet-level
+    /// parsing.
     malformed: u64,
     done: bool,
     handles: Vec<JoinHandle<()>>,
@@ -140,7 +141,6 @@ impl PooledReader {
             );
         }
         Ok(PooledReader {
-            link,
             parsed_rx: Some(parsed_rx),
             spans_pool_tx: Some(spans_pool_tx),
             metas_pool_tx: Some(metas_pool_tx),
@@ -150,18 +150,6 @@ impl PooledReader {
             done: false,
             handles,
         })
-    }
-
-    /// The capture's link type.
-    pub fn link(&self) -> LinkType {
-        self.link
-    }
-
-    /// Records seen so far that framed correctly but failed
-    /// packet-level parsing (counted in delivery order, so the total is
-    /// consistent with the packets appended to `out` at every return).
-    pub fn malformed(&self) -> u64 {
-        self.malformed
     }
 
     /// Append the next framed batch's packets to `out` in capture
@@ -357,8 +345,7 @@ mod tests {
     /// and varied sizes.
     fn capture(records: usize) -> Vec<u8> {
         let mut buf = Vec::new();
-        let mut w =
-            PcapWriter::with_options(&mut buf, 101, TsResolution::Nano, 65535).unwrap();
+        let mut w = PcapWriter::with_options(&mut buf, 101, TsResolution::Nano, 65535).unwrap();
         for i in 0..records {
             let ts = i as u64 * 1_000_000;
             if i % 17 == 3 {
@@ -410,7 +397,7 @@ mod tests {
                 chunks.push(n);
             }
             assert_eq!(got, want, "workers={workers}");
-            assert_eq!(reader.malformed(), want_malformed);
+            assert_eq!(reader.malformed, want_malformed);
             // Deterministic chunking: every batch is FRAME_BATCH raw
             // records minus its malformed share, except the tail.
             assert!(chunks.len() >= 2, "workers={workers}");
@@ -443,22 +430,23 @@ mod tests {
     fn structural_error_surfaces_in_sequence() {
         let mut buf = capture(700);
         buf.truncate(buf.len() - 3); // cut the last record's body
-        let mut want_err_after = 0usize;
-        {
-            // Count the records the serial scan yields before the error.
-            let mut slice = PcapSlice::new(&buf).unwrap();
-            let link = LinkType::from_code(slice.header().linktype).unwrap();
-            loop {
-                match slice.next_record() {
-                    Ok(Some((head, data))) => {
-                        if parse_buf_meta(link, data, &head).is_ok() {
-                            want_err_after += 1;
-                        }
-                    }
-                    _ => break,
-                }
+
+        // The serial scan: whether each record before the damaged one
+        // parses. The damaged record's batch is every record from the
+        // last multiple of FRAME_BATCH below it.
+        let mut parses = Vec::new();
+        let mut slice = PcapSlice::new(&buf).unwrap();
+        let link = LinkType::from_code(slice.header().linktype).unwrap();
+        loop {
+            match slice.next_record() {
+                Ok(Some((head, data))) => parses.push(parse_buf_meta(link, data, &head).is_ok()),
+                Ok(None) => panic!("the serial scan must end in the structural error"),
+                Err(_) => break,
             }
         }
+        let whole_batches = parses.len() / FRAME_BATCH * FRAME_BATCH;
+        assert!(whole_batches >= 2 * FRAME_BATCH);
+        let want = parses[..whole_batches].iter().filter(|&&ok| ok).count();
         for workers in [1, 3] {
             let mut reader = PooledReader::new(Arc::new(buf.clone()), workers).unwrap();
             let mut got = Vec::new();
@@ -469,12 +457,17 @@ mod tests {
                     Err(e) => break e,
                 }
             };
-            assert!(matches!(err, PacketError::Io(_)), "workers={workers}: {err}");
+            assert!(
+                matches!(err, PacketError::Io(_)),
+                "workers={workers}: {err}"
+            );
             // Every full batch before the damaged one was delivered;
             // the damaged batch contributed nothing (serial semantics).
-            assert!(got.len() <= want_err_after, "workers={workers}");
-            assert_eq!(got.len() % 1, 0);
-            assert!(reader.next_metas(&mut got).unwrap() == 0, "terminal after error");
+            assert_eq!(got.len(), want, "workers={workers}");
+            assert!(
+                reader.next_metas(&mut got).unwrap() == 0,
+                "terminal after error"
+            );
         }
     }
 

@@ -18,18 +18,18 @@ impl TcpFlags {
     /// FIN flag.
     const FIN: u8 = 0x01;
     /// SYN flag.
-    pub const SYN: u8 = 0x02;
+    pub(crate) const SYN: u8 = 0x02;
     /// RST flag.
     const RST: u8 = 0x04;
     /// PSH flag.
     const PSH: u8 = 0x08;
     /// ACK flag.
-    pub const ACK: u8 = 0x10;
+    pub(crate) const ACK: u8 = 0x10;
     /// URG flag.
     const URG: u8 = 0x20;
 
     /// Whether `bit` is set.
-    pub fn contains(&self, bit: u8) -> bool {
+    pub(crate) fn contains(&self, bit: u8) -> bool {
         self.0 & bit != 0
     }
 }
@@ -55,13 +55,13 @@ impl fmt::Display for TcpFlags {
 
 /// Zero-copy view of a TCP segment.
 #[derive(Debug, Clone, Copy)]
-pub struct TcpSegment<'a> {
+pub(crate) struct TcpSegment<'a> {
     buf: &'a [u8],
 }
 
 impl<'a> TcpSegment<'a> {
     /// Wrap and structurally validate a buffer.
-    pub fn parse(buf: &'a [u8]) -> Result<Self> {
+    pub(crate) fn parse(buf: &'a [u8]) -> Result<Self> {
         check_len(buf, TCP_MIN_HEADER_LEN)?;
         let data_offset = usize::from(buf[12] >> 4) * 4;
         if data_offset < TCP_MIN_HEADER_LEN {
@@ -72,37 +72,19 @@ impl<'a> TcpSegment<'a> {
     }
 
     /// Source port.
-    pub fn src_port(&self) -> u16 {
+    pub(crate) fn src_port(&self) -> u16 {
         u16::from_be_bytes([self.buf[0], self.buf[1]])
     }
 
     /// Destination port.
-    pub fn dst_port(&self) -> u16 {
+    pub(crate) fn dst_port(&self) -> u16 {
         u16::from_be_bytes([self.buf[2], self.buf[3]])
-    }
-
-    /// Header length in bytes.
-    fn header_len(&self) -> usize {
-        usize::from(self.buf[12] >> 4) * 4
-    }
-
-    /// The payload after header and options.
-    pub fn payload(&self) -> &'a [u8] {
-        &self.buf[self.header_len()..]
-    }
-
-    /// Verify the checksum against the pseudo-header for `src`/`dst`.
-    pub fn verify_checksum(&self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
-        let mut c = Checksum::new();
-        c.add_pseudo_header(src, dst, 6, self.buf.len() as u16);
-        c.add_bytes(self.buf);
-        c.finish() == 0
     }
 }
 
 /// Serialise a TCP segment (no options) with a valid checksum.
 #[allow(clippy::too_many_arguments)]
-pub fn build_segment(
+pub(crate) fn build_segment(
     src: Ipv4Addr,
     dst: Ipv4Addr,
     src_port: u16,
@@ -141,6 +123,26 @@ mod tests {
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 7);
 
+    impl<'a> TcpSegment<'a> {
+        /// Header length in bytes.
+        fn header_len(&self) -> usize {
+            usize::from(self.buf[12] >> 4) * 4
+        }
+
+        /// The payload after header and options.
+        fn payload(&self) -> &'a [u8] {
+            &self.buf[self.header_len()..]
+        }
+
+        /// Verify the checksum against the pseudo-header for `src`/`dst`.
+        fn verify_checksum(&self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
+            let mut c = Checksum::new();
+            c.add_pseudo_header(src, dst, 6, self.buf.len() as u16);
+            c.add_bytes(self.buf);
+            c.finish() == 0
+        }
+    }
+
     fn sample() -> Vec<u8> {
         build_segment(
             SRC,
@@ -161,7 +163,11 @@ mod tests {
         let seg = TcpSegment::parse(&bytes).unwrap();
         assert_eq!(seg.src_port(), 443);
         assert_eq!(seg.dst_port(), 51000);
-        assert_eq!(&bytes[4..12], &[0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4], "seq, ack");
+        assert_eq!(
+            &bytes[4..12],
+            &[0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4],
+            "seq, ack"
+        );
         assert_eq!(seg.header_len(), 20);
         assert_eq!(TcpFlags(bytes[13]), TcpFlags(TcpFlags::ACK | TcpFlags::PSH));
         assert_eq!(&bytes[14..16], &[0xff, 0xff], "window");

@@ -28,12 +28,12 @@ impl<'a> UdpDatagram<'a> {
     }
 
     /// Source port.
-    pub fn src_port(&self) -> u16 {
+    pub(crate) fn src_port(&self) -> u16 {
         u16::from_be_bytes([self.buf[0], self.buf[1]])
     }
 
     /// Destination port.
-    pub fn dst_port(&self) -> u16 {
+    pub(crate) fn dst_port(&self) -> u16 {
         u16::from_be_bytes([self.buf[2], self.buf[3]])
     }
 
@@ -45,11 +45,6 @@ impl<'a> UdpDatagram<'a> {
     /// The checksum field as stored (0 means "not computed" in IPv4).
     fn stored_checksum(&self) -> u16 {
         u16::from_be_bytes([self.buf[6], self.buf[7]])
-    }
-
-    /// The payload as bounded by the length field.
-    pub fn payload(&self) -> &'a [u8] {
-        &self.buf[UDP_HEADER_LEN..self.len_field()]
     }
 
     /// Verify the checksum; a stored checksum of zero is accepted as
@@ -67,7 +62,7 @@ impl<'a> UdpDatagram<'a> {
 }
 
 /// Serialise a UDP datagram with a valid checksum.
-pub fn build_datagram(
+pub(crate) fn build_datagram(
     src: Ipv4Addr,
     dst: Ipv4Addr,
     src_port: u16,
@@ -101,6 +96,13 @@ mod tests {
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 7);
+
+    impl<'a> UdpDatagram<'a> {
+        /// The payload as bounded by the length field.
+        fn payload(&self) -> &'a [u8] {
+            &self.buf[UDP_HEADER_LEN..self.len_field()]
+        }
+    }
 
     #[test]
     fn round_trip() {

@@ -295,7 +295,11 @@ static CRC_TABLES: [[u32; 256]; CRC_STRIDE] = {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
             bit += 1;
         }
         tables[0][i] = crc;
@@ -340,7 +344,10 @@ pub fn crc32(data: &[u8]) -> u32 {
             k += 1;
         }
     }
-    !strides.remainder().iter().fold(crc, |crc, &b| crc_step(crc, b))
+    !strides
+        .remainder()
+        .iter()
+        .fold(crc, |crc, &b| crc_step(crc, b))
 }
 
 /// The configuration fingerprint embedded in every checkpoint.
@@ -440,7 +447,11 @@ impl Checkpoint {
     /// table and history are then left out, whatever this holds.
     /// Without, it is version 6 and holds them as a log's records.
     fn write_image(&self, image: &mut Vec<u8>, log: Option<&LogRef>) {
-        let version = if log.is_some() { VERSION_LOGGED } else { VERSION_INLINE };
+        let version = if log.is_some() {
+            VERSION_LOGGED
+        } else {
+            VERSION_INLINE
+        };
         let reserved = HEADER_LEN + self.payload_len_bound();
         image.clear();
         image.reserve(reserved);
@@ -463,9 +474,16 @@ impl Checkpoint {
         // reference and log header of the layout, each option and scheme
         // at its widest.
         const FIXED: usize = 320;
-        let slots = self.state.history.iter().map(|(_, slot)| slot_record_len(slot.len()));
+        let slots = self
+            .state
+            .history
+            .iter()
+            .map(|(_, slot)| slot_record_len(slot.len()));
         let records = key_record_len(self.keys.len()) + slots.sum::<u64>();
-        let sketch = self.sketch.as_ref().map_or(0, |(kind, payload)| kind.len() + payload.len());
+        let sketch = self
+            .sketch
+            .as_ref()
+            .map_or(0, |(kind, payload)| kind.len() + payload.len());
         FIXED
             + self.config.detector.len()
             + records as usize
@@ -507,7 +525,11 @@ impl Checkpoint {
         let (mut checkpoint, records) =
             Self::decode(payload, version).map_err(CheckpointError::Format)?;
         match records {
-            Records::Inline { keys, window, bytes } => {
+            Records::Inline {
+                keys,
+                window,
+                bytes,
+            } => {
                 walk_log(bytes, keys, window, &mut checkpoint, "inline log")?;
                 Ok((checkpoint, None))
             }
@@ -636,8 +658,7 @@ impl Checkpoint {
         let scheme = match r.u8()? {
             0 => Scheme::SingleFeature,
             1 => Scheme::LatentHeat {
-                window: usize::try_from(r.u64()?)
-                    .map_err(|_| "window too large".to_string())?,
+                window: usize::try_from(r.u64()?).map_err(|_| "window too large".to_string())?,
             },
             2 => Scheme::Hysteresis {
                 enter: f64::from_bits(r.u64()?),
@@ -664,15 +685,19 @@ impl Checkpoint {
         } else {
             let (keys, window) = (r.u64()?, r.u64()?);
             let len = r.count(1, "inline log")?;
-            Records::Inline { keys, window, bytes: r.take(len)? }
+            Records::Inline {
+                keys,
+                window,
+                bytes: r.take(len)?,
+            }
         };
         let n_row = r.count(12, "row")?;
         let mut row = Vec::with_capacity(n_row);
         for _ in 0..n_row {
             row.push((r.u32()?, r.u64()?));
         }
-        let interval = usize::try_from(r.u64()?)
-            .map_err(|_| "interval index too large".to_string())?;
+        let interval =
+            usize::try_from(r.u64()?).map_err(|_| "interval index too large".to_string())?;
         let detected = match r.u8()? {
             tag @ (0 | 1) => tag == 1,
             t => return Err(format!("bad detection tag {t}")),
@@ -718,7 +743,13 @@ impl Checkpoint {
             stats,
             keys: Vec::new(),
             row,
-            state: ClassifierState { interval, detected, sum_t, history: Vec::new(), members },
+            state: ClassifierState {
+                interval,
+                detected,
+                sum_t,
+                history: Vec::new(),
+                members,
+            },
             sketch,
             log: None,
         };
@@ -732,7 +763,11 @@ enum Records<'a> {
     Named(LogRef),
     /// In the log bytes a version-6 image holds: `keys` keys and a
     /// window of `window` slots.
-    Inline { keys: u64, window: u64, bytes: &'a [u8] },
+    Inline {
+        keys: u64,
+        window: u64,
+        bytes: &'a [u8],
+    },
 }
 
 /// Read an image's header and payload and verify its checksum: the
@@ -755,7 +790,10 @@ fn read_image<R: Read>(input: &mut R) -> Result<(u32, Vec<u8>), CheckpointError>
     // a huge up-front allocation: memory stays bounded by what the
     // stream actually holds.
     let mut payload = Vec::new();
-    input.take(len).read_to_end(&mut payload).map_err(CheckpointError::Io)?;
+    input
+        .take(len)
+        .read_to_end(&mut payload)
+        .map_err(CheckpointError::Io)?;
     if (payload.len() as u64) < len {
         return Err(CheckpointError::Format(format!(
             "payload truncated: header declares {len} bytes, stream holds {}",
@@ -764,7 +802,9 @@ fn read_image<R: Read>(input: &mut R) -> Result<(u32, Vec<u8>), CheckpointError>
     }
     let mut probe = [0u8; 1];
     if input.read(&mut probe).map_err(CheckpointError::Io)? != 0 {
-        return Err(CheckpointError::Format("trailing bytes after payload".to_string()));
+        return Err(CheckpointError::Format(
+            "trailing bytes after payload".to_string(),
+        ));
     }
     let actual = crc32(&payload);
     if actual != expected {
@@ -829,7 +869,9 @@ fn key(r: &mut ByteReader<'_>) -> Result<(RouteId, Prefix), String> {
 
 /// What [`put_snapshot`] wrote, `n` entries of it.
 fn snapshot(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<(KeyId, f32)>, String> {
-    (0..n).map(|_| Ok((r.u32()?, f32::from_bits(r.u32()?)))).collect()
+    (0..n)
+        .map(|_| Ok((r.u32()?, f32::from_bits(r.u32()?))))
+        .collect()
 }
 
 /// File name of the checkpoint log numbered `seq`.
@@ -841,7 +883,10 @@ fn log_name(seq: u64) -> String {
 /// [`log_name`] does not write.
 fn log_seq(name: &str) -> Option<u64> {
     let digits = name.strip_prefix("eleph.")?.strip_suffix(".log")?;
-    let seq = digits.parse().ok().filter(|_| digits.bytes().all(|b| b.is_ascii_digit()))?;
+    let seq = digits
+        .parse()
+        .ok()
+        .filter(|_| digits.bytes().all(|b| b.is_ascii_digit()))?;
     (log_name(seq) == name).then_some(seq)
 }
 
@@ -872,7 +917,12 @@ impl LogRef {
         if log_seq(&name).is_none() {
             return Err(format!("bad log name {name:?}"));
         }
-        Ok(LogRef { name, watermark: r.u64()?, keys: r.u64()?, window: r.u64()? })
+        Ok(LogRef {
+            name,
+            watermark: r.u64()?,
+            keys: r.u64()?,
+            window: r.u64()?,
+        })
     }
 }
 
@@ -933,7 +983,11 @@ impl LogState {
     /// The bytes a log started from the same frontier holds: the header,
     /// one key record holding every key, the window's slot records.
     fn live(&self) -> u64 {
-        let keys = if self.keys > 0 { key_record_len(self.keys) } else { 0 };
+        let keys = if self.keys > 0 {
+            key_record_len(self.keys)
+        } else {
+            0
+        };
         LOG_HEADER_LEN + keys + self.slots.iter().sum::<u64>()
     }
 
@@ -1096,10 +1150,16 @@ fn walk_log(
         p.end().map_err(format)?;
     }
     if keys.len() != n_keys {
-        return Err(format(format!("holds {} keys, image records {n_keys}", keys.len())));
+        return Err(format(format!(
+            "holds {} keys, image records {n_keys}",
+            keys.len()
+        )));
     }
     let open = checkpoint.open;
-    let consecutive = intervals.iter().enumerate().all(|(i, &at)| at + (window - i) as u64 == open);
+    let consecutive = intervals
+        .iter()
+        .enumerate()
+        .all(|(i, &at)| at + (window - i) as u64 == open);
     if intervals.len() != window || !consecutive {
         return Err(format(format!(
             "its last slots are intervals {intervals:?}, the image's window is the {window} \
@@ -1252,14 +1312,20 @@ impl Writer {
     fn spawn(path: PathBuf, tmp: PathBuf) -> io::Result<Self> {
         let (jobs, job_rx) = mpsc::channel::<Job>();
         let (done_tx, done) = mpsc::channel();
-        let thread = thread::Builder::new().name("eleph-checkpoint".to_string()).spawn(move || {
-            for job in job_rx {
-                if done_tx.send(write_job(&path, &tmp, job)).is_err() {
-                    break;
+        let thread = thread::Builder::new()
+            .name("eleph-checkpoint".to_string())
+            .spawn(move || {
+                for job in job_rx {
+                    if done_tx.send(write_job(&path, &tmp, job)).is_err() {
+                        break;
+                    }
                 }
-            }
-        })?;
-        Ok(Writer { jobs: Some(jobs), done, thread: Some(thread) })
+            })?;
+        Ok(Writer {
+            jobs: Some(jobs),
+            done,
+            thread: Some(thread),
+        })
     }
 }
 
@@ -1278,7 +1344,12 @@ impl Drop for Writer {
 /// and the image into the kept buffers, then the protocol of the module
 /// docs.
 fn write_job(path: &Path, tmp: &Path, job: Job) -> Done {
-    let Job { delta, mut image, mut records, plan } = job;
+    let Job {
+        delta,
+        mut image,
+        mut records,
+        plan,
+    } = job;
     let started = Instant::now();
     records.clear();
     if plan.at == 0 {
@@ -1528,7 +1599,10 @@ impl Checkpointer {
         let sealed = pipeline.intervals_sealed();
         // Append only for the pipeline whose keys and window the log
         // holds; any other starts a log of its own.
-        let mut continued = self.log.take().filter(|log| pipeline.log.as_ref() == Some(log));
+        let mut continued = self
+            .log
+            .take()
+            .filter(|log| pipeline.log.as_ref() == Some(log));
         // Compaction: a log whose dead bytes would outgrow its live ones
         // is not continued; the image starts the next log, as a first
         // image does. The rule reads what the image appends counted, so
@@ -1538,9 +1612,16 @@ impl Checkpointer {
             (keys_from, open_from, at) = (log.keys, log.open as usize, log.len);
             let (slots, window) = pipeline.classifier.window_from(open_from);
             let slots = slots.map(<[_]>::len);
-            log.append(pipeline.keys().len() - keys_from, slots, window, sealed as u64);
+            log.append(
+                pipeline.keys().len() - keys_from,
+                slots,
+                window,
+                sealed as u64,
+            );
         }
-        let compaction = continued.take_if(|log| log.len - log.live() > log.live()).is_some();
+        let compaction = continued
+            .take_if(|log| log.len - log.live() > log.live())
+            .is_some();
         if compaction {
             (keys_from, open_from, at) = (0, 0, 0);
         }
@@ -1548,8 +1629,18 @@ impl Checkpointer {
         self.flush()?;
         let log = continued.unwrap_or_else(|| {
             let mut log = LogState::new(self.take_seq(), &self.path);
-            let slots = delta.snapshot.state.history.iter().map(|(_, slot)| slot.len());
-            log.append(delta.snapshot.keys.len(), slots, delta.window, delta.snapshot.open);
+            let slots = delta
+                .snapshot
+                .state
+                .history
+                .iter()
+                .map(|(_, slot)| slot.len());
+            log.append(
+                delta.snapshot.keys.len(),
+                slots,
+                delta.window,
+                delta.snapshot.open,
+            );
             log
         });
         let plan = LogPlan {
@@ -1612,18 +1703,22 @@ pub fn skip_offered<S: PacketSource>(source: &mut S, target: u64) -> crate::Resu
             return Ok(());
         }
         if consumed > target {
-            return Err(PipelineError::Checkpoint(CheckpointError::Mismatch(format!(
+            return Err(PipelineError::Checkpoint(CheckpointError::Mismatch(
+                format!(
                 "source chunk boundary at {consumed} records overshoots the checkpoint's {target} \
                  — the source does not match the checkpointed run"
-            ))));
+            ),
+            )));
         }
         buf.clear();
         match source.next_chunk(&mut buf)? {
             0 if parsed + source.malformed() < target => {
-                return Err(PipelineError::Checkpoint(CheckpointError::Mismatch(format!(
-                    "source exhausted after {} records but the checkpoint consumed {target}",
-                    parsed + source.malformed()
-                ))));
+                return Err(PipelineError::Checkpoint(CheckpointError::Mismatch(
+                    format!(
+                        "source exhausted after {} records but the checkpoint consumed {target}",
+                        parsed + source.malformed()
+                    ),
+                )));
             }
             n => parsed += n as u64,
         }
@@ -1901,10 +1996,16 @@ mod tests {
             let mut bytes = good.clone();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             fs::write(&image, &bytes).expect("plant");
-            for read in [Checkpoint::load(&image), Checkpoint::read_from(&mut &bytes[..])] {
+            for read in [
+                Checkpoint::load(&image),
+                Checkpoint::read_from(&mut &bytes[..]),
+            ] {
                 match read {
                     Err(CheckpointError::Format(why)) => {
-                        assert!(why.contains(&format!("unsupported version {version}")), "{why}")
+                        assert!(
+                            why.contains(&format!("unsupported version {version}")),
+                            "{why}"
+                        )
                     }
                     other => panic!("a version-{version} image read as {other:?}"),
                 }
@@ -1927,7 +2028,11 @@ mod tests {
 
     /// A synthetic table of 300 routes, frozen.
     fn small_table() -> eleph_bgp::FrozenBgpTable {
-        synth::generate(&SynthConfig { n_prefixes: 300, ..SynthConfig::default() }).freeze()
+        synth::generate(&SynthConfig {
+            n_prefixes: 300,
+            ..SynthConfig::default()
+        })
+        .freeze()
     }
 
     /// A pipeline over ten-second intervals from time 0.
@@ -2021,13 +2126,22 @@ mod tests {
             pipeline.observe_chunk(metas).expect("observe");
             checkpointer.write(&mut pipeline).expect("write");
             let loaded = Checkpoint::load(checkpointer.path()).expect("the image loads");
-            assert_eq!(loaded.to_bytes(), pipeline.export_checkpoint().to_bytes_by_copy());
+            assert_eq!(
+                loaded.to_bytes(),
+                pipeline.export_checkpoint().to_bytes_by_copy()
+            );
             let log = dir.join(log_name(seq as u64));
-            assert_eq!(dir_files(&dir), [log_name(seq as u64), CHECKPOINT_FILE.to_string()]);
+            assert_eq!(
+                dir_files(&dir),
+                [log_name(seq as u64), CHECKPOINT_FILE.to_string()]
+            );
             let len = |path: &Path| fs::metadata(path).expect("file").len();
             on_disk.push((len(checkpointer.path()), len(&log)));
         }
-        assert!(on_disk[0].0 > 10 * on_disk[1].0, "the second image is much the smaller");
+        assert!(
+            on_disk[0].0 > 10 * on_disk[1].0,
+            "the second image is much the smaller"
+        );
         let written = checkpointer.written();
         assert_eq!(written.images, 2);
         // Each image started its log, so its append is the whole log.
@@ -2041,7 +2155,13 @@ mod tests {
     fn dir_files(dir: &Path) -> Vec<String> {
         let mut names: Vec<String> = fs::read_dir(dir)
             .expect("read dir")
-            .map(|entry| entry.expect("entry").file_name().into_string().expect("utf-8"))
+            .map(|entry| {
+                entry
+                    .expect("entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf-8")
+            })
             .collect();
         names.sort();
         names
@@ -2071,7 +2191,9 @@ mod tests {
         let mut checkpointer = Checkpointer::new(&dir, 1).expect("checkpointer");
         let mut pipeline = pipeline_over(&table, Scheme::LatentHeat { window: 4 }, state, 0);
         for interval in 0..40u64 {
-            pipeline.observe_chunk(&growing_interval(&dsts, interval)).expect("observe");
+            pipeline
+                .observe_chunk(&growing_interval(&dsts, interval))
+                .expect("observe");
             if checkpointer.maybe_write(&mut pipeline).expect("image") {
                 checkpointer.flush().expect("image on disk");
                 let loaded = Checkpoint::load(checkpointer.path()).expect("the image loads");
@@ -2079,7 +2201,10 @@ mod tests {
                 assert_eq!(loaded.to_bytes(), want, "image after interval {interval}");
             }
         }
-        assert!(checkpointer.written().compactions > 0, "the run compacts its log");
+        assert!(
+            checkpointer.written().compactions > 0,
+            "the run compacts its log"
+        );
         (dir, pipeline.export_checkpoint().to_bytes())
     }
 
@@ -2108,7 +2233,12 @@ mod tests {
         dirs.iter().for_each(|dir| drop(fs::remove_dir_all(dir)));
         let mut checkpointer = Checkpointer::new(&dirs[0], 1).expect("checkpointer");
         let [mut pipeline, mut twin] = [(); 2].map(|_| {
-            pipeline_over(&table, Scheme::LatentHeat { window: 4 }, StateBackendConfig::Exact, 0)
+            pipeline_over(
+                &table,
+                Scheme::LatentHeat { window: 4 },
+                StateBackendConfig::Exact,
+                0,
+            )
         });
         let compacted_after = (0..40u64).find(|&interval| {
             let metas = growing_interval(&dsts, interval);
@@ -2119,9 +2249,17 @@ mod tests {
             checkpointer.written().compactions > 0
         });
         assert!(compacted_after.is_some(), "the run compacts its log");
-        Checkpointer::new(&dirs[1], 1).expect("checkpointer").write(&mut twin).expect("image");
-        let [started, fresh] = dirs.each_ref().map(|dir| fs::read(only_log(dir)).expect("log"));
-        assert!(started == fresh, "the log started by the compaction after {compacted_after:?}");
+        Checkpointer::new(&dirs[1], 1)
+            .expect("checkpointer")
+            .write(&mut twin)
+            .expect("image");
+        let [started, fresh] = dirs
+            .each_ref()
+            .map(|dir| fs::read(only_log(dir)).expect("log"));
+        assert!(
+            started == fresh,
+            "the log started by the compaction after {compacted_after:?}"
+        );
         dirs.iter().for_each(|dir| drop(fs::remove_dir_all(dir)));
     }
 
@@ -2132,24 +2270,40 @@ mod tests {
         // pipeline: a key and a slot have one encoding, the log record.
         let table = small_table();
         let dsts: Vec<Ipv4Addr> = table.iter().map(|e| e.prefix.network()).collect();
-        let sketch = StateBackendConfig::SpaceSaving { budget_bytes: 2_048 };
+        let sketch = StateBackendConfig::SpaceSaving {
+            budget_bytes: 2_048,
+        };
         for state in [StateBackendConfig::Exact, sketch] {
             let mut pipeline = pipeline_over(&table, Scheme::LatentHeat { window: 4 }, state, 0);
             for interval in 0..9 {
-                pipeline.observe_chunk(&growing_interval(&dsts, interval)).expect("observe");
+                pipeline
+                    .observe_chunk(&growing_interval(&dsts, interval))
+                    .expect("observe");
             }
             let dir =
                 std::env::temp_dir().join(format!("eleph-ckpt-inline-{}", std::process::id()));
             let _ = fs::remove_dir_all(&dir);
-            Checkpointer::new(&dir, 1).expect("checkpointer").write(&mut pipeline).expect("image");
+            Checkpointer::new(&dir, 1)
+                .expect("checkpointer")
+                .write(&mut pipeline)
+                .expect("image");
             let mut image = Vec::new();
             pipeline.checkpoint(&mut image).expect("write to a Vec");
             let (_, records) =
                 Checkpoint::decode(&image[HEADER_LEN..], VERSION_INLINE).expect("decode");
-            let Records::Inline { keys, window, bytes } = records else {
+            let Records::Inline {
+                keys,
+                window,
+                bytes,
+            } = records
+            else {
                 panic!("a version-6 image")
             };
-            assert_eq!((keys, window), (pipeline.keys().len() as u64, 4), "{state:?}");
+            assert_eq!(
+                (keys, window),
+                (pipeline.keys().len() as u64, 4),
+                "{state:?}"
+            );
             assert!(bytes == fs::read(only_log(&dir)).expect("log"), "{state:?}");
             fs::remove_dir_all(&dir).ok();
         }
@@ -2157,12 +2311,21 @@ mod tests {
 
     #[test]
     fn a_log_backed_image_loads_as_the_self_contained_one() {
-        let sketch = StateBackendConfig::SpaceSaving { budget_bytes: 2_048 };
+        let sketch = StateBackendConfig::SpaceSaving {
+            budget_bytes: 2_048,
+        };
         for state in [StateBackendConfig::Exact, sketch] {
             let (dir, want) = logged_dir("equal", state);
             let image = dir.join(CHECKPOINT_FILE);
-            assert_eq!(fs::read(&image).expect("image")[8..12], VERSION_LOGGED.to_le_bytes());
-            assert_eq!(Checkpoint::load(&image).expect("load").to_bytes(), want, "{state:?}");
+            assert_eq!(
+                fs::read(&image).expect("image")[8..12],
+                VERSION_LOGGED.to_le_bytes()
+            );
+            assert_eq!(
+                Checkpoint::load(&image).expect("load").to_bytes(),
+                want,
+                "{state:?}"
+            );
             only_log(&dir);
             match Checkpoint::read_from(&mut File::open(&image).expect("image")) {
                 Err(CheckpointError::Format(why)) => {
@@ -2251,11 +2414,31 @@ mod tests {
         let image = dir.join(CHECKPOINT_FILE);
         let (version, payload) = read_image(&mut File::open(&image).expect("image")).expect("read");
         let (checkpoint, records) = Checkpoint::decode(&payload, version).expect("decode");
-        let Records::Named(log) = records else { panic!("a version-5 image") };
+        let Records::Named(log) = records else {
+            panic!("a version-5 image")
+        };
         for (what, bad) in [
-            ("key count", LogRef { keys: u64::MAX / 2, ..log.clone() }),
-            ("window count", LogRef { window: u64::MAX / 2, ..log.clone() }),
-            ("image needs", LogRef { watermark: u64::MAX, ..log.clone() }),
+            (
+                "key count",
+                LogRef {
+                    keys: u64::MAX / 2,
+                    ..log.clone()
+                },
+            ),
+            (
+                "window count",
+                LogRef {
+                    window: u64::MAX / 2,
+                    ..log.clone()
+                },
+            ),
+            (
+                "image needs",
+                LogRef {
+                    watermark: u64::MAX,
+                    ..log.clone()
+                },
+            ),
         ] {
             let mut bytes = Vec::new();
             checkpoint.write_image(&mut bytes, Some(&bad));
@@ -2274,7 +2457,9 @@ mod tests {
         let dst = table.iter().next().expect("a route").prefix.network();
         let mut pipeline =
             pipeline_over(&table, Scheme::SingleFeature, StateBackendConfig::Exact, 0);
-        pipeline.observe_chunk(&[packet(dst, 1, 100)]).expect("observe");
+        pipeline
+            .observe_chunk(&[packet(dst, 1, 100)])
+            .expect("observe");
         let dir = std::env::temp_dir().join(format!("eleph-ckpt-dead-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let mut checkpointer = Checkpointer::new(&dir, 1).expect("checkpointer");
@@ -2285,7 +2470,11 @@ mod tests {
         // Gone between images: the job channel is closed.
         let (jobs, _) = mpsc::channel();
         let (_, done) = mpsc::channel();
-        checkpointer.writer = Some(Writer { jobs: Some(jobs), done, thread: None });
+        checkpointer.writer = Some(Writer {
+            jobs: Some(jobs),
+            done,
+            thread: None,
+        });
         assert!(is_io(checkpointer.write(&mut pipeline)));
 
         // Gone holding an image: the job is taken and no answer comes.
@@ -2295,7 +2484,11 @@ mod tests {
             let _job = taken.recv();
             drop(answer);
         });
-        checkpointer.writer = Some(Writer { jobs: Some(jobs), done, thread: Some(thread) });
+        checkpointer.writer = Some(Writer {
+            jobs: Some(jobs),
+            done,
+            thread: Some(thread),
+        });
         assert!(is_io(checkpointer.write(&mut pipeline)));
         assert!(is_io(checkpointer.write(&mut pipeline)), "and stays gone");
         assert_eq!(checkpointer.written().images, 0);
@@ -2309,7 +2502,10 @@ mod tests {
         let bytes = original.to_bytes();
         let decoded = Checkpoint::read_from(&mut &bytes[..]).expect("round trip");
         assert_eq!(decoded.config, original.config);
-        assert_eq!(decoded.config.gamma.to_bits(), original.config.gamma.to_bits());
+        assert_eq!(
+            decoded.config.gamma.to_bits(),
+            original.config.gamma.to_bits()
+        );
         assert_eq!(decoded.open, original.open);
         assert_eq!(decoded.far_future_streak, original.far_future_streak);
         assert_eq!(decoded.stats, original.stats);
@@ -2364,7 +2560,10 @@ mod tests {
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0xA5;
-            assert!(Checkpoint::read_from(&mut &bad[..]).is_err(), "flip at byte {i} accepted");
+            assert!(
+                Checkpoint::read_from(&mut &bad[..]).is_err(),
+                "flip at byte {i} accepted"
+            );
         }
         for keep in 0..bytes.len() {
             assert!(

@@ -2,11 +2,14 @@
 //! classifications out — without ever materializing the full bandwidth
 //! matrix.
 //!
-//! The batch path (`eleph_flow::aggregate_pcap` → `BandwidthMatrix` →
-//! `eleph_core::classify`) answers the paper's offline questions, but an
-//! ISP consumes the elephant definition *operationally*: a monitor sits
-//! on a live link, seals one measurement interval at a time, and must
-//! emit the interval's elephant set before the next interval lands.
+//! The paper's offline questions are answered by the report crate's
+//! experiment session (`eleph_report::Lab`), which classifies each
+//! link's rows as they are generated and builds no matrix;
+//! `eleph_core::classify` over a finished `BandwidthMatrix` is the
+//! batch reference the session is held to. But an ISP consumes the
+//! elephant definition *operationally*: a monitor sits on a live link,
+//! seals one measurement interval at a time, and must emit the
+//! interval's elephant set before the next interval lands.
 //! [`Pipeline`] is that form, assembled by [`PipelineBuilder`]:
 //!
 //! * a [`PacketSource`] yields time-ordered packet chunks — a pcap
@@ -85,16 +88,14 @@ pub use checkpoint::{
     crc32, skip_offered, Checkpoint, CheckpointError, Checkpointer, CheckpointsWritten,
     CHECKPOINT_FILE,
 };
-pub use pipeline::{
-    Pipeline, PipelineBuilder, PipelineError, PipelineReport, PipelineStats, Result,
-};
+use pipeline::Result;
+pub use pipeline::{Pipeline, PipelineBuilder, PipelineError, PipelineReport, PipelineStats};
 pub use shard::MAX_WORKER_THREADS;
 // The state-backend configuration travels with the builder everywhere
 // the pipeline does; re-exported so callers need not depend on
 // eleph-core directly to select a sketch tier.
 pub use eleph_core::StateBackendConfig;
 pub use sink::{
-    CallbackSink, CollectedInterval, Collector, CollectorSink, JsonlSink, RotatingJsonlSink,
-    SealedInterval, Sink,
+    CallbackSink, CollectedInterval, Collector, JsonlSink, RotatingJsonlSink, SealedInterval, Sink,
 };
 pub use source::{MetaSource, PacketSource, PcapSource, TraceSource};

@@ -6,8 +6,8 @@ use std::time::Instant;
 
 use eleph_bgp::{FrozenBgpTable, LiveBgpTable, RouteId, TableView, UpdateBatch};
 use eleph_core::{
-    ConstantLoadDetector, ExactDense, OnlineClassifier, Scheme, StateBackend,
-    StateBackendConfig, ThresholdDetector, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
+    ConstantLoadDetector, ExactDense, OnlineClassifier, Scheme, StateBackend, StateBackendConfig,
+    ThresholdDetector, PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
 };
 use eleph_flow::{attribute_metas, KeyAllocator, KeyId};
 use eleph_net::Prefix;
@@ -100,7 +100,7 @@ impl From<CheckpointError> for PipelineError {
 }
 
 /// Pipeline result type.
-pub type Result<T> = std::result::Result<T, PipelineError>;
+pub(crate) type Result<T> = std::result::Result<T, PipelineError>;
 
 /// Accounting for every packet offered to a [`Pipeline`]. Identical to
 /// the batch `AggregatorStats` plus `late`: packets whose interval was
@@ -143,9 +143,10 @@ pub struct PipelineReport {
     /// in global first-seen order — the same order the batch
     /// aggregator's matrix would use.
     pub keys: Vec<Prefix>,
-    /// Consecutive far-future rejects at end of run (see
-    /// [`Pipeline::far_future_streak`]); nonzero means the capture
-    /// ended on suspicious timestamps.
+    /// Consecutive far-future rejects at end of run (unbounded mode
+    /// trips [`PipelineError::GapExceeded`] when the streak reaches its
+    /// tolerance); nonzero means the capture ended on suspicious
+    /// timestamps.
     pub far_future_streak: u32,
     /// Routing-table generation at end of run: 0 for a frozen table,
     /// the number of update batches applied for a live one.
@@ -189,7 +190,8 @@ enum TableHandle<'t> {
 /// A live handle's view, pinned everywhere outside
 /// [`Pipeline::apply_due_updates`].
 fn pinned(view: &Option<TableView>) -> &TableView {
-    view.as_ref().expect("the table view is re-pinned after every batch")
+    view.as_ref()
+        .expect("the table view is re-pinned after every batch")
 }
 
 impl TableHandle<'_> {
@@ -378,8 +380,7 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     /// Seal intervals from this state backend
     /// ([`StateBackendConfig::Exact`], the default, keeps the dense byte
     /// row and is bit-identical to every earlier release; the sketch
-    /// backends trade bounded memory for approximate snapshots — see
-    /// [`eleph_core::sketch`]). Every backend, the exact one included,
+    /// backends trade bounded memory for approximate snapshots). Every backend, the exact one included,
     /// sits behind the same [`StateBackend`] trait object and is fed
     /// once per packet chunk; detection, smoothing and scheme state
     /// always run exactly on whatever snapshot the backend seals.
@@ -411,7 +412,9 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     /// when [`PipelineBuilder::shards`] is above
     /// [`crate::MAX_WORKER_THREADS`] or combined with a sketch backend.
     pub fn build(self) -> Pipeline<'t, D> {
-        let table = self.table.expect("PipelineBuilder needs a table (.frozen or .live)");
+        let table = self
+            .table
+            .expect("PipelineBuilder needs a table (.frozen or .live)");
         let update_ns = update_schedule(&table, &self.updates);
         // Shared with the batch aggregator so the two paths cannot
         // drift on window validation.
@@ -465,7 +468,10 @@ impl<'t, D: ThresholdDetector> PipelineBuilder<'t, D> {
     /// # Panics
     ///
     /// Panics on what [`PipelineBuilder::build`] panics on.
-    pub fn resume(self, ckpt: &Checkpoint) -> std::result::Result<Pipeline<'t, D>, CheckpointError> {
+    pub fn resume(
+        self,
+        ckpt: &Checkpoint,
+    ) -> std::result::Result<Pipeline<'t, D>, CheckpointError> {
         let mut pipeline = self.build();
         pipeline.restore(ckpt)?;
         Ok(pipeline)
@@ -635,7 +641,10 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
     /// when the schedule is exhausted).
     #[inline]
     fn next_update_ns(&self) -> u64 {
-        self.update_ns.get(self.next_update).copied().unwrap_or(u64::MAX)
+        self.update_ns
+            .get(self.next_update)
+            .copied()
+            .unwrap_or(u64::MAX)
     }
 
     /// Apply every scheduled batch due at or before `ts_ns` with the
@@ -646,8 +655,7 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
         let started = Instant::now();
         if let TableHandle::Live { table, view } = &mut self.table {
             *view = None;
-            while self.next_update < self.updates.len()
-                && self.update_ns[self.next_update] <= ts_ns
+            while self.next_update < self.updates.len() && self.update_ns[self.next_update] <= ts_ns
             {
                 table.apply(&self.updates[self.next_update].updates);
                 self.next_update += 1;
@@ -859,7 +867,10 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
     pub(crate) fn export_delta(&self, keys_from: usize, open_from: usize) -> Delta {
         let key_routes = self.key_alloc.key_routes();
         debug_assert_eq!(key_routes.len(), self.keys.len());
-        debug_assert!(self.binned.is_empty(), "pairs outside the row at a chunk boundary");
+        debug_assert!(
+            self.binned.is_empty(),
+            "pairs outside the row at a chunk boundary"
+        );
         let (state, window) = self.classifier.export_state_from(open_from);
         let row = &self.row;
         let snapshot = Checkpoint {
@@ -877,10 +888,16 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             // image's sketch payload instead and its row is empty.
             row: row.open_row(),
             state,
-            sketch: row.export_sketch().map(|payload| (row.kind().to_string(), payload)),
+            sketch: row
+                .export_sketch()
+                .map(|payload| (row.kind().to_string(), payload)),
             log: None,
         };
-        Delta { snapshot, keys_from, window }
+        Delta {
+            snapshot,
+            keys_from,
+            window,
+        }
     }
 
     /// The configuration this pipeline measures under, as a checkpoint
@@ -908,7 +925,9 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
     /// On an error the pipeline is part restored and must be dropped.
     fn restore(&mut self, ckpt: &Checkpoint) -> std::result::Result<(), CheckpointError> {
         let mismatch = |what: &str, have: String, want: String| {
-            CheckpointError::Mismatch(format!("{what}: pipeline has {have}, checkpoint has {want}"))
+            CheckpointError::Mismatch(format!(
+                "{what}: pipeline has {have}, checkpoint has {want}"
+            ))
         };
         // Destructured, so a field added to the fingerprint is a compile
         // error here until it is compared.
@@ -931,7 +950,11 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             ));
         }
         if start_unix != c.start_unix {
-            return Err(mismatch("start_unix", start_unix.to_string(), c.start_unix.to_string()));
+            return Err(mismatch(
+                "start_unix",
+                start_unix.to_string(),
+                c.start_unix.to_string(),
+            ));
         }
         if n_intervals != c.n_intervals {
             return Err(mismatch(
@@ -944,16 +967,27 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
             return Err(mismatch("gamma", gamma.to_string(), c.gamma.to_string()));
         }
         if scheme != c.scheme {
-            return Err(mismatch("scheme", format!("{scheme:?}"), format!("{:?}", c.scheme)));
+            return Err(mismatch(
+                "scheme",
+                format!("{scheme:?}"),
+                format!("{:?}", c.scheme),
+            ));
         }
         if detector != c.detector {
             return Err(mismatch("detector", detector, c.detector.clone()));
         }
         // A checkpoint without a sketch payload is of the exact
         // backend.
-        let kind = ckpt.sketch.as_ref().map_or("exact", |(kind, _)| kind.as_str());
+        let kind = ckpt
+            .sketch
+            .as_ref()
+            .map_or("exact", |(kind, _)| kind.as_str());
         if self.row.kind() != kind {
-            return Err(mismatch("state backend", self.row.kind().to_string(), kind.to_string()));
+            return Err(mismatch(
+                "state backend",
+                self.row.kind().to_string(),
+                kind.to_string(),
+            ));
         }
         // A live table must be replayed to the checkpoint's generation
         // before resuming (apply the first `generation` batches of the
@@ -1005,7 +1039,11 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
         }
         self.key_alloc = KeyAllocator::from_key_routes(
             n_routes as usize,
-            &ckpt.keys.iter().map(|&(route, _)| route).collect::<Vec<_>>(),
+            &ckpt
+                .keys
+                .iter()
+                .map(|&(route, _)| route)
+                .collect::<Vec<_>>(),
         )
         .map_err(CheckpointError::State)?;
         let open = ckpt.open as usize;
@@ -1025,7 +1063,9 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
         // whatever holds it, so the shard count is free to change.
         match &ckpt.sketch {
             Some((_, payload)) => {
-                self.row.restore_sketch(payload).map_err(CheckpointError::State)?;
+                self.row
+                    .restore_sketch(payload)
+                    .map_err(CheckpointError::State)?;
             }
             None => {
                 ExactDense::from_checkpoint_row(ckpt.keys.len(), &ckpt.row)
@@ -1078,19 +1118,6 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
         })
     }
 
-    /// Current packet accounting.
-    pub fn stats(&self) -> PipelineStats {
-        self.stats
-    }
-
-    /// Consecutive far-future rejects right now (unbounded mode trips
-    /// [`PipelineError::GapExceeded`] when this reaches the tolerance) —
-    /// a nonzero value at end of run means the capture tail was
-    /// suspicious.
-    pub fn far_future_streak(&self) -> u32 {
-        self.far_future_streak
-    }
-
     /// Intervals sealed so far.
     pub fn intervals_sealed(&self) -> usize {
         self.open
@@ -1099,11 +1126,6 @@ impl<D: ThresholdDetector> Pipeline<'_, D> {
     /// The key table so far (global first-seen order).
     pub fn keys(&self) -> &[Prefix] {
         &self.keys
-    }
-
-    /// Keys currently holding classifier window state.
-    pub fn tracked_keys(&self) -> usize {
-        self.classifier.tracked_keys()
     }
 }
 
@@ -1176,7 +1198,10 @@ mod tests {
     fn batch_reference(
         metas: &[PacketMeta],
         scheme: Scheme,
-    ) -> (eleph_flow::BandwidthMatrix, eleph_core::ClassificationResult) {
+    ) -> (
+        eleph_flow::BandwidthMatrix,
+        eleph_core::ClassificationResult,
+    ) {
         let t = table();
         let mut agg = Aggregator::new(&t, 10, 1000, 3);
         for m in metas {
@@ -1187,7 +1212,10 @@ mod tests {
         (matrix, result)
     }
 
-    fn run_pipeline(metas: Vec<PacketMeta>, scheme: Scheme) -> (Vec<crate::CollectedInterval>, PipelineReport) {
+    fn run_pipeline(
+        metas: Vec<PacketMeta>,
+        scheme: Scheme,
+    ) -> (Vec<crate::CollectedInterval>, PipelineReport) {
         run_pipeline_sharded(metas, scheme, 0)
     }
 
@@ -1219,7 +1247,10 @@ mod tests {
         for scheme in [
             Scheme::SingleFeature,
             Scheme::LatentHeat { window: 2 },
-            Scheme::Hysteresis { enter: 1.2, exit: 0.6 },
+            Scheme::Hysteresis {
+                enter: 1.2,
+                exit: 0.6,
+            },
         ] {
             let metas = stream();
             let (matrix, batch) = batch_reference(&metas, scheme);
@@ -1252,7 +1283,10 @@ mod tests {
         for scheme in [
             Scheme::SingleFeature,
             Scheme::LatentHeat { window: 2 },
-            Scheme::Hysteresis { enter: 1.2, exit: 0.6 },
+            Scheme::Hysteresis {
+                enter: 1.2,
+                exit: 0.6,
+            },
         ] {
             let (serial, serial_report) = run_pipeline(stream(), scheme);
             for shards in [1, 2, 4, 7] {
@@ -1301,7 +1335,11 @@ mod tests {
         };
         let serial_ckpt = export(0);
         for shards in [1, 2, 4, 7] {
-            assert_eq!(export(shards), serial_ckpt, "checkpoint bytes, shards={shards}");
+            assert_eq!(
+                export(shards),
+                serial_ckpt,
+                "checkpoint bytes, shards={shards}"
+            );
         }
         // Reference: the serial run over the whole stream.
         let (reference, _) = run_pipeline(metas.clone(), scheme);
@@ -1348,7 +1386,10 @@ mod tests {
             meta([10, 2, 0, 1], 1001, 700),
             meta([10, 2, 0, 1], 1011, 100),
         ];
-        let scheme = Scheme::Hysteresis { enter: 1.0, exit: 0.5 };
+        let scheme = Scheme::Hysteresis {
+            enter: 1.0,
+            exit: 0.5,
+        };
         let t = table().freeze();
         let builder = |shards: usize, state: StateBackendConfig| {
             PipelineBuilder::new()
@@ -1360,7 +1401,9 @@ mod tests {
                 .shards(shards)
                 .state_backend(state)
         };
-        let sketch = StateBackendConfig::SpaceSaving { budget_bytes: 65_536 };
+        let sketch = StateBackendConfig::SpaceSaving {
+            budget_bytes: 65_536,
+        };
         for (shards, state) in [
             (0, StateBackendConfig::Exact),
             (0, sketch),
@@ -1378,7 +1421,9 @@ mod tests {
 
             type Plant = fn(&mut Checkpoint, KeyId);
             let mut plants: Vec<(&str, Plant)> = vec![
-                ("history snapshot", |c, id| c.state.history[0].1.push((id, 1.0))),
+                ("history snapshot", |c, id| {
+                    c.state.history[0].1.push((id, 1.0))
+                }),
                 ("membership list", |c, id| c.state.members.push(id)),
             ];
             if state == StateBackendConfig::Exact {
@@ -1444,7 +1489,7 @@ mod tests {
         p.observe_meta(&meta([10, 2, 0, 1], 1001, 100)).unwrap();
         p.observe_meta(&meta([10, 2, 0, 1], 1025, 100)).unwrap(); // seals 0, 1
         p.observe_meta(&meta([10, 2, 0, 1], 1005, 100)).unwrap(); // late
-        let stats = p.stats();
+        let stats = p.stats;
         assert_eq!(stats.late, 1);
         assert_eq!(stats.attributed, 2);
         assert!(stats.is_conserved());
@@ -1465,7 +1510,7 @@ mod tests {
         p.observe_meta(&meta([10, 2, 0, 1], 75, 100)).unwrap(); // interval 7
         let report = p.finish().unwrap();
         assert_eq!(report.intervals, 8);
-        assert_eq!(collector.len(), 8);
+        assert_eq!(collector.take().len(), 8);
     }
 
     #[test]
@@ -1481,8 +1526,9 @@ mod tests {
             .build();
         let report = p.finish().unwrap();
         assert_eq!(report.intervals, 4);
-        assert_eq!(collector.len(), 4);
-        for c in collector.take() {
+        let collected = collector.take();
+        assert_eq!(collected.len(), 4);
+        for c in collected {
             assert!(c.outcome.elephants.is_empty());
             assert_eq!(c.outcome.fraction(), 0.0);
         }
@@ -1495,11 +1541,16 @@ mod tests {
         // in unbounded mode — it is counted out-of-window instead, and
         // the stream continues normally afterwards.
         let t = table().freeze();
-        let mut p = PipelineBuilder::new().frozen(&t).interval_secs(10).start_unix(0).build();
+        let mut p = PipelineBuilder::new()
+            .frozen(&t)
+            .interval_secs(10)
+            .start_unix(0)
+            .build();
         p.observe_meta(&meta([10, 2, 0, 1], 5, 100)).unwrap();
-        p.observe_meta(&meta([10, 2, 0, 1], u64::MAX / 1_000_000_000 - 1, 100)).unwrap();
+        p.observe_meta(&meta([10, 2, 0, 1], u64::MAX / 1_000_000_000 - 1, 100))
+            .unwrap();
         p.observe_meta(&meta([10, 2, 0, 1], 15, 100)).unwrap(); // still interval 1
-        let stats = p.stats();
+        let stats = p.stats;
         assert_eq!(stats.out_of_window, 1);
         assert_eq!(stats.attributed, 2);
         assert!(stats.is_conserved());
@@ -1513,7 +1564,11 @@ mod tests {
         // gap horizon must error after a bounded number of rejects, not
         // silently discard all further traffic as out-of-window.
         let t = table().freeze();
-        let mut p = PipelineBuilder::new().frozen(&t).interval_secs(10).start_unix(0).build();
+        let mut p = PipelineBuilder::new()
+            .frozen(&t)
+            .interval_secs(10)
+            .start_unix(0)
+            .build();
         p.observe_meta(&meta([10, 2, 0, 1], 5, 100)).unwrap();
         let far = u64::MAX / 1_000_000_000 - 1;
         let mut tripped = None;
@@ -1592,7 +1647,10 @@ mod tests {
         assert_eq!(report.generation, 2);
         assert_eq!(report.route_updates_applied, 2);
         // Same prefix appears twice under distinct keys (old id retired).
-        assert_eq!(report.keys, vec![sixteen, "10.0.0.0/8".parse().unwrap(), sixteen]);
+        assert_eq!(
+            report.keys,
+            vec![sixteen, "10.0.0.0/8".parse().unwrap(), sixteen]
+        );
         assert_eq!(report.stats.attributed, 3);
         assert!(report.stats.is_conserved());
     }
@@ -1618,7 +1676,10 @@ mod tests {
         let t = table().freeze();
         let _ = PipelineBuilder::new()
             .frozen(&t)
-            .route_updates(vec![UpdateBatch { at_unix: 0, updates: vec![] }])
+            .route_updates(vec![UpdateBatch {
+                at_unix: 0,
+                updates: vec![],
+            }])
             .build();
     }
 
@@ -1639,8 +1700,8 @@ mod tests {
             .build();
         p.observe_meta(&meta([10, 2, 0, 1], 1001, 100)).unwrap();
         p.finish().unwrap();
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 2);
+        assert_eq!(a.take().len(), 2);
+        assert_eq!(b.take().len(), 2);
         let text = String::from_utf8(jsonl.0.lock().unwrap().clone()).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().next().unwrap().contains("\"interval\":0"));

@@ -71,12 +71,15 @@ struct Worker {
 
 impl Worker {
     fn send(&self, job: Job) {
-        self.jobs.send(job).expect("shard worker exited early (it panicked)");
+        self.jobs
+            .send(job)
+            .expect("shard worker exited early (it panicked)");
     }
 }
 
 fn answer<T>(from: &Receiver<T>) -> T {
-    from.recv().expect("shard worker exited early (it panicked)")
+    from.recv()
+        .expect("shard worker exited early (it panicked)")
 }
 
 /// Worker `shard` of `n`: an [`ExactDense`] over local ids, with global
@@ -153,7 +156,12 @@ impl ShardedRow {
                     .name(format!("eleph-shard-{shard}"))
                     .spawn(move || run_worker(shard, n, job_rx, snapshot_tx, row_tx))
                     .expect("spawn shard worker");
-                Worker { jobs, snapshots, rows, thread }
+                Worker {
+                    jobs,
+                    snapshots,
+                    rows,
+                    thread,
+                }
             })
             .collect();
         ShardedRow {

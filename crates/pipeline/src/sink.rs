@@ -30,7 +30,7 @@ pub struct SealedInterval<'a> {
 
 impl SealedInterval<'_> {
     /// The elephants as `(key id, prefix)` pairs, ascending by key id.
-    pub fn elephants(&self) -> impl Iterator<Item = (KeyId, Prefix)> + '_ {
+    pub(crate) fn elephants(&self) -> impl Iterator<Item = (KeyId, Prefix)> + '_ {
         self.outcome
             .elephants
             .iter()
@@ -175,7 +175,10 @@ impl RotatingJsonlSink {
     /// Start a fresh output chain at `path`, deleting any rotated
     /// segments a previous run left behind. `rotate_bytes` of `None`
     /// never rotates.
-    pub fn create(path: impl Into<std::path::PathBuf>, rotate_bytes: Option<u64>) -> io::Result<Self> {
+    pub fn create(
+        path: impl Into<std::path::PathBuf>,
+        rotate_bytes: Option<u64>,
+    ) -> io::Result<Self> {
         let path = path.into();
         let file = std::fs::File::create(&path)?;
         // Stale segments from an abandoned run would otherwise be
@@ -263,7 +266,10 @@ impl RotatingJsonlSink {
             }
             // `create(true)`: a crash between the rotation rename and
             // the new file's creation leaves no current file at all.
-            let mut file = std::fs::OpenOptions::new().write(true).create(true).open(&path)?;
+            let mut file = std::fs::OpenOptions::new()
+                .write(true)
+                .create(true)
+                .open(&path)?;
             file.set_len(keep as u64)?;
             file.seek(std::io::SeekFrom::End(0))?;
             return Ok(RotatingJsonlSink {
@@ -349,16 +355,6 @@ impl Collector {
     /// Take the collected intervals, leaving the collector empty.
     pub fn take(&self) -> Vec<CollectedInterval> {
         std::mem::take(&mut *self.inner.lock().expect("collector lock"))
-    }
-
-    /// Number of intervals collected so far.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("collector lock").len()
-    }
-
-    /// Whether nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

@@ -148,7 +148,8 @@ impl PacketSource for TraceSource<'_> {
             let Some(n) = self.intervals.next() else {
                 return Ok(0);
             };
-            self.synth.synthesize_window(n..n + 1, |meta| out.push(meta));
+            self.synth
+                .synthesize_window(n..n + 1, |meta| out.push(meta));
         }
         Ok(out.len() - base)
     }

@@ -45,8 +45,14 @@ impl SetAccuracy {
     /// sets, `weight(key)` the oracle-side weight (the exact rate) of an
     /// oracle member.
     pub fn observe(&mut self, oracle: &[u32], approx: &[u32], mut weight: impl FnMut(u32) -> f64) {
-        debug_assert!(oracle.windows(2).all(|w| w[0] < w[1]), "oracle set not ascending");
-        debug_assert!(approx.windows(2).all(|w| w[0] < w[1]), "approx set not ascending");
+        debug_assert!(
+            oracle.windows(2).all(|w| w[0] < w[1]),
+            "oracle set not ascending"
+        );
+        debug_assert!(
+            approx.windows(2).all(|w| w[0] < w[1]),
+            "approx set not ascending"
+        );
         self.oracle += oracle.len() as u64;
         self.approx += approx.len() as u64;
         let mut j = 0;
@@ -80,7 +86,7 @@ impl SetAccuracy {
 
     /// Fraction of reported elephants that are real (1.0 when nothing
     /// was reported — no false claims).
-    pub fn precision(&self) -> f64 {
+    pub(crate) fn precision(&self) -> f64 {
         if self.approx == 0 {
             1.0
         } else {
@@ -90,7 +96,7 @@ impl SetAccuracy {
 
     /// Fraction of the oracle elephants' weight captured (1.0 when the
     /// oracle set carried no weight).
-    pub fn byte_coverage(&self) -> f64 {
+    pub(crate) fn byte_coverage(&self) -> f64 {
         if self.oracle_weight <= 0.0 {
             1.0
         } else {

@@ -17,11 +17,11 @@
 use std::io;
 use std::process::ExitCode;
 
-use eleph_core::{
-    AestDetector, ConstantLoadDetector, Scheme, StateBackendConfig, ThresholdDetector,
-    PAPER_BETA, PAPER_GAMMA, PAPER_LATENT_WINDOW,
-};
 use eleph_bgp::{FrozenBgpTable, LiveBgpTable, RouteEntry, UpdateBatch};
+use eleph_core::{
+    AestDetector, ConstantLoadDetector, Scheme, StateBackendConfig, ThresholdDetector, PAPER_BETA,
+    PAPER_GAMMA, PAPER_LATENT_WINDOW,
+};
 use eleph_packet::pcap::RecordHeader;
 use eleph_pipeline::{
     skip_offered, Checkpoint, Checkpointer, CheckpointsWritten, JsonlSink, PacketSource,
@@ -64,7 +64,10 @@ pub struct CommonOpts {
 
 impl Default for CommonOpts {
     fn default() -> Self {
-        CommonOpts { scale: 1.0, seed: 42 }
+        CommonOpts {
+            scale: 1.0,
+            seed: 42,
+        }
     }
 }
 
@@ -89,14 +92,15 @@ impl<'a> Args<'a> {
         let Some(v) = self.0.next() else {
             return usage(format!("{flag} takes {what}"));
         };
-        v.parse().or_else(|_| usage(format!("{flag} takes {what}, not {v:?}")))
+        v.parse()
+            .or_else(|_| usage(format!("{flag} takes {what}, not {v:?}")))
     }
 }
 
 /// Parse `--scale` / `--seed` from an argument list (defaults 1.0 / 42).
 /// Anything else — an unknown argument, a missing or unparsable value,
 /// a scale outside (0, 1] — is a [`CliError::Usage`].
-pub fn parse_common(args: &[String]) -> Result<CommonOpts, CliError> {
+pub(crate) fn parse_common(args: &[String]) -> Result<CommonOpts, CliError> {
     let mut opts = CommonOpts::default();
     let mut args = Args::new(args);
     while let Some(flag) = args.flag() {
@@ -109,7 +113,9 @@ pub fn parse_common(args: &[String]) -> Result<CommonOpts, CliError> {
             }
             "--seed" => opts.seed = args.value(flag, "an integer")?,
             other => {
-                return usage(format!("unknown argument {other}; supported: --scale F --seed N"))
+                return usage(format!(
+                    "unknown argument {other}; supported: --scale F --seed N"
+                ))
             }
         }
     }
@@ -122,10 +128,7 @@ pub fn parse_common(args: &[String]) -> Result<CommonOpts, CliError> {
 /// ([`Lab::prepare`]); the experiments then read finished results. An id
 /// outside [`EXPERIMENTS`] is a [`CliError::Usage`], reported before
 /// anything is built.
-pub fn run_session(
-    ids: &[&str],
-    opts: CommonOpts,
-) -> Result<(Vec<String>, LabCounters), CliError> {
+pub fn run_session(ids: &[&str], opts: CommonOpts) -> Result<(Vec<String>, LabCounters), CliError> {
     let mut experiments: Vec<(Needs, Experiment)> = Vec::with_capacity(ids.len());
     for id in ids {
         match EXPERIMENTS.iter().find(|(known, _, _)| known == id) {
@@ -134,7 +137,10 @@ pub fn run_session(
         }
     }
     let lab = Lab::new(opts.scale, opts.seed);
-    let needs: Vec<Need> = experiments.iter().flat_map(|(needs, _)| needs(&lab)).collect();
+    let needs: Vec<Need> = experiments
+        .iter()
+        .flat_map(|(needs, _)| needs(&lab))
+        .collect();
     lab.prepare(&needs);
     let mut rendered = Vec::with_capacity(ids.len());
     for (_, experiment) in experiments {
@@ -439,7 +445,7 @@ impl RunOpts {
     /// that does not parse, an unknown argument or name, and every
     /// combination the run would refuse are [`CliError::Usage`]s, so
     /// they are reported before any table is loaded.
-    pub fn parse(args: &[String]) -> Result<RunOpts, CliError> {
+    pub(crate) fn parse(args: &[String]) -> Result<RunOpts, CliError> {
         let mut o = RunOpts::default();
         let mut cadence_given = false;
         let mut args = Args::new(args);
@@ -467,9 +473,7 @@ impl RunOpts {
                 "--state-budget" => o.state_budget = args.value(flag, "bytes")?,
                 "--out" => o.out = Some(args.value(flag, "a file")?),
                 "--rotate-bytes" => o.rotate_bytes = Some(args.value(flag, "bytes")?),
-                "--checkpoint-dir" => {
-                    o.checkpoint_dir = Some(args.value(flag, "a directory")?)
-                }
+                "--checkpoint-dir" => o.checkpoint_dir = Some(args.value(flag, "a directory")?),
                 "--checkpoint-every" => {
                     o.checkpoint_every = args.value(flag, "an interval count")?;
                     cadence_given = true;
@@ -526,7 +530,9 @@ impl RunOpts {
             return usage("--rotate-bytes needs --out FILE");
         }
         if o.checkpoint_every == 0 {
-            return usage("--checkpoint-every 0: need at least 1 sealed interval between snapshots");
+            return usage(
+                "--checkpoint-every 0: need at least 1 sealed interval between snapshots",
+            );
         }
         if cadence_given && o.checkpoint_dir.is_none() {
             return usage("--checkpoint-every needs --checkpoint-dir DIR (where the snapshots go)");
@@ -542,19 +548,20 @@ impl RunOpts {
     }
 
     /// The configured state backend.
-    pub fn make_state(&self) -> Result<StateBackendConfig, CliError> {
+    pub(crate) fn make_state(&self) -> Result<StateBackendConfig, CliError> {
         let budget = usize::try_from(self.state_budget).unwrap_or(usize::MAX);
         StateBackendConfig::parse(&self.state, budget).or_else(usage)
     }
 
     /// The measurement interval T in seconds: `--interval-secs`, else
     /// 60 for a synthetic workload and 300 for a capture.
-    pub fn interval_secs(&self) -> u64 {
-        self.interval_secs.unwrap_or(if self.synth { 60 } else { 300 })
+    pub(crate) fn interval_secs(&self) -> u64 {
+        self.interval_secs
+            .unwrap_or(if self.synth { 60 } else { 300 })
     }
 
     /// The configured detector, chosen at runtime.
-    pub fn make_detector(&self) -> Result<Box<dyn ThresholdDetector>, CliError> {
+    pub(crate) fn make_detector(&self) -> Result<Box<dyn ThresholdDetector>, CliError> {
         match self.detector.as_str() {
             "constant-load" | "cl" => {
                 if !(self.beta > 0.0 && self.beta <= 1.0) {
@@ -563,12 +570,14 @@ impl RunOpts {
                 Ok(Box::new(ConstantLoadDetector::new(self.beta)))
             }
             "aest" => Ok(Box::new(AestDetector::new())),
-            other => usage(format!("unknown detector {other}; supported: constant-load aest")),
+            other => usage(format!(
+                "unknown detector {other}; supported: constant-load aest"
+            )),
         }
     }
 
     /// The configured classification scheme.
-    pub fn make_scheme(&self) -> Result<Scheme, CliError> {
+    pub(crate) fn make_scheme(&self) -> Result<Scheme, CliError> {
         let (window, enter, exit) = (self.window, self.enter, self.exit);
         match self.scheme.as_str() {
             "latent" | "latent-heat" => {
@@ -586,7 +595,9 @@ impl RunOpts {
                 }
                 Ok(Scheme::Hysteresis { enter, exit })
             }
-            other => usage(format!("unknown scheme {other}; supported: latent single hysteresis")),
+            other => usage(format!(
+                "unknown scheme {other}; supported: latent single hysteresis"
+            )),
         }
     }
 }
@@ -740,11 +751,9 @@ fn stream(
     };
     builder = match &opts.out {
         Some(path) => builder.sink(match &ckpt {
-            Some(c) => RotatingJsonlSink::resume(
-                path,
-                opts.rotate_bytes,
-                c.intervals_sealed() as u64,
-            )?,
+            Some(c) => {
+                RotatingJsonlSink::resume(path, opts.rotate_bytes, c.intervals_sealed() as u64)?
+            }
             None => RotatingJsonlSink::create(path, opts.rotate_bytes)?,
         }),
         None => builder.sink(JsonlSink::new(io::BufWriter::new(io::stdout()))),
@@ -758,7 +767,13 @@ fn stream(
         let map_src = |e: eleph_packet::PacketError| io::Error::other(format!("{input}: {e}"));
         let mut source = PcapSource::new(file).map_err(map_src)?;
         let builder = pcap_window(opts, builder, || source.peek_header()).map_err(map_src)?;
-        drive(builder, source, &input, ckpt.as_ref(), checkpointer.as_mut())?
+        drive(
+            builder,
+            source,
+            &input,
+            ckpt.as_ref(),
+            checkpointer.as_mut(),
+        )?
     } else {
         let trace = trace.expect("generated above under --synth");
         let builder = builder
@@ -766,7 +781,13 @@ fn stream(
             .start_unix(trace.config.start_unix)
             .n_intervals(trace.config.n_intervals);
         let source = TraceSource::new(&trace);
-        drive(builder, source, "--synth", ckpt.as_ref(), checkpointer.as_mut())?
+        drive(
+            builder,
+            source,
+            "--synth",
+            ckpt.as_ref(),
+            checkpointer.as_mut(),
+        )?
     };
 
     let setup = started.duration_since(entered).as_secs_f64();
@@ -856,11 +877,21 @@ fn summary_json(
     // A capture so tiny that the elapsed time rounds to zero (or a
     // non-finite clock reading) reports rates of 0 — the summary must
     // stay strict JSON, and `inf`/`NaN` are not JSON.
-    let clamp = |secs: f64| if secs.is_finite() && secs > 0.0 { secs } else { 0.0 };
+    let clamp = |secs: f64| {
+        if secs.is_finite() && secs > 0.0 {
+            secs
+        } else {
+            0.0
+        }
+    };
     let (setup, elapsed) = (clamp(setup_secs), clamp(elapsed_secs));
     let rate = |count: f64| {
         let r = if elapsed > 0.0 { count / elapsed } else { 0.0 };
-        if r.is_finite() { r } else { 0.0 }
+        if r.is_finite() {
+            r
+        } else {
+            0.0
+        }
     };
     let mut line = format!(
         "{{\"eleph_run\":{{\"intervals\":{},\"prefixes\":{},\"offered\":{},\
@@ -986,7 +1017,7 @@ impl Default for ChurnOpts {
 impl ChurnOpts {
     /// Parse `eleph churn` arguments; what [`RunOpts::parse`] refuses
     /// in a command line, this refuses the same way.
-    pub fn parse(args: &[String]) -> Result<ChurnOpts, CliError> {
+    pub(crate) fn parse(args: &[String]) -> Result<ChurnOpts, CliError> {
         let mut o = ChurnOpts::default();
         let mut args = Args::new(args);
         while let Some(flag) = args.flag() {
@@ -1014,7 +1045,11 @@ impl ChurnOpts {
         // The last update of each scenario, in checked arithmetic: every
         // other time `generate_churn` computes is at most that one.
         let storm_end = o.start_unix.checked_add(o.storm_at);
-        if o.storm_count > 0 && storm_end.and_then(|t| t.checked_add(o.storm_hold)).is_none() {
+        if o.storm_count > 0
+            && storm_end
+                .and_then(|t| t.checked_add(o.storm_hold))
+                .is_none()
+        {
             return usage(format!(
                 "--start-unix {} --storm-at {} --storm-hold {}: the storm ends past the last \
                  representable second",
@@ -1025,7 +1060,8 @@ impl ChurnOpts {
         let last_return = if o.flap_damped { 8 } else { 1 };
         let flap_end = o.start_unix.checked_add(o.flap_start).and_then(|t| {
             let last_down = (cycles - 1).checked_mul(2)?.checked_mul(o.flap_period)?;
-            t.checked_add(last_down)?.checked_add(o.flap_period.checked_mul(last_return)?)
+            t.checked_add(last_down)?
+                .checked_add(o.flap_period.checked_mul(last_return)?)
         });
         if o.flap_count > 0 && flap_end.is_none() {
             return usage(format!(
@@ -1038,7 +1074,7 @@ impl ChurnOpts {
     }
 
     /// The scenario set these options describe.
-    pub fn config(&self) -> ChurnConfig {
+    pub(crate) fn config(&self) -> ChurnConfig {
         let mut scenarios = Vec::new();
         if self.storm_count > 0 {
             scenarios.push(ChurnScenario::WithdrawReannounceStorm {
@@ -1056,7 +1092,10 @@ impl ChurnOpts {
                 damped: self.flap_damped,
             });
         }
-        ChurnConfig { seed: self.seed, scenarios }
+        ChurnConfig {
+            seed: self.seed,
+            scenarios,
+        }
     }
 }
 
@@ -1259,10 +1298,7 @@ mod tests {
             }
             let digits = |b: &[u8], at: &mut usize| {
                 let s = *at;
-                while at.checked_add(0).is_some()
-                    && *at < b.len()
-                    && b[*at].is_ascii_digit()
-                {
+                while at.checked_add(0).is_some() && *at < b.len() && b[*at].is_ascii_digit() {
                     *at += 1;
                 }
                 *at > s
@@ -1342,11 +1378,14 @@ mod tests {
                     io_secs: setup,
                     wait_secs: elapsed,
                 };
-                let line =
-                    summary_json(&opts, &report(), false, Some(written), setup, elapsed);
+                let line = summary_json(&opts, &report(), false, Some(written), setup, elapsed);
                 parse_json(&line)
                     .unwrap_or_else(|e| panic!("setup={setup} elapsed={elapsed}: {e}\n{line}"));
-                let wait = if elapsed.is_finite() && elapsed > 0.0 { elapsed } else { 0.0 };
+                let wait = if elapsed.is_finite() && elapsed > 0.0 {
+                    elapsed
+                } else {
+                    0.0
+                };
                 assert!(
                     line.contains(&format!("\"checkpoint_wait_secs\":{wait:.6}")),
                     "setup={setup} elapsed={elapsed}: {line}"
@@ -1384,7 +1423,10 @@ mod tests {
         assert!(line.contains("\"distinct_keys\":3"));
         assert!(line.contains("\"state_bytes\":1048576"));
         // Without --checkpoint-dir none of the nine fields appears.
-        let plain = RunOpts { synth: true, ..RunOpts::default() };
+        let plain = RunOpts {
+            synth: true,
+            ..RunOpts::default()
+        };
         let bare = summary_json(&plain, &report(), false, None, 0.125, 0.0);
         assert!(!bare.contains("checkpoint"), "{bare}");
         parse_json(&bare).expect("strict JSON");
@@ -1406,7 +1448,13 @@ mod tests {
     fn parse_common_reads_scale_and_seed() {
         assert_eq!(parse_common(&[]).unwrap(), CommonOpts::default());
         let opts = parse_common(&args("--seed 7 --scale 0.25")).unwrap();
-        assert_eq!(opts, CommonOpts { scale: 0.25, seed: 7 });
+        assert_eq!(
+            opts,
+            CommonOpts {
+                scale: 0.25,
+                seed: 7
+            }
+        );
         assert_eq!(parse_common(&args("--scale 1")).unwrap().scale, 1.0);
     }
 
@@ -1424,7 +1472,10 @@ mod tests {
             ("table1 --seed -1", "--seed takes an integer"),
             ("table1 --seed", "--seed takes an integer"),
             ("fig1b --verbose", "unknown argument --verbose"),
-            ("ablation --which gamma --frobnicate 3", "unknown argument --frobnicate"),
+            (
+                "ablation --which gamma --frobnicate 3",
+                "unknown argument --frobnicate",
+            ),
         ] {
             let message = refused(line);
             assert!(message.contains(needle), "`eleph {line}`: {message}");
@@ -1448,12 +1499,18 @@ mod tests {
 
     #[test]
     fn bad_run_options_are_usage_errors() {
-        assert!(USAGE.contains(&format!("at most {MAX_WORKER_THREADS}")), "help names the bound");
+        assert!(
+            USAGE.contains(&format!("at most {MAX_WORKER_THREADS}")),
+            "help names the bound"
+        );
         // Refused while parsing: no table is loaded for any of these.
         for (line, needle) in [
             ("run --synth --flows", "--flows takes a count"),
             ("run --synth --out", "--out takes a file"),
-            ("run --synth --state-budget x", "--state-budget takes bytes, not \"x\""),
+            (
+                "run --synth --state-budget x",
+                "--state-budget takes bytes, not \"x\"",
+            ),
             ("run --synth --beta high", "--beta takes a float"),
             ("run --synth --intervals -3", "--intervals takes a count"),
             ("run --synth --verbose", "unknown argument --verbose"),
@@ -1462,36 +1519,105 @@ mod tests {
             ("run --synth --scheme sticky", "unknown scheme sticky"),
             ("run --synth --beta 2", "0 < beta <= 1"),
             ("run --synth --window 0", "--window 0"),
-            ("run --synth --scheme hysteresis --enter 0.5", "exit <= 1 <= enter"),
-            ("run --synth --state spacesaving --shards 2", "incompatible with --shards"),
-            ("run --pcap c.pcap --ingest-workers 2 --fault-drop 0.1", "unknown argument --ingest-workers"),
-            ("run --synth --shards 100000", "--shards 100000: at most 256 worker threads"),
-            ("run --synth --shards 4294967297", "--shards 4294967297: at most 256"),
-            ("run --pcap c.pcap --ingest-workers 100000", "unknown argument --ingest-workers"),
+            (
+                "run --synth --scheme hysteresis --enter 0.5",
+                "exit <= 1 <= enter",
+            ),
+            (
+                "run --synth --state spacesaving --shards 2",
+                "incompatible with --shards",
+            ),
+            (
+                "run --pcap c.pcap --ingest-workers 2 --fault-drop 0.1",
+                "unknown argument --ingest-workers",
+            ),
+            (
+                "run --synth --shards 100000",
+                "--shards 100000: at most 256 worker threads",
+            ),
+            (
+                "run --synth --shards 4294967297",
+                "--shards 4294967297: at most 256",
+            ),
+            (
+                "run --pcap c.pcap --ingest-workers 100000",
+                "unknown argument --ingest-workers",
+            ),
             // What the library would panic on once the table is built.
-            ("run --pcap c.pcap --interval-secs 0", "--interval-secs 0: interval must be positive"),
+            (
+                "run --pcap c.pcap --interval-secs 0",
+                "--interval-secs 0: interval must be positive",
+            ),
             ("run --synth --interval-secs 0", "interval must be positive"),
-            ("run --pcap c.pcap --start-unix 7 --interval-secs 0", "--start-unix 7: interval must"),
-            ("run --synth --interval-secs 18446744074", "interval_secs too large"),
-            ("run --pcap c.pcap --start-unix 18446744073709551615", "start_unix too large"),
-            ("run --synth --gamma 1", "--gamma 1: parameter gamma = 1 out of domain"),
+            (
+                "run --pcap c.pcap --start-unix 7 --interval-secs 0",
+                "--start-unix 7: interval must",
+            ),
+            (
+                "run --synth --interval-secs 18446744074",
+                "interval_secs too large",
+            ),
+            (
+                "run --pcap c.pcap --start-unix 18446744073709551615",
+                "start_unix too large",
+            ),
+            (
+                "run --synth --gamma 1",
+                "--gamma 1: parameter gamma = 1 out of domain",
+            ),
             ("run --synth --gamma 2", "--gamma 2: parameter gamma"),
             ("run --synth --gamma -0.5", "--gamma -0.5: parameter gamma"),
             ("run --synth --gamma NaN", "--gamma NaN: parameter gamma"),
-            ("run --synth --flows 500 --prefixes 100", "--flows 500 --prefixes 100: each"),
+            (
+                "run --synth --flows 500 --prefixes 100",
+                "--flows 500 --prefixes 100: each",
+            ),
             ("run --synth --prefixes 0", "--flows 400 --prefixes 0: each"),
-            ("run --synth --fault-drop 0.1", "unknown argument --fault-drop"),
-            ("run --pcap c.pcap --fault-drop 1.5", "unknown argument --fault-drop"),
-            ("run --pcap c.pcap --fault-corrupt NaN", "unknown argument --fault-corrupt"),
-            ("run --pcap c.pcap --fault-truncate -1", "unknown argument --fault-truncate"),
-            ("run --pcap c.pcap --fault-seed 3", "unknown argument --fault-seed"),
+            (
+                "run --synth --fault-drop 0.1",
+                "unknown argument --fault-drop",
+            ),
+            (
+                "run --pcap c.pcap --fault-drop 1.5",
+                "unknown argument --fault-drop",
+            ),
+            (
+                "run --pcap c.pcap --fault-corrupt NaN",
+                "unknown argument --fault-corrupt",
+            ),
+            (
+                "run --pcap c.pcap --fault-truncate -1",
+                "unknown argument --fault-truncate",
+            ),
+            (
+                "run --pcap c.pcap --fault-seed 3",
+                "unknown argument --fault-seed",
+            ),
             ("run", "exactly one of --pcap FILE or --synth"),
-            ("run --synth --pcap c.pcap", "exactly one of --pcap FILE or --synth"),
-            ("run --synth --resume --out o.jsonl", "--resume needs --checkpoint-dir"),
-            ("run --synth --resume --checkpoint-dir d", "--resume needs --out"),
-            ("run --synth --rotate-bytes 4096", "--rotate-bytes needs --out"),
-            ("run --synth --checkpoint-dir d --checkpoint-every 0", "--checkpoint-every 0"),
-            ("run --synth --checkpoint-every 5", "--checkpoint-every needs --checkpoint-dir"),
+            (
+                "run --synth --pcap c.pcap",
+                "exactly one of --pcap FILE or --synth",
+            ),
+            (
+                "run --synth --resume --out o.jsonl",
+                "--resume needs --checkpoint-dir",
+            ),
+            (
+                "run --synth --resume --checkpoint-dir d",
+                "--resume needs --out",
+            ),
+            (
+                "run --synth --rotate-bytes 4096",
+                "--rotate-bytes needs --out",
+            ),
+            (
+                "run --synth --checkpoint-dir d --checkpoint-every 0",
+                "--checkpoint-every 0",
+            ),
+            (
+                "run --synth --checkpoint-every 5",
+                "--checkpoint-every needs --checkpoint-dir",
+            ),
         ] {
             let message = refused(line);
             assert!(message.contains(needle), "`eleph {line}`: {message}");
@@ -1507,7 +1633,13 @@ mod tests {
         .expect("a valid command line");
         assert_eq!(opts.pcap.as_deref(), Some("c.pcap"));
         assert_eq!(opts.make_state().unwrap().kind(), "cmrow");
-        assert_eq!(opts.make_scheme().unwrap(), Scheme::Hysteresis { enter: 1.5, exit: 0.5 });
+        assert_eq!(
+            opts.make_scheme().unwrap(),
+            Scheme::Hysteresis {
+                enter: 1.5,
+                exit: 0.5
+            }
+        );
         assert!(opts.resume && !opts.synth);
         assert_eq!(opts.interval_secs(), 300, "a capture's default interval");
         // The edges of what the checks above refuse are accepted.
@@ -1520,7 +1652,10 @@ mod tests {
         assert!(RunOpts::parse(&args("--synth --start-unix 18446744073709551615")).is_ok());
         assert!(RunOpts::parse(&args("--synth --rib c.rib --flows 500 --prefixes 100")).is_ok());
         // Built by hand, an options struct is still checked where it is used.
-        let hand = RunOpts { state: "bogus".to_string(), ..RunOpts::default() };
+        let hand = RunOpts {
+            state: "bogus".to_string(),
+            ..RunOpts::default()
+        };
         assert!(matches!(hand.make_state(), Err(CliError::Usage(_))));
     }
 
@@ -1528,14 +1663,32 @@ mod tests {
     fn bad_churn_options_are_usage_errors() {
         for (line, needle) in [
             ("churn --prefixes", "--prefixes takes a count"),
-            ("churn --storm-at soon", "--storm-at takes seconds, not \"soon\""),
+            (
+                "churn --storm-at soon",
+                "--storm-at takes seconds, not \"soon\"",
+            ),
             ("churn --flap-cycles -1", "--flap-cycles takes a count"),
             ("churn --synth", "unknown argument --synth"),
-            ("churn --storm-count 0 --flap-count 0", "at least one scenario"),
-            ("churn --start-unix 18446744073709551615", "the storm ends past the last"),
-            ("churn --storm-count 0 --start-unix 18446744073709551615", "the flaps end past"),
-            ("churn --flap-period 9223372036854775807", "--flap-period 9223372036854775807"),
-            ("churn --flap-damped --flap-cycles 1 --flap-period 2305843009213693952", "the flaps end"),
+            (
+                "churn --storm-count 0 --flap-count 0",
+                "at least one scenario",
+            ),
+            (
+                "churn --start-unix 18446744073709551615",
+                "the storm ends past the last",
+            ),
+            (
+                "churn --storm-count 0 --start-unix 18446744073709551615",
+                "the flaps end past",
+            ),
+            (
+                "churn --flap-period 9223372036854775807",
+                "--flap-period 9223372036854775807",
+            ),
+            (
+                "churn --flap-damped --flap-cycles 1 --flap-period 2305843009213693952",
+                "the flaps end",
+            ),
         ] {
             let message = refused(line);
             assert!(message.contains(needle), "`eleph {line}`: {message}");

@@ -12,23 +12,24 @@ pub struct Comparison {
 
 impl Comparison {
     /// Empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Add a row: metric, what the paper reports, what we measured.
-    pub fn row(
+    pub(crate) fn row(
         &mut self,
         metric: impl Into<String>,
         paper: impl Into<String>,
         measured: impl Into<String>,
     ) -> &mut Self {
-        self.rows.push((metric.into(), paper.into(), measured.into()));
+        self.rows
+            .push((metric.into(), paper.into(), measured.into()));
         self
     }
 
     /// Render as an aligned ASCII table.
-    pub fn render(&self, title: &str) -> String {
+    pub(crate) fn render(&self, title: &str) -> String {
         let headers = ("metric", "paper", "measured");
         let w0 = self
             .rows
@@ -51,7 +52,12 @@ impl Comparison {
             .chain([headers.2.len()])
             .max()
             .unwrap_or(8);
-        let sep = format!("+-{}-+-{}-+-{}-+", "-".repeat(w0), "-".repeat(w1), "-".repeat(w2));
+        let sep = format!(
+            "+-{}-+-{}-+-{}-+",
+            "-".repeat(w0),
+            "-".repeat(w1),
+            "-".repeat(w2)
+        );
         let mut out = String::new();
         out.push_str(&format!("## {title}\n"));
         out.push_str(&sep);
@@ -69,11 +75,6 @@ impl Comparison {
         out.push('\n');
         out
     }
-
-    /// The raw rows (metric, paper, measured).
-    pub fn rows(&self) -> &[(String, String, String)] {
-        &self.rows
-    }
 }
 
 /// Directory where experiment CSVs are written.
@@ -85,7 +86,7 @@ fn experiments_dir() -> PathBuf {
 /// Write a CSV file under `target/experiments/`; returns its path.
 /// Columns are written exactly as given; every row must have the same
 /// arity as the header.
-pub fn write_csv(
+pub(crate) fn write_csv(
     name: &str,
     header: &[&str],
     rows: &[Vec<String>],
@@ -103,7 +104,7 @@ pub fn write_csv(
 }
 
 /// Format a float compactly for tables (3 significant-ish digits).
-pub fn fmt(x: f64) -> String {
+pub(crate) fn fmt(x: f64) -> String {
     if x == 0.0 {
         "0".to_string()
     } else if x.abs() >= 100.0 {
@@ -129,8 +130,7 @@ mod tests {
         assert!(s.contains("| metric"));
         assert!(s.contains("600"));
         // All table lines have equal width.
-        let widths: std::collections::HashSet<usize> =
-            s.lines().skip(1).map(str::len).collect();
+        let widths: std::collections::HashSet<usize> = s.lines().skip(1).map(str::len).collect();
         assert_eq!(widths.len(), 1, "{s}");
     }
 

@@ -1,6 +1,6 @@
 //! One function per figure/table of the paper ([`EXPERIMENTS`] lists
 //! them in the order `eleph all` runs them), each reading its
-//! classifications from a [`Lab`] session, beside the [`Needs`] that
+//! classifications from a [`Lab`] session, beside the `Needs` that
 //! declare what it reads.
 //!
 //! `eleph all` gathers every experiment's needs and walks each link once
@@ -39,8 +39,10 @@ pub struct ExperimentOutput {
 
 impl ExperimentOutput {
     /// Render for stdout.
-    pub fn render(&self) -> String {
-        let mut s = self.comparison.render(&format!("{} — {}", self.id, self.title));
+    pub(crate) fn render(&self) -> String {
+        let mut s = self
+            .comparison
+            .render(&format!("{} — {}", self.id, self.title));
         for p in &self.csv_paths {
             s.push_str(&format!("csv: {}\n", p.display()));
         }
@@ -49,11 +51,11 @@ impl ExperimentOutput {
 }
 
 /// An experiment: it reads what it needs from the session it is given.
-pub type Experiment = fn(&Lab) -> io::Result<ExperimentOutput>;
+pub(crate) type Experiment = fn(&Lab) -> io::Result<ExperimentOutput>;
 
 /// What an experiment reads from its session, declared before any link
 /// is walked.
-pub type Needs = fn(&Lab) -> Vec<Need>;
+pub(crate) type Needs = fn(&Lab) -> Vec<Need>;
 
 /// Every experiment by id, with its needs, in the order `eleph all`
 /// runs them.
@@ -65,18 +67,26 @@ pub const EXPERIMENTS: [(&str, Needs, Experiment); 11] = [
     ("table2", fig1_needs, table2),
     ("table3", |_| table3_needs(), table3),
     ("table4", |lab| results(&table4_jobs(lab)), table4_in),
-    ("ablation_gamma", |_| results(&gamma_jobs()), |lab| {
-        ablation_gamma(lab.scenario(MatrixId::West), lab)
-    }),
-    ("ablation_window", |_| results(&window_jobs()), |lab| {
-        ablation_window(lab.scenario(MatrixId::West), lab)
-    }),
-    ("ablation_beta", |_| results(&beta_jobs()), |lab| {
-        ablation_beta(lab.scenario(MatrixId::West), lab)
-    }),
-    ("ablation_scheme", |_| results(&scheme_jobs()), |lab| {
-        ablation_scheme(lab.scenario(MatrixId::West), lab)
-    }),
+    (
+        "ablation_gamma",
+        |_| results(&gamma_jobs()),
+        |lab| ablation_gamma(lab.scenario(MatrixId::West), lab),
+    ),
+    (
+        "ablation_window",
+        |_| results(&window_jobs()),
+        |lab| ablation_window(lab.scenario(MatrixId::West), lab),
+    ),
+    (
+        "ablation_beta",
+        |_| results(&beta_jobs()),
+        |lab| ablation_beta(lab.scenario(MatrixId::West), lab),
+    ),
+    (
+        "ablation_scheme",
+        |_| results(&scheme_jobs()),
+        |lab| ablation_scheme(lab.scenario(MatrixId::West), lab),
+    ),
 ];
 
 /// The needs of classification jobs.
@@ -238,7 +248,13 @@ pub fn fig1c(lab: &Lab) -> io::Result<ExperimentOutput> {
         .collect();
     let csv = write_csv(
         "fig1c_holding_histogram",
-        &["avg_holding_slots", "west_cl", "west_aest", "east_cl", "east_aest"],
+        &[
+            "avg_holding_slots",
+            "west_cl",
+            "west_aest",
+            "east_cl",
+            "east_aest",
+        ],
         &rows,
     )?;
 
@@ -250,8 +266,11 @@ pub fn fig1c(lab: &Lab) -> io::Result<ExperimentOutput> {
             h.single_interval_flows.to_string(),
         );
     }
-    let mean_minutes =
-        stats.iter().map(HoldingStats::mean_avg_minutes).sum::<f64>() / stats.len() as f64;
+    let mean_minutes = stats
+        .iter()
+        .map(HoldingStats::mean_avg_minutes)
+        .sum::<f64>()
+        / stats.len() as f64;
     c.row(
         "avg holding time (all series)",
         "~2 hours",
@@ -299,7 +318,14 @@ pub fn table1(lab: &Lab) -> io::Result<ExperimentOutput> {
     }
     let csv = write_csv(
         "table1_single_feature",
-        &["link", "detector", "avg_holding_min", "single_interval", "mean_count", "mean_fraction"],
+        &[
+            "link",
+            "detector",
+            "avg_holding_min",
+            "single_interval",
+            "mean_count",
+            "mean_fraction",
+        ],
         &rows,
     )?;
     Ok(ExperimentOutput {
@@ -348,7 +374,13 @@ pub fn table2(lab: &Lab) -> io::Result<ExperimentOutput> {
     }
     let csv = write_csv(
         "table2_latent_heat",
-        &["series", "avg_holding_min", "single_interval", "mean_count", "mean_fraction"],
+        &[
+            "series",
+            "avg_holding_min",
+            "single_interval",
+            "mean_count",
+            "mean_fraction",
+        ],
         &rows,
     )?;
     Ok(ExperimentOutput {
@@ -361,7 +393,10 @@ pub fn table2(lab: &Lab) -> io::Result<ExperimentOutput> {
 
 /// Table 3's one classification: Figure 1's west constant-load run.
 fn table3_job() -> Job {
-    Job::native(MatrixId::West, SchemeSpec::paper(DetectorKind::ConstantLoad))
+    Job::native(
+        MatrixId::West,
+        SchemeSpec::paper(DetectorKind::ConstantLoad),
+    )
 }
 
 /// Table 3's classification and the west link's ever-active keys.
@@ -446,9 +481,23 @@ fn table4_points(lab: &Lab) -> [(&'static str, u64, Job); 3] {
     [
         ("1 min", native_t / fine as u64, Measure::Refined(fine)),
         ("5 min", native_t, Measure::Native),
-        ("30 min", native_t * coarse as u64, Measure::Coarsened(coarse)),
+        (
+            "30 min",
+            native_t * coarse as u64,
+            Measure::Coarsened(coarse),
+        ),
     ]
-    .map(|(label, t_secs, measure)| (label, t_secs, Job { link: MatrixId::West, measure, spec }))
+    .map(|(label, t_secs, measure)| {
+        (
+            label,
+            t_secs,
+            Job {
+                link: MatrixId::West,
+                measure,
+                spec,
+            },
+        )
+    })
 }
 
 /// Table 4's three classifications.
@@ -493,15 +542,18 @@ fn table4_in(lab: &Lab) -> io::Result<ExperimentOutput> {
             h.single_interval_flows.to_string(),
         ]);
     }
-    let spread = fractions
-        .iter()
-        .cloned()
-        .fold(f64::NEG_INFINITY, f64::max)
+    let spread = fractions.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
         - fractions.iter().cloned().fold(f64::INFINITY, f64::min);
     c.row("fraction spread across T", "small", fmt(spread));
     let csv = write_csv(
         "table4_interval_sweep",
-        &["T", "mean_count", "mean_fraction", "avg_holding_min", "single_interval"],
+        &[
+            "T",
+            "mean_count",
+            "mean_fraction",
+            "avg_holding_min",
+            "single_interval",
+        ],
         &rows,
     )?;
     Ok(ExperimentOutput {
@@ -536,11 +588,18 @@ pub fn ablation_gamma(_scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentO
     let mut rows = Vec::new();
     for (&gamma, result) in GAMMAS.iter().zip(&results) {
         let cv = series_cv(&result.thresholds);
-        let churn: f64 = holding::churn(result).iter().map(|&x| x as f64).sum::<f64>()
+        let churn: f64 = holding::churn(result)
+            .iter()
+            .map(|&x| x as f64)
+            .sum::<f64>()
             / result.n_intervals() as f64;
         c.row(
             format!("threshold CV, gamma = {gamma}"),
-            if gamma == 0.9 { "paper's choice: smooth" } else { "-" },
+            if gamma == 0.9 {
+                "paper's choice: smooth"
+            } else {
+                "-"
+            },
             fmt(cv),
         );
         rows.push(vec![
@@ -553,7 +612,13 @@ pub fn ablation_gamma(_scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentO
     }
     let csv = write_csv(
         "ablation_gamma",
-        &["gamma", "threshold_cv", "mean_churn", "mean_count", "mean_fraction"],
+        &[
+            "gamma",
+            "threshold_cv",
+            "mean_churn",
+            "mean_count",
+            "mean_fraction",
+        ],
         &rows,
     )?;
     Ok(ExperimentOutput {
@@ -570,7 +635,10 @@ const WINDOWS: [usize; 4] = [1, 6, 12, 24];
 /// A2's classifications: the paper's west configuration at each window.
 fn window_jobs() -> [Job; 4] {
     let paper = SchemeSpec::paper(DetectorKind::ConstantLoad);
-    west(WINDOWS.map(|window| SchemeSpec { scheme: Scheme::LatentHeat { window }, ..paper }))
+    west(WINDOWS.map(|window| SchemeSpec {
+        scheme: Scheme::LatentHeat { window },
+        ..paper
+    }))
 }
 
 /// A2 (ablation): latent-heat window sweep.
@@ -580,10 +648,18 @@ pub fn ablation_window(scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentO
     let mut c = Comparison::new();
     let mut rows = Vec::new();
     for (&w, result) in WINDOWS.iter().zip(&results) {
-        let h = holding::analyze(result, window_range.clone(), scenario.workload.interval_secs);
+        let h = holding::analyze(
+            result,
+            window_range.clone(),
+            scenario.workload.interval_secs,
+        );
         c.row(
             format!("avg holding, w = {w}"),
-            if w == 12 { "paper's choice (~2 h)" } else { "-" },
+            if w == 12 {
+                "paper's choice (~2 h)"
+            } else {
+                "-"
+            },
             format!("{} min", fmt(h.mean_avg_minutes())),
         );
         rows.push(vec![
@@ -596,7 +672,13 @@ pub fn ablation_window(scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentO
     }
     let csv = write_csv(
         "ablation_window",
-        &["window", "avg_holding_min", "single_interval", "mean_count", "mean_fraction"],
+        &[
+            "window",
+            "avg_holding_min",
+            "single_interval",
+            "mean_count",
+            "mean_fraction",
+        ],
         &rows,
     )?;
     Ok(ExperimentOutput {
@@ -627,7 +709,11 @@ pub fn ablation_beta(_scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentOu
     for (&beta, result) in BETAS.iter().zip(&results) {
         c.row(
             format!("mean fraction, beta = {beta}"),
-            if beta == 0.8 { "~0.6 after latent heat" } else { "-" },
+            if beta == 0.8 {
+                "~0.6 after latent heat"
+            } else {
+                "-"
+            },
             fmt(result.mean_fraction()),
         );
         rows.push(vec![
@@ -653,8 +739,20 @@ pub fn ablation_beta(_scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentOu
 const SCHEMES: [(&str, Scheme); 4] = [
     ("single", Scheme::SingleFeature),
     ("latent-heat w=12", Scheme::LatentHeat { window: 12 }),
-    ("hysteresis 1.0/0.5", Scheme::Hysteresis { enter: 1.0, exit: 0.5 }),
-    ("hysteresis 1.5/0.33", Scheme::Hysteresis { enter: 1.5, exit: 0.33 }),
+    (
+        "hysteresis 1.0/0.5",
+        Scheme::Hysteresis {
+            enter: 1.0,
+            exit: 0.5,
+        },
+    ),
+    (
+        "hysteresis 1.5/0.33",
+        Scheme::Hysteresis {
+            enter: 1.5,
+            exit: 0.33,
+        },
+    ),
 ];
 
 /// A4's classifications: the paper's west configuration under each
@@ -675,12 +773,23 @@ pub fn ablation_scheme(scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentO
     let mut c = Comparison::new();
     let mut rows = Vec::new();
     for ((name, _), result) in SCHEMES.iter().zip(&results) {
-        let h = holding::analyze(result, window_range.clone(), scenario.workload.interval_secs);
-        let churn: f64 = holding::churn(result).iter().map(|&x| x as f64).sum::<f64>()
+        let h = holding::analyze(
+            result,
+            window_range.clone(),
+            scenario.workload.interval_secs,
+        );
+        let churn: f64 = holding::churn(result)
+            .iter()
+            .map(|&x| x as f64)
+            .sum::<f64>()
             / result.n_intervals() as f64;
         c.row(
             format!("avg holding, {name}"),
-            if name.starts_with("latent") { "paper's choice" } else { "-" },
+            if name.starts_with("latent") {
+                "paper's choice"
+            } else {
+                "-"
+            },
             format!("{} min", fmt(h.mean_avg_minutes())),
         );
         rows.push(vec![
@@ -694,7 +803,14 @@ pub fn ablation_scheme(scenario: &Scenario, lab: &Lab) -> io::Result<ExperimentO
     }
     let csv = write_csv(
         "ablation_scheme",
-        &["scheme", "avg_holding_min", "single_interval", "mean_count", "mean_fraction", "mean_churn"],
+        &[
+            "scheme",
+            "avg_holding_min",
+            "single_interval",
+            "mean_count",
+            "mean_fraction",
+            "mean_churn",
+        ],
         &rows,
     )?;
     Ok(ExperimentOutput {
@@ -768,8 +884,22 @@ mod tests {
     #[test]
     fn series_cv_is_the_population_cv_of_the_finite_values() {
         // The classic example: μ = 5, σ = 2.
-        assert!(close(series_cv(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]), 0.4));
-        let classic = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0, f64::INFINITY, f64::NAN];
+        assert!(close(
+            series_cv(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]),
+            0.4
+        ));
+        let classic = [
+            2.0,
+            4.0,
+            4.0,
+            4.0,
+            5.0,
+            5.0,
+            7.0,
+            9.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
         assert!(close(series_cv(&classic), 0.4));
     }
 

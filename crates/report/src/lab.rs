@@ -73,8 +73,12 @@ pub struct Job {
 
 impl Job {
     /// A classification of `link` at its own T.
-    pub fn native(link: MatrixId, spec: SchemeSpec) -> Self {
-        Job { link, measure: Measure::Native, spec }
+    pub(crate) fn native(link: MatrixId, spec: SchemeSpec) -> Self {
+        Job {
+            link,
+            measure: Measure::Native,
+            spec,
+        }
     }
 }
 
@@ -136,7 +140,10 @@ fn result_key(job: &Job) -> ResultKey {
         Scheme::LatentHeat { window } => [1, window as u64, 0],
         Scheme::Hysteresis { enter, exit } => [2, enter.to_bits(), exit.to_bits()],
     };
-    ((job.link, job.measure, spec.detector, beta), [spec.gamma.to_bits(), tag, a, b])
+    (
+        (job.link, job.measure, spec.detector, beta),
+        [spec.gamma.to_bits(), tag, a, b],
+    )
 }
 
 #[derive(Default)]
@@ -229,7 +236,10 @@ impl Lab {
     pub fn new(scale: f64, seed: u64) -> Self {
         Lab {
             seed,
-            scenarios: [Scenario::west(seed).scaled(scale), Scenario::east(seed).scaled(scale)],
+            scenarios: [
+                Scenario::west(seed).scaled(scale),
+                Scenario::east(seed).scaled(scale),
+            ],
             links: [OnceCell::new(), OnceCell::new()],
             memo: RefCell::default(),
         }
@@ -251,7 +261,7 @@ impl Lab {
 
     /// The busy-period window of a link: its scenario's `busy_slots`
     /// consecutive intervals with the highest total traffic.
-    pub fn busy_window(&self, id: MatrixId) -> Range<usize> {
+    pub(crate) fn busy_window(&self, id: MatrixId) -> Range<usize> {
         self.scenario(id).busy_window(&self.link(id).totals)
     }
 
@@ -294,8 +304,13 @@ impl Lab {
         let scenario = self.scenario(id);
         let workload = &scenario.workload;
         let kept = self.links[id as usize].get();
-        let generated = kept.is_none().then(|| eleph_bgp::synth::generate(&scenario.table));
-        let table = kept.map(|link| &link.table).or(generated.as_ref()).expect("one or other");
+        let generated = kept
+            .is_none()
+            .then(|| eleph_bgp::synth::generate(&scenario.table));
+        let table = kept
+            .map(|link| &link.table)
+            .or(generated.as_ref())
+            .expect("one or other");
         let population = FlowPopulation::build(workload, table);
 
         let mut measures: Vec<Measure> = jobs.iter().map(|job| job.measure).collect();
@@ -314,7 +329,9 @@ impl Lab {
                 Stream::new(measure, self.seed, &of)
             })
             .collect();
-        let mut totals = generated.is_some().then(|| Vec::with_capacity(workload.n_intervals));
+        let mut totals = generated
+            .is_some()
+            .then(|| Vec::with_capacity(workload.n_intervals));
         let mut active = ever_active.then(|| KeyBitset::with_capacity(population.len()));
         RateTrace::walk(workload, &population, |row| {
             // FlowId and KeyId coincide: population order is key order.
@@ -333,8 +350,15 @@ impl Lab {
         let first = generated.is_some();
         if let (Some(table), Some(totals)) = (generated, totals) {
             let keys = population.iter().map(|(_, meta)| meta.prefix).collect();
-            let link = Link { table, keys, totals };
-            assert!(self.links[id as usize].set(link).is_ok(), "a link is kept once");
+            let link = Link {
+                table,
+                keys,
+                totals,
+            };
+            assert!(
+                self.links[id as usize].set(link).is_ok(),
+                "a link is kept once"
+            );
         }
         drop(population);
 
@@ -367,12 +391,19 @@ impl Lab {
 
     /// Classify each (link, configuration) at the link's own T, in
     /// order ([`Lab::results`]).
-    pub fn classify(&self, jobs: &[(MatrixId, SchemeSpec)]) -> Vec<Arc<ClassificationResult>> {
-        let jobs: Vec<Job> = jobs.iter().map(|&(id, spec)| Job::native(id, spec)).collect();
+    pub(crate) fn classify(
+        &self,
+        jobs: &[(MatrixId, SchemeSpec)],
+    ) -> Vec<Arc<ClassificationResult>> {
+        let jobs: Vec<Job> = jobs
+            .iter()
+            .map(|&(id, spec)| Job::native(id, spec))
+            .collect();
         self.results(&jobs)
     }
 
-    /// [`Lab::classify`] for a sweep over one link.
+    /// Classify each configuration over one link at the link's own T,
+    /// in order ([`Lab::results`]).
     pub fn classify_on<const N: usize>(
         &self,
         id: MatrixId,
@@ -391,7 +422,7 @@ impl Lab {
 
     /// The four Figure 1 classifications (2 links × 2 detectors, latent
     /// heat): [west-CL, west-aest, east-CL, east-aest].
-    pub fn fig1_runs(&self) -> [Arc<ClassificationResult>; 4] {
+    pub(crate) fn fig1_runs(&self) -> [Arc<ClassificationResult>; 4] {
         self.classify(&FIG1_JOBS.map(|(id, detector)| (id, SchemeSpec::paper(detector))))
             .try_into()
             .expect("four jobs, four results")

@@ -15,24 +15,24 @@
 //!   per (link, measurement, detector) and classifying once per
 //!   configuration as the rows go by, and holds no link whole;
 //! * [`run`] — classify a matrix with a scheme, outside any session;
-//! * [`emit`] — ASCII tables for stdout and CSV files under
-//!   `target/experiments/` for plotting;
+//! * ASCII tables for stdout and CSV files under `target/experiments/`
+//!   for plotting;
 //! * [`SetAccuracy`] — recall / precision / byte coverage of an
 //!   approximate elephant set against the exact oracle's, the scoring
-//!   behind `eleph sketch` ([`sketch`]).
+//!   behind `eleph sketch`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod accuracy;
 pub mod cli;
-pub mod emit;
+mod emit;
 pub mod experiments;
 mod lab;
-pub mod sketch;
+mod sketch;
 
 pub use accuracy::SetAccuracy;
-pub use lab::{Job, Lab, LabCounters, Link, MatrixId, Measure, Need};
+pub use lab::{Job, Lab, LabCounters, MatrixId, Measure, Need};
 
 use eleph_bgp::synth::SynthConfig;
 use eleph_bgp::BgpTable;
@@ -130,7 +130,7 @@ pub enum DetectorKind {
 
 impl DetectorKind {
     /// Display name matching the paper's legends.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             DetectorKind::Aest => "aest",
             DetectorKind::ConstantLoad => "constant load",
@@ -183,7 +183,7 @@ impl SchemeSpec {
     }
 
     /// The detector-independent half.
-    pub fn config(&self) -> ClassifyConfig {
+    pub(crate) fn config(&self) -> ClassifyConfig {
         ClassifyConfig {
             gamma: self.gamma,
             scheme: self.scheme,

@@ -187,7 +187,11 @@ fn score(
     matrix: &BandwidthMatrix,
     outcomes: &[CollectedInterval],
 ) -> SetAccuracy {
-    assert_eq!(outcomes.len(), oracle.n_intervals(), "interval counts differ");
+    assert_eq!(
+        outcomes.len(),
+        oracle.n_intervals(),
+        "interval counts differ"
+    );
     let mut acc = SetAccuracy::new();
     for (n, got) in outcomes.iter().enumerate() {
         acc.observe(&oracle.elephants[n], &got.outcome.elephants, |key| {
@@ -204,7 +208,11 @@ fn assert_exact_pinned(
     outcomes: &[CollectedInterval],
     context: &str,
 ) {
-    assert_eq!(outcomes.len(), oracle.n_intervals(), "{context}: interval count");
+    assert_eq!(
+        outcomes.len(),
+        oracle.n_intervals(),
+        "{context}: interval count"
+    );
     for (n, got) in outcomes.iter().enumerate() {
         assert_eq!(
             got.outcome.elephants, oracle.elephants[n],
@@ -219,7 +227,7 @@ fn assert_exact_pinned(
 }
 
 /// Run the full harness and print the accuracy table and frontier.
-pub fn run_sketch(args: &[String]) -> Result<(), CliError> {
+pub(crate) fn run_sketch(args: &[String]) -> Result<(), CliError> {
     let opts = SketchOpts::parse(args)?;
     let scenario = lab_scenario(opts);
     let table: BgpTable = eleph_bgp::synth::generate(&scenario.table);
@@ -239,7 +247,10 @@ pub fn run_sketch(args: &[String]) -> Result<(), CliError> {
 
     let stdout = io::stdout();
     let mut out = stdout.lock();
-    writeln!(out, "eleph sketch — sketch state backends vs the exact oracle")?;
+    writeln!(
+        out,
+        "eleph sketch — sketch state backends vs the exact oracle"
+    )?;
     writeln!(
         out,
         "  workload: {} (T = {interval_secs}s, {n_intervals} intervals, seed {}, scale {})",
@@ -270,7 +281,12 @@ pub fn run_sketch(args: &[String]) -> Result<(), CliError> {
     let mut min_coverage = f64::INFINITY;
     for (scheme_label, scheme) in scheme_grid() {
         for gamma in GAMMAS {
-            let oracle = classify(&matrix, ConstantLoadDetector::new(PAPER_BETA), gamma, scheme);
+            let oracle = classify(
+                &matrix,
+                ConstantLoadDetector::new(PAPER_BETA),
+                gamma,
+                scheme,
+            );
             // Pin the exact backend against the oracle on every combo —
             // this is the harness's ground-truth check, not a benchmark
             // row.
@@ -291,8 +307,8 @@ pub fn run_sketch(args: &[String]) -> Result<(), CliError> {
             );
             assert_exact_pinned(&oracle, &exact, &format!("{scheme_label}/γ={gamma}"));
             for backend in SKETCHES {
-                let state = StateBackendConfig::parse(backend, opts.budget)
-                    .expect("known backend name");
+                let state =
+                    StateBackendConfig::parse(backend, opts.budget).expect("known backend name");
                 let (outcomes, _) = run_pipeline(
                     &frozen,
                     &metas,
@@ -430,10 +446,19 @@ mod tests {
 
     #[test]
     fn opts_parse_round_trip() {
-        let args: Vec<String> = ["--seed", "7", "--scale", "0.1", "--intervals", "4", "--budget", "65536"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let args: Vec<String> = [
+            "--seed",
+            "7",
+            "--scale",
+            "0.1",
+            "--intervals",
+            "4",
+            "--budget",
+            "65536",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
         let o = SketchOpts::parse(&args).expect("valid options");
         assert_eq!(o.seed, 7);
         assert_eq!(o.scale, 0.1);

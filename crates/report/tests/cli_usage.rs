@@ -98,7 +98,16 @@ fn accepted_edges_exit_0() {
     let dir = scratch("edges");
     for line in ACCEPTED_EDGES {
         let out = Command::new(env!("CARGO_BIN_EXE_eleph"))
-            .args(["run", "--synth", "--flows", "200", "--intervals", "4", "--interval-secs", "20"])
+            .args([
+                "run",
+                "--synth",
+                "--flows",
+                "200",
+                "--intervals",
+                "4",
+                "--interval-secs",
+                "20",
+            ])
             .args(["--prefixes", "2000"])
             .args(line.split_whitespace())
             .arg("--out")
@@ -106,7 +115,11 @@ fn accepted_edges_exit_0() {
             .output()
             .expect("eleph runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(0), "`eleph run --synth … {line}`: {stderr}");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "`eleph run --synth … {line}`: {stderr}"
+        );
     }
     fs::remove_dir_all(&dir).ok();
 }
@@ -128,8 +141,14 @@ fn a_missing_input_names_its_flag_and_path_before_any_is_read() {
     fs::write(path("c.pcap"), "not a capture").unwrap();
     fs::write(path("c.rib"), "not a dump").unwrap();
     for (flag, line) in [
-        ("--pcap", format!("--pcap {} --rib {}", path("no.pcap"), path("c.rib"))),
-        ("--rib", format!("--pcap {} --rib {}", path("c.pcap"), path("no.rib"))),
+        (
+            "--pcap",
+            format!("--pcap {} --rib {}", path("no.pcap"), path("c.rib")),
+        ),
+        (
+            "--rib",
+            format!("--pcap {} --rib {}", path("c.pcap"), path("no.rib")),
+        ),
         (
             "--rib-updates",
             format!(
@@ -146,11 +165,21 @@ fn a_missing_input_names_its_flag_and_path_before_any_is_read() {
             .output()
             .expect("eleph runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let missing = line.split_whitespace().skip_while(|&a| a != flag).nth(1).unwrap();
+        let missing = line
+            .split_whitespace()
+            .skip_while(|&a| a != flag)
+            .nth(1)
+            .unwrap();
         assert_eq!(out.status.code(), Some(1), "`eleph run {line}`: {stderr}");
-        assert!(stderr.contains(&format!("{flag} {missing}: ")), "`eleph run {line}`: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} {missing}: ")),
+            "`eleph run {line}`: {stderr}"
+        );
         assert!(!stderr.contains("panicked"), "`eleph run {line}`: {stderr}");
-        assert!(out.stdout.is_empty(), "`eleph run {line}` printed to stdout");
+        assert!(
+            out.stdout.is_empty(),
+            "`eleph run {line}` printed to stdout"
+        );
     }
     fs::remove_dir_all(&dir).ok();
 }
@@ -163,7 +192,16 @@ fn an_unwritable_checkpoint_exits_1_naming_its_path() {
     let ckpt = dir.join("ck");
     fs::create_dir_all(ckpt.join("eleph.ckpt.tmp")).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_eleph"))
-        .args(["run", "--synth", "--flows", "200", "--intervals", "4", "--interval-secs", "20"])
+        .args([
+            "run",
+            "--synth",
+            "--flows",
+            "200",
+            "--intervals",
+            "4",
+            "--interval-secs",
+            "20",
+        ])
         .args(["--prefixes", "2000", "--checkpoint-dir"])
         .arg(&ckpt)
         .arg("--out")
@@ -173,7 +211,10 @@ fn an_unwritable_checkpoint_exits_1_naming_its_path() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     let path = ckpt.join("eleph.ckpt");
-    assert!(stderr.contains(path.to_str().expect("utf-8 temp dir")), "{stderr}");
+    assert!(
+        stderr.contains(path.to_str().expect("utf-8 temp dir")),
+        "{stderr}"
+    );
     assert!(stderr.contains("checkpoint I/O error"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!path.exists(), "no image was renamed into place");
@@ -182,7 +223,16 @@ fn an_unwritable_checkpoint_exits_1_naming_its_path() {
     let file = dir.join("file");
     fs::write(&file, "not a directory").unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_eleph"))
-        .args(["run", "--synth", "--flows", "200", "--intervals", "4", "--interval-secs", "20"])
+        .args([
+            "run",
+            "--synth",
+            "--flows",
+            "200",
+            "--intervals",
+            "4",
+            "--interval-secs",
+            "20",
+        ])
         .args(["--prefixes", "2000", "--checkpoint-dir"])
         .arg(&file)
         .arg("--out")
@@ -191,7 +241,10 @@ fn an_unwritable_checkpoint_exits_1_naming_its_path() {
         .expect("eleph runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
-    let named = format!("--checkpoint-dir {}: ", file.to_str().expect("utf-8 temp dir"));
+    let named = format!(
+        "--checkpoint-dir {}: ",
+        file.to_str().expect("utf-8 temp dir")
+    );
     assert!(stderr.contains(&named), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     fs::remove_dir_all(&dir).ok();
@@ -201,13 +254,18 @@ fn an_unwritable_checkpoint_exits_1_naming_its_path() {
 fn a_capture_that_fails_mid_stream_names_its_input() {
     let dir = scratch("midstream");
     let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp dir").to_string();
-    let table = synth::generate(&SynthConfig { n_prefixes: 2_000, ..SynthConfig::default() });
+    let table = synth::generate(&SynthConfig {
+        n_prefixes: 2_000,
+        ..SynthConfig::default()
+    });
     let mut rib = Vec::new();
     write_dump(&table, &mut rib).expect("write dump");
     fs::write(path("c.rib"), rib).unwrap();
     let trace = RateTrace::generate(&WorkloadConfig::small_test(5), &table);
     let mut pcap = Vec::new();
-    PacketSynth::new(&trace).write_pcap(0..1, &mut pcap).expect("pcap synthesis");
+    PacketSynth::new(&trace)
+        .write_pcap(0..1, &mut pcap)
+        .expect("pcap synthesis");
     // Keep the global header and the first record, whole: without
     // --start-unix that record is peeked when the capture opens, so the
     // damage is met mid-stream. Then a record claiming 0xFFFFFFF0 bytes.
@@ -224,8 +282,14 @@ fn a_capture_that_fails_mid_stream_names_its_input() {
         .expect("eleph runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains(&format!("--pcap {}: ", path("c.pcap"))), "{stderr}");
-    assert!(stderr.contains("implausible pcap capture length"), "{stderr}");
+    assert!(
+        stderr.contains(&format!("--pcap {}: ", path("c.pcap"))),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("implausible pcap capture length"),
+        "{stderr}"
+    );
     assert!(!stderr.contains("panicked"), "{stderr}");
     fs::remove_dir_all(&dir).ok();
 }
@@ -234,7 +298,10 @@ fn a_capture_that_fails_mid_stream_names_its_input() {
 fn a_piped_capture_without_a_start_reads_as_the_file_does() {
     let dir = scratch("pipe");
     let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp dir").to_string();
-    let table = synth::generate(&SynthConfig { n_prefixes: 2_000, ..SynthConfig::default() });
+    let table = synth::generate(&SynthConfig {
+        n_prefixes: 2_000,
+        ..SynthConfig::default()
+    });
     let config = WorkloadConfig {
         n_flows: 120,
         n_intervals: 4,
@@ -243,7 +310,9 @@ fn a_piped_capture_without_a_start_reads_as_the_file_does() {
     };
     let trace = RateTrace::generate(&config, &table);
     let mut pcap = Vec::new();
-    PacketSynth::new(&trace).write_pcap(0..4, &mut pcap).expect("pcap synthesis");
+    PacketSynth::new(&trace)
+        .write_pcap(0..4, &mut pcap)
+        .expect("pcap synthesis");
     fs::write(path("c.pcap"), &pcap).unwrap();
     let mut rib = Vec::new();
     write_dump(&table, &mut rib).expect("write dump");
@@ -253,13 +322,24 @@ fn a_piped_capture_without_a_start_reads_as_the_file_does() {
     let run = |pcap_arg: &str, out: &str| {
         let mut child = Command::new(env!("CARGO_BIN_EXE_eleph"))
             .args(["run", "--pcap", pcap_arg, "--rib", &path("c.rib")])
-            .args(["--interval-secs", "20", "--intervals", "4", "--out", &path(out)])
+            .args([
+                "--interval-secs",
+                "20",
+                "--intervals",
+                "4",
+                "--out",
+                &path(out),
+            ])
             .stdin(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
             .expect("eleph runs");
         let mut stdin = child.stdin.take().expect("piped stdin");
-        let bytes = if pcap_arg == "/dev/stdin" { pcap.clone() } else { Vec::new() };
+        let bytes = if pcap_arg == "/dev/stdin" {
+            pcap.clone()
+        } else {
+            Vec::new()
+        };
         let feeder = std::thread::spawn(move || stdin.write_all(&bytes));
         let out = child.wait_with_output().expect("eleph exits");
         let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
@@ -271,6 +351,10 @@ fn a_piped_capture_without_a_start_reads_as_the_file_does() {
     run("/dev/stdin", "pipe.jsonl");
     let file = fs::read(path("file.jsonl")).unwrap();
     assert_eq!(file.iter().filter(|&&b| b == b'\n').count(), 4);
-    assert_eq!(fs::read(path("pipe.jsonl")).unwrap(), file, "the piped run diverges");
+    assert_eq!(
+        fs::read(path("pipe.jsonl")).unwrap(),
+        file,
+        "the piped run diverges"
+    );
     fs::remove_dir_all(&dir).ok();
 }

@@ -16,10 +16,19 @@ use proptest::prelude::*;
 /// Every field of a result, floats by their bits.
 fn result_bits(r: &ClassificationResult) -> impl PartialEq + std::fmt::Debug + '_ {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    let raw: Vec<Option<u64>> = r.raw_thresholds.iter().map(|t| t.map(f64::to_bits)).collect();
+    let raw: Vec<Option<u64>> = r
+        .raw_thresholds
+        .iter()
+        .map(|t| t.map(f64::to_bits))
+        .collect();
     (
         (&r.detector, r.scheme, &r.elephants),
-        (raw, bits(&r.thresholds), bits(&r.elephant_load), bits(&r.total_load)),
+        (
+            raw,
+            bits(&r.thresholds),
+            bits(&r.elephant_load),
+            bits(&r.total_load),
+        ),
     )
 }
 
@@ -29,15 +38,20 @@ fn arb_spec() -> impl Strategy<Value = SchemeSpec> {
     let beta = prop_oneof![1 => Just(0.8), 1 => 0.3..0.95f64];
     let gamma = prop_oneof![1 => Just(0.9), 1 => 0.0..0.99f64];
     let window = prop_oneof![1 => Just(12usize), 2 => 1usize..=30];
-    let scheme = (0u8..4, window, 1.0..1.8f64, 0.2..1.0f64).prop_map(
-        |(which, window, enter, exit)| match which {
-            0 => Scheme::SingleFeature,
-            1 => Scheme::Hysteresis { enter, exit },
-            _ => Scheme::LatentHeat { window },
-        },
-    );
+    let scheme =
+        (0u8..4, window, 1.0..1.8f64, 0.2..1.0f64).prop_map(|(which, window, enter, exit)| {
+            match which {
+                0 => Scheme::SingleFeature,
+                1 => Scheme::Hysteresis { enter, exit },
+                _ => Scheme::LatentHeat { window },
+            }
+        });
     (any::<bool>(), beta, gamma, scheme).prop_map(|(aest, beta, gamma, scheme)| SchemeSpec {
-        detector: if aest { DetectorKind::Aest } else { DetectorKind::ConstantLoad },
+        detector: if aest {
+            DetectorKind::Aest
+        } else {
+            DetectorKind::ConstantLoad
+        },
         beta,
         gamma,
         scheme,
@@ -53,7 +67,11 @@ fn arb_job() -> impl Strategy<Value = Job> {
         _ => Measure::Native,
     });
     (0u8..4, measure, arb_spec()).prop_map(|(link, measure, spec)| Job {
-        link: if link == 0 { MatrixId::East } else { MatrixId::West },
+        link: if link == 0 {
+            MatrixId::East
+        } else {
+            MatrixId::West
+        },
         measure,
         spec,
     })
@@ -65,9 +83,11 @@ fn on_the_matrix(job: &Job, matrices: &[BandwidthMatrix; 2], seed: u64) -> Class
     let spec = job.spec;
     match job.measure {
         Measure::Native => run(m, spec),
-        Measure::Refined(factor) => classify_stream(spec.detector(), spec.gamma, spec.scheme, |row| {
-            m.refine_each(factor, seed, row)
-        }),
+        Measure::Refined(factor) => {
+            classify_stream(spec.detector(), spec.gamma, spec.scheme, |row| {
+                m.refine_each(factor, seed, row)
+            })
+        }
         Measure::Coarsened(factor) => {
             classify_stream(spec.detector(), spec.gamma, spec.scheme, |row| {
                 m.coarsen_each(factor, row)

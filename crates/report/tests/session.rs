@@ -111,7 +111,11 @@ fn all_output_equals_its_recorded_length_and_crc() {
             .collect();
         let mut measured = vec![("stdout".to_string(), stdout.into_bytes())];
         measured.extend(csvs(&all).into_iter().map(|(path, bytes)| {
-            let name = path.file_name().expect("a file").to_string_lossy().into_owned();
+            let name = path
+                .file_name()
+                .expect("a file")
+                .to_string_lossy()
+                .into_owned();
             (name, bytes)
         }));
         let measured: Vec<(String, usize, u32)> = measured
@@ -210,7 +214,11 @@ fn the_memo_answers_with_the_result_a_fresh_run_gives() {
     // thresholds.
     let counters = lab.counters();
     assert_eq!(
-        (counters.walks, counters.detection_passes, counters.results_computed),
+        (
+            counters.walks,
+            counters.detection_passes,
+            counters.results_computed
+        ),
         (2, 2, 2)
     );
     assert_eq!(counters.results_requested, 3);

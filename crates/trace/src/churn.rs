@@ -71,13 +71,23 @@ pub fn generate_churn(table: &BgpTable, config: &ChurnConfig) -> Vec<UpdateBatch
     for (i, scenario) in config.scenarios.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(mix64(config.seed ^ (i as u64).wrapping_mul(0x9E37)));
         match *scenario {
-            ChurnScenario::WithdrawReannounceStorm { at_unix, count, hold_secs } => {
+            ChurnScenario::WithdrawReannounceStorm {
+                at_unix,
+                count,
+                hold_secs,
+            } => {
                 for e in sample(&entries, count, &mut rng) {
                     push(at_unix, RouteUpdate::Withdraw(e.prefix));
                     push(at_unix + hold_secs, RouteUpdate::Announce(e.clone()));
                 }
             }
-            ChurnScenario::Flap { start_unix, count, period_secs, flaps, damped } => {
+            ChurnScenario::Flap {
+                start_unix,
+                count,
+                period_secs,
+                flaps,
+                damped,
+            } => {
                 for e in sample(&entries, count, &mut rng) {
                     for k in 0..u64::from(flaps.max(1)) {
                         let down = start_unix + k * 2 * period_secs;
@@ -136,7 +146,11 @@ mod tests {
         let config = ChurnConfig {
             seed: 11,
             scenarios: vec![
-                ChurnScenario::WithdrawReannounceStorm { at_unix: 100, count: 5, hold_secs: 30 },
+                ChurnScenario::WithdrawReannounceStorm {
+                    at_unix: 100,
+                    count: 5,
+                    hold_secs: 30,
+                },
                 ChurnScenario::Flap {
                     start_unix: 90,
                     count: 2,
@@ -149,12 +163,21 @@ mod tests {
         let a = generate_churn(&table, &config);
         let b = generate_churn(&table, &config);
         assert_eq!(a, b, "same seed must reproduce the stream");
-        assert!(a.windows(2).all(|w| w[0].at_unix < w[1].at_unix), "ascending, coalesced");
+        assert!(
+            a.windows(2).all(|w| w[0].at_unix < w[1].at_unix),
+            "ascending, coalesced"
+        );
         let total: usize = a.iter().map(|b| b.updates.len()).sum();
         // Storm: 5 withdraws + 5 announces; flap: 2 × 3 × 2 events.
         assert_eq!(total, 10 + 12);
         // A different seed picks (with high probability) different prefixes.
-        let c = generate_churn(&table, &ChurnConfig { seed: 12, ..config.clone() });
+        let c = generate_churn(
+            &table,
+            &ChurnConfig {
+                seed: 12,
+                ..config.clone()
+            },
+        );
         assert_ne!(a, c);
     }
 
@@ -226,7 +249,11 @@ mod tests {
         let config = ChurnConfig {
             seed: 21,
             scenarios: vec![
-                ChurnScenario::WithdrawReannounceStorm { at_unix: 0, count: 8, hold_secs: 5 },
+                ChurnScenario::WithdrawReannounceStorm {
+                    at_unix: 0,
+                    count: 8,
+                    hold_secs: 5,
+                },
                 ChurnScenario::Flap {
                     start_unix: 2,
                     count: 3,

@@ -182,7 +182,7 @@ impl WorkloadConfig {
     }
 
     /// Start of interval `n` as a Unix timestamp.
-    pub fn interval_start_unix(&self, n: usize) -> u64 {
+    pub(crate) fn interval_start_unix(&self, n: usize) -> u64 {
         self.start_unix + n as u64 * self.interval_secs
     }
 
@@ -195,7 +195,7 @@ impl WorkloadConfig {
     }
 
     /// Diurnal level for interval `n`.
-    pub fn diurnal_level(&self, n: usize) -> f64 {
+    pub(crate) fn diurnal_level(&self, n: usize) -> f64 {
         self.profile.eval_seconds(self.interval_local_secs(n))
     }
 

@@ -32,11 +32,6 @@ impl Pareto {
     pub fn new(xm: f64, alpha: f64) -> Option<Self> {
         (xm > 0.0 && alpha > 0.0).then_some(Pareto { xm, alpha })
     }
-
-    /// Analytic mean (for α > 1).
-    pub fn mean(&self) -> Option<f64> {
-        (self.alpha > 1.0).then(|| self.alpha * self.xm / (self.alpha - 1.0))
-    }
 }
 
 impl Sample for Pareto {
@@ -64,20 +59,10 @@ impl LogNormal {
     pub fn new(mu: f64, sigma: f64) -> Option<Self> {
         (sigma > 0.0).then_some(LogNormal { mu, sigma })
     }
-
-    /// Analytic mean `exp(mu + sigma²/2)`.
-    pub fn mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
-
-    /// Analytic median `exp(mu)`.
-    pub fn median(&self) -> f64 {
-        self.mu.exp()
-    }
 }
 
 /// Draw one standard normal via Box–Muller.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1 = 1.0 - rng.gen::<f64>(); // (0,1]
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -94,6 +79,25 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Pareto {
+        /// Analytic mean (for α > 1).
+        fn mean(&self) -> Option<f64> {
+            (self.alpha > 1.0).then(|| self.alpha * self.xm / (self.alpha - 1.0))
+        }
+    }
+
+    impl LogNormal {
+        /// Analytic mean `exp(mu + sigma²/2)`.
+        fn mean(&self) -> f64 {
+            (self.mu + self.sigma * self.sigma / 2.0).exp()
+        }
+
+        /// Analytic median `exp(mu)`.
+        fn median(&self) -> f64 {
+            self.mu.exp()
+        }
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0x5EED)
@@ -129,7 +133,10 @@ mod tests {
         let mut xs = draw(&d, 200_000);
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = xs[xs.len() / 2];
-        assert!((median - d.median()).abs() / d.median() < 0.02, "median {median}");
+        assert!(
+            (median - d.median()).abs() / d.median() < 0.02,
+            "median {median}"
+        );
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!((mean - d.mean()).abs() / d.mean() < 0.02, "mean {mean}");
     }

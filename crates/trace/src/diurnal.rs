@@ -18,7 +18,7 @@ pub struct GaussianPeak {
 /// link "experiences a high burst in its utilization during the working
 /// hours" while the east-coast link "exhibits smoother utilization levels
 /// during the day" — reproduced by [`DiurnalProfile::west_coast`] and
-/// [`DiurnalProfile::east_coast`].
+/// the crate's east-coast profile.
 #[derive(Debug, Clone)]
 pub struct DiurnalProfile {
     /// Load floor (night-time), in [0, 1].
@@ -59,7 +59,7 @@ impl DiurnalProfile {
 
     /// The smooth east-coast OC-12 profile: higher floor, broad gentle
     /// daytime rise.
-    pub fn east_coast() -> Self {
+    pub(crate) fn east_coast() -> Self {
         DiurnalProfile {
             base: 0.52,
             peaks: vec![GaussianPeak {
@@ -72,7 +72,7 @@ impl DiurnalProfile {
 
     /// Evaluate the profile at a local time-of-day given in seconds since
     /// local midnight. The result is clamped to [0, 1].
-    pub fn eval_seconds(&self, local_secs: u64) -> f64 {
+    pub(crate) fn eval_seconds(&self, local_secs: u64) -> f64 {
         let h = (local_secs % 86_400) as f64 / 3_600.0;
         self.eval_hours(h)
     }
@@ -101,7 +101,9 @@ mod tests {
     /// every six minutes — the "burstiness" of a profile.
     fn peak_to_trough(p: &DiurnalProfile) -> f64 {
         let levels = (0..240).map(|i| p.eval_hours(i as f64 / 10.0));
-        let (min, max) = levels.fold((f64::INFINITY, 0.0f64), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        let (min, max) = levels.fold((f64::INFINITY, 0.0f64), |(lo, hi), v| {
+            (lo.min(v), hi.max(v))
+        });
         max / min
     }
 

@@ -13,7 +13,7 @@ use crate::{mix64, WorkloadConfig};
 
 /// Index of a flow within a [`FlowPopulation`]. Flow = BGP prefix, per
 /// the paper's granularity choice.
-pub type FlowId = u32;
+pub(crate) type FlowId = u32;
 
 /// Rate class of a flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,7 +177,11 @@ impl FlowPopulation {
             })
             .sum();
         let target = config.link.capacity_bps * config.link.target_peak_util;
-        let scale = if expected > 0.0 { target / expected } else { 1.0 };
+        let scale = if expected > 0.0 {
+            target / expected
+        } else {
+            1.0
+        };
         for f in &mut flows {
             f.base_rate_bps *= scale;
         }
@@ -190,11 +194,6 @@ impl FlowPopulation {
         self.flows.len()
     }
 
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
-    }
-
     /// Metadata for a flow.
     pub fn get(&self, id: FlowId) -> &FlowMeta {
         &self.flows[id as usize]
@@ -202,18 +201,7 @@ impl FlowPopulation {
 
     /// Iterate over `(FlowId, &FlowMeta)`.
     pub fn iter(&self) -> impl Iterator<Item = (FlowId, &FlowMeta)> {
-        self.flows
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (i as FlowId, f))
-    }
-
-    /// Ids of all heavy flows.
-    pub fn heavy_ids(&self) -> Vec<FlowId> {
-        self.iter()
-            .filter(|(_, f)| f.kind == FlowKind::Heavy)
-            .map(|(id, _)| id)
-            .collect()
+        self.flows.iter().enumerate().map(|(i, f)| (i as FlowId, f))
     }
 }
 
@@ -264,7 +252,7 @@ mod tests {
     fn heavy_fraction_respected() {
         let t = table(5_000);
         let p = FlowPopulation::build(&config(), &t);
-        let heavy = p.heavy_ids().len();
+        let heavy = p.iter().filter(|(_, f)| f.kind == FlowKind::Heavy).count();
         let expect = (2_000.0 * config().heavy_fraction).round() as usize;
         // +3 possible short-prefix promotions
         assert!(
@@ -358,10 +346,7 @@ mod tests {
     fn jitter_is_mean_one() {
         let mut rng = StdRng::seed_from_u64(3);
         let n = 200_000;
-        let mean: f64 = (0..n)
-            .map(|_| unit_mean_jitter(&mut rng, 0.8))
-            .sum::<f64>()
-            / n as f64;
+        let mean: f64 = (0..n).map(|_| unit_mean_jitter(&mut rng, 0.8)).sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.01, "mean {mean}");
     }
 }

@@ -52,8 +52,9 @@ mod rate;
 
 pub use churn::{generate_churn, ChurnConfig, ChurnScenario};
 pub use config::{LinkSpec, WorkloadConfig};
-pub use diurnal::{DiurnalProfile, GaussianPeak};
-pub use flows::{FlowId, FlowKind, FlowMeta, FlowPopulation};
+pub use diurnal::DiurnalProfile;
+use flows::FlowId;
+pub use flows::{FlowKind, FlowMeta, FlowPopulation};
 pub use packets::{PacketMix, PacketSynth};
 pub use rate::RateTrace;
 

@@ -22,8 +22,7 @@ pub struct PacketMix {
 
 impl Default for PacketMix {
     fn default() -> Self {
-        PacketMix::new(vec![(40, 0.5), (576, 0.25), (1500, 0.25)])
-            .expect("default mix is valid")
+        PacketMix::new(vec![(40, 0.5), (576, 0.25), (1500, 0.25)]).expect("default mix is valid")
     }
 }
 
@@ -34,7 +33,10 @@ impl PacketMix {
         if entries.is_empty() {
             return None;
         }
-        if entries.iter().any(|&(s, w)| s < 40 || s > 65_535 || w <= 0.0) {
+        if entries
+            .iter()
+            .any(|&(s, w)| s < 40 || s > 65_535 || w <= 0.0)
+        {
             return None;
         }
         let total_weight = entries.iter().map(|&(_, w)| w).sum();
@@ -174,8 +176,8 @@ mod tests {
     use super::*;
     use crate::WorkloadConfig;
     use eleph_bgp::synth::{self, SynthConfig};
-    use eleph_packet::pcap::PcapReader;
     use eleph_packet::parse_buf_meta;
+    use eleph_packet::pcap::PcapReader;
     use std::collections::HashMap;
 
     fn small_trace() -> RateTrace {
@@ -292,9 +294,9 @@ mod tests {
         let trace = small_trace();
         let heavy: std::collections::HashSet<_> = trace
             .population
-            .heavy_ids()
-            .into_iter()
-            .filter_map(|id| trace.population.get(id).dst_addr)
+            .iter()
+            .filter(|(_, f)| f.kind == FlowKind::Heavy)
+            .filter_map(|(_, f)| f.dst_addr)
             .collect();
         if heavy.is_empty() {
             return; // tiny population may have no heavy flow

@@ -42,7 +42,7 @@ const BLOCK: usize = 32;
 pub struct RateTrace {
     /// The workload this trace was generated from.
     pub config: WorkloadConfig,
-    /// Static flow metadata (index = [`FlowId`]).
+    /// Static flow metadata (index = flow id).
     pub population: FlowPopulation,
     /// Per interval: sorted `(flow, bps)` pairs for every active flow.
     intervals: Vec<Vec<(FlowId, f32)>>,
@@ -111,14 +111,6 @@ impl RateTrace {
     /// Sparse snapshot of interval `n`: ascending `(flow, bps)` pairs.
     pub fn interval(&self, n: usize) -> &[(FlowId, f32)] {
         &self.intervals[n]
-    }
-
-    /// Bandwidth of `flow` in interval `n`, 0.0 when inactive.
-    pub fn rate(&self, n: usize, flow: FlowId) -> f64 {
-        match self.intervals[n].binary_search_by_key(&flow, |&(id, _)| id) {
-            Ok(idx) => f64::from(self.intervals[n][idx].1),
-            Err(_) => 0.0,
-        }
     }
 
     /// Total offered load of interval `n` in b/s.
@@ -343,6 +335,16 @@ mod tests {
     use eleph_bgp::synth::{self, SynthConfig};
     use proptest::prelude::*;
 
+    impl RateTrace {
+        /// Bandwidth of `flow` in interval `n`, 0.0 when inactive.
+        fn rate(&self, n: usize, flow: FlowId) -> f64 {
+            match self.intervals[n].binary_search_by_key(&flow, |&(id, _)| id) {
+                Ok(idx) => f64::from(self.intervals[n][idx].1),
+                Err(_) => 0.0,
+            }
+        }
+    }
+
     fn table() -> BgpTable {
         synth::generate(&SynthConfig {
             n_prefixes: 2_000,
@@ -477,7 +479,9 @@ mod tests {
     fn utilization_is_sane() {
         let t = small_trace(4);
         let capacity = t.config.link.capacity_bps;
-        let u: Vec<f64> = (0..t.n_intervals()).map(|n| t.total(n) / capacity).collect();
+        let u: Vec<f64> = (0..t.n_intervals())
+            .map(|n| t.total(n) / capacity)
+            .collect();
         // Flat profile at 0.8, target peak 0.5: expect util around
         // 0.5·0.8-ish with slack for stochastics; never pathological.
         let mean = u.iter().sum::<f64>() / u.len() as f64;
@@ -487,8 +491,12 @@ mod tests {
     #[test]
     fn heavy_flows_dominate_traffic() {
         let t = small_trace(5);
-        let heavy: std::collections::HashSet<FlowId> =
-            t.population.heavy_ids().into_iter().collect();
+        let heavy: std::collections::HashSet<FlowId> = t
+            .population
+            .iter()
+            .filter(|(_, f)| f.kind == FlowKind::Heavy)
+            .map(|(id, _)| id)
+            .collect();
         let mut heavy_bytes = 0.0;
         let mut all_bytes = 0.0;
         for n in 0..t.n_intervals() {
@@ -519,7 +527,12 @@ mod tests {
     #[test]
     fn heavy_flows_are_persistent_mice_flicker() {
         let t = small_trace(8);
-        let heavy = t.population.heavy_ids();
+        let heavy: Vec<FlowId> = t
+            .population
+            .iter()
+            .filter(|(_, f)| f.kind == FlowKind::Heavy)
+            .map(|(id, _)| id)
+            .collect();
         let mouse: Vec<FlowId> = t
             .population
             .iter()

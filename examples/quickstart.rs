@@ -74,7 +74,9 @@ fn main() {
             }
         }))
         .build();
-    pipeline.run(TraceSource::new(&trace)).expect("streaming run");
+    pipeline
+        .run(TraceSource::new(&trace))
+        .expect("streaming run");
     let report = pipeline.finish().expect("pipeline finish");
 
     println!(
@@ -102,7 +104,10 @@ fn main() {
         println!("  {}", report.keys[key as usize]);
     }
 
-    let mean_count = outcomes.iter().map(|o| o.outcome.elephants.len()).sum::<usize>() as f64
+    let mean_count = outcomes
+        .iter()
+        .map(|o| o.outcome.elephants.len())
+        .sum::<usize>() as f64
         / outcomes.len() as f64;
     let mean_fraction =
         outcomes.iter().map(|o| o.outcome.fraction()).sum::<f64>() / outcomes.len() as f64;
@@ -157,7 +162,10 @@ fn main() {
         final_interval.outcome.threshold.to_bits(),
         "resumed threshold must match the uninterrupted run to the last bit",
     );
-    assert_eq!(resumed_last.outcome.elephants, final_interval.outcome.elephants);
+    assert_eq!(
+        resumed_last.outcome.elephants,
+        final_interval.outcome.elephants
+    );
     println!(
         "\ncheckpoint/restore: stopped after interval 24 ({}-byte snapshot), resumed, \
          final interval matches the uninterrupted run bit-for-bit",
@@ -254,7 +262,9 @@ fn main() {
         })
         .sink(sketched_collector.sink())
         .build();
-    sketched.run(TraceSource::new(&trace)).expect("sketched run");
+    sketched
+        .run(TraceSource::new(&trace))
+        .expect("sketched run");
     let sketched_report = sketched.finish().expect("sketched finish");
     let sketched_outcomes = sketched_collector.take();
     let agree = sketched_outcomes

@@ -71,9 +71,7 @@ fn main() {
             let result = classify(&matrix, detector, PAPER_GAMMA, scheme);
             let h = holding::analyze(&result, busy.clone(), workload.interval_secs);
             let churn_series = churn(&result);
-            let mean_churn = churn_series[PAPER_LATENT_WINDOW..]
-                .iter()
-                .sum::<usize>() as f64
+            let mean_churn = churn_series[PAPER_LATENT_WINDOW..].iter().sum::<usize>() as f64
                 / (churn_series.len() - PAPER_LATENT_WINDOW) as f64;
             println!(
                 "{:<28} {:>10.0} {:>9.1}% {:>8.0} min {:>12} {:>10.1}",

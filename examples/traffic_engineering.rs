@@ -47,12 +47,7 @@ fn main() {
             },
         ),
     ] {
-        let result = classify(
-            &matrix,
-            ConstantLoadDetector::new(0.8),
-            PAPER_GAMMA,
-            scheme,
-        );
+        let result = classify(&matrix, ConstantLoadDetector::new(0.8), PAPER_GAMMA, scheme);
 
         // Load balance quality: fraction of bytes on the secondary path.
         let secondary_share = result.mean_fraction();

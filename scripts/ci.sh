@@ -2,7 +2,11 @@
 # The repository's verification gate, in the order a reviewer should
 # trust it:
 #
-#   1. tier-1: release build + full test suite (see ROADMAP.md);
+#   1. tier-1: release build + full test suite (see ROADMAP.md), which
+#      also denies dead code and unreachable `pub` items in the eight
+#      library crates (the root Cargo.toml's lints table); then
+#      `cargo fmt --check`: the workspace is rustfmt-clean (`benchmark/`
+#      is a workspace of its own and is not checked);
 #   2. classifier equivalence: the one per-interval step against the
 #      legacy-replica oracle, classify_many and one sweep of several
 #      detectors and windows against independent classify runs, one
@@ -216,6 +220,9 @@ cargo build --release
 
 echo "== tier-1: tests =="
 cargo test -q
+
+echo "== format: cargo fmt --check =="
+cargo fmt --all --check
 
 echo "== classifier equivalence: dense vs legacy, classify_many vs classify, shared sweep vs legacy, streaming vs legacy and across a resume =="
 cargo test -q -p eleph-core --test props -- \

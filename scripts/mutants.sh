@@ -90,6 +90,11 @@ trap 'rm -rf "$work"' EXIT
 # around it.
 git -C "$work" init -q
 export CARGO_TARGET_DIR=$work/target
+# The workspace denies dead code, and a mutant may leave code dead (one
+# that deletes the only call of a function); a mutant is judged by the
+# tests, so every build here, the unpatched one included, caps lints at
+# warnings.
+export RUSTFLAGS=--cap-lints=warn
 
 # Cargo's arguments: each package and target once, then the names.
 packages=() targets=() names=()

@@ -96,7 +96,10 @@ pub fn read_chain(path: &Path) -> Vec<u8> {
 /// link — enough traffic for real thresholds, small enough to replay
 /// dozens of times.
 pub fn small_link(seed: u64, n_flows: usize, n_intervals: usize) -> (BgpTable, RateTrace) {
-    let table = synth::generate(&SynthConfig { n_prefixes: 2_000, ..SynthConfig::default() });
+    let table = synth::generate(&SynthConfig {
+        n_prefixes: 2_000,
+        ..SynthConfig::default()
+    });
     let config = WorkloadConfig {
         n_flows,
         n_intervals,
@@ -166,7 +169,11 @@ pub struct OneChunkPerRun<S> {
 
 impl<S> OneChunkPerRun<S> {
     pub fn new(inner: S) -> Self {
-        OneChunkPerRun { inner, ending: false, done: false }
+        OneChunkPerRun {
+            inner,
+            ending: false,
+            done: false,
+        }
     }
 }
 

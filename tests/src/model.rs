@@ -159,7 +159,8 @@ impl Run {
         self.stats.offered += 1;
         let (start, t) = (config.start_unix * NS, config.interval_secs * NS);
         let interval = packet.ts_ns.checked_sub(start).map(|ns| (ns / t) as usize);
-        let Some(interval) = interval.filter(|&i| config.n_intervals.map_or(true, |n| i < n)) else {
+        let Some(interval) = interval.filter(|&i| config.n_intervals.map_or(true, |n| i < n))
+        else {
             self.stats.out_of_window += 1;
             return;
         };
@@ -198,7 +199,9 @@ impl Run {
         let threshold = match detect(config, &values) {
             Some(raw) => {
                 let gamma = config.gamma;
-                let smoothed = self.smoothed.map_or(raw, |prev| gamma * prev + (1.0 - gamma) * raw);
+                let smoothed = self
+                    .smoothed
+                    .map_or(raw, |prev| gamma * prev + (1.0 - gamma) * raw);
                 *self.smoothed.insert(smoothed)
             }
             None => self.smoothed.unwrap_or(f64::INFINITY),
@@ -218,11 +221,19 @@ impl Run {
                 // Before the first detection nothing may beat an
                 // interval: its term is one more than its largest rate.
                 let unbeatable = values.iter().cloned().fold(0.0, f64::max) + 1.0;
-                let term = if threshold.is_finite() { threshold } else { unbeatable };
+                let term = if threshold.is_finite() {
+                    threshold
+                } else {
+                    unbeatable
+                };
                 self.sum_t += term;
                 for &(key, r) in &rates {
                     let (sum, slots) = self.sums.entry(key).or_default();
-                    *sum = if *slots == 0 { f64::from(r) } else { *sum + f64::from(r) };
+                    *sum = if *slots == 0 {
+                        f64::from(r)
+                    } else {
+                        *sum + f64::from(r)
+                    };
                     *slots += 1;
                 }
                 self.window.push_back((term, rates.clone()));
@@ -232,7 +243,11 @@ impl Run {
                     for (key, r) in retired {
                         let (sum, slots) = self.sums.get_mut(&key).expect("slid in before");
                         *slots -= 1;
-                        *sum = if *slots == 0 { 0.0 } else { (*sum - f64::from(r)).max(0.0) };
+                        *sum = if *slots == 0 {
+                            0.0
+                        } else {
+                            (*sum - f64::from(r)).max(0.0)
+                        };
                     }
                 }
                 // An interval without traffic names no elephants; its
@@ -242,8 +257,13 @@ impl Run {
                     Err(_) => 0.0,
                 };
                 let sum_t = self.sum_t;
-                let hot = self.sums.iter().filter(|(_, &(sum, slots))| slots > 0 && sum > sum_t);
-                hot.filter(|_| !rates.is_empty()).map(|(&key, _)| (key, rate(key))).collect()
+                let hot = self
+                    .sums
+                    .iter()
+                    .filter(|(_, &(sum, slots))| slots > 0 && sum > sum_t);
+                hot.filter(|_| !rates.is_empty())
+                    .map(|(&key, _)| (key, rate(key)))
+                    .collect()
             }
         };
         self.outcomes.push(Outcome {

@@ -39,7 +39,13 @@ fn builder<'t>(
     start_unix: u64,
     n: usize,
 ) -> PipelineBuilder<'t, ConstantLoadDetector> {
-    configured(PipelineBuilder::new().frozen(table), scheme, interval_secs, start_unix, n)
+    configured(
+        PipelineBuilder::new().frozen(table),
+        scheme,
+        interval_secs,
+        start_unix,
+        n,
+    )
 }
 
 /// `base`, which holds the table, with the window, detector, γ and
@@ -70,7 +76,10 @@ fn corrupted_checkpoint_files_are_rejected_on_disk() {
     let mut checkpointer = Checkpointer::new(&dir, 1).expect("checkpointer");
     let mut pipeline = builder(&frozen, scheme, t, start, n).build();
     pipeline
-        .run_checkpointed(&mut PcapSource::new(&pcap[..]).expect("valid pcap"), &mut checkpointer)
+        .run_checkpointed(
+            &mut PcapSource::new(&pcap[..]).expect("valid pcap"),
+            &mut checkpointer,
+        )
         .expect("run");
     pipeline.finish().expect("finish");
     let ckpt_path = dir.join(CHECKPOINT_FILE);
@@ -100,7 +109,10 @@ fn corrupted_checkpoint_files_are_rejected_on_disk() {
 
     // A differently-configured pipeline must refuse the snapshot.
     let ckpt = Checkpoint::load(&ckpt_path).expect("good checkpoint");
-    match builder(&frozen, scheme, t, start, n).gamma(0.5).resume(&ckpt) {
+    match builder(&frozen, scheme, t, start, n)
+        .gamma(0.5)
+        .resume(&ckpt)
+    {
         Err(CheckpointError::Mismatch(what)) => {
             assert!(what.contains("gamma"), "mismatch names the field: {what}")
         }
@@ -127,14 +139,20 @@ fn resume_against_wrong_table_generation_is_a_typed_mismatch() {
         updates: vec![RouteUpdate::Withdraw(victim)],
     }];
 
-    let on = |live| PipelineBuilder::new().live(live).route_updates(schedule.clone());
+    let on = |live| {
+        PipelineBuilder::new()
+            .live(live)
+            .route_updates(schedule.clone())
+    };
     let live = LiveBgpTable::from_table(&table);
     let mut pipeline = configured(on(&live), scheme, t, start, n).build();
     pipeline
         .run(PcapSource::new(&pcap[..]).expect("valid pcap"))
         .expect("checkpointed run");
     let mut bytes = Vec::new();
-    pipeline.checkpoint(&mut bytes).expect("serialize checkpoint");
+    pipeline
+        .checkpoint(&mut bytes)
+        .expect("serialize checkpoint");
     let ckpt = Checkpoint::read_from(&mut &bytes[..]).expect("decode checkpoint");
     assert_eq!(ckpt.generation(), 1, "the withdraw batch was consumed");
 
@@ -143,7 +161,10 @@ fn resume_against_wrong_table_generation_is_a_typed_mismatch() {
     let stale = LiveBgpTable::from_table(&table);
     match configured(on(&stale), scheme, t, start, n).resume(&ckpt) {
         Err(CheckpointError::Mismatch(what)) => {
-            assert!(what.contains("table generation"), "mismatch names the field: {what}")
+            assert!(
+                what.contains("table generation"),
+                "mismatch names the field: {what}"
+            )
         }
         _ => panic!("stale live table must be rejected"),
     }
@@ -152,7 +173,10 @@ fn resume_against_wrong_table_generation_is_a_typed_mismatch() {
     // checkpoint born from a live run that applied updates.
     match builder(&frozen, scheme, t, start, n).resume(&ckpt) {
         Err(CheckpointError::Mismatch(what)) => {
-            assert!(what.contains("table generation"), "mismatch names the field: {what}")
+            assert!(
+                what.contains("table generation"),
+                "mismatch names the field: {what}"
+            )
         }
         _ => panic!("frozen table must be rejected"),
     }
@@ -184,7 +208,9 @@ fn resume_refuses_every_fingerprint_field_by_name() {
         .run(PcapSource::new(&pcap[..]).expect("valid pcap"))
         .expect("run");
     let mut bytes = Vec::new();
-    pipeline.checkpoint(&mut bytes).expect("serialize checkpoint");
+    pipeline
+        .checkpoint(&mut bytes)
+        .expect("serialize checkpoint");
     let ckpt = Checkpoint::read_from(&mut &bytes[..]).expect("decode checkpoint");
     builder(&frozen, scheme, t, start, n)
         .resume(&ckpt)
@@ -195,9 +221,10 @@ fn resume_refuses_every_fingerprint_field_by_name() {
     // id and its prefix: only the size differs.
     let last = Prefix::from_u32(u32::MAX, 32).expect("a /32");
     assert!(table.get(last).is_none());
-    let grown = BgpTable::from_entries(
-        routes.iter().cloned().chain([RouteEntry { prefix: last, ..routes[0].clone() }]),
-    )
+    let grown = BgpTable::from_entries(routes.iter().cloned().chain([RouteEntry {
+        prefix: last,
+        ..routes[0].clone()
+    }]))
     .freeze();
     // The same number of routes, one key's moved one bit longer: it
     // sorts where it did, so only that key's prefix differs.
@@ -222,8 +249,14 @@ fn resume_refuses_every_fingerprint_field_by_name() {
         ("interval_secs", builder(&frozen, scheme, 2 * t, start, n)),
         ("start_unix", builder(&frozen, scheme, t, start + 1, n)),
         ("n_intervals", builder(&frozen, scheme, t, start, n + 1)),
-        ("scheme", builder(&frozen, Scheme::SingleFeature, t, start, n)),
-        ("detector", at(&frozen).detector(ConstantLoadDetector::new(0.7))),
+        (
+            "scheme",
+            builder(&frozen, Scheme::SingleFeature, t, start, n),
+        ),
+        (
+            "detector",
+            at(&frozen).detector(ConstantLoadDetector::new(0.7)),
+        ),
         ("routing table size", at(&grown)),
         (key_prefix.as_str(), at(&moved)),
     ] {
@@ -260,7 +293,11 @@ fn resumed_run_keeps_the_uninterrupted_cadence() {
     let images_of_run_in = |dir: &Path| -> Vec<(Vec<u8>, Files)> {
         let mut checkpointer = Checkpointer::new(dir, every).expect("checkpointer");
         let file = checkpointer.path().to_path_buf();
-        let image = || Checkpoint::load(&file).map(|ckpt| ckpt_bytes(&ckpt)).unwrap_or_default();
+        let image = || {
+            Checkpoint::load(&file)
+                .map(|ckpt| ckpt_bytes(&ckpt))
+                .unwrap_or_default()
+        };
         let mut last = image();
         let mut source = OneChunkPerRun::new(PcapSource::new(&pcap[..]).expect("valid pcap"));
         let builder = builder(&frozen, scheme, t, start, n);
@@ -295,7 +332,11 @@ fn resumed_run_keeps_the_uninterrupted_cadence() {
     let dir = scratch("cadence-ref");
     let uninterrupted = images_of_run_in(&dir);
     let sealed: Vec<usize> = uninterrupted.iter().map(sealed_at).collect();
-    assert_eq!(sealed, [3, 6, 9], "one image every {every} sealed intervals");
+    assert_eq!(
+        sealed,
+        [3, 6, 9],
+        "one image every {every} sealed intervals"
+    );
     for (i, (image, files)) in uninterrupted.iter().enumerate() {
         let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
         assert_eq!(names.len(), 2, "the image and one log: {names:?}");
@@ -315,11 +356,19 @@ fn resumed_run_keeps_the_uninterrupted_cadence() {
 
         let run_dir = scratch("cadence-run-v6");
         fs::write(run_dir.join(CHECKPOINT_FILE), image).expect("plant a version-6 image");
-        let resumed: Vec<Vec<u8>> =
-            images_of_run_in(&run_dir).into_iter().map(|(image, _)| image).collect();
-        let want: Vec<Vec<u8>> =
-            uninterrupted[i + 1..].iter().map(|(image, _)| image.clone()).collect();
-        assert!(resumed == want, "resumed at {} sealed from a version-6 image", sealed[i]);
+        let resumed: Vec<Vec<u8>> = images_of_run_in(&run_dir)
+            .into_iter()
+            .map(|(image, _)| image)
+            .collect();
+        let want: Vec<Vec<u8>> = uninterrupted[i + 1..]
+            .iter()
+            .map(|(image, _)| image.clone())
+            .collect();
+        assert!(
+            resumed == want,
+            "resumed at {} sealed from a version-6 image",
+            sealed[i]
+        );
         fs::remove_dir_all(&run_dir).ok();
     }
     fs::remove_dir_all(&dir).ok();
@@ -361,15 +410,23 @@ fn a_failed_image_write_is_a_typed_error() {
         fs::create_dir(dir.join(format!("{CHECKPOINT_FILE}.tmp"))).expect("plant a directory");
         match pipeline.run_checkpointed(&mut source.inner, &mut checkpointer) {
             Err(PipelineError::Checkpoint(CheckpointError::Io(_))) => {}
-            other => panic!("{landed} images landed: expected a checkpoint I/O error, got {other:?}"),
+            other => {
+                panic!("{landed} images landed: expected a checkpoint I/O error, got {other:?}")
+            }
         }
         assert_eq!(checkpointer.written().images, landed);
         match before {
             Some(image) => {
-                assert_eq!(fs::read(checkpointer.path()).expect("previous image"), image);
+                assert_eq!(
+                    fs::read(checkpointer.path()).expect("previous image"),
+                    image
+                );
                 Checkpoint::load(checkpointer.path()).expect("the previous image loads");
             }
-            None => assert!(!checkpointer.path().exists(), "no image was renamed into place"),
+            None => assert!(
+                !checkpointer.path().exists(),
+                "no image was renamed into place"
+            ),
         }
         fs::remove_dir_all(&dir).ok();
     }
@@ -419,7 +476,10 @@ fn synthetic_run_checkpoints_equal_their_recorded_length_and_crc() {
         assert_eq!(reread.stats(), loaded.stats(), "{at}");
         assert_eq!(reread.detector(), loaded.detector(), "{at}");
         assert_eq!(reread.generation(), loaded.generation(), "{at}");
-        assert!(ckpt_bytes(&reread) == image, "{at}: the re-encoding reads back as itself");
+        assert!(
+            ckpt_bytes(&reread) == image,
+            "{at}: the re-encoding reads back as itself"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 }
@@ -440,7 +500,10 @@ fn checkpoint_bytes_follow_what_changed() {
     const INTERVALS: u64 = 2_400;
     const WINDOW: usize = 12;
     const START: u64 = 1_000_000;
-    let table = synth::generate(&SynthConfig { n_prefixes: 8_000, ..SynthConfig::default() });
+    let table = synth::generate(&SynthConfig {
+        n_prefixes: 8_000,
+        ..SynthConfig::default()
+    });
     let dsts: Vec<Ipv4Addr> = table.iter().map(|e| e.prefix.network()).collect();
     assert!(dsts.len() >= 2_000 + 2 * INTERVALS as usize);
     let packet = |interval: u64, i: u64, dst: Ipv4Addr| PacketMeta {
@@ -458,7 +521,11 @@ fn checkpoint_bytes_follow_what_changed() {
         .map(|k| {
             let recurring = (0..20).map(|i| dsts[((k * 7 + i * 13) % 2_000) as usize]);
             let fresh = (0..2).map(|i| dsts[(2_000 + 2 * k + i) as usize]);
-            recurring.chain(fresh).enumerate().map(|(i, dst)| packet(k, i as u64, dst)).collect()
+            recurring
+                .chain(fresh)
+                .enumerate()
+                .map(|(i, dst)| packet(k, i as u64, dst))
+                .collect()
         })
         .collect();
     let dir = scratch("bytes");
@@ -470,8 +537,12 @@ fn checkpoint_bytes_follow_what_changed() {
         .start_unix(START)
         .scheme(Scheme::LatentHeat { window: WINDOW })
         .build();
-    assert!(!checkpointer.maybe_write(&mut pipeline).expect("cadence starts"));
-    pipeline.observe_chunk(&intervals[0][..1]).expect("first packet");
+    assert!(!checkpointer
+        .maybe_write(&mut pipeline)
+        .expect("cadence starts"));
+    pipeline
+        .observe_chunk(&intervals[0][..1])
+        .expect("first packet");
     let mut keys_before = 0;
     for k in 0..INTERVALS as usize {
         // The rest of interval k and the first packet of k + 1, which
@@ -482,7 +553,10 @@ fn checkpoint_bytes_follow_what_changed() {
         if k + 1 == INTERVALS as usize {
             break;
         }
-        assert!(checkpointer.maybe_write(&mut pipeline).expect("image"), "interval {k}");
+        assert!(
+            checkpointer.maybe_write(&mut pipeline).expect("image"),
+            "interval {k}"
+        );
         checkpointer.flush().expect("image on disk");
         let sealed = pipeline.intervals_sealed();
         assert_eq!(sealed, k + 1);
@@ -503,7 +577,9 @@ fn checkpoint_bytes_follow_what_changed() {
         // slot records (kind, length and CRC around interval, threshold
         // term and 8 bytes a key).
         let key_table = 12 + 21 + 9 * keys;
-        let window: usize = (sealed.saturating_sub(WINDOW)..sealed).map(|i| 29 + 8 * slot(i)).sum();
+        let window: usize = (sealed.saturating_sub(WINDOW)..sealed)
+            .map(|i| 29 + 8 * slot(i))
+            .sum();
         let image = fs::metadata(checkpointer.path()).expect("image").len() as usize;
         let on_disk: u64 = fs::read_dir(&dir)
             .expect("read dir")
@@ -515,6 +591,9 @@ fn checkpoint_bytes_follow_what_changed() {
              window {window}, image {image}"
         );
     }
-    assert!(checkpointer.written().compactions > 0, "the log was compacted");
+    assert!(
+        checkpointer.written().compactions > 0,
+        "the log was compacted"
+    );
     fs::remove_dir_all(&dir).ok();
 }

@@ -33,7 +33,12 @@ fn different_seed_different_trace_same_shape() {
     let fb = b.mean_fraction();
     assert!((fa - fb).abs() < 0.15, "fractions {fa} vs {fb}");
     let ratio = a.mean_count() / b.mean_count().max(1.0);
-    assert!((0.5..2.0).contains(&ratio), "counts {} vs {}", a.mean_count(), b.mean_count());
+    assert!(
+        (0.5..2.0).contains(&ratio),
+        "counts {} vs {}",
+        a.mean_count(),
+        b.mean_count()
+    );
 }
 
 #[test]

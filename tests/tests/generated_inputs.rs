@@ -28,7 +28,11 @@ fn synth_table_and_flow_addresses_equal_their_recorded_length_and_crc() {
     let mut dump = Vec::new();
     eleph_bgp::dump::write_dump(&synth::generate(&SynthConfig::default()), &mut dump)
         .expect("write to a Vec");
-    assert_eq!(len_crc(&dump), (5_249_099, 0x962f_2403), "dump of the default synthetic table");
+    assert_eq!(
+        len_crc(&dump),
+        (5_249_099, 0x962f_2403),
+        "dump of the default synthetic table"
+    );
 
     let scenario = Scenario::west(1).scaled(0.3);
     let table = synth::generate(&scenario.table);
@@ -100,7 +104,11 @@ fn sample_oracle(
 /// Prefixes from a small pool, so that they nest and repeat: the default
 /// route, /8 to /24 covers and longer ones down to host routes.
 fn pool_prefix() -> impl Strategy<Value = Prefix> {
-    (0u32..6, 0u32..4, prop_oneof![Just(0u8), Just(8), Just(16), Just(24), 25u8..=32])
+    (
+        0u32..6,
+        0u32..4,
+        prop_oneof![Just(0u8), Just(8), Just(16), Just(24), 25u8..=32],
+    )
         .prop_map(|(b, d, len)| {
             Prefix::from_u32(0x0A00_0000 | b << 16 | d << 6 | d, len).expect("length ≤ 32")
         })

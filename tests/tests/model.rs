@@ -90,7 +90,11 @@ fn a_re_announced_prefix_is_a_new_key_and_the_old_one_drains() {
     };
     let packet = |dst: [u8; 4], secs: u64, len| Some(meta(Ipv4Addr::from(dst), secs * NS, len));
     let program = Program {
-        routes: vec![route("10.0.0.0/8", 1), route("10.1.0.0/16", 2), route("172.16.0.0/16", 4)],
+        routes: vec![
+            route("10.0.0.0/8", 1),
+            route("10.1.0.0/16", 2),
+            route("172.16.0.0/16", 4),
+        ],
         schedule: vec![UpdateBatch {
             at_unix: 1030,
             updates: vec![
@@ -122,13 +126,20 @@ fn a_re_announced_prefix_is_a_new_key_and_the_old_one_drains() {
         },
         state: None,
         shards: (2, 0),
-        cut: Cut { at_seal: 3, after_output: true, debris: Debris::None },
+        cut: Cut {
+            at_seal: 3,
+            after_output: true,
+            debris: Debris::None,
+        },
         every: 1,
         rotate: None,
     };
     let run = check(&program, &case);
     let elephants: Vec<Vec<u32>> = run.outcomes.iter().map(|o| o.elephants.clone()).collect();
-    assert_eq!(elephants, [vec![0], vec![0], vec![0], vec![0, 3], vec![3], vec![3]]);
+    assert_eq!(
+        elephants,
+        [vec![0], vec![0], vec![0], vec![0, 3], vec![3], vec![3]]
+    );
     let keys = ["10.1.0.0/16", "172.16.0.0/16", "10.0.0.0/8", "10.1.0.0/16"];
     assert_eq!(run.keys, keys.map(|p| p.parse::<Prefix>().unwrap()));
 }
@@ -166,14 +177,18 @@ impl Case {
     fn random(rng: &mut StdRng) -> Case {
         let rule = match rng.gen_range(0..3u8) {
             0 => Rule::Single,
-            1 => Rule::LatentHeat { window: rng.gen_range(1..=4) },
+            1 => Rule::LatentHeat {
+                window: rng.gen_range(1..=4),
+            },
             _ => Rule::Hysteresis {
                 enter: rng.gen_range(1.0..1.6),
                 exit: rng.gen_range(0.3..1.0),
             },
         };
         let n_intervals = rng.gen_bool(0.8).then(|| rng.gen_range(2..=10));
-        let roomy = StateBackendConfig::SpaceSaving { budget_bytes: 1 << 20 };
+        let roomy = StateBackendConfig::SpaceSaving {
+            budget_bytes: 1 << 20,
+        };
         let state = [None, Some(StateBackendConfig::Exact), Some(roomy)][rng.gen_range(0..3usize)];
         // Sketches run serially.
         let shards = match state {
@@ -197,10 +212,16 @@ impl Case {
                 after_output: rng.gen_bool(0.5),
                 debris: match rng.gen_range(0..5u8) {
                     0 => Debris::None,
-                    1 => Debris::LogTail { whole: rng.gen_bool(0.5) },
-                    2 => Debris::TmpImage { whole: rng.gen_bool(0.5) },
+                    1 => Debris::LogTail {
+                        whole: rng.gen_bool(0.5),
+                    },
+                    2 => Debris::TmpImage {
+                        whole: rng.gen_bool(0.5),
+                    },
                     3 => Debris::UnnamedLog,
-                    _ => Debris::All { whole: rng.gen_bool(0.5) },
+                    _ => Debris::All {
+                        whole: rng.gen_bool(0.5),
+                    },
                 },
             },
             every: if rng.gen_bool(0.75) { 1 } else { 2 },
@@ -227,14 +248,20 @@ enum Debris {
     None,
     /// Log records past the watermark of the log the image names: whole
     /// (appended and synced, the image never landed) or cut off halfway.
-    LogTail { whole: bool },
+    LogTail {
+        whole: bool,
+    },
     /// An image in `eleph.ckpt.tmp`: whole (written, never renamed) or
     /// cut off halfway.
-    TmpImage { whole: bool },
+    TmpImage {
+        whole: bool,
+    },
     /// The next log, written by a compaction no image names yet.
     UnnamedLog,
     /// A tail, a temp image and a next log together.
-    All { whole: bool },
+    All {
+        whole: bool,
+    },
 }
 
 /// A sink that fails when the interval it names seals, as the process
@@ -303,11 +330,18 @@ impl Program {
                     1 => n + 1,
                     _ => 1 + rng.gen_range(0..n),
                 };
-                if slot.checked_sub(1).is_some_and(|k| silent.get(k as usize) == Some(&true)) {
+                if slot
+                    .checked_sub(1)
+                    .is_some_and(|k| silent.get(k as usize) == Some(&true))
+                {
                     return None;
                 }
                 let secs = config.start_unix + slot * t + rng.gen_range(0..t) - t;
-                let ns = if rng.gen_bool(0.5) { 0 } else { rng.gen_range(0..NS) };
+                let ns = if rng.gen_bool(0.5) {
+                    0
+                } else {
+                    rng.gen_range(0..NS)
+                };
                 let len = if rng.gen_bool(0.02) {
                     0
                 } else {
@@ -317,7 +351,11 @@ impl Program {
             })
             .collect();
         let live = rng.gen_bool(0.6);
-        let n_batches = if live && !packets.is_empty() { rng.gen_range(0..=4usize) } else { 0 };
+        let n_batches = if live && !packets.is_empty() {
+            rng.gen_range(0..=4usize)
+        } else {
+            0
+        };
         let update = |rng: &mut StdRng, route: &RouteEntry| {
             if rng.gen_bool(0.5) {
                 RouteUpdate::Withdraw(route.prefix)
@@ -338,14 +376,19 @@ impl Program {
                 let route = &routes[rng.gen_range(0..routes.len())];
                 updates.push(update(rng, route));
             }
-            schedule.push(UpdateBatch { at_unix: packet.ts_ns / NS, updates });
+            schedule.push(UpdateBatch {
+                at_unix: packet.ts_ns / NS,
+                updates,
+            });
         }
         schedule.sort_by_key(|b| b.at_unix);
         packets.sort_by_key(|p| p.ts_ns);
         // A few packets arrive after their interval was sealed.
         for packet in &mut packets {
             if rng.gen_bool(0.04) {
-                packet.ts_ns = packet.ts_ns.saturating_sub(rng.gen_range(1..=2u64) * t * NS);
+                packet.ts_ns = packet
+                    .ts_ns
+                    .saturating_sub(rng.gen_range(1..=2u64) * t * NS);
             }
         }
         let mut records = Vec::new();
@@ -362,7 +405,9 @@ impl Program {
             routes,
             schedule,
             records,
-            chunks: (0..rng.gen_range(1..=4usize)).map(|_| rng.gen_range(1..=40usize)).collect(),
+            chunks: (0..rng.gen_range(1..=4usize))
+                .map(|_| rng.gen_range(1..=40usize))
+                .collect(),
             live,
         }
     }
@@ -422,7 +467,10 @@ fn builder<'t>(
     }
     .interval_secs(config.interval_secs)
     .start_unix(config.start_unix)
-    .detector(Quiet { beta: config.beta, below: config.quiet_below })
+    .detector(Quiet {
+        beta: config.beta,
+        below: config.quiet_below,
+    })
     .gamma(config.gamma)
     .scheme(scheme)
     .shards(shards);
@@ -447,7 +495,12 @@ struct ProgramSource<'p> {
 
 impl<'p> ProgramSource<'p> {
     fn new(program: &'p Program) -> Self {
-        ProgramSource { program, at: 0, chunks: 0, malformed: 0 }
+        ProgramSource {
+            program,
+            at: 0,
+            chunks: 0,
+            malformed: 0,
+        }
     }
 }
 
@@ -482,25 +535,42 @@ struct Output {
 /// Run `program` as `case` says, through both runs, against the model.
 fn check(program: &Program, case: &Case) -> model::Run {
     let context = format!("{case:?}");
-    let want = model::run(&case.config, &program.routes, &program.schedule, &program.records);
+    let want = model::run(
+        &case.config,
+        &program.routes,
+        &program.schedule,
+        &program.records,
+    );
     let (serial, images) = serial(program, case);
     assert_is_model(&want, &case.config, &serial, &format!("serial {context}"));
     let dir = scratch("model");
     let (cut, durable) = cut_and_resume(program, case, &dir, &images[0]);
     assert_is_model(&want, &case.config, &cut, &format!("cut {context}"));
-    assert!(cut.jsonl == serial.jsonl, "{context}: the JSONL chain is not the serial run's");
+    assert!(
+        cut.jsonl == serial.jsonl,
+        "{context}: the JSONL chain is not the serial run's"
+    );
     let offered = |image: &Vec<u8>| Checkpoint::read_from(&mut &image[..]).unwrap().offered();
     let last = durable_image(&dir).map(|ckpt| ckpt_bytes(&ckpt));
     for image in durable.iter().chain(&last) {
         let at = offered(image);
         let serial_image = images.iter().find(|i| offered(i) == at);
-        assert!(serial_image == Some(image), "{context}: image after {at} records differs");
+        assert!(
+            serial_image == Some(image),
+            "{context}: image after {at} records differs"
+        );
     }
     // The finished run leaves the image and the one log it names, or
     // nothing: no temp image, no other log.
     let mut left: Vec<String> = fs::read_dir(&dir)
         .expect("read dir")
-        .map(|entry| entry.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8 name")
+        })
         .filter(|name| name.starts_with("eleph."))
         .collect();
     left.sort();
@@ -531,7 +601,14 @@ fn serial(program: &Program, case: &Case) -> (Output, Vec<Vec<u8>>) {
         pipeline.run(&mut source).expect("serial run");
     }
     let report = pipeline.finish().expect("serial finish");
-    (Output { outcomes: collector.take(), report, jsonl: jsonl.take() }, images)
+    (
+        Output {
+            outcomes: collector.take(),
+            report,
+            jsonl: jsonl.take(),
+        },
+        images,
+    )
 }
 
 /// Cut a checkpointed run where `case.cut` says and leave its debris in
@@ -563,7 +640,14 @@ fn cut_and_resume(
         Ok(()) => match pipeline.finish() {
             Ok(report) => {
                 let jsonl = read_chain(&out);
-                return (Output { outcomes: crashed.take(), report, jsonl }, None);
+                return (
+                    Output {
+                        outcomes: crashed.take(),
+                        report,
+                        jsonl,
+                    },
+                    None,
+                );
             }
             Err(e) => assert!(is_cut(&e), "finish: {e}"),
         },
@@ -603,10 +687,19 @@ fn cut_and_resume(
     let mut outcomes = crashed.take();
     outcomes.truncate(sealed);
     let mut checkpointer = Checkpointer::new(dir, case.every).expect("checkpointer");
-    pipeline.run_checkpointed(&mut source, &mut checkpointer).expect("resumed run");
+    pipeline
+        .run_checkpointed(&mut source, &mut checkpointer)
+        .expect("resumed run");
     let report = pipeline.finish().expect("resumed finish");
     outcomes.extend(resumed.take());
-    (Output { outcomes, report, jsonl: read_chain(&out) }, durable)
+    (
+        Output {
+            outcomes,
+            report,
+            jsonl: read_chain(&out),
+        },
+        durable,
+    )
 }
 
 /// Leave `debris` in `dir`, which holds the durable image and the one
@@ -626,11 +719,16 @@ fn plant(dir: &Path, debris: Debris, stand_in: &[u8]) {
         .expect("read dir")
         .filter_map(|entry| {
             let name = entry.expect("dir entry").file_name().into_string().ok()?;
-            name.strip_prefix("eleph.")?.strip_suffix(".log")?.parse().ok()
+            name.strip_prefix("eleph.")?
+                .strip_suffix(".log")?
+                .parse()
+                .ok()
         })
         .collect();
     assert!(logs.len() <= 1, "logs {logs:?} beside one image");
-    let named = logs.first().map(|&seq| (seq, fs::read(log_path(seq)).expect("log")));
+    let named = logs
+        .first()
+        .map(|&seq| (seq, fs::read(log_path(seq)).expect("log")));
     let image = fs::read(dir.join(CHECKPOINT_FILE)).unwrap_or_else(|_| stand_in.to_vec());
     if tmp {
         fs::write(dir.join(format!("{CHECKPOINT_FILE}.tmp")), part(&image)).expect("plant tmp");
@@ -639,7 +737,10 @@ fn plant(dir: &Path, debris: Debris, stand_in: &[u8]) {
         Some((seq, log)) => {
             // Records follow the log's 12-byte header (magic, version).
             if tail {
-                let mut file = OpenOptions::new().append(true).open(log_path(*seq)).expect("log");
+                let mut file = OpenOptions::new()
+                    .append(true)
+                    .open(log_path(*seq))
+                    .expect("log");
                 file.write_all(&part(&log[12..])).expect("plant a tail");
             }
             if unnamed {
@@ -654,7 +755,8 @@ fn plant(dir: &Path, debris: Debris, stand_in: &[u8]) {
 /// The image on disk in `dir`, if there is one, loaded with its log.
 fn durable_image(dir: &Path) -> Option<Checkpoint> {
     let path = dir.join(CHECKPOINT_FILE);
-    path.exists().then(|| Checkpoint::load(&path).expect("the durable image loads"))
+    path.exists()
+        .then(|| Checkpoint::load(&path).expect("the durable image loads"))
 }
 
 /// A checkpoint as its self-contained image, the form
@@ -667,27 +769,50 @@ fn ckpt_bytes(ckpt: &Checkpoint) -> Vec<u8> {
 
 /// Every interval, the key table and the accounting, against the model.
 fn assert_is_model(want: &model::Run, config: &Config, got: &Output, context: &str) {
-    assert_eq!(got.outcomes.len(), want.outcomes.len(), "{context}: intervals");
-    assert_eq!(got.report.intervals, want.outcomes.len(), "{context}: intervals sealed");
+    assert_eq!(
+        got.outcomes.len(),
+        want.outcomes.len(),
+        "{context}: intervals"
+    );
+    assert_eq!(
+        got.report.intervals,
+        want.outcomes.len(),
+        "{context}: intervals sealed"
+    );
     for (n, (got, want)) in got.outcomes.iter().zip(&want.outcomes).enumerate() {
         let o = &got.outcome;
         assert_eq!(o.interval, n, "{context}: interval index");
         let start = config.start_unix + n as u64 * config.interval_secs;
-        assert_eq!(got.interval_start_unix, start, "{context}: start of interval {n}");
+        assert_eq!(
+            got.interval_start_unix, start,
+            "{context}: start of interval {n}"
+        );
         assert_eq!(o.elephants, want.elephants, "{context}: elephants at {n}");
         for (what, g, w) in [
             ("threshold", o.threshold, want.threshold),
             ("elephant load", o.elephant_load, want.elephant_load),
             ("total load", o.total_load, want.total_load),
         ] {
-            assert_eq!(g.to_bits(), w.to_bits(), "{context}: {what} at {n}: {g} against {w}");
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{context}: {what} at {n}: {g} against {w}"
+            );
         }
     }
     assert_eq!(got.report.keys, want.keys, "{context}: key table");
-    assert_eq!(got.report.distinct_keys, want.keys.len(), "{context}: distinct keys");
+    assert_eq!(
+        got.report.distinct_keys,
+        want.keys.len(),
+        "{context}: distinct keys"
+    );
     let r = &got.report;
     let generation = (r.generation, r.route_updates_applied);
-    assert_eq!(generation, (want.generation, want.generation), "{context}: batches applied");
+    assert_eq!(
+        generation,
+        (want.generation, want.generation),
+        "{context}: batches applied"
+    );
     let s = got.report.stats;
     let stats = model::Stats {
         offered: s.offered,

@@ -85,9 +85,15 @@ fn west_bursts_east_does_not() {
     let data = fig1_data(0.4, SEED);
     let cv = |r: &eleph_core::ClassificationResult| {
         let counts: Vec<f64> = (0..r.n_intervals()).map(|n| r.count(n) as f64).collect();
-        let smoothed: Vec<f64> = counts.windows(6).map(|w| w.iter().sum::<f64>() / 6.0).collect();
+        let smoothed: Vec<f64> = counts
+            .windows(6)
+            .map(|w| w.iter().sum::<f64>() / 6.0)
+            .collect();
         let mean = smoothed.iter().sum::<f64>() / smoothed.len() as f64;
-        let var = smoothed.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
+        let var = smoothed
+            .iter()
+            .map(|x| (x - mean) * (x - mean))
+            .sum::<f64>()
             / smoothed.len() as f64;
         var.sqrt() / mean
     };
@@ -160,7 +166,9 @@ fn prefix_structure_matches_paper() {
     assert!(report.elephant_slash8 <= 8, "too many /8 elephants");
     // The elephant bulk must span a wide range of lengths (paper:
     // /12-/26 — no correlation between prefix size and elephant-ness).
-    let bulk: Vec<usize> = (9..33).filter(|&l| report.elephant_by_length[l] > 0).collect();
+    let bulk: Vec<usize> = (9..33)
+        .filter(|&l| report.elephant_by_length[l] > 0)
+        .collect();
     if let (Some(&lo), Some(&hi)) = (bulk.first(), bulk.last()) {
         assert!(hi - lo >= 8, "elephant lengths span only /{lo}-/{hi}");
     } else {

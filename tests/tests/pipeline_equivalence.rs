@@ -29,7 +29,10 @@ fn packet_path_reproduces_rate_path() {
 
     assert!(stats.is_conserved());
     assert_eq!(stats.malformed, 0);
-    assert_eq!(stats.unroutable, 0, "synthesis must only target routed prefixes");
+    assert_eq!(
+        stats.unroutable, 0,
+        "synthesis must only target routed prefixes"
+    );
 
     // Per-interval totals agree within the quantisation bound:
     // the final packet of each flow-interval may undershoot by < 40
@@ -38,7 +41,10 @@ fn packet_path_reproduces_rate_path() {
     for n in 0..trace.n_intervals() {
         let bound = per_flow_bound * rate_matrix.active(n) as f64;
         let diff = (rate_matrix.total(n) - pkt_matrix.total(n)).abs();
-        assert!(diff <= bound, "interval {n}: totals differ by {diff} (> {bound})");
+        assert!(
+            diff <= bound,
+            "interval {n}: totals differ by {diff} (> {bound})"
+        );
     }
 
     // Per-prefix rates agree within the per-flow bound. Key spaces
@@ -62,8 +68,13 @@ fn packet_path_reproduces_rate_path() {
     for n in 0..trace.n_intervals() {
         for (key, _) in pkt_matrix.interval(n) {
             let prefix = pkt_matrix.key(key);
-            let id = rate_matrix.key_id(prefix).expect("prefix came from the population");
-            assert!(rate_matrix.rate(n, id) > 0.0, "phantom traffic for {prefix} at {n}");
+            let id = rate_matrix
+                .key_id(prefix)
+                .expect("prefix came from the population");
+            assert!(
+                rate_matrix.rate(n, id) > 0.0,
+                "phantom traffic for {prefix} at {n}"
+            );
         }
     }
 }
@@ -85,7 +96,12 @@ fn classification_agrees_across_paths() {
     .expect("aggregation");
 
     let spec = |m: &BandwidthMatrix| {
-        classify(m, ConstantLoadDetector::new(0.8), 0.9, Scheme::LatentHeat { window: 3 })
+        classify(
+            m,
+            ConstantLoadDetector::new(0.8),
+            0.9,
+            Scheme::LatentHeat { window: 3 },
+        )
     };
     let a = spec(&rate_matrix);
     let b = spec(&pkt_matrix);
@@ -117,7 +133,9 @@ fn pcap_file_round_trip_through_disk() {
     let path = dir.join("trace.pcap");
     {
         let file = std::fs::File::create(&path).expect("create");
-        synth.write_pcap(0..2, std::io::BufWriter::new(file)).expect("write");
+        synth
+            .write_pcap(0..2, std::io::BufWriter::new(file))
+            .expect("write");
     }
     let file = std::fs::File::open(&path).expect("open");
     let (matrix, stats) = aggregate_pcap(

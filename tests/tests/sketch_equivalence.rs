@@ -42,7 +42,13 @@ fn stream_of(seed: u64, n_flows: usize) -> (FrozenBgpTable, Vec<PacketMeta>, u64
     let mut metas = Vec::new();
     while source.next_chunk(&mut metas).expect("synthetic source") > 0 {}
     let config = &trace.config;
-    (table.freeze(), metas, config.interval_secs, config.start_unix, config.n_intervals)
+    (
+        table.freeze(),
+        metas,
+        config.interval_secs,
+        config.start_unix,
+        config.n_intervals,
+    )
 }
 
 /// A pipeline over the link's table and window, latent heat over 12
@@ -100,16 +106,28 @@ fn run_with(
     });
     pipeline.observe_chunk(&metas[cut..]).expect("tail");
     let report = pipeline.finish().expect("finish");
-    RunOutput { outcomes: collector.take(), report, jsonl: jsonl.take(), mid_checkpoint }
+    RunOutput {
+        outcomes: collector.take(),
+        report,
+        jsonl: jsonl.take(),
+        mid_checkpoint,
+    }
 }
 
 /// Bit-level outcome identity between two runs.
 fn assert_outcomes_identical(got: &RunOutput, want: &RunOutput, context: &str) {
-    assert_eq!(got.outcomes.len(), want.outcomes.len(), "{context}: interval count");
+    assert_eq!(
+        got.outcomes.len(),
+        want.outcomes.len(),
+        "{context}: interval count"
+    );
     for (g, w) in got.outcomes.iter().zip(&want.outcomes) {
         let n = w.outcome.interval;
         assert_eq!(g.outcome.interval, n, "{context}: interval index");
-        assert_eq!(g.outcome.elephants, w.outcome.elephants, "{context}: elephants at {n}");
+        assert_eq!(
+            g.outcome.elephants, w.outcome.elephants,
+            "{context}: elephants at {n}"
+        );
         assert_eq!(
             g.outcome.threshold.to_bits(),
             w.outcome.threshold.to_bits(),
@@ -170,18 +188,36 @@ fn exact_backend_is_byte_identical_to_default_at_every_shard_count() {
             mid_checkpoint: Some(baseline_ckpt),
         };
 
-        let got =
-            run_with(&table, &metas, t, start, n, shards, StateBackendConfig::Exact, Some(cut));
+        let got = run_with(
+            &table,
+            &metas,
+            t,
+            start,
+            n,
+            shards,
+            StateBackendConfig::Exact,
+            Some(cut),
+        );
         let context = format!("--state exact vs default, shards={shards}");
         assert_outcomes_identical(&got, &want, &context);
-        assert_eq!(got.mid_checkpoint, want.mid_checkpoint, "{context}: checkpoint bytes");
+        assert_eq!(
+            got.mid_checkpoint, want.mid_checkpoint,
+            "{context}: checkpoint bytes"
+        );
         // An exact checkpoint is self-contained (format v6) and closes
         // on the exact backend's tag, 0.
         let bytes = got.mid_checkpoint.as_ref().expect("mid checkpoint");
         assert_eq!(&bytes[8..12], &6u32.to_le_bytes(), "{context}: version");
         assert_eq!(bytes.last(), Some(&0), "{context}: state backend tag");
-        assert_eq!(got.report.state_backend, "exact", "{context}: backend label");
-        assert_eq!(got.report.distinct_keys, got.report.keys.len(), "{context}: distinct keys");
+        assert_eq!(
+            got.report.state_backend, "exact",
+            "{context}: backend label"
+        );
+        assert_eq!(
+            got.report.distinct_keys,
+            got.report.keys.len(),
+            "{context}: distinct keys"
+        );
     }
 }
 
@@ -263,7 +299,10 @@ fn sketch_checkpoint_resume_is_bit_identical_under_eviction() {
             .iter()
             .filter(|m| interval_of(m) == 2 && prefix_of(m).is_some_and(|p| !seen.contains(&p)))
             .count();
-        assert!(unseen_after > 0, "{kind}: no miss left in the open interval after the cut");
+        assert!(
+            unseen_after > 0,
+            "{kind}: no miss left in the open interval after the cut"
+        );
 
         let pipeline = |collector: &Collector, jsonl: &SharedBuf| {
             builder(&table, (t, start, n), state)
@@ -290,7 +329,11 @@ fn sketch_checkpoint_resume_is_bit_identical_under_eviction() {
         drop(first);
         let (head, head_jsonl) = (collector.take(), jsonl.take());
         let ckpt = Checkpoint::read_from(&mut &bytes[..]).expect("well-formed checkpoint");
-        assert_eq!(ckpt.intervals_sealed(), 2, "{kind}: the cut is inside interval 2");
+        assert_eq!(
+            ckpt.intervals_sealed(),
+            2,
+            "{kind}: the cut is inside interval 2"
+        );
         assert_eq!(head.len(), 2, "{kind}: intervals emitted before the cut");
 
         let (collector, jsonl) = (Collector::new(), SharedBuf::default());
@@ -299,7 +342,9 @@ fn sketch_checkpoint_resume_is_bit_identical_under_eviction() {
             .unwrap_or_else(|e| panic!("{kind}: resume failed: {e}"));
         resumed.observe_chunk(&metas[cut..]).expect("tail");
         let mut got_final = Vec::new();
-        resumed.checkpoint(&mut got_final).expect("final checkpoint");
+        resumed
+            .checkpoint(&mut got_final)
+            .expect("final checkpoint");
         resumed.finish().expect("resumed finish");
         let (tail, tail_jsonl) = (collector.take(), jsonl.take());
 
@@ -308,7 +353,10 @@ fn sketch_checkpoint_resume_is_bit_identical_under_eviction() {
         for (g, w) in got.iter().zip(&want) {
             let i = w.outcome.interval;
             assert_eq!(g.outcome.interval, i, "{kind}: interval index");
-            assert_eq!(g.outcome.elephants, w.outcome.elephants, "{kind}: elephants at {i}");
+            assert_eq!(
+                g.outcome.elephants, w.outcome.elephants,
+                "{kind}: elephants at {i}"
+            );
             assert_eq!(
                 g.outcome.threshold.to_bits(),
                 w.outcome.threshold.to_bits(),
@@ -320,7 +368,11 @@ fn sketch_checkpoint_resume_is_bit_identical_under_eviction() {
                 "{kind}: total load at {i}"
             );
         }
-        assert_eq!([head_jsonl, tail_jsonl].concat(), want_jsonl, "{kind}: JSONL bytes");
+        assert_eq!(
+            [head_jsonl, tail_jsonl].concat(),
+            want_jsonl,
+            "{kind}: JSONL bytes"
+        );
         assert_eq!(got_final, want_final, "{kind}: final checkpoint bytes");
     }
 }
@@ -329,31 +381,49 @@ fn sketch_checkpoint_resume_is_bit_identical_under_eviction() {
 fn sketch_checkpoint_rejects_backend_and_budget_mismatch() {
     let (table, metas, t, start, n) = stream_of(31, 120);
     let cut = metas.len() / 3;
-    let state = StateBackendConfig::SpaceSaving { budget_bytes: 64 * 1024 };
+    let state = StateBackendConfig::SpaceSaving {
+        budget_bytes: 64 * 1024,
+    };
     let run = run_with(&table, &metas, t, start, n, 0, state, Some(cut));
     let bytes = run.mid_checkpoint.expect("mid checkpoint");
     let ckpt = Checkpoint::read_from(&mut &bytes[..]).expect("well-formed checkpoint");
 
-    let attempt = |state| builder(&table, (t, start, n), state).resume(&ckpt).map(|_| ());
+    let attempt = |state| {
+        builder(&table, (t, start, n), state)
+            .resume(&ckpt)
+            .map(|_| ())
+    };
 
     // Wrong backend kind: a spacesaving snapshot cannot seed an exact
     // row or another sketch's geometry.
     for wrong in [
         StateBackendConfig::Exact,
-        StateBackendConfig::CountMinRow { budget_bytes: 64 * 1024 },
-        StateBackendConfig::AdaptiveBloom { budget_bytes: 64 * 1024 },
+        StateBackendConfig::CountMinRow {
+            budget_bytes: 64 * 1024,
+        },
+        StateBackendConfig::AdaptiveBloom {
+            budget_bytes: 64 * 1024,
+        },
     ] {
         match attempt(wrong) {
             Err(eleph_pipeline::CheckpointError::Mismatch(msg)) => {
                 assert!(msg.contains("state backend"), "mismatch message: {msg}");
             }
-            other => panic!("resume with {} must fail as Mismatch, got {other:?}", wrong.kind()),
+            other => panic!(
+                "resume with {} must fail as Mismatch, got {other:?}",
+                wrong.kind()
+            ),
         }
     }
     // Same kind, different budget: geometry differs, payload refuses.
-    match attempt(StateBackendConfig::SpaceSaving { budget_bytes: 8 * 1024 }) {
+    match attempt(StateBackendConfig::SpaceSaving {
+        budget_bytes: 8 * 1024,
+    }) {
         Err(eleph_pipeline::CheckpointError::State(msg)) => {
-            assert!(msg.contains("capacity") || msg.contains("budget"), "state message: {msg}");
+            assert!(
+                msg.contains("capacity") || msg.contains("budget"),
+                "state message: {msg}"
+            );
         }
         other => panic!("budget-mismatch resume must fail as State, got {other:?}"),
     }
@@ -366,10 +436,23 @@ fn sketch_checkpoint_rejects_backend_and_budget_mismatch() {
 #[test]
 fn generous_budget_hashed_sketches_reach_full_recall() {
     let (table, metas, t, start, n) = stream_of(53, 120);
-    let exact = run_with(&table, &metas, t, start, n, 0, StateBackendConfig::Exact, None);
+    let exact = run_with(
+        &table,
+        &metas,
+        t,
+        start,
+        n,
+        0,
+        StateBackendConfig::Exact,
+        None,
+    );
     for state in [
-        StateBackendConfig::CountMinRow { budget_bytes: 4 * 1024 * 1024 },
-        StateBackendConfig::AdaptiveBloom { budget_bytes: 4 * 1024 * 1024 },
+        StateBackendConfig::CountMinRow {
+            budget_bytes: 4 * 1024 * 1024,
+        },
+        StateBackendConfig::AdaptiveBloom {
+            budget_bytes: 4 * 1024 * 1024,
+        },
     ] {
         let approx = run_with(&table, &metas, t, start, n, 0, state, None);
         let mut acc = eleph_report::SetAccuracy::new();
