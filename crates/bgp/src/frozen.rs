@@ -49,6 +49,10 @@ impl FrozenBgpTable {
     }
 
     /// Number of routes.
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "an `is_empty` that nothing calls is dead code"
+    )]
     pub fn len(&self) -> usize {
         self.flat.len()
     }

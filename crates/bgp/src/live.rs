@@ -89,7 +89,7 @@ impl Routes {
     fn push(&mut self, entry: RouteEntry) -> RouteId {
         let id = self.n_ids;
         assert!(id != u32::MAX, "route id space exhausted");
-        if self.chunks.last().map_or(true, |c| c.len() >= ROUTE_CHUNK) {
+        if self.chunks.last().is_none_or(|c| c.len() >= ROUTE_CHUNK) {
             self.chunks.push(Arc::new(Vec::with_capacity(ROUTE_CHUNK)));
         }
         Arc::make_mut(self.chunks.last_mut().expect("chunk pushed above")).push(entry);
@@ -227,6 +227,10 @@ impl LiveBgpTable {
     }
 
     /// Number of *live* routes.
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "an `is_empty` that nothing calls is dead code"
+    )]
     pub fn len(&self) -> usize {
         self.routes.lock().expect("route store poisoned").live
     }

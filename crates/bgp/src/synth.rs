@@ -212,12 +212,7 @@ mod tests {
         assert_eq!(max_len, 24, "histogram {h:?}");
         assert!(h[16] > h[17], "/16 plateau missing: {h:?}");
         // Nothing outside the weighted range.
-        for l in 0..8 {
-            assert_eq!(h[l], 0);
-        }
-        for l in 27..33 {
-            assert_eq!(h[l], 0);
-        }
+        assert!(h[..8].iter().chain(&h[27..33]).all(|&n| n == 0), "{h:?}");
         // Enough /8 routes that ~100 become active flows at full scale
         // (the paper's "100 /8 networks became active during the day").
         // Only ~220 distinct /8s exist in unicast space, so the count is

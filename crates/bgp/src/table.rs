@@ -38,6 +38,10 @@ impl BgpTable {
     }
 
     /// Number of routes.
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "an `is_empty` that nothing calls is dead code"
+    )]
     pub fn len(&self) -> usize {
         self.routes.len()
     }

@@ -192,10 +192,9 @@ fn aest_with(
                 f64::INFINITY
             };
 
-            let alpha_ok = alpha_shift >= MIN_ALPHA && alpha_shift <= MAX_ALPHA;
+            let alpha_ok = (MIN_ALPHA..=MAX_ALPHA).contains(&alpha_shift);
             let slope_ok = alpha_slope.is_finite()
-                && alpha_slope >= MIN_ALPHA * 0.6
-                && alpha_slope <= MAX_ALPHA * 1.4;
+                && (MIN_ALPHA * 0.6..=MAX_ALPHA * 1.4).contains(&alpha_slope);
             let consistent =
                 (alpha_slope - alpha_shift).abs() <= CONSISTENCY_TOL * alpha_shift.max(alpha_slope);
             let accepted = alpha_ok && slope_ok && consistent;
@@ -382,8 +381,8 @@ mod tests {
     #[test]
     fn nonpositive_samples_are_ignored() {
         let mut xs = draw(&Pareto::new(1.0, 1.5).unwrap(), 60_000, 17);
-        xs.extend(std::iter::repeat(0.0).take(1_000));
-        xs.extend(std::iter::repeat(-5.0).take(1_000));
+        xs.extend(std::iter::repeat_n(0.0, 1_000));
+        xs.extend(std::iter::repeat_n(-5.0, 1_000));
         let res = aest(&xs).unwrap();
         assert!((res.alpha - 1.5).abs() < 0.4);
     }

@@ -4,9 +4,9 @@
 //! The prefix analysis tracks *membership* per [`KeyId`] — which keys
 //! were ever active, which were ever elephants. Key ids are dense
 //! (first-seen order from the measurement pipeline), so a flat `u64`
-//! word array beats a hash set on every axis that matters here: O(1)
-//! branch-free test/set/clear, and ordered iteration is a word scan
-//! that yields keys already ascending.
+//! word array beats a hash set on every axis that matters here: an O(1)
+//! branch-free insert, and ordered iteration is a word scan that yields
+//! keys already ascending.
 
 use eleph_flow::KeyId;
 
@@ -32,13 +32,6 @@ impl KeyBitset {
         self.len == 0
     }
 
-    /// Whether `key` is in the set.
-    #[inline]
-    pub(crate) fn contains(&self, key: KeyId) -> bool {
-        let w = (key / 64) as usize;
-        w < self.words.len() && self.words[w] & (1u64 << (key % 64)) != 0
-    }
-
     /// Insert `key`; grows the word array as needed.
     #[inline]
     pub fn insert(&mut self, key: KeyId) {
@@ -49,17 +42,6 @@ impl KeyBitset {
         let bit = 1u64 << (key % 64);
         self.len += usize::from(self.words[w] & bit == 0);
         self.words[w] |= bit;
-    }
-
-    /// Remove `key` if present.
-    #[inline]
-    pub(crate) fn remove(&mut self, key: KeyId) {
-        let w = (key / 64) as usize;
-        if w < self.words.len() {
-            let bit = 1u64 << (key % 64);
-            self.len -= usize::from(self.words[w] & bit != 0);
-            self.words[w] &= !bit;
-        }
     }
 
     /// Iterate set keys in ascending order.
@@ -96,29 +78,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_contains_remove() {
+    fn insert_is_idempotent_and_counted() {
         let mut s = KeyBitset::with_capacity(10);
         assert!(s.is_empty());
         s.insert(3);
         s.insert(64);
         s.insert(3); // idempotent
         assert_eq!(s.len, 2);
-        assert!(s.contains(3));
-        assert!(s.contains(64));
-        assert!(!s.contains(4));
-        assert!(!s.contains(1000)); // beyond capacity: absent, no panic
-        s.remove(3);
-        s.remove(3); // idempotent
-        s.remove(999); // absent beyond capacity: no-op
-        assert_eq!(s.len, 1);
-        assert!(!s.contains(3));
+        assert!(!s.is_empty());
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 64]);
     }
 
     #[test]
     fn grows_on_demand() {
         let mut s = KeyBitset::default();
         s.insert(1000);
-        assert!(s.contains(1000));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1000]);
         assert_eq!(s.len, 1);
     }
 

@@ -39,12 +39,16 @@ pub trait ThresholdDetector {
 /// share one sort.
 ///
 /// The crossing a constant-load detector looks for usually sits in the
-/// top few percent of a heavy-tailed snapshot, so a full sort is wasted
-/// work: the order selects the largest 256 values (the multiset is
-/// unique even with boundary ties) and sorts only them, and each time a
-/// reader runs past what is sorted it selects and sorts the next 8
-/// times as many from the rest. The descending value sequence is
-/// identical to a full sort's, whoever extended it.
+/// top few percent of a heavy-tailed snapshot, at about the same depth
+/// from one interval to the next, so a full sort is wasted work. The
+/// order remembers how deep the readers of the row before read: the
+/// deepest crossing any β reached, or every value when one fell back to
+/// the smallest. On the next row it selects that many plus a quarter,
+/// and at least 64, of the largest values (the multiset is unique even
+/// with boundary ties) and sorts only them; each time a reader runs
+/// past what is sorted it selects and sorts twice as many as last time
+/// from the rest. The descending value sequence is identical to a full
+/// sort's, whoever extended it and how far.
 #[derive(Debug, Default)]
 pub struct RowOrder {
     /// The row's values as [`sort_key`]s: `keys[sorted..]` ascending,
@@ -53,10 +57,16 @@ pub struct RowOrder {
     sorted: usize,
     /// How many keys the next extension sorts.
     next: usize,
+    /// How many values from the top the row's readers read; it sizes
+    /// the next row's first extension.
+    reach: usize,
     /// The row's total, as [`ConstantLoadDetector`] reads it.
     total: f64,
     /// Whether `keys` holds the current row.
     filled: bool,
+    /// Keys sorted by every extension, ever: the work a test pins.
+    #[cfg(test)]
+    sorted_keys: usize,
 }
 
 impl RowOrder {
@@ -83,7 +93,8 @@ impl RowOrder {
         self.keys.clear();
         self.keys.extend(values.iter().map(|&v| sort_key(v)));
         self.sorted = self.keys.len();
-        self.next = 256;
+        self.next = (self.reach + self.reach / 4).max(64);
+        self.reach = 0;
         self.total = values.iter().sum();
         self.filled = true;
     }
@@ -104,8 +115,12 @@ impl RowOrder {
             self.sorted = 0;
             rest
         };
+        #[cfg(test)]
+        {
+            self.sorted_keys += top.len();
+        }
         top.sort_unstable();
-        self.next *= 8;
+        self.next *= 2;
         true
     }
 }
@@ -177,6 +192,7 @@ impl ThresholdDetector for ConstantLoadDetector {
                 let v = from_sort_key(order.keys[at]);
                 cum += v;
                 if cum >= target {
+                    order.reach = order.reach.max(order.keys.len() - at);
                     return Some(v);
                 }
             }
@@ -184,6 +200,7 @@ impl ThresholdDetector for ConstantLoadDetector {
                 // Rounding kept the descending sum below β·total: fall
                 // back to the smallest bandwidth, as the full-sort scan
                 // did.
+                order.reach = order.keys.len();
                 return Some(from_sort_key(order.keys[0]));
             }
         }
@@ -298,27 +315,66 @@ mod tests {
     }
 
     /// A boxed detector forwards `detect_in`, so the order it is handed
-    /// is the one it sorts, and the next detector of the row reads it.
+    /// is the one it sorts, and the next detector of the row reads it
+    /// and sorts it further.
     #[test]
     fn a_boxed_constant_load_detector_sorts_the_shared_order() {
         let values: Vec<f64> = (1..=1000).map(f64::from).collect();
         let boxed: Box<dyn ThresholdDetector> = Box::new(ConstantLoadDetector::new(0.1));
         let mut order = RowOrder::new();
         assert_eq!(boxed.detect_in(&values, &mut order), Some(949.0));
+        let first = order.sorted;
         assert!(
-            order.filled && order.sorted == 1000 - 256,
-            "sorted {}",
-            order.sorted
+            order.filled && first < 1000 && order.sorted_keys == 1000 - first,
+            "sorted down to {first}"
         );
         let borrowed = &ConstantLoadDetector::new(0.9);
         assert_eq!(
             borrowed.detect_in(&values, &mut order),
             borrowed.detect(&values)
         );
-        assert_eq!(
-            order.sorted, 0,
+        assert!(
+            order.sorted < first && order.sorted_keys == 1000 - order.sorted,
             "the second detector extends the first one's order"
         );
+    }
+
+    /// The work of one order carried over a seeded stream of alike rows
+    /// (4 000 values, one in twenty from a Pareto tail) read by four β:
+    /// after the first row, each row sorts what its readers read of the
+    /// row before plus a quarter, and doubles that only when it is read
+    /// deeper. Rows 1 to 31 are read 9 734 deep in all and sort 19 031
+    /// keys (a recorded measurement); a fixed first extension of 256
+    /// and a second of 2 048 sort 52 992 of them.
+    #[test]
+    fn an_order_carried_over_alike_rows_sorts_about_as_deep_as_they_are_read() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let body = LogNormal::new(10.0, 1.0).unwrap();
+        let tail = Pareto::new(5e5, 1.2).unwrap();
+        let detectors = [0.5, 0.6, 0.7, 0.8].map(ConstantLoadDetector::new);
+        let mut order = RowOrder::new();
+        let (mut read, mut sorted) = (0, 0);
+        for row in 0..32 {
+            let values: Vec<f64> = (0..4_000)
+                .map(|i| {
+                    if i % 20 == 0 {
+                        tail.sample(&mut rng)
+                    } else {
+                        body.sample(&mut rng)
+                    }
+                })
+                .collect();
+            order.reset();
+            let before = order.sorted_keys;
+            for detector in &detectors {
+                detector.detect_in(&values, &mut order);
+            }
+            if row > 0 {
+                read += order.reach;
+                sorted += order.sorted_keys - before;
+            }
+        }
+        assert_eq!((read, sorted), (9_734, 19_031));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 
 use eleph_flow::KeyId;
 
-use crate::{KeyBitset, Scheme, ThresholdSeries};
+use crate::{Scheme, ThresholdSeries};
 
 /// The finite stand-in for the threshold term of an interval that has
 /// no threshold yet: the interval's largest rate + 1.
@@ -38,9 +38,12 @@ fn unbeatable(values: &[f64]) -> f64 {
 /// and while every operation on a key is exact its sum is the exact
 /// window sum. The first one that rounds marks the key: from then until
 /// its last slot retires, its sum is recomputed from the window's rows
-/// with an exact-partials sum at every change. So no sum is negative,
-/// and the last retirement leaves `+0.0` (`x - x`, or the sum of no
-/// rates): an id out of the window (`live == 0`) holds `+0.0`, and
+/// with an exact-partials sum at every change. The mark is the top bit
+/// of the key's slot count ([`ROUNDED`]; a key holds at most one slot
+/// per row of the window, far fewer than 2³¹), so an add or subtract
+/// reads one word per key. So no sum is negative, and the last
+/// retirement leaves `+0.0` (`x - x`, or the sum of no rates) and clears
+/// the mark: an id out of the window (`live == 0`) holds `+0.0`, and
 /// `live` alone says which ids are in it — a slide is loads and stores,
 /// and the ids in the window are read by scanning `live` in id order.
 ///
@@ -49,10 +52,14 @@ fn unbeatable(values: &[f64]) -> f64 {
 #[derive(Debug, Default)]
 pub(crate) struct KeySums {
     sum: Vec<f64>,
+    /// Slots in the window, with [`ROUNDED`] set while the sum is
+    /// recomputed from the window.
     live: Vec<u32>,
-    /// The ids whose sums are recomputed from the window.
-    rounded: KeyBitset,
 }
+
+/// The bit of `live` that marks a key whose sum is recomputed from the
+/// window. It is set only while the key has a slot.
+const ROUNDED: u32 = 1 << 31;
 
 impl KeySums {
     /// Add `row` to the window and take `retired` — exactly the row
@@ -76,7 +83,7 @@ impl KeySums {
                 continue;
             }
             let (sum, next) = (self.sum[k], self.sum[k] + rate);
-            if exact(sum, rate, next) && !self.rounded.contains(id) {
+            if self.live[k] < ROUNDED && exact(sum, rate, next) {
                 self.sum[k] = next;
             } else {
                 self.recompute(id, &window);
@@ -86,7 +93,7 @@ impl KeySums {
             let (k, rate) = (id as usize, f64::from(rate));
             self.live[k] -= 1;
             let (sum, next) = (self.sum[k], self.sum[k] - rate);
-            if exact(next, rate, sum) && !self.rounded.contains(id) {
+            if self.live[k] < ROUNDED && exact(next, rate, sum) {
                 self.sum[k] = next;
             } else {
                 self.recompute(id, &window);
@@ -107,11 +114,10 @@ impl KeySums {
             let at = row.binary_search_by_key(&id, |&(key, _)| key).ok()?;
             Some(f64::from(row[at].1))
         });
-        self.sum[id as usize] = exact_sum(rates);
-        match self.live[id as usize] {
-            0 => self.rounded.remove(id),
-            _ => self.rounded.insert(id),
-        }
+        let k = id as usize;
+        self.sum[k] = exact_sum(rates);
+        let slots = self.live[k] & !ROUNDED;
+        self.live[k] = if slots == 0 { 0 } else { slots | ROUNDED };
     }
 
     /// Number of ids currently holding window state — zero again once
@@ -127,7 +133,7 @@ impl KeySums {
     pub(crate) fn export(&self) -> Vec<(KeyId, f64, u32)> {
         let in_window = self.live.iter().enumerate().filter(|&(_, &live)| live != 0);
         in_window
-            .map(|(k, &live)| (k as KeyId, self.sum[k], live))
+            .map(|(k, &live)| (k as KeyId, self.sum[k], live & !ROUNDED))
             .collect()
     }
 }
@@ -218,7 +224,8 @@ pub(crate) fn latent_heat(sums: &KeySums, row: &[(KeyId, f32)], group: &mut [Sch
     let mut row = row.iter().peekable();
     for (k, (&sum, &live)) in sums.sum.iter().zip(&sums.live).enumerate() {
         // `live` decides membership: an id out of the window holds
-        // +0.0, which a threshold sum rounded below zero would beat.
+        // +0.0, which a threshold sum rounded below zero would beat. Its
+        // `ROUNDED` bit is clear, so `live != 0` needs no mask.
         if sum > floor && live != 0 {
             let id = k as KeyId;
             while row.next_if(|&&(j, _)| j < id).is_some() {}
@@ -425,9 +432,10 @@ mod tests {
 
     /// The dense latent-heat scan reads `live` alone for membership, and
     /// `export` scans it in id order. So after any run of slides and
-    /// retires an id out of the window must hold `+0.0` by bits, and the
-    /// ids with `live != 0` must be exactly a sparse reference's, whose
-    /// sums are each key's rates in the window summed afresh:
+    /// retires an id with no slot must hold `+0.0` by bits and have its
+    /// [`ROUNDED`] bit clear, and the ids with `live != 0` must be exactly
+    /// a sparse reference's, whose sums are each key's rates in the window
+    /// summed afresh:
     /// `tracked()` its length, `export` its entries ascending, by bits
     /// (the rates span forty decades, so sliding sums round while their
     /// ids are still in the window, and only a sum recomputed from the
@@ -470,13 +478,18 @@ mod tests {
                     retired.as_deref().unwrap_or(&[]),
                     ring.iter().map(Vec::as_slice),
                 );
-                rounded += sums.rounded.iter().count();
+                rounded += sums
+                    .live
+                    .iter()
+                    .filter(|&&live| live & ROUNDED != 0)
+                    .count();
                 let mut reference: BTreeMap<KeyId, Vec<f64>> = BTreeMap::new();
                 for &(id, rate) in ring.iter().flatten() {
                     reference.entry(id).or_default().push(f64::from(rate));
                 }
                 for (&sum, &live) in sums.sum.iter().zip(&sums.live) {
-                    if live == 0 {
+                    if live & !ROUNDED == 0 {
+                        assert_eq!(live, 0, "an id with no slot is not marked");
                         assert_eq!(sum.to_bits(), 0.0f64.to_bits(), "an id out of the window");
                     }
                 }
@@ -493,9 +506,9 @@ mod tests {
                     .map(|(id, rates)| (id, exact_sum(rates.iter().copied()), rates.len() as u32));
                 assert_eq!(bits(sums.export()), bits(expected.collect()));
             }
-            assert_eq!(sums.tracked(), 0);
-            assert!(
-                sums.rounded.is_empty(),
+            assert_eq!(
+                sums.tracked(),
+                0,
                 "a key out of the window is rounded no more"
             );
         }

@@ -15,7 +15,7 @@
 use eleph_core::{
     classify, classify_many, classify_stream, holding, AestDetector, ClassificationResult,
     ClassifierState, ClassifyConfig, ConstantLoadDetector, IntervalOutcome, OnlineClassifier,
-    RowOrder, Scheme, Sweep, ThresholdDetector,
+    Scheme, Sweep, ThresholdDetector,
 };
 use eleph_flow::{BandwidthMatrix, KeyId};
 use eleph_net::Prefix;
@@ -333,9 +333,9 @@ proptest! {
         let r = classify(&m, Fixed(threshold), 0.0, Scheme::SingleFeature);
         let churn = holding::churn(&r);
         prop_assert_eq!(churn.len(), rows.len());
-        for n in 1..rows.len() {
+        for (n, &churn) in churn.iter().enumerate().skip(1) {
             let bound = r.count(n) + r.count(n - 1);
-            prop_assert!(churn[n] <= bound, "churn {} > bound {}", churn[n], bound);
+            prop_assert!(churn <= bound, "churn {} > bound {}", churn, bound);
         }
     }
 
@@ -505,26 +505,50 @@ fn full_sort_crossing(values: &[f64], beta: f64) -> Option<f64> {
 }
 
 proptest! {
-    /// Several β read one row's order in turn, each sorting it further
-    /// only past where the ones before stopped; rows run to 5 000 values,
-    /// past the first two extensions (256 and 2 048), with ties, and
-    /// β = 1 where rounding can leave the sum short of the total.
+    /// Several β read each row's order in turn, each sorting it further
+    /// only past where the ones before stopped, and one sweep carries the
+    /// order from row to row: a row's first extension is sized by how
+    /// deep the row before was read, so a long row after a short one
+    /// starts shallow and a short row after a long one sorts whole. Rows
+    /// run from empty to 5 000 values, with ties, and β = 1 can fall back
+    /// to the smallest value. Every crossing is the full sort's by bits,
+    /// on the carried order and on a fresh one.
     #[test]
     fn constant_load_on_a_shared_order_equals_a_full_sort(
-        values in prop::collection::vec(
-            prop_oneof![6 => 0.1..1e6f64, 1 => Just(250.0), 1 => 1e-3..1e9f64],
-            1..5000,
+        rows in prop::collection::vec(
+            (
+                prop_oneof![2 => 0usize..64, 1 => 64usize..600, 2 => 600usize..5000],
+                prop::collection::vec(
+                    prop_oneof![6 => 0.1..1e6f32, 1 => Just(250.0f32), 1 => 1e-3..1e9f32],
+                    5000..5001,
+                ),
+            ),
+            1..6,
         ),
         betas in prop::collection::vec(prop_oneof![1 => Just(1.0), 4 => 0.01..1.0f64], 1..8),
     ) {
-        let mut order = RowOrder::new();
+        let rows: Vec<Vec<(KeyId, f32)>> = rows
+            .into_iter()
+            .map(|(len, rates)| (0..).zip(rates).take(len).collect())
+            .collect();
+        let config = ClassifyConfig { gamma: 0.5, scheme: Scheme::SingleFeature };
+        let mut sweep = Sweep::new();
         for &beta in &betas {
-            let detector = ConstantLoadDetector::new(beta);
-            let expected = full_sort_crossing(&values, beta).map(f64::to_bits);
-            let shared = detector.detect_in(&values, &mut order).map(f64::to_bits);
-            prop_assert_eq!(shared, expected, "β {} on the shared order", beta);
-            let alone = detector.detect(&values).map(f64::to_bits);
-            prop_assert_eq!(alone, expected, "β {} alone", beta);
+            sweep.pass(ConstantLoadDetector::new(beta), &[config]);
+        }
+        for row in &rows {
+            sweep.observe(row);
+        }
+        let swept = sweep.finish();
+        for (n, row) in rows.iter().enumerate() {
+            let values: Vec<f64> = row.iter().map(|&(_, rate)| f64::from(rate)).collect();
+            for (result, &beta) in swept.iter().zip(&betas) {
+                let expected = full_sort_crossing(&values, beta).map(f64::to_bits);
+                let carried = result.raw_thresholds[n].map(f64::to_bits);
+                prop_assert_eq!(carried, expected, "β {} on row {}'s carried order", beta, n);
+                let alone = ConstantLoadDetector::new(beta).detect(&values).map(f64::to_bits);
+                prop_assert_eq!(alone, expected, "β {} alone", beta);
+            }
         }
     }
 

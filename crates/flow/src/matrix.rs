@@ -78,7 +78,7 @@ impl<'a> IntervalView<'a> {
     }
 
     /// Materialise the pairs (for APIs that consume owned snapshots).
-    pub fn to_pairs(&self) -> Vec<(KeyId, f32)> {
+    pub fn to_pairs(self) -> Vec<(KeyId, f32)> {
         self.iter().collect()
     }
 }

@@ -178,6 +178,10 @@ impl<V> FlatLpm<V> {
     }
 
     /// Number of entries.
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "an `is_empty` that nothing calls is dead code"
+    )]
     pub fn len(&self) -> usize {
         self.prefixes.len()
     }

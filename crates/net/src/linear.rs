@@ -67,6 +67,10 @@ impl<V> LinearLpm<V> {
     }
 
     /// Number of entries in the table.
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "an `is_empty` that nothing calls is dead code"
+    )]
     pub fn len(&self) -> usize {
         self.entries.len()
     }

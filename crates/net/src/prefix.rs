@@ -62,6 +62,7 @@ impl Prefix {
 
     /// Prefix length in bits.
     #[inline]
+    #[allow(clippy::len_without_is_empty, reason = "a prefix length, not a count")]
     pub fn len(&self) -> u8 {
         self.len
     }

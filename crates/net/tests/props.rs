@@ -171,7 +171,7 @@ proptest! {
 
         // Freeze the final RIB from scratch, carrying the prefix as the
         // value so both sides resolve to a prefix.
-        let flat: FlatLpm<Prefix> = FlatLpm::from_entries(rib.iter().map(|(p, _)| (*p, *p)));
+        let flat: FlatLpm<Prefix> = FlatLpm::from_entries(rib.keys().map(|p| (*p, *p)));
         let id_to_prefix: std::collections::HashMap<u32, Prefix> =
             rib.iter().map(|(p, &id)| (id, *p)).collect();
         prop_assert_eq!(table.entries().len(), flat.len());

@@ -65,7 +65,7 @@ impl<'a> TcpSegment<'a> {
         check_len(buf, TCP_MIN_HEADER_LEN)?;
         let data_offset = usize::from(buf[12] >> 4) * 4;
         if data_offset < TCP_MIN_HEADER_LEN {
-            return Err(PacketError::BadHeaderLen((buf[12] >> 4) as u8));
+            return Err(PacketError::BadHeaderLen(buf[12] >> 4));
         }
         check_len(buf, data_offset)?;
         Ok(TcpSegment { buf })

@@ -265,10 +265,12 @@ impl RotatingJsonlSink {
                 std::fs::rename(file_path, &path)?;
             }
             // `create(true)`: a crash between the rotation rename and
-            // the new file's creation leaves no current file at all.
+            // the new file's creation leaves no current file at all. The
+            // file is not truncated on open: `set_len` cuts it to `keep`.
             let mut file = std::fs::OpenOptions::new()
                 .write(true)
                 .create(true)
+                .truncate(false)
                 .open(&path)?;
             file.set_len(keep as u64)?;
             file.seek(std::io::SeekFrom::End(0))?;

@@ -151,6 +151,10 @@ fn collect_metas(trace: &RateTrace) -> Vec<PacketMeta> {
 
 /// One streaming run: the shared frozen table, the shared packet
 /// stream, one (γ, scheme, backend) configuration.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the stream and one configuration, each read once; a struct would only rename them"
+)]
 fn run_pipeline(
     frozen: &FrozenBgpTable,
     metas: &[PacketMeta],

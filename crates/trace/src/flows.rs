@@ -72,7 +72,7 @@ impl FlowPopulation {
             table.len(),
             config.n_flows
         );
-        let mut rng = StdRng::seed_from_u64(mix64(config.seed ^ 0xF10_0D));
+        let mut rng = StdRng::seed_from_u64(mix64(config.seed ^ 0xF100D));
 
         // Choose which routes become flows. Prefixes fully shadowed by
         // more-specifics are skipped: packet synthesis could never emit
@@ -190,6 +190,10 @@ impl FlowPopulation {
     }
 
     /// Number of flows.
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "an `is_empty` that nothing calls is dead code"
+    )]
     pub fn len(&self) -> usize {
         self.flows.len()
     }

@@ -35,7 +35,7 @@ impl PacketMix {
         }
         if entries
             .iter()
-            .any(|&(s, w)| s < 40 || s > 65_535 || w <= 0.0)
+            .any(|&(s, w)| !(40..=65_535).contains(&s) || w <= 0.0)
         {
             return None;
         }

@@ -5,14 +5,20 @@
 #   1. tier-1: release build + full test suite (see ROADMAP.md), which
 #      also denies dead code and unreachable `pub` items in the eight
 #      library crates (the root Cargo.toml's lints table); then
-#      `cargo fmt --check`: the workspace is rustfmt-clean (`benchmark/`
-#      is a workspace of its own and is not checked);
+#      `cargo fmt --check`: the workspace is rustfmt-clean, and `cargo
+#      clippy -D warnings` over every target: clippy-clean, each lint
+#      a fix would answer with dead code allowed by name at its item,
+#      with the reason (`benchmark/` is a workspace of its own and is
+#      checked by neither);
 #   2. classifier equivalence: the one per-interval step against the
 #      legacy-replica oracle, classify_many and one sweep of several
 #      detectors and windows against independent classify runs, one
 #      sweep sharing each row's order and each window's scan against the
-#      replica, constant-load detection on a shared order against a full
-#      sort, the window sums' invariants, and the streaming classifier
+#      replica, constant-load detection on an order shared by several
+#      β and carried across unlike rows against a full sort, the keys a
+#      carried order sorts over alike rows (a recorded count: sorting
+#      more changes no byte, so only this count sees it), the window
+#      sums' invariants, and the streaming classifier
 #      (the one driver with one configuration) against the replica and
 #      resumed by bits across an export/resume, with its checks of a
 #      checkpointed state — the properties that license
@@ -203,9 +209,10 @@
 #      deleted, moved or crate-private item (`eleph-core`'s `aest`,
 #      `Ecdf` and `ThresholdSeries`) fails here;
 #  16. mutants: `scripts/mutants.sh` on five of the patches in
-#      `tests/mutants/`, one each in the classifier core, the batch
-#      sweep's shared window scan, the pipeline, the checkpoint log and a
-#      sketch: each applied alone to a copy of
+#      `tests/mutants/`, one each in the window sums' rounded mark, the
+#      batch sweep's shared row order (killed by its sort count alone),
+#      the pipeline, the checkpoint log and a sketch: each applied alone
+#      to a copy of
 #      the tree, it must still apply at the lines it was cut at (no
 #      hunk at an offset) and build, and some test must kill
 #      it (every patch, against `tests/mutants/TABLE.md`, is
@@ -224,6 +231,9 @@ cargo test -q
 echo "== format: cargo fmt --check =="
 cargo fmt --all --check
 
+echo "== lint: cargo clippy -D warnings =="
+cargo clippy --workspace --all-targets --no-deps -- -D warnings
+
 echo "== classifier equivalence: dense vs legacy, classify_many vs classify, shared sweep vs legacy, streaming vs legacy and across a resume =="
 cargo test -q -p eleph-core --test props -- \
     dense_classify_matches_legacy_reference \
@@ -234,6 +244,8 @@ cargo test -q -p eleph-core --test props -- \
     exact_retire_keeps_epsilon_scale_microflow \
     adversarial_magnitudes_leave_no_stale_state \
     batch_and_streaming_agree_across_a_checkpoint
+cargo test -q -p eleph-core --lib -- --exact \
+    threshold::tests::an_order_carried_over_alike_rows_sorts_about_as_deep_as_they_are_read
 cargo test -q -p eleph-core --lib online::
 cargo test -q -p eleph-core --lib window::
 
@@ -527,8 +539,8 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_l
 
 echo "== mutants: five patches, each killed by the model, a unit or a property test =="
 scripts/mutants.sh \
-    tests/mutants/20-stand-in-without-its-plus-one.patch \
-    tests/mutants/27-latent-heat-prefilter-on-the-largest-threshold-sum.patch \
+    tests/mutants/38-a-rounded-key-loses-its-mark.patch \
+    tests/mutants/37-row-order-sized-by-what-it-sorted.patch \
     tests/mutants/07-malformed-records-left-out-of-offered.patch \
     tests/mutants/12-resume-keeps-the-log-past-its-watermark.patch \
     tests/mutants/14-space-saving-newcomer-inherits-no-error.patch

@@ -31,9 +31,10 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # against this table, the log a compaction starts against the log a first
 # image writes, the self-contained image against its committed fixtures
 # (no other column resumes from a version-6 image that holds a window),
-# and last the heap counts (what the serial path allocates
+# then the heap counts (what the serial path allocates
 # per packet, per seal and per checkpoint image, and what the bounded-space
-# paths hold at their peak).
+# paths hold at their peak), and last the keys a carried row order sorts
+# over alike rows (a row order that sorts more gives the same bytes).
 tests=(
     "eleph-tests --test model every_run_of_the_pipeline_is_the_model"
     "eleph-tests --test model a_re_announced_prefix_is_a_new_key_and_the_old_one_drains"
@@ -69,6 +70,7 @@ tests=(
     "eleph-tests --test build_alloc building_a_link_never_holds_its_trace_beside_its_matrix"
     "eleph-tests --test alloc table4_holds_less_than_the_matrix_it_re_measures"
     "eleph-tests --test session_alloc a_session_keeps_its_results_and_tables_and_one_walk"
+    "eleph-core --lib threshold::tests::an_order_carried_over_alike_rows_sorts_about_as_deep_as_they_are_read"
 )
 
 if [ $# -eq 0 ]; then

@@ -159,8 +159,7 @@ impl Run {
         self.stats.offered += 1;
         let (start, t) = (config.start_unix * NS, config.interval_secs * NS);
         let interval = packet.ts_ns.checked_sub(start).map(|ns| (ns / t) as usize);
-        let Some(interval) = interval.filter(|&i| config.n_intervals.map_or(true, |n| i < n))
-        else {
+        let Some(interval) = interval.filter(|&i| config.n_intervals.is_none_or(|n| i < n)) else {
             self.stats.out_of_window += 1;
             return;
         };

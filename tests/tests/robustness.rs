@@ -115,7 +115,7 @@ fn header_corruption_never_misattributes() {
     while let Some((head, bytes)) = reader.next_record_ref().expect("records") {
         let mut data = bytes.to_vec();
         // Flip one bit of the destination address on every third packet.
-        if i % 3 == 0 && data.len() >= 20 {
+        if i.is_multiple_of(3) && data.len() >= 20 {
             data[16 + (i % 4)] ^= 1 << (i % 8);
             flipped += 1;
             if let Ok(meta) = eleph_packet::parse_meta(link, &data, head.ts_ns) {

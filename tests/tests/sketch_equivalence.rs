@@ -80,6 +80,10 @@ struct RunOutput {
 /// Run a pipeline over the packets under one state backend and shard
 /// count: its outcomes, report, JSONL and, with `checkpoint_after`, the
 /// image taken after that many packets.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the stream and one run's settings, each read once; a struct would only rename them"
+)]
 fn run_with(
     table: &FrozenBgpTable,
     metas: &[PacketMeta],
